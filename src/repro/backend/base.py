@@ -32,8 +32,10 @@ from ..gpu.timing import DeviceReport
 @dataclass
 class LaunchResult:
     """What one chunk of work cost: the device report plus the traces it
-    was priced from (the scheduler feeds them to counter harvesting and
-    source-line attribution)."""
+    was priced from — one :class:`~repro.exec.buffers.LaunchTrace` for a
+    GPU chunk, one :class:`~repro.exec.ExecTrace` for a CPU chunk (the
+    scheduler feeds their ``counter_totals()`` / ``block_totals()`` to
+    counter harvesting and source-line attribution)."""
 
     report: DeviceReport
     traces: list = field(default_factory=list)
@@ -42,7 +44,7 @@ class LaunchResult:
     def kept_events(self) -> int:
         """Mem events retained across this chunk's traces (the scheduler
         charges them against the construct's global cap budget)."""
-        return sum(len(trace.mem_events) for trace in self.traces)
+        return sum(trace.kept_events for trace in self.traces)
 
 
 class Backend(abc.ABC):

@@ -2,7 +2,8 @@
 
 Owns the ``gpu_function_t`` JIT cache (keyed ``(program_id,
 kernel_name)`` — kernel names repeat across compiled programs), the
-per-lane trace collection with its global mem-event cap budget, and the
+per-lane trace collection with its global mem-event cap budget (handed
+on as one columnar :class:`~repro.exec.buffers.LaunchTrace`), and the
 section 3.3 hierarchical reduction (private copies → per-work-group tree
 join → sequential host join).  The construct-level paths reproduce the
 pre-refactor ``_offload`` / ``_offload_reduce`` byte for byte; the
@@ -18,6 +19,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..cpu.timing import time_cpu_execution
+from ..exec.buffers import LaunchTrace
 from ..gpu.timing import time_gpu_kernel
 from ..svm import address_of
 from .base import Backend, LaunchResult
@@ -97,7 +99,7 @@ class GpuBackend(Backend):
         )
         return instructions * _runtime_mod().JIT_SECONDS_PER_INSTRUCTION
 
-    def _gpu_traces(self, kernel, span: range, args_of, budget=None) -> list:
+    def _gpu_traces(self, kernel, span: range, args_of, budget=None) -> LaunchTrace:
         traces = []
         rt = self.rt
         # Per-work-item cap with a *global* budget: the per-item floor of
@@ -138,7 +140,7 @@ class GpuBackend(Backend):
             traces.append(trace)
         if rt.keep_traces:
             rt.trace_log.extend(traces)
-        return traces
+        return LaunchTrace.from_traces(traces)
 
     def launch(
         self,
@@ -150,17 +152,17 @@ class GpuBackend(Backend):
     ) -> LaunchResult:
         # The kernel receives the body pointer in CPU representation (the
         # paper's ``CpuPtr cpu_ptr`` argument) and translates it itself.
-        traces = self._gpu_traces(
+        trace = self._gpu_traces(
             kinfo.gpu_kernel, span, lambda index: [body_addr, index], budget
         )
         report = time_gpu_kernel(
             self.rt.system.gpu,
             kinfo.gpu_kernel,
-            traces,
+            trace,
             l3=timing_cache,
             counters=self._counters(),
         )
-        return LaunchResult(report=report, traces=traces)
+        return LaunchResult(report=report, traces=[trace])
 
     def reduce(
         self,
@@ -170,7 +172,7 @@ class GpuBackend(Backend):
         timing_cache=None,
         budget: Optional[int] = None,
     ) -> LaunchResult:
-        traces = self._gpu_traces(
+        trace = self._gpu_traces(
             kinfo.gpu_kernel,
             span,
             lambda index: [copies[index], index],
@@ -179,11 +181,11 @@ class GpuBackend(Backend):
         report = time_gpu_kernel(
             self.rt.system.gpu,
             kinfo.gpu_kernel,
-            traces,
+            trace,
             l3=timing_cache,
             counters=self._counters(),
         )
-        return LaunchResult(report=report, traces=traces)
+        return LaunchResult(report=report, traces=[trace])
 
     # -- reduction scratch management (shared with the hybrid scheduler) --
 

@@ -6,8 +6,9 @@ executes every lane of a chunk at once through ``repro.exec.vector``
 of running one threaded-code closure chain per work-item.  Everything
 outside lane execution — JIT cache, timing, spans, reduction scratch,
 observer bookkeeping — is inherited unchanged, because the timing models
-are a pure function of the traces and the vector machine materializes
-traces bit-identical to the scalar engine's.
+are a pure function of the traces and the vector machine materializes a
+launch trace bit-identical to the one the scalar engine's lanes
+concatenate into.
 
 Per-kernel decision flow (auditable via the ``vector.*`` counters and
 the ``vector_classify`` span):
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from ..exec.buffers import LaunchTrace
 from .gpu import GpuBackend
 
 # Process-wide state shared by every VectorBackend instance.  Compiled
@@ -132,7 +134,7 @@ class VectorBackend(GpuBackend):
 
     # -- lane execution ----------------------------------------------------
 
-    def _gpu_traces(self, kernel, span: range, args_of, budget=None) -> list:
+    def _gpu_traces(self, kernel, span: range, args_of, budget=None) -> LaunchTrace:
         rt = self.rt
         if len(span) == 0:
             return super()._gpu_traces(kernel, span, args_of, budget)
@@ -162,7 +164,7 @@ class VectorBackend(GpuBackend):
             with rt._span(
                 "vector_launch", "vector", kernel=kernel.name, n=len(span)
             ):
-                machine, traces = run_vectorized(
+                machine, trace = run_vectorized(
                     rt,
                     vfn,
                     span,
@@ -198,5 +200,5 @@ class VectorBackend(GpuBackend):
             counters.add("vector.mask_occupancy", int(machine.occ_active))
             counters.add("vector.mask_slots", int(machine.occ_slots))
         if rt.keep_traces:
-            rt.trace_log.extend(traces)
-        return traces
+            rt.trace_log.extend(trace.lanes())
+        return trace

@@ -1,13 +1,24 @@
-"""Compact runtime buffers shared by the two execution engines.
+"""Compact runtime buffers shared by the execution engines.
 
-Two pieces of infrastructure that keep the hot execution paths cheap:
+Three pieces of infrastructure that keep the hot execution paths cheap:
 
 * :class:`MemEventColumns` — a columnar memory-event buffer (parallel
   ``array`` columns of ints rather than one ``MemEvent`` object per dynamic
   access).  The threaded-code engine appends five ints per access instead
-  of allocating an object; the timing models consume either representation
-  through :func:`iter_mem_events` (or plain iteration, which adapts each
-  row back into a ``MemEvent``).
+  of allocating an object; the CPU timing model consumes either
+  representation through :func:`iter_mem_events` (or plain iteration,
+  which adapts each row back into a ``MemEvent``).  This module is the
+  only place that knows the stride-5 row layout: everything else goes
+  through :func:`event_rows`, :meth:`MemEventColumns.from_rows`,
+  :func:`iter_mem_events` or :func:`iter_access_events`.
+
+* :class:`LaunchTrace` — one GPU launch's trace as NumPy columns: the
+  memory events of every lane in one set of arrays, a blocks x lanes
+  count matrix and per-lane counter vectors.  The vector engine builds
+  it straight from its event records, the scalar GPU backend by
+  concatenating its per-lane buffers, and the GPU timing model computes
+  on the columns; per-lane :class:`~repro.exec.interp.ExecTrace` objects
+  are a lazy view (:meth:`LaunchTrace.lanes`).
 
 * :class:`PrivateMemoryPool` — recycles the per-invocation private-memory
   (``alloca``) bytearray.  A fresh buffer is ~1 MiB of zeroed memory per
@@ -24,11 +35,28 @@ cap the runtime is built with is exactly the cap the traces enforce.
 from __future__ import annotations
 
 from array import array
+from dataclasses import dataclass
+from typing import Optional
+
+import numpy as np
 
 #: One cap, threaded from the runtime into every trace it creates.  The
 #: cache/coalescing models sample at most this many events per launch;
 #: events beyond it are counted in ``mem_events_dropped``.
 DEFAULT_MEM_EVENT_CAP = 120_000
+
+#: Observer counter names for the entries of ``counter_totals()``, which
+#: :class:`~repro.exec.interp.ExecTrace` (one lane or chunk) and
+#: :class:`LaunchTrace` (one launch) both report, in this order.
+TRACE_COUNTERS = (
+    "engine.instructions",
+    "engine.flops",
+    "engine.int_ops",
+    "engine.calls",
+    "engine.translations",
+    "mem_events.kept",
+    "mem_events.dropped",
+)
 
 
 class MemEventColumns:
@@ -49,6 +77,14 @@ class MemEventColumns:
 
     def __init__(self):
         self.data = array("Q")
+
+    @classmethod
+    def from_rows(cls, rows) -> "MemEventColumns":
+        """A buffer holding the given ``(k, 5)`` unsigned-64 event rows
+        (the inverse of :func:`event_rows`)."""
+        columns = cls()
+        columns.data.frombytes(np.ascontiguousarray(rows, np.uint64).tobytes())
+        return columns
 
     def append_raw(
         self, instr_uid: int, seq: int, address: int, size: int, is_store: bool
@@ -108,6 +144,239 @@ def iter_mem_events(trace):
         data = events.data
         return zip(data[0::5], data[1::5], data[2::5], data[3::5])
     return ((e.instr_uid, e.seq, e.address, e.size) for e in events)
+
+
+def event_rows(events) -> np.ndarray:
+    """A trace's memory events as a ``(k, 5)`` unsigned-64 array of
+    ``(instr_uid, seq, address, size, is_store)`` rows, whichever
+    representation holds them.  For columnar storage the result is a view
+    of the buffer, which cannot grow while the view is alive."""
+    if isinstance(events, MemEventColumns):
+        return np.frombuffer(events.data, np.uint64).reshape(-1, 5)
+    return np.array(
+        [(e.instr_uid, e.seq, e.address, e.size, e.is_store) for e in events],
+        np.uint64,
+    ).reshape(-1, 5)
+
+
+def iter_access_events(trace):
+    """Stream a trace's memory events as ``(address, size, is_store)``
+    tuples, whichever representation the trace holds (the declared-set
+    replay needs exactly these three fields)."""
+    events = trace.mem_events
+    if isinstance(events, MemEventColumns):
+        data = events.data
+        return zip(data[2::5], data[3::5], data[4::5])
+    return ((e.address, e.size, e.is_store) for e in events)
+
+
+@dataclass(eq=False)
+class LaunchTrace:
+    """One GPU launch's execution trace, columnar across all its lanes.
+
+    * ``lane, uid, seq, address, size, is_store`` — one entry per retained
+      memory event, lane-major (``lane`` is non-decreasing) and
+      chronological within a lane: exactly the per-lane event lists laid
+      end to end.
+    * ``kept, dropped, caps`` — per lane: events retained, events counted
+      but dropped past the cap, and the cap that lane ran under.
+    * ``block_uids`` / ``block_counts`` — a blocks x lanes matrix of
+      executed-block counts.  Rows follow the order in which the per-lane
+      ``block_counts`` dicts list their keys, so :meth:`lanes` and
+      :meth:`block_totals` reproduce those dicts and their merge
+      key-for-key; consumers that need a canonical order sort the uids.
+    * ``branch_uids`` / ``branch_taken`` / ``branch_total`` — conditional
+      branch outcome matrices, carried only for the per-lane view (the GPU
+      model does not price branches).
+    * ``instructions, flops, int_ops, translations, calls`` — per-lane
+      counter vectors.
+
+    ``n`` is the number of lanes.  All index and count columns are int64
+    and ``address`` is uint64.
+    """
+
+    n: int
+    lane: np.ndarray
+    uid: np.ndarray
+    seq: np.ndarray
+    address: np.ndarray
+    size: np.ndarray
+    is_store: np.ndarray
+    kept: np.ndarray
+    dropped: np.ndarray
+    caps: np.ndarray
+    block_uids: np.ndarray
+    block_counts: np.ndarray
+    branch_uids: np.ndarray
+    branch_taken: np.ndarray
+    branch_total: np.ndarray
+    instructions: np.ndarray
+    flops: np.ndarray
+    int_ops: np.ndarray
+    translations: np.ndarray
+    calls: np.ndarray
+    #: the per-lane view, once built (or the traces this one was adapted from)
+    per_lane: Optional[list] = None
+
+    @classmethod
+    def from_traces(cls, traces) -> "LaunchTrace":
+        """Adapt per-lane traces (columnar or list-form events) by
+        concatenation.  The given traces stay the per-lane view, so their
+        branch statistics are not converted."""
+        traces = list(traces)
+        n = len(traces)
+        chunks = [event_rows(trace.mem_events) for trace in traces]
+        kept = np.fromiter(map(len, chunks), np.int64, n)
+        rows = np.concatenate(chunks) if n else np.empty((0, 5), np.uint64)
+        del chunks  # release the buffer exports
+        scalars = np.array(
+            [
+                (
+                    t.instructions,
+                    t.flops,
+                    t.int_ops,
+                    t.translations,
+                    t.calls,
+                    t.mem_events_dropped,
+                    t.mem_event_cap,
+                )
+                for t in traces
+            ],
+            np.int64,
+        ).reshape(n, 7)
+        uid_flat: list = []
+        count_flat: list = []
+        widths = []
+        for trace in traces:
+            counts = trace.block_counts
+            uid_flat.extend(counts)
+            count_flat.extend(counts.values())
+            widths.append(len(counts))
+        row_of = {uid: row for row, uid in enumerate(dict.fromkeys(uid_flat))}
+        block_counts = np.zeros((len(row_of), n), np.int64)
+        block_counts[
+            np.fromiter(map(row_of.__getitem__, uid_flat), np.int64, len(uid_flat)),
+            np.repeat(np.arange(n), widths),
+        ] = count_flat
+        empty = np.zeros((0, n), np.int64)
+        return cls(
+            n=n,
+            per_lane=traces,
+            lane=np.repeat(np.arange(n), kept),
+            uid=rows[:, 0].astype(np.int64),
+            seq=rows[:, 1].astype(np.int64),
+            address=np.ascontiguousarray(rows[:, 2]),
+            size=rows[:, 3].astype(np.int64),
+            is_store=rows[:, 4].astype(np.int64),
+            kept=kept,
+            dropped=scalars[:, 5],
+            caps=scalars[:, 6],
+            block_uids=np.fromiter(row_of, np.int64, len(row_of)),
+            block_counts=block_counts,
+            branch_uids=np.zeros(0, np.int64),
+            branch_taken=empty,
+            branch_total=empty,
+            instructions=scalars[:, 0],
+            flops=scalars[:, 1],
+            int_ops=scalars[:, 2],
+            translations=scalars[:, 3],
+            calls=scalars[:, 4],
+        )
+
+    @property
+    def kept_events(self) -> int:
+        """Mem events retained across the whole launch."""
+        return len(self.uid)
+
+    def counter_totals(self) -> tuple:
+        """The launch's :data:`TRACE_COUNTERS` totals."""
+        return (
+            int(self.instructions.sum()),
+            int(self.flops.sum()),
+            int(self.int_ops.sum()),
+            int(self.calls.sum()),
+            int(self.translations.sum()),
+            self.kept_events,
+            int(self.dropped.sum()),
+        )
+
+    def block_totals(self) -> dict:
+        """Executed-block histogram merged over the lanes, keyed in the
+        order a lane-by-lane merge of the per-lane dicts would insert
+        them (first lane to execute the block, then row order)."""
+        counts = self.block_counts
+        order = np.argsort((counts != 0).argmax(axis=1), kind="stable")
+        totals = counts.sum(axis=1)
+        return {
+            uid: total
+            for uid, total in zip(
+                self.block_uids[order].tolist(), totals[order].tolist()
+            )
+            if total
+        }
+
+    def lanes(self) -> list:
+        """The per-lane :class:`~repro.exec.interp.ExecTrace` view, built
+        on first use.  Only consumers that want objects per lane pay for
+        it: ``keep_traces`` (and the declared-set replay and equivalence
+        suites behind it) and tests."""
+        if self.per_lane is None:
+            from .interp import ExecTrace
+
+            block_items = list(
+                zip(self.block_uids.tolist(), self.block_counts.tolist())
+            )
+            branch_items = list(
+                zip(
+                    self.branch_uids.tolist(),
+                    self.branch_taken.tolist(),
+                    self.branch_total.tolist(),
+                )
+            )
+            rows = np.empty((len(self.uid), 5), np.uint64)
+            for column, values in enumerate(
+                (self.uid, self.seq, self.address, self.size, self.is_store)
+            ):
+                rows[:, column] = values
+            ends = np.cumsum(self.kept).tolist()
+            fields = (
+                "mem_event_cap",
+                "mem_events_dropped",
+                "instructions",
+                "flops",
+                "int_ops",
+                "translations",
+                "calls",
+            )
+            vectors = (
+                self.caps,
+                self.dropped,
+                self.instructions,
+                self.flops,
+                self.int_ops,
+                self.translations,
+                self.calls,
+            )
+            scalars = zip(*(vector.tolist() for vector in vectors))
+            lanes = [
+                ExecTrace(
+                    block_counts={
+                        uid: row[lane] for uid, row in block_items if row[lane]
+                    },
+                    branch_stats={
+                        uid: [taken[lane], total[lane]]
+                        for uid, taken, total in branch_items
+                        if total[lane]
+                    },
+                    mem_events=MemEventColumns.from_rows(rows[end - kept : end]),
+                    **dict(zip(fields, values)),
+                )
+                for lane, (kept, end, values) in enumerate(
+                    zip(self.kept.tolist(), ends, scalars)
+                )
+            ]
+            self.per_lane = lanes
+        return self.per_lane
 
 
 class PrivateMemoryPool:

@@ -510,16 +510,6 @@ class CompiledFunction:
 
     # -- compilation -----------------------------------------------------
 
-    @staticmethod
-    def _effective_terminator(block):
-        """The first terminator in the instruction list — the one execution
-        actually reaches (``BasicBlock.terminator`` only looks at the last
-        instruction, which may differ in malformed blocks)."""
-        for instr in block.instructions:
-            if instr.op in ("br", "condbr", "ret", "unreachable"):
-                return instr
-        return None
-
     def _compile(self) -> None:
         plan = plan_function(self.function)
         if plan is None:

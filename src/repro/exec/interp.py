@@ -54,9 +54,10 @@ class ExecTrace:
     ``mem_events`` is either a plain list of :class:`MemEvent` (the
     reference interpreter's representation) or a columnar
     :class:`~repro.exec.buffers.MemEventColumns` buffer (the threaded-code
-    engine's); both support ``append``/``len``/iteration, and the timing
-    models stream either through
-    :func:`~repro.exec.buffers.iter_mem_events`.
+    engine's); both support ``append``/``len``/iteration.  The CPU model
+    streams either through :func:`~repro.exec.buffers.iter_mem_events`;
+    the GPU model takes a whole launch's lanes at once as a
+    :class:`~repro.exec.buffers.LaunchTrace`.
 
     ``mem_event_cap`` defaults to :data:`DEFAULT_MEM_EVENT_CAP`, the same
     constant :class:`~repro.runtime.runtime.ConcordRuntime` is built with
@@ -73,6 +74,29 @@ class ExecTrace:
     int_ops: int = 0
     translations: int = 0  # svm.to_gpu/to_cpu executed (PTROPT removes these)
     calls: int = 0
+
+    @property
+    def kept_events(self) -> int:
+        """Mem events retained by this trace."""
+        return len(self.mem_events)
+
+    def counter_totals(self) -> tuple:
+        """This trace's :data:`~repro.exec.buffers.TRACE_COUNTERS`
+        values — what the runtime folds into the observer per construct."""
+        return (
+            self.instructions,
+            self.flops,
+            self.int_ops,
+            self.calls,
+            self.translations,
+            self.kept_events,
+            self.mem_events_dropped,
+        )
+
+    def block_totals(self) -> dict:
+        """Executed-block histogram (``block_counts``; a launch-level
+        trace merges its lanes' here)."""
+        return self.block_counts
 
     def record_mem(self, event: MemEvent) -> None:
         if len(self.mem_events) < self.mem_event_cap:

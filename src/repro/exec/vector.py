@@ -47,9 +47,10 @@ Design:
 
 * **Exact traces.**  Memory events are queued raw (one record per
   vector access, canonicalized in one batch at materialization) and
-  expanded into per-lane :class:`ExecTrace` objects that replicate the
-  scalar GPU backend's per-item cap budgeting, so the timing models —
-  and every figure — see identical inputs.
+  folded into one columnar :class:`~repro.exec.buffers.LaunchTrace`
+  that replicates the scalar GPU backend's per-item cap budgeting, so
+  the timing model — and every figure — sees identical inputs; its lazy
+  per-lane view is what the scalar engine's ``ExecTrace`` list would be.
 
 Kernels that cannot be vectorized (virtual calls, atomics, device-side
 allocation, recursion, aggregate scalars, cross-domain bitcasts) are
@@ -74,7 +75,7 @@ except ImportError as exc:  # pragma: no cover - exercised only without numpy
 from ..ir.intrinsics import MATH_EVAL
 from ..ir.types import FloatType, IntType, PointerType, VoidType
 from ..ir.values import Constant, Function, GlobalVariable, Instruction
-from .buffers import MemEventColumns
+from .buffers import LaunchTrace
 from .compiled import (
     _DIV_OPS,
     _T_BR,
@@ -89,7 +90,6 @@ from .interp import (
     _FLOAT_OPS,
     _MAX_CALL_DEPTH,
     _MAX_STEPS_DEFAULT,
-    ExecTrace,
     Interpreter,
 )
 
@@ -616,10 +616,12 @@ class VectorMachine:
 
     # -- trace materialization --------------------------------------------
 
-    def materialize(self, budget: int) -> list:
-        """Per-lane :class:`ExecTrace` objects replicating the scalar GPU
+    def materialize(self, budget: int) -> LaunchTrace:
+        """The launch's columnar trace, replicating the scalar GPU
         backend's event-cap budgeting and the threaded-code engine's
-        derived counters, in span order."""
+        derived counters.  Everything stays an array: per-lane
+        ``ExecTrace`` objects exist only if someone asks the result for
+        its :meth:`~repro.exec.buffers.LaunchTrace.lanes`."""
         n = self.n
         instructions = np.zeros(n, _I64)
         flops = np.zeros(n, _I64)
@@ -654,108 +656,89 @@ class VectorMachine:
                     else:
                         st[0] += taken[u]
                         st[1] += row
-        block_items = [(uid, t.tolist()) for uid, t in uid_totals.items()]
-        stat_items = [
-            (buid, tk.tolist(), tt.tolist())
-            for buid, (tk, tt) in stat_totals.items()
-        ]
+        no_rows = np.zeros((0, n), _I64)  # vstack needs one array
+        return LaunchTrace(
+            n=n,
+            **self._event_columns(budget),
+            block_uids=np.fromiter(uid_totals, _I64, len(uid_totals)),
+            block_counts=np.vstack([no_rows, *uid_totals.values()]),
+            branch_uids=np.fromiter(stat_totals, _I64, len(stat_totals)),
+            branch_taken=np.vstack(
+                [no_rows, *(taken for taken, _ in stat_totals.values())]
+            ),
+            branch_total=np.vstack(
+                [no_rows, *(total for _, total in stat_totals.values())]
+            ),
+            instructions=instructions,
+            flops=flops,
+            int_ops=int_ops,
+            translations=translations,
+            calls=calls,
+        )
 
-        lane_rows, starts, ends = self._event_rows()
+    def _event_columns(self, budget: int) -> dict:
+        """The event columns of the launch trace from the chronological
+        records: apply the scalar backend's cap budget, order the kept
+        events per lane, canonicalize their addresses in one batch and
+        derive per-(lane, uid) sequence numbers.  Events over a lane's cap
+        are dropped before anything is gathered or ranked."""
+        n = self.n
+        records = self.records
+        none = [np.zeros(0, _I64)]
+        widths = [len(record[1]) for record in records]
+        lanes = np.concatenate([record[1] for record in records] or none)
+        totals = np.bincount(lanes, minlength=n)
+        # The scalar backend's running budget in closed form: lane i keeps
+        # min(total_i, per_item, budget - kept by the lanes before it).
         per_item = max(1000, budget // max(1, n))
-        kept = 0
-        traces = []
-        for lane in range(n):
-            blocks = {}
-            for uid, tl in block_items:
-                c = tl[lane]
-                if c:
-                    blocks[uid] = c
-            stats = {}
-            for buid, tk, tt in stat_items:
-                c = tt[lane]
-                if c:
-                    stats[buid] = [tk[lane], c]
-            cap = min(per_item, max(0, budget - kept))
-            cols = MemEventColumns()
-            total = 0
-            if lane_rows is not None:
-                s, e = starts[lane], ends[lane]
-                total = e - s
-                take = min(total, cap)
-                if take:
-                    cols.data.frombytes(lane_rows[s : s + take].tobytes())
-                kept += take
-            traces.append(
-                ExecTrace(
-                    instructions=int(instructions[lane]),
-                    block_counts=blocks,
-                    branch_stats=stats,
-                    mem_events=cols,
-                    mem_event_cap=cap,
-                    mem_events_dropped=total - min(total, cap),
-                    flops=int(flops[lane]),
-                    int_ops=int(int_ops[lane]),
-                    translations=int(translations[lane]),
-                    calls=int(calls[lane]),
-                )
-            )
-        return traces
+        kept_through = np.minimum(
+            np.cumsum(np.minimum(totals, per_item)), max(0, budget)
+        )
+        kept = np.diff(kept_through, prepend=0)
+        kept_before = kept_through - kept
+        caps = np.minimum(per_item, np.maximum(0, budget - kept_before))
+        count = int(kept.sum())
 
-    def _event_rows(self):
-        """Sort the chronological event records per lane, canonicalize
-        addresses in one batch, derive per-(lane, uid) sequence numbers,
-        and build (E, 5) uint64 rows."""
-        if not self.records:
-            return None, None, None
-        lane_parts, uid_parts, addr_parts, size_parts, st_parts = (
-            [],
-            [],
-            [],
-            [],
-            [],
-        )
-        for uid, mids, addr, size, is_store in self.records:
-            k = len(mids)
-            lane_parts.append(mids)
-            uid_parts.append(np.full(k, uid, _U64))
-            addr_parts.append(addr)
-            size_parts.append(np.full(k, size, _U64))
-            st_parts.append(np.full(k, 1 if is_store else 0, _U64))
-        lanes = np.concatenate(lane_parts)
-        uids = np.concatenate(uid_parts)
-        au = np.concatenate(addr_parts).view(_U64)
+        # Chronological order per lane is a stable sort by lane id (in the
+        # narrowest dtype that holds it: 16-bit keys take NumPy's radix
+        # sort); each lane keeps the first ``kept[lane]`` of its run.
+        order = np.argsort(lanes.astype(np.min_scalar_type(n)), kind="stable")
+        run_starts = np.cumsum(totals) - totals
+        order = order[np.arange(count) + np.repeat(run_starts - kept_before, kept)]
+        lane = np.repeat(np.arange(n), kept)
+
+        record = np.repeat(np.arange(len(records)), widths)[order]
+        record_uids = np.array([r[0] for r in records], _I64)
+        au = np.concatenate([r[2] for r in records] or none).view(_U64)[order]
         in_surface = (au >= self.cbase_u) & (au < self.cend_u)
-        addrs = np.where(in_surface, au - self.svm_u, au)
-        sizes = np.concatenate(size_parts)
-        sts = np.concatenate(st_parts)
-        order = np.argsort(lanes, kind="stable")  # chronological per lane
-        lanes = lanes[order]
-        uids = uids[order]
-        addrs = addrs[order]
-        sizes = sizes[order]
-        sts = sts[order]
-        key = (lanes.astype(_U64) << np.uint64(32)) | uids
-        perm = np.argsort(key, kind="stable")
-        sk = key[perm]
-        fresh = np.empty(len(sk), bool)
-        fresh[0] = True
-        fresh[1:] = sk[1:] != sk[:-1]
-        group_start = np.flatnonzero(fresh)
-        span_starts = np.repeat(
-            group_start, np.diff(np.append(group_start, len(sk)))
+
+        # seq: rank among the lane's accesses by the same instruction.  A
+        # lane's kept events are a chronological prefix, so ranking the
+        # kept ones alone numbers them as ranking all of them would.
+        uids, uid_ranks = np.unique(record_uids, return_inverse=True)
+        key = lane * len(uids) + uid_ranks[record]
+        perm = np.argsort(
+            key.astype(np.min_scalar_type(n * len(uids))), kind="stable"
         )
-        seqs = np.empty(len(sk), _U64)
-        seqs[perm] = (np.arange(len(sk)) - span_starts).astype(_U64)
-        rows = np.empty((len(sk), 5), _U64)
-        rows[:, 0] = uids
-        rows[:, 1] = seqs
-        rows[:, 2] = addrs
-        rows[:, 3] = sizes
-        rows[:, 4] = sts
-        grid = np.arange(self.n, dtype=_I64)
-        starts = np.searchsorted(lanes, grid, side="left")
-        ends = np.searchsorted(lanes, grid, side="right")
-        return rows, starts, ends
+        sorted_key = key[perm]
+        group_start = np.flatnonzero(
+            np.concatenate(([True], sorted_key[1:] != sorted_key[:-1]))[:count]
+        )
+        seq = np.empty(count, _I64)
+        seq[perm] = np.arange(count) - np.repeat(
+            group_start, np.diff(np.append(group_start, count))
+        )
+        return {
+            "lane": lane,
+            "uid": record_uids[record],
+            "seq": seq,
+            "address": np.where(in_surface, au - self.svm_u, au),
+            "size": np.array([r[3] for r in records], _I64)[record],
+            "is_store": np.array([r[4] for r in records], _I64)[record],
+            "kept": kept,
+            "dropped": totals - kept,
+            "caps": caps,
+        }
 
 
 _SHIFT = {1: 0, 2: 1, 4: 2, 8: 3}
@@ -2101,7 +2084,8 @@ def _arg_columns(vfn: VectorFunction, span, args_of):
 
 
 def run_vectorized(rt, vfn: VectorFunction, span, args_of, num_cores, budget):
-    """Execute one GPU launch columnar; returns (machine, traces).
+    """Execute one GPU launch columnar; returns ``(machine, trace)``
+    with ``trace`` the launch's :class:`~repro.exec.buffers.LaunchTrace`.
 
     On *any* failure — vectorizability trap, cross-lane hazard, or an
     unexpected error — every journalled store is rolled back so the
@@ -2115,7 +2099,7 @@ def run_vectorized(rt, vfn: VectorFunction, span, args_of, num_cores, budget):
         with np.errstate(all="ignore"):
             vfn.invoke(machine, cols, machine.lane_ids)
             machine.check_hazards()
-        traces = machine.materialize(budget)
+        trace = machine.materialize(budget)
     except _Trap as exc:
         machine.rollback()
         raise VectorFallback(str(exc), sticky=exc.sticky) from None
@@ -2123,4 +2107,4 @@ def run_vectorized(rt, vfn: VectorFunction, span, args_of, num_cores, budget):
         machine.rollback()
         raise VectorFallback(f"{type(exc).__name__}: {exc}") from None
     machine.journal.clear()
-    return machine, traces
+    return machine, trace

@@ -1,8 +1,14 @@
 """GPU performance and energy model from execution traces.
 
-Work-items execute functionally on the scalar interpreter; this module
-turns their per-lane :class:`~repro.exec.ExecTrace` records into cycles and
-joules on a :class:`~repro.gpu.device.GpuDevice`:
+Work-items execute functionally on one of the engines; this module
+turns a launch's trace — a columnar
+:class:`~repro.exec.buffers.LaunchTrace`, or the per-lane
+:class:`~repro.exec.ExecTrace` records it is adapted from — into cycles
+and joules on a :class:`~repro.gpu.device.GpuDevice`.  The model is
+evaluated with NumPy over the launch's columns but *defined* lane by
+lane, warp by warp: transactions reach the LRU in first-touch order and
+every float is accumulated left to right in that order (``docs/MODEL.md``,
+*Order contract*), so reports do not depend on how the trace was built:
 
 * **SIMT issue with divergence.**  Lanes are grouped into SIMD16 warps in
   index order (the hardware's dispatch order).  For each basic block, the
@@ -45,8 +51,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..exec.buffers import iter_mem_events
-from ..exec.interp import ExecTrace
+import numpy as np
+
+from ..exec.buffers import LaunchTrace
 from ..ir import Function
 from .cache import CacheModel
 from .device import GpuDevice
@@ -155,123 +162,223 @@ def _guarded_blocks(kernel: Function) -> dict[int, int]:
     return guarded
 
 
+def _running_sum(values) -> float:
+    """Left-to-right float sum.  ``np.cumsum`` accumulates strictly in
+    order (``np.sum`` adds pairwise blocks), which is the order every
+    report float is pinned to."""
+    return float(np.cumsum(values)[-1]) if len(values) else 0.0
+
+
+def _run_starts(*sorted_keys) -> np.ndarray:
+    """Mask of the positions where any of the (co-sorted) key columns
+    changes — the first element of every run of equal keys."""
+    same = np.ones(max(0, len(sorted_keys[0]) - 1), bool)
+    for key in sorted_keys:
+        same &= key[1:] == key[:-1]
+    return np.concatenate(([True], ~same))[: len(sorted_keys[0])]
+
+
+def _issue_slots(device, kernel, trace: LaunchTrace, warps: int):
+    """Per-warp ``(issue, converged)`` slot vectors from the blocks x
+    lanes count matrix — the divergence model of the module docstring."""
+    w = device.simd_width
+    n = trace.n
+    sizes = block_sizes(kernel)
+    guarded = _guarded_blocks(kernel)
+    # Canonical (sorted-uid) block order: float accumulation order must not
+    # depend on which engine produced the trace.
+    order = np.argsort(trace.block_uids)
+    uids = trace.block_uids[order].tolist()
+    counts = np.zeros((len(uids), warps * w), np.int64)
+    counts[:, :n] = trace.block_counts[order]
+    counts = counts.reshape(len(uids), warps, w)
+    size_of = np.array([sizes.get(uid, 1) for uid in uids], np.float64)[:, None]
+    lanes_in = np.full(warps, w)
+    lanes_in[-1:] = n - (warps - 1) * w
+    block_max = counts.max(axis=2)
+    estimate = block_max.astype(np.float64)
+
+    # Independent-outcomes correction for blocks guarded by a condbr: the
+    # warp issues the block whenever any lane enters it.
+    row_of = {uid: row for row, uid in enumerate(uids)}
+    pairs = [
+        (row, row_of[guarded[uid]])
+        for row, uid in enumerate(uids)
+        if guarded.get(uid) in row_of
+    ]
+    if pairs:
+        child, parent = (np.array(rows) for rows in zip(*pairs))
+        parent_counts = counts[parent]
+        entered = parent_counts > 0
+        p_enter = np.minimum(
+            1.0, counts[child] / np.where(entered, parent_counts, 1)
+        )
+        stay_out = np.where(entered, 1.0 - p_enter, 1.0)
+        miss_all = np.ones((len(pairs), warps))
+        for lane in range(w):  # lane order: the product is order-sensitive
+            miss_all *= stay_out[:, :, lane]
+        parent_occ = block_max[parent]
+        estimate[child] = np.where(
+            (lanes_in > 1) & (parent_occ > 0),
+            np.maximum(estimate[child], parent_occ * (1.0 - miss_all)),
+            estimate[child],
+        )
+
+    # One running sum per warp, down the rows in sorted-uid order (the
+    # trailing sum only turns "last row, if any" into a vector).
+    issue = np.cumsum(estimate * size_of, axis=0)[-1:].sum(axis=0)
+    converged = np.cumsum(
+        (counts.sum(axis=2) / lanes_in) * size_of, axis=0
+    )[-1:].sum(axis=0)
+    return issue, converged
+
+
+def _occurrences(warp, uid, seq):
+    """Group events into coalescing occurrences — unique ``(uid, seq,
+    warp)`` — numbered by first touch.  Returns each event's occurrence,
+    and per occurrence its warp and its ``(uid, seq)`` pair id (shared by
+    all warps; contention is counted per pair)."""
+    # A stable sort leaves every run's first element at its earliest event.
+    order = np.lexsort((warp, seq, uid))
+    s_warp = warp[order]
+    pair_start = _run_starts(uid[order], seq[order])
+    occ_start = pair_start | _run_starts(s_warp)
+    # Event order is warp-major, so ranking the occurrences by their first
+    # event is the first-touch numbering.
+    touch_order = np.argsort(order[occ_start])
+    occ_id = np.empty(len(touch_order), np.int64)
+    occ_id[touch_order] = np.arange(len(touch_order))
+    occ_of_event = np.empty(len(order), np.int64)
+    occ_of_event[order] = occ_id[np.cumsum(occ_start) - 1]
+    occ_warp = s_warp[occ_start][touch_order]
+    occ_pair = (np.cumsum(pair_start) - 1)[occ_start][touch_order]
+    return occ_of_event, occ_warp, occ_pair
+
+
+def _coalesce(occ_of_event, address, size, line_bytes: int):
+    """One transaction per distinct ``(occurrence, line)``: returns their
+    occurrences and lines in issue order — by occurrence and, within it,
+    by first touch."""
+    # Expand each access into the lines it touches, low to high.
+    first_line = (address // np.uint64(line_bytes)).astype(np.int64)
+    within = (address % np.uint64(line_bytes)).astype(np.int64)
+    n_lines = (within + size - 1) // line_bytes + 1
+    rows = int(n_lines.sum())
+    row_event = np.repeat(np.arange(len(n_lines)), n_lines)
+    row_line = first_line[row_event] + (
+        np.arange(rows) - np.repeat(np.cumsum(n_lines) - n_lines, n_lines)
+    )
+    row_occ = occ_of_event[row_event]
+    order = np.lexsort((row_line, row_occ))
+    s_occ, s_line = row_occ[order], row_line[order]
+    tx_start = _run_starts(s_occ, s_line)
+    # stable sort: ``order[tx_start]`` is the row that touched the line first
+    issue_order = np.argsort(s_occ[tx_start] * rows + order[tx_start])
+    return s_occ[tx_start][issue_order], s_line[tx_start][issue_order]
+
+
+def _contention(tx_line, tx_pair, tx_eu, eus: int, ports: int):
+    """For every ``(uid, seq, line)`` key touched from more EUs than the
+    line has ports, the number of EUs beyond them — keys in the order of
+    the transaction that first touched them."""
+    pair_eu = tx_pair * eus + tx_eu
+    order = np.lexsort((pair_eu, tx_line))
+    s_line, s_pair_eu = tx_line[order], pair_eu[order]
+    key_start = _run_starts(s_line, s_pair_eu // eus)
+    starts = np.flatnonzero(key_start)
+    distinct_eus = np.add.reduceat(
+        (key_start | _run_starts(s_pair_eu)).astype(np.int64), starts
+    )
+    extras = np.maximum(0, distinct_eus - ports)
+    contended = np.flatnonzero(extras)
+    first_tx = np.minimum.reduceat(order, starts)[contended]
+    return extras[contended][np.argsort(first_tx)]
+
+
+def _transactions(device, trace: LaunchTrace, warps: int):
+    """Coalesce the launch's memory events into cache-line transactions.
+
+    Returns ``(lines, tx_per_warp, occurrences_per_warp,
+    contention_extras)``: the deduplicated line sequence in issue order,
+    the per-warp counts the gather-cracking term needs, and — in
+    first-touch order of the contended ``(uid, seq, line)`` keys — how
+    many EUs beyond the line's ports touched each.
+
+    Ordering contract (the sequential LRU and every float sum depend on
+    it): warps in index order; within a warp, ``(uid, seq)`` occurrences
+    in order of their first event (lane-major, then program order);
+    within an occurrence, lines in order of first touch, an access that
+    straddles lines touching them low to high.
+    """
+    if not len(trace.uid):
+        none = np.zeros(0, np.int64)
+        zeros = np.zeros(warps, np.int64)
+        return none, zeros, zeros, none
+    occ_of_event, occ_warp, occ_pair = _occurrences(
+        trace.lane // device.simd_width, trace.uid, trace.seq
+    )
+    tx_occ, tx_line = _coalesce(
+        occ_of_event, trace.address, trace.size, device.l3_line_bytes
+    )
+    tx_warp = occ_warp[tx_occ]
+    extras = _contention(
+        tx_line,
+        occ_pair[tx_occ],
+        tx_warp % device.num_eus,
+        device.num_eus,
+        device.l3_line_ports,
+    )
+    return (
+        tx_line,
+        np.bincount(tx_warp, minlength=warps),
+        np.bincount(occ_warp, minlength=warps),
+        extras,
+    )
+
+
 def time_gpu_kernel(
     device: GpuDevice,
     kernel: Function,
-    traces: list[ExecTrace],
+    traces: LaunchTrace | list,
     l3: CacheModel | None = None,
     counters=None,
 ) -> DeviceReport:
-    sizes = block_sizes(kernel)
-    guarded = _guarded_blocks(kernel)
+    """Price one launch.  ``traces`` is a
+    :class:`~repro.exec.buffers.LaunchTrace`, or a plain list of per-lane
+    :class:`~repro.exec.ExecTrace` (list-form or columnar events) that is
+    adapted into one."""
+    trace = (
+        traces
+        if isinstance(traces, LaunchTrace)
+        else LaunchTrace.from_traces(traces)
+    )
     l3 = l3 or CacheModel(device.l3_size_bytes, device.l3_line_bytes, device.l3_assoc)
-    w = device.simd_width
+    warps = (trace.n + device.simd_width - 1) // device.simd_width
 
-    total_issue = 0.0
-    converged_issue = 0.0
-    total_instructions = 0
-    total_translations = 0
+    total_instructions = int(trace.instructions.sum())
+    total_translations = int(trace.translations.sum())
 
-    mem_transactions = 0
-    l3_hits = 0
-    l3_misses = 0
-    mem_latency_cycles = 0.0
-    dram_bytes = 0
+    warp_issue, warp_converged = _issue_slots(device, kernel, trace, warps)
+    lines, warp_tx, warp_occurrences, extras = _transactions(device, trace, warps)
 
-    # contention bookkeeping: (instr_uid, seq, line) -> set of EU ids
-    line_touches: dict[tuple, set] = {}
+    # A scattered access cracks into one data-port message per extra line.
+    crack_slots = GATHER_CRACK_SLOTS * np.maximum(0, warp_tx - warp_occurrences)
+    # per warp: its issue slots, then its crack slots
+    total_issue = _running_sum(np.stack((warp_issue, crack_slots), axis=1).ravel())
+    converged_issue = _running_sum(warp_converged)
 
-    num_warps = (len(traces) + w - 1) // w
-    for warp_index in range(num_warps):
-        lanes = traces[warp_index * w : (warp_index + 1) * w]
-        eu = warp_index % device.num_eus
+    l3_access = l3.access
+    hit = np.fromiter(map(l3_access, lines.tolist()), bool, len(lines))
+    mem_transactions = len(lines)
+    l3_hits = int(hit.sum())
+    l3_misses = mem_transactions - l3_hits
+    mem_latency_cycles = _running_sum(
+        np.where(hit, device.l3_hit_cycles, device.dram_latency_cycles)
+    )
+    dram_bytes = l3_misses * device.l3_line_bytes
 
-        # -- compute issue (divergence model)
-        block_max: dict[int, int] = {}
-        block_sum: dict[int, int] = {}
-        per_lane_counts: list[dict] = []
-        for lane in lanes:
-            total_instructions += lane.instructions
-            total_translations += lane.translations
-            per_lane_counts.append(lane.block_counts)
-            for uid, count in lane.block_counts.items():
-                if count > block_max.get(uid, 0):
-                    block_max[uid] = count
-                block_sum[uid] = block_sum.get(uid, 0) + count
-        # Sum in canonical (sorted-uid) order: float accumulation order must
-        # not depend on trace-dict insertion order, which differs between
-        # the reference interpreter and the threaded-code engine.
-        warp_issue = 0.0
-        for uid in sorted(block_max):
-            max_count = block_max[uid]
-            estimate = float(max_count)
-            parent = guarded.get(uid)
-            if parent is not None and len(lanes) > 1:
-                parent_occ = block_max.get(parent, 0)
-                if parent_occ > 0:
-                    miss_all = 1.0
-                    for counts in per_lane_counts:
-                        parent_count = counts.get(parent, 0)
-                        if parent_count <= 0:
-                            continue
-                        p_enter = min(1.0, counts.get(uid, 0) / parent_count)
-                        miss_all *= 1.0 - p_enter
-                    estimate = max(estimate, parent_occ * (1.0 - miss_all))
-            warp_issue += estimate * sizes.get(uid, 1)
-        warp_converged = sum(
-            (block_sum[uid] / len(lanes)) * sizes.get(uid, 1)
-            for uid in sorted(block_sum)
-        )
-        total_issue += warp_issue
-        converged_issue += warp_converged
-
-        # -- memory transactions (coalescing per dynamic occurrence)
-        occurrence: dict[tuple, list] = {}
-        setdefault = occurrence.setdefault
-        for lane in lanes:
-            # (instr_uid, seq, address, size) tuples; streams either the
-            # list or the columnar trace representation.
-            for instr_uid, seq, address, size in iter_mem_events(lane):
-                setdefault((instr_uid, seq), []).append((address, size))
-        line_bytes = device.l3_line_bytes
-        l3_access = l3.access
-        l3_hit_cycles = device.l3_hit_cycles
-        dram_latency = device.dram_latency_cycles
-        touches_setdefault = line_touches.setdefault
-        warp_tx = 0
-        for key, events in occurrence.items():
-            lines = {}
-            for address, size in events:
-                first = address // line_bytes
-                last = (address + size - 1) // line_bytes
-                if first == last:
-                    lines[first] = True
-                else:
-                    for line in range(first, last + 1):
-                        lines[line] = True
-            warp_tx += len(lines)
-            instr_uid, seq = key
-            for line in lines:
-                mem_transactions += 1
-                if l3_access(line):
-                    l3_hits += 1
-                    mem_latency_cycles += l3_hit_cycles
-                else:
-                    l3_misses += 1
-                    mem_latency_cycles += dram_latency
-                    dram_bytes += line_bytes
-                touches_setdefault((instr_uid, seq, line), set()).add(eu)
-        crack_slots = GATHER_CRACK_SLOTS * max(0, warp_tx - len(occurrence))
-        total_issue += crack_slots
-
-    contention_events = 0
-    contention_cycles = 0.0
-    ports = device.l3_line_ports
-    for eus in line_touches.values():
-        extra = max(0, len(eus) - ports)
-        if extra:
-            contention_events += extra
-            contention_cycles += extra * device.contention_penalty_cycles
+    contention_events = int(extras.sum())
+    contention_cycles = _running_sum(extras * device.contention_penalty_cycles)
 
     # -- fold into wall-clock cycles
     #

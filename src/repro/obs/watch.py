@@ -244,8 +244,10 @@ def render_watch_report(doc: dict) -> str:
                 else ""
             )
             out.append(
-                "{workload:>20} {config:<10} {points:>6} {best:>12.4f} "
-                "{current:>12.4f} {drift:>+7.1%}{flag}".format(
+                # significant digits, not decimals: the series span
+                # 1e-8 (COMPILE:*) to 1e+2
+                "{workload:>20} {config:<10} {points:>6} {best:>12.4g} "
+                "{current:>12.4g} {drift:>+7.1%}{flag}".format(
                     workload=series["workload"],
                     config=series["config"],
                     points=len(series["points"]),

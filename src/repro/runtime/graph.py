@@ -52,6 +52,8 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Optional
 
+from ..exec.buffers import iter_access_events
+
 __all__ = [
     "ConstructFuture",
     "DeclaredSetViolation",
@@ -155,19 +157,6 @@ def _merge_intervals(spans) -> tuple:
 def _contains(starts: list, ends: list, addr: int, size: int) -> bool:
     index = bisect_right(starts, addr) - 1
     return index >= 0 and addr + size <= ends[index]
-
-
-def _iter_access_events(trace):
-    """``(address, size, is_store)`` rows of one trace, whichever
-    representation it holds (columnar or object list)."""
-    events = trace.mem_events
-    data = getattr(events, "data", None)
-    if data is not None:  # MemEventColumns
-        for i in range(0, len(data), 5):
-            yield data[i + 2], data[i + 3], data[i + 4]
-    else:
-        for event in events:
-            yield event.address, event.size, event.is_store
 
 
 @dataclass
@@ -542,7 +531,7 @@ class TaskGraph:
         total = 0
         details: list[dict] = []
         for trace in traces:
-            for address, size, is_store in _iter_access_events(trace):
+            for address, size, is_store in iter_access_events(trace):
                 if is_store:
                     ok = _contains(write_starts, write_ends, address, size)
                 else:

@@ -31,7 +31,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..backend import CpuBackend, GpuBackend
-from ..exec.buffers import DEFAULT_MEM_EVENT_CAP, MemEventColumns, PrivateMemoryPool
+from ..exec.buffers import (
+    DEFAULT_MEM_EVENT_CAP,
+    TRACE_COUNTERS,
+    MemEventColumns,
+    PrivateMemoryPool,
+)
 from ..exec.compiled import CodeCache, CompiledEngine
 from ..exec.interp import ExecTrace, Interpreter
 from ..gpu.timing import DeviceReport
@@ -338,26 +343,16 @@ class ConcordRuntime:
         return self.obs.span(name, category, **attrs)
 
     def _harvest_traces(self, traces) -> dict:
-        """Fold per-trace execution totals into the observer's counter
+        """Fold trace execution totals into the observer's counter
         registry; returns the construct-level totals for profile
-        attachment.  Only called when an observer is attached."""
-        totals = {
-            "engine.instructions": 0,
-            "engine.flops": 0,
-            "engine.int_ops": 0,
-            "engine.calls": 0,
-            "engine.translations": 0,
-            "mem_events.kept": 0,
-            "mem_events.dropped": 0,
-        }
+        attachment.  ``traces`` mixes per-launch ``LaunchTrace`` and
+        per-chunk ``ExecTrace`` objects; both report ``counter_totals()``.
+        Only called when an observer is attached."""
+        sums = [0] * len(TRACE_COUNTERS)
         for trace in traces:
-            totals["engine.instructions"] += trace.instructions
-            totals["engine.flops"] += trace.flops
-            totals["engine.int_ops"] += trace.int_ops
-            totals["engine.calls"] += trace.calls
-            totals["engine.translations"] += trace.translations
-            totals["mem_events.kept"] += len(trace.mem_events)
-            totals["mem_events.dropped"] += trace.mem_events_dropped
+            for index, value in enumerate(trace.counter_totals()):
+                sums[index] += value
+        totals = dict(zip(TRACE_COUNTERS, sums))
         counters = self.obs.counters
         for name, value in totals.items():
             counters.add(name, value)
@@ -370,7 +365,7 @@ class ConcordRuntime:
         Only called when an observer is attached."""
         merged: dict = {}
         for trace in traces:
-            for uid, count in trace.block_counts.items():
+            for uid, count in trace.block_totals().items():
                 merged[uid] = merged.get(uid, 0) + count
         if merged:
             self.obs.record_kernel_trace(kernel, device, merged)

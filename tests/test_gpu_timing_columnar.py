@@ -1,0 +1,500 @@
+"""The columnar ``time_gpu_kernel`` prices every launch exactly as the
+per-event implementation it replaced did.
+
+``oracle_time_gpu_kernel`` below is that implementation, frozen: one
+Python loop per warp over per-lane ``ExecTrace`` objects, a dict of
+``(uid, seq)`` occurrences, a dict of lines per occurrence and a set of
+EUs per touched ``(uid, seq, line)``.  It exists only here, as the
+reference the NumPy model is compared with — full ``DeviceReport``
+equality, floats included, because the model's contract is an
+*accumulation order* (see ``docs/MODEL.md``), not a tolerance.
+
+(``sum()`` over floats is a plain left-to-right sum on the CPython 3.11
+the suite runs on; the oracle is kept verbatim rather than re-spelled.)
+"""
+
+import dataclasses
+import random
+import warnings
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+import repro.backend.gpu as gpu_backend
+from repro.exec import ExecTrace, MemEvent, MemEventColumns
+from repro.exec.buffers import (
+    TRACE_COUNTERS,
+    LaunchTrace,
+    event_rows,
+    iter_access_events,
+    iter_mem_events,
+)
+from repro.gpu import CacheModel, hd4600, hd5000, time_gpu_kernel
+from repro.gpu.timing import (
+    GATHER_CRACK_SLOTS,
+    DeviceReport,
+    _guarded_blocks,
+    block_sizes,
+)
+from repro.ir import Function, FunctionType, I32, IRBuilder, VOID
+from repro.obs import Observer
+from repro.passes import OptConfig
+from repro.runtime.system import ultrabook
+from repro.workloads import all_workloads
+
+from .test_engine_equivalence import NINE, SCALE
+
+WORKLOADS = all_workloads()
+
+
+# -- the frozen per-event implementation -------------------------------------
+
+
+def oracle_time_gpu_kernel(device, kernel, traces, l3=None, counters=None):
+    if isinstance(traces, LaunchTrace):
+        traces = traces.lanes()
+    sizes = block_sizes(kernel)
+    guarded = _guarded_blocks(kernel)
+    l3 = l3 or CacheModel(device.l3_size_bytes, device.l3_line_bytes, device.l3_assoc)
+    w = device.simd_width
+
+    total_issue = 0.0
+    converged_issue = 0.0
+    total_instructions = 0
+    total_translations = 0
+
+    mem_transactions = 0
+    l3_hits = 0
+    l3_misses = 0
+    mem_latency_cycles = 0.0
+    dram_bytes = 0
+
+    # contention bookkeeping: (instr_uid, seq, line) -> set of EU ids
+    line_touches: dict[tuple, set] = {}
+
+    num_warps = (len(traces) + w - 1) // w
+    for warp_index in range(num_warps):
+        lanes = traces[warp_index * w : (warp_index + 1) * w]
+        eu = warp_index % device.num_eus
+
+        # -- compute issue (divergence model)
+        block_max: dict[int, int] = {}
+        block_sum: dict[int, int] = {}
+        per_lane_counts: list[dict] = []
+        for lane in lanes:
+            total_instructions += lane.instructions
+            total_translations += lane.translations
+            per_lane_counts.append(lane.block_counts)
+            for uid, count in lane.block_counts.items():
+                if count > block_max.get(uid, 0):
+                    block_max[uid] = count
+                block_sum[uid] = block_sum.get(uid, 0) + count
+        warp_issue = 0.0
+        for uid in sorted(block_max):
+            max_count = block_max[uid]
+            estimate = float(max_count)
+            parent = guarded.get(uid)
+            if parent is not None and len(lanes) > 1:
+                parent_occ = block_max.get(parent, 0)
+                if parent_occ > 0:
+                    miss_all = 1.0
+                    for counts in per_lane_counts:
+                        parent_count = counts.get(parent, 0)
+                        if parent_count <= 0:
+                            continue
+                        p_enter = min(1.0, counts.get(uid, 0) / parent_count)
+                        miss_all *= 1.0 - p_enter
+                    estimate = max(estimate, parent_occ * (1.0 - miss_all))
+            warp_issue += estimate * sizes.get(uid, 1)
+        warp_converged = sum(
+            (block_sum[uid] / len(lanes)) * sizes.get(uid, 1)
+            for uid in sorted(block_sum)
+        )
+        total_issue += warp_issue
+        converged_issue += warp_converged
+
+        # -- memory transactions (coalescing per dynamic occurrence)
+        occurrence: dict[tuple, list] = {}
+        setdefault = occurrence.setdefault
+        for lane in lanes:
+            for instr_uid, seq, address, size in iter_mem_events(lane):
+                setdefault((instr_uid, seq), []).append((address, size))
+        line_bytes = device.l3_line_bytes
+        l3_access = l3.access
+        l3_hit_cycles = device.l3_hit_cycles
+        dram_latency = device.dram_latency_cycles
+        touches_setdefault = line_touches.setdefault
+        warp_tx = 0
+        for key, events in occurrence.items():
+            lines = {}
+            for address, size in events:
+                first = address // line_bytes
+                last = (address + size - 1) // line_bytes
+                if first == last:
+                    lines[first] = True
+                else:
+                    for line in range(first, last + 1):
+                        lines[line] = True
+            warp_tx += len(lines)
+            instr_uid, seq = key
+            for line in lines:
+                mem_transactions += 1
+                if l3_access(line):
+                    l3_hits += 1
+                    mem_latency_cycles += l3_hit_cycles
+                else:
+                    l3_misses += 1
+                    mem_latency_cycles += dram_latency
+                    dram_bytes += line_bytes
+                touches_setdefault((instr_uid, seq, line), set()).add(eu)
+        crack_slots = GATHER_CRACK_SLOTS * max(0, warp_tx - len(occurrence))
+        total_issue += crack_slots
+
+    contention_events = 0
+    contention_cycles = 0.0
+    ports = device.l3_line_ports
+    for eus in line_touches.values():
+        extra = max(0, len(eus) - ports)
+        if extra:
+            contention_events += extra
+            contention_cycles += extra * device.contention_penalty_cycles
+
+    eus = device.num_eus
+    compute_cycles = total_issue * device.issue_cycles_per_slot / eus
+    concurrency = min(
+        eus * device.threads_per_eu * device.memory_parallelism,
+        device.fabric_outstanding_misses
+        if l3_misses > l3_hits
+        else eus * device.threads_per_eu * device.memory_parallelism,
+    )
+    latency_cycles = mem_latency_cycles / concurrency
+    bandwidth_cycles = dram_bytes / device.dram_bandwidth_bytes_per_cycle
+    wall_cycles = (
+        max(compute_cycles, latency_cycles, bandwidth_cycles)
+        + contention_cycles / eus
+    )
+    seconds = wall_cycles / device.frequency_hz
+
+    dynamic_energy = (
+        total_issue * device.energy_per_issue_slot
+        + (l3_hits + l3_misses) * device.energy_per_l3_access
+        + l3_misses * device.energy_per_dram_access
+    )
+    budget = device.power_budget_watts
+    if budget and seconds > 0.0:
+        headroom = max(1e-3, budget - device.idle_power_watts)
+        min_seconds = dynamic_energy / headroom
+        if min_seconds > seconds:
+            wall_cycles *= min_seconds / seconds
+            seconds = min_seconds
+    energy = dynamic_energy + device.idle_power_watts * seconds
+
+    if counters is not None:
+        counters.add("gpu.l3.hits", l3_hits)
+        counters.add("gpu.l3.misses", l3_misses)
+        counters.add("gpu.mem_transactions", mem_transactions)
+        counters.add("gpu.contention_events", contention_events)
+        counters.add("gpu.issue_slots", total_issue)
+        counters.add("gpu.translations", total_translations)
+
+    return DeviceReport(
+        device=device.name,
+        seconds=seconds,
+        energy_joules=energy,
+        cycles=wall_cycles,
+        instructions=total_instructions,
+        issue_slots=total_issue,
+        mem_transactions=mem_transactions,
+        l3_hits=l3_hits,
+        l3_misses=l3_misses,
+        contention_events=contention_events,
+        contention_cycles=contention_cycles,
+        divergence_waste=max(0.0, total_issue - converged_issue),
+        translations=total_translations,
+    )
+
+
+# -- generated launches -------------------------------------------------------
+
+
+def diamond_kernel():
+    """entry -> (then | other) -> loop -> (body -> loop | done): four
+    blocks sit behind a conditional branch, so the independent-outcomes
+    correction has something to correct."""
+    fn = Function("k", FunctionType(VOID, (I32,)), ["i"])
+    entry, then, other, loop, body, done = (
+        fn.new_block(name)
+        for name in ("entry", "then", "other", "loop", "body", "done")
+    )
+    b = IRBuilder(entry)
+    cond = b.icmp("sgt", fn.args[0], b.i32(0))
+    b.condbr(cond, then, other)
+    b.position_at_end(then)
+    b.mul(b.add(fn.args[0], b.i32(1)), b.i32(5))
+    b.br(loop)
+    b.position_at_end(other)
+    b.binop("sdiv", fn.args[0], b.i32(3))
+    b.br(loop)
+    b.position_at_end(loop)
+    again = b.icmp("slt", fn.args[0], b.i32(9))
+    b.condbr(again, body, done)
+    b.position_at_end(body)
+    b.add(fn.args[0], b.i32(2))
+    b.br(loop)
+    b.position_at_end(done)
+    b.ret()
+    return fn
+
+
+def detuned():
+    """HD 5000 with latencies and a contention penalty that are not
+    exactly representable, few EUs and a narrow warp, so a sum taken in
+    another order (or a warp cut elsewhere) shows in the last bits."""
+    return dataclasses.replace(
+        hd5000(),
+        name="detuned",
+        simd_width=8,
+        num_eus=7,
+        l3_hit_cycles=80.1,
+        dram_latency_cycles=300.7,
+        contention_penalty_cycles=18.3,
+        l3_line_bytes=32,
+    )
+
+
+class Recorder:
+    """Stands in for ``CounterRegistry``: keeps every ``add`` in order."""
+
+    def __init__(self):
+        self.calls = []
+
+    def add(self, name, value=1):
+        self.calls.append((name, value))
+
+
+def random_launch(seed: int, lanes: int, columnar: bool, cap: int):
+    """Per-lane traces shaped like an irregular kernel's: a handful of
+    memory instructions whose lanes pick lines from a small pool (so
+    accesses coalesce within a warp and collide across EUs), some
+    accesses straddling a 64-byte line, some lanes empty, and every lane
+    recording through ``cap`` so long lanes are truncated."""
+    rng = random.Random(seed)
+    kernel = diamond_kernel()
+    uids = [block.uid for block in kernel.blocks] + [10_000_019]  # a callee's block
+    mem_uids = [7, 8, 11, 4_000_000_123]
+    pool = [rng.randrange(1 << 14) for _ in range(rng.randint(1, 24))]
+    traces = []
+    for _ in range(lanes):
+        trace = ExecTrace(
+            mem_events=MemEventColumns() if columnar else [], mem_event_cap=cap
+        )
+        if rng.random() < 0.15:
+            traces.append(trace)  # a lane that did nothing at all
+            continue
+        # a plausible profile of the diamond: few trips through ``then``,
+        # so the guarded blocks' enter probabilities are small and unequal
+        trips = rng.randint(1, 40)
+        then = rng.choice((0, 0, 1, 2, 3, trips))
+        spins = rng.randint(0, 2 * trips)
+        counts = dict(
+            zip(uids, (trips, then, trips - then, trips + spins, spins, trips, rng.randint(0, 9)))
+        )
+        picked = [uid for uid in uids if counts[uid]]
+        rng.shuffle(picked)  # engines list a lane's blocks in their own order
+        trace.block_counts = {uid: counts[uid] for uid in picked}
+        trace.instructions = rng.randint(0, 5000)
+        trace.translations = rng.randint(0, 50)
+        seqs = dict.fromkeys(mem_uids, 0)
+        for _ in range(rng.randint(0, 30)):
+            uid = rng.choice(mem_uids)
+            size = rng.choice((1, 2, 4, 8, 8, 16))
+            offset = rng.choice((0, 8, 24, 56, 60, 63))
+            address = (1 << 32) + rng.choice(pool) * 64 + offset
+            trace.record_mem(
+                MemEvent(uid, seqs[uid], address, size, rng.random() < 0.3)
+            )
+            seqs[uid] += 1
+        traces.append(trace)
+    return kernel, traces
+
+
+LAUNCHES = settings(
+    max_examples=120,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+@LAUNCHES
+@given(
+    seed=st.integers(0, 2**32),
+    # 0, 1, a partial warp, several warps, and enough warps that the EU
+    # index wraps on the 20-EU desktop part
+    lanes=st.one_of(st.integers(0, 70), st.integers(300, 360)),
+    columnar=st.booleans(),
+    cap=st.sampled_from((0, 3, 12, 1000)),
+    device=st.sampled_from((hd5000, hd4600, detuned)),
+    as_launch_trace=st.booleans(),
+)
+def test_report_equals_the_per_event_oracle(
+    seed, lanes, columnar, cap, device, as_launch_trace
+):
+    kernel, traces = random_launch(seed, lanes, columnar, cap)
+    expected_counters, got_counters = Recorder(), Recorder()
+    expected = oracle_time_gpu_kernel(
+        device(), kernel, traces, counters=expected_counters
+    )
+    given_traces = LaunchTrace.from_traces(traces) if as_launch_trace else traces
+    got = time_gpu_kernel(device(), kernel, given_traces, counters=got_counters)
+    assert got == expected
+    assert got_counters.calls == expected_counters.calls
+    for field in ("seconds", "energy_joules", "issue_slots", "contention_cycles"):
+        assert type(getattr(got, field)) is float, field
+    for field in ("mem_transactions", "l3_hits", "contention_events", "instructions"):
+        assert type(getattr(got, field)) is int, field
+
+
+@LAUNCHES
+@given(
+    seed=st.integers(0, 2**32),
+    first=st.integers(1, 48),
+    second=st.integers(1, 48),
+    device=st.sampled_from((hd5000, hd4600, detuned)),
+)
+def test_consecutive_chunks_share_one_cache(seed, first, second, device):
+    """The hybrid scheduler prices a construct's chunks against one
+    ``l3=`` model: the second chunk must find the lines the first left."""
+    kernel, traces = random_launch(seed, first + second, True, 1000)
+    gpu = device()
+    small = dict(size_bytes=4 * 64 * 2, line_bytes=gpu.l3_line_bytes, assoc=2)
+    expected_l3, got_l3 = CacheModel(**small), CacheModel(**small)
+    for chunk in (traces[:first], traces[first:]):
+        expected = oracle_time_gpu_kernel(gpu, kernel, chunk, l3=expected_l3)
+        got = time_gpu_kernel(gpu, kernel, chunk, l3=got_l3)
+        assert got == expected
+    assert got_l3.stats == expected_l3.stats
+    assert [list(bucket) for bucket in got_l3._sets] == [
+        list(bucket) for bucket in expected_l3._sets
+    ]
+
+
+def test_reference_interpreter_traces_price_identically():
+    """List-form ``MemEvent`` traces straight from the reference
+    interpreter, on both GPUs."""
+    workload = WORKLOADS["BTree"]()
+    rt = workload.make_runtime(
+        system=ultrabook(), engine="reference", keep_traces=True
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        state = workload.build(rt, SCALE)
+        workload.run(rt, state, on_cpu=False)
+    assert rt.trace_log and isinstance(rt.trace_log[0].mem_events, list)
+    kernel = next(iter(rt.program.kernels.values())).gpu_kernel
+    for device in (hd5000(), hd4600()):
+        assert time_gpu_kernel(device, kernel, rt.trace_log) == (
+            oracle_time_gpu_kernel(device, kernel, rt.trace_log)
+        )
+
+
+# -- whole workloads ----------------------------------------------------------
+
+MODES = {
+    "compiled": dict(engine="compiled"),
+    "vector": dict(engine="vector"),
+    "hybrid-graph": dict(engine="compiled", policy="hybrid", graph=True),
+}
+
+
+def _simulate(name, mode):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        outcome = WORKLOADS[name]().execute(
+            OptConfig.gpu_all(), ultrabook(), scale=SCALE, **MODES[mode]
+        )
+    return (
+        [report.report.seconds for report in outcome.reports],
+        [report.report.energy_joules for report in outcome.reports],
+        outcome.seconds,
+        outcome.energy_joules,
+    )
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("name", NINE)
+def test_workload_numbers_equal_the_oracles(name, mode, monkeypatch):
+    from repro.backend.vector import clear_memos
+
+    clear_memos()
+    got = _simulate(name, mode)
+    clear_memos()
+    monkeypatch.setattr(gpu_backend, "time_gpu_kernel", oracle_time_gpu_kernel)
+    assert _simulate(name, mode) == got
+    clear_memos()
+
+
+# -- the launch trace itself --------------------------------------------------
+
+
+@pytest.mark.parametrize("columnar", [False, True], ids=["list", "columns"])
+def test_launch_trace_totals_match_a_lane_by_lane_merge(columnar):
+    _kernel, traces = random_launch(5, 37, columnar, 12)
+    trace = LaunchTrace.from_traces(traces)
+    assert trace.n == 37
+    assert trace.lanes() is not None and trace.lanes() == traces
+    sums = [0] * len(TRACE_COUNTERS)
+    merged: dict = {}
+    for lane in traces:
+        for index, value in enumerate(lane.counter_totals()):
+            sums[index] += value
+        for uid, count in lane.block_totals().items():
+            merged[uid] = merged.get(uid, 0) + count
+    assert trace.counter_totals() == tuple(sums)
+    assert trace.kept_events == sum(lane.kept_events for lane in traces)
+    # same keys in the same order: line attribution sums floats in it
+    assert list(trace.block_totals().items()) == list(merged.items())
+    assert trace.lane.tolist() == [
+        index for index, lane in enumerate(traces) for _ in lane.mem_events
+    ]
+    assert sum(lane.mem_events_dropped for lane in traces) > 0
+
+
+def test_event_row_helpers_agree_across_representations():
+    events = [MemEvent(3, 0, (1 << 63) + 5, 8, True), MemEvent(4, 1, 64, 4, False)]
+    columns = MemEventColumns()
+    for event in events:
+        columns.append(event)
+    assert event_rows(columns).tolist() == event_rows(events).tolist()
+    assert list(MemEventColumns.from_rows(event_rows(events))) == events
+    as_list = ExecTrace(mem_events=events)
+    as_columns = ExecTrace(mem_events=columns)
+    assert list(iter_access_events(as_list)) == list(iter_access_events(as_columns))
+    assert list(iter_mem_events(as_list)) == list(iter_mem_events(as_columns))
+    columns.append(events[0])  # no buffer export left behind
+
+
+def test_vector_launch_never_builds_per_lane_traces(monkeypatch):
+    """Neither pricing a vector launch nor an attached observer's counter
+    harvest and line samples ask for the per-lane view."""
+    from repro.backend.vector import clear_memos
+
+    def refuse(self):
+        raise AssertionError("per-lane view built on the hot path")
+
+    monkeypatch.setattr(LaunchTrace, "lanes", refuse)
+    clear_memos()
+    observer = Observer()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        WORKLOADS["Raytracer"]().execute(
+            OptConfig.gpu_all(),
+            ultrabook(),
+            scale=SCALE,
+            engine="vector",
+            observer=observer,
+        )
+    clear_memos()
+    counters = observer.counters.as_dict()
+    assert counters["vector.lanes_retired"] > 0
+    assert counters["mem_events.kept"] > 0
+    assert observer.line_samples

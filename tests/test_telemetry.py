@@ -635,6 +635,21 @@ class TestWatch:
         assert doc["verdict"]["entries"] >= 1
         assert doc["verdict"]["ok"], render_watch_report(doc)
 
+    def test_render_keeps_small_series_readable(self):
+        """The COMPILE:* series sit near 1e-6; a fixed four-decimal
+        column printed every one of them as 0.0000."""
+        import pathlib
+
+        root = pathlib.Path(__file__).resolve().parents[1]
+        text = render_watch_report(build_watch_report(str(root)))
+        (row,) = [
+            line.split()
+            for line in text.splitlines()
+            if line.split()[:2] == ["SSSP", "COMPILE:cold"]
+        ]
+        best, current = float(row[3]), float(row[4])
+        assert best > 0.0 and current > 0.0
+
 
 # -- fuzz campaign integration ----------------------------------------------
 
