@@ -1,14 +1,18 @@
 """Throughput of the lane-execution engines against each other.
 
-Covers the reference interpreter, the threaded-code engine and the
-columnar vector engine (``docs/VECTOR.md``).
+Covers the reference interpreter, the compiled (generated-code) engine
+and the columnar vector engine (``docs/VECTOR.md``).
 
-Two measurements, printed as tables (numbers are recorded per-PR in
+Three measurements, printed as tables (numbers are recorded per-PR in
 CHANGES.md):
 
 * **Kernel throughput** — dynamic IR instructions per second achieved by
   each engine running BFS, Raytracer and SkipList end-to-end (build + all
   launches + validation) on the Ultrabook model.
+* **JIT price** — what the compiled engine pays before the first
+  work-item of a kernel runs: the first runtime over a program generates
+  and compiles the kernel's Python text and binds it to its region, every
+  later runtime over the same program only binds.
 * **Figure 7 sweep wall-clock** — the full nine-workload ultrabook speedup
   sweep (the paper's headline figure), end to end, per engine.
 
@@ -55,6 +59,35 @@ def _run_workload(name: str, engine: str, scale: float, repeats: int):
     return best, instructions
 
 
+def _jit_price(name: str, repeats: int):
+    """Best (first-runtime ms, second-runtime ms, generated lines) of
+    getting one workload's GPU and CPU kernels ready to launch."""
+    from repro.passes import OptConfig
+    from repro.runtime import ConcordRuntime, compile_source
+    from repro.runtime.system import ultrabook
+    from repro.workloads import all_workloads
+
+    workload = all_workloads()[name]
+    first = second = float("inf")
+    lines = 0
+    for _ in range(repeats):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            program = compile_source(workload.source, OptConfig.gpu_all())
+        kinfo = program.kernel_for(workload.body_class)
+        costs = []
+        for _runtime in range(2):
+            rt = ConcordRuntime(program, ultrabook(), region_size=workload.region_size)
+            start = time.perf_counter()
+            rt.code_cache.get(kinfo.gpu_kernel, "gpu", True)
+            rt.code_cache.get(kinfo.kernel, "cpu", True)
+            costs.append((time.perf_counter() - start) * 1e3)
+        first = min(first, costs[0])
+        second = min(second, costs[1])
+        lines = sum(code.source.count("\n") for code in program.jit_code.values())
+    return first, second, lines
+
+
 def _run_figure7(engine: str, scale: float, repeats: int) -> float:
     from repro.eval.runner import clear_cache, measure_all
     from repro.runtime.system import ultrabook
@@ -92,6 +125,13 @@ def main() -> None:
             f"{name:<12} {'speedup':<10} {ratio:>8.2f}x compiled/reference, "
             f"{vratio:.2f}x vector/compiled\n"
         )
+
+    print("JIT price of the compiled engine (GPU + CPU kernel, events on):")
+    print(f"{'workload':<12} {'1st runtime ms':>15} {'2nd runtime ms':>15} {'lines':>7}")
+    for name in KERNEL_WORKLOADS:
+        first, second, lines = _jit_price(name, repeats)
+        print(f"{name:<12} {first:>15.2f} {second:>15.3f} {lines:>7}")
+    print("  (1st = generate + compile() + bind, 2nd = bind only)\n")
 
     print("Figure 7 ultrabook sweep (nine workloads, all configs):")
     sweep: dict[str, float] = {}

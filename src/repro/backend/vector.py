@@ -3,7 +3,7 @@
 ``VectorBackend`` is a drop-in replacement for :class:`GpuBackend` that
 executes every lane of a chunk at once through ``repro.exec.vector``
 (one ndarray column per virtual register, mask-based divergence) instead
-of running one threaded-code closure chain per work-item.  Everything
+of running the scalar engine once per work-item.  Everything
 outside lane execution — JIT cache, timing, spans, reduction scratch,
 observer bookkeeping — is inherited unchanged, because the timing models
 are a pure function of the traces and the vector machine materializes a

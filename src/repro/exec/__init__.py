@@ -6,10 +6,12 @@ region:
 * :class:`Interpreter` — the reference backend: a direct tree walk over
   the IR object graph, easy to audit, used as the oracle in equivalence
   tests (``ConcordRuntime(engine="reference")``).
-* :class:`CompiledEngine` — the threaded-code backend (default): each
-  function is lowered once by :class:`CodeCache` into specialized Python
-  closures and every launch replays the compiled form.  See
-  :mod:`repro.exec.compiled` and ``docs/ENGINE.md``.
+* :class:`CompiledEngine` — the generated-code backend (default): each
+  function is translated once per program into Python source, one
+  function per superblock (:class:`~repro.exec.compiled.JitCode`), and
+  every runtime's :class:`CodeCache` binds that code to its region and
+  replays it for every launch.  See :mod:`repro.exec.compiled` and
+  ``docs/ENGINE.md``.
 
 A third, batch-oriented engine executes every lane of a GPU chunk at
 once instead of lane-at-a-time:

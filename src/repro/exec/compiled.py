@@ -1,4 +1,4 @@
-"""Threaded-code execution engine: IR compiled once to Python closures.
+"""Source-generating execution engine: IR compiled once to Python text.
 
 The reference :class:`~repro.exec.interp.Interpreter` re-walks the IR
 object graph for every work-item: string-compared opcode dispatch,
@@ -10,51 +10,65 @@ every experiment.
 
 This module does what the paper's runtime does with its
 ``gpu_program_t``/``gpu_function_t`` JIT cache (section 3.4), one level up:
-each IR :class:`~repro.ir.values.Function` is lowered **once** to a flat
-threaded program and every subsequent launch replays the compiled form:
+each IR :class:`~repro.ir.values.Function` is translated **once per
+program** into the text of a Python module, compiled with the builtin
+``compile()``, and every runtime that loads the program only *binds* the
+resulting code object to its region:
 
-* **Integer register slots.**  Every SSA value (argument or instruction
-  result) gets a fixed index into a preallocated ``regs`` list; operand
-  access compiles to ``regs[slot]`` instead of an ``id()``-keyed dict
-  lookup.
+* **One Python function per superblock.**  :func:`plan_function` fuses
+  straight-line block chains into units; each unit becomes
+  ``u<i>(regs, ctx, prev, btot, btak) -> next unit index``: the step-limit
+  check, the head's phi moves selected on ``prev``, every instruction
+  inlined as statements filled in from the per-opcode template tables
+  below (``_INFIX``, ``_COMPARE``, ``_CASTS``, ``_LOAD``, ``_STORE`` ...),
+  and the terminator returning the successor's index (``-1`` after a
+  ``ret``, whose value travels in the last ``regs`` slot).
 
-* **Specialized step closures.**  Each non-phi instruction becomes one
-  closure with its operands, result slot, type codecs and evaluation
-  function burned in — no opcode dispatch at run time.
+* **Locals before registers.**  A value defined and consumed inside one
+  unit lives in a Python local ``v<slot>``; only values another unit, a
+  head phi or an earlier point of a loop reads are also stored to the
+  per-invocation ``regs`` list.  Constants are literals; what has no
+  literal (``inf``/``nan``, codecs, callees' handlers, IR objects for
+  messages) is a bound name ``k<n>`` in the generated module's namespace.
 
-* **Per-edge phi-move plans.**  For every (predecessor, block) edge the
-  parallel phi assignment is resolved at compile time to a list of
-  ``(dst_slot, source)`` moves, applied read-all-then-write-all.
+* **Bind, don't regenerate.**  Nothing in the text depends on a region:
+  the backing ``bytearray``, the bases and limits, ``svm_const``, the
+  callees' per-runtime ``invoke`` and the globals' addresses are the
+  arguments of the module's one ``_bind`` factory, whose closures are the
+  unit functions.  :class:`JitCode` (text, code object, per-unit counter
+  tables) is stored in the dict the program owns
+  (``CompiledProgram.jit_code``, never pickled); the per-runtime
+  :class:`CodeCache` calls the factory.  ``code_cache.codegen`` counts
+  generations, ``code_cache.compilations``/``.hits`` keep their
+  per-runtime meaning.
 
-* **Direct block threading.**  ``br``/``condbr`` resolve to integer block
-  indices; the driver loop is an index chase over a tuple of block records.
+* **Fused trace counters.**  Per-unit instruction/flop/int-op/translation
+  totals are computed at generation time; the driver loop counts unit
+  executions and derives the :class:`~repro.exec.interp.ExecTrace` totals
+  once per invocation.  Memory events append straight to the columnar
+  buffer from the load/store text.
 
-* **Fused trace counters.**  Per-block instruction/flop/int-op/translation
-  totals are computed at compile time; the driver accumulates them (and
-  per-block execution counts and per-branch outcomes) in local variables
-  and flushes them into the :class:`~repro.exec.interp.ExecTrace` once per
-  invocation instead of once per instruction.
+Generated modules are named ``<repro-jit {function}.{device} {digest}>``;
+a trap passing through one registers its text with :mod:`linecache`
+(:meth:`JitCode.publish`), so the traceback and the flight bundle show the
+generated statement, and ``cProfile`` rows resolve the same way.
 
-* **Precompiled scalar codecs.**  Every scalar type's load/store path is a
-  captured ``struct.Struct`` bound directly to the region's backing
-  bytearray, with the SVM surface-window checks inlined.
-
-Compiled functions are cached in a :class:`CodeCache` keyed by
-``(function, device, collect_events)``; the runtime owns one cache per
-region, so each kernel compiles at most once per runtime no matter how
-many work-items are launched.  Results are bit-identical to the reference
-interpreter: same return values, same ``ExecTrace`` contents (the
-equivalence suite asserts this for all nine workloads on both devices).
-The one intended divergence is error paths: the interpreter updates trace
-counters per instruction, the compiled engine per block, so a trace
-observed *after* an :class:`ExecutionError` may differ in its last partial
-block.
+Results are bit-identical to the reference interpreter: same return
+values, same ``ExecTrace`` contents (the equivalence suite asserts this
+for all nine workloads on both devices).  The one intended divergence is
+error paths: the interpreter updates trace counters per instruction, this
+engine per unit, so a trace observed *after* an :class:`ExecutionError`
+may differ in its last partial unit.
 """
 
 from __future__ import annotations
 
+import hashlib
+import linecache
+import math
 import operator
-from struct import Struct
+from struct import Struct, pack_into, unpack_from
+from textwrap import indent
 from typing import Optional
 
 from ..ir.intrinsics import MATH_EVAL
@@ -74,10 +88,8 @@ from .interp import (
     ExecutionError,
     Interpreter,
     MemEvent,
-    _f32,
 )
 
-_MASK64 = (1 << 64) - 1
 _PB = Interpreter.PRIVATE_BASE
 _PE = _PB + Interpreter.PRIVATE_WINDOW + 0x1000
 
@@ -92,54 +104,10 @@ _INT_FMT = {
     (8, False): "<Q",
 }
 
-_CMP_OPS = {
-    "eq": operator.eq,
-    "ne": operator.ne,
-    "slt": operator.lt,
-    "sle": operator.le,
-    "sgt": operator.gt,
-    "sge": operator.ge,
-    "oeq": operator.eq,
-    "one": operator.ne,
-    "olt": operator.lt,
-    "ole": operator.le,
-    "ogt": operator.gt,
-    "oge": operator.ge,
-}
-
 #: integer division/remainder ops that can raise ZeroDivisionError
 _DIV_OPS = frozenset(("sdiv", "udiv", "srem", "urem"))
 #: ops whose operands the interpreter pre-masks to the result width
 _UNSIGNED_MASK_OPS = frozenset(("udiv", "urem", "lshr"))
-
-# terminator kinds for the driver loop
-_T_BR = 0
-_T_CONDBR = 1
-_T_RET = 2
-_T_UNREACHABLE = 3
-_T_FALLTHROUGH = 4
-
-
-def _int_finisher(type_):
-    """``type_.wrap(int(value))`` as one closure with the type's mask and
-    sign constants burned in (the hot path of every integer binop and
-    store)."""
-    bits = type_.bits
-    mask = (1 << bits) - 1
-    if type_.signed:
-        sign = 1 << (bits - 1)
-        span = 1 << bits
-
-        def finish_signed(value):
-            value = int(value) & mask
-            return value - span if value >= sign else value
-
-        return finish_signed
-
-    def finish_unsigned(value):
-        return int(value) & mask
-
-    return finish_unsigned
 
 
 def _scalar_format(type_) -> Optional[str]:
@@ -152,196 +120,168 @@ def _scalar_format(type_) -> Optional[str]:
     return None
 
 
-def _make_reader(region, device: str, type_):
-    """Compile a ``read(address, ctx) -> value`` closure for one scalar
-    type on one device, with the SVM window checks inlined."""
-    size = type_.size()
-    fmt = _scalar_format(type_)
-    if fmt is None:
+# -- what generated code calls out of line ----------------------------------
+#
+# Error texts and the rare operations (atomics, virtual dispatch, heap
+# calls) stay plain functions: the generated text names them, it does not
+# repeat them.
 
-        def bad_read(address, ctx, _t=type_):
-            raise ExecutionError(f"cannot load aggregate {_t} as scalar")
 
-        return bad_read, size
-
-    unpack = Struct(fmt).unpack_from
-    data = region.physical.data
-    limit = region.size
+def _fault(device: str, address: int, size: int, base: int, end: int) -> MemoryFault:
     if device == "gpu":
-        base = region.gpu_base
-        end = base + limit
-
-        def read(address, ctx):
-            if _PB <= address < _PE:
-                buf = ctx._priv_buf
-                if buf is None:
-                    buf = ctx._acquire_private()
-                return unpack(buf, address - _PB)[0]
-            offset = address - base
-            if offset < 0 or offset + size > limit:
-                raise MemoryFault(
-                    f"GPU address {address:#x} (+{size}) outside surface "
-                    f"[{base:#x}, {end:#x}) — untranslated shared pointer?"
-                )
-            return unpack(data, offset)[0]
-
-    else:
-        base = region.cpu_base
-        end = base + limit
-
-        def read(address, ctx):
-            if _PB <= address < _PE:
-                buf = ctx._priv_buf
-                if buf is None:
-                    buf = ctx._acquire_private()
-                return unpack(buf, address - _PB)[0]
-            offset = address - base
-            if offset < 0 or offset + size > limit:
-                raise MemoryFault(
-                    f"CPU address {address:#x} (+{size}) outside the shared "
-                    f"region [{base:#x}, {end:#x})"
-                )
-            return unpack(data, offset)[0]
-
-    return read, size
-
-
-def _make_writer(region, device: str, type_):
-    """Compile a ``write(address, value, ctx)`` closure (see
-    :func:`_make_reader`); private stores update the engine's dirty
-    high-water mark for buffer pooling."""
-    size = type_.size()
-    fmt = _scalar_format(type_)
-    if fmt is None:
-
-        def bad_write(address, value, ctx, _t=type_):
-            raise ExecutionError(f"cannot store aggregate {_t} as scalar")
-
-        return bad_write, size
-
-    pack_into = Struct(fmt).pack_into
-    if isinstance(type_, IntType):
-        conv = _int_finisher(type_)
-    elif isinstance(type_, FloatType):
-        conv = float
-    else:
-
-        def conv(value):
-            return int(value) & _MASK64
-
-    data = region.physical.data
-    limit = region.size
-    base = region.gpu_base if device == "gpu" else region.cpu_base
-    end = base + limit
-    gpu = device == "gpu"
-
-    def write(address, value, ctx):
-        if _PB <= address < _PE:
-            buf = ctx._priv_buf
-            if buf is None:
-                buf = ctx._acquire_private()
-            off = address - _PB
-            pack_into(buf, off, conv(value))
-            if off + size > ctx._priv_dirty:
-                ctx._priv_dirty = off + size
-            return
-        offset = address - base
-        if offset < 0 or offset + size > limit:
-            if gpu:
-                raise MemoryFault(
-                    f"GPU address {address:#x} (+{size}) outside surface "
-                    f"[{base:#x}, {end:#x}) — untranslated shared pointer?"
-                )
-            raise MemoryFault(
-                f"CPU address {address:#x} (+{size}) outside the shared "
-                f"region [{base:#x}, {end:#x})"
-            )
-        pack_into(data, offset, conv(value))
-
-    return write, size
-
-
-class _Block:
-    """One compiled basic block: phi plan, step closures, terminator."""
-
-    __slots__ = (
-        "uid_list",
-        "name",
-        "steps",
-        "n_steps",
-        "d_instr",
-        "d_flops",
-        "d_int_ops",
-        "d_translations",
-        "d_calls",
-        "phi_plans",
-        "kind",
-        "true_index",
-        "false_index",
-        "cond",
-        "branch_uid",
-        "ret_get",
-        "message",
+        return MemoryFault(
+            f"GPU address {address:#x} (+{size}) outside surface "
+            f"[{base:#x}, {end:#x}) — untranslated shared pointer?"
+        )
+    return MemoryFault(
+        f"CPU address {address:#x} (+{size}) outside the shared "
+        f"region [{base:#x}, {end:#x})"
     )
 
-    def __init__(self):
-        self.uid_list = ()
-        self.steps = ()
-        self.n_steps = 0
-        self.d_instr = 0
-        self.d_flops = 0
-        self.d_int_ops = 0
-        self.d_translations = 0
-        self.d_calls = 0
-        self.phi_plans = None
-        self.kind = _T_FALLTHROUGH
-        self.true_index = 0
-        self.false_index = 0
-        self.cond = None
-        self.branch_uid = -1
-        self.ret_get = None
-        self.message = ""
+
+def _step_limit(max_steps: int, name: str) -> ExecutionError:
+    return ExecutionError(f"step limit {max_steps} exceeded in {name}")
 
 
-class CodeCache:
-    """Per-runtime cache of compiled functions (the simulator-level
-    analogue of the paper's ``gpu_program_t``/``gpu_function_t`` cache).
+def _no_phi_edge(name: str, block: str, unit_names: tuple, prev: int) -> ExecutionError:
+    prev_name = unit_names[prev] if prev >= 0 else "<entry>"
+    return ExecutionError(
+        f"{name}: phi in {block} has no incoming edge from {prev_name}"
+    )
 
-    Keyed by ``(function, device, collect_events)``; compiled code binds
-    directly to one region's backing memory, so the cache is created per
-    :class:`~repro.svm.region.SharedRegion` and shared by every engine the
-    runtime spawns.  ``compilations``/``hits`` let tests assert the
-    compile-once/launch-many property.
-    """
 
-    def __init__(self, region, counters=None):
-        self.region = region
-        self._cache: dict[tuple, "CompiledFunction"] = {}
-        self.compilations = 0
-        self.hits = 0
-        # Optional repro.obs.CounterRegistry; mirrors the two totals above
-        # as code_cache.hits / code_cache.compilations when attached.
-        self.counters = counters
+def _unloaded(name: str):
+    raise ExecutionError(f"global @{name} has no address (not loaded)")
 
-    def get(
-        self, function: Function, device: str, collect_events: bool
-    ) -> "CompiledFunction":
-        key = (function, device, collect_events)
-        compiled = self._cache.get(key)
-        if compiled is not None:
-            self.hits += 1
-            if self.counters is not None:
-                self.counters.add("code_cache.hits")
-            return compiled
-        self.compilations += 1
-        if self.counters is not None:
-            self.counters.add("code_cache.compilations")
-        compiled = CompiledFunction(function, device, collect_events, self)
-        # Register before compiling the body so recursive (and mutually
-        # recursive) calls resolve to the same object.
-        self._cache[key] = compiled
-        compiled._compile()
-        return compiled
+
+def _undefined(value):
+    raise ExecutionError(f"use of undefined value {value!r}")
+
+
+def _shared_offset(ctx, address: int, size: int) -> int:
+    region = ctx.region
+    base = region.gpu_base if ctx.device == "gpu" else region.cpu_base
+    offset = address - base
+    if offset < 0 or offset + size > region.size:
+        raise _fault(ctx.device, address, size, base, base + region.size)
+    return offset
+
+
+def _read_scalar(ctx, address: int, type_):
+    fmt = _scalar_format(type_)
+    if fmt is None:
+        raise ExecutionError(f"cannot load aggregate {type_} as scalar")
+    if _PB <= address < _PE:
+        buf = ctx._priv_buf
+        if buf is None:
+            buf = ctx._acquire_private()
+        return unpack_from(fmt, buf, address - _PB)[0]
+    offset = _shared_offset(ctx, address, type_.size())
+    return unpack_from(fmt, ctx.region.physical.data, offset)[0]
+
+
+def _write_scalar(ctx, address: int, type_, value) -> None:
+    """``value`` is already converted to ``type_``'s range."""
+    fmt = _scalar_format(type_)
+    if fmt is None:
+        raise ExecutionError(f"cannot store aggregate {type_} as scalar")
+    size = type_.size()
+    if _PB <= address < _PE:
+        buf = ctx._priv_buf
+        if buf is None:
+            buf = ctx._acquire_private()
+        pack_into(fmt, buf, address - _PB, value)
+        if address - _PB + size > ctx._priv_dirty:
+            ctx._priv_dirty = address - _PB + size
+        return
+    offset = _shared_offset(ctx, address, size)
+    pack_into(fmt, ctx.region.physical.data, offset, value)
+
+
+_ATOMIC_COMBINE = {
+    "atomic.add.i32": operator.add,
+    "atomic.add.f32": operator.add,
+    "atomic.min.i32": min,
+    "atomic.max.i32": max,
+    "atomic.cas.i32": lambda old, expected, desired: (
+        desired if old == expected else old
+    ),
+}
+
+
+def _atomic(ctx, name: str, uid: int, pointee, collect: bool, address, *operands):
+    """Sequential read-modify-write (work-items run one at a time; the
+    timing models charge atomics more).  Returns the old value."""
+    combine = _ATOMIC_COMBINE.get(name)
+    if combine is None:
+        raise ExecutionError(f"unknown atomic {name}")
+    old = _read_scalar(ctx, address, pointee)
+    if collect and not (_PB <= address < _PE):
+        seqs = ctx._mem_seq
+        seq = seqs.get(uid, 0)
+        seqs[uid] = seq + 1
+        region = ctx.region
+        # Events carry CPU-space addresses on both devices.
+        if ctx.device == "gpu" and region.surface.contains(address):
+            canonical = address - region.svm_const
+        else:
+            canonical = address
+        ctx._record(uid, seq, canonical, pointee.size(), True)
+    new = combine(old, *operands)
+    if isinstance(pointee, IntType):
+        new = pointee.wrap(int(new))
+    _write_scalar(ctx, address, pointee, new)
+    return old
+
+
+_VPTR = PointerType(I64)
+
+
+def _vcall(ctx, vslot: int, obj, args: list):
+    """Real vtable dispatch (the CPU path; GPU kernels have vcalls
+    expanded into compare chains by the devirtualization pass)."""
+    vtable = _read_scalar(ctx, obj, _VPTR)
+    symbol = _read_scalar(ctx, vtable + 8 * vslot, I64)
+    target = ctx.symbols.get(symbol)
+    if target is None:
+        raise ExecutionError(
+            f"virtual dispatch to unknown symbol {symbol:#x} "
+            f"(slot {vslot}) — vtables not loaded?"
+        )
+    sub = ctx.code_cache.get(target, ctx.device, ctx.collect_mem_events)
+    return sub.invoke(ctx, [obj, *args])
+
+
+def _svm_malloc(ctx, size):
+    if ctx.allocator is None:
+        raise ExecutionError(
+            "svm.malloc with no allocator (device code cannot allocate)"
+        )
+    return ctx.allocator.calloc(max(1, size))
+
+
+def _svm_free(ctx, address) -> None:
+    if ctx.allocator is None:
+        raise ExecutionError("svm.free with no allocator")
+    if address:
+        ctx.allocator.free(address)
+
+
+#: The names generated text may use besides its own ``k<n>`` constants.
+_RUNTIME_NAMES = {
+    "ExecutionError": ExecutionError,
+    "_F32_PACK": _F32_PACK,
+    "_F32_UNPACK": _F32_UNPACK,
+    "_atomic": _atomic,
+    "_fault": _fault,
+    "_no_phi_edge": _no_phi_edge,
+    "_step_limit": _step_limit,
+    "_svm_free": _svm_free,
+    "_svm_malloc": _svm_malloc,
+    "_undefined": _undefined,
+    "_unloaded": _unloaded,
+    "_vcall": _vcall,
+}
 
 
 def _effective_terminator(block):
@@ -357,7 +297,7 @@ def _effective_terminator(block):
 class FunctionPlan:
     """The engine-independent lowering plan for one IR function: the
     reachable-block closure, the SSA register-slot assignment, and the
-    superblock partition.  Both the threaded-code engine and the vector
+    superblock partition.  Both the generated-code engine and the vector
     engine compile from the same plan, which is what keeps their unit
     structure — and therefore block counts, branch stats and derived
     per-unit counters — identical by construction."""
@@ -478,1167 +418,926 @@ def plan_function(fn: Function) -> Optional[FunctionPlan]:
     )
 
 
-class CompiledFunction:
-    """A function lowered to a flat tuple of :class:`_Block` records."""
+def account(instr: Instruction, unit) -> None:
+    """Fold one instruction's fixed trace-counter contributions into the
+    unit's ``d_*`` totals (mirrors the reference interpreter exactly; the
+    vector engine accounts its units through the same function)."""
+    op = instr.op
+    if op in ("gep", "icmp"):
+        unit.d_int_ops += 1
+    elif op == "fcmp":
+        unit.d_flops += 1
+    elif op in _BINOP_EVAL:
+        if op in _FLOAT_OPS:
+            unit.d_flops += 1
+        else:
+            unit.d_int_ops += 1
+    elif op == "vcall":
+        unit.d_calls += 1
+        unit.d_instr += 3  # vptr load, slot load, compare/jump
+    elif op == "call":
+        callee = instr.callee
+        if isinstance(callee, Function):
+            unit.d_calls += 1
+        else:
+            name = getattr(callee, "name", "")
+            if name in ("svm.to_gpu", "svm.to_cpu"):
+                unit.d_translations += 1
+                unit.d_int_ops += 1
+            elif name.startswith("math."):
+                unit.d_flops += 4  # transcendental cost hint
+
+
+# -- per-opcode templates ---------------------------------------------------
+#
+# Operand texts ({a}, {b}, ...) are a local ``v<slot>``, ``regs[<slot>]``,
+# a literal or a bound name; {d} is the assignment target the liveness
+# pass picked for the result.
+
+_M64 = "0xFFFFFFFFFFFFFFFF"
+
+#: The ops Python spells as one operator with the interpreter's semantics.
+#: Everything else in ``_BINOP_EVAL`` (division, remainder, shifts, fdiv,
+#: frem) is called through that table, so its corner cases stay there.
+_INFIX = {
+    "add": "{a} + {b}",
+    "sub": "{a} - {b}",
+    "mul": "{a} * {b}",
+    "and": "{a} & {b}",
+    "or": "{a} | {b}",
+    "xor": "{a} ^ {b}",
+    "fadd": "{a} + {b}",
+    "fsub": "{a} - {b}",
+    "fmul": "{a} * {b}",
+}
+
+_COMPARE = {
+    "eq": "{a} == {b}",
+    "ne": "{a} != {b}",
+    "slt": "{a} < {b}",
+    "sle": "{a} <= {b}",
+    "sgt": "{a} > {b}",
+    "sge": "{a} >= {b}",
+    "oeq": "{a} == {b}",
+    "one": "{a} != {b}",
+    "olt": "{a} < {b}",
+    "ole": "{a} <= {b}",
+    "ogt": "{a} > {b}",
+    "oge": "{a} >= {b}",
+}
+
+#: op -> (how the result is narrowed, expression over {a}); the texts are
+#: ``_CAST_EVAL``'s lambdas with the target type's constants burned in.
+_CASTS = {
+    "zext": ("int", "{a} & " + _M64),
+    "sext": ("int", "{a}"),
+    "trunc": ("int", "{a}"),
+    "ptrtoint": ("int", "{a}"),
+    "fptosi": ("int", "int({a})"),
+    "bitcast": ("same", "{a}"),
+    "fpext": ("same", "{a}"),
+    "inttoptr": ("same", "{a} & " + _M64),
+    "sitofp": ("float", "float({a})"),
+    "uitofp": ("float", "float({a} & " + _M64 + ")"),
+    "fptrunc": ("f32", "{a}"),
+}
+
+_F32_ROUND = "_F32_UNPACK(_F32_PACK({0}))[0]"
+
+_PRIVATE = f"{_PB:#x} <= {{a}} < {_PE:#x}"
+
+_LOAD = f"""\
+if {_PRIVATE}:
+    {{d}} = {{codec}}(ctx._priv_buf or ctx._acquire_private(), {{a}} - {_PB:#x})[0]
+else:
+{{event}}    off_ = {{a}} - base
+    if off_ < 0 or off_ + {{size}} > limit:
+        raise _fault({{device!r}}, {{a}}, {{size}}, base, end)
+    {{d}} = {{codec}}(data, off_)[0]
+"""
+
+_STORE = f"""\
+if {_PRIVATE}:
+    off_ = {{a}} - {_PB:#x}
+    {{codec}}(ctx._priv_buf or ctx._acquire_private(), off_, {{value}})
+    if off_ + {{size}} > ctx._priv_dirty:
+        ctx._priv_dirty = off_ + {{size}}
+else:
+{{event}}    off_ = {{a}} - base
+    if off_ < 0 or off_ + {{size}} > limit:
+        raise _fault({{device!r}}, {{a}}, {{size}}, base, end)
+    {{codec}}(data, off_, {{value}})
+"""
+
+#: An aggregate access traps, after tracing it like any other.
+_AGGREGATE = f"""\
+if not ({_PRIVATE}):
+{{event}}    pass
+raise ExecutionError({{message!r}})
+"""
+
+#: The columnar append of ``CompiledEngine._record`` inlined; a full or
+#: list-mode buffer (``ev_cap_`` 0) takes the out-of-line recorder.
+_EVENT = """\
+seq_ = seqs_.get({uid}, 0)
+seqs_[{uid}] = seq_ + 1
+{canon}if len(ev_) < ev_cap_:
+    ev_.extend(({uid}, seq_, {ca}, {size}, {flag}))
+else:
+    ctx._record({uid}, seq_, {ca}, {size}, {is_store})
+"""
+
+#: GPU surface addresses are reported in CPU space so both devices
+#: produce comparable access streams.
+_CANONICAL_GPU = "ca_ = {a} - svm_const if base <= {a} < cend else {a}\n"
+
+_EVENT_PROLOGUE = """\
+seqs_ = ctx._mem_seq
+ev_ = ctx._ev_data
+ev_cap_ = ctx._ev_cap
+"""
+
+_DIV = """\
+try:
+    t_ = {call}
+except ZeroDivisionError as exc:
+    raise ExecutionError({prefix!r} + repr({instr})) from exc
+{d} = {result}
+"""
+
+_TRANSLATE = f"{{d}} = {{a}} if ({_PRIVATE}) or {{a}} == 0 else {{a}} {{sign}} svm_const"
+
+_UNIT = """\
+def u{index}(regs, ctx, prev, btot, btak):
+    steps_ = ctx._steps + {n_steps}
+    ctx._steps = steps_
+    if steps_ > ctx.max_steps:
+        raise _step_limit(ctx.max_steps, {name!r})
+"""
+
+_CONDBR = """\
+btot[{index}] += 1
+if {cond}:
+    btak[{index}] += 1
+    return {true}
+return {false}
+"""
+
+#: A compare read only by the condbr right behind it is tested in place;
+#: it still runs before the branch counters move.
+_CONDBR_FUSED = """\
+if {cond}:
+    btot[{index}] += 1
+    btak[{index}] += 1
+    return {true}
+btot[{index}] += 1
+return {false}
+"""
+
+_MODULE = """\
+def _bind({params}):
+{units}
+    return ({names})
+"""
+
+
+def _wrap(type_: IntType, text: str) -> str:
+    """Python text of ``type_.wrap(<text>)``."""
+    mask = (1 << type_.bits) - 1
+    if type_.signed:
+        sign = 1 << (type_.bits - 1)
+        return f"((({text}) + {sign:#x}) & {mask:#x}) - {sign:#x}"
+    return f"({text}) & {mask:#x}"
+
+
+def _intlike(value) -> bool:
+    """Whether ``value`` is an ``int`` at run time by its IR type — what
+    lets the text drop the interpreter's defensive ``int()``."""
+    if isinstance(value, Constant):
+        return type(value.value) is int
+    return isinstance(value.type, (IntType, PointerType))
+
+
+def _liveness(plan: FunctionPlan):
+    """Which values must live in ``regs``, and how each unit reads what.
+
+    Returns ``(escaping, per_unit)``: ``escaping`` holds the ids of values
+    some reader cannot reach as a local — a head phi (evaluated on entry,
+    before the unit's locals exist), another unit, or a use ahead of the
+    definition; ``per_unit[i]`` is ``(reg_reads, local_reads)``, use
+    counts keyed by value id, of values read from ``regs`` resp. from the
+    local their definition in the same unit assigned."""
+    slots = plan.slots
+    escaping: set[int] = set()
+    per_unit = []
+    for chain in plan.units:
+        defined: set[int] = set()
+        reg_reads: dict[int, int] = {}
+        local_reads: dict[int, int] = {}
+
+        def use(value) -> None:
+            key = id(value)
+            if isinstance(value, Constant) or key not in slots:
+                return
+            if key in defined:
+                local_reads[key] = local_reads.get(key, 0) + 1
+            else:
+                reg_reads[key] = reg_reads.get(key, 0) + 1
+                escaping.add(key)
+
+        for bi, block in enumerate(chain):
+            phis = block.phis()
+            for phi in phis:
+                for operand in phi.operands:
+                    if bi:
+                        use(operand)
+                    elif id(operand) in slots:
+                        escaping.add(id(operand))
+            defined.update(id(phi) for phi in phis)
+            for instr in block.instructions:
+                if instr.op == "phi":
+                    continue
+                for operand in instr.operands:
+                    use(operand)
+                defined.add(id(instr))
+                if instr is plan.terms[id(block)]:
+                    break
+        per_unit.append((reg_reads, local_reads))
+    return escaping, per_unit
+
+
+class _UnitTotals:
+    """The compile-time side of one unit: what the driver's flush needs."""
 
     __slots__ = (
-        "function",
-        "name",
-        "device",
-        "collect",
-        "cache",
-        "region",
-        "nargs",
-        "arg_slots",
-        "nregs",
-        "blocks",
-        "block_names",
+        "uid_list",
+        "branch_uid",
+        "d_instr",
+        "d_flops",
+        "d_int_ops",
+        "d_translations",
+        "d_calls",
     )
 
-    def __init__(self, function: Function, device: str, collect: bool, cache: CodeCache):
-        self.function = function
+    def __init__(self, chain):
+        self.uid_list = tuple(block.uid for block in chain)
+        self.branch_uid = -1
+        self.d_instr = 0
+        self.d_flops = 0
+        self.d_int_ops = 0
+        self.d_translations = 0
+        self.d_calls = 0
+
+
+class _Generator:
+    """Writes the module text for one ``(function, device, collect)``."""
+
+    def __init__(self, function: Function, device: str, collect: bool, plan: FunctionPlan):
         self.name = function.name
         self.device = device
         self.collect = collect
-        self.cache = cache
-        self.region = cache.region
-        self.nargs = len(function.args)
-        self.arg_slots: list[int] = []
-        self.nregs = 0
-        self.blocks: tuple = ()
-        self.block_names: tuple = ()
+        self.plan = plan
+        self.slots = plan.slots
+        self.unit_names = tuple(chain[-1].name for chain in plan.units)
+        self.consts: list = []  # k<n>: the generated module's namespace
+        self._const_names: dict = {}
+        self.callees: list = []  # s<n>: bound per runtime to invoke
+        self.gvars: list = []  # g<n>: bound per runtime to .address
+        self.escaping, self._reads = _liveness(plan)
+        # state of the unit being written
+        self.lines: list[str] = []
+        self.local: set[int] = set()
+        self.reg_reads: dict = {}
+        self.local_reads: dict = {}
+        self.traced = False
+        self.fusable = None  # the compare the block's condbr tests in place
+        self.fused = None  # ... and its test text once written
 
-    # -- compilation -----------------------------------------------------
+    # -- names -------------------------------------------------------------
 
-    def _compile(self) -> None:
-        plan = plan_function(self.function)
-        if plan is None:
-            return
-        slots = plan.slots
-        self.nregs = plan.nregs
-        self.arg_slots = list(plan.arg_slots)
-        unit_idx_by_block = plan.unit_idx_by_block
-        self.blocks = tuple(
-            self._compile_unit(chain, slots, unit_idx_by_block)
-            for chain in plan.units
-        )
-        self.block_names = tuple(chain[-1].name for chain in plan.units)
+    def _bind(self, obj, key=None) -> str:
+        """The ``k<n>`` name of a constant the text cannot spell."""
+        key = id(obj) if key is None else key
+        name = self._const_names.get(key)
+        if name is None:
+            name = self._const_names[key] = f"k{len(self.consts)}"
+            self.consts.append(obj)
+        return name
 
-    def _getter(self, value, slots):
-        """Compile operand access: constants fold to the captured value,
-        SSA values to a register read, globals to a late-bound address
-        read (addresses are assigned when a runtime loads the program)."""
+    def _codec(self, fmt: str, method: str) -> str:
+        return self._bind(getattr(Struct(fmt), method), (fmt, method))
+
+    def _per_runtime(self, table: list, obj, prefix: str) -> str:
+        for index, seen in enumerate(table):
+            if seen is obj:
+                return f"{prefix}{index}"
+        table.append(obj)
+        return f"{prefix}{len(table) - 1}"
+
+    def _literal(self, value) -> str:
+        if type(value) is int or (type(value) is float and math.isfinite(value)):
+            text = repr(value)
+            return f"({text})" if text[0] == "-" else text
+        return self._bind(value)  # inf, nan, bool, None: no literal form
+
+    def _operand(self, value, hoist: bool = True) -> str:
+        """Expression text for one operand.  A value this unit reads from
+        ``regs`` more than once is loaded into its local on first use
+        (``hoist`` is off inside conditional text)."""
         if isinstance(value, Constant):
-            return lambda regs, _v=value.value: _v
-        slot = slots.get(id(value))
+            return self._literal(value.value)
+        slot = self.slots.get(id(value))
         if slot is not None:
-            return lambda regs, _s=slot: regs[_s]
+            if id(value) in self.local:
+                return f"v{slot}"
+            if hoist and self.reg_reads.get(id(value), 0) > 1:
+                self.lines.append(f"v{slot} = regs[{slot}]")
+                self.local.add(id(value))
+                return f"v{slot}"
+            return f"regs[{slot}]"
         if isinstance(value, GlobalVariable):
+            # Addresses are assigned when a runtime loads the program.
+            name = self._per_runtime(self.gvars, value, "g")
+            return f"({name} if {name} is not None else _unloaded({value.name!r}))"
+        return f"_undefined({self._bind(value)})"
 
-            def read_global(regs, _gv=value):
-                address = _gv.address
-                if address is None:
-                    raise ExecutionError(
-                        f"global @{_gv.name} has no address (not loaded)"
-                    )
-                return address
+    def _named(self, text: str, temp: str) -> str:
+        """``text`` as a name the templates may repeat."""
+        if text.isidentifier():
+            return text
+        self.lines.append(f"{temp} = {text}")
+        return temp
 
-            return read_global
+    def _target(self, instr) -> str:
+        """Assignment target for ``instr``'s result (resolve the operands
+        first): its local when this unit reads it again, its ``regs`` slot
+        when anything else does."""
+        slot = self.slots[id(instr)]
+        targets = []
+        if id(instr) in self.escaping:
+            targets.append(f"regs[{slot}]")
+        if self.local_reads.get(id(instr)):
+            targets.append(f"v{slot}")
+            self.local.add(id(instr))
+        return " = ".join(targets) or "_"
 
-        def undefined(regs, _v=value):
-            raise ExecutionError(f"use of undefined value {_v!r}")
+    def _emit(self, template: str, **fields) -> None:
+        self.lines.extend(template.format(**fields).splitlines())
 
-        return undefined
+    # -- units -------------------------------------------------------------
 
-    def _reg_slot(self, value, slots) -> Optional[int]:
-        if isinstance(value, Constant):
-            return None
-        return slots.get(id(value))
-
-    def _compile_unit(self, chain, slots, unit_idx_by_block) -> _Block:
-        """Compile one superblock: the head's phi plans, then every
-        constituent block's steps back to back with mid-chain phi edges
-        lowered to plain move steps."""
-        out = _Block()
-        head = chain[0]
-        out.uid_list = tuple(block.uid for block in chain)
-        out.name = head.name
-        out.phi_plans = self._compile_phis(head, head.phis(), slots, unit_idx_by_block)
-
-        steps: list = []
-        terminator = None
-        term_block = chain[-1]
+    def unit(self, index: int, chain) -> tuple:
+        """Text and totals of one superblock: the head's phi moves
+        selected on ``prev``, every constituent block's instructions back
+        to back (a fused block's phis are plain moves from its chain
+        predecessor), then the last block's terminator."""
+        self.lines = []
+        self.local = set()
+        self.reg_reads, self.local_reads = self._reads[index]
+        self.traced = False
+        self.fused = None
+        totals = _UnitTotals(chain)
         n_steps = 0
-        last = len(chain) - 1
+        terminator = None
         for bi, block in enumerate(chain):
             phis = block.phis()
-            if bi > 0 and phis:
-                moves, error = self._phi_moves(block, phis, chain[bi - 1], slots)
-                if error is not None:
-
-                    def step_phi_error(regs, ctx, _msg=error):
-                        raise ExecutionError(_msg)
-
-                    steps.append(step_phi_error)
+            if phis:
+                if bi:
+                    self._moves(block, phis, chain[bi - 1], "")
                 else:
-                    move = self._compile_moves(moves, slots)
-
-                    def step_phi(regs, ctx, _m=move):
-                        _m(regs)
-
-                    steps.append(step_phi)
+                    self._head_phis(block, phis)
+                for phi in phis:
+                    self.local.add(id(phi))
+                    if id(phi) in self.escaping:
+                        slot = self.slots[id(phi)]
+                        self.lines.append(f"regs[{slot}] = v{slot}")
             n_nonphi = 0
-            block_term = None
+            terminator = None
+            self.fusable = self._fusable_compare(block)
             for instr in block.instructions:
                 if instr.op == "phi":
                     continue
                 n_nonphi += 1
                 if instr.op in ("br", "condbr", "ret", "unreachable"):
-                    block_term = instr
+                    # Mid-chain this is the fused unconditional br: its
+                    # control transfer is the concatenation itself.
+                    terminator = instr
                     break
-                self._account(instr, out)
-                steps.append(self._compile_instr(instr, slots))
+                account(instr, totals)
+                self._instruction(instr)
             n_steps += n_nonphi
-            out.d_instr += len(phis) + n_nonphi
-            if bi == last:
-                terminator = block_term
-                term_block = block
-            # mid-chain block_term is the fused unconditional br — its
-            # control transfer is implicit in the step concatenation.
-        out.steps = tuple(steps)
-        out.n_steps = n_steps
+            totals.d_instr += len(phis) + n_nonphi
+        self._terminator(index, chain[-1], terminator, totals)
+        body = "\n".join(self.lines) + "\n"
+        if self.traced:
+            body = _EVENT_PROLOGUE + body
+        text = _UNIT.format(index=index, n_steps=n_steps, name=self.name)
+        return text + indent(body, "    "), totals
 
-        if terminator is None:
-            out.kind = _T_FALLTHROUGH
-            out.message = f"{self.name}: block {term_block.name} fell through"
-        elif terminator.op == "br":
-            out.kind = _T_BR
-            out.true_index = unit_idx_by_block[terminator.targets[0]]
-        elif terminator.op == "condbr":
-            out.kind = _T_CONDBR
-            out.cond = self._getter(terminator.operands[0], slots)
-            out.true_index = unit_idx_by_block[terminator.targets[0]]
-            out.false_index = unit_idx_by_block[terminator.targets[1]]
-            out.branch_uid = terminator.uid
-        elif terminator.op == "ret":
-            out.kind = _T_RET
-            if terminator.operands:
-                out.ret_get = self._getter(terminator.operands[0], slots)
-        else:
-            out.kind = _T_UNREACHABLE
-            out.message = f"reached unreachable in {self.name}"
-        return out
-
-    def _phi_moves(self, block, phis, pred, slots):
-        """Resolve one (pred, block) edge's phi assignment to a move list,
-        or an error message when a phi has no incoming value for it."""
-        moves = []
+    def _phi_sources(self, block, phis, pred):
+        """One (pred, block) edge's incoming values, or the error message
+        when a phi has none for it."""
+        sources = []
         for phi in phis:
             try:
-                k = phi.phi_blocks.index(pred)
+                sources.append(phi.operands[phi.phi_blocks.index(pred)])
             except ValueError:
                 return None, (
                     f"{self.name}: phi in {block.name} has no incoming "
                     f"edge from {pred.name}"
                 )
-            moves.append((slots[id(phi)], phi.operands[k]))
-        return moves, None
+        return sources, None
 
-    def _compile_phis(self, block, phis, slots, unit_idx_by_block):
-        """Per-edge phi-move plans: pred unit index -> move closure (or an
-        error message for edges a phi has no incoming value for).  The
-        parallel assignment is resolved at compile time; multi-move plans
-        read all sources before writing any destination."""
-        if not phis:
-            return None
-        plans: dict[int, object] = {}
-        for pred, unit_index in unit_idx_by_block.items():
-            if block not in pred.successors():
-                continue
-            moves, error = self._phi_moves(block, phis, pred, slots)
-            plans[unit_index] = (
-                error if error is not None else self._compile_moves(moves, slots)
+    def _moves(self, block, phis, pred, pad: str) -> None:
+        """One edge's parallel phi assignment: Python evaluates the whole
+        right-hand side before it assigns any target."""
+        sources, error = self._phi_sources(block, phis, pred)
+        if error is not None:
+            self.lines.append(f"{pad}raise ExecutionError({error!r})")
+            return
+        targets = ", ".join(f"v{self.slots[id(phi)]}" for phi in phis)
+        values = ", ".join(self._operand(v, hoist=not pad) for v in sources)
+        self.lines.append(f"{pad}{targets} = {values}")
+
+    def _head_phis(self, block, phis) -> None:
+        edges: dict[int, object] = {}
+        for pred, unit_index in self.plan.unit_idx_by_block.items():
+            if block in pred.successors():
+                edges[unit_index] = pred
+        keyword = "if"
+        for unit_index, pred in edges.items():
+            self.lines.append(f"{keyword} prev == {unit_index}:")
+            self._moves(block, phis, pred, "    ")
+            keyword = "elif"
+        raise_ = (
+            f"raise _no_phi_edge({self.name!r}, {block.name!r}, "
+            f"{self._bind(self.unit_names)}, prev)"
+        )
+        self.lines.extend(["else:", f"    {raise_}"] if edges else [raise_])
+
+    def _terminator(self, index: int, block, term, totals) -> None:
+        units = self.plan.unit_idx_by_block
+        if term is None:
+            message = f"{self.name}: block {block.name} fell through"
+            self.lines.append(f"raise ExecutionError({message!r})")
+        elif term.op == "br":
+            self.lines.append(f"return {units[term.targets[0]]}")
+        elif term.op == "condbr":
+            totals.branch_uid = term.uid
+            self._emit(
+                _CONDBR if self.fused is None else _CONDBR_FUSED,
+                index=index,
+                cond=self.fused or self._operand(term.operands[0]),
+                true=units[term.targets[0]],
+                false=units[term.targets[1]],
             )
-        return plans
-
-    def _compile_moves(self, moves, slots):
-        """Compile one phi edge's parallel moves to a ``move(regs)``
-        closure, with the register→register and constant→register shapes
-        fully specialized."""
-        if len(moves) == 1:
-            dst, value = moves[0]
-            src = self._reg_slot(value, slots)
-            if src is not None:
-
-                def move_r(regs):
-                    regs[dst] = regs[src]
-
-                return move_r
-            if isinstance(value, Constant):
-                const = value.value
-
-                def move_c(regs):
-                    regs[dst] = const
-
-                return move_c
-            get = self._getter(value, slots)
-
-            def move_g(regs):
-                regs[dst] = get(regs)
-
-            return move_g
-        if len(moves) == 2:
-            (d0, v0), (d1, v1) = moves
-            s0 = self._reg_slot(v0, slots)
-            s1 = self._reg_slot(v1, slots)
-            if s0 is not None and s1 is not None:
-
-                def move_rr(regs):
-                    a = regs[s0]
-                    b = regs[s1]
-                    regs[d0] = a
-                    regs[d1] = b
-
-                return move_rr
-            g0 = self._getter(v0, slots)
-            g1 = self._getter(v1, slots)
-
-            def move_gg(regs):
-                a = g0(regs)
-                b = g1(regs)
-                regs[d0] = a
-                regs[d1] = b
-
-            return move_gg
-        if len(moves) == 3:
-            (d0, v0), (d1, v1), (d2, v2) = moves
-            g0 = self._getter(v0, slots)
-            g1 = self._getter(v1, slots)
-            g2 = self._getter(v2, slots)
-
-            def move_3(regs):
-                a = g0(regs)
-                b = g1(regs)
-                c = g2(regs)
-                regs[d0] = a
-                regs[d1] = b
-                regs[d2] = c
-
-            return move_3
-        if len(moves) == 4:
-            (d0, v0), (d1, v1), (d2, v2), (d3, v3) = moves
-            g0 = self._getter(v0, slots)
-            g1 = self._getter(v1, slots)
-            g2 = self._getter(v2, slots)
-            g3 = self._getter(v3, slots)
-
-            def move_4(regs):
-                a = g0(regs)
-                b = g1(regs)
-                c = g2(regs)
-                d = g3(regs)
-                regs[d0] = a
-                regs[d1] = b
-                regs[d2] = c
-                regs[d3] = d
-
-            return move_4
-        dsts = tuple(dst for dst, _ in moves)
-        gets = tuple(self._getter(value, slots) for _, value in moves)
-
-        def move_n(regs):
-            values = [g(regs) for g in gets]
-            for dst, value in zip(dsts, values):
-                regs[dst] = value
-
-        return move_n
-
-    def _account(self, instr: Instruction, out: _Block) -> None:
-        """Fold one instruction's fixed trace-counter contributions into
-        the block totals (mirrors the reference interpreter exactly)."""
-        op = instr.op
-        if op == "gep":
-            out.d_int_ops += 1
-        elif op in ("icmp",):
-            out.d_int_ops += 1
-        elif op == "fcmp":
-            out.d_flops += 1
-        elif op in _BINOP_EVAL:
-            if op in _FLOAT_OPS:
-                out.d_flops += 1
-            else:
-                out.d_int_ops += 1
-        elif op == "vcall":
-            out.d_calls += 1
-            out.d_instr += 3  # vptr load, slot load, compare/jump
-        elif op == "call":
-            callee = instr.callee
-            if isinstance(callee, Function):
-                out.d_calls += 1
-            else:
-                name = getattr(callee, "name", "")
-                if name in ("svm.to_gpu", "svm.to_cpu"):
-                    out.d_translations += 1
-                    out.d_int_ops += 1
-                elif name.startswith("math."):
-                    out.d_flops += 4  # transcendental cost hint
-
-    # -- per-opcode step compilation -------------------------------------
-
-    def _compile_instr(self, instr: Instruction, slots):
-        op = instr.op
-        slot = slots[id(instr)]
-        if op == "load":
-            return self._compile_load(instr, slot, slots)
-        if op == "store":
-            return self._compile_store(instr, slots)
-        if op == "gep":
-            return self._compile_gep(instr, slot, slots)
-        if op in ("icmp", "fcmp"):
-            return self._compile_compare(instr, slot, slots)
-        if op in _BINOP_EVAL:
-            return self._compile_binop(instr, slot, slots)
-        if op in _CAST_EVAL:
-            return self._compile_cast(instr, slot, slots)
-        if op == "select":
-            get_cond = self._getter(instr.operands[0], slots)
-            get_true = self._getter(instr.operands[1], slots)
-            get_false = self._getter(instr.operands[2], slots)
-
-            def step_select(regs, ctx):
-                regs[slot] = (get_true if get_cond(regs) else get_false)(regs)
-
-            return step_select
-        if op == "alloca":
-            size = instr.alloc_type.size()
-
-            def step_alloca(regs, ctx):
-                regs[slot] = ctx._alloc_private(size)
-
-            return step_alloca
-        if op == "call":
-            return self._compile_call(instr, slot, slots)
-        if op == "vcall":
-            return self._compile_vcall(instr, slot, slots)
-
-        def step_unknown(regs, ctx, _op=op, _n=self.name):
-            raise ExecutionError(f"unhandled opcode {_op} in {_n}")
-
-        return step_unknown
-
-    def _compile_load(self, instr, slot, slots):
-        sa = self._reg_slot(instr.operands[0], slots)
-        fmt = _scalar_format(instr.type)
-        if sa is not None and fmt is not None:
-            # Hot shape (register address, scalar type): inline the whole
-            # access — private window, trace bookkeeping, canonicalization,
-            # bounds check, codec — into one closure.
-            size = instr.type.size()
-            unpack = Struct(fmt).unpack_from
-            region = self.region
-            data = region.physical.data
-            limit = region.size
-            gpu = self.device == "gpu"
-            base = region.gpu_base if gpu else region.cpu_base
-            end = base + limit
-            if not self.collect:
-
-                def step_load_ri(regs, ctx):
-                    address = regs[sa]
-                    if _PB <= address < _PE:
-                        buf = ctx._priv_buf
-                        if buf is None:
-                            buf = ctx._acquire_private()
-                        regs[slot] = unpack(buf, address - _PB)[0]
-                        return
-                    offset = address - base
-                    if offset < 0 or offset + size > limit:
-                        raise MemoryFault(
-                            f"GPU address {address:#x} (+{size}) outside "
-                            f"surface [{base:#x}, {end:#x}) — untranslated "
-                            f"shared pointer?"
-                            if gpu
-                            else f"CPU address {address:#x} (+{size}) outside "
-                            f"the shared region [{base:#x}, {end:#x})"
-                        )
-                    regs[slot] = unpack(data, offset)[0]
-
-                return step_load_ri
-            uid = instr.uid
-            if gpu:
-                cend = base + region.surface.size
-                svm_const = region.svm_const
-
-                def step_load_traced_ri_gpu(regs, ctx):
-                    address = regs[sa]
-                    if _PB <= address < _PE:
-                        buf = ctx._priv_buf
-                        if buf is None:
-                            buf = ctx._acquire_private()
-                        regs[slot] = unpack(buf, address - _PB)[0]
-                        return
-                    seqs = ctx._mem_seq
-                    seq = seqs.get(uid, 0)
-                    seqs[uid] = seq + 1
-                    ctx._record(
-                        uid,
-                        seq,
-                        address - svm_const if base <= address < cend else address,
-                        size,
-                        False,
-                    )
-                    offset = address - base
-                    if offset < 0 or offset + size > limit:
-                        raise MemoryFault(
-                            f"GPU address {address:#x} (+{size}) outside "
-                            f"surface [{base:#x}, {end:#x}) — untranslated "
-                            f"shared pointer?"
-                        )
-                    regs[slot] = unpack(data, offset)[0]
-
-                return step_load_traced_ri_gpu
-
-            def step_load_traced_ri_cpu(regs, ctx):
-                address = regs[sa]
-                if _PB <= address < _PE:
-                    buf = ctx._priv_buf
-                    if buf is None:
-                        buf = ctx._acquire_private()
-                    regs[slot] = unpack(buf, address - _PB)[0]
-                    return
-                seqs = ctx._mem_seq
-                seq = seqs.get(uid, 0)
-                seqs[uid] = seq + 1
-                ctx._record(uid, seq, address, size, False)
-                offset = address - base
-                if offset < 0 or offset + size > limit:
-                    raise MemoryFault(
-                        f"CPU address {address:#x} (+{size}) outside the "
-                        f"shared region [{base:#x}, {end:#x})"
-                    )
-                regs[slot] = unpack(data, offset)[0]
-
-            return step_load_traced_ri_cpu
-        read, size = _make_reader(self.region, self.device, instr.type)
-        get_addr = self._getter(instr.operands[0], slots)
-        if not self.collect:
-
-            def step_load(regs, ctx):
-                regs[slot] = read(get_addr(regs), ctx)
-
-            return step_load
-        uid = instr.uid
-        canonical = self._canonicalizer()
-
-        def step_load_traced(regs, ctx):
-            address = get_addr(regs)
-            if not (_PB <= address < _PE):
-                seqs = ctx._mem_seq
-                seq = seqs.get(uid, 0)
-                seqs[uid] = seq + 1
-                ctx._record(uid, seq, canonical(address), size, False)
-            regs[slot] = read(address, ctx)
-
-        return step_load_traced
-
-    def _compile_store(self, instr, slots):
-        type_ = instr.operands[0].type
-        get_value = self._getter(instr.operands[0], slots)
-        sa = self._reg_slot(instr.operands[1], slots)
-        fmt = _scalar_format(type_)
-        if sa is not None and fmt is not None:
-            # Hot shape (register address, scalar type): fully inlined,
-            # see _compile_load.
-            size = type_.size()
-            pack_into = Struct(fmt).pack_into
-            if isinstance(type_, IntType):
-                conv = _int_finisher(type_)
-            elif isinstance(type_, FloatType):
-                conv = float
-            else:
-
-                def conv(value):
-                    return int(value) & _MASK64
-
-            region = self.region
-            data = region.physical.data
-            limit = region.size
-            gpu = self.device == "gpu"
-            base = region.gpu_base if gpu else region.cpu_base
-            end = base + limit
-            if not self.collect:
-
-                def step_store_ri(regs, ctx):
-                    value = get_value(regs)
-                    address = regs[sa]
-                    if _PB <= address < _PE:
-                        buf = ctx._priv_buf
-                        if buf is None:
-                            buf = ctx._acquire_private()
-                        off = address - _PB
-                        pack_into(buf, off, conv(value))
-                        if off + size > ctx._priv_dirty:
-                            ctx._priv_dirty = off + size
-                        return
-                    offset = address - base
-                    if offset < 0 or offset + size > limit:
-                        raise MemoryFault(
-                            f"GPU address {address:#x} (+{size}) outside "
-                            f"surface [{base:#x}, {end:#x}) — untranslated "
-                            f"shared pointer?"
-                            if gpu
-                            else f"CPU address {address:#x} (+{size}) outside "
-                            f"the shared region [{base:#x}, {end:#x})"
-                        )
-                    pack_into(data, offset, conv(value))
-
-                return step_store_ri
-            uid = instr.uid
-            if gpu:
-                cend = base + region.surface.size
-                svm_const = region.svm_const
-
-                def step_store_traced_ri_gpu(regs, ctx):
-                    value = get_value(regs)
-                    address = regs[sa]
-                    if _PB <= address < _PE:
-                        buf = ctx._priv_buf
-                        if buf is None:
-                            buf = ctx._acquire_private()
-                        off = address - _PB
-                        pack_into(buf, off, conv(value))
-                        if off + size > ctx._priv_dirty:
-                            ctx._priv_dirty = off + size
-                        return
-                    seqs = ctx._mem_seq
-                    seq = seqs.get(uid, 0)
-                    seqs[uid] = seq + 1
-                    ctx._record(
-                        uid,
-                        seq,
-                        address - svm_const if base <= address < cend else address,
-                        size,
-                        True,
-                    )
-                    offset = address - base
-                    if offset < 0 or offset + size > limit:
-                        raise MemoryFault(
-                            f"GPU address {address:#x} (+{size}) outside "
-                            f"surface [{base:#x}, {end:#x}) — untranslated "
-                            f"shared pointer?"
-                        )
-                    pack_into(data, offset, conv(value))
-
-                return step_store_traced_ri_gpu
-
-            def step_store_traced_ri_cpu(regs, ctx):
-                value = get_value(regs)
-                address = regs[sa]
-                if _PB <= address < _PE:
-                    buf = ctx._priv_buf
-                    if buf is None:
-                        buf = ctx._acquire_private()
-                    off = address - _PB
-                    pack_into(buf, off, conv(value))
-                    if off + size > ctx._priv_dirty:
-                        ctx._priv_dirty = off + size
-                    return
-                seqs = ctx._mem_seq
-                seq = seqs.get(uid, 0)
-                seqs[uid] = seq + 1
-                ctx._record(uid, seq, address, size, True)
-                offset = address - base
-                if offset < 0 or offset + size > limit:
-                    raise MemoryFault(
-                        f"CPU address {address:#x} (+{size}) outside the "
-                        f"shared region [{base:#x}, {end:#x})"
-                    )
-                pack_into(data, offset, conv(value))
-
-            return step_store_traced_ri_cpu
-        write, size = _make_writer(self.region, self.device, type_)
-        if not self.collect:
-            get_addr = self._getter(instr.operands[1], slots)
-
-            def step_store(regs, ctx):
-                value = get_value(regs)
-                write(get_addr(regs), value, ctx)
-
-            return step_store
-        uid = instr.uid
-        canonical = self._canonicalizer()
-        get_addr = self._getter(instr.operands[1], slots)
-
-        def step_store_traced(regs, ctx):
-            value = get_value(regs)
-            address = get_addr(regs)
-            if not (_PB <= address < _PE):
-                seqs = ctx._mem_seq
-                seq = seqs.get(uid, 0)
-                seqs[uid] = seq + 1
-                ctx._record(uid, seq, canonical(address), size, True)
-            write(address, value, ctx)
-
-        return step_store_traced
-
-    def _canonicalizer(self):
-        """Address normalization for trace events: GPU surface addresses
-        are reported in CPU space so both devices produce comparable
-        access streams."""
-        if self.device != "gpu":
-            return lambda address: address
-        region = self.region
-        base = region.gpu_base
-        end = base + region.surface.size
-        svm_const = region.svm_const
-
-        def canonical(address):
-            # Surface.contains(address) with the default 1-byte extent.
-            if base <= address and address + 1 <= end:
-                return address - svm_const
-            return address
-
-        return canonical
-
-    def _compile_gep(self, instr, slot, slots):
-        sbase = self._reg_slot(instr.operands[0], slots)
-        get_base = self._getter(instr.operands[0], slots)
-        offset = instr.gep_offset
-        pairs = list(zip(instr.operands[1:], instr.gep_scales))
-        if not pairs:
-            if sbase is not None:
-
-                def step_gep0_r(regs, ctx):
-                    regs[slot] = (regs[sbase] + offset) & _MASK64
-
-                return step_gep0_r
-
-            def step_gep0(regs, ctx):
-                regs[slot] = (get_base(regs) + offset) & _MASK64
-
-            return step_gep0
-        if len(pairs) == 1:
-            sidx = self._reg_slot(pairs[0][0], slots)
-            scale = pairs[0][1]
-            if sbase is not None and sidx is not None:
-
-                def step_gep1_rr(regs, ctx):
-                    regs[slot] = (regs[sbase] + offset + regs[sidx] * scale) & _MASK64
-
-                return step_gep1_rr
-            if sbase is not None and isinstance(pairs[0][0], Constant):
-                fixed = offset + pairs[0][0].value * scale
-
-                def step_gep1_rc(regs, ctx):
-                    regs[slot] = (regs[sbase] + fixed) & _MASK64
-
-                return step_gep1_rc
-            get_index = self._getter(pairs[0][0], slots)
-
-            def step_gep1(regs, ctx):
-                regs[slot] = (get_base(regs) + offset + get_index(regs) * scale) & _MASK64
-
-            return step_gep1
-        getters = [(self._getter(v, slots), s) for v, s in pairs]
-
-        def step_gep(regs, ctx):
-            address = get_base(regs) + offset
-            for get, scale in getters:
-                address += get(regs) * scale
-            regs[slot] = address & _MASK64
-
-        return step_gep
-
-    def _compile_compare(self, instr, slot, slots):
-        get_a = self._getter(instr.operands[0], slots)
-        get_b = self._getter(instr.operands[1], slots)
-        pred = instr.pred
-        if instr.op == "icmp" and pred.startswith("u"):
-            type0 = instr.operands[0].type
-            bits = type0.bits if isinstance(type0, IntType) else 64
-            mask = (1 << bits) - 1
-            cmp = _CMP_OPS.get("s" + pred[1:])
-            if cmp is None:
-
-                def step_badupred(regs, ctx, _p="s" + pred[1:]):
-                    raise KeyError(_p)
-
-                return step_badupred
-
-            def step_ucmp(regs, ctx):
-                regs[slot] = 1 if cmp(get_a(regs) & mask, get_b(regs) & mask) else 0
-
-            return step_ucmp
-        cmp = _CMP_OPS.get(pred)
-        if cmp is None:
-
-            def step_badpred(regs, ctx, _p=pred):
-                raise KeyError(_p)
-
-            return step_badpred
-        sa = self._reg_slot(instr.operands[0], slots)
-        sb = self._reg_slot(instr.operands[1], slots)
-        if sa is not None and sb is not None:
-
-            def step_cmp_rr(regs, ctx):
-                regs[slot] = 1 if cmp(regs[sa], regs[sb]) else 0
-
-            return step_cmp_rr
-        if sa is not None and isinstance(instr.operands[1], Constant):
-            cb = instr.operands[1].value
-
-            def step_cmp_rc(regs, ctx):
-                regs[slot] = 1 if cmp(regs[sa], cb) else 0
-
-            return step_cmp_rc
-
-        def step_cmp(regs, ctx):
-            regs[slot] = 1 if cmp(get_a(regs), get_b(regs)) else 0
-
-        return step_cmp
-
-    def _compile_binop(self, instr, slot, slots):
-        op = instr.op
-        handler = _BINOP_EVAL[op]
-        type_ = instr.type
-        if isinstance(type_, IntType):
-            finish = _int_finisher(type_)
-        elif isinstance(type_, FloatType) and type_.bits == 32:
-            finish = _f32
+        elif term.op == "ret":
+            if term.operands:
+                value = self._operand(term.operands[0])
+                self.lines.append(f"regs[{self.plan.nregs}] = {value}")
+            self.lines.append("return -1")
         else:
+            message = f"reached unreachable in {self.name}"
+            self.lines.append(f"raise ExecutionError({message!r})")
 
-            def finish(result):
-                return result
+    # -- instructions --------------------------------------------------------
 
-        get_a = self._getter(instr.operands[0], slots)
-        get_b = self._getter(instr.operands[1], slots)
+    def _instruction(self, instr: Instruction) -> None:
+        op = instr.op
+        if op == "load":
+            self._memory(instr, instr.type, instr.operands[0], None)
+        elif op == "store":
+            self._memory(instr, instr.operands[0].type, instr.operands[1], instr.operands[0])
+        elif op == "gep":
+            self._gep(instr)
+        elif op in ("icmp", "fcmp"):
+            self._compare(instr)
+        elif op in _BINOP_EVAL:
+            self._binop(instr)
+        elif op in _CAST_EVAL:
+            self._cast(instr)
+        elif op == "select":
+            cond, then, other = (self._operand(v) for v in instr.operands)
+            self.lines.append(f"{self._target(instr)} = {then} if {cond} else {other}")
+        elif op == "alloca":
+            size = instr.alloc_type.size()
+            self.lines.append(f"{self._target(instr)} = ctx._alloc_private({size})")
+        elif op == "call":
+            self._call(instr)
+        elif op == "vcall":
+            obj, *args = (self._operand(v) for v in instr.operands)
+            self.lines.append(
+                f"{self._target(instr)} = "
+                f"_vcall(ctx, {instr.vslot}, {obj}, [{', '.join(args)}])"
+            )
+        else:
+            message = f"unhandled opcode {op} in {self.name}"
+            self.lines.append(f"raise ExecutionError({message!r})")
 
-        if op in _UNSIGNED_MASK_OPS and isinstance(type_, IntType):
-            mask = (1 << type_.bits) - 1
-            if op in _DIV_OPS:
+    def _event(self, instr, a: str, size: int, is_store: bool) -> str:
+        """The trace text of one shared-memory access, indented for the
+        templates' ``else:`` arm; empty when events are off."""
+        if not self.collect:
+            return ""
+        self.traced = True
+        gpu = self.device == "gpu"
+        text = _EVENT.format(
+            uid=instr.uid,
+            canon=_CANONICAL_GPU.format(a=a) if gpu else "",
+            ca="ca_" if gpu else a,
+            size=size,
+            flag=int(is_store),
+            is_store=is_store,
+        )
+        return indent(text, "    ")
 
-                def step_udiv(regs, ctx, _i=instr):
-                    try:
-                        result = handler(get_a(regs) & mask, get_b(regs) & mask)
-                    except ZeroDivisionError as exc:
-                        raise ExecutionError(
-                            f"division by zero in {self.name}: {_i!r}"
-                        ) from exc
-                    regs[slot] = finish(result)
+    def _memory(self, instr, type_, address, value) -> None:
+        """A load (``value`` is None) or a store: private window, trace
+        bookkeeping, bounds check and codec in one statement group."""
+        fmt = _scalar_format(type_)
+        size = type_.size()
+        stored = None if value is None else self._operand(value)
+        a = self._named(self._operand(address), "a_")
+        event = self._event(instr, a, size, value is not None)
+        if fmt is None:
+            verb = "load" if value is None else "store"
+            self._emit(
+                _AGGREGATE,
+                a=a,
+                event=event,
+                message=f"cannot {verb} aggregate {type_} as scalar",
+            )
+        elif value is None:
+            self._emit(
+                _LOAD,
+                a=a,
+                d=self._target(instr),
+                codec=self._codec(fmt, "unpack_from"),
+                size=size,
+                device=self.device,
+                event=event,
+            )
+        else:
+            # _encode_scalar: wrap ints, float() floats, mask pointers.
+            exact = _intlike(value)
+            if isinstance(type_, IntType):
+                stored = _wrap(type_, stored if exact else f"int({stored})")
+            elif isinstance(type_, FloatType):
+                if not isinstance(value.type, FloatType):
+                    stored = f"float({stored})"
+            else:
+                stored = f"{stored if exact else f'int({stored})'} & {_M64}"
+            self._emit(
+                _STORE,
+                a=a,
+                value=stored,
+                codec=self._codec(fmt, "pack_into"),
+                size=size,
+                device=self.device,
+                event=event,
+            )
 
-                return step_udiv
+    def _gep(self, instr) -> None:
+        terms = [self._operand(instr.operands[0])]
+        fixed = instr.gep_offset
+        for value, scale in zip(instr.operands[1:], instr.gep_scales):
+            if isinstance(value, Constant) and type(value.value) is int:
+                fixed += value.value * scale
+            else:
+                text = self._operand(value)
+                terms.append(text if scale == 1 else f"{text} * {self._literal(scale)}")
+        if fixed:
+            terms.append(self._literal(fixed))
+        self.lines.append(f"{self._target(instr)} = ({' + '.join(terms)}) & {_M64}")
 
-            def step_umask(regs, ctx):
-                regs[slot] = finish(handler(get_a(regs) & mask, get_b(regs) & mask))
+    def _compare(self, instr) -> None:
+        pred = instr.pred
+        a, b = (self._operand(v) for v in instr.operands)
+        if instr.op == "icmp" and pred.startswith("u"):
+            # The same comparison on operands normalized to their width.
+            type0 = instr.operands[0].type
+            mask = (1 << (type0.bits if isinstance(type0, IntType) else 64)) - 1
+            pred = "s" + pred[1:]
+            a, b = f"({a} & {mask:#x})", f"({b} & {mask:#x})"
+        template = _COMPARE.get(pred)
+        if template is None:
+            self.lines.append(f"raise KeyError({pred!r})")
+        else:
+            test = template.format(a=a, b=b)
+            if instr is self.fusable:
+                self.fused = test
+            else:
+                self.lines.append(f"{self._target(instr)} = 1 if {test} else 0")
 
-            return step_umask
+    def _fusable_compare(self, block):
+        """The compare ``block``'s condbr can test in place: the
+        instruction right before it, read by nothing else."""
+        term = self.plan.terms[id(block)]
+        if term is None or term.op != "condbr":
+            return None
+        at = block.instructions.index(term)
+        cond = term.operands[0]
+        if (
+            at
+            and block.instructions[at - 1] is cond
+            and cond.op in ("icmp", "fcmp")
+            and id(cond) not in self.escaping
+            and self.local_reads.get(id(cond)) == 1
+        ):
+            return cond
+        return None
 
-        if op in _DIV_OPS:
-
-            def step_div(regs, ctx, _i=instr):
-                try:
-                    result = handler(get_a(regs), get_b(regs))
-                except ZeroDivisionError as exc:
-                    raise ExecutionError(
-                        f"division by zero in {self.name}: {_i!r}"
-                    ) from exc
-                regs[slot] = finish(result)
-
-            return step_div
-
-        sa = self._reg_slot(instr.operands[0], slots)
-        sb = self._reg_slot(instr.operands[1], slots)
-        is_int = isinstance(type_, IntType)
-        is_f32 = isinstance(type_, FloatType) and type_.bits == 32
-        if sa is not None and sb is not None:
-            if is_int:
-                # Wrap inlined: int binops are the single hottest step.
-                mask = (1 << type_.bits) - 1
-                if type_.signed:
-                    sign = 1 << (type_.bits - 1)
-                    span = 1 << type_.bits
-
-                    def step_bin_rr_si(regs, ctx):
-                        result = int(handler(regs[sa], regs[sb])) & mask
-                        regs[slot] = result - span if result >= sign else result
-
-                    return step_bin_rr_si
-
-                def step_bin_rr_ui(regs, ctx):
-                    regs[slot] = int(handler(regs[sa], regs[sb])) & mask
-
-                return step_bin_rr_ui
-            if is_f32:
-
-                def step_bin_rr_f32(regs, ctx):
-                    regs[slot] = _F32_UNPACK(_F32_PACK(handler(regs[sa], regs[sb])))[0]
-
-                return step_bin_rr_f32
-
-            def step_bin_rr(regs, ctx):
-                regs[slot] = finish(handler(regs[sa], regs[sb]))
-
-            return step_bin_rr
-        if sa is not None and isinstance(instr.operands[1], Constant):
-            cb = instr.operands[1].value
-            if is_f32:
-
-                def step_bin_rc_f32(regs, ctx):
-                    regs[slot] = _F32_UNPACK(_F32_PACK(handler(regs[sa], cb)))[0]
-
-                return step_bin_rc_f32
-
-            def step_bin_rc(regs, ctx):
-                regs[slot] = finish(handler(regs[sa], cb))
-
-            return step_bin_rc
-        if sb is not None and isinstance(instr.operands[0], Constant):
-            ca = instr.operands[0].value
-            if is_f32:
-
-                def step_bin_cr_f32(regs, ctx):
-                    regs[slot] = _F32_UNPACK(_F32_PACK(handler(ca, regs[sb])))[0]
-
-                return step_bin_cr_f32
-
-            def step_bin_cr(regs, ctx):
-                regs[slot] = finish(handler(ca, regs[sb]))
-
-            return step_bin_cr
-
-        def step_bin(regs, ctx):
-            regs[slot] = finish(handler(get_a(regs), get_b(regs)))
-
-        return step_bin
-
-    def _compile_cast(self, instr, slot, slots):
-        fn = _CAST_EVAL[instr.op]
+    def _binop(self, instr) -> None:
+        op = instr.op
         type_ = instr.type
-        sa = self._reg_slot(instr.operands[0], slots)
-        if sa is not None:
+        is_int = isinstance(type_, IntType)
+        lhs, rhs = instr.operands
+        a, b = self._operand(lhs), self._operand(rhs)
+        template = _INFIX.get(op)
+        if template is not None:
+            text = template.format(a=a, b=b)
+            exact = _intlike(lhs) and _intlike(rhs)
+        else:
+            if op in _UNSIGNED_MASK_OPS and is_int:
+                mask = (1 << type_.bits) - 1
+                a, b = f"{a} & {mask:#x}", f"{b} & {mask:#x}"
+            text = f"{self._bind(_BINOP_EVAL[op])}({a}, {b})"
+            exact = False
+        if op in _DIV_OPS:
+            call, text = text, "t_"
+        if is_int:
+            text = _wrap(type_, text if exact else f"int({text})")
+        elif isinstance(type_, FloatType) and type_.bits == 32:
+            text = _F32_ROUND.format(text)
+        if op in _DIV_OPS:
+            self._emit(
+                _DIV,
+                call=call,
+                prefix=f"division by zero in {self.name}: ",
+                instr=self._bind(instr),
+                d=self._target(instr),
+                result=text,
+            )
+        else:
+            self.lines.append(f"{self._target(instr)} = {text}")
 
-            def step_cast_r(regs, ctx):
-                regs[slot] = fn(regs[sa], type_)
+    def _cast(self, instr) -> None:
+        type_ = instr.type
+        a = self._operand(instr.operands[0])
+        narrow, template = _CASTS.get(instr.op, (None, None))
+        if narrow == "int" and isinstance(type_, IntType):
+            text = _wrap(type_, template.format(a=a))
+        elif narrow == "float" and isinstance(type_, FloatType):
+            text = template.format(a=a)
+            if type_.bits == 32:
+                text = _F32_ROUND.format(text)
+        elif narrow == "f32":
+            text = _F32_ROUND.format(a)
+        elif narrow == "same":
+            text = template.format(a=a)
+        else:  # a target type the table has no text for
+            text = f"{self._bind(_CAST_EVAL[instr.op])}({a}, {self._bind(type_)})"
+        self.lines.append(f"{self._target(instr)} = {text}")
 
-            return step_cast_r
-        get = self._getter(instr.operands[0], slots)
-
-        def step_cast(regs, ctx):
-            regs[slot] = fn(get(regs), type_)
-
-        return step_cast
-
-    def _compile_call(self, instr, slot, slots):
+    def _call(self, instr) -> None:
         callee = instr.callee
-        getters = [self._getter(v, slots) for v in instr.operands]
+        args = [self._operand(v) for v in instr.operands]
         if isinstance(callee, Function):
-            sub = self.cache.get(callee, self.device, self.collect)
-            arg_slots = [self._reg_slot(v, slots) for v in instr.operands]
-            if all(s is not None for s in arg_slots):
+            invoke = self._per_runtime(self.callees, callee, "s")
+            text = f"{invoke}(ctx, [{', '.join(args)}])"
+        else:
+            text = self._intrinsic(instr, getattr(callee, "name", None), args)
+            if text is None:
+                return
+        self.lines.append(f"{self._target(instr)} = {text}")
 
-                def step_call_r(regs, ctx):
-                    regs[slot] = sub.invoke(ctx, [regs[s] for s in arg_slots])
-
-                return step_call_r
-
-            def step_call(regs, ctx):
-                regs[slot] = sub.invoke(ctx, [g(regs) for g in getters])
-
-            return step_call
-        name = getattr(callee, "name", None)
-        if name is None:
-
-            def step_badcall(regs, ctx, _n=name):
-                raise ExecutionError(f"unknown intrinsic {_n}")
-
-            return step_badcall
-        return self._compile_intrinsic(instr, name, slot, getters, slots)
-
-    def _compile_intrinsic(self, instr, name, slot, getters, slots):
-        region = self.region
+    def _intrinsic(self, instr, name, args) -> Optional[str]:
+        """Expression text of an intrinsic call, or None when the lines
+        were written here."""
         if name in ("svm.to_gpu", "svm.to_cpu"):
-            svm_const = region.svm_const
-            delta = svm_const if name == "svm.to_gpu" else -svm_const
-            sa = self._reg_slot(instr.operands[0], slots)
-            if sa is not None:
-
-                def step_translate_r(regs, ctx):
-                    address = regs[sa]
-                    if (_PB <= address < _PE) or address == 0:
-                        regs[slot] = address
-                    else:
-                        regs[slot] = address + delta
-
-                return step_translate_r
-            get = getters[0]
-
-            def step_translate(regs, ctx):
-                address = get(regs)
-                if (_PB <= address < _PE) or address == 0:
-                    regs[slot] = address
-                else:
-                    regs[slot] = address + delta
-
-            return step_translate
+            a = self._named(args[0], "a_")
+            sign = "+" if name == "svm.to_gpu" else "-"
+            self._emit(_TRANSLATE, d=self._target(instr), a=a, sign=sign)
+            return None
         if name == "svm.malloc":
-            get = getters[0]
-
-            def step_malloc(regs, ctx):
-                if ctx.allocator is None:
-                    raise ExecutionError(
-                        "svm.malloc with no allocator (device code cannot allocate)"
-                    )
-                regs[slot] = ctx.allocator.calloc(max(1, get(regs)))
-
-            return step_malloc
+            return f"_svm_malloc(ctx, {args[0]})"
         if name == "svm.free":
-            get = getters[0]
-
-            def step_free(regs, ctx):
-                if ctx.allocator is None:
-                    raise ExecutionError("svm.free with no allocator")
-                address = get(regs)
-                if address:
-                    ctx.allocator.free(address)
-                regs[slot] = None
-
-            return step_free
+            return f"_svm_free(ctx, {args[0]})"
         if name == "gpu.global_id":
-
-            def step_gid(regs, ctx):
-                regs[slot] = ctx.global_id
-
-            return step_gid
+            return "ctx.global_id"
         if name == "gpu.num_cores":
-
-            def step_cores(regs, ctx):
-                regs[slot] = ctx.num_cores
-
-            return step_cores
+            return "ctx.num_cores"
         if name == "gpu.barrier":
-
-            def step_barrier(regs, ctx):
-                regs[slot] = None
-
-            return step_barrier
-        if name.startswith("atomic."):
-            return self._compile_atomic(instr, name, slot, getters)
-        if name.startswith("math."):
+            return "None"
+        if name is not None and name.startswith("atomic."):
+            pointee = instr.callee.ftype.params[0].pointee
+            return (
+                f"_atomic(ctx, {name!r}, {instr.uid}, {self._bind(pointee)}, "
+                f"{self.collect}, {', '.join(args)})"
+            )
+        if name is not None and name.startswith("math."):
             short = name.split(".")[1]
             fn = MATH_EVAL.get(short)
             if fn is None:
+                self.lines.append(f"raise KeyError({short!r})")
+                return None
+            text = f"{self._bind(fn)}({', '.join(args)})"
+            return _F32_ROUND.format(text) if name.endswith(".f32") else text
+        message = f"unknown intrinsic {name}"
+        self.lines.append(f"raise ExecutionError({message!r})")
+        return None
 
-                def step_badmath(regs, ctx, _s=short):
-                    raise KeyError(_s)
 
-                return step_badmath
-            if name.endswith(".f32"):
-                if len(getters) == 1:
-                    get = getters[0]
+_REGION_PARAMS = ("data", "base", "limit", "end", "cend", "svm_const")
 
-                    def step_math1f(regs, ctx):
-                        regs[slot] = _F32_UNPACK(_F32_PACK(fn(get(regs))))[0]
 
-                    return step_math1f
-                if len(getters) == 2:
-                    get_a, get_b = getters
+class JitCode:
+    """One function's generated module for one ``(device, collect)``:
+    region-independent, so every runtime over the same program shares it.
+    ``factory(*region constants, *callee invokes, *global addresses)``
+    returns the tuple of unit functions."""
 
-                    def step_math2f(regs, ctx):
-                        regs[slot] = _F32_UNPACK(
-                            _F32_PACK(fn(get_a(regs), get_b(regs)))
-                        )[0]
+    __slots__ = (
+        "function",
+        "name",
+        "nregs",
+        "arg_slots",
+        "units",
+        "callees",
+        "gvars",
+        "source",
+        "filename",
+        "factory",
+    )
 
-                    return step_math2f
+    def __init__(self, function: Function, device: str, collect: bool):
+        self.function = function
+        self.name = function.name
+        self.nregs = 0
+        self.arg_slots: tuple = ()
+        self.units: tuple = ()  # one _UnitTotals per unit
+        self.callees: tuple = ()
+        self.gvars: tuple = ()
+        self.source = ""
+        self.filename = ""
+        self.factory = None
+        plan = plan_function(function)
+        if plan is None:
+            return
+        generator = _Generator(function, device, collect, plan)
+        texts = []
+        totals = []
+        for index, chain in enumerate(plan.units):
+            text, unit_totals = generator.unit(index, chain)
+            texts.append(indent(text, "    "))
+            totals.append(unit_totals)
+        self.nregs = plan.nregs + 1  # the last slot carries the return value
+        self.arg_slots = tuple(plan.arg_slots)
+        self.units = tuple(totals)
+        self.callees = tuple(generator.callees)
+        self.gvars = tuple(generator.gvars)
+        params = list(_REGION_PARAMS)
+        params += [f"s{i}" for i in range(len(self.callees))]
+        params += [f"g{i}" for i in range(len(self.gvars))]
+        self.source = _MODULE.format(
+            params=", ".join(params),
+            units="\n".join(texts),
+            names="".join(f"u{i}, " for i in range(len(texts))),
+        )
+        # The digest keeps two programs' modules apart in tracebacks,
+        # profiles and linecache.
+        digest = hashlib.sha1(self.source.encode()).hexdigest()[:8]
+        self.filename = f"<repro-jit {self.name}.{device} {digest}>"
+        namespace = dict(_RUNTIME_NAMES)
+        namespace.update((f"k{i}", value) for i, value in enumerate(generator.consts))
+        exec(compile(self.source, self.filename, "exec"), namespace)
+        self.factory = namespace["_bind"]
 
-                def step_mathnf(regs, ctx):
-                    regs[slot] = _f32(fn(*[g(regs) for g in getters]))
+    def publish(self) -> None:
+        """Register the text with :mod:`linecache` under ``filename`` so a
+        traceback (or a reader resolving a profiler's ``file:line``)
+        prints the generated statement.  Done when a trap passes through
+        the code rather than at generation: a line list costs more memory
+        than the text, and linecache entries outlive the program."""
+        if self.source and self.filename not in linecache.cache:
+            linecache.cache[self.filename] = (
+                len(self.source),
+                None,  # no mtime: checkcache() leaves the entry alone
+                self.source.splitlines(True),
+                self.filename,
+            )
 
-                return step_mathnf
-            if len(getters) == 1:
-                get = getters[0]
 
-                def step_math1(regs, ctx):
-                    regs[slot] = fn(get(regs))
+class CodeCache:
+    """Per-runtime cache of bound functions (the simulator-level analogue
+    of the paper's ``gpu_program_t``/``gpu_function_t`` cache).
 
-                return step_math1
-            if len(getters) == 2:
-                get_a, get_b = getters
+    Keyed by ``(function, device, collect_events)``.  Bound code closes
+    over one region's backing memory, so the cache is created per
+    :class:`~repro.svm.region.SharedRegion` and shared by every engine the
+    runtime spawns; the generated :class:`JitCode` behind each entry lives
+    in ``code``, the dict of whoever owns the IR (a runtime passes its
+    program's ``jit_code``), so only the first runtime over a program pays
+    for generation.  ``compilations``/``hits`` count this cache's binds
+    and replays (tests assert compile-once/launch-many on them),
+    ``codegen`` the generations it had to do itself.
+    """
 
-                def step_math2(regs, ctx):
-                    regs[slot] = fn(get_a(regs), get_b(regs))
+    def __init__(self, region, counters=None, code: Optional[dict] = None):
+        self.region = region
+        self._cache: dict[tuple, "CompiledFunction"] = {}
+        self._code = {} if code is None else code
+        self.compilations = 0
+        self.hits = 0
+        self.codegen = 0
+        # Optional repro.obs.CounterRegistry; mirrors the totals above as
+        # code_cache.hits / .compilations / .codegen when attached.
+        self.counters = counters
 
-                return step_math2
+    def get(
+        self, function: Function, device: str, collect_events: bool
+    ) -> "CompiledFunction":
+        key = (function, device, collect_events)
+        compiled = self._cache.get(key)
+        if compiled is not None:
+            self.hits += 1
+            if self.counters is not None:
+                self.counters.add("code_cache.hits")
+            return compiled
+        self.compilations += 1
+        if self.counters is not None:
+            self.counters.add("code_cache.compilations")
+        code = self._code.get(key)
+        if code is None:
+            # Two runtimes racing here generate equal code; either wins.
+            code = self._code[key] = JitCode(function, device, collect_events)
+            self.codegen += 1
+            if self.counters is not None:
+                self.counters.add("code_cache.codegen")
+        compiled = CompiledFunction(code)
+        # Register before binding the body so recursive (and mutually
+        # recursive) calls resolve to the same object.
+        self._cache[key] = compiled
+        compiled._bind(self, device, collect_events)
+        return compiled
 
-            def step_mathn(regs, ctx):
-                regs[slot] = fn(*[g(regs) for g in getters])
 
-            return step_mathn
+class CompiledFunction:
+    """A function's :class:`JitCode` bound to one runtime's region."""
 
-        def step_unknown(regs, ctx, _n=name):
-            raise ExecutionError(f"unknown intrinsic {_n}")
+    __slots__ = ("code", "function", "name", "units")
 
-        return step_unknown
+    def __init__(self, code: JitCode):
+        self.code = code
+        self.function = code.function
+        self.name = code.name
+        self.units: tuple = ()
 
-    def _compile_atomic(self, instr, name, slot, getters):
-        pointee = instr.callee.ftype.params[0].pointee
-        read, size = _make_reader(self.region, self.device, pointee)
-        write, _ = _make_writer(self.region, self.device, pointee)
-        uid = instr.uid
-        collect = self.collect
-        canonical = self._canonicalizer()
-        if isinstance(pointee, IntType):
-            narrow = _int_finisher(pointee)
-        else:
-
-            def narrow(value):
-                return value
-
-        if name in ("atomic.add.i32", "atomic.add.f32"):
-            combine = operator.add
-        elif name == "atomic.min.i32":
-            combine = min
-        elif name == "atomic.max.i32":
-            combine = max
-        elif name == "atomic.cas.i32":
-            get_addr, get_expected, get_desired = getters
-
-            def step_cas(regs, ctx):
-                address = get_addr(regs)
-                old = read(address, ctx)
-                if collect and not (_PB <= address < _PE):
-                    seqs = ctx._mem_seq
-                    seq = seqs.get(uid, 0)
-                    seqs[uid] = seq + 1
-                    ctx._record(uid, seq, canonical(address), size, True)
-                new = get_desired(regs) if old == get_expected(regs) else old
-                write(address, narrow(new), ctx)
-                regs[slot] = old
-
-            return step_cas
-        else:
-
-            def step_badatomic(regs, ctx, _n=name):
-                raise ExecutionError(f"unknown atomic {_n}")
-
-            return step_badatomic
-
-        get_addr, get_value = getters
-
-        def step_atomic(regs, ctx):
-            address = get_addr(regs)
-            old = read(address, ctx)
-            if collect and not (_PB <= address < _PE):
-                seqs = ctx._mem_seq
-                seq = seqs.get(uid, 0)
-                seqs[uid] = seq + 1
-                ctx._record(uid, seq, canonical(address), size, True)
-            write(address, narrow(combine(old, get_value(regs))), ctx)
-            regs[slot] = old
-
-        return step_atomic
-
-    def _compile_vcall(self, instr, slot, slots):
-        # Real vtable dispatch (the CPU path; GPU kernels have vcalls
-        # expanded into compare chains by the devirtualization pass).
-        read_vptr, _ = _make_reader(self.region, self.device, PointerType(I64))
-        read_slot, _ = _make_reader(self.region, self.device, I64)
-        vtable_offset = 8 * instr.vslot
-        vslot = instr.vslot
-        get_obj = self._getter(instr.operands[0], slots)
-        getters = [self._getter(v, slots) for v in instr.operands[1:]]
-
-        def step_vcall(regs, ctx):
-            obj = get_obj(regs)
-            vtable = read_vptr(obj, ctx)
-            symbol = read_slot(vtable + vtable_offset, ctx)
-            target = ctx.symbols.get(symbol)
-            if target is None:
-                raise ExecutionError(
-                    f"virtual dispatch to unknown symbol {symbol:#x} "
-                    f"(slot {vslot}) — vtables not loaded?"
-                )
-            sub = ctx.code_cache.get(target, ctx.device, ctx.collect_mem_events)
-            args = [obj]
-            for get in getters:
-                args.append(get(regs))
-            regs[slot] = sub.invoke(ctx, args)
-
-        return step_vcall
-
-    # -- execution -------------------------------------------------------
+    def _bind(self, cache: CodeCache, device: str, collect: bool) -> None:
+        code = self.code
+        if code.factory is None:
+            return
+        region = cache.region
+        base = region.gpu_base if device == "gpu" else region.cpu_base
+        self.units = code.factory(
+            region.physical.data,
+            base,
+            region.size,
+            base + region.size,
+            base + region.surface.size,
+            region.svm_const,
+            *[cache.get(callee, device, collect).invoke for callee in code.callees],
+            *[gvar.address for gvar in code.gvars],
+        )
 
     def invoke(self, ctx: "CompiledEngine", args):
-        """Run one invocation: thread the block records, accumulate trace
-        counters in locals, flush once (even on error, so partial traces
-        stay close to the interpreter's)."""
+        """Run one invocation: chase unit indices, count unit executions,
+        flush the trace once (even on error, so partial traces stay close
+        to the interpreter's)."""
         depth = ctx._depth
         if depth > _MAX_CALL_DEPTH:
             raise ExecutionError(f"call depth limit exceeded in {self.name}")
-        ctx._depth = depth + 1
-        blocks = self.blocks
-        if not blocks:
-            ctx._depth = depth
+        units = self.units
+        if not units:
             raise ExecutionError(f"{self.name} has no body")
-        regs = [None] * self.nregs
-        for slot, value in zip(self.arg_slots, args):
+        ctx._depth = depth + 1
+        code = self.code
+        regs = [None] * code.nregs
+        for slot, value in zip(code.arg_slots, args):
             regs[slot] = value
-        trace = ctx.trace
-        max_steps = ctx.max_steps
-        n = len(blocks)
-        block_counts = [0] * n
+        n = len(units)
+        unit_counts = [0] * n
         branch_taken = [0] * n
         branch_total = [0] * n
         index = 0
         prev = -1
-        result = None
         try:
-            while True:
-                block = blocks[index]
-                block_counts[index] += 1
-                steps_now = ctx._steps + block.n_steps
-                ctx._steps = steps_now
-                if steps_now > max_steps:
-                    raise ExecutionError(
-                        f"step limit {max_steps} exceeded in {self.name}"
-                    )
-
-                plans = block.phi_plans
-                if plans is not None:
-                    move = plans.get(prev)
-                    if move is None:
-                        prev_name = (
-                            self.block_names[prev] if prev >= 0 else "<entry>"
-                        )
-                        raise ExecutionError(
-                            f"{self.name}: phi in {block.name} has no "
-                            f"incoming edge from {prev_name}"
-                        )
-                    if move.__class__ is str:
-                        raise ExecutionError(move)
-                    move(regs)
-
-                for step in block.steps:
-                    step(regs, ctx)
-
-                kind = block.kind
-                if kind == _T_BR:
-                    prev = index
-                    index = block.true_index
-                elif kind == _T_CONDBR:
-                    branch_total[index] += 1
-                    prev = index
-                    if block.cond(regs):
-                        branch_taken[prev] += 1
-                        index = block.true_index
-                    else:
-                        index = block.false_index
-                elif kind == _T_RET:
-                    get = block.ret_get
-                    if get is not None:
-                        result = get(regs)
-                    return result
-                else:
-                    raise ExecutionError(block.message)
+            while index >= 0:
+                unit_counts[index] += 1
+                successor = units[index](regs, ctx, prev, branch_total, branch_taken)
+                prev = index
+                index = successor
+            return regs[-1]
         except BaseException as exc:
             # Cold path: stamp the trapping superblock onto the escaping
             # exception for the flight recorder (repro.obs.flight) — the
@@ -1646,31 +1345,32 @@ class CompiledFunction:
             # exceptions make this free on the non-trapping path.
             if not hasattr(exc, "trap_function"):
                 exc.trap_function = self.name
-                exc.trap_block_uids = block.uid_list
+                exc.trap_block_uids = code.units[index].uid_list
                 exc.trap_ir_function = self.function
+            code.publish()
             raise
         finally:
             ctx._depth = depth
-            # The fixed counters are linear in the block execution counts
-            # (both are bumped at block entry), so they are derived here
+            # The fixed counters are linear in the unit execution counts
+            # (both are bumped at unit entry), so they are derived here
             # instead of being accumulated inside the driver loop.
+            trace = ctx.trace
             instructions = flops = int_ops = translations = calls = 0
             counts = trace.block_counts
             stats = trace.branch_stats
-            for i in range(n):
-                c = block_counts[i]
+            for i, unit in enumerate(code.units):
+                c = unit_counts[i]
                 if c:
-                    block = blocks[i]
-                    instructions += c * block.d_instr
-                    flops += c * block.d_flops
-                    int_ops += c * block.d_int_ops
-                    translations += c * block.d_translations
-                    calls += c * block.d_calls
-                    for uid in block.uid_list:
+                    instructions += c * unit.d_instr
+                    flops += c * unit.d_flops
+                    int_ops += c * unit.d_int_ops
+                    translations += c * unit.d_translations
+                    calls += c * unit.d_calls
+                    for uid in unit.uid_list:
                         counts[uid] = counts.get(uid, 0) + c
                 total = branch_total[i]
                 if total:
-                    entry = stats.setdefault(blocks[i].branch_uid, [0, 0])
+                    entry = stats.setdefault(unit.branch_uid, [0, 0])
                     entry[0] += branch_taken[i]
                     entry[1] += total
             trace.instructions += instructions
@@ -1682,7 +1382,7 @@ class CompiledFunction:
 
 class CompiledEngine:
     """Drop-in replacement for :class:`~repro.exec.interp.Interpreter`
-    that executes through the threaded-code cache.
+    that executes through the generated-code cache.
 
     Mirrors the interpreter's constructor and ``call_function`` contract
     (device address spaces, trace lifecycle, per-engine private memory and
@@ -1736,18 +1436,21 @@ class CompiledEngine:
         self._bind_trace()
 
     def _bind_trace(self) -> None:
-        """Cache a fast recorder closure for the trace's event storage
-        (columnar buffers take the raw-int path, lists get MemEvent
-        objects)."""
+        """Expose the trace's event storage to generated code: columnar
+        buffers as the raw array plus its row cap (loads and stores append
+        in line while ``len(_ev_data) < _ev_cap``), and ``_record`` as the
+        out-of-line recorder for everything else — a full buffer, or a
+        list-mode trace, which gets MemEvent objects and never passes the
+        in-line test."""
         trace = self.trace
         events = trace.mem_events
         cap = trace.mem_event_cap
         if isinstance(events, MemEventColumns):
-            # One length probe and one interleaved extend per event, no
-            # intermediate frame.
             data = events.data
             extend = data.extend
             row_cap = cap * 5
+            self._ev_data = data
+            self._ev_cap = row_cap
 
             def record(uid, seq, address, size, is_store):
                 if len(data) < row_cap:
@@ -1756,6 +1459,8 @@ class CompiledEngine:
                     trace.mem_events_dropped += 1
 
         else:
+            self._ev_data = ()
+            self._ev_cap = 0
 
             def record(uid, seq, address, size, is_store, _ev=events):
                 if len(_ev) < cap:

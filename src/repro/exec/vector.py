@@ -76,14 +76,7 @@ from ..ir.intrinsics import MATH_EVAL
 from ..ir.types import FloatType, IntType, PointerType, VoidType
 from ..ir.values import Constant, Function, GlobalVariable, Instruction
 from .buffers import LaunchTrace
-from .compiled import (
-    _DIV_OPS,
-    _T_BR,
-    _T_CONDBR,
-    _T_RET,
-    _UNSIGNED_MASK_OPS,
-    plan_function,
-)
+from .compiled import account, plan_function
 from .interp import (
     _BINOP_EVAL,
     _CAST_EVAL,
@@ -103,6 +96,10 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
+# unit terminator kinds
+_T_BR = 0
+_T_CONDBR = 1
+_T_RET = 2
 _PB = Interpreter.PRIVATE_BASE
 _PRIV_LIMIT = Interpreter.PRIVATE_WINDOW + 0x1000
 _PE = _PB + _PRIV_LIMIT
@@ -852,34 +849,6 @@ def _error_step(message):
 
 
 # -- per-opcode vector lowering ----------------------------------------------
-
-
-def _account(instr, unit) -> None:
-    """Identical to CompiledFunction._account — the per-unit counter
-    deltas must match the threaded-code engine bit-for-bit."""
-    op = instr.op
-    if op == "gep":
-        unit.d_int_ops += 1
-    elif op == "icmp":
-        unit.d_int_ops += 1
-    elif op == "fcmp":
-        unit.d_flops += 1
-    elif op in _BINOP_EVAL:
-        if op in _FLOAT_OPS:
-            unit.d_flops += 1
-        else:
-            unit.d_int_ops += 1
-    elif op == "call":
-        callee = instr.callee
-        if isinstance(callee, Function):
-            unit.d_calls += 1
-        else:
-            name = getattr(callee, "name", "")
-            if name in ("svm.to_gpu", "svm.to_cpu"):
-                unit.d_translations += 1
-                unit.d_int_ops += 1
-            elif name.startswith("math."):
-                unit.d_flops += 4
 
 
 def _gep_addr(instr, slots):
@@ -1669,7 +1638,7 @@ class VectorFunction:
                     break
                 for opv in instr.operands:
                     mark_use(opv)
-                _account(instr, unit)
+                account(instr, unit)
                 if op == "gep" and id(instr) in skip:
                     pass  # fused into its single consuming memop below
                 elif op == "load" and id(instr.operands[0]) in skip:

@@ -13,7 +13,8 @@ needs into one JSON bundle:
 * the **trap site**: kernel, device, lane (``global_id``), IR function,
   superblock uids, and — resolved through the same location metadata
   :mod:`repro.obs.lines` uses — the source line, including its text when
-  the module kept its source;
+  the module kept its source; when the trap came out of engine-generated
+  code, also the generated statement and its whole module text (``jit``);
 * the **construct tail** (most recent launch profiles) and, for graph
   runtimes, the **graph state** (stats plus pending futures).
 
@@ -29,6 +30,7 @@ enforces the ``repro.obs.flight/v1`` schema.
 from __future__ import annotations
 
 import json
+import linecache
 import os
 import time
 import traceback
@@ -90,6 +92,29 @@ def _block_loc(function, block_uids):
     return fallback
 
 
+def _jit_frame(exc) -> Optional[dict]:
+    """The innermost frame of ``exc``'s traceback that ran code generated
+    by :mod:`repro.exec.compiled`, with the text the engine published to
+    :mod:`linecache` when the trap passed through it."""
+    found = None
+    tb = exc.__traceback__
+    while tb is not None:
+        code = tb.tb_frame.f_code
+        if code.co_filename.startswith("<repro-jit "):
+            found = (code.co_filename, tb.tb_lineno, code.co_name)
+        tb = tb.tb_next
+    if found is None:
+        return None
+    filename, line, unit = found
+    return {
+        "file": filename,
+        "line": line,
+        "unit": unit,
+        "statement": linecache.getline(filename, line).strip(),
+        "source": "".join(linecache.getlines(filename)),
+    }
+
+
 def resolve_trap(exc) -> dict:
     """Extract the engine/backend trap annotations from ``exc`` into the
     bundle's ``trap`` section, resolving block uids to a source line."""
@@ -99,6 +124,7 @@ def resolve_trap(exc) -> dict:
         "global_id": getattr(exc, "trap_global_id", None),
         "function": getattr(exc, "trap_function", None),
         "block_uids": list(getattr(exc, "trap_block_uids", ()) or ()),
+        "jit": _jit_frame(exc),
         "line": None,
         "col": None,
         "source_line": None,

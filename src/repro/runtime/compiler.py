@@ -196,6 +196,21 @@ class CompiledProgram:
     program_id: str = field(
         default_factory=lambda: f"anon:{next(_ANON_IDS)}"
     )
+    #: Generated engine code (``repro.exec.compiled.JitCode``) keyed by
+    #: ``(function, device, collect_events)``: region-independent, so it
+    #: is generated by the first runtime that needs it and bound by every
+    #: later one.  Derived from ``module``, hence never pickled — a stored
+    #: or shipped program is byte-identical whether or not it ever ran.
+    jit_code: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        del state["jit_code"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.jit_code = {}
 
     def kernel_for(self, class_name: str) -> KernelInfo:
         if class_name not in self.kernels:

@@ -173,10 +173,13 @@ class ConcordRuntime:
         # nothing — spans, counters and profiles exist only on request.
         self.obs = observer
         counters = observer.counters if observer is not None else None
-        # Threaded-code cache: each kernel compiles at most once per
-        # runtime, every launch replays the cached closures (the
-        # simulator-level analogue of the gpu_function_t JIT cache).
-        self.code_cache = CodeCache(self.region, counters=counters)
+        # Engine code cache: each kernel's code is generated at most once
+        # per program and bound at most once per runtime, every launch
+        # replays the bound functions (the simulator-level analogue of
+        # the gpu_function_t JIT cache).
+        self.code_cache = CodeCache(
+            self.region, counters=counters, code=program.jit_code
+        )
         self.private_pool = PrivateMemoryPool(
             Interpreter.PRIVATE_WINDOW + 0x1000, counters=counters
         )

@@ -369,6 +369,10 @@ class TestFlightRecorder:
         assert trap["global_id"] == 0
         assert trap["source_line"] == "head->value = i;"
         assert trap["line"] is not None
+        jit = trap["jit"]  # the generated statement that raised
+        assert jit["file"].startswith("<repro-jit kernel.Deref.gpu.gpu ")
+        assert jit["statement"].startswith("raise _fault('gpu', ")
+        assert jit["source"].splitlines()[jit["line"] - 1].strip() == jit["statement"]
         assert doc["events"], "ring snapshot missing from bundle"
         validate_events(doc["events"])
         assert doc["events"][-1]["kind"] == "trap"
@@ -388,6 +392,7 @@ class TestFlightRecorder:
         validate_flight_bundle(doc)
         assert doc["trap"]["kernel"] == "kernel.Deref.gpu"
         assert doc["trap"]["source_line"] == "head->value = i;"
+        assert doc["trap"]["jit"] is None  # no generated code ran
 
     def test_flight_guard_stamps_bundle_path(self, tmp_path):
         recorder = FlightRecorder(tmp_path)
