@@ -38,14 +38,22 @@ class CpuBackend(Backend):
     def prepare(self, kinfo) -> float:
         return 0.0  # host code is already compiled; nothing to JIT
 
-    def launch(
-        self,
-        kinfo,
-        span: range,
-        body_addr: int,
-        timing_cache=None,
-        budget: Optional[int] = None,
-    ) -> LaunchResult:
+    def _run_lanes(self, interp, kernel, span, args_of) -> None:
+        """Run ``kernel`` for every index of ``span`` through one engine; a
+        trap leaves with its lane's context for the flight recorder."""
+        for index in span:
+            interp.global_id = index
+            try:
+                interp.call_function(kernel, args_of(index))
+            except BaseException as exc:
+                # Cold path: the innermost stamp wins.
+                if not hasattr(exc, "trap_device"):
+                    exc.trap_device = self.name
+                    exc.trap_kernel = kernel.name
+                    exc.trap_global_id = index
+                raise
+
+    def _chunk(self, kinfo, span, args_of, timing_cache, budget) -> LaunchResult:
         rt = self.rt
         trace = rt._new_trace(budget)
         interp = rt._make_engine(
@@ -54,18 +62,7 @@ class CpuBackend(Backend):
             num_cores=rt.system.cpu.cores,
             allocator=rt.allocator,
         )
-        kernel = kinfo.kernel
-        for index in span:
-            interp.global_id = index
-            try:
-                interp.call_function(kernel, [body_addr, index])
-            except BaseException as exc:
-                # Cold path: lane context for the flight recorder.
-                if not hasattr(exc, "trap_device"):
-                    exc.trap_device = self.name
-                    exc.trap_kernel = kernel.name
-                    exc.trap_global_id = index
-                raise
+        self._run_lanes(interp, kinfo.kernel, span, args_of)
         interp.release_private_memory()
         if rt.keep_traces:
             rt.trace_log.append(trace)
@@ -73,6 +70,18 @@ class CpuBackend(Backend):
             rt.system.cpu, [trace], llc=timing_cache, counters=self._counters()
         )
         return LaunchResult(report=report, traces=[trace])
+
+    def launch(
+        self,
+        kinfo,
+        span: range,
+        body_addr: int,
+        timing_cache=None,
+        budget: Optional[int] = None,
+    ) -> LaunchResult:
+        return self._chunk(
+            kinfo, span, lambda index: [body_addr, index], timing_cache, budget
+        )
 
     def reduce(
         self,
@@ -86,32 +95,9 @@ class CpuBackend(Backend):
         (used by the hybrid scheduler so both devices fill the same
         scratch copies; the full-CPU construct below keeps its TBB-style
         one-copy-per-core layout instead)."""
-        rt = self.rt
-        trace = rt._new_trace(budget)
-        interp = rt._make_engine(
-            device="cpu",
-            trace=trace,
-            num_cores=rt.system.cpu.cores,
-            allocator=rt.allocator,
+        return self._chunk(
+            kinfo, span, lambda index: [copies[index], index], timing_cache, budget
         )
-        kernel = kinfo.kernel
-        for index in span:
-            interp.global_id = index
-            try:
-                interp.call_function(kernel, [copies[index], index])
-            except BaseException as exc:
-                if not hasattr(exc, "trap_device"):
-                    exc.trap_device = self.name
-                    exc.trap_kernel = kernel.name
-                    exc.trap_global_id = index
-                raise
-        interp.release_private_memory()
-        if rt.keep_traces:
-            rt.trace_log.append(trace)
-        report = time_cpu_execution(
-            rt.system.cpu, [trace], llc=timing_cache, counters=self._counters()
-        )
-        return LaunchResult(report=report, traces=[trace])
 
     # -- construct-level entry points -------------------------------------
 
@@ -167,11 +153,12 @@ class CpuBackend(Backend):
                     copy_addr = rt.allocator.malloc(size, struct.align())
                     rt.region.write_bytes(copy_addr, payload)
                     copies.append(copy_addr)
-                for index in range(n):
-                    interp.global_id = index
-                    interp.call_function(
-                        kinfo.kernel, [copies[index % len(copies)], index]
-                    )
+                self._run_lanes(
+                    interp,
+                    kinfo.kernel,
+                    range(n),
+                    lambda index: [copies[index % len(copies)], index],
+                )
                 join = kinfo.join_kernel
                 for copy_addr in copies:
                     if join is not None:

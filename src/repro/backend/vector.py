@@ -21,7 +21,11 @@ the ``vector_classify`` span):
   columnar lowering cannot reproduce for *these* inputs) rolls back every
   store and re-runs the chunk on the scalar path, so results never
   diverge; sticky traps (cross-lane hazards) disable the kernel for the
-  rest of the runtime.
+  rest of the program object's life.
+
+The generated columnar code and these per-kernel verdicts belong to the
+``CompiledProgram`` (``vector_code``, transient like ``jit_code``): every
+runtime over one program object shares them, nothing else does.
 """
 
 from __future__ import annotations
@@ -31,55 +35,9 @@ from typing import Optional
 from ..exec.buffers import LaunchTrace
 from .gpu import GpuBackend
 
-# Process-wide state shared by every VectorBackend instance.  Compiled
-# VectorFunctions depend only on the IR (which ``Workload.compile``
-# caches per process) and the region's SVM translation constant, so the
-# compile cost is paid once per program, not once per runtime.  The
-# scalar memo remembers kernels the optimistic path gave up on — a
-# cross-lane hazard or an occupancy too low for columnar execution to
-# win — so later runtimes skip the doomed vector attempt entirely
-# (either path yields bit-identical traces; this is purely a heuristic).
-#
-# All three are keyed by the program's content-hash ``program_id``
-# (``repro.runtime.compiler``): two different programs can never alias an
-# entry (the old shape-based key collided for same-named kernels with
-# equal block/instruction counts), while recompiles of the same
-# (source, options) pair — including warm loads from the artifact store —
-# share the memos, exactly as intended.
-_SHARED_CACHES: dict = {}  # (program_id, svm_const) -> VectorCodeCache
-_SCALAR_KERNELS: dict = {}  # (program_id, kernel name) -> reason string
-_GNARLY_KERNELS: dict = {}  # (program_id, kernel name) -> gnarly reason
-
-
-def _memo_key(program_id, kernel):
-    """Stable across recompiles *and* processes for the same
-    (source, options) pair — ``program_id`` is a content hash — while
-    distinguishing same-named kernels from different programs (fuzz
-    generators reuse class names)."""
-    return (program_id, kernel.name)
-
-
-def clear_memos() -> None:
-    """Drop the process-wide classification/fallback memos (test support:
-    differential oracles clear them so every run exercises the optimistic
-    vector path from scratch)."""
-    _SCALAR_KERNELS.clear()
-    _GNARLY_KERNELS.clear()
-
-
-def reset_process_caches() -> None:
-    """Reset *every* process-wide vector-engine cache, not just the
-    classification memos: ``_SHARED_CACHES`` keeps compiled columnar
-    kernels keyed by svm_const, which :func:`clear_memos` never touched —
-    an oracle run could therefore replay a kernel compiled under an
-    earlier iteration's region layout.  Fuzz oracles call this between
-    runs so each one starts from a genuinely cold process state."""
-    clear_memos()
-    _SHARED_CACHES.clear()
-
 # Below this active-lane-slot ratio the dense segments are so small that
-# per-ufunc overhead beats the scalar engine; measured once on the first
-# vector launch of a kernel, then routed scalar for the process.
+# per-ufunc overhead beats the scalar engine; measured on a kernel's vector
+# launches, and from the first one under it the kernel is routed scalar.
 _MIN_OCCUPANCY = 0.12
 
 
@@ -91,39 +49,32 @@ class VectorBackend(GpuBackend):
 
     def __init__(self, rt):
         super().__init__(rt)
-        # kernel name -> ("gnarly", reason, None) | (kind, "", VectorFunction)
-        self._status: dict = {}
-        self._sticky: set = set()
+        #: kernels whose classification this runtime's counters have seen
+        self._counted: set = set()
 
     # -- classification ----------------------------------------------------
 
-    def _vector_cache(self):
-        from ..exec.vector import VectorCodeCache
+    def _code(self):
+        """The program's vector code and routing verdicts: created by the
+        first vector runtime over the program object, shared by every
+        later one, dropped with it (``CompiledProgram.vector_code``)."""
+        program = self.rt.program
+        if program.vector_code is None:
+            from ..exec.vector import VectorCodeCache
 
-        key = (self.rt.program.program_id, int(self.rt.region.svm_const))
-        cache = _SHARED_CACHES.get(key)
-        if cache is None:
-            cache = _SHARED_CACHES[key] = VectorCodeCache(self.rt.region)
-        return cache
+            program.vector_code = VectorCodeCache()
+        return program.vector_code
 
-    def _classify(self, kernel):
-        got = self._status.get(kernel.name)
-        if got is not None:
-            return got
-        memo = _memo_key(self.rt.program.program_id, kernel)
-        reason = _GNARLY_KERNELS.get(memo)
-        if reason is not None:
-            got = ("gnarly", reason, None)
-        else:
-            from ..exec.vector import classify_kernel
+    def _classify(self, code, kernel):
+        """``classify_kernel``'s answer from the program's code cache; the
+        first ask by this runtime is the one its span and counters show."""
+        from ..exec.vector import classify_kernel
 
-            with self.rt._span(
-                "vector_classify", "vector", kernel=kernel.name
-            ):
-                got = classify_kernel(self._vector_cache(), kernel)
-            if got[0] == "gnarly":
-                _GNARLY_KERNELS[memo] = got[1]
-        self._status[kernel.name] = got
+        if kernel in self._counted:
+            return classify_kernel(code, kernel)
+        self._counted.add(kernel)
+        with self.rt._span("vector_classify", "vector", kernel=kernel.name):
+            got = classify_kernel(code, kernel)
         counters = self._counters()
         if counters is not None:
             if got[0] == "gnarly":
@@ -139,15 +90,15 @@ class VectorBackend(GpuBackend):
         if len(span) == 0:
             return super()._gpu_traces(kernel, span, args_of, budget)
         counters = self._counters()
-        memo = _memo_key(rt.program.program_id, kernel)
-        if kernel.name in self._sticky or memo in _SCALAR_KERNELS:
-            # A past launch hit a cross-lane hazard or ran at an
-            # occupancy where columnar execution loses; skip even the
-            # classification compile and go straight to the scalar path.
+        code = self._code()
+        if kernel in code.scalar:
+            # A past launch of this program hit a cross-lane hazard or ran
+            # at an occupancy where columnar execution loses; skip even
+            # the classification and go straight to the scalar path.
             if counters is not None:
                 counters.add("vector.fallbacks")
             return super()._gpu_traces(kernel, span, args_of, budget)
-        kind, _reason, vfn = self._classify(kernel)
+        kind, _reason, vfn = self._classify(code, kernel)
         if kind == "gnarly":
             if counters is not None:
                 counters.add("vector.fallbacks")
@@ -174,8 +125,7 @@ class VectorBackend(GpuBackend):
                 )
         except VectorFallback as fb:
             if fb.sticky:
-                self._sticky.add(kernel.name)
-                _SCALAR_KERNELS[memo] = str(fb)
+                code.scalar[kernel] = str(fb)
             if counters is not None:
                 counters.add("vector.fallbacks")
             return super()._gpu_traces(kernel, span, args_of, budget)
@@ -188,7 +138,7 @@ class VectorBackend(GpuBackend):
             # This launch already ran (and its results stand), but the
             # mask occupancy says columnar execution loses to the scalar
             # engine here — route future launches of this kernel scalar.
-            _SCALAR_KERNELS[memo] = "low mask occupancy"
+            code.scalar[kernel] = "low mask occupancy"
         if counters is not None:
             # The scalar engines bump engine.invocations once per
             # call_function; one vector launch is n of those.

@@ -17,9 +17,10 @@ A third, batch-oriented engine executes every lane of a GPU chunk at
 once instead of lane-at-a-time:
 
 * :class:`VectorFunction` / :class:`VectorCodeCache` — columnar NumPy
-  lowering with mask-based divergence (``ConcordRuntime(engine="vector")``
-  selects the :class:`repro.backend.vector.VectorBackend` that drives
-  it).  See :mod:`repro.exec.vector` and ``docs/VECTOR.md``.
+  code generated from the same op table, one function per superblock,
+  with mask-based divergence (``ConcordRuntime(engine="vector")`` selects
+  the :class:`repro.backend.vector.VectorBackend` that drives it).  See
+  :mod:`repro.exec.vector` and ``docs/VECTOR.md``.
 """
 
 from .buffers import (

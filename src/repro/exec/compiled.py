@@ -450,15 +450,21 @@ def account(instr: Instruction, unit) -> None:
 
 # -- per-opcode templates ---------------------------------------------------
 #
-# Operand texts ({a}, {b}, ...) are a local ``v<slot>``, ``regs[<slot>]``,
-# a literal or a bound name; {d} is the assignment target the liveness
-# pass picked for the result.
+# One table, two generators.  Operand texts ({a}, {b}, ...) are a local
+# ``v<slot>``, ``regs[<slot>]``, a literal or a bound name; {d} is the
+# assignment target the liveness pass picked for the result.  The scalar
+# templates are what ``_Generator`` below writes, one work-item at a time;
+# the ``_NP_*`` rows beside them are what :mod:`repro.exec.vector` writes
+# for the same opcode over whole NumPy columns (ints as int64 bit patterns,
+# floats as float64; ``_INFIX`` and ``_COMPARE`` read the same either way).
 
 _M64 = "0xFFFFFFFFFFFFFFFF"
 
-#: The ops Python spells as one operator with the interpreter's semantics.
-#: Everything else in ``_BINOP_EVAL`` (division, remainder, shifts, fdiv,
-#: frem) is called through that table, so its corner cases stay there.
+#: The ops Python spells as one operator with the interpreter's semantics
+#: — on Python numbers and on columns alike: int64 columns wrap mod 2**64,
+#: which is the pattern arithmetic the vector engine wants.  Everything
+#: else in ``_BINOP_EVAL`` (division, remainder, shifts, fdiv, frem) the
+#: scalar text calls through that table, so its corner cases stay there.
 _INFIX = {
     "add": "{a} + {b}",
     "sub": "{a} - {b}",
@@ -469,6 +475,22 @@ _INFIX = {
     "fadd": "{a} + {b}",
     "fsub": "{a} - {b}",
     "fmul": "{a} * {b}",
+}
+
+#: ``_BINOP_EVAL``'s remaining ops over columns.  {ua}/{ub} are the uint64
+#: views of the operands, {ma}/{mb} those views reduced to the result
+#: width; the division family takes dense columns and traps where the
+#: scalar op raises.
+_NP_BINOP = {
+    "shl": "({ua} << ({ub} & 63)).view(I64)",
+    "lshr": "({ma} >> ({mb} & 63)).view(I64)",
+    "ashr": "{a} >> ({b} & 63)",
+    "udiv": "_udiv({ma}, {mb}).view(I64)",
+    "urem": "_urem({ma}, {mb}).view(I64)",
+    "sdiv": "_sdiv({a}, {b})",
+    "srem": "_srem({a}, {b})",
+    "fdiv": "_fdiv({a}, {b})",
+    "frem": "_frem({a}, {b})",
 }
 
 _COMPARE = {
@@ -502,7 +524,40 @@ _CASTS = {
     "fptrunc": ("f32", "{a}"),
 }
 
+#: The same casts over columns: op -> (operand domain — "i" a bit pattern,
+#: "f" a float, "=" whichever the result is — and expression); the result
+#: is then narrowed by the kind ``_CASTS`` names.
+_NP_CASTS = {
+    "zext": ("i", "{a}"),
+    "sext": ("i", "{a}"),
+    "trunc": ("i", "{a}"),
+    "ptrtoint": ("i", "{a}"),
+    "fptosi": ("f", "_fptosi({a})"),
+    "bitcast": ("=", "{a}"),
+    "fpext": ("f", "{a}"),
+    "inttoptr": ("i", "{a}"),
+    "sitofp": ("i", "{a}.astype(F64)"),
+    "uitofp": ("i", "{a}.view(U64).astype(F64)"),
+    "fptrunc": ("f", "{a}"),
+}
+
 _F32_ROUND = "_F32_UNPACK(_F32_PACK({0}))[0]"
+#: ... which also traps where ``_F32_PACK`` raises OverflowError.
+_NP_F32_ROUND = "_f32({0})"
+
+#: ``math.*`` intrinsics NumPy evaluates bit-identically to ``MATH_EVAL``
+#: (the helpers trap where the scalar function raises); every other one is
+#: applied element-wise through that table.
+_NP_MATH = {
+    "sqrt": "_sqrt({a})",
+    "rsqrt": "_rsqrt({a})",
+    "fabs": "abs({a})",
+    "floor": "_whole(floor, {a}, {f32})",
+    "ceil": "_whole(ceil, {a}, {f32})",
+    # CPython's min/max return b only when it orders strictly before a.
+    "fmin": "where({b} < {a}, {b}, {a})",
+    "fmax": "where({b} > {a}, {b}, {a})",
+}
 
 _PRIVATE = f"{_PB:#x} <= {{a}} < {_PE:#x}"
 
@@ -528,6 +583,11 @@ else:
         raise _fault({{device!r}}, {{a}}, {{size}}, base, end)
     {{codec}}(data, off_, {{value}})
 """
+
+#: Columns go through the launch's ``VectorMachine``, which splits private
+#: from shared lanes, bounds-checks, journals and queues the trace record.
+_NP_LOAD = "{d} = m.load({uid}, {a}, {size}, {view}, {decode!r}, {dtype}, lanes)"
+_NP_STORE = "m.store({uid}, {a}, {value}, {size}, {view}, {decode!r}, lanes)"
 
 #: An aggregate access traps, after tracing it like any other.
 _AGGREGATE = f"""\
@@ -567,6 +627,12 @@ except ZeroDivisionError as exc:
 
 _TRANSLATE = f"{{d}} = {{a}} if ({_PRIVATE}) or {{a}} == 0 else {{a}} {{sign}} svm_const"
 
+#: The private window and null stay put; ``svm_const`` is the machine's.
+_NP_TRANSLATE = """\
+t_ = {a}.view(U64)
+{d} = where(((t_ - PB) < PWIDTH) | (t_ == 0), {a}, (t_ {sign} m.svm_u).view(I64))
+"""
+
 _UNIT = """\
 def u{index}(regs, ctx, prev, btot, btak):
     steps_ = ctx._steps + {n_steps}
@@ -574,6 +640,13 @@ def u{index}(regs, ctx, prev, btot, btak):
     if steps_ > ctx.max_steps:
         raise _step_limit(ctx.max_steps, {name!r})
 """
+
+#: A columnar unit runs the k lanes parked at it and returns what its
+#: terminator hands the scheduler: the branch mask, the returned column or
+#: None.  Head phis are one function per incoming edge, run on each
+#: arriving segment before the segments merge.
+_NP_UNIT = "def u{index}(m, regs, lanes, k):\n"
+_NP_EDGE = "def u{index}_{prev}(regs, k):\n"
 
 _CONDBR = """\
 btot[{index}] += 1

@@ -1,7 +1,7 @@
 """Columnar batch-execution engine: whole-chunk NumPy kernels.
 
-The threaded-code engine (:mod:`repro.exec.compiled`) still executes one
-Python closure chain *per work-item*; a ``parallel_for_hetero`` over *n*
+The generated-code engine (:mod:`repro.exec.compiled`) still executes one
+Python function chain *per work-item*; a ``parallel_for_hetero`` over *n*
 lanes pays interpreter dispatch *n* times.  This module executes **all
 lanes of a launch at once**: every SSA value becomes one ndarray column
 (one element per lane), every instruction one vectorized NumPy operation,
@@ -9,18 +9,26 @@ and control-flow divergence is handled SIMT-style with per-lane state.
 
 Design:
 
-* **Shared lowering plan.**  Kernels are compiled from the same
-  :func:`~repro.exec.compiled.plan_function` plan as the threaded-code
+* **Shared lowering plan, shared op table.**  Kernels are lowered from the
+  same :func:`~repro.exec.compiled.plan_function` plan as the scalar
   engine, so superblock structure — and therefore block counts, branch
   statistics and the per-unit instruction/flop/int-op deltas — are
-  identical by construction.
+  identical by construction; and from the same per-opcode template table,
+  whose ``_NP_*`` rows spell each opcode over columns.  Every unit becomes
+  **one generated Python function** of straight-line NumPy over local
+  column variables (:class:`_UnitWriter`); the text is compiled once per
+  program and lives, with the per-kernel routing verdicts, in the
+  :class:`VectorCodeCache` the ``CompiledProgram`` owns.
 
 * **Pattern-domain registers.**  Integer and pointer values are stored as
   ``int64`` *bit patterns* (the canonical value mod 2**64); floats as
-  ``float64`` (f32 values held pre-rounded through ``float32``).  Each
-  compiled step knows its operands' static types, so signed/unsigned
-  reinterpretation (``view(uint64)``) happens per operation, exactly
-  mirroring the scalar engine's Python-int semantics.
+  ``float64`` (f32 values held pre-rounded through ``float32``).  The
+  generator knows every operand's static type, so signed/unsigned
+  reinterpretation (``view(U64)``) is written per operation, exactly
+  mirroring the scalar engine's Python-int semantics — and knows which
+  operands are columns and which are constants, so constants are literals
+  in the text and an instruction without a column operand is evaluated at
+  generation time.
 
 * **Dense-frame divergence.**  Lanes are grouped into *segments*: a
   dense frame of register columns plus the machine lane ids it covers.
@@ -29,8 +37,8 @@ Design:
   frame's *live-out* columns by the branch mask (with a no-copy fast
   path when the branch is uniform), and segments arriving at the same
   unit are merged by concatenating their *live-in* columns — liveness is
-  computed per unit at compile time, so compaction touches only the
-  registers that can still be read.  Steps therefore always operate on
+  computed per unit at generation time, so compaction touches only the
+  registers that can still be read.  Units therefore always operate on
   full dense columns: there is no per-step gather/scatter through an
   active-lane index.
 
@@ -54,14 +62,15 @@ Design:
 
 Kernels that cannot be vectorized (virtual calls, atomics, device-side
 allocation, recursion, aggregate scalars, cross-domain bitcasts) are
-classified *gnarly* at compile time and permanently routed to the scalar
-engine with no attempt cost.
+classified *gnarly* at generation time and permanently routed to the
+scalar engine with no attempt cost.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Optional
+import hashlib
+import linecache
+from textwrap import indent
 
 try:
     import numpy as np
@@ -74,9 +83,27 @@ except ImportError as exc:  # pragma: no cover - exercised only without numpy
 
 from ..ir.intrinsics import MATH_EVAL
 from ..ir.types import FloatType, IntType, PointerType, VoidType
-from ..ir.values import Constant, Function, GlobalVariable, Instruction
+from ..ir.values import Constant, Function, GlobalVariable
 from .buffers import LaunchTrace
-from .compiled import account, plan_function
+from .compiled import (
+    _CASTS,
+    _COMPARE,
+    _DIV_OPS,
+    _INFIX,
+    _NP_BINOP,
+    _NP_CASTS,
+    _NP_EDGE,
+    _NP_F32_ROUND,
+    _NP_LOAD,
+    _NP_MATH,
+    _NP_STORE,
+    _NP_TRANSLATE,
+    _NP_UNIT,
+    _UnitTotals,
+    _liveness,
+    account,
+    plan_function,
+)
 from .interp import (
     _BINOP_EVAL,
     _CAST_EVAL,
@@ -102,18 +129,13 @@ _T_CONDBR = 1
 _T_RET = 2
 _PB = Interpreter.PRIVATE_BASE
 _PRIV_LIMIT = Interpreter.PRIVATE_WINDOW + 0x1000
-_PE = _PB + _PRIV_LIMIT
+_PB_U = np.uint64(_PB)
 _PWIDTH_U = np.uint64(_PRIV_LIMIT)
 _I64 = np.int64
 _U64 = np.uint64
-_F32_MAX = float(np.finfo(np.float32).max)
 _TWO63F = float(2**63)
 _TWO53F = float(2**53)
-
-#: transcendentals evaluated element-wise through the scalar MATH_EVAL
-#: table so results (and domain errors) are bit-identical to the scalar
-#: engines; the cheap ones below get native NumPy fast paths with guards.
-_MATH_EXACT = ("exp", "log", "sin", "cos", "tan", "pow", "atan2")
+_SHIFT = {1: 0, 2: 1, 4: 2, 8: 3}
 
 
 class VectorFallback(Exception):
@@ -124,12 +146,12 @@ class VectorFallback(Exception):
         super().__init__(reason)
         self.reason = reason
         #: hazards are data-dependent and likely to repeat — the backend
-        #: stops attempting this kernel for the rest of the runtime.
+        #: stops attempting this kernel for the rest of the program's life.
         self.sticky = sticky
 
 
 class _Gnarly(Exception):
-    """Compile-time: the kernel is not vectorizable."""
+    """Generation-time: the kernel is not vectorizable."""
 
 
 class _Trap(Exception):
@@ -168,64 +190,11 @@ def _dtype_of(dom: str):
     return np.float64 if dom == "f" else _I64
 
 
-def _const_scalar(value, dom: str):
-    """A constant in register representation: float for dom f, an int64
-    pattern (as a Python int in int64 range) otherwise."""
-    if dom == "f":
-        return float(value)
+def _int64_pattern(value) -> int:
+    """An integer or address in register representation: its bit pattern
+    mod 2**64, as a Python int in int64 range."""
     pattern = int(value) & _MASK64
     return pattern - (1 << 64) if pattern >= 1 << 63 else pattern
-
-
-def _u64(x):
-    """uint64 view of a pattern operand (ndarray or Python int)."""
-    if isinstance(x, np.ndarray):
-        return x.view(_U64)
-    return np.uint64(int(x) & _MASK64)
-
-
-def _i64(x):
-    """int64 view of a uint64 result."""
-    if isinstance(x, np.ndarray):
-        return x.view(_I64)
-    pattern = int(x) & _MASK64
-    return pattern - (1 << 64) if pattern >= 1 << 63 else pattern
-
-
-def _finisher_vec(type_):
-    """Canonicalize an int64 pattern array to ``type_`` (the vector
-    analogue of ``IntType.wrap``): sign-extend through shifts for signed
-    types, mask for unsigned — identity at 64 bits."""
-    bits = type_.bits
-    if bits == 64:
-        return None
-    if type_.signed:
-        sh = np.int64(64 - bits)
-
-        def finish_signed(x):
-            return (x << sh) >> sh
-
-        return finish_signed
-    mask = np.int64((1 << bits) - 1)
-
-    def finish_unsigned(x):
-        return x & mask
-
-    return finish_unsigned
-
-
-def _finish_f32(r):
-    """Round a float64 result through float32, trapping where the scalar
-    engine's ``struct.pack('f', ...)`` would raise OverflowError."""
-    r = np.asarray(r, np.float64)
-    r32 = r.astype(np.float32)
-    inf32 = np.isinf(r32)
-    if inf32.any():
-        # rounding produced an inf: an overflow unless the input already
-        # was one (legitimate infs pass through the scalar pack too).
-        if bool((inf32 & np.isfinite(r)).any()):
-            raise _Trap("finite float overflows f32 pack")
-    return r32.astype(np.float64)
 
 
 def _scalar_spec(type_):
@@ -280,29 +249,6 @@ def _encode(vals, vdt, decode, k):
         out[...] = typed
         typed = out
     return np.ascontiguousarray(typed)
-
-
-def _dense_col(value, dtype, k):
-    """Normalize a step result to an owned-or-shared dense (k,) column of
-    ``dtype``.  Columns are never mutated in place anywhere in this
-    module, so sharing an operand's array object is safe."""
-    arr = np.asarray(value)
-    if arr.dtype != dtype:
-        arr = arr.astype(dtype)
-    if arr.ndim == 0:
-        out = np.empty(k, dtype)
-        out[...] = arr
-        return out
-    return arr
-
-
-def _addr_col(a, k):
-    """Normalize an address operand to an int64 pattern column."""
-    if isinstance(a, np.ndarray) and a.shape == (k,):
-        return a
-    out = np.empty(k, _I64)
-    out[...] = a
-    return out
 
 
 # -- the machine: per-launch shared state -------------------------------------
@@ -738,719 +684,276 @@ class VectorMachine:
         }
 
 
-_SHIFT = {1: 0, 2: 1, 4: 2, 8: 3}
-_PB_U = np.uint64(_PB)
-_PE_U = np.uint64(_PE)
-_ZERO_U = np.uint64(0)
-_SIX3_U = np.uint64(63)
-
-_NPCMP = {
-    "eq": np.equal,
-    "ne": np.not_equal,
-    "slt": np.less,
-    "sle": np.less_equal,
-    "sgt": np.greater,
-    "sge": np.greater_equal,
-    "oeq": np.equal,
-    "one": np.not_equal,
-    "olt": np.less,
-    "ole": np.less_equal,
-    "ogt": np.greater,
-    "oge": np.greater_equal,
-}
-_UPRED = {
-    "ult": np.less,
-    "ule": np.less_equal,
-    "ugt": np.greater,
-    "uge": np.greater_equal,
-}
+# -- what generated code calls out of line -------------------------------------
+#
+# Guards and the rare operations stay plain functions, as in the scalar
+# engine: the generated text names them, it does not repeat them.  Their
+# operands are dense columns; each traps exactly where the scalar op
+# raises, so the scalar rerun reproduces the error.
 
 
-def _require_nonneg(x):
+def _f32(r):
+    """Round a float64 column through float32, trapping where the scalar
+    engine's ``struct.pack('f', ...)`` would raise OverflowError."""
+    r32 = r.astype(np.float32)
+    inf32 = np.isinf(r32)
+    # rounding produced an inf: an overflow unless the input already was
+    # one (legitimate infs pass through the scalar pack too).
+    if inf32.any() and (inf32 & np.isfinite(r)).any():
+        raise _Trap("finite float overflows f32 pack")
+    return r32.astype(np.float64)
+
+
+def _nonneg(x):
     """Signed-sensitive op on a dom-u (pointer / u64) value: the scalar
     engine computes on the *canonical* value, which only agrees with our
     int64/uint64 pattern views while the pattern is non-negative.  Values
     outside that range arise only from already-broken address arithmetic
     — trap and let the scalar engine produce its exact behaviour."""
-    if isinstance(x, np.ndarray):
-        if bool((x < 0).any()):
-            raise _Trap("u64 pattern outside the vector-safe range")
-    elif x < 0:
+    if (x < 0).any():
         raise _Trap("u64 pattern outside the vector-safe range")
+    return x
 
 
-def _as_pattern(x):
-    """Normalize an op result (uint64/bool array or scalar) to an int64
-    pattern column or in-range Python int."""
-    if isinstance(x, np.ndarray):
-        return x.view(_I64) if x.dtype == _U64 else x.astype(_I64)
-    return _const_scalar(int(x), "i")
+def _udiv(a, b):
+    if (b == 0).any():
+        raise _Trap("division by zero")
+    return a // b
 
 
-# -- operand getters ----------------------------------------------------------
+def _urem(a, b):
+    if (b == 0).any():
+        raise _Trap("division by zero")
+    return a % b
+
+
+def _quotient(a, b):
+    """Truncating signed division via unsigned magnitudes — exact for
+    INT64_MIN where abs() would overflow.  Returns the uint64 views of
+    both operands and of the quotient."""
+    if (b == 0).any():
+        raise _Trap("division by zero")
+    ua, ub = a.view(_U64), b.view(_U64)
+    neg_a, neg_b = a < 0, b < 0
+    q = np.where(neg_a, ~ua + 1, ua) // np.where(neg_b, ~ub + 1, ub)
+    return ua, ub, np.where(neg_a ^ neg_b, ~q + 1, q)
+
+
+def _sdiv(a, b):
+    return _quotient(a, b)[2].view(_I64)
+
+
+def _srem(a, b):
+    ua, ub, q = _quotient(a, b)
+    return (ua - q * ub).view(_I64)
+
+
+def _fdiv(a, b):
+    ok = b != 0.0
+    if ok.all():
+        return a / b
+    # b == 0 mirrors the interpreter's explicit IEEE-ish branch:
+    # copysign(inf, a) for a != 0 (nan included), nan otherwise.
+    return np.where(
+        ok,
+        a / np.where(ok, b, 1.0),
+        np.where(a != 0.0, np.copysign(np.inf, a), np.nan),
+    )
+
+
+def _frem(a, b):
+    # math.fmod raises for an inf dividend or a zero divisor
+    if (b == 0.0).any() or np.isinf(a).any():
+        raise _Trap("fmod domain error")
+    return np.fmod(a, b)
+
+
+def _fptosi(a):
+    # int(nan/inf) raises in the scalar engines; huge finite doubles
+    # convert via arbitrary precision — both trap here.
+    if (np.isnan(a) | (a >= _TWO63F) | (a < -_TWO63F)).any():
+        raise _Trap("fptosi outside the int64-exact range")
+    return a.astype(_I64)
+
+
+def _sqrt(a):
+    if (a < 0).any():
+        raise _Trap("sqrt of a negative")
+    return np.sqrt(a)
+
+
+def _rsqrt(a):
+    # math.sqrt domain error, or 1.0/0.0 ZeroDivisionError
+    if (a <= 0).any():
+        raise _Trap("rsqrt domain error")
+    return 1.0 / np.sqrt(a)
+
+
+def _whole(rounder, a, f32: bool):
+    """floor/ceil: the scalar engines return exact Python ints — beyond
+    2**53 those diverge from float64, and non-finite inputs raise."""
+    if (~np.isfinite(a)).any():
+        raise _Trap("floor/ceil of a non-finite")
+    if not f32 and (np.abs(a) >= _TWO53F).any():
+        raise _Trap("floor/ceil beyond float64-exact integers")
+    return rounder(a)
+
+
+def _exact(ufn, short: str, *operands):
+    """Element-wise evaluation through the scalar ``MATH_EVAL`` table:
+    identical libm results, and domain errors become traps."""
+    try:
+        return ufn(*operands).astype(np.float64)
+    except Exception as exc:
+        raise _Trap(f"math.{short}: {exc}") from None
+
+
+def _address(gvar, k: int):
+    """A global's address column; addresses are assigned when a runtime
+    loads the program."""
+    if gvar.address is None:
+        raise _Trap(f"global @{gvar.name} has no address (not loaded)")
+    return np.full(k, _int64_pattern(gvar.address), _I64)
+
+
+def _returned(column, name: str):
+    if column is None:
+        raise _Trap(f"{name} returned no value")
+    return column
+
+
+#: The names generated text may use besides its own ``k<n>`` constants.
+_RUNTIME_NAMES = {
+    "I64": _I64,
+    "U64": _U64,
+    "F32": np.float32,
+    "F64": np.float64,
+    "PB": _PB_U,
+    "PWIDTH": _PWIDTH_U,
+    "inf": np.inf,
+    "nan": np.nan,
+    "abs": np.abs,
+    "ceil": np.ceil,
+    "floor": np.floor,
+    "full": np.full,
+    "where": np.where,
+    "_Trap": _Trap,
+    **{
+        fn.__name__: fn
+        for fn in (
+            _address, _exact, _f32, _fdiv, _fptosi, _frem, _nonneg, _returned,
+            _rsqrt, _sdiv, _sqrt, _srem, _udiv, _urem, _whole,
+        )
+    },
+    **{
+        vdt.__name__: vdt
+        for vdt in (
+            np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16,
+            np.uint32, np.uint64, np.float32, np.float64,
+        )
+    },
+}
+
+_DTYPE_NAME = {"f": "F64", "i": "I64", "u": "I64"}
+
+
+# -- lowering stages ----------------------------------------------------------
 #
-# Dense getters: ``get(regs)`` returns the full dense column for SSA
-# values (the frame is compacted per segment, so no index is needed), a
-# folded scalar for constants, a late-bound address for globals.
+# ``VectorFunction.__init__`` is the driver: plan units -> fold invariants
+# -> fuse single-use geps -> pick locals vs slots -> emit text (classifying
+# gnarly constructs on the way) -> compile once.
+
+#: Opcodes whose value depends on their operands alone.
+_PURE_OPS = frozenset(("gep", "select", "icmp", "fcmp", *_BINOP_EVAL, *_CAST_EVAL))
 
 
-def _is_col(value, slots) -> bool:
-    return id(value) in slots
+def _fold_invariants(function: Function, plan) -> tuple:
+    """Evaluate every pure instruction with no column operand — constants,
+    or instructions folded here — now, through the reference interpreter's
+    own evaluator, so the values are the oracle's by construction.
 
-
-def _get_pat(value, slots):
-    if isinstance(value, Constant):
-        if _dom(value.type) == "f":
-            raise _Gnarly("float constant in integer context")
-        return lambda regs, _c=_const_scalar(value.value, "i"): _c
-    if isinstance(value, GlobalVariable):
-
-        def read_global(regs, _gv=value):
-            address = _gv.address
-            if address is None:
-                raise _Trap(f"global @{_gv.name} has no address (not loaded)")
-            return address
-
-        return read_global
-    slot = slots.get(id(value))
-    if slot is None:
-        raise _Gnarly(f"use of undefined value {value!r}")
-    if _dom(value.type) == "f":
-        raise _Gnarly("float value in integer context")
-
-    def read(regs, _s=slot):
-        return regs[_s]
-
-    return read
-
-
-def _get_f(value, slots):
-    if isinstance(value, Constant):
-        return lambda regs, _c=float(value.value): _c
-    slot = slots.get(id(value))
-    if slot is None or _dom(value.type) != "f":
-        raise _Gnarly("non-float value in float context")
-
-    def read(regs, _s=slot):
-        return regs[_s]
-
-    return read
-
-
-def _get_dom(value, slots, dom):
-    return _get_f(value, slots) if dom == "f" else _get_pat(value, slots)
-
-
-def _error_step(message):
-    def step_error(m, regs, lanes, _msg=message):
-        raise _Trap(_msg)
-
-    return step_error
-
-
-# -- per-opcode vector lowering ----------------------------------------------
-
-
-def _gep_addr(instr, slots):
-    """Address closure for a gep: used both for the standalone gep step
-    and for geps fused into their single consuming load/store."""
-    get_base = _get_pat(instr.operands[0], slots)
-    offset_u = np.uint64(instr.gep_offset & _MASK64)
-    pairs = [
-        (_get_pat(value, slots), np.uint64(scale & _MASK64))
-        for value, scale in zip(instr.operands[1:], instr.gep_scales)
-    ]
-
-    def addr(regs):
-        acc = _u64(get_base(regs)) + offset_u
-        for get, scale in pairs:
-            acc = acc + _u64(get(regs)) * scale
-        return _as_pattern(np.asarray(acc))
-
-    return addr
-
-
-def _compile_load(instr, slots, fused_addr=None):
-    spec = _scalar_spec(instr.type)
-    if spec is None:
-        raise _Gnarly("aggregate load")
-    size, vdt, decode = spec
-    out_dom = _dom(instr.type)
-    out_dtype = _dtype_of(out_dom)
-    get_addr = (
-        fused_addr
-        if fused_addr is not None
-        else _get_pat(instr.operands[0], slots)
-    )
-    slot = slots[id(instr)]
-    uid = instr.uid
-
-    def step_load(m, regs, lanes):
-        addr = _addr_col(get_addr(regs), len(lanes))
-        # m.load always returns a dense (k,) column of out_dtype.
-        regs[slot] = m.load(uid, addr, size, vdt, decode, out_dtype, lanes)
-
-    return step_load
-
-
-def _compile_store(instr, slots, fused_addr=None):
-    type_ = instr.operands[0].type
-    spec = _scalar_spec(type_)
-    if spec is None:
-        raise _Gnarly("aggregate store")
-    size, vdt, decode = spec
-    get_value = _get_dom(instr.operands[0], slots, _dom(type_))
-    get_addr = (
-        fused_addr
-        if fused_addr is not None
-        else _get_pat(instr.operands[1], slots)
-    )
-    uid = instr.uid
-
-    def step_store(m, regs, lanes):
-        k = len(lanes)
-        value = get_value(regs)
-        addr = _addr_col(get_addr(regs), k)
-        m.store(uid, addr, value, size, vdt, decode, lanes)
-
-    return step_store
-
-
-def _compile_gep(instr, slots):
-    slot = slots[id(instr)]
-    addr = _gep_addr(instr, slots)
-
-    def step_gep(m, regs, lanes):
-        regs[slot] = _dense_col(addr(regs), _I64, len(lanes))
-
-    return step_gep
-
-
-def _compile_compare(instr, slots):
-    pred = instr.pred
-    slot = slots[id(instr)]
-    a0, a1 = instr.operands[0], instr.operands[1]
-    if instr.op == "icmp" and pred.startswith("u"):
-        cmpfn = _UPRED.get(pred)
-        if cmpfn is None:
-            raise _Gnarly(f"icmp predicate {pred}")
-        type0 = a0.type
-        bits = type0.bits if isinstance(type0, IntType) else 64
-        mask = np.uint64((1 << bits) - 1)
-        ga = _get_pat(a0, slots)
-        gb = _get_pat(a1, slots)
-
-        def step_ucmp(m, regs, lanes):
-            a = _u64(ga(regs)) & mask
-            b = _u64(gb(regs)) & mask
-            regs[slot] = _dense_col(cmpfn(a, b), _I64, len(lanes))
-
-        return step_ucmp
-    cmpfn = _NPCMP.get(pred)
-    if cmpfn is None:
-        raise _Gnarly(f"{instr.op} predicate {pred}")
-    d0, d1 = _dom(a0.type), _dom(a1.type)
-    if instr.op == "fcmp" or d0 == "f" or d1 == "f":
-        ga = _get_f(a0, slots)
-        gb = _get_f(a1, slots)
-
-        def step_fcmp(m, regs, lanes):
-            regs[slot] = _dense_col(cmpfn(ga(regs), gb(regs)), _I64, len(lanes))
-
-        return step_fcmp
-    ga = _get_pat(a0, slots)
-    gb = _get_pat(a1, slots)
-    if "u" in (d0, d1):
-
-        def step_icmp_guard(m, regs, lanes):
-            a = ga(regs)
-            b = gb(regs)
-            _require_nonneg(a)
-            _require_nonneg(b)
-            regs[slot] = _dense_col(cmpfn(a, b), _I64, len(lanes))
-
-        return step_icmp_guard
-
-    def step_icmp(m, regs, lanes):
-        regs[slot] = _dense_col(cmpfn(ga(regs), gb(regs)), _I64, len(lanes))
-
-    return step_icmp
-
-
-def _compile_binop(instr, slots):
-    op = instr.op
-    type_ = instr.type
-    slot = slots[id(instr)]
-    a0, a1 = instr.operands[0], instr.operands[1]
-    dense = _is_col(a0, slots) or _is_col(a1, slots)
-    if op in _FLOAT_OPS:
-        if not isinstance(type_, FloatType):
-            raise _Gnarly(f"{op} on non-float type")
-        f32 = type_.bits == 32
-        ga = _get_f(a0, slots)
-        gb = _get_f(a1, slots)
-        if op in ("fadd", "fsub", "fmul") and not f32 and dense:
-            # hottest path: one ufunc call, result already dense f64.
-            ufunc = {
-                "fadd": np.add,
-                "fsub": np.subtract,
-                "fmul": np.multiply,
-            }[op]
-
-            def step_ffast(m, regs, lanes):
-                regs[slot] = ufunc(ga(regs), gb(regs))
-
-            return step_ffast
-        if op == "fadd":
-
-            def compute(a, b):
-                return a + b
-
-        elif op == "fsub":
-
-            def compute(a, b):
-                return a - b
-
-        elif op == "fmul":
-
-            def compute(a, b):
-                return a * b
-
-        elif op == "fdiv":
-            # b == 0 mirrors the interpreter's explicit IEEE-ish branch:
-            # copysign(inf, a) for a != 0 (nan included), nan otherwise.
-            def compute(a, b):
-                a = np.asarray(a, np.float64)
-                b = np.asarray(b, np.float64)
-                ok = b != 0.0
-                if bool(ok.all()):
-                    return a / b
-                safe = np.where(ok, b, 1.0)
-                return np.where(
-                    ok,
-                    a / safe,
-                    np.where(a != 0.0, np.copysign(np.inf, a), np.nan),
+    Returns ``(values, traps)`` keyed by instruction id: the canonical
+    value, or the message of the exception the evaluation raised (the
+    scalar engine raises it at run time, so the unit traps at that
+    point)."""
+    oracle = Interpreter(None)
+    values: dict = {}
+    traps: dict = {}
+    progress = True
+    while progress:  # a use may precede its definition in block order
+        progress = False
+        for block in plan.blocks:
+            for instr in block.instructions:
+                key = id(instr)
+                pure = instr.op in _PURE_OPS or (
+                    instr.op == "call"
+                    and not isinstance(instr.callee, Function)
+                    and getattr(instr.callee, "name", "").startswith("math.")
                 )
-
-        else:  # frem — math.fmod raises for inf dividend or zero divisor
-
-            def compute(a, b):
-                a = np.asarray(a, np.float64)
-                b = np.asarray(b, np.float64)
-                if bool((b == 0.0).any()) or bool(np.isinf(a).any()):
-                    raise _Trap("fmod domain error")
-                return np.fmod(a, b)
-
-        if f32:
-
-            def step_fbin32(m, regs, lanes):
-                r = compute(ga(regs), gb(regs))
-                regs[slot] = _dense_col(_finish_f32(r), np.float64, len(lanes))
-
-            return step_fbin32
-
-        def step_fbin(m, regs, lanes):
-            r = compute(ga(regs), gb(regs))
-            regs[slot] = _dense_col(r, np.float64, len(lanes))
-
-        return step_fbin
-
-    if not isinstance(type_, IntType):
-        raise _Gnarly(f"{op} on non-int type")
-    fin = _finisher_vec(type_)
-    tmask = np.uint64((1 << type_.bits) - 1)
-    da, db = _dom(a0.type), _dom(a1.type)
-    ga = _get_pat(a0, slots)
-    gb = _get_pat(a1, slots)
-
-    if op in ("add", "sub", "mul", "and", "or", "xor"):
-        ufunc = {
-            "add": np.add,
-            "sub": np.subtract,
-            "mul": np.multiply,
-            "and": np.bitwise_and,
-            "or": np.bitwise_or,
-            "xor": np.bitwise_xor,
-        }[op]
-        if dense and fin is None:
-            # int64 wraps == mod-2**64 pattern arithmetic; no finisher
-            # at 64 bits, so a single ufunc call suffices.
-            def step_bfast(m, regs, lanes):
-                regs[slot] = ufunc(ga(regs), gb(regs))
-
-            return step_bfast
-
-        def step_bin(m, regs, lanes):
-            r = ufunc(ga(regs), gb(regs))
-            if not isinstance(r, np.ndarray):
-                r = np.int64(_const_scalar(int(r), "i"))
-            if fin is not None:
-                r = fin(r)
-            regs[slot] = _dense_col(r, _I64, len(lanes))
-
-        return step_bin
-
-    if op == "shl":
-
-        def step_shl(m, regs, lanes):
-            a = _u64(ga(regs))
-            b = _u64(gb(regs))
-            r = _as_pattern(np.asarray(a << (b & _SIX3_U)))
-            if not isinstance(r, np.ndarray):
-                r = np.int64(r)
-            if fin is not None:
-                r = fin(r)
-            regs[slot] = _dense_col(r, _I64, len(lanes))
-
-        return step_shl
-
-    if op == "lshr":
-        # pre-masked op: both operands are reduced to the result width
-        # first, exactly as the scalar engines do.
-        def step_lshr(m, regs, lanes):
-            a = _u64(ga(regs)) & tmask
-            b = _u64(gb(regs)) & tmask
-            r = _as_pattern(np.asarray(a >> (b & _SIX3_U)))
-            if not isinstance(r, np.ndarray):
-                r = np.int64(r)
-            if fin is not None:
-                r = fin(r)
-            regs[slot] = _dense_col(r, _I64, len(lanes))
-
-        return step_lshr
-
-    if op == "ashr":
-
-        def step_ashr(m, regs, lanes):
-            a = ga(regs)
-            b = gb(regs)
-            if da == "u":
-                _require_nonneg(a)
-            if db == "u":
-                _require_nonneg(b)
-            aa = np.asarray(a, _I64)
-            sh = np.asarray(b, _I64) & np.int64(63)
-            r = aa >> sh
-            if fin is not None:
-                r = fin(r)
-            regs[slot] = _dense_col(r, _I64, len(lanes))
-
-        return step_ashr
-
-    if op in ("udiv", "urem"):
-        div = op == "udiv"
-
-        def step_udiv(m, regs, lanes):
-            a = _u64(ga(regs)) & tmask
-            b = np.asarray(_u64(gb(regs)) & tmask)
-            if bool((b == 0).any()):
-                raise _Trap("division by zero")
-            r = _as_pattern(np.asarray(a // b if div else a % b))
-            if not isinstance(r, np.ndarray):
-                r = np.int64(r)
-            if fin is not None:
-                r = fin(r)
-            regs[slot] = _dense_col(r, _I64, len(lanes))
-
-        return step_udiv
-
-    if op in ("sdiv", "srem"):
-        rem = op == "srem"
-
-        def step_sdiv(m, regs, lanes):
-            a = ga(regs)
-            b = gb(regs)
-            if da == "u":
-                _require_nonneg(a)
-            if db == "u":
-                _require_nonneg(b)
-            aa = np.asarray(a, _I64)
-            bb = np.asarray(b, _I64)
-            if bool((bb == 0).any()):
-                raise _Trap("division by zero")
-            # truncating signed division via unsigned magnitudes — exact
-            # for INT64_MIN where abs() would overflow.
-            ua = aa.view(_U64)
-            ub = bb.view(_U64)
-            neg_a = aa < 0
-            neg_b = bb < 0
-            ma = np.where(neg_a, (~ua) + np.uint64(1), ua)
-            mb = np.where(neg_b, (~ub) + np.uint64(1), ub)
-            q = ma // mb
-            qp = np.where(neg_a ^ neg_b, (~q) + np.uint64(1), q)
-            if rem:
-                r = (ua - qp * ub).view(_I64)
-            else:
-                r = qp.view(_I64)
-            if fin is not None:
-                r = fin(r)
-            regs[slot] = _dense_col(r, _I64, len(lanes))
-
-        return step_sdiv
-
-    raise _Gnarly(f"binop {op}")
-
-
-def _compile_cast(instr, slots):
-    op = instr.op
-    type_ = instr.type
-    slot = slots[id(instr)]
-    value = instr.operands[0]
-    sd = _dom(value.type)
-
-    if op in ("zext", "sext", "trunc", "ptrtoint"):
-        if sd == "f" or not isinstance(type_, IntType):
-            raise _Gnarly(f"{op} across domains")
-        fin = _finisher_vec(type_)
-        get = _get_pat(value, slots)
-        if fin is None and _is_col(value, slots):
-
-            def step_icopy(m, regs, lanes):
-                regs[slot] = get(regs)
-
-            return step_icopy
-
-        def step_icast(m, regs, lanes):
-            r = get(regs)
-            if not isinstance(r, np.ndarray):
-                r = np.int64(r)
-            if fin is not None:
-                r = fin(r)
-            regs[slot] = _dense_col(r, _I64, len(lanes))
-
-        return step_icast
-
-    if op == "inttoptr":
-        if sd == "f":
-            raise _Gnarly("inttoptr from float")
-        get = _get_pat(value, slots)
-
-        def step_i2p(m, regs, lanes):
-            regs[slot] = _dense_col(get(regs), _I64, len(lanes))
-
-        return step_i2p
-
-    if op == "bitcast":
-        td = _dom(type_)
-        if (sd == "f") != (td == "f"):
-            raise _Gnarly("cross-domain bitcast")
-        get = _get_dom(value, slots, sd)
-        dt = _dtype_of(td)
-
-        def step_bitcast(m, regs, lanes):
-            regs[slot] = _dense_col(get(regs), dt, len(lanes))
-
-        return step_bitcast
-
-    if op in ("sitofp", "uitofp"):
-        if sd == "f" or not isinstance(type_, FloatType):
-            raise _Gnarly(f"{op} across domains")
-        f32 = type_.bits == 32
-        unsigned = op == "uitofp"
-        get = _get_pat(value, slots)
-
-        def step_itof(m, regs, lanes):
-            a = get(regs)
-            if unsigned:
-                r = np.asarray(_u64(a)).astype(np.float64)
-            else:
-                if sd == "u":
-                    _require_nonneg(a)
-                r = np.asarray(a, _I64).astype(np.float64)
-            if f32:
-                r = r.astype(np.float32).astype(np.float64)
-            regs[slot] = _dense_col(r, np.float64, len(lanes))
-
-        return step_itof
-
-    if op == "fptosi":
-        if not isinstance(type_, IntType):
-            raise _Gnarly("fptosi to non-int")
-        fin = _finisher_vec(type_)
-        get = _get_f(value, slots)
-
-        def step_ftoi(m, regs, lanes):
-            a = np.asarray(get(regs), np.float64)
-            # int(nan/inf) raises in the scalar engines; huge finite
-            # doubles convert via arbitrary precision — both trap here.
-            if bool((np.isnan(a) | (a >= _TWO63F) | (a < -_TWO63F)).any()):
-                raise _Trap("fptosi outside the int64-exact range")
-            r = a.astype(_I64)
-            if fin is not None:
-                r = fin(r)
-            regs[slot] = _dense_col(r, _I64, len(lanes))
-
-        return step_ftoi
-
-    if op == "fpext":
-        if sd != "f":
-            raise _Gnarly("fpext from non-float")
-        get = _get_f(value, slots)
-
-        def step_fpext(m, regs, lanes):
-            regs[slot] = _dense_col(get(regs), np.float64, len(lanes))
-
-        return step_fpext
-
-    if op == "fptrunc":
-        if sd != "f":
-            raise _Gnarly("fptrunc from non-float")
-        get = _get_f(value, slots)
-
-        def step_fptrunc(m, regs, lanes):
-            regs[slot] = _dense_col(
-                _finish_f32(get(regs)), np.float64, len(lanes)
-            )
-
-        return step_fptrunc
-
-    raise _Gnarly(f"cast {op}")
-
-
-def _compile_select(instr, slots):
-    slot = slots[id(instr)]
-    rd = _dom(instr.type)
-    if rd == "v":
-        raise _Gnarly("void select")
-    cd = _dom(instr.operands[0].type)
-    get_cond = _get_dom(instr.operands[0], slots, cd)
-    get_true = _get_dom(instr.operands[1], slots, rd)
-    get_false = _get_dom(instr.operands[2], slots, rd)
-    zero = 0.0 if cd == "f" else 0
-    dt = _dtype_of(rd)
-
-    def step_select(m, regs, lanes):
-        cond = np.asarray(get_cond(regs)) != zero
-        r = np.where(cond, get_true(regs), get_false(regs))
-        regs[slot] = _dense_col(r, dt, len(lanes))
-
-    return step_select
-
-
-def _compile_math(instr, name, slots):
-    short = name.split(".")[1]
-    fn = MATH_EVAL.get(short)
-    if fn is None:
-        raise _Gnarly(f"unknown intrinsic {name}")
-    f32 = name.endswith(".f32")
-    gets = [_get_f(v, slots) for v in instr.operands]
-    slot = slots[id(instr)]
-    arity = len(gets)
-
-    if arity == 1 and short in ("sqrt", "rsqrt", "fabs", "floor", "ceil"):
-        get = gets[0]
-
-        def compute1(a):
-            if short == "sqrt":
-                if bool((a < 0).any()):
-                    raise _Trap("sqrt of a negative")
-                return np.sqrt(a)
-            if short == "rsqrt":
-                # math.sqrt domain error, or 1.0/0.0 ZeroDivisionError
-                if bool((a <= 0).any()):
-                    raise _Trap("rsqrt domain error")
-                return 1.0 / np.sqrt(a)
-            if short == "fabs":
-                return np.abs(a)
-            # floor/ceil: the scalar engines return exact Python ints —
-            # beyond 2**53 those diverge from float64, and non-finite
-            # inputs raise.
-            if bool((~np.isfinite(a)).any()):
-                raise _Trap("floor/ceil of a non-finite")
-            if not f32 and bool((np.abs(a) >= _TWO53F).any()):
-                raise _Trap("floor/ceil beyond float64-exact integers")
-            return np.floor(a) if short == "floor" else np.ceil(a)
-
-        def step_math1(m, regs, lanes):
-            r = compute1(np.asarray(get(regs), np.float64))
-            if f32:
-                r = _finish_f32(r)
-            regs[slot] = _dense_col(r, np.float64, len(lanes))
-
-        return step_math1
-
-    if arity == 2 and short in ("fmin", "fmax"):
-        get_a, get_b = gets
-        use_b = np.less if short == "fmin" else np.greater
-
-        def step_math2(m, regs, lanes):
-            a = np.asarray(get_a(regs), np.float64)
-            b = np.asarray(get_b(regs), np.float64)
-            # CPython min/max: return b only when strictly ordered before
-            # a — reproduces the nan/tie asymmetry exactly.
-            r = np.where(use_b(b, a), b, a)
-            if f32:
-                r = _finish_f32(r)
-            regs[slot] = _dense_col(r, np.float64, len(lanes))
-
-        return step_math2
-
-    # Exact element-wise evaluation through the scalar table: identical
-    # libm results, and domain errors become traps (-> scalar fallback
-    # reproduces the exception).
-    ufn = np.frompyfunc(fn, arity, 1)
-
-    def step_mathn(m, regs, lanes):
-        cols = [np.asarray(g(regs), np.float64) for g in gets]
-        try:
-            r = ufn(*cols).astype(np.float64)
-        except Exception as exc:
-            raise _Trap(f"math.{short}: {exc}") from None
-        if f32:
-            r = _finish_f32(r)
-        regs[slot] = _dense_col(r, np.float64, len(lanes))
-
-    return step_mathn
-
-
-# -- function compilation -----------------------------------------------------
-
-
-class _VUnit:
-    __slots__ = (
-        "uid_list",
-        "name",
-        "steps",
-        "n_steps",
-        "d_instr",
-        "d_flops",
-        "d_int_ops",
-        "d_translations",
-        "d_calls",
-        "phi_plans",
-        "kind",
-        "true_index",
-        "false_index",
-        "cond",
-        "branch_uid",
-        "ret_get",
-        "message",
-        "use_slots",
-        "def_slots",
-        "phi_def_slots",
-        "phi_src_by_pred",
-        "merge_slots",
-        "out_slots",
-    )
-
-    def __init__(self):
-        self.uid_list = ()
-        self.name = ""
-        self.steps = ()
+                if not pure or not instr.operands or key in values or key in traps:
+                    continue
+                if not all(
+                    isinstance(v, Constant) or id(v) in values for v in instr.operands
+                ):
+                    continue
+                env = {id(v): values[id(v)] for v in instr.operands if id(v) in values}
+                try:
+                    values[key] = oracle._execute(function, env, instr, 0)
+                except Exception as exc:
+                    traps[key] = f"{instr.op}: {exc}"
+                progress = True
+    return values, traps
+
+
+def _fusable_geps(plan) -> set:
+    """The geps read exactly once, as the address of a load or store later
+    in their own unit: their expression is written into that access, so
+    the gep needs neither a statement nor a name (it still counts in the
+    unit's instruction/int-op deltas)."""
+    uses: dict = {}  # id(value) -> use count
+    for block in plan.blocks:
+        for instr in block.instructions:
+            for operand in instr.operands:
+                uses[id(operand)] = uses.get(id(operand), 0) + 1
+    fused = set()
+    for chain in plan.units:
+        single = set()  # single-use geps of this unit seen so far
+        for block in chain:
+            for instr in block.instructions:
+                if instr.op == "gep" and uses.get(id(instr)) == 1:
+                    single.add(id(instr))
+                elif instr.op in ("load", "store"):
+                    address = instr.operands[1 if instr.op == "store" else 0]
+                    if id(address) in single:  # its one use is this address
+                        fused.add(id(address))
+    return fused
+
+
+def _wrap_column(type_: IntType, text: str) -> str:
+    """NumPy text canonicalizing an int64 pattern column to ``type_`` (the
+    column form of ``IntType.wrap``): sign-extend through shifts for
+    signed types, mask for unsigned — identity at 64 bits."""
+    bits = type_.bits
+    if bits == 64:
+        return text
+    if type_.signed:
+        return f"(({text}) << {64 - bits}) >> {64 - bits}"
+    return f"({text}) & {(1 << bits) - 1:#x}"
+
+
+class _VUnit(_UnitTotals):
+    """One unit's generated function plus what the scheduler and the trace
+    materialization need to know about it."""
+
+    def __init__(self, chain):
+        super().__init__(chain)
+        self.name = chain[0].name
         self.n_steps = 0
-        self.d_instr = 0
-        self.d_flops = 0
-        self.d_int_ops = 0
-        self.d_translations = 0
-        self.d_calls = 0
-        self.phi_plans = None
+        self.run = None  # u<i>(m, regs, lanes, k) -> mask | column | None
+        self.phi_plans = None  # prev unit -> edge function | error text
         self.kind = -1
         self.true_index = 0
         self.false_index = 0
-        self.cond = None
-        self.branch_uid = 0
-        self.ret_get = None
-        self.message = "bad terminator"
         self.use_slots = set()
         self.def_slots = set()
         self.phi_def_slots = set()
@@ -1459,62 +962,537 @@ class _VUnit:
         self.out_slots = ()
 
 
-class VectorCodeCache:
-    """Compiled :class:`VectorFunction` per IR function, with recursion
-    detection via the in-progress set (a recursive cycle cannot be
-    lane-synchronously scheduled, so it is gnarly)."""
+class _UnitWriter:
+    """Writes one function's module text from the op table: ``u<i>`` per
+    unit, ``u<i>_<prev>`` per head-phi edge.
 
-    def __init__(self, region):
-        # Only the SVM translation constant is baked into compiled steps;
-        # everything else late-binds through the machine, so a cache can
-        # be shared by every runtime whose region uses the same constant
-        # (holding the region itself alive here would pin its buffers).
-        self.svm_const = int(region.svm_const)
-        self._cache: dict = {}
-        self._building: set = set()
+    Every operand is statically a *column* (a local ``v<slot>``, a
+    ``regs[<slot>]`` read, a global's broadcast address) or *known* (a
+    constant, or an instruction :func:`_fold_invariants` evaluated), and
+    every statement written has at least one column operand, so NumPy's
+    own broadcasting leaves each result a dense ``(k,)`` column of its
+    domain's dtype without any run-time normalization."""
 
-    def get(self, fn: Function) -> "VectorFunction":
-        vfn = self._cache.get(fn)
-        if vfn is not None:
-            if vfn.__class__ is str:  # memoized gnarly reason
-                raise _Gnarly(vfn)
-            return vfn
-        if fn in self._building:
-            raise _Gnarly(f"recursion through {fn.name}")
-        self._building.add(fn)
-        try:
-            vfn = VectorFunction(fn, self)
-        except _Gnarly as exc:
-            self._cache[fn] = str(exc)
-            raise
-        finally:
-            self._building.discard(fn)
-        self._cache[fn] = vfn
-        return vfn
+    def __init__(self, name, plan, cache, known, traps, fused, escaping, reads):
+        self.name = name
+        self.plan = plan
+        self.slots = plan.slots
+        self.cache = cache  # the program's VectorCodeCache, for callees
+        self.known = known  # instruction id -> generation-time value
+        self.traps = traps  # instruction id -> why evaluating it raises
+        self.fused = fused  # ids of geps written into their one access
+        self.escaping = escaping  # ids of values that need their regs slot
+        self._reads = reads  # per unit: (regs reads, local reads) by value id
+        self.subs: list = []  # callees' VectorFunctions
+        self.ret_dtype = None
+        self.consts: list = []  # k<n>: the generated module's namespace
+        self._const_names: dict = {}
+        # state of the function being written
+        self.lines: list[str] = []
+        self.local: set[int] = set()
+        self.reg_reads: dict = {}
+        self.local_reads: dict = {}
+
+    # -- names and operands ------------------------------------------------
+
+    def _bind(self, obj) -> str:
+        """The ``k<n>`` name of an object the text cannot spell."""
+        name = self._const_names.get(id(obj))
+        if name is None:
+            name = self._const_names[id(obj)] = f"k{len(self.consts)}"
+            self.consts.append(obj)
+        return name
+
+    @staticmethod
+    def _literal(value) -> str:
+        text = repr(value)  # inf and nan are names of the module
+        return f"({text})" if text[0] == "-" else text
+
+    def _known(self, value):
+        """The generation-time scalar of a lane-invariant value, or None."""
+        if isinstance(value, Constant):
+            return value.value
+        return self.known.get(id(value))
+
+    def _column(self, value, dom: str) -> str:
+        """Text of the column holding ``value``.  One this function reads
+        from ``regs`` more than once is loaded into its local first."""
+        key = id(value)
+        if isinstance(value, GlobalVariable) and dom != "f":
+            name = f"g_{self._bind(value)}"
+            if key not in self.local:
+                self.lines.append(f"{name} = _address({self._bind(value)}, k)")
+                self.local.add(key)
+            return name
+        slot = self.slots.get(key)
+        if dom == "f":
+            if slot is None or _dom(value.type) != "f":
+                raise _Gnarly("non-float value in float context")
+        elif slot is None:
+            raise _Gnarly(f"use of undefined value {value!r}")
+        elif _dom(value.type) == "f":
+            raise _Gnarly("float value in integer context")
+        if key in self.local:
+            return f"v{slot}"
+        if self.reg_reads.get(key, 0) > 1:
+            self.lines.append(f"v{slot} = regs[{slot}]")
+            self.local.add(key)
+            return f"v{slot}"
+        return f"regs[{slot}]"
+
+    def _pattern(self, value):
+        """The int64 pattern of a known integer value, or None."""
+        known = self._known(value)
+        if known is None:
+            return None
+        if _dom(value.type) == "f":
+            raise _Gnarly("float constant in integer context")
+        return _int64_pattern(known)
+
+    def _operand(self, value, dom: str) -> str:
+        """Text for a place NumPy broadcasts: a column, or a literal in
+        register representation."""
+        known = self._known(value) if dom == "f" else self._pattern(value)
+        if known is None:
+            return self._column(value, dom)
+        return self._literal(float(known) if dom == "f" else known)
+
+    def _dense(self, value, dom: str) -> str:
+        """Text for a place that needs a column: a known value is
+        broadcast."""
+        text = self._operand(value, dom)
+        if self._known(value) is None:
+            return text
+        return f"full(k, {text}, {_DTYPE_NAME[dom]})"
+
+    def _unsigned(self, value, bits: int = 64, dense: bool = False) -> str:
+        """``value`` as uint64 reduced to its low ``bits`` — the operand
+        normalization of the unsigned ops."""
+        mask = (1 << bits) - 1
+        pattern = self._pattern(value)
+        if pattern is not None and not dense:
+            return str(pattern & mask)
+        text = f"{self._dense(value, 'i')}.view(U64)"
+        return text if bits == 64 else f"({text} & {mask:#x})"
+
+    def _target(self, instr) -> str:
+        """Assignment target for ``instr``'s result (resolve the operands
+        first): its local when this unit reads it again, its ``regs`` slot
+        when anything else does."""
+        slot = self.slots[id(instr)]
+        targets = []
+        if id(instr) in self.escaping:
+            targets.append(f"regs[{slot}]")
+        if self.local_reads.get(id(instr)):
+            targets.append(f"v{slot}")
+            self.local.add(id(instr))
+        return " = ".join(targets) or "_"
+
+    def _emit(self, template: str, **fields) -> None:
+        self.lines.extend(template.format(**fields).splitlines())
+
+    def _begin(self, reg_reads: dict, local_reads: dict) -> None:
+        self.lines = []
+        self.local = set()
+        self.reg_reads, self.local_reads = reg_reads, local_reads
+
+    # -- units -------------------------------------------------------------
+
+    def unit(self, index: int, chain) -> tuple:
+        """``(text, unit)`` of one superblock: every constituent block's
+        instructions back to back (a fused block's phis are plain moves
+        from its chain predecessor), then the last block's terminator;
+        the head's phis are separate per-edge functions."""
+        unit = _VUnit(chain)
+        edges = self._head_phis(index, unit, chain[0])
+        self._begin(*self._reads[index])
+        slots = self.slots
+        head_phis = chain[0].phis()
+        for phi in head_phis:
+            if self.local_reads.get(id(phi)):
+                self.lines.append(f"v{slots[id(phi)]} = regs[{slots[id(phi)]}]")
+                self.local.add(id(phi))
+        for bi, block in enumerate(chain):
+            phis = block.phis()
+            if bi and phis:
+                self._moves(block, phis, chain[bi - 1])
+            n_nonphi = 0
+            terminator = None
+            for instr in block.instructions:
+                if instr.op == "phi":
+                    continue
+                n_nonphi += 1
+                if instr.op in ("br", "condbr", "ret", "unreachable"):
+                    # Mid-chain this is the fused unconditional br: its
+                    # control transfer is the concatenation itself.
+                    terminator = instr
+                    break
+                account(instr, unit)
+                self._instruction(instr)
+            unit.n_steps += n_nonphi
+            unit.d_instr += len(phis) + n_nonphi
+        self._terminator(unit, chain[-1], terminator)
+        # Upward-exposed reads (the head phis arrive through ``regs``) and
+        # definitions, for the scheduler's slot liveness.
+        unit.use_slots = {slots[key] for key in self.reg_reads} | {
+            slots[id(phi)] for phi in head_phis if self.local_reads.get(id(phi))
+        }
+        unit.def_slots = {
+            slots[id(instr)] for block in chain for instr in block.instructions
+        } - {slots[id(phi)] for phi in head_phis}
+        body = indent("\n".join(self.lines or ["pass"]), "    ")
+        return f"{edges}{_NP_UNIT.format(index=index)}{body}\n", unit
+
+    def _phi_sources(self, block, phis, pred):
+        """One (pred, block) edge's incoming values, or the error message
+        when a phi has none for it."""
+        sources = []
+        for phi in phis:
+            try:
+                sources.append(phi.operands[phi.phi_blocks.index(pred)])
+            except ValueError:
+                return None, (
+                    f"{self.name}: phi in {block.name} has no incoming "
+                    f"edge from {pred.name}"
+                )
+        return sources, None
+
+    def _phi_columns(self, phis, sources) -> str:
+        doms = [_dom(phi.type) for phi in phis]
+        if "v" in doms:
+            raise _Gnarly("void phi")
+        return ", ".join(self._dense(v, dom) for v, dom in zip(sources, doms))
+
+    def _moves(self, block, phis, pred) -> None:
+        """A fused block's phis: one parallel assignment (Python evaluates
+        the whole right-hand side before it assigns any target)."""
+        sources, error = self._phi_sources(block, phis, pred)
+        if error is not None:
+            self.lines.append(f"raise _Trap({error!r})")
+            return
+        values = self._phi_columns(phis, sources)
+        targets = ", ".join(f"v{self.slots[id(phi)]}" for phi in phis)
+        self.lines.append(f"{targets} = {values}")
+        for phi in phis:
+            self.local.add(id(phi))
+            if id(phi) in self.escaping:
+                slot = self.slots[id(phi)]
+                self.lines.append(f"regs[{slot}] = v{slot}")
+
+    def _head_phis(self, index: int, unit: _VUnit, block) -> str:
+        """Text of the per-edge move functions of the unit's head phis;
+        fills ``unit.phi_plans`` with the edge's function name, or its
+        error text."""
+        phis = block.phis()
+        if not phis:
+            return ""
+        texts = []
+        unit.phi_plans = {}
+        for pred, prev in self.plan.unit_idx_by_block.items():
+            if block not in pred.successors():
+                continue
+            sources, error = self._phi_sources(block, phis, pred)
+            if error is not None:
+                unit.phi_plans[prev] = error
+                continue
+            self._begin({}, {})  # its own function: every read is from regs
+            values = self._phi_columns(phis, sources)
+            targets = ", ".join(f"regs[{self.slots[id(phi)]}]" for phi in phis)
+            self.lines.append(f"{targets} = {values}")
+            texts.append(
+                _NP_EDGE.format(index=index, prev=prev)
+                + indent("\n".join(self.lines), "    ")
+                + "\n"
+            )
+            unit.phi_plans[prev] = f"u{index}_{prev}"
+            unit.phi_src_by_pred[prev] = {
+                self.slots[id(v)]
+                for v in sources
+                if id(v) in self.slots and id(v) not in self.known
+            }
+        unit.phi_def_slots = {self.slots[id(phi)] for phi in phis}
+        return "".join(texts)
+
+    def _terminator(self, unit: _VUnit, block, term) -> None:
+        units = self.plan.unit_idx_by_block
+        if term is None:
+            message = f"{self.name}: block {block.name} fell through"
+            self.lines.append(f"raise _Trap({message!r})")
+        elif term.op == "br":
+            unit.kind = _T_BR
+            unit.true_index = units[term.targets[0]]
+        elif term.op == "condbr":
+            unit.kind = _T_CONDBR
+            unit.true_index = units[term.targets[0]]
+            unit.false_index = units[term.targets[1]]
+            unit.branch_uid = term.uid
+            dom = _dom(term.operands[0].type)
+            zero = "0.0" if dom == "f" else "0"
+            self.lines.append(f"return {self._dense(term.operands[0], dom)} != {zero}")
+        elif term.op == "ret":
+            unit.kind = _T_RET
+            if term.operands:
+                dom = _dom(term.operands[0].type)
+                if dom == "v":
+                    raise _Gnarly("void-typed return value")
+                if self.ret_dtype not in (None, _dtype_of(dom)):
+                    raise _Gnarly("mixed return domains")
+                self.ret_dtype = _dtype_of(dom)
+                self.lines.append(f"return {self._dense(term.operands[0], dom)}")
+        else:
+            message = f"reached unreachable in {self.name}"
+            self.lines.append(f"raise _Trap({message!r})")
+
+    # -- instructions ------------------------------------------------------
+
+    def _instruction(self, instr) -> None:
+        op = instr.op
+        if id(instr) in self.known:
+            return  # its users read the value as a literal
+        if id(instr) in self.traps:
+            self.lines.append(f"raise _Trap({self.traps[id(instr)]!r})")
+        elif op == "load":
+            self._memory(instr, instr.type, instr.operands[0], None)
+        elif op == "store":
+            self._memory(instr, instr.operands[0].type, instr.operands[1], instr.operands[0])
+        elif op == "gep":
+            if id(instr) not in self.fused:
+                text = self._gep(instr)
+                self.lines.append(f"{self._target(instr)} = {text}")
+        elif op in ("icmp", "fcmp"):
+            self._compare(instr)
+        elif op in _BINOP_EVAL:
+            self._binop(instr)
+        elif op in _CAST_EVAL:
+            self._cast(instr)
+        elif op == "select":
+            self._select(instr)
+        elif op == "alloca":
+            size = instr.alloc_type.size()
+            self.lines.append(f"{self._target(instr)} = m.alloc_private(lanes, {size})")
+        elif op == "call":
+            self._call(instr)
+        elif op == "vcall":
+            raise _Gnarly("virtual call not devirtualized")
+        else:
+            raise _Gnarly(f"unhandled opcode {op}")
+
+    def _gep(self, instr) -> str:
+        """The address column: uint64 arithmetic wraps mod 2**64 like the
+        scalar engine's masked Python ints; known terms are summed here."""
+        fixed = instr.gep_offset
+        terms = []
+        for value, scale in zip(instr.operands, (1, *instr.gep_scales)):
+            pattern = self._pattern(value)
+            if pattern is not None:
+                fixed += pattern * scale
+            elif scale == 1:
+                terms.append(self._unsigned(value))
+            else:
+                terms.append(f"{self._unsigned(value)} * {scale & _MASK64}")
+        if fixed & _MASK64:
+            terms.append(str(fixed & _MASK64))
+        if len(terms) == 1 and terms[0].endswith(".view(U64)"):
+            return terms[0].removesuffix(".view(U64)")  # the base, unmoved
+        return f"({' + '.join(terms)}).view(I64)"
+
+    def _memory(self, instr, type_, address, value) -> None:
+        """A load (``value`` is None) or a store through the machine."""
+        spec = _scalar_spec(type_)
+        if spec is None:
+            raise _Gnarly(f"aggregate {'load' if value is None else 'store'}")
+        size, view, decode = spec
+        stored = None if value is None else self._operand(value, _dom(type_))
+        if id(address) in self.fused:
+            a = self._gep(address)
+        else:
+            a = self._dense(address, "i")
+        access = dict(uid=instr.uid, a=a, size=size, view=view.__name__, decode=decode)
+        if value is None:
+            dtype = _DTYPE_NAME[_dom(type_)]
+            self._emit(_NP_LOAD, d=self._target(instr), dtype=dtype, **access)
+        else:
+            self._emit(_NP_STORE, value=stored, **access)
+
+    def _guarded(self, value, check: bool, dense: bool = False) -> str:
+        """An int operand of a signed-sensitive op; with ``check`` (a
+        dom-u value is involved) it must lie where pattern and canonical
+        value agree — tested now for a known value, per launch for a
+        column."""
+        text = self._dense(value, "i") if dense else self._operand(value, "i")
+        pattern = self._pattern(value)
+        if check and pattern is None:
+            return f"_nonneg({text})"
+        if check and pattern < 0:
+            self.lines.append("raise _Trap('u64 pattern outside the vector-safe range')")
+        return text
+
+    def _compare(self, instr) -> None:
+        pred = instr.pred
+        lhs, rhs = instr.operands
+        if instr.op == "icmp" and pred.startswith("u"):
+            # The same comparison on operands normalized to their width.
+            template = _COMPARE.get("s" + pred[1:])
+            if template is None:
+                raise _Gnarly(f"icmp predicate {pred}")
+            bits = lhs.type.bits if isinstance(lhs.type, IntType) else 64
+            a, b = self._unsigned(lhs, bits), self._unsigned(rhs, bits)
+        else:
+            template = _COMPARE.get(pred)
+            if template is None:
+                raise _Gnarly(f"{instr.op} predicate {pred}")
+            doms = (_dom(lhs.type), _dom(rhs.type))
+            if instr.op == "fcmp" or "f" in doms:
+                a, b = self._operand(lhs, "f"), self._operand(rhs, "f")
+            else:
+                a, b = self._guarded(lhs, "u" in doms), self._guarded(rhs, "u" in doms)
+        test = template.format(a=a, b=b)
+        self.lines.append(f"{self._target(instr)} = ({test}).astype(I64)")
+
+    def _binop(self, instr) -> None:
+        op = instr.op
+        type_ = instr.type
+        lhs, rhs = instr.operands
+        if op in _FLOAT_OPS:
+            if not isinstance(type_, FloatType):
+                raise _Gnarly(f"{op} on non-float type")
+            if op in _INFIX:
+                text = _INFIX[op].format(a=self._operand(lhs, "f"), b=self._operand(rhs, "f"))
+            else:
+                text = _NP_BINOP[op].format(a=self._dense(lhs, "f"), b=self._dense(rhs, "f"))
+            if type_.bits == 32:
+                text = _NP_F32_ROUND.format(text)
+        else:
+            if not isinstance(type_, IntType):
+                raise _Gnarly(f"{op} on non-int type")
+            template = _INFIX.get(op) or _NP_BINOP.get(op)
+            if template is None:
+                raise _Gnarly(f"binop {op}")
+            dense = op in _DIV_OPS
+            signed = op in ("ashr", "sdiv", "srem")
+            text = template.format(
+                a=self._guarded(lhs, signed and _dom(lhs.type) == "u", dense),
+                b=self._guarded(rhs, signed and _dom(rhs.type) == "u", dense),
+                ua=self._unsigned(lhs),
+                ub=self._unsigned(rhs),
+                ma=self._unsigned(lhs, type_.bits, dense),
+                mb=self._unsigned(rhs, type_.bits, dense),
+            )
+            text = _wrap_column(type_, text)
+        self.lines.append(f"{self._target(instr)} = {text}")
+
+    def _cast(self, instr) -> None:
+        op = instr.op
+        type_ = instr.type
+        value = instr.operands[0]
+        if op not in _NP_CASTS:
+            raise _Gnarly(f"cast {op}")
+        narrow = _CASTS[op][0]
+        need, template = _NP_CASTS[op]
+        if need == "=":
+            need = _dom(type_)
+        source = _dom(value.type)
+        if (
+            (source == "f") != (need == "f")
+            or (narrow == "int" and not isinstance(type_, IntType))
+            or (narrow == "float" and not isinstance(type_, FloatType))
+        ):
+            raise _Gnarly(f"{op} across domains")
+        a = self._column(value, need)
+        if op == "sitofp" and source == "u":
+            a = f"_nonneg({a})"
+        text = template.format(a=a)
+        if narrow == "int":
+            text = _wrap_column(type_, text)
+        elif narrow == "float" and type_.bits == 32:
+            text += ".astype(F32).astype(F64)"  # an int cannot overflow f32
+        elif narrow == "f32":
+            text = _NP_F32_ROUND.format(text)
+        self.lines.append(f"{self._target(instr)} = {text}")
+
+    def _select(self, instr) -> None:
+        dom = _dom(instr.type)
+        if dom == "v":
+            raise _Gnarly("void select")
+        cond, then, other = instr.operands
+        cdom = _dom(cond.type)
+        test = f"{self._operand(cond, cdom)} != {'0.0' if cdom == 'f' else '0'}"
+        then, other = self._operand(then, dom), self._operand(other, dom)
+        self.lines.append(f"{self._target(instr)} = where({test}, {then}, {other})")
+
+    def _call(self, instr) -> None:
+        callee = instr.callee
+        if not isinstance(callee, Function):
+            name = getattr(callee, "name", None)
+            if name is None:
+                raise _Gnarly("unknown callee")
+            text = self._intrinsic(instr, name)
+            if text is not None:
+                self.lines.append(f"{self._target(instr)} = {text}")
+            return
+        sub = self.cache.get(callee)
+        self.subs.append(sub)
+        args = ", ".join(
+            self._dense(value, _dom(arg.type))
+            for value, arg in zip(instr.operands, callee.args)
+        )
+        text = f"{self._bind(sub)}.invoke(m, [{args}], lanes)"
+        dom = _dom(instr.type)
+        if dom != "v":
+            if sub.ret_dtype not in (None, _dtype_of(dom)):
+                raise _Gnarly("call/return domain mismatch")
+            text = f"_returned({text}, {sub.name!r})"
+        self.lines.append(f"{self._target(instr)} = {text}")
+
+    def _intrinsic(self, instr, name: str):
+        """Expression text of an intrinsic call, or None when the lines
+        (if any) were written here."""
+        if name in ("svm.to_gpu", "svm.to_cpu"):
+            a = self._dense(instr.operands[0], "i")
+            if not a.isidentifier():
+                self.lines.append(f"a_ = {a}")
+                a = "a_"
+            sign = "+" if name == "svm.to_gpu" else "-"
+            self._emit(_NP_TRANSLATE, d=self._target(instr), a=a, sign=sign)
+            return None
+        if name in ("svm.malloc", "svm.free"):
+            raise _Gnarly(f"device-side allocator call {name}")
+        if name == "gpu.global_id":
+            return "m.global_ids[lanes]"
+        if name == "gpu.num_cores":
+            return "full(k, m.num_cores, I64)"
+        if name == "gpu.barrier":
+            return None
+        if name.startswith("atomic."):
+            raise _Gnarly(f"atomic intrinsic {name}")
+        if name.startswith("math."):
+            return self._math(instr, name)
+        raise _Gnarly(f"unknown intrinsic {name}")
+
+    def _math(self, instr, name: str) -> str:
+        short = name.split(".")[1]
+        fn = MATH_EVAL.get(short)
+        if fn is None:
+            raise _Gnarly(f"unknown intrinsic {name}")
+        f32 = name.endswith(".f32")
+        # At least one operand is a column, or the call was folded.
+        args = [self._operand(v, "f") for v in instr.operands]
+        template = _NP_MATH.get(short)
+        if template is not None and len(args) == (2 if "{b}" in template else 1):
+            text = template.format(a=args[0], b=args[-1], f32=f32)
+        else:
+            ufn = self._bind(np.frompyfunc(fn, len(args), 1))
+            text = f"_exact({ufn}, {short!r}, {', '.join(args)})"
+        return _NP_F32_ROUND.format(text) if f32 else text
 
 
 class VectorFunction:
-    """One IR function lowered to columnar units over the *same*
-    superblock plan as the threaded-code engine."""
+    """One IR function lowered to generated columnar units over the *same*
+    superblock plan as the scalar engine, plus the worklist scheduler
+    that runs them.  Nothing here depends on a region: the launch's
+    :class:`VectorMachine` carries the bases, limits and ``svm_const``."""
 
-    __slots__ = (
-        "function",
-        "name",
-        "nregs",
-        "arg_slots",
-        "arg_doms",
-        "units",
-        "ret_dtype",
-        "maskable",
-        "subs",
-        "d_instr_vec",
-        "d_flops_vec",
-        "d_int_ops_vec",
-        "d_translations_vec",
-        "d_calls_vec",
-    )
-
-    def __init__(self, function: Function, cache: VectorCodeCache):
+    def __init__(self, function: Function, cache: "VectorCodeCache"):
         plan = plan_function(function)
         if plan is None:
             raise _Gnarly(f"{function.name} has no body")
@@ -1523,41 +1501,43 @@ class VectorFunction:
         self.nregs = plan.nregs
         self.arg_slots = list(plan.arg_slots)
         self.arg_doms = [_dom(arg.type) for arg in function.args]
-        self.ret_dtype = None
-        self.subs: list = []
-        slots = plan.slots
-
-        # A gep whose single use is the address of one load/store can be
-        # fused into that memop step: its slot is never read elsewhere,
-        # so the gep step (and a register write) disappears.  The gep
-        # still participates in the per-unit instruction/int-op deltas.
-        ucount: dict = {}
-        user: dict = {}
-        for chain in plan.units:
-            for block in chain:
-                for instr in block.instructions:
-                    for posn, opv in enumerate(instr.operands):
-                        i = id(opv)
-                        ucount[i] = ucount.get(i, 0) + 1
-                        user[i] = (instr, posn)
-        fuse_ok = set()
-        for chain in plan.units:
-            for block in chain:
-                for instr in block.instructions:
-                    if instr.op != "gep" or ucount.get(id(instr)) != 1:
-                        continue
-                    u, posn = user[id(instr)]
-                    if (u.op == "load" and posn == 0) or (
-                        u.op == "store" and posn == 1
-                    ):
-                        fuse_ok.add(id(instr))
-
-        self.units = tuple(
-            self._compile_unit(
-                chain, slots, plan.unit_idx_by_block, cache, fuse_ok
-            )
-            for chain in plan.units
+        # Evaluate now what no lane can change: pure instructions over
+        # constants, through the reference interpreter's own evaluator.
+        known, traps = _fold_invariants(function, plan)
+        # A gep read once, by a memory access of its own unit, becomes
+        # that access's address expression.
+        fused = _fusable_geps(plan) - known.keys() - traps.keys()
+        # Locals vs slots: only a value a head phi, another unit or an
+        # earlier use reads needs its regs slot (folded ones need nothing).
+        escaping, reads = _liveness(plan)
+        for reg_reads, _local_reads in reads:
+            for key in known:
+                reg_reads.pop(key, None)
+        # One function of straight-line NumPy per unit; a construct the
+        # op table has no column form for raises _Gnarly from here.
+        writer = _UnitWriter(
+            function.name, plan, cache, known, traps, fused, escaping, reads
         )
+        written = [writer.unit(i, chain) for i, chain in enumerate(plan.units)]
+        self.units = tuple(unit for _text, unit in written)
+        self.ret_dtype = writer.ret_dtype
+        self.subs = writer.subs
+        # Compile once: the text is the program's from here on.
+        self.source = "".join(text for text, _unit in written)
+        # The digest keeps two programs' modules apart in tracebacks,
+        # profiles and linecache.
+        digest = hashlib.sha1(self.source.encode()).hexdigest()[:8]
+        self.filename = f"<repro-vjit {self.name} {digest}>"
+        namespace = dict(_RUNTIME_NAMES)
+        namespace.update((f"k{i}", value) for i, value in enumerate(writer.consts))
+        exec(compile(self.source, self.filename, "exec"), namespace)
+        for index, unit in enumerate(self.units):
+            unit.run = namespace[f"u{index}"]
+            if unit.phi_plans is not None:  # edge function names -> functions
+                unit.phi_plans = {
+                    prev: namespace.get(edge, edge)
+                    for prev, edge in unit.phi_plans.items()
+                }
         self._analyze_liveness()
         self.maskable = any(
             unit.kind == _T_CONDBR for unit in self.units
@@ -1570,137 +1550,17 @@ class VectorFunction:
         )
         self.d_calls_vec = np.array([u.d_calls for u in self.units], _I64)
 
-    # -- compilation ------------------------------------------------------
-
-    def _compile_unit(self, chain, slots, unit_idx_by_block, cache, fuse_ok):
-        unit = _VUnit()
-        head = chain[0]
-        unit.uid_list = tuple(block.uid for block in chain)
-        unit.name = head.name
-        unit.phi_plans = self._compile_phis(
-            unit, head, head.phis(), slots, unit_idx_by_block
-        )
-
-        # geps (globally single-use, memop-addressed) defined in *this*
-        # chain and consumed in this chain: those fuse.
-        skip: dict = {}
-        seen: set = set()
-        for block in chain:
-            for instr in block.instructions:
-                op = instr.op
-                if op == "gep" and id(instr) in fuse_ok:
-                    seen.add(id(instr))
-                elif op == "load":
-                    a = instr.operands[0]
-                    if id(a) in seen:
-                        skip[id(a)] = a
-                elif op == "store":
-                    a = instr.operands[1]
-                    if id(a) in seen:
-                        skip[id(a)] = a
-
-        use = unit.use_slots
-        defs = unit.def_slots
-
-        def mark_use(v):
-            s = slots.get(id(v))
-            if s is not None and s not in defs:
-                use.add(s)
-
-        steps: list = []
-        terminator = None
-        term_block = chain[-1]
-        n_steps = 0
-        last = len(chain) - 1
-        for bi, block in enumerate(chain):
-            phis = block.phis()
-            if bi > 0 and phis:
-                moves, error = self._phi_moves(block, phis, chain[bi - 1], slots)
-                if error is not None:
-                    steps.append(_error_step(error))
-                else:
-                    for _dst, _phi, value in moves:
-                        mark_use(value)
-                    for _dst, phi, _value in moves:
-                        s = slots.get(id(phi))
-                        if s is not None:
-                            defs.add(s)
-                    steps.append(self._compile_moves(moves, slots))
-            n_nonphi = 0
-            block_term = None
-            for instr in block.instructions:
-                op = instr.op
-                if op == "phi":
-                    continue
-                n_nonphi += 1
-                if op in ("br", "condbr", "ret", "unreachable"):
-                    block_term = instr
-                    break
-                for opv in instr.operands:
-                    mark_use(opv)
-                account(instr, unit)
-                if op == "gep" and id(instr) in skip:
-                    pass  # fused into its single consuming memop below
-                elif op == "load" and id(instr.operands[0]) in skip:
-                    gep = skip[id(instr.operands[0])]
-                    steps.append(
-                        _compile_load(instr, slots, _gep_addr(gep, slots))
-                    )
-                elif op == "store" and id(instr.operands[1]) in skip:
-                    gep = skip[id(instr.operands[1])]
-                    steps.append(
-                        _compile_store(instr, slots, _gep_addr(gep, slots))
-                    )
-                else:
-                    steps.append(self._compile_instr(instr, slots, cache))
-                s = slots.get(id(instr))
-                if s is not None:
-                    defs.add(s)
-            n_steps += n_nonphi
-            unit.d_instr += len(phis) + n_nonphi
-            if bi == last:
-                terminator = block_term
-                term_block = block
-        unit.steps = tuple(steps)
-        unit.n_steps = n_steps
-
-        if terminator is None:
-            unit.kind = -1
-            unit.message = f"{self.name}: block {term_block.name} fell through"
-        elif terminator.op == "br":
-            unit.kind = _T_BR
-            unit.true_index = unit_idx_by_block[terminator.targets[0]]
-        elif terminator.op == "condbr":
-            unit.kind = _T_CONDBR
-            mark_use(terminator.operands[0])
-            cd = _dom(terminator.operands[0].type)
-            get = _get_dom(terminator.operands[0], slots, cd)
-            zero = 0.0 if cd == "f" else 0
-
-            def truth(regs, _g=get, _z=zero):
-                return np.asarray(_g(regs)) != _z
-
-            unit.cond = truth
-            unit.true_index = unit_idx_by_block[terminator.targets[0]]
-            unit.false_index = unit_idx_by_block[terminator.targets[1]]
-            unit.branch_uid = terminator.uid
-        elif terminator.op == "ret":
-            unit.kind = _T_RET
-            if terminator.operands:
-                mark_use(terminator.operands[0])
-                rd = _dom(terminator.operands[0].type)
-                if rd == "v":
-                    raise _Gnarly("void-typed return value")
-                dt = _dtype_of(rd)
-                if self.ret_dtype is None:
-                    self.ret_dtype = dt
-                elif self.ret_dtype != dt:
-                    raise _Gnarly("mixed return domains")
-                unit.ret_get = _get_dom(terminator.operands[0], slots, rd)
-        else:
-            unit.kind = -1
-            unit.message = f"reached unreachable in {self.name}"
-        return unit
+    def publish(self) -> None:
+        """Register the text with :mod:`linecache` so a traceback prints
+        the generated statement — when a trap passes through the code,
+        not at generation (see ``JitCode.publish``)."""
+        if self.filename not in linecache.cache:
+            linecache.cache[self.filename] = (
+                len(self.source),
+                None,  # no mtime: checkcache() leaves the entry alone
+                self.source.splitlines(True),
+                self.filename,
+            )
 
     def _analyze_liveness(self):
         """Per-unit backward dataflow at slot granularity.  ``merge_slots``
@@ -1741,165 +1601,6 @@ class VectorFunction:
             unit.merge_slots = tuple(sorted(live_in[u]))
             unit.out_slots = tuple(sorted(live_out[u]))
 
-    def _phi_moves(self, block, phis, pred, slots):
-        moves = []
-        for phi in phis:
-            try:
-                k = phi.phi_blocks.index(pred)
-            except ValueError:
-                return None, (
-                    f"{self.name}: phi in {block.name} has no incoming "
-                    f"edge from {pred.name}"
-                )
-            moves.append((slots[id(phi)], phi, phi.operands[k]))
-        return moves, None
-
-    def _compile_phis(self, unit, block, phis, slots, unit_idx_by_block):
-        if not phis:
-            return None
-        plans: dict = {}
-        for pred, unit_index in unit_idx_by_block.items():
-            if block not in pred.successors():
-                continue
-            moves, error = self._phi_moves(block, phis, pred, slots)
-            if error is not None:
-                plans[unit_index] = error
-            else:
-                plans[unit_index] = self._compile_moves(moves, slots)
-                srcs = unit.phi_src_by_pred.setdefault(unit_index, set())
-                for _dst, _phi, value in moves:
-                    s = slots.get(id(value))
-                    if s is not None:
-                        srcs.add(s)
-        for phi in phis:
-            s = slots.get(id(phi))
-            if s is not None:
-                unit.phi_def_slots.add(s)
-        return plans
-
-    def _compile_moves(self, moves, slots):
-        gets = []
-        dsts = []
-        for dst, phi, value in moves:
-            dom = _dom(phi.type)
-            if dom == "v":
-                raise _Gnarly("void phi")
-            gets.append(_get_dom(value, slots, dom))
-            dsts.append((dst, _dtype_of(dom)))
-
-        def move(m, regs, lanes):
-            k = len(lanes)
-            values = [g(regs) for g in gets]
-            for (dst, dt), value in zip(dsts, values):
-                regs[dst] = _dense_col(value, dt, k)
-
-        return move
-
-    def _compile_instr(self, instr, slots, cache):
-        op = instr.op
-        if op == "load":
-            return _compile_load(instr, slots)
-        if op == "store":
-            return _compile_store(instr, slots)
-        if op == "gep":
-            return _compile_gep(instr, slots)
-        if op in ("icmp", "fcmp"):
-            return _compile_compare(instr, slots)
-        if op in _BINOP_EVAL:
-            return _compile_binop(instr, slots)
-        if op in _CAST_EVAL:
-            return _compile_cast(instr, slots)
-        if op == "select":
-            return _compile_select(instr, slots)
-        if op == "alloca":
-            size = instr.alloc_type.size()
-            slot = slots[id(instr)]
-
-            def step_alloca(m, regs, lanes):
-                regs[slot] = m.alloc_private(lanes, size)
-
-            return step_alloca
-        if op == "call":
-            return self._compile_call(instr, slots, cache)
-        if op == "vcall":
-            raise _Gnarly("virtual call not devirtualized")
-        raise _Gnarly(f"unhandled opcode {op}")
-
-    def _compile_call(self, instr, slots, cache):
-        callee = instr.callee
-        slot = slots.get(id(instr))
-        if isinstance(callee, Function):
-            sub = cache.get(callee)
-            self.subs.append(sub)
-            pairs = []
-            for value, arg in zip(instr.operands, callee.args):
-                dom = _dom(arg.type)
-                pairs.append((_get_dom(value, slots, dom), _dtype_of(dom)))
-            rd = _dom(instr.type)
-            if rd != "v":
-                rdt = _dtype_of(rd)
-                if sub.ret_dtype is not None and sub.ret_dtype != rdt:
-                    raise _Gnarly("call/return domain mismatch")
-
-            def step_call(m, regs, lanes):
-                k = len(lanes)
-                cols = [_dense_col(get(regs), dt, k) for get, dt in pairs]
-                r = sub.invoke(m, cols, lanes)
-                if rd != "v":
-                    if r is None:
-                        raise _Trap(f"{sub.name} returned no value")
-                    regs[slot] = _dense_col(r, rdt, k)
-
-            return step_call
-        name = getattr(callee, "name", None)
-        if name is None:
-            raise _Gnarly("unknown callee")
-        return self._compile_intrinsic(instr, name, slots, cache)
-
-    def _compile_intrinsic(self, instr, name, slots, cache):
-        slot = slots.get(id(instr))
-        if name in ("svm.to_gpu", "svm.to_cpu"):
-            svm_const = cache.svm_const
-            delta = svm_const if name == "svm.to_gpu" else -svm_const
-            dc = np.int64(_const_scalar(delta, "i"))
-            get = _get_pat(instr.operands[0], slots)
-
-            def step_translate(m, regs, lanes):
-                a = get(regs)
-                arr = a if isinstance(a, np.ndarray) else np.int64(a)
-                au = _u64(arr)
-                keep = ((au >= _PB_U) & (au < _PE_U)) | (au == _ZERO_U)
-                regs[slot] = _dense_col(
-                    np.where(keep, arr, arr + dc), _I64, len(lanes)
-                )
-
-            return step_translate
-        if name in ("svm.malloc", "svm.free"):
-            raise _Gnarly(f"device-side allocator call {name}")
-        if name == "gpu.global_id":
-
-            def step_gid(m, regs, lanes):
-                regs[slot] = m.global_ids[lanes]
-
-            return step_gid
-        if name == "gpu.num_cores":
-
-            def step_cores(m, regs, lanes):
-                regs[slot] = np.full(len(lanes), m.num_cores, _I64)
-
-            return step_cores
-        if name == "gpu.barrier":
-
-            def step_barrier(m, regs, lanes):
-                pass
-
-            return step_barrier
-        if name.startswith("atomic."):
-            raise _Gnarly(f"atomic intrinsic {name}")
-        if name.startswith("math."):
-            return _compile_math(instr, name, slots)
-        raise _Gnarly(f"unknown intrinsic {name}")
-
     # -- execution --------------------------------------------------------
 
     def invoke(self, m: VectorMachine, args, lanes0):
@@ -1907,8 +1608,8 @@ class VectorFunction:
         of dense segments: pop the lowest pending unit (deterministic
         reconvergence — a unit runs only once no lanes remain at lower
         units), merge the segments parked there over the unit's live-in
-        slots, execute its steps on full dense columns, and partition
-        the live-out columns at divergent branches."""
+        slots, run its generated function on full dense columns, and
+        partition the live-out columns at divergent branches."""
         if m.depth > _MAX_CALL_DEPTH:
             raise _Trap(f"call depth limit exceeded in {self.name}")
         m.depth += 1
@@ -1943,7 +1644,7 @@ class VectorFunction:
                             )
                         if plan.__class__ is str:
                             raise _Trap(plan)
-                        plan(m, rg, ln)
+                        plan(rg, len(ln))
                 if len(segs) == 1:
                     _prev, regs, lanes, pos = segs[0]
                 else:
@@ -1965,18 +1666,15 @@ class VectorFunction:
                     m.step_hi += ns
                     if m.step_hi > max_steps:
                         m.settle_steps(max_steps, self.name)
-                for step in unit.steps:
-                    step(m, regs, lanes)
+                # the branch mask, the returned column or None
+                out = unit.run(m, regs, lanes, k)
                 kind = unit.kind
                 if kind == _T_BR:
                     pending.setdefault(unit.true_index, []).append(
                         (u, regs, lanes, pos)
                     )
                 elif kind == _T_CONDBR:
-                    t = unit.cond(regs)
-                    if t.shape != lanes.shape:
-                        t = np.full(k, bool(t))
-                    nt_count = int(np.count_nonzero(t))
+                    nt_count = int(np.count_nonzero(out))
                     if nt_count == k:
                         tks[u].append(lanes)
                         pending.setdefault(unit.true_index, []).append(
@@ -1987,38 +1685,74 @@ class VectorFunction:
                             (u, regs, lanes, pos)
                         )
                     else:
-                        nt = ~t
-                        tlanes = lanes[t]
+                        nt = ~out
+                        tlanes = lanes[out]
                         tks[u].append(tlanes)
                         tregs = [None] * nregs
                         fregs = [None] * nregs
                         for slot in unit.out_slots:
                             col = regs[slot]
-                            tregs[slot] = col[t]
+                            tregs[slot] = col[out]
                             fregs[slot] = col[nt]
                         pending.setdefault(unit.true_index, []).append(
-                            (u, tregs, tlanes, pos[t] if track else None)
+                            (u, tregs, tlanes, pos[out] if track else None)
                         )
                         pending.setdefault(unit.false_index, []).append(
                             (u, fregs, lanes[nt], pos[nt] if track else None)
                         )
-                elif kind == _T_RET:
-                    get = unit.ret_get
-                    if get is not None:
-                        ret_cols.append(
-                            _dense_col(get(regs), self.ret_dtype, k)
-                        )
-                        ret_pos.append(pos)
-                else:
-                    raise _Trap(unit.message)
+                elif out is not None:  # a ret with a value
+                    ret_cols.append(out)
+                    ret_pos.append(pos)
             if not ret_cols:
                 return None
             out = np.zeros(k0, self.ret_dtype)
             for col, p in zip(ret_cols, ret_pos):
                 out[p] = col
             return out
+        except _Trap:
+            self.publish()
+            raise
         finally:
             m.depth -= 1
+
+
+class VectorCodeCache:
+    """A program's vector-engine state: the generated
+    :class:`VectorFunction` per IR function and, per kernel, the verdict
+    that routes its launches to the scalar engine.  One per
+    ``CompiledProgram`` object, owned like ``jit_code``: derived from the
+    IR, never pickled, shared by every runtime over that program — so
+    code is generated, and a kernel probed, once per program."""
+
+    def __init__(self):
+        self._cache: dict = {}  # Function -> VectorFunction | gnarly reason
+        self._building: set = set()
+        #: kernel -> why its launches go scalar though it vectorizes: a
+        #: sticky hazard's message, or "low mask occupancy" (the backend
+        #: writes, and reads before it even asks for the code)
+        self.scalar: dict = {}
+
+    def get(self, fn: Function) -> "VectorFunction":
+        """The function's generated code; recursion shows as a request
+        for a function still being built (a recursive cycle cannot be
+        lane-synchronously scheduled, so it is gnarly)."""
+        vfn = self._cache.get(fn)
+        if vfn is not None:
+            if vfn.__class__ is str:  # memoized gnarly reason
+                raise _Gnarly(vfn)
+            return vfn
+        if fn in self._building:
+            raise _Gnarly(f"recursion through {fn.name}")
+        self._building.add(fn)
+        try:
+            vfn = VectorFunction(fn, self)
+        except _Gnarly as exc:
+            self._cache[fn] = str(exc)
+            raise
+        finally:
+            self._building.discard(fn)
+        self._cache[fn] = vfn
+        return vfn
 
 
 # -- launch entry points ------------------------------------------------------
@@ -2044,7 +1778,7 @@ def _arg_columns(vfn: VectorFunction, span, args_of):
         else:
             cols.append(
                 np.fromiter(
-                    (_const_scalar(int(row[j]), "i") for row in rows),
+                    (_int64_pattern(row[j]) for row in rows),
                     _I64,
                     len(rows),
                 )

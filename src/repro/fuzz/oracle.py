@@ -355,7 +355,6 @@ def source_vector_divergences(program: SourceProgram) -> list:
     every region byte, execution traces, traps — plus the trace-derived
     ``engine.*`` / ``mem_events.*`` counters, compared via the observer.
     """
-    from ..backend.vector import reset_process_caches
     from ..obs import Observer
     from ..runtime import compile_source
 
@@ -365,12 +364,9 @@ def source_vector_divergences(program: SourceProgram) -> list:
             compiled = compile_source(program.source, OptConfig.gpu_all())
         except Exception:
             return []
-    # The backend memoizes per-kernel classification process-wide (a perf
-    # heuristic) and keeps compiled columnar kernels keyed by svm_const;
-    # reset all of it so every iteration genuinely exercises the
-    # optimistic vector path from a cold state instead of a remembered
-    # fallback (or a kernel compiled under an earlier iteration's layout).
-    reset_process_caches()
+    # Columnar code and per-kernel routing verdicts belong to the program
+    # object, and this one is fresh: every iteration exercises the
+    # optimistic vector path from a cold state.
     obs_com = Observer()
     com = run_source_program(
         program, engine="compiled", device="gpu", keep_traces=True,
@@ -598,7 +594,6 @@ def source_graph_divergences(program: SourceProgram) -> list:
     bodies: reductions allocate per-device scratch, so their region
     layout is execution-order-dependent by design.
     """
-    from ..backend.vector import reset_process_caches
     from ..runtime import compile_source
 
     if program.construct != "for":
@@ -610,7 +605,6 @@ def source_graph_divergences(program: SourceProgram) -> list:
         except Exception:
             # Frontend rejection is mode-independent: nothing to compare.
             return []
-    reset_process_caches()
     plan = _graph_dag_plan(program)
     sync = _run_graph_dag(program, compiled, plan, "sync")
     graph = _run_graph_dag(program, compiled, plan, "graph")
@@ -652,7 +646,6 @@ def source_cache_divergences(program: SourceProgram) -> list:
     """
     import tempfile
 
-    from ..backend.vector import reset_process_caches
     from ..runtime import compile_source
     from ..runtime.compiler import compile_cached
     from ..service import ArtifactStore
@@ -717,11 +710,9 @@ def source_cache_divergences(program: SourceProgram) -> list:
     for label, compiled in (
         ("mono", mono), ("cold", cold), ("warm", warm), ("other", other)
     ):
-        # All four share one content-hash program_id, so the process-wide
-        # JIT/vector memos would happily serve one compile's kernels to
-        # another's run; reset between runs so each program honestly
-        # exercises its own artifacts.
-        reset_process_caches()
+        # All four share one content-hash program_id, but generated code
+        # belongs to the program object: each run exercises its own
+        # compile's artifacts.
         outcomes[label] = run_source_program(
             program, engine="compiled", device="gpu", keep_traces=True,
             compiled=compiled, canonical_traces=True,

@@ -184,15 +184,14 @@ class CompiledProgram:
     config: OptConfig
     source: str
     #: Content hash of (source, options, pass config, version salt) — the
-    #: closure stage's hash.  The runtime's gpu_function_t cache and the
-    #: vector-code memos are keyed by ``(program_id, kernel_name)``:
-    #: kernel names repeat across programs (every workload calls its body
-    #: ``operator()``), and the content hash keeps two *different*
-    #: programs' entries from ever colliding while letting two compiles
-    #: of the *same* (source, options) pair share process-wide caches —
-    #: the id is stable across processes, unlike the per-process counter
-    #: it replaced.  Direct constructions that bypass :func:`closure_stage`
-    #: get a process-unique ``anon:<n>`` fallback so they still never alias.
+    #: closure stage's hash.  The runtime's gpu_function_t cache is keyed
+    #: by ``(program_id, kernel_name)``: kernel names repeat across
+    #: programs (every workload calls its body ``operator()``), and the
+    #: content hash keeps two *different* programs' entries from ever
+    #: colliding — the id is stable across processes, unlike the
+    #: per-process counter it replaced.  Direct constructions that bypass
+    #: :func:`closure_stage` get a process-unique ``anon:<n>`` fallback so
+    #: they still never alias.
     program_id: str = field(
         default_factory=lambda: f"anon:{next(_ANON_IDS)}"
     )
@@ -202,15 +201,22 @@ class CompiledProgram:
     #: later one.  Derived from ``module``, hence never pickled — a stored
     #: or shipped program is byte-identical whether or not it ever ran.
     jit_code: dict = field(default_factory=dict, repr=False, compare=False)
+    #: The vector engine's share under the same rule: its generated units
+    #: per function and its per-kernel routing verdicts (a
+    #: ``repro.exec.vector.VectorCodeCache``, set by the first vector
+    #: runtime).  Two program objects never share one, equal ``program_id``
+    #: or not.
+    vector_code: object = field(default=None, repr=False, compare=False)
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
-        del state["jit_code"]
+        del state["jit_code"], state["vector_code"]
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self.jit_code = {}
+        self.vector_code = None
 
     def kernel_for(self, class_name: str) -> KernelInfo:
         if class_name not in self.kernels:

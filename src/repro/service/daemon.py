@@ -27,10 +27,12 @@ requests and errors.
 
 Isolation: compile requests are truly concurrent (each works on its own
 artifacts; store writes are atomic).  Run requests are serialized under
-one executor lock and bracketed by a snapshot/restore of the vector
-engine's process-wide memos, so one tenant's classification outcomes
-(sticky fallbacks, occupancy routing) can never leak into another
-request's run — per-request isolation of process-wide state.
+one executor lock, because loading a program into a runtime writes the
+globals' addresses and the symbol ids onto the program object, and the
+in-memory LRU hands one program object to every request for it.  The
+engines keep no process-wide state: generated code and the vector
+engine's routing verdicts belong to the program object, and results,
+traces and reports never depended on them.
 """
 
 from __future__ import annotations
@@ -78,33 +80,6 @@ def _resolve_config(spec) -> OptConfig:
     raise ValueError(f"config must be a label or object, got {type(spec).__name__}")
 
 
-class _MemoGuard:
-    """Snapshot/restore of the vector engine's process-wide memos around
-    one run request (tenant isolation; see module docstring)."""
-
-    def __enter__(self):
-        from ..backend import vector as v
-
-        self._saved = (
-            dict(v._SHARED_CACHES),
-            dict(v._SCALAR_KERNELS),
-            dict(v._GNARLY_KERNELS),
-        )
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        from ..backend import vector as v
-
-        shared, scalar, gnarly = self._saved
-        v._SHARED_CACHES.clear()
-        v._SHARED_CACHES.update(shared)
-        v._SCALAR_KERNELS.clear()
-        v._SCALAR_KERNELS.update(scalar)
-        v._GNARLY_KERNELS.clear()
-        v._GNARLY_KERNELS.update(gnarly)
-        return False
-
-
 class CompileService:
     """The request handlers, independent of any transport (the HTTP layer
     below and the in-process tests both drive this object directly)."""
@@ -129,7 +104,10 @@ class CompileService:
         #: guards the shared observer/telemetry/aggregator (they are not
         #: thread-safe; requests record into private observers and merge)
         self._obs_lock = threading.Lock()
-        #: serializes run requests (runs mutate process-wide memos)
+        #: serializes run requests: ``ConcordRuntime._load_program`` writes
+        #: ``GlobalVariable.address`` and ``module.symbol_ids`` on the
+        #: program object, which the memory LRU below shares between
+        #: requests
         self._exec_lock = threading.Lock()
         self._memory: OrderedDict = OrderedDict()  # closure key -> program
         self._mem_lock = threading.Lock()
@@ -260,7 +238,7 @@ class CompileService:
         ok = False
         try:
             with request_obs.span("service_request", "service", endpoint="run"):
-                with self._exec_lock, _MemoGuard():
+                with self._exec_lock:
                     if "workload" in payload:
                         result = self._run_workload(payload, request_obs)
                     else:

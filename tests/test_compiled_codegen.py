@@ -431,6 +431,10 @@ class TestPerProgramCode:
             frozen = _dumps(compiled)
             _run_source(program, compiled, "compiled", "gpu", True, True)
             generated = len(compiled.jit_code)
+            # the vector engine's code and verdicts follow the same rule
+            _run_source(program, compiled, "vector", "gpu", True, True)
+            assert compiled.vector_code is not None
+            assert len(compiled.jit_code) == generated
             assert generated > 0
             second = _run_source(
                 program, compiled, "compiled", "cpu", True, True, region_size=1 << 17
@@ -450,7 +454,8 @@ class TestPerProgramCode:
         for index, (a, b) in enumerate(zip(first[0].trace_log, second[0].trace_log)):
             _assert_trace_equal(a, b, f"trace {index}")
         assert _dumps(compiled) == frozen
-        assert pickle.loads(frozen).jit_code == {}
+        clone = pickle.loads(frozen)
+        assert clone.jit_code == {} and clone.vector_code is None
 
     def test_bound_code_faults_against_its_own_region(self):
         """The limits are bind-time arguments, not part of the text."""

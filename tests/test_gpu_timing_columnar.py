@@ -423,14 +423,15 @@ def _simulate(name, mode):
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("name", NINE)
 def test_workload_numbers_equal_the_oracles(name, mode, monkeypatch):
-    from repro.backend.vector import clear_memos
+    from repro.workloads.base import Workload
 
-    clear_memos()
+    # The vector engine's routing verdicts live on the program object:
+    # each run compiles its own, so both take the same (cold) route.
+    monkeypatch.setattr(Workload, "_program_cache", {})
     got = _simulate(name, mode)
-    clear_memos()
+    Workload._program_cache.clear()
     monkeypatch.setattr(gpu_backend, "time_gpu_kernel", oracle_time_gpu_kernel)
     assert _simulate(name, mode) == got
-    clear_memos()
 
 
 # -- the launch trace itself --------------------------------------------------
@@ -476,14 +477,11 @@ def test_event_row_helpers_agree_across_representations():
 def test_vector_launch_never_builds_per_lane_traces(monkeypatch):
     """Neither pricing a vector launch nor an attached observer's counter
     harvest and line samples ask for the per-lane view."""
-    from repro.backend.vector import clear_memos
-
     def refuse(self):
         raise AssertionError("per-lane view built on the hot path")
 
     monkeypatch.setattr(LaunchTrace, "lanes", refuse)
-    clear_memos()
-    observer = Observer()
+    observer = Observer()  # observed runs compile a fresh (cold) program
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         WORKLOADS["Raytracer"]().execute(
@@ -493,7 +491,6 @@ def test_vector_launch_never_builds_per_lane_traces(monkeypatch):
             engine="vector",
             observer=observer,
         )
-    clear_memos()
     counters = observer.counters.as_dict()
     assert counters["vector.lanes_retired"] > 0
     assert counters["mem_events.kept"] > 0

@@ -2,7 +2,7 @@
 dependency inference from declared read/write sets, graph-vs-sync
 bit-identity on all nine workloads, topological-order freedom as a
 hypothesis property, report-merge algebra, the overlap evaluation
-scenarios, the process-wide cache reset, and the graph fuzz target."""
+scenarios, and the graph fuzz target."""
 
 import random
 import warnings
@@ -324,11 +324,8 @@ class TestTopologicalOrderProperty:
         suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
     )
     def test_any_forcing_order_matches_sync(self, seed, order):
-        from repro.backend.vector import reset_process_caches
-
         program, compiled = _compile_cached(seed)
         assume(compiled is not False)
-        reset_process_caches()
         plan = _graph_dag_plan(program)
         sync = _run_graph_dag(program, compiled, plan, "sync")
         assume(sync.ok)  # trapping programs abort order-dependently
@@ -415,41 +412,6 @@ class TestReportMergeAlgebra:
     def test_unlabeled_hybrid_occupies_both_devices(self):
         legacy = _report("hybrid", 4, 2.0)  # no device_seconds recorded
         assert legacy.per_device_seconds() == {"gpu": 2.0, "cpu": 2.0}
-
-
-class TestProcessCacheReset:
-    """clear_memos() never touched _SHARED_CACHES, so oracle runs could
-    replay columnar kernels compiled under an earlier region layout;
-    reset_process_caches() must drop all three process-wide dicts."""
-
-    def test_reset_clears_shared_caches_too(self):
-        from repro.backend import vector as vector_mod
-
-        rt = _runtime(engine="vector")
-        from repro.ir.types import I32
-
-        data = rt.new_array(I32, 64)
-        data.fill_from(range(64))
-        rt.parallel_for_hetero(64, _incr(rt, data))
-        assert vector_mod._SHARED_CACHES  # populated by the vector run
-        vector_mod._SCALAR_KERNELS["sentinel"] = "x"
-        vector_mod._GNARLY_KERNELS["sentinel"] = "y"
-        vector_mod.reset_process_caches()
-        assert vector_mod._SHARED_CACHES == {}
-        assert vector_mod._SCALAR_KERNELS == {}
-        assert vector_mod._GNARLY_KERNELS == {}
-
-    def test_clear_memos_alone_left_the_bug(self):
-        from repro.backend import vector as vector_mod
-
-        vector_mod._SHARED_CACHES[12345] = object()
-        try:
-            vector_mod.clear_memos()
-            assert 12345 in vector_mod._SHARED_CACHES  # the latent bug
-            vector_mod.reset_process_caches()
-            assert 12345 not in vector_mod._SHARED_CACHES
-        finally:
-            vector_mod._SHARED_CACHES.pop(12345, None)
 
 
 class TestObservabilityAndTrace:

@@ -17,7 +17,6 @@ import warnings
 
 import pytest
 
-from repro.backend.vector import reset_process_caches
 from repro.passes import OptConfig
 from repro.runtime import CompiledProgram, ConcordRuntime, compile_source
 from repro.runtime.compiler import (
@@ -127,13 +126,10 @@ def test_warm_store_bit_identical(name, engine):
         ), kernel_name
         assert warm_kinfo.cpu_only == kinfo.cpu_only, kernel_name
 
-    # Both programs share one content-hash id, so the process-wide
-    # vector/JIT memos would serve the first run's kernels to the
-    # second; reset between runs so the warm artifacts are honestly
-    # exercised.
-    reset_process_caches()
+    # Both programs share one content-hash id, but generated code and
+    # routing verdicts belong to the program *object*: each run
+    # exercises its own artifacts from a cold state.
     cold_rt = _execute(cls, cold, engine)
-    reset_process_caches()
     warm_rt = _execute(cls, warm, engine)
     assert bytes(warm_rt.region.physical.data) == bytes(
         cold_rt.region.physical.data
@@ -169,9 +165,7 @@ def test_staged_chain_matches_monolithic():
         staged = closure_stage(pipe)
     assert staged.program_id == mono.program_id
     assert sorted(staged.kernels) == sorted(mono.kernels)
-    reset_process_caches()
     mono_rt = _execute(cls, mono, "compiled")
-    reset_process_caches()
     staged_rt = _execute(cls, staged, "compiled")
     assert bytes(staged_rt.region.physical.data) == bytes(
         mono_rt.region.physical.data
@@ -186,13 +180,21 @@ def test_pickle_roundtrip_preserves_program_id():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         program = compile_source(cls.source, module_name=cls.name)
-    clone = pickle.loads(pickle.dumps(program, pickle.HIGHEST_PROTOCOL))
+    _execute(cls, program, "compiled")  # loading assigns the globals' addresses
+    frozen = pickle.dumps(program, pickle.HIGHEST_PROTOCOL)
+    _execute(cls, program, "vector")
+    # Generated code and routing verdicts are derived state: a program
+    # that ran pickles to the same bytes, and a clone starts cold.
+    assert program.vector_code.scalar and program.jit_code
+    assert pickle.dumps(program, pickle.HIGHEST_PROTOCOL) == frozen
+    clone = pickle.loads(frozen)
     assert clone.program_id == program.program_id
+    assert clone.jit_code == {} and clone.vector_code is None
 
 
 class TestProgramIdCollisions:
     """The satellite regression: program ids must never alias the
-    process-wide ``(program_id, kernel_name)`` JIT and vector memos."""
+    ``(program_id, kernel_name)`` JIT entries."""
 
     SOURCE_A = """
 class Body {

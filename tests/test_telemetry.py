@@ -60,6 +60,26 @@ public:
 };
 """
 
+REDUCE_TRAP_SRC = """
+class Node {
+public:
+  int value;
+  Node *next;
+};
+
+class SumBody {
+public:
+  Node *head;
+  int total;
+  void operator()(int i) {
+    total += head->value;
+  }
+  void join(SumBody &other) {
+    total += other.total;
+  }
+};
+"""
+
 
 class ListSink:
     """Test sink: keeps every event verbatim."""
@@ -378,6 +398,32 @@ class TestFlightRecorder:
         assert doc["events"][-1]["kind"] == "trap"
         assert doc["counters"]
         assert doc["context"] == {"test": "trap"}
+
+    @pytest.mark.parametrize(
+        "on_cpu, device, kernel",
+        [(False, "gpu", "kernel.SumBody.gpu"), (True, "cpu", "kernel.SumBody")],
+    )
+    def test_reduce_trap_names_device_kernel_and_lane(
+        self, tmp_path, on_cpu, device, kernel
+    ):
+        """A reduction lane's trap carries the same lane context as a
+        ``for`` lane's, on the default CPU reduction path too."""
+        from repro.svm import MemoryFault
+
+        observer = Observer()
+        observer.attach_telemetry(Telemetry())
+        rt = ConcordRuntime(_compile(REDUCE_TRAP_SRC), ultrabook(), observer=observer)
+        body = rt.new("SumBody")  # head stays null: the load must fault
+        with pytest.raises(MemoryFault) as info:
+            rt.parallel_reduce_hetero(4, body, on_cpu=on_cpu)
+        path = FlightRecorder(tmp_path, observer=observer).record(info.value, runtime=rt)
+        doc = json.loads(open(path).read())
+        validate_flight_bundle(doc)
+        assert doc["reason"] == "trap"
+        assert doc["trap"]["device"] == device
+        assert doc["trap"]["kernel"] == kernel
+        assert doc["trap"]["global_id"] == 0
+        assert doc["trap"]["source_line"] == "total += head->value;"
 
     def test_reference_engine_trap_annotates_too(self, tmp_path):
         observer = Observer()

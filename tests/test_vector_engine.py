@@ -13,10 +13,10 @@ import warnings
 import pytest
 
 from repro.backend import VectorBackend
-from repro.backend.vector import clear_memos
 from repro.obs import Observer
 from repro.runtime.system import ultrabook
 from repro.workloads import all_workloads
+from repro.workloads.base import Workload
 
 from .test_engine_equivalence import NINE, SCALE, _assert_trace_equal, _run
 
@@ -24,13 +24,12 @@ WORKLOADS = all_workloads()
 
 
 @pytest.fixture(autouse=True)
-def _fresh_memos():
-    """The backend memoizes per-kernel routing process-wide; clear it so
-    every test exercises the optimistic vector path deterministically,
-    independent of test order."""
-    clear_memos()
-    yield
-    clear_memos()
+def _fresh_programs(monkeypatch):
+    """Per-kernel routing verdicts live on the program object, and
+    ``Workload.compile`` keeps programs for the process; an empty program
+    cache makes every test compile its own, so each one exercises the
+    optimistic vector path from a cold state, independent of test order."""
+    monkeypatch.setattr(Workload, "_program_cache", {})
 
 
 @pytest.mark.parametrize("name", NINE)
@@ -140,6 +139,5 @@ class TestVectorCounters:
 
     def test_fallback_lanes_still_counted_as_invocations(self):
         for name in NINE:
-            clear_memos()
             counters = _observed_counters(name, "vector")
             assert counters.get("engine.invocations.gpu", 0) > 0, name

@@ -71,9 +71,6 @@ def _run(source, cls_name, fields, n, engine):
     ``fields`` maps attribute name -> list of ints (arrays) or int
     (scalars); the first array's handle is returned as the output array.
     """
-    from repro.backend.vector import clear_memos
-
-    clear_memos()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         prog = compile_source(source, OptConfig.gpu_all())
