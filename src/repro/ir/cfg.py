@@ -15,37 +15,54 @@ from typing import Optional
 from .values import BasicBlock, Function
 
 
+def _cfg_shape(function: Function) -> list:
+    """What every analysis here is a function of: the block list and each
+    terminator's targets."""
+    return [(block, block.successors()) for block in function.blocks]
+
+
 def reverse_postorder(function: Function) -> list[BasicBlock]:
-    seen: set[BasicBlock] = set()
+    return _reverse_postorder(function.entry, dict(_cfg_shape(function)))
+
+
+def _reverse_postorder(entry: BasicBlock, succs: dict) -> list[BasicBlock]:
+    # Iterative DFS to avoid Python recursion limits on deep CFGs.
+    seen = {entry}
     order: list[BasicBlock] = []
-
-    def visit(block: BasicBlock) -> None:
-        # Iterative DFS to avoid Python recursion limits on deep CFGs.
-        stack: list[tuple[BasicBlock, int]] = [(block, 0)]
-        seen.add(block)
-        while stack:
-            current, idx = stack.pop()
-            succs = current.successors()
-            if idx < len(succs):
-                stack.append((current, idx + 1))
-                nxt = succs[idx]
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append((nxt, 0))
-            else:
-                order.append(current)
-
-    visit(function.entry)
+    stack: list[tuple[BasicBlock, int]] = [(entry, 0)]
+    while stack:
+        current, idx = stack.pop()
+        targets = succs[current]
+        if idx < len(targets):
+            stack.append((current, idx + 1))
+            nxt = targets[idx]
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append((nxt, 0))
+        else:
+            order.append(current)
     order.reverse()
     return order
 
 
 class DominatorTree:
-    """Immediate-dominator tree plus dominance frontiers."""
+    """Immediate-dominator tree plus dominance frontiers.
+
+    Passes and the verifier ask :meth:`of` instead of constructing: it
+    returns the tree built for the function's current CFG shape, so nothing
+    has to announce a CFG change and nothing can read a stale tree.
+    """
 
     def __init__(self, function: Function):
         self.function = function
-        self.rpo = reverse_postorder(function)
+        self.shape = _cfg_shape(function)
+        succs = dict(self.shape)
+        #: predecessors in ``Function.compute_preds`` order
+        self.preds: dict[BasicBlock, list[BasicBlock]] = {b: [] for b in succs}
+        for block, targets in self.shape:
+            for succ in targets:
+                self.preds[succ].append(block)
+        self.rpo = _reverse_postorder(function.entry, succs)
         self._rpo_index = {b: i for i, b in enumerate(self.rpo)}
         self.idom: dict[BasicBlock, Optional[BasicBlock]] = {}
         self._compute_idoms()
@@ -55,9 +72,34 @@ class DominatorTree:
                 self.children[parent].append(block)
         self.frontier = self._compute_frontiers()
 
+    @classmethod
+    def of(cls, function: Function) -> "DominatorTree":
+        """The tree for ``function`` as its CFG is *now*: the one kept on
+        the function if its recorded shape (block list and terminator
+        targets, compared on every ask) still matches, else a new one.
+        Transient like ``CompiledProgram.jit_code``: never pickled, and
+        the pipelines drop it when they are done with the function."""
+        tree = function.domtree
+        if tree is None or tree.shape != _cfg_shape(function):
+            tree = function.domtree = cls(function)
+        return tree
+
+    def walk(self):
+        """Pre-order over the tree, on an explicit stack (straight-line
+        code makes it as deep as the function is long): yields
+        ``(block, True)`` on entering a block and ``(block, False)`` once
+        its whole subtree is done."""
+        stack = [(self.function.entry, True)]
+        while stack:
+            block, entering = stack.pop()
+            yield block, entering
+            if entering:
+                stack.append((block, False))
+                stack.extend((child, True) for child in reversed(self.children[block]))
+
     def _compute_idoms(self) -> None:
         entry = self.function.entry
-        preds = self.function.compute_preds()
+        preds = self.preds
         idom: dict[BasicBlock, Optional[BasicBlock]] = {b: None for b in self.rpo}
         idom[entry] = entry
         changed = True
@@ -90,9 +132,8 @@ class DominatorTree:
 
     def _compute_frontiers(self) -> dict[BasicBlock, set[BasicBlock]]:
         frontier: dict[BasicBlock, set[BasicBlock]] = {b: set() for b in self.rpo}
-        preds = self.function.compute_preds()
         for block in self.rpo:
-            block_preds = [p for p in preds[block] if p in self._rpo_index]
+            block_preds = [p for p in self.preds[block] if p in self._rpo_index]
             if len(block_preds) < 2:
                 continue
             for pred in block_preds:
@@ -160,8 +201,8 @@ class Loop:
 
 def find_loops(function: Function, domtree: Optional[DominatorTree] = None) -> list[Loop]:
     """Natural loops from back edges, nested via containment."""
-    domtree = domtree or DominatorTree(function)
-    preds = function.compute_preds()
+    domtree = domtree or DominatorTree.of(function)
+    preds = domtree.preds
     loops: dict[BasicBlock, Loop] = {}
     for block in domtree.rpo:
         for succ in block.successors():

@@ -209,6 +209,8 @@ class Instruction(Value):
         return self.is_terminator
 
     def replace_uses_of(self, old: Value, new: Value) -> None:
+        """Rewrite this one instruction.  To retire values from a whole
+        function, collect them and call :func:`replace_uses` once."""
         self.operands = [new if v is old else v for v in self.operands]
 
     def successors(self) -> list["BasicBlock"]:
@@ -292,6 +294,14 @@ class Function:
         self.attributes: dict = {}
         self.module: Optional[Module] = None
 
+    #: the tree ``DominatorTree.of`` keeps here; derived, so never pickled
+    domtree = None
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("domtree", None)
+        return state
+
     @property
     def entry(self) -> BasicBlock:
         return self.blocks[0]
@@ -311,6 +321,16 @@ class Function:
 
     def remove_block(self, block: BasicBlock) -> None:
         self.blocks.remove(block)
+
+    def remove_instructions(self, dead: set) -> None:
+        """Detach every instruction in ``dead`` in one pass over the blocks
+        (``BasicBlock.remove`` scans its list once per instruction)."""
+        if not dead:
+            return
+        for block in self.blocks:
+            block.instructions[:] = [i for i in block.instructions if i not in dead]
+        for instr in dead:
+            instr.block = None
 
     def compute_preds(self) -> dict[BasicBlock, list[BasicBlock]]:
         preds: dict[BasicBlock, list[BasicBlock]] = {b: [] for b in self.blocks}
@@ -376,6 +396,38 @@ class Module:
 
     def __repr__(self) -> str:
         return f"Module({self.name}, {len(self.functions)} functions)"
+
+
+def resolve(mapping: dict, value):
+    """``value`` followed through ``mapping`` (old value -> replacement,
+    keyed by instructions and arguments) to the end of its chain.  A cycle —
+    phis that only feed each other — stops where the walk would repeat."""
+    seen: set[int] = set()
+    while not isinstance(value, Constant) and value in mapping and id(value) not in seen:
+        seen.add(id(value))
+        value = mapping[value]
+    return value
+
+
+def replace_uses(function: Function, mapping: dict) -> None:
+    """Rewrite every operand in ``function`` that is a key of ``mapping``
+    to the end of its replacement chain, in one walk over the operands.
+
+    This is how a pass retires values: it records ``old -> new`` while it
+    scans (``new`` may itself be retired later — chains are followed to
+    their end) and calls this once, instead of sweeping the function per
+    value.  Operands are matched by identity, as ``replace_uses_of`` does.
+    """
+    if not mapping:
+        return
+    ends = {id(old): resolve(mapping, old) for old in mapping}
+    for block in function.blocks:
+        for instr in block.instructions:
+            operands = instr.operands
+            for value in operands:
+                if id(value) in ends:
+                    instr.operands = [ends.get(id(v), v) for v in operands]
+                    break
 
 
 def _unique_name(base: str, taken: set[str]) -> str:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .cfg import DominatorTree
 from .types import IntType, PointerType, VoidType
-from .values import Argument, Constant, Function, GlobalVariable, Instruction, Module
+from .values import TERMINATOR_OPS, Function, Instruction, Module
 
 
 class VerificationError(Exception):
@@ -27,25 +27,25 @@ def verify_module(module: Module) -> None:
 #: ops that must keep ``loc`` metadata in functions lowered from source
 #: (``attributes["source_locs"]``) — the profiler's attribution anchors.
 _LOC_REQUIRED_OPS = frozenset({"load", "store", "call", "vcall"})
+_TYPE_CHECKED_OPS = frozenset({"load", "store", "condbr", "br", "ret", "gep"})
 
 
 def verify_function(function: Function) -> None:
     blocks = set(function.blocks)
-    defined: set[Instruction] = set()
+    defined: dict[Instruction, int] = {}  # every instruction -> index in its block
     has_locs = bool(function.attributes.get("source_locs"))
     for block in function.blocks:
         if block.terminator is None:
             raise VerificationError(
                 f"{function.name}: block {block.name} has no terminator"
             )
+        last = len(block.instructions) - 1
         for idx, instr in enumerate(block.instructions):
-            if instr.is_terminator and idx != len(block.instructions) - 1:
+            if instr.op in TERMINATOR_OPS and idx != last:
                 raise VerificationError(
                     f"{function.name}: terminator {instr.op} not at end of {block.name}"
                 )
-            if instr.op == "phi" and idx > block.first_non_phi_index() - 1 and (
-                block.instructions[idx - 1].op != "phi" if idx else False
-            ):
+            if instr.op == "phi" and idx and block.instructions[idx - 1].op != "phi":
                 raise VerificationError(
                     f"{function.name}: phi not grouped at head of {block.name}"
                 )
@@ -55,17 +55,20 @@ def verify_function(function: Function) -> None:
                         f"{function.name}: {block.name} branches to removed block "
                         f"{target.name}"
                     )
-            _check_types(function, instr)
+            if instr.op in _TYPE_CHECKED_OPS:
+                _check_types(function, instr)
             if has_locs and instr.op in _LOC_REQUIRED_OPS and instr.loc is None:
                 raise VerificationError(
                     f"{function.name}: {instr.op} in {block.name} lost its "
                     f"source location (function is marked source_locs)"
                 )
-            defined.add(instr)
+            defined[instr] = idx
 
-    preds = function.compute_preds()
+    # Every target is a live block (checked above), which is all the tree
+    # needs; it is the one the passes share while the CFG keeps its shape.
+    domtree = DominatorTree.of(function)
     for block in function.blocks:
-        expected = preds[block]
+        expected = domtree.preds[block]
         for phi in block.phis():
             if not phi.operands:
                 raise VerificationError(
@@ -98,7 +101,7 @@ def verify_function(function: Function) -> None:
                     f"preds are {want}"
                 )
 
-    _check_dominance(function, defined)
+    _check_dominance(function, defined, domtree)
 
 
 def _check_types(function: Function, instr: Instruction) -> None:
@@ -150,21 +153,16 @@ def _check_types(function: Function, instr: Instruction) -> None:
             )
 
 
-def _check_dominance(function: Function, defined: set[Instruction]) -> None:
-    domtree = DominatorTree(function)
+def _check_dominance(
+    function: Function, defined: dict[Instruction, int], domtree: DominatorTree
+) -> None:
     reachable = domtree.reachable()
-    positions: dict[Instruction, int] = {}
-    for block in function.blocks:
-        for idx, instr in enumerate(block.instructions):
-            positions[instr] = idx
     for block in function.blocks:
         if block not in reachable:
             continue
         for instr in block.instructions:
             operands = instr.operands
             for op_index, operand in enumerate(operands):
-                if isinstance(operand, (Constant, Argument, GlobalVariable)):
-                    continue
                 if not isinstance(operand, Instruction):
                     continue
                 if operand not in defined:
@@ -184,7 +182,7 @@ def _check_dominance(function: Function, defined: set[Instruction]) -> None:
                         )
                     continue
                 if def_block is instr.block:
-                    if positions[operand] >= positions[instr]:
+                    if defined[operand] >= defined[instr]:
                         raise VerificationError(
                             f"{function.name}: use before def of {operand.op} "
                             f"in {block.name}"

@@ -309,15 +309,21 @@ class Observer:
     def record_pass_stats(self, stats) -> None:
         """Fold a :class:`~repro.passes.pipeline.PassManager`'s stats in
         (``stats`` is an iterable of objects with name/runs/changed/
-        seconds attributes)."""
+        skipped/seconds/verify_seconds attributes).  ``seconds`` is time
+        inside the pass; verifying its result is ``verify_seconds``."""
+        stats = list(stats)
         for stat in stats:
             self.pass_stats.append(
                 {
                     "name": stat.name,
                     "runs": stat.runs,
                     "changed": stat.changed,
+                    "skipped": stat.skipped,
                     "seconds": stat.seconds,
+                    "verify_seconds": stat.verify_seconds,
                 }
             )
             self.counters.add(f"passes.{stat.name}.runs", stat.runs)
             self.counters.add(f"passes.{stat.name}.changed", stat.changed)
+            self.counters.add(f"passes.{stat.name}.skipped", stat.skipped)
+        self.counters.add("passes.verify_s", sum(s.verify_seconds for s in stats))

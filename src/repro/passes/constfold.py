@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import math
 
-from ..ir import Constant, Function, Instruction
-from ..ir.types import BOOL, FloatType, IntType, PointerType
-from ..ir.values import COMMUTATIVE_OPS
+from ..ir import Constant, Function, Instruction, replace_uses
+from ..ir.types import BOOL, FloatType, IntType
+from ..ir.values import BINARY_OPS, CAST_OPS
+from .simplifycfg import remove_unreachable_blocks
+
+_FOLDABLE_OPS = BINARY_OPS | CAST_OPS | {"icmp", "fcmp", "select", "phi"}
 
 
 def constant_fold(function: Function) -> bool:
@@ -21,30 +24,16 @@ def constant_fold(function: Function) -> bool:
 
 
 def _fold_once(function: Function) -> bool:
-    changed = False
+    # Folded instruction -> its value, which may itself fold this round
+    # (y -> x, x -> n): replace_uses rewrites y's users straight to n.
     replacements: dict[Instruction, object] = {}
-    for block in function.blocks:
-        for instr in list(block.instructions):
-            folded = _fold(instr)
-            if folded is not None:
-                replacements[instr] = folded
-    if replacements:
-        # Resolve chains: y -> x and x -> n must rewrite y's users to n.
-        def resolve(value):
-            seen = 0
-            while isinstance(value, Instruction) and value in replacements and seen < 64:
-                value = replacements[value]
-                seen += 1
-            return value
-
-        resolved = {old: resolve(new) for old, new in replacements.items()}
-        for instr in function.instructions():
-            for old, new in resolved.items():
-                instr.replace_uses_of(old, new)
-        for old in resolved:
-            if old.block is not None:
-                old.block.remove(old)
-        changed = True
+    for instr in function.instructions():
+        folded = _fold(instr)
+        if folded is not None:
+            replacements[instr] = folded
+    replace_uses(function, replacements)
+    function.remove_instructions(set(replacements))
+    changed = bool(replacements)
 
     # Fold condbr on constant condition into unconditional branch.
     folded = False
@@ -62,8 +51,6 @@ def _fold_once(function: Function) -> bool:
     if folded:
         # Folding can orphan whole subgraphs whose blocks still feed phi
         # edges elsewhere; drop them so the IR stays verifier-clean.
-        from .simplifycfg import remove_unreachable_blocks
-
         remove_unreachable_blocks(function)
     return changed
 
@@ -105,35 +92,9 @@ def _as_unsigned(value: int, bits: int) -> int:
 
 def _fold(instr: Instruction):
     op = instr.op
+    if op not in _FOLDABLE_OPS:
+        return None
     ops = instr.operands
-    consts = [o.value for o in ops if isinstance(o, Constant)]
-    all_const = len(consts) == len(ops) and ops
-
-    if op in ("icmp", "fcmp") and all_const:
-        a, b = consts
-        if op == "icmp":
-            if instr.pred.startswith("u"):
-                bits = ops[0].type.bits if isinstance(ops[0].type, IntType) else 64
-                a, b = _as_unsigned(a, bits), _as_unsigned(b, bits)
-            result = _ICMP_FNS[instr.pred](a, b)
-        else:
-            result = _FCMP_FNS[instr.pred](a, b)
-        return Constant(BOOL, 1 if result else 0)
-
-    if op == "select" and isinstance(ops[0], Constant):
-        return ops[1] if ops[0].value else ops[2]
-
-    if op in ("zext", "sext", "trunc") and all_const:
-        return Constant(instr.type, instr.type.wrap(consts[0]))
-    if op in ("sitofp", "uitofp", "fpext", "fptrunc") and all_const:
-        value = float(consts[0])
-        if isinstance(instr.type, FloatType) and instr.type.bits == 32:
-            value = _to_f32(value)
-        return Constant(instr.type, value)
-    if op == "fptosi" and all_const:
-        return Constant(instr.type, instr.type.wrap(int(consts[0])))
-    if op in ("ptrtoint", "inttoptr", "bitcast") and all_const:
-        return Constant(instr.type, consts[0])
 
     if op == "phi":
         distinct = {id(o) for o in ops}
@@ -144,10 +105,40 @@ def _fold(instr: Instruction):
             return non_self[0]
         return None
 
-    from ..ir.values import BINARY_OPS
-
-    if op not in BINARY_OPS:
+    if op == "select":
+        if isinstance(ops[0], Constant):
+            return ops[1] if ops[0].value else ops[2]
         return None
+
+    consts = [o.value for o in ops if isinstance(o, Constant)]
+    all_const = len(consts) == len(ops) and ops
+
+    if op in ("icmp", "fcmp"):
+        if not all_const:
+            return None
+        a, b = consts
+        if op == "icmp":
+            if instr.pred.startswith("u"):
+                bits = ops[0].type.bits if isinstance(ops[0].type, IntType) else 64
+                a, b = _as_unsigned(a, bits), _as_unsigned(b, bits)
+            result = _ICMP_FNS[instr.pred](a, b)
+        else:
+            result = _FCMP_FNS[instr.pred](a, b)
+        return Constant(BOOL, 1 if result else 0)
+
+    if op in CAST_OPS:
+        if not all_const:
+            return None
+        if op in ("zext", "sext", "trunc"):
+            return Constant(instr.type, instr.type.wrap(consts[0]))
+        if op == "fptosi":
+            return Constant(instr.type, instr.type.wrap(int(consts[0])))
+        if op in ("ptrtoint", "inttoptr", "bitcast"):
+            return Constant(instr.type, consts[0])
+        value = float(consts[0])  # sitofp uitofp fpext fptrunc
+        if isinstance(instr.type, FloatType) and instr.type.bits == 32:
+            value = _to_f32(value)
+        return Constant(instr.type, value)
 
     if all_const and len(ops) == 2:
         return _fold_binary(instr, consts[0], consts[1])

@@ -12,20 +12,32 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..ir import Constant, DominatorTree, Function, Instruction
+from ..ir import Constant, DominatorTree, Function, Instruction, replace_uses
 from ..ir.values import COMMUTATIVE_OPS, BINARY_OPS, CAST_OPS
 
 
 def common_subexpression_elimination(function: Function) -> bool:
     if not function.blocks:
         return False
-    domtree = DominatorTree(function)
-    changed = [False]
+    domtree = DominatorTree.of(function)
+    #: eliminated instruction -> the available one that stands in for it;
+    #: operands are read through it, applied to the function once at the end
+    replaced: dict[Instruction, Instruction] = {}
+
+    def value_key(value):
+        if isinstance(value, Constant):
+            return ("const", value.type, value.value)
+        if isinstance(value, Instruction):
+            return ("instr", replaced.get(value, value).uid)
+        name = getattr(value, "name", None)
+        if name is not None:
+            return ("named", type(value).__name__, name)
+        return None
 
     def key_of(instr: Instruction) -> Optional[tuple]:
         op = instr.op
         if op in BINARY_OPS or op in ("icmp", "fcmp", "select"):
-            ids = [_value_key(v) for v in instr.operands]
+            ids = [value_key(v) for v in instr.operands]
             if None in ids:
                 return None
             if op in COMMUTATIVE_OPS or (
@@ -34,10 +46,10 @@ def common_subexpression_elimination(function: Function) -> bool:
                 ids = sorted(ids)
             return (op, instr.pred, instr.type, tuple(ids))
         if op in CAST_OPS:
-            k = _value_key(instr.operands[0])
+            k = value_key(instr.operands[0])
             return None if k is None else (op, instr.type, k)
         if op == "gep":
-            ids = [_value_key(v) for v in instr.operands]
+            ids = [value_key(v) for v in instr.operands]
             if None in ids:
                 return None
             return (
@@ -48,50 +60,35 @@ def common_subexpression_elimination(function: Function) -> bool:
                 tuple(ids),
             )
         if op == "call" and instr.callee is not None and not instr.has_side_effects:
-            ids = [_value_key(v) for v in instr.operands]
+            ids = [value_key(v) for v in instr.operands]
             if None in ids:
                 return None
             return ("call", instr.callee.name, tuple(ids))
         return None
 
-    def walk(block, scope: dict) -> None:
-        local = dict(scope)
-        for instr in list(block.instructions):
+    # One table holds the expressions available on the path from the entry.
+    # A block only ever adds keys that were absent, so leaving its subtree
+    # is deleting the keys it added.
+    available: dict[tuple, Instruction] = {}
+    scopes: list[list] = []
+    for block, entering in domtree.walk():
+        if not entering:
+            for key in scopes.pop():
+                del available[key]
+            continue
+        added: list = []
+        scopes.append(added)
+        for instr in block.instructions:
             key = key_of(instr)
             if key is None:
                 continue
-            existing = local.get(key)
+            existing = available.get(key)
             if existing is not None:
-                _replace_all_uses(function, instr, existing)
-                block.remove(instr)
-                changed[0] = True
+                replaced[instr] = existing
             else:
-                local[key] = instr
-        for child in domtree.children.get(block, ()):
-            walk(child, local)
+                available[key] = instr
+                added.append(key)
 
-    import sys
-
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 2 * len(function.blocks) + 200))
-    try:
-        walk(function.entry, {})
-    finally:
-        sys.setrecursionlimit(old_limit)
-    return changed[0]
-
-
-def _value_key(value):
-    if isinstance(value, Constant):
-        return ("const", value.type, value.value)
-    if isinstance(value, Instruction):
-        return ("instr", value.uid)
-    name = getattr(value, "name", None)
-    if name is not None:
-        return ("named", type(value).__name__, name)
-    return None
-
-
-def _replace_all_uses(function: Function, old, new) -> None:
-    for instr in function.instructions():
-        instr.replace_uses_of(old, new)
+    replace_uses(function, replaced)
+    function.remove_instructions(set(replaced))
+    return bool(replaced)

@@ -10,6 +10,7 @@ exactly the division of labour the paper describes in section 4.1.
 from __future__ import annotations
 
 from ..ir import Function, Instruction
+from .simplifycfg import remove_unreachable_blocks
 
 
 def dead_code_elimination(function: Function) -> bool:
@@ -25,7 +26,7 @@ def dead_code_elimination(function: Function) -> bool:
 def _dce_round(function: Function) -> bool:
     if not function.blocks:
         return False
-    changed = _remove_unreachable_blocks(function)
+    changed = remove_unreachable_blocks(function)
 
     use_counts: dict[int, int] = {}
     for instr in function.instructions():
@@ -40,49 +41,24 @@ def _dce_round(function: Function) -> bool:
         and instr.op not in ("alloca",)
         and use_counts.get(instr.uid, 0) == 0
     ]
-    dead: set[int] = set()
+    dead: set[Instruction] = set()
     while worklist:
         instr = worklist.pop()
-        if instr.uid in dead or instr.block is None:
+        if instr in dead or instr.block is None:
             continue
-        dead.add(instr.uid)
-        block = instr.block
-        block.remove(instr)
-        changed = True
+        dead.add(instr)
         for operand in instr.operands:
             if isinstance(operand, Instruction) and not operand.has_side_effects:
                 count = use_counts.get(operand.uid, 0) - 1
                 use_counts[operand.uid] = count
                 if count <= 0 and operand.op != "alloca" and operand.block is not None:
                     worklist.append(operand)
+    function.remove_instructions(dead)
+    changed = changed or bool(dead)
 
     # Allocas with only stores into them (dead locals) can also go.
     changed = _remove_dead_allocas(function) or changed
     return changed
-
-
-def _remove_unreachable_blocks(function: Function) -> bool:
-    reachable = set()
-    stack = [function.entry]
-    while stack:
-        block = stack.pop()
-        if block in reachable:
-            continue
-        reachable.add(block)
-        stack.extend(block.successors())
-    removed = [b for b in function.blocks if b not in reachable]
-    if not removed:
-        return False
-    removed_set = set(removed)
-    for block in reachable:
-        for phi in block.phis():
-            for idx in reversed(range(len(phi.phi_blocks))):
-                if phi.phi_blocks[idx] in removed_set:
-                    del phi.phi_blocks[idx]
-                    del phi.operands[idx]
-    for block in removed:
-        function.remove_block(block)
-    return True
 
 
 def _remove_dead_allocas(function: Function) -> bool:
@@ -103,14 +79,11 @@ def _remove_dead_allocas(function: Function) -> bool:
                 stores_to.setdefault(operand.uid, []).append(instr)
             else:
                 escaped.add(operand.uid)
-    changed = False
+    dead: set[Instruction] = set()
     for uid, alloca in allocas.items():
         if uid in loads_from or uid in escaped:
             continue
-        for store in stores_to.get(uid, ()):
-            if store.block is not None:
-                store.block.remove(store)
-        if alloca.block is not None:
-            alloca.block.remove(alloca)
-            changed = True
-    return changed
+        dead.update(stores_to.get(uid, ()))
+        dead.add(alloca)
+    function.remove_instructions(dead)
+    return bool(dead)

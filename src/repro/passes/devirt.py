@@ -28,30 +28,25 @@ from ..ir import (
     Module,
     add_phi_incoming,
     const_int,
+    replace_uses,
 )
 from ..ir.types import I64, PointerType, VoidType, ptr
 
 
 def expand_virtual_calls(module: Module, function: Function) -> bool:
-    changed = False
-    while True:
-        site = _find_vcall(function)
-        if site is None:
-            break
-        _expand_site(module, function, site)
-        changed = True
-    return changed
-
-
-def _find_vcall(function: Function):
-    for block in function.blocks:
+    results: dict[Instruction, Instruction] = {}  # vcall -> its merged result
+    expanded = False
+    for block in function.blocks:  # grows: a site's tail moves to a new last block
         for instr in block.instructions:
             if instr.op == "vcall":
-                return instr
-    return None
+                _expand_site(module, function, instr, results)
+                expanded = True
+                break
+    replace_uses(function, results)
+    return expanded
 
 
-def _expand_site(module: Module, function: Function, vcall: Instruction) -> None:
+def _expand_site(module: Module, function: Function, vcall: Instruction, results: dict) -> None:
     block = vcall.block
     index = block.instructions.index(vcall)
     vclass = vcall.vclass
@@ -124,8 +119,7 @@ def _expand_site(module: Module, function: Function, vcall: Instruction) -> None
             for src_block, value in result_incoming:
                 add_phi_incoming(phi, value, src_block)
             result = phi
-        for instr in function.instructions():
-            instr.replace_uses_of(vcall, result)
+        results[vcall] = result
 
 
 def _cha_candidates(module: Module, vclass, slot: int) -> list[tuple[str, Function]]:

@@ -22,6 +22,7 @@ from ..ir import (
     Instruction,
     Module,
     add_phi_incoming,
+    replace_uses,
 )
 from ..ir.types import VoidType
 
@@ -38,36 +39,33 @@ def make_inliner(module: Module) -> Callable[[Function], bool]:
 
 
 def inline_all_calls(module: Module, function: Function) -> bool:
-    changed = False
-    for _ in range(MAX_INLINE_ROUNDS):
-        site = _find_inlinable_call(function)
-        if site is None:
+    results: dict[Instruction, object] = {}  # inlined call -> its return value
+    inlined = 0
+    for block in function.blocks:  # grows: callee blocks and the site's tail are appended
+        if inlined == MAX_INLINE_ROUNDS:
             break
-        _inline_call_site(function, site)
-        changed = True
-    return changed
-
-
-def _find_inlinable_call(function: Function):
-    for block in function.blocks:
         for instr in block.instructions:
-            if instr.op != "call":
-                continue
-            callee = instr.callee
-            if not isinstance(callee, Function) or not callee.blocks:
-                continue
-            if callee is function:
-                continue  # direct recursion: handled by tailrec/restrictions
-            size = sum(len(b.instructions) for b in callee.blocks)
-            if size > INLINE_BUDGET:
-                continue
-            if callee.attributes.get("noinline"):
-                continue
-            return instr
-    return None
+            if _is_inlinable_call(function, instr):
+                _inline_call_site(function, instr, results)
+                inlined += 1
+                break
+    replace_uses(function, results)
+    return inlined > 0
 
 
-def _inline_call_site(function: Function, call: Instruction) -> None:
+def _is_inlinable_call(function: Function, instr: Instruction) -> bool:
+    if instr.op != "call":
+        return False
+    callee = instr.callee
+    if not isinstance(callee, Function) or not callee.blocks:
+        return False
+    if callee is function:
+        return False  # direct recursion: handled by tailrec/restrictions
+    size = sum(len(b.instructions) for b in callee.blocks)
+    return size <= INLINE_BUDGET and not callee.attributes.get("noinline")
+
+
+def _inline_call_site(function: Function, call: Instruction, results: dict) -> None:
     callee: Function = call.callee
     call_block = call.block
     call_index = call_block.instructions.index(call)
@@ -140,8 +138,7 @@ def _inline_call_site(function: Function, call: Instruction) -> None:
             for rblock, rvalue in returns:
                 add_phi_incoming(phi, rvalue, rblock)
             result = phi
-        for instr in function.instructions():
-            instr.replace_uses_of(call, result)
+        results[call] = result
 
 
 def _clone_instruction(instr: Instruction, vmap, block_map) -> Instruction:

@@ -38,7 +38,6 @@ from typing import Optional
 
 from ..ir import (
     Constant,
-    DominatorTree,
     Function,
     Instruction,
     IRBuilder,
@@ -52,8 +51,7 @@ def reduce_cacheline_contention(function: Function) -> bool:
     if not function.blocks:
         return False
     changed = False
-    domtree = DominatorTree(function)
-    for loop in find_loops(function, domtree):
+    for loop in find_loops(function):
         if not loop.is_innermost() or len(loop.latches) != 1:
             continue
         candidate = _match_candidate(function, loop)

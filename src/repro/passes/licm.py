@@ -36,8 +36,8 @@ def loop_invariant_code_motion(function: Function) -> bool:
 
 
 def _hoist_one_loop(function: Function, loop) -> bool:
-    preds = function.compute_preds()
-    outside_preds = [p for p in preds[loop.header] if p not in loop.blocks]
+    domtree = DominatorTree.of(function)
+    outside_preds = [p for p in domtree.preds[loop.header] if p not in loop.blocks]
     if len(outside_preds) != 1:
         return False
     preheader = outside_preds[0]
@@ -48,7 +48,6 @@ def _hoist_one_loop(function: Function, loop) -> bool:
         if len(preheader.successors()) != 1:
             return False
 
-    domtree = DominatorTree(function)
     loop_has_memory_writes = any(
         instr.op == "store"
         or (

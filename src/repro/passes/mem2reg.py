@@ -22,6 +22,7 @@ from ..ir import (
     Function,
     Instruction,
     add_phi_incoming,
+    replace_uses,
 )
 from ..ir.types import FloatType, IntType, PointerType
 
@@ -33,16 +34,15 @@ def promote_memory_to_registers(function: Function) -> bool:
     if not allocas:
         return False
 
-    domtree = DominatorTree(function)
+    domtree = DominatorTree.of(function)
     reachable = domtree.reachable()
-    preds = function.compute_preds()
 
     # 1. Phi placement at iterated dominance frontiers of defining blocks.
     phis: dict[Instruction, dict] = {}  # alloca -> {block: phi}
-    for alloca in allocas:
+    for alloca, uses in allocas.items():
         def_blocks = {
             use.block
-            for use in _uses_of(function, alloca)
+            for use in uses
             if use.op == "store" and use.block in reachable
         }
         placed: dict = {}
@@ -62,61 +62,56 @@ def promote_memory_to_registers(function: Function) -> bool:
                     worklist.append(frontier_block)
         phis[alloca] = placed
 
-    # 2. Renaming along the dominator tree.
+    # 2. Renaming along the dominator tree.  A load maps to the value
+    # current at that point (possibly a load retired earlier: replace_uses
+    # follows the chain); the function is rewritten once at the end.
     undef = {a: _undef_value(a.alloc_type) for a in allocas}
-    alloca_set = set(allocas)
     stacks: dict[Instruction, list] = {a: [] for a in allocas}
+    replaced: dict[Instruction, object] = {}
+    dead: set[Instruction] = set()
 
     def current(alloca: Instruction):
         return stacks[alloca][-1] if stacks[alloca] else undef[alloca]
 
-    def rename(block) -> None:
+    unwind: list[list] = []  # per open block: the allocas it pushed values for
+    for block, entering in domtree.walk():
+        if not entering:
+            for alloca in unwind.pop():
+                stacks[alloca].pop()
+            continue
         pushed: list[Instruction] = []
+        unwind.append(pushed)
         for alloca, placed in phis.items():
             phi = placed.get(block)
             if phi is not None:
                 stacks[alloca].append(phi)
                 pushed.append(alloca)
-        for instr in list(block.instructions):
-            if instr in alloca_set:
-                block.remove(instr)
-                continue
-            if instr.op == "load" and instr.operands[0] in alloca_set:
-                alloca = instr.operands[0]
-                _replace_all_uses(function, instr, current(alloca))
-                block.remove(instr)
-                continue
-            if instr.op == "store" and instr.operands[1] in alloca_set:
+        for instr in block.instructions:
+            if instr in allocas:
+                dead.add(instr)
+            elif instr.op == "load" and instr.operands[0] in allocas:
+                replaced[instr] = current(instr.operands[0])
+                dead.add(instr)
+            elif instr.op == "store" and instr.operands[1] in allocas:
                 alloca = instr.operands[1]
                 stacks[alloca].append(instr.operands[0])
                 pushed.append(alloca)
-                block.remove(instr)
-                continue
+                dead.add(instr)
         for succ in block.successors():
             for alloca, placed in phis.items():
                 phi = placed.get(succ)
                 if phi is not None:
                     add_phi_incoming(phi, current(alloca), block)
-        for child in domtree.children.get(block, ()):
-            rename(child)
-        for alloca in pushed:
-            stacks[alloca].pop()
 
-    import sys
-
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 2 * len(function.blocks) + 200))
-    try:
-        rename(function.entry)
-    finally:
-        sys.setrecursionlimit(old_limit)
-
+    replace_uses(function, replaced)
+    function.remove_instructions(dead)
     # Prune phis whose block became unreachable mentions or that merge a
     # single distinct value; keep it simple, later DCE/simplifycfg finish up.
     return True
 
 
-def _promotable_allocas(function: Function) -> list[Instruction]:
+def _promotable_allocas(function: Function) -> dict[Instruction, list[Instruction]]:
+    """Promotable allocas, each with the instructions that use it."""
     uses: dict[Instruction, list[Instruction]] = defaultdict(list)
     allocas: list[Instruction] = []
     for instr in function.instructions():
@@ -127,7 +122,7 @@ def _promotable_allocas(function: Function) -> list[Instruction]:
         for operand in instr.operands:
             if isinstance(operand, Instruction):
                 uses[operand].append(instr)
-    result = []
+    result = {}
     for alloca in allocas:
         ok = True
         for use in uses.get(alloca, ()):
@@ -138,21 +133,8 @@ def _promotable_allocas(function: Function) -> list[Instruction]:
             ok = False
             break
         if ok:
-            result.append(alloca)
+            result[alloca] = uses.get(alloca, [])
     return result
-
-
-def _uses_of(function: Function, value: Instruction) -> list[Instruction]:
-    return [
-        instr
-        for instr in function.instructions()
-        if value in instr.operands
-    ]
-
-
-def _replace_all_uses(function: Function, old, new) -> None:
-    for instr in function.instructions():
-        instr.replace_uses_of(old, new)
 
 
 def _undef_value(type_):

@@ -180,15 +180,22 @@ class PassStats:
     name: str
     runs: int = 0
     changed: int = 0
+    skipped: int = 0  # not run: known to leave the function as it is
     seconds: float = 0.0
+    verify_seconds: float = 0.0  # verifying after this pass's changed runs
 
 
 class PassManager:
-    """Runs function passes with optional inter-pass verification."""
+    """Runs function passes with optional inter-pass verification, and
+    does not re-run a pass it knows would change nothing (docs/PASSES.md)."""
 
     def __init__(self, verify: bool = True):
         self.verify = verify
         self.stats: dict[str, PassStats] = {}
+        #: (function, pass) pairs whose last run reported no change, with no
+        #: change by any pass to any function since.  Passes are
+        #: deterministic, so running one of these again is a no-op.
+        self._clean: set[tuple] = set()
 
     def run(
         self,
@@ -204,6 +211,9 @@ class PassManager:
             for pass_fn in passes:
                 name = getattr(pass_fn, "__name__", str(pass_fn))
                 stat = self.stats.setdefault(name, PassStats(name))
+                if (function, pass_fn) in self._clean:
+                    self._skip(stat, pass_fn, function)
+                    continue
                 start = time.perf_counter()
                 changed = bool(pass_fn(function))
                 stat.seconds += time.perf_counter() - start
@@ -211,12 +221,21 @@ class PassManager:
                 if changed:
                     stat.changed += 1
                     round_change = True
+                    self._clean.clear()
                     if self.verify:
+                        start = time.perf_counter()
                         verify_function(function)
+                        stat.verify_seconds += time.perf_counter() - start
+                else:
+                    self._clean.add((function, pass_fn))
             any_change = any_change or round_change
             if not round_change:
                 break
         return any_change
+
+    def _skip(self, stat: PassStats, pass_fn, function: Function) -> None:
+        # Its own method so a test can run the pass anyway and see it idle.
+        stat.skipped += 1
 
 
 def _resolve(config: OptConfig, module: Module, names) -> list:
@@ -261,6 +280,7 @@ def standard_pipeline(
         manager.run(function, cleanup, max_iterations=4)
         manager.run(function, _resolve(config, module, ["licm"]))
         manager.run(function, cleanup, max_iterations=2)
+    function.domtree = None  # DominatorTree.of's; nobody asks after the pipeline
 
 
 def kernel_pipeline(
@@ -318,3 +338,4 @@ def kernel_pipeline(
             _resolve(config, module, ["constfold", "dce", "simplifycfg"]),
             max_iterations=2,
         )
+    kernel.domtree = None

@@ -30,13 +30,7 @@ are only loaded and stored keep their CPU representation end to end).
 
 from __future__ import annotations
 
-from ..ir import (
-    Argument,
-    DominatorTree,
-    Function,
-    Instruction,
-    find_loops,
-)
+from ..ir import Argument, Function, Instruction, find_loops, replace_uses, resolve
 from ..ir.intrinsics import SVM_TO_GPU
 
 
@@ -50,32 +44,32 @@ def optimize_pointer_translations(function: Function) -> bool:
     return changed
 
 
+def _is_translation(instr: Instruction) -> bool:
+    return instr.op == "call" and instr.callee is SVM_TO_GPU
+
+
 def _translation_sites(function: Function) -> list[Instruction]:
-    return [
-        instr
-        for instr in function.instructions()
-        if instr.op == "call" and instr.callee is SVM_TO_GPU
-    ]
+    return [instr for instr in function.instructions() if _is_translation(instr)]
 
 
 def _commute_through_geps(function: Function) -> bool:
-    changed = False
-    work = True
-    while work:
-        work = False
-        for site in _translation_sites(function):
-            source = site.operands[0]
+    """One forward pass: a rewritten site leaves its translated base where
+    it stood, so that is examined next (a gep over a gep commutes twice)."""
+    commuted: dict[Instruction, Instruction] = {}  # site -> its gpu gep
+    for block in function.blocks:
+        index = 0
+        while index < len(block.instructions):
+            site = block.instructions[index]
+            source = resolve(commuted, site.operands[0]) if _is_translation(site) else None
             if not isinstance(source, Instruction) or source.op != "gep":
+                index += 1
                 continue
-            block = site.block
-            index = block.instructions.index(site)
-            base = source.operands[0]
+            base = resolve(commuted, source.operands[0])
             translated_base = Instruction(
                 "call", base.type, [base], name="gpu_base_ptr"
             )
             translated_base.callee = SVM_TO_GPU
             translated_base.loc = site.loc
-            block.insert(index, translated_base)
             gpu_gep = Instruction(
                 "gep",
                 site.type,
@@ -85,14 +79,12 @@ def _commute_through_geps(function: Function) -> bool:
             gpu_gep.gep_offset = source.gep_offset
             gpu_gep.gep_scales = list(source.gep_scales)
             gpu_gep.loc = source.loc
-            block.insert(index + 1, gpu_gep)
-            for instr in function.instructions():
-                instr.replace_uses_of(site, gpu_gep)
-            block.remove(site)
-            changed = True
-            work = True
-            break
-    return changed
+            translated_base.block = gpu_gep.block = block
+            block.instructions[index : index + 1] = [translated_base, gpu_gep]
+            site.block = None
+            commuted[site] = gpu_gep
+    replace_uses(function, commuted)
+    return bool(commuted)
 
 
 def _unify_at_definitions(function: Function) -> bool:
@@ -107,25 +99,25 @@ def _unify_at_definitions(function: Function) -> bool:
         by_source.setdefault(key, []).append(site)
         source_of[key] = source
 
-    changed = False
-    domtree = DominatorTree(function)
+    moved = False
+    unified: dict[Instruction, Instruction] = {}  # duplicate site -> canonical
     for key, group in by_source.items():
         source = source_of[key]
-        canonical = _place_eager_translation(function, domtree, source, group)
+        canonical, placed = _place_eager_translation(function, source, group)
+        moved = moved or placed
         if canonical is None:
             continue
         for site in group:
-            if site is canonical or site.block is None:
-                continue
-            for instr in function.instructions():
-                instr.replace_uses_of(site, canonical)
-            site.block.remove(site)
-            changed = True
-    return changed
+            if site is not canonical:
+                unified[site] = canonical
+    replace_uses(function, unified)
+    function.remove_instructions(set(unified))
+    return moved or bool(unified)
 
 
-def _place_eager_translation(function, domtree, source, group):
-    """Move/create a single translation right after ``source``'s def."""
+def _place_eager_translation(function, source, group) -> tuple:
+    """Move the group's first translation right after ``source``'s def.
+    Returns it (None: leave the group alone) and whether it moved."""
     if isinstance(source, Argument):
         target_block = function.entry
         insert_index = target_block.first_non_phi_index()
@@ -137,19 +129,19 @@ def _place_eager_translation(function, domtree, source, group):
             target_block = source.block
             insert_index = target_block.instructions.index(source) + 1
         else:
-            return None
+            return None, False
     else:
         # Constants/globals: translation folds at codegen; just dedupe to
         # the first site.
-        return group[0]
+        return group[0], False
     canonical = group[0]
     if canonical.block is target_block and (
         target_block.instructions.index(canonical) == insert_index
     ):
-        return canonical
+        return canonical, False
     canonical.block.remove(canonical)
     target_block.insert(insert_index, canonical)
-    return canonical
+    return canonical, True
 
 
 def _sink_translations(function: Function) -> bool:

@@ -4,7 +4,7 @@ block chains, thread trivial jumps, and drop empty forwarding blocks
 
 from __future__ import annotations
 
-from ..ir import Function, Instruction
+from ..ir import Function, Instruction, replace_uses, resolve
 
 
 def simplify_cfg(function: Function) -> bool:
@@ -55,103 +55,97 @@ def remove_unreachable_blocks(function: Function) -> bool:
 
 def _merge_linear_chains(function: Function) -> bool:
     """Merge B into A when A's only successor is B and B's only
-    predecessor is A."""
-    changed = False
-    again = True
-    while again:
-        again = False
-        preds = function.compute_preds()
-        for block in list(function.blocks):
+    predecessor is A.
+
+    One pass: a merge hands A the terminator of B and leaves every other
+    block's predecessor count as it was, so the mergeable edges are known
+    from the start and each block absorbs its whole chain when visited.
+    Retired phis and merged-away blocks are rewritten once at the end.
+    """
+    preds = function.compute_preds()
+    replaced: dict[Instruction, object] = {}
+    merged_into: dict = {}  # absorbed block -> the block it now lives in
+    for block in function.blocks:
+        if block in merged_into:
+            continue
+        while True:
             term = block.terminator
             if term is None or term.op != "br":
-                continue
+                break
             succ = term.targets[0]
-            if succ is block or succ is function.entry:
-                continue
-            if len(preds[succ]) != 1:
-                continue
-            if succ.phis():
-                for phi in succ.phis():
+            if succ is block or succ is function.entry or len(preds[succ]) != 1:
+                break
+            kept = []
+            for instr in succ.instructions:
+                if instr.op == "phi" and instr.operands:
                     # Single predecessor: the phi is trivial.
-                    value = phi.operands[0] if phi.operands else None
-                    if value is None:
-                        continue
-                    _replace_all_uses(function, phi, value)
-                    succ.remove(phi)
-            block.remove(term)
-            for instr in list(succ.instructions):
-                succ.remove(instr)
-                block.append(instr)
-            _redirect_phi_blocks(function, succ, block)
-            function.remove_block(succ)
-            changed = True
-            again = True
-            break
-    return changed
+                    replaced[instr] = instr.operands[0]
+                    instr.block = None
+                else:
+                    instr.block = block
+                    kept.append(instr)
+            block.instructions[-1:] = kept
+            term.block = None
+            succ.instructions = []
+            merged_into[succ] = block
+    if not merged_into:
+        return False
+    replace_uses(function, replaced)
+    function.blocks[:] = [b for b in function.blocks if b not in merged_into]
+    for block in function.blocks:
+        for phi in block.phis():
+            phi.phi_blocks = [resolve(merged_into, b) for b in phi.phi_blocks]
+    return True
 
 
 def _remove_forwarding_blocks(function: Function) -> bool:
     """Remove blocks containing only ``br target`` by retargeting their
-    predecessors, when phi consistency allows it."""
-    changed = False
-    again = True
-    while again:
-        again = False
-        preds = function.compute_preds()
-        for block in list(function.blocks):
-            if block is function.entry:
-                continue
-            if len(block.instructions) != 1:
-                continue
-            term = block.terminator
-            if term is None or term.op != "br":
-                continue
-            target = term.targets[0]
-            if target is block:
-                continue
-            # A condbr with both arms aimed at this block lists its source
-            # twice in compute_preds; phi edges are per-block, so dedupe
-            # (order-preserving) before rewriting them.
-            block_preds = list(dict.fromkeys(preds[block]))
-            if not block_preds:
-                continue
-            # A phi in the target distinguishes incoming edges; retargeting
-            # is safe only if no pred already flows into target (it would
-            # create a duplicate edge with possibly-different phi values).
-            if target.phis():
-                target_preds = set(preds[target])
-                if any(p in target_preds for p in block_preds):
-                    continue
-                for phi in target.phis():
-                    if block in phi.phi_blocks:
-                        idx = phi.phi_blocks.index(block)
-                        incoming_value = phi.operands[idx]
-                        del phi.phi_blocks[idx]
-                        del phi.operands[idx]
-                        for pred in block_preds:
-                            phi.phi_blocks.append(pred)
-                            phi.operands.append(incoming_value)
-            for pred in block_preds:
-                pterm = pred.terminator
-                if pterm is not None:
-                    pterm.targets = [
-                        target if t is block else t for t in pterm.targets
-                    ]
-            function.remove_block(block)
-            changed = True
-            again = True
-            break
-    return changed
+    predecessors, when phi consistency allows it.
 
-
-def _redirect_phi_blocks(function: Function, old_block, new_block) -> None:
+    One pass in block order with the predecessor sets kept current: a
+    removal only ever adds predecessors to its target, which cannot make a
+    block that was refused earlier removable, so nothing is revisited.
+    """
+    order = {block: index for index, block in enumerate(function.blocks)}
+    preds = {block: set(ps) for block, ps in function.compute_preds().items()}
+    removed = set()
     for block in function.blocks:
-        for phi in block.phis():
-            phi.phi_blocks = [
-                new_block if b is old_block else b for b in phi.phi_blocks
-            ]
-
-
-def _replace_all_uses(function: Function, old, new) -> None:
-    for instr in function.instructions():
-        instr.replace_uses_of(old, new)
+        if block is function.entry:
+            continue
+        if len(block.instructions) != 1:
+            continue
+        term = block.terminator
+        if term is None or term.op != "br":
+            continue
+        target = term.targets[0]
+        if target is block:
+            continue
+        # Phi edges are per block, so predecessors are a set; in block
+        # order, which is the order phi edges are appended in.
+        block_preds = sorted(preds[block], key=order.__getitem__)
+        if not block_preds:
+            continue
+        # A phi in the target distinguishes incoming edges; retargeting
+        # is safe only if no pred already flows into target (it would
+        # create a duplicate edge with possibly-different phi values).
+        target_phis = target.phis()
+        if target_phis:
+            if not preds[target].isdisjoint(block_preds):
+                continue
+            for phi in target_phis:
+                if block in phi.phi_blocks:
+                    idx = phi.phi_blocks.index(block)
+                    incoming_value = phi.operands[idx]
+                    del phi.phi_blocks[idx]
+                    del phi.operands[idx]
+                    for pred in block_preds:
+                        phi.phi_blocks.append(pred)
+                        phi.operands.append(incoming_value)
+        for pred in block_preds:
+            pterm = pred.terminator
+            pterm.targets = [target if t is block else t for t in pterm.targets]
+        preds[target].discard(block)
+        preds[target].update(block_preds)
+        removed.add(block)
+    function.blocks[:] = [b for b in function.blocks if b not in removed]
+    return bool(removed)

@@ -9,7 +9,7 @@ header whose phis merge the entry arguments with the recursive arguments.
 
 from __future__ import annotations
 
-from ..ir import Function, Instruction, add_phi_incoming
+from ..ir import Function, Instruction, add_phi_incoming, replace_uses
 
 
 def eliminate_tail_recursion(function: Function) -> bool:
@@ -50,17 +50,12 @@ def eliminate_tail_recursion(function: Function) -> bool:
         phi = Instruction("phi", arg.type, [], name=f"{arg.name}.tr")
         phi.loc = first_call_loc
         header.insert(0, phi)
-        add_phi_incoming(phi, arg, old_entry)
         arg_phis.append(phi)
-    # All uses of arguments (outside the entry block) now use the phis.
-    for block in function.blocks:
-        if block is old_entry:
-            continue
-        for instr in block.instructions:
-            if instr in arg_phis:
-                continue
-            for arg, phi in zip(function.args, arg_phis):
-                instr.replace_uses_of(arg, phi)
+    # All uses of arguments now use the phis (the entry keeps none: allocas
+    # and a branch), then the phis themselves take the arguments from it.
+    replace_uses(function, dict(zip(function.args, arg_phis)))
+    for arg, phi in zip(function.args, arg_phis):
+        add_phi_incoming(phi, arg, old_entry)
 
     # Rewrite each tail-call site into a jump to the header.
     for call, ret in sites:

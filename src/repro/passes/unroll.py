@@ -23,6 +23,7 @@ from ..ir import (
     Function,
     GlobalVariable,
     Instruction,
+    add_phi_incoming,
     find_loops,
 )
 
@@ -126,13 +127,6 @@ def _unroll_one(function: Function, loop, factor: int) -> bool:
             latch_index = phi.phi_blocks.index(latch)
             incoming = phi.operands[latch_index]
             prev_incoming = prev_values.get(incoming, incoming)
-            # Replace the cloned phi with the previous copy's latch value.
-            for block in blocks:
-                for instr in block.instructions:
-                    pass  # originals untouched
-            for nblock in block_map.values():
-                for instr in nblock.instructions:
-                    instr.replace_uses_of(clone_phi, prev_incoming)
             value_map[phi] = prev_incoming
             nheader = block_map[header]
             if clone_phi.block is nheader:
@@ -203,37 +197,36 @@ def _unroll_one(function: Function, loop, factor: int) -> bool:
 def _make_lcssa(function: Function, loop, exit_block, exit_edges) -> bool:
     """Rewrite uses outside the loop to go through phis in the exit block.
 
-    Returns False when LCSSA cannot be established cheaply (a definition
-    that does not dominate every exiting block), in which case the caller
-    skips unrolling this loop.
+    Returns False, with nothing rewritten, when LCSSA cannot be established
+    cheaply (a definition that does not dominate every exiting block), in
+    which case the caller skips unrolling this loop.
     """
-    from ..ir import DominatorTree, add_phi_incoming
-
-    domtree = DominatorTree(function)
+    domtree = DominatorTree.of(function)
     exiting = [inside for inside, _ in exit_edges]
-    loop_instrs = [i for b in loop.ordered() for i in b.instructions]
-    new_phis: set[int] = set()
-    for instr in loop_instrs:
-        if instr.op in ("store", "br", "condbr", "ret", "unreachable"):
+    outside_users: dict[Instruction, list[Instruction]] = {}
+    for block in function.blocks:
+        if block in loop.blocks:
             continue
-        outside_users = [
-            user
-            for user in function.instructions()
-            if user.block not in loop.blocks
-            and instr in user.operands
-            and user.uid not in new_phis
-        ]
-        if not outside_users:
-            continue
-        if not all(domtree.dominates(instr.block, ex) for ex in exiting):
-            return False
+        for user in block.instructions:
+            for operand in user.operands:
+                if isinstance(operand, Instruction) and operand.block in loop.blocks:
+                    outside_users.setdefault(operand, []).append(user)
+    escaping = [
+        instr
+        for block in loop.ordered()
+        for instr in block.instructions
+        if instr in outside_users
+        and instr.op not in ("store", "br", "condbr", "ret", "unreachable")
+    ]
+    if not all(domtree.dominates(i.block, ex) for i in escaping for ex in exiting):
+        return False
+    for instr in escaping:
         phi = Instruction("phi", instr.type, [], name=f"{instr.name or 'v'}.lcssa")
         phi.loc = instr.loc
         exit_block.insert(0, phi)
-        new_phis.add(phi.uid)
         for inside in exiting:
             add_phi_incoming(phi, instr, inside)
-        for user in outside_users:
+        for user in outside_users[instr]:
             user.replace_uses_of(instr, phi)
     return True
 

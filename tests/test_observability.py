@@ -191,6 +191,16 @@ class TestProfileWorkload:
         assert doc["counters"]["engine.instructions"] > 0
         assert doc["passes"], "pass statistics must be recorded"
         assert any(key.startswith("passes.") for key in doc["counters"])
+        # skipped runs and verification time are reported, apart from the
+        # runs / seconds they used to hide in or be missing from
+        counters = doc["counters"]
+        for stat in doc["passes"]:
+            assert counters[f"passes.{stat['name']}.skipped"] == stat["skipped"]
+            assert (stat["verify_seconds"] > 0) == (stat["changed"] > 0)
+        assert sum(stat["skipped"] for stat in doc["passes"]) > 0
+        assert counters["passes.verify_s"] == pytest.approx(
+            sum(stat["verify_seconds"] for stat in doc["passes"])
+        )
         span_names = {span["name"] for span in doc["spans"]}
         assert "compile" in span_names
 
