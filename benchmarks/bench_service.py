@@ -38,7 +38,7 @@ def daemon():
 
 
 def test_cold_compile_request(benchmark, daemon):
-    """Every request a distinct program: frontend + pipeline + closure."""
+    """Every request a distinct program: a whole compile and one put."""
     host, port, _service = daemon
     client = ServiceClient(host, port)
     sources = iter(generate_sources(512))
@@ -59,11 +59,7 @@ def test_warm_compile_request(benchmark, daemon):
 
     def warm():
         reply = client.compile(source=source, config="GPU+ALL")
-        assert reply["ok"] and reply["stages"] == {
-            "frontend": "hit",
-            "pipeline": "hit",
-            "closure": "hit",
-        }
+        assert reply["ok"] and reply["stages"] == {"closure": "hit"}
 
     benchmark.pedantic(warm, rounds=30, iterations=1)
 

@@ -65,15 +65,8 @@ import sys
 
 from .analysis import kernel_mix
 from .ir import format_function
-from .passes import OptConfig
+from .passes import CONFIGS
 from .runtime import ConcordRuntime, compile_source, desktop, ultrabook
-
-CONFIGS = {
-    "GPU": OptConfig.gpu,
-    "GPU+PTROPT": OptConfig.gpu_ptropt,
-    "GPU+L3OPT": OptConfig.gpu_l3opt,
-    "GPU+ALL": OptConfig.gpu_all,
-}
 
 
 def _policy_names() -> list:
@@ -381,7 +374,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: cannot read {args.file}: {exc.strerror}", file=sys.stderr)
         return 1
-    config = CONFIGS[args.config]()
+    config = CONFIGS[args.config]
     from .minicpp import LexError, LowerError, ParseError, SemaError
 
     try:

@@ -221,7 +221,7 @@ class GpuBackend(Backend):
         n = len(copies)
         group = _runtime_mod().REDUCTION_GROUP_SIZE
         num_groups = (n + group - 1) // group
-        join_fn = getattr(kinfo, "gpu_join_kernel", None) or kinfo.join_kernel
+        join_fn = kinfo.gpu_join_kernel or kinfo.join_kernel
         if join_fn is None:
             warnings.warn(
                 f"reduce body {kinfo.body_class.name} has no join "

@@ -7,7 +7,7 @@ from .devirt import expand_virtual_calls
 from .inline import inline_all_calls, make_inliner
 from .l3opt import reduce_cacheline_contention
 from .mem2reg import promote_memory_to_registers
-from .pipeline import OptConfig, PassManager, kernel_pipeline, standard_pipeline
+from .pipeline import CONFIGS, OptConfig, PassManager, kernel_pipeline, standard_pipeline
 from .ptropt import optimize_pointer_translations
 from .simplifycfg import simplify_cfg
 from .svmlower import lower_svm_pointers
@@ -15,6 +15,7 @@ from .tailrec import eliminate_tail_recursion, has_nontail_recursion
 from .unroll import unroll_loops
 
 __all__ = [
+    "CONFIGS",
     "OptConfig",
     "PassManager",
     "common_subexpression_elimination",

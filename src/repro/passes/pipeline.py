@@ -175,6 +175,11 @@ class OptConfig:
         ]
 
 
+#: The paper's four configurations by label (the CLI's ``--config``
+#: choices and the daemon protocol's ``"config"`` strings).
+CONFIGS = {config.label: config for config in OptConfig.all_configs()}
+
+
 @dataclass
 class PassStats:
     name: str

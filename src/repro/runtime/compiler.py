@@ -1,33 +1,38 @@
 """The static Concord compiler driver (paper Figure 2, left column).
 
-Compilation is **staged** (see ``docs/SERVICE.md``): three explicit,
-separately cacheable stages replace the old opaque monolith, each
-producing an artifact stamped with a stable **content hash** of its
-canonicalized inputs:
+Compilation is three pure, in-memory stages (see ``docs/SERVICE.md``):
 
 1. :func:`frontend_stage` — parse MiniC++, semantic analysis, lowering
    to IR (CLANG/LLVM stand-in), and discovery of heterogeneous loop-body
    classes (any class with ``operator()(int)`` is offloadable; a
    ``join(Body&)`` method makes it a reduction body) plus their kernel
-   wrappers.  Hash of (canonical source, module name, version salt).
+   wrappers.
 2. :func:`pipeline_stage` — the standard optimization pipeline over
    every function, then the device-lowering pipeline (devirt, SVM,
    PTROPT/L3OPT per config) on each kernel clone, plus the restriction
    checker (flagged kernels are marked CPU-only with a compile-time
-   warning, exactly as the paper describes).  Hash of (frontend hash,
-   canonical pass config, pass-registry composition).
+   warning, exactly as the paper describes).
 3. :func:`closure_stage` — emit the executable closure: OpenCL C text
    per kernel (plus the section 3.3 reduce wrapper) embedded in the
    returned :class:`CompiledProgram` (the "executable: IA binary +
-   OpenCL").  The program's ``program_id`` *is* this stage's hash.
+   OpenCL").
 
-:func:`compile_source` chains the three stages in memory and is
-bit-identical to the pre-staged monolith.  :func:`compile_cached`
-additionally consults an artifact store (``repro.service.ArtifactStore``
-or anything with ``get``/``put``) at every stage, so a warm store skips
-the frontend, the pipeline and the closure emission entirely —
+Each stage's inputs have a stable **content hash** (:func:`frontend_key`
+→ :func:`pipeline_key` → :func:`program_key`); the last one *is* the
+program's ``program_id``, a pure function of (source, module name,
+options, pass registry, version salt) that is known before anything is
+compiled.
+
+:func:`compile_source` runs the chain.  :func:`compile_cached` runs the
+same chain behind an artifact store (``repro.service.ArtifactStore`` or
+anything with ``get``/``put``) under one rule — *a program is either in
+the store or it is compiled*: the finished :class:`CompiledProgram` is
+the only artifact read or written, keyed by its ``program_id``, as the
+paper's runtime caches only the finished binary (section 3.4).  A hit
+skips the frontend, the pipeline and the closure emission entirely —
 the substrate of the persistent compile service (``python -m repro
-serve``).
+serve``); a missing, evicted or damaged artifact is a recompile and a
+re-put.
 
 Because ``program_id`` is a content hash, it is stable across processes
 and across recompiles of the same (source, options) pair, and two
@@ -49,7 +54,7 @@ from .. import ir
 from ..ir import Function, FunctionType, IRBuilder, Module
 from ..ir.intrinsics import GPU_GLOBAL_ID
 from ..ir.types import I32, PointerType, VOID, ptr
-from ..minicpp import Sema, UnitLowerer, check_kernel, parse
+from ..minicpp import LowerError, Sema, UnitLowerer, check_kernel, parse
 from ..minicpp.sema import ClassInfo
 from ..passes import OptConfig, PassManager, kernel_pipeline, standard_pipeline
 from ..passes.pipeline import PASS_REGISTRY
@@ -135,6 +140,7 @@ class KernelInfo:
     kernel: Function  # CPU-form kernel (per-iteration entry, pre device lowering)
     gpu_kernel: Function  # device-lowered kernel (SVM translations etc.)
     join_kernel: Optional[Function] = None  # reductions only
+    gpu_join_kernel: Optional[Function] = None  # device-lowered join
     construct: str = "for"  # 'for' | 'reduce'
     cpu_only: bool = False
     violations: list = field(default_factory=list)
@@ -160,17 +166,14 @@ class FrontendArtifact:
 @dataclass
 class PipelineArtifact:
     """Stage 2 output: the fully optimized and device-lowered module.
-    ``key`` is :func:`pipeline_key`; ``warnings`` carries the restriction
-    messages so a store hit replays them faithfully."""
+    ``key`` is :func:`pipeline_key`."""
 
     key: str
-    frontend_key: str
     config: OptConfig
     module: Module
     sema: Sema
     kernels: dict
     source: str
-    warnings: list = field(default_factory=list)
 
 
 @dataclass
@@ -247,10 +250,19 @@ def frontend_stage(
 ) -> FrontendArtifact:
     """Parse + semantic analysis + lowering + kernel-wrapper discovery."""
     with _span(observer, "frontend"):
-        unit = parse(source)
-        sema = Sema(unit)
-        lowerer = UnitLowerer(sema, ir.Module(module_name))
-        module = lowerer.lower_unit()
+        try:
+            unit = parse(source)
+            sema = Sema(unit)
+            lowerer = UnitLowerer(sema, ir.Module(module_name))
+            module = lowerer.lower_unit()
+        except RecursionError:
+            # The parser and the lowering recurse on expression depth (a
+            # left-leaning chain of n operators lowers ~3n frames deep).
+            raise LowerError(
+                "expression nested too deeply for the frontend (several "
+                "hundred chained operators or parentheses); split it "
+                "across statements"
+            ) from None
         # The line profiler resolves instruction locs back to source
         # text through the module (repro.obs.lines).
         module.source_text = source
@@ -312,7 +324,6 @@ def pipeline_stage(
 
     from .clone import clone_function
 
-    restriction_warnings: list[str] = []
     for kinfo in kernels.values():
         with _span(observer, "device_lower", kernel=kinfo.kernel.name):
             kinfo.violations = check_kernel(module, kinfo.kernel)
@@ -325,13 +336,7 @@ def pipeline_stage(
                 ]
             if kinfo.violations:
                 kinfo.cpu_only = True
-                details = "; ".join(str(v) for v in kinfo.violations)
-                message = (
-                    f"Concord: {kinfo.body_class.name} cannot run on the GPU "
-                    f"({details}); falling back to CPU execution"
-                )
-                restriction_warnings.append(message)
-                warnings.warn(message, ConcordWarning, stacklevel=3)
+                _warn_cpu_only(kinfo)
                 continue
             gpu_kernel = clone_function(
                 module, kinfo.kernel, kinfo.kernel.name + ".gpu"
@@ -348,17 +353,13 @@ def pipeline_stage(
                     module, gpu_join, config, manager=manager, observer=observer
                 )
                 kinfo.gpu_join_kernel = gpu_join
-            else:
-                kinfo.gpu_join_kernel = None
     return PipelineArtifact(
         key=pipeline_key(front.key, config),
-        frontend_key=front.key,
         config=config,
         module=module,
         sema=front.sema,
         kernels=kernels,
         source=front.source,
-        warnings=restriction_warnings,
     )
 
 
@@ -378,14 +379,13 @@ def closure_stage(pipe: PipelineArtifact, observer=None) -> CompiledProgram:
             if kinfo.cpu_only:
                 continue
             kinfo.opencl_source = emit_kernel_opencl(pipe.module, kinfo.gpu_kernel)
-            gpu_join = getattr(kinfo, "gpu_join_kernel", None)
-            if gpu_join is not None:
+            if kinfo.gpu_join_kernel is not None:
                 kinfo.reduce_wrapper_source = emit_reduce_wrapper_opencl(
                     pipe.module,
                     kinfo.body_class.struct_type.name,
                     kinfo.body_class.struct_type.size(),
                     kinfo.gpu_kernel,
-                    gpu_join,
+                    kinfo.gpu_join_kernel,
                     group_size=REDUCTION_GROUP_SIZE,
                 )
     return CompiledProgram(
@@ -399,6 +399,31 @@ def closure_stage(pipe: PipelineArtifact, observer=None) -> CompiledProgram:
 
 
 # -- drivers -------------------------------------------------------------------
+
+
+def _compile(source, config, module_name, store, observer) -> tuple:
+    """The one compile chain: ``(program, "hit" | "miss")``.  With a
+    ``store``, the finished program is looked up under its
+    ``program_id`` first and written back after a compile."""
+    config = config or OptConfig.gpu_all()
+    with _span(observer, "compile", module=module_name):
+        if store is not None:
+            program = store.get(
+                "closure",
+                program_key(pipeline_key(frontend_key(source, module_name), config)),
+            )
+            if program is not None:
+                _replay_restriction_warnings(program)
+                return program, "hit"
+        manager = PassManager(verify=config.verify) if observer is not None else None
+        front = frontend_stage(source, module_name, observer=observer)
+        pipe = pipeline_stage(front, config, observer=observer, manager=manager)
+        program = closure_stage(pipe, observer=observer)
+        if store is not None:
+            store.put("closure", program.program_id, program)
+    if observer is not None:
+        observer.record_pass_stats(manager.stats.values())
+    return program, "miss"
 
 
 def compile_source(
@@ -416,15 +441,7 @@ def compile_source(
     records pass statistics into the observer.  Without one, compilation
     runs the exact pre-observability code paths.
     """
-    config = config or OptConfig.gpu_all()
-    manager = PassManager(verify=config.verify) if observer is not None else None
-    with _span(observer, "compile", module=module_name):
-        front = frontend_stage(source, module_name, observer=observer)
-        pipe = pipeline_stage(front, config, observer=observer, manager=manager)
-        program = closure_stage(pipe, observer=observer)
-    if observer is not None:
-        observer.record_pass_stats(manager.stats.values())
-    return program
+    return _compile(source, config, module_name, None, observer)[0]
 
 
 def compile_cached(
@@ -434,93 +451,44 @@ def compile_cached(
     store=None,
     observer=None,
 ) -> tuple:
-    """Staged compilation through an artifact store.
+    """:func:`compile_source` behind an artifact store.
 
     ``store`` is anything with ``get(kind, key) -> object | None`` and
     ``put(kind, key, obj)`` (canonically a
     :class:`repro.service.ArtifactStore`); ``None`` degenerates to
-    :func:`compile_source`.  Returns ``(program, stages)`` where
-    ``stages`` maps each stage name to ``"hit"`` or ``"miss"`` — a fully
-    warm store answers from the ``closure`` artifact alone and skips the
-    frontend, the pipeline and the codegen work entirely.
+    :func:`compile_source`.  Returns ``(program, {"closure": outcome})``:
+    ``"hit"`` when the stored program answered and no stage ran,
+    ``"miss"`` when the program was compiled (and stored).
 
     Every run of the returned program is bit-identical to one compiled
-    monolithically: artifacts are snapshots of the exact objects the
-    in-memory pipeline produces (the compile-cache fuzz oracle and
+    without a store: the artifact is a snapshot of the exact object the
+    in-memory chain produces (the compile-cache fuzz oracle and
     ``tests/test_staged_compile.py`` hold it to that bar).
     """
-    config = config or OptConfig.gpu_all()
-    if store is None:
-        return (
-            compile_source(source, config, module_name, observer=observer),
-            {"frontend": "miss", "pipeline": "miss", "closure": "miss"},
+    program, outcome = _compile(source, config, module_name, store, observer)
+    if store is not None and observer is not None:
+        observer.counters.add(
+            "service.closure_hits" if outcome == "hit" else "service.closure_misses"
         )
-    counters = observer.counters if observer is not None else None
+    return program, {"closure": outcome}
 
-    def note(stage: str, outcome: str) -> None:
-        if counters is not None:
-            counters.add(f"service.{stage}_{outcome}s" if outcome == "hit"
-                         else f"service.{stage}_{outcome}es")
 
-    stages = {}
-    fkey = frontend_key(source, module_name)
-    pkey = pipeline_key(fkey, config)
-    ckey = program_key(pkey)
-
-    manager = PassManager(verify=config.verify) if observer is not None else None
-    with _span(observer, "compile", module=module_name):
-        program = store.get("closure", ckey)
-        if program is not None:
-            stages = {"frontend": "hit", "pipeline": "hit", "closure": "hit"}
-            for stage in stages:
-                note(stage, "hit")
-            _replay_restriction_warnings(program)
-            return program, stages
-
-        note("closure", "miss")
-        stages["closure"] = "miss"
-        pipe = store.get("pipeline", pkey)
-        if pipe is not None:
-            stages["frontend"] = stages["pipeline"] = "hit"
-            note("frontend", "hit")
-            note("pipeline", "hit")
-            for message in pipe.warnings:
-                warnings.warn(message, ConcordWarning, stacklevel=2)
-        else:
-            note("pipeline", "miss")
-            stages["pipeline"] = "miss"
-            front = store.get("frontend", fkey)
-            if front is not None:
-                stages["frontend"] = "hit"
-                note("frontend", "hit")
-            else:
-                note("frontend", "miss")
-                stages["frontend"] = "miss"
-                front = frontend_stage(source, module_name, observer=observer)
-                store.put("frontend", fkey, front)
-            pipe = pipeline_stage(
-                front, config, observer=observer, manager=manager
-            )
-            store.put("pipeline", pkey, pipe)
-        program = closure_stage(pipe, observer=observer)
-        store.put("closure", ckey, program)
-    if observer is not None and manager is not None:
-        observer.record_pass_stats(manager.stats.values())
-    return program, stages
+def _warn_cpu_only(kinfo: KernelInfo) -> None:
+    details = "; ".join(str(v) for v in kinfo.violations)
+    warnings.warn(
+        f"Concord: {kinfo.body_class.name} cannot run on the GPU "
+        f"({details}); falling back to CPU execution",
+        ConcordWarning,
+        stacklevel=5,  # the caller of compile_source / compile_cached
+    )
 
 
 def _replay_restriction_warnings(program: CompiledProgram) -> None:
     """A store hit must behave like a compile: CPU-only kernels warned at
     compile time, so they warn on every warm load too."""
     for kinfo in program.kernels.values():
-        if kinfo.cpu_only and kinfo.violations:
-            details = "; ".join(str(v) for v in kinfo.violations)
-            warnings.warn(
-                f"Concord: {kinfo.body_class.name} cannot run on the GPU "
-                f"({details}); falling back to CPU execution",
-                ConcordWarning,
-                stacklevel=3,
-            )
+        if kinfo.cpu_only:
+            _warn_cpu_only(kinfo)
 
 
 # -- kernel wrappers -----------------------------------------------------------

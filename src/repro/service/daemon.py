@@ -1,10 +1,10 @@
 """The persistent compile service: ``python -m repro serve``.
 
 A long-lived daemon that accepts **concurrent** compile and run requests
-over local HTTP (JSON bodies), answering compiles through the staged,
-content-addressed pipeline (``repro.runtime.compiler.compile_cached``)
-backed by a shared on-disk :class:`~repro.service.store.ArtifactStore` —
-so the second request for an identical (source, options) pair skips the
+over local HTTP (JSON bodies), answering compiles through
+``repro.runtime.compiler.compile_cached`` backed by a shared on-disk
+:class:`~repro.service.store.ArtifactStore` of finished programs — so
+the second request for an identical (source, options) pair skips the
 frontend, the pipeline and the closure emission entirely, in this
 process or any other pointed at the same store.
 
@@ -22,7 +22,7 @@ Observability: every request runs under a private ``repro.obs`` span
 is folded into the daemon's shared :class:`AggregatorSink` under a
 lock, so ``/v1/stats`` reports per-endpoint p50/p99 without the
 lock-free observer ever being shared across threads.  ``service.*``
-counters account stage hits/misses, corrupt artifacts, evictions,
+counters account closure hits/misses, corrupt artifacts, evictions,
 requests and errors.
 
 Isolation: compile requests are truly concurrent (each works on its own
@@ -42,21 +42,17 @@ import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from ..passes import OptConfig
+from ..passes import CONFIGS, OptConfig
 from .store import ArtifactStore
 
 __all__ = ["CompileService", "ServiceClient", "serve"]
 
-#: The CLI's four paper configurations, by label.
-CONFIGS = {
-    "GPU": OptConfig.gpu,
-    "GPU+PTROPT": OptConfig.gpu_ptropt,
-    "GPU+L3OPT": OptConfig.gpu_l3opt,
-    "GPU+ALL": OptConfig.gpu_all,
-}
-
 #: Retained request-latency samples per span name (p50/p99 window).
 LATENCY_SAMPLES = 2048
+
+#: Largest request body the daemon will read (the biggest workload source
+#: is ~10 kB); anything longer is refused with 413 before any read.
+MAX_BODY_BYTES = 8 << 20
 
 
 def _resolve_config(spec) -> OptConfig:
@@ -65,7 +61,7 @@ def _resolve_config(spec) -> OptConfig:
     if isinstance(spec, str):
         if spec not in CONFIGS:
             raise ValueError(f"unknown config {spec!r} (expected one of {sorted(CONFIGS)})")
-        return CONFIGS[spec]()
+        return CONFIGS[spec]
     if isinstance(spec, dict):
         disabled = frozenset(spec.get("disabled", ()))
         return OptConfig(
@@ -86,7 +82,7 @@ class CompileService:
 
     #: hot deserialized programs kept in memory (bounded LRU): a warm
     #: request for a program this process already loaded skips even the
-    #: store read + unpickle, not just the compile stages
+    #: store read + unpickle, not just the compile
     MEMORY_PROGRAMS = 64
 
     def __init__(self, store_dir, byte_budget=None, span_samples=LATENCY_SAMPLES):
@@ -151,9 +147,9 @@ class CompileService:
         return Observer()
 
     def _compile_through_caches(self, source, config, module_name, observer):
-        """Memory cache → artifact store → staged compile.  A memory hit
-        still counts as hitting all three stages (the request skipped
-        them), plus ``service.memory_hits``."""
+        """Memory cache → artifact store → compile.  A memory hit still
+        counts as a closure hit (the request skipped the compile), plus
+        ``service.memory_hits``."""
         from ..runtime.compiler import (
             _replay_restriction_warnings,
             compile_cached,
@@ -168,12 +164,10 @@ class CompileService:
             if program is not None:
                 self._memory.move_to_end(ckey)
         if program is not None:
-            counters = observer.counters
-            counters.add("service.memory_hits")
-            for stage in ("frontend", "pipeline", "closure"):
-                counters.add(f"service.{stage}_hits")
+            observer.counters.add("service.memory_hits")
+            observer.counters.add("service.closure_hits")
             _replay_restriction_warnings(program)
-            return program, {"frontend": "hit", "pipeline": "hit", "closure": "hit"}
+            return program, {"closure": "hit"}
         program, stages = compile_cached(
             source, config, module_name=module_name,
             store=self.store, observer=observer,
@@ -354,6 +348,12 @@ class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     service: CompileService = None  # set by serve()
     quiet = True
+    #: A reply written as two small sends (headers, then body) makes a
+    #: keep-alive client wait out Nagle + delayed ACK, ~40 ms a request.
+    #: Buffered, headers and body leave in one send when the request ends;
+    #: a reply larger than the buffer still leaves in several, so no Nagle.
+    wbufsize = -1
+    disable_nagle_algorithm = True
 
     def log_message(self, fmt, *args):  # pragma: no cover - log plumbing
         if not self.quiet:
@@ -364,11 +364,12 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(blob)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(blob)
 
-    def _payload(self) -> dict:
-        length = int(self.headers.get("Content-Length", "0") or "0")
+    def _payload(self, length: int) -> dict:
         raw = self.rfile.read(length) if length else b"{}"
         doc = json.loads(raw.decode("utf-8")) if raw.strip() else {}
         if not isinstance(doc, dict):
@@ -389,7 +390,22 @@ class _Handler(BaseHTTPRequestHandler):
             threading.Thread(target=self.server.shutdown, daemon=True).start()
             return
         try:
-            payload = self._payload()
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            length = -1
+        if not 0 <= length <= MAX_BODY_BYTES:
+            # Refused before any read: a negative length would block this
+            # thread until the peer hangs up, an unbounded one makes the
+            # daemon buffer whatever it is sent.  The body stays unread, so
+            # the connection cannot carry another request.
+            self.close_connection = True
+            self._reply(
+                400 if length < 0 else 413,
+                {"ok": False, "error": f"Content-Length must be 0..{MAX_BODY_BYTES}"},
+            )
+            return
+        try:
+            payload = self._payload(length)
             if self.path == "/v1/compile":
                 self._reply(200, self.service.compile(payload))
             elif self.path == "/v1/run":

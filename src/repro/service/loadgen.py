@@ -11,7 +11,7 @@ threads, two phases —
   so each request must answer from the closure artifact alone.
 
 The report carries client-observed p50/p99 latency per phase, the
-cold/warm speedup, and the daemon's own ``/v1/stats`` snapshot (stage
+cold/warm speedup, and the daemon's own ``/v1/stats`` snapshot (closure
 hit/miss counters, store stats, server-side request percentiles) —
 the evidence the service-smoke CI job archives.
 """

@@ -1,16 +1,15 @@
 """The on-disk compile-artifact store: content-addressed, atomic, LRU.
 
-Layout (one file per artifact, sharded by hash prefix to keep
-directories small)::
+Layout (one file per artifact under its ``kind``, sharded by hash prefix
+to keep directories small).  The compiler stores one kind — the finished
+program, keyed by its ``program_id``::
 
     <root>/
-      frontend/ab/abcdef....art
-      pipeline/12/123456....art
       closure/9f/9fe421....art
 
 Every file is ``MAGIC ++ sha256(payload) ++ payload`` where the payload
-is the pickled stage artifact (``repro.runtime.compiler`` dataclasses
-pickle cleanly — the IR graph is plain objects).  The 40-byte header
+is the pickled artifact (``repro.runtime.compiler.CompiledProgram``
+pickles cleanly — the IR graph is plain objects).  The 40-byte header
 makes truncation and bit-rot *detectable*: a reader that finds a bad
 magic, a short file or a digest mismatch deletes the file, bumps
 ``service.cache_corrupt`` and reports a miss — the caller recompiles,
@@ -35,6 +34,7 @@ import os
 import pickle
 import sys
 import tempfile
+import threading
 import time
 
 __all__ = ["ArtifactStore", "STORE_MAGIC"]
@@ -42,20 +42,25 @@ __all__ = ["ArtifactStore", "STORE_MAGIC"]
 STORE_MAGIC = b"RPROART1"
 _HEADER_LEN = len(STORE_MAGIC) + 32  # magic + sha256(payload)
 
-#: Stage artifacts nest the whole IR graph; default pickle recursion
-#: headroom is not always enough for deep block chains.
+#: Programs nest the whole IR graph; default pickle recursion headroom
+#: is not always enough for deep block chains.
 _PICKLE_RECURSION_LIMIT = 100_000
+
+#: The recursion limit is process-wide: without this, one thread's restore
+#: lowers the limit under another thread's pickle.
+_PICKLE_LOCK = threading.Lock()
 
 
 def _dumps(obj) -> bytes:
-    limit = sys.getrecursionlimit()
-    if limit < _PICKLE_RECURSION_LIMIT:
-        sys.setrecursionlimit(_PICKLE_RECURSION_LIMIT)
-    try:
-        return pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    finally:
+    with _PICKLE_LOCK:
+        limit = sys.getrecursionlimit()
         if limit < _PICKLE_RECURSION_LIMIT:
-            sys.setrecursionlimit(limit)
+            sys.setrecursionlimit(_PICKLE_RECURSION_LIMIT)
+        try:
+            return pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+        finally:
+            if limit < _PICKLE_RECURSION_LIMIT:
+                sys.setrecursionlimit(limit)
 
 
 class ArtifactStore:

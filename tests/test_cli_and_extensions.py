@@ -1,6 +1,9 @@
 """Tests for the CLI compiler driver and the device-allocation extension
 (the restriction the paper plans to lift as future work)."""
 
+import os
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -142,6 +145,33 @@ class TestCli:
         assert cli_main(["run", str(path), "--body", "Pure", "--n", "4"]) == 0
         out = capsys.readouterr().out
         assert "device=gpu" in out
+
+    @pytest.mark.parametrize("terms, status", [(300, 0), (2000, 1)])
+    def test_long_sum_compiles_or_gets_a_diagnostic(self, tmp_path, terms, status):
+        """The frontend recurses on expression depth: a sum it can hold
+        compiles, one it cannot is a one-line error, never a traceback.
+        Through ``python -m repro`` so the stack depth is the CLI's."""
+        path = tmp_path / "sum.cpp"
+        chain = " + ".join(f"data[i + {k}]" for k in range(terms))
+        path.write_text(
+            "class Sum {\npublic:\n  int* data;\n  int* out;\n"
+            f"  void operator()(int i) {{ out[i] = {chain}; }}\n}};\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "compile", str(path), "--emit", "kernels"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == status, done.stderr
+        assert "Traceback" not in done.stderr
+        if status == 0:
+            assert done.stdout == "Sum: for\n"
+        else:
+            assert done.stderr == f"{path}: error: expression nested too deeply " \
+                "for the frontend (several hundred chained operators or " \
+                "parentheses); split it across statements\n"
 
     def test_no_kernels_error(self, tmp_path, capsys):
         path = tmp_path / "nothing.cpp"

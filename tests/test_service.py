@@ -6,15 +6,17 @@ fall back to a recompile, counted under ``service.cache_corrupt``),
 concurrent writers — including two separate processes — race benignly
 on one store, and a warm daemon request for an identical
 (source, options) pair skips the frontend, the pipeline and the closure
-emission entirely (asserted via the ``service.*`` stage-hit counters).
+emission entirely (asserted via the ``service.closure_*`` counters).
 """
 
+import http.client
 import json
 import os
 import subprocess
 import sys
 import tempfile
 import threading
+import time
 import warnings
 
 import pytest
@@ -46,6 +48,27 @@ public:
     void operator()(int i) { data[i] = data[i] + 7; }
 };
 """
+
+
+#: 60 sequential ``if``s: a block chain too deep to pickle at the default
+#: recursion limit (``pickle.dumps`` fails on it from about 50).
+DEEP_SOURCE = (
+    "class Deep {\npublic:\n  int* data;\n  void operator()(int i) {\n"
+    "    int acc = 0;\n"
+    + "".join(f"    if (data[i] > {k}) {{ acc = acc + {k}; }}\n" for k in range(60))
+    + "    data[i] = acc;\n  }\n};\n"
+)
+
+
+class _Gate:
+    """Pickles as ``0`` after calling ``hook`` from inside the pickler."""
+
+    def __init__(self, hook):
+        self.hook = hook
+
+    def __reduce__(self):
+        self.hook()
+        return int, ()
 
 
 def _compile_into(store, source=SOURCE, observer=None):
@@ -97,10 +120,9 @@ class TestArtifactStore:
         with tempfile.TemporaryDirectory() as root:
             store = ArtifactStore(root, counters=observer.counters)
             _program, stages = _compile_into(store)
-            assert set(stages.values()) == {"miss"}
-            [path] = [
-                p for p in _artifact_paths(store) if os.sep + "closure" + os.sep in p
-            ]
+            assert stages == {"closure": "miss"}
+            [path] = _artifact_paths(store)  # the program, nothing else
+            assert os.sep + "closure" + os.sep in path
             blob = open(path, "rb").read()
             if damage == "truncate_header":
                 blob = blob[:10]
@@ -115,18 +137,15 @@ class TestArtifactStore:
                 handle.write(blob)
 
             program, stages = _compile_into(store, observer=observer)
-            # frontend + pipeline artifacts are intact, only the closure
-            # was damaged: the staged path resumes from the deepest
-            # healthy artifact.
-            assert stages == {
-                "frontend": "hit", "pipeline": "hit", "closure": "miss"
-            }
-            assert not os.path.exists(path) or open(path, "rb").read() != blob
+            # A damaged program is no program: recompile and re-put.
+            assert stages == {"closure": "miss"}
+            assert open(path, "rb").read() != blob
             assert observer.counters.get("service.cache_corrupt") == 1
+            assert observer.counters.get("service.closure_misses") == 1
             assert program.kernels  # the recompile is a real program
-            # ... and the store healed: fully warm on the next request.
+            # ... and the store healed: warm on the next request.
             _again, stages = _compile_into(store)
-            assert set(stages.values()) == {"hit"}
+            assert stages == {"closure": "hit"}
 
     def test_incompatible_pickle_is_corrupt_not_fatal(self):
         """A digest-valid artifact that does not unpickle (written by an
@@ -158,16 +177,64 @@ class TestArtifactStore:
             store = ArtifactStore(
                 root, byte_budget=1024, counters=observer.counters
             )
-            _compile_into(store)  # 3 puts, each larger than the budget
-            leftover = _artifact_paths(store)
-            total = sum(os.path.getsize(p) for p in leftover)
-            assert store.evictions >= 2
-            assert observer.counters.get("service.store_evictions") >= 2
-            assert len(leftover) <= 1
+            # two programs = two puts, each larger than the budget
+            _compile_into(store)
+            _compile_into(store, source=SOURCE.replace("7", "9"))
+            assert store.evictions == 2
+            assert observer.counters.get("service.store_evictions") == 2
+            assert _artifact_paths(store) == []
             # The next request recompiles (evicted != corrupt) ...
             _program, stages = _compile_into(store)
-            assert "miss" in stages.values()
+            assert stages == {"closure": "miss"}
             assert observer.counters.get("service.cache_corrupt", 0) == 0
+
+    def test_concurrent_puts_keep_the_recursion_limit_raised(self):
+        """``put`` raises the process-wide recursion limit around its
+        pickle and restores it after.  Thread A is held inside its pickle
+        until B is inside its own (or, the pickles being serialized,
+        until it is plain B cannot get there); B then pickles a program
+        too deep for the default limit, after A has restored it."""
+        from repro.runtime import compile_source
+
+        deep = compile_source(DEEP_SOURCE)
+        limit = sys.getrecursionlimit()
+        a_inside, b_inside, a_done = (threading.Event() for _ in range(3))
+        failures = []
+
+        def hold_a():
+            a_inside.set()
+            b_inside.wait(timeout=0.2)
+
+        def hold_b():
+            b_inside.set()
+            assert a_done.wait(timeout=30)
+
+        def put_a(store):
+            store.put("closure", "aa" * 32, _Gate(hold_a))
+            a_done.set()
+
+        def put_b(store):
+            assert a_inside.wait(timeout=30)
+            try:
+                store.put("closure", "bb" * 32, (_Gate(hold_b), deep))
+            except RecursionError as exc:
+                failures.append(exc)
+
+        with tempfile.TemporaryDirectory() as root:
+            store = ArtifactStore(root)
+            threads = [
+                threading.Thread(target=target, args=(store,))
+                for target in (put_a, put_b)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            assert failures == []
+            _gate, stored = store.get("closure", "bb" * 32)
+            assert stored.program_id == deep.program_id
+        assert sys.getrecursionlimit() == limit
 
     def test_eviction_is_lru_by_access(self):
         with tempfile.TemporaryDirectory() as root:
@@ -188,8 +255,8 @@ class TestArtifactStore:
 
     def test_concurrent_writers_two_processes(self):
         """Two separate processes compiling the same source into one
-        store must both succeed, leave exactly one healthy artifact per
-        stage, and serve a fully warm third compile."""
+        store must both succeed, leave exactly one healthy artifact, and
+        serve a warm third compile."""
         with tempfile.TemporaryDirectory() as root:
             script = (
                 "import sys, warnings\n"
@@ -238,8 +305,9 @@ class TestArtifactStore:
                 if not name.endswith(".art")
             ]
             assert stray == []
+            assert len(_artifact_paths(store)) == 1
             program, stages = _compile_into(store)
-            assert set(stages.values()) == {"hit"}
+            assert stages == {"closure": "hit"}
             assert program.program_id == ids[0]
 
 
@@ -300,23 +368,20 @@ class TestDaemon:
         source = SOURCE.replace("7", "11")
         cold = client.compile(source=source, config="GPU+ALL")
         assert cold["ok"], cold
-        assert cold["stages"] == {
-            "frontend": "miss", "pipeline": "miss", "closure": "miss"
-        }
+        assert cold["stages"] == {"closure": "miss"}
+        puts = service.observer.counters.get("service.store_puts")
         warm = client.compile(source=source, config="GPU+ALL")
-        assert warm["stages"] == {
-            "frontend": "hit", "pipeline": "hit", "closure": "hit"
-        }
+        assert warm["stages"] == {"closure": "hit"}
         assert warm["program_id"] == cold["program_id"]
         counters = service.observer.counters.as_dict()
-        for stage in ("frontend", "pipeline", "closure"):
-            assert counters[f"service.{stage}_hits"] >= 1, stage
-        # Different config = different pipeline artifacts: only the
-        # frontend (same source) can hit.
+        assert counters["service.closure_hits"] >= 1
+        assert counters["service.store_puts"] == puts  # nothing recompiled
+        # Different config = a different program: nothing is shared
+        # between the two, so it is one more compile and one more put.
         other = client.compile(source=source, config="GPU")
-        assert other["stages"]["frontend"] == "hit"
-        assert other["stages"]["pipeline"] == "miss"
+        assert other["stages"] == {"closure": "miss"}
         assert other["program_id"] != cold["program_id"]
+        assert service.observer.counters.get("service.store_puts") == puts + 1
 
     def test_compile_emits_opencl_on_request(self, daemon):
         client, _service = daemon
@@ -367,6 +432,51 @@ public:
         # before any handler runs; the other three count as errors.
         assert stats["counters"]["service.errors"] >= 3
 
+    @pytest.mark.parametrize("reply", ["small", "large"])
+    def test_keep_alive_requests_do_not_wait_out_nagle(self, daemon, reply):
+        """One persistent connection: a reply written as two small sends
+        (headers, then body) costs every request after the first Nagle +
+        delayed ACK, ~40 ms; so does the tail of one larger than the
+        write buffer (Raytracer's OpenCL text is ~30 kB)."""
+        client, _service = daemon
+        if reply == "small":
+            method, path, body = "GET", "/v1/health", None
+        else:
+            source = all_workloads()["Raytracer"].source
+            method, path = "POST", "/v1/compile"
+            body = json.dumps({"source": source, "emit": "opencl"})
+        conn = http.client.HTTPConnection(client.host, client.port, timeout=30)
+        walls = []
+        try:
+            for _ in range(30):
+                started = time.perf_counter()
+                conn.request(method, path, body=body)
+                assert json.loads(conn.getresponse().read())["ok"]
+                walls.append(time.perf_counter() - started)
+        finally:
+            conn.close()
+        assert sorted(walls)[len(walls) // 2] < 0.010
+
+    @pytest.mark.parametrize(
+        "length, status", [("-1", 400), ("ten", 400), (str(9 << 20), 413)]
+    )
+    def test_content_length_is_checked_before_any_read(self, daemon, length, status):
+        """No body is ever sent: a handler that went on to read one would
+        block until this client timed out."""
+        client, _service = daemon
+        conn = http.client.HTTPConnection(client.host, client.port, timeout=5)
+        try:
+            conn.putrequest("POST", "/v1/compile")
+            conn.putheader("Content-Length", length)
+            conn.endheaders()
+            response = conn.getresponse()
+            assert response.status == status
+            assert response.getheader("Connection") == "close"
+            assert not json.loads(response.read())["ok"]
+        finally:
+            conn.close()
+        assert client.health() == {"ok": True}
+
     def test_stats_report_latency_and_store(self, daemon):
         client, _service = daemon
         client.compile(source=SOURCE)
@@ -383,11 +493,14 @@ public:
         source = SOURCE.replace("7", "13")
         client.compile(source=source)
         before = service.observer.counters.get("service.memory_hits", 0)
+        hits = service.observer.counters.get("service.closure_hits", 0)
+        reads = service.store.hits + service.store.misses
         again = client.compile(source=source)
-        assert again["stages"] == {
-            "frontend": "hit", "pipeline": "hit", "closure": "hit"
-        }
+        assert again["stages"] == {"closure": "hit"}
         assert service.observer.counters.get("service.memory_hits") == before + 1
+        # ... counted as the closure hit it stands in for, without a read
+        assert service.observer.counters.get("service.closure_hits") == hits + 1
+        assert service.store.hits + service.store.misses == reads
 
     def test_concurrent_clients_agree(self, daemon):
         client, _service = daemon
@@ -465,9 +578,7 @@ class TestCompileLedger:
         assert row["workload"] == "BFS"
         assert row["cold_s"] > 0 and row["warm_s"] > 0
         assert row["speedup"] == pytest.approx(row["cold_s"] / row["warm_s"])
-        assert row["warm_stages"] == {
-            "frontend": "hit", "pipeline": "hit", "closure": "hit"
-        }
+        assert row["warm_stages"] == {"closure": "hit"}
         assert row["norm_cold"] > 0 and row["norm_warm"] > 0
 
     def test_ledger_schema_accepts_and_rejects_compile_section(self):

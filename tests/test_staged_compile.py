@@ -1,11 +1,13 @@
 """Staged compilation must be invisible (see ``docs/SERVICE.md``).
 
-``compile_source`` is now three explicit stages (frontend → pipeline →
+``compile_source`` is three explicit stages (frontend → pipeline →
 closure), each stamped with a content hash, and ``compile_cached`` can
-answer any stage from an on-disk artifact store.  None of that may be
-observable: a program served warm from the store must be bit-identical
-to its cold origin — same OpenCL text, same region bytes, same traces —
-on all nine paper workloads and on both execution engines; and the
+answer with the finished program from an on-disk artifact store.  None
+of that may be observable: a program served warm from the store must be
+bit-identical to its cold origin — same OpenCL text, same region bytes,
+same traces — on all nine paper workloads and on both execution engines;
+the store holds exactly what is read back (one artifact per program, no
+write-only kinds); and the
 content-hash ``program_id`` must be stable across recompiles while two
 *different* programs can never share one (the collision hazard the old
 per-process counter id left open across processes).
@@ -107,12 +109,8 @@ def test_warm_store_bit_identical(name, engine):
             warm, warm_stages = compile_cached(
                 cls.source, store=store, module_name=cls.name
             )
-    assert cold_stages == {
-        "frontend": "miss", "pipeline": "miss", "closure": "miss"
-    }
-    assert warm_stages == {
-        "frontend": "hit", "pipeline": "hit", "closure": "hit"
-    }
+    assert cold_stages == {"closure": "miss"}
+    assert warm_stages == {"closure": "hit"}
     assert warm.program_id == cold.program_id
     assert warm is not cold  # genuinely unpickled, not memoized
 
@@ -135,6 +133,32 @@ def test_warm_store_bit_identical(name, engine):
         cold_rt.region.physical.data
     )
     _assert_traces_equal(cold_rt.trace_log, warm_rt.trace_log, name)
+
+
+def test_no_write_only_artifacts():
+    """A cold then a warm pass over nine workloads × four configs leaves
+    one artifact per program, all of one kind, each read back once:
+    nothing is stored that the traffic never reads."""
+    programs = [
+        (WORKLOADS[name], config)
+        for name in NINE
+        for config in OptConfig.all_configs()
+    ]
+    with tempfile.TemporaryDirectory() as root:
+        store = ArtifactStore(root)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for want in ("miss", "hit"):
+                for cls, config in programs:
+                    _program, stages = compile_cached(
+                        cls.source, config, module_name=cls.name, store=store
+                    )
+                    assert stages == {"closure": want}, (cls.name, config.label)
+        stats = store.stats()
+    assert list(stats["kinds"]) == ["closure"]
+    assert stats["artifacts"] == len(programs) == 36
+    assert store.hits == stats["artifacts"]
+    assert store.misses == len(programs)  # one lookup per cold compile
 
 
 @pytest.mark.parametrize("name", NINE)

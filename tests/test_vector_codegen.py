@@ -123,7 +123,7 @@ def _fresh_program(name):
 
 def _gpu_kernels(program):
     for kinfo in program.kernels.values():
-        for fn in (kinfo.gpu_kernel, getattr(kinfo, "gpu_join_kernel", None)):
+        for fn in (kinfo.gpu_kernel, kinfo.gpu_join_kernel):
             if fn is not None:
                 yield fn
 
