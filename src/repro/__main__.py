@@ -17,14 +17,11 @@ Usage::
     python -m repro annotate WORKLOAD [--scale S] [--engine compiled|reference|vector]
                                       [--system ultrabook|desktop] [--on-cpu]
                                       [--top N] [--format text|json] [--output FILE]
-    python -m repro bench [--scale S] [--repeats N] [--dir DIR] [--check] [--graph]
-                          [--workloads NAME ...] [--engine compiled|reference|vector]
     python -m repro fuzz [--seed N] [--iterations K]
                          [--target all|frontend|ir|passes|engines|sched|vector|graph|compile-cache]
                          [--corpus DIR] [--no-reduce] [--max-divergences M]
                          [--trace FILE.json] [--flight-record DIR]
-    python -m repro watch [--dir DIR] [--check] [--threshold F]
-                          [--format text|json] [--output FILE]
+    python -m repro watch [--dir DIR] [--check] [--format text|json] [--output FILE]
     python -m repro serve [--store DIR] [--host H] [--port P]
                           [--byte-budget BYTES] [--verbose]
                           [--selftest] [--clients N] [--sources K]
@@ -38,23 +35,21 @@ one of the nine registered evaluation workloads under the observability
 layer and emits its per-kernel profile document (JSON by default; see
 ``docs/OBSERVABILITY.md`` for the schema).  ``annotate`` attributes the
 modeled execution cost of a workload to MiniC++ source lines and prints a
-hot-line report; ``bench`` sweeps the evaluation workloads and appends a
-``BENCH_<n>.json`` entry to the benchmark ledger, optionally gating on
-regressions (see ``docs/PROFILING.md``).  ``--trace FILE`` on ``profile``
+hot-line report (see ``docs/PROFILING.md``).  ``--trace FILE`` on ``profile``
 and ``fuzz`` additionally writes a Chrome ``trace_event`` file loadable
 in about://tracing or Perfetto.  ``fuzz`` runs a deterministic
 differential-fuzzing campaign (see ``docs/FUZZING.md``), exits non-zero
 on any divergence, and writes reduced reproducers to ``--corpus``.
 ``--graph`` routes submissions through the task-graph runtime
-(``docs/GRAPH.md``): ``run`` and ``profile`` report the overlap stats,
-``bench`` appends the overlap-pipeline ledger rows.
+(``docs/GRAPH.md``): ``run`` and ``profile`` report the overlap stats.
 
 ``--flight-record DIR`` arms the flight recorder (``docs/TELEMETRY.md``):
 any trap or fuzz divergence dumps a postmortem bundle — last-N telemetry
 events, live counters, open spans, and the trapping kernel + source line
-— into DIR.  ``watch`` aggregates the whole committed ``BENCH_*.json``
-history into per-(workload, config) trend series and prints a regression
-verdict; ``bench --check`` gates on the same full-history trend.
+— into DIR.  ``watch`` reads the benchmark ledger — the ``BENCH_<n>.json``
+result lines of ``benchmarks/e2e/run.py`` beside ``BENCHMARK.json`` — and
+gates every end-to-end series against the bound ``BENCHMARK.json`` gives it
+(``docs/PROFILING.md``).
 """
 
 from __future__ import annotations
@@ -193,47 +188,6 @@ def main(argv=None) -> int:
         "--output", default=None, help="write to FILE instead of stdout"
     )
 
-    bench_parser = sub.add_parser(
-        "bench", help="sweep workloads into the benchmark ledger"
-    )
-    bench_parser.add_argument("--scale", type=float, default=0.2)
-    bench_parser.add_argument(
-        "--repeats", type=int, default=1, help="keep the best wall clock of N runs"
-    )
-    bench_parser.add_argument(
-        "--engine", choices=["compiled", "reference", "vector"], default="compiled"
-    )
-    bench_parser.add_argument(
-        "--system", choices=["ultrabook", "desktop"], default="ultrabook"
-    )
-    bench_parser.add_argument(
-        "--dir", default=".", help="ledger directory (default: current directory)"
-    )
-    bench_parser.add_argument(
-        "--workloads",
-        nargs="+",
-        default=None,
-        metavar="NAME",
-        help="subset of workloads (default: the paper's nine)",
-    )
-    bench_parser.add_argument(
-        "--check",
-        action="store_true",
-        help="exit non-zero on a normalized-throughput regression against "
-        "the full ledger history trend",
-    )
-    bench_parser.add_argument(
-        "--threshold",
-        type=float,
-        default=None,
-        help="regression threshold as a fraction (default 0.15)",
-    )
-    bench_parser.add_argument(
-        "--graph",
-        action="store_true",
-        help="append task-graph overlap pipeline rows to the entry",
-    )
-
     fuzz_parser = sub.add_parser(
         "fuzz", help="run a differential fuzzing campaign"
     )
@@ -294,18 +248,15 @@ def main(argv=None) -> int:
         "watch", help="trend report over the whole benchmark ledger"
     )
     watch_parser.add_argument(
-        "--dir", default=".", help="ledger directory (default: current directory)"
+        "--dir",
+        default=".",
+        help="directory of BENCHMARK.json and the BENCH_<n>.json entries "
+        "(default: current directory)",
     )
     watch_parser.add_argument(
         "--check",
         action="store_true",
-        help="exit non-zero when the trend verdict is a regression",
-    )
-    watch_parser.add_argument(
-        "--threshold",
-        type=float,
-        default=None,
-        help="regression threshold as a fraction (default 0.15)",
+        help="exit non-zero unless the verdict is OK",
     )
     watch_parser.add_argument("--format", choices=["text", "json"], default="text")
     watch_parser.add_argument(
@@ -360,8 +311,6 @@ def main(argv=None) -> int:
         return _profile(args)
     if args.command == "annotate":
         return _annotate(args)
-    if args.command == "bench":
-        return _bench(args)
     if args.command == "fuzz":
         return _fuzz(args)
     if args.command == "watch":
@@ -470,6 +419,18 @@ def main(argv=None) -> int:
     return 0
 
 
+def _write_output(path: str, text: str) -> bool:
+    """Write a finished report to ``path``; a path that cannot be
+    written is reported like an unreadable input file, not raised."""
+    try:
+        with open(path, "w") as handle:
+            handle.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc.strerror}", file=sys.stderr)
+        return False
+    return True
+
+
 def _profile(args) -> int:
     import json
 
@@ -534,8 +495,8 @@ def _profile(args) -> int:
     else:
         rendered = json.dumps(doc, indent=2, sort_keys=False) + "\n"
     if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(rendered)
+        if not _write_output(args.output, rendered):
+            return 1
         totals = doc["totals"]
         print(
             f"{doc['meta']['workload']}: {totals['constructs']} constructs, "
@@ -570,8 +531,8 @@ def _annotate(args) -> int:
     else:
         rendered = render_line_report(doc, top=args.top) + "\n"
     if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(rendered)
+        if not _write_output(args.output, rendered):
+            return 1
         totals = doc["totals"]
         print(
             f"{doc['meta']['workload']}: {totals['attributed_fraction']:.1%} of "
@@ -582,117 +543,36 @@ def _annotate(args) -> int:
     return 0
 
 
-def _bench(args) -> int:
-    from .eval.runner import WORKLOAD_ORDER
-    from .obs.ledger import (
-        REGRESSION_THRESHOLD,
-        diff_ledgers,
-        format_diff,
-        geomean_delta,
-        load_latest,
-        regressions,
-        run_benchmarks,
-        write_entry,
-    )
-
-    if args.workloads:
-        unknown = sorted(set(args.workloads) - set(WORKLOAD_ORDER))
-        if unknown:
-            print(
-                f"error: unknown workload(s) {unknown}; "
-                f"available: {sorted(WORKLOAD_ORDER)}",
-                file=sys.stderr,
-            )
-            return 1
-    system = ultrabook() if args.system == "ultrabook" else desktop()
-    threshold = args.threshold if args.threshold is not None else REGRESSION_THRESHOLD
-    previous = load_latest(args.dir)
-    doc = run_benchmarks(
-        scale=args.scale,
-        repeats=args.repeats,
-        system=system,
-        engine=args.engine,
-        workloads=args.workloads,
-        progress=lambda line: print(line, flush=True),
-        graph=args.graph,
-    )
-    path = write_entry(doc, args.dir)
-    print(f"ledger entry: {path}")
-    if previous is None:
-        print("no previous ledger entry; nothing to diff against")
-        return 0
-    diffs = diff_ledgers(previous, doc)
-    if diffs:
-        print(format_diff(diffs, threshold))
-    # Individual cells are noisy at smoke scales; per-cell drops are
-    # surfaced as warnings, and the gate judges the full-history trend
-    # through the watch module — the fresh entry against the best
-    # sustained level of every committed BENCH_<n>.json, so slow
-    # multi-PR drifts fail too, not just single-step regressions.
-    failing = regressions(diffs, threshold)
-    if failing:
-        print(
-            f"warning: {len(failing)} cell(s) dropped more than "
-            f"{threshold:.0%} in normalized kernel throughput vs the "
-            "previous entry",
-            file=sys.stderr,
-        )
-    overall = geomean_delta(diffs)
-    if overall < -threshold:
-        print(
-            f"warning: {overall:+.1%} geomean vs the previous entry",
-            file=sys.stderr,
-        )
-    from .obs.watch import build_watch_report, render_watch_report
-
-    report = build_watch_report(args.dir, threshold)
-    verdict = report["verdict"]
-    print(render_watch_report(report))
-    if not verdict["ok"]:
-        print(
-            f"error: normalized kernel throughput regressed "
-            f"{verdict['geomean_drift']:+.1%} geomean against the ledger "
-            f"history trend (threshold -{threshold:.0%})",
-            file=sys.stderr,
-        )
-        if args.check:
-            return 1
-    return 0
-
-
 def _watch(args) -> int:
     import json
 
-    from .obs.ledger import REGRESSION_THRESHOLD
     from .obs.watch import (
         build_watch_report,
         render_watch_report,
         validate_watch_report,
     )
 
-    threshold = args.threshold if args.threshold is not None else REGRESSION_THRESHOLD
-    report = build_watch_report(args.dir, threshold)
+    report = build_watch_report(args.dir)
     validate_watch_report(report)
+    verdict = report["verdict"]
     if args.format == "json":
         rendered = json.dumps(report, indent=2) + "\n"
     else:
         rendered = render_watch_report(report) + "\n"
     if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(rendered)
-        verdict = report["verdict"]
+        if not _write_output(args.output, rendered):
+            return 1
         print(
             f"watch: {verdict['series']} series over {verdict['entries']} "
             f"entr{'y' if verdict['entries'] == 1 else 'ies'}, "
-            f"{'OK' if verdict['ok'] else 'REGRESSED'} -> {args.output}"
+            f"{'OK' if verdict['ok'] else 'FAILED'} -> {args.output}"
         )
     else:
         sys.stdout.write(rendered)
-    if args.check and not report["verdict"]["ok"]:
+    if args.check and not verdict["ok"]:
         print(
-            f"error: ledger history trend regressed "
-            f"{report['verdict']['geomean_drift']:+.1%} geomean "
-            f"(threshold -{threshold:.0%})",
+            f"error: ledger verdict FAILED: {len(report['errors'])} error(s), "
+            f"{len(verdict['regressed'])} gated series past their bound",
             file=sys.stderr,
         )
         return 1
@@ -747,8 +627,8 @@ def _serve(args) -> int:
         thread.join(timeout=10)
     print(render_report(report))
     if args.stats_output:
-        with open(args.stats_output, "w") as handle:
-            json.dump(report, handle, indent=2)
+        if not _write_output(args.stats_output, json.dumps(report, indent=2)):
+            return 1
         print(f"stats: {args.stats_output}")
     problems = validate_report(report)
     for problem in problems:

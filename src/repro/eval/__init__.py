@@ -9,7 +9,6 @@ from .overlap import (
     measure_bfs_pipeline,
     measure_bh_batch,
     measure_overlap,
-    overlap_rows,
 )
 from .runner import (
     GPU_CONFIG_LABELS,
@@ -47,6 +46,5 @@ __all__ = [
     "measure_overlap",
     "measure_svm_overhead",
     "measure_workload",
-    "overlap_rows",
     "table1_rows",
 ]

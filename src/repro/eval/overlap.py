@@ -17,8 +17,8 @@ does not:
 Both scenarios execute the sync baseline and the graph run and assert
 bit-identical result arrays before reporting the virtual-wall-clock
 speedup — overlap must never change the answer.  ``python -m repro.eval
-overlap`` renders the figure; :func:`overlap_rows` feeds the benchmark
-ledger's ``--graph`` rows.
+overlap`` renders the figure; the ``hetero_sched`` workload of
+``benchmarks/e2e`` times :func:`measure_overlap`.
 """
 
 from __future__ import annotations
@@ -332,9 +332,3 @@ def measure_overlap(system: System = None, scale: float = 1.0) -> OverlapFigure:
         system=system.name,
         points=points,
     )
-
-
-def overlap_rows(system: System = None, scale: float = 1.0) -> list:
-    """Ledger rows for ``repro bench --graph`` (one per scenario)."""
-    figure = measure_overlap(system, scale)
-    return [point.to_dict() for point in figure.points]

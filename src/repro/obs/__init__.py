@@ -24,16 +24,15 @@ Built on top of the observer:
 * :mod:`repro.obs.lines` — source-line attribution of modeled cost
   (``python -m repro annotate``);
 * :mod:`repro.obs.trace` — Chrome ``trace_event`` export (``--trace``);
-* :mod:`repro.obs.ledger` — persisted benchmark ledger and regression
-  gate (``python -m repro bench``);
 * :mod:`repro.obs.telemetry` — live streaming of span edges, counter
   deltas, launches and scheduler decisions through pluggable sinks and
   a bounded event ring (``obs.attach_telemetry``, ``--events``);
 * :mod:`repro.obs.flight` — flight recorder: postmortem bundles on
   traps, fuzz divergences and uncaught exceptions, resolved down to the
   trapping kernel's source line (``--flight-record DIR``);
-* :mod:`repro.obs.watch` — full-history benchmark trend analysis and
-  the CI regression verdict (``python -m repro watch``).
+* :mod:`repro.obs.watch` — the benchmark ledger (``BENCH_<n>.json``, the
+  result lines of ``benchmarks/e2e/run.py``), its trend report and the
+  CI regression verdict (``python -m repro watch``).
 
 See ``docs/PROFILING.md`` and ``docs/TELEMETRY.md``.
 """
@@ -45,13 +44,6 @@ from .flight import (
     FlightSchemaError,
     flight_guard,
     validate_flight_bundle,
-)
-from .ledger import (
-    LEDGER_SCHEMA_VERSION,
-    LedgerSchemaError,
-    diff_ledgers,
-    run_benchmarks,
-    validate_ledger,
 )
 from .lines import (
     LINES_SCHEMA_VERSION,
@@ -106,9 +98,7 @@ __all__ = [
     "FlightSchemaError",
     "JsonLinesSink",
     "KernelProfile",
-    "LEDGER_SCHEMA_VERSION",
     "LINES_SCHEMA_VERSION",
-    "LedgerSchemaError",
     "MetricsTextSink",
     "Observer",
     "PHASES",
@@ -128,17 +118,14 @@ __all__ = [
     "build_profile",
     "build_trace",
     "build_watch_report",
-    "diff_ledgers",
     "flight_guard",
     "profile_to_csv",
     "profile_workload",
     "render_line_report",
     "render_watch_report",
-    "run_benchmarks",
     "validate_event",
     "validate_events",
     "validate_flight_bundle",
-    "validate_ledger",
     "validate_profile",
     "validate_trace",
     "validate_watch_report",

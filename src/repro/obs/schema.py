@@ -1,12 +1,19 @@
-"""Schema for the profile document emitted by :mod:`repro.obs.profile`.
+"""Table-driven validation of the JSON documents ``repro.obs`` reads and
+writes.
 
-``PROFILE_SCHEMA`` is a JSON-Schema-shaped description (draft-07 subset)
-kept for documentation and external tooling; :func:`validate_profile` is a
-dependency-free structural validator used by the CLI and the CI smoke job
-(the container must not grow a ``jsonschema`` dependency).
+A schema is a plain dict in JSON-Schema vocabulary (the draft-07 subset
+:func:`check` lists); :func:`check` is the one interpreter, so a schema
+is written once and never restated as a walker (the container must not
+grow a ``jsonschema`` dependency); :func:`record` spells the common
+all-properties-required object.  ``PROFILE_SCHEMA`` describes the
+profile document emitted by :mod:`repro.obs.profile`; the ledger entry
+and watch report schemas live beside their reader in
+:mod:`repro.obs.watch`.
 """
 
 from __future__ import annotations
+
+from typing import Optional
 
 from .profile import PROFILE_SCHEMA_VERSION
 
@@ -15,253 +22,157 @@ class ProfileSchemaError(ValueError):
     """A profile document does not match the published schema."""
 
 
-_NUMBER = (int, float)
-
-#: JSON-Schema (draft-07 subset) mirror of what validate_profile enforces.
-PROFILE_SCHEMA = {
-    "$schema": "http://json-schema.org/draft-07/schema#",
-    "title": "repro observability profile",
-    "type": "object",
-    "required": [
-        "schema",
-        "meta",
-        "totals",
-        "constructs",
-        "kernels",
-        "counters",
-        "passes",
-        "spans",
-    ],
-    "properties": {
-        "schema": {"const": PROFILE_SCHEMA_VERSION},
-        "meta": {"type": "object"},
-        "totals": {
-            "type": "object",
-            "required": [
-                "constructs",
-                "seconds",
-                "energy_joules",
-                "attributed_seconds",
-                "attributed_fraction",
-            ],
-        },
-        "constructs": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": [
-                    "index",
-                    "kernel",
-                    "construct",
-                    "device",
-                    "n",
-                    "seconds",
-                    "energy_joules",
-                    "phases",
-                    "attributed_seconds",
-                    "attributed_fraction",
-                    "counters",
-                ],
-                "properties": {
-                    "construct": {"enum": ["for", "reduce"]},
-                    "device": {"enum": ["cpu", "gpu", "hybrid"]},
-                    "phases": {
-                        "type": "object",
-                        "additionalProperties": {"type": "number", "minimum": 0},
-                    },
-                    "attributed_fraction": {
-                        "type": "number",
-                        "minimum": 0,
-                        "maximum": 1,
-                    },
-                },
-            },
-        },
-        "kernels": {"type": "object"},
-        "counters": {
-            "type": "object",
-            "additionalProperties": {"type": "number"},
-        },
-        "passes": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["name", "runs", "changed", "seconds"],
-            },
-        },
-        "spans": {"type": "array"},
-    },
+_TYPES = {
+    "object": dict,
+    "array": list,
+    "string": str,
+    "boolean": bool,
+    "integer": int,
+    "number": (int, float),
 }
 
 
-def _fail(errors: list, path: str, message: str) -> None:
-    errors.append(f"{path}: {message}")
+def check(doc, schema: dict, path: str) -> list[str]:
+    """Every way ``doc`` departs from ``schema``, one ``"<path>: <what>"``
+    string each; empty when it conforms.
 
-
-def _check_number(errors, path, value, minimum=None, maximum=None) -> None:
-    if not isinstance(value, _NUMBER) or isinstance(value, bool):
-        _fail(errors, path, f"expected a number, got {type(value).__name__}")
-        return
-    if minimum is not None and value < minimum:
-        _fail(errors, path, f"{value} < minimum {minimum}")
-    if maximum is not None and value > maximum:
-        _fail(errors, path, f"{value} > maximum {maximum}")
-
-
-def _check_phases(errors, path, phases) -> None:
-    if not isinstance(phases, dict):
-        _fail(errors, path, "expected an object")
-        return
-    for name, value in phases.items():
-        if not isinstance(name, str) or not name:
-            _fail(errors, path, f"phase name {name!r} is not a non-empty string")
-        _check_number(errors, f"{path}.{name}", value, minimum=0)
-
-
-def _check_construct(errors, path, construct) -> None:
-    if not isinstance(construct, dict):
-        _fail(errors, path, "expected an object")
-        return
-    for key in (
-        "index",
-        "kernel",
-        "construct",
-        "device",
-        "n",
-        "seconds",
-        "energy_joules",
-        "phases",
-        "attributed_seconds",
-        "attributed_fraction",
-        "counters",
+    Understands ``type``, ``required``, ``properties``,
+    ``additionalProperties`` (a schema for the keys ``properties`` does
+    not name), ``items``, ``enum``, ``const``, ``minimum`` and
+    ``maximum``.  A key a schema does not mention is allowed.
+    """
+    errors: list[str] = []
+    if "const" in schema and doc != schema["const"]:
+        errors.append(f"{path}: expected {schema['const']!r}, got {doc!r}")
+    if "enum" in schema and doc not in schema["enum"]:
+        errors.append(f"{path}: {doc!r} not in {schema['enum']}")
+    kind = schema.get("type")
+    # bool is an int to Python but not a number to JSON
+    if kind is not None and (
+        not isinstance(doc, _TYPES[kind])
+        or (isinstance(doc, bool) and kind != "boolean")
     ):
-        if key not in construct:
-            _fail(errors, path, f"missing required key {key!r}")
-    if "construct" in construct and construct["construct"] not in ("for", "reduce"):
-        _fail(errors, f"{path}.construct", f"{construct['construct']!r} not in ['for', 'reduce']")
-    if "device" in construct and construct["device"] not in ("cpu", "gpu", "hybrid"):
-        _fail(
-            errors,
-            f"{path}.device",
-            f"{construct['device']!r} not in ['cpu', 'gpu', 'hybrid']",
-        )
-    if "kernel" in construct and not isinstance(construct["kernel"], str):
-        _fail(errors, f"{path}.kernel", "expected a string")
-    for key in ("seconds", "energy_joules", "attributed_seconds"):
-        if key in construct:
-            _check_number(errors, f"{path}.{key}", construct[key], minimum=0)
-    if "n" in construct:
-        _check_number(errors, f"{path}.n", construct["n"], minimum=0)
-    if "attributed_fraction" in construct:
-        _check_number(
-            errors,
-            f"{path}.attributed_fraction",
-            construct["attributed_fraction"],
-            minimum=0,
-            maximum=1,
-        )
-    if "phases" in construct:
-        _check_phases(errors, f"{path}.phases", construct["phases"])
-    if "counters" in construct and not isinstance(construct["counters"], dict):
-        _fail(errors, f"{path}.counters", "expected an object")
+        errors.append(f"{path}: expected {kind}, got {type(doc).__name__}")
+        return errors
+    if isinstance(doc, (int, float)) and not isinstance(doc, bool):
+        if "minimum" in schema and doc < schema["minimum"]:
+            errors.append(f"{path}: {doc} < minimum {schema['minimum']}")
+        if "maximum" in schema and doc > schema["maximum"]:
+            errors.append(f"{path}: {doc} > maximum {schema['maximum']}")
+    elif isinstance(doc, dict):
+        for key in schema.get("required", ()):
+            if key not in doc:
+                errors.append(f"{path}: missing required key {key!r}")
+        properties = schema.get("properties", {})
+        other = schema.get("additionalProperties")
+        for key, value in doc.items():
+            sub = properties.get(key, other)
+            if sub is not None:
+                errors += check(value, sub, f"{path}.{key}")
+    elif isinstance(doc, list) and "items" in schema:
+        for index, item in enumerate(doc):
+            errors += check(item, schema["items"], f"{path}[{index}]")
+    return errors
 
 
-def _check_span(errors, path, span) -> None:
-    if not isinstance(span, dict):
-        _fail(errors, path, "expected an object")
-        return
-    for key in ("name", "category", "wall_seconds", "sim_seconds"):
-        if key not in span:
-            _fail(errors, path, f"missing required key {key!r}")
-    if "name" in span and not isinstance(span["name"], str):
-        _fail(errors, f"{path}.name", "expected a string")
-    for key in ("wall_seconds", "sim_seconds"):
-        if key in span:
-            _check_number(errors, f"{path}.{key}", span[key], minimum=0)
-    for index, child in enumerate(span.get("children", ())):
-        _check_span(errors, f"{path}.children[{index}]", child)
+def record(required: dict, optional: Optional[dict] = None) -> dict:
+    """The schema of an object that must carry every ``required``
+    property and may carry the ``optional`` ones, each name written once
+    (not under ``required`` and again under ``properties``)."""
+    return {
+        "type": "object",
+        "required": list(required),
+        "properties": {**required, **(optional or {})},
+    }
+
+
+_ANY: dict = {}
+_TEXT = {"type": "string"}
+_NON_NEGATIVE = {"type": "number", "minimum": 0}
+
+_SPAN = record(
+    {
+        "name": _TEXT,
+        "category": _ANY,
+        "wall_seconds": _NON_NEGATIVE,
+        "sim_seconds": _NON_NEGATIVE,
+    }
+)
+#: Optional, and the same schema again: a Python self-reference where
+#: JSON Schema would write ``$ref``.
+_SPAN["properties"]["children"] = {"type": "array", "items": _SPAN}
+
+_CONSTRUCT = record(
+    {
+        "index": _ANY,
+        "kernel": _TEXT,
+        "construct": {"enum": ["for", "reduce"]},
+        "device": {"enum": ["cpu", "gpu", "hybrid"]},
+        "n": _NON_NEGATIVE,
+        "seconds": _NON_NEGATIVE,
+        "energy_joules": _NON_NEGATIVE,
+        "phases": {"type": "object", "additionalProperties": _NON_NEGATIVE},
+        "attributed_seconds": _NON_NEGATIVE,
+        "attributed_fraction": {"type": "number", "minimum": 0, "maximum": 1},
+        "counters": {"type": "object"},
+    }
+)
+
+PROFILE_SCHEMA = {
+    "$schema": "http://json-schema.org/draft-07/schema#",
+    "title": "repro observability profile",
+    **record(
+        {
+            "schema": {"const": PROFILE_SCHEMA_VERSION},
+            "meta": {"type": "object"},
+            "totals": record(
+                dict.fromkeys(
+                    (
+                        "constructs",
+                        "seconds",
+                        "energy_joules",
+                        "attributed_seconds",
+                        "attributed_fraction",
+                    ),
+                    _NON_NEGATIVE,
+                )
+            ),
+            "constructs": {"type": "array", "items": _CONSTRUCT},
+            "kernels": {"type": "object"},
+            "counters": {
+                "type": "object",
+                "additionalProperties": {"type": "number"},
+            },
+            "passes": {
+                "type": "array",
+                "items": record(
+                    dict.fromkeys(("name", "runs", "changed", "seconds"), _ANY)
+                ),
+            },
+            "spans": {"type": "array", "items": _SPAN},
+        }
+    ),
+}
 
 
 def validate_profile(doc, min_attributed_fraction: float = 0.95) -> None:
-    """Structurally validate a profile document; raise
-    :class:`ProfileSchemaError` listing every problem found.
+    """Validate a profile document; raise :class:`ProfileSchemaError`
+    listing every departure from ``PROFILE_SCHEMA``.
 
-    Beyond pure structure, this enforces the acceptance contract: every
-    construct that cost simulated time must attribute at least
-    ``min_attributed_fraction`` of its seconds to named phases.
+    On a structurally sound document this also enforces the acceptance
+    contract: every construct that cost simulated time must attribute at
+    least ``min_attributed_fraction`` of its seconds to named phases.
     """
-    errors: list[str] = []
-    if not isinstance(doc, dict):
-        raise ProfileSchemaError("profile document must be a JSON object")
-    if doc.get("schema") != PROFILE_SCHEMA_VERSION:
-        _fail(
-            errors,
-            "schema",
-            f"expected {PROFILE_SCHEMA_VERSION!r}, got {doc.get('schema')!r}",
-        )
-    for key in ("meta", "totals", "kernels", "counters"):
-        if not isinstance(doc.get(key), dict):
-            _fail(errors, key, "missing or not an object")
-    for key in ("constructs", "passes", "spans"):
-        if not isinstance(doc.get(key), list):
-            _fail(errors, key, "missing or not an array")
-
-    totals = doc.get("totals")
-    if isinstance(totals, dict):
-        for key in (
-            "constructs",
-            "seconds",
-            "energy_joules",
-            "attributed_seconds",
-            "attributed_fraction",
-        ):
-            if key not in totals:
-                _fail(errors, "totals", f"missing required key {key!r}")
-            else:
-                _check_number(errors, f"totals.{key}", totals[key], minimum=0)
-
-    constructs = doc.get("constructs")
-    if isinstance(constructs, list):
-        for index, construct in enumerate(constructs):
-            path = f"constructs[{index}]"
-            _check_construct(errors, path, construct)
-            if (
-                isinstance(construct, dict)
-                and isinstance(construct.get("seconds"), _NUMBER)
-                and construct.get("seconds", 0) > 0
-                and isinstance(construct.get("attributed_fraction"), _NUMBER)
-                and construct["attributed_fraction"] < min_attributed_fraction
-            ):
-                _fail(
-                    errors,
-                    f"{path}.attributed_fraction",
-                    f"{construct['attributed_fraction']:.4f} < required "
-                    f"{min_attributed_fraction} — simulated time is leaking "
-                    "out of the named phases",
+    errors = check(doc, PROFILE_SCHEMA, "profile")
+    if not errors:
+        for index, construct in enumerate(doc["constructs"]):
+            fraction = construct["attributed_fraction"]
+            if construct["seconds"] > 0 and fraction < min_attributed_fraction:
+                errors.append(
+                    f"profile.constructs[{index}].attributed_fraction: "
+                    f"{fraction:.4f} < required {min_attributed_fraction} — "
+                    "simulated time is leaking out of the named phases"
                 )
-
-    counters = doc.get("counters")
-    if isinstance(counters, dict):
-        for name, value in counters.items():
-            if not isinstance(name, str):
-                _fail(errors, "counters", f"counter name {name!r} is not a string")
-            _check_number(errors, f"counters.{name}", value)
-
-    passes = doc.get("passes")
-    if isinstance(passes, list):
-        for index, stat in enumerate(passes):
-            if not isinstance(stat, dict):
-                _fail(errors, f"passes[{index}]", "expected an object")
-                continue
-            for key in ("name", "runs", "changed", "seconds"):
-                if key not in stat:
-                    _fail(errors, f"passes[{index}]", f"missing required key {key!r}")
-
-    spans = doc.get("spans")
-    if isinstance(spans, list):
-        for index, span in enumerate(spans):
-            _check_span(errors, f"spans[{index}]", span)
-
     if errors:
         raise ProfileSchemaError(
             "profile does not match schema:\n  " + "\n  ".join(errors)

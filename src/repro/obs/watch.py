@@ -1,223 +1,314 @@
-"""Regression watch: trend analysis over the whole benchmark ledger.
+"""Regression watch: the benchmark ledger, its trend report and its gate.
 
-``repro bench --check`` originally diffed a fresh sweep against only the
-*immediately preceding* ``BENCH_<n>.json`` entry, so a slow drift — two
-PRs each 9% slower — sailed under a 15% per-step threshold while costing
-17% overall.  This module closes that hole by aggregating **every**
-committed ledger entry into per-``(workload, config)`` trend series and
-judging the *current level* against the *best sustained level* in the
-history:
+The ledger is the ``BENCH_<n>.json`` files beside ``BENCHMARK.json``
+(the repository root).  An entry is the last line the end-to-end harness
+prints, verbatim — nothing under ``src/`` writes one::
 
-* each series is the ``norm_instr_per_s`` of one cell over ledger
-  entries (calibrated per cell, so laptop and CI entries mix);
-* the baseline is the best **window median** (window of up to
-  :data:`WINDOW` points) over the *prior* points, which keeps historical
-  noise out of the level: one anomalously fast old entry cannot set an
-  unreachable baseline, and one slow old entry cannot mask real drift;
-* a series' ``drift`` is the fractional change from that baseline to the
-  raw newest point — the entry under judgment keeps the gate's full
-  sensitivity to a fresh regression; the change point is the entry where
-  the best window ended;
-* the **verdict** gates on the geomean drift across all series (matching
-  the ledger gate's noise model: a real simulator regression moves every
-  cell together) and also lists every individual series past threshold.
+    python3 benchmarks/e2e/run.py --all --traced --seed 0 | tail -n 1 > BENCH_<n>.json
 
-``python -m repro watch`` renders the report; ``--check`` turns the
-verdict into an exit code for CI.  The machine-readable document
-(``repro.obs.watch/v1``) is what ``bench --check`` now gates on.
+so it holds, per workload, the ``end_to_end`` run and the traced
+``per_layer`` run.  ``BENCHMARK.json`` says which way each metric is
+better and gives the end-to-end ones their ``bound``, the share by which
+a metric may get worse; no other number is compared against.
+
+Every metric ``BENCHMARK.json`` lists is one series per workload over
+the entries (a value of 0 is a layer the workload never entered: no
+point).  ``current`` is the raw newest point, so a fresh regression is
+seen at full size.  The baseline ``best`` is the best **window median**
+(up to :data:`WINDOW` points) of the *earlier* points: one anomalously
+good old entry cannot set an unreachable level and one bad old entry
+cannot mask drift; ``best_entry`` is where that window ended, the change
+point to bisect from.  ``worse_by`` is how much worse ``current`` is
+than ``best`` as a share of ``best`` (negative = better), whichever way
+the metric runs.
+
+A series with a bound is **gated**: ``worse_by`` beyond it fails the
+verdict, each series on its own — a geomean once read "OK" over seven
+regressed series.  A per-layer series is only **trended**: it says which
+layer moved and fails nothing.  Entries are comparable only when
+recorded on one host; ``host.calibration_ops_per_s`` is in every entry
+for the reader and nothing is normalised by it.  ``python -m repro
+watch`` renders the report; ``--check`` makes the verdict an exit code.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Optional
+import os
+import re
+from statistics import median
 
-from .ledger import REGRESSION_THRESHOLD, ledger_entries
+from .schema import check, record
 
 __all__ = [
     "WATCH_SCHEMA_VERSION",
     "WatchSchemaError",
     "analyze_series",
+    "build_series",
     "build_watch_report",
+    "ledger_entries",
     "load_history",
     "render_watch_report",
     "validate_watch_report",
 ]
 
-WATCH_SCHEMA_VERSION = "repro.obs.watch/v1"
+WATCH_SCHEMA_VERSION = "repro.obs.watch/v2"
 
 #: Window size (in ledger entries) for the median levels.  Three points
 #: reject one outlier; histories shorter than the window use what exists.
 WINDOW = 3
 
+#: The text report lists a per-layer series once it moved this far
+#: either way; the JSON report carries every series.
+SHOWN_MOVE = 0.25
+
+_LEDGER_RE = re.compile(r"^BENCH_(\d+)\.json$")
+
 
 class WatchSchemaError(ValueError):
-    """A watch report does not conform to ``repro.obs.watch/v1``."""
+    """A watch report does not conform to ``repro.obs.watch/v2``."""
+
+
+# -- schemas ----------------------------------------------------------------
+
+_NUMBER = {"type": "number"}
+_COUNT = {"type": "integer", "minimum": 0}
+_TEXT = {"type": "string"}
+_FLAG = {"type": "boolean"}
+_BETTER = {"enum": ["lower", "higher"]}
+_BOUND = {"type": "number", "minimum": 0}
+
+_RUN = record(
+    {
+        "correct": _FLAG,
+        "attempted": _COUNT,
+        "failed": _COUNT,
+        "metrics": {
+            "type": "object",
+            "additionalProperties": record({"value": _NUMBER, "unit": _TEXT}),
+        },
+    }
+)
+
+#: One ledger entry: ``{workload: {"end_to_end": run, "per_layer": run}}``.
+LEDGER_ENTRY_SCHEMA = {
+    "type": "object",
+    "additionalProperties": record({"end_to_end": _RUN}, {"per_layer": _RUN}),
+}
+
+#: A listed metric; one with a bound is gated, one without only trended.
+_METRICS = {
+    "type": "array",
+    "items": record({"name": _TEXT, "better": _BETTER}, {"bound": _BOUND}),
+}
+
+#: The part of ``BENCHMARK.json`` the watch reads.
+CONTRACT_SCHEMA = record({"end_to_end": _METRICS, "per_layer": _METRICS})
+
+_SERIES = record(
+    {
+        "workload": _TEXT,
+        "metric": _TEXT,
+        "better": _BETTER,
+        "points": {"type": "array"},
+        "current": _NUMBER,
+        "best": _NUMBER,
+        "best_entry": _COUNT,
+        "worse_by": _NUMBER,
+        "regressed": _FLAG,
+    },
+    {"bound": _BOUND},  # on a gated series only
+)
+
+WATCH_REPORT_SCHEMA = record(
+    {
+        "schema": {"const": WATCH_SCHEMA_VERSION},
+        "entries": {"type": "array", "items": _COUNT},
+        "skipped": {
+            "type": "array",
+            "items": record({"entry": _COUNT, "reason": _TEXT}),
+        },
+        "errors": {"type": "array", "items": _TEXT},
+        "series": {"type": "array", "items": _SERIES},
+        "verdict": record(
+            {
+                "ok": _FLAG,
+                "regressed": {"type": "array"},
+                "gated": _COUNT,
+                "series": _COUNT,
+                "entries": _COUNT,
+            }
+        ),
+    }
+)
 
 
 # -- history loading --------------------------------------------------------
 
 
-def load_history(directory: str) -> list[dict]:
-    """Every ``BENCH_<n>.json`` in ``directory``, parsed, oldest first,
-    with the ledger index attached as ``doc["entry"]``.  Unreadable
-    entries are skipped (a corrupt historical file should not brick the
-    watch)."""
-    history = []
+def ledger_entries(directory: str) -> list[tuple[int, str]]:
+    """Sorted ``(n, path)`` for every ``BENCH_<n>.json`` in ``directory``."""
+    found = []
+    for name in os.listdir(directory):
+        match = _LEDGER_RE.match(name)
+        if match:
+            found.append((int(match.group(1)), os.path.join(directory, name)))
+    return sorted(found)
+
+
+def _load(path: str, schema: dict, name: str):
+    """``(document, why it cannot be used)``: unreadable, not JSON, or
+    not ``schema``; the reason is empty when the document is fine."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            doc = json.load(handle)
+    except OSError as exc:
+        return None, exc.strerror or str(exc)
+    except ValueError as exc:
+        return None, f"not JSON ({exc})"
+    return doc, "; ".join(check(doc, schema, name))
+
+
+def load_history(directory: str) -> tuple[list, list]:
+    """``(history, skipped)``: every valid entry as ``(n, document)``,
+    oldest first, and every ``BENCH_<n>.json`` that could not be read or
+    is not a ledger entry as ``{"entry": n, "reason": why}``.  A corrupt
+    old file must not brick the watch; whether a skipped entry is fatal
+    is :func:`build_watch_report`'s call."""
+    history, skipped = [], []
     for index, path in ledger_entries(directory):
-        try:
-            with open(path, encoding="utf-8") as handle:
-                doc = json.load(handle)
-        except (OSError, ValueError):
-            continue
-        if isinstance(doc, dict):
-            doc["entry"] = index
-            history.append(doc)
-    return history
+        doc, reason = _load(path, LEDGER_ENTRY_SCHEMA, "entry")
+        if reason:
+            skipped.append({"entry": index, "reason": reason})
+        else:
+            history.append((index, doc))
+    return history, skipped
 
 
-def build_series(history: list) -> dict:
-    """``(workload, config) -> [(entry, norm_instr_per_s), ...]`` over
-    the history.  Rows without positive normalized throughput (e.g. the
-    ``GRAPH`` overlap rows, which deliberately zero their wall-clock
-    columns) carry no trend signal and are skipped.
-
-    Entries with a ``compile`` section additionally contribute
-    ``(workload, "COMPILE:cold")`` and ``(workload, "COMPILE:warm")``
-    series from the normalized inverse compile times (higher = better,
-    calibrated like the throughput cells), so compile-path regressions
-    trend through the same gate; older entries simply lack the section
-    and contribute no points."""
+def build_series(history: list, contract: dict) -> dict:
+    """``(workload, metric) -> [(entry, value), ...]`` for every metric
+    ``contract`` (a ``BENCHMARK.json`` document) lists: its
+    ``end_to_end`` names from each entry's end-to-end run, its
+    ``per_layer`` names from the traced run.  A value of 0 is a layer
+    the workload never entered and contributes no point."""
     series: dict[tuple, list] = {}
-    for doc in history:
-        entry = doc.get("entry", 0)
-        for row in doc.get("results", []):
-            norm = row.get("norm_instr_per_s", 0.0)
-            if not isinstance(norm, (int, float)) or norm <= 0:
-                continue
-            key = (row.get("workload"), row.get("config"))
-            if not all(isinstance(part, str) and part for part in key):
-                continue
-            series.setdefault(key, []).append((entry, float(norm)))
-        compile_rows = doc.get("compile")
-        if not isinstance(compile_rows, list):
-            continue
-        for row in compile_rows:
-            if not isinstance(row, dict):
-                continue
-            workload = row.get("workload")
-            if not isinstance(workload, str) or not workload:
-                continue
-            for config, field in (
-                ("COMPILE:cold", "norm_cold"),
-                ("COMPILE:warm", "norm_warm"),
-            ):
-                norm = row.get(field, 0.0)
-                if not isinstance(norm, (int, float)) or norm <= 0:
-                    continue
-                series.setdefault((workload, config), []).append(
-                    (entry, float(norm))
-                )
+    for entry, doc in history:
+        for workload, runs in doc.items():
+            for kind in ("end_to_end", "per_layer"):
+                metrics = runs.get(kind, {}).get("metrics", {})
+                for spec in contract[kind]:
+                    value = metrics.get(spec["name"], {}).get("value", 0)
+                    if value > 0:
+                        series.setdefault((workload, spec["name"]), []).append(
+                            (entry, float(value))
+                        )
     return series
 
 
 # -- trend analysis ---------------------------------------------------------
 
 
-def _median(values: list) -> float:
-    ordered = sorted(values)
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[mid]
-    return (ordered[mid - 1] + ordered[mid]) / 2.0
-
-
-def analyze_series(points: list, threshold: float = REGRESSION_THRESHOLD) -> dict:
-    """Robust change-point summary of one ``(entry, norm)`` series.
-
-    ``current`` is the newest point — the entry under judgment.  ``best``
-    is the maximum **window median** over all *earlier* points: medians
-    make the baseline robust (one historically slow or anomalously fast
-    entry neither hides a regression nor poisons the level), while
-    judging the raw newest point keeps the gate as sensitive to a fresh
-    regression as the old entry-vs-entry diff.  ``drift`` is the
-    fractional change from best to current, and ``best_entry`` the
-    ledger entry where the best window ended — the change point to
-    bisect from when the series regressed."""
-    values = [norm for _, norm in points]
+def analyze_series(points: list, better: str, bound) -> dict:
+    """Change-point summary of one ``(entry, value)`` series of positive
+    values, as the module docstring defines it: raw newest point against
+    the best window median of the earlier ones (lowest or highest, as
+    ``better`` says).  ``bound`` is ``None`` for a series that is only
+    trended; a series of one point is its own baseline."""
+    values = [value for _, value in points]
     current = values[-1]
     prior = values[:-1] or values
     window = min(WINDOW, len(prior))
     medians = [
-        _median(prior[i : i + window]) for i in range(len(prior) - window + 1)
+        median(prior[i : i + window]) for i in range(len(prior) - window + 1)
     ]
-    best_index = max(range(len(medians)), key=lambda i: medians[i])
+    pick = min if better == "lower" else max
+    best_index = pick(range(len(medians)), key=medians.__getitem__)
     best = medians[best_index]
-    drift = (current - best) / best if best > 0 else 0.0
-    return {
-        "points": [{"entry": entry, "norm_instr_per_s": norm} for entry, norm in points],
+    change = (current - best) / best
+    worse_by = change if better == "lower" else -change
+    summary = {
+        "better": better,
+        "points": [{"entry": entry, "value": value} for entry, value in points],
         "current": current,
         "best": best,
         "best_entry": points[best_index + window - 1][0],
-        "drift": drift,
-        "regressed": drift < -threshold,
+        "worse_by": worse_by,
+        "regressed": bound is not None and worse_by > bound,
     }
+    if bound is not None:
+        summary["bound"] = bound
+    return summary
 
 
-def build_watch_report(
-    directory: str = ".",
-    threshold: float = REGRESSION_THRESHOLD,
-    extra_entry: Optional[dict] = None,
-) -> dict:
-    """The ``repro.obs.watch/v1`` document for one ledger directory.
-
-    ``extra_entry`` appends one not-yet-committed ledger document (the
-    sweep ``bench --check`` just ran) as the newest history point, so the
-    gate judges the candidate against the full committed trend."""
-    history = load_history(directory)
-    if extra_entry is not None:
-        candidate = dict(extra_entry)
-        candidate["entry"] = (history[-1]["entry"] + 1) if history else 0
-        history = history + [candidate]
-    series = build_series(history)
-    analyzed = []
-    for (workload, config), points in sorted(series.items()):
-        summary = analyze_series(points, threshold)
-        summary["workload"] = workload
-        summary["config"] = config
-        analyzed.append(summary)
-    regressed = [
-        {
-            "workload": s["workload"],
-            "config": s["config"],
-            "drift": s["drift"],
-            "best_entry": s["best_entry"],
-        }
-        for s in analyzed
-        if s["regressed"]
+def _newest_entry_errors(history: list, skipped: list) -> list:
+    """Why the newest entry cannot be judged: it is unusable, there is
+    none, or one of its runs failed."""
+    if skipped and (not history or skipped[-1]["entry"] > history[-1][0]):
+        newest = skipped[-1]
+        return [
+            f"BENCH_{newest['entry']}.json, the newest entry, is unusable: "
+            f"{newest['reason']}"
+        ]
+    if not history:
+        return ["no BENCH_<n>.json entry to judge"]
+    entry, doc = history[-1]
+    return [
+        f"BENCH_{entry}.json: the {kind} run of {workload} failed "
+        f"{run['failed']} of {run['attempted']} operations"
+        for workload, runs in doc.items()
+        for kind, run in runs.items()
+        if kind in ("end_to_end", "per_layer")
+        and (run["failed"] or not run["correct"])
     ]
-    ratios = [1.0 + s["drift"] for s in analyzed if 1.0 + s["drift"] > 0]
-    if ratios:
-        product = 1.0
-        for ratio in ratios:
-            product *= ratio
-        geomean_drift = product ** (1.0 / len(ratios)) - 1.0
+
+
+def build_watch_report(directory: str = ".") -> dict:
+    """The ``repro.obs.watch/v2`` document for one ledger directory.
+
+    ``errors`` lists what makes the verdict unusable whatever the
+    numbers say: a missing or malformed ``BENCHMARK.json``, what
+    :func:`_newest_entry_errors` names, and a gated series the newest
+    entry does not continue (a partial entry would otherwise pass on an
+    older entry's numbers).  ``skipped`` lists every unusable entry,
+    fatal or not."""
+    contract_path = os.path.join(directory, "BENCHMARK.json")
+    contract, reason = _load(contract_path, CONTRACT_SCHEMA, "BENCHMARK.json")
+    history, skipped, analyzed = [], [], []
+    if reason:
+        errors = [f"cannot read {contract_path}: {reason}"]
     else:
-        geomean_drift = 0.0
-    verdict = {
-        "ok": geomean_drift >= -threshold,
-        "geomean_drift": geomean_drift,
-        "regressed": regressed,
-        "series": len(analyzed),
-        "entries": len(history),
-    }
+        history, skipped = load_history(directory)
+        errors = _newest_entry_errors(history, skipped)
+        specs = {m["name"]: m for m in contract["per_layer"] + contract["end_to_end"]}
+        series = build_series(history, contract)
+        for (workload, metric), points in sorted(series.items()):
+            better, bound = specs[metric]["better"], specs[metric].get("bound")
+            if bound is not None and points[-1][0] != history[-1][0]:
+                errors.append(
+                    f"BENCH_{history[-1][0]}.json has no {metric} for {workload}"
+                )
+            analyzed.append(
+                {
+                    "workload": workload,
+                    "metric": metric,
+                    **analyze_series(points, better, bound),
+                }
+            )
+    regressed = [[s["workload"], s["metric"]] for s in analyzed if s["regressed"]]
     return {
         "schema": WATCH_SCHEMA_VERSION,
         "directory": directory,
-        "threshold": threshold,
-        "entries": [doc.get("entry", 0) for doc in history],
+        "entries": [entry for entry, _ in history],
+        "skipped": skipped,
+        "errors": errors,
         "series": analyzed,
-        "verdict": verdict,
+        "verdict": {
+            "ok": not errors and not regressed,
+            "regressed": regressed,
+            "gated": sum("bound" in s for s in analyzed),
+            "series": len(analyzed),
+            "entries": len(history),
+        },
     }
 
 
@@ -225,95 +316,54 @@ def build_watch_report(
 
 
 def render_watch_report(doc: dict) -> str:
-    """Human-readable trend table plus the verdict line."""
-    entries = doc.get("entries", [])
+    """Human-readable report: every gated series with its bound and
+    verdict, among them the per-layer series that moved by more than
+    :data:`SHOWN_MOVE`; then the errors and the verdict line."""
+    entries, verdict = doc["entries"], doc["verdict"]
     out = [
-        f"benchmark watch: {len(doc.get('series', []))} series over "
+        f"benchmark watch: {verdict['gated']} gated and "
+        f"{verdict['series'] - verdict['gated']} trended series over "
         f"{len(entries)} ledger entr{'y' if len(entries) == 1 else 'ies'} "
-        f"({', '.join(f'BENCH_{n}' for n in entries) or 'none'})"
+        f"({', '.join(f'BENCH_{n}' for n in entries) or 'none'})",
+        f"(a trended series is listed once it moved by more than {SHOWN_MOVE:.0%})",
     ]
-    if doc.get("series"):
+    for skipped in doc["skipped"]:
+        out.append(f"skipped BENCH_{skipped['entry']}.json: {skipped['reason']}")
+    if doc["series"]:
         out.append(
-            f"{'WORKLOAD':>20} {'CONFIG':<10} {'POINTS':>6} {'BEST':>12} "
-            f"{'CURRENT':>12} {'DRIFT':>8}"
+            f"{'WORKLOAD':>18} {'METRIC':<30} {'POINTS':>6} {'BEST':>12} "
+            f"{'CURRENT':>12} {'WORSE BY':>8} {'BOUND':>6}"
         )
-        for series in doc["series"]:
-            flag = (
-                f"  << regressed since BENCH_{series['best_entry']}"
-                if series["regressed"]
-                else ""
+    for series in doc["series"]:
+        if "bound" not in series:
+            if abs(series["worse_by"]) <= SHOWN_MOVE:
+                continue
+            tail = f"{'-':>6}  trended"
+        elif series["regressed"]:
+            tail = (
+                f"{series['bound']:>6.0%}  << past its bound since "
+                f"BENCH_{series['best_entry']}"
             )
-            out.append(
-                # significant digits, not decimals: the series span
-                # 1e-8 (COMPILE:*) to 1e+2
-                "{workload:>20} {config:<10} {points:>6} {best:>12.4g} "
-                "{current:>12.4g} {drift:>+7.1%}{flag}".format(
-                    workload=series["workload"],
-                    config=series["config"],
-                    points=len(series["points"]),
-                    best=series["best"],
-                    current=series["current"],
-                    drift=series["drift"],
-                    flag=flag,
-                )
-            )
-    verdict = doc.get("verdict", {})
-    status = "OK" if verdict.get("ok") else "REGRESSED"
+        else:
+            tail = f"{series['bound']:>6.0%}  ok"
+        out.append(
+            # significant digits, not decimals: series span 1e-4 s to 1e+7 B
+            f"{series['workload']:>18} {series['metric']:<30} "
+            f"{len(series['points']):>6} {series['best']:>12.4g} "
+            f"{series['current']:>12.4g} {series['worse_by']:>+8.1%} {tail}"
+        )
+    out.extend(f"error: {message}" for message in doc["errors"])
     out.append(
-        f"verdict: {status} (geomean drift {verdict.get('geomean_drift', 0.0):+.1%}, "
-        f"threshold -{doc.get('threshold', REGRESSION_THRESHOLD):.0%}, "
-        f"{len(verdict.get('regressed', []))} series past threshold)"
+        f"verdict: {'OK' if verdict['ok'] else 'FAILED'} "
+        f"({len(verdict['regressed'])} of {verdict['gated']} gated series "
+        f"past their bound, {len(doc['errors'])} error(s))"
     )
     return "\n".join(out)
 
 
-# -- schema -----------------------------------------------------------------
-
-
-def _fail(errors: list, path: str, message: str) -> None:
-    errors.append(f"{path}: {message}")
-
-
 def validate_watch_report(doc) -> None:
-    """Structural validation; raises :class:`WatchSchemaError` listing
-    every problem found."""
-    errors: list[str] = []
-    if not isinstance(doc, dict):
-        raise WatchSchemaError(f"report: expected object, got {type(doc).__name__}")
-    if doc.get("schema") != WATCH_SCHEMA_VERSION:
-        _fail(errors, "report.schema", f"expected {WATCH_SCHEMA_VERSION!r}")
-    if not isinstance(doc.get("threshold"), (int, float)):
-        _fail(errors, "report.threshold", "expected number")
-    if not isinstance(doc.get("entries"), list):
-        _fail(errors, "report.entries", "expected list")
-    series = doc.get("series")
-    if not isinstance(series, list):
-        _fail(errors, "report.series", "expected list")
-        series = []
-    for index, summary in enumerate(series):
-        path = f"report.series[{index}]"
-        if not isinstance(summary, dict):
-            _fail(errors, path, "expected object")
-            continue
-        for key in ("workload", "config"):
-            if not isinstance(summary.get(key), str) or not summary.get(key):
-                _fail(errors, f"{path}.{key}", "missing or empty")
-        for key in ("current", "best", "drift"):
-            if not isinstance(summary.get(key), (int, float)):
-                _fail(errors, f"{path}.{key}", "expected number")
-        if not isinstance(summary.get("regressed"), bool):
-            _fail(errors, f"{path}.regressed", "expected bool")
-        if not isinstance(summary.get("points"), list) or not summary.get("points"):
-            _fail(errors, f"{path}.points", "expected non-empty list")
-    verdict = doc.get("verdict")
-    if not isinstance(verdict, dict):
-        _fail(errors, "report.verdict", "expected object")
-    else:
-        if not isinstance(verdict.get("ok"), bool):
-            _fail(errors, "report.verdict.ok", "expected bool")
-        if not isinstance(verdict.get("geomean_drift"), (int, float)):
-            _fail(errors, "report.verdict.geomean_drift", "expected number")
-        if not isinstance(verdict.get("regressed"), list):
-            _fail(errors, "report.verdict.regressed", "expected list")
+    """Raise :class:`WatchSchemaError` listing every departure from
+    ``WATCH_REPORT_SCHEMA``."""
+    errors = check(doc, WATCH_REPORT_SCHEMA, "report")
     if errors:
         raise WatchSchemaError("; ".join(errors))

@@ -1,9 +1,9 @@
 """Synthetic many-client load for the compile service.
 
-``python -m repro serve --selftest`` (and ``benchmarks/bench_service.py``)
-drive this module: it starts from a pool of *distinct* generated MiniC++
-sources, then hammers a running daemon with ``clients`` concurrent
-threads, two phases —
+``python -m repro serve --selftest`` drives this module (the repo
+benchmark's ``service_mix`` borrows only :func:`generate_sources`): it
+starts from a pool of *distinct* generated MiniC++ sources, then hammers
+a running daemon with ``clients`` concurrent threads, two phases —
 
 * **cold** — every source is seen for the first time, so each request
   pays frontend + pipeline + closure;

@@ -173,6 +173,27 @@ class TestCli:
                 "for the frontend (several hundred chained operators or " \
                 "parentheses); split it across statements\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["profile", "bfs", "--scale", "0.05", "--output"],
+            ["annotate", "bfs", "--scale", "0.05", "--output"],
+            ["watch", "--output"],
+            ["serve", "--selftest", "--clients", "1", "--sources", "1",
+             "--stats-output"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_unwritable_output_is_an_error_line(self, argv, tmp_path, capsys, monkeypatch):
+        """The work is done, the report cannot be written: one
+        ``error:`` line and exit 1, as for an unreadable input file —
+        at the parent each of these ended in a raw ``FileNotFoundError``."""
+        monkeypatch.chdir(tmp_path)  # serve's default store lands here
+        target = tmp_path / "no_such_dir" / "report.json"
+        assert cli_main(argv + [str(target)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: cannot write {target}: No such file or directory" in err
+
     def test_no_kernels_error(self, tmp_path, capsys):
         path = tmp_path / "nothing.cpp"
         path.write_text("class Plain { public: int x; };")

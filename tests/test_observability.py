@@ -159,6 +159,75 @@ class TestProfileDocument:
         with pytest.raises(ProfileSchemaError, match="schema"):
             validate_profile(doc)
 
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("constructs", 0, "device"), "tpu", "profile.constructs[0].device: 'tpu' not in"),
+            (("constructs", 0, "seconds"), -1, "profile.constructs[0].seconds: -1 < minimum 0"),
+            (("constructs", 0, "kernel"), 7, "profile.constructs[0].kernel: expected string, got int"),
+            (("constructs", 0, "phases", "launch"), "1", "phases.launch: expected number, got str"),
+            (("constructs", 0, "attributed_fraction"), 1.5, "attributed_fraction: 1.5 > maximum 1"),
+            (("constructs", 0, "counters"), [], "profile.constructs[0].counters: expected object"),
+            (("totals", "energy_joules"), None, "profile.totals: missing required key 'energy_joules'"),
+            (("totals", "seconds"), True, "profile.totals.seconds: expected number, got bool"),
+            (("counters", "engine.instructions"), "many", "profile.counters.engine.instructions: expected number"),
+            (("passes",), [{"name": "dce"}], "profile.passes[0]: missing required key 'runs'"),
+            (("spans", 0, "children", 0, "name"), None, "profile.spans[0].children[0]: missing required key 'name'"),
+            (("spans", 0, "children", 0, "wall_seconds"), -2.0, "children[0].wall_seconds: -2.0 < minimum 0"),
+            (("kernels",), [], "profile.kernels: expected object, got list"),
+        ],
+    )
+    def test_validation_rejects_what_the_schema_forbids(self, path, value, message):
+        """Every rule the hand-written walkers enforced is a line of
+        PROFILE_SCHEMA now; ``None`` deletes the key."""
+        obs = self._observer_with_launch()
+        with obs.span("outer"):
+            with obs.span("inner", category="phase"):
+                pass
+        doc = json.loads(json.dumps(build_profile(obs)))
+        validate_profile(doc)
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        if value is None:
+            del target[path[-1]]
+        else:
+            target[path[-1]] = value
+        with pytest.raises(ProfileSchemaError) as excinfo:
+            validate_profile(doc)
+        assert message in str(excinfo.value)
+        with pytest.raises(ProfileSchemaError, match="expected object, got list"):
+            validate_profile([doc])
+
+    def test_check_interprets_the_draft07_subset(self):
+        from repro.obs.schema import check, record
+
+        schema = {
+            "type": "object",
+            "required": ["kind"],
+            "properties": {
+                "kind": {"const": "v2"},
+                "count": {"type": "integer", "minimum": 0},
+                "tags": {"type": "array", "items": {"enum": ["a", "b"]}},
+            },
+            "additionalProperties": {"type": "number", "maximum": 1},
+        }
+        assert check({"kind": "v2", "count": 3, "tags": ["a"], "x": 0.5}, schema, "d") == []
+        assert check({"kind": "v1", "count": 1.5, "tags": ["c"], "x": 2, "y": "z"}, schema, "d") == [
+            "d.kind: expected 'v2', got 'v1'",
+            "d.count: expected integer, got float",
+            "d.tags[0]: 'c' not in ['a', 'b']",
+            "d.x: 2 > maximum 1",
+            "d.y: expected number, got str",
+        ]
+        assert check({}, schema, "d") == ["d: missing required key 'kind'"]
+        assert check(True, {"type": "integer"}, "d") == ["d: expected integer, got bool"]
+        assert record({"a": {}}, {"b": {}}) == {
+            "type": "object",
+            "required": ["a"],
+            "properties": {"a": {}, "b": {}},
+        }
+
     def test_kernel_profile_aggregates_launches(self):
         obs = Observer()
         for _ in range(3):

@@ -12,6 +12,7 @@ emission entirely (asserted via the ``service.closure_*`` counters).
 import http.client
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -22,9 +23,7 @@ import warnings
 import pytest
 
 from repro.obs import Observer
-from repro.obs.ledger import measure_compile, validate_ledger
 from repro.obs.telemetry import AggregatorSink
-from repro.obs.watch import build_series
 from repro.runtime.compiler import (
     compile_cached,
     frontend_key,
@@ -569,54 +568,54 @@ class TestLoadGenerator:
 
 
 class TestCompileLedger:
-    def test_measure_compile_rows(self):
-        registry = all_workloads()
-        rows = measure_compile(
-            ["BFS"], registry, calibration=1_000_000.0, repeats=1
+    def test_watch_trends_compile_series(self, tmp_path):
+        """The contract between the harness's result line and the watch:
+        a real ``compile_mix`` line, stored verbatim as an entry,
+        validates and yields the four gated series plus one trended
+        series per layer the workload entered.  It fails the day the
+        two disagree on the shape.  (``compile_cold_s`` / ``compile_warm_s``
+        are the v1 ledger's ``COMPILE`` section's successors.)"""
+        from repro.obs.schema import check
+        from repro.obs.watch import (
+            LEDGER_ENTRY_SCHEMA,
+            build_watch_report,
+            validate_watch_report,
         )
-        [row] = rows
-        assert row["workload"] == "BFS"
-        assert row["cold_s"] > 0 and row["warm_s"] > 0
-        assert row["speedup"] == pytest.approx(row["cold_s"] / row["warm_s"])
-        assert row["warm_stages"] == {"closure": "hit"}
-        assert row["norm_cold"] > 0 and row["norm_warm"] > 0
 
-    def test_ledger_schema_accepts_and_rejects_compile_section(self):
-        bench_path = os.path.join(
-            os.path.dirname(__file__), "..", "BENCH_2.json"
+        root = os.path.join(os.path.dirname(__file__), "..")
+        done = subprocess.run(
+            [
+                sys.executable,
+                os.path.join(root, "benchmarks", "e2e", "run.py"),
+                "--workload", "compile_mix", "--traced", "--smoke",
+            ],
+            capture_output=True, text=True, timeout=300,
         )
-        with open(bench_path) as handle:
-            base = json.load(handle)
-        base.pop("compile", None)
-        row = {
-            "workload": "BFS", "cold_s": 0.1, "warm_s": 0.01, "speedup": 10.0,
-            "calibration_ops_per_s": 1.0, "norm_cold": 10.0, "norm_warm": 100.0,
+        assert done.returncode == 0, done.stderr
+        line = done.stdout.splitlines()[-1]
+        shutil.copy(os.path.join(root, "BENCHMARK.json"), tmp_path)
+        (tmp_path / "BENCH_0.json").write_text(line + "\n")
+
+        entry = json.loads(line)
+        assert check(entry, LEDGER_ENTRY_SCHEMA, "entry") == []
+        runs = entry["compile_mix"]
+        assert runs["end_to_end"]["metrics"]["compile_cold_s"]["value"] > 0
+        assert runs["end_to_end"]["metrics"]["compile_warm_s"]["value"] > 0
+
+        report = build_watch_report(str(tmp_path))
+        validate_watch_report(report)
+        assert report["errors"] == [] and report["verdict"]["ok"]
+        gated = {s["metric"] for s in report["series"] if "bound" in s}
+        assert gated == {"setup_s", "iter_wall_s", "iter_cpu_s", "peak_rss_mb"}
+        with open(os.path.join(root, "BENCHMARK.json")) as handle:
+            listed = {m["name"] for m in json.load(handle)["per_layer"]}
+        entered = {
+            name
+            for name, cell in runs["per_layer"]["metrics"].items()
+            if cell["value"] > 0
         }
-        validate_ledger({**base, "compile": [row]})
-        validate_ledger(base)  # section is optional (pre-existing entries)
-        from repro.obs.ledger import LedgerSchemaError
-
-        with pytest.raises(LedgerSchemaError):
-            validate_ledger({**base, "compile": [{**row, "cold_s": -1}]})
-        with pytest.raises(LedgerSchemaError):
-            validate_ledger({**base, "compile": [{**row, "workload": ""}]})
-        with pytest.raises(LedgerSchemaError):
-            validate_ledger({**base, "compile": {"not": "a list"}})
-
-    def test_watch_trends_compile_series(self):
-        def entry(n, norm_cold, norm_warm):
-            return {
-                "entry": n,
-                "results": [],
-                "compile": [{
-                    "workload": "BFS",
-                    "norm_cold": norm_cold,
-                    "norm_warm": norm_warm,
-                }],
-            }
-
-        series = build_series([entry(0, 10.0, 100.0), entry(1, 12.0, 110.0)])
-        assert series[("BFS", "COMPILE:cold")] == [(0, 10.0), (1, 12.0)]
-        assert series[("BFS", "COMPILE:warm")] == [(0, 100.0), (1, 110.0)]
-        # Entries without the section (older ledgers) contribute nothing.
-        assert build_series([{"entry": 0, "results": []}]) == {}
+        trended = {s["metric"] for s in report["series"] if "bound" not in s}
+        assert trended == entered & listed
+        assert {"passes.pipeline_s", "minicpp.frontend_s", "store.get_s"} <= trended
+        assert not any(name.startswith(("exec.", "vector.")) for name in trended)
+        assert all(s["workload"] == "compile_mix" for s in report["series"])

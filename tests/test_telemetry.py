@@ -3,9 +3,12 @@ flight recorder (repro.obs.flight), declared-set runtime validation
 (ConcordRuntime(declared_check=...)), and the ledger regression watch
 (repro.obs.watch): ring drop accounting, stream-vs-registry equivalence
 on the nine workloads under both engines, trap-site resolution down to
-the source line, and trend-gate behavior on synthetic histories."""
+the source line, and the per-series gate on synthetic histories of
+harness result lines."""
 
 import json
+import pathlib
+import shutil
 import warnings
 
 import pytest
@@ -28,7 +31,8 @@ from repro.obs import (
     validate_watch_report,
 )
 from repro.obs.telemetry import EventRing
-from repro.obs.watch import WatchSchemaError, analyze_series
+from repro.obs.schema import check
+from repro.obs.watch import LEDGER_ENTRY_SCHEMA, WatchSchemaError, analyze_series
 from repro.passes import OptConfig
 from repro.runtime import ConcordRuntime, compile_source, ultrabook
 from repro.runtime.graph import DeclaredSetViolation
@@ -586,40 +590,113 @@ class TestDeclaredCheck:
 
 # -- the regression watch ---------------------------------------------------
 
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+CONTRACT = json.loads((ROOT / "BENCHMARK.json").read_text())
+GATED = {metric["name"] for metric in CONTRACT["end_to_end"]}
 
-def _write_history(directory, series):
-    """``series``: {(workload, config): [v0, v1, ...]} -> BENCH_<n>.json
-    files; all lists must share a length."""
+
+def _write_history(directory, series, failed=0):
+    """``series``: {(workload, metric): [v0, v1, ...]} -> the repo's
+    ``BENCHMARK.json`` plus one ``BENCH_<n>.json`` per index, each in
+    the shape of the harness's result line (a metric goes to the run
+    ``BENCHMARK.json`` lists it under; ``failed`` marks the newest
+    entry's runs); all lists must share a length."""
+    shutil.copy(ROOT / "BENCHMARK.json", directory)
     length = len(next(iter(series.values())))
     for n in range(length):
-        rows = [
-            {"workload": w, "config": c, "norm_instr_per_s": values[n]}
-            for (w, c), values in series.items()
-        ]
-        (directory / f"BENCH_{n}.json").write_text(
-            json.dumps({"results": rows})
-        )
+        entry = {}
+        for (workload, metric), values in series.items():
+            runs = entry.setdefault(
+                workload,
+                {
+                    kind: {
+                        "correct": not (failed and n == length - 1),
+                        "attempted": 10,
+                        "failed": failed if n == length - 1 else 0,
+                        "metrics": {},
+                    }
+                    for kind in ("end_to_end", "per_layer")
+                },
+            )
+            kind = "end_to_end" if metric in GATED else "per_layer"
+            runs[kind]["metrics"][metric] = {"value": values[n], "unit": "s"}
+        assert check(entry, LEDGER_ENTRY_SCHEMA, "entry") == []
+        (directory / f"BENCH_{n}.json").write_text(json.dumps(entry))
 
 
 class TestWatch:
     def test_slow_multi_pr_drift_is_caught(self, tmp_path):
-        # two consecutive ~9% losses pass any single-step 15% gate but
-        # cost 17% overall — the trend gate must fire
-        _write_history(tmp_path, {("W", "GPU"): [100.0, 100.0, 100.0, 91.0, 83.0]})
-        doc = build_watch_report(str(tmp_path), threshold=0.15)
+        # two consecutive ~14% losses pass any single-step 25% gate but
+        # cost 30% overall — the trend gate must fire
+        _write_history(
+            tmp_path, {("W", "iter_wall_s"): [1.0, 1.0, 1.0, 1.14, 1.30]}
+        )
+        doc = build_watch_report(str(tmp_path))
         validate_watch_report(doc)
         series = doc["series"][0]
         assert series["regressed"]
-        assert series["drift"] == pytest.approx(-0.17)
+        assert series["worse_by"] == pytest.approx(0.30)
         assert not doc["verdict"]["ok"]
-        assert doc["verdict"]["regressed"][0]["workload"] == "W"
+        assert doc["verdict"]["regressed"] == [["W", "iter_wall_s"]]
+
+    def test_each_series_is_gated_on_its_own_bound(self, tmp_path, capsys):
+        """30 % worse on one workload fails naming that series alone:
+        20 % worse on another passes, and no combined score lets three
+        improved series buy the regressed one back."""
+        from repro.__main__ import main
+
+        _write_history(
+            tmp_path,
+            {
+                ("A", "iter_wall_s"): [1.0, 1.0, 1.30],
+                ("B", "iter_wall_s"): [1.0, 1.0, 1.20],
+                ("A", "setup_s"): [1.0, 1.0, 0.5],
+                ("A", "iter_cpu_s"): [1.0, 1.0, 0.5],
+                ("B", "peak_rss_mb"): [90.0, 90.0, 45.0],
+            },
+        )
+        doc = build_watch_report(str(tmp_path))
+        assert doc["verdict"]["gated"] == 5
+        assert doc["verdict"]["regressed"] == [["A", "iter_wall_s"]]
+        assert all("bound" in s and s["bound"] == 0.25 for s in doc["series"])
+        assert main(["watch", "--dir", str(tmp_path), "--check"]) == 1
+        out = capsys.readouterr().out
+        (flagged,) = [line for line in out.splitlines() if "<< past" in line]
+        assert flagged.split()[:2] == ["A", "iter_wall_s"]
+        assert "verdict: FAILED (1 of 5 gated series" in out
+
+        _write_history(tmp_path, {("B", "iter_wall_s"): [1.0, 1.0, 1.20]})
+        assert main(["watch", "--dir", str(tmp_path), "--check"]) == 0
+
+    def test_per_layer_series_trend_but_do_not_gate(self, tmp_path):
+        """A ``better: higher`` per-layer metric that halves is listed
+        (it moved by more than 25 %) and fails nothing."""
+        _write_history(
+            tmp_path,
+            {
+                ("W", "iter_wall_s"): [1.0, 1.0, 1.0],
+                ("W", "exec.minstr_per_s"): [4.0, 4.0, 2.0],
+                ("W", "exec.lane_s"): [1.0, 1.0, 1.1],
+            },
+        )
+        doc = build_watch_report(str(tmp_path))
+        validate_watch_report(doc)
+        by_metric = {s["metric"]: s for s in doc["series"]}
+        halved = by_metric["exec.minstr_per_s"]
+        assert halved["better"] == "higher" and "bound" not in halved
+        assert halved["worse_by"] == pytest.approx(0.5)
+        assert not halved["regressed"]
+        assert doc["verdict"]["ok"] and doc["verdict"]["gated"] == 1
+        text = render_watch_report(doc)
+        assert "exec.minstr_per_s" in text and "trended" in text
+        assert "exec.lane_s" not in text  # moved 10 %: in the JSON only
+        assert "exec.lane_s" in by_metric
 
     def test_change_point_names_the_entry_to_bisect_from(self, tmp_path):
         _write_history(
-            tmp_path, {("W", "GPU"): [100.0, 100.0, 100.0, 70.0, 70.0, 70.0]}
+            tmp_path, {("W", "iter_wall_s"): [1.0, 1.0, 1.0, 1.5, 1.5, 1.5]}
         )
-        doc = build_watch_report(str(tmp_path), threshold=0.15)
-        series = doc["series"][0]
+        series = build_watch_report(str(tmp_path))["series"][0]
         assert series["regressed"]
         # the best window is BENCH_0..2; its end is the change point
         assert series["best_entry"] == 2
@@ -630,76 +707,199 @@ class TestWatch:
         _write_history(
             tmp_path,
             {
-                ("Fast", "GPU"): [100.0, 300.0, 100.0, 100.0, 100.0],
-                ("Slow", "GPU"): [100.0, 30.0, 100.0, 100.0, 100.0],
+                ("Fast", "iter_wall_s"): [1.0, 0.3, 1.0, 1.0, 1.0],
+                ("Slow", "iter_wall_s"): [1.0, 3.0, 1.0, 1.0, 1.0],
             },
         )
-        doc = build_watch_report(str(tmp_path), threshold=0.15)
+        doc = build_watch_report(str(tmp_path))
         for series in doc["series"]:
             assert not series["regressed"], series
         assert doc["verdict"]["ok"]
 
+    def test_one_slow_old_entry_cannot_mask_drift(self, tmp_path):
+        # a level taken from the previous entry, or from a mean, would
+        # read 1.3 after 3.0 as an improvement; the window median does not
+        _write_history(tmp_path, {("W", "iter_wall_s"): [1.0, 1.0, 1.0, 3.0, 1.3]})
+        series = build_watch_report(str(tmp_path))["series"][0]
+        assert series["best"] == 1.0
+        assert series["worse_by"] == pytest.approx(0.30) and series["regressed"]
+
     def test_fresh_regression_is_judged_raw(self, tmp_path):
         # the newest point is the entry under judgment: no median may
-        # soften it (this is what bench --check gates on)
-        _write_history(tmp_path, {("W", "GPU"): [100.0, 100.0, 100.0, 60.0]})
-        doc = build_watch_report(str(tmp_path), threshold=0.15)
-        assert doc["series"][0]["drift"] == pytest.approx(-0.40)
+        # soften it
+        _write_history(tmp_path, {("W", "iter_wall_s"): [1.0, 1.0, 1.0, 1.4]})
+        doc = build_watch_report(str(tmp_path))
+        assert doc["series"][0]["worse_by"] == pytest.approx(0.40)
         assert not doc["verdict"]["ok"]
 
     def test_graph_rows_carry_no_trend_signal(self, tmp_path):
+        """A layer a workload never enters reads 0 in every entry
+        (``graph.*`` everywhere but ``hetero_sched``): no series."""
         _write_history(
             tmp_path,
-            {("W", "GPU"): [100.0, 100.0], ("W", "GRAPH"): [0.0, 0.0]},
+            {
+                ("paper_sweep", "iter_wall_s"): [4.0, 4.0],
+                ("paper_sweep", "graph.waves"): [0, 0],
+                ("hetero_sched", "iter_wall_s"): [1.5, 1.5],
+                ("hetero_sched", "graph.waves"): [12, 12],
+            },
         )
         doc = build_watch_report(str(tmp_path))
-        assert [s["config"] for s in doc["series"]] == ["GPU"]
+        assert [
+            s["workload"] for s in doc["series"] if s["metric"] == "graph.waves"
+        ] == ["hetero_sched"]
 
-    def test_empty_directory_is_ok(self, tmp_path):
+    def test_empty_directory_fails_the_gate(self, tmp_path):
+        """No entry is nothing to pass: the parent's watch printed
+        ``0 series over 0 ledger entries ... verdict: OK`` here."""
+        shutil.copy(ROOT / "BENCHMARK.json", tmp_path)
         doc = build_watch_report(str(tmp_path))
         validate_watch_report(doc)
-        assert doc["verdict"]["ok"] and doc["verdict"]["series"] == 0
+        assert doc["verdict"]["series"] == 0 and not doc["verdict"]["ok"]
+        assert doc["errors"] == ["no BENCH_<n>.json entry to judge"]
 
     def test_short_history_never_self_regresses(self):
-        assert not analyze_series([(0, 100.0)])["regressed"]
-        assert analyze_series([(0, 100.0)])["drift"] == 0.0
+        only = analyze_series([(0, 100.0)], "lower", 0.25)
+        assert not only["regressed"] and only["worse_by"] == 0.0
 
     def test_render_names_verdict(self, tmp_path):
-        _write_history(tmp_path, {("W", "GPU"): [100.0, 50.0]})
-        doc = build_watch_report(str(tmp_path), threshold=0.15)
-        text = render_watch_report(doc)
-        assert "verdict: REGRESSED" in text
-        assert "<< regressed since BENCH_0" in text
+        _write_history(tmp_path, {("W", "iter_wall_s"): [1.0, 2.0]})
+        text = render_watch_report(build_watch_report(str(tmp_path)))
+        assert "verdict: FAILED" in text
+        assert "<< past its bound since BENCH_0" in text
 
-    def test_validator_rejects_malformed(self):
+    def test_validator_rejects_malformed(self, tmp_path):
         with pytest.raises(WatchSchemaError):
             validate_watch_report({"schema": "nope"})
+        _write_history(tmp_path, {("W", "iter_wall_s"): [1.0, 1.0]})
+        doc = build_watch_report(str(tmp_path))
+        doc["series"][0]["worse_by"] = "0.0"
+        del doc["verdict"]["ok"]
+        with pytest.raises(WatchSchemaError) as excinfo:
+            validate_watch_report(doc)
+        message = str(excinfo.value)
+        assert "report.series[0].worse_by: expected number" in message
+        assert "report.verdict: missing required key 'ok'" in message
 
     def test_committed_ledger_history_is_healthy(self):
         """The repo's own BENCH_* history must pass its own gate — this
-        is exactly what CI's `repro watch --check` runs."""
-        import pathlib
-
-        root = pathlib.Path(__file__).resolve().parents[1]
-        doc = build_watch_report(str(root))
+        is exactly what CI's `repro watch --check` runs — and every
+        committed entry is a whole result line: each workload of
+        BENCHMARK.json, both runs, every gated metric, all correct."""
+        doc = build_watch_report(str(ROOT))
         validate_watch_report(doc)
-        assert doc["verdict"]["entries"] >= 1
+        assert doc["verdict"]["entries"] >= 1 and doc["skipped"] == []
         assert doc["verdict"]["ok"], render_watch_report(doc)
+        workloads = {w["name"] for w in CONTRACT["workloads"]}
+        assert doc["verdict"]["gated"] == len(workloads) * len(GATED) == 24
+        for n in doc["entries"]:
+            entry = json.loads((ROOT / f"BENCH_{n}.json").read_text())
+            assert set(entry) == workloads
+            for runs in entry.values():
+                assert runs["end_to_end"]["correct"] and runs["per_layer"]["correct"]
+                assert GATED <= set(runs["end_to_end"]["metrics"])
+                assert "host.calibration_ops_per_s" in runs["end_to_end"]["metrics"]
 
-    def test_render_keeps_small_series_readable(self):
-        """The COMPILE:* series sit near 1e-6; a fixed four-decimal
-        column printed every one of them as 0.0000."""
-        import pathlib
+    def test_render_keeps_small_series_readable(self, tmp_path):
+        """Series span 1e-6 s to 1e+7 B; a fixed four-decimal column
+        would print the small ones as 0.0000."""
+        _write_history(
+            tmp_path,
+            {
+                ("W", "iter_wall_s"): [1.0, 1.0],
+                ("W", "store.put_s"): [2.5e-6, 5e-6],
+                ("W", "store.bytes"): [3579851, 7668833],
+            },
+        )
+        text = render_watch_report(build_watch_report(str(tmp_path)))
+        rows = {line.split()[1]: line.split() for line in text.splitlines()[3:-1]}
+        assert rows["store.put_s"][3:5] == ["2.5e-06", "5e-06"]
+        assert rows["store.bytes"][3:5] == ["3.58e+06", "7.669e+06"]
 
-        root = pathlib.Path(__file__).resolve().parents[1]
-        text = render_watch_report(build_watch_report(str(root)))
-        (row,) = [
-            line.split()
-            for line in text.splitlines()
-            if line.split()[:2] == ["SSSP", "COMPILE:cold"]
-        ]
-        best, current = float(row[3]), float(row[4])
-        assert best > 0.0 and current > 0.0
+
+class TestWatchFailsClosed:
+    """A ledger that cannot be judged never reads ``verdict: OK``: at
+    the parent each of these printed it and exited 0."""
+
+    def _check(self, directory, capsys):
+        from repro.__main__ import main
+
+        code = main(["watch", "--dir", str(directory), "--check"])
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        return code, captured.out, captured.err
+
+    def _assert_fails(self, directory, capsys, reason):
+        code, out, err = self._check(directory, capsys)
+        assert code == 1
+        assert "verdict: OK" not in out and "verdict: FAILED" in out
+        assert f"error: {reason}" in out, out
+        assert err.startswith("error: ledger verdict FAILED")
+
+    def test_truncated_only_entry(self, tmp_path, capsys):
+        _write_history(tmp_path, {("W", "iter_wall_s"): [1.0]})
+        whole = (tmp_path / "BENCH_0.json").read_text()
+        (tmp_path / "BENCH_0.json").write_text(whole[: len(whole) // 2])
+        self._assert_fails(
+            tmp_path, capsys, "BENCH_0.json, the newest entry, is unusable: not JSON"
+        )
+
+    def test_newest_entry_unusable_older_ones_fine(self, tmp_path, capsys):
+        _write_history(tmp_path, {("W", "iter_wall_s"): [1.0, 1.0, 1.0]})
+        # a v1 entry parses but is not a ledger entry
+        (tmp_path / "BENCH_2.json").write_text(
+            json.dumps({"schema": "repro.bench.ledger/v1", "results": []})
+        )
+        self._assert_fails(
+            tmp_path, capsys, "BENCH_2.json, the newest entry, is unusable: entry."
+        )
+
+    def test_missing_directory(self, tmp_path, capsys):
+        missing = tmp_path / "nonexistent"
+        self._assert_fails(
+            missing,
+            capsys,
+            f"cannot read {missing / 'BENCHMARK.json'}: No such file or directory",
+        )
+
+    def test_missing_or_malformed_contract(self, tmp_path, capsys):
+        _write_history(tmp_path, {("W", "iter_wall_s"): [1.0]})
+        (tmp_path / "BENCHMARK.json").unlink()
+        self._assert_fails(tmp_path, capsys, "cannot read")
+        (tmp_path / "BENCHMARK.json").write_text(
+            json.dumps({"end_to_end": [{"name": "iter_wall_s", "better": "up"}]})
+        )
+        self._assert_fails(tmp_path, capsys, "cannot read")
+        assert "'up' not in ['lower', 'higher']" in self._check(tmp_path, capsys)[1]
+
+    def test_failed_operations_in_the_newest_entry(self, tmp_path, capsys):
+        _write_history(tmp_path, {("W", "iter_wall_s"): [1.0, 1.0]}, failed=2)
+        self._assert_fails(
+            tmp_path,
+            capsys,
+            "BENCH_1.json: the end_to_end run of W failed 2 of 10 operations",
+        )
+
+    def test_partial_newest_entry(self, tmp_path, capsys):
+        """An entry from ``--workload X`` alone must not pass on the
+        other workloads' older numbers."""
+        _write_history(
+            tmp_path,
+            {("A", "iter_wall_s"): [1.0, 1.0], ("B", "iter_wall_s"): [1.0, 1.0]},
+        )
+        newest = json.loads((tmp_path / "BENCH_1.json").read_text())
+        del newest["B"]
+        (tmp_path / "BENCH_1.json").write_text(json.dumps(newest))
+        self._assert_fails(tmp_path, capsys, "BENCH_1.json has no iter_wall_s for B")
+
+    def test_older_corrupt_entries_are_skipped_and_listed(self, tmp_path, capsys):
+        _write_history(tmp_path, {("W", "iter_wall_s"): [1.0, 9.0, 1.0, 1.0]})
+        (tmp_path / "BENCH_1.json").write_text("{")
+        code, out, err = self._check(tmp_path, capsys)
+        assert code == 0 and err == ""
+        assert "skipped BENCH_1.json: not JSON" in out
+        assert "over 3 ledger entries (BENCH_0, BENCH_2, BENCH_3)" in out
+        assert "verdict: OK" in out
 
 
 # -- fuzz campaign integration ----------------------------------------------
@@ -804,17 +1004,17 @@ class TestTelemetryCLI:
     def test_watch_cli_text_and_check(self, tmp_path, capsys):
         from repro.__main__ import main
 
-        _write_history(tmp_path, {("W", "GPU"): [100.0, 100.0, 100.0, 50.0]})
+        _write_history(tmp_path, {("W", "iter_wall_s"): [1.0, 1.0, 1.0, 2.0]})
         code = main(["watch", "--dir", str(tmp_path)])
         out = capsys.readouterr().out
         assert code == 0  # without --check a regression still exits 0
-        assert "verdict: REGRESSED" in out
+        assert "verdict: FAILED" in out
         assert main(["watch", "--dir", str(tmp_path), "--check"]) == 1
 
     def test_watch_cli_json_output(self, tmp_path, capsys):
         from repro.__main__ import main
 
-        _write_history(tmp_path, {("W", "GPU"): [100.0, 101.0]})
+        _write_history(tmp_path, {("W", "iter_wall_s"): [1.0, 1.01]})
         report = tmp_path / "watch.json"
         code = main([
             "watch", "--dir", str(tmp_path), "--format", "json",
