@@ -13,7 +13,10 @@ CHANGES.md):
   kernel runs: the first runtime over a program generates and compiles
   the kernel's Python text (the compiled engine then binds it to its
   region, the vector engine's text needs no binding), every later runtime
-  over the same program finds the code on the program object.
+  over the same program finds the code on the program object.  For the
+  compiled engine this is printed for all nine workloads next to what the
+  per-superblock modules it replaced cost (:data:`PER_SUPERBLOCK_JIT`),
+  with the share of units that sit in a dispatch region.
 * **Figure 7 sweep wall-clock** — the full nine-workload ultrabook speedup
   sweep (the paper's headline figure), end to end, per engine.
 
@@ -37,6 +40,21 @@ import warnings
 
 KERNEL_WORKLOADS = ("BFS", "Raytracer", "SkipList")
 ENGINES = ("reference", "compiled", "vector")
+
+#: (first-runtime ms, generated lines) of a workload's GPU + CPU kernel on
+#: the engine this one replaced — one function per superblock, PR 20's
+#: tree, best of 5 on the host that measured CHANGES.md's PR 21 entry.
+PER_SUPERBLOCK_JIT = {
+    "BarnesHut": (12.2, 1179),
+    "BFS": (7.5, 701),
+    "BTree": (11.1, 1095),
+    "ClothPhysics": (12.5, 1164),
+    "ConnectedComponent": (8.1, 840),
+    "FaceDetect": (16.0, 1641),
+    "Raytracer": (34.2, 3636),
+    "SkipList": (9.8, 948),
+    "SSSP": (6.5, 582),
+}
 
 
 def _run_workload(name: str, engine: str, scale: float, repeats: int):
@@ -64,8 +82,11 @@ def _jit_price(name: str, repeats: int):
     """Best (first-runtime ms, second-runtime ms, generated lines) of
     getting one workload's GPU and CPU kernels ready to launch on the
     compiled engine, then the same triple for its GPU kernel on the
-    vector engine (classification is where its text is generated)."""
+    vector engine (classification is where its text is generated), then
+    (units in a dispatch region, units) of the compiled engine's code."""
+    from repro.exec.compiled import plan_function
     from repro.exec.vector import VectorCodeCache, classify_kernel
+    from repro.ir.structure import dispatched, structure
     from repro.passes import OptConfig
     from repro.runtime import ConcordRuntime, compile_source
     from repro.runtime.system import ultrabook
@@ -89,6 +110,12 @@ def _jit_price(name: str, repeats: int):
         first = min(first, costs[0])
         second = min(second, costs[1])
         lines = sum(code.source.count("\n") for code in program.jit_code.values())
+        in_dispatch = units = 0
+        for function, _device, _collect in program.jit_code:
+            plan = plan_function(function)
+            fallen = dispatched(structure(function))
+            units += len(plan.units)
+            in_dispatch += sum(chain[0] in fallen for chain in plan.units)
         costs = []
         code = VectorCodeCache()  # what the first vector runtime puts on the program
         for _runtime in range(2):
@@ -98,7 +125,7 @@ def _jit_price(name: str, repeats: int):
         vfirst = min(vfirst, costs[0])
         vsecond = min(vsecond, costs[1])
         vlines = sum(v.source.count("\n") for v in [vfn, *vfn.subs]) if vfn else 0
-    return (first, second, lines), (vfirst, vsecond, vlines)
+    return (first, second, lines), (vfirst, vsecond, vlines), (in_dispatch, units)
 
 
 def _run_figure7(engine: str, scale: float, repeats: int) -> float:
@@ -141,17 +168,26 @@ def main() -> None:
 
     print("JIT price (compiled: GPU + CPU kernel, events on; vector: GPU kernel):")
     print(
-        f"{'workload':<12} {'engine':<10} {'1st runtime ms':>15} "
+        f"{'workload':<18} {'engine':<10} {'1st runtime ms':>15} "
         f"{'2nd runtime ms':>15} {'lines':>7}"
     )
-    for name in KERNEL_WORKLOADS:
-        for engine, (first, second, lines) in zip(
-            ("compiled", "vector"), _jit_price(name, repeats)
-        ):
-            print(f"{name:<12} {engine:<10} {first:>15.2f} {second:>15.3f} {lines:>7}")
+    shares = {}
+    for name in sorted(PER_SUPERBLOCK_JIT):
+        compiled, vector, shares[name] = _jit_price(name, repeats)
+        for engine, (first, second, lines) in (("compiled", compiled), ("vector", vector)):
+            if engine == "compiled" or name in KERNEL_WORKLOADS:
+                print(f"{name:<18} {engine:<10} {first:>15.2f} {second:>15.3f} {lines:>7}")
+        was_ms, was_lines = PER_SUPERBLOCK_JIT[name]
+        print(f"{name:<18} {'(per-unit)':<10} {was_ms:>15.2f} {'':>15} {was_lines:>7}")
     print(
         "  (1st = generate + compile() [+ bind], 2nd = bind only / lookup on "
-        "the program object)\n"
+        "the program object;\n   per-unit = the per-superblock modules "
+        "this engine's whole-function modules replaced)"
+    )
+    print(
+        "  units in a dispatch region: "
+        + ", ".join(f"{name} {a}/{b}" for name, (a, b) in shares.items())
+        + "\n"
     )
 
     print("Figure 7 ultrabook sweep (nine workloads, all configs):")

@@ -18,7 +18,7 @@ Usage::
                                       [--system ultrabook|desktop] [--on-cpu]
                                       [--top N] [--format text|json] [--output FILE]
     python -m repro fuzz [--seed N] [--iterations K]
-                         [--target all|frontend|ir|passes|engines|sched|vector|graph|compile-cache]
+                         [--target all|frontend|ir|passes|engines|sched|vector|graph|compile-cache|structure]
                          [--corpus DIR] [--no-reduce] [--max-divergences M]
                          [--trace FILE.json] [--flight-record DIR]
     python -m repro watch [--dir DIR] [--check] [--format text|json] [--output FILE]
@@ -205,6 +205,7 @@ def main(argv=None) -> int:
             "vector",
             "graph",
             "compile-cache",
+            "structure",
         ],
         default="all",
     )

@@ -3,8 +3,10 @@
 All iterations of a chunk run through one engine and one trace — the
 timing model's multicore scaling (``cores × parallel_efficiency``)
 represents TBB-style work distribution, so per-lane traces would model
-nothing extra.  The construct-level paths reproduce the pre-refactor
-``_run_cpu`` / ``_run_cpu_reduce`` byte for byte.
+nothing extra.  Per chunk: the engine, the trace, the sequence numbers
+and the step count; per work-item: ``global_id`` and private memory.
+The construct-level paths reproduce the pre-refactor ``_run_cpu`` /
+``_run_cpu_reduce`` byte for byte.
 """
 
 from __future__ import annotations
@@ -38,20 +40,29 @@ class CpuBackend(Backend):
     def prepare(self, kinfo) -> float:
         return 0.0  # host code is already compiled; nothing to JIT
 
-    def _run_lanes(self, interp, kernel, span, args_of) -> None:
-        """Run ``kernel`` for every index of ``span`` through one engine; a
-        trap leaves with its lane's context for the flight recorder."""
-        for index in span:
-            interp.global_id = index
-            try:
-                interp.call_function(kernel, args_of(index))
-            except BaseException as exc:
-                # Cold path: the innermost stamp wins.
-                if not hasattr(exc, "trap_device"):
-                    exc.trap_device = self.name
-                    exc.trap_kernel = kernel.name
-                    exc.trap_global_id = index
-                raise
+    def _run_lanes(self, engine, kernel, span, args_of) -> None:
+        """Run ``kernel`` for every index of ``span`` through one engine
+        and into its one trace; each work-item starts with its own empty
+        private memory.  The generated-code engine runs the loop itself
+        (:meth:`CompiledEngine.run_chunk`).  A trap leaves with its
+        lane's context for the flight recorder and the private buffer
+        back in the pool."""
+        try:
+            if self.rt.engine != "reference":
+                engine.run_chunk(kernel, span, args_of)
+            else:
+                for index in span:
+                    engine.global_id = index
+                    engine.reset_private_memory()
+                    engine.call_function(kernel, args_of(index))
+        except BaseException as exc:
+            # Cold path: the innermost stamp wins.
+            if not hasattr(exc, "trap_device"):
+                exc.trap_device = self.name
+                exc.trap_kernel = kernel.name
+                exc.trap_global_id = engine.global_id
+            engine.release_private_memory()
+            raise
 
     def _chunk(self, kinfo, span, args_of, timing_cache, budget) -> LaunchResult:
         rt = self.rt

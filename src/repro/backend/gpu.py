@@ -2,8 +2,11 @@
 
 Owns the ``gpu_function_t`` JIT cache (keyed ``(program_id,
 kernel_name)`` — kernel names repeat across compiled programs), the
-per-lane trace collection with its global mem-event cap budget (handed
-on as one columnar :class:`~repro.exec.buffers.LaunchTrace`), and the
+launch's trace collection under its global mem-event cap budget (one
+engine per launch filling one columnar
+:class:`~repro.exec.buffers.LaunchTrace`; per launch: the engine, the
+event buffer, the count columns — per lane: ``global_id``, sequence
+numbers, step count, private memory, the event cap), and the
 section 3.3 hierarchical reduction (private copies → per-work-group tree
 join → sequential host join).  The construct-level paths reproduce the
 pre-refactor ``_offload`` / ``_offload_reduce`` byte for byte; the
@@ -100,47 +103,60 @@ class GpuBackend(Backend):
         return instructions * _runtime_mod().JIT_SECONDS_PER_INSTRUCTION
 
     def _gpu_traces(self, kernel, span: range, args_of, budget=None) -> LaunchTrace:
-        traces = []
+        """One launch's trace.  The generated-code engine runs the
+        work-item loop itself (:meth:`CompiledEngine.run_launch`: one
+        engine, one event buffer, counts harvested per lane into the
+        launch's columns); the reference interpreter keeps the lifecycle
+        those columns are defined by — a fresh engine and trace per
+        work-item, concatenated."""
         rt = self.rt
-        # Per-work-item cap with a *global* budget: the per-item floor of
-        # 1000 events keeps short lanes representative, but once the
-        # work-items collectively reach the budget the remaining lanes
-        # record nothing — without the running ``kept`` total, n
-        # floor-capped lanes would retain up to n * 1000 events, blowing
-        # the budget by orders of magnitude for large n.  Overflow is
-        # visible: each trace counts its drops in ``mem_events_dropped``.
         if budget is None:
             budget = rt.mem_event_cap
-        per_item = max(1000, budget // max(1, len(span)))
-        kept = 0
         allocator = (
             rt.device_heap() if rt.program.config.device_alloc else None
         )
-        for index in span:
-            cap = min(per_item, max(0, budget - kept))
-            trace = rt._new_trace(cap)
-            interp = rt._make_engine(
-                device="gpu",
-                trace=trace,
-                global_id=index,
-                num_cores=rt.system.gpu.num_eus,
-                allocator=allocator,
-            )
-            try:
-                interp.call_function(kernel, args_of(index))
-            except BaseException as exc:
-                # Cold path: lane context for the flight recorder.
-                if not hasattr(exc, "trap_device"):
-                    exc.trap_device = self.name
-                    exc.trap_kernel = kernel.name
-                    exc.trap_global_id = index
-                raise
-            interp.release_private_memory()
-            kept += len(trace.mem_events)
-            traces.append(trace)
+        engine = None
+        try:
+            if rt.engine != "reference":
+                engine = rt._make_engine(
+                    device="gpu",
+                    num_cores=rt.system.gpu.num_eus,
+                    allocator=allocator,
+                )
+                trace = engine.run_launch(kernel, span, args_of, budget)
+            else:
+                # The per-item cap under the global budget, as run_launch
+                # documents it.
+                per_item = max(1000, budget // max(1, len(span)))
+                kept = 0
+                traces = []
+                for index in span:
+                    lane = rt._new_trace(min(per_item, max(0, budget - kept)))
+                    engine = rt._make_engine(
+                        device="gpu",
+                        trace=lane,
+                        global_id=index,
+                        num_cores=rt.system.gpu.num_eus,
+                        allocator=allocator,
+                    )
+                    try:
+                        engine.call_function(kernel, args_of(index))
+                    finally:
+                        engine.release_private_memory()
+                    kept += len(lane.mem_events)
+                    traces.append(lane)
+                trace = LaunchTrace.from_traces(traces)
+        except BaseException as exc:
+            # Cold path: lane context for the flight recorder.
+            if not hasattr(exc, "trap_device"):
+                exc.trap_device = self.name
+                exc.trap_kernel = kernel.name
+                if engine is not None:
+                    exc.trap_global_id = engine.global_id
+            raise
         if rt.keep_traces:
-            rt.trace_log.extend(traces)
-        return LaunchTrace.from_traces(traces)
+            rt.trace_log.extend(trace.lanes())
+        return trace
 
     def launch(
         self,

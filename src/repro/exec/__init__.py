@@ -7,11 +7,20 @@ region:
   the IR object graph, easy to audit, used as the oracle in equivalence
   tests (``ConcordRuntime(engine="reference")``).
 * :class:`CompiledEngine` — the generated-code backend (default): each
-  function is translated once per program into Python source, one
-  function per superblock (:class:`~repro.exec.compiled.JitCode`), and
-  every runtime's :class:`CodeCache` binds that code to its region and
-  replays it for every launch.  See :mod:`repro.exec.compiled` and
-  ``docs/ENGINE.md``.
+  function is translated once per program into Python source — one
+  Python function per IR function, printed from its region tree
+  (:mod:`repro.ir.structure`, :class:`~repro.exec.compiled.JitCode`) —
+  every runtime's :class:`CodeCache` binds that code to its region, and
+  a launch replays it over all its work-items with one engine
+  (``run_launch`` / ``run_chunk``; per launch: the engine, the lookup,
+  the event buffer and count columns — per lane: ``global_id``, private
+  memory and, on the GPU, sequence numbers, step count and event cap).
+  See :mod:`repro.exec.compiled` and ``docs/ENGINE.md``.
+
+:class:`~repro.exec.regions.RegionInterpreter` is the reference
+interpreter walking that region tree instead of the block graph: the
+oracle of the tree itself, used by tests and the ``structure`` fuzz
+target only.
 
 A third, batch-oriented engine executes every lane of a GPU chunk at
 once instead of lane-at-a-time:

@@ -15,16 +15,20 @@ Three pieces of infrastructure that keep the hot execution paths cheap:
 * :class:`LaunchTrace` — one GPU launch's trace as NumPy columns: the
   memory events of every lane in one set of arrays, a blocks x lanes
   count matrix and per-lane counter vectors.  The vector engine builds
-  it straight from its event records, the scalar GPU backend by
-  concatenating its per-lane buffers, and the GPU timing model computes
-  on the columns; per-lane :class:`~repro.exec.interp.ExecTrace` objects
-  are a lazy view (:meth:`LaunchTrace.lanes`).
+  it straight from its event records, the generated-code engine from its
+  launch's one event buffer and harvested unit counts
+  (:meth:`LaunchTrace.from_unit_counts`), the reference interpreter's
+  per-lane traces are concatenated into one
+  (:meth:`LaunchTrace.from_traces`), and the GPU timing model computes on
+  the columns; per-lane :class:`~repro.exec.interp.ExecTrace` objects are
+  a lazy view (:meth:`LaunchTrace.lanes`).
 
-* :class:`PrivateMemoryPool` — recycles the per-invocation private-memory
-  (``alloca``) bytearray.  A fresh buffer is ~1 MiB of zeroed memory per
-  work-item; the pool hands the same buffer back out after re-zeroing only
-  the dirty prefix actually written by stores, which is what makes
-  million-launch sweeps cheap.
+* :class:`PrivateMemoryPool` — recycles the private-memory (``alloca``)
+  bytearray.  A fresh buffer is ~1 MiB of zeroed memory; an engine takes
+  one for a launch (re-zeroing the written prefix between work-items) and
+  the pool hands it back out after re-zeroing only the dirty prefix
+  actually written by stores, which is what makes million-launch sweeps
+  cheap.
 
 ``DEFAULT_MEM_EVENT_CAP`` is the single authoritative default for how many
 memory events a trace retains; :class:`~repro.exec.interp.ExecTrace` and
@@ -221,8 +225,10 @@ class LaunchTrace:
     @classmethod
     def from_traces(cls, traces) -> "LaunchTrace":
         """Adapt per-lane traces (columnar or list-form events) by
-        concatenation.  The given traces stay the per-lane view, so their
-        branch statistics are not converted."""
+        concatenation — the reference interpreter's launches, and the
+        oracle :meth:`from_unit_counts` is tested against.  The given
+        traces stay the per-lane view, so their branch statistics are not
+        converted."""
         traces = list(traces)
         n = len(traces)
         chunks = [event_rows(trace.mem_events) for trace in traces]
@@ -281,6 +287,76 @@ class LaunchTrace:
             int_ops=scalars[:, 2],
             translations=scalars[:, 3],
             calls=scalars[:, 4],
+        )
+
+    @classmethod
+    def from_unit_counts(cls, n, events, kept, dropped, caps, functions) -> "LaunchTrace":
+        """What :meth:`~repro.exec.compiled.CompiledEngine.run_launch`
+        collected, as columns — equal, row order included, to
+        :meth:`from_traces` over the same lanes traced one by one.
+
+        ``events`` is the launch's one stride-5 event buffer (lane-major),
+        ``kept`` / ``dropped`` / ``caps`` one entry per lane.
+        ``functions`` lists what the launch entered as ``(units, lanes,
+        rows)``: the function's per-unit totals, the lanes that entered it
+        (ascending) and, flat, one harvested accumulator per such lane —
+        ``len(units)`` execution counts, as many taken-branch counts, as
+        many zeros, and the function's rank among those the lane entered.
+        Every per-lane counter is the counts matrix times the per-unit
+        totals."""
+        kept = np.array(kept, np.int64)
+        rows = np.array(events, np.uint64).reshape(-1, 5)
+        counters = np.zeros((5, n), np.int64)
+        blocks = []  # (first lane, rank there, unit, uid, per-lane counts)
+        branches = []  # (..., branch uid, per-lane taken, per-lane total)
+        for units, lanes, flat in functions:
+            width = len(units)
+            lanes = np.array(lanes, np.int64)
+            harvest = np.array(flat, np.int64).reshape(len(lanes), 3 * width + 1)
+            counts = harvest[:, :width]
+            totals = np.array(
+                [
+                    (u.d_instr, u.d_flops, u.d_int_ops, u.d_translations, u.d_calls)
+                    for u in units
+                ],
+                np.int64,
+            ).reshape(width, 5)
+            counters[:, lanes] += (counts @ totals).T
+            for index in np.flatnonzero(counts.any(axis=0)).tolist():
+                unit = units[index]
+                first = int((counts[:, index] != 0).argmax())
+                key = (int(lanes[first]), int(harvest[first, -1]), index)
+                dense = np.zeros(n, np.int64)
+                dense[lanes] = counts[:, index]
+                blocks.extend((key, uid, dense) for uid in unit.uid_list)
+                if unit.branch_uid >= 0:
+                    taken = np.zeros(n, np.int64)
+                    taken[lanes] = harvest[:, width + index]
+                    branches.append((key, unit.branch_uid, taken, dense))
+        blocks.sort(key=lambda entry: entry[0])  # stable: uid_list order stays
+        branches.sort(key=lambda entry: entry[0])
+        none = np.zeros((0, n), np.int64)  # vstack needs one array
+        return cls(
+            n=n,
+            lane=np.repeat(np.arange(n), kept),
+            uid=rows[:, 0].astype(np.int64),
+            seq=rows[:, 1].astype(np.int64),
+            address=np.ascontiguousarray(rows[:, 2]),
+            size=rows[:, 3].astype(np.int64),
+            is_store=rows[:, 4].astype(np.int64),
+            kept=kept,
+            dropped=np.array(dropped, np.int64),
+            caps=np.array(caps, np.int64),
+            block_uids=np.array([uid for _key, uid, _row in blocks], np.int64),
+            block_counts=np.vstack([none, *(row for _key, _uid, row in blocks)]),
+            branch_uids=np.array([uid for _key, uid, _t, _c in branches], np.int64),
+            branch_taken=np.vstack([none, *(taken for _k, _u, taken, _c in branches)]),
+            branch_total=np.vstack([none, *(total for _k, _u, _t, total in branches)]),
+            instructions=counters[0],
+            flops=counters[1],
+            int_ops=counters[2],
+            translations=counters[3],
+            calls=counters[4],
         )
 
     @property

@@ -9,49 +9,69 @@ paid *n* times, which makes the interpreter the wall-clock bottleneck of
 every experiment.
 
 This module does what the paper's runtime does with its
-``gpu_program_t``/``gpu_function_t`` JIT cache (section 3.4), one level up:
-each IR :class:`~repro.ir.values.Function` is translated **once per
-program** into the text of a Python module, compiled with the builtin
-``compile()``, and every runtime that loads the program only *binds* the
-resulting code object to its region:
+``gpu_program_t``/``gpu_function_t`` JIT cache (section 3.4): each IR
+:class:`~repro.ir.values.Function` is translated **once per program** into
+the text of a Python module, compiled with the builtin ``compile()``, every
+runtime that loads the program only *binds* the resulting code object to
+its region, and a launch replays it over the whole NDRange:
 
-* **One Python function per superblock.**  :func:`plan_function` fuses
-  straight-line block chains into units; each unit becomes
-  ``u<i>(regs, ctx, prev, btot, btak) -> next unit index``: the step-limit
-  check, the head's phi moves selected on ``prev``, every instruction
-  inlined as statements filled in from the per-opcode template tables
-  below (``_INFIX``, ``_COMPARE``, ``_CASTS``, ``_LOAD``, ``_STORE`` ...),
-  and the terminator returning the successor's index (``-1`` after a
-  ``ret``, whose value travels in the last ``regs`` slot).
+* **One Python function per IR function.**  :class:`_Printer` prints the
+  function's region tree (:mod:`repro.ir.structure`): a ``Loop`` is a
+  ``while True``, an ``If`` an ``if``, a ``Forward`` region a guard
+  variable, a ``Dispatch`` region ``while True`` over a state variable;
+  phis are the tuple assignment on each edge; every instruction is inlined
+  as statements filled in from the per-opcode template tables below
+  (``_INFIX``, ``_COMPARE``, ``_CASTS``, ``_LOAD``, ``_STORE`` ...).  The
+  signature is ``f(ctx, depth, *args)``; a direct callee is called the
+  same way.
 
-* **Locals before registers.**  A value defined and consumed inside one
-  unit lives in a Python local ``v<slot>``; only values another unit, a
-  head phi or an earlier point of a loop reads are also stored to the
-  per-invocation ``regs`` list.  Constants are literals; what has no
-  literal (``inf``/``nan``, codecs, callees' handlers, IR objects for
-  messages) is a bound name ``k<n>`` in the generated module's namespace.
+* **Values are locals.**  Every SSA value is a Python local ``v<slot>``.
+  Constants are literals; what has no literal (``inf``/``nan``, codecs,
+  IR objects for messages) is a bound name ``k<n>`` in the generated
+  module's namespace.
+
+* **Superblocks are the accounting granule.**  :func:`plan_function` fuses
+  straight-line block chains into units (the vector engine compiles from
+  the same plan).  Where the text reaches a unit's first block it bumps
+  that unit's count — a local ``c<i>`` inside loops, flushed at
+  ``return``; the function's accumulator outside — and adds the unit's
+  instructions to the local step count (``steps_``, written back to the
+  engine around calls and at exit), so a step-limit trap fires at the
+  unit it always fired at.  Per-unit instruction/flop/int-op/translation
+  totals are computed at generation time; the trace counters are the
+  unit counts times those totals, derived when the engine harvests.
+  Memory events append straight to the launch's columnar buffer; one past
+  the lane's cap is a local increment.
+
+* **Traps are priced on the cold path.**  Nothing tracks the current unit:
+  :attr:`JitCode.line_units` maps every line of the text to the unit it
+  belongs to, and :meth:`CompiledEngine._unwind` reads the trapping unit —
+  and whatever counts the unwound frames still held in locals — off the
+  traceback.
 
 * **Bind, don't regenerate.**  Nothing in the text depends on a region:
   the backing ``bytearray``, the bases and limits, ``svm_const``, the
-  callees' per-runtime ``invoke`` and the globals' addresses are the
-  arguments of the module's one ``_bind`` factory, whose closures are the
-  unit functions.  :class:`JitCode` (text, code object, per-unit counter
-  tables) is stored in the dict the program owns
+  accumulator, the callees' bound functions and the globals' addresses
+  are the arguments of the module's one ``_bind`` factory, whose closure
+  is the function.  :class:`JitCode` (text, code object, per-unit
+  totals, line table) is stored in the dict the program owns
   (``CompiledProgram.jit_code``, never pickled); the per-runtime
   :class:`CodeCache` calls the factory.  ``code_cache.codegen`` counts
   generations, ``code_cache.compilations``/``.hits`` keep their
   per-runtime meaning.
 
-* **Fused trace counters.**  Per-unit instruction/flop/int-op/translation
-  totals are computed at generation time; the driver loop counts unit
-  executions and derives the :class:`~repro.exec.interp.ExecTrace` totals
-  once per invocation.  Memory events append straight to the columnar
-  buffer from the load/store text.
+* **The launch is the unit of work.**  :meth:`CompiledEngine.run_launch`
+  and :meth:`~CompiledEngine.run_chunk` run the work-item loop themselves
+  — one engine, one lookup, one event buffer per launch; per lane only
+  ``global_id``, private memory and (on the GPU) the sequence numbers,
+  step count and event cap are reset, and the unit counts are harvested
+  into the launch's columns.
 
-Generated modules are named ``<repro-jit {function}.{device} {digest}>``;
-a trap passing through one registers its text with :mod:`linecache`
-(:meth:`JitCode.publish`), so the traceback and the flight bundle show the
-generated statement, and ``cProfile`` rows resolve the same way.
+Generated modules are named ``<repro-jit {function}.{device} {digest}>``
+(:func:`load_generated`, which the vector engine's modules go through
+too); a trap passing through one registers its text with :mod:`linecache`
+(:func:`publish_generated`), so the traceback and the flight bundle show
+the generated statement, and ``cProfile`` rows resolve the same way.
 
 Results are bit-identical to the reference interpreter: same return
 values, same ``ExecTrace`` contents (the equivalence suite asserts this
@@ -67,15 +87,29 @@ import hashlib
 import linecache
 import math
 import operator
+from array import array
 from struct import Struct, pack_into, unpack_from
 from textwrap import indent
 from typing import Optional
 
 from ..ir.intrinsics import MATH_EVAL
+from ..ir.structure import (
+    Block,
+    Break,
+    Dispatch,
+    Forward,
+    If,
+    Jump,
+    Loop,
+    Next,
+    edge_copies,
+    flat,
+    structure,
+)
 from ..ir.types import FloatType, I64, IntType, PointerType
 from ..ir.values import Constant, Function, GlobalVariable, Instruction
 from ..svm.memory import MemoryFault
-from .buffers import MemEventColumns, PrivateMemoryPool
+from .buffers import LaunchTrace, MemEventColumns, PrivateMemoryPool
 from .interp import (
     _BINOP_EVAL,
     _CAST_EVAL,
@@ -141,13 +175,6 @@ def _fault(device: str, address: int, size: int, base: int, end: int) -> MemoryF
 
 def _step_limit(max_steps: int, name: str) -> ExecutionError:
     return ExecutionError(f"step limit {max_steps} exceeded in {name}")
-
-
-def _no_phi_edge(name: str, block: str, unit_names: tuple, prev: int) -> ExecutionError:
-    prev_name = unit_names[prev] if prev >= 0 else "<entry>"
-    return ExecutionError(
-        f"{name}: phi in {block} has no incoming edge from {prev_name}"
-    )
 
 
 def _unloaded(name: str):
@@ -226,7 +253,11 @@ def _atomic(ctx, name: str, uid: int, pointee, collect: bool, address, *operands
             canonical = address - region.svm_const
         else:
             canonical = address
-        ctx._record(uid, seq, canonical, pointee.size(), True)
+        events = ctx._ev_data
+        if len(events) < ctx._ev_cap:
+            events.extend((uid, seq, canonical, pointee.size(), 1))
+        else:
+            ctx._dropped += 1
     new = combine(old, *operands)
     if isinstance(pointee, IntType):
         new = pointee.wrap(int(new))
@@ -237,7 +268,7 @@ def _atomic(ctx, name: str, uid: int, pointee, collect: bool, address, *operands
 _VPTR = PointerType(I64)
 
 
-def _vcall(ctx, vslot: int, obj, args: list):
+def _vcall(ctx, depth: int, vslot: int, obj, *args):
     """Real vtable dispatch (the CPU path; GPU kernels have vcalls
     expanded into compare chains by the devirtualization pass)."""
     vtable = _read_scalar(ctx, obj, _VPTR)
@@ -249,7 +280,7 @@ def _vcall(ctx, vslot: int, obj, args: list):
             f"(slot {vslot}) — vtables not loaded?"
         )
     sub = ctx.code_cache.get(target, ctx.device, ctx.collect_mem_events)
-    return sub.invoke(ctx, [obj, *args])
+    return sub.fn(ctx, depth, obj, *args)
 
 
 def _svm_malloc(ctx, size):
@@ -274,7 +305,6 @@ _RUNTIME_NAMES = {
     "_F32_UNPACK": _F32_UNPACK,
     "_atomic": _atomic,
     "_fault": _fault,
-    "_no_phi_edge": _no_phi_edge,
     "_step_limit": _step_limit,
     "_svm_free": _svm_free,
     "_svm_malloc": _svm_malloc,
@@ -451,9 +481,9 @@ def account(instr: Instruction, unit) -> None:
 # -- per-opcode templates ---------------------------------------------------
 #
 # One table, two generators.  Operand texts ({a}, {b}, ...) are a local
-# ``v<slot>``, ``regs[<slot>]``, a literal or a bound name; {d} is the
-# assignment target the liveness pass picked for the result.  The scalar
-# templates are what ``_Generator`` below writes, one work-item at a time;
+# ``v<slot>``, a literal or a bound name (the vector engine also reads its
+# register list); {d} is the assignment target of the result.  The scalar
+# templates are what ``_Printer`` below writes, one work-item at a time;
 # the ``_NP_*`` rows beside them are what :mod:`repro.exec.vector` writes
 # for the same opcode over whole NumPy columns (ints as int64 bit patterns,
 # floats as float64; ``_INFIX`` and ``_COMPARE`` read the same either way).
@@ -596,26 +626,21 @@ if not ({_PRIVATE}):
 raise ExecutionError({{message!r}})
 """
 
-#: The columnar append of ``CompiledEngine._record`` inlined; a full or
-#: list-mode buffer (``ev_cap_`` 0) takes the out-of-line recorder.
+#: One row appended to the launch's event buffer while the lane is under
+#: its cap (``ev_cap_`` is a length of ``ev_``, moved per lane); past it
+#: the event is only counted.
 _EVENT = """\
 seq_ = seqs_.get({uid}, 0)
 seqs_[{uid}] = seq_ + 1
 {canon}if len(ev_) < ev_cap_:
     ev_.extend(({uid}, seq_, {ca}, {size}, {flag}))
 else:
-    ctx._record({uid}, seq_, {ca}, {size}, {is_store})
+    drop_ += 1
 """
 
 #: GPU surface addresses are reported in CPU space so both devices
 #: produce comparable access streams.
 _CANONICAL_GPU = "ca_ = {a} - svm_const if base <= {a} < cend else {a}\n"
-
-_EVENT_PROLOGUE = """\
-seqs_ = ctx._mem_seq
-ev_ = ctx._ev_data
-ev_cap_ = ctx._ev_cap
-"""
 
 _DIV = """\
 try:
@@ -633,14 +658,6 @@ t_ = {a}.view(U64)
 {d} = where(((t_ - PB) < PWIDTH) | (t_ == 0), {a}, (t_ {sign} m.svm_u).view(I64))
 """
 
-_UNIT = """\
-def u{index}(regs, ctx, prev, btot, btak):
-    steps_ = ctx._steps + {n_steps}
-    ctx._steps = steps_
-    if steps_ > ctx.max_steps:
-        raise _step_limit(ctx.max_steps, {name!r})
-"""
-
 #: A columnar unit runs the k lanes parked at it and returns what its
 #: terminator hands the scheduler: the branch mask, the returned column or
 #: None.  Head phis are one function per incoming edge, run on each
@@ -648,30 +665,51 @@ def u{index}(regs, ctx, prev, btot, btak):
 _NP_UNIT = "def u{index}(m, regs, lanes, k):\n"
 _NP_EDGE = "def u{index}_{prev}(regs, k):\n"
 
-_CONDBR = """\
-btot[{index}] += 1
-if {cond}:
-    btak[{index}] += 1
-    return {true}
-return {false}
+#: Entering a unit: its execution count (a local inside loops, the
+#: function's accumulator outside) and its share of the step limit.
+_ENTER_UNIT = """\
+{count} += 1
+steps_ += {n_steps}
+if steps_ > max_:
+    raise _step_limit(max_, {name!r})
 """
 
-#: A compare read only by the condbr right behind it is tested in place;
-#: it still runs before the branch counters move.
-_CONDBR_FUSED = """\
-if {cond}:
-    btot[{index}] += 1
-    btak[{index}] += 1
-    return {true}
-btot[{index}] += 1
-return {false}
+#: What an invocation loads once.  ``cnt_`` is the bound function's
+#: accumulator (see :class:`CompiledFunction`); its last slot says whether
+#: the engine already knows to harvest it.
+_PROLOGUE = """\
+if d_ > {max_depth}:
+    raise ExecutionError({too_deep!r})
+if not cnt_[{flag}]:
+    cnt_[{flag}] = 1
+    ctx._entered.append(me_)
+steps_ = ctx._steps
+max_ = ctx.max_steps
+"""
+
+_TRACE_PROLOGUE = """\
+seqs_ = ctx._mem_seq
+ev_ = ctx._ev_data
+ev_cap_ = ctx._ev_cap
+drop_ = 0
+"""
+
+#: The step counter lives in a local; a callee finds it on the engine.
+_CALL = """\
+ctx._steps = steps_
+{d} = {call}
+steps_ = ctx._steps
 """
 
 _MODULE = """\
 def _bind({params}):
-{units}
-    return ({names})
+    def f(ctx, d_{args}):
+{body}
+    return f
 """
+
+#: Line number of the body's first line (the two ``def`` lines precede it).
+_BODY_LINE = 3
 
 
 def _wrap(type_: IntType, text: str) -> str:
@@ -689,54 +727,6 @@ def _intlike(value) -> bool:
     if isinstance(value, Constant):
         return type(value.value) is int
     return isinstance(value.type, (IntType, PointerType))
-
-
-def _liveness(plan: FunctionPlan):
-    """Which values must live in ``regs``, and how each unit reads what.
-
-    Returns ``(escaping, per_unit)``: ``escaping`` holds the ids of values
-    some reader cannot reach as a local — a head phi (evaluated on entry,
-    before the unit's locals exist), another unit, or a use ahead of the
-    definition; ``per_unit[i]`` is ``(reg_reads, local_reads)``, use
-    counts keyed by value id, of values read from ``regs`` resp. from the
-    local their definition in the same unit assigned."""
-    slots = plan.slots
-    escaping: set[int] = set()
-    per_unit = []
-    for chain in plan.units:
-        defined: set[int] = set()
-        reg_reads: dict[int, int] = {}
-        local_reads: dict[int, int] = {}
-
-        def use(value) -> None:
-            key = id(value)
-            if isinstance(value, Constant) or key not in slots:
-                return
-            if key in defined:
-                local_reads[key] = local_reads.get(key, 0) + 1
-            else:
-                reg_reads[key] = reg_reads.get(key, 0) + 1
-                escaping.add(key)
-
-        for bi, block in enumerate(chain):
-            phis = block.phis()
-            for phi in phis:
-                for operand in phi.operands:
-                    if bi:
-                        use(operand)
-                    elif id(operand) in slots:
-                        escaping.add(id(operand))
-            defined.update(id(phi) for phi in phis)
-            for instr in block.instructions:
-                if instr.op == "phi":
-                    continue
-                for operand in instr.operands:
-                    use(operand)
-                defined.add(id(instr))
-                if instr is plan.terms[id(block)]:
-                    break
-        per_unit.append((reg_reads, local_reads))
-    return escaping, per_unit
 
 
 class _UnitTotals:
@@ -762,8 +752,16 @@ class _UnitTotals:
         self.d_calls = 0
 
 
-class _Generator:
-    """Writes the module text for one ``(function, device, collect)``."""
+class _Printer:
+    """Writes the module text for one ``(function, device, collect)``: the
+    region tree of the function's CFG (:mod:`repro.ir.structure`) as one
+    Python function — ``Loop`` a ``while True``, ``If`` an ``if``, phis the
+    tuple assignment of each ``Jump``, SSA values locals ``v<slot>``.
+
+    :func:`plan_function`'s units stay what is counted: where the tree
+    reaches a unit's first block the text bumps that unit's count and
+    charges its steps.  Every line remembers the unit it belongs to
+    (``line_units``), which is how a trap finds its superblock."""
 
     def __init__(self, function: Function, device: str, collect: bool, plan: FunctionPlan):
         self.name = function.name
@@ -771,20 +769,47 @@ class _Generator:
         self.collect = collect
         self.plan = plan
         self.slots = plan.slots
-        self.unit_names = tuple(chain[-1].name for chain in plan.units)
+        self.entry = plan.blocks[0]
         self.consts: list = []  # k<n>: the generated module's namespace
         self._const_names: dict = {}
-        self.callees: list = []  # s<n>: bound per runtime to invoke
+        self.callees: list = []  # s<n>: bound per runtime to the callee
         self.gvars: list = []  # g<n>: bound per runtime to .address
-        self.escaping, self._reads = _liveness(plan)
-        # state of the unit being written
-        self.lines: list[str] = []
-        self.local: set[int] = set()
-        self.reg_reads: dict = {}
-        self.local_reads: dict = {}
+        self.totals: list = []  # one _UnitTotals per unit
+        self.n_steps: list = []
+        for chain in plan.units:
+            totals = _UnitTotals(chain)
+            steps = 0
+            for block in chain:
+                term = plan.terms[id(block)]
+                if term is not None and term.op == "condbr":
+                    totals.branch_uid = term.uid
+                for instr in block.instructions:
+                    totals.d_instr += 1
+                    if instr.op == "phi":
+                        continue
+                    steps += 1
+                    if instr is term:
+                        break
+                    account(instr, totals)
+            self.totals.append(totals)
+            self.n_steps.append(steps)
+        self.head_of = {id(chain[0]): i for i, chain in enumerate(plan.units)}
+        self.uses: dict[int, int] = {}
+        for block in plan.blocks:
+            for instr in block.instructions:
+                for operand in instr.operands:
+                    self.uses[id(operand)] = self.uses.get(id(operand), 0) + 1
+        # what is being written
+        self.lines: list = []  # (depth, text or None for a flush, unit)
+        self.depth = 0
+        self.unit = -1
+        self.loops = 0  # Python loops around the current line
+        self.local_counts: list[int] = []  # units counted in ``c<i>``
+        self.local_taken: list[int] = []  # ... whose branch counts in ``b<i>``
         self.traced = False
-        self.fusable = None  # the compare the block's condbr tests in place
-        self.fused = None  # ... and its test text once written
+        self.block = None  # the block whose instructions are being written
+        self.fused: dict = {}  # id(block) -> its condbr's test, written in place
+        self.states: dict = {}  # member block -> (state variable, index, cyclic)
 
     # -- names -------------------------------------------------------------
 
@@ -813,21 +838,13 @@ class _Generator:
             return f"({text})" if text[0] == "-" else text
         return self._bind(value)  # inf, nan, bool, None: no literal form
 
-    def _operand(self, value, hoist: bool = True) -> str:
-        """Expression text for one operand.  A value this unit reads from
-        ``regs`` more than once is loaded into its local on first use
-        (``hoist`` is off inside conditional text)."""
+    def _operand(self, value) -> str:
+        """Expression text for one operand."""
         if isinstance(value, Constant):
             return self._literal(value.value)
         slot = self.slots.get(id(value))
         if slot is not None:
-            if id(value) in self.local:
-                return f"v{slot}"
-            if hoist and self.reg_reads.get(id(value), 0) > 1:
-                self.lines.append(f"v{slot} = regs[{slot}]")
-                self.local.add(id(value))
-                return f"v{slot}"
-            return f"regs[{slot}]"
+            return f"v{slot}"
         if isinstance(value, GlobalVariable):
             # Addresses are assigned when a runtime loads the program.
             name = self._per_runtime(self.gvars, value, "g")
@@ -838,140 +855,203 @@ class _Generator:
         """``text`` as a name the templates may repeat."""
         if text.isidentifier():
             return text
-        self.lines.append(f"{temp} = {text}")
+        self._line(f"{temp} = {text}")
         return temp
 
     def _target(self, instr) -> str:
-        """Assignment target for ``instr``'s result (resolve the operands
-        first): its local when this unit reads it again, its ``regs`` slot
-        when anything else does."""
-        slot = self.slots[id(instr)]
-        targets = []
-        if id(instr) in self.escaping:
-            targets.append(f"regs[{slot}]")
-        if self.local_reads.get(id(instr)):
-            targets.append(f"v{slot}")
-            self.local.add(id(instr))
-        return " = ".join(targets) or "_"
+        return f"v{self.slots[id(instr)]}"
+
+    def _line(self, text: str) -> None:
+        self.lines.append((self.depth, text, self.unit))
 
     def _emit(self, template: str, **fields) -> None:
-        self.lines.extend(template.format(**fields).splitlines())
+        for line in template.format(**fields).splitlines():
+            self._line(line)
 
-    # -- units -------------------------------------------------------------
+    # -- the tree ------------------------------------------------------------
 
-    def unit(self, index: int, chain) -> tuple:
-        """Text and totals of one superblock: the head's phi moves
-        selected on ``prev``, every constituent block's instructions back
-        to back (a fused block's phis are plain moves from its chain
-        predecessor), then the last block's terminator."""
-        self.lines = []
-        self.local = set()
-        self.reg_reads, self.local_reads = self._reads[index]
-        self.traced = False
-        self.fused = None
-        totals = _UnitTotals(chain)
-        n_steps = 0
-        terminator = None
-        for bi, block in enumerate(chain):
-            phis = block.phis()
-            if phis:
-                if bi:
-                    self._moves(block, phis, chain[bi - 1], "")
-                else:
-                    self._head_phis(block, phis)
-                for phi in phis:
-                    self.local.add(id(phi))
-                    if id(phi) in self.escaping:
-                        slot = self.slots[id(phi)]
-                        self.lines.append(f"regs[{slot}] = v{slot}")
-            n_nonphi = 0
-            terminator = None
-            self.fusable = self._fusable_compare(block)
-            for instr in block.instructions:
-                if instr.op == "phi":
-                    continue
-                n_nonphi += 1
-                if instr.op in ("br", "condbr", "ret", "unreachable"):
-                    # Mid-chain this is the fused unconditional br: its
-                    # control transfer is the concatenation itself.
-                    terminator = instr
-                    break
-                account(instr, totals)
+    def statements(self, stmts) -> None:
+        for stmt in stmts:
+            if isinstance(stmt, Block):
+                self._block(stmt.block)
+            elif isinstance(stmt, Jump):
+                self._jump(stmt.src, stmt.dst)
+            elif isinstance(stmt, If):
+                self._if(stmt)
+            elif isinstance(stmt, Loop):
+                self._line("while True:")
+                self._nested(stmt.body, loop=True)
+            elif isinstance(stmt, Forward):
+                self._forward(stmt.members)
+            elif isinstance(stmt, Dispatch):
+                self._dispatch(stmt.members)
+            elif isinstance(stmt, Next):
+                variable, index, cyclic = self.states[stmt.dst]
+                self._line(f"{variable} = {index}")
+                if cyclic:
+                    self._line("continue")
+            else:
+                self._line("break" if isinstance(stmt, Break) else "continue")
+
+    def _nested(self, stmts, loop: bool = False) -> None:
+        self.depth += 1
+        self.loops += loop
+        self.statements(stmts)
+        self.loops -= loop
+        self.depth -= 1
+
+    def _enter_unit(self, index: int) -> None:
+        self.unit = index
+        if self.loops:
+            if index not in self.local_counts:
+                self.local_counts.append(index)
+            count = f"c{index}"
+        else:
+            count = f"cnt_[{index}]"
+        self._emit(_ENTER_UNIT, count=count, n_steps=self.n_steps[index], name=self.name)
+
+    def _block(self, block) -> None:
+        """The block's instructions; at a unit's first block, the unit's
+        bookkeeping before them.  What follows a ``br`` or ``condbr`` is
+        the tree's next statement."""
+        head = self.head_of.get(id(block))
+        if head is None:
+            self.unit = self.plan.unit_idx_by_block[block]
+        else:
+            self._enter_unit(head)
+        if block is self.entry and block.phis():
+            self._no_phi_edge(block, "<entry>")
+        self.block = block
+        term = self.plan.terms[id(block)]
+        for instr in block.instructions:
+            if instr is term:
+                break
+            if instr.op != "phi":
                 self._instruction(instr)
-            n_steps += n_nonphi
-            totals.d_instr += len(phis) + n_nonphi
-        self._terminator(index, chain[-1], terminator, totals)
-        body = "\n".join(self.lines) + "\n"
-        if self.traced:
-            body = _EVENT_PROLOGUE + body
-        text = _UNIT.format(index=index, n_steps=n_steps, name=self.name)
-        return text + indent(body, "    "), totals
-
-    def _phi_sources(self, block, phis, pred):
-        """One (pred, block) edge's incoming values, or the error message
-        when a phi has none for it."""
-        sources = []
-        for phi in phis:
-            try:
-                sources.append(phi.operands[phi.phi_blocks.index(pred)])
-            except ValueError:
-                return None, (
-                    f"{self.name}: phi in {block.name} has no incoming "
-                    f"edge from {pred.name}"
-                )
-        return sources, None
-
-    def _moves(self, block, phis, pred, pad: str) -> None:
-        """One edge's parallel phi assignment: Python evaluates the whole
-        right-hand side before it assigns any target."""
-        sources, error = self._phi_sources(block, phis, pred)
-        if error is not None:
-            self.lines.append(f"{pad}raise ExecutionError({error!r})")
-            return
-        targets = ", ".join(f"v{self.slots[id(phi)]}" for phi in phis)
-        values = ", ".join(self._operand(v, hoist=not pad) for v in sources)
-        self.lines.append(f"{pad}{targets} = {values}")
-
-    def _head_phis(self, block, phis) -> None:
-        edges: dict[int, object] = {}
-        for pred, unit_index in self.plan.unit_idx_by_block.items():
-            if block in pred.successors():
-                edges[unit_index] = pred
-        keyword = "if"
-        for unit_index, pred in edges.items():
-            self.lines.append(f"{keyword} prev == {unit_index}:")
-            self._moves(block, phis, pred, "    ")
-            keyword = "elif"
-        raise_ = (
-            f"raise _no_phi_edge({self.name!r}, {block.name!r}, "
-            f"{self._bind(self.unit_names)}, prev)"
-        )
-        self.lines.extend(["else:", f"    {raise_}"] if edges else [raise_])
-
-    def _terminator(self, index: int, block, term, totals) -> None:
-        units = self.plan.unit_idx_by_block
         if term is None:
             message = f"{self.name}: block {block.name} fell through"
-            self.lines.append(f"raise ExecutionError({message!r})")
-        elif term.op == "br":
-            self.lines.append(f"return {units[term.targets[0]]}")
-        elif term.op == "condbr":
-            totals.branch_uid = term.uid
-            self._emit(
-                _CONDBR if self.fused is None else _CONDBR_FUSED,
-                index=index,
-                cond=self.fused or self._operand(term.operands[0]),
-                true=units[term.targets[0]],
-                false=units[term.targets[1]],
-            )
+            self._line(f"raise ExecutionError({message!r})")
         elif term.op == "ret":
+            value = ""
             if term.operands:
-                value = self._operand(term.operands[0])
-                self.lines.append(f"regs[{self.plan.nregs}] = {value}")
-            self.lines.append("return -1")
-        else:
+                # Nothing may raise once the counts are flushed.
+                value = " " + self._named(self._operand(term.operands[0]), "r_")
+            self.lines.append((self.depth, None, self.unit))
+            self._line(f"return{value}")
+        elif term.op == "unreachable":
             message = f"reached unreachable in {self.name}"
-            self.lines.append(f"raise ExecutionError({message!r})")
+            self._line(f"raise ExecutionError({message!r})")
+
+    def _no_phi_edge(self, block, pred_name: str) -> None:
+        message = f"{self.name}: phi in {block.name} has no incoming edge from {pred_name}"
+        self._line(f"raise ExecutionError({message!r})")
+
+    def _jump(self, src, dst) -> None:
+        """The edge's parallel phi assignment: Python evaluates the whole
+        right-hand side before it assigns any target.  A phi with no value
+        for the edge traps as the first thing its block does."""
+        phis = dst.phis()
+        if not phis:
+            return
+        head = self.head_of.get(id(dst))
+        self.unit = self.plan.unit_idx_by_block[dst]
+        copies = edge_copies(src, dst)
+        if copies is None:
+            if head is not None:
+                self._enter_unit(head)
+            self._no_phi_edge(dst, src.name)
+            return
+        targets = ", ".join(self._target(phi) for phi, _value in copies)
+        values = ", ".join(self._operand(value) for _phi, value in copies)
+        self._line(f"{targets} = {values}")
+
+    def _if(self, stmt) -> None:
+        block = stmt.block
+        index = self.plan.unit_idx_by_block[block]
+        self.unit = index
+        term = self.plan.terms[id(block)]
+        test = self.fused.get(id(block)) or self._operand(term.operands[0])
+        self._line(f"if {test}:")
+        self.depth += 1
+        if self.loops:
+            if index not in self.local_taken:
+                self.local_taken.append(index)
+            self._line(f"b{index} += 1")
+        else:
+            self._line(f"cnt_[{len(self.totals) + index}] += 1")
+        self.depth -= 1
+        self._nested(stmt.then)
+        self._line("else:")
+        written = len(self.lines)
+        self._nested(stmt.orelse)
+        if len(self.lines) == written:
+            self.lines.pop()
+
+    def _forward(self, members) -> None:
+        variable = f"g{len(self.states)}_"
+        for index, (block, _arm) in enumerate(members):
+            self.states[block] = (variable, index, False)
+        self._line(f"{variable} = 0")
+        self.statements(members[0][1])
+        for index, (_block, arm) in enumerate(members[1:], start=1):
+            self._line(f"if {variable} == {index}:")
+            self._nested(arm)
+
+    def _dispatch(self, members) -> None:
+        variable = f"s{len(self.states)}_"
+        for index, (block, _arm) in enumerate(members):
+            self.states[block] = (variable, index, True)
+        self._line(f"{variable} = 0")
+        self._line("while True:")
+        self.depth += 1
+        self.loops += 1
+        self._arms(variable, members, 0, len(members))
+        self.loops -= 1
+        self.depth -= 1
+
+    def _arms(self, variable: str, members, low: int, high: int) -> None:
+        """Binary search over the state: a chain of ``elif`` would nest as
+        deep as it is long."""
+        if high - low == 1:
+            self.statements(members[low][1])
+            return
+        middle = (low + high) // 2
+        self._line(f"if {variable} < {middle}:")
+        self.depth += 1
+        self._arms(variable, members, low, middle)
+        self.depth -= 1
+        self._line("else:")
+        self.depth += 1
+        self._arms(variable, members, middle, high)
+        self.depth -= 1
+
+    def text(self, stmts) -> tuple:
+        """``(body text, line -> unit table)`` of the whole function."""
+        self.statements(stmts)
+        n_units = len(self.totals)
+        flush = [f"cnt_[{i}] += c{i}" for i in self.local_counts]
+        flush += [f"cnt_[{n_units + i}] += b{i}" for i in self.local_taken]
+        flush.append("ctx._steps = steps_")
+        prologue = _PROLOGUE.format(
+            max_depth=_MAX_CALL_DEPTH,
+            too_deep=f"call depth limit exceeded in {self.name}",
+            flag=3 * n_units,
+        )
+        if self.traced:
+            prologue += _TRACE_PROLOGUE
+            flush += ["if drop_:", "    ctx._dropped += drop_"]
+        zeroed = [f"c{i}" for i in self.local_counts] + [f"b{i}" for i in self.local_taken]
+        if zeroed:
+            prologue += " = ".join(zeroed) + " = 0\n"
+        out = [(0, line, -1) for line in prologue.splitlines()]
+        for depth, text, unit in self.lines:
+            if text is None:
+                out.extend((depth, line, unit) for line in flush)
+            else:
+                out.append((depth, text, unit))
+        body = "\n".join("    " * (depth + 2) + text for depth, text, _unit in out)
+        line_units = [-1] * _BODY_LINE + [unit for _depth, _text, unit in out] + [-1]
+        return body, line_units
 
     # -- instructions --------------------------------------------------------
 
@@ -991,21 +1071,19 @@ class _Generator:
             self._cast(instr)
         elif op == "select":
             cond, then, other = (self._operand(v) for v in instr.operands)
-            self.lines.append(f"{self._target(instr)} = {then} if {cond} else {other}")
+            self._line(f"{self._target(instr)} = {then} if {cond} else {other}")
         elif op == "alloca":
             size = instr.alloc_type.size()
-            self.lines.append(f"{self._target(instr)} = ctx._alloc_private({size})")
+            self._line(f"{self._target(instr)} = ctx._alloc_private({size})")
         elif op == "call":
             self._call(instr)
         elif op == "vcall":
-            obj, *args = (self._operand(v) for v in instr.operands)
-            self.lines.append(
-                f"{self._target(instr)} = "
-                f"_vcall(ctx, {instr.vslot}, {obj}, [{', '.join(args)}])"
-            )
+            args = ", ".join(self._operand(v) for v in instr.operands)
+            call = f"_vcall(ctx, d_ + 1, {instr.vslot}, {args})"
+            self._emit(_CALL, d=self._target(instr), call=call)
         else:
             message = f"unhandled opcode {op} in {self.name}"
-            self.lines.append(f"raise ExecutionError({message!r})")
+            self._line(f"raise ExecutionError({message!r})")
 
     def _event(self, instr, a: str, size: int, is_store: bool) -> str:
         """The trace text of one shared-memory access, indented for the
@@ -1020,7 +1098,6 @@ class _Generator:
             ca="ca_" if gpu else a,
             size=size,
             flag=int(is_store),
-            is_store=is_store,
         )
         return indent(text, "    ")
 
@@ -1081,7 +1158,7 @@ class _Generator:
                 terms.append(text if scale == 1 else f"{text} * {self._literal(scale)}")
         if fixed:
             terms.append(self._literal(fixed))
-        self.lines.append(f"{self._target(instr)} = ({' + '.join(terms)}) & {_M64}")
+        self._line(f"{self._target(instr)} = ({' + '.join(terms)}) & {_M64}")
 
     def _compare(self, instr) -> None:
         pred = instr.pred
@@ -1094,31 +1171,23 @@ class _Generator:
             a, b = f"({a} & {mask:#x})", f"({b} & {mask:#x})"
         template = _COMPARE.get(pred)
         if template is None:
-            self.lines.append(f"raise KeyError({pred!r})")
+            self._line(f"raise KeyError({pred!r})")
         else:
             test = template.format(a=a, b=b)
-            if instr is self.fusable:
-                self.fused = test
+            if self._tested_in_place(instr):
+                self.fused[id(self.block)] = test
             else:
-                self.lines.append(f"{self._target(instr)} = 1 if {test} else 0")
+                self._line(f"{self._target(instr)} = 1 if {test} else 0")
 
-    def _fusable_compare(self, block):
-        """The compare ``block``'s condbr can test in place: the
-        instruction right before it, read by nothing else."""
+    def _tested_in_place(self, compare) -> bool:
+        """A compare read only by the ``condbr`` right behind it is that
+        branch's ``if`` test."""
+        block = self.block
         term = self.plan.terms[id(block)]
-        if term is None or term.op != "condbr":
-            return None
+        if term is None or term.op != "condbr" or self.uses.get(id(compare)) != 1:
+            return False
         at = block.instructions.index(term)
-        cond = term.operands[0]
-        if (
-            at
-            and block.instructions[at - 1] is cond
-            and cond.op in ("icmp", "fcmp")
-            and id(cond) not in self.escaping
-            and self.local_reads.get(id(cond)) == 1
-        ):
-            return cond
-        return None
+        return at > 0 and block.instructions[at - 1] is compare and term.operands[0] is compare
 
     def _binop(self, instr) -> None:
         op = instr.op
@@ -1152,7 +1221,7 @@ class _Generator:
                 result=text,
             )
         else:
-            self.lines.append(f"{self._target(instr)} = {text}")
+            self._line(f"{self._target(instr)} = {text}")
 
     def _cast(self, instr) -> None:
         type_ = instr.type
@@ -1170,19 +1239,19 @@ class _Generator:
             text = template.format(a=a)
         else:  # a target type the table has no text for
             text = f"{self._bind(_CAST_EVAL[instr.op])}({a}, {self._bind(type_)})"
-        self.lines.append(f"{self._target(instr)} = {text}")
+        self._line(f"{self._target(instr)} = {text}")
 
     def _call(self, instr) -> None:
         callee = instr.callee
         args = [self._operand(v) for v in instr.operands]
         if isinstance(callee, Function):
-            invoke = self._per_runtime(self.callees, callee, "s")
-            text = f"{invoke}(ctx, [{', '.join(args)}])"
-        else:
-            text = self._intrinsic(instr, getattr(callee, "name", None), args)
-            if text is None:
-                return
-        self.lines.append(f"{self._target(instr)} = {text}")
+            entry = self._per_runtime(self.callees, callee, "s")
+            call = f"{entry}({', '.join(['ctx', 'd_ + 1', *args])})"
+            self._emit(_CALL, d=self._target(instr), call=call)
+            return
+        text = self._intrinsic(instr, getattr(callee, "name", None), args)
+        if text is not None:
+            self._line(f"{self._target(instr)} = {text}")
 
     def _intrinsic(self, instr, name, args) -> Optional[str]:
         """Expression text of an intrinsic call, or None when the lines
@@ -1212,30 +1281,74 @@ class _Generator:
             short = name.split(".")[1]
             fn = MATH_EVAL.get(short)
             if fn is None:
-                self.lines.append(f"raise KeyError({short!r})")
+                self._line(f"raise KeyError({short!r})")
                 return None
             text = f"{self._bind(fn)}({', '.join(args)})"
             return _F32_ROUND.format(text) if name.endswith(".f32") else text
         message = f"unknown intrinsic {name}"
-        self.lines.append(f"raise ExecutionError({message!r})")
+        self._line(f"raise ExecutionError({message!r})")
         return None
 
 
 _REGION_PARAMS = ("data", "base", "limit", "end", "cend", "svm_const")
 
 
+def load_generated(label: str, source: str, names: dict) -> tuple:
+    """The one tail of every generated module: name it after a digest of
+    its text (two programs' modules stay apart in tracebacks, profiles
+    and :mod:`linecache`), compile it, and execute it in a namespace
+    seeded with ``names``.  Returns ``(filename, namespace)``."""
+    digest = hashlib.sha1(source.encode()).hexdigest()[:8]
+    filename = f"<{label} {digest}>"
+    namespace = dict(names)
+    exec(compile(source, filename, "exec"), namespace)
+    return filename, namespace
+
+
+def publish_generated(filename: str, source: str) -> None:
+    """Register a generated module's text with :mod:`linecache` so a
+    traceback (or a reader resolving a profiler's ``file:line``) prints
+    the generated statement.  Done when a trap passes through the code
+    rather than at generation: a line list costs more memory than the
+    text, and linecache entries outlive the program."""
+    if source and filename not in linecache.cache:
+        linecache.cache[filename] = (
+            len(source),
+            None,  # no mtime: checkcache() leaves the entry alone
+            source.splitlines(True),
+            filename,
+        )
+
+
+def _region_tree(function: Function, plan: FunctionPlan) -> list:
+    """The function's region tree — or, for a function whose blocks the
+    plan had to find through stray branch targets or mid-block
+    terminators, one dispatch region over what the plan found."""
+    terms = plan.terms
+    if len(plan.blocks) == len(function.blocks) and all(
+        terms[id(block)] is block.terminator for block in plan.blocks
+    ):
+        return structure(function)
+
+    def successors(block) -> list:
+        term = terms[id(block)]
+        return list(term.targets) if term is not None else []
+
+    return flat(plan.blocks, successors)
+
+
 class JitCode:
     """One function's generated module for one ``(device, collect)``:
     region-independent, so every runtime over the same program shares it.
-    ``factory(*region constants, *callee invokes, *global addresses)``
-    returns the tuple of unit functions."""
+    ``factory(*region constants, accumulator, owner, *callee entries,
+    *global addresses)`` returns the function ``f(ctx, depth, *args)``."""
 
     __slots__ = (
         "function",
         "name",
-        "nregs",
-        "arg_slots",
         "units",
+        "line_units",
+        "flushed",
         "callees",
         "gvars",
         "source",
@@ -1246,9 +1359,9 @@ class JitCode:
     def __init__(self, function: Function, device: str, collect: bool):
         self.function = function
         self.name = function.name
-        self.nregs = 0
-        self.arg_slots: tuple = ()
         self.units: tuple = ()  # one _UnitTotals per unit
+        self.line_units: tuple = ()  # line number -> unit index, -1 outside any
+        self.flushed: tuple = ()  # (local, accumulator slot) a return flushes
         self.callees: tuple = ()
         self.gvars: tuple = ()
         self.source = ""
@@ -1257,48 +1370,34 @@ class JitCode:
         plan = plan_function(function)
         if plan is None:
             return
-        generator = _Generator(function, device, collect, plan)
-        texts = []
-        totals = []
-        for index, chain in enumerate(plan.units):
-            text, unit_totals = generator.unit(index, chain)
-            texts.append(indent(text, "    "))
-            totals.append(unit_totals)
-        self.nregs = plan.nregs + 1  # the last slot carries the return value
-        self.arg_slots = tuple(plan.arg_slots)
-        self.units = tuple(totals)
-        self.callees = tuple(generator.callees)
-        self.gvars = tuple(generator.gvars)
-        params = list(_REGION_PARAMS)
+        printer = _Printer(function, device, collect, plan)
+        body, line_units = printer.text(_region_tree(function, plan))
+        self.units = tuple(printer.totals)
+        self.line_units = tuple(line_units)
+        n_units = len(self.units)
+        self.flushed = tuple(
+            [(f"c{i}", i) for i in printer.local_counts]
+            + [(f"b{i}", n_units + i) for i in printer.local_taken]
+        )
+        self.callees = tuple(printer.callees)
+        self.gvars = tuple(printer.gvars)
+        params = [*_REGION_PARAMS, "cnt_", "me_"]
         params += [f"s{i}" for i in range(len(self.callees))]
         params += [f"g{i}" for i in range(len(self.gvars))]
         self.source = _MODULE.format(
             params=", ".join(params),
-            units="\n".join(texts),
-            names="".join(f"u{i}, " for i in range(len(texts))),
+            args="".join(f", v{slot}" for slot in plan.arg_slots),
+            body=body,
         )
-        # The digest keeps two programs' modules apart in tracebacks,
-        # profiles and linecache.
-        digest = hashlib.sha1(self.source.encode()).hexdigest()[:8]
-        self.filename = f"<repro-jit {self.name}.{device} {digest}>"
-        namespace = dict(_RUNTIME_NAMES)
-        namespace.update((f"k{i}", value) for i, value in enumerate(generator.consts))
-        exec(compile(self.source, self.filename, "exec"), namespace)
+        names = dict(_RUNTIME_NAMES, __jit__=self)
+        names.update((f"k{i}", value) for i, value in enumerate(printer.consts))
+        self.filename, namespace = load_generated(
+            f"repro-jit {self.name}.{device}", self.source, names
+        )
         self.factory = namespace["_bind"]
 
     def publish(self) -> None:
-        """Register the text with :mod:`linecache` under ``filename`` so a
-        traceback (or a reader resolving a profiler's ``file:line``)
-        prints the generated statement.  Done when a trap passes through
-        the code rather than at generation: a line list costs more memory
-        than the text, and linecache entries outlive the program."""
-        if self.source and self.filename not in linecache.cache:
-            linecache.cache[self.filename] = (
-                len(self.source),
-                None,  # no mtime: checkcache() leaves the entry alone
-                self.source.splitlines(True),
-                self.filename,
-            )
+        publish_generated(self.filename, self.source)
 
 
 class CodeCache:
@@ -1328,15 +1427,24 @@ class CodeCache:
         self.counters = counters
 
     def get(
-        self, function: Function, device: str, collect_events: bool
+        self, function: Function, device: str, collect_events: bool, uses: int = 1
     ) -> "CompiledFunction":
+        """The bound function, for ``uses`` invocations: a launch asks
+        once for all its lanes, and counts as that many lookups."""
         key = (function, device, collect_events)
         compiled = self._cache.get(key)
-        if compiled is not None:
-            self.hits += 1
+        hits = uses
+        if compiled is None:
+            hits -= 1
+            compiled = self._compile(key)
+        if hits > 0:
+            self.hits += hits
             if self.counters is not None:
-                self.counters.add("code_cache.hits")
-            return compiled
+                self.counters.add("code_cache.hits", hits)
+        return compiled
+
+    def _compile(self, key: tuple) -> "CompiledFunction":
+        function, device, collect_events = key
         self.compilations += 1
         if self.counters is not None:
             self.counters.add("code_cache.compilations")
@@ -1356,101 +1464,57 @@ class CodeCache:
 
 
 class CompiledFunction:
-    """A function's :class:`JitCode` bound to one runtime's region."""
+    """A function's :class:`JitCode` bound to one runtime's region.
 
-    __slots__ = ("code", "function", "name", "units")
+    ``counts`` is what its invocations accumulate into and the engine
+    harvests (per lane, per call): ``3 * units + 1`` slots — each unit's
+    executions, then each unit's taken branches, then (written only when
+    a trap unwinds) the executions that never reached the unit's branch,
+    then the flag/rank slot that says the engine has the function on its
+    harvest list."""
+
+    __slots__ = ("code", "function", "name", "fn", "counts", "zeros")
 
     def __init__(self, code: JitCode):
         self.code = code
         self.function = code.function
         self.name = code.name
-        self.units: tuple = ()
+        self.fn = None
+        self.zeros = [0] * (3 * len(code.units) + 1)
+        self.counts = list(self.zeros)
 
     def _bind(self, cache: CodeCache, device: str, collect: bool) -> None:
         code = self.code
         if code.factory is None:
+            self.fn = self._no_body
             return
         region = cache.region
         base = region.gpu_base if device == "gpu" else region.cpu_base
-        self.units = code.factory(
+        self.fn = code.factory(
             region.physical.data,
             base,
             region.size,
             base + region.size,
             base + region.surface.size,
             region.svm_const,
-            *[cache.get(callee, device, collect).invoke for callee in code.callees],
+            self.counts,
+            self,
+            *[cache.get(callee, device, collect).entry() for callee in code.callees],
             *[gvar.address for gvar in code.gvars],
         )
 
-    def invoke(self, ctx: "CompiledEngine", args):
-        """Run one invocation: chase unit indices, count unit executions,
-        flush the trace once (even on error, so partial traces stay close
-        to the interpreter's)."""
-        depth = ctx._depth
+    def entry(self):
+        """What a caller's text calls: the function itself, or — for a
+        callee still being bound, a recursion's back edge — a trampoline
+        that finds it at call time."""
+        if self.fn is not None:
+            return self.fn
+        return lambda *args: self.fn(*args)
+
+    def _no_body(self, ctx, depth, *args):
         if depth > _MAX_CALL_DEPTH:
             raise ExecutionError(f"call depth limit exceeded in {self.name}")
-        units = self.units
-        if not units:
-            raise ExecutionError(f"{self.name} has no body")
-        ctx._depth = depth + 1
-        code = self.code
-        regs = [None] * code.nregs
-        for slot, value in zip(code.arg_slots, args):
-            regs[slot] = value
-        n = len(units)
-        unit_counts = [0] * n
-        branch_taken = [0] * n
-        branch_total = [0] * n
-        index = 0
-        prev = -1
-        try:
-            while index >= 0:
-                unit_counts[index] += 1
-                successor = units[index](regs, ctx, prev, branch_total, branch_taken)
-                prev = index
-                index = successor
-            return regs[-1]
-        except BaseException as exc:
-            # Cold path: stamp the trapping superblock onto the escaping
-            # exception for the flight recorder (repro.obs.flight) — the
-            # innermost invocation wins, and Python 3.11 zero-cost
-            # exceptions make this free on the non-trapping path.
-            if not hasattr(exc, "trap_function"):
-                exc.trap_function = self.name
-                exc.trap_block_uids = code.units[index].uid_list
-                exc.trap_ir_function = self.function
-            code.publish()
-            raise
-        finally:
-            ctx._depth = depth
-            # The fixed counters are linear in the unit execution counts
-            # (both are bumped at unit entry), so they are derived here
-            # instead of being accumulated inside the driver loop.
-            trace = ctx.trace
-            instructions = flops = int_ops = translations = calls = 0
-            counts = trace.block_counts
-            stats = trace.branch_stats
-            for i, unit in enumerate(code.units):
-                c = unit_counts[i]
-                if c:
-                    instructions += c * unit.d_instr
-                    flops += c * unit.d_flops
-                    int_ops += c * unit.d_int_ops
-                    translations += c * unit.d_translations
-                    calls += c * unit.d_calls
-                    for uid in unit.uid_list:
-                        counts[uid] = counts.get(uid, 0) + c
-                total = branch_total[i]
-                if total:
-                    entry = stats.setdefault(unit.branch_uid, [0, 0])
-                    entry[0] += branch_taken[i]
-                    entry[1] += total
-            trace.instructions += instructions
-            trace.flops += flops
-            trace.int_ops += int_ops
-            trace.translations += translations
-            trace.calls += calls
+        raise ExecutionError(f"{self.name} has no body")
 
 
 class CompiledEngine:
@@ -1458,9 +1522,17 @@ class CompiledEngine:
     that executes through the generated-code cache.
 
     Mirrors the interpreter's constructor and ``call_function`` contract
-    (device address spaces, trace lifecycle, per-engine private memory and
-    memory-event sequence numbers), so the runtime can swap engines per
-    launch without changing any other code.
+    (device address spaces, trace lifecycle, private memory and
+    memory-event sequence numbers).  The unit of work it is built for is
+    the *launch*: :meth:`run_chunk` (one trace for all lanes, the CPU
+    backend's shape) and :meth:`run_launch` (a columnar
+    :class:`~repro.exec.buffers.LaunchTrace`, the GPU backend's) run the
+    work-item loop themselves, and ``call_function`` is a launch of one.
+
+    Generated functions keep their counts in locals and flush them into
+    their :class:`CompiledFunction`'s accumulator on return; the engine
+    harvests the accumulators of the functions that were entered
+    (``_entered``) once per call, chunk or lane.
     """
 
     PRIVATE_BASE = Interpreter.PRIVATE_BASE
@@ -1497,65 +1569,222 @@ class CompiledEngine:
         self.code_cache = code_cache
         self._pool = private_pool
         # Optional repro.obs.CounterRegistry; counts one engine.invocations
-        # per top-level call_function (per-instruction totals come from the
-        # trace, which the runtime harvests per construct).
+        # per work-item (per-instruction totals come from the trace, which
+        # the runtime harvests per construct).
         self.counters = counters
         self._steps = 0
-        self._depth = 0
         self._mem_seq: dict[int, int] = {}
         self._priv_buf: Optional[bytearray] = None
         self._priv_dirty = 0
         self._private_next = 0x1000
-        self._bind_trace()
-
-    def _bind_trace(self) -> None:
-        """Expose the trace's event storage to generated code: columnar
-        buffers as the raw array plus its row cap (loads and stores append
-        in line while ``len(_ev_data) < _ev_cap``), and ``_record`` as the
-        out-of-line recorder for everything else — a full buffer, or a
-        list-mode trace, which gets MemEvent objects and never passes the
-        in-line test."""
-        trace = self.trace
-        events = trace.mem_events
-        cap = trace.mem_event_cap
+        self._entered: list[CompiledFunction] = []
+        self._dropped = 0
+        # Generated code appends event rows to ``_ev_data`` while it is
+        # shorter than ``_ev_cap``.  A columnar trace lends its own array;
+        # a list-mode trace gets its MemEvent objects when the rows are
+        # harvested.
+        events = self.trace.mem_events
+        cap = self.trace.mem_event_cap
         if isinstance(events, MemEventColumns):
-            data = events.data
-            extend = data.extend
-            row_cap = cap * 5
-            self._ev_data = data
-            self._ev_cap = row_cap
-
-            def record(uid, seq, address, size, is_store):
-                if len(data) < row_cap:
-                    extend((uid, seq, address, size, 1 if is_store else 0))
-                else:
-                    trace.mem_events_dropped += 1
-
+            self._list_events = None
+            self._ev_data = events.data
+            self._ev_cap = cap * 5
         else:
-            self._ev_data = ()
-            self._ev_cap = 0
-
-            def record(uid, seq, address, size, is_store, _ev=events):
-                if len(_ev) < cap:
-                    _ev.append(MemEvent(uid, seq, address, size, is_store))
-                else:
-                    trace.mem_events_dropped += 1
-
-        self._record = record
+            self._list_events = events
+            self._ev_data = array("Q")
+            self._ev_cap = max(0, cap - len(events)) * 5
 
     # -- public entry points ---------------------------------------------
 
     def call_function(self, function: Function, args: list) -> object:
+        """One invocation, traced into ``self.trace``: a launch of one."""
         if len(args) != len(function.args):
             raise ExecutionError(
                 f"{function.name}: expected {len(function.args)} args, "
                 f"got {len(args)}"
             )
+        fn = self._lookup(function, 1)
+        try:
+            return fn(self, 0, *args)
+        except BaseException as exc:
+            self._unwind(exc)
+            raise
+        finally:
+            self._harvest()
+
+    def run_chunk(self, function: Function, span, args_of) -> None:
+        """``function`` for every index of ``span``, all traced into
+        ``self.trace`` and harvested once at the end: sequence numbers and
+        the step count run on across the work-items, private memory starts
+        over for each."""
+        if not span:
+            return
+        fn = self._lookup(function, len(span))
+        try:
+            for index in span:
+                self.global_id = index
+                self.reset_private_memory()
+                fn(self, 0, *args_of(index))
+        except BaseException as exc:
+            self._unwind(exc)
+            raise
+        finally:
+            self._harvest()
+            self.release_private_memory()
+
+    def run_launch(self, function: Function, span, args_of, budget: int) -> LaunchTrace:
+        """``function`` for every index of ``span`` as one GPU launch:
+        each work-item starts from what a fresh engine would have
+        (sequence numbers, step count, private memory), and its events,
+        counts and cap go straight into the launch's columns.
+
+        The cap is per work-item with a *global* budget: the per-item
+        floor of 1000 events keeps short lanes representative, but once
+        the work-items collectively reach ``budget`` the remaining lanes
+        record nothing — without the running total, n floor-capped lanes
+        would retain up to n * 1000 events.  Overflow is visible: each
+        lane counts its drops."""
+        n = len(span)
+        events = array("Q")
+        kept, dropped, caps = array("q"), array("q"), array("q")
+        columns: dict = {}  # CompiledFunction -> (lanes, harvested accumulators)
+        if n:
+            fn = self._lookup(function, n)
+            per_item = max(1000, budget // n)
+            entered = self._entered
+            own = self._ev_data, self._ev_cap
+            self._ev_data = events
+            try:
+                for lane, index in enumerate(span):
+                    self.global_id = index
+                    self._mem_seq = {}
+                    self._steps = 0
+                    self.reset_private_memory()
+                    start = len(events)
+                    cap = min(per_item, max(0, budget - start // 5))
+                    self._ev_cap = start + 5 * cap
+                    fn(self, 0, *args_of(index))
+                    for rank, compiled in enumerate(entered, start=1):
+                        counts = compiled.counts
+                        counts[-1] = rank
+                        column = columns.get(compiled)
+                        if column is None:
+                            column = columns[compiled] = (array("q"), array("q"))
+                        column[0].append(lane)
+                        column[1].extend(counts)
+                        counts[:] = compiled.zeros
+                    entered.clear()
+                    kept.append((len(events) - start) // 5)
+                    dropped.append(self._dropped)
+                    caps.append(cap)
+                    self._dropped = 0
+            except BaseException as exc:
+                self._unwind(exc)
+                raise
+            finally:
+                self._ev_data, self._ev_cap = own
+                self._harvest()  # a trapped lane's counts: the accumulators end clean
+                self.release_private_memory()
+        return LaunchTrace.from_unit_counts(
+            n,
+            events,
+            kept,
+            dropped,
+            caps,
+            [(compiled.code.units, *column) for compiled, column in columns.items()],
+        )
+
+    def _lookup(self, function: Function, uses: int):
         if self.counters is not None:
-            self.counters.add("engine.invocations")
-            self.counters.add(f"engine.invocations.{self.device}")
-        compiled = self.code_cache.get(function, self.device, self.collect_mem_events)
-        return compiled.invoke(self, list(args))
+            self.counters.add("engine.invocations", uses)
+            self.counters.add(f"engine.invocations.{self.device}", uses)
+        return self.code_cache.get(
+            function, self.device, self.collect_mem_events, uses
+        ).fn
+
+    # -- what generated code leaves behind -----------------------------------
+
+    def _harvest(self) -> None:
+        """Fold the accumulators of the functions entered since the last
+        harvest into ``self.trace``: the fixed counters are linear in the
+        unit execution counts, so they are derived here rather than
+        counted (also after a trap, so partial traces stay close to the
+        interpreter's)."""
+        trace = self.trace
+        if self._entered:
+            instructions = flops = int_ops = translations = calls = 0
+            counts = trace.block_counts
+            stats = trace.branch_stats
+            for compiled in self._entered:
+                acc = compiled.counts
+                units = compiled.code.units
+                n = len(units)
+                for i, unit in enumerate(units):
+                    c = acc[i]
+                    if c:
+                        instructions += c * unit.d_instr
+                        flops += c * unit.d_flops
+                        int_ops += c * unit.d_int_ops
+                        translations += c * unit.d_translations
+                        calls += c * unit.d_calls
+                        for uid in unit.uid_list:
+                            counts[uid] = counts.get(uid, 0) + c
+                        total = c - acc[2 * n + i]
+                        if total and unit.branch_uid >= 0:
+                            entry = stats.setdefault(unit.branch_uid, [0, 0])
+                            entry[0] += acc[n + i]
+                            entry[1] += total
+                acc[:] = compiled.zeros
+            self._entered.clear()
+            trace.instructions += instructions
+            trace.flops += flops
+            trace.int_ops += int_ops
+            trace.translations += translations
+            trace.calls += calls
+        if self._dropped:
+            trace.mem_events_dropped += self._dropped
+            self._dropped = 0
+        events = self._list_events
+        if events is not None and self._ev_data:
+            rows = self._ev_data
+            for i in range(0, len(rows), 5):
+                uid, seq, address, size, is_store = rows[i : i + 5]
+                events.append(MemEvent(uid, seq, address, size, bool(is_store)))
+            del rows[:]
+            self._ev_cap = max(0, trace.mem_event_cap - len(events)) * 5
+
+    def _unwind(self, exc: BaseException) -> None:
+        """Cold path: a trap is leaving generated code.  What each
+        generated frame on the traceback still held in locals — loop
+        counts, drops, the step count — goes where a return would have
+        put it; the unit a frame was in comes from its line number, and
+        that execution of the unit never reached its branch.  The
+        innermost frame stamps the trapping superblock onto the exception
+        for the flight recorder (repro.obs.flight), and every module on
+        the way is published so the traceback shows the statement."""
+        tb = exc.__traceback__
+        trap = None
+        while tb is not None:
+            frame = tb.tb_frame
+            code = frame.f_globals.get("__jit__")
+            if code is not None:
+                code.publish()
+                held = frame.f_locals
+                acc = held["cnt_"]
+                for name, slot in code.flushed:
+                    acc[slot] += held.get(name, 0)
+                self._dropped += held.get("drop_", 0)
+                self._steps = held.get("steps_", self._steps)
+                unit = code.line_units[tb.tb_lineno]
+                if unit >= 0:
+                    acc[2 * len(code.units) + unit] += 1
+                    trap = code, unit
+            tb = tb.tb_next
+        if trap is not None and not hasattr(exc, "trap_function"):
+            code, unit = trap
+            exc.trap_function = code.name
+            exc.trap_block_uids = code.units[unit].uid_list
+            exc.trap_ir_function = code.function
 
     # -- private memory ---------------------------------------------------
 
@@ -1571,6 +1800,9 @@ class CompiledEngine:
         addr = self.PRIVATE_BASE + self._private_next
         self._private_next = (self._private_next + size + 15) & ~15
         return addr
+
+    #: A work-item starts with an empty, all-zero private window.
+    reset_private_memory = Interpreter.reset_private_memory
 
     def release_private_memory(self) -> None:
         """Return the private buffer to the pool, zeroing the written

@@ -234,6 +234,16 @@ class Interpreter:
             self._priv_buf = buf
         return buf
 
+    def reset_private_memory(self) -> None:
+        """A work-item starts with an empty, all-zero private window: the
+        backends call this between the work-items one interpreter runs
+        (an ``alloca`` is per work-item, and a chunk's worth of them would
+        run off the window)."""
+        self._private_next = 0x1000
+        if self._priv_dirty:
+            self._priv_buf[: self._priv_dirty] = bytes(self._priv_dirty)
+            self._priv_dirty = 0
+
     def release_private_memory(self) -> None:
         """Return the private-memory buffer to the pool (no-op without a
         pool or if no alloca ever touched private memory).  The buffer is

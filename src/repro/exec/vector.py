@@ -68,8 +68,6 @@ scalar engine with no attempt cost.
 
 from __future__ import annotations
 
-import hashlib
-import linecache
 from textwrap import indent
 
 try:
@@ -99,10 +97,12 @@ from .compiled import (
     _NP_STORE,
     _NP_TRANSLATE,
     _NP_UNIT,
+    FunctionPlan,
     _UnitTotals,
-    _liveness,
     account,
+    load_generated,
     plan_function,
+    publish_generated,
 )
 from .interp import (
     _BINOP_EVAL,
@@ -1486,6 +1486,54 @@ class _UnitWriter:
         return _NP_F32_ROUND.format(text) if f32 else text
 
 
+def _liveness(plan: FunctionPlan):
+    """Which values must live in ``regs``, and how each unit reads what.
+
+    Returns ``(escaping, per_unit)``: ``escaping`` holds the ids of values
+    some reader cannot reach as a local — a head phi (evaluated on entry,
+    before the unit's locals exist), another unit, or a use ahead of the
+    definition; ``per_unit[i]`` is ``(reg_reads, local_reads)``, use
+    counts keyed by value id, of values read from ``regs`` resp. from the
+    local their definition in the same unit assigned."""
+    slots = plan.slots
+    escaping: set[int] = set()
+    per_unit = []
+    for chain in plan.units:
+        defined: set[int] = set()
+        reg_reads: dict[int, int] = {}
+        local_reads: dict[int, int] = {}
+
+        def use(value) -> None:
+            key = id(value)
+            if isinstance(value, Constant) or key not in slots:
+                return
+            if key in defined:
+                local_reads[key] = local_reads.get(key, 0) + 1
+            else:
+                reg_reads[key] = reg_reads.get(key, 0) + 1
+                escaping.add(key)
+
+        for bi, block in enumerate(chain):
+            phis = block.phis()
+            for phi in phis:
+                for operand in phi.operands:
+                    if bi:
+                        use(operand)
+                    elif id(operand) in slots:
+                        escaping.add(id(operand))
+            defined.update(id(phi) for phi in phis)
+            for instr in block.instructions:
+                if instr.op == "phi":
+                    continue
+                for operand in instr.operands:
+                    use(operand)
+                defined.add(id(instr))
+                if instr is plan.terms[id(block)]:
+                    break
+        per_unit.append((reg_reads, local_reads))
+    return escaping, per_unit
+
+
 class VectorFunction:
     """One IR function lowered to generated columnar units over the *same*
     superblock plan as the scalar engine, plus the worklist scheduler
@@ -1524,13 +1572,11 @@ class VectorFunction:
         self.subs = writer.subs
         # Compile once: the text is the program's from here on.
         self.source = "".join(text for text, _unit in written)
-        # The digest keeps two programs' modules apart in tracebacks,
-        # profiles and linecache.
-        digest = hashlib.sha1(self.source.encode()).hexdigest()[:8]
-        self.filename = f"<repro-vjit {self.name} {digest}>"
-        namespace = dict(_RUNTIME_NAMES)
-        namespace.update((f"k{i}", value) for i, value in enumerate(writer.consts))
-        exec(compile(self.source, self.filename, "exec"), namespace)
+        names = dict(_RUNTIME_NAMES)
+        names.update((f"k{i}", value) for i, value in enumerate(writer.consts))
+        self.filename, namespace = load_generated(
+            f"repro-vjit {self.name}", self.source, names
+        )
         for index, unit in enumerate(self.units):
             unit.run = namespace[f"u{index}"]
             if unit.phi_plans is not None:  # edge function names -> functions
@@ -1553,14 +1599,8 @@ class VectorFunction:
     def publish(self) -> None:
         """Register the text with :mod:`linecache` so a traceback prints
         the generated statement — when a trap passes through the code,
-        not at generation (see ``JitCode.publish``)."""
-        if self.filename not in linecache.cache:
-            linecache.cache[self.filename] = (
-                len(self.source),
-                None,  # no mtime: checkcache() leaves the entry alone
-                self.source.splitlines(True),
-                self.filename,
-            )
+        not at generation (:func:`~repro.exec.compiled.publish_generated`)."""
+        publish_generated(self.filename, self.source)
 
     def _analyze_liveness(self):
         """Per-unit backward dataflow at slot granularity.  ``merge_slots``

@@ -37,7 +37,11 @@ Targets select what each iteration exercises:
   program ids, stage hit/miss patterns, outputs, region bytes and
   traces (warm-vs-cold bit-exact; independent compiles via the
   canonical uid-remapped trace signature);
-* ``all`` — round-robin over the eight targets.
+* ``structure`` — the region tree (:mod:`repro.ir.structure`) evaluated
+  by :class:`~repro.exec.regions.RegionInterpreter` against the reference
+  interpreter: generated IR functions (plus what each pass makes of them)
+  on even iterations, source programs on both devices on odd ones;
+* ``all`` — round-robin over the nine targets.
 
 Divergences are shrunk by :mod:`repro.fuzz.reduce` with the same oracle
 as predicate and written to the corpus directory (default
@@ -55,12 +59,14 @@ from typing import Optional
 from .irgen import IRProgram, generate_ir_program
 from .oracle import (
     ir_divergences,
+    ir_structure_divergences,
     source_cache_divergences,
     source_config_divergences,
     source_engine_divergences,
     source_graph_divergences,
     source_pass_divergences,
     source_sched_divergences,
+    source_structure_divergences,
     source_vector_divergences,
 )
 from .reduce import reduce_ir_program, reduce_source_program
@@ -75,6 +81,7 @@ TARGETS = (
     "vector",
     "graph",
     "compile-cache",
+    "structure",
 )
 
 #: Forced feature-flag rotations for the ``frontend`` target.
@@ -181,6 +188,9 @@ class FuzzDriver:
         if target == "ir":
             program = generate_ir_program(rng, seed=i)
             return ir_divergences(program), "ir", program, target, None
+        if target == "structure" and i % 2 == 0:
+            program = generate_ir_program(rng, seed=i)
+            return ir_structure_divergences(program), "ir", program, target, None
         if target == "frontend":
             force = _FRONTEND_FORCES[i % len(_FRONTEND_FORCES)]
             program = generate_source_program(rng, seed=i, force=force)
@@ -208,6 +218,14 @@ class FuzzDriver:
         if target == "engines":
             return (
                 source_engine_divergences(program),
+                "source",
+                program,
+                target,
+                None,
+            )
+        if target == "structure":
+            return (
+                source_structure_divergences(program),
                 "source",
                 program,
                 target,
@@ -261,6 +279,10 @@ class FuzzDriver:
 
     def _predicate(self, kind: str, target: str, detail):
         """The oracle that found a divergence, as a reduction predicate."""
+        if target == "structure":
+            if kind == "ir":
+                return lambda p: bool(ir_structure_divergences(p))
+            return lambda p: bool(source_structure_divergences(p))
         if kind == "ir":
             return lambda p: bool(ir_divergences(p))
         if target == "sched":

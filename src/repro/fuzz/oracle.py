@@ -178,13 +178,16 @@ def run_source_program(
     observer=None,
     policy: Optional[str] = None,
     canonical_traces: bool = False,
+    regions: bool = False,
 ) -> Outcome:
     """Compile (unless ``compiled`` is passed) and execute one generated
     program, returning the full observable outcome.  ``observer`` (a
     ``repro.obs.Observer``) opts the run into span/counter collection;
     ``policy`` routes the constructs through a scheduler placement policy
     instead of the ``device`` flag; ``canonical_traces`` additionally
-    fills ``canon_trace_sig`` (requires ``keep_traces``)."""
+    fills ``canon_trace_sig`` (requires ``keep_traces``); ``regions``
+    executes through the region-tree evaluator in place of whichever
+    scalar engine ``engine`` names."""
     from ..ir.types import F32, I32
     from ..runtime import ConcordRuntime, compile_source, ultrabook
 
@@ -205,6 +208,8 @@ def run_source_program(
             observer=observer,
             policy=policy or "gpu",
         )
+        if regions:
+            _use_region_interpreter(rt)
         data = rt.new_array(I32, program.n)
         data.fill_from(program.data)
         aux = rt.new_array(I32, program.aux_len)
@@ -255,6 +260,31 @@ def run_source_program(
         )
 
 
+def _use_region_interpreter(rt) -> None:
+    """Every engine ``rt`` builds from here on walks the region tree
+    (:class:`~repro.exec.regions.RegionInterpreter`), one tree per
+    function for the whole run."""
+    from ..exec.regions import RegionInterpreter
+
+    trees: dict = {}
+
+    def make_engine(device, trace=None, collect_mem_events=None, **kwargs):
+        if collect_mem_events is None:
+            collect_mem_events = rt.collect_mem_events
+        return RegionInterpreter(
+            rt.region,
+            device=device,
+            trace=trace,
+            symbols=rt._symbols,
+            collect_mem_events=collect_mem_events,
+            private_pool=rt.private_pool,
+            trees=trees,
+            **kwargs,
+        )
+
+    rt._make_engine = make_engine
+
+
 def compare_outcomes(
     a: Outcome,
     b: Outcome,
@@ -279,7 +309,8 @@ def compare_outcomes(
     if not a.ok:
         return diffs  # both trapped identically
     for key in sorted(set(a.outputs) | set(b.outputs)):
-        if a.outputs.get(key) != b.outputs.get(key):
+        # by repr: a nan equals a nan, and -0.0 is not 0.0
+        if repr(a.outputs.get(key)) != repr(b.outputs.get(key)):
             diffs.append(
                 f"output {key!r}: {label_a}={a.outputs.get(key)} vs "
                 f"{label_b}={b.outputs.get(key)}"
@@ -343,6 +374,34 @@ def source_engine_divergences(program: SourceProgram) -> list:
         per_device["gpu"], per_device["cpu"], "compiled/gpu", "compiled/cpu",
         region="none",
     ))
+    return diffs
+
+
+def source_structure_divergences(program: SourceProgram) -> list:
+    """The region tree of every function the program runs, evaluated,
+    against the reference interpreter's block-to-block walk: outputs,
+    every region byte, traces and traps, on both devices."""
+    from ..runtime import compile_source
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            compiled = compile_source(program.source, OptConfig.gpu_all())
+        except Exception:
+            return []
+    diffs = []
+    for device in ("gpu", "cpu"):
+        ref, tree = (
+            run_source_program(
+                program, engine="reference", device=device, keep_traces=True,
+                compiled=compiled, regions=regions,
+            )
+            for regions in (False, True)
+        )
+        diffs.extend(compare_outcomes(
+            ref, tree, f"reference/{device}", f"regions/{device}",
+            region="full", traces=True,
+        ))
     return diffs
 
 
@@ -765,6 +824,7 @@ def run_ir_function(fn, program, engine: str = "interpreter") -> Outcome:
     """Execute one rendered IR function over a fresh region + scratch
     buffer; returns ret value + buffer contents."""
     from ..exec import CompiledEngine, Interpreter
+    from ..exec.regions import RegionInterpreter
     from ..svm import SharedAllocator, SharedRegion
     from .irgen import BUF_SLOTS
 
@@ -773,10 +833,11 @@ def run_ir_function(fn, program, engine: str = "interpreter") -> Outcome:
     buf = allocator.calloc(BUF_SLOTS * 4)
     for slot, value in enumerate(program.buf):
         region.write_int(buf + slot * 4, 4, value & 0xFFFFFFFF, signed=False)
-    if engine == "interpreter":
-        executor = Interpreter(region, "cpu")
-    else:
-        executor = CompiledEngine(region, "cpu")
+    executor = {
+        "interpreter": Interpreter,
+        "regions": RegionInterpreter,
+        "compiled": CompiledEngine,
+    }[engine](region, "cpu")
     try:
         ret = executor.call_function(fn, [program.a, program.b, buf])
     except (ExecutionError, MemoryFault) as exc:
@@ -788,12 +849,43 @@ def run_ir_function(fn, program, engine: str = "interpreter") -> Outcome:
     )
 
 
-def ir_divergences(program) -> list:
-    """Cross-engine and per-pass differentials for one IR program."""
-    from ..ir import VerificationError, verify_function
+def _after_pass(module, fn, index: int, name: str):
+    """A clone of ``fn`` with the one pass ``name`` run over it."""
     from ..passes import PassManager
     from ..passes.pipeline import PASS_REGISTRY
     from ..runtime.clone import clone_function
+
+    clone = clone_function(module, fn, f"{fn.name}.{name}.{index}")
+    pass_fn = PASS_REGISTRY[name]
+    PassManager(verify=False).run(clone, [pass_fn(module) if name == "inline" else pass_fn])
+    return clone
+
+
+def ir_structure_divergences(program) -> list:
+    """The region tree of one IR function, and of what each pass makes of
+    it (nine more CFG shapes per program), evaluated against the
+    reference interpreter."""
+    from .irgen import build_ir
+
+    module, fn = build_ir(program)
+    variants = [("unoptimized", fn)]
+    variants += [
+        (f"after-{name}", _after_pass(module, fn, index, name))
+        for index, name in enumerate(IR_PASS_NAMES)
+    ]
+    diffs = []
+    for label, variant in variants:
+        diffs.extend(compare_outcomes(
+            run_ir_function(variant, program, engine="interpreter"),
+            run_ir_function(variant, program, engine="regions"),
+            f"{label}/interpreter", f"{label}/regions", region="full",
+        ))
+    return diffs
+
+
+def ir_divergences(program) -> list:
+    """Cross-engine and per-pass differentials for one IR program."""
+    from ..ir import VerificationError, verify_function
     from .irgen import build_ir
 
     diffs = []
@@ -804,14 +896,9 @@ def ir_divergences(program) -> list:
         reference, compiled, "interpreter", "compiled-engine", region="full"
     ))
 
-    manager = PassManager(verify=False)
     for index, name in enumerate(IR_PASS_NAMES):
-        clone = clone_function(module, fn, f"{fn.name}.{name}.{index}")
-        pass_fn = PASS_REGISTRY[name]
-        if name == "inline":
-            pass_fn = pass_fn(module)
         try:
-            manager.run(clone, [pass_fn])
+            clone = _after_pass(module, fn, index, name)
             verify_function(clone)
         except VerificationError as exc:
             diffs.append(f"pass {name} broke the verifier: {exc}")

@@ -7,8 +7,9 @@ Four groups:
   traces: return values, heap digest, full ``ExecTrace`` equality;
 * error paths — every message and ``trap_*`` stamp, with the expected
   texts frozen from the closure engine this module replaced;
-* generated text — unit-local values stay out of ``regs``, constants
-  without a literal form are bound, tracebacks print the statement;
+* generated text — one function per IR function with SSA values as
+  locals, constants without a literal form are bound, the line → unit
+  table, tracebacks print the statement;
 * per-program code — two runtimes over one ``CompiledProgram`` generate
   once, run bit-identically, and leave the program's pickle untouched.
 """
@@ -30,6 +31,7 @@ from repro.exec import (
     Interpreter,
     MemEventColumns,
 )
+from repro.exec.compiled import JitCode
 from repro.fuzz import build_ir, generate_ir_program, generate_source_program
 from repro.fuzz.irgen import BUF_SLOTS
 from repro.fuzz.oracle import _heap_digest
@@ -49,6 +51,7 @@ from repro.passes import OptConfig
 from repro.runtime import ConcordRuntime, compile_source, ultrabook
 from repro.service.store import _dumps
 from repro.svm import MemoryFault, SharedAllocator, SharedRegion
+from repro.workloads import all_workloads
 
 from .test_engine_equivalence import _assert_trace_equal
 
@@ -378,15 +381,72 @@ class TestGeneratedText:
         add_phi_incoming(i, nxt, body)
         return fn, doubled, nxt
 
-    def test_unit_local_values_never_touch_regs(self, region):
+    def test_ssa_values_are_locals_of_one_function(self, region):
+        """Replaces ``test_unit_local_values_never_touch_regs``, which
+        checked the liveness split between unit locals and the ``regs``
+        list (a body-local value stayed out of ``regs``, a value read by a
+        head phi was stored to it).  There is no ``regs`` list and no
+        per-unit function any more: every value is a local of the one
+        function, the loop is a ``while True`` and the phi a plain
+        assignment on each edge."""
         fn, doubled, nxt = self._loop()
         cache = CodeCache(region)
         assert CompiledEngine(region, code_cache=cache).call_function(fn, [5]) == 5
-        code = cache.get(fn, "cpu", True).code
+        source = cache.get(fn, "cpu", True).code.source
+        assert "regs[" not in source
+        assert source.count("def ") == 2  # the binder and the function
+        assert source.count("while True:") == 1
         slots = {id(instr): n for n, instr in enumerate(fn.instructions(), start=1)}
-        assert f"regs[{slots[id(doubled)]}]" not in code.source  # body-local
-        assert f"regs[{slots[id(nxt)]}] = " in code.source  # read by the phi
-        assert "def step_" not in code.source
+        phi = fn.blocks[1].instructions[0]
+        assert f"v{slots[id(phi)]} = 0\n" in source  # the entry edge
+        assert f"v{slots[id(phi)]} = v{slots[id(nxt)]}\n" in source  # the back edge
+        assert f"v{slots[id(doubled)]} = " in source
+
+    def test_counts_are_locals_inside_loops_only(self, region):
+        """A unit inside a loop counts in a local flushed at ``return``;
+        one that runs at most once per call bumps the accumulator."""
+        fn, _doubled, _nxt = self._loop()
+        cache = CodeCache(region)
+        engine = CompiledEngine(region, code_cache=cache)
+        engine.call_function(fn, [3])
+        code = cache.get(fn, "cpu", True).code
+        assert [name for name, _slot in code.flushed] == ["c1", "c2", "b1"]
+        assert "cnt_[0] += 1" in code.source and "cnt_[1] += c1" in code.source
+        assert engine.trace.block_counts == {
+            block.uid: count for block, count in zip(fn.blocks, (1, 4, 3, 1))
+        }
+        assert list(engine.trace.branch_stats.values()) == [[3, 4]]
+
+    def test_line_table_names_the_unit_of_every_statement(self, region):
+        fn, _doubled, _nxt = self._loop()
+        code = CodeCache(region).get(fn, "cpu", True).code
+        lines = code.source.splitlines()
+        assert len(code.line_units) == len(lines) + 1  # line numbers start at 1
+        units = {
+            code.line_units[number]
+            for number, line in enumerate(lines, start=1)
+            if "0x80000000" in line  # the body's three wrapped operations
+        }
+        assert units == {2}
+        assert code.line_units[1] == code.line_units[2] == -1
+
+    @pytest.mark.parametrize("name", sorted(all_workloads()))
+    def test_every_workload_module_generates(self, name):
+        """Both devices, events on and off: the text compiles, holds one
+        function and never spells ``regs[``."""
+        workload = all_workloads()[name]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            program = workload.compile(OptConfig.gpu_all())
+        for function in program.module.functions.values():
+            if not function.blocks:
+                continue
+            for device in ("cpu", "gpu"):
+                for collect in (True, False):
+                    code = JitCode(function, device, collect)
+                    assert code.factory is not None
+                    assert "regs[" not in code.source
+                    assert code.source.count("def ") == 2
 
     def test_constants_without_a_literal_are_bound(self, region):
         fn = make_fn(ret=F32, params=(F32,), names=("x",))
