@@ -31,6 +31,9 @@ class FigureData:
     def value(self, workload: str, config: str = "GPU+ALL") -> float:
         return self.series[config][self.labels.index(workload)]
 
+    def by_workload(self, config: str = "GPU+ALL") -> dict[str, float]:
+        return dict(zip(self.labels, self.series[config]))
+
     def render(self) -> str:
         body = render_series(self.title, self.labels, self.series)
         averages = self.averages()
@@ -40,8 +43,10 @@ class FigureData:
         return body + "\n" + avg_line
 
 
-def _figure(system: System, metric: str, title: str, scale: float) -> FigureData:
-    measurements = measure_all(system, scale=scale)
+def _figure(
+    system: System, metric: str, title: str, scale: float, observer
+) -> FigureData:
+    measurements = measure_all(system, scale=scale, observer=observer)
     labels = (*GPU_CONFIG_LABELS, HYBRID_LABEL)
     series: dict[str, list[float]] = {label: [] for label in labels}
     for name in WORKLOAD_ORDER:
@@ -60,33 +65,33 @@ def _figure(system: System, metric: str, title: str, scale: float) -> FigureData
     )
 
 
-def figure7(scale: float = 1.0) -> FigureData:
+def figure7(scale: float = 1.0, observer=None) -> FigureData:
     """Ultrabook: runtime performance relative to multicore CPU."""
     return _figure(
         ultrabook(), "speedup",
-        "Figure 7: speedup vs multicore CPU (Ultrabook)", scale,
+        "Figure 7: speedup vs multicore CPU (Ultrabook)", scale, observer,
     )
 
 
-def figure8(scale: float = 1.0) -> FigureData:
+def figure8(scale: float = 1.0, observer=None) -> FigureData:
     """Ultrabook: energy efficiency relative to multicore CPU."""
     return _figure(
         ultrabook(), "energy",
-        "Figure 8: energy savings vs multicore CPU (Ultrabook)", scale,
+        "Figure 8: energy savings vs multicore CPU (Ultrabook)", scale, observer,
     )
 
 
-def figure9(scale: float = 1.0) -> FigureData:
+def figure9(scale: float = 1.0, observer=None) -> FigureData:
     """Desktop: runtime performance relative to multicore CPU."""
     return _figure(
         desktop(), "speedup",
-        "Figure 9: speedup vs multicore CPU (desktop)", scale,
+        "Figure 9: speedup vs multicore CPU (desktop)", scale, observer,
     )
 
 
-def figure10(scale: float = 1.0) -> FigureData:
+def figure10(scale: float = 1.0, observer=None) -> FigureData:
     """Desktop: energy efficiency relative to multicore CPU."""
     return _figure(
         desktop(), "energy",
-        "Figure 10: energy savings vs multicore CPU (desktop)", scale,
+        "Figure 10: energy savings vs multicore CPU (desktop)", scale, observer,
     )

@@ -57,18 +57,6 @@ class OverlapPoint:
             return 1.0
         return self.sync_seconds / self.graph_seconds
 
-    def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "constructs": self.constructs,
-            "sync_seconds": self.sync_seconds,
-            "graph_seconds": self.graph_seconds,
-            "jit_ahead_seconds": self.jit_ahead_seconds,
-            "speedup": self.speedup,
-            "identical": self.identical,
-            "device_busy": dict(self.device_busy),
-        }
-
 
 @dataclass
 class OverlapFigure:

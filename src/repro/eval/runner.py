@@ -68,19 +68,6 @@ class Measurement:
 
 _CACHE: dict[tuple, Measurement] = {}
 
-#: observer attached to every measurement when no explicit one is passed
-#: (``python -m repro.eval --trace`` routes through this)
-_DEFAULT_OBSERVER = None
-
-
-def set_default_observer(observer) -> None:
-    """Attach ``observer`` (or ``None`` to detach) to all subsequent
-    measurements that do not pass their own.  Observed measurements
-    bypass the cache, so the observer sees complete executions."""
-    global _DEFAULT_OBSERVER
-    _DEFAULT_OBSERVER = observer
-
-
 def measure_workload(
     workload_cls: type[Workload],
     system: System,
@@ -93,8 +80,6 @@ def measure_workload(
     opts into span/counter/profile collection for every run the
     measurement performs; observed calls bypass the in-process cache so
     the observer always sees a complete execution."""
-    if observer is None:
-        observer = _DEFAULT_OBSERVER
     key = (workload_cls.__name__, system.name, round(scale, 4), engine)
     cached = _CACHE.get(key)
     if cached is not None and observer is None:
@@ -146,13 +131,19 @@ def measure_workload(
 
 
 def measure_all(
-    system: System, scale: float = 1.0, validate: bool = True, engine: str = "compiled"
+    system: System,
+    scale: float = 1.0,
+    validate: bool = True,
+    engine: str = "compiled",
+    observer=None,
 ) -> dict[str, Measurement]:
     workloads = all_workloads()
-    result = {}
-    for name in WORKLOAD_ORDER:
-        result[name] = measure_workload(workloads[name], system, scale, validate, engine)
-    return result
+    return {
+        name: measure_workload(
+            workloads[name], system, scale, validate, engine, observer
+        )
+        for name in WORKLOAD_ORDER
+    }
 
 
 def geomean(values) -> float:

@@ -89,8 +89,8 @@ def figure6_mixes() -> dict[str, IrMix]:
     return mixes
 
 
-def format_figure6() -> str:
-    mixes = figure6_mixes()
+def format_figure6(mixes: dict[str, IrMix] | None = None) -> str:
+    mixes = mixes or figure6_mixes()
     rows = []
     for name, mix in mixes.items():
         rows.append(

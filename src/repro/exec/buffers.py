@@ -103,26 +103,6 @@ class MemEventColumns:
             event.instr_uid, event.seq, event.address, event.size, event.is_store
         )
 
-    @property
-    def instr_uids(self):
-        return self.data[0::5]
-
-    @property
-    def seqs(self):
-        return self.data[1::5]
-
-    @property
-    def addresses(self):
-        return self.data[2::5]
-
-    @property
-    def sizes(self):
-        return self.data[3::5]
-
-    @property
-    def stores(self):
-        return self.data[4::5]
-
     def __len__(self) -> int:
         return len(self.data) // 5
 

@@ -11,14 +11,6 @@ class CacheStats:
     hits: int = 0
     misses: int = 0
 
-    @property
-    def accesses(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.accesses if self.accesses else 0.0
-
 
 class CacheModel:
     """LRU set-associative cache over line ids (``address // line_size``)."""
@@ -31,9 +23,6 @@ class CacheModel:
         self.num_sets = size_bytes // (line_bytes * assoc)
         self._sets: list[OrderedDict] = [OrderedDict() for _ in range(self.num_sets)]
         self.stats = CacheStats()
-
-    def line_of(self, address: int) -> int:
-        return address // self.line_bytes
 
     def access(self, line: int) -> bool:
         """Touch a line; returns True on hit."""
@@ -54,8 +43,3 @@ class CacheModel:
         of :meth:`access` so the hot path never pays for metrics."""
         counters.add(f"{prefix}.hits", self.stats.hits)
         counters.add(f"{prefix}.misses", self.stats.misses)
-
-    def reset(self) -> None:
-        for bucketet in self._sets:
-            bucketet.clear()
-        self.stats = CacheStats()

@@ -72,10 +72,6 @@ class GpuDevice:
     fabric_outstanding_misses: float = 48.0
 
     @property
-    def max_warps_in_flight(self) -> int:
-        return self.num_eus * self.threads_per_eu
-
-    @property
     def frequency_hz(self) -> float:
         return self.sustained_freq_hz or self.max_freq_hz
 

@@ -236,114 +236,3 @@ def _collect_loop_body(loop: Loop, latch: BasicBlock, preds) -> None:
             continue
         loop.blocks.add(block)
         stack.extend(preds.get(block, []))
-
-
-class PostDominatorTree:
-    """Post-dominators via dominators of the reversed CFG with virtual exit."""
-
-    def __init__(self, function: Function):
-        self.function = function
-        exits = [
-            b
-            for b in function.blocks
-            if not b.successors() and b.instructions
-        ]
-        succs: dict[BasicBlock, list[BasicBlock]] = {}
-        preds: dict[BasicBlock, list[BasicBlock]] = {b: [] for b in function.blocks}
-        for block in function.blocks:
-            succs[block] = block.successors()
-            for s in succs[block]:
-                preds[s].append(block)
-        # Reverse graph: edges succ->block; roots are the exit blocks.
-        self._ipdom: dict[BasicBlock, Optional[BasicBlock]] = {}
-        order = self._reverse_rpo(exits, preds)
-        index = {b: i for i, b in enumerate(order)}
-        VIRTUAL_EXIT = None  # represented by None in the idom map
-        ipdom: dict[BasicBlock, Optional[BasicBlock]] = {b: None for b in order}
-        computed: set[BasicBlock] = set(exits)
-        changed = True
-        while changed:
-            changed = False
-            for block in order:
-                if block in exits:
-                    continue
-                candidates = [s for s in succs[block] if s in computed or s in exits]
-                new_ipdom: Optional[BasicBlock] = None
-                for succ in candidates:
-                    if new_ipdom is None:
-                        new_ipdom = succ
-                    else:
-                        new_ipdom = self._intersect(
-                            ipdom, index, exits, new_ipdom, succ
-                        )
-                    if new_ipdom is None:
-                        break
-                if new_ipdom is not None:
-                    computed.add(block)
-                    if ipdom[block] is not new_ipdom:
-                        ipdom[block] = new_ipdom
-                        changed = True
-                elif candidates:
-                    # Successors post-dominated only by the virtual exit.
-                    computed.add(block)
-        self._ipdom = ipdom
-        self._exits = set(exits)
-
-    def _reverse_rpo(self, exits, preds) -> list[BasicBlock]:
-        seen: set[BasicBlock] = set()
-        order: list[BasicBlock] = []
-        for root in exits:
-            if root in seen:
-                continue
-            stack = [(root, 0)]
-            seen.add(root)
-            while stack:
-                current, idx = stack.pop()
-                ps = preds.get(current, [])
-                if idx < len(ps):
-                    stack.append((current, idx + 1))
-                    nxt = ps[idx]
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        stack.append((nxt, 0))
-                else:
-                    order.append(current)
-        order.reverse()
-        return order
-
-    def _intersect(self, ipdom, index, exits, a, b):
-        seen_limit = len(index) + 2
-        steps = 0
-        while a is not b:
-            steps += 1
-            if steps > seen_limit * 4:
-                return None
-            ia = index.get(a)
-            ib = index.get(b)
-            if ia is None or ib is None:
-                return None
-            while ia > ib:
-                if a in exits:
-                    return None
-                a = ipdom.get(a)
-                if a is None:
-                    return None
-                ia = index.get(a)
-                if ia is None:
-                    return None
-            while ib > ia:
-                if b in exits:
-                    return None
-                b = ipdom.get(b)
-                if b is None:
-                    return None
-                ib = index.get(b)
-                if ib is None:
-                    return None
-        return a
-
-    def immediate_postdominator(self, block: BasicBlock) -> Optional[BasicBlock]:
-        """None means the (virtual) exit."""
-        if block in self._exits:
-            return None
-        return self._ipdom.get(block)

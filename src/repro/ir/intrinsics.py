@@ -93,10 +93,3 @@ MATH_EVAL = {
     "fmax": max,
     "atan2": math.atan2,
 }
-
-
-def is_svm_translate(callee) -> bool:
-    return isinstance(callee, Intrinsic) and callee.name in (
-        SVM_TO_GPU.name,
-        SVM_TO_CPU.name,
-    )

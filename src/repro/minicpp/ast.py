@@ -31,15 +31,6 @@ class TypeRef(Node):
     is_const: bool = False
     is_reference: bool = False
 
-    def with_pointer(self, extra: int = 1) -> "TypeRef":
-        return TypeRef(
-            line=self.line,
-            name=self.name,
-            pointer_depth=self.pointer_depth + extra,
-            template_args=list(self.template_args),
-            is_const=self.is_const,
-        )
-
     def __str__(self) -> str:
         args = (
             "<" + ", ".join(str(a) for a in self.template_args) + ">"

@@ -115,10 +115,3 @@ def _check_one(function: Function) -> list[Violation]:
                 )
             )
     return violations
-
-
-def direct_self_recursion(function: Function) -> bool:
-    return any(
-        instr.op == "call" and instr.callee is function
-        for instr in function.instructions()
-    )

@@ -37,6 +37,9 @@ import traceback
 from contextlib import contextmanager
 from typing import Optional
 
+from .schema import check, record
+from .telemetry import stream_errors
+
 __all__ = [
     "FLIGHT_SCHEMA_VERSION",
     "FlightRecorder",
@@ -279,37 +282,28 @@ def flight_guard(
 # -- schema -----------------------------------------------------------------
 
 
-def _fail(errors: list, path: str, message: str) -> None:
-    errors.append(f"{path}: {message}")
+_TEXT = {"type": "string"}
 
-
-def validate_flight_bundle(doc) -> None:
-    """Structural validation of one bundle against
-    ``repro.obs.flight/v1``; raises :class:`FlightSchemaError` listing
-    every problem found."""
-    errors: list[str] = []
-    if not isinstance(doc, dict):
-        raise FlightSchemaError(f"bundle: expected object, got {type(doc).__name__}")
-    if doc.get("schema") != FLIGHT_SCHEMA_VERSION:
-        _fail(errors, "bundle.schema", f"expected {FLIGHT_SCHEMA_VERSION!r}")
-    if not isinstance(doc.get("created_unix"), (int, float)):
-        _fail(errors, "bundle.created_unix", "expected number")
-    if doc.get("reason") not in REASONS:
-        _fail(errors, "bundle.reason", f"expected one of {REASONS}")
-    exception = doc.get("exception")
-    if exception is not None:
-        if not isinstance(exception, dict):
-            _fail(errors, "bundle.exception", "expected object or null")
-        else:
-            for key in ("type", "message"):
-                if not isinstance(exception.get(key), str):
-                    _fail(errors, f"bundle.exception.{key}", "expected string")
-    trap = doc.get("trap")
-    if trap is not None:
-        if not isinstance(trap, dict):
-            _fail(errors, "bundle.trap", "expected object or null")
-        else:
-            for key in (
+FLIGHT_SCHEMA = record(
+    {
+        "schema": {"const": FLIGHT_SCHEMA_VERSION},
+        "created_unix": {"type": "number"},
+        "reason": {"enum": list(REASONS)},
+        "events": {"type": "array"},
+        "events_dropped": {"type": "integer"},
+        "counters": {"type": "object"},
+        "open_spans": {"type": "array"},
+        "constructs": {"type": "array"},
+        "context": {"type": "object"},
+    },
+    {
+        "exception": {
+            **record({"type": _TEXT, "message": _TEXT}),
+            "type": ["object", "null"],
+        },
+        "trap": {
+            "type": ["object", "null"],
+            "required": [
                 "kernel",
                 "device",
                 "global_id",
@@ -318,32 +312,20 @@ def validate_flight_bundle(doc) -> None:
                 "line",
                 "col",
                 "source_line",
-            ):
-                if key not in trap:
-                    _fail(errors, f"bundle.trap.{key}", "missing")
-            if not isinstance(trap.get("block_uids"), list):
-                _fail(errors, "bundle.trap.block_uids", "expected list")
-    if not isinstance(doc.get("events"), list):
-        _fail(errors, "bundle.events", "expected list")
-    else:
-        from .telemetry import TelemetrySchemaError, validate_events
+            ],
+            "properties": {"block_uids": {"type": "array"}},
+        },
+        "graph": {"type": ["object", "null"]},
+    },
+)
 
-        try:
-            validate_events(doc["events"], path="bundle.events")
-        except TelemetrySchemaError as exc:
-            _fail(errors, "bundle.events", str(exc))
-    if not isinstance(doc.get("events_dropped"), int):
-        _fail(errors, "bundle.events_dropped", "expected int")
-    if not isinstance(doc.get("counters"), dict):
-        _fail(errors, "bundle.counters", "expected object")
-    if not isinstance(doc.get("open_spans"), list):
-        _fail(errors, "bundle.open_spans", "expected list")
-    if not isinstance(doc.get("constructs"), list):
-        _fail(errors, "bundle.constructs", "expected list")
-    graph = doc.get("graph")
-    if graph is not None and not isinstance(graph, dict):
-        _fail(errors, "bundle.graph", "expected object or null")
-    if not isinstance(doc.get("context"), dict):
-        _fail(errors, "bundle.context", "expected object")
+
+def validate_flight_bundle(doc) -> None:
+    """Raise :class:`FlightSchemaError` listing every departure of one
+    bundle from ``FLIGHT_SCHEMA``; the events of a sound bundle must form
+    a telemetry stream."""
+    errors = check(doc, FLIGHT_SCHEMA, "bundle")
+    if not errors:
+        errors = stream_errors(doc["events"], "bundle.events")
     if errors:
         raise FlightSchemaError("; ".join(errors))

@@ -6,9 +6,10 @@ A schema is a plain dict in JSON-Schema vocabulary (the draft-07 subset
 is written once and never restated as a walker (the container must not
 grow a ``jsonschema`` dependency); :func:`record` spells the common
 all-properties-required object.  ``PROFILE_SCHEMA`` describes the
-profile document emitted by :mod:`repro.obs.profile`; the ledger entry
-and watch report schemas live beside their reader in
-:mod:`repro.obs.watch`.
+profile document emitted by :mod:`repro.obs.profile`; every other schema
+lives beside its writer or reader (:mod:`repro.obs.trace`,
+:mod:`repro.obs.telemetry`, :mod:`repro.obs.flight`,
+:mod:`repro.obs.watch`).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ _TYPES = {
     "boolean": bool,
     "integer": int,
     "number": (int, float),
+    "null": type(None),
 }
 
 
@@ -36,29 +38,41 @@ def check(doc, schema: dict, path: str) -> list[str]:
     """Every way ``doc`` departs from ``schema``, one ``"<path>: <what>"``
     string each; empty when it conforms.
 
-    Understands ``type``, ``required``, ``properties``,
-    ``additionalProperties`` (a schema for the keys ``properties`` does
-    not name), ``items``, ``enum``, ``const``, ``minimum`` and
-    ``maximum``.  A key a schema does not mention is allowed.
+    Understands ``type`` (one name or a list of alternatives),
+    ``required``, ``properties``, ``additionalProperties`` (a schema for
+    the keys ``properties`` does not name), ``items``, ``enum``, ``const``,
+    ``minimum``, ``maximum``, ``minLength``, ``allOf`` and ``if`` / ``then``
+    (what one field's value requires of the others).  A key a schema does
+    not mention is allowed.
     """
     errors: list[str] = []
+    for sub in schema.get("allOf", ()):
+        errors += check(doc, sub, path)
+    if "if" in schema and not check(doc, schema["if"], path):
+        errors += check(doc, schema["then"], path)
     if "const" in schema and doc != schema["const"]:
         errors.append(f"{path}: expected {schema['const']!r}, got {doc!r}")
     if "enum" in schema and doc not in schema["enum"]:
         errors.append(f"{path}: {doc!r} not in {schema['enum']}")
-    kind = schema.get("type")
+    kind = schema.get("type", ())
+    kinds = (kind,) if isinstance(kind, str) else kind
     # bool is an int to Python but not a number to JSON
-    if kind is not None and (
-        not isinstance(doc, _TYPES[kind])
-        or (isinstance(doc, bool) and kind != "boolean")
+    if kinds and not any(
+        isinstance(doc, _TYPES[k]) and (k == "boolean" or not isinstance(doc, bool))
+        for k in kinds
     ):
-        errors.append(f"{path}: expected {kind}, got {type(doc).__name__}")
+        errors.append(
+            f"{path}: expected {' or '.join(kinds)}, got {type(doc).__name__}"
+        )
         return errors
     if isinstance(doc, (int, float)) and not isinstance(doc, bool):
         if "minimum" in schema and doc < schema["minimum"]:
             errors.append(f"{path}: {doc} < minimum {schema['minimum']}")
         if "maximum" in schema and doc > schema["maximum"]:
             errors.append(f"{path}: {doc} > maximum {schema['maximum']}")
+    elif isinstance(doc, str):
+        if len(doc) < schema.get("minLength", 0):
+            errors.append(f"{path}: shorter than {schema['minLength']}")
     elif isinstance(doc, dict):
         for key in schema.get("required", ()):
             if key not in doc:

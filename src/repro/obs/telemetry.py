@@ -37,7 +37,8 @@ import json
 import os
 import time
 from collections import deque
-from typing import Optional
+
+from .schema import check, record
 
 __all__ = [
     "AggregatorSink",
@@ -377,46 +378,54 @@ class AggregatorSink:
 # -- schema ----------------------------------------------------------------
 
 
-def _fail(errors: list, path: str, message: str) -> None:
-    errors.append(f"{path}: {message}")
+#: Beyond the four keys every event carries, what a kind adds.
+_KIND_REQUIRES = {
+    "counter": ["delta"],
+    "span_close": ["wall_seconds"],
+    "launch": ["device", "n", "seconds"],
+}
+
+EVENT_SCHEMA = {
+    **record(
+        {
+            "seq": {"type": "integer"},
+            "t": {"type": "number"},
+            "kind": {"type": "string", "enum": list(EVENT_KINDS)},
+            "name": {"type": "string"},
+        }
+    ),
+    "allOf": [
+        {"if": record({"kind": {"const": kind}}), "then": {"required": keys}}
+        for kind, keys in _KIND_REQUIRES.items()
+    ],
+}
 
 
 def validate_event(event, path: str = "event") -> None:
-    """Structural check of one streamed event against
-    ``repro.obs.telemetry/v1``; raises :class:`TelemetrySchemaError`
-    listing every problem found."""
-    errors: list[str] = []
-    if not isinstance(event, dict):
-        raise TelemetrySchemaError(f"{path}: expected object, got {type(event).__name__}")
-    for key, kinds in (("seq", (int,)), ("t", (int, float)), ("kind", (str,)), ("name", (str,))):
-        if key not in event:
-            _fail(errors, path, f"missing required key {key!r}")
-        elif not isinstance(event[key], kinds) or isinstance(event[key], bool):
-            _fail(errors, f"{path}.{key}", f"expected {kinds[0].__name__}")
-    kind = event.get("kind")
-    if isinstance(kind, str) and kind not in EVENT_KINDS:
-        _fail(errors, f"{path}.kind", f"unknown kind {kind!r} (expected one of {EVENT_KINDS})")
-    if kind == "counter" and "delta" not in event:
-        _fail(errors, path, "counter event missing 'delta'")
-    if kind == "span_close" and "wall_seconds" not in event:
-        _fail(errors, path, "span_close event missing 'wall_seconds'")
-    if kind == "launch":
-        for key in ("device", "n", "seconds"):
-            if key not in event:
-                _fail(errors, path, f"launch event missing {key!r}")
+    """Raise :class:`TelemetrySchemaError` listing every departure of one
+    streamed event from ``EVENT_SCHEMA``."""
+    errors = check(event, EVENT_SCHEMA, path)
     if errors:
         raise TelemetrySchemaError("; ".join(errors))
 
 
+def stream_errors(events, path: str) -> list[str]:
+    """Every malformed event of a stream, then the rule no schema states:
+    ``seq`` strictly increasing (gaps are fine — a ring snapshot is a
+    suffix)."""
+    errors = check(events, {"type": "array", "items": EVENT_SCHEMA}, path)
+    if not errors:
+        seqs = [event["seq"] for event in events]
+        errors = [
+            f"{path}[{i}]: seq {seq} not increasing (previous {last})"
+            for i, (last, seq) in enumerate(zip(seqs, seqs[1:]), 1)
+            if seq <= last
+        ]
+    return errors
+
+
 def validate_events(events, path: str = "events") -> None:
-    """Validate a whole stream: every event well-formed, ``seq`` strictly
-    increasing (gaps are fine — a ring snapshot is a suffix)."""
-    last_seq: Optional[int] = None
-    for i, event in enumerate(events):
-        validate_event(event, path=f"{path}[{i}]")
-        seq = event["seq"]
-        if last_seq is not None and seq <= last_seq:
-            raise TelemetrySchemaError(
-                f"{path}[{i}]: seq {seq} not increasing (previous {last_seq})"
-            )
-        last_seq = seq
+    """Validate a whole stream; raise :class:`TelemetrySchemaError`."""
+    errors = stream_errors(events, path)
+    if errors:
+        raise TelemetrySchemaError("; ".join(errors))

@@ -28,6 +28,8 @@ from __future__ import annotations
 
 from typing import Optional
 
+from .schema import check, record
+
 TRACE_SCHEMA_VERSION = "repro.obs.trace/v1"
 
 #: counter series sampled per construct onto the device timeline
@@ -212,57 +214,39 @@ def write_trace(observer, path: str, meta: Optional[dict] = None) -> dict:
     return doc
 
 
-_NUMBER = (int, float)
-_PHASES = ("X", "C", "M")
+_ID = {"type": "integer"}
+_MICROS = {"type": "number", "minimum": 0}
 
-
-def _fail(errors, path, message) -> None:
-    errors.append(f"{path}: {message}")
+#: What Chrome needs to load the file: the JSON object form, and for each
+#: event a name, a known phase and thread ids; complete ("X") and counter
+#: ("C") events carry a non-negative microsecond timestamp, "X" a
+#: duration as well.
+_EVENT = record(
+    {
+        "name": {"type": "string", "minLength": 1},
+        "ph": {"enum": ["X", "C", "M"]},
+        "pid": _ID,
+        "tid": _ID,
+    },
+    {"args": {"type": "object"}},
+)
+_EVENT["allOf"] = [
+    {"if": record({"ph": {"enum": ["X", "C"]}}), "then": record({"ts": _MICROS})},
+    {"if": record({"ph": {"const": "X"}}), "then": record({"dur": _MICROS})},
+]
+TRACE_SCHEMA = record(
+    {
+        "schema": {"const": TRACE_SCHEMA_VERSION},
+        "traceEvents": {"type": "array", "items": _EVENT},
+        "otherData": {"type": "object"},
+    }
+)
 
 
 def validate_trace(doc) -> None:
-    """Structural validation; raises :class:`TraceSchemaError` listing
-    every problem.  Checks what Chrome actually needs to load the file:
-    the JSON object form, and for each event a name, a known phase, and
-    non-negative microsecond timestamps/durations."""
-    errors: list[str] = []
-    if not isinstance(doc, dict):
-        raise TraceSchemaError("trace document must be a JSON object")
-    if doc.get("schema") != TRACE_SCHEMA_VERSION:
-        _fail(
-            errors,
-            "schema",
-            f"expected {TRACE_SCHEMA_VERSION!r}, got {doc.get('schema')!r}",
-        )
-    events = doc.get("traceEvents")
-    if not isinstance(events, list):
-        _fail(errors, "traceEvents", "missing or not an array")
-        events = []
-    if not isinstance(doc.get("otherData"), dict):
-        _fail(errors, "otherData", "missing or not an object")
-    for index, event in enumerate(events):
-        path = f"traceEvents[{index}]"
-        if not isinstance(event, dict):
-            _fail(errors, path, "expected an object")
-            continue
-        if not isinstance(event.get("name"), str) or not event.get("name"):
-            _fail(errors, f"{path}.name", "missing or not a non-empty string")
-        ph = event.get("ph")
-        if ph not in _PHASES:
-            _fail(errors, f"{path}.ph", f"{ph!r} not one of {list(_PHASES)}")
-        for key in ("pid", "tid"):
-            if not isinstance(event.get(key), int):
-                _fail(errors, f"{path}.{key}", "missing or not an integer")
-        if "args" in event and not isinstance(event["args"], dict):
-            _fail(errors, f"{path}.args", "not an object")
-        if ph in ("X", "C"):
-            ts = event.get("ts")
-            if not isinstance(ts, _NUMBER) or isinstance(ts, bool) or ts < 0:
-                _fail(errors, f"{path}.ts", "missing or negative")
-        if ph == "X":
-            dur = event.get("dur")
-            if not isinstance(dur, _NUMBER) or isinstance(dur, bool) or dur < 0:
-                _fail(errors, f"{path}.dur", "missing or negative")
+    """Raise :class:`TraceSchemaError` listing every departure from
+    ``TRACE_SCHEMA``."""
+    errors = check(doc, TRACE_SCHEMA, "trace")
     if errors:
         raise TraceSchemaError(
             "trace does not match schema:\n  " + "\n  ".join(errors)

@@ -54,6 +54,12 @@ LATENCY_SAMPLES = 2048
 #: is ~10 kB); anything longer is refused with 413 before any read.
 MAX_BODY_BYTES = 8 << 20
 
+#: Largest work-item count and workload scale a run request may ask for.
+#: Run requests execute one at a time under ``_exec_lock``; an unbounded
+#: one would hold every later run request until the process is killed.
+MAX_RUN_ITEMS = 1 << 20
+MAX_RUN_SCALE = 2.0
+
 
 def _resolve_config(spec) -> OptConfig:
     if spec is None:
@@ -232,17 +238,27 @@ class CompileService:
         ok = False
         try:
             with request_obs.span("service_request", "service", endpoint="run"):
+                # refused before any compile or allocation, and before the lock
+                if "workload" in payload:
+                    handler, size = self._run_workload, float(payload.get("scale", 0.1))
+                    if not 0 < size <= MAX_RUN_SCALE:
+                        raise ValueError(
+                            f"scale must be in (0, {MAX_RUN_SCALE}], got {size}"
+                        )
+                else:
+                    handler, size = self._run_kernel, int(payload.get("n", 16))
+                    if not 1 <= size <= MAX_RUN_ITEMS:
+                        raise ValueError(
+                            f"n must be in 1..{MAX_RUN_ITEMS}, got {size}"
+                        )
                 with self._exec_lock:
-                    if "workload" in payload:
-                        result = self._run_workload(payload, request_obs)
-                    else:
-                        result = self._run_kernel(payload, request_obs)
+                    result = handler(payload, size, request_obs)
             ok = True
             return result
         finally:
             self._finish_request("run", request_obs, started, ok)
 
-    def _run_workload(self, payload: dict, request_obs) -> dict:
+    def _run_workload(self, payload: dict, scale: float, request_obs) -> dict:
         from ..workloads import all_workloads
 
         registry = all_workloads()
@@ -264,7 +280,7 @@ class CompileService:
             engine=payload.get("engine", "compiled"),
         )
         workload = cls()
-        state = workload.build(rt, float(payload.get("scale", 0.1)))
+        state = workload.build(rt, scale)
         reports = workload.run(rt, state, on_cpu=bool(payload.get("on_cpu", False)))
         if payload.get("validate", True):
             workload.validate(rt, state)
@@ -278,7 +294,7 @@ class CompileService:
             "energy_joules": sum(r.energy_joules for r in reports),
         }
 
-    def _run_kernel(self, payload: dict, request_obs) -> dict:
+    def _run_kernel(self, payload: dict, n: int, request_obs) -> dict:
         config = _resolve_config(payload.get("config"))
         program = self._cached_program(
             payload["source"], config,
@@ -295,7 +311,6 @@ class CompileService:
         body = rt.new(body_name)
         for field_name, value in (payload.get("fields") or {}).items():
             setattr(body, field_name, value)
-        n = int(payload.get("n", 16))
         on_cpu = bool(payload.get("on_cpu", False))
         if kinfo.construct == "reduce":
             report = rt.parallel_reduce_hetero(n, body, on_cpu=on_cpu)

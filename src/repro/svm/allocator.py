@@ -87,9 +87,6 @@ class SharedAllocator:
         offset = address - self.region.cpu_base
         self._insert_free(_FreeBlock(offset, size))
 
-    def allocated_size(self, address: int) -> int:
-        return self._live[address]
-
     @property
     def live_bytes(self) -> int:
         return self._usage

@@ -11,9 +11,7 @@ choices), measured mechanically rather than end-to-end:
 
 import warnings
 
-from conftest import run_once
-
-from repro.ir.types import F32, I32
+from repro.ir.types import F32
 from repro.passes import OptConfig
 from repro.runtime import ConcordRuntime, compile_source, ultrabook
 
@@ -63,7 +61,7 @@ def _run_config(source, body_class, config, setup):
     return report.report
 
 
-def test_ptropt_reduces_dynamic_translations(benchmark):
+def test_ptropt_reduces_dynamic_translations():
     """The Figure 4 kernel: pointers loaded and stored in a loop.  Lazy
     per-dereference translation executes O(n) translations per item;
     PTROPT's dual representation leaves O(1)."""
@@ -90,17 +88,14 @@ def test_ptropt_reduces_dynamic_translations(benchmark):
         )
         return baseline, optimized
 
-    baseline, optimized = benchmark.pedantic(measure, rounds=1, iterations=1)
-    print()
-    print(
-        f"dynamic translations: GPU={baseline.translations} "
-        f"GPU+PTROPT={optimized.translations}"
-    )
+    baseline, optimized = measure()
+    # the numbers EXPERIMENTS.md quotes for the mechanism
+    assert (baseline.translations, optimized.translations) == (6240, 96)
     assert optimized.translations < baseline.translations / 4
     assert optimized.seconds <= baseline.seconds
 
 
-def test_l3opt_staggers_access_order(benchmark):
+def test_l3opt_staggers_access_order():
     """The Figure 5 kernel: all work-items scan one array in the same
     order.  L3OPT must (a) transform the loop, (b) spread the cache lines
     touched at each dynamic position across the cores (the stagger), and
@@ -142,14 +137,7 @@ def test_l3opt_staggers_access_order(benchmark):
     def measure():
         return line_spread(OptConfig.gpu()), line_spread(OptConfig.gpu_l3opt())
 
-    (base_applied, baseline), (opt_applied, optimized) = benchmark.pedantic(
-        measure, rounds=1, iterations=1
-    )
-    print()
-    print(
-        f"l3opt applied: baseline={base_applied} optimized={opt_applied}; "
-        f"seconds: GPU={baseline.seconds:.3e} GPU+L3OPT={optimized.seconds:.3e}"
-    )
+    (base_applied, baseline), (opt_applied, optimized) = measure()
     assert base_applied == 0
     assert opt_applied >= 1
     # roughly performance-neutral, as the paper reports for the

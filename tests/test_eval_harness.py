@@ -63,6 +63,40 @@ class TestMeasurement:
         second = measure_workload(workloads["BTree"], ultrabook(), scale=0.15)
         assert first is second
 
+    def test_observed_measurement_bypasses_the_cache(self):
+        from repro.obs import Observer
+
+        workloads = all_workloads()
+        cached = measure_workload(workloads["BTree"], ultrabook(), scale=0.15)
+        observer = Observer()
+        observed = measure_workload(
+            workloads["BTree"], ultrabook(), scale=0.15, observer=observer
+        )
+        assert observed is not cached  # a complete execution was seen ...
+        assert observer.constructs
+        assert observed == cached  # ... and observing moves no number
+
+    def test_observer_goes_down_as_an_argument(self, monkeypatch):
+        """``figureN(scale, observer=)`` -> ``measure_all`` ->
+        ``measure_workload``: nothing process-wide is installed."""
+        from repro.eval import figure7, runner
+
+        seen = []
+
+        def spy(cls, system, scale, validate, engine, observer):
+            seen.append(observer)
+            return runner.Measurement(
+                cls.name, system.name, 2.0, 2.0,
+                dict.fromkeys(runner.GPU_CONFIG_LABELS, 1.0),
+                dict.fromkeys(runner.GPU_CONFIG_LABELS, 1.0), 1.0, 1.0,
+            )
+
+        monkeypatch.setattr(runner, "measure_workload", spy)
+        sentinel = object()
+        assert figure7(0.15, observer=sentinel).value("BFS") == 2.0
+        assert seen == [sentinel] * len(WORKLOAD_ORDER)
+        assert not hasattr(runner, "set_default_observer")
+
     def test_systems_cached_separately(self):
         workloads = all_workloads()
         ub = measure_workload(workloads["BTree"], ultrabook(), scale=0.15)
@@ -109,6 +143,25 @@ class TestTableRendering:
     def test_table1_order_matches_paper(self):
         rows = table1_rows(0.2)
         assert [r.benchmark for r in rows] == list(WORKLOAD_ORDER)
+
+    def test_table1_metadata_matches_paper(self):
+        rows = table1_rows(0.2)
+        by_name = {r.benchmark: r for r in rows}
+        assert len(rows) == 9
+        assert by_name["BFS"].origin == "Galois"
+        assert by_name["BTree"].origin == "Rodinia"
+        assert by_name["FaceDetect"].origin == "OpenCV"
+        assert by_name["ClothPhysics"].parallel_construct == "parallel reduce hetero"
+        assert all(
+            r.parallel_construct == "parallel for hetero"
+            for r in rows
+            if r.benchmark != "ClothPhysics"
+        )
+        assert by_name["BarnesHut"].data_structure == "tree"
+        assert by_name["SkipList"].data_structure == "linked-list"
+        # ClothPhysics is the largest workload in the paper; ours too
+        assert by_name["ClothPhysics"].device_loc >= 30
+        assert all(r.device_loc <= r.loc for r in rows)
 
 
 class TestInputGenerators:

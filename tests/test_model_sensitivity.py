@@ -1,7 +1,7 @@
 """Sensitivity ablation for the analytic device models.
 
 The reproduction's claims are *shape* claims (orderings and crossovers),
-so they must not hinge on the exact calibrated constants.  This benchmark
+so they must not hinge on the exact calibrated constants.  This test
 perturbs the most influential GPU-model constants by +/-25% and checks the
 key orderings survive:
 
@@ -11,20 +11,20 @@ key orderings survive:
 * PTROPT keeps helping.
 
 If a future model change makes a conclusion constant-sensitive, this
-bench is the tripwire.
+test is the tripwire.
 """
 
 import dataclasses
 import warnings
 
 import pytest
-from conftest import run_once
 
 from repro.passes import OptConfig
 from repro.runtime.system import System, desktop, ultrabook
 from repro.workloads import all_workloads
 
 PROBE_WORKLOADS = ("Raytracer", "BarnesHut", "FaceDetect", "BTree")
+SCALE = 0.3
 
 
 def perturbed_system(base: System, **gpu_overrides) -> System:
@@ -72,18 +72,15 @@ def check_orderings(speedups, system_name):
         ("contention_penalty_cycles", 1.5),
     ],
 )
-def test_orderings_survive_gpu_perturbation(benchmark, scale, knob, factor):
+def test_orderings_survive_gpu_perturbation(knob, factor):
     base = ultrabook()
     value = getattr(base.gpu, knob) * factor
     system = perturbed_system(base, **{knob: value})
 
-    speedups = run_once(benchmark, lambda: measure(system, min(scale, 0.3)))
-    print()
-    print(f"{knob} x{factor}: " + "  ".join(f"{k}={v:.2f}" for k, v in speedups.items()))
-    check_orderings(speedups, base.name)
+    check_orderings(measure(system, SCALE), base.name)
 
 
-def test_desktop_barneshut_crossover_robust(benchmark, scale):
+def test_desktop_barneshut_crossover_robust():
     """BarnesHut below parity on the desktop under the calibrated model AND
     with the memory system 25% faster (the crossover is not a knife edge)."""
 
@@ -102,17 +99,15 @@ def test_desktop_barneshut_crossover_robust(benchmark, scale):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 gpu = workload.execute(
-                    OptConfig.gpu_all(), system, scale=min(scale, 0.3), validate=False
+                    OptConfig.gpu_all(), system, scale=SCALE, validate=False
                 )
                 cpu = workload.execute(
                     OptConfig.gpu_all(), system, on_cpu=True,
-                    scale=min(scale, 0.3), validate=False,
+                    scale=SCALE, validate=False,
                 )
             results[label] = cpu.seconds / gpu.seconds
         return results
 
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
-    print()
-    print(f"BarnesHut desktop speedup: {results}")
+    results = run()
     assert results["calibrated"] < 1.0
     assert results["fast-l3"] < 1.1  # still at/below parity with faster L3

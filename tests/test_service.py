@@ -476,6 +476,39 @@ public:
             conn.close()
         assert client.health() == {"ok": True}
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"source": SCALAR_SOURCE, "body": "Accum", "n": 10**9},
+            {"source": SCALAR_SOURCE, "body": "Accum", "n": 0},
+            {"workload": "BFS", "scale": 1e6},
+            {"workload": "BFS", "scale": 0},
+        ],
+    )
+    def test_unbounded_run_is_refused_before_the_run_lock(self, daemon, payload):
+        """Run requests execute one at a time: one asking for 10**9
+        work-items or scale 1e6 would hold every later one.  It is refused
+        while another run holds the lock, so before any compile, allocation
+        or wait."""
+        client, service = daemon
+        errors = service.observer.counters.get("service.errors")
+        programs = service.store.stats()["artifacts"]
+        with service._exec_lock:
+            with pytest.raises(ValueError, match="must be in"):
+                service.run(dict(payload))
+            conn = http.client.HTTPConnection(client.host, client.port, timeout=5)
+            try:
+                conn.request("POST", "/v1/run", body=json.dumps(payload))
+                response = conn.getresponse()
+                assert response.status == 400
+                assert "must be in" in json.loads(response.read())["error"]
+            finally:
+                conn.close()
+        assert service.observer.counters.get("service.errors") == errors + 2
+        assert service.store.stats()["artifacts"] == programs
+        # the limits themselves are served
+        assert client.run(source=self.SCALAR_SOURCE, body="Accum", n=1)["ok"]
+
     def test_stats_report_latency_and_store(self, daemon):
         client, _service = daemon
         client.compile(source=SOURCE)

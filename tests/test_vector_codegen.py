@@ -649,4 +649,14 @@ class TestOwnership:
                 )
                 if empty:
                     offenders.append(f"{path.name}:{node.lineno} {ast.unparse(targets[0])}")
+        # ... and in repro.eval a ``global`` statement is a process-wide
+        # setting being rebound (an observer goes down as an argument;
+        # ``runner._CACHE`` is filled, never rebound, and stays: it is what
+        # lets four figures share one measurement)
+        for path in sorted(root.glob("eval/*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Global):
+                    offenders.append(
+                        f"{path.name}:{node.lineno} global {', '.join(node.names)}"
+                    )
         assert offenders == []
