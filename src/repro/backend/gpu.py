@@ -23,7 +23,7 @@ from typing import Optional
 
 from ..cpu.timing import time_cpu_execution
 from ..exec.buffers import LaunchTrace
-from ..gpu.timing import time_gpu_kernel
+from ..gpu.timing import KernelFacts, time_gpu_kernel
 from ..svm import address_of
 from .base import Backend, LaunchResult
 
@@ -40,8 +40,11 @@ def _runtime_mod():
 
 @dataclass
 class GpuFunctionCache:
-    """gpu_function_t: cached per-kernel JIT result (section 3.4)."""
+    """gpu_function_t: cached per-kernel JIT result (section 3.4), and
+    what the timing model reads off the kernel's IR once for all its
+    launches."""
 
+    facts: KernelFacts
     finalized: bool = False
     jit_seconds: float = 0.0
     launches: int = 0
@@ -71,11 +74,20 @@ class GpuBackend(Backend):
 
     # -- chunk-level primitives -------------------------------------------
 
-    def prepare(self, kinfo) -> float:
-        """One-time OpenCL -> GPU ISA JIT per kernel (gpu_function_t cache)."""
+    def _function(self, kinfo) -> GpuFunctionCache:
+        """The kernel's gpu_function_t entry, created on first use."""
         rt = self.rt
         key = (rt.program.program_id, kinfo.gpu_kernel.name)
-        cache = rt._gpu_function_cache.setdefault(key, GpuFunctionCache())
+        cache = rt._gpu_function_cache.get(key)
+        if cache is None:
+            cache = rt._gpu_function_cache[key] = GpuFunctionCache(
+                KernelFacts.of(kinfo.gpu_kernel)
+            )
+        return cache
+
+    def prepare(self, kinfo) -> float:
+        """One-time OpenCL -> GPU ISA JIT per kernel (gpu_function_t cache)."""
+        cache = self._function(kinfo)
         cache.launches += 1
         if cache.finalized:
             return 0.0
@@ -173,7 +185,7 @@ class GpuBackend(Backend):
         )
         report = time_gpu_kernel(
             self.rt.system.gpu,
-            kinfo.gpu_kernel,
+            self._function(kinfo).facts,
             trace,
             l3=timing_cache,
             counters=self._counters(),
@@ -196,7 +208,7 @@ class GpuBackend(Backend):
         )
         report = time_gpu_kernel(
             self.rt.system.gpu,
-            kinfo.gpu_kernel,
+            self._function(kinfo).facts,
             trace,
             l3=timing_cache,
             counters=self._counters(),

@@ -19,10 +19,12 @@ energy on a :class:`~repro.cpu.device.CpuDevice`:
 
 from __future__ import annotations
 
-from ..exec.buffers import iter_mem_events
+import numpy as np
+
+from ..exec.buffers import event_rows
 from ..exec.interp import ExecTrace
 from ..gpu.cache import CacheModel
-from ..gpu.timing import DeviceReport
+from ..gpu.timing import DeviceReport, running_sum, touched_lines
 from .device import CpuDevice
 
 
@@ -32,19 +34,19 @@ def time_cpu_execution(
     llc: CacheModel | None = None,
     counters=None,
 ) -> DeviceReport:
+    """Price the traces' execution.  Evaluated over the traces' event
+    columns, but *defined* access by access (``docs/MODEL.md``, *Order
+    contract*): events in trace order, an access that straddles lines
+    touching them low to high, each line probing the L1 and on a miss the
+    LLC, latency accumulated left to right in that order."""
     llc = llc or CacheModel(
         device.llc_size_bytes, device.llc_line_bytes, device.llc_assoc
     )
     l1 = CacheModel(device.l1_size_bytes, device.llc_line_bytes, device.l1_assoc)
 
     instructions = 0
-    l1_hits = 0
     mispredicts = 0.0
     branches = 0
-    llc_hits = 0
-    llc_misses = 0
-    mem_latency = 0.0
-    dram_bytes = 0
     translations = 0
 
     merged_branches: dict[int, list[int]] = {}
@@ -55,23 +57,30 @@ def time_cpu_execution(
             slot = merged_branches.setdefault(uid, [0, 0])
             slot[0] += taken
             slot[1] += total
-        for _uid, _seq, address, size in iter_mem_events(trace):
-            first = address // device.llc_line_bytes
-            last = (address + size - 1) // device.llc_line_bytes
-            for line in range(first, last + 1):
-                if l1.access(line):
-                    # L1 hits are effectively free: their latency is
-                    # covered by the out-of-order window (this is the CPU's
-                    # big advantage on small pointer-chasing working sets)
-                    l1_hits += 1
-                    mem_latency += device.l1_hit_cycles
-                elif llc.access(line):
-                    llc_hits += 1
-                    mem_latency += device.llc_hit_cycles
-                else:
-                    llc_misses += 1
-                    mem_latency += device.dram_latency_cycles
-                    dram_bytes += device.llc_line_bytes
+
+    none = np.empty((0, 5), np.uint64)  # concatenate needs one array
+    rows = [none, *(event_rows(trace.mem_events) for trace in traces)]
+    _event, lines = touched_lines(
+        np.concatenate([chunk[:, 2] for chunk in rows]),
+        np.concatenate([chunk[:, 3] for chunk in rows]),
+        device.llc_line_bytes,
+    )
+    del rows  # release the buffer exports
+    # L1 hits are effectively free: their latency is covered by the
+    # out-of-order window (this is the CPU's big advantage on small
+    # pointer-chasing working sets).  L1's misses go on to the LLC, in
+    # order.
+    l1_miss = ~l1.touch(lines)
+    llc_hit = llc.touch(lines[l1_miss])
+    latency = np.full(len(lines), device.l1_hit_cycles, np.float64)
+    latency[l1_miss] = np.where(
+        llc_hit, device.llc_hit_cycles, device.dram_latency_cycles
+    )
+    mem_latency = running_sum(latency)
+    llc_hits = int(llc_hit.sum())
+    llc_misses = len(llc_hit) - llc_hits
+    l1_hits = len(lines) - len(llc_hit)
+    dram_bytes = llc_misses * device.llc_line_bytes
 
     # Canonical order — float accumulation must not depend on which engine's
     # trace-dict insertion order we got.
@@ -117,9 +126,4 @@ def time_cpu_execution(
         l3_hits=llc_hits,
         l3_misses=llc_misses,
         translations=translations,
-        extra={
-            "mispredicts": mispredicts,
-            "branches": branches,
-            "l1_hits": l1_hits,
-        },
     )

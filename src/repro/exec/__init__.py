@@ -36,7 +36,6 @@ from .buffers import (
     DEFAULT_MEM_EVENT_CAP,
     MemEventColumns,
     PrivateMemoryPool,
-    iter_mem_events,
 )
 from .compiled import CodeCache, CompiledEngine, CompiledFunction
 from .interp import (
@@ -70,6 +69,5 @@ __all__ = [
     "VectorFallback",
     "VectorFunction",
     "classify_kernel",
-    "iter_mem_events",
     "run_vectorized",
 ]

@@ -5,12 +5,12 @@ Three pieces of infrastructure that keep the hot execution paths cheap:
 * :class:`MemEventColumns` — a columnar memory-event buffer (parallel
   ``array`` columns of ints rather than one ``MemEvent`` object per dynamic
   access).  The threaded-code engine appends five ints per access instead
-  of allocating an object; the CPU timing model consumes either
-  representation through :func:`iter_mem_events` (or plain iteration,
-  which adapts each row back into a ``MemEvent``).  This module is the
-  only place that knows the stride-5 row layout: everything else goes
-  through :func:`event_rows`, :meth:`MemEventColumns.from_rows`,
-  :func:`iter_mem_events` or :func:`iter_access_events`.
+  of allocating an object; both timing models read either
+  representation as one array through :func:`event_rows` (plain
+  iteration adapts each row back into a ``MemEvent``).  This module is
+  the only place that knows the stride-5 row layout: everything else
+  goes through :func:`event_rows`, :meth:`MemEventColumns.from_rows` or
+  :func:`iter_access_events`.
 
 * :class:`LaunchTrace` — one GPU launch's trace as NumPy columns: the
   memory events of every lane in one set of arrays, a blocks x lanes
@@ -71,8 +71,8 @@ class MemEventColumns:
     event with a single ``extend`` call.  Every field is non-negative by
     construction (uids and seqs are counters, addresses and sizes are
     masked to 64 bits).  Iteration yields ``MemEvent`` objects so existing
-    consumers work unchanged; hot consumers should use
-    :func:`iter_mem_events` to stream tuples without materializing objects.
+    consumers work unchanged; hot consumers should use :func:`event_rows`
+    to read the rows without materializing objects.
     """
 
     __slots__ = ("data",)
@@ -114,20 +114,6 @@ class MemEventColumns:
             yield MemEvent(
                 data[i], data[i + 1], data[i + 2], data[i + 3], bool(data[i + 4])
             )
-
-
-def iter_mem_events(trace):
-    """Stream a trace's memory events as ``(instr_uid, seq, address, size)``
-    tuples, whichever representation the trace holds.
-
-    The timing models only need these four fields; streaming tuples avoids
-    building a ``MemEvent`` per row when the storage is columnar.
-    """
-    events = trace.mem_events
-    if isinstance(events, MemEventColumns):
-        data = events.data
-        return zip(data[0::5], data[1::5], data[2::5], data[3::5])
-    return ((e.instr_uid, e.seq, e.address, e.size) for e in events)
 
 
 def event_rows(events) -> np.ndarray:

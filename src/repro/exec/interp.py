@@ -55,7 +55,7 @@ class ExecTrace:
     reference interpreter's representation) or a columnar
     :class:`~repro.exec.buffers.MemEventColumns` buffer (the threaded-code
     engine's); both support ``append``/``len``/iteration.  The CPU model
-    streams either through :func:`~repro.exec.buffers.iter_mem_events`;
+    reads either as columns through :func:`~repro.exec.buffers.event_rows`;
     the GPU model takes a whole launch's lanes at once as a
     :class:`~repro.exec.buffers.LaunchTrace`.
 

@@ -1,12 +1,11 @@
 """Integrated GPU simulator: device models, cache, timing/energy."""
 
-from .cache import CacheModel, CacheStats
+from .cache import CacheModel
 from .device import GpuDevice, hd4600, hd5000
 from .timing import DeviceReport, time_gpu_kernel
 
 __all__ = [
     "CacheModel",
-    "CacheStats",
     "DeviceReport",
     "GpuDevice",
     "hd4600",

@@ -49,13 +49,15 @@ breakdown the benchmarks print.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..exec.buffers import LaunchTrace
 from ..ir import Function
-from .cache import CacheModel
+from ..ir.types import IntType
+from ..ir.values import BINARY_OPS
+from .cache import CacheModel, run_starts, stable_order, stable_runs
 from .device import GpuDevice
 
 
@@ -74,7 +76,6 @@ class DeviceReport:
     contention_cycles: float = 0.0
     divergence_waste: float = 0.0  # issue slots beyond converged minimum
     translations: int = 0
-    extra: dict = field(default_factory=dict)
 
     def __add__(self, other: "DeviceReport") -> "DeviceReport":
         if other == 0:
@@ -93,7 +94,6 @@ class DeviceReport:
             contention_cycles=self.contention_cycles + other.contention_cycles,
             divergence_waste=self.divergence_waste + other.divergence_waste,
             translations=self.translations + other.translations,
-            extra={**self.extra, **other.extra},
         )
 
     __radd__ = __add__
@@ -110,9 +110,6 @@ GATHER_CRACK_SLOTS = 2.0
 
 
 def _instruction_slots(instr) -> float:
-    from ..ir.types import IntType
-    from ..ir.values import BINARY_OPS
-
     if instr.op == "call" and instr.callee is not None:
         name = instr.callee.name
         if name.startswith("svm.to_"):
@@ -162,37 +159,55 @@ def _guarded_blocks(kernel: Function) -> dict[int, int]:
     return guarded
 
 
-def _running_sum(values) -> float:
+@dataclass(frozen=True)
+class KernelFacts:
+    """What the model reads off a kernel's IR, which no launch changes
+    (the runtime keeps it in the kernel's ``gpu_function_t`` entry): per
+    block, ``uids`` ascending, its issue-slot size and the uid of the
+    ``condbr`` block guarding it (-1: none)."""
+
+    kernel: Function
+    uids: np.ndarray
+    slots: np.ndarray
+    guard: np.ndarray
+
+    @classmethod
+    def of(cls, kernel: Function) -> "KernelFacts":
+        sizes = block_sizes(kernel)
+        guarded = _guarded_blocks(kernel)
+        uids = sorted(sizes)
+        return cls(
+            kernel=kernel,
+            uids=np.array(uids, np.int64),
+            slots=np.array([sizes[uid] for uid in uids], np.float64),
+            guard=np.array([guarded.get(uid, -1) for uid in uids], np.int64),
+        )
+
+
+def running_sum(values) -> float:
     """Left-to-right float sum.  ``np.cumsum`` accumulates strictly in
     order (``np.sum`` adds pairwise blocks), which is the order every
     report float is pinned to."""
     return float(np.cumsum(values)[-1]) if len(values) else 0.0
 
 
-def _run_starts(*sorted_keys) -> np.ndarray:
-    """Mask of the positions where any of the (co-sorted) key columns
-    changes — the first element of every run of equal keys."""
-    same = np.ones(max(0, len(sorted_keys[0]) - 1), bool)
-    for key in sorted_keys:
-        same &= key[1:] == key[:-1]
-    return np.concatenate(([True], ~same))[: len(sorted_keys[0])]
-
-
-def _issue_slots(device, kernel, trace: LaunchTrace, warps: int):
+def _issue_slots(device, facts: KernelFacts, trace: LaunchTrace, warps: int):
     """Per-warp ``(issue, converged)`` slot vectors from the blocks x
     lanes count matrix — the divergence model of the module docstring."""
     w = device.simd_width
     n = trace.n
-    sizes = block_sizes(kernel)
-    guarded = _guarded_blocks(kernel)
     # Canonical (sorted-uid) block order: float accumulation order must not
     # depend on which engine produced the trace.
     order = np.argsort(trace.block_uids)
-    uids = trace.block_uids[order].tolist()
+    uids = trace.block_uids[order]
     counts = np.zeros((len(uids), warps * w), np.int64)
     counts[:, :n] = trace.block_counts[order]
     counts = counts.reshape(len(uids), warps, w)
-    size_of = np.array([sizes.get(uid, 1) for uid in uids], np.float64)[:, None]
+    # A callee's blocks are not the kernel's: one slot, no guard.
+    at = np.searchsorted(facts.uids, uids).clip(max=len(facts.uids) - 1)
+    known = facts.uids[at] == uids
+    size_of = np.where(known, facts.slots[at], 1.0)[:, None]
+    guard = np.where(known, facts.guard[at], -1)
     lanes_in = np.full(warps, w)
     lanes_in[-1:] = n - (warps - 1) * w
     block_max = counts.max(axis=2)
@@ -200,21 +215,17 @@ def _issue_slots(device, kernel, trace: LaunchTrace, warps: int):
 
     # Independent-outcomes correction for blocks guarded by a condbr: the
     # warp issues the block whenever any lane enters it.
-    row_of = {uid: row for row, uid in enumerate(uids)}
-    pairs = [
-        (row, row_of[guarded[uid]])
-        for row, uid in enumerate(uids)
-        if guarded.get(uid) in row_of
-    ]
-    if pairs:
-        child, parent = (np.array(rows) for rows in zip(*pairs))
+    guard_row = np.searchsorted(uids, guard).clip(max=len(uids) - 1)
+    child = np.flatnonzero(uids[guard_row] == guard)
+    if len(child):
+        parent = guard_row[child]
         parent_counts = counts[parent]
         entered = parent_counts > 0
         p_enter = np.minimum(
             1.0, counts[child] / np.where(entered, parent_counts, 1)
         )
         stay_out = np.where(entered, 1.0 - p_enter, 1.0)
-        miss_all = np.ones((len(pairs), warps))
+        miss_all = np.ones((len(child), warps))
         for lane in range(w):  # lane order: the product is order-sensitive
             miss_all *= stay_out[:, :, lane]
         parent_occ = block_max[parent]
@@ -238,57 +249,67 @@ def _occurrences(warp, uid, seq):
     warp)`` — numbered by first touch.  Returns each event's occurrence,
     and per occurrence its warp and its ``(uid, seq)`` pair id (shared by
     all warps; contention is counted per pair)."""
-    # A stable sort leaves every run's first element at its earliest event.
-    order = np.lexsort((warp, seq, uid))
-    s_warp = warp[order]
-    pair_start = _run_starts(uid[order], seq[order])
-    occ_start = pair_start | _run_starts(s_warp)
-    # Event order is warp-major, so ranking the occurrences by their first
-    # event is the first-touch numbering.
-    touch_order = np.argsort(order[occ_start])
-    occ_id = np.empty(len(touch_order), np.int64)
-    occ_id[touch_order] = np.arange(len(touch_order))
+    # Events are warp-major, so a stable order by (uid, seq) alone leaves
+    # each pair's events grouped by warp, every group's first element at
+    # its earliest event.
+    order, pair_start = stable_runs(uid, seq)
+    first = np.flatnonzero(pair_start | run_starts(warp[order]))
+    first_event = order[first]
+    # ... and ranking the occurrences by their first event is the
+    # first-touch numbering.
+    is_first = np.zeros(len(order), bool)
+    is_first[first_event] = True
+    occ_id = (np.cumsum(is_first) - 1)[first_event]
     occ_of_event = np.empty(len(order), np.int64)
-    occ_of_event[order] = occ_id[np.cumsum(occ_start) - 1]
-    occ_warp = s_warp[occ_start][touch_order]
-    occ_pair = (np.cumsum(pair_start) - 1)[occ_start][touch_order]
-    return occ_of_event, occ_warp, occ_pair
+    occ_of_event[order] = np.repeat(occ_id, np.diff(first, append=len(order)))
+    occ_pair = np.empty(len(occ_id), np.int64)
+    occ_pair[occ_id] = np.cumsum(pair_start[first]) - 1
+    return occ_of_event, warp[is_first], occ_pair
+
+
+def touched_lines(address, size, line_bytes: int):
+    """Expand each access into the cache lines it touches, low to high:
+    per touched line (accesses in order) the access's index and the line
+    id.  A zero-size access at a line boundary touches nothing."""
+    line = np.uint64(line_bytes)
+    first = address // line
+    event = np.arange(len(address))
+    # Unsigned arithmetic wraps, so an empty access at address 0 (or one
+    # running past 2**64) ends on another line than it starts on.
+    last = (address + size.astype(np.uint64) - np.uint64(1)) // line
+    if np.array_equal(first, last):  # nothing straddles: the usual launch
+        return event, first.astype(np.int64)
+    within = (address - first * line).astype(np.int64)
+    n_lines = (within + size.astype(np.int64) - 1) // line_bytes + 1
+    rows = int(n_lines.sum())
+    row_event = np.repeat(event, n_lines)
+    row_line = first.astype(np.int64)[row_event] + (
+        np.arange(rows) - np.repeat(np.cumsum(n_lines) - n_lines, n_lines)
+    )
+    return row_event, row_line
 
 
 def _coalesce(occ_of_event, address, size, line_bytes: int):
     """One transaction per distinct ``(occurrence, line)``: returns their
     occurrences and lines in issue order — by occurrence and, within it,
     by first touch."""
-    # Expand each access into the lines it touches, low to high.
-    first_line = (address // np.uint64(line_bytes)).astype(np.int64)
-    within = (address % np.uint64(line_bytes)).astype(np.int64)
-    n_lines = (within + size - 1) // line_bytes + 1
-    rows = int(n_lines.sum())
-    row_event = np.repeat(np.arange(len(n_lines)), n_lines)
-    row_line = first_line[row_event] + (
-        np.arange(rows) - np.repeat(np.cumsum(n_lines) - n_lines, n_lines)
-    )
+    row_event, row_line = touched_lines(address, size, line_bytes)
     row_occ = occ_of_event[row_event]
-    order = np.lexsort((row_line, row_occ))
-    s_occ, s_line = row_occ[order], row_line[order]
-    tx_start = _run_starts(s_occ, s_line)
-    # stable sort: ``order[tx_start]`` is the row that touched the line first
-    issue_order = np.argsort(s_occ[tx_start] * rows + order[tx_start])
-    return s_occ[tx_start][issue_order], s_line[tx_start][issue_order]
+    order, tx_start = stable_runs(row_occ, row_line)
+    # stable sort: ``first_row`` is the row that touched the line first
+    first_row = order[tx_start]
+    tx_occ = row_occ[first_row]
+    issue_order = first_row[stable_order(tx_occ, first_row)]
+    return row_occ[issue_order], row_line[issue_order]
 
 
-def _contention(tx_line, tx_pair, tx_eu, eus: int, ports: int):
+def _contention(tx_line, tx_pair, tx_eu, ports: int):
     """For every ``(uid, seq, line)`` key touched from more EUs than the
     line has ports, the number of EUs beyond them — keys in the order of
     the transaction that first touched them."""
-    pair_eu = tx_pair * eus + tx_eu
-    order = np.lexsort((pair_eu, tx_line))
-    s_line, s_pair_eu = tx_line[order], pair_eu[order]
-    key_start = _run_starts(s_line, s_pair_eu // eus)
-    starts = np.flatnonzero(key_start)
-    distinct_eus = np.add.reduceat(
-        (key_start | _run_starts(s_pair_eu)).astype(np.int64), starts
-    )
+    order, eu_start = stable_runs(tx_line, tx_pair, tx_eu)
+    starts = np.flatnonzero(run_starts(tx_line[order], tx_pair[order]))
+    distinct_eus = np.add.reduceat(eu_start.astype(np.int64), starts)
     extras = np.maximum(0, distinct_eus - ports)
     contended = np.flatnonzero(extras)
     first_tx = np.minimum.reduceat(order, starts)[contended]
@@ -325,7 +346,6 @@ def _transactions(device, trace: LaunchTrace, warps: int):
         tx_line,
         occ_pair[tx_occ],
         tx_warp % device.num_eus,
-        device.num_eus,
         device.l3_line_ports,
     )
     return (
@@ -338,15 +358,17 @@ def _transactions(device, trace: LaunchTrace, warps: int):
 
 def time_gpu_kernel(
     device: GpuDevice,
-    kernel: Function,
+    kernel: Function | KernelFacts,
     traces: LaunchTrace | list,
     l3: CacheModel | None = None,
     counters=None,
 ) -> DeviceReport:
-    """Price one launch.  ``traces`` is a
+    """Price one launch.  ``kernel`` is the launched function or the
+    :class:`KernelFacts` already read off it; ``traces`` is a
     :class:`~repro.exec.buffers.LaunchTrace`, or a plain list of per-lane
     :class:`~repro.exec.ExecTrace` (list-form or columnar events) that is
     adapted into one."""
+    facts = kernel if isinstance(kernel, KernelFacts) else KernelFacts.of(kernel)
     trace = (
         traces
         if isinstance(traces, LaunchTrace)
@@ -358,27 +380,26 @@ def time_gpu_kernel(
     total_instructions = int(trace.instructions.sum())
     total_translations = int(trace.translations.sum())
 
-    warp_issue, warp_converged = _issue_slots(device, kernel, trace, warps)
+    warp_issue, warp_converged = _issue_slots(device, facts, trace, warps)
     lines, warp_tx, warp_occurrences, extras = _transactions(device, trace, warps)
 
     # A scattered access cracks into one data-port message per extra line.
     crack_slots = GATHER_CRACK_SLOTS * np.maximum(0, warp_tx - warp_occurrences)
     # per warp: its issue slots, then its crack slots
-    total_issue = _running_sum(np.stack((warp_issue, crack_slots), axis=1).ravel())
-    converged_issue = _running_sum(warp_converged)
+    total_issue = running_sum(np.stack((warp_issue, crack_slots), axis=1).ravel())
+    converged_issue = running_sum(warp_converged)
 
-    l3_access = l3.access
-    hit = np.fromiter(map(l3_access, lines.tolist()), bool, len(lines))
+    hit = l3.touch(lines)
     mem_transactions = len(lines)
     l3_hits = int(hit.sum())
     l3_misses = mem_transactions - l3_hits
-    mem_latency_cycles = _running_sum(
+    mem_latency_cycles = running_sum(
         np.where(hit, device.l3_hit_cycles, device.dram_latency_cycles)
     )
     dram_bytes = l3_misses * device.l3_line_bytes
 
     contention_events = int(extras.sum())
-    contention_cycles = _running_sum(extras * device.contention_penalty_cycles)
+    contention_cycles = running_sum(extras * device.contention_penalty_cycles)
 
     # -- fold into wall-clock cycles
     #

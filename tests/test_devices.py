@@ -46,34 +46,32 @@ def trace_with(blocks: dict, events=(), instructions=0):
     return trace
 
 
+def touch_both_ways(cache_args, lines):
+    """The hit mask of ``lines`` touched one line per call — which must
+    be the mask of the same lines touched as one sequence."""
+    one_by_one, at_once = CacheModel(*cache_args), CacheModel(*cache_args)
+    hits = [bool(one_by_one.touch([line])[0]) for line in lines]
+    assert at_once.touch(lines).tolist() == hits
+    assert at_once.resident.tolist() == one_by_one.resident.tolist()
+    return hits
+
+
 class TestCacheModel:
     def test_hit_after_miss(self):
-        cache = CacheModel(1024, 64, 2)
-        assert not cache.access(5)
-        assert cache.access(5)
-        assert cache.stats.hits == 1 and cache.stats.misses == 1
+        assert touch_both_ways((1024, 64, 2), [5, 5]) == [False, True]
 
     def test_lru_eviction(self):
-        cache = CacheModel(2 * 64, 64, 2)  # one set, two ways
-        cache.access(0)
-        cache.access(1)
-        cache.access(2)  # evicts 0
-        assert not cache.access(0)
+        # one set, two ways: 2 evicts 0
+        assert touch_both_ways((2 * 64, 64, 2), [0, 1, 2, 0]) == [False] * 4
 
     def test_lru_touch_refreshes(self):
-        cache = CacheModel(2 * 64, 64, 2)
-        cache.access(0)
-        cache.access(1)
-        cache.access(0)  # refresh 0
-        cache.access(2)  # evicts 1, not 0
-        assert cache.access(0)
-        assert not cache.access(1)
+        # the second 0 refreshes it, so 2 evicts 1, not 0
+        hits = touch_both_ways((2 * 64, 64, 2), [0, 1, 0, 2, 0, 1])
+        assert hits == [False, False, True, False, True, False]
 
     def test_set_indexing(self):
-        cache = CacheModel(4 * 64, 64, 1)  # 4 sets, direct-mapped
-        cache.access(0)
-        cache.access(1)  # different set, no conflict
-        assert cache.access(0)
+        # 4 sets, direct-mapped: 0 and 1 do not conflict
+        assert touch_both_ways((4 * 64, 64, 1), [0, 1, 0]) == [False, False, True]
 
     def test_invalid_geometry(self):
         with pytest.raises(ValueError):
@@ -246,6 +244,36 @@ class TestCpuModel:
             report = time_cpu_execution(device, [trace])
             power = report.energy_joules / report.seconds
             assert 1.0 < power < 120.0
+
+
+class TestDeviceReportSum:
+    def test_every_field_of_a_sum_is_the_sum(self):
+        """``rt.total_cpu_report`` is a sum of reports: no field may carry
+        just the last construct's value (a dict of branch numbers merged
+        with ``{**a, **b}`` once did)."""
+        import dataclasses
+
+        from repro.gpu.timing import DeviceReport
+        from repro.sched import parallel_report
+
+        branchy = ExecTrace()
+        branchy.instructions = 900
+        branchy.branch_stats = {1: [40, 100]}
+        branchy.mem_events = [MemEvent(1, i, 0x100 + i * 64, 4, False) for i in range(9)]
+        plain = ExecTrace()
+        plain.instructions = 50
+        first, second = (
+            time_cpu_execution(i7_4770(), [trace]) for trace in (branchy, plain)
+        )
+        total = first + second
+        assert sum([first, second]) == total
+        for field in dataclasses.fields(DeviceReport):
+            if field.name != "device":
+                assert getattr(total, field.name) == (
+                    getattr(first, field.name) + getattr(second, field.name)
+                ), field.name
+        # the concurrent merge keeps the same fields: counts still sum
+        assert parallel_report([first, second]).instructions == total.instructions
 
 
 class TestSystems:

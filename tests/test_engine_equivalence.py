@@ -21,8 +21,8 @@ from repro.exec import (
     MemEvent,
     MemEventColumns,
     PrivateMemoryPool,
-    iter_mem_events,
 )
+from repro.exec.buffers import event_rows
 from repro.runtime.system import ultrabook
 from repro.workloads import all_workloads
 
@@ -188,7 +188,10 @@ class TestColumnarBuffer:
             (e.instr_uid, e.seq, e.address, e.size, e.is_store) for e in cols
         ] == [(3, 0, 0x100, 4, True), (3, 1, 0x104, 4, False)]
         trace = ExecTrace(mem_events=cols)
-        assert list(iter_mem_events(trace)) == [(3, 0, 0x100, 4), (3, 1, 0x104, 4)]
+        assert event_rows(trace.mem_events).tolist() == [
+            [3, 0, 0x100, 4, 1],
+            [3, 1, 0x104, 4, 0],
+        ]
 
 
 class TestCounterEquivalence:

@@ -1,16 +1,9 @@
 """The columnar ``time_gpu_kernel`` prices every launch exactly as the
-per-event implementation it replaced did.
-
-``oracle_time_gpu_kernel`` below is that implementation, frozen: one
-Python loop per warp over per-lane ``ExecTrace`` objects, a dict of
-``(uid, seq)`` occurrences, a dict of lines per occurrence and a set of
-EUs per touched ``(uid, seq, line)``.  It exists only here, as the
-reference the NumPy model is compared with — full ``DeviceReport``
-equality, floats included, because the model's contract is an
-*accumulation order* (see ``docs/MODEL.md``), not a tolerance.
-
-(``sum()`` over floats is a plain left-to-right sum on the CPython 3.11
-the suite runs on; the oracle is kept verbatim rather than re-spelled.)
+per-event implementation it replaced did (``tests/oracles.py``): full
+``DeviceReport`` equality, floats included, because the model's contract
+is an *accumulation order* (see ``docs/MODEL.md``), not a tolerance.
+``tests/test_timing_oracles.py`` does the same for the cache and the CPU
+model.
 """
 
 import dataclasses
@@ -20,198 +13,24 @@ import warnings
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-import repro.backend.gpu as gpu_backend
 from repro.exec import ExecTrace, MemEvent, MemEventColumns
 from repro.exec.buffers import (
     TRACE_COUNTERS,
     LaunchTrace,
     event_rows,
     iter_access_events,
-    iter_mem_events,
 )
 from repro.gpu import CacheModel, hd4600, hd5000, time_gpu_kernel
-from repro.gpu.timing import (
-    GATHER_CRACK_SLOTS,
-    DeviceReport,
-    _guarded_blocks,
-    block_sizes,
-)
 from repro.ir import Function, FunctionType, I32, IRBuilder, VOID
 from repro.obs import Observer
 from repro.passes import OptConfig
 from repro.runtime.system import ultrabook
 from repro.workloads import all_workloads
 
+from .oracles import OracleCacheModel, oracle_time_gpu_kernel, use_oracles
 from .test_engine_equivalence import NINE, SCALE
 
 WORKLOADS = all_workloads()
-
-
-# -- the frozen per-event implementation -------------------------------------
-
-
-def oracle_time_gpu_kernel(device, kernel, traces, l3=None, counters=None):
-    if isinstance(traces, LaunchTrace):
-        traces = traces.lanes()
-    sizes = block_sizes(kernel)
-    guarded = _guarded_blocks(kernel)
-    l3 = l3 or CacheModel(device.l3_size_bytes, device.l3_line_bytes, device.l3_assoc)
-    w = device.simd_width
-
-    total_issue = 0.0
-    converged_issue = 0.0
-    total_instructions = 0
-    total_translations = 0
-
-    mem_transactions = 0
-    l3_hits = 0
-    l3_misses = 0
-    mem_latency_cycles = 0.0
-    dram_bytes = 0
-
-    # contention bookkeeping: (instr_uid, seq, line) -> set of EU ids
-    line_touches: dict[tuple, set] = {}
-
-    num_warps = (len(traces) + w - 1) // w
-    for warp_index in range(num_warps):
-        lanes = traces[warp_index * w : (warp_index + 1) * w]
-        eu = warp_index % device.num_eus
-
-        # -- compute issue (divergence model)
-        block_max: dict[int, int] = {}
-        block_sum: dict[int, int] = {}
-        per_lane_counts: list[dict] = []
-        for lane in lanes:
-            total_instructions += lane.instructions
-            total_translations += lane.translations
-            per_lane_counts.append(lane.block_counts)
-            for uid, count in lane.block_counts.items():
-                if count > block_max.get(uid, 0):
-                    block_max[uid] = count
-                block_sum[uid] = block_sum.get(uid, 0) + count
-        warp_issue = 0.0
-        for uid in sorted(block_max):
-            max_count = block_max[uid]
-            estimate = float(max_count)
-            parent = guarded.get(uid)
-            if parent is not None and len(lanes) > 1:
-                parent_occ = block_max.get(parent, 0)
-                if parent_occ > 0:
-                    miss_all = 1.0
-                    for counts in per_lane_counts:
-                        parent_count = counts.get(parent, 0)
-                        if parent_count <= 0:
-                            continue
-                        p_enter = min(1.0, counts.get(uid, 0) / parent_count)
-                        miss_all *= 1.0 - p_enter
-                    estimate = max(estimate, parent_occ * (1.0 - miss_all))
-            warp_issue += estimate * sizes.get(uid, 1)
-        warp_converged = sum(
-            (block_sum[uid] / len(lanes)) * sizes.get(uid, 1)
-            for uid in sorted(block_sum)
-        )
-        total_issue += warp_issue
-        converged_issue += warp_converged
-
-        # -- memory transactions (coalescing per dynamic occurrence)
-        occurrence: dict[tuple, list] = {}
-        setdefault = occurrence.setdefault
-        for lane in lanes:
-            for instr_uid, seq, address, size in iter_mem_events(lane):
-                setdefault((instr_uid, seq), []).append((address, size))
-        line_bytes = device.l3_line_bytes
-        l3_access = l3.access
-        l3_hit_cycles = device.l3_hit_cycles
-        dram_latency = device.dram_latency_cycles
-        touches_setdefault = line_touches.setdefault
-        warp_tx = 0
-        for key, events in occurrence.items():
-            lines = {}
-            for address, size in events:
-                first = address // line_bytes
-                last = (address + size - 1) // line_bytes
-                if first == last:
-                    lines[first] = True
-                else:
-                    for line in range(first, last + 1):
-                        lines[line] = True
-            warp_tx += len(lines)
-            instr_uid, seq = key
-            for line in lines:
-                mem_transactions += 1
-                if l3_access(line):
-                    l3_hits += 1
-                    mem_latency_cycles += l3_hit_cycles
-                else:
-                    l3_misses += 1
-                    mem_latency_cycles += dram_latency
-                    dram_bytes += line_bytes
-                touches_setdefault((instr_uid, seq, line), set()).add(eu)
-        crack_slots = GATHER_CRACK_SLOTS * max(0, warp_tx - len(occurrence))
-        total_issue += crack_slots
-
-    contention_events = 0
-    contention_cycles = 0.0
-    ports = device.l3_line_ports
-    for eus in line_touches.values():
-        extra = max(0, len(eus) - ports)
-        if extra:
-            contention_events += extra
-            contention_cycles += extra * device.contention_penalty_cycles
-
-    eus = device.num_eus
-    compute_cycles = total_issue * device.issue_cycles_per_slot / eus
-    concurrency = min(
-        eus * device.threads_per_eu * device.memory_parallelism,
-        device.fabric_outstanding_misses
-        if l3_misses > l3_hits
-        else eus * device.threads_per_eu * device.memory_parallelism,
-    )
-    latency_cycles = mem_latency_cycles / concurrency
-    bandwidth_cycles = dram_bytes / device.dram_bandwidth_bytes_per_cycle
-    wall_cycles = (
-        max(compute_cycles, latency_cycles, bandwidth_cycles)
-        + contention_cycles / eus
-    )
-    seconds = wall_cycles / device.frequency_hz
-
-    dynamic_energy = (
-        total_issue * device.energy_per_issue_slot
-        + (l3_hits + l3_misses) * device.energy_per_l3_access
-        + l3_misses * device.energy_per_dram_access
-    )
-    budget = device.power_budget_watts
-    if budget and seconds > 0.0:
-        headroom = max(1e-3, budget - device.idle_power_watts)
-        min_seconds = dynamic_energy / headroom
-        if min_seconds > seconds:
-            wall_cycles *= min_seconds / seconds
-            seconds = min_seconds
-    energy = dynamic_energy + device.idle_power_watts * seconds
-
-    if counters is not None:
-        counters.add("gpu.l3.hits", l3_hits)
-        counters.add("gpu.l3.misses", l3_misses)
-        counters.add("gpu.mem_transactions", mem_transactions)
-        counters.add("gpu.contention_events", contention_events)
-        counters.add("gpu.issue_slots", total_issue)
-        counters.add("gpu.translations", total_translations)
-
-    return DeviceReport(
-        device=device.name,
-        seconds=seconds,
-        energy_joules=energy,
-        cycles=wall_cycles,
-        instructions=total_instructions,
-        issue_slots=total_issue,
-        mem_transactions=mem_transactions,
-        l3_hits=l3_hits,
-        l3_misses=l3_misses,
-        contention_events=contention_events,
-        contention_cycles=contention_cycles,
-        divergence_waste=max(0.0, total_issue - converged_issue),
-        translations=total_translations,
-    )
 
 
 # -- generated launches -------------------------------------------------------
@@ -367,15 +186,12 @@ def test_consecutive_chunks_share_one_cache(seed, first, second, device):
     kernel, traces = random_launch(seed, first + second, True, 1000)
     gpu = device()
     small = dict(size_bytes=4 * 64 * 2, line_bytes=gpu.l3_line_bytes, assoc=2)
-    expected_l3, got_l3 = CacheModel(**small), CacheModel(**small)
+    expected_l3, got_l3 = OracleCacheModel(**small), CacheModel(**small)
     for chunk in (traces[:first], traces[first:]):
         expected = oracle_time_gpu_kernel(gpu, kernel, chunk, l3=expected_l3)
         got = time_gpu_kernel(gpu, kernel, chunk, l3=got_l3)
         assert got == expected
-    assert got_l3.stats == expected_l3.stats
-    assert [list(bucket) for bucket in got_l3._sets] == [
-        list(bucket) for bucket in expected_l3._sets
-    ]
+    assert got_l3.resident.tolist() == expected_l3.resident
 
 
 def test_reference_interpreter_traces_price_identically():
@@ -403,6 +219,7 @@ MODES = {
     "compiled": dict(engine="compiled"),
     "vector": dict(engine="vector"),
     "hybrid-graph": dict(engine="compiled", policy="hybrid", graph=True),
+    "cpu": dict(engine="compiled", on_cpu=True),
 }
 
 
@@ -430,7 +247,7 @@ def test_workload_numbers_equal_the_oracles(name, mode, monkeypatch):
     monkeypatch.setattr(Workload, "_program_cache", {})
     got = _simulate(name, mode)
     Workload._program_cache.clear()
-    monkeypatch.setattr(gpu_backend, "time_gpu_kernel", oracle_time_gpu_kernel)
+    use_oracles(monkeypatch)
     assert _simulate(name, mode) == got
 
 
@@ -470,7 +287,10 @@ def test_event_row_helpers_agree_across_representations():
     as_list = ExecTrace(mem_events=events)
     as_columns = ExecTrace(mem_events=columns)
     assert list(iter_access_events(as_list)) == list(iter_access_events(as_columns))
-    assert list(iter_mem_events(as_list)) == list(iter_mem_events(as_columns))
+    assert (
+        event_rows(as_list.mem_events).tolist()
+        == event_rows(as_columns.mem_events).tolist()
+    )
     columns.append(events[0])  # no buffer export left behind
 
 

@@ -28,7 +28,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.runtime.runtime as runtime_module
-from repro.gpu.cache import CacheModel
 from repro.ir.types import F32, I32
 from repro.obs import (
     CounterRegistry,
@@ -387,16 +386,6 @@ class TestProfileCli:
 
 
 class TestEmissionSites:
-    def test_cache_model_publish(self):
-        cache = CacheModel(1024, 64, 2)
-        cache.access(1)
-        cache.access(1)
-        cache.access(2)
-        counters = CounterRegistry()
-        cache.publish(counters, "gpu.l3")
-        assert counters["gpu.l3.hits"] == 1
-        assert counters["gpu.l3.misses"] == 2
-
     def test_private_pool_counters(self):
         from repro.exec import PrivateMemoryPool
 

@@ -186,21 +186,16 @@ class TestCacheProperties:
     @SLOW
     def test_stats_conserved(self, lines):
         cache = CacheModel(64 * 64, 64, 4)
-        for line in lines:
-            cache.access(line)
-        assert cache.stats.hits + cache.stats.misses == len(lines)
-        assert cache.stats.misses >= len(set(lines)) - 0  # compulsory misses
+        hits = cache.touch(lines)
+        assert len(hits) == len(lines)
+        assert (~hits).sum() >= len(set(lines))  # compulsory misses
 
     @given(st.lists(st.integers(0, 3), min_size=1, max_size=200))
     @SLOW
     def test_small_working_set_all_hits_after_warmup(self, lines):
         cache = CacheModel(64 * 64, 64, 8)
-        for line in set(lines):
-            cache.access(line)
-        before = cache.stats.misses
-        for line in lines:
-            assert cache.access(line)
-        assert cache.stats.misses == before
+        cache.touch(sorted(set(lines)))
+        assert cache.touch(lines).all()
 
 
 # -- end-to-end semantic preservation -----------------------------------------------
