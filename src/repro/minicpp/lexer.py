@@ -4,12 +4,16 @@ Covers the lexical needs of the paper's workloads: identifiers, keywords,
 integer/float/char/bool literals, the full C++ operator set used by
 expression code (including ``->``, ``::``, ``<<``/``>>``, compound
 assignments, increment/decrement), and both comment styles.
+
+One compiled alternation reads the text once: each match is a run of
+blanks and comments, one token, or the start of something malformed.
+Lines and columns come from the offset of the last newline seen.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+import re
+from typing import NamedTuple
 
 KEYWORDS = frozenset(
     """
@@ -29,6 +33,30 @@ _OPERATORS = [
     ":", ";", ",", ".", "(", ")", "[", "]", "{", "}",
 ]
 
+_ESCAPES = {"n": 10, "t": 9, "0": 0, "\\": 92, "'": 39}
+
+# Alternatives in the order they are tried.  Integer suffixes (10u, 3UL,
+# 0xFFu) and a float's f/F are consumed and ignored; ``1..2`` is 1, '.',
+# .2 and ``1e+`` is 1, e, +.  An unterminated ``/*`` falls through the
+# ``skip`` alternative and must not lex as '/' '*', so ``bad`` sits before
+# the operators: it is whatever starts no token.
+_TOKEN = re.compile(
+    "|".join(
+        [
+            r"(?P<skip>(?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/)+)",
+            r"(?P<ident>[^\W\d]\w*)",
+            r"(?P<hex>0[xX][0-9a-fA-F]+)[uUlL]{0,3}",
+            r"(?P<char>'(?:\\.|[^\\])')",
+            r"(?P<bad>/\*|0[xX]|')",
+            r"(?P<float>(?:\d+\.(?!\.)\d*|\.\d+)(?:[eE][+-]?\d+)?[fF]?|\d+[eE][+-]?\d+[fF]?)",
+            r"(?P<int>\d+)[uUlL]{0,3}",
+            "(?P<op>" + "|".join(map(re.escape, _OPERATORS)) + ")",
+            r"(?P<stray>.)",
+        ]
+    ),
+    re.DOTALL,
+)
+
 
 class LexError(Exception):
     def __init__(self, message: str, line: int, column: int):
@@ -37,8 +65,7 @@ class LexError(Exception):
         self.column = column
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # 'ident' | 'keyword' | 'int' | 'float' | 'char' | 'op' | 'eof'
     text: str
     line: int
@@ -50,138 +77,66 @@ class Token:
 
 
 def tokenize(source: str) -> list[Token]:
-    return list(_tokens(source))
-
-
-def _tokens(source: str) -> Iterator[Token]:
-    pos = 0
+    tokens: list[Token] = []
+    append = tokens.append
+    new = tuple.__new__  # Token(...) and Token._make are Python-level; this is the C constructor
+    keywords = KEYWORDS
     line = 1
-    col = 1
-    length = len(source)
-
-    def advance(n: int) -> None:
-        nonlocal pos, line, col
-        for _ in range(n):
-            if pos < length and source[pos] == "\n":
+    line_start = 0  # offset of the first character of ``line``
+    for match in _TOKEN.finditer(source):
+        kind = match.lastgroup
+        text = match[kind]
+        start = match.start()
+        if kind == "skip":
+            newlines = text.count("\n")
+            if newlines:
+                line += newlines
+                line_start = start + text.rfind("\n") + 1
+            continue
+        column = start - line_start + 1
+        if kind == "op":
+            append(new(Token, ("op", text, line, column, None)))
+        elif kind == "ident":
+            kind = "keyword" if text in keywords else "ident"
+            append(new(Token, (kind, text, line, column, None)))
+        elif kind == "int":
+            append(new(Token, ("int", text, line, column, int(text))))
+        elif kind == "float":
+            if text[-1] in "fF":
+                text = text[:-1]
+                append(new(Token, ("float", text + "f", line, column, float(text))))
+            else:
+                append(new(Token, ("float", text, line, column, float(text))))
+        elif kind == "hex":
+            append(new(Token, ("int", text, line, column, int(text, 16))))
+        elif kind == "char":
+            body = text[1:-1]
+            if len(body) == 1:
+                value = ord(body)
+            elif body[1] in _ESCAPES:
+                value = _ESCAPES[body[1]]
+            else:
+                raise _malformed(source, start, line, column)
+            append(new(Token, ("char", text, line, column, value)))
+            if body == "\n":  # a raw newline between the quotes
                 line += 1
-                col = 1
-            else:
-                col += 1
-            pos += 1
-
-    while pos < length:
-        ch = source[pos]
-        if ch in " \t\r\n":
-            advance(1)
-            continue
-        if source.startswith("//", pos):
-            end = source.find("\n", pos)
-            advance((end - pos) if end != -1 else (length - pos))
-            continue
-        if source.startswith("/*", pos):
-            end = source.find("*/", pos + 2)
-            if end == -1:
-                raise LexError("unterminated block comment", line, col)
-            advance(end + 2 - pos)
-            continue
-        if ch.isalpha() or ch == "_":
-            start = pos
-            start_line, start_col = line, col
-            while pos < length and (source[pos].isalnum() or source[pos] == "_"):
-                advance(1)
-            text = source[start:pos]
-            kind = "keyword" if text in KEYWORDS else "ident"
-            yield Token(kind, text, start_line, start_col)
-            continue
-        if ch.isdigit() or (ch == "." and pos + 1 < length and source[pos + 1].isdigit()):
-            yield _number(source, pos, line, col, advance)
-            continue
-        if ch == "'":
-            start_line, start_col = line, col
-            advance(1)
-            if pos < length and source[pos] == "\\":
-                advance(1)
-                escape = source[pos]
-                mapping = {"n": 10, "t": 9, "0": 0, "\\": 92, "'": 39}
-                if escape not in mapping:
-                    raise LexError(f"unknown escape \\{escape}", line, col)
-                value = mapping[escape]
-                advance(1)
-            else:
-                value = ord(source[pos])
-                advance(1)
-            if pos >= length or source[pos] != "'":
-                raise LexError("unterminated character literal", line, col)
-            advance(1)
-            yield Token("char", source[pos - 3 : pos], start_line, start_col, value)
-            continue
-        matched = False
-        for operator in _OPERATORS:
-            if source.startswith(operator, pos):
-                yield Token("op", operator, line, col)
-                advance(len(operator))
-                matched = True
-                break
-        if not matched:
-            raise LexError(f"unexpected character {ch!r}", line, col)
-    yield Token("eof", "", line, col)
+                line_start = start + 2
+        else:
+            raise _malformed(source, start, line, column)
+    end = len(source)
+    append(new(Token, ("eof", "", line, end - line_start + 1, None)))
+    return tokens
 
 
-def _number(source: str, pos: int, line: int, col: int, advance) -> Token:
-    start = pos
-    length = len(source)
-    is_float = False
-    if source.startswith(("0x", "0X"), pos):
-        end = pos + 2
-        while end < length and source[end] in "0123456789abcdefABCDEF":
-            end += 1
-        text = source[start:end]
-        advance(end - pos)
-        _skip_int_suffix(source, advance)
-        return Token("int", text, line, col, int(text, 16))
-    end = pos
-    while end < length and source[end].isdigit():
-        end += 1
-    if end < length and source[end] == "." and not source.startswith("..", end):
-        is_float = True
-        end += 1
-        while end < length and source[end].isdigit():
-            end += 1
-    if end < length and source[end] in "eE":
-        mark = end + 1
-        if mark < length and source[mark] in "+-":
-            mark += 1
-        if mark < length and source[mark].isdigit():
-            is_float = True
-            end = mark
-            while end < length and source[end].isdigit():
-                end += 1
-    text = source[start:end]
-    advance(end - pos)
-    if is_float:
-        suffix_f = False
-        # optional f/F suffix
-        # (we peek via the original source — advance already consumed digits)
-        nonlocal_pos = end
-        if nonlocal_pos < length and source[nonlocal_pos] in "fF":
-            suffix_f = True
-            advance(1)
-        return Token("float", text + ("f" if suffix_f else ""), line, col, float(text))
-    value = int(text)
-    _skip_int_suffix(source, advance, at=end)
-    return Token("int", text, line, col, value)
-
-
-def _skip_int_suffix(source: str, advance, at: int = -1) -> None:
-    # Accept (and ignore) u/U/l/L suffixes such as 10u, 3UL, 7LL.
-    # ``advance`` tracks position internally, so we just consume greedily.
-    # We cannot read the position back from advance, so callers pass ``at``.
-    if at == -1:
-        return
-    pos = at
-    count = 0
-    while pos < len(source) and source[pos] in "uUlL" and count < 3:
-        pos += 1
-        count += 1
-    for _ in range(count):
-        advance(1)
+def _malformed(source: str, start: int, line: int, column: int) -> LexError:
+    """The diagnostic for text at ``start`` that begins no token."""
+    if source.startswith("/*", start):
+        return LexError("unterminated block comment", line, column)
+    if source.startswith(("0x", "0X"), start):
+        return LexError("hexadecimal literal without digits", line, column)
+    if source[start] == "'":
+        body = source[start + 1 : start + 3]
+        if body[:1] == "\\" and body[1:] and body[1] not in _ESCAPES:
+            return LexError(f"unknown escape \\{body[1]}", line, column + 2)
+        return LexError("unterminated character literal", line, column)
+    return LexError(f"unexpected character {source[start]!r}", line, column)

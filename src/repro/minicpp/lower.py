@@ -313,6 +313,10 @@ class FunctionLowerer:
         self.builder = IRBuilder()
         self.locals: dict[str, _Local] = {}
         self.loop_stack: list[tuple] = []  # (continue_block, break_block)
+        #: id(Binary node) -> (node, predicted type): every level of an
+        #: operator chain asks about the chain below it, so each answer is
+        #: computed once.  The node is held so its id stays its own.
+        self.binary_types: dict[int, tuple] = {}
         self.sret_arg = None
         self.ret_type = self.sema.resolve_type(decl.return_type, bindings, namespace)
 
@@ -764,8 +768,7 @@ class FunctionLowerer:
 
     def _lower_Binary(self, expr: ast.Binary, want_lvalue):
         self._no_lvalue(want_lvalue, expr)
-        op = expr.op
-        if op in ("&&", "||"):
+        if expr.op in ("&&", "||"):
             return self._lower_logical(expr)
 
         # operator overloading on class operands
@@ -773,8 +776,33 @@ class FunctionLowerer:
         if isinstance(lhs_type, StructType):
             return self._lower_overloaded_binary(expr, lhs_type)
 
-        lhs, ltype = self.rvalue(expr.lhs)
-        rhs, rtype = self.rvalue(expr.rhs)
+        # ``a + b * c - d ...`` leans left: its scalar operators are entered
+        # top down on an explicit stack and emitted innermost first, so a
+        # chain costs no frames.  Entering and leaving a nested operator
+        # moves the builder's location exactly as ``_lower_expr`` does.
+        builder = self.builder
+        chain = [(expr, None)]
+        node = expr.lhs
+        while (
+            isinstance(node, ast.Binary)
+            and node.op not in ("&&", "||")
+            and not isinstance(self._static_type(node.lhs), StructType)
+        ):
+            chain.append((node, builder.loc))
+            if node.line:
+                builder.set_loc(node.line, node.col)
+            node = node.lhs
+        lhs, ltype = self.rvalue(node)
+        while chain:
+            node, outer_loc = chain.pop()
+            rhs, rtype = self.rvalue(node.rhs)
+            lhs, ltype = self._emit_scalar_binary(node, lhs, ltype, rhs, rtype)
+            if outer_loc is not None:
+                builder.loc = outer_loc
+        return lhs, ltype
+
+    def _emit_scalar_binary(self, expr: ast.Binary, lhs, ltype, rhs, rtype):
+        op = expr.op
 
         # pointer arithmetic
         if isinstance(ltype, PointerType) and op in ("+", "-") and isinstance(rtype, IntType):
@@ -1606,18 +1634,7 @@ class FunctionLowerer:
         if isinstance(expr, (ast.MethodCall, ast.CallOperator, ast.Call)):
             return self._predict_call_type(expr)
         if isinstance(expr, ast.Binary):
-            lt = self._predict_type(expr.lhs)
-            if isinstance(lt, StructType):
-                info = self._class_of(lt, expr.line)
-                if info:
-                    ms = info.find_methods(f"operator{expr.op}")
-                    if ms:
-                        return self.sema.resolve_type(
-                            ms[0].decl.return_type,
-                            ms[0].owner.template_bindings,
-                            ms[0].owner.decl.namespace,
-                        )
-            return None
+            return self._predict_binary_type(expr)
         if isinstance(expr, ast.Cast):
             try:
                 return self.sema.resolve_type(expr.type, self.bindings, self.namespace)
@@ -1634,6 +1651,36 @@ class FunctionLowerer:
             except SemaError:
                 return None
         return None
+
+    def _predict_binary_type(self, expr: ast.Binary) -> Optional[Type]:
+        """What an operator expression evaluates to when its left operand
+        is a class overloading the operator, else None.  The left spine is
+        walked down with a loop to the first operand already answered and
+        filled in on the way back up (``binary_types``)."""
+        known = self.binary_types
+        spine = []
+        node = expr
+        while isinstance(node, ast.Binary) and id(node) not in known:
+            spine.append(node)
+            node = node.lhs
+        if isinstance(node, ast.Binary):
+            result = known[id(node)][1]
+        else:
+            result = self._predict_type(node)
+        for node in reversed(spine):
+            lt, result = result, None
+            if isinstance(lt, StructType):
+                info = self._class_of(lt, node.line)
+                if info:
+                    ms = info.find_methods(f"operator{node.op}")
+                    if ms:
+                        result = self.sema.resolve_type(
+                            ms[0].decl.return_type,
+                            ms[0].owner.template_bindings,
+                            ms[0].owner.decl.namespace,
+                        )
+            known[id(node)] = (node, result)
+        return result
 
     def _predict_call_type(self, expr) -> Optional[Type]:
         info = None

@@ -37,6 +37,9 @@ class Parser:
         self.template_param_stack: list[set[str]] = []
 
     # -- token helpers ---------------------------------------------------------
+    #
+    # ``pos`` never passes the 'eof' token, so ``tokens[pos]`` is always
+    # there; the expression and statement parsers read it directly.
 
     @property
     def current(self) -> Token:
@@ -53,19 +56,24 @@ class Parser:
         return token
 
     def check(self, kind: str, text: Optional[str] = None) -> bool:
-        token = self.current
+        token = self.tokens[self.pos]
         return token.kind == kind and (text is None or token.text == text)
 
     def accept(self, kind: str, text: Optional[str] = None) -> Optional[Token]:
-        if self.check(kind, text):
-            return self.advance()
+        token = self.tokens[self.pos]
+        if token.kind == kind and (text is None or token.text == text):
+            if kind != "eof":
+                self.pos += 1
+            return token
         return None
 
     def expect(self, kind: str, text: Optional[str] = None) -> Token:
-        if not self.check(kind, text):
-            want = text or kind
-            raise ParseError(f"expected {want!r}", self.current)
-        return self.advance()
+        token = self.tokens[self.pos]
+        if token.kind != kind or (text is not None and token.text != text):
+            raise ParseError(f"expected {(text or kind)!r}", token)
+        if kind != "eof":
+            self.pos += 1
+        return token
 
     def error(self, message: str) -> ParseError:
         return ParseError(message, self.current)
@@ -472,11 +480,16 @@ class Parser:
         return block
 
     def _parse_statement(self) -> ast.Stmt:
-        line = self.current.line
-        col = self.current.column
-        if self.check("op", "{"):
+        token = self.tokens[self.pos]
+        line = token.line
+        col = token.column
+        if token.kind == "op" and token.text == "{":
             return self._parse_block()
-        if self.accept("keyword", "if"):
+        if token.kind != "keyword":
+            return self._parse_simple_statement()
+        keyword = token.text
+        if keyword == "if":
+            self.pos += 1
             self.expect("op", "(")
             cond = self._parse_expression()
             self.expect("op", ")")
@@ -485,13 +498,15 @@ class Parser:
             if self.accept("keyword", "else"):
                 otherwise = self._parse_statement()
             return ast.If(line=line, col=col, cond=cond, then=then, otherwise=otherwise)
-        if self.accept("keyword", "while"):
+        if keyword == "while":
+            self.pos += 1
             self.expect("op", "(")
             cond = self._parse_expression()
             self.expect("op", ")")
             body = self._parse_statement()
             return ast.While(line=line, col=col, cond=cond, body=body)
-        if self.accept("keyword", "do"):
+        if keyword == "do":
+            self.pos += 1
             body = self._parse_statement()
             self.expect("keyword", "while")
             self.expect("op", "(")
@@ -499,7 +514,8 @@ class Parser:
             self.expect("op", ")")
             self.expect("op", ";")
             return ast.DoWhile(line=line, col=col, body=body, cond=cond)
-        if self.accept("keyword", "for"):
+        if keyword == "for":
+            self.pos += 1
             self.expect("op", "(")
             init: Optional[ast.Stmt] = None
             if not self.check("op", ";"):
@@ -516,16 +532,19 @@ class Parser:
             self.expect("op", ")")
             body = self._parse_statement()
             return ast.For(line=line, col=col, init=init, cond=cond, step=step, body=body)
-        if self.accept("keyword", "return"):
+        if keyword == "return":
+            self.pos += 1
             value = None
             if not self.check("op", ";"):
                 value = self._parse_expression()
             self.expect("op", ";")
             return ast.Return(line=line, col=col, value=value)
-        if self.accept("keyword", "break"):
+        if keyword == "break":
+            self.pos += 1
             self.expect("op", ";")
             return ast.Break(line=line, col=col)
-        if self.accept("keyword", "continue"):
+        if keyword == "continue":
+            self.pos += 1
             self.expect("op", ";")
             return ast.Continue(line=line, col=col)
         return self._parse_simple_statement()
@@ -609,162 +628,192 @@ class Parser:
     # -- expressions (precedence climbing) ----------------------------------------
 
     def _parse_expression(self) -> ast.Expr:
-        return self._parse_assignment()
+        return self._parse_after_binary(self._parse_binary(0))
 
-    def _parse_assignment(self) -> ast.Expr:
-        target = self._parse_conditional()
-        token = self.current
+    def _parse_after_binary(self, target: ast.Expr) -> ast.Expr:
+        """What may follow the operator chain ``target`` in a full
+        expression: ``? then : otherwise``, then an assignment."""
+        token = self.tokens[self.pos]
+        if token.kind != "op":
+            return target
+        if token.text == "?":
+            target = self._parse_conditional_tail(target)
+            token = self.tokens[self.pos]
         if token.kind == "op" and token.text in _ASSIGN_OPS:
-            self.advance()
-            value = self._parse_assignment()
+            self.pos += 1
+            value = self._parse_expression()
             return ast.Assign(line=token.line, col=token.column, op=token.text, target=target, value=value)
         return target
 
     def _parse_conditional(self) -> ast.Expr:
+        """An expression that stops before an assignment operator."""
         cond = self._parse_binary(0)
-        if self.check("op", "?"):
-            token = self.advance()
-            then = self._parse_expression()
-            self.expect("op", ":")
-            otherwise = self._parse_conditional()
-            return ast.Conditional(
-                line=token.line, col=token.column, cond=cond, then=then, otherwise=otherwise
-            )
+        if self.tokens[self.pos].text == "?":
+            return self._parse_conditional_tail(cond)
         return cond
 
-    _PRECEDENCE = [
-        ("||",),
-        ("&&",),
-        ("|",),
-        ("^",),
-        ("&",),
-        ("==", "!="),
-        ("<", ">", "<=", ">="),
-        ("<<", ">>"),
-        ("+", "-"),
-        ("*", "/", "%"),
-    ]
+    def _parse_conditional_tail(self, cond: ast.Expr) -> ast.Expr:
+        """``? then : otherwise`` after ``cond``; the '?' is current."""
+        token = self.tokens[self.pos]
+        self.pos += 1
+        then = self._parse_expression()
+        self.expect("op", ":")
+        otherwise = self._parse_conditional()
+        return ast.Conditional(
+            line=token.line, col=token.column, cond=cond, then=then, otherwise=otherwise
+        )
 
-    def _parse_binary(self, level: int) -> ast.Expr:
-        if level >= len(self._PRECEDENCE):
-            return self._parse_unary()
-        ops = self._PRECEDENCE[level]
-        lhs = self._parse_binary(level + 1)
-        while self.current.kind == "op" and self.current.text in ops:
-            token = self.advance()
-            rhs = self._parse_binary(level + 1)
+    #: How tightly each binary operator binds; all are left-associative.
+    _BINDING_POWER = {
+        "||": 0,
+        "&&": 1,
+        "|": 2,
+        "^": 3,
+        "&": 4,
+        "==": 5, "!=": 5,
+        "<": 6, ">": 6, "<=": 6, ">=": 6,
+        "<<": 7, ">>": 7,
+        "+": 8, "-": 8,
+        "*": 9, "/": 9, "%": 9,
+    }
+
+    def _parse_binary(self, min_power: int) -> ast.Expr:
+        """An operand, then every operator binding at least ``min_power``:
+        each takes what binds tighter as its right side and becomes the
+        left side of the next, so a chain costs one frame, not one per
+        operator."""
+        lhs = self._parse_unary()
+        tokens = self.tokens
+        power_of = self._BINDING_POWER
+        while True:
+            token = tokens[self.pos]
+            power = power_of.get(token.text, -1)  # only an 'op' token has an operator's text
+            if power < min_power:
+                return lhs
+            self.pos += 1
+            rhs = self._parse_binary(power + 1)
             lhs = ast.Binary(line=token.line, col=token.column, op=token.text, lhs=lhs, rhs=rhs)
-        return lhs
 
     def _parse_unary(self) -> ast.Expr:
-        token = self.current
-        if token.kind == "op" and token.text in ("-", "!", "~", "*", "&"):
-            self.advance()
-            operand = self._parse_unary()
-            return ast.Unary(line=token.line, col=token.column, op=token.text, operand=operand)
-        if token.kind == "op" and token.text in ("++", "--"):
-            self.advance()
-            operand = self._parse_unary()
-            return ast.Unary(line=token.line, col=token.column, op=token.text + "pre", operand=operand)
-        if token.kind == "op" and token.text == "(":
-            # Cast or parenthesized expression.
-            save = self.pos
-            self.advance()
-            if self._looks_like_type():
-                try:
-                    type_ref = self._parse_type()
-                    if self.check("op", ")") and type_ref.pointer_depth > 0 or (
-                        self.check("op", ")")
-                        and type_ref.name
-                        in ("int", "uint", "long", "ulong", "float", "double", "char",
-                            "bool", "short", "uchar", "ushort")
-                    ):
-                        self.expect("op", ")")
-                        operand = self._parse_unary()
-                        return ast.Cast(line=token.line, col=token.column, type=type_ref, operand=operand)
-                except ParseError:
-                    pass
-            self.pos = save
-        if token.kind == "keyword" and token.text == "new":
-            self.advance()
-            type_ref = self._parse_type()
-            array_size = None
-            ctor_args: list[ast.Expr] = []
-            if self.accept("op", "["):
-                array_size = self._parse_expression()
-                self.expect("op", "]")
-            elif self.accept("op", "("):
-                if not self.check("op", ")"):
-                    ctor_args.append(self._parse_expression())
-                    while self.accept("op", ","):
-                        ctor_args.append(self._parse_expression())
+        token = self.tokens[self.pos]
+        if token.kind == "op":
+            text = token.text
+            if text in ("-", "!", "~", "*", "&"):
+                self.pos += 1
+                operand = self._parse_unary()
+                return ast.Unary(line=token.line, col=token.column, op=text, operand=operand)
+            if text in ("++", "--"):
+                self.pos += 1
+                operand = self._parse_unary()
+                return ast.Unary(line=token.line, col=token.column, op=text + "pre", operand=operand)
+            if text == "(":
+                # Cast or parenthesized expression.
+                save = self.pos
+                self.pos += 1
+                if self._looks_like_type():
+                    try:
+                        type_ref = self._parse_type()
+                        if self.check("op", ")") and type_ref.pointer_depth > 0 or (
+                            self.check("op", ")")
+                            and type_ref.name
+                            in ("int", "uint", "long", "ulong", "float", "double", "char",
+                                "bool", "short", "uchar", "ushort")
+                        ):
+                            self.expect("op", ")")
+                            operand = self._parse_unary()
+                            return ast.Cast(line=token.line, col=token.column, type=type_ref, operand=operand)
+                    except ParseError:
+                        pass
+                # Parentheses nest two frames a level (binary, unary): the
+                # depth accepted is the recursion limit over that.
+                self.pos = save + 1
+                expr = self._parse_binary(0)
+                if self.tokens[self.pos].text != ")":
+                    expr = self._parse_after_binary(expr)
                 self.expect("op", ")")
-            return ast.NewExpr(
-                line=token.line, col=token.column, type=type_ref, array_size=array_size, ctor_args=ctor_args
-            )
-        if token.kind == "keyword" and token.text == "delete":
-            self.advance()
-            is_array = False
-            if self.accept("op", "["):
-                self.expect("op", "]")
-                is_array = True
-            operand = self._parse_unary()
-            return ast.DeleteExpr(line=token.line, col=token.column, operand=operand, is_array=is_array)
-        if token.kind == "keyword" and token.text == "sizeof":
-            self.advance()
-            self.expect("op", "(")
-            type_ref = self._parse_type()
-            self.expect("op", ")")
-            return ast.SizeofExpr(line=token.line, col=token.column, type=type_ref)
-        if token.kind == "keyword" and token.text == "static_cast":
-            self.advance()
-            self.expect("op", "<")
-            type_ref = self._parse_type()
-            self.expect("op", ">")
-            self.expect("op", "(")
-            operand = self._parse_expression()
-            self.expect("op", ")")
-            return ast.Cast(line=token.line, col=token.column, type=type_ref, operand=operand)
-        return self._parse_postfix()
+                return self._parse_postfix(expr)
+        elif token.kind == "keyword":
+            text = token.text
+            if text == "new":
+                self.pos += 1
+                type_ref = self._parse_type()
+                array_size = None
+                ctor_args: list[ast.Expr] = []
+                if self.accept("op", "["):
+                    array_size = self._parse_expression()
+                    self.expect("op", "]")
+                elif self.accept("op", "("):
+                    if not self.check("op", ")"):
+                        ctor_args.append(self._parse_expression())
+                        while self.accept("op", ","):
+                            ctor_args.append(self._parse_expression())
+                    self.expect("op", ")")
+                return ast.NewExpr(
+                    line=token.line, col=token.column, type=type_ref, array_size=array_size, ctor_args=ctor_args
+                )
+            if text == "delete":
+                self.pos += 1
+                is_array = False
+                if self.accept("op", "["):
+                    self.expect("op", "]")
+                    is_array = True
+                operand = self._parse_unary()
+                return ast.DeleteExpr(line=token.line, col=token.column, operand=operand, is_array=is_array)
+            if text == "sizeof":
+                self.pos += 1
+                self.expect("op", "(")
+                type_ref = self._parse_type()
+                self.expect("op", ")")
+                return ast.SizeofExpr(line=token.line, col=token.column, type=type_ref)
+            if text == "static_cast":
+                self.pos += 1
+                self.expect("op", "<")
+                type_ref = self._parse_type()
+                self.expect("op", ">")
+                self.expect("op", "(")
+                operand = self._parse_expression()
+                self.expect("op", ")")
+                return ast.Cast(line=token.line, col=token.column, type=type_ref, operand=operand)
+        return self._parse_postfix(self._parse_primary())
 
-    def _parse_postfix(self) -> ast.Expr:
-        expr = self._parse_primary()
+    def _parse_postfix(self, expr: ast.Expr) -> ast.Expr:
+        """``expr`` with the member accesses, subscripts, calls and
+        post-increments that follow it."""
+        tokens = self.tokens
         while True:
-            token = self.current
-            if self.accept("op", "."):
-                member = self._member_name()
-                if self.check("op", "(") :
-                    args = self._parse_call_args()
-                    expr = ast.MethodCall(
-                        line=token.line, col=token.column, receiver=expr, method=member, args=args, arrow=False
-                    )
-                else:
-                    expr = ast.Member(line=token.line, col=token.column, receiver=expr, member=member, arrow=False)
-            elif self.accept("op", "->"):
+            token = tokens[self.pos]
+            if token.kind != "op":
+                return expr
+            text = token.text
+            if text == "." or text == "->":
+                self.pos += 1
                 member = self._member_name()
                 if self.check("op", "("):
                     args = self._parse_call_args()
                     expr = ast.MethodCall(
-                        line=token.line, col=token.column, receiver=expr, method=member, args=args, arrow=True
+                        line=token.line, col=token.column, receiver=expr, method=member, args=args,
+                        arrow=text == "->",
                     )
                 else:
-                    expr = ast.Member(line=token.line, col=token.column, receiver=expr, member=member, arrow=True)
-            elif self.accept("op", "["):
+                    expr = ast.Member(
+                        line=token.line, col=token.column, receiver=expr, member=member, arrow=text == "->"
+                    )
+            elif text == "[":
+                self.pos += 1
                 index = self._parse_expression()
                 self.expect("op", "]")
                 expr = ast.Index(line=token.line, col=token.column, base=expr, index=index)
-            elif self.check("op", "(") and not isinstance(expr, ast.Name):
+            elif text == "(":
                 args = self._parse_call_args()
-                expr = ast.CallOperator(line=token.line, col=token.column, receiver=expr, args=args)
-            elif self.check("op", "(") and isinstance(expr, ast.Name):
-                args = self._parse_call_args()
-                expr = ast.Call(line=token.line, col=token.column, name=expr, args=args)
-            elif token.kind == "op" and token.text in ("++", "--"):
-                self.advance()
-                expr = ast.Unary(line=token.line, col=token.column, op="post" + token.text, operand=expr)
+                if isinstance(expr, ast.Name):
+                    expr = ast.Call(line=token.line, col=token.column, name=expr, args=args)
+                else:
+                    expr = ast.CallOperator(line=token.line, col=token.column, receiver=expr, args=args)
+            elif text == "++" or text == "--":
+                self.pos += 1
+                expr = ast.Unary(line=token.line, col=token.column, op="post" + text, operand=expr)
             else:
-                break
-        return expr
+                return expr
 
     def _member_name(self) -> str:
         if self.accept("keyword", "operator"):
@@ -782,36 +831,34 @@ class Parser:
         return args
 
     def _parse_primary(self) -> ast.Expr:
-        token = self.current
-        if token.kind == "int":
-            self.advance()
-            return ast.IntLiteral(line=token.line, col=token.column, value=token.value)
-        if token.kind == "float":
-            self.advance()
-            return ast.FloatLiteral(
-                line=token.line, col=token.column, value=token.value, is_double=not token.text.endswith("f")
-            )
-        if token.kind == "char":
-            self.advance()
-            return ast.CharLiteral(line=token.line, col=token.column, value=token.value)
-        if token.kind == "keyword" and token.text in ("true", "false"):
-            self.advance()
-            return ast.BoolLiteral(line=token.line, col=token.column, value=token.text == "true")
-        if token.kind == "keyword" and token.text == "this":
-            self.advance()
-            return ast.ThisExpr(line=token.line, col=token.column)
-        if token.kind == "ident":
-            parts = [self.advance().text]
+        token = self.tokens[self.pos]
+        kind = token.kind
+        if kind == "ident":
+            self.pos += 1
+            parts = [token.text]
             while self.check("op", "::"):
-                self.advance()
+                self.pos += 1
                 parts.append(self.expect("ident").text)
             if parts == ["NULL"] or parts == ["nullptr"]:
                 return ast.NullLiteral(line=token.line, col=token.column)
             return ast.Name(line=token.line, col=token.column, parts=parts)
-        if self.accept("op", "("):
-            expr = self._parse_expression()
-            self.expect("op", ")")
-            return expr
+        if kind == "int":
+            self.pos += 1
+            return ast.IntLiteral(line=token.line, col=token.column, value=token.value)
+        if kind == "float":
+            self.pos += 1
+            return ast.FloatLiteral(
+                line=token.line, col=token.column, value=token.value, is_double=not token.text.endswith("f")
+            )
+        if kind == "char":
+            self.pos += 1
+            return ast.CharLiteral(line=token.line, col=token.column, value=token.value)
+        if kind == "keyword" and token.text in ("true", "false"):
+            self.pos += 1
+            return ast.BoolLiteral(line=token.line, col=token.column, value=token.text == "true")
+        if kind == "keyword" and token.text == "this":
+            self.pos += 1
+            return ast.ThisExpr(line=token.line, col=token.column)
         raise self.error("expected expression")
 
 

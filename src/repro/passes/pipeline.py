@@ -24,10 +24,11 @@ per-pass-disabled configuration.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass
 from typing import Callable, Optional
 
-from ..ir import Function, Module, verify_function
+from ..ir import Function, Module, VerificationError, verify_function
 
 
 def _registry() -> dict:
@@ -187,20 +188,107 @@ class PassStats:
     changed: int = 0
     skipped: int = 0  # not run: known to leave the function as it is
     seconds: float = 0.0
-    verify_seconds: float = 0.0  # verifying after this pass's changed runs
+    #: verifying, when a stage ends, what the stage's passes changed —
+    #: booked on the last of them to change the function
+    verify_seconds: float = 0.0
+
+
+@dataclass(frozen=True)
+class Declared:
+    """What a registered pass tells the manager about itself, so that it
+    is not run where it cannot have work.  Each entry of :data:`DECLARED`
+    is argued in docs/PASSES.md and held to ``tests/test_compile_linear.py``
+    (d): every run skipped on its strength would have reported "no
+    change"."""
+
+    #: an opcode, or ``"loop"``: a function without one has no work for it
+    needs: Optional[str] = None
+    #: registry names of passes whose changes cannot create work for it;
+    #: naming itself says a second run straight after its own finds nothing
+    unaffected_by: frozenset = frozenset()
+
+
+DECLARED: dict = {
+    "tailrec": Declared(needs="call"),
+    "inline": Declared(needs="call"),
+    "mem2reg": Declared(needs="alloca"),
+    "cse": Declared(unaffected_by=frozenset({"cse", "dce"})),
+    "dce": Declared(unaffected_by=frozenset({"dce"})),
+    "devirt": Declared(needs="vcall"),
+    "licm": Declared(needs="loop"),
+    "unroll": Declared(needs="loop"),
+    "l3opt": Declared(needs="loop"),
+}
+
+
+_UNDECLARED = Declared()
+
+
+def _shape(function: Function) -> set:
+    """The opcodes ``function`` holds, plus ``"loop"`` if some branch
+    targets its own block or one laid out before it — every cycle has
+    such an edge whatever the layout, so no ``"loop"`` means no loop."""
+    shape = set()
+    position = {block: index for index, block in enumerate(function.blocks)}
+    for index, block in enumerate(function.blocks):
+        shape.update([instr.op for instr in block.instructions])
+        for target in block.instructions[-1].targets if block.instructions else ():
+            if position.get(target, 0) <= index:
+                shape.add("loop")
+    return shape
 
 
 class PassManager:
-    """Runs function passes with optional inter-pass verification, and
-    does not re-run a pass it knows would change nothing (docs/PASSES.md)."""
+    """Runs function passes, does not run one it knows would change
+    nothing, and verifies what a stage changed when the stage ends
+    (docs/PASSES.md)."""
 
     def __init__(self, verify: bool = True):
         self.verify = verify
         self.stats: dict[str, PassStats] = {}
-        #: (function, pass) pairs whose last run reported no change, with no
-        #: change by any pass to any function since.  Passes are
-        #: deterministic, so running one of these again is a no-op.
-        self._clean: set[tuple] = set()
+        #: the pass behind every changed run so far, oldest first (registry
+        #: name if it came through :meth:`passes`, else ``__name__``)
+        self._changes: list[str] = []
+        #: (function, pass) -> ``len(_changes)`` going into its latest run.
+        #: Passes are deterministic: if that run changed nothing, or only
+        #: what a second run would leave alone, and every change since is
+        #: one the pass declares itself unaffected by, it has no work.
+        self._looked: dict[tuple, int] = {}
+        #: function -> passes that changed it since it was last verified
+        self._unverified: dict[Function, list[str]] = {}
+        self._resolved: dict[tuple, Callable] = {}  # (module, registry name) -> pass
+        self._declared: dict[Callable, tuple] = {}  # pass -> (registry name, Declared)
+        self._shape_of: tuple = (None, -1, frozenset())  # (function, len(_changes), shape)
+
+    def passes(self, config: OptConfig, module: Module, names) -> list:
+        """Look up enabled passes by name, skipping ``config.disabled``.
+
+        ``inline`` resolves through its factory (it closes over the module)
+        and ``devirt`` gets the module bound as its first argument; both keep
+        a stable ``__name__`` so :attr:`stats` stays readable, and both are
+        built once per module, so a run of theirs that found nothing is
+        remembered like any other pass's.
+        """
+        passes = []
+        for name in names:
+            if name in config.disabled:
+                continue
+            fn = self._resolved.get((module, name))
+            if fn is None:
+                fn = PASS_REGISTRY[name]
+                if name == "inline":
+                    fn = fn(module)
+                elif name == "devirt":
+                    devirt = fn
+
+                    def fn(function, _devirt=devirt):
+                        return _devirt(module, function)
+
+                    fn.__name__ = "expand_virtual_calls"
+                self._resolved[module, name] = fn
+                self._declared[fn] = (name, DECLARED.get(name, _UNDECLARED))
+            passes.append(fn)
+        return passes
 
     def run(
         self,
@@ -209,14 +297,26 @@ class PassManager:
         max_iterations: int = 1,
     ) -> bool:
         """Run ``passes`` in order, repeating up to ``max_iterations``
-        rounds while any pass reports a change."""
+        rounds while any pass reports a change.  Nothing is verified here:
+        a pipeline ends its :meth:`stage`, any other caller asks
+        ``verify_function`` itself."""
+        changes = self._changes
         any_change = False
         for _ in range(max_iterations):
             round_change = False
             for pass_fn in passes:
                 name = getattr(pass_fn, "__name__", str(pass_fn))
-                stat = self.stats.setdefault(name, PassStats(name))
-                if (function, pass_fn) in self._clean:
+                stat = self.stats.get(name)
+                if stat is None:
+                    stat = self.stats[name] = PassStats(name)
+                registered, declared = self._declared.get(pass_fn, (name, _UNDECLARED))
+                since = self._looked.get((function, pass_fn))
+                # nothing changed since (an empty slice), or nothing that matters
+                if since is not None and declared.unaffected_by.issuperset(changes[since:]):
+                    self._skip(stat, pass_fn, function)
+                    continue
+                self._looked[function, pass_fn] = len(changes)
+                if declared.needs is not None and declared.needs not in self._shape(function):
                     self._skip(stat, pass_fn, function)
                     continue
                 start = time.perf_counter()
@@ -226,13 +326,8 @@ class PassManager:
                 if changed:
                     stat.changed += 1
                     round_change = True
-                    self._clean.clear()
-                    if self.verify:
-                        start = time.perf_counter()
-                        verify_function(function)
-                        stat.verify_seconds += time.perf_counter() - start
-                else:
-                    self._clean.add((function, pass_fn))
+                    changes.append(registered)
+                    self._unverified.setdefault(function, []).append(name)
             any_change = any_change or round_change
             if not round_change:
                 break
@@ -242,30 +337,36 @@ class PassManager:
         # Its own method so a test can run the pass anyway and see it idle.
         stat.skipped += 1
 
+    def _shape(self, function: Function):
+        known, epoch, shape = self._shape_of
+        if known is not function or epoch != len(self._changes):
+            shape = _shape(function)
+            self._shape_of = (function, len(self._changes), shape)
+        return shape
 
-def _resolve(config: OptConfig, module: Module, names) -> list:
-    """Look up enabled passes by name, skipping ``config.disabled``.
-
-    ``inline`` resolves through its factory (it closes over the module)
-    and ``devirt`` gets the module bound as its first argument; both keep
-    a stable ``__name__`` so ``PassManager.stats`` stays readable.
-    """
-    passes = []
-    for name in names:
-        if name in config.disabled:
-            continue
-        fn = PASS_REGISTRY[name]
-        if name == "inline":
-            fn = fn(module)
-        elif name == "devirt":
-            devirt = fn
-
-            def fn(function, _devirt=devirt):
-                return _devirt(module, function)
-
-            fn.__name__ = "expand_virtual_calls"
-        passes.append(fn)
-    return passes
+    @contextmanager
+    def stage(self, name: str, function: Function):
+        """One pipeline over one function.  Nothing unverified leaves it:
+        on the way out ``function`` is verified (``verify=True``) if any
+        pass changed it since it was last verified.  A
+        ``VerificationError``, or whatever else escapes a pass, names the
+        stage and the passes that changed the function since then."""
+        try:
+            yield
+            suspects = self._unverified.get(function)
+            if suspects and self.verify:
+                start = time.perf_counter()
+                verify_function(function)
+                self.stats[suspects[-1]].verify_seconds += time.perf_counter() - start
+            self._unverified.pop(function, None)
+        except Exception as exc:
+            suspects = list(dict.fromkeys(self._unverified.get(function, ())))
+            where = f"{name} of {function.name}, changed by {', '.join(suspects) or 'no pass'}"
+            if isinstance(exc, VerificationError):
+                raise VerificationError(f"{where}: {exc}") from exc
+            if hasattr(exc, "add_note"):  # Python 3.11
+                exc.add_note(f"in {where}")
+            raise
 
 
 def standard_pipeline(
@@ -275,16 +376,17 @@ def standard_pipeline(
     manager: Optional[PassManager] = None,
 ) -> None:
     manager = manager or PassManager(verify=config.verify)
-    manager.run(function, _resolve(config, module, ["tailrec"]))
-    manager.run(function, _resolve(config, module, ["inline"]))
-    manager.run(function, _resolve(config, module, ["mem2reg"]))
-    if config.classical:
-        cleanup = _resolve(
-            config, module, ["constfold", "cse", "dce", "simplifycfg"]
-        )
-        manager.run(function, cleanup, max_iterations=4)
-        manager.run(function, _resolve(config, module, ["licm"]))
-        manager.run(function, cleanup, max_iterations=2)
+    with manager.stage("standard_pipeline", function):
+        manager.run(function, manager.passes(config, module, ["tailrec"]))
+        manager.run(function, manager.passes(config, module, ["inline"]))
+        manager.run(function, manager.passes(config, module, ["mem2reg"]))
+        if config.classical:
+            cleanup = manager.passes(
+                config, module, ["constfold", "cse", "dce", "simplifycfg"]
+            )
+            manager.run(function, cleanup, max_iterations=4)
+            manager.run(function, manager.passes(config, module, ["licm"]))
+            manager.run(function, cleanup, max_iterations=2)
     function.domtree = None  # DominatorTree.of's; nobody asks after the pipeline
 
 
@@ -303,44 +405,46 @@ def kernel_pipeline(
     always available through ``manager.stats`` regardless.
     """
     manager = manager or PassManager(verify=config.verify)
-    manager.run(kernel, _resolve(config, module, ["devirt"]))
-    # Devirtualization introduces direct calls to the candidate targets;
-    # flatten them into the kernel so SVM lowering sees every dereference.
-    manager.run(kernel, _resolve(config, module, ["inline"]))
-    if config.classical:
-        manager.run(
-            kernel,
-            _resolve(
-                config,
-                module,
-                ["constfold", "cse", "dce", "simplifycfg", "licm"],
-            ),
-            max_iterations=2,
-        )
-    if config.l3opt:
-        manager.run(kernel, _resolve(config, module, ["l3opt"]))
-    svmlower = _resolve(config, module, ["svmlower"])
-    if observer is not None:
-        with observer.span("svm_lower", "phase", kernel=kernel.name):
+    resolve = manager.passes
+    with manager.stage("kernel_pipeline", kernel):
+        manager.run(kernel, resolve(config, module, ["devirt"]))
+        # Devirtualization introduces direct calls to the candidate targets;
+        # flatten them into the kernel so SVM lowering sees every dereference.
+        manager.run(kernel, resolve(config, module, ["inline"]))
+        if config.classical:
+            manager.run(
+                kernel,
+                resolve(
+                    config,
+                    module,
+                    ["constfold", "cse", "dce", "simplifycfg", "licm"],
+                ),
+                max_iterations=2,
+            )
+        if config.l3opt:
+            manager.run(kernel, resolve(config, module, ["l3opt"]))
+        svmlower = resolve(config, module, ["svmlower"])
+        if observer is not None:
+            with observer.span("svm_lower", "phase", kernel=kernel.name):
+                manager.run(kernel, svmlower)
+        else:
             manager.run(kernel, svmlower)
-    else:
-        manager.run(kernel, svmlower)
-    if config.ptropt:
-        manager.run(kernel, _resolve(config, module, ["ptropt"]))
-        manager.run(
-            kernel,
-            _resolve(config, module, ["constfold", "cse", "dce", "simplifycfg"]),
-            max_iterations=4,
-        )
-    else:
-        # Without PTROPT only trivial cleanup runs; translation arithmetic
-        # stays at every dereference, as in the paper's GPU baseline.
-        manager.run(kernel, _resolve(config, module, ["dce"]))
-    if config.classical and config.unroll:
-        manager.run(kernel, _resolve(config, module, ["unroll"]))
-        manager.run(
-            kernel,
-            _resolve(config, module, ["constfold", "dce", "simplifycfg"]),
-            max_iterations=2,
-        )
+        if config.ptropt:
+            manager.run(kernel, resolve(config, module, ["ptropt"]))
+            manager.run(
+                kernel,
+                resolve(config, module, ["constfold", "cse", "dce", "simplifycfg"]),
+                max_iterations=4,
+            )
+        else:
+            # Without PTROPT only trivial cleanup runs; translation arithmetic
+            # stays at every dereference, as in the paper's GPU baseline.
+            manager.run(kernel, resolve(config, module, ["dce"]))
+        if config.classical and config.unroll:
+            manager.run(kernel, resolve(config, module, ["unroll"]))
+            manager.run(
+                kernel,
+                resolve(config, module, ["constfold", "dce", "simplifycfg"]),
+                max_iterations=2,
+            )
     kernel.domtree = None

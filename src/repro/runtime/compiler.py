@@ -256,12 +256,13 @@ def frontend_stage(
             lowerer = UnitLowerer(sema, ir.Module(module_name))
             module = lowerer.lower_unit()
         except RecursionError:
-            # The parser and the lowering recurse on expression depth (a
-            # left-leaning chain of n operators lowers ~3n frames deep).
+            # Chains of binary operators cost no frames; what recurses is
+            # nesting — parentheses (two parser frames a level), unary
+            # operators, a right-leaning tree.
             raise LowerError(
-                "expression nested too deeply for the frontend (several "
-                "hundred chained operators or parentheses); split it "
-                "across statements"
+                "expression nested too deeply for the frontend (a few "
+                "hundred levels of parentheses or unary operators); split "
+                "it across statements"
             ) from None
         # The line profiler resolves instruction locs back to source
         # text through the module (repro.obs.lines).
@@ -415,7 +416,7 @@ def _compile(source, config, module_name, store, observer) -> tuple:
             if program is not None:
                 _replay_restriction_warnings(program)
                 return program, "hit"
-        manager = PassManager(verify=config.verify) if observer is not None else None
+        manager = PassManager(verify=config.verify)
         front = frontend_stage(source, module_name, observer=observer)
         pipe = pipeline_stage(front, config, observer=observer, manager=manager)
         program = closure_stage(pipe, observer=observer)

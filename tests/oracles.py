@@ -1,4 +1,14 @@
-"""The per-access timing models, frozen: what ``repro.gpu.cache``,
+"""Replaced implementations, frozen as references.
+
+**The frontend** (PR 24, at the end of this file): the character-walk
+lexer (:func:`oracle_tokenize`) and the eleven-level ladder
+``_parse_binary`` (:class:`OracleParser`), verbatim, against which the
+one-regex lexer and the precedence-climbing parser are compared token
+for token and node for node, and the recursive type prediction for
+operator chains (:func:`oracle_predict_type`) that the lowering's type
+map replaced (``tests/test_frontend_oracles.py``).
+
+**The per-access timing models**: what ``repro.gpu.cache``,
 ``repro.cpu.timing`` and ``repro.gpu.timing`` computed one access at a
 time before they became array programs.  They exist only here, as the
 references the array models are compared with — hit for hit and with
@@ -366,3 +376,219 @@ def use_oracles(monkeypatch) -> None:
     for module in (gpu_backend, cpu_backend, cpu_timing):
         monkeypatch.setattr(module, "time_cpu_execution", oracle_time_cpu_execution)
     monkeypatch.setattr(scheduler, "CacheModel", OracleCacheModel)
+
+
+# -- the frontend (PR 24) -------------------------------------------------------
+#
+# ``_tokens`` / ``_number`` / ``_skip_int_suffix`` are the lexer as it was,
+# byte for byte — including its four bugs, which the differential steps
+# around and ``tests/test_frontend.py`` pins: a hex literal's integer
+# suffix is left behind as an identifier, ``0x`` alone raises
+# ``ValueError``, a quote at the end of input raises ``IndexError``, and
+# an escaped character literal's text loses its opening quote.
+# ``OracleParser`` is today's parser with the ladder put back.
+
+from typing import Iterator  # noqa: E402
+
+from repro.minicpp import ast  # noqa: E402
+from repro.minicpp.lexer import KEYWORDS, LexError, Token  # noqa: E402
+from repro.minicpp.parser import Parser  # noqa: E402
+
+# Multi-character operators, longest first so maximal munch works.
+_ORACLE_OPERATORS = [
+    "<<=", ">>=", "->*", "...",
+    "::", "->", "++", "--", "<<", ">>", "<=", ">=", "==", "!=", "&&", "||",
+    "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=",
+    "+", "-", "*", "/", "%", "=", "<", ">", "!", "~", "&", "|", "^", "?",
+    ":", ";", ",", ".", "(", ")", "[", "]", "{", "}",
+]
+
+
+
+def oracle_tokenize(source: str) -> list:
+    return list(_tokens(source))
+
+
+def _tokens(source: str) -> Iterator[Token]:
+    pos = 0
+    line = 1
+    col = 1
+    length = len(source)
+
+    def advance(n: int) -> None:
+        nonlocal pos, line, col
+        for _ in range(n):
+            if pos < length and source[pos] == "\n":
+                line += 1
+                col = 1
+            else:
+                col += 1
+            pos += 1
+
+    while pos < length:
+        ch = source[pos]
+        if ch in " \t\r\n":
+            advance(1)
+            continue
+        if source.startswith("//", pos):
+            end = source.find("\n", pos)
+            advance((end - pos) if end != -1 else (length - pos))
+            continue
+        if source.startswith("/*", pos):
+            end = source.find("*/", pos + 2)
+            if end == -1:
+                raise LexError("unterminated block comment", line, col)
+            advance(end + 2 - pos)
+            continue
+        if ch.isalpha() or ch == "_":
+            start = pos
+            start_line, start_col = line, col
+            while pos < length and (source[pos].isalnum() or source[pos] == "_"):
+                advance(1)
+            text = source[start:pos]
+            kind = "keyword" if text in KEYWORDS else "ident"
+            yield Token(kind, text, start_line, start_col)
+            continue
+        if ch.isdigit() or (ch == "." and pos + 1 < length and source[pos + 1].isdigit()):
+            yield _number(source, pos, line, col, advance)
+            continue
+        if ch == "'":
+            start_line, start_col = line, col
+            advance(1)
+            if pos < length and source[pos] == "\\":
+                advance(1)
+                escape = source[pos]
+                mapping = {"n": 10, "t": 9, "0": 0, "\\": 92, "'": 39}
+                if escape not in mapping:
+                    raise LexError(f"unknown escape \\{escape}", line, col)
+                value = mapping[escape]
+                advance(1)
+            else:
+                value = ord(source[pos])
+                advance(1)
+            if pos >= length or source[pos] != "'":
+                raise LexError("unterminated character literal", line, col)
+            advance(1)
+            yield Token("char", source[pos - 3 : pos], start_line, start_col, value)
+            continue
+        matched = False
+        for operator in _ORACLE_OPERATORS:
+            if source.startswith(operator, pos):
+                yield Token("op", operator, line, col)
+                advance(len(operator))
+                matched = True
+                break
+        if not matched:
+            raise LexError(f"unexpected character {ch!r}", line, col)
+    yield Token("eof", "", line, col)
+
+
+def _number(source: str, pos: int, line: int, col: int, advance) -> Token:
+    start = pos
+    length = len(source)
+    is_float = False
+    if source.startswith(("0x", "0X"), pos):
+        end = pos + 2
+        while end < length and source[end] in "0123456789abcdefABCDEF":
+            end += 1
+        text = source[start:end]
+        advance(end - pos)
+        _skip_int_suffix(source, advance)
+        return Token("int", text, line, col, int(text, 16))
+    end = pos
+    while end < length and source[end].isdigit():
+        end += 1
+    if end < length and source[end] == "." and not source.startswith("..", end):
+        is_float = True
+        end += 1
+        while end < length and source[end].isdigit():
+            end += 1
+    if end < length and source[end] in "eE":
+        mark = end + 1
+        if mark < length and source[mark] in "+-":
+            mark += 1
+        if mark < length and source[mark].isdigit():
+            is_float = True
+            end = mark
+            while end < length and source[end].isdigit():
+                end += 1
+    text = source[start:end]
+    advance(end - pos)
+    if is_float:
+        suffix_f = False
+        # optional f/F suffix
+        # (we peek via the original source — advance already consumed digits)
+        nonlocal_pos = end
+        if nonlocal_pos < length and source[nonlocal_pos] in "fF":
+            suffix_f = True
+            advance(1)
+        return Token("float", text + ("f" if suffix_f else ""), line, col, float(text))
+    value = int(text)
+    _skip_int_suffix(source, advance, at=end)
+    return Token("int", text, line, col, value)
+
+
+def _skip_int_suffix(source: str, advance, at: int = -1) -> None:
+    # Accept (and ignore) u/U/l/L suffixes such as 10u, 3UL, 7LL.
+    # ``advance`` tracks position internally, so we just consume greedily.
+    # We cannot read the position back from advance, so callers pass ``at``.
+    if at == -1:
+        return
+    pos = at
+    count = 0
+    while pos < len(source) and source[pos] in "uUlL" and count < 3:
+        pos += 1
+        count += 1
+    for _ in range(count):
+        advance(1)
+
+
+class OracleParser(Parser):
+    """One recursive call per precedence level per operand."""
+
+    _PRECEDENCE = [
+        ("||",),
+        ("&&",),
+        ("|",),
+        ("^",),
+        ("&",),
+        ("==", "!="),
+        ("<", ">", "<=", ">="),
+        ("<<", ">>"),
+        ("+", "-"),
+        ("*", "/", "%"),
+    ]
+
+    def _parse_binary(self, level: int) -> ast.Expr:
+        if level >= len(self._PRECEDENCE):
+            return self._parse_unary()
+        ops = self._PRECEDENCE[level]
+        lhs = self._parse_binary(level + 1)
+        while self.current.kind == "op" and self.current.text in ops:
+            token = self.advance()
+            rhs = self._parse_binary(level + 1)
+            lhs = ast.Binary(line=token.line, col=token.column, op=token.text, lhs=lhs, rhs=rhs)
+        return lhs
+
+
+def oracle_predict_type(lowerer, expr):
+    """``FunctionLowerer._predict_type`` as it was for operator
+    expressions: one recursive call per level of the chain, nothing
+    remembered (every other kind of node is today's code)."""
+    from repro.ir.types import StructType
+
+    self = lowerer
+    if not isinstance(expr, ast.Binary):
+        return self._predict_type(expr)
+    lt = oracle_predict_type(self, expr.lhs)
+    if isinstance(lt, StructType):
+        info = self._class_of(lt, expr.line)
+        if info:
+            ms = info.find_methods(f"operator{expr.op}")
+            if ms:
+                return self.sema.resolve_type(
+                    ms[0].decl.return_type,
+                    ms[0].owner.template_bindings,
+                    ms[0].owner.decl.namespace,
+                )
+    return None

@@ -146,13 +146,21 @@ class TestCli:
         out = capsys.readouterr().out
         assert "device=gpu" in out
 
-    @pytest.mark.parametrize("terms, status", [(300, 0), (2000, 1)])
-    def test_long_sum_compiles_or_gets_a_diagnostic(self, tmp_path, terms, status):
-        """The frontend recurses on expression depth: a sum it can hold
-        compiles, one it cannot is a one-line error, never a traceback.
-        Through ``python -m repro`` so the stack depth is the CLI's."""
+    @pytest.mark.parametrize(
+        "shape, size, status",
+        [("sum", 300, 0), ("sum", 2000, 0), ("parentheses", 2000, 1)],
+    )
+    def test_long_sum_compiles_or_gets_a_diagnostic(self, tmp_path, shape, size, status):
+        """A chain of operators costs the frontend no frames, however long
+        (PR 24; a 2 000-term sum used to be refused); it still recurses on
+        nesting, and an expression nested deeper than it can hold is a
+        one-line error, never a traceback.  Through ``python -m repro`` so
+        the stack depth is the CLI's."""
         path = tmp_path / "sum.cpp"
-        chain = " + ".join(f"data[i + {k}]" for k in range(terms))
+        if shape == "sum":
+            chain = " + ".join(f"data[i + {k}]" for k in range(size))
+        else:
+            chain = "(" * size + "data[i]" + ")" * size
         path.write_text(
             "class Sum {\npublic:\n  int* data;\n  int* out;\n"
             f"  void operator()(int i) {{ out[i] = {chain}; }}\n}};\n"
@@ -170,8 +178,8 @@ class TestCli:
             assert done.stdout == "Sum: for\n"
         else:
             assert done.stderr == f"{path}: error: expression nested too deeply " \
-                "for the frontend (several hundred chained operators or " \
-                "parentheses); split it across statements\n"
+                "for the frontend (a few hundred levels of parentheses or " \
+                "unary operators); split it across statements\n"
 
     @pytest.mark.parametrize(
         "argv",

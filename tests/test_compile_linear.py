@@ -12,17 +12,24 @@ means is frozen in ``compile_linear_frozen.json``, written by running
 (b) ``replace_uses`` against the per-value sweep it replaced (the oracle
     lives here now);
 (c) ``DominatorTree.of`` is never stale and never outlives the pipeline;
-(d) every skipped pass would have reported "no change";
+(d) every skipped pass would have reported "no change", whatever let the
+    manager skip it — an idle run with nothing changed since, a declared
+    ``needs`` the function lacks, a declared ``unaffected_by`` (PR 24);
+    the verifier runs once when a stage ends, what it used to see after
+    every changed pass is checked here pass by pass, and a broken pass is
+    still rejected at compile time, named;
 (e) deterministic work counts stay a fraction of the parent's and grow
     linearly with program size.
 """
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import json
 import pickle
 import random
+import re
 import sys
 import warnings
 
@@ -31,7 +38,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import repro.passes
 from repro.eval.runner import WORKLOAD_ORDER
-from repro.fuzz import build_ir, generate_ir_program
+from repro.fuzz import build_ir, generate_ir_program, generate_source_program
 from repro.ir import (
     Constant,
     DominatorTree,
@@ -40,12 +47,15 @@ from repro.ir import (
     I32,
     Instruction,
     IRBuilder,
+    PointerType,
+    VerificationError,
     VoidType,
     add_phi_incoming,
     format_function,
     replace_uses,
     verify_function,
 )
+from repro.obs import Observer
 from repro.passes import pipeline
 from repro.passes.constfold import constant_fold
 from repro.passes.cse import common_subexpression_elimination
@@ -300,12 +310,20 @@ class TestDominatorTreeOf:
             assert DominatorTree.of(function) is DominatorTree.of(function)
 
         checked_registry(monkeypatch, after_pass)
+        verified = []
+        monkeypatch.setattr(
+            pipeline, "verify_function",
+            lambda function, _real=pipeline.verify_function: (verified.append(function), _real(function)),
+        )
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ConcordWarning)
             for source, name in corpus():
                 program = compile_source(source, OptConfig.gpu_all(), name)
-                # ... and none of it outlives the pipeline
+                # ... and none of it outlives the pipeline: the verifier asks
+                # for a tree when a stage ends, so the stage must verify
+                # first and drop the tree after
                 assert all(f.domtree is None for f in program.module.functions.values())
+        assert verified
         assert went_stale["constfold"] and went_stale["simplifycfg"]
 
     def test_in_place_target_rewrite_is_seen(self):
@@ -360,6 +378,31 @@ class RunsSkippedPassesAnyway(pipeline.PassManager):
         super()._skip(stat, pass_fn, function)
 
 
+def count_stage_changes(monkeypatch, manager) -> list:
+    """Wrap both pipelines as ``compiler`` calls them; returns the list
+    that collects the function of every stage that changed it."""
+    changed_in = []
+
+    def counting(stage):
+        def run(module, function, config, **kwargs):
+            before = sum(stat.changed for stat in manager.stats.values())
+            stage(module, function, config, **kwargs)
+            if sum(stat.changed for stat in manager.stats.values()) > before:
+                changed_in.append(function)
+
+        return run
+
+    monkeypatch.setattr(compiler, "standard_pipeline", counting(compiler.standard_pipeline))
+    monkeypatch.setattr(compiler, "kernel_pipeline", counting(compiler.kernel_pipeline))
+    return changed_in
+
+
+def sweep_sources() -> list:
+    """The 200-program ``srcgen`` sweep the pass declarations are held to."""
+    rng = random.Random(24)
+    return [(generate_source_program(rng, seed=24).source, f"sweep{i}") for i in range(200)]
+
+
 def test_skipped_passes_would_have_done_nothing(monkeypatch):
     verified = []
     monkeypatch.setattr(
@@ -367,17 +410,33 @@ def test_skipped_passes_would_have_done_nothing(monkeypatch):
         lambda function, _real=pipeline.verify_function: (verified.append(function), _real(function)),
     )
     manager = RunsSkippedPassesAnyway()
+    changed_in = count_stage_changes(monkeypatch, manager)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConcordWarning)
         for source, name in corpus():
             front = compiler.frontend_stage(source, name)
             compiler.pipeline_stage(front, OptConfig.gpu_all(), manager=manager)
+        # the declarations are general claims: the nine workloads under the
+        # other three configurations and 200 more generated programs
+        for config in OptConfig.all_configs()[:3]:
+            for name, source in nine_workloads():
+                front = compiler.frontend_stage(source, name)
+                compiler.pipeline_stage(front, config, manager=manager)
+        for source, name in sweep_sources():
+            front = compiler.frontend_stage(source, name)
+            compiler.pipeline_stage(front, OptConfig.gpu_all(), manager=manager)
     stats = manager.stats.values()
     skipped = sum(stat.skipped for stat in stats)
     assert skipped == manager.idle_reruns > 0
-    assert len(verified) == sum(stat.changed for stat in stats)
-    # the skip is worth having: a fifth of what the parent ran
-    assert skipped * 5 >= sum(stat.runs for stat in stats) + skipped
+    # one verification per stage that changed its function, when it ends
+    assert verified == changed_in and len(verified) < sum(stat.changed for stat in stats)
+    assert not manager._unverified
+    # the skip is worth having: a third of what the parent of PR 17 ran
+    assert skipped * 3 >= sum(stat.runs for stat in stats) + skipped
+    # every declaration was exercised
+    for name in ("eliminate_tail_recursion", "inline_calls", "expand_virtual_calls",
+                 "loop_invariant_code_motion", "common_subexpression_elimination"):
+        assert manager.stats[name].skipped, name
 
 
 def test_passes_report_change_truthfully(monkeypatch):
@@ -401,6 +460,152 @@ def test_passes_report_change_truthfully(monkeypatch):
         for source, name in corpus()[:9] + corpus()[9::4]:
             texts.clear()
             compile_source(source, OptConfig.gpu_all(), name)
+
+
+class TestVerification:
+    """The verifier left the manager's inner loop (PR 24): a stage verifies
+    what it changed when it ends.  What the per-pass call caught is caught
+    here, and a pass that breaks the IR is still refused by the compile."""
+
+    @pytest.mark.parametrize("config", OptConfig.all_configs(), ids=lambda c: c.label)
+    def test_every_changed_run_of_every_pass_verifies(self, monkeypatch, config):
+        changed_runs = collections.Counter()
+
+        def after_pass(name, function, changed, before):
+            if changed:
+                verify_function(function)
+                changed_runs[name] += 1
+
+        checked_registry(monkeypatch, after_pass)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConcordWarning)
+            for source, name in corpus():
+                compile_source(source, config, name)
+        expected = set(pipeline.PASS_REGISTRY) - {"tailrec"}  # the corpus has no tail call
+        expected -= {"ptropt"} if not config.ptropt else set()
+        expected -= {"l3opt"}  # fires on hand-written loops only (tests/test_paper_passes.py)
+        assert set(changed_runs) == expected
+
+    #: a source whose every function and kernel gives a saboteur something
+    #: to break: a call, loads, stores, a loop, a virtual call
+    SOURCE = """
+    class Shape { public: virtual int weight(int x) { return x + 1; } };
+    class Circle : public Shape { public: virtual int weight(int x) { return x * 3; } };
+    int twice(int x) { return x + x; }
+    class Apply {
+    public:
+      int* data;
+      Shape* shape;
+      void operator()(int i) {
+        int sum = 0;
+        for (int k = 0; k < 4; k++) sum += twice(data[i] + k);
+        data[i] = shape->weight(sum);
+      }
+    };
+    """
+
+    @staticmethod
+    def drops_a_loc(function) -> bool:
+        for instr in function.instructions():
+            if instr.op in ("load", "store", "call", "vcall") and instr.loc is not None:
+                instr.loc = None
+                return True
+        return False
+
+    @staticmethod
+    def leaves_a_dangling_operand(function) -> bool:
+        # a store no later pass may delete, of values that are in no block
+        slot = Instruction("alloca", PointerType(I32), [])
+        slot.alloc_type = I32
+        value = Instruction("add", I32, [Constant(I32, 1), Constant(I32, 2)])
+        store = Instruction("store", VoidType(), [value, slot])
+        store.loc = ((1, 0),)
+        function.entry.insert(len(function.entry.instructions) - 1, store)
+        return True
+
+    @staticmethod
+    def emits_a_mid_block_terminator(function) -> bool:
+        for block in function.blocks:
+            if len(block.instructions) > 1:
+                stray = Instruction("br", VoidType(), [])
+                stray.targets = [block]
+                block.insert(0, stray)
+                return True
+        return False
+
+    SABOTAGE = {
+        "loc": (drops_a_loc, "source location"),
+        "operand": (leaves_a_dangling_operand, "removed|dominate"),
+        "terminator": (emits_a_mid_block_terminator, "not at end"),
+    }
+    #: (registry name, its ``__name__``, the stage that must refuse it)
+    SEEDED = {
+        "dce": ("dead_code_elimination", "standard_pipeline of "),
+        "svmlower": ("lower_svm_pointers", r"kernel_pipeline of kernel\.Apply\.gpu"),
+    }
+
+    @pytest.mark.parametrize("seeded", sorted(SEEDED))
+    @pytest.mark.parametrize("sabotage", sorted(SABOTAGE))
+    def test_a_broken_pass_is_refused_at_the_end_of_its_stage(self, monkeypatch, sabotage, seeded):
+        """... under the four configurations and every ``without_pass``
+        variant (docs/PROFILING.md), with the stage and the pass named."""
+        breaks, complaint = self.SABOTAGE[sabotage]
+        pass_name, stage = self.SEEDED[seeded]
+        real = pipeline.PASS_REGISTRY[seeded]
+
+        def broken(function):
+            changed = real(function)
+            return breaks.__func__(function) or changed
+
+        broken.__name__ = real.__name__
+        monkeypatch.setitem(pipeline.PASS_REGISTRY, seeded, broken)
+        configs = OptConfig.all_configs() + [
+            OptConfig.gpu_all().without_pass(name)
+            for name in pipeline.DISABLEABLE_PASSES
+            if name != seeded
+        ]
+        for config in configs:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ConcordWarning)
+                with pytest.raises(VerificationError, match=complaint) as caught:
+                    compile_source(self.SOURCE, config)
+            message = str(caught.value)
+            assert re.match(stage, message), (config, message)
+            assert pass_name in message.split(":")[0], (config, message)
+
+    def test_an_exception_escaping_a_pass_names_the_stage(self, monkeypatch):
+        def crashes(function):
+            raise KeyError("no such value")
+
+        crashes.__name__ = "dead_code_elimination"
+        monkeypatch.setitem(pipeline.PASS_REGISTRY, "dce", crashes)
+        with pytest.raises(KeyError) as caught:
+            compile_source(self.SOURCE, OptConfig.gpu_all())
+        notes = getattr(caught.value, "__notes__", None)
+        if sys.version_info >= (3, 11):
+            assert notes and re.match(r"in standard_pipeline of \S+, changed by ", notes[0])
+
+    def test_traced_and_untraced_compiles_do_the_same_runs(self, monkeypatch):
+        """One manager per compile, observer or not: the traced half of the
+        benchmark must skip exactly what the untraced half skips."""
+        managers = []
+
+        class Recorded(pipeline.PassManager):
+            def __init__(self, verify=True):
+                super().__init__(verify)
+                managers.append(self)
+
+        monkeypatch.setattr(compiler, "PassManager", Recorded)
+        name, source = nine_workloads()[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConcordWarning)
+            compile_source(source, OptConfig.gpu_all(), name)
+            compile_source(source, OptConfig.gpu_all(), name, observer=Observer())
+        untraced, traced = (
+            {s.name: (s.runs, s.changed, s.skipped) for s in manager.stats.values()}
+            for manager in managers
+        )
+        assert untraced == traced and sum(skipped for _, _, skipped in traced.values())
 
 
 # -- (e) work counts ----------------------------------------------------------------------

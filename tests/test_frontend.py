@@ -1,12 +1,18 @@
 """Tests for the MiniC++ frontend: lexer, parser, sema, lowering, and
 end-to-end execution of compiled functions on the host interpreter."""
 
+import gc
+import hashlib
+import time
+
 import pytest
 
 from repro.exec import Interpreter
-from repro.minicpp import LexError, ParseError, Sema, SemaError, parse, tokenize
+from repro.ir import I32
+from repro.minicpp import LexError, LowerError, ParseError, Sema, SemaError, parse, tokenize
 from repro.minicpp.lower import lower_translation_unit
 from repro.runtime import ConcordRuntime, OptConfig, compile_source
+from repro.runtime.compiler import frontend_stage
 from repro.svm import SharedRegion
 
 
@@ -42,9 +48,43 @@ class TestLexer:
         toks = tokenize("0xFF 0x10")
         assert [t.value for t in toks if t.kind == "int"] == [255, 16]
 
+    def test_hex_literals_take_integer_suffixes(self):
+        # the suffix used to be left behind as an identifier
+        toks = tokenize("0xFFu 0x10UL 7LL")
+        assert [(t.kind, t.text, t.value) for t in toks[:-1]] == [
+            ("int", "0xFF", 255), ("int", "0x10", 16), ("int", "7", 7),
+        ]
+
+    def test_escaped_char_text_keeps_its_opening_quote(self):
+        toks = tokenize(r"'\n' 'a' '\''")
+        assert [t.text for t in toks[:-1]] == [r"'\n'", "'a'", r"'\''"]
+
     def test_unterminated_comment_raises(self):
         with pytest.raises(LexError):
             tokenize("/* never closed")
+        with pytest.raises(LexError, match="2:3: unterminated block comment"):
+            tokenize("a /* closed */\n  /* b / * c")
+
+    @pytest.mark.parametrize(
+        "source, where",
+        [
+            ("0x", "1:1"),  # was a bare ValueError
+            ("x = 0xg;", "1:5"),  # was a bare ValueError
+            ("a\n  '", "2:3"),  # was an IndexError
+            ("'\\", "1:1"),  # was an IndexError
+            ("'ab'", "1:1"),
+            (r"'\q'", "1:3"),
+            ("a $ b", "1:3"),
+        ],
+    )
+    def test_malformed_input_is_a_lex_error_with_a_position(self, source, where):
+        with pytest.raises(LexError, match=f"^{where}: "):
+            tokenize(source)
+
+    def test_the_frontend_reports_it_as_one_error_line(self):
+        # what a daemon compile request carrying a lone quote answers with
+        with pytest.raises(LexError):
+            compile_source("class A { public: void operator()(int i) { char c = '; } };")
 
     def test_line_numbers(self):
         toks = tokenize("a\nb\n  c")
@@ -298,3 +338,92 @@ class TestLoweringExecution:
         prog = compile_source(src, OptConfig.gpu())
         rt = ConcordRuntime(prog)
         assert rt.call_host(next(n for n in prog.module.functions if n.startswith("f.")), 3) == 10
+
+
+# -- the depth the frontend accepts ---------------------------------------------------
+
+
+CHAIN_SOURCE = """
+class Chain {
+  int* out;
+public:
+  Chain(int* o) : out(o) {}
+  void operator()(int i) { int v = 0; BODY out[i] = v; }
+};
+"""
+
+
+def chain_terms(count: int, operators: str) -> list:
+    """``i``, then ``count - 1`` operator/operand pairs."""
+    return ["i"] + [f"{operators[k % len(operators)]} i" for k in range(count - 1)]
+
+
+def run_chain(body: str) -> tuple:
+    """(heap digest on the scalar engine, out[0..7]) of the chain kernel."""
+    program = compile_source(CHAIN_SOURCE.replace("BODY", body), OptConfig.gpu_all())
+    runtime = ConcordRuntime(program, engine="compiled")
+    out = runtime.new_array(I32, 8)
+    # on the CPU: a 5 000-instruction body is past the inliner's budget,
+    # and a kernel that still makes a call cannot run on the device
+    runtime.parallel_for_hetero(8, runtime.new("Chain", out), on_cpu=True)
+    digest = hashlib.sha256(bytes(runtime.region.physical.data)).hexdigest()
+    return digest, [out[i] for i in range(8)]
+
+
+class TestExpressionDepth:
+    """Chains of binary operators cost no frames (the parser builds them
+    in a loop, the lowering emits them from an explicit stack); what still
+    recurses is parenthesis nesting, two parser frames a level."""
+
+    @pytest.mark.parametrize("operators", ["+", "*+-&"])
+    def test_a_5000_term_chain_compiles_to_what_its_statements_compile_to(self, operators):
+        terms = chain_terms(5000, operators)
+        in_one = "v = " + " ".join(terms) + ";"
+        if operators == "+":
+            # the same additions, one a statement
+            split = "v = i; " + "".join(f"v = v {term};" for term in terms[1:])
+        else:
+            # cut where the loosest operator binds: each '&' operand a statement
+            operands = " ".join(terms).split(" & ")
+            split = "".join(f"int t{k} = {text};" for k, text in enumerate(operands))
+            split += "v = t0; " + "".join(f"v = v & t{k};" for k in range(1, len(operands)))
+        assert run_chain(in_one) == run_chain(split)
+
+    @pytest.mark.parametrize("operators", ["+", "*+-&"])
+    def test_lowering_is_linear_in_terms(self, operators):
+        def frontend_seconds(count: int) -> float:
+            body = "v = " + " ".join(chain_terms(count, operators)) + ";"
+            source = CHAIN_SOURCE.replace("BODY", body)
+            best = float("inf")
+            for _ in range(3):
+                start = time.perf_counter()
+                frontend_stage(source)
+                best = min(best, time.perf_counter() - start)
+            return best
+
+        # without the cycle collector: what it charges a burst of 50 000
+        # allocations grows with the heap of the process running the test
+        gc.disable()
+        try:
+            assert frontend_seconds(5000) <= 15 * frontend_seconds(500)
+        finally:
+            gc.enable()
+
+    def test_300_nested_parentheses_compile(self):
+        nested = "(" * 300 + "i" + ")" * 300
+        assert run_chain(f"v = {nested};")[1] == list(range(8))
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "v = " + "(" * 5000 + "i" + ")" * 5000 + ";",
+            "v = " + "".join(f"(i + " for _ in range(3000)) + "i" + ")" * 3000 + ";",
+            "v = " + "-" * 5000 + "i;",
+        ],
+        ids=["parentheses", "right-leaning", "unary"],
+    )
+    def test_what_is_too_deep_is_a_lower_error(self, body):
+        """Never a RecursionError, never a hang."""
+        with pytest.raises(LowerError, match="nested too deeply") as caught:
+            compile_source(CHAIN_SOURCE.replace("BODY", body), OptConfig.gpu_all())
+        assert "chained operators" not in str(caught.value)

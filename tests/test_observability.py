@@ -264,8 +264,11 @@ class TestProfileWorkload:
         counters = doc["counters"]
         for stat in doc["passes"]:
             assert counters[f"passes.{stat['name']}.skipped"] == stat["skipped"]
-            assert (stat["verify_seconds"] > 0) == (stat["changed"] > 0)
+            # a stage's verification is booked on the last pass to change
+            # the function in it, so only a pass that changed something has any
+            assert stat["changed"] > 0 or stat["verify_seconds"] == 0
         assert sum(stat["skipped"] for stat in doc["passes"]) > 0
+        assert counters["passes.verify_s"] > 0
         assert counters["passes.verify_s"] == pytest.approx(
             sum(stat["verify_seconds"] for stat in doc["passes"])
         )

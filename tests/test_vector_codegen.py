@@ -629,12 +629,15 @@ class TestOwnership:
         bound to an empty container is state waiting to be filled.  The
         timing models (``repro.gpu`` / ``repro.cpu``) are held to it too:
         what they read off a kernel once lives in the runtime's
-        ``gpu_function_t`` entry, not in a module dict."""
+        ``gpu_function_t`` entry, not in a module dict.  So are the frontend
+        and the passes: what the lowering knows about an expression lives
+        on the ``FunctionLowerer``, what the pass manager remembers on the
+        ``PassManager`` — one per compile."""
         root = pathlib.Path(repro.__file__).parent
         offenders = []
         guarded = [
             path
-            for package in ("exec", "backend", "gpu", "cpu")
+            for package in ("exec", "backend", "gpu", "cpu", "minicpp", "passes")
             for path in root.glob(f"{package}/*.py")
         ]
         for path in sorted(guarded):
