@@ -4,18 +4,16 @@ Usage::
 
     python -m repro compile FILE.cpp [--config GPU|GPU+PTROPT|GPU+L3OPT|GPU+ALL]
                                       [--emit ir|opencl|stats|kernels]
-    python -m repro run FILE.cpp --body CLASS --n N [--on-cpu] [--system ultrabook|desktop]
-                                      [--policy cpu|gpu|auto|hybrid] [--graph]
-                                      [--engine compiled|reference|vector]
-                                      [--flight-record DIR]
-                                      [--declared-check off|warn|trap]
-    python -m repro profile WORKLOAD [--scale S] [--engine compiled|reference|vector]
+    python -m repro run FILE.cpp --body CLASS --n N [--config ...]
                                       [--system ultrabook|desktop] [--on-cpu]
-                                      [--policy cpu|gpu|auto|hybrid] [--graph]
+                                      [RUN OPTIONS] [--flight-record DIR]
+    python -m repro profile WORKLOAD [--scale S] [--system ultrabook|desktop] [--on-cpu]
+                                      [RUN OPTIONS] [--no-validate]
                                       [--format json|csv] [--output FILE]
-                                      [--trace FILE.json]
-    python -m repro annotate WORKLOAD [--scale S] [--engine compiled|reference|vector]
-                                      [--system ultrabook|desktop] [--on-cpu]
+                                      [--trace FILE.json] [--flight-record DIR]
+                                      [--events FILE]
+    python -m repro annotate WORKLOAD [--scale S] [--system ultrabook|desktop] [--on-cpu]
+                                      [RUN OPTIONS] [--no-validate]
                                       [--top N] [--format text|json] [--output FILE]
     python -m repro fuzz [--seed N] [--iterations K]
                          [--target all|frontend|ir|passes|engines|sched|vector|graph|compile-cache|structure]
@@ -26,6 +24,13 @@ Usage::
                           [--byte-budget BYTES] [--verbose]
                           [--selftest] [--clients N] [--sources K]
                           [--stats-output FILE]
+
+RUN OPTIONS are one flag per field of ``repro.runtime.RunConfig``, the
+same on ``run``, ``profile`` and ``annotate``; a flag left out leaves its
+field at the default::
+
+    [--engine compiled|reference|vector] [--policy cpu|gpu|auto|hybrid]
+    [--graph] [--graph-placement policy|ect] [--declared-check off|warn|trap]
 
 ``compile`` parses and compiles a MiniC++ translation unit and prints the
 requested artifact for every heterogeneous body class found.  ``run``
@@ -57,20 +62,43 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 
 from .analysis import kernel_mix
 from .ir import format_function
 from .passes import CONFIGS
-from .runtime import ConcordRuntime, compile_source, desktop, ultrabook
+from .runtime import ALL_SYSTEMS, ConcordRuntime, RunConfig, compile_source, system_named
 
 
-def _policy_names() -> list:
-    from .sched import POLICIES
+def _add_run_arguments(parser, scale: bool = True) -> None:
+    """What a command that runs something takes: ``--system``,
+    ``--on-cpu`` (and ``--scale`` for a registered workload), then one
+    flag per :class:`RunConfig` field with that field's choices — a flag
+    left out leaves its field at the default."""
+    if scale:
+        parser.add_argument("--scale", type=float, default=1.0)
+    parser.add_argument("--system", choices=list(ALL_SYSTEMS), default="ultrabook")
+    parser.add_argument(
+        "--on-cpu", action="store_true", help="run on the multicore CPU (--policy overrides)"
+    )
+    for spec in fields(RunConfig):
+        flag = "--" + spec.name.replace("_", "-")
+        what = f"{spec.metadata['what']} (default: {spec.default})"
+        if isinstance(spec.default, bool):
+            parser.add_argument(flag, action="store_true", default=None, help=what)
+        else:
+            parser.add_argument(
+                flag, choices=list(spec.metadata["choices"]), default=None, help=what
+            )
 
-    return sorted(POLICIES)
+
+def _run_options(args) -> dict:
+    """The :class:`RunConfig` fields the command line set."""
+    given = {spec.name: getattr(args, spec.name) for spec in fields(RunConfig)}
+    return {name: value for name, value in given.items() if value is not None}
 
 
-def main(argv=None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="repro")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -85,64 +113,20 @@ def main(argv=None) -> int:
     run_parser.add_argument("file")
     run_parser.add_argument("--body", required=True, help="body class name")
     run_parser.add_argument("--n", type=int, default=16)
-    run_parser.add_argument("--on-cpu", action="store_true")
     run_parser.add_argument("--config", choices=sorted(CONFIGS), default="GPU+ALL")
-    run_parser.add_argument(
-        "--system", choices=["ultrabook", "desktop"], default="ultrabook"
-    )
-    run_parser.add_argument(
-        "--engine",
-        choices=["compiled", "reference", "vector"],
-        default="compiled",
-        help="execution engine for kernel lanes",
-    )
-    run_parser.add_argument(
-        "--policy",
-        choices=_policy_names(),
-        default=None,
-        help="scheduler placement policy (overrides --on-cpu)",
-    )
-    run_parser.add_argument(
-        "--graph",
-        action="store_true",
-        help="submit through the task-graph runtime and report overlap stats",
-    )
+    _add_run_arguments(run_parser, scale=False)
     run_parser.add_argument(
         "--flight-record",
         default=None,
         metavar="DIR",
         help="dump a postmortem bundle into DIR if the kernel traps",
     )
-    run_parser.add_argument(
-        "--declared-check",
-        choices=["off", "warn", "trap"],
-        default="off",
-        help="validate graph-mode accesses against declared sets",
-    )
 
     profile_parser = sub.add_parser(
         "profile", help="run a registered workload under the observability layer"
     )
     profile_parser.add_argument("workload", help="workload name, e.g. bfs")
-    profile_parser.add_argument("--scale", type=float, default=1.0)
-    profile_parser.add_argument(
-        "--engine", choices=["compiled", "reference", "vector"], default="compiled"
-    )
-    profile_parser.add_argument(
-        "--system", choices=["ultrabook", "desktop"], default="ultrabook"
-    )
-    profile_parser.add_argument("--on-cpu", action="store_true")
-    profile_parser.add_argument(
-        "--policy",
-        choices=_policy_names(),
-        default=None,
-        help="scheduler placement policy (overrides --on-cpu)",
-    )
-    profile_parser.add_argument(
-        "--graph",
-        action="store_true",
-        help="run the workload through the task-graph runtime",
-    )
+    _add_run_arguments(profile_parser)
     profile_parser.add_argument("--no-validate", action="store_true")
     profile_parser.add_argument("--format", choices=["json", "csv"], default="json")
     profile_parser.add_argument(
@@ -171,14 +155,7 @@ def main(argv=None) -> int:
         "annotate", help="attribute modeled cost to source lines"
     )
     annotate_parser.add_argument("workload", help="workload name, e.g. bfs")
-    annotate_parser.add_argument("--scale", type=float, default=1.0)
-    annotate_parser.add_argument(
-        "--engine", choices=["compiled", "reference", "vector"], default="compiled"
-    )
-    annotate_parser.add_argument(
-        "--system", choices=["ultrabook", "desktop"], default="ultrabook"
-    )
-    annotate_parser.add_argument("--on-cpu", action="store_true")
+    _add_run_arguments(annotate_parser)
     annotate_parser.add_argument("--no-validate", action="store_true")
     annotate_parser.add_argument(
         "--top", type=int, default=20, help="lines to show in the text report"
@@ -307,7 +284,11 @@ def main(argv=None) -> int:
         help="selftest: also write the load report + daemon stats as JSON",
     )
 
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
     if args.command == "profile":
         return _profile(args)
     if args.command == "annotate":
@@ -362,7 +343,6 @@ def main(argv=None) -> int:
     from .runtime.graph import DeclaredSetViolation
     from .svm import MemoryFault
 
-    system = ultrabook() if args.system == "ultrabook" else desktop()
     observer = None
     recorder = None
     if args.flight_record:
@@ -372,13 +352,7 @@ def main(argv=None) -> int:
         observer.attach_telemetry(Telemetry())
         recorder = FlightRecorder(args.flight_record, observer=observer)
     rt = ConcordRuntime(
-        program,
-        system,
-        engine=args.engine,
-        policy=args.policy or "gpu",
-        graph=args.graph,
-        observer=observer,
-        declared_check=args.declared_check,
+        program, system_named(args.system), observer=observer, **_run_options(args)
     )
     try:
         body = rt.new(args.body)
@@ -409,7 +383,7 @@ def main(argv=None) -> int:
         f"{args.body}: device={report.device} n={args.n} "
         f"time={report.seconds:.3e}s energy={report.energy_joules:.3e}J"
     )
-    if args.graph:
+    if rt.options.graph:
         stats = rt.wait()
         print(
             f"graph: {stats.executed} construct(s), {stats.waves} wave(s), "
@@ -444,7 +418,6 @@ def _profile(args) -> int:
         write_trace,
     )
 
-    system = ultrabook() if args.system == "ultrabook" else desktop()
     observer = Observer()
     telemetry = None
     recorder = None
@@ -460,13 +433,11 @@ def _profile(args) -> int:
         doc = profile_workload(
             args.workload,
             scale=args.scale,
-            system=system,
-            engine=args.engine,
+            system=system_named(args.system),
             on_cpu=args.on_cpu,
             validate=not args.no_validate,
             observer=observer,
-            policy=args.policy,
-            graph=args.graph,
+            **_run_options(args),
         )
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
@@ -514,15 +485,14 @@ def _annotate(args) -> int:
 
     from .obs import annotate_workload, render_line_report
 
-    system = ultrabook() if args.system == "ultrabook" else desktop()
     try:
         doc = annotate_workload(
             args.workload,
             scale=args.scale,
-            system=system,
-            engine=args.engine,
+            system=system_named(args.system),
             on_cpu=args.on_cpu,
             validate=not args.no_validate,
+            **_run_options(args),
         )
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)

@@ -48,7 +48,7 @@ class CpuBackend(Backend):
         lane's context for the flight recorder and the private buffer
         back in the pool."""
         try:
-            if self.rt.engine != "reference":
+            if self.rt.options.engine != "reference":
                 engine.run_chunk(kernel, span, args_of)
             else:
                 for index in span:

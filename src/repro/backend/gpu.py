@@ -129,7 +129,7 @@ class GpuBackend(Backend):
         )
         engine = None
         try:
-            if rt.engine != "reference":
+            if rt.options.engine != "reference":
                 engine = rt._make_engine(
                     device="gpu",
                     num_cores=rt.system.gpu.num_eus,

@@ -165,8 +165,7 @@ def measure_bfs_pipeline(
     sync_graph, sync_queries = _bfs_queries(sync_rt, workload, scale)
     sync_reports = _run_bfs_pipeline(sync_rt, sync_graph, sync_queries, False)
 
-    graph_rt = BfsWorkload.make_runtime(system=system)
-    graph_rt.graph_placement = "ect"
+    graph_rt = BfsWorkload.make_runtime(system=system, graph_placement="ect")
     g_graph, g_queries = _bfs_queries(graph_rt, workload, scale)
     _run_bfs_pipeline(graph_rt, g_graph, g_queries, True)
     stats = graph_rt.wait()
@@ -284,8 +283,7 @@ def measure_bh_batch(
     sync_scenes = _bh_scenes(sync_rt, workload, scale)
     sync_reports = _run_bh_batch(sync_rt, sync_scenes, False)
 
-    graph_rt = BarnesHutWorkload.make_runtime(system=system)
-    graph_rt.graph_placement = "ect"
+    graph_rt = BarnesHutWorkload.make_runtime(system=system, graph_placement="ect")
     g_scenes = _bh_scenes(graph_rt, workload, scale)
     _run_bh_batch(graph_rt, g_scenes, True)
     stats = graph_rt.wait()

@@ -20,6 +20,7 @@ import warnings
 from dataclasses import dataclass, field
 
 from ..passes import OptConfig
+from ..runtime import RunConfig
 from ..runtime.system import System, desktop, ultrabook
 from ..workloads import all_workloads
 from ..workloads.base import Workload
@@ -73,14 +74,16 @@ def measure_workload(
     system: System,
     scale: float = 1.0,
     validate: bool = True,
-    engine: str = "compiled",
     observer=None,
+    **options,
 ) -> Measurement:
-    """Measure one workload.  ``observer`` (a ``repro.obs.Observer``)
-    opts into span/counter/profile collection for every run the
-    measurement performs; observed calls bypass the in-process cache so
-    the observer always sees a complete execution."""
-    key = (workload_cls.__name__, system.name, round(scale, 4), engine)
+    """Measure one workload; ``options`` go to every run
+    (:class:`~repro.runtime.RunConfig`), the hybrid column's policy
+    excepted.  ``observer`` (a ``repro.obs.Observer``) opts into
+    span/counter/profile collection for every run the measurement
+    performs; observed calls bypass the in-process cache so the observer
+    always sees a complete execution."""
+    key = (workload_cls.__name__, system.name, round(scale, 4), RunConfig(**options))
     cached = _CACHE.get(key)
     if cached is not None and observer is None:
         return cached
@@ -94,8 +97,8 @@ def measure_workload(
             on_cpu=True,
             scale=scale,
             validate=validate,
-            engine=engine,
             observer=observer,
+            **options,
         )
         measurement = Measurement(
             workload=workload_cls.name,
@@ -110,8 +113,8 @@ def measure_workload(
                 on_cpu=False,
                 scale=scale,
                 validate=validate,
-                engine=engine,
                 observer=observer,
+                **options,
             )
             measurement.gpu_seconds[config.label] = outcome.seconds
             measurement.gpu_energy[config.label] = outcome.energy_joules
@@ -120,9 +123,8 @@ def measure_workload(
             system,
             scale=scale,
             validate=validate,
-            engine=engine,
             observer=observer,
-            policy="hybrid",
+            **{**options, "policy": "hybrid"},
         )
         measurement.hybrid_seconds = hybrid_outcome.seconds
         measurement.hybrid_energy = hybrid_outcome.energy_joules
@@ -131,17 +133,11 @@ def measure_workload(
 
 
 def measure_all(
-    system: System,
-    scale: float = 1.0,
-    validate: bool = True,
-    engine: str = "compiled",
-    observer=None,
+    system: System, scale: float = 1.0, validate: bool = True, observer=None, **options
 ) -> dict[str, Measurement]:
     workloads = all_workloads()
     return {
-        name: measure_workload(
-            workloads[name], system, scale, validate, engine, observer
-        )
+        name: measure_workload(workloads[name], system, scale, validate, observer, **options)
         for name in WORKLOAD_ORDER
     }
 

@@ -663,7 +663,7 @@ t_ = {a}.view(U64)
 #: None.  Head phis are one function per incoming edge, run on each
 #: arriving segment before the segments merge.
 _NP_UNIT = "def u{index}(m, regs, lanes, k):\n"
-_NP_EDGE = "def u{index}_{prev}(regs, k):\n"
+_NP_EDGE = "def u{index}_{prev}(m, regs, k):\n"
 
 #: Entering a unit: its execution count (a local inside loops, the
 #: function's accumulator outside) and its share of the step limit.
@@ -773,7 +773,7 @@ class _Printer:
         self.consts: list = []  # k<n>: the generated module's namespace
         self._const_names: dict = {}
         self.callees: list = []  # s<n>: bound per runtime to the callee
-        self.gvars: list = []  # g<n>: bound per runtime to .address
+        self.gvars: list = []  # g<n>: bound per runtime to its address
         self.totals: list = []  # one _UnitTotals per unit
         self.n_steps: list = []
         for chain in plan.units:
@@ -1410,13 +1410,22 @@ class CodeCache:
     runtime spawns; the generated :class:`JitCode` behind each entry lives
     in ``code``, the dict of whoever owns the IR (a runtime passes its
     program's ``jit_code``), so only the first runtime over a program pays
-    for generation.  ``compilations``/``hits`` count this cache's binds
+    for generation.  ``addresses`` (global name -> address) is what the
+    owning runtime gave the program's globals in its region; binding
+    closes over those.  ``compilations``/``hits`` count this cache's binds
     and replays (tests assert compile-once/launch-many on them),
     ``codegen`` the generations it had to do itself.
     """
 
-    def __init__(self, region, counters=None, code: Optional[dict] = None):
+    def __init__(
+        self,
+        region,
+        counters=None,
+        code: Optional[dict] = None,
+        addresses: Optional[dict] = None,
+    ):
         self.region = region
+        self.addresses = {} if addresses is None else addresses
         self._cache: dict[tuple, "CompiledFunction"] = {}
         self._code = {} if code is None else code
         self.compilations = 0
@@ -1500,7 +1509,7 @@ class CompiledFunction:
             self.counts,
             self,
             *[cache.get(callee, device, collect).entry() for callee in code.callees],
-            *[gvar.address for gvar in code.gvars],
+            *[cache.addresses.get(gvar.name) for gvar in code.gvars],
         )
 
     def entry(self):

@@ -164,6 +164,7 @@ class Interpreter:
         allocator=None,
         private_pool: Optional[PrivateMemoryPool] = None,
         counters=None,
+        addresses: Optional[dict[str, int]] = None,
     ):
         self.region = region
         self.space = AddressSpace(region, device)
@@ -176,6 +177,8 @@ class Interpreter:
         # symbol id -> Function, for CPU-side virtual dispatch through
         # vtables materialized in the shared region by the loader
         self.symbols = symbols or {}
+        # global name -> its address in the region, assigned by the loader
+        self.addresses = addresses or {}
         # shared-heap allocator for host-side svm.malloc/svm.free
         self.allocator = allocator
         # Optional repro.obs.CounterRegistry; counts one engine.invocations
@@ -375,14 +378,12 @@ class Interpreter:
                 return env[id(value)]
             except KeyError as exc:
                 raise ExecutionError(f"use of undefined value {value!r}") from exc
-        # GlobalVariable: its runtime address in the shared region.
-        address = getattr(value, "address", None)
+        # GlobalVariable: its runtime address in the shared region — the
+        # CPU representation on both devices (device code translates
+        # explicitly).
+        address = self.addresses.get(value.name)
         if address is None:
             raise ExecutionError(f"global @{value.name} has no address (not loaded)")
-        if self.device == "gpu":
-            # Globals are stored as CPU addresses; device code translates
-            # explicitly, so hand out the CPU representation.
-            return address
         return address
 
     def _execute(self, function: Function, env: dict, instr: Instruction, depth: int):

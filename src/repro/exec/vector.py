@@ -68,6 +68,7 @@ scalar engine with no attempt cost.
 
 from __future__ import annotations
 
+import threading
 from textwrap import indent
 
 try:
@@ -271,6 +272,7 @@ class VectorMachine:
         self.cbase_u = np.uint64(region.gpu_base & _MASK64)
         self.cend_u = np.uint64((region.gpu_base + surf.size) & _MASK64)
         self.svm_u = np.uint64(region.svm_const & _MASK64)
+        self.addresses = rt.global_addresses
         self.collect = rt.collect_mem_events
         self.max_steps = _MAX_STEPS_DEFAULT
         self.num_cores = num_cores
@@ -808,12 +810,13 @@ def _exact(ufn, short: str, *operands):
         raise _Trap(f"math.{short}: {exc}") from None
 
 
-def _address(gvar, k: int):
-    """A global's address column; addresses are assigned when a runtime
-    loads the program."""
-    if gvar.address is None:
+def _address(m, gvar, k: int):
+    """A global's address column, from the addresses the launching
+    runtime gave the program's globals when it loaded it."""
+    address = m.addresses.get(gvar.name)
+    if address is None:
         raise _Trap(f"global @{gvar.name} has no address (not loaded)")
-    return np.full(k, _int64_pattern(gvar.address), _I64)
+    return np.full(k, _int64_pattern(address), _I64)
 
 
 def _returned(column, name: str):
@@ -1021,7 +1024,7 @@ class _UnitWriter:
         if isinstance(value, GlobalVariable) and dom != "f":
             name = f"g_{self._bind(value)}"
             if key not in self.local:
-                self.lines.append(f"{name} = _address({self._bind(value)}, k)")
+                self.lines.append(f"{name} = _address(m, {self._bind(value)}, k)")
                 self.local.add(key)
             return name
         slot = self.slots.get(key)
@@ -1684,7 +1687,7 @@ class VectorFunction:
                             )
                         if plan.__class__ is str:
                             raise _Trap(plan)
-                        plan(rg, len(ln))
+                        plan(m, rg, len(ln))
                 if len(segs) == 1:
                     _prev, regs, lanes, pos = segs[0]
                 else:
@@ -1767,6 +1770,10 @@ class VectorCodeCache:
     def __init__(self):
         self._cache: dict = {}  # Function -> VectorFunction | gnarly reason
         self._building: set = set()
+        # Runtimes on several threads share one program: generation runs
+        # under this lock, so ``_building`` is one thread's call chain and
+        # a callee another thread is generating never reads as recursion.
+        self._lock = threading.RLock()
         #: kernel -> why its launches go scalar though it vectorizes: a
         #: sticky hazard's message, or "low mask occupancy" (the backend
         #: writes, and reads before it even asks for the code)
@@ -1777,18 +1784,23 @@ class VectorCodeCache:
         for a function still being built (a recursive cycle cannot be
         lane-synchronously scheduled, so it is gnarly)."""
         vfn = self._cache.get(fn)
-        if vfn is not None:
-            if vfn.__class__ is str:  # memoized gnarly reason
-                raise _Gnarly(vfn)
-            return vfn
+        if vfn is None:
+            with self._lock:
+                vfn = self._cache.get(fn)
+                if vfn is None:
+                    vfn = self._generate(fn)
+        if vfn.__class__ is str:  # memoized gnarly reason
+            raise _Gnarly(vfn)
+        return vfn
+
+    def _generate(self, fn: Function):
         if fn in self._building:
             raise _Gnarly(f"recursion through {fn.name}")
         self._building.add(fn)
         try:
             vfn = VectorFunction(fn, self)
         except _Gnarly as exc:
-            self._cache[fn] = str(exc)
-            raise
+            vfn = str(exc)
         finally:
             self._building.discard(fn)
         self._cache[fn] = vfn

@@ -71,17 +71,19 @@ def _digest(raw) -> str:
     return hashlib.sha256(bytes(raw)).hexdigest()
 
 
-def _heap_digest(region, module) -> str:
+def _heap_digest(rt) -> str:
     """Region digest with vtable-global bytes zeroed (their symbol-id
     contents are per-module metadata, not kernel heap state)."""
+    region = rt.region
     raw = bytearray(region.physical.data)
-    for gvar in module.globals.values():
+    for gvar in rt.program.module.globals.values():
         init = gvar.initializer
         if not (isinstance(init, tuple) and init and init[0] == "vtable"):
             continue
-        if gvar.address is None:
+        address = rt.global_addresses.get(gvar.name)
+        if address is None:
             continue
-        offset = gvar.address - region.cpu_base
+        offset = address - region.cpu_base
         size = max(1, gvar.value_type.size())
         raw[offset : offset + size] = b"\x00" * size
     return _digest(raw)
@@ -170,24 +172,24 @@ def canonical_trace_signature(traces, module) -> tuple:
 
 def run_source_program(
     program: SourceProgram,
-    engine: str = "compiled",
     config: Optional[OptConfig] = None,
     device: str = "gpu",
     keep_traces: bool = False,
     compiled=None,
     observer=None,
-    policy: Optional[str] = None,
     canonical_traces: bool = False,
     regions: bool = False,
+    **options,
 ) -> Outcome:
     """Compile (unless ``compiled`` is passed) and execute one generated
-    program, returning the full observable outcome.  ``observer`` (a
-    ``repro.obs.Observer``) opts the run into span/counter collection;
-    ``policy`` routes the constructs through a scheduler placement policy
-    instead of the ``device`` flag; ``canonical_traces`` additionally
-    fills ``canon_trace_sig`` (requires ``keep_traces``); ``regions``
-    executes through the region-tree evaluator in place of whichever
-    scalar engine ``engine`` names."""
+    program, returning the full observable outcome.  ``options`` go to
+    the runtime (:class:`~repro.runtime.RunConfig`); a ``policy`` among
+    them routes the constructs instead of the ``device`` flag.
+    ``observer`` (a ``repro.obs.Observer``) opts the run into
+    span/counter collection; ``canonical_traces`` additionally fills
+    ``canon_trace_sig`` (requires ``keep_traces``); ``regions`` executes
+    through the region-tree evaluator in place of whichever scalar engine
+    ``engine`` names."""
     from ..ir.types import F32, I32
     from ..runtime import ConcordRuntime, compile_source, ultrabook
 
@@ -203,10 +205,9 @@ def run_source_program(
             compiled,
             ultrabook(),
             region_size=FUZZ_REGION_SIZE,
-            engine=engine,
             keep_traces=keep_traces,
             observer=observer,
-            policy=policy or "gpu",
+            **options,
         )
         if regions:
             _use_region_interpreter(rt)
@@ -230,7 +231,7 @@ def run_source_program(
             body.obj = obj
         if program.construct == "reduce":
             body.acc = 0
-        on_cpu = device == "cpu" and policy is None
+        on_cpu = device == "cpu" and "policy" not in options
         try:
             if program.construct == "reduce":
                 rt.parallel_reduce_hetero(program.n, body, on_cpu=on_cpu)
@@ -250,7 +251,7 @@ def run_source_program(
             ok=True,
             outputs=outputs,
             region_digest=_digest(rt.region.physical.data),
-            heap_digest=_heap_digest(rt.region, compiled.module),
+            heap_digest=_heap_digest(rt),
             trace_sig=_trace_signature(rt.trace_log) if keep_traces else None,
             canon_trace_sig=(
                 canonical_trace_signature(rt.trace_log, compiled.module)
@@ -276,6 +277,7 @@ def _use_region_interpreter(rt) -> None:
             device=device,
             trace=trace,
             symbols=rt._symbols,
+            addresses=rt.global_addresses,
             collect_mem_events=collect_mem_events,
             private_pool=rt.private_pool,
             trees=trees,
@@ -637,7 +639,7 @@ def _run_graph_dag(
             ok=True,
             outputs=outputs,
             region_digest=_digest(rt.region.physical.data),
-            heap_digest=_heap_digest(rt.region, compiled.module),
+            heap_digest=_heap_digest(rt),
         )
 
 

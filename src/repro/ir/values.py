@@ -117,9 +117,12 @@ class Argument(Value):
 class GlobalVariable(Value):
     """A module-level variable placed in the SVM shared region at link time.
 
-    ``address`` is assigned by the runtime when the program is loaded
-    (the paper moves vtables and shared global symbols into the shared
-    region; we do the same for every global).
+    A runtime that loads the program gives every global an address in its
+    own region (the paper moves vtables and shared global symbols into
+    the shared region; we do the same for every global) and keeps it in
+    ``ConcordRuntime.global_addresses``: one program object serves many
+    runtimes.  ``address`` stays ``None``; the slot is kept so stored
+    programs keep their bytes.
     """
 
     __slots__ = ("type", "name", "value_type", "initializer", "address")

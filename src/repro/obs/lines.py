@@ -161,58 +161,16 @@ def build_line_report(observer, meta: Optional[dict] = None) -> dict:
     }
 
 
-def annotate_workload(
-    name: str,
-    scale: float = 1.0,
-    system=None,
-    engine: str = "compiled",
-    on_cpu: bool = False,
-    validate: bool = True,
-    observer=None,
-) -> dict:
+def annotate_workload(name: str, *args, observer=None, **kwargs) -> dict:
     """Compile, run and line-attribute one workload; returns the report.
-
-    Mirrors :func:`repro.obs.profile.profile_workload` — same
-    case-insensitive workload lookup, same ``KeyError`` contract for
-    unknown names.
-    """
-    import warnings
-
-    from ..runtime.system import ultrabook
-    from ..workloads import all_workloads
+    Takes :func:`repro.obs.profile.run_named_workload`'s arguments — the
+    same lookup and ``KeyError`` contract as ``profile_workload``."""
     from .core import Observer
+    from .profile import run_named_workload
 
-    workloads = all_workloads()
-    by_lower = {key.lower(): key for key in workloads}
-    key = by_lower.get(name.lower())
-    if key is None:
-        raise KeyError(
-            f"unknown workload {name!r}; available: {sorted(workloads)}"
-        )
-    system = system or ultrabook()
     observer = observer if observer is not None else Observer()
-    workload = workloads[key]()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        outcome = workload.execute(
-            None,
-            system,
-            on_cpu=on_cpu,
-            scale=scale,
-            validate=validate,
-            engine=engine,
-            observer=observer,
-        )
-    return build_line_report(
-        observer,
-        meta={
-            "workload": key,
-            "system": system.name,
-            "engine": engine,
-            "scale": scale,
-            "device": outcome.device,
-        },
-    )
+    _outcome, meta = run_named_workload(name, observer, *args, **kwargs)
+    return build_line_report(observer, meta=meta)
 
 
 def render_line_report(doc: dict, top: int = 20) -> str:

@@ -133,65 +133,70 @@ def build_profile(observer, meta: Optional[dict] = None) -> dict:
     return doc
 
 
-def profile_workload(
+def run_named_workload(
     name: str,
+    observer,
     scale: float = 1.0,
     system=None,
-    engine: str = "compiled",
     on_cpu: bool = False,
     validate: bool = True,
-    observer=None,
-    policy: Optional[str] = None,
-    graph: bool = False,
-) -> dict:
-    """Compile, build, run and validate one workload under an observer and
-    return its profile document.
+    **options,
+):
+    """Compile, build, run and validate one workload under ``observer``;
+    returns ``(outcome, meta)``, ``meta`` naming the workload, the system,
+    every :class:`~repro.runtime.RunConfig` field, the scale and the
+    device.
 
     ``name`` is matched case-insensitively against the nine registered
-    workloads (``bfs`` -> ``BFS``).
+    workloads (``bfs`` -> ``BFS``); an unknown one is a ``KeyError``
+    listing them, a bad option a ``ValueError`` before anything runs.
     """
     import warnings
+    from dataclasses import asdict
 
+    from ..runtime import RunConfig
     from ..runtime.system import ultrabook
     from ..workloads import all_workloads
-    from .core import Observer
 
     workloads = all_workloads()
-    by_lower = {key.lower(): key for key in workloads}
-    key = by_lower.get(name.lower())
+    key = {key.lower(): key for key in workloads}.get(name.lower())
     if key is None:
         raise KeyError(
             f"unknown workload {name!r}; available: {sorted(workloads)}"
         )
     system = system or ultrabook()
-    observer = observer if observer is not None else Observer()
-    workload = workloads[key]()
+    chosen = asdict(RunConfig(**options))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        outcome = workload.execute(
+        outcome = workloads[key]().execute(
             None,
             system,
             on_cpu=on_cpu,
             scale=scale,
             validate=validate,
-            engine=engine,
             observer=observer,
-            policy=policy,
-            graph=graph,
+            **options,
         )
     meta = {
         "workload": key,
         "system": system.name,
-        "engine": engine,
+        **chosen,
         "scale": scale,
         "device": outcome.device,
     }
-    if policy is not None:
-        meta["policy"] = policy
-    if graph:
-        meta["graph"] = True
-        if outcome.graph_stats is not None:
-            meta["graph_stats"] = outcome.graph_stats.to_dict()
+    return outcome, meta
+
+
+def profile_workload(name: str, *args, observer=None, **kwargs) -> dict:
+    """One workload's profile document: :func:`run_named_workload`'s
+    arguments, ``meta`` plus the graph's accounting when it ran in graph
+    mode."""
+    from .core import Observer
+
+    observer = observer if observer is not None else Observer()
+    outcome, meta = run_named_workload(name, observer, *args, **kwargs)
+    if outcome.graph_stats is not None:
+        meta["graph_stats"] = outcome.graph_stats.to_dict()
     return build_profile(observer, meta=meta)
 
 

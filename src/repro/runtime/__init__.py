@@ -3,10 +3,11 @@
 from ..passes import OptConfig
 from .compiler import CompiledProgram, ConcordWarning, KernelInfo, compile_source
 from .graph import ConstructFuture, GraphError, GraphStats, RegionSpan, TaskGraph
-from .runtime import ConcordRuntime, ExecutionReport
-from .system import System, desktop, ultrabook
+from .runtime import ConcordRuntime, ExecutionReport, RunConfig
+from .system import ALL_SYSTEMS, System, desktop, system_named, ultrabook
 
 __all__ = [
+    "ALL_SYSTEMS",
     "CompiledProgram",
     "ConcordRuntime",
     "ConcordWarning",
@@ -17,9 +18,11 @@ __all__ = [
     "KernelInfo",
     "OptConfig",
     "RegionSpan",
+    "RunConfig",
     "System",
     "TaskGraph",
     "compile_source",
     "desktop",
+    "system_named",
     "ultrabook",
 ]

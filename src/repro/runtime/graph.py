@@ -72,8 +72,7 @@ EDGE_KINDS = ("raw", "war", "waw")
 
 
 class GraphError(RuntimeError):
-    """Misuse of the task-graph API (bad spans, non-topological orders,
-    unknown placement)."""
+    """Misuse of the task-graph API (bad spans, unknown constructs)."""
 
 
 class DeclaredSetViolation(GraphError):
@@ -259,17 +258,12 @@ class TaskGraph:
 
     Owned lazily by :class:`~repro.runtime.runtime.ConcordRuntime`
     (``rt.task_graph``); most callers go through ``rt.submit`` /
-    ``rt.wait``.
+    ``rt.wait``.  Placement and the declared-set check are the runtime's
+    ``options.graph_placement`` / ``options.declared_check``.
     """
 
-    def __init__(self, rt, placement: str = "policy"):
-        if placement not in PLACEMENTS:
-            raise GraphError(
-                f"unknown graph placement {placement!r}; choose from "
-                f"{PLACEMENTS}"
-            )
+    def __init__(self, rt):
         self.rt = rt
-        self.placement = placement
         self.futures: list[ConstructFuture] = []
         #: per-device virtual clocks (seconds); the wall time is their max
         self.clocks: dict[str, float] = {"gpu": 0.0, "cpu": 0.0}
@@ -422,7 +416,7 @@ class TaskGraph:
 
     def _placement_policy(self, future: ConstructFuture, ready: float):
         """Which policy dispatches this construct (see module docstring)."""
-        if self.placement == "policy" or future._on_cpu:
+        if self.rt.options.graph_placement == "policy" or future._on_cpu:
             return future._policy
         if future._policy is not None:
             return future._policy  # explicit per-submit override wins
@@ -459,7 +453,7 @@ class TaskGraph:
         # cannot declare; device-heap programs likewise allocate outside
         # any declarable span.
         checking = (
-            rt.declared_check != "off"
+            rt.options.declared_check != "off"
             and rt.collect_mem_events
             and (future.construct == "for" or future.conservative)
             and not rt.program.config.device_alloc
@@ -568,7 +562,7 @@ class TaskGraph:
             f"{first['access']} of {first['size']} byte(s) at "
             f"0x{first['address']:x}"
         )
-        if rt.declared_check == "trap":
+        if rt.options.declared_check == "trap":
             error = DeclaredSetViolation(message)
             error.trap_kernel = future.kernel
             error.trap_violations = details

@@ -22,12 +22,18 @@ the default ``gpu`` policy and the ``cpu`` policy reproduce the paper's
 two fixed paths bit for bit, while ``auto`` and ``hybrid`` calibrate
 from measured throughput and may split one index space across both
 backends.  See ``docs/RUNTIME.md``.
+
+What a caller may choose about a run — engine, policy, graph mode,
+graph placement, declared-set check — is one :class:`RunConfig`, kept
+as ``rt.options``.  Loading a program writes nothing on it: the
+completed symbol table and the globals' addresses belong to the
+runtime, so runtimes over one shared program object are independent.
 """
 
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from ..backend import CpuBackend, GpuBackend
@@ -42,7 +48,7 @@ from ..exec.interp import ExecTrace, Interpreter
 from ..gpu.timing import DeviceReport
 from ..ir.types import StructType, Type
 from ..minicpp.sema import ClassInfo
-from ..sched import DEFAULT_POLICY, Scheduler
+from ..sched import POLICIES, Scheduler
 from ..svm import (
     ArrayView,
     SharedAllocator,
@@ -52,6 +58,7 @@ from ..svm import (
     address_of,
 )
 from .compiler import CompiledProgram, ConcordWarning, KernelInfo
+from .graph import PLACEMENTS
 from .system import System, ultrabook
 
 __all__ = [
@@ -60,6 +67,7 @@ __all__ = [
     "ExecutionReport",
     "JIT_SECONDS_PER_INSTRUCTION",
     "REDUCTION_GROUP_SIZE",
+    "RunConfig",
 ]
 
 #: Simulated cost of one vendor-JIT compilation, per kernel (the paper's
@@ -68,6 +76,44 @@ __all__ = [
 JIT_SECONDS_PER_INSTRUCTION = 5e-9
 #: Work-group size used for hierarchical reductions (section 3.3).
 REDUCTION_GROUP_SIZE = 16
+
+
+def _option(default, choices, what: str):
+    """A :class:`RunConfig` field: its default, the values it may take
+    and what an error calls it."""
+    return field(default=default, metadata={"choices": choices, "what": what})
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """What a caller may choose about a run, declared once.
+
+    :class:`ConcordRuntime` builds one from its keywords and keeps it as
+    ``rt.options``; every layer above the runtime forwards ``**options``
+    to it, and the CLI flags, the daemon's run-request fields and the
+    profile ``meta`` are generated from these fields.  Every field is
+    checked here, so a bad value fails before anything is compiled or
+    allocated.  Readers are listed in ``docs/RUNTIME.md``.
+    """
+
+    engine: str = _option(
+        "compiled", ("compiled", "reference", "vector"), "execution engine"
+    )
+    #: the registry itself, so a policy registered later is a choice too
+    policy: str = _option("gpu", POLICIES, "scheduling policy")
+    graph: bool = _option(False, (False, True), "graph mode")
+    graph_placement: str = _option("policy", PLACEMENTS, "graph placement")
+    declared_check: str = _option("off", ("off", "warn", "trap"), "declared-set check")
+
+    def __post_init__(self):
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            choices = spec.metadata["choices"]
+            if type(value) is not type(spec.default) or value not in choices:
+                raise ValueError(
+                    f"{spec.name}={value!r}: unknown {spec.metadata['what']}; "
+                    f"choose from {list(choices)}"
+                )
 
 
 @dataclass
@@ -140,24 +186,13 @@ class ConcordRuntime:
         region_size: int = 1 << 24,
         collect_mem_events: bool = True,
         mem_event_cap: int = DEFAULT_MEM_EVENT_CAP,
-        engine: str = "compiled",
         keep_traces: bool = False,
         observer=None,
-        policy: str = DEFAULT_POLICY,
-        graph: bool = False,
-        graph_placement: str = "policy",
-        declared_check: str = "off",
+        **options,
     ):
-        if engine not in ("compiled", "reference", "vector"):
-            raise ValueError(
-                f"unknown engine {engine!r} "
-                "(expected 'compiled', 'reference' or 'vector')"
-            )
-        if declared_check not in ("off", "warn", "trap"):
-            raise ValueError(
-                f"unknown declared_check {declared_check!r} "
-                "(expected 'off', 'warn' or 'trap')"
-            )
+        #: the run's choices (:class:`RunConfig`); the backends, the
+        #: scheduler and the task graph read them here
+        self.options = RunConfig(**options)
         self.program = program
         self.system = system or ultrabook()
         self.region = SharedRegion(region_size)
@@ -167,18 +202,25 @@ class ConcordRuntime:
         # One cap, threaded into every trace this runtime creates (the
         # traces enforce it; see repro.exec.buffers.DEFAULT_MEM_EVENT_CAP).
         self.mem_event_cap = mem_event_cap
-        self.engine = engine
         # Optional observability sink (repro.obs.Observer).  Every use is
         # guarded on ``is not None`` so the default configuration pays
         # nothing — spans, counters and profiles exist only on request.
         self.obs = observer
         counters = observer.counters if observer is not None else None
+        # What loading the program decides, kept here and not on the
+        # (shared) program: symbol id -> function for CPU virtual
+        # dispatch, and global name -> its address in this region.
+        self._symbols: dict[int, object] = {}
+        self.global_addresses: dict[str, int] = {}
         # Engine code cache: each kernel's code is generated at most once
         # per program and bound at most once per runtime, every launch
         # replays the bound functions (the simulator-level analogue of
         # the gpu_function_t JIT cache).
         self.code_cache = CodeCache(
-            self.region, counters=counters, code=program.jit_code
+            self.region,
+            counters=counters,
+            code=program.jit_code,
+            addresses=self.global_addresses,
         )
         self.private_pool = PrivateMemoryPool(
             Interpreter.PRIVATE_WINDOW + 0x1000, counters=counters
@@ -191,7 +233,6 @@ class ConcordRuntime:
         # Device-side heap (paper future-work extension): reserved lazily
         # when the program was compiled with device_alloc.
         self._device_heap = None
-        self._symbols: dict[int, object] = {}
         # gpu_program_t: one gpu_function_t entry per (program, kernel)
         # pair — keyed by program id because kernel names repeat across
         # independently compiled programs.
@@ -202,64 +243,53 @@ class ConcordRuntime:
         # scalar per-lane execution survives underneath it as the
         # per-kernel fallback (and the CPU backend is untouched: the
         # multicore path models per-thread execution, not warps).
-        if engine == "vector":
+        if self.options.engine == "vector":
             from ..backend.vector import VectorBackend
 
             gpu_backend = VectorBackend(self)
         else:
             gpu_backend = GpuBackend(self)
         self.backends = {"cpu": CpuBackend(self), "gpu": gpu_backend}
-        self.scheduler = Scheduler(self, policy=policy)
-        # Async task-graph mode (repro.runtime.graph): when enabled, the
-        # parallel constructs route through submit().result() so their
-        # declared-conservative dependencies serialize them (bit-identical
-        # to synchronous), while explicit submit()/wait() callers get
-        # deferred execution with inter-construct overlap.
-        self.graph_mode = graph
-        self.graph_placement = graph_placement
-        # Declared-set runtime validation (repro.runtime.graph): "warn"
-        # streams violation events when a submitted construct touches
-        # bytes outside its declared read/write spans, "trap" raises
-        # DeclaredSetViolation.  Requires collect_mem_events.
-        self.declared_check = declared_check
+        self.scheduler = Scheduler(self)
         self._task_graph = None
         self._load_program()
 
     # -- program loading (vtables + globals into the shared region) -----------
 
     def _load_program(self) -> None:
+        """Fill this runtime's symbol table and global addresses and
+        materialize the globals in its region.  Nothing is written on the
+        program: the daemon's memory LRU hands one object to every
+        request for it."""
         module = self.program.module
-        symbol_ids = getattr(module, "symbol_ids", {})
-        # Ensure every virtual function has a symbol id (devirt assigns them
-        # lazily; CPU dispatch needs them all).
-        for class_name, slots in module.vtables.items():
+        # devirt gave ids to the functions it dispatches to; CPU dispatch
+        # needs one for every virtual function
+        symbol_ids = dict(getattr(module, "symbol_ids", {}))
+        for slots in module.vtables.values():
             for fn in slots:
-                if fn.name not in symbol_ids:
-                    symbol_ids[fn.name] = 0x1000 + len(symbol_ids)
-        module.symbol_ids = symbol_ids
-        self._symbols = {
-            sid: module.functions[name]
+                symbol_ids.setdefault(fn.name, 0x1000 + len(symbol_ids))
+        self._symbols.update(
+            (sid, module.functions[name])
             for name, sid in symbol_ids.items()
             if name in module.functions
-        }
-        # Materialize globals; vtable arrays get their slots filled with the
-        # shared symbol ids (paper: vtables + global symbols move into the
-        # shared memory region).
+        )
+        # Vtable arrays get their slots filled with the symbol ids (paper:
+        # vtables + global symbols move into the shared memory region).
         for gvar in module.globals.values():
             size = max(1, gvar.value_type.size())
-            gvar.address = self.allocator.calloc(size, gvar.value_type.align())
+            address = self.allocator.calloc(size, gvar.value_type.align())
+            self.global_addresses[gvar.name] = address
             init = gvar.initializer
             if isinstance(init, tuple) and init[0] == "vtable":
-                class_name = init[1]
-                slots = module.vtables.get(class_name, [])
+                slots = module.vtables.get(init[1], [])
                 for index, fn in enumerate(slots):
                     self.region.write_int(
-                        gvar.address + 8 * index, 8, symbol_ids[fn.name], signed=False
+                        address + 8 * index, 8, symbol_ids[fn.name], signed=False
                     )
             elif isinstance(init, (int, float)):
                 from ..svm.views import write_typed
 
-                write_typed(self.region, gvar.address, gvar.value_type, init)
+                write_typed(self.region, address, gvar.value_type, init)
 
     # -- host-side object construction ------------------------------------------
 
@@ -310,13 +340,13 @@ class ConcordRuntime:
             self.install_vtable(info, addr)
 
     def install_vtable(self, info: ClassInfo, addr: int) -> None:
-        gvar = self.program.module.globals.get(f"__vtable.{info.struct_type.name}")
-        if gvar is None or gvar.address is None:
+        vtable = self.global_addresses.get(f"__vtable.{info.struct_type.name}")
+        if vtable is None:
             raise RuntimeError(f"vtable for {info.name} not loaded")
         from ..minicpp.sema import VPTR_FIELD
 
         offset = info.find_field(VPTR_FIELD)[0]
-        self.region.write_int(addr + offset, 8, gvar.address, signed=False)
+        self.region.write_int(addr + offset, 8, vtable, signed=False)
 
     def call_host(self, function_name: str, *args):
         """Run any compiled function on the host interpreter (used for
@@ -419,7 +449,7 @@ class ConcordRuntime:
         MemEvent object per access)."""
         if cap is None:
             cap = self.mem_event_cap
-        if self.engine in ("compiled", "vector"):
+        if self.options.engine != "reference":
             return ExecTrace(mem_events=MemEventColumns(), mem_event_cap=cap)
         return ExecTrace(mem_event_cap=cap)
 
@@ -434,15 +464,16 @@ class ConcordRuntime:
     ):
         """Build the selected execution engine.  Both engines share the
         runtime's symbol table and private-memory pool; the compiled engine
-        additionally shares the per-runtime code cache, so constructing an
-        engine per work-item stays cheap (compile once, launch many)."""
+        additionally shares the per-runtime code cache (which binds the
+        global addresses), so constructing an engine per work-item stays
+        cheap (compile once, launch many)."""
         if collect_mem_events is None:
             collect_mem_events = self.collect_mem_events
         counters = self.obs.counters if self.obs is not None else None
         # The vector engine executes whole chunks in the backend; any
         # *scalar* engine it needs (host calls, per-kernel fallback) is
         # the threaded-code one.
-        if self.engine in ("compiled", "vector"):
+        if self.options.engine != "reference":
             return CompiledEngine(
                 self.region,
                 device=device,
@@ -461,6 +492,7 @@ class ConcordRuntime:
             device=device,
             trace=trace,
             symbols=self._symbols,
+            addresses=self.global_addresses,
             collect_mem_events=collect_mem_events,
             global_id=global_id,
             num_cores=num_cores,
@@ -488,7 +520,7 @@ class ConcordRuntime:
         if self._task_graph is None:
             from .graph import TaskGraph
 
-            self._task_graph = TaskGraph(self, placement=self.graph_placement)
+            self._task_graph = TaskGraph(self)
         return self._task_graph
 
     def submit(
@@ -527,8 +559,12 @@ class ConcordRuntime:
     ) -> ExecutionReport:
         """The paper's heterogeneous parallel-for.  ``on_cpu=True`` forces
         the multicore path; otherwise placement follows ``policy`` (this
-        call's override, else the runtime's configured policy)."""
-        if self.graph_mode:
+        call's override, else the runtime's configured policy).  In graph
+        mode (``RunConfig.graph``) the construct goes through
+        ``submit(...).result()``: its conservative whole-region
+        dependencies serialize it, so the bytes are the synchronous ones,
+        while the task graph keeps the overlap accounting."""
+        if self.options.graph:
             return self.submit(n, body, "for", on_cpu=on_cpu, policy=policy).result()
         kinfo = self._kernel_of(body)
         return self.scheduler.run(kinfo, n, body, "for", on_cpu=on_cpu, policy=policy)
@@ -536,7 +572,7 @@ class ConcordRuntime:
     def parallel_reduce_hetero(
         self, n: int, body, on_cpu: bool = False, policy: Optional[str] = None
     ) -> ExecutionReport:
-        if self.graph_mode:
+        if self.options.graph:
             return self.submit(
                 n, body, "reduce", on_cpu=on_cpu, policy=policy
             ).result()

@@ -26,4 +26,15 @@ def desktop() -> System:
     return System(name="Desktop", cpu=i7_4770(), gpu=hd4600(), tdp_watts=84.0)
 
 
-ALL_SYSTEMS = (ultrabook, desktop)
+#: name -> factory: the spellings the CLI's ``--system`` and the daemon's
+#: ``system`` field accept
+ALL_SYSTEMS = {factory.__name__: factory for factory in (ultrabook, desktop)}
+
+
+def system_named(name) -> System:
+    """The system ``name`` spells in :data:`ALL_SYSTEMS`; anything else is
+    refused with the field named."""
+    factory = ALL_SYSTEMS.get(name)
+    if factory is None:
+        raise ValueError(f"system={name!r}: unknown system; choose from {list(ALL_SYSTEMS)}")
+    return factory()

@@ -17,12 +17,11 @@ from .policies import (
     Policy,
     register_policy,
 )
-from .scheduler import DEFAULT_POLICY, Scheduler, parallel_report
+from .scheduler import Scheduler, parallel_report
 
 __all__ = [
     "AutoPolicy",
     "CpuPolicy",
-    "DEFAULT_POLICY",
     "GpuPolicy",
     "HybridPolicy",
     "POLICIES",

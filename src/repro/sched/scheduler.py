@@ -37,10 +37,6 @@ from ..gpu.cache import CacheModel
 from ..gpu.timing import DeviceReport
 from ..svm import address_of
 
-#: Policy used when a runtime is built without an explicit one —
-#: paper-faithful GPU offload.
-DEFAULT_POLICY = "gpu"
-
 #: A chunk whose recalibrated GPU share moved by more than this counts as
 #: a re-partition event (``sched.repartition``).
 REPARTITION_DELTA = 0.1
@@ -86,18 +82,13 @@ def parallel_report(parts, device: str = "hybrid") -> DeviceReport:
 
 
 class Scheduler:
-    """Dispatches constructs through a pluggable placement policy."""
+    """Dispatches constructs through a pluggable placement policy — the
+    runtime's ``options.policy`` unless a construct names its own."""
 
-    def __init__(self, rt, policy: str = DEFAULT_POLICY):
+    def __init__(self, rt):
         from .policies import POLICIES
 
-        if policy not in POLICIES:
-            raise ValueError(
-                f"unknown scheduling policy {policy!r}; choose from "
-                f"{sorted(POLICIES)}"
-            )
         self.rt = rt
-        self.policy = policy
         self._policies = {name: cls() for name, cls in POLICIES.items()}
         #: (body-class name, device) -> [items, device seconds] observed,
         #: plus an engine-qualified (key, device, engine) row per
@@ -127,7 +118,7 @@ class Scheduler:
         """The lane engine executing on ``device`` in this runtime.  The
         vector engine only replaces the GPU backend; CPU lanes (and the
         vector backend's own per-kernel fallback) run threaded code."""
-        engine = self.rt.engine
+        engine = self.rt.options.engine
         if device != "gpu" and engine == "vector":
             return "compiled"
         return engine
@@ -135,7 +126,7 @@ class Scheduler:
     # -- dispatch ----------------------------------------------------------
 
     def run(self, kinfo, n, body, construct, on_cpu=False, policy=None):
-        name = policy if policy is not None else self.policy
+        name = policy if policy is not None else self.rt.options.policy
         if name not in self._policies:
             raise ValueError(
                 f"unknown scheduling policy {name!r}; choose from "

@@ -25,14 +25,14 @@ lock-free observer ever being shared across threads.  ``service.*``
 counters account closure hits/misses, corrupt artifacts, evictions,
 requests and errors.
 
-Isolation: compile requests are truly concurrent (each works on its own
-artifacts; store writes are atomic).  Run requests are serialized under
-one executor lock, because loading a program into a runtime writes the
-globals' addresses and the symbol ids onto the program object, and the
-in-memory LRU hands one program object to every request for it.  The
-engines keep no process-wide state: generated code and the vector
-engine's routing verdicts belong to the program object, and results,
-traces and reports never depended on them.
+Isolation: compile and run requests are concurrent.  A run request's
+``system``, its size and its ``RunConfig`` fields (one request field per
+dataclass field) are checked before anything is compiled.  The
+in-memory LRU hands one program object to every request for it, and a
+run writes nothing on it but derived caches (generated engine code, the
+vector engine's routing verdicts), which results, traces and reports
+never depend on; the runtime keeps the symbol table and global
+addresses of its load.  See ``docs/SERVICE.md``.
 """
 
 from __future__ import annotations
@@ -40,9 +40,11 @@ from __future__ import annotations
 import json
 import threading
 import time
+from dataclasses import asdict, fields
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from ..passes import CONFIGS, OptConfig
+from ..runtime import ConcordRuntime, RunConfig, system_named
 from .store import ArtifactStore
 
 __all__ = ["CompileService", "ServiceClient", "serve"]
@@ -55,8 +57,9 @@ LATENCY_SAMPLES = 2048
 MAX_BODY_BYTES = 8 << 20
 
 #: Largest work-item count and workload scale a run request may ask for.
-#: Run requests execute one at a time under ``_exec_lock``; an unbounded
-#: one would hold every later run request until the process is killed.
+#: Nothing bounds how long a run takes (a deadline is open work), so an
+#: unbounded one would hold a handler thread and its memory until the
+#: process is killed.
 MAX_RUN_ITEMS = 1 << 20
 MAX_RUN_SCALE = 2.0
 
@@ -106,11 +109,6 @@ class CompileService:
         #: guards the shared observer/telemetry/aggregator (they are not
         #: thread-safe; requests record into private observers and merge)
         self._obs_lock = threading.Lock()
-        #: serializes run requests: ``ConcordRuntime._load_program`` writes
-        #: ``GlobalVariable.address`` and ``module.symbol_ids`` on the
-        #: program object, which the memory LRU below shares between
-        #: requests
-        self._exec_lock = threading.Lock()
         self._memory: OrderedDict = OrderedDict()  # closure key -> program
         self._mem_lock = threading.Lock()
         self.started = time.time()
@@ -238,7 +236,7 @@ class CompileService:
         ok = False
         try:
             with request_obs.span("service_request", "service", endpoint="run"):
-                # refused before any compile or allocation, and before the lock
+                # every field is checked before any compile or allocation
                 if "workload" in payload:
                     handler, size = self._run_workload, float(payload.get("scale", 0.1))
                     if not 0 < size <= MAX_RUN_SCALE:
@@ -251,14 +249,21 @@ class CompileService:
                         raise ValueError(
                             f"n must be in 1..{MAX_RUN_ITEMS}, got {size}"
                         )
-                with self._exec_lock:
-                    result = handler(payload, size, request_obs)
+                system = system_named(payload.get("system", "ultrabook"))
+                options = RunConfig(
+                    **{
+                        spec.name: payload[spec.name]
+                        for spec in fields(RunConfig)
+                        if spec.name in payload
+                    }
+                )
+                result = handler(payload, size, system, options, request_obs)
             ok = True
             return result
         finally:
             self._finish_request("run", request_obs, started, ok)
 
-    def _run_workload(self, payload: dict, scale: float, request_obs) -> dict:
+    def _run_workload(self, payload: dict, scale: float, system, options, request_obs) -> dict:
         from ..workloads import all_workloads
 
         registry = all_workloads()
@@ -269,16 +274,7 @@ class CompileService:
         config = _resolve_config(payload.get("config"))
         program = self._cached_program(cls.source, config, module_name=cls.name,
                                        observer=request_obs)
-        from ..runtime import ConcordRuntime
-        from ..runtime.system import desktop, ultrabook
-
-        system = desktop() if payload.get("system") == "desktop" else ultrabook()
-        rt = ConcordRuntime(
-            program,
-            system,
-            region_size=cls.region_size,
-            engine=payload.get("engine", "compiled"),
-        )
+        rt = ConcordRuntime(program, system, region_size=cls.region_size, **asdict(options))
         workload = cls()
         state = workload.build(rt, scale)
         reports = workload.run(rt, state, on_cpu=bool(payload.get("on_cpu", False)))
@@ -294,18 +290,14 @@ class CompileService:
             "energy_joules": sum(r.energy_joules for r in reports),
         }
 
-    def _run_kernel(self, payload: dict, n: int, request_obs) -> dict:
+    def _run_kernel(self, payload: dict, n: int, system, options, request_obs) -> dict:
         config = _resolve_config(payload.get("config"))
         program = self._cached_program(
             payload["source"], config,
             module_name=payload.get("module_name", "concord"),
             observer=request_obs,
         )
-        from ..runtime import ConcordRuntime
-        from ..runtime.system import desktop, ultrabook
-
-        system = desktop() if payload.get("system") == "desktop" else ultrabook()
-        rt = ConcordRuntime(program, system, engine=payload.get("engine", "compiled"))
+        rt = ConcordRuntime(program, system, **asdict(options))
         body_name = payload["body"]
         kinfo = program.kernel_for(body_name)
         body = rt.new(body_name)

@@ -104,7 +104,6 @@ class BarnesHutWorkload(Workload):
     body_class = "ForceBody"
     input_description = "clustered n-body distribution in an octree"
     source = SOURCE
-    region_size = 1 << 24
 
     def num_bodies(self, scale: float) -> int:
         return max(32, int(400 * scale))

@@ -21,8 +21,14 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..passes import OptConfig
-from ..runtime import CompiledProgram, ConcordRuntime, ExecutionReport, compile_source
-from ..runtime.system import System, ultrabook
+from ..runtime import (
+    CompiledProgram,
+    ConcordRuntime,
+    ExecutionReport,
+    RunConfig,
+    compile_source,
+)
+from ..runtime.system import System
 
 
 @dataclass
@@ -54,7 +60,7 @@ class Workload(abc.ABC):
     #: MiniC++ source of the device code
     source: str = ""
 
-    #: default region size; graph workloads override
+    #: shared-region size of a workload's runtimes
     region_size: int = 1 << 24
 
     _program_cache: dict = {}
@@ -76,29 +82,14 @@ class Workload(abc.ABC):
 
     @classmethod
     def make_runtime(
-        cls,
-        config: OptConfig = None,
-        system: Optional[System] = None,
-        collect_mem_events: bool = True,
-        engine: str = "compiled",
-        keep_traces: bool = False,
-        observer=None,
-        policy: str = "gpu",
-        graph: bool = False,
-        declared_check: str = "off",
+        cls, config: OptConfig = None, system: Optional[System] = None, observer=None, **options
     ) -> ConcordRuntime:
+        """A runtime over this workload's program; ``options`` are
+        :class:`ConcordRuntime` keywords (the :class:`RunConfig` fields
+        among them)."""
         program = cls.compile(config or OptConfig.gpu_all(), observer=observer)
         return ConcordRuntime(
-            program,
-            system or ultrabook(),
-            region_size=cls.region_size,
-            collect_mem_events=collect_mem_events,
-            engine=engine,
-            keep_traces=keep_traces,
-            observer=observer,
-            policy=policy,
-            graph=graph,
-            declared_check=declared_check,
+            program, system, region_size=cls.region_size, observer=observer, **options
         )
 
     @abc.abstractmethod
@@ -145,38 +136,26 @@ class Workload(abc.ABC):
         on_cpu: bool = False,
         scale: float = 1.0,
         validate: bool = True,
-        collect_mem_events: bool = True,
-        engine: str = "compiled",
         observer=None,
-        policy: Optional[str] = None,
-        graph: bool = False,
-        declared_check: str = "off",
+        **options,
     ) -> RunOutcome:
         """Convenience: compile, build, run, validate, aggregate.
 
-        ``policy`` selects a scheduler placement policy (``cpu``, ``gpu``,
-        ``auto``, ``hybrid``); when set, it overrides ``on_cpu`` and the
-        runtime dispatches every construct through that policy.  ``graph``
-        routes every construct through the task-graph runtime (deferred
-        submission with conservative whole-region dependencies — results
-        stay bit-identical; see ``docs/GRAPH.md``) and attaches the
-        graph's accounting to the outcome.
+        ``options`` are :class:`RunConfig` fields and nothing else (any
+        other keyword is a ``TypeError``).  A ``policy`` given here
+        overrides ``on_cpu``: every construct dispatches through it.  With
+        ``graph=True`` every construct goes through the task-graph runtime
+        (results stay bit-identical; see ``docs/GRAPH.md``) and the graph's
+        accounting is attached to the outcome.
         """
-        rt = self.make_runtime(
-            config,
-            system,
-            collect_mem_events,
-            engine=engine,
-            observer=observer,
-            policy=policy or "gpu",
-            graph=graph,
-            declared_check=declared_check,
-        )
+        RunConfig(**options)
+        rt = self.make_runtime(config, system, observer=observer, **options)
+        policy = options.get("policy")
         if policy is not None:
             on_cpu = False
         state = self.build(rt, scale)
         reports = self.run(rt, state, on_cpu=on_cpu)
-        graph_stats = rt.wait() if graph else None
+        graph_stats = rt.wait() if rt.options.graph else None
         if validate:
             self.validate(rt, state)
         if policy is not None:

@@ -63,7 +63,6 @@ class BfsWorkload(Workload):
     body_class = "BfsBody"
     input_description = "road network (grid + shortcuts), scaled W-USA analogue"
     source = SOURCE
-    region_size = 1 << 24
 
     def make_graph(self, scale: float):
         side = max(4, int(24 * scale))

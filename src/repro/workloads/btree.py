@@ -77,7 +77,6 @@ class BTreeWorkload(Workload):
     body_class = "SearchBody"
     input_description = "n-ary search tree with records on the leaves"
     source = SOURCE
-    region_size = 1 << 24
 
     def sizes(self, scale: float) -> tuple[int, int]:
         keys = max(64, int(2000 * scale))

@@ -112,7 +112,6 @@ class ClothPhysicsWorkload(Workload):
     body_class = "StepBody"
     input_description = "grid cloth with structural + shear springs"
     source = SOURCE
-    region_size = 1 << 24
 
     def grid(self, scale: float) -> tuple[int, int, int]:
         side = max(6, int(16 * scale))

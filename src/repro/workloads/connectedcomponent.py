@@ -61,7 +61,6 @@ class ConnectedComponentWorkload(Workload):
     body_class = "CcBody"
     input_description = "road network with disconnected islands"
     source = SOURCE
-    region_size = 1 << 24
 
     def make_graph(self, scale: float):
         # Lower shortcut fraction + higher edge dropout creates several

@@ -107,7 +107,6 @@ class FaceDetectWorkload(Workload):
     body_class = "DetectBody"
     input_description = "synthetic image, 22-stage Haar cascade"
     source = SOURCE
-    region_size = 1 << 24
 
     def image_size(self, scale: float) -> tuple[int, int]:
         width = max(24, int(48 * scale))

@@ -310,7 +310,6 @@ class RaytracerWorkload(Workload):
     body_class = "RenderBody"
     input_description = "sphere ring + plane, 3 point lights, shadows"
     source = SOURCE
-    region_size = 1 << 24
 
     def resolution(self, scale: float) -> tuple[int, int]:
         width = max(16, int(40 * scale))
@@ -386,7 +385,6 @@ class FlatRaytracerWorkload(Workload):
     body_class = "FlatRenderBody"
     input_description = "same scene as Raytracer, flattened to arrays"
     source = FLATTENED_SOURCE
-    region_size = 1 << 24
 
     def resolution(self, scale: float) -> tuple[int, int]:
         width = max(16, int(40 * scale))

@@ -74,7 +74,6 @@ class SkipListWorkload(Workload):
     body_class = "SkipSearchBody"
     input_description = "skip list with geometric level distribution"
     source = SOURCE
-    region_size = 1 << 24
 
     def sizes(self, scale: float) -> tuple[int, int]:
         keys = max(64, int(1500 * scale))

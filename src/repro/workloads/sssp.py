@@ -64,7 +64,6 @@ class SsspWorkload(Workload):
     body_class = "SsspBody"
     input_description = "weighted road network (grid + shortcuts)"
     source = SOURCE
-    region_size = 1 << 24
 
     def make_graph(self, scale: float):
         side = max(4, int(20 * scale))

@@ -1,16 +1,20 @@
 """Tests for the CLI compiler driver and the device-allocation extension
 (the restriction the paper plans to lift as future work)."""
 
+import argparse
+import json
 import os
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 
 import pytest
 
+from repro.__main__ import build_parser
 from repro.__main__ import main as cli_main
 from repro.passes import OptConfig
-from repro.runtime import ConcordRuntime, ConcordWarning, compile_source, ultrabook
+from repro.runtime import ConcordRuntime, ConcordWarning, RunConfig, compile_source, ultrabook
 
 ALLOC_SRC = """
 class Node {
@@ -206,3 +210,53 @@ class TestCli:
         path = tmp_path / "nothing.cpp"
         path.write_text("class Plain { public: int x; };")
         assert cli_main(["compile", str(path)]) == 1
+
+
+class TestRunOptionsDeclaredOnce:
+    """Drift guard: every :class:`RunConfig` field is a flag of ``run``,
+    ``profile`` and ``annotate`` with the field's choices, a daemon
+    run-request field, and — set away from its default — in the profile
+    ``meta``."""
+
+    @staticmethod
+    def _away_from_default() -> dict:
+        return {
+            spec.name: next(c for c in spec.metadata["choices"] if c != spec.default)
+            for spec in fields(RunConfig)
+        }
+
+    def test_every_field_is_a_flag_with_its_choices(self):
+        sub = next(
+            action
+            for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        for command in ("run", "profile", "annotate"):
+            flags = {action.dest: action for action in sub.choices[command]._actions}
+            for spec in fields(RunConfig):
+                action = flags[spec.name]
+                assert action.option_strings == ["--" + spec.name.replace("_", "-")]
+                if isinstance(spec.default, bool):
+                    assert action.const is True and action.nargs == 0
+                else:
+                    assert action.choices == list(spec.metadata["choices"])
+                assert action.default is None  # left out: the field's default
+
+    def test_every_field_is_a_daemon_run_field(self, tmp_path):
+        from repro.service import CompileService
+
+        service = CompileService(str(tmp_path))
+        for spec in fields(RunConfig):
+            with pytest.raises(ValueError, match=f"^{spec.name}="):
+                service.run({"workload": "BFS", "scale": 0.05, spec.name: "bogus"})
+        assert service.store.stats()["artifacts"] == 0
+
+    def test_every_field_reaches_the_profile_meta(self, tmp_path, capsys):
+        chosen = self._away_from_default()
+        argv = ["profile", "bfs", "--scale", "0.05", "--output", str(tmp_path / "p.json")]
+        for name, value in chosen.items():
+            flag = "--" + name.replace("_", "-")
+            argv += [flag] if value is True else [flag, value]
+        assert cli_main(argv) == 0
+        meta = json.loads((tmp_path / "p.json").read_text())["meta"]
+        assert {name: meta[name] for name in chosen} == chosen

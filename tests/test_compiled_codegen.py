@@ -303,9 +303,7 @@ def _assert_runs_equal(ref, got, where):
     (ref_rt, ref_out), (got_rt, got_out) = ref, got
     assert got_out == ref_out, where
     assert bytes(got_rt.region.physical.data) == bytes(ref_rt.region.physical.data), where
-    assert _heap_digest(got_rt.region, got_rt.program.module) == _heap_digest(
-        ref_rt.region, ref_rt.program.module
-    ), where
+    assert _heap_digest(got_rt) == _heap_digest(ref_rt), where
     assert len(got_rt.trace_log) == len(ref_rt.trace_log), where
     for index, (a, b) in enumerate(zip(ref_rt.trace_log, got_rt.trace_log)):
         _assert_trace_equal(a, b, f"{where} trace {index}")

@@ -129,7 +129,7 @@ class TestCompileOnce:
     def test_reference_engine_selectable(self):
         workload = WORKLOADS["BFS"]()
         rt = workload.make_runtime(engine="reference")
-        assert rt.engine == "reference"
+        assert rt.options.engine == "reference"
         assert rt.code_cache.compilations == 0
         with pytest.raises(ValueError):
             workload.make_runtime(engine="typo")

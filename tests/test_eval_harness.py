@@ -83,7 +83,7 @@ class TestMeasurement:
 
         seen = []
 
-        def spy(cls, system, scale, validate, engine, observer):
+        def spy(cls, system, scale, validate, observer, **options):
             seen.append(observer)
             return runner.Measurement(
                 cls.name, system.name, 2.0, 2.0,

@@ -196,13 +196,12 @@ class TestDependencyInference:
             rt.submit(8, rt.new("Incr"), construct="reduce")
 
     def test_unknown_construct_and_placement_raise(self):
-        from repro.runtime.graph import TaskGraph
-
         rt = _runtime()
         with pytest.raises(GraphError):
             rt.submit(8, rt.new("Incr"), construct="scan")
-        with pytest.raises(GraphError):
-            TaskGraph(rt, placement="greedy")
+        # a placement is checked when the runtime is built, not at first use
+        with pytest.raises(ValueError, match="graph_placement='greedy'"):
+            _runtime(graph_placement="greedy")
 
 
 class TestDeferredExecution:
@@ -238,7 +237,7 @@ class TestDeferredExecution:
 
         sync_rt = _runtime()
         graph_rt = _runtime(graph=True)
-        assert graph_rt.graph_mode
+        assert graph_rt.options.graph
         results = []
         for rt in (sync_rt, graph_rt):
             data = rt.new_array(I32, 16)

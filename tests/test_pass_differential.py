@@ -38,9 +38,10 @@ def _heap_digest(rt) -> str:
         init = gvar.initializer
         if not (isinstance(init, tuple) and init and init[0] == "vtable"):
             continue
-        if gvar.address is None:
+        address = rt.global_addresses.get(gvar.name)
+        if address is None:
             continue
-        offset = gvar.address - rt.region.cpu_base
+        offset = address - rt.region.cpu_base
         size = max(1, gvar.value_type.size())
         raw[offset : offset + size] = b"\x00" * size
     return hashlib.sha256(bytes(raw)).hexdigest()

@@ -1,10 +1,19 @@
 """Tests for the ConcordRuntime host API: object construction, views,
 host calls, JIT caching, accounting."""
 
+from dataclasses import FrozenInstanceError, fields
+
 import pytest
 
 from repro.ir.types import F32, I32, I64, ptr
-from repro.runtime import ConcordRuntime, OptConfig, compile_source, desktop, ultrabook
+from repro.runtime import (
+    ConcordRuntime,
+    OptConfig,
+    RunConfig,
+    compile_source,
+    desktop,
+    ultrabook,
+)
 from repro.svm import MemoryFault
 
 SOURCE = """
@@ -155,3 +164,32 @@ class TestViewsThroughRuntime:
     def test_out_of_region_read_faults(self, rt):
         with pytest.raises(MemoryFault):
             rt.region.read_int(0x10, 4, signed=True)
+
+
+class TestRunConfig:
+    """A run's options are one frozen record, checked when it is built."""
+
+    @pytest.mark.parametrize("name", [spec.name for spec in fields(RunConfig)])
+    def test_a_bad_value_is_refused_with_its_field_named(self, name):
+        program = compile_source(SOURCE, OptConfig.gpu_all())
+        for bad in ("bogus", 1, None):
+            with pytest.raises(ValueError, match=f"^{name}="):
+                RunConfig(**{name: bad})
+            with pytest.raises(ValueError, match=f"^{name}="):
+                ConcordRuntime(program, ultrabook(), **{name: bad})
+
+    def test_an_unknown_keyword_is_a_type_error_naming_it(self):
+        from repro.workloads import all_workloads
+
+        program = compile_source(SOURCE, OptConfig.gpu_all())
+        with pytest.raises(TypeError, match="engin"):
+            ConcordRuntime(program, ultrabook(), engin="vector")
+        with pytest.raises(TypeError, match="collect_mem_events"):
+            all_workloads()["BFS"]().execute(None, scale=0.05, collect_mem_events=False)
+
+    def test_the_runtime_keeps_the_one_record(self, rt):
+        assert rt.options == RunConfig()
+        hashed = {RunConfig(): 1, RunConfig(engine="vector", graph=True): 2}
+        assert hashed[RunConfig(graph=True, engine="vector")] == 2
+        with pytest.raises(FrozenInstanceError):
+            rt.options.engine = "vector"

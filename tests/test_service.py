@@ -9,6 +9,7 @@ on one store, and a warm daemon request for an identical
 emission entirely (asserted via the ``service.closure_*`` counters).
 """
 
+import copy
 import http.client
 import json
 import os
@@ -24,14 +25,19 @@ import pytest
 
 from repro.obs import Observer
 from repro.obs.telemetry import AggregatorSink
+from repro.passes import OptConfig
+from repro.runtime import ConcordRuntime
 from repro.runtime.compiler import (
     compile_cached,
+    compile_source,
     frontend_key,
     pipeline_key,
     program_key,
 )
+from repro.runtime.system import desktop, ultrabook
 from repro.service import (
     ArtifactStore,
+    CompileService,
     ServiceClient,
     generate_sources,
     run_load,
@@ -74,6 +80,17 @@ def _compile_into(store, source=SOURCE, observer=None):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return compile_cached(source, store=store, observer=observer)
+
+
+def _post(client, path, payload):
+    """One raw request: ``(status, reply)``."""
+    conn = http.client.HTTPConnection(client.host, client.port, timeout=30)
+    try:
+        conn.request("POST", path, body=json.dumps(payload))
+        response = conn.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        conn.close()
 
 
 def _artifact_paths(store):
@@ -485,29 +502,68 @@ public:
             {"workload": "BFS", "scale": 0},
         ],
     )
-    def test_unbounded_run_is_refused_before_the_run_lock(self, daemon, payload):
-        """Run requests execute one at a time: one asking for 10**9
-        work-items or scale 1e6 would hold every later one.  It is refused
-        while another run holds the lock, so before any compile, allocation
-        or wait."""
+    def test_unbounded_run_is_refused_before_any_compile(self, daemon, payload):
+        """Nothing bounds how long a run takes, so one asking for 10**9
+        work-items or scale 1e6 would hold a handler thread until the
+        process is killed.  It is refused before any compile or
+        allocation, in-process and over HTTP, and counted."""
         client, service = daemon
         errors = service.observer.counters.get("service.errors")
         programs = service.store.stats()["artifacts"]
-        with service._exec_lock:
-            with pytest.raises(ValueError, match="must be in"):
-                service.run(dict(payload))
-            conn = http.client.HTTPConnection(client.host, client.port, timeout=5)
-            try:
-                conn.request("POST", "/v1/run", body=json.dumps(payload))
-                response = conn.getresponse()
-                assert response.status == 400
-                assert "must be in" in json.loads(response.read())["error"]
-            finally:
-                conn.close()
+        with pytest.raises(ValueError, match="must be in"):
+            service.run(dict(payload))
+        status, reply = _post(client, "/v1/run", payload)
+        assert status == 400 and "must be in" in reply["error"]
         assert service.observer.counters.get("service.errors") == errors + 2
         assert service.store.stats()["artifacts"] == programs
         # the limits themselves are served
         assert client.run(source=self.SCALAR_SOURCE, body="Accum", n=1)["ok"]
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("system", "Desktop"),
+            ("system", "deskto"),
+            ("engine", "fast"),
+            ("policy", "sometimes"),
+            ("graph", "yes"),
+            ("graph_placement", "greedy"),
+            ("declared_check", "loud"),
+        ],
+    )
+    def test_bad_run_field_is_refused_before_any_compile(self, daemon, field, value):
+        """``"Desktop"`` and ``"deskto"`` used to run on the Ultrabook, and
+        an unknown engine was refused only after the compile.  Every field
+        is checked first: 400 with the field named, counted, nothing
+        compiled (neither program below is in the store yet)."""
+        client, service = daemon
+        errors = service.observer.counters.get("service.errors")
+        programs = service.store.stats()["artifacts"]
+        workload = {"workload": "BFS", "scale": 0.05, "config": "GPU+L3OPT", field: value}
+        with pytest.raises(ValueError, match=f"^{field}="):
+            service.run(workload)
+        kernel = {"source": SOURCE.replace("7", "23"), "body": "Counter", "n": 4}
+        status, reply = _post(client, "/v1/run", {**kernel, field: value})
+        assert status == 400 and f"{field}=" in reply["error"], reply
+        assert service.observer.counters.get("service.errors") == errors + 2
+        assert service.store.stats()["artifacts"] == programs
+
+    def test_run_fields_reach_the_runtime(self, daemon):
+        """What a run request chooses is what an in-process run with the
+        same options computes."""
+        client, _service = daemon
+        options = {"engine": "vector", "policy": "hybrid", "graph": True}
+        reply = client.run(workload="BFS", scale=0.05, system="desktop", **options)
+        assert reply["ok"], reply
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            outcome = all_workloads()["BFS"]().execute(None, desktop(), scale=0.05, **options)
+        assert (reply["seconds"], reply["energy_joules"]) == (
+            outcome.seconds,
+            outcome.energy_joules,
+        )
+        ultrabook_reply = client.run(workload="BFS", scale=0.05, **options)
+        assert ultrabook_reply["seconds"] != reply["seconds"]
 
     def test_stats_report_latency_and_store(self, daemon):
         client, _service = daemon
@@ -552,6 +608,97 @@ public:
             t.join()
         assert all(r["ok"] for r in results)
         assert len({r["program_id"] for r in results}) == 1
+
+
+class TestConcurrentRuns:
+    """Run requests take no lock: the memory LRU hands every request for
+    a program the same object, so a run must write nothing on it that
+    another run reads."""
+
+    REQUESTS = (
+        {"workload": "Raytracer", "scale": 0.05},
+        {"workload": "Raytracer", "scale": 0.05, "engine": "vector"},
+        {"workload": "BFS", "scale": 0.05},
+        {"workload": "BarnesHut", "scale": 0.05, "engine": "vector"},
+    )
+    THREADS, ROUNDS = 4, 10
+
+    def test_concurrent_runs_equal_sequential_ones(self, tmp_path):
+        service = CompileService(str(tmp_path))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            expected = [service.run(dict(payload)) for payload in self.REQUESTS]
+        assert all(reply["ok"] for reply in expected), expected
+        replies, errors = [], []
+
+        def client(offset):
+            # each thread walks the requests from its own offset, so every
+            # round has all four in flight on the shared program objects
+            try:
+                for _ in range(self.ROUNDS):
+                    for k in range(len(self.REQUESTS)):
+                        index = (offset + k) % len(self.REQUESTS)
+                        replies.append((index, service.run(dict(self.REQUESTS[index]))))
+            except Exception as exc:  # validate() raising lands here
+                errors.append(exc)
+
+        # switch threads every few bytecodes, not every 5 ms, so runs
+        # interleave inside loading and binding, not only between requests
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                threads = [
+                    threading.Thread(target=client, args=(i,)) for i in range(self.THREADS)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=300)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        assert len(replies) == self.THREADS * self.ROUNDS * len(self.REQUESTS)
+        for index, reply in replies:
+            assert reply == expected[index], self.REQUESTS[index]
+        assert service.observer.counters.get("service.errors", 0) == 0
+
+    @pytest.mark.parametrize("engine", ["compiled", "vector", "reference"])
+    def test_a_run_writes_nothing_on_the_program(self, engine):
+        """Loading Raytracer used to grow ``module.symbol_ids`` from 4 to 6
+        entries and give its 3 globals addresses, on the object the
+        daemon shares between requests.  Besides the derived
+        ``jit_code`` / ``vector_code``, no attribute of the program, its
+        module, functions or globals may change."""
+        workload = all_workloads()["Raytracer"]()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            program = compile_source(workload.source, OptConfig.gpu_all())
+        module = program.module
+
+        def snapshot():
+            owners = [program, module, *module.functions.values()]
+            attributes = [
+                {
+                    name: copy.copy(value) if isinstance(value, (dict, list, set)) else value
+                    for name, value in vars(owner).items()
+                    if name not in ("jit_code", "vector_code")
+                }
+                for owner in owners
+            ]
+            addresses = {name: gvar.address for name, gvar in module.globals.items()}
+            return dict(module.symbol_ids), addresses, attributes
+
+        before = snapshot()
+        assert len(before[0]) == 4 and len(before[1]) == 3
+        rt = ConcordRuntime(program, ultrabook(), engine=engine)
+        state = workload.build(rt, 0.05)
+        workload.run(rt, state)
+        workload.validate(rt, state)
+        assert snapshot() == before
+        assert set(rt.global_addresses) == set(module.globals)
 
 
 class TestLoadGenerator:

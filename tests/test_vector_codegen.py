@@ -227,13 +227,15 @@ def _single_op(params, ret, body) -> Function:
     return fn
 
 
-def _vector_run(fn, rows, region=None):
+def _vector_run(fn, rows, region=None, addresses=None):
     """Invoke ``fn`` over ``rows`` columnar; the returned column, or the
     ``_Trap`` that a launch would turn into a scalar rerun."""
     kind, reason, vfn = classify_kernel(VectorCodeCache(), fn)
     assert kind != "gnarly", reason
     rt = types.SimpleNamespace(
-        region=region or SharedRegion(1 << 12), collect_mem_events=True
+        region=region or SharedRegion(1 << 12),
+        collect_mem_events=True,
+        global_addresses=addresses or {},
     )
     machine = VectorMachine(rt, range(len(rows)), 4)
     columns = _arg_columns(vfn, range(len(rows)), lambda lane: rows[lane])
@@ -389,7 +391,7 @@ def _filled_region():
     return region, region.cpu_to_gpu(base)
 
 
-def _assert_memory_matches(build, value_type=None):
+def _assert_memory_matches(build, value_type=None, addresses=None):
     """``build(builder, args, gid)`` over (buffer pointer, value) rows, on
     twin regions: returns and every region byte must agree."""
     param = value_type or I32
@@ -400,10 +402,11 @@ def _assert_memory_matches(build, value_type=None):
     vec_region, _ = _filled_region()
     rows = [[base, row[0]] for row in _rows([param], wild=False)]
     expected = [
-        Interpreter(ref_region, "gpu", global_id=lane).call_function(fn, row)
+        Interpreter(ref_region, "gpu", global_id=lane, addresses=addresses)
+        .call_function(fn, row)
         for lane, row in enumerate(rows)
     ]
-    _vfn, got = _vector_run(fn, rows, vec_region)
+    _vfn, got = _vector_run(fn, rows, vec_region, addresses)
     assert not isinstance(got, _Trap), got
     assert [int(v) for v in got] == expected
     assert bytes(vec_region.physical.data) == bytes(ref_region.physical.data)
@@ -435,9 +438,8 @@ class TestMemoryRows:
             here = b.load(b.gep(table, ptr(I32), indices=[(gid, 4)]))
             return b.cast("sext", b.add(here, b.load(table)), I64)
 
-        table.address = _filled_region()[1] + 64
-        _assert_memory_matches(build)
-        table.address = None  # not loaded: the launch must trap, not crash
+        _assert_memory_matches(build, addresses={"table": _filled_region()[1] + 64})
+        # not loaded: the launch must trap, not crash
         fn = Function("g", FunctionType(I32, ()), [])
         builder = IRBuilder(fn.new_block("entry"))
         builder.ret(builder.load(table))

@@ -97,7 +97,7 @@ class TestCounterEquivalence:
 class TestBackendRegistration:
     def test_vector_engine_selects_vector_backend(self):
         rt = WORKLOADS["BFS"]().make_runtime(engine="vector")
-        assert rt.engine == "vector"
+        assert rt.options.engine == "vector"
         assert isinstance(rt.backends["gpu"], VectorBackend)
         assert not isinstance(rt.backends["cpu"], VectorBackend)
 
