@@ -16,7 +16,7 @@ Usage::
                                       [RUN OPTIONS] [--no-validate]
                                       [--top N] [--format text|json] [--output FILE]
     python -m repro fuzz [--seed N] [--iterations K]
-                         [--target all|frontend|ir|passes|engines|sched|vector|graph|compile-cache|structure]
+                         [--target all|TARGET]
                          [--corpus DIR] [--no-reduce] [--max-divergences M]
                          [--trace FILE.json] [--flight-record DIR]
     python -m repro watch [--dir DIR] [--check] [--format text|json] [--output FILE]
@@ -43,7 +43,8 @@ modeled execution cost of a workload to MiniC++ source lines and prints a
 hot-line report (see ``docs/PROFILING.md``).  ``--trace FILE`` on ``profile``
 and ``fuzz`` additionally writes a Chrome ``trace_event`` file loadable
 in about://tracing or Perfetto.  ``fuzz`` runs a deterministic
-differential-fuzzing campaign (see ``docs/FUZZING.md``), exits non-zero
+differential-fuzzing campaign over ``TARGET``, a name in
+``repro.fuzz.TARGETS`` (see ``docs/FUZZING.md``), exits non-zero
 on any divergence, and writes reduced reproducers to ``--corpus``.
 ``--graph`` routes submissions through the task-graph runtime
 (``docs/GRAPH.md``): ``run`` and ``profile`` report the overlap stats.
@@ -65,6 +66,7 @@ import sys
 from dataclasses import fields
 
 from .analysis import kernel_mix
+from .fuzz import TARGETS
 from .ir import format_function
 from .passes import CONFIGS
 from .runtime import ALL_SYSTEMS, ConcordRuntime, RunConfig, compile_source, system_named
@@ -170,22 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fuzz_parser.add_argument("--seed", type=int, default=0)
     fuzz_parser.add_argument("--iterations", type=int, default=200)
-    fuzz_parser.add_argument(
-        "--target",
-        choices=[
-            "all",
-            "frontend",
-            "ir",
-            "passes",
-            "engines",
-            "sched",
-            "vector",
-            "graph",
-            "compile-cache",
-            "structure",
-        ],
-        default="all",
-    )
+    fuzz_parser.add_argument("--target", choices=("all", *TARGETS), default="all")
     fuzz_parser.add_argument(
         "--corpus",
         default=None,
@@ -647,6 +634,7 @@ def _fuzz(args) -> int:
         for name in (
             "fuzz.iterations",
             "fuzz.divergences",
+            "fuzz.frontend_rejected",
             "fuzz.reduction_attempts",
         )
         if name in counters

@@ -1,20 +1,18 @@
 """Differential fuzzing for the Concord reproduction.
 
 Two seeded generators (:mod:`repro.fuzz.srcgen` for MiniC++ sources,
-:mod:`repro.fuzz.irgen` for verifier-clean IR), a set of differential
-oracles (:mod:`repro.fuzz.oracle`: reference interpreter vs compiled
-engine, CPU vs GPU kernel forms, full pass pipeline vs per-pass-disabled
-pipelines, scheduler policies vs the paper-faithful gpu policy), a
-spec-tree reducer (:mod:`repro.fuzz.reduce`), and a deterministic
-campaign driver (:mod:`repro.fuzz.driver`) that writes reduced
-reproducers into ``tests/corpus/``.
+:mod:`repro.fuzz.irgen` for verifier-clean IR), the differential targets
+declared in :data:`repro.fuzz.oracle.TARGETS` with the one runner that
+executes them (:func:`repro.fuzz.oracle.divergences`), a spec-tree
+reducer (:mod:`repro.fuzz.reduce`), and a deterministic campaign driver
+(:mod:`repro.fuzz.driver`) that writes reduced reproducers into
+``tests/corpus/``.
 
-Entry point: ``python -m repro fuzz --seed N --iterations K
---target {all,frontend,ir,passes,engines,sched,vector,graph}``.
+Entry point: ``python -m repro fuzz --seed N --iterations K --target T``
+with ``T`` ``all`` or a name in ``TARGETS``.
 """
 
 from .driver import (
-    TARGETS,
     Divergence,
     FuzzDriver,
     FuzzReport,
@@ -24,29 +22,24 @@ from .driver import (
 from .irgen import BUF_SLOTS, IRProgram, build_ir, generate_ir_program
 from .oracle import (
     IR_PASS_NAMES,
+    TARGETS,
+    FrontendRejected,
     Outcome,
-    compare_outcomes,
-    ir_divergences,
+    Target,
+    Variant,
+    divergences,
+    heap_digest,
     run_ir_function,
     run_source_program,
-    source_config_divergences,
-    source_engine_divergences,
-    source_graph_divergences,
-    source_pass_divergences,
-    source_sched_divergences,
-    source_vector_divergences,
+    trace_signature,
 )
-from .reduce import (
-    ReductionResult,
-    reduce_ir_program,
-    reduce_source_program,
-    reduce_spec,
-)
+from .reduce import ReductionResult, reduce_spec
 from .srcgen import SourceProgram, generate_source_program, render_source
 
 __all__ = [
     "BUF_SLOTS",
     "Divergence",
+    "FrontendRejected",
     "FuzzDriver",
     "FuzzReport",
     "IRProgram",
@@ -55,23 +48,18 @@ __all__ = [
     "ReductionResult",
     "SourceProgram",
     "TARGETS",
+    "Target",
+    "Variant",
     "build_ir",
-    "compare_outcomes",
+    "divergences",
     "generate_ir_program",
     "generate_source_program",
-    "ir_divergences",
+    "heap_digest",
     "load_corpus_entry",
-    "reduce_ir_program",
-    "reduce_source_program",
     "reduce_spec",
     "render_source",
     "run_ir_function",
     "run_source_program",
-    "source_config_divergences",
-    "source_engine_divergences",
-    "source_graph_divergences",
-    "source_pass_divergences",
-    "source_sched_divergences",
-    "source_vector_divergences",
+    "trace_signature",
     "write_reproducer",
 ]

@@ -237,15 +237,3 @@ def reduce_spec(
         # environment-dependent divergence; the driver records it as-is).
         return ReductionResult(copy.deepcopy(doc), 1, 0)
     return _Reducer(doc, rebuild, predicate, max_attempts).run(max_rounds)
-
-
-def reduce_source_program(program, predicate, **kwargs) -> ReductionResult:
-    from .srcgen import SourceProgram
-
-    return reduce_spec(program.to_dict(), SourceProgram.from_dict, predicate, **kwargs)
-
-
-def reduce_ir_program(program, predicate, **kwargs) -> ReductionResult:
-    from .irgen import IRProgram
-
-    return reduce_spec(program.to_dict(), IRProgram.from_dict, predicate, **kwargs)

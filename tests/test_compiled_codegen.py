@@ -34,7 +34,7 @@ from repro.exec import (
 from repro.exec.compiled import JitCode
 from repro.fuzz import build_ir, generate_ir_program, generate_source_program
 from repro.fuzz.irgen import BUF_SLOTS
-from repro.fuzz.oracle import _heap_digest
+from repro.fuzz.oracle import heap_digest
 from repro.ir import (
     Constant,
     F32,
@@ -303,7 +303,7 @@ def _assert_runs_equal(ref, got, where):
     (ref_rt, ref_out), (got_rt, got_out) = ref, got
     assert got_out == ref_out, where
     assert bytes(got_rt.region.physical.data) == bytes(ref_rt.region.physical.data), where
-    assert _heap_digest(got_rt) == _heap_digest(ref_rt), where
+    assert heap_digest(got_rt) == heap_digest(ref_rt), where
     assert len(got_rt.trace_log) == len(ref_rt.trace_log), where
     for index, (a, b) in enumerate(zip(ref_rt.trace_log, got_rt.trace_log)):
         _assert_trace_equal(a, b, f"{where} trace {index}")

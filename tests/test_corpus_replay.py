@@ -10,21 +10,18 @@ regression test by copying the file in):
 * ``regression-*`` / ``div-*`` — reduced reproducers for bugs the fuzzer
   actually found; they must stay divergence-free forever.
 
-Source entries run through the reference interpreter AND the threaded-code
-engine on both devices plus every per-pass-disabled pipeline; IR entries
-run through both engines and every single pass with re-verification.
+Source entries run through the ``engines`` target (reference interpreter
+AND threaded-code engine on both devices) and every variant of ``passes``
+(each per-pass-disabled pipeline, then the paper's four configs); IR
+entries run through the ``ir`` target (both engines and every single pass
+with re-verification).
 """
 
 from pathlib import Path
 
 import pytest
 
-from repro.fuzz import (
-    ir_divergences,
-    load_corpus_entry,
-    source_engine_divergences,
-    source_pass_divergences,
-)
+from repro.fuzz import divergences, load_corpus_entry
 
 CORPUS = Path(__file__).parent / "corpus"
 ENTRIES = sorted(CORPUS.glob("*.json"))
@@ -40,9 +37,7 @@ def test_corpus_is_seeded():
 def test_corpus_entry_replays_clean(path):
     kind, program, doc = load_corpus_entry(path)
     if kind == "ir":
-        diffs = ir_divergences(program)
+        diffs = divergences("ir", program)
     else:
-        diffs = source_engine_divergences(program)
-        if not diffs:
-            diffs = source_pass_divergences(program)
-    assert not diffs, [str(d) for d in diffs]
+        diffs = divergences("engines", program) or divergences("passes", program)
+    assert not diffs, diffs

@@ -10,9 +10,9 @@ import warnings
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from repro.fuzz import generate_source_program, source_graph_divergences
+from repro.fuzz import divergences, generate_source_program
 from repro.fuzz.driver import TARGETS, FuzzDriver
-from repro.fuzz.oracle import _graph_dag_plan, _run_graph_dag
+from repro.fuzz.oracle import _run_graph_dag
 from repro.gpu.timing import DeviceReport
 from repro.obs import Observer, build_trace, validate_trace
 from repro.passes import OptConfig
@@ -325,10 +325,9 @@ class TestTopologicalOrderProperty:
     def test_any_forcing_order_matches_sync(self, seed, order):
         program, compiled = _compile_cached(seed)
         assume(compiled is not False)
-        plan = _graph_dag_plan(program)
-        sync = _run_graph_dag(program, compiled, plan, "sync")
+        sync = _run_graph_dag(program, compiled, "sync")
         assume(sync.ok)  # trapping programs abort order-dependently
-        forced = _run_graph_dag(program, compiled, plan, "shuffled", order=order)
+        forced = _run_graph_dag(program, compiled, "shuffled", order=order)
         assert forced.ok
         assert forced.outputs == sync.outputs
         assert forced.region_digest == sync.region_digest
@@ -511,4 +510,4 @@ class TestGraphFuzzTarget:
             program = generate_source_program(
                 random.Random(seed), seed=seed, force={"construct": "for"}
             )
-            assert source_graph_divergences(program) == []
+            assert divergences("graph", program) == []

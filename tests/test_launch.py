@@ -21,7 +21,7 @@ import pytest
 
 from repro.exec import ExecutionError
 from repro.exec.buffers import LaunchTrace
-from repro.fuzz.oracle import _heap_digest
+from repro.fuzz.oracle import heap_digest
 from repro.ir import I32
 from repro.obs import Observer
 from repro.passes import OptConfig
@@ -180,7 +180,7 @@ def test_stack_arrays_do_not_accumulate_across_work_items():
             body.data = data
             rt.parallel_for_hetero(n, body, on_cpu=on_cpu)
             assert data.to_list() == [i + 1 for i in range(n)], (engine, on_cpu)
-            digests.add(_heap_digest(rt))
+            digests.add(heap_digest(rt))
     assert len(digests) == 1
 
 

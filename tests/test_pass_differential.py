@@ -15,11 +15,11 @@ The engines are proven bit-identical in ``test_engine_equivalence``, so
 running the threaded-code engine here also certifies interpreter results.
 """
 
-import hashlib
 import warnings
 
 import pytest
 
+from repro.fuzz import heap_digest
 from repro.passes import OptConfig
 from repro.passes.pipeline import DISABLEABLE_PASSES, GPU_SAFE_DISABLE
 from repro.workloads import all_workloads
@@ -30,23 +30,6 @@ SCALE = 0.15
 _baselines: dict = {}
 
 
-def _heap_digest(rt) -> str:
-    """Region digest with vtable globals masked (their symbol ids are
-    assigned per compiled module and differ legitimately across configs)."""
-    raw = bytearray(rt.region.physical.data)
-    for gvar in rt.program.module.globals.values():
-        init = gvar.initializer
-        if not (isinstance(init, tuple) and init and init[0] == "vtable"):
-            continue
-        address = rt.global_addresses.get(gvar.name)
-        if address is None:
-            continue
-        offset = address - rt.region.cpu_base
-        size = max(1, gvar.value_type.size())
-        raw[offset : offset + size] = b"\x00" * size
-    return hashlib.sha256(bytes(raw)).hexdigest()
-
-
 def _run(name: str, config: OptConfig, on_cpu: bool) -> str:
     workload = WORKLOADS[name]()
     with warnings.catch_warnings():
@@ -55,7 +38,7 @@ def _run(name: str, config: OptConfig, on_cpu: bool) -> str:
         state = workload.build(rt, SCALE)
         workload.run(rt, state, on_cpu=on_cpu)
         workload.validate(rt, state)
-        return _heap_digest(rt)
+        return heap_digest(rt)
 
 
 def _baseline(name: str, on_cpu: bool) -> str:

@@ -8,7 +8,7 @@ import warnings
 
 import pytest
 
-from repro.fuzz import generate_source_program, source_sched_divergences
+from repro.fuzz import divergences, generate_source_program
 from repro.gpu.timing import DeviceReport
 from repro.passes import OptConfig
 from repro.runtime import ConcordRuntime, compile_source, ultrabook
@@ -310,7 +310,7 @@ class TestFuzzOracleHook:
         for seed in range(3):
             rng = random.Random(seed)
             program = generate_source_program(rng, seed=seed)
-            assert source_sched_divergences(program) == []
+            assert divergences("sched", program) == []
 
     def test_sched_target_registered(self):
         from repro.fuzz import TARGETS, FuzzDriver

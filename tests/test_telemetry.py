@@ -907,25 +907,19 @@ class TestWatchFailsClosed:
 
 class TestFuzzFlight:
     def test_divergence_writes_flight_bundle(self, tmp_path, monkeypatch):
-        from repro.fuzz.driver import FuzzDriver
+        from repro.fuzz import driver as fuzz_driver
 
         observer = Observer()
         observer.attach_telemetry(Telemetry())
         recorder = FlightRecorder(tmp_path / "flight", observer=observer)
-        driver = FuzzDriver(
+        driver = fuzz_driver.FuzzDriver(
             seed=1, iterations=1, target="engines",
             corpus_dir=tmp_path / "corpus", observer=observer,
             reduce=False, flight_recorder=recorder,
         )
-
-        class FakeProgram:
-            def to_dict(self):
-                return {"fake": True}
-
         monkeypatch.setattr(
-            driver, "run_iteration",
-            lambda i: (["outputs differ"], "source", FakeProgram(),
-                       "engines", None),
+            fuzz_driver, "divergences",
+            lambda target, program, variant: ["outputs differ"],
         )
         report = driver.run()
         assert not report.ok
