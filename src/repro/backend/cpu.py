@@ -1,6 +1,7 @@
 """Multicore-CPU backend (the paper's ``on_cpu=True`` path).
 
-All iterations of a chunk run through one engine and one trace — the
+All iterations of a chunk run through one engine and one trace (the
+engine's ``run_chunk``, whichever engine the runtime picked) — the
 timing model's multicore scaling (``cores × parallel_efficiency``)
 represents TBB-style work distribution, so per-lane traces would model
 nothing extra.  Per chunk: the engine, the trace, the sequence numbers
@@ -42,26 +43,18 @@ class CpuBackend(Backend):
 
     def _run_lanes(self, engine, kernel, span, args_of) -> None:
         """Run ``kernel`` for every index of ``span`` through one engine
-        and into its one trace; each work-item starts with its own empty
-        private memory.  The generated-code engine runs the loop itself
-        (:meth:`CompiledEngine.run_chunk`).  A trap leaves with its
-        lane's context for the flight recorder and the private buffer
-        back in the pool."""
+        and into its one trace (``engine.run_chunk``: each work-item
+        starts with its own empty private memory, and the buffer goes
+        back to the pool at the end).  A trap leaves with its lane's
+        context for the flight recorder."""
         try:
-            if self.rt.options.engine != "reference":
-                engine.run_chunk(kernel, span, args_of)
-            else:
-                for index in span:
-                    engine.global_id = index
-                    engine.reset_private_memory()
-                    engine.call_function(kernel, args_of(index))
+            engine.run_chunk(kernel, span, args_of)
         except BaseException as exc:
             # Cold path: the innermost stamp wins.
             if not hasattr(exc, "trap_device"):
                 exc.trap_device = self.name
                 exc.trap_kernel = kernel.name
                 exc.trap_global_id = engine.global_id
-            engine.release_private_memory()
             raise
 
     def _chunk(self, kinfo, span, args_of, timing_cache, budget) -> LaunchResult:

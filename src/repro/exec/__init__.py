@@ -1,12 +1,17 @@
-"""Scalar IR execution engines shared by the CPU/GPU simulators and host.
+"""IR execution engines: the lane runners under the CPU/GPU backends.
 
-Two interchangeable backends execute the same IR over the same shared
-region:
+A backend is a device; an engine runs the lanes.  Every engine executes
+the same IR over the same shared region through one contract —
+``call_function`` (one invocation into ``self.trace``), ``run_chunk``
+(a CPU chunk into ``self.trace``) and ``run_launch`` (a GPU launch,
+returned as a :class:`~repro.exec.buffers.LaunchTrace`) — and records
+memory events in one layout, :class:`MemEventColumns`.  The runtime
+picks the engine class once (``ConcordRuntime._make_engine``):
 
-* :class:`Interpreter` — the reference backend: a direct tree walk over
+* :class:`Interpreter` — the reference engine: a direct tree walk over
   the IR object graph, easy to audit, used as the oracle in equivalence
   tests (``ConcordRuntime(engine="reference")``).
-* :class:`CompiledEngine` — the generated-code backend (default): each
+* :class:`CompiledEngine` — the generated-code engine (default): each
   function is translated once per program into Python source — one
   Python function per IR function, printed from its region tree
   (:mod:`repro.ir.structure`, :class:`~repro.exec.compiled.JitCode`) —
@@ -22,18 +27,20 @@ interpreter walking that region tree instead of the block graph: the
 oracle of the tree itself, used by tests and the ``structure`` fuzz
 target only.
 
-A third, batch-oriented engine executes every lane of a GPU chunk at
+A third, batch-oriented engine executes every lane of a GPU launch at
 once instead of lane-at-a-time:
 
-* :class:`VectorFunction` / :class:`VectorCodeCache` — columnar NumPy
-  code generated from the same op table, one function per superblock,
-  with mask-based divergence (``ConcordRuntime(engine="vector")`` selects
-  the :class:`repro.backend.vector.VectorBackend` that drives it).  See
+* :class:`VectorEngine` — a :class:`CompiledEngine` whose ``run_launch``
+  runs :class:`VectorFunction` code (columnar NumPy generated from the
+  same op table, one function per superblock, mask-based divergence,
+  kept per program in a :class:`VectorCodeCache`) and falls back to the
+  scalar launch per kernel (``ConcordRuntime(engine="vector")``).  See
   :mod:`repro.exec.vector` and ``docs/VECTOR.md``.
 """
 
 from .buffers import (
     DEFAULT_MEM_EVENT_CAP,
+    MemEvent,
     MemEventColumns,
     PrivateMemoryPool,
 )
@@ -43,10 +50,10 @@ from .interp import (
     ExecTrace,
     ExecutionError,
     Interpreter,
-    MemEvent,
 )
 from .vector import (
     VectorCodeCache,
+    VectorEngine,
     VectorFallback,
     VectorFunction,
     classify_kernel,
@@ -66,6 +73,7 @@ __all__ = [
     "MemEventColumns",
     "PrivateMemoryPool",
     "VectorCodeCache",
+    "VectorEngine",
     "VectorFallback",
     "VectorFunction",
     "classify_kernel",

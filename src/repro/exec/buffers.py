@@ -2,12 +2,11 @@
 
 Three pieces of infrastructure that keep the hot execution paths cheap:
 
-* :class:`MemEventColumns` — a columnar memory-event buffer (parallel
-  ``array`` columns of ints rather than one ``MemEvent`` object per dynamic
-  access).  The threaded-code engine appends five ints per access instead
-  of allocating an object; both timing models read either
-  representation as one array through :func:`event_rows` (plain
-  iteration adapts each row back into a ``MemEvent``).  This module is
+* :class:`MemEventColumns` — the one memory-event layout every trace
+  holds: parallel ``array`` columns of ints rather than one object per
+  dynamic access.  Every engine appends five ints per access; both
+  timing models read the buffer as one array through :func:`event_rows`
+  (plain iteration yields a :class:`MemEvent` per row).  This module is
   the only place that knows the stride-5 row layout: everything else
   goes through :func:`event_rows`, :meth:`MemEventColumns.from_rows` or
   :func:`iter_access_events`.
@@ -63,6 +62,18 @@ TRACE_COUNTERS = (
 )
 
 
+@dataclass
+class MemEvent:
+    """One dynamic memory access: the row object that iterating a
+    :class:`MemEventColumns` yields."""
+
+    instr_uid: int
+    seq: int  # k-th dynamic execution of this instruction in this lane
+    address: int  # CPU-space virtual address
+    size: int
+    is_store: bool
+
+
 class MemEventColumns:
     """Columnar storage for dynamic memory-access events.
 
@@ -70,9 +81,9 @@ class MemEventColumns:
     size, is_store)`` rows with stride 5, so the hot path appends a whole
     event with a single ``extend`` call.  Every field is non-negative by
     construction (uids and seqs are counters, addresses and sizes are
-    masked to 64 bits).  Iteration yields ``MemEvent`` objects so existing
-    consumers work unchanged; hot consumers should use :func:`event_rows`
-    to read the rows without materializing objects.
+    masked to 64 bits).  Iteration yields :class:`MemEvent` rows; hot
+    consumers should use :func:`event_rows` to read the rows without
+    materializing objects.
     """
 
     __slots__ = ("data",)
@@ -95,20 +106,10 @@ class MemEventColumns:
     ) -> None:
         self.data.extend((instr_uid, seq, address, size, 1 if is_store else 0))
 
-    def append(self, event) -> None:
-        """Object-style append, so code written against the list
-        representation (``ExecTrace.record_mem``/``merge``) works on
-        columns too."""
-        self.append_raw(
-            event.instr_uid, event.seq, event.address, event.size, event.is_store
-        )
-
     def __len__(self) -> int:
         return len(self.data) // 5
 
     def __iter__(self):
-        from .interp import MemEvent
-
         data = self.data
         for i in range(0, len(data), 5):
             yield MemEvent(
@@ -116,28 +117,18 @@ class MemEventColumns:
             )
 
 
-def event_rows(events) -> np.ndarray:
+def event_rows(events: MemEventColumns) -> np.ndarray:
     """A trace's memory events as a ``(k, 5)`` unsigned-64 array of
-    ``(instr_uid, seq, address, size, is_store)`` rows, whichever
-    representation holds them.  For columnar storage the result is a view
-    of the buffer, which cannot grow while the view is alive."""
-    if isinstance(events, MemEventColumns):
-        return np.frombuffer(events.data, np.uint64).reshape(-1, 5)
-    return np.array(
-        [(e.instr_uid, e.seq, e.address, e.size, e.is_store) for e in events],
-        np.uint64,
-    ).reshape(-1, 5)
+    ``(instr_uid, seq, address, size, is_store)`` rows: a view of the
+    buffer, which cannot grow while the view is alive."""
+    return np.frombuffer(events.data, np.uint64).reshape(-1, 5)
 
 
 def iter_access_events(trace):
     """Stream a trace's memory events as ``(address, size, is_store)``
-    tuples, whichever representation the trace holds (the declared-set
-    replay needs exactly these three fields)."""
-    events = trace.mem_events
-    if isinstance(events, MemEventColumns):
-        data = events.data
-        return zip(data[2::5], data[3::5], data[4::5])
-    return ((e.address, e.size, e.is_store) for e in events)
+    tuples (the declared-set replay needs exactly these three fields)."""
+    data = trace.mem_events.data
+    return zip(data[2::5], data[3::5], data[4::5])
 
 
 @dataclass(eq=False)
@@ -190,9 +181,9 @@ class LaunchTrace:
 
     @classmethod
     def from_traces(cls, traces) -> "LaunchTrace":
-        """Adapt per-lane traces (columnar or list-form events) by
-        concatenation — the reference interpreter's launches, and the
-        oracle :meth:`from_unit_counts` is tested against.  The given
+        """Adapt per-lane traces by concatenation — the reference
+        interpreter's launches (:meth:`~repro.exec.interp.Interpreter.run_launch`),
+        and the oracle :meth:`from_unit_counts` is tested against.  The given
         traces stay the per-lane view, so their branch statistics are not
         converted."""
         traces = list(traces)

@@ -109,7 +109,7 @@ from ..ir.structure import (
 from ..ir.types import FloatType, I64, IntType, PointerType
 from ..ir.values import Constant, Function, GlobalVariable, Instruction
 from ..svm.memory import MemoryFault
-from .buffers import LaunchTrace, MemEventColumns, PrivateMemoryPool
+from .buffers import LaunchTrace, PrivateMemoryPool
 from .interp import (
     _BINOP_EVAL,
     _CAST_EVAL,
@@ -121,7 +121,6 @@ from .interp import (
     ExecTrace,
     ExecutionError,
     Interpreter,
-    MemEvent,
 )
 
 _PB = Interpreter.PRIVATE_BASE
@@ -1588,20 +1587,10 @@ class CompiledEngine:
         self._private_next = 0x1000
         self._entered: list[CompiledFunction] = []
         self._dropped = 0
-        # Generated code appends event rows to ``_ev_data`` while it is
-        # shorter than ``_ev_cap``.  A columnar trace lends its own array;
-        # a list-mode trace gets its MemEvent objects when the rows are
-        # harvested.
-        events = self.trace.mem_events
-        cap = self.trace.mem_event_cap
-        if isinstance(events, MemEventColumns):
-            self._list_events = None
-            self._ev_data = events.data
-            self._ev_cap = cap * 5
-        else:
-            self._list_events = events
-            self._ev_data = array("Q")
-            self._ev_cap = max(0, cap - len(events)) * 5
+        # Generated code appends event rows to ``_ev_data`` (the trace's
+        # own buffer) while it is shorter than ``_ev_cap``.
+        self._ev_data = self.trace.mem_events.data
+        self._ev_cap = self.trace.mem_event_cap * 5
 
     # -- public entry points ---------------------------------------------
 
@@ -1753,14 +1742,6 @@ class CompiledEngine:
         if self._dropped:
             trace.mem_events_dropped += self._dropped
             self._dropped = 0
-        events = self._list_events
-        if events is not None and self._ev_data:
-            rows = self._ev_data
-            for i in range(0, len(rows), 5):
-                uid, seq, address, size, is_store = rows[i : i + 5]
-                events.append(MemEvent(uid, seq, address, size, bool(is_store)))
-            del rows[:]
-            self._ev_cap = max(0, trace.mem_event_cap - len(events)) * 5
 
     def _unwind(self, exc: BaseException) -> None:
         """Cold path: a trap is leaving generated code.  What each

@@ -9,9 +9,12 @@ One interpreter serves three roles:
   virtual addresses, no translation);
 * **host-side** calls (constructors, sequential ``join`` fallback).
 
-While executing it records an :class:`ExecTrace` per invocation — dynamic
-instruction count, per-block execution counts, memory access events and
-per-branch outcome statistics.  The device timing models
+While executing it records an :class:`ExecTrace` — dynamic instruction
+count, per-block execution counts, memory access events (one
+:class:`~repro.exec.buffers.MemEventColumns` buffer, the layout every
+engine records into) and per-branch outcome statistics.  Like the other
+engines it runs a CPU chunk (:meth:`Interpreter.run_chunk`) and a GPU
+launch (:meth:`Interpreter.run_launch`) itself.  The device timing models
 (:mod:`repro.gpu.timing`, :mod:`repro.cpu.timing`) are pure functions of
 these traces, which keeps functional correctness and performance modelling
 cleanly separated.
@@ -29,7 +32,12 @@ from ..ir.intrinsics import MATH_EVAL
 from ..ir.types import FloatType, IntType, PointerType, VoidType
 from ..svm.memory import MemoryFault
 from ..svm.region import SharedRegion
-from .buffers import DEFAULT_MEM_EVENT_CAP, PrivateMemoryPool
+from .buffers import (
+    DEFAULT_MEM_EVENT_CAP,
+    LaunchTrace,
+    MemEventColumns,
+    PrivateMemoryPool,
+)
 
 
 class ExecutionError(Exception):
@@ -37,27 +45,14 @@ class ExecutionError(Exception):
 
 
 @dataclass
-class MemEvent:
-    """One dynamic memory access (for the cache/coalescing models)."""
-
-    instr_uid: int
-    seq: int  # k-th dynamic execution of this instruction in this lane
-    address: int  # CPU-space virtual address
-    size: int
-    is_store: bool
-
-
-@dataclass
 class ExecTrace:
-    """Per-invocation execution trace.
+    """One work-item's or one chunk's execution trace.
 
-    ``mem_events`` is either a plain list of :class:`MemEvent` (the
-    reference interpreter's representation) or a columnar
-    :class:`~repro.exec.buffers.MemEventColumns` buffer (the threaded-code
-    engine's); both support ``append``/``len``/iteration.  The CPU model
-    reads either as columns through :func:`~repro.exec.buffers.event_rows`;
-    the GPU model takes a whole launch's lanes at once as a
-    :class:`~repro.exec.buffers.LaunchTrace`.
+    ``mem_events`` is a columnar
+    :class:`~repro.exec.buffers.MemEventColumns` buffer, whichever engine
+    recorded it.  The CPU model reads it as columns through
+    :func:`~repro.exec.buffers.event_rows`; the GPU model takes a whole
+    launch's lanes at once as a :class:`~repro.exec.buffers.LaunchTrace`.
 
     ``mem_event_cap`` defaults to :data:`DEFAULT_MEM_EVENT_CAP`, the same
     constant :class:`~repro.runtime.runtime.ConcordRuntime` is built with
@@ -67,7 +62,7 @@ class ExecTrace:
     instructions: int = 0
     block_counts: dict = field(default_factory=dict)  # block uid -> count
     branch_stats: dict = field(default_factory=dict)  # instr uid -> [taken, total]
-    mem_events: list = field(default_factory=list)
+    mem_events: MemEventColumns = field(default_factory=MemEventColumns)
     mem_event_cap: int = DEFAULT_MEM_EVENT_CAP
     mem_events_dropped: int = 0
     flops: int = 0
@@ -98,31 +93,15 @@ class ExecTrace:
         trace merges its lanes' here)."""
         return self.block_counts
 
-    def record_mem(self, event: MemEvent) -> None:
+    def record_mem(
+        self, instr_uid: int, seq: int, address: int, size: int, is_store: bool
+    ) -> None:
+        """One memory event, kept while the trace is under its cap and
+        counted in ``mem_events_dropped`` past it."""
         if len(self.mem_events) < self.mem_event_cap:
-            self.mem_events.append(event)
+            self.mem_events.append_raw(instr_uid, seq, address, size, is_store)
         else:
             self.mem_events_dropped += 1
-
-    def merge(self, other: "ExecTrace") -> None:
-        """Fold ``other`` into this trace: counters add, and ``other``'s
-        memory events are appended up to this trace's cap (events beyond
-        the cap are counted in ``mem_events_dropped``, exactly like events
-        recorded directly)."""
-        self.instructions += other.instructions
-        for uid, count in other.block_counts.items():
-            self.block_counts[uid] = self.block_counts.get(uid, 0) + count
-        for uid, (taken, total) in other.branch_stats.items():
-            mine = self.branch_stats.setdefault(uid, [0, 0])
-            mine[0] += taken
-            mine[1] += total
-        for event in other.mem_events:
-            self.record_mem(event)
-        self.flops += other.flops
-        self.int_ops += other.int_ops
-        self.translations += other.translations
-        self.calls += other.calls
-        self.mem_events_dropped += other.mem_events_dropped
 
 
 _FLOAT_OPS = frozenset("fadd fsub fmul fdiv frem fcmp".split())
@@ -204,6 +183,47 @@ class Interpreter:
             self.counters.add("engine.invocations")
             self.counters.add(f"engine.invocations.{self.device}")
         return self._run(function, args, depth=0)
+
+    def run_chunk(self, function: Function, span, args_of) -> None:
+        """``function`` for every index of ``span``, all traced into
+        ``self.trace``: sequence numbers and the step count run on across
+        the work-items, private memory starts over for each and goes back
+        to the pool at the end."""
+        try:
+            for index in span:
+                self.global_id = index
+                self.reset_private_memory()
+                self.call_function(function, args_of(index))
+        finally:
+            self.release_private_memory()
+
+    def run_launch(self, function: Function, span, args_of, budget: int) -> LaunchTrace:
+        """``function`` for every index of ``span`` as one GPU launch, in
+        the lifecycle :class:`~repro.exec.buffers.LaunchTrace` is defined
+        by: each work-item runs into a fresh trace from fresh sequence
+        numbers, step count and private memory, and the lanes' traces are
+        concatenated.  The cap is per work-item (at least 1000 events)
+        under the launch's global ``budget``: once the work-items
+        collectively reach it, later lanes record nothing."""
+        per_item = max(1000, budget // max(1, len(span)))
+        kept = 0
+        traces = []
+        own = self.trace
+        try:
+            for index in span:
+                cap = min(per_item, max(0, budget - kept))
+                self.trace = ExecTrace(mem_event_cap=cap)
+                self._mem_seq = {}
+                self._steps = 0
+                self.global_id = index
+                self.reset_private_memory()
+                self.call_function(function, args_of(index))
+                kept += len(self.trace.mem_events)
+                traces.append(self.trace)
+        finally:
+            self.trace = own
+            self.release_private_memory()
+        return LaunchTrace.from_traces(traces)
 
     # -- private memory (alloca) ----------------------------------------------
     #
@@ -397,13 +417,11 @@ class Interpreter:
                 seq = self._mem_seq.get(instr.uid, 0)
                 self._mem_seq[instr.uid] = seq + 1
                 trace.record_mem(
-                    MemEvent(
-                        instr.uid,
-                        seq,
-                        self._canonical_cpu_address(address),
-                        type_.size(),
-                        False,
-                    )
+                    instr.uid,
+                    seq,
+                    self._canonical_cpu_address(address),
+                    type_.size(),
+                    False,
                 )
             return self.load_scalar(address, type_)
 
@@ -415,13 +433,11 @@ class Interpreter:
                 seq = self._mem_seq.get(instr.uid, 0)
                 self._mem_seq[instr.uid] = seq + 1
                 trace.record_mem(
-                    MemEvent(
-                        instr.uid,
-                        seq,
-                        self._canonical_cpu_address(address),
-                        type_.size(),
-                        True,
-                    )
+                    instr.uid,
+                    seq,
+                    self._canonical_cpu_address(address),
+                    type_.size(),
+                    True,
                 )
             self.store_scalar(address, type_, value)
             return None
@@ -593,13 +609,11 @@ class Interpreter:
             seq = self._mem_seq.get(instr.uid, 0)
             self._mem_seq[instr.uid] = seq + 1
             self.trace.record_mem(
-                MemEvent(
-                    instr.uid,
-                    seq,
-                    self._canonical_cpu_address(address),
-                    pointee.size(),
-                    True,
-                )
+                instr.uid,
+                seq,
+                self._canonical_cpu_address(address),
+                pointee.size(),
+                True,
             )
         if name == "atomic.add.i32" or name == "atomic.add.f32":
             new = old + args[1]

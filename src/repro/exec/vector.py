@@ -48,22 +48,24 @@ Design:
   end a hazard check rejects any byte stored by one lane and touched by
   another.  Any trap, hazard or unexpected error rolls the journal back
   — restoring the exact pre-launch region bytes — and raises
-  :class:`VectorFallback`, so the backend reruns the span through the
-  scalar engine and reproduces results, traces and error messages
+  :class:`VectorFallback`, so :class:`VectorEngine` reruns the span
+  through the scalar path and reproduces results, traces and error messages
   bit-for-bit.  Vectorization is therefore *never* observable, only
   faster.
 
 * **Exact traces.**  Memory events are queued raw (one record per
   vector access, canonicalized in one batch at materialization) and
   folded into one columnar :class:`~repro.exec.buffers.LaunchTrace`
-  that replicates the scalar GPU backend's per-item cap budgeting, so
-  the timing model — and every figure — sees identical inputs; its lazy
-  per-lane view is what the scalar engine's ``ExecTrace`` list would be.
+  that replicates the scalar launch's per-item cap budgeting, so the
+  timing model — and every figure — sees identical inputs; its lazy
+  per-lane view is what the scalar engine's per-lane traces would be.
 
 Kernels that cannot be vectorized (virtual calls, atomics, device-side
 allocation, recursion, aggregate scalars, cross-domain bitcasts) are
 classified *gnarly* at generation time and permanently routed to the
-scalar engine with no attempt cost.
+scalar engine with no attempt cost.  That routing is
+:class:`VectorEngine`'s: the generated-code engine the runtime builds
+for the GPU when ``RunConfig.engine`` is ``vector``.
 """
 
 from __future__ import annotations
@@ -85,6 +87,7 @@ from ..ir.types import FloatType, IntType, PointerType, VoidType
 from ..ir.values import Constant, Function, GlobalVariable
 from .buffers import LaunchTrace
 from .compiled import (
+    CompiledEngine,
     _CASTS,
     _COMPARE,
     _DIV_OPS,
@@ -116,6 +119,7 @@ from .interp import (
 
 __all__ = [
     "VectorCodeCache",
+    "VectorEngine",
     "VectorFallback",
     "VectorFunction",
     "VectorMachine",
@@ -141,12 +145,12 @@ _SHIFT = {1: 0, 2: 1, 4: 2, 8: 3}
 
 class VectorFallback(Exception):
     """A launch could not be vectorized (or failed mid-flight after a
-    clean rollback); the backend must rerun it on the scalar engine."""
+    clean rollback); the engine must rerun it on the scalar path."""
 
     def __init__(self, reason: str, sticky: bool = False):
         super().__init__(reason)
         self.reason = reason
-        #: hazards are data-dependent and likely to repeat — the backend
+        #: hazards are data-dependent and likely to repeat — the engine
         #: stops attempting this kernel for the rest of the program's life.
         self.sticky = sticky
 
@@ -259,8 +263,7 @@ class VectorMachine:
     """All mutable launch state: region views, journals, hazard marks,
     per-lane step/trace accumulators, and lazily-grown private memory."""
 
-    def __init__(self, rt, span, num_cores: int):
-        region = rt.region
+    def __init__(self, region, addresses: dict, collect: bool, span, num_cores: int):
         self.region = region
         self.n = len(span)
         self.global_ids = np.fromiter(span, _I64, self.n)
@@ -272,8 +275,8 @@ class VectorMachine:
         self.cbase_u = np.uint64(region.gpu_base & _MASK64)
         self.cend_u = np.uint64((region.gpu_base + surf.size) & _MASK64)
         self.svm_u = np.uint64(region.svm_const & _MASK64)
-        self.addresses = rt.global_addresses
-        self.collect = rt.collect_mem_events
+        self.addresses = addresses
+        self.collect = collect
         self.max_steps = _MAX_STEPS_DEFAULT
         self.num_cores = num_cores
         self._views: dict = {}
@@ -563,7 +566,7 @@ class VectorMachine:
 
     def materialize(self, budget: int) -> LaunchTrace:
         """The launch's columnar trace, replicating the scalar GPU
-        backend's event-cap budgeting and the threaded-code engine's
+        launch's event-cap budgeting and the threaded-code engine's
         derived counters.  Everything stays an array: per-lane
         ``ExecTrace`` objects exist only if someone asks the result for
         its :meth:`~repro.exec.buffers.LaunchTrace.lanes`."""
@@ -623,7 +626,7 @@ class VectorMachine:
 
     def _event_columns(self, budget: int) -> dict:
         """The event columns of the launch trace from the chronological
-        records: apply the scalar backend's cap budget, order the kept
+        records: apply the scalar launch's cap budget, order the kept
         events per lane, canonicalize their addresses in one batch and
         derive per-(lane, uid) sequence numbers.  Events over a lane's cap
         are dropped before anything is gathered or ranked."""
@@ -633,7 +636,7 @@ class VectorMachine:
         widths = [len(record[1]) for record in records]
         lanes = np.concatenate([record[1] for record in records] or none)
         totals = np.bincount(lanes, minlength=n)
-        # The scalar backend's running budget in closed form: lane i keeps
+        # The scalar launch's running budget in closed form: lane i keeps
         # min(total_i, per_item, budget - kept by the lanes before it).
         per_item = max(1000, budget // max(1, n))
         kept_through = np.minimum(
@@ -1775,7 +1778,7 @@ class VectorCodeCache:
         # a callee another thread is generating never reads as recursion.
         self._lock = threading.RLock()
         #: kernel -> why its launches go scalar though it vectorizes: a
-        #: sticky hazard's message, or "low mask occupancy" (the backend
+        #: sticky hazard's message, or "low mask occupancy" (:class:`VectorEngine`
         #: writes, and reads before it even asks for the code)
         self.scalar: dict = {}
 
@@ -1838,17 +1841,24 @@ def _arg_columns(vfn: VectorFunction, span, args_of):
     return cols
 
 
-def run_vectorized(rt, vfn: VectorFunction, span, args_of, num_cores, budget):
-    """Execute one GPU launch columnar; returns ``(machine, trace)``
-    with ``trace`` the launch's :class:`~repro.exec.buffers.LaunchTrace`.
+def run_vectorized(engine, vfn: VectorFunction, span, args_of, budget):
+    """Execute one GPU launch columnar over ``engine``'s region, globals,
+    event collection and core count; returns ``(machine, trace)`` with
+    ``trace`` the launch's :class:`~repro.exec.buffers.LaunchTrace`.
 
     On *any* failure — vectorizability trap, cross-lane hazard, or an
     unexpected error — every journalled store is rolled back so the
     region is byte-identical to its pre-launch state, and
-    :class:`VectorFallback` tells the backend to rerun the span through
-    the scalar engine (which then reproduces results, traces, and error
+    :class:`VectorFallback` tells the engine to rerun the span through
+    the scalar path (which then reproduces results, traces, and error
     behaviour exactly)."""
-    machine = VectorMachine(rt, span, num_cores)
+    machine = VectorMachine(
+        engine.region,
+        engine.code_cache.addresses,
+        engine.collect_mem_events,
+        span,
+        engine.num_cores,
+    )
     try:
         cols = _arg_columns(vfn, span, args_of)
         with np.errstate(all="ignore"):
@@ -1863,3 +1873,101 @@ def run_vectorized(rt, vfn: VectorFunction, span, args_of, num_cores, budget):
         raise VectorFallback(f"{type(exc).__name__}: {exc}") from None
     machine.journal.clear()
     return machine, trace
+
+
+#: Below this active-lane-slot ratio the dense segments are so small that
+#: per-ufunc overhead beats the scalar engine; measured on a kernel's vector
+#: launches, and from the first one under it the kernel is routed scalar.
+_MIN_OCCUPANCY = 0.12
+
+
+class VectorEngine(CompiledEngine):
+    """The generated-code engine whose GPU launches run columnar.
+
+    :meth:`run_launch` tries the program's vector code first and falls
+    back, per kernel, to :meth:`CompiledEngine.run_launch`;
+    ``call_function`` and ``run_chunk`` (host calls, a GPU-side join) are
+    the inherited scalar ones.  The routing, auditable through the
+    ``vector.*`` counters and the ``vector_classify`` span:
+
+    * a kernel the program already routes scalar (a sticky hazard, low
+      mask occupancy) skips even the classification;
+    * otherwise the kernel is classified (``regular`` / ``maskable`` /
+      ``gnarly``); gnarly kernels — irreducible or unsupported constructs,
+      un-devirtualized virtual calls, recursion, device-side allocation —
+      run scalar;
+    * a vectorizable kernel runs optimistically; a trap rolls back every
+      store and the launch re-runs scalar, so results never diverge; a
+      sticky trap (a cross-lane hazard) routes the kernel scalar for the
+      rest of the program object's life;
+    * a launch below :data:`_MIN_OCCUPANCY` stands, but routes the
+      kernel's later launches scalar.
+
+    ``vector_code`` is the program's :class:`VectorCodeCache` (code and
+    verdicts shared by every runtime over the program object),
+    ``classified`` the owning runtime's set of kernels whose
+    classification its span and counters already show, and ``obs_span``
+    the runtime's span factory.
+    """
+
+    def __init__(self, *args, vector_code, classified: set, obs_span, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.vector_code = vector_code
+        self.classified = classified
+        self.obs_span = obs_span
+
+    def _classify(self, kernel):
+        """``classify_kernel``'s answer from the program's code cache; the
+        first ask by this runtime is the one its span and counters show."""
+        if kernel in self.classified:
+            return classify_kernel(self.vector_code, kernel)
+        self.classified.add(kernel)
+        with self.obs_span("vector_classify", "vector", kernel=kernel.name):
+            got = classify_kernel(self.vector_code, kernel)
+        if self.counters is not None:
+            if got[0] == "gnarly":
+                self.counters.add("vector.kernels_gnarly")
+            else:
+                self.counters.add("vector.kernels_vectorized")
+        return got
+
+    def run_launch(self, function: Function, span, args_of, budget: int) -> LaunchTrace:
+        if span:
+            trace = self._columnar(function, span, args_of, budget)
+            if trace is not None:
+                return trace
+            if self.counters is not None:
+                self.counters.add("vector.fallbacks")
+        return super().run_launch(function, span, args_of, budget)
+
+    def _columnar(self, function: Function, span, args_of, budget: int):
+        """The launch run columnar, or ``None`` where the routing sends
+        it to the scalar path (the region is then as it was)."""
+        scalar = self.vector_code.scalar
+        if function in scalar:
+            return None
+        kind, _reason, vfn = self._classify(function)
+        if kind == "gnarly":
+            return None
+        try:
+            with self.obs_span("vector_launch", "vector", kernel=function.name, n=len(span)):
+                machine, trace = run_vectorized(self, vfn, span, args_of, budget)
+        except VectorFallback as fb:
+            if fb.sticky:
+                scalar[function] = str(fb)
+            return None
+        if machine.occ_slots and machine.occ_active / machine.occ_slots < _MIN_OCCUPANCY:
+            scalar[function] = "low mask occupancy"
+        counters = self.counters
+        if counters is not None:
+            n = len(span)
+            # The scalar path counts engine.invocations once per
+            # work-item; one vector launch is n of those.
+            counters.add("engine.invocations", n)
+            counters.add(f"engine.invocations.{self.device}", n)
+            counters.add("vector.lanes_retired", n)
+            # Occupancy ratio = vector.mask_occupancy / vector.mask_slots:
+            # active lane-steps over issued lane-slots across all units.
+            counters.add("vector.mask_occupancy", int(machine.occ_active))
+            counters.add("vector.mask_slots", int(machine.occ_slots))
+        return trace

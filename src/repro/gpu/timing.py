@@ -366,8 +366,7 @@ def time_gpu_kernel(
     """Price one launch.  ``kernel`` is the launched function or the
     :class:`KernelFacts` already read off it; ``traces`` is a
     :class:`~repro.exec.buffers.LaunchTrace`, or a plain list of per-lane
-    :class:`~repro.exec.ExecTrace` (list-form or columnar events) that is
-    adapted into one."""
+    :class:`~repro.exec.ExecTrace` that is adapted into one."""
     facts = kernel if isinstance(kernel, KernelFacts) else KernelFacts.of(kernel)
     trace = (
         traces

@@ -8,7 +8,9 @@ construction, and executes the two parallel constructs:
 * ``parallel_for_hetero(n, body, on_cpu)``
 * ``parallel_reduce_hetero(n, body, on_cpu)``
 
-Device execution lives in the pluggable backends (:mod:`repro.backend`):
+Device execution lives in the pluggable backends (:mod:`repro.backend`),
+one per device, and the lanes under them run on the engine
+:meth:`ConcordRuntime._make_engine` picks (:mod:`repro.exec`).
 ``CpuBackend`` models the multicore path, ``GpuBackend`` models the
 paper's runtime API — per-program ``gpu_program_t`` / per-function
 ``gpu_function_t`` caches mean each kernel is "JIT-compiled" (finalized +
@@ -37,14 +39,10 @@ from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from ..backend import CpuBackend, GpuBackend
-from ..exec.buffers import (
-    DEFAULT_MEM_EVENT_CAP,
-    TRACE_COUNTERS,
-    MemEventColumns,
-    PrivateMemoryPool,
-)
+from ..exec.buffers import DEFAULT_MEM_EVENT_CAP, TRACE_COUNTERS, PrivateMemoryPool
 from ..exec.compiled import CodeCache, CompiledEngine
 from ..exec.interp import ExecTrace, Interpreter
+from ..exec.vector import VectorCodeCache, VectorEngine
 from ..gpu.timing import DeviceReport
 from ..ir.types import StructType, Type
 from ..minicpp.sema import ClassInfo
@@ -239,17 +237,11 @@ class ConcordRuntime:
         self._gpu_function_cache: dict[tuple, object] = {}
         self.total_gpu_report = DeviceReport(device="gpu", seconds=0, energy_joules=0)
         self.total_cpu_report = DeviceReport(device="cpu", seconds=0, energy_joules=0)
-        # The vector engine swaps the GPU backend for the columnar one —
-        # scalar per-lane execution survives underneath it as the
-        # per-kernel fallback (and the CPU backend is untouched: the
-        # multicore path models per-thread execution, not warps).
-        if self.options.engine == "vector":
-            from ..backend.vector import VectorBackend
-
-            gpu_backend = VectorBackend(self)
-        else:
-            gpu_backend = GpuBackend(self)
-        self.backends = {"cpu": CpuBackend(self), "gpu": gpu_backend}
+        # Kernels whose vector classification this runtime's span and
+        # counters already show (the program's verdicts are shared; who
+        # has reported them is not).
+        self._vector_classified: set = set()
+        self.backends = {"cpu": CpuBackend(self), "gpu": GpuBackend(self)}
         self.scheduler = Scheduler(self)
         self._task_graph = None
         self._load_program()
@@ -444,14 +436,8 @@ class ConcordRuntime:
     # -- execution-engine factory ------------------------------------------
 
     def _new_trace(self, cap: Optional[int] = None) -> ExecTrace:
-        """A trace with this runtime's cap; the compiled engine gets the
-        columnar event buffer (five parallel int arrays instead of one
-        MemEvent object per access)."""
-        if cap is None:
-            cap = self.mem_event_cap
-        if self.options.engine != "reference":
-            return ExecTrace(mem_events=MemEventColumns(), mem_event_cap=cap)
-        return ExecTrace(mem_event_cap=cap)
+        """An empty trace under this runtime's cap (or ``cap``)."""
+        return ExecTrace(mem_event_cap=self.mem_event_cap if cap is None else cap)
 
     def _make_engine(
         self,
@@ -462,44 +448,46 @@ class ConcordRuntime:
         num_cores: int = 1,
         allocator=None,
     ):
-        """Build the selected execution engine.  Both engines share the
-        runtime's symbol table and private-memory pool; the compiled engine
-        additionally shares the per-runtime code cache (which binds the
-        global addresses), so constructing an engine per work-item stays
-        cheap (compile once, launch many)."""
-        if collect_mem_events is None:
-            collect_mem_events = self.collect_mem_events
-        counters = self.obs.counters if self.obs is not None else None
-        # The vector engine executes whole chunks in the backend; any
-        # *scalar* engine it needs (host calls, per-kernel fallback) is
-        # the threaded-code one.
-        if self.options.engine != "reference":
-            return CompiledEngine(
-                self.region,
-                device=device,
-                trace=trace,
-                symbols=self._symbols,
-                collect_mem_events=collect_mem_events,
-                global_id=global_id,
-                num_cores=num_cores,
-                allocator=allocator,
-                code_cache=self.code_cache,
-                private_pool=self.private_pool,
-                counters=counters,
-            )
-        return Interpreter(
-            self.region,
+        """The engine that runs this runtime's lanes on ``device`` — the
+        one place ``RunConfig.engine`` becomes an engine class.
+        ``reference`` is the :class:`Interpreter` and ``compiled`` the
+        generated-code :class:`CompiledEngine`; ``vector`` is the
+        :class:`VectorEngine` on the GPU and the generated-code engine
+        elsewhere (the multicore path models per-thread execution, not
+        warps).  Every engine shares the runtime's symbol table and
+        private-memory pool, the generated-code ones its code cache
+        (which binds the global addresses), so an engine per launch
+        stays cheap (compile once, launch many)."""
+        common = dict(
             device=device,
             trace=trace,
             symbols=self._symbols,
-            addresses=self.global_addresses,
-            collect_mem_events=collect_mem_events,
+            collect_mem_events=(
+                self.collect_mem_events if collect_mem_events is None else collect_mem_events
+            ),
             global_id=global_id,
             num_cores=num_cores,
             allocator=allocator,
             private_pool=self.private_pool,
-            counters=counters,
+            counters=self.obs.counters if self.obs is not None else None,
         )
+        engine = self.options.engine
+        if engine == "reference":
+            return Interpreter(self.region, addresses=self.global_addresses, **common)
+        if engine == "vector" and device == "gpu":
+            if self.program.vector_code is None:
+                # The first vector runtime over the program object creates
+                # its code cache; every later one shares it.
+                self.program.vector_code = VectorCodeCache()
+            return VectorEngine(
+                self.region,
+                code_cache=self.code_cache,
+                vector_code=self.program.vector_code,
+                classified=self._vector_classified,
+                obs_span=self._span,
+                **common,
+            )
+        return CompiledEngine(self.region, code_cache=self.code_cache, **common)
 
     def device_heap(self):
         """The device-side bump allocator (created on first use)."""

@@ -116,8 +116,8 @@ class Scheduler:
 
     def engine_of(self, device: str) -> str:
         """The lane engine executing on ``device`` in this runtime.  The
-        vector engine only replaces the GPU backend; CPU lanes (and the
-        vector backend's own per-kernel fallback) run threaded code."""
+        vector engine runs only GPU launches; CPU lanes (and its own
+        per-kernel fallback) run threaded code."""
         engine = self.rt.options.engine
         if device != "gpu" and engine == "vector":
             return "compiled"
@@ -373,6 +373,16 @@ class Scheduler:
 
         if totals["gpu"] is not None:
             rt.total_gpu_report += totals["gpu"]
+        if join is not None and join.joined:
+            # The tree join runs on the GPU: charged to its total as
+            # GpuBackend.run_reduce charges it, and as device_seconds
+            # below counts it.
+            rt.total_gpu_report += DeviceReport(
+                device="gpu",
+                seconds=join.local_seconds,
+                energy_joules=0.0,
+                cycles=join.local_cycles,
+            )
         if totals["cpu"] is not None:
             rt.total_cpu_report += totals["cpu"]
         if rt.obs is not None:

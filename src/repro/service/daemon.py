@@ -125,8 +125,7 @@ class CompileService:
             if not ok:
                 counters.add("service.errors")
             if request_obs is not None:
-                for name, value in request_obs.counters.as_dict().items():
-                    counters.add(name, value)
+                counters.merge(request_obs.counters)
             telemetry = self.observer.telemetry
             if telemetry is not None:
                 telemetry.emit(

@@ -375,21 +375,21 @@ class RaytracerWorkload(Workload):
 
 
 @register
-class FlatRaytracerWorkload(Workload):
-    """The hand-flattened OpenCL-style comparator (paper section 5.4)."""
+class FlatRaytracerWorkload(RaytracerWorkload):
+    """The hand-flattened OpenCL-style comparator (paper section 5.4):
+    the same scene, resolution and launch as :class:`RaytracerWorkload`,
+    with the scene flattened to arrays."""
 
     name = "RaytracerFlat"
     origin = "In-house (OpenCL 1.2 comparator)"
     data_structure = "flattened arrays"
-    parallel_construct = "parallel_for_hetero"
     body_class = "FlatRenderBody"
     input_description = "same scene as Raytracer, flattened to arrays"
     source = FLATTENED_SOURCE
-
-    def resolution(self, scale: float) -> tuple[int, int]:
-        width = max(16, int(40 * scale))
-        height = max(12, int(30 * scale))
-        return width, height
+    # Bound here as well as inherited: a workload's build / run /
+    # validate are each looked up in its own class dict by the span
+    # instrumentation of benchmarks/e2e.
+    run = RaytracerWorkload.run
 
     def build(self, rt: ConcordRuntime, scale: float = 1.0) -> RaytraceState:
         width, height = self.resolution(scale)
@@ -427,10 +427,6 @@ class FlatRaytracerWorkload(Workload):
         body.width = width
         body.height = height
         return RaytraceState(body, framebuffer, width, height)
-
-    def run(self, rt, state: RaytraceState, on_cpu: bool = False) -> list[ExecutionReport]:
-        n = state.width * state.height
-        return [rt.parallel_for_hetero(n, state.body, on_cpu=on_cpu)]
 
     def validate(self, rt, state: RaytraceState) -> None:
         pixels = state.framebuffer.to_list()

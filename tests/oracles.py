@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 from repro.cpu.device import CpuDevice
 from repro.exec import ExecTrace
-from repro.exec.buffers import LaunchTrace, MemEventColumns
+from repro.exec.buffers import LaunchTrace
 from repro.gpu.timing import (
     GATHER_CRACK_SLOTS,
     DeviceReport,
@@ -52,16 +52,13 @@ from repro.gpu.timing import (
 
 def iter_mem_events(trace):
     """Stream a trace's memory events as ``(instr_uid, seq, address, size)``
-    tuples, whichever representation the trace holds.
+    tuples.
 
     The timing models only need these four fields; streaming tuples avoids
-    building a ``MemEvent`` per row when the storage is columnar.
+    building a ``MemEvent`` per row.
     """
-    events = trace.mem_events
-    if isinstance(events, MemEventColumns):
-        data = events.data
-        return zip(data[0::5], data[1::5], data[2::5], data[3::5])
-    return ((e.instr_uid, e.seq, e.address, e.size) for e in events)
+    data = trace.mem_events.data
+    return zip(data[0::5], data[1::5], data[2::5], data[3::5])
 
 
 @dataclass

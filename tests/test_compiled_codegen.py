@@ -3,8 +3,8 @@
 Four groups:
 
 * differential — generated code against the reference ``Interpreter`` on
-  both devices, with and without event collection, columnar and list-mode
-  traces: return values, heap digest, full ``ExecTrace`` equality;
+  both devices, with and without event collection: return values, heap
+  digest, full ``ExecTrace`` equality;
 * error paths — every message and ``trap_*`` stamp, with the expected
   texts frozen from the closure engine this module replaced;
 * generated text — one function per IR function with SSA values as
@@ -26,10 +26,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.exec import (
     CodeCache,
     CompiledEngine,
-    ExecTrace,
     ExecutionError,
     Interpreter,
-    MemEventColumns,
 )
 from repro.exec.compiled import JitCode
 from repro.fuzz import build_ir, generate_ir_program, generate_source_program
@@ -249,20 +247,13 @@ SLOW = settings(
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 
-#: (collect_mem_events, columnar trace buffer)
-MODES = [(True, True), (True, False), (False, True), (False, False)]
+#: collect_mem_events
+MODES = [True, False]
 
 
-def _new_trace(columnar: bool, cap=None) -> ExecTrace:
-    kwargs = {} if cap is None else {"mem_event_cap": cap}
-    if columnar:
-        kwargs["mem_events"] = MemEventColumns()
-    return ExecTrace(**kwargs)
-
-
-def _run_source(program, compiled, engine, device, collect, columnar, region_size=1 << 16):
-    """Drive one srcgen program through a runtime whose traces are
-    columnar or list-mode; returns everything observable."""
+def _run_source(program, compiled, engine, device, collect, region_size=1 << 16):
+    """Drive one srcgen program through a runtime; returns everything
+    observable."""
     rt = ConcordRuntime(
         compiled,
         ultrabook(),
@@ -271,9 +262,6 @@ def _run_source(program, compiled, engine, device, collect, columnar, region_siz
         keep_traces=True,
         collect_mem_events=collect,
         observer=Observer(),
-    )
-    rt._new_trace = lambda cap=None: _new_trace(
-        columnar, rt.mem_event_cap if cap is None else cap
     )
     data = rt.new_array(I32, program.n)
     data.fill_from(program.data)
@@ -318,10 +306,10 @@ class TestDifferential:
             warnings.simplefilter("ignore")
             compiled = compile_source(program.source, OptConfig.gpu_all())
             for device in ("gpu", "cpu"):
-                for collect, columnar in MODES:
-                    where = f"seed {seed} {device} collect={collect} columnar={columnar}"
-                    ref = _run_source(program, compiled, "reference", device, collect, columnar)
-                    got = _run_source(program, compiled, "compiled", device, collect, columnar)
+                for collect in MODES:
+                    where = f"seed {seed} {device} collect={collect}"
+                    ref = _run_source(program, compiled, "reference", device, collect)
+                    got = _run_source(program, compiled, "compiled", device, collect)
                     _assert_runs_equal(ref, got, where)
 
     @SLOW
@@ -332,7 +320,7 @@ class TestDifferential:
         program = generate_ir_program(random.Random(seed), seed=seed)
         _, fn = build_ir(program)
         for device in ("cpu", "gpu"):
-            for collect, columnar in MODES:
+            for collect in MODES:
                 results = []
                 for engine_class in (Interpreter, CompiledEngine):
                     region = SharedRegion(1 << 16)
@@ -342,14 +330,13 @@ class TestDifferential:
                     engine = engine_class(
                         region,
                         device,
-                        trace=_new_trace(columnar),
                         collect_mem_events=collect,
                     )
                     address = region.cpu_to_gpu(buf) if device == "gpu" else buf
                     ret = engine.call_function(fn, [program.a, program.b, address])
                     results.append((ret, bytes(region.physical.data), engine.trace))
                 (ref_ret, ref_bytes, ref_trace), (ret, raw, trace) = results
-                where = f"seed {seed} {device} collect={collect} columnar={columnar}"
+                where = f"seed {seed} {device} collect={collect}"
                 assert ret == ref_ret, where
                 assert raw == ref_bytes, where
                 _assert_trace_equal(ref_trace, trace, where)
@@ -483,19 +470,19 @@ class TestPerProgramCode:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             compiled = compile_source(program.source, OptConfig.gpu_all())
-            first = _run_source(program, compiled, "compiled", "cpu", True, True)
+            first = _run_source(program, compiled, "compiled", "cpu", True)
             # Loading assigned the globals' addresses; from here on the
             # program object must not change.
             frozen = _dumps(compiled)
-            _run_source(program, compiled, "compiled", "gpu", True, True)
+            _run_source(program, compiled, "compiled", "gpu", True)
             generated = len(compiled.jit_code)
             # the vector engine's code and verdicts follow the same rule
-            _run_source(program, compiled, "vector", "gpu", True, True)
+            _run_source(program, compiled, "vector", "gpu", True)
             assert compiled.vector_code is not None
             assert len(compiled.jit_code) == generated
             assert generated > 0
             second = _run_source(
-                program, compiled, "compiled", "cpu", True, True, region_size=1 << 17
+                program, compiled, "compiled", "cpu", True, region_size=1 << 17
             )
         counters = [rt.obs.counters.as_dict() for rt, _ in (first, second)]
         assert counters[0]["code_cache.codegen"] == counters[0]["code_cache.compilations"]

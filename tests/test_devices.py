@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.exec.interp import ExecTrace, MemEvent
+from repro.exec import ExecTrace, MemEvent, MemEventColumns
 from repro.gpu import CacheModel, hd4600, hd5000, time_gpu_kernel
 from repro.gpu.timing import _guarded_blocks, block_sizes
 from repro.cpu import i7_4650u, i7_4770, time_cpu_execution
@@ -38,10 +38,17 @@ def branchy_kernel():
     return fn
 
 
+def columns(events) -> MemEventColumns:
+    """A trace's event buffer holding ``events`` in order."""
+    return MemEventColumns.from_rows(
+        [(e.instr_uid, e.seq, e.address, e.size, e.is_store) for e in events]
+    )
+
+
 def trace_with(blocks: dict, events=(), instructions=0):
     trace = ExecTrace()
     trace.block_counts = dict(blocks)
-    trace.mem_events = list(events)
+    trace.mem_events = columns(events)
     trace.instructions = instructions or sum(blocks.values())
     return trace
 
@@ -225,14 +232,14 @@ class TestCpuModel:
     def test_l1_absorbs_hot_accesses(self):
         hot = ExecTrace()
         hot.instructions = 1000
-        hot.mem_events = [
+        hot.mem_events = columns(
             MemEvent(1, i, 0x100 + (i % 8) * 4, 4, False) for i in range(500)
-        ]
+        )
         cold = ExecTrace()
         cold.instructions = 1000
-        cold.mem_events = [
+        cold.mem_events = columns(
             MemEvent(1, i, 0x100 + i * 4096, 4, False) for i in range(500)
-        ]
+        )
         fast = time_cpu_execution(i7_4770(), [hot])
         slow = time_cpu_execution(i7_4770(), [cold])
         assert fast.cycles < slow.cycles
@@ -259,7 +266,9 @@ class TestDeviceReportSum:
         branchy = ExecTrace()
         branchy.instructions = 900
         branchy.branch_stats = {1: [40, 100]}
-        branchy.mem_events = [MemEvent(1, i, 0x100 + i * 64, 4, False) for i in range(9)]
+        branchy.mem_events = columns(
+            MemEvent(1, i, 0x100 + i * 64, 4, False) for i in range(9)
+        )
         plain = ExecTrace()
         plain.instructions = 50
         first, second = (

@@ -7,8 +7,8 @@ stats, memory events, flop/int-op/translation/call counters), and hence
 the same timing-model outputs — the figures cannot move.
 
 Also covers the engine-adjacent satellites: the compile-once/launch-many
-cache counters, cap threading from runtime into traces, cap-respecting
-``ExecTrace.merge``, and private-memory pooling.
+cache counters, cap threading from runtime into traces, the columnar
+event buffer, and private-memory pooling.
 """
 
 import warnings
@@ -18,7 +18,6 @@ import pytest
 from repro.exec import (
     DEFAULT_MEM_EVENT_CAP,
     ExecTrace,
-    MemEvent,
     MemEventColumns,
     PrivateMemoryPool,
 )
@@ -152,32 +151,6 @@ class TestCapThreading:
         assert rt._new_trace().mem_event_cap == 777
 
 
-class TestMergeRespectsCap:
-    def test_merge_appends_events_up_to_cap(self):
-        a = ExecTrace(mem_event_cap=3)
-        b = ExecTrace()
-        for i in range(5):
-            b.record_mem(MemEvent(1, i, 0x1000 + 4 * i, 4, False))
-        a.merge(b)
-        assert len(a.mem_events) == 3
-        assert a.mem_events_dropped == 2
-        assert [e.seq for e in a.mem_events] == [0, 1, 2]
-
-    def test_merge_from_columnar(self):
-        a = ExecTrace()
-        b = ExecTrace(mem_events=MemEventColumns())
-        b.record_mem(MemEvent(7, 0, 0x2000, 8, True))
-        a.merge(b)
-        assert _events_list(a) == [(7, 0, 0x2000, 8, True)]
-
-
-def _events_list(trace):
-    return [
-        (e.instr_uid, e.seq, e.address, e.size, e.is_store)
-        for e in trace.mem_events
-    ]
-
-
 class TestColumnarBuffer:
     def test_iteration_matches_list_representation(self):
         cols = MemEventColumns()
@@ -192,6 +165,15 @@ class TestColumnarBuffer:
             [3, 0, 0x100, 4, 1],
             [3, 1, 0x104, 4, 0],
         ]
+
+    def test_record_mem_keeps_rows_up_to_the_cap(self):
+        trace = ExecTrace(mem_event_cap=3)
+        assert isinstance(trace.mem_events, MemEventColumns)
+        for i in range(5):
+            trace.record_mem(1, i, 0x1000 + 4 * i, 4, False)
+        assert len(trace.mem_events) == 3
+        assert trace.mem_events_dropped == 2
+        assert [e.seq for e in trace.mem_events] == [0, 1, 2]
 
 
 class TestCounterEquivalence:

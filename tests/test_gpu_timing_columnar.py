@@ -91,7 +91,7 @@ class Recorder:
         self.calls.append((name, value))
 
 
-def random_launch(seed: int, lanes: int, columnar: bool, cap: int):
+def random_launch(seed: int, lanes: int, cap: int):
     """Per-lane traces shaped like an irregular kernel's: a handful of
     memory instructions whose lanes pick lines from a small pool (so
     accesses coalesce within a warp and collide across EUs), some
@@ -104,9 +104,7 @@ def random_launch(seed: int, lanes: int, columnar: bool, cap: int):
     pool = [rng.randrange(1 << 14) for _ in range(rng.randint(1, 24))]
     traces = []
     for _ in range(lanes):
-        trace = ExecTrace(
-            mem_events=MemEventColumns() if columnar else [], mem_event_cap=cap
-        )
+        trace = ExecTrace(mem_event_cap=cap)
         if rng.random() < 0.15:
             traces.append(trace)  # a lane that did nothing at all
             continue
@@ -129,9 +127,7 @@ def random_launch(seed: int, lanes: int, columnar: bool, cap: int):
             size = rng.choice((1, 2, 4, 8, 8, 16))
             offset = rng.choice((0, 8, 24, 56, 60, 63))
             address = (1 << 32) + rng.choice(pool) * 64 + offset
-            trace.record_mem(
-                MemEvent(uid, seqs[uid], address, size, rng.random() < 0.3)
-            )
+            trace.record_mem(uid, seqs[uid], address, size, rng.random() < 0.3)
             seqs[uid] += 1
         traces.append(trace)
     return kernel, traces
@@ -150,15 +146,14 @@ LAUNCHES = settings(
     # 0, 1, a partial warp, several warps, and enough warps that the EU
     # index wraps on the 20-EU desktop part
     lanes=st.one_of(st.integers(0, 70), st.integers(300, 360)),
-    columnar=st.booleans(),
     cap=st.sampled_from((0, 3, 12, 1000)),
     device=st.sampled_from((hd5000, hd4600, detuned)),
     as_launch_trace=st.booleans(),
 )
 def test_report_equals_the_per_event_oracle(
-    seed, lanes, columnar, cap, device, as_launch_trace
+    seed, lanes, cap, device, as_launch_trace
 ):
-    kernel, traces = random_launch(seed, lanes, columnar, cap)
+    kernel, traces = random_launch(seed, lanes, cap)
     expected_counters, got_counters = Recorder(), Recorder()
     expected = oracle_time_gpu_kernel(
         device(), kernel, traces, counters=expected_counters
@@ -183,7 +178,7 @@ def test_report_equals_the_per_event_oracle(
 def test_consecutive_chunks_share_one_cache(seed, first, second, device):
     """The hybrid scheduler prices a construct's chunks against one
     ``l3=`` model: the second chunk must find the lines the first left."""
-    kernel, traces = random_launch(seed, first + second, True, 1000)
+    kernel, traces = random_launch(seed, first + second, 1000)
     gpu = device()
     small = dict(size_bytes=4 * 64 * 2, line_bytes=gpu.l3_line_bytes, assoc=2)
     expected_l3, got_l3 = OracleCacheModel(**small), CacheModel(**small)
@@ -195,8 +190,8 @@ def test_consecutive_chunks_share_one_cache(seed, first, second, device):
 
 
 def test_reference_interpreter_traces_price_identically():
-    """List-form ``MemEvent`` traces straight from the reference
-    interpreter, on both GPUs."""
+    """Traces straight from the reference interpreter's launches, on
+    both GPUs."""
     workload = WORKLOADS["BTree"]()
     rt = workload.make_runtime(
         system=ultrabook(), engine="reference", keep_traces=True
@@ -205,7 +200,7 @@ def test_reference_interpreter_traces_price_identically():
         warnings.simplefilter("ignore")
         state = workload.build(rt, SCALE)
         workload.run(rt, state, on_cpu=False)
-    assert rt.trace_log and isinstance(rt.trace_log[0].mem_events, list)
+    assert rt.trace_log and isinstance(rt.trace_log[0].mem_events, MemEventColumns)
     kernel = next(iter(rt.program.kernels.values())).gpu_kernel
     for device in (hd5000(), hd4600()):
         assert time_gpu_kernel(device, kernel, rt.trace_log) == (
@@ -254,9 +249,8 @@ def test_workload_numbers_equal_the_oracles(name, mode, monkeypatch):
 # -- the launch trace itself --------------------------------------------------
 
 
-@pytest.mark.parametrize("columnar", [False, True], ids=["list", "columns"])
-def test_launch_trace_totals_match_a_lane_by_lane_merge(columnar):
-    _kernel, traces = random_launch(5, 37, columnar, 12)
+def test_launch_trace_totals_match_a_lane_by_lane_merge():
+    _kernel, traces = random_launch(5, 37, 12)
     trace = LaunchTrace.from_traces(traces)
     assert trace.n == 37
     assert trace.lanes() is not None and trace.lanes() == traces
@@ -278,20 +272,26 @@ def test_launch_trace_totals_match_a_lane_by_lane_merge(columnar):
 
 
 def test_event_row_helpers_agree_across_representations():
+    """One buffer read three ways — the ``MemEvent`` rows iteration
+    yields, ``event_rows``' array and ``iter_access_events``' tuples —
+    and rebuilt from its rows."""
     events = [MemEvent(3, 0, (1 << 63) + 5, 8, True), MemEvent(4, 1, 64, 4, False)]
-    columns = MemEventColumns()
+    trace = ExecTrace()
     for event in events:
-        columns.append(event)
-    assert event_rows(columns).tolist() == event_rows(events).tolist()
-    assert list(MemEventColumns.from_rows(event_rows(events))) == events
-    as_list = ExecTrace(mem_events=events)
-    as_columns = ExecTrace(mem_events=columns)
-    assert list(iter_access_events(as_list)) == list(iter_access_events(as_columns))
-    assert (
-        event_rows(as_list.mem_events).tolist()
-        == event_rows(as_columns.mem_events).tolist()
-    )
-    columns.append(events[0])  # no buffer export left behind
+        trace.record_mem(
+            event.instr_uid, event.seq, event.address, event.size, event.is_store
+        )
+    columns = trace.mem_events
+    assert list(columns) == events
+    assert event_rows(columns).tolist() == [
+        [e.instr_uid, e.seq, e.address, e.size, int(e.is_store)] for e in events
+    ]
+    assert list(MemEventColumns.from_rows(event_rows(columns))) == events
+    assert list(iter_access_events(trace)) == [
+        (e.address, e.size, e.is_store) for e in events
+    ]
+    trace.record_mem(3, 1, 64, 4, False)  # no buffer export left behind
+    assert len(columns) == 3
 
 
 def test_vector_launch_never_builds_per_lane_traces(monkeypatch):

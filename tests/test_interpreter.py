@@ -142,7 +142,7 @@ class TestMemoryAndSvm:
         fn = self._store_load_fn(I64)
         interp = Interpreter(region, "cpu")
         interp.call_function(fn, [region.cpu_base + 256, 12345])
-        events = interp.trace.mem_events
+        events = list(interp.trace.mem_events)
         assert len(events) == 2
         assert events[0].is_store and not events[1].is_store
         assert events[0].address == region.cpu_base + 256

@@ -1,7 +1,7 @@
 """Tests for the pluggable scheduler layer (repro.sched): policy
 dispatch, hybrid/auto bit-identity against the paper-faithful gpu
-policy, chunk-dispatch edge cases, report merging, throughput history,
-and the hybrid performance bar."""
+policy, chunk-dispatch edge cases, report merging, the runtime's device
+totals, throughput history, and the hybrid performance bar."""
 
 import random
 import warnings
@@ -289,6 +289,25 @@ class TestHybridBitIdentity:
         auto_bytes, _ = _region_bytes(name, "auto", scale)
         assert hybrid_bytes == gpu_bytes
         assert auto_bytes == gpu_bytes
+
+
+class TestDeviceTotals:
+    @pytest.mark.parametrize("policy", ["gpu", "hybrid"])
+    def test_gpu_total_is_the_gpu_occupancy(self, policy):
+        """``rt.total_gpu_report`` charges what each construct occupied
+        the GPU for — a reduction's work-group tree join included, under
+        ``hybrid`` as under ``gpu``."""
+        cls = WORKLOADS["ClothPhysics"]
+        workload = cls()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rt = cls.make_runtime(OptConfig.gpu_all(), ultrabook(), policy=policy)
+            state = workload.build(rt, 0.2)
+            reports = workload.run(rt, state, on_cpu=False)
+        assert any(r.device == ("hybrid" if policy == "hybrid" else "gpu") for r in reports)
+        occupied = sum(r.per_device_seconds().get("gpu", 0.0) for r in reports)
+        assert occupied > 0.0
+        assert rt.total_gpu_report.seconds == pytest.approx(occupied)
 
 
 class TestHybridPerformance:

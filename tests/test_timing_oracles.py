@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import repro.gpu.cache as cache_module
 import repro.gpu.timing as gpu_timing
 from repro.cpu import i7_4650u, i7_4770, time_cpu_execution
-from repro.exec import ExecTrace, MemEvent, MemEventColumns
+from repro.exec import ExecTrace
 from repro.gpu import CacheModel
 from repro.gpu.cache import _LOCKSTEP_ROUNDS, stable_order, stable_runs
 from repro.passes import OptConfig
@@ -180,12 +180,10 @@ def detuned_cpu():
     )
 
 
-def random_cpu_trace(rng: random.Random, columnar: bool, cap: int = 1000) -> ExecTrace:
+def random_cpu_trace(rng: random.Random, cap: int = 1000) -> ExecTrace:
     """A chunk's trace: pointer-chasing over a small pool of lines, some
     accesses empty, some straddling one or several lines."""
-    trace = ExecTrace(
-        mem_events=MemEventColumns() if columnar else [], mem_event_cap=cap
-    )
+    trace = ExecTrace(mem_event_cap=cap)
     trace.instructions = rng.randint(0, 50_000)
     trace.translations = rng.randint(0, 50)
     for uid in rng.sample(range(40), rng.randint(0, 6)):
@@ -196,7 +194,7 @@ def random_cpu_trace(rng: random.Random, columnar: bool, cap: int = 1000) -> Exe
         size = rng.choice((0, 1, 4, 4, 8, 8, 8, 16, 200))
         offset = rng.choice((0, 0, 8, 24, 56, 60, 63))
         address = (1 << 32) + rng.choice(pool) * 64 + offset
-        trace.record_mem(MemEvent(rng.randrange(9), seq, address, size, False))
+        trace.record_mem(rng.randrange(9), seq, address, size, False)
     return trace
 
 
@@ -204,12 +202,11 @@ def random_cpu_trace(rng: random.Random, columnar: bool, cap: int = 1000) -> Exe
 @given(
     seed=st.integers(0, 2**32),
     device=st.sampled_from((i7_4650u, i7_4770, detuned_cpu)),
-    columnar=st.booleans(),
     chunks=st.integers(1, 3),
     share_llc=st.booleans(),
 )
 def test_cpu_report_equals_the_per_access_oracle(
-    seed, device, columnar, chunks, share_llc
+    seed, device, chunks, share_llc
 ):
     rng = random.Random(seed)
     cpu = device()
@@ -217,7 +214,7 @@ def test_cpu_report_equals_the_per_access_oracle(
     expected_llc = OracleCacheModel(*geometry) if share_llc else None
     got_llc = CacheModel(*geometry) if share_llc else None
     for _ in range(chunks):
-        traces = [random_cpu_trace(rng, columnar) for _ in range(rng.choice((1, 1, 2)))]
+        traces = [random_cpu_trace(rng) for _ in range(rng.choice((1, 1, 2)))]
         expected_counters, got_counters = Recorder(), Recorder()
         expected = oracle_time_cpu_execution(
             cpu, traces, llc=expected_llc, counters=expected_counters
@@ -229,14 +226,14 @@ def test_cpu_report_equals_the_per_access_oracle(
             assert type(getattr(got, field)) is float, field
         for field in ("mem_transactions", "l3_hits", "l3_misses", "instructions"):
             assert type(getattr(got, field)) is int, field
-        traces[0].record_mem(MemEvent(0, 0, 64, 4, False))  # no buffer export left
+        traces[0].record_mem(0, 0, 64, 4, False)  # no buffer export left
     if share_llc:
         assert got_llc.resident.tolist() == expected_llc.resident
 
 
 def test_cpu_model_prices_no_traces_and_no_events():
     cpu = i7_4770()
-    for traces in ([], [ExecTrace()], [ExecTrace(mem_events=MemEventColumns())]):
+    for traces in ([], [ExecTrace()]):
         assert time_cpu_execution(cpu, traces) == oracle_time_cpu_execution(cpu, traces)
 
 

@@ -26,7 +26,6 @@ import pathlib
 import struct
 import tempfile
 import traceback
-import types
 import warnings
 
 import numpy as np
@@ -232,12 +231,9 @@ def _vector_run(fn, rows, region=None, addresses=None):
     ``_Trap`` that a launch would turn into a scalar rerun."""
     kind, reason, vfn = classify_kernel(VectorCodeCache(), fn)
     assert kind != "gnarly", reason
-    rt = types.SimpleNamespace(
-        region=region or SharedRegion(1 << 12),
-        collect_mem_events=True,
-        global_addresses=addresses or {},
+    machine = VectorMachine(
+        region or SharedRegion(1 << 12), addresses or {}, True, range(len(rows)), 4
     )
-    machine = VectorMachine(rt, range(len(rows)), 4)
     columns = _arg_columns(vfn, range(len(rows)), lambda lane: rows[lane])
     try:
         with np.errstate(all="ignore"):

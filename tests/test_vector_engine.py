@@ -1,18 +1,19 @@
 """The columnar vector engine is bit-identical to the threaded-code engine.
 
-For all nine paper workloads the vector backend must leave exactly the
+For all nine paper workloads the vector engine must leave exactly the
 same shared-region bytes, the same execution traces and the same modeled
 reports as ``CompiledEngine`` — whether a kernel was vectorized, rolled
 back and re-run scalar, or routed scalar outright (``vector.fallbacks``).
-Also covers backend registration, the ``vector.*`` counter surface and
-the per-kernel fallback behavior.
+Also covers which engine runs the launches, the ``vector.*`` counter
+surface and the per-kernel fallback behavior.
 """
 
 import warnings
 
 import pytest
 
-from repro.backend import VectorBackend
+from repro.backend import CpuBackend, GpuBackend
+from repro.exec import CompiledEngine, VectorEngine
 from repro.obs import Observer
 from repro.runtime.system import ultrabook
 from repro.workloads import all_workloads
@@ -94,16 +95,43 @@ class TestCounterEquivalence:
         assert totals["compiled"] == totals["vector"], name
 
 
+def _launch_engines(engine: str) -> dict:
+    """The class of the engine each device's launches ran on, for a
+    ClothPhysics run under ``engine`` on both devices."""
+    workload = WORKLOADS["ClothPhysics"]()
+    rt = workload.make_runtime(engine=engine)
+    assert rt.options.engine == engine
+    assert type(rt.backends["gpu"]) is GpuBackend
+    assert type(rt.backends["cpu"]) is CpuBackend
+    used = {}
+    make_engine = rt._make_engine
+
+    def recording(device, **kwargs):
+        made = make_engine(device, **kwargs)
+        used.setdefault(device, set()).add(type(made))
+        return made
+
+    rt._make_engine = recording
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        state = workload.build(rt, 0.1)
+        workload.run(rt, state, on_cpu=False)
+        workload.run(rt, state, on_cpu=True)
+    return used
+
+
 class TestBackendRegistration:
     def test_vector_engine_selects_vector_backend(self):
-        rt = WORKLOADS["BFS"]().make_runtime(engine="vector")
-        assert rt.options.engine == "vector"
-        assert isinstance(rt.backends["gpu"], VectorBackend)
-        assert not isinstance(rt.backends["cpu"], VectorBackend)
+        """The backends are the two devices whichever engine runs; under
+        ``vector`` the GPU's launches run on the vector engine and the
+        CPU's chunks on the generated-code one."""
+        used = _launch_engines("vector")
+        assert used["gpu"] == {VectorEngine}
+        assert used["cpu"] == {CompiledEngine}
 
     def test_other_engines_do_not(self):
-        rt = WORKLOADS["BFS"]().make_runtime(engine="compiled")
-        assert not isinstance(rt.backends["gpu"], VectorBackend)
+        used = _launch_engines("compiled")
+        assert used["gpu"] == used["cpu"] == {CompiledEngine}
 
     def test_exec_package_exports(self):
         from repro.exec import (  # noqa: F401
