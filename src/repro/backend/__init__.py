@@ -1,20 +1,19 @@
-"""Pluggable device backends for the Concord runtime.
+"""Device backends for the Concord runtime.
 
-A backend is a device.  A :class:`Backend` encapsulates everything
-device-specific about running one parallel construct: trace setup, the
-per-device timing model, JIT caching (GPU) and the observer bookkeeping.
-Which engine runs the lanes is not its decision: it asks the runtime for
-one (``ConcordRuntime._make_engine``) and hands it a chunk
-(``run_chunk``) or a launch (``run_launch``); see :mod:`repro.exec`.
-:class:`CpuBackend` and :class:`GpuBackend` absorb what used to be
-``ConcordRuntime``'s four near-duplicate launch paths; the
-:mod:`repro.sched` scheduler composes their chunk-level primitives
-(``launch`` / ``reduce``) into hybrid co-execution.  See
+A backend is a device: :class:`CpuBackend` and :class:`GpuBackend` run a
+chunk of a construct's work-items (``launch`` / ``reduce``) and price it
+with their timing model.  Which engine runs the lanes is not their
+decision: they ask the runtime for one (``ConcordRuntime._make_engine``)
+and hand it a chunk (``run_chunk``) or a launch (``run_launch``); see
+:mod:`repro.exec`.  Where the chunks run is not their decision either:
+:func:`~repro.backend.base.run_construct` runs every construct from a
+plan — one chunk for the backends' own ``run_for`` / ``run_reduce``,
+earliest-completion chunks for :mod:`repro.sched`'s splits.  See
 ``docs/RUNTIME.md``.
 """
 
-from .base import Backend, LaunchResult
+from .base import LaunchResult
 from .cpu import CpuBackend
 from .gpu import GpuBackend
 
-__all__ = ["Backend", "LaunchResult", "CpuBackend", "GpuBackend"]
+__all__ = ["LaunchResult", "CpuBackend", "GpuBackend"]

@@ -1,110 +1,245 @@
-"""The device-backend protocol.
+"""A device runs chunks; one body runs a construct.
 
-A backend runs *chunks* of a parallel construct on one device and prices
-them with that device's timing model.  Two levels of entry points:
+A backend (:class:`~repro.backend.CpuBackend`,
+:class:`~repro.backend.GpuBackend`) is a device: ``launch`` / ``reduce``
+run a contiguous index range through the engine the runtime picked and
+price it with the device's timing model, returning a
+:class:`LaunchResult` without touching the observer.
 
-* **Construct level** — ``run_for`` / ``run_reduce`` execute a whole
-  construct exactly as the pre-refactor monolithic runtime did (same span
-  structure, same observer records, bit-identical timing).  The ``cpu``
-  and ``gpu`` scheduler policies delegate straight to these.
-
-* **Chunk level** — ``prepare`` / ``launch`` / ``reduce`` run a
-  contiguous index range and return the raw :class:`LaunchResult`
-  (traces + device report) *without* touching the observer.  The
-  scheduler composes these into hybrid constructs and does the
-  construct-level bookkeeping itself.
+:func:`run_construct` is a whole construct: the construct span, the JIT
+when the GPU may run, the section 3.3 scratch copies of a reduction, the
+chunks, the join, the device totals, the observer record and the
+:class:`~repro.runtime.ExecutionReport`.  A :class:`Plan` decides only
+*where* each chunk runs: the backends' ``run_for`` / ``run_reduce`` feed
+it one chunk (:func:`whole`), the scheduler's ``run_split`` its
+earliest-completion chunks.  The CPU's TBB-style reduction (one body
+copy per core, joined on the lanes' engine) is the one construct with a
+body of its own, ``CpuBackend.run_reduce``.
 
 Backends are stateless apart from the owning runtime: every engine,
 trace, allocator and counter comes from the :class:`ConcordRuntime`
-passed at construction, so two backends over one runtime share the code
-cache, private pool and SVM region exactly as the monolith did.
+passed at construction, so the two backends share its code cache,
+private pool and SVM region.
 """
 
 from __future__ import annotations
 
-import abc
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Generator
 
+from ..gpu.cache import CacheModel
 from ..gpu.timing import DeviceReport
+from ..svm import address_of
+
+
+def _runtime_mod():
+    # Deferred: repro.runtime.runtime imports this package.  Constants
+    # (JIT_SECONDS_PER_INSTRUCTION, REDUCTION_GROUP_SIZE) are read through
+    # the module at call time so tests can monkeypatch them where they
+    # always lived.
+    from ..runtime import runtime
+
+    return runtime
 
 
 @dataclass
 class LaunchResult:
     """What one chunk of work cost: the device report plus the traces it
     was priced from — one :class:`~repro.exec.buffers.LaunchTrace` for a
-    GPU chunk, one :class:`~repro.exec.ExecTrace` for a CPU chunk (the
-    scheduler feeds their ``counter_totals()`` / ``block_totals()`` to
-    counter harvesting and source-line attribution)."""
+    GPU chunk, one :class:`~repro.exec.ExecTrace` for a CPU chunk (their
+    ``counter_totals()`` / ``block_totals()`` feed counter harvesting
+    and source-line attribution)."""
 
     report: DeviceReport
     traces: list = field(default_factory=list)
 
     @property
     def kept_events(self) -> int:
-        """Mem events retained across this chunk's traces (the scheduler
-        charges them against the construct's global cap budget)."""
+        """Mem events retained across this chunk's traces (charged against
+        the construct's global cap budget)."""
         return sum(trace.kept_events for trace in self.traces)
 
 
-class Backend(abc.ABC):
-    """One device's execution + timing strategy (see module docstring)."""
+def stamp_trap(exc: BaseException, device: str, kernel, engine) -> None:
+    """Give a trap leaving the lanes its lane's context for the flight
+    recorder; the innermost stamp wins."""
+    if not hasattr(exc, "trap_device"):
+        exc.trap_device = device
+        exc.trap_kernel = kernel.name
+        exc.trap_global_id = engine.global_id
 
-    #: device name; doubles as the scheduler registry key
-    name: str = ""
-    #: what this backend can run ("for", "reduce") and provide ("jit")
-    capabilities: frozenset = frozenset()
 
-    def __init__(self, rt):
-        self.rt = rt
+def parallel_report(parts, device: str = "hybrid") -> DeviceReport:
+    """Merge per-device totals modeled as executing *concurrently*: wall
+    seconds/cycles take the max (the devices overlap), while event counts
+    and energy sum.  Compare ``DeviceReport.__add__``, which models
+    *sequential* composition by summing seconds."""
+    parts = [part for part in parts if part is not None]
+    if not parts:
+        return DeviceReport(device=device, seconds=0.0, energy_joules=0.0)
+    return DeviceReport(
+        device=device,
+        seconds=max(part.seconds for part in parts),
+        energy_joules=sum(part.energy_joules for part in parts),
+        cycles=max(part.cycles for part in parts),
+        instructions=sum(part.instructions for part in parts),
+        issue_slots=sum(part.issue_slots for part in parts),
+        mem_transactions=sum(part.mem_transactions for part in parts),
+        l3_hits=sum(part.l3_hits for part in parts),
+        l3_misses=sum(part.l3_misses for part in parts),
+        contention_events=sum(part.contention_events for part in parts),
+        contention_cycles=sum(part.contention_cycles for part in parts),
+        divergence_waste=sum(part.divergence_waste for part in parts),
+        translations=sum(part.translations for part in parts),
+    )
 
-    # -- chunk-level primitives -------------------------------------------
 
-    @abc.abstractmethod
-    def prepare(self, kinfo) -> float:
-        """One-time per-kernel setup (e.g. the GPU's vendor JIT); returns
-        the simulated seconds charged to *this* call (0.0 when cached)."""
+@dataclass
+class Plan:
+    """Where one construct's chunks run.  ``chunks`` is a generator that
+    yields ``(device, range)`` in global index order and is sent each
+    chunk's :class:`LaunchResult` before it names the next."""
 
-    def jit_preview(self, kinfo) -> float:
-        """The cost :meth:`prepare` would charge for this kernel *without*
-        performing the setup — the task graph's compile-ahead estimate.
-        Backends with no one-time setup preview as free."""
-        return 0.0
+    #: "cpu" | "gpu" | "hybrid": the device the record and report name
+    label: str
+    #: the devices it may use; more than one overlap in modeled time
+    devices: tuple
+    chunks: Generator
+    #: further attributes of the construct span
+    attrs: dict = field(default_factory=dict)
 
-    @abc.abstractmethod
-    def launch(
-        self,
-        kinfo,
-        span: range,
-        body_addr: int,
-        timing_cache=None,
-        budget: Optional[int] = None,
-    ) -> LaunchResult:
-        """Execute ``operator()`` lanes for every index in ``span`` against
-        the body at ``body_addr`` and price them.  ``timing_cache`` threads
-        one cache model through consecutive chunks of a construct (so a
-        split construct is priced like one launch); ``budget`` caps the
-        mem events this chunk may retain."""
 
-    @abc.abstractmethod
-    def reduce(
-        self,
-        kinfo,
-        span: range,
-        copies: list,
-        timing_cache=None,
-        budget: Optional[int] = None,
-    ) -> LaunchResult:
-        """Execute reduction lanes for every index in ``span``, each into
-        its private body copy ``copies[index]`` (section 3.3 layout: one
-        copy per work-item, joined afterwards by the caller)."""
+def whole(device: str, n: int) -> Plan:
+    """All of ``range(n)`` as one chunk on ``device``."""
 
-    # -- construct-level entry points -------------------------------------
+    def chunks():
+        yield device, range(n)
 
-    @abc.abstractmethod
-    def run_for(self, kinfo, n: int, body):
-        """A whole ``parallel_for_hetero`` construct, observer-recorded."""
+    return Plan(device, (device,), chunks())
 
-    @abc.abstractmethod
-    def run_reduce(self, kinfo, n: int, body):
-        """A whole ``parallel_reduce_hetero`` construct, observer-recorded."""
+
+def run_construct(rt, kinfo, n: int, body, construct: str, plan: Plan):
+    """Run one ``for`` / ``reduce`` construct as ``plan`` places it (see
+    module docstring).  Chunks execute sequentially in global index
+    order, so the region bytes do not depend on the plan; each device's
+    chunks price against one cache model, like consecutive slices of a
+    single launch, and under one construct-global mem-event budget."""
+    gpu = rt.backends["gpu"]
+    gpu_runs = "gpu" in plan.devices
+    kernel = kinfo.gpu_kernel if gpu_runs else kinfo.kernel
+    gdev, cdev = rt.system.gpu, rt.system.cpu
+    caches = {
+        "gpu": CacheModel(gdev.l3_size_bytes, gdev.l3_line_bytes, gdev.l3_assoc),
+        "cpu": CacheModel(cdev.llc_size_bytes, cdev.llc_line_bytes, cdev.llc_assoc),
+    }
+    budget = rt.mem_event_cap
+    totals: dict = {}  # device -> DeviceReport of its chunks
+    traces: dict = {"gpu": [], "cpu": []}
+    phases: dict = {}
+    span_seconds: list = []
+    jit_seconds = 0.0
+    join = None
+    with rt._span(
+        f"construct:{kernel.name}", "construct", device=plan.label, n=n, **plan.attrs
+    ) as cspan:
+        if gpu_runs:
+            with rt._span("jit", "phase") as jit_span:
+                jit_seconds = gpu.prepare(kinfo)
+            phases["jit"] = jit_seconds
+            span_seconds.append((jit_span, jit_seconds))
+        addr = address_of(body)
+        copies = None
+        if construct == "reduce":
+            copies = gpu.alloc_copies(kinfo, addr, n)
+        with rt._span("launch", "phase") as launch_span:
+            result = None
+            index = 0
+            while True:
+                try:
+                    device, span = plan.chunks.send(result)
+                except StopIteration:
+                    break
+                backend = rt.backends[device]
+                with rt._span(
+                    f"launch:{device}", "phase", chunk=index, lo=span.start, items=len(span)
+                ) as chunk_span:
+                    if copies is None:
+                        result = backend.launch(
+                            kinfo, span, addr, timing_cache=caches[device], budget=budget
+                        )
+                    else:
+                        result = backend.reduce(
+                            kinfo, span, copies, timing_cache=caches[device], budget=budget
+                        )
+                budget = max(0, budget - result.kept_events)
+                report = result.report
+                span_seconds.append((chunk_span, report.seconds))
+                totals[device] = totals[device] + report if device in totals else report
+                traces[device].extend(result.traces)
+                index += 1
+        if len(plan.devices) > 1:
+            total = parallel_report([totals.get(device) for device in plan.devices])
+        else:
+            total = totals[plan.devices[0]]
+        phases["launch"] = total.seconds
+        span_seconds.append((launch_span, total.seconds))
+        if copies is not None:
+            join = gpu.join_copies(kinfo, addr, copies)
+            if join.joined:
+                # The work-group tree runs on the GPU after every chunk.
+                tree = DeviceReport(
+                    device="gpu",
+                    seconds=join.local_seconds,
+                    energy_joules=0.0,
+                    cycles=join.local_cycles,
+                )
+                total = total + tree
+                totals["gpu"] = totals["gpu"] + tree if "gpu" in totals else tree
+            gpu.free_copies(copies)
+            phases["reduce_tree"] = join.local_seconds
+            phases["host_join"] = join.host_seconds
+            span_seconds += [
+                (join.tree_span, join.local_seconds),
+                (join.host_span, join.host_seconds),
+            ]
+
+    if "gpu" in totals:
+        rt.total_gpu_report += totals["gpu"]
+    if "cpu" in totals:
+        rt.total_cpu_report += totals["cpu"]
+    if rt.obs is not None:
+        line_samples = [
+            (kinfo.gpu_kernel, "gpu", traces["gpu"]),
+            (kinfo.kernel, "cpu", traces["cpu"]),
+        ]
+        host = []
+        if join is not None and join.host_trace is not None:
+            host = [join.host_trace]
+            line_samples.append((join.host_fn, "cpu", host))
+        rt._record_construct(
+            cspan,
+            kernel.name,
+            construct,
+            plan.label,
+            n,
+            seconds=total.seconds + jit_seconds + phases.get("host_join", 0.0),
+            energy_joules=total.energy_joules,
+            phases=phases,
+            traces=traces["gpu"] + traces["cpu"] + host,
+            span_seconds=span_seconds,
+            line_samples=[sample for sample in line_samples if sample[2]],
+        )
+    # A split's per-device occupancy lets the task graph overlap its
+    # halves with other constructs; one device's is the report itself.
+    device_seconds = None
+    if len(plan.devices) > 1:
+        device_seconds = {
+            device: totals[device].seconds for device in plan.devices if device in totals
+        }
+    return _runtime_mod().ExecutionReport(
+        device=plan.label,
+        n=n,
+        report=total,
+        jit_seconds=jit_seconds,
+        device_seconds=device_seconds,
+    )

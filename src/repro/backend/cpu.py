@@ -6,8 +6,10 @@ timing model's multicore scaling (``cores × parallel_efficiency``)
 represents TBB-style work distribution, so per-lane traces would model
 nothing extra.  Per chunk: the engine, the trace, the sequence numbers
 and the step count; per work-item: ``global_id`` and private memory.
-The construct-level paths reproduce the pre-refactor ``_run_cpu`` /
-``_run_cpu_reduce`` byte for byte.
+A ``for`` construct is one chunk through
+:func:`~repro.backend.base.run_construct`; a whole-CPU reduction keeps
+its own TBB-style body (one body copy per core, joined on the lanes'
+engine into the one priced trace).
 """
 
 from __future__ import annotations
@@ -16,25 +18,14 @@ from typing import Optional
 
 from ..cpu.timing import time_cpu_execution
 from ..svm import address_of
-from .base import Backend, LaunchResult
+from .base import LaunchResult, _runtime_mod, run_construct, stamp_trap, whole
 
 
-def _runtime_mod():
-    # Deferred: repro.runtime.runtime imports this package.  Constants
-    # (REDUCTION_GROUP_SIZE etc.) are read through the module at call time
-    # so tests can monkeypatch them where they always lived.
-    from ..runtime import runtime
-
-    return runtime
-
-
-class CpuBackend(Backend):
+class CpuBackend:
     name = "cpu"
-    capabilities = frozenset({"for", "reduce"})
 
-    def _counters(self):
-        obs = self.rt.obs
-        return obs.counters if obs is not None else None
+    def __init__(self, rt):
+        self.rt = rt
 
     # -- chunk-level primitives -------------------------------------------
 
@@ -45,16 +36,11 @@ class CpuBackend(Backend):
         """Run ``kernel`` for every index of ``span`` through one engine
         and into its one trace (``engine.run_chunk``: each work-item
         starts with its own empty private memory, and the buffer goes
-        back to the pool at the end).  A trap leaves with its lane's
-        context for the flight recorder."""
+        back to the pool at the end)."""
         try:
             engine.run_chunk(kernel, span, args_of)
         except BaseException as exc:
-            # Cold path: the innermost stamp wins.
-            if not hasattr(exc, "trap_device"):
-                exc.trap_device = self.name
-                exc.trap_kernel = kernel.name
-                exc.trap_global_id = engine.global_id
+            stamp_trap(exc, self.name, kernel, engine)
             raise
 
     def _chunk(self, kinfo, span, args_of, timing_cache, budget) -> LaunchResult:
@@ -71,7 +57,7 @@ class CpuBackend(Backend):
         if rt.keep_traces:
             rt.trace_log.append(trace)
         report = time_cpu_execution(
-            rt.system.cpu, [trace], llc=timing_cache, counters=self._counters()
+            rt.system.cpu, [trace], llc=timing_cache, counters=rt.counters
         )
         return LaunchResult(report=report, traces=[trace])
 
@@ -96,40 +82,17 @@ class CpuBackend(Backend):
         budget: Optional[int] = None,
     ) -> LaunchResult:
         """Reduction lanes in the GPU's one-copy-per-work-item layout
-        (used by the hybrid scheduler so both devices fill the same
-        scratch copies; the full-CPU construct below keeps its TBB-style
+        (a split reduction's CPU chunks fill the same scratch copies as
+        its GPU chunks; the whole-CPU construct below keeps its TBB-style
         one-copy-per-core layout instead)."""
         return self._chunk(
             kinfo, span, lambda index: [copies[index], index], timing_cache, budget
         )
 
-    # -- construct-level entry points -------------------------------------
+    # -- whole constructs ---------------------------------------------------
 
     def run_for(self, kinfo, n: int, body):
-        rt = self.rt
-        kernel_name = kinfo.kernel.name
-        with rt._span(
-            f"construct:{kernel_name}", "construct", device="cpu", n=n
-        ) as cspan:
-            with rt._span("launch", "phase") as launch_span:
-                result = self.launch(kinfo, range(n), address_of(body))
-        report = result.report
-        rt.total_cpu_report += report
-        if rt.obs is not None:
-            rt._record_construct(
-                cspan,
-                kernel_name,
-                "for",
-                "cpu",
-                n,
-                seconds=report.seconds,
-                energy_joules=report.energy_joules,
-                phases={"launch": report.seconds},
-                traces=result.traces,
-                span_seconds=[(launch_span, report.seconds)],
-                line_samples=[(kinfo.kernel, "cpu", result.traces)],
-            )
-        return _runtime_mod().ExecutionReport(device="cpu", n=n, report=report)
+        return run_construct(self.rt, kinfo, n, body, "for", whole("cpu", n))
 
     def run_reduce(self, kinfo, n: int, body):
         # TBB-style: each worker runs iterations into (a copy of) the body
@@ -173,7 +136,7 @@ class CpuBackend(Backend):
                 if rt.keep_traces:
                     rt.trace_log.append(trace)
                 report = time_cpu_execution(
-                    rt.system.cpu, [trace], counters=self._counters()
+                    rt.system.cpu, [trace], counters=rt.counters
                 )
         rt.total_cpu_report += report
         if rt.obs is not None:

@@ -5,11 +5,9 @@ kernel_name)`` — kernel names repeat across compiled programs), the
 launch's trace collection under its global mem-event cap budget (one
 engine per launch, whichever the runtime picked, returns one columnar
 :class:`~repro.exec.buffers.LaunchTrace` from ``run_launch``), and the
-section 3.3 hierarchical reduction (private copies → per-work-group tree
-join → sequential host join).  The construct-level paths reproduce the
-pre-refactor ``_offload`` / ``_offload_reduce`` byte for byte; the
-chunk-level ``launch`` / ``reduce`` / ``alloc_copies`` / ``join_copies``
-pieces are what the hybrid scheduler composes.
+section 3.3 reduction scaffolding (private copies, per-work-group tree
+join, sequential host join) that :func:`~repro.backend.base.run_construct`
+lays out around a reduction's chunks.
 """
 
 from __future__ import annotations
@@ -22,18 +20,7 @@ from typing import Optional
 from ..cpu.timing import time_cpu_execution
 from ..exec.buffers import LaunchTrace
 from ..gpu.timing import KernelFacts, time_gpu_kernel
-from ..svm import address_of
-from .base import Backend, LaunchResult
-
-
-def _runtime_mod():
-    # Deferred: repro.runtime.runtime imports this package.  Constants
-    # (JIT_SECONDS_PER_INSTRUCTION, REDUCTION_GROUP_SIZE) are read through
-    # the module at call time so tests can monkeypatch them where they
-    # always lived.
-    from ..runtime import runtime
-
-    return runtime
+from .base import LaunchResult, _runtime_mod, run_construct, stamp_trap, whole
 
 
 @dataclass
@@ -58,17 +45,17 @@ class JoinResult:
     local_seconds: float = 0.0
     host_fn: object = None
     host_trace: object = None
+    #: the host join priced by the CPU model (only when it was traced)
+    host_seconds: float = 0.0
     tree_span: object = None
     host_span: object = None
 
 
-class GpuBackend(Backend):
+class GpuBackend:
     name = "gpu"
-    capabilities = frozenset({"for", "reduce", "jit"})
 
-    def _counters(self):
-        obs = self.rt.obs
-        return obs.counters if obs is not None else None
+    def __init__(self, rt):
+        self.rt = rt
 
     # -- chunk-level primitives -------------------------------------------
 
@@ -89,12 +76,7 @@ class GpuBackend(Backend):
         cache.launches += 1
         if cache.finalized:
             return 0.0
-        instructions = sum(
-            len(block.instructions) for block in kinfo.gpu_kernel.blocks
-        )
-        cache.jit_seconds = (
-            instructions * _runtime_mod().JIT_SECONDS_PER_INSTRUCTION
-        )
+        cache.jit_seconds = self.jit_preview(kinfo)
         cache.finalized = True
         return cache.jit_seconds
 
@@ -130,15 +112,22 @@ class GpuBackend(Backend):
         try:
             trace = engine.run_launch(kernel, span, args_of, budget)
         except BaseException as exc:
-            # Cold path: lane context for the flight recorder.
-            if not hasattr(exc, "trap_device"):
-                exc.trap_device = self.name
-                exc.trap_kernel = kernel.name
-                exc.trap_global_id = engine.global_id
+            stamp_trap(exc, self.name, kernel, engine)
             raise
         if rt.keep_traces:
             rt.trace_log.extend(trace.lanes())
         return trace
+
+    def _chunk(self, kinfo, span, args_of, timing_cache, budget) -> LaunchResult:
+        trace = self._gpu_traces(kinfo.gpu_kernel, span, args_of, budget)
+        report = time_gpu_kernel(
+            self.rt.system.gpu,
+            self._function(kinfo).facts,
+            trace,
+            l3=timing_cache,
+            counters=self.rt.counters,
+        )
+        return LaunchResult(report=report, traces=[trace])
 
     def launch(
         self,
@@ -148,19 +137,15 @@ class GpuBackend(Backend):
         timing_cache=None,
         budget: Optional[int] = None,
     ) -> LaunchResult:
-        # The kernel receives the body pointer in CPU representation (the
-        # paper's ``CpuPtr cpu_ptr`` argument) and translates it itself.
-        trace = self._gpu_traces(
-            kinfo.gpu_kernel, span, lambda index: [body_addr, index], budget
+        """Run ``operator()`` for every index of ``span`` against the body
+        at ``body_addr`` and price it.  ``timing_cache`` threads one L3
+        model through a construct's chunks; ``budget`` caps the mem events
+        this chunk may retain.  The kernel receives the body pointer in
+        CPU representation (the paper's ``CpuPtr cpu_ptr`` argument) and
+        translates it itself."""
+        return self._chunk(
+            kinfo, span, lambda index: [body_addr, index], timing_cache, budget
         )
-        report = time_gpu_kernel(
-            self.rt.system.gpu,
-            self._function(kinfo).facts,
-            trace,
-            l3=timing_cache,
-            counters=self._counters(),
-        )
-        return LaunchResult(report=report, traces=[trace])
 
     def reduce(
         self,
@@ -170,22 +155,13 @@ class GpuBackend(Backend):
         timing_cache=None,
         budget: Optional[int] = None,
     ) -> LaunchResult:
-        trace = self._gpu_traces(
-            kinfo.gpu_kernel,
-            span,
-            lambda index: [copies[index], index],
-            budget,
+        """Reduction lanes, each into its private body copy
+        ``copies[index]`` (section 3.3: one copy per work-item)."""
+        return self._chunk(
+            kinfo, span, lambda index: [copies[index], index], timing_cache, budget
         )
-        report = time_gpu_kernel(
-            self.rt.system.gpu,
-            self._function(kinfo).facts,
-            trace,
-            l3=timing_cache,
-            counters=self._counters(),
-        )
-        return LaunchResult(report=report, traces=[trace])
 
-    # -- reduction scratch management (shared with the hybrid scheduler) --
+    # -- reduction scratch management --------------------------------------
 
     def alloc_copies(self, kinfo, body_addr: int, n: int) -> list:
         """One private body copy per work-item, initialized from the body
@@ -266,104 +242,19 @@ class GpuBackend(Backend):
                 host.call_function(result.host_fn, [body_addr, leader])
             host.release_private_memory()
         result.host_span = host_span
+        if result.host_trace is not None:
+            result.host_seconds = time_cpu_execution(
+                rt.system.cpu, [result.host_trace]
+            ).seconds
         return result
 
-    # -- construct-level entry points -------------------------------------
+    # -- whole constructs: one chunk on the GPU ------------------------------
 
     def run_for(self, kinfo, n: int, body):
-        rt = self.rt
-        kernel_name = kinfo.gpu_kernel.name
-        with rt._span(
-            f"construct:{kernel_name}", "construct", device="gpu", n=n
-        ) as cspan:
-            with rt._span("jit", "phase") as jit_span:
-                jit_seconds = self.prepare(kinfo)
-            addr = address_of(body)
-            with rt._span("launch", "phase") as launch_span:
-                result = self.launch(kinfo, range(n), addr)
-        report = result.report
-        rt.total_gpu_report += report
-        if rt.obs is not None:
-            rt._record_construct(
-                cspan,
-                kernel_name,
-                "for",
-                "gpu",
-                n,
-                seconds=report.seconds + jit_seconds,
-                energy_joules=report.energy_joules,
-                phases={"jit": jit_seconds, "launch": report.seconds},
-                traces=result.traces,
-                span_seconds=[
-                    (jit_span, jit_seconds),
-                    (launch_span, report.seconds),
-                ],
-                line_samples=[(kinfo.gpu_kernel, "gpu", result.traces)],
-            )
-        return _runtime_mod().ExecutionReport(
-            device="gpu", n=n, report=report, jit_seconds=jit_seconds
-        )
+        return run_construct(self.rt, kinfo, n, body, "for", whole("gpu", n))
 
     def run_reduce(self, kinfo, n: int, body):
         """Hierarchical reduction (section 3.3): private body copies, local
         memory tree reduction per work-group, sequential join of group
         results."""
-        rt = self.rt
-        kernel_name = kinfo.gpu_kernel.name
-        with rt._span(
-            f"construct:{kernel_name}", "construct", device="gpu", n=n
-        ) as cspan:
-            with rt._span("jit", "phase") as jit_span:
-                jit_seconds = self.prepare(kinfo)
-            addr = address_of(body)
-            copies = self.alloc_copies(kinfo, addr, n)
-            with rt._span("launch", "phase") as launch_span:
-                result = self.reduce(kinfo, range(n), copies)
-            report = result.report
-            launch_seconds = report.seconds
-            join = self.join_copies(kinfo, addr, copies)
-            if join.joined:
-                report.cycles += join.local_cycles
-                report.seconds += join.local_seconds
-            self.free_copies(copies)
-
-        rt.total_gpu_report += report
-        if rt.obs is not None:
-            host_join_seconds = 0.0
-            if join.host_trace is not None:
-                host_join_seconds = time_cpu_execution(
-                    rt.system.cpu, [join.host_trace]
-                ).seconds
-            total_seconds = report.seconds + jit_seconds + host_join_seconds
-            traces = result.traces + (
-                [join.host_trace] if join.host_trace is not None else []
-            )
-            line_samples = [(kinfo.gpu_kernel, "gpu", result.traces)]
-            if join.host_trace is not None:
-                line_samples.append((join.host_fn, "cpu", [join.host_trace]))
-            rt._record_construct(
-                cspan,
-                kernel_name,
-                "reduce",
-                "gpu",
-                n,
-                seconds=total_seconds,
-                energy_joules=report.energy_joules,
-                phases={
-                    "jit": jit_seconds,
-                    "launch": launch_seconds,
-                    "reduce_tree": join.local_seconds,
-                    "host_join": host_join_seconds,
-                },
-                traces=traces,
-                span_seconds=[
-                    (jit_span, jit_seconds),
-                    (launch_span, launch_seconds),
-                    (join.tree_span, join.local_seconds),
-                    (join.host_span, host_join_seconds),
-                ],
-                line_samples=line_samples,
-            )
-        return _runtime_mod().ExecutionReport(
-            device="gpu", n=n, report=report, jit_seconds=jit_seconds
-        )
+        return run_construct(self.rt, kinfo, n, body, "reduce", whole("gpu", n))

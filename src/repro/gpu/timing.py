@@ -1,9 +1,8 @@
 """GPU performance and energy model from execution traces.
 
 Work-items execute functionally on one of the engines; this module
-turns a launch's trace — a columnar
-:class:`~repro.exec.buffers.LaunchTrace`, or the per-lane
-:class:`~repro.exec.ExecTrace` records it is adapted from — into cycles
+turns a launch's trace — one columnar
+:class:`~repro.exec.buffers.LaunchTrace` — into cycles
 and joules on a :class:`~repro.gpu.device.GpuDevice`.  The model is
 evaluated with NumPy over the launch's columns but *defined* lane by
 lane, warp by warp: transactions reach the LRU in first-touch order and
@@ -359,20 +358,15 @@ def _transactions(device, trace: LaunchTrace, warps: int):
 def time_gpu_kernel(
     device: GpuDevice,
     kernel: Function | KernelFacts,
-    traces: LaunchTrace | list,
+    trace: LaunchTrace,
     l3: CacheModel | None = None,
     counters=None,
 ) -> DeviceReport:
     """Price one launch.  ``kernel`` is the launched function or the
-    :class:`KernelFacts` already read off it; ``traces`` is a
-    :class:`~repro.exec.buffers.LaunchTrace`, or a plain list of per-lane
-    :class:`~repro.exec.ExecTrace` that is adapted into one."""
+    :class:`KernelFacts` already read off it; ``trace`` is the launch's
+    :class:`~repro.exec.buffers.LaunchTrace` (``LaunchTrace.from_traces``
+    builds one from per-lane :class:`~repro.exec.ExecTrace`)."""
     facts = kernel if isinstance(kernel, KernelFacts) else KernelFacts.of(kernel)
-    trace = (
-        traces
-        if isinstance(traces, LaunchTrace)
-        else LaunchTrace.from_traces(traces)
-    )
     l3 = l3 or CacheModel(device.l3_size_bytes, device.l3_line_bytes, device.l3_assoc)
     warps = (trace.n + device.simd_width - 1) // device.simd_width
 

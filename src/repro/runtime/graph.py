@@ -278,11 +278,6 @@ class TaskGraph:
 
     # -- plumbing ----------------------------------------------------------
 
-    @property
-    def _counters(self):
-        obs = self.rt.obs
-        return obs.counters if obs is not None else None
-
     def _whole_region(self) -> tuple:
         region = self.rt.region
         return (RegionSpan(region.cpu_base, region.size),)
@@ -351,7 +346,7 @@ class TaskGraph:
         )
         self.futures.append(future)
         self._compile_ahead(kinfo)
-        counters = self._counters
+        counters = self.rt.counters
         if counters is not None:
             counters.add("graph.submitted")
             if conservative:
@@ -505,7 +500,7 @@ class TaskGraph:
         if report.jit_seconds > 0.0:
             exposed = max(0.0, jit_ready - start_without_jit)
             self._jit_ahead += max(0.0, report.jit_seconds - exposed)
-        counters = self._counters
+        counters = self.rt.counters
         if counters is not None:
             counters.add("graph.executed")
             counters.add("graph.wave_depth", 0)  # ensure series exists

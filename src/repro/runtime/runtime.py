@@ -8,9 +8,10 @@ construction, and executes the two parallel constructs:
 * ``parallel_for_hetero(n, body, on_cpu)``
 * ``parallel_reduce_hetero(n, body, on_cpu)``
 
-Device execution lives in the pluggable backends (:mod:`repro.backend`),
-one per device, and the lanes under them run on the engine
-:meth:`ConcordRuntime._make_engine` picks (:mod:`repro.exec`).
+Device execution lives in the backends (:mod:`repro.backend`), one per
+device, every construct runs through one body
+(:func:`repro.backend.base.run_construct`), and the lanes run on the
+engine :meth:`ConcordRuntime._make_engine` picks (:mod:`repro.exec`).
 ``CpuBackend`` models the multicore path, ``GpuBackend`` models the
 paper's runtime API — per-program ``gpu_program_t`` / per-function
 ``gpu_function_t`` caches mean each kernel is "JIT-compiled" (finalized +
@@ -97,7 +98,7 @@ class RunConfig:
     engine: str = _option(
         "compiled", ("compiled", "reference", "vector"), "execution engine"
     )
-    #: the registry itself, so a policy registered later is a choice too
+    #: the policy table, ``repro.sched.POLICIES``
     policy: str = _option("gpu", POLICIES, "scheduling policy")
     graph: bool = _option(False, (False, True), "graph mode")
     graph_placement: str = _option("policy", PLACEMENTS, "graph placement")
@@ -204,7 +205,8 @@ class ConcordRuntime:
         # guarded on ``is not None`` so the default configuration pays
         # nothing — spans, counters and profiles exist only on request.
         self.obs = observer
-        counters = observer.counters if observer is not None else None
+        #: the observer's counter registry, or ``None`` without one
+        self.counters = counters = observer.counters if observer is not None else None
         # What loading the program decides, kept here and not on the
         # (shared) program: symbol id -> function for CPU virtual
         # dispatch, and global name -> its address in this region.
@@ -378,7 +380,7 @@ class ConcordRuntime:
             for index, value in enumerate(trace.counter_totals()):
                 sums[index] += value
         totals = dict(zip(TRACE_COUNTERS, sums))
-        counters = self.obs.counters
+        counters = self.counters
         for name, value in totals.items():
             counters.add(name, value)
         counters.add("obs.counter_flushes", 1)
@@ -435,6 +437,14 @@ class ConcordRuntime:
 
     # -- execution-engine factory ------------------------------------------
 
+    def lane_engine(self, device: str, engine: Optional[str] = None) -> str:
+        """The name of the engine that runs lanes on ``device`` under
+        ``engine`` (this runtime's ``RunConfig.engine`` by default) — the
+        one place that rule is written.  The vector engine runs only GPU
+        launches; CPU lanes under it run threaded code."""
+        engine = self.options.engine if engine is None else engine
+        return "compiled" if engine == "vector" and device != "gpu" else engine
+
     def _new_trace(self, cap: Optional[int] = None) -> ExecTrace:
         """An empty trace under this runtime's cap (or ``cap``)."""
         return ExecTrace(mem_event_cap=self.mem_event_cap if cap is None else cap)
@@ -449,15 +459,15 @@ class ConcordRuntime:
         allocator=None,
     ):
         """The engine that runs this runtime's lanes on ``device`` — the
-        one place ``RunConfig.engine`` becomes an engine class.
-        ``reference`` is the :class:`Interpreter` and ``compiled`` the
-        generated-code :class:`CompiledEngine`; ``vector`` is the
-        :class:`VectorEngine` on the GPU and the generated-code engine
-        elsewhere (the multicore path models per-thread execution, not
-        warps).  Every engine shares the runtime's symbol table and
-        private-memory pool, the generated-code ones its code cache
-        (which binds the global addresses), so an engine per launch
-        stays cheap (compile once, launch many)."""
+        one place an engine name (:meth:`lane_engine`) becomes an engine
+        class.  ``reference`` is the :class:`Interpreter`, ``compiled``
+        the generated-code :class:`CompiledEngine` and ``vector`` the
+        :class:`VectorEngine` (GPU launches only: the multicore path
+        models per-thread execution, not warps).  Every engine shares
+        the runtime's symbol table and private-memory pool, the
+        generated-code ones its code cache (which binds the global
+        addresses), so an engine per launch stays cheap (compile once,
+        launch many)."""
         common = dict(
             device=device,
             trace=trace,
@@ -469,12 +479,12 @@ class ConcordRuntime:
             num_cores=num_cores,
             allocator=allocator,
             private_pool=self.private_pool,
-            counters=self.obs.counters if self.obs is not None else None,
+            counters=self.counters,
         )
-        engine = self.options.engine
+        engine = self.lane_engine(device)
         if engine == "reference":
             return Interpreter(self.region, addresses=self.global_addresses, **common)
-        if engine == "vector" and device == "gpu":
+        if engine == "vector":
             if self.program.vector_code is None:
                 # The first vector runtime over the program object creates
                 # its code cache; every later one shares it.

@@ -1,18 +1,16 @@
 """Placement policies: where does a construct's index space run?
 
-``cpu`` and ``gpu`` are the paper-faithful single-device paths — they
-delegate to the backend's construct-level entry points and stay
-bit-identical to the pre-refactor runtime.  ``auto`` picks the faster
+A policy is a function ``(sched, kinfo, n, body, construct)`` returning
+the construct's ``ExecutionReport``; :data:`POLICIES` names the four.
+``cpu`` and ``gpu`` are the paper-faithful single-device paths — one
+backend's ``run_for`` / ``run_reduce``.  ``auto`` picks the faster
 device per kernel, warming up through a split first construct when it
 has no measurements; ``hybrid`` splits every large enough construct
 across both backends with the scheduler's earliest-completion chunk
 dispatch.  All four feed the scheduler's throughput history, so
 decisions sharpen over a run and can be pre-seeded from a prior profile
-(``Scheduler.seed_from_profile``).
-
-New policies register with :func:`register_policy` and become selectable
-through ``make_runtime(policy=...)`` and the CLI without touching the
-runtime.
+(``Scheduler.seed_from_profile``).  Policies keep no state: anything
+one wants to remember lives in the scheduler's history.
 """
 
 from __future__ import annotations
@@ -29,46 +27,17 @@ MIN_CHUNK = 16
 #: calibration to steer mid-construct without drowning in tiny launches.
 CHUNK_DIVISOR = 64
 
-#: name -> Policy subclass
-POLICIES: dict = {}
-
-
-def register_policy(name: str):
-    """Class decorator adding a policy to the registry under ``name``."""
-
-    def _register(cls):
-        cls.name = name
-        POLICIES[name] = cls
-        return cls
-
-    return _register
-
 
 def _chunk_size(n: int) -> int:
     return max(MIN_CHUNK, n // CHUNK_DIVISOR)
 
 
-class Policy:
-    """One placement strategy.  Stateless across constructs — anything a
-    policy wants to remember lives in the scheduler's history."""
-
-    name: str = ""
-
-    def run_for(self, sched, kinfo, n, body):
-        raise NotImplementedError
-
-    def run_reduce(self, sched, kinfo, n, body):
-        raise NotImplementedError
-
-
 def _single(sched, device: str, kinfo, n, body, construct: str):
-    """Whole construct on one backend's construct-level path, with the
-    observed launch time fed back into the throughput history."""
-    backend = sched.backend(device)
-    if construct == "reduce":
-        result = backend.run_reduce(kinfo, n, body)
-    else:
-        result = backend.run_for(kinfo, n, body)
+    """Whole construct on one backend, with the observed launch time fed
+    back into the throughput history."""
+    backend = sched.rt.backends[device]
+    run = backend.run_reduce if construct == "reduce" else backend.run_for
+    result = run(kinfo, n, body)
     sched.record(sched.key_of(kinfo), device, n, result.report.seconds)
     return result
 
@@ -84,31 +53,18 @@ def _best_known(sched, kinfo, default: str = "gpu") -> str:
     return "gpu" if tg >= tc else "cpu"
 
 
-@register_policy("cpu")
-class CpuPolicy(Policy):
+def cpu(sched, kinfo, n, body, construct):
     """Everything on the multicore CPU (the paper's ``on_cpu=True``)."""
-
-    def run_for(self, sched, kinfo, n, body):
-        return _single(sched, "cpu", kinfo, n, body, "for")
-
-    def run_reduce(self, sched, kinfo, n, body):
-        return _single(sched, "cpu", kinfo, n, body, "reduce")
+    return _single(sched, "cpu", kinfo, n, body, construct)
 
 
-@register_policy("gpu")
-class GpuPolicy(Policy):
+def gpu(sched, kinfo, n, body, construct):
     """Everything offloaded to the integrated GPU (paper-faithful
     default)."""
-
-    def run_for(self, sched, kinfo, n, body):
-        return _single(sched, "gpu", kinfo, n, body, "for")
-
-    def run_reduce(self, sched, kinfo, n, body):
-        return _single(sched, "gpu", kinfo, n, body, "reduce")
+    return _single(sched, "gpu", kinfo, n, body, construct)
 
 
-@register_policy("auto")
-class AutoPolicy(Policy):
+def auto(sched, kinfo, n, body, construct):
     """Profile-guided single-device placement.
 
     With throughput history for both devices (from earlier constructs of
@@ -117,27 +73,21 @@ class AutoPolicy(Policy):
     Cold kernels with enough items warm up through one split construct —
     the chunk dispatcher measures both devices as a side effect and the
     winner dominates from the second construct on; tiny cold constructs
-    just take the paper's GPU default.
+    just take the paper's GPU default.  Reductions carry per-item
+    scratch copies; they stay whole on the best known device rather than
+    paying a split warm-up.
     """
-
-    def run_for(self, sched, kinfo, n, body):
-        key = sched.key_of(kinfo)
-        known = (
-            sched.throughput(key, "gpu") is not None
-            and sched.throughput(key, "cpu") is not None
-        )
-        if known or n < 2 * MIN_CHUNK:
-            return _single(sched, _best_known(sched, kinfo), kinfo, n, body, "for")
-        return sched.run_split(kinfo, n, body, "for", _chunk_size(n), "auto")
-
-    def run_reduce(self, sched, kinfo, n, body):
-        # Reductions carry per-item scratch copies; keep them whole on the
-        # best known device rather than paying a split warm-up.
-        return _single(sched, _best_known(sched, kinfo), kinfo, n, body, "reduce")
+    key = sched.key_of(kinfo)
+    known = (
+        sched.throughput(key, "gpu") is not None
+        and sched.throughput(key, "cpu") is not None
+    )
+    if construct == "reduce" or known or n < 2 * MIN_CHUNK:
+        return _single(sched, _best_known(sched, kinfo), kinfo, n, body, construct)
+    return sched.run_split(kinfo, n, body, construct, _chunk_size(n), "auto")
 
 
-@register_policy("hybrid")
-class HybridPolicy(Policy):
+def hybrid(sched, kinfo, n, body, construct):
     """Split each construct across CPU and GPU by calibrated throughput.
 
     Chunks are dispatched to the device with the earliest estimated
@@ -146,19 +96,12 @@ class HybridPolicy(Policy):
     participation.  Constructs under :data:`MIN_SPLIT_ITEMS` items
     degrade to the best known single device.
     """
-
-    def run_for(self, sched, kinfo, n, body):
-        if n < MIN_SPLIT_ITEMS:
-            return self._degrade(sched, kinfo, n, body, "for")
-        return sched.run_split(kinfo, n, body, "for", _chunk_size(n), "hybrid")
-
-    def run_reduce(self, sched, kinfo, n, body):
-        if n < MIN_SPLIT_ITEMS:
-            return self._degrade(sched, kinfo, n, body, "reduce")
-        return sched.run_split(kinfo, n, body, "reduce", _chunk_size(n), "hybrid")
-
-    def _degrade(self, sched, kinfo, n, body, construct):
-        counters = sched.counters
-        if counters is not None:
-            counters.add("sched.degraded")
+    if n < MIN_SPLIT_ITEMS:
+        if sched.rt.counters is not None:
+            sched.rt.counters.add("sched.degraded")
         return _single(sched, _best_known(sched, kinfo), kinfo, n, body, construct)
+    return sched.run_split(kinfo, n, body, construct, _chunk_size(n), "hybrid")
+
+
+#: name -> policy; ``RunConfig.policy`` takes its choices from it
+POLICIES = {"cpu": cpu, "gpu": gpu, "auto": auto, "hybrid": hybrid}

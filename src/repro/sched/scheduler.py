@@ -1,11 +1,12 @@
-"""The construct scheduler (dispatch, history, hybrid split machinery).
+"""The construct scheduler (dispatch, history, the split planner).
 
 The scheduler sits between ``ConcordRuntime``'s public constructs and the
-device backends.  Single-device policies delegate to a backend's
-construct-level path unchanged (bit-identical to the pre-refactor
-monolith); the ``auto``/``hybrid`` policies use :meth:`Scheduler.run_split`
-to partition one index space across both backends with greedy
-earliest-completion-time chunk dispatch:
+device backends.  Single-device policies run a backend's ``run_for`` /
+``run_reduce`` (one chunk); the ``auto``/``hybrid`` policies use
+:meth:`Scheduler.run_split` to partition one index space across both
+backends with greedy earliest-completion-time chunk dispatch.  Either
+way :func:`~repro.backend.base.run_construct` runs the construct; the
+scheduler only places its chunks:
 
 * Functional execution stays **sequential in global index order**: chunks
   are carved off the front of the remaining range one at a time and run
@@ -33,9 +34,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..gpu.cache import CacheModel
-from ..gpu.timing import DeviceReport
-from ..svm import address_of
+from ..backend.base import Plan, run_construct
+from .policies import POLICIES
 
 #: A chunk whose recalibrated GPU share moved by more than this counts as
 #: a re-partition event (``sched.repartition``).
@@ -56,40 +56,12 @@ CPU_SAFETY = 1.25
 MAX_GPU_CHUNK_RATIO = 64
 
 
-def parallel_report(parts, device: str = "hybrid") -> DeviceReport:
-    """Merge per-device totals modeled as executing *concurrently*: wall
-    seconds/cycles take the max (the devices overlap), while event counts
-    and energy sum.  Compare ``DeviceReport.__add__``, which models
-    *sequential* composition by summing seconds."""
-    parts = [part for part in parts if part is not None]
-    if not parts:
-        return DeviceReport(device=device, seconds=0.0, energy_joules=0.0)
-    return DeviceReport(
-        device=device,
-        seconds=max(part.seconds for part in parts),
-        energy_joules=sum(part.energy_joules for part in parts),
-        cycles=max(part.cycles for part in parts),
-        instructions=sum(part.instructions for part in parts),
-        issue_slots=sum(part.issue_slots for part in parts),
-        mem_transactions=sum(part.mem_transactions for part in parts),
-        l3_hits=sum(part.l3_hits for part in parts),
-        l3_misses=sum(part.l3_misses for part in parts),
-        contention_events=sum(part.contention_events for part in parts),
-        contention_cycles=sum(part.contention_cycles for part in parts),
-        divergence_waste=sum(part.divergence_waste for part in parts),
-        translations=sum(part.translations for part in parts),
-    )
-
-
 class Scheduler:
-    """Dispatches constructs through a pluggable placement policy — the
-    runtime's ``options.policy`` unless a construct names its own."""
+    """Dispatches constructs through a placement policy — the runtime's
+    ``options.policy`` unless a construct names its own."""
 
     def __init__(self, rt):
-        from .policies import POLICIES
-
         self.rt = rt
-        self._policies = {name: cls() for name, cls in POLICIES.items()}
         #: (body-class name, device) -> [items, device seconds] observed,
         #: plus an engine-qualified (key, device, engine) row per
         #: observation; every recorded launch/chunk refines the estimates.
@@ -101,36 +73,19 @@ class Scheduler:
 
     # -- plumbing ----------------------------------------------------------
 
-    @property
-    def counters(self):
-        obs = self.rt.obs
-        return obs.counters if obs is not None else None
-
-    def backend(self, name: str):
-        return self.rt.backends[name]
-
     def key_of(self, kinfo) -> str:
         """History key: the body class is stable across the CPU/GPU kernel
         forms (whose IR function names differ)."""
         return kinfo.body_class.name
 
-    def engine_of(self, device: str) -> str:
-        """The lane engine executing on ``device`` in this runtime.  The
-        vector engine runs only GPU launches; CPU lanes (and its own
-        per-kernel fallback) run threaded code."""
-        engine = self.rt.options.engine
-        if device != "gpu" and engine == "vector":
-            return "compiled"
-        return engine
-
     # -- dispatch ----------------------------------------------------------
 
     def run(self, kinfo, n, body, construct, on_cpu=False, policy=None):
         name = policy if policy is not None else self.rt.options.policy
-        if name not in self._policies:
+        if name not in POLICIES:
             raise ValueError(
                 f"unknown scheduling policy {name!r}; choose from "
-                f"{sorted(self._policies)}"
+                f"{sorted(POLICIES)}"
             )
         fallback = ""
         if on_cpu:
@@ -139,7 +94,7 @@ class Scheduler:
         elif kinfo.cpu_only and name != "cpu":
             name = "cpu"
             fallback = "restriction fallback"
-        counters = self.counters
+        counters = self.rt.counters
         if counters is not None:
             counters.add("sched.constructs")
             counters.add(f"sched.policy.{name}")
@@ -154,11 +109,7 @@ class Scheduler:
                     n=n,
                     fallback=fallback,
                 )
-        chosen = self._policies[name]
-        if construct == "reduce":
-            report = chosen.run_reduce(self, kinfo, n, body)
-        else:
-            report = chosen.run_for(self, kinfo, n, body)
+        report = POLICIES[name](self, kinfo, n, body, construct)
         if fallback:
             report.fallback_reason = fallback
         return report
@@ -176,7 +127,7 @@ class Scheduler:
         if items <= 0 or seconds <= 0.0:
             return
         if engine is None:
-            engine = self.engine_of(device)
+            engine = self.rt.lane_engine(device)
         for hkey in ((key, device), (key, device, engine)):
             entry = self.history.setdefault(hkey, [0, 0.0])
             entry[0] += items
@@ -192,7 +143,7 @@ class Scheduler:
         seeded by an older profile without engine rows still primes the
         estimate."""
         if engine is None:
-            engine = self.engine_of(device)
+            engine = self.rt.lane_engine(device)
         entry = self.history.get((key, device, engine))
         if entry is None:
             entry = self.history.get((key, device))
@@ -235,9 +186,7 @@ class Scheduler:
             phases = construct.get("phases") or {}
             seconds = phases.get("launch", construct.get("seconds", 0.0))
             if n and seconds:
-                engine = profile_engine or "unknown"
-                if engine == "vector" and device != "gpu":
-                    engine = "compiled"
+                engine = self.rt.lane_engine(device, profile_engine or "unknown")
                 self.record(key, device, n, seconds, engine=engine)
                 seeded += 1
         return seeded
@@ -246,30 +195,30 @@ class Scheduler:
 
     def run_split(self, kinfo, n, body, construct, chunk_items, policy_name):
         """One construct partitioned across both backends (see module
-        docstring).  ``chunk_items`` is the CPU-side chunk granularity;
-        GPU chunks scale up by the calibrated throughput ratio.  Each
-        chunk is dispatched to the device with the earliest estimated
-        completion, with a cold-start CPU probe and an end-game guard."""
+        docstring): :func:`~repro.backend.base.run_construct` runs the
+        chunks :meth:`_chunks` places."""
+        plan = Plan(
+            "hybrid",
+            ("gpu", "cpu"),
+            self._chunks(kinfo, n, chunk_items),
+            {"policy": policy_name},
+        )
+        return run_construct(self.rt, kinfo, n, body, construct, plan)
+
+    def _chunks(self, kinfo, n, chunk_items):
+        """The earliest-completion planner.  ``chunk_items`` is the
+        CPU-side chunk granularity; GPU chunks scale up by the calibrated
+        throughput ratio.  Each chunk goes to the device with the earliest
+        estimated completion, with a cold-start CPU probe and an end-game
+        guard; its measured seconds advance that device's clock and feed
+        the history before the next chunk is placed."""
         rt = self.rt
-        gpu = self.backend("gpu")
-        cpu = self.backend("cpu")
         key = self.key_of(kinfo)
-        kernel_name = kinfo.gpu_kernel.name
-        counters = self.counters
-        # One cache model per device per construct: chunks price like
-        # consecutive slices of a single launch.
-        gdev, cdev = rt.system.gpu, rt.system.cpu
-        caches = {
-            "gpu": CacheModel(gdev.l3_size_bytes, gdev.l3_line_bytes, gdev.l3_assoc),
-            "cpu": CacheModel(cdev.llc_size_bytes, cdev.llc_line_bytes, cdev.llc_assoc),
-        }
-        budget = rt.mem_event_cap  # construct-global mem-event budget
+        counters = rt.counters
         # Per-device virtual clocks and in-construct throughput (fresher
         # than the cross-construct history, so it wins when present).
         clock = {"gpu": 0.0, "cpu": 0.0}
         items = {"gpu": 0, "cpu": 0}
-        totals = {"gpu": None, "cpu": None}
-        traces = {"gpu": [], "cpu": []}
 
         def est(device):
             if clock[device] > 0.0 and items[device] > 0:
@@ -282,168 +231,40 @@ class Scheduler:
         # warp packing and break timing comparability with ``gpu`` runs.
         warp = max(1, rt.system.gpu.simd_width)
         chunk_items = -(-max(1, chunk_items) // warp) * warp
-        with rt._span(
-            f"construct:{kernel_name}",
-            "construct",
-            device="hybrid",
-            n=n,
-            policy=policy_name,
-        ) as cspan:
-            with rt._span("jit", "phase") as jit_span:
-                jit_seconds = gpu.prepare(kinfo)
-            addr = address_of(body)
-            copies = None
-            if construct == "reduce":
-                copies = gpu.alloc_copies(kinfo, addr, n)
-            with rt._span("launch", "phase") as launch_span:
-                lo = 0
-                index = 0
-                last_share = None
-                while lo < n:
-                    remaining = n - lo
-                    device, size = self._pick(
-                        est("gpu"), est("cpu"), clock, remaining,
-                        chunk_items, counters,
-                    )
-                    span = range(lo, lo + size)
-                    backend = gpu if device == "gpu" else cpu
-                    with rt._span(
-                        f"launch:{device}",
-                        "phase",
+        lo = 0
+        index = 0
+        last_share = None
+        while lo < n:
+            device, size = self._pick(
+                est("gpu"), est("cpu"), clock, n - lo, chunk_items, counters
+            )
+            result = yield device, range(lo, lo + size)
+            seconds = result.report.seconds
+            clock[device] += seconds
+            items[device] += size
+            self.record(key, device, size, seconds)
+            if counters is not None:
+                counters.add(f"sched.chunks.{device}")
+                counters.add(f"sched.items.{device}", size)
+                telemetry = rt.obs.telemetry
+                if telemetry is not None:
+                    telemetry.emit(
+                        "sched",
+                        key,
+                        decision="chunk",
+                        device=device,
                         chunk=index,
                         lo=lo,
                         items=size,
-                    ) as chunk_span:
-                        if construct == "reduce":
-                            result = backend.reduce(
-                                kinfo, span, copies,
-                                timing_cache=caches[device], budget=budget,
-                            )
-                        else:
-                            result = backend.launch(
-                                kinfo, span, addr,
-                                timing_cache=caches[device], budget=budget,
-                            )
-                    budget = max(0, budget - result.kept_events)
-                    report = result.report
-                    if chunk_span is not None:
-                        chunk_span.sim_seconds = report.seconds
-                    clock[device] += report.seconds
-                    items[device] += size
-                    totals[device] = (
-                        report if totals[device] is None
-                        else totals[device] + report
                     )
-                    traces[device].extend(result.traces)
-                    self.record(key, device, size, report.seconds)
-                    if counters is not None:
-                        counters.add(f"sched.chunks.{device}")
-                        counters.add(f"sched.items.{device}", size)
-                        telemetry = rt.obs.telemetry
-                        if telemetry is not None:
-                            telemetry.emit(
-                                "sched",
-                                key,
-                                decision="chunk",
-                                device=device,
-                                chunk=index,
-                                lo=lo,
-                                items=size,
-                            )
-                    share = self.gpu_share(key)
-                    if (
-                        last_share is not None
-                        and abs(share - last_share) > REPARTITION_DELTA
-                    ):
-                        self.repartitions += 1
-                        if counters is not None:
-                            counters.add("sched.repartition")
-                    last_share = share
-                    lo += size
-                    index += 1
-            total = parallel_report([totals["gpu"], totals["cpu"]])
-            launch_seconds = total.seconds
-            join = None
-            if construct == "reduce":
-                join = gpu.join_copies(kinfo, addr, copies)
-                if join.joined:
-                    total.cycles += join.local_cycles
-                    total.seconds += join.local_seconds
-                gpu.free_copies(copies)
-
-        if totals["gpu"] is not None:
-            rt.total_gpu_report += totals["gpu"]
-        if join is not None and join.joined:
-            # The tree join runs on the GPU: charged to its total as
-            # GpuBackend.run_reduce charges it, and as device_seconds
-            # below counts it.
-            rt.total_gpu_report += DeviceReport(
-                device="gpu",
-                seconds=join.local_seconds,
-                energy_joules=0.0,
-                cycles=join.local_cycles,
-            )
-        if totals["cpu"] is not None:
-            rt.total_cpu_report += totals["cpu"]
-        if rt.obs is not None:
-            from ..cpu.timing import time_cpu_execution
-
-            host_join_seconds = 0.0
-            host_trace = join.host_trace if join is not None else None
-            if host_trace is not None:
-                host_join_seconds = time_cpu_execution(
-                    rt.system.cpu, [host_trace]
-                ).seconds
-            seconds = total.seconds + jit_seconds + host_join_seconds
-            phases = {"jit": jit_seconds, "launch": launch_seconds}
-            span_seconds = [(jit_span, jit_seconds), (launch_span, launch_seconds)]
-            all_traces = traces["gpu"] + traces["cpu"]
-            line_samples = []
-            if traces["gpu"]:
-                line_samples.append((kinfo.gpu_kernel, "gpu", traces["gpu"]))
-            if traces["cpu"]:
-                line_samples.append((kinfo.kernel, "cpu", traces["cpu"]))
-            if construct == "reduce":
-                phases["reduce_tree"] = join.local_seconds
-                phases["host_join"] = host_join_seconds
-                span_seconds.append((join.tree_span, join.local_seconds))
-                span_seconds.append((join.host_span, host_join_seconds))
-                if host_trace is not None:
-                    all_traces = all_traces + [host_trace]
-                    line_samples.append((join.host_fn, "cpu", [host_trace]))
-            rt._record_construct(
-                cspan,
-                kernel_name,
-                construct,
-                "hybrid",
-                n,
-                seconds=seconds,
-                energy_joules=total.energy_joules,
-                phases=phases,
-                traces=all_traces,
-                span_seconds=span_seconds,
-                line_samples=line_samples,
-            )
-        from ..runtime.runtime import ExecutionReport
-
-        # The final virtual clocks are each device's launch occupancy —
-        # the task graph uses them to overlap this construct's halves
-        # with other constructs instead of conservatively blocking both
-        # devices for the merged wall time.
-        device_seconds = {
-            device: clock[device] for device in clock if items[device] > 0
-        }
-        if construct == "reduce" and join is not None and join.joined:
-            device_seconds["gpu"] = (
-                device_seconds.get("gpu", 0.0) + join.local_seconds
-            )
-        return ExecutionReport(
-            device="hybrid",
-            n=n,
-            report=total,
-            jit_seconds=jit_seconds,
-            device_seconds=device_seconds,
-        )
+            share = self.gpu_share(key)
+            if last_share is not None and abs(share - last_share) > REPARTITION_DELTA:
+                self.repartitions += 1
+                if counters is not None:
+                    counters.add("sched.repartition")
+            last_share = share
+            lo += size
+            index += 1
 
     def _pick(self, tg, tc, clock, remaining, chunk_items, counters):
         """Choose ``(device, size)`` for the next chunk off the front of

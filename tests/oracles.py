@@ -362,17 +362,17 @@ def oracle_time_gpu_kernel(device, kernel, traces, l3=None, counters=None):
 
 def use_oracles(monkeypatch) -> None:
     """Make every pricing call of the runtime go to the oracles: both
-    backends' timing functions and the caches the scheduler shares
-    between a construct's chunks."""
+    backends' timing functions and the caches a construct shares
+    between its chunks."""
+    import repro.backend.base as construct_body
     import repro.backend.cpu as cpu_backend
     import repro.backend.gpu as gpu_backend
     import repro.cpu.timing as cpu_timing
-    import repro.sched.scheduler as scheduler
 
     monkeypatch.setattr(gpu_backend, "time_gpu_kernel", oracle_time_gpu_kernel)
     for module in (gpu_backend, cpu_backend, cpu_timing):
         monkeypatch.setattr(module, "time_cpu_execution", oracle_time_cpu_execution)
-    monkeypatch.setattr(scheduler, "CacheModel", OracleCacheModel)
+    monkeypatch.setattr(construct_body, "CacheModel", OracleCacheModel)
 
 
 # -- the frontend (PR 24) -------------------------------------------------------

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.exec import ExecTrace, MemEvent, MemEventColumns
+from repro.exec.buffers import LaunchTrace
 from repro.gpu import CacheModel, hd4600, hd5000, time_gpu_kernel
 from repro.gpu.timing import _guarded_blocks, block_sizes
 from repro.cpu import i7_4650u, i7_4770, time_cpu_execution
@@ -90,7 +91,7 @@ class TestGpuDivergenceModel:
         kernel = straight_line_kernel(10)
         entry_uid = kernel.blocks[0].uid
         lanes = [trace_with({entry_uid: 1}) for _ in range(16)]
-        report = time_gpu_kernel(hd5000(), kernel, lanes)
+        report = time_gpu_kernel(hd5000(), kernel, LaunchTrace.from_traces(lanes))
         sizes = block_sizes(kernel)
         assert report.issue_slots == pytest.approx(sizes[entry_uid])
         assert report.divergence_waste == pytest.approx(0.0)
@@ -108,7 +109,7 @@ class TestGpuDivergenceModel:
             trace_with({entry.uid: 100, then.uid: 50, done.uid: 100})
             for _ in range(16)
         ]
-        report = time_gpu_kernel(hd5000(), kernel, lanes)
+        report = time_gpu_kernel(hd5000(), kernel, LaunchTrace.from_traces(lanes))
         sizes = block_sizes(kernel)
         # independent-outcomes estimate ~ 100 * (1 - 0.5^16) ~ 100, not 50
         expected_then_issue = 100 * (1 - 0.5 ** 16)
@@ -123,7 +124,7 @@ class TestGpuDivergenceModel:
         kernel = straight_line_kernel(10)
         entry_uid = kernel.blocks[0].uid
         lanes = [trace_with({entry_uid: 1 + (i % 4) * 5}) for i in range(16)]
-        report = time_gpu_kernel(hd5000(), kernel, lanes)
+        report = time_gpu_kernel(hd5000(), kernel, LaunchTrace.from_traces(lanes))
         sizes = block_sizes(kernel)
         assert report.issue_slots == pytest.approx(16 * sizes[entry_uid])
         assert report.divergence_waste > 0
@@ -132,8 +133,8 @@ class TestGpuDivergenceModel:
         kernel = straight_line_kernel(30)
         uid = kernel.blocks[0].uid
         lanes = [trace_with({uid: 100}) for _ in range(256)]
-        big = time_gpu_kernel(hd5000(), kernel, lanes)
-        small = time_gpu_kernel(hd4600(), kernel, lanes)
+        big = time_gpu_kernel(hd5000(), kernel, LaunchTrace.from_traces(lanes))
+        small = time_gpu_kernel(hd4600(), kernel, LaunchTrace.from_traces(lanes))
         assert big.cycles < small.cycles
 
 
@@ -155,19 +156,21 @@ class TestGpuMemoryModel:
     def test_coalesced_access_single_transaction(self):
         kernel = self._mem_kernel()
         lanes = self._lanes_with_addresses(kernel, lambda i: 0x1000 + 4 * i)
-        report = time_gpu_kernel(hd5000(), kernel, lanes)
+        report = time_gpu_kernel(hd5000(), kernel, LaunchTrace.from_traces(lanes))
         assert report.mem_transactions == 1
 
     def test_scattered_access_many_transactions(self):
         kernel = self._mem_kernel()
         lanes = self._lanes_with_addresses(kernel, lambda i: 0x1000 + 4096 * i)
-        report = time_gpu_kernel(hd5000(), kernel, lanes)
+        report = time_gpu_kernel(hd5000(), kernel, LaunchTrace.from_traces(lanes))
         assert report.mem_transactions == 16
         # gather cracking charges extra issue slots
         coalesced = time_gpu_kernel(
             hd5000(),
             kernel,
-            self._lanes_with_addresses(kernel, lambda i: 0x1000 + 4 * i),
+            LaunchTrace.from_traces(
+                self._lanes_with_addresses(kernel, lambda i: 0x1000 + 4 * i)
+            ),
         )
         assert report.issue_slots > coalesced.issue_slots
 
@@ -182,7 +185,7 @@ class TestGpuMemoryModel:
             events = [MemEvent(instr_uid=7, seq=0, address=0x2000, size=4,
                                is_store=False)]
             lanes.append(trace_with({uid: 1}, events))
-        report = time_gpu_kernel(device, kernel, lanes)
+        report = time_gpu_kernel(device, kernel, LaunchTrace.from_traces(lanes))
         assert report.contention_events == 3  # 4 EUs - 1 port
         assert report.contention_cycles > 0
 
@@ -196,7 +199,7 @@ class TestGpuMemoryModel:
                                    address=0x2000 + warp * 4096, size=4,
                                    is_store=False)]
                 lanes.append(trace_with({uid: 1}, events))
-        report = time_gpu_kernel(hd5000(), kernel, lanes)
+        report = time_gpu_kernel(hd5000(), kernel, LaunchTrace.from_traces(lanes))
         assert report.contention_events == 0
 
     def test_tdp_throttling_extends_time(self):
@@ -205,7 +208,7 @@ class TestGpuMemoryModel:
         kernel = straight_line_kernel(40)
         uid = kernel.blocks[0].uid
         lanes = [trace_with({uid: 50_000}) for _ in range(16 * 64)]
-        report = time_gpu_kernel(device, kernel, lanes)
+        report = time_gpu_kernel(device, kernel, LaunchTrace.from_traces(lanes))
         power = report.energy_joules / report.seconds
         assert power <= device.power_budget_watts * 1.01
 
@@ -261,7 +264,7 @@ class TestDeviceReportSum:
         import dataclasses
 
         from repro.gpu.timing import DeviceReport
-        from repro.sched import parallel_report
+        from repro.backend.base import parallel_report
 
         branchy = ExecTrace()
         branchy.instructions = 900

@@ -1,15 +1,19 @@
-"""The lane engine is decided in one place, and a trace has one layout.
+"""The lane engine is decided in one place, a trace has one layout, and
+a construct has one body.
 
 A backend is a device and an engine is a lane runner:
 
-* ``RunConfig.engine`` is read where the runtime builds engines
-  (``repro/runtime/runtime.py``) and where the scheduler keys its
-  history rows (``repro/sched/scheduler.py``), and nowhere else;
-* ``repro.backend`` has no engine-specific backend;
+* ``RunConfig.engine`` is read, and an engine name compared, only in
+  ``repro/runtime/runtime.py`` (``ConcordRuntime.lane_engine``, which the
+  engine factory and the scheduler's history rows both ask);
+* ``repro.backend`` has no engine-specific backend and no backend base
+  class;
 * every engine runs a call, a CPU chunk and a GPU launch;
 * every trace's memory events are one ``MemEventColumns`` buffer, whose
   readers never branch on a layout, and ``MemEvent`` is only the row
-  object that iterating the buffer yields.
+  object that iterating the buffer yields;
+* a construct is recorded and reported only by ``run_construct`` and
+  the CPU's TBB-style reduction, and a placement policy is a function.
 """
 
 import ast
@@ -18,6 +22,7 @@ import pathlib
 
 import repro
 import repro.backend
+import repro.sched
 from repro.exec import (
     CompiledEngine,
     ExecTrace,
@@ -29,8 +34,8 @@ from repro.exec.regions import RegionInterpreter
 
 ROOT = pathlib.Path(repro.__file__).parent
 ENGINE_NAMES = {"reference", "compiled", "vector"}
-#: engine construction, history rows
-DECIDERS = {"runtime/runtime.py", "sched/scheduler.py"}
+#: ``ConcordRuntime.lane_engine`` and the engine factory that asks it
+DECIDERS = {"runtime/runtime.py"}
 
 
 def _modules():
@@ -82,7 +87,7 @@ def test_the_engine_is_decided_once():
 def test_backends_are_devices():
     assert importlib.util.find_spec("repro.backend.vector") is None
     assert not (ROOT / "backend" / "vector.py").exists()
-    assert repro.backend.__all__ == ["Backend", "LaunchResult", "CpuBackend", "GpuBackend"]
+    assert repro.backend.__all__ == ["LaunchResult", "CpuBackend", "GpuBackend"]
 
 
 def test_every_engine_runs_a_call_a_chunk_and_a_launch():
@@ -91,10 +96,21 @@ def test_every_engine_runs_a_call_a_chunk_and_a_launch():
             assert callable(getattr(engine, method, None)), (engine.__name__, method)
 
 
-class _MemEventCalls(ast.NodeVisitor):
-    """The qualified name of every function that calls ``MemEvent(...)``."""
+def _text_prefix(node) -> str:
+    """The literal start of a string or f-string argument."""
+    if isinstance(node, ast.JoinedStr) and node.values:
+        node = node.values[0]
+    return node.value if isinstance(node, ast.Constant) and isinstance(node.value, str) else ""
 
-    def __init__(self):
+
+class _CallSites(ast.NodeVisitor):
+    """The qualified name of every function that calls one of ``names``,
+    as ``name(...)`` or ``obj.name(...)``, with a first argument starting
+    with ``prefix`` when one is given."""
+
+    def __init__(self, names, prefix=None):
+        self.names = set(names)
+        self.prefix = prefix
         self.scope: list = []
         self.sites: list = []
 
@@ -106,9 +122,23 @@ class _MemEventCalls(ast.NodeVisitor):
     visit_AsyncFunctionDef = visit_ClassDef = visit_FunctionDef
 
     def visit_Call(self, node):
-        if isinstance(node.func, ast.Name) and node.func.id == "MemEvent":
+        func = node.func
+        called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if called in self.names and (
+            self.prefix is None
+            or (node.args and _text_prefix(node.args[0]).startswith(self.prefix))
+        ):
             self.sites.append(".".join(self.scope))
         self.generic_visit(node)
+
+
+def _call_sites(*names, prefix=None) -> set:
+    sites = set()
+    for name, tree in _modules():
+        calls = _CallSites(names, prefix)
+        calls.visit(tree)
+        sites.update((name, site) for site in calls.sites)
+    return sites
 
 
 def test_a_trace_has_one_event_layout():
@@ -127,9 +157,21 @@ def test_a_trace_has_one_event_layout():
             for node in ast.walk(reader)
             if isinstance(node, ast.Name) and node.id == "isinstance"
         ], name
-    sites = set()
-    for name, tree in _modules():
-        calls = _MemEventCalls()
-        calls.visit(tree)
-        sites.update((name, site) for site in calls.sites)
-    assert sites == {("exec/buffers.py", "MemEventColumns.__iter__")}
+    assert _call_sites("MemEvent") == {("exec/buffers.py", "MemEventColumns.__iter__")}
+
+
+def test_a_construct_has_one_body():
+    bodies = {("backend/base.py", "run_construct"), ("backend/cpu.py", "CpuBackend.run_reduce")}
+    assert _call_sites("_span", prefix="construct:") == bodies
+    assert _call_sites("_record_construct", "ExecutionReport") == bodies | {
+        ("runtime/runtime.py", "ExecutionReport.__add__"),
+    }
+    policies = ast.parse((ROOT / "sched" / "policies.py").read_text())
+    assert not [node for node in ast.walk(policies) if isinstance(node, ast.ClassDef)]
+    assert set(repro.sched.POLICIES) == {"cpu", "gpu", "auto", "hybrid"}
+    for package in (repro.backend, repro.sched):
+        for name in ("Backend", "register_policy", "Policy"):
+            assert name not in package.__all__ and not hasattr(package, name)
+    for backend in (repro.backend.CpuBackend, repro.backend.GpuBackend):
+        assert backend.__bases__ == (object,)
+        assert not hasattr(backend, "capabilities")

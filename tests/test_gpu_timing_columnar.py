@@ -148,18 +148,16 @@ LAUNCHES = settings(
     lanes=st.one_of(st.integers(0, 70), st.integers(300, 360)),
     cap=st.sampled_from((0, 3, 12, 1000)),
     device=st.sampled_from((hd5000, hd4600, detuned)),
-    as_launch_trace=st.booleans(),
 )
-def test_report_equals_the_per_event_oracle(
-    seed, lanes, cap, device, as_launch_trace
-):
+def test_report_equals_the_per_event_oracle(seed, lanes, cap, device):
     kernel, traces = random_launch(seed, lanes, cap)
     expected_counters, got_counters = Recorder(), Recorder()
     expected = oracle_time_gpu_kernel(
         device(), kernel, traces, counters=expected_counters
     )
-    given_traces = LaunchTrace.from_traces(traces) if as_launch_trace else traces
-    got = time_gpu_kernel(device(), kernel, given_traces, counters=got_counters)
+    got = time_gpu_kernel(
+        device(), kernel, LaunchTrace.from_traces(traces), counters=got_counters
+    )
     assert got == expected
     assert got_counters.calls == expected_counters.calls
     for field in ("seconds", "energy_joules", "issue_slots", "contention_cycles"):
@@ -184,7 +182,7 @@ def test_consecutive_chunks_share_one_cache(seed, first, second, device):
     expected_l3, got_l3 = OracleCacheModel(**small), CacheModel(**small)
     for chunk in (traces[:first], traces[first:]):
         expected = oracle_time_gpu_kernel(gpu, kernel, chunk, l3=expected_l3)
-        got = time_gpu_kernel(gpu, kernel, chunk, l3=got_l3)
+        got = time_gpu_kernel(gpu, kernel, LaunchTrace.from_traces(chunk), l3=got_l3)
         assert got == expected
     assert got_l3.resident.tolist() == expected_l3.resident
 
@@ -203,7 +201,8 @@ def test_reference_interpreter_traces_price_identically():
     assert rt.trace_log and isinstance(rt.trace_log[0].mem_events, MemEventColumns)
     kernel = next(iter(rt.program.kernels.values())).gpu_kernel
     for device in (hd5000(), hd4600()):
-        assert time_gpu_kernel(device, kernel, rt.trace_log) == (
+        launch = LaunchTrace.from_traces(rt.trace_log)
+        assert time_gpu_kernel(device, kernel, launch) == (
             oracle_time_gpu_kernel(device, kernel, rt.trace_log)
         )
 

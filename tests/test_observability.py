@@ -4,7 +4,9 @@ reduce-join fixes that ride along with it.
 Covers the contract in docs/OBSERVABILITY.md:
 
 * spans nest, carry wall/simulated seconds, and cover compile + every
-  construct phase (jit, launch, reduce_tree, host_join);
+  construct phase (jit, launch, reduce_tree, host_join), and every
+  construct's span tree has one shape, each chunk a ``launch:<device>``
+  span under ``launch``;
 * counters are published by the engines, timing models, code cache and
   private pool — and only when an observer is attached;
 * per-kernel profiles attribute >= 95% of each construct's simulated
@@ -315,6 +317,78 @@ class TestProfileWorkload:
         validate_profile(doc)
         assert all(c["device"] == "cpu" for c in doc["constructs"])
         assert doc["counters"]["cpu.branches"] > 0
+
+
+def _shape(construct) -> list:
+    """A construct span's children: a phase name, or ``(launch, its chunk
+    span names)``."""
+    shape = []
+    for phase in construct.get("children", ()):
+        chunks = [chunk["name"] for chunk in phase.get("children", ())]
+        shape.append((phase["name"], chunks) if phase["name"] == "launch" else phase["name"])
+    return shape
+
+
+REDUCE_PHASES = ["reduce_tree", "host_join"]
+
+
+class TestConstructSpanTree:
+    """Every construct has one span-tree shape: ``construct:<kernel>`` →
+    ``jit`` when the GPU may run → ``launch`` → one ``launch:<device>``
+    span per chunk → ``reduce_tree`` / ``host_join`` for a reduction on
+    the GPU.  The CPU's TBB-style reduction is the one construct without
+    chunks."""
+
+    @pytest.mark.parametrize(
+        "workload, options, kernel, shape",
+        [
+            ("bfs", {}, "BfsBody.gpu", ["jit", ("launch", ["launch:gpu"])]),
+            ("bfs", {"on_cpu": True}, "BfsBody", [("launch", ["launch:cpu"])]),
+            (
+                "clothphysics",
+                {},
+                "StepBody.gpu",
+                ["jit", ("launch", ["launch:gpu"]), *REDUCE_PHASES],
+            ),
+            ("clothphysics", {"on_cpu": True}, "StepBody", [("launch", [])]),
+        ],
+        ids=["gpu-for", "cpu-for", "gpu-reduce", "cpu-tbb-reduce"],
+    )
+    def test_single_device(self, workload, options, kernel, shape):
+        doc = profile_workload(workload, scale=0.1, **options)
+        constructs = [s for s in doc["spans"] if s["name"] == f"construct:kernel.{kernel}"]
+        assert constructs
+        device = "cpu" if options else "gpu"
+        for construct in constructs:
+            assert construct["category"] == "construct"
+            assert _shape(construct) == shape
+            n = construct["attrs"]["n"]
+            assert construct["attrs"] == {"device": device, "n": n}
+            launch = next(p for p in construct["children"] if p["name"] == "launch")
+            for chunk in launch.get("children", ()):
+                assert chunk["category"] == "phase"
+                assert chunk["attrs"] == {"chunk": 0, "lo": 0, "items": n}
+                assert chunk["sim_seconds"] == launch["sim_seconds"] > 0.0
+
+    def test_hybrid(self):
+        doc = profile_workload("clothphysics", scale=0.1, policy="hybrid")
+        constructs = [
+            s for s in doc["spans"] if s["name"] == "construct:kernel.StepBody.gpu"
+        ]
+        assert constructs
+        for construct in constructs:
+            n = construct["attrs"]["n"]
+            assert construct["attrs"] == {"device": "hybrid", "n": n, "policy": "hybrid"}
+            jit, (launch, chunks), *rest = _shape(construct)
+            assert (jit, launch, rest) == ("jit", "launch", REDUCE_PHASES)
+            assert chunks and set(chunks) <= {"launch:gpu", "launch:cpu"}
+            spans = construct["children"][1]["children"]
+            assert [span["attrs"]["chunk"] for span in spans] == list(range(len(spans)))
+            lo = 0
+            for span in spans:
+                assert span["attrs"]["lo"] == lo and span["sim_seconds"] > 0.0
+                lo += span["attrs"]["items"]
+            assert lo == n
 
 
 class TestObserverDoesNotPerturb:

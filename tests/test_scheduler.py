@@ -13,7 +13,8 @@ from repro.gpu.timing import DeviceReport
 from repro.passes import OptConfig
 from repro.runtime import ConcordRuntime, compile_source, ultrabook
 from repro.runtime.runtime import ExecutionReport
-from repro.sched import POLICIES, Scheduler, parallel_report
+from repro.backend.base import parallel_report
+from repro.sched import POLICIES
 from repro.sched.policies import MIN_SPLIT_ITEMS
 from repro.workloads import all_workloads
 
