@@ -79,7 +79,7 @@ class MemEventColumns:
 
     One interleaved unsigned-64 array holds ``(instr_uid, seq, address,
     size, is_store)`` rows with stride 5, so the hot path appends a whole
-    event with a single ``extend`` call.  Every field is non-negative by
+    event with a single ``fromlist`` call.  Every field is non-negative by
     construction (uids and seqs are counters, addresses and sizes are
     masked to 64 bits).  Iteration yields :class:`MemEvent` rows; hot
     consumers should use :func:`event_rows` to read the rows without
@@ -104,7 +104,7 @@ class MemEventColumns:
     def append_raw(
         self, instr_uid: int, seq: int, address: int, size: int, is_store: bool
     ) -> None:
-        self.data.extend((instr_uid, seq, address, size, 1 if is_store else 0))
+        self.data.fromlist([instr_uid, seq, address, size, 1 if is_store else 0])
 
     def __len__(self) -> int:
         return len(self.data) // 5

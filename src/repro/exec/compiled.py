@@ -86,9 +86,9 @@ from __future__ import annotations
 import hashlib
 import linecache
 import math
-import operator
+import threading
 from array import array
-from struct import Struct, pack_into, unpack_from
+from struct import Struct
 from textwrap import indent
 from typing import Optional
 
@@ -106,7 +106,7 @@ from ..ir.structure import (
     flat,
     structure,
 )
-from ..ir.types import FloatType, I64, IntType, PointerType
+from ..ir.types import FloatType, IntType, PointerType
 from ..ir.values import Constant, Function, GlobalVariable, Instruction
 from ..svm.memory import MemoryFault
 from .buffers import LaunchTrace, PrivateMemoryPool
@@ -116,8 +116,6 @@ from .interp import (
     _FLOAT_OPS,
     _MAX_CALL_DEPTH,
     _MAX_STEPS_DEFAULT,
-    _F32_PACK,
-    _F32_UNPACK,
     ExecTrace,
     ExecutionError,
     Interpreter,
@@ -155,9 +153,9 @@ def _scalar_format(type_) -> Optional[str]:
 
 # -- what generated code calls out of line ----------------------------------
 #
-# Error texts and the rare operations (atomics, virtual dispatch, heap
-# calls) stay plain functions: the generated text names them, it does not
-# repeat them.
+# Error texts and the rare operations (the lookup behind a virtual call,
+# heap calls) stay plain functions: the generated text names them, it does
+# not repeat them.
 
 
 def _fault(device: str, address: int, size: int, base: int, end: int) -> MemoryFault:
@@ -184,102 +182,20 @@ def _undefined(value):
     raise ExecutionError(f"use of undefined value {value!r}")
 
 
-def _shared_offset(ctx, address: int, size: int) -> int:
-    region = ctx.region
-    base = region.gpu_base if ctx.device == "gpu" else region.cpu_base
-    offset = address - base
-    if offset < 0 or offset + size > region.size:
-        raise _fault(ctx.device, address, size, base, base + region.size)
-    return offset
-
-
-def _read_scalar(ctx, address: int, type_):
-    fmt = _scalar_format(type_)
-    if fmt is None:
-        raise ExecutionError(f"cannot load aggregate {type_} as scalar")
-    if _PB <= address < _PE:
-        buf = ctx._priv_buf
-        if buf is None:
-            buf = ctx._acquire_private()
-        return unpack_from(fmt, buf, address - _PB)[0]
-    offset = _shared_offset(ctx, address, type_.size())
-    return unpack_from(fmt, ctx.region.physical.data, offset)[0]
-
-
-def _write_scalar(ctx, address: int, type_, value) -> None:
-    """``value`` is already converted to ``type_``'s range."""
-    fmt = _scalar_format(type_)
-    if fmt is None:
-        raise ExecutionError(f"cannot store aggregate {type_} as scalar")
-    size = type_.size()
-    if _PB <= address < _PE:
-        buf = ctx._priv_buf
-        if buf is None:
-            buf = ctx._acquire_private()
-        pack_into(fmt, buf, address - _PB, value)
-        if address - _PB + size > ctx._priv_dirty:
-            ctx._priv_dirty = address - _PB + size
-        return
-    offset = _shared_offset(ctx, address, size)
-    pack_into(fmt, ctx.region.physical.data, offset, value)
-
-
-_ATOMIC_COMBINE = {
-    "atomic.add.i32": operator.add,
-    "atomic.add.f32": operator.add,
-    "atomic.min.i32": min,
-    "atomic.max.i32": max,
-    "atomic.cas.i32": lambda old, expected, desired: (
-        desired if old == expected else old
-    ),
-}
-
-
-def _atomic(ctx, name: str, uid: int, pointee, collect: bool, address, *operands):
-    """Sequential read-modify-write (work-items run one at a time; the
-    timing models charge atomics more).  Returns the old value."""
-    combine = _ATOMIC_COMBINE.get(name)
-    if combine is None:
-        raise ExecutionError(f"unknown atomic {name}")
-    old = _read_scalar(ctx, address, pointee)
-    if collect and not (_PB <= address < _PE):
-        seqs = ctx._mem_seq
-        seq = seqs.get(uid, 0)
-        seqs[uid] = seq + 1
-        region = ctx.region
-        # Events carry CPU-space addresses on both devices.
-        if ctx.device == "gpu" and region.surface.contains(address):
-            canonical = address - region.svm_const
-        else:
-            canonical = address
-        events = ctx._ev_data
-        if len(events) < ctx._ev_cap:
-            events.extend((uid, seq, canonical, pointee.size(), 1))
-        else:
-            ctx._dropped += 1
-    new = combine(old, *operands)
-    if isinstance(pointee, IntType):
-        new = pointee.wrap(int(new))
-    _write_scalar(ctx, address, pointee, new)
-    return old
-
-
-_VPTR = PointerType(I64)
-
-
-def _vcall(ctx, depth: int, vslot: int, obj, *args):
-    """Real vtable dispatch (the CPU path; GPU kernels have vcalls
-    expanded into compare chains by the devirtualization pass)."""
-    vtable = _read_scalar(ctx, obj, _VPTR)
-    symbol = _read_scalar(ctx, vtable + 8 * vslot, I64)
+def _vtarget(ctx, vslot: int, symbol: int):
+    """The bound function a vtable slot names — what a virtual call does
+    besides its two (inline) vtable reads.  The CPU path: GPU kernels have
+    vcalls expanded into compare chains by the devirtualization pass.
+    Every dispatch is a ``code_cache`` lookup, and counts as a hit."""
     target = ctx.symbols.get(symbol)
     if target is None:
         raise ExecutionError(
             f"virtual dispatch to unknown symbol {symbol:#x} "
             f"(slot {vslot}) — vtables not loaded?"
         )
-    sub = ctx.code_cache.get(target, ctx.device, ctx.collect_mem_events)
-    return sub.fn(ctx, depth, obj, *args)
+    fn = ctx.code_cache.get(target, ctx.device, ctx.collect_mem_events).fn
+    ctx._cover_seqs()  # the callee may have been generated just now
+    return fn
 
 
 def _svm_malloc(ctx, size):
@@ -300,16 +216,13 @@ def _svm_free(ctx, address) -> None:
 #: The names generated text may use besides its own ``k<n>`` constants.
 _RUNTIME_NAMES = {
     "ExecutionError": ExecutionError,
-    "_F32_PACK": _F32_PACK,
-    "_F32_UNPACK": _F32_UNPACK,
-    "_atomic": _atomic,
     "_fault": _fault,
     "_step_limit": _step_limit,
     "_svm_free": _svm_free,
     "_svm_malloc": _svm_malloc,
     "_undefined": _undefined,
     "_unloaded": _unloaded,
-    "_vcall": _vcall,
+    "_vtarget": _vtarget,
 }
 
 
@@ -570,8 +483,11 @@ _NP_CASTS = {
     "fptrunc": ("f", "{a}"),
 }
 
-_F32_ROUND = "_F32_UNPACK(_F32_PACK({0}))[0]"
-#: ... which also traps where ``_F32_PACK`` raises OverflowError.
+#: An f32 result goes through the engine's float32 slot (``f32_``, a
+#: one-element ``memoryview`` cast to ``"f"``): the C ``(float)`` cast the
+#: interpreter's native ``struct.Struct("f")`` round trip does — a finite
+#: value past the f32 range rounds to ``inf``, nothing raises.
+_F32_ROUND = "f32_[0] = {a}\n{d} = f32_[0]\n"
 _NP_F32_ROUND = "_f32({0})"
 
 #: ``math.*`` intrinsics NumPy evaluates bit-identically to ``MATH_EVAL``
@@ -590,13 +506,19 @@ _NP_MATH = {
 
 _PRIVATE = f"{_PB:#x} <= {{a}} < {_PE:#x}"
 
+#: The surface bounds test of a ``{size}``-byte access: ``l<size>`` is the
+#: region's size less ``size``, bound per runtime.
+_BOUNDS = """\
+    off_ = {a} - base
+    if not 0 <= off_ <= l{size}:
+        raise _fault({device!r}, {a}, {size}, base, end)
+"""
+
 _LOAD = f"""\
 if {_PRIVATE}:
     {{d}} = {{codec}}(ctx._priv_buf or ctx._acquire_private(), {{a}} - {_PB:#x})[0]
 else:
-{{event}}    off_ = {{a}} - base
-    if off_ < 0 or off_ + {{size}} > limit:
-        raise _fault({{device!r}}, {{a}}, {{size}}, base, end)
+{{event}}{_BOUNDS}\
     {{d}} = {{codec}}(data, off_)[0]
 """
 
@@ -607,11 +529,39 @@ if {_PRIVATE}:
     if off_ + {{size}} > ctx._priv_dirty:
         ctx._priv_dirty = off_ + {{size}}
 else:
-{{event}}    off_ = {{a}} - base
-    if off_ < 0 or off_ + {{size}} > limit:
-        raise _fault({{device!r}}, {{a}}, {{size}}, base, end)
+{{event}}{_BOUNDS}\
     {{codec}}(data, off_, {{value}})
 """
+
+#: A scalar atomic: a plain read-modify-write, since work-items run one at
+#: a time (the timing models charge atomics more).  Shared, it checks
+#: bounds, reads, records its event and writes, so a faulting access
+#: records nothing; ``{write_*}`` store the old value ``o_`` combined with
+#: the operands into ``p_`` / ``data``, and ``{d}`` gets the old value.
+_ATOMIC = f"""\
+if {_PRIVATE}:
+    off_ = {{a}} - {_PB:#x}
+    p_ = ctx._priv_buf or ctx._acquire_private()
+    o_ = {{load}}(p_, off_)[0]
+    {{write_private}}
+    if off_ + {{size}} > ctx._priv_dirty:
+        ctx._priv_dirty = off_ + {{size}}
+else:
+{_BOUNDS}\
+    o_ = {{load}}(data, off_)[0]
+{{event}}    {{write_shared}}
+{{d}} = o_
+"""
+
+#: atomic -> its combined value over the old one (``o_``) and the
+#: operands {b} and {c}: what ``min`` / ``max`` return, spelled inline.
+_ATOMIC_NEW = {
+    "atomic.add.i32": "o_ + {b}",
+    "atomic.add.f32": "o_ + {b}",
+    "atomic.min.i32": "{b} if {b} < o_ else o_",
+    "atomic.max.i32": "{b} if {b} > o_ else o_",
+    "atomic.cas.i32": "{c} if o_ == {b} else o_",
+}
 
 #: Columns go through the launch's ``VectorMachine``, which splits private
 #: from shared lanes, bounds-checks, journals and queues the trace record.
@@ -627,12 +577,13 @@ raise ExecutionError({{message!r}})
 
 #: One row appended to the launch's event buffer while the lane is under
 #: its cap (``ev_cap_`` is a length of ``ev_``, moved per lane); past it
-#: the event is only counted.
+#: the event is only counted.  ``seqs_[{slot}]`` is the instruction's
+#: sequence number (see :meth:`CodeCache._generate` for the slots).
 _EVENT = """\
-seq_ = seqs_.get({uid}, 0)
-seqs_[{uid}] = seq_ + 1
+seq_ = seqs_[{slot}]
+seqs_[{slot}] = seq_ + 1
 {canon}if len(ev_) < ev_cap_:
-    ev_.extend(({uid}, seq_, {ca}, {size}, {flag}))
+    ev_.fromlist([{uid}, seq_, {ca}, {size}, {flag}])
 else:
     drop_ += 1
 """
@@ -641,12 +592,12 @@ else:
 #: produce comparable access streams.
 _CANONICAL_GPU = "ca_ = {a} - svm_const if base <= {a} < cend else {a}\n"
 
+#: ... followed by the result's assignment from ``t_``.
 _DIV = """\
 try:
     t_ = {call}
 except ZeroDivisionError as exc:
     raise ExecutionError({prefix!r} + repr({instr})) from exc
-{d} = {result}
 """
 
 _TRANSLATE = f"{{d}} = {{a}} if ({_PRIVATE}) or {{a}} == 0 else {{a}} {{sign}} svm_const"
@@ -692,6 +643,8 @@ ev_ = ctx._ev_data
 ev_cap_ = ctx._ev_cap
 drop_ = 0
 """
+
+_F32_PROLOGUE = "f32_ = ctx._f32\n"
 
 #: The step counter lives in a local; a callee finds it on the engine.
 _CALL = """\
@@ -762,13 +715,17 @@ class _Printer:
     charges its steps.  Every line remembers the unit it belongs to
     (``line_units``), which is how a trap finds its superblock."""
 
-    def __init__(self, function: Function, device: str, collect: bool, plan: FunctionPlan):
+    def __init__(
+        self, function: Function, device: str, collect: bool, plan: FunctionPlan, seq_base: int
+    ):
         self.name = function.name
         self.device = device
         self.collect = collect
         self.plan = plan
         self.slots = plan.slots
         self.entry = plan.blocks[0]
+        self.seq_base = seq_base
+        self.seq_slots: dict = {}  # traced instruction uid -> its seqs_ slot
         self.consts: list = []  # k<n>: the generated module's namespace
         self._const_names: dict = {}
         self.callees: list = []  # s<n>: bound per runtime to the callee
@@ -806,6 +763,7 @@ class _Printer:
         self.local_counts: list[int] = []  # units counted in ``c<i>``
         self.local_taken: list[int] = []  # ... whose branch counts in ``b<i>``
         self.traced = False
+        self.rounds = False  # whether the text rounds through f32_
         self.block = None  # the block whose instructions are being written
         self.fused: dict = {}  # id(block) -> its condbr's test, written in place
         self.states: dict = {}  # member block -> (state variable, index, cyclic)
@@ -1039,6 +997,8 @@ class _Printer:
         if self.traced:
             prologue += _TRACE_PROLOGUE
             flush += ["if drop_:", "    ctx._dropped += drop_"]
+        if self.rounds:
+            prologue += _F32_PROLOGUE
         zeroed = [f"c{i}" for i in self.local_counts] + [f"b{i}" for i in self.local_taken]
         if zeroed:
             prologue += " = ".join(zeroed) + " = 0\n"
@@ -1077,12 +1037,18 @@ class _Printer:
         elif op == "call":
             self._call(instr)
         elif op == "vcall":
-            args = ", ".join(self._operand(v) for v in instr.operands)
-            call = f"_vcall(ctx, d_ + 1, {instr.vslot}, {args})"
-            self._emit(_CALL, d=self._target(instr), call=call)
+            self._vcall(instr)
         else:
             message = f"unhandled opcode {op} in {self.name}"
             self._line(f"raise ExecutionError({message!r})")
+
+    def _assign(self, instr, text: str, f32: bool = False) -> None:
+        """The result's assignment; an f32 one through the float32 slot."""
+        if f32:
+            self.rounds = True
+            self._emit(_F32_ROUND, a=text, d=self._target(instr))
+        else:
+            self._line(f"{self._target(instr)} = {text}")
 
     def _event(self, instr, a: str, size: int, is_store: bool) -> str:
         """The trace text of one shared-memory access, indented for the
@@ -1090,8 +1056,10 @@ class _Printer:
         if not self.collect:
             return ""
         self.traced = True
+        slot = self.seq_slots.setdefault(instr.uid, self.seq_base + len(self.seq_slots))
         gpu = self.device == "gpu"
         text = _EVENT.format(
+            slot=slot,
             uid=instr.uid,
             canon=_CANONICAL_GPU.format(a=a) if gpu else "",
             ca="ca_" if gpu else a,
@@ -1205,40 +1173,34 @@ class _Printer:
             text = f"{self._bind(_BINOP_EVAL[op])}({a}, {b})"
             exact = False
         if op in _DIV_OPS:
-            call, text = text, "t_"
-        if is_int:
-            text = _wrap(type_, text if exact else f"int({text})")
-        elif isinstance(type_, FloatType) and type_.bits == 32:
-            text = _F32_ROUND.format(text)
-        if op in _DIV_OPS:
             self._emit(
                 _DIV,
-                call=call,
+                call=text,
                 prefix=f"division by zero in {self.name}: ",
                 instr=self._bind(instr),
-                d=self._target(instr),
-                result=text,
             )
-        else:
-            self._line(f"{self._target(instr)} = {text}")
+            text = "t_"
+        if is_int:
+            text = _wrap(type_, text if exact else f"int({text})")
+        self._assign(instr, text, isinstance(type_, FloatType) and type_.bits == 32)
 
     def _cast(self, instr) -> None:
         type_ = instr.type
         a = self._operand(instr.operands[0])
         narrow, template = _CASTS.get(instr.op, (None, None))
+        f32 = False
         if narrow == "int" and isinstance(type_, IntType):
             text = _wrap(type_, template.format(a=a))
         elif narrow == "float" and isinstance(type_, FloatType):
             text = template.format(a=a)
-            if type_.bits == 32:
-                text = _F32_ROUND.format(text)
+            f32 = type_.bits == 32
         elif narrow == "f32":
-            text = _F32_ROUND.format(a)
+            text, f32 = a, True
         elif narrow == "same":
             text = template.format(a=a)
         else:  # a target type the table has no text for
             text = f"{self._bind(_CAST_EVAL[instr.op])}({a}, {self._bind(type_)})"
-        self._line(f"{self._target(instr)} = {text}")
+        self._assign(instr, text, f32)
 
     def _call(self, instr) -> None:
         callee = instr.callee
@@ -1250,7 +1212,68 @@ class _Printer:
             return
         text = self._intrinsic(instr, getattr(callee, "name", None), args)
         if text is not None:
-            self._line(f"{self._target(instr)} = {text}")
+            self._assign(instr, text)
+
+    def _vcall(self, instr) -> None:
+        """The vtable pointer and the slot's symbol, read untraced as the
+        interpreter reads them; then a call through what the symbol names,
+        its other operands evaluated after the reads, also as there."""
+        obj, *rest = (self._operand(v) for v in instr.operands)
+        obj = self._named(obj, "o_")
+        self._read_untraced(obj, "<Q")
+        slot = self._named(f"t_ + {8 * instr.vslot}" if instr.vslot else "t_", "a_")
+        self._read_untraced(slot, "<q")
+        args = ", ".join([obj, *rest])
+        call = f"_vtarget(ctx, {instr.vslot}, t_)(ctx, d_ + 1, {args})"
+        self._emit(_CALL, d=self._target(instr), call=call)
+
+    def _read_untraced(self, a: str, fmt: str) -> None:
+        """``t_`` = the ``fmt`` scalar at address ``a``."""
+        codec = self._codec(fmt, "unpack_from")
+        self._emit(_LOAD, a=a, d="t_", codec=codec, size=8, device=self.device, event="")
+
+    def _atomic(self, instr, name: str, args: list) -> None:
+        """A scalar atomic in one statement group (``_ATOMIC``); one the
+        table has no row for, or on a pointee with no scalar format,
+        traps as the interpreter's read would."""
+        pointee = instr.callee.ftype.params[0].pointee
+        fmt = _scalar_format(pointee)
+        new = _ATOMIC_NEW.get(name)
+        if new is None or fmt is None:
+            message = f"cannot load aggregate {pointee} as scalar" if new else f"unknown atomic {name}"
+            self._line(f"raise ExecutionError({message!r})")
+            return
+        a = self._named(args[0], "a_")
+        operands = instr.operands[1:3]
+        texts = [
+            text if isinstance(value, Constant) else self._named(text, f"b{i}_")
+            for i, (value, text) in enumerate(zip(operands, args[1:3]))
+        ]
+        b, c = (texts + ["None", "None"])[:2]  # a missing operand fails as None
+        new = new.format(b=b, c=c)
+        if isinstance(pointee, IntType):
+            exact = all(_intlike(value) for value in operands)
+            new = _wrap(pointee, new if exact else f"int({new})")
+        size = pointee.size()
+
+        def write(buf: str) -> str:
+            if isinstance(pointee, FloatType):
+                # A sum past the f32 range raises in ``pack`` before a byte
+                # is written (``pack_into`` zero-fills its target first).
+                return f"{buf}[off_:off_ + {size}] = {self._codec(fmt, 'pack')}({new})"
+            return f"{self._codec(fmt, 'pack_into')}({buf}, off_, {new})"
+
+        self._emit(
+            _ATOMIC,
+            a=a,
+            d=self._target(instr),
+            load=self._codec(fmt, "unpack_from"),
+            write_private=write("p_"),
+            write_shared=write("data"),
+            size=size,
+            device=self.device,
+            event=self._event(instr, a, size, True),
+        )
 
     def _intrinsic(self, instr, name, args) -> Optional[str]:
         """Expression text of an intrinsic call, or None when the lines
@@ -1271,25 +1294,25 @@ class _Printer:
         if name == "gpu.barrier":
             return "None"
         if name is not None and name.startswith("atomic."):
-            pointee = instr.callee.ftype.params[0].pointee
-            return (
-                f"_atomic(ctx, {name!r}, {instr.uid}, {self._bind(pointee)}, "
-                f"{self.collect}, {', '.join(args)})"
-            )
+            self._atomic(instr, name, args)
+            return None
         if name is not None and name.startswith("math."):
             short = name.split(".")[1]
             fn = MATH_EVAL.get(short)
             if fn is None:
                 self._line(f"raise KeyError({short!r})")
-                return None
-            text = f"{self._bind(fn)}({', '.join(args)})"
-            return _F32_ROUND.format(text) if name.endswith(".f32") else text
+            else:
+                text = f"{self._bind(fn)}({', '.join(args)})"
+                self._assign(instr, text, name.endswith(".f32"))
+            return None
         message = f"unknown intrinsic {name}"
         self._line(f"raise ExecutionError({message!r})")
         return None
 
 
-_REGION_PARAMS = ("data", "base", "limit", "end", "cend", "svm_const")
+#: ``l<n>`` is the region's size less ``n``: the largest offset of an
+#: ``n``-byte access (the one bounds compare of ``_BOUNDS``).
+_REGION_PARAMS = ("data", "base", "l1", "l2", "l4", "l8", "end", "cend", "svm_const")
 
 
 def load_generated(label: str, source: str, names: dict) -> tuple:
@@ -1340,7 +1363,9 @@ class JitCode:
     """One function's generated module for one ``(device, collect)``:
     region-independent, so every runtime over the same program shares it.
     ``factory(*region constants, accumulator, owner, *callee entries,
-    *global addresses)`` returns the function ``f(ctx, depth, *args)``."""
+    *global addresses)`` returns the function ``f(ctx, depth, *args)``.
+    Its traced instructions keep their sequence numbers in the engine's
+    list at slots ``seq_base`` up to ``seq_end``."""
 
     __slots__ = (
         "function",
@@ -1350,12 +1375,13 @@ class JitCode:
         "flushed",
         "callees",
         "gvars",
+        "seq_end",
         "source",
         "filename",
         "factory",
     )
 
-    def __init__(self, function: Function, device: str, collect: bool):
+    def __init__(self, function: Function, device: str, collect: bool, seq_base: int = 0):
         self.function = function
         self.name = function.name
         self.units: tuple = ()  # one _UnitTotals per unit
@@ -1363,14 +1389,16 @@ class JitCode:
         self.flushed: tuple = ()  # (local, accumulator slot) a return flushes
         self.callees: tuple = ()
         self.gvars: tuple = ()
+        self.seq_end = seq_base
         self.source = ""
         self.filename = ""
         self.factory = None
         plan = plan_function(function)
         if plan is None:
             return
-        printer = _Printer(function, device, collect, plan)
+        printer = _Printer(function, device, collect, plan, seq_base)
         body, line_units = printer.text(_region_tree(function, plan))
+        self.seq_end += len(printer.seq_slots)
         self.units = tuple(printer.totals)
         self.line_units = tuple(line_units)
         n_units = len(self.units)
@@ -1399,6 +1427,9 @@ class JitCode:
         publish_generated(self.filename, self.source)
 
 
+_GENERATING = threading.Lock()
+
+
 class CodeCache:
     """Per-runtime cache of bound functions (the simulator-level analogue
     of the paper's ``gpu_program_t``/``gpu_function_t`` cache).
@@ -1413,7 +1444,9 @@ class CodeCache:
     owning runtime gave the program's globals in its region; binding
     closes over those.  ``compilations``/``hits`` count this cache's binds
     and replays (tests assert compile-once/launch-many on them),
-    ``codegen`` the generations it had to do itself.
+    ``codegen`` the generations it had to do itself.  ``seq_end`` is the
+    length an engine's sequence-number list needs for every function this
+    cache has bound.
     """
 
     def __init__(
@@ -1430,6 +1463,7 @@ class CodeCache:
         self.compilations = 0
         self.hits = 0
         self.codegen = 0
+        self.seq_end = 0
         # Optional repro.obs.CounterRegistry; mirrors the totals above as
         # code_cache.hits / .compilations / .codegen when attached.
         self.counters = counters
@@ -1458,17 +1492,34 @@ class CodeCache:
             self.counters.add("code_cache.compilations")
         code = self._code.get(key)
         if code is None:
-            # Two runtimes racing here generate equal code; either wins.
-            code = self._code[key] = JitCode(function, device, collect_events)
-            self.codegen += 1
-            if self.counters is not None:
-                self.counters.add("code_cache.codegen")
+            code = self._generate(key)
+        self.seq_end = max(self.seq_end, code.seq_end)
         compiled = CompiledFunction(code)
         # Register before binding the body so recursive (and mutually
         # recursive) calls resolve to the same object.
         self._cache[key] = compiled
         compiled._bind(self, device, collect_events)
         return compiled
+
+    def _generate(self, key: tuple) -> JitCode:
+        """Generate ``key``'s code into the shared dict.  The text numbers
+        its sequence-number slots after every other text there for the
+        same device, so all the code one engine runs — and every runtime
+        over the program — agrees on them.  One generation at a time: two
+        runtimes racing must not hand out one slot twice."""
+        device = key[1]
+        with _GENERATING:
+            code = self._code.get(key)
+            if code is None:
+                base = max(
+                    (c.seq_end for (_f, d, _c), c in self._code.items() if d == device),
+                    default=0,
+                )
+                code = self._code[key] = JitCode(*key, base)
+                self.codegen += 1
+                if self.counters is not None:
+                    self.counters.add("code_cache.codegen")
+        return code
 
 
 class CompiledFunction:
@@ -1498,11 +1549,15 @@ class CompiledFunction:
             return
         region = cache.region
         base = region.gpu_base if device == "gpu" else region.cpu_base
+        size = region.size
         self.fn = code.factory(
             region.physical.data,
             base,
-            region.size,
-            base + region.size,
+            size - 1,
+            size - 2,
+            size - 4,
+            size - 8,
+            base + size,
             base + region.surface.size,
             region.svm_const,
             self.counts,
@@ -1581,7 +1636,11 @@ class CompiledEngine:
         # the runtime harvests per construct).
         self.counters = counters
         self._steps = 0
-        self._mem_seq: dict[int, int] = {}
+        # Sequence numbers by slot (``JitCode.seq_end``), grown in place.
+        self._mem_seq: list[int] = []
+        # The float32 slot f32 results round through: the engine's own,
+        # since generated text is shared by runtimes on other threads.
+        self._f32 = memoryview(bytearray(4)).cast("f")
         self._priv_buf: Optional[bytearray] = None
         self._priv_dirty = 0
         self._private_next = 0x1000
@@ -1655,7 +1714,7 @@ class CompiledEngine:
             try:
                 for lane, index in enumerate(span):
                     self.global_id = index
-                    self._mem_seq = {}
+                    self._mem_seq = [0] * len(self._mem_seq)
                     self._steps = 0
                     self.reset_private_memory()
                     start = len(events)
@@ -1696,9 +1755,15 @@ class CompiledEngine:
         if self.counters is not None:
             self.counters.add("engine.invocations", uses)
             self.counters.add(f"engine.invocations.{self.device}", uses)
-        return self.code_cache.get(
-            function, self.device, self.collect_mem_events, uses
-        ).fn
+        fn = self.code_cache.get(function, self.device, self.collect_mem_events, uses).fn
+        self._cover_seqs()
+        return fn
+
+    def _cover_seqs(self) -> None:
+        """Give every slot the code cache has bound a sequence number —
+        in place, since running generated frames hold the list."""
+        seqs = self._mem_seq
+        seqs.extend([0] * (self.code_cache.seq_end - len(seqs)))
 
     # -- what generated code leaves behind -----------------------------------
 
