@@ -13,9 +13,8 @@ Three pieces of infrastructure that keep the hot execution paths cheap:
 
 * :class:`LaunchTrace` — one GPU launch's trace as NumPy columns: the
   memory events of every lane in one set of arrays, a blocks x lanes
-  count matrix and per-lane counter vectors.  The vector engine builds
-  it straight from its event records, the generated-code engine from its
-  launch's one event buffer and harvested unit counts
+  count matrix and per-lane counter vectors.  Both generated-code engines
+  build it from their event columns and per-unit execution counts
   (:meth:`LaunchTrace.from_unit_counts`), the reference interpreter's
   per-lane traces are concatenated into one
   (:meth:`LaunchTrace.from_traces`), and the GPU timing model computes on
@@ -47,6 +46,16 @@ import numpy as np
 #: cache/coalescing models sample at most this many events per launch;
 #: events beyond it are counted in ``mem_events_dropped``.
 DEFAULT_MEM_EVENT_CAP = 120_000
+
+
+def per_item_cap(budget: int, n: int) -> int:
+    """The event cap of each work-item of an ``n``-lane GPU launch under
+    the launch's global ``budget``: an even share, but at least 1000
+    events so that short lanes stay representative.  Every engine's
+    launch applies it under the running total (once the work-items
+    collectively reach ``budget``, later lanes record nothing)."""
+    return max(1000, budget // max(1, n))
+
 
 #: Observer counter names for the entries of ``counter_totals()``, which
 #: :class:`~repro.exec.interp.ExecTrace` (one lane or chunk) and
@@ -124,6 +133,26 @@ def event_rows(events: MemEventColumns) -> np.ndarray:
     return np.frombuffer(events.data, np.uint64).reshape(-1, 5)
 
 
+def launch_events(data, kept, dropped, caps) -> dict:
+    """The event and cap fields of a :class:`LaunchTrace` from the
+    launch's stride-5 event rows (``data``: a flat buffer or ``(k, 5)``
+    array, lane-major) and one ``kept`` / ``dropped`` / ``caps`` entry per
+    lane."""
+    rows = np.asarray(data, np.uint64).reshape(-1, 5)
+    kept = np.array(kept, np.int64)
+    return dict(
+        lane=np.repeat(np.arange(len(kept)), kept),
+        uid=rows[:, 0].astype(np.int64),
+        seq=rows[:, 1].astype(np.int64),
+        address=np.ascontiguousarray(rows[:, 2]),
+        size=rows[:, 3].astype(np.int64),
+        is_store=rows[:, 4].astype(np.int64),
+        kept=kept,
+        dropped=np.array(dropped, np.int64),
+        caps=np.array(caps, np.int64),
+    )
+
+
 def iter_access_events(trace):
     """Stream a trace's memory events as ``(address, size, is_store)``
     tuples (the declared-set replay needs exactly these three fields)."""
@@ -189,7 +218,7 @@ class LaunchTrace:
         traces = list(traces)
         n = len(traces)
         chunks = [event_rows(trace.mem_events) for trace in traces]
-        kept = np.fromiter(map(len, chunks), np.int64, n)
+        kept = list(map(len, chunks))
         rows = np.concatenate(chunks) if n else np.empty((0, 5), np.uint64)
         del chunks  # release the buffer exports
         scalars = np.array(
@@ -225,15 +254,7 @@ class LaunchTrace:
         return cls(
             n=n,
             per_lane=traces,
-            lane=np.repeat(np.arange(n), kept),
-            uid=rows[:, 0].astype(np.int64),
-            seq=rows[:, 1].astype(np.int64),
-            address=np.ascontiguousarray(rows[:, 2]),
-            size=rows[:, 3].astype(np.int64),
-            is_store=rows[:, 4].astype(np.int64),
-            kept=kept,
-            dropped=scalars[:, 5],
-            caps=scalars[:, 6],
+            **launch_events(rows, kept, scalars[:, 5], scalars[:, 6]),
             block_uids=np.fromiter(row_of, np.int64, len(row_of)),
             block_counts=block_counts,
             branch_uids=np.zeros(0, np.int64),
@@ -247,63 +268,48 @@ class LaunchTrace:
         )
 
     @classmethod
-    def from_unit_counts(cls, n, events, kept, dropped, caps, functions) -> "LaunchTrace":
-        """What :meth:`~repro.exec.compiled.CompiledEngine.run_launch`
-        collected, as columns — equal, row order included, to
-        :meth:`from_traces` over the same lanes traced one by one.
+    def from_unit_counts(cls, n, events: dict, functions) -> "LaunchTrace":
+        """The trace of a launch a generated-code engine ran, from what
+        both of them collect: the event and cap fields (``events``, as
+        :func:`launch_events` spells them) and the unit execution counts
+        of every function the launch entered.  Equal, row order included,
+        to :meth:`from_traces` over the same lanes traced one by one.
 
-        ``events`` is the launch's one stride-5 event buffer (lane-major),
-        ``kept`` / ``dropped`` / ``caps`` one entry per lane.
-        ``functions`` lists what the launch entered as ``(units, lanes,
-        rows)``: the function's per-unit totals, the lanes that entered it
-        (ascending) and, flat, one harvested accumulator per such lane —
-        ``len(units)`` execution counts, as many taken-branch counts, as
-        many zeros, and the function's rank among those the lane entered.
-        Every per-lane counter is the counts matrix times the per-unit
-        totals."""
-        kept = np.array(kept, np.int64)
-        rows = np.array(events, np.uint64).reshape(-1, 5)
+        ``functions`` lists ``(units, lanes, counts, taken, order)``: the
+        function's per-unit totals, the lanes that entered it (ascending),
+        their ``len(lanes) x len(units)`` execution and taken-branch
+        counts, and per lane a key that increases with the order in which
+        the lane first entered its functions.  Every per-lane counter is
+        the counts matrix times the per-unit totals."""
         counters = np.zeros((5, n), np.int64)
-        blocks = []  # (first lane, rank there, unit, uid, per-lane counts)
+        blocks = []  # (first lane, its entry order, unit, uid, per-lane counts)
         branches = []  # (..., branch uid, per-lane taken, per-lane total)
-        for units, lanes, flat in functions:
-            width = len(units)
-            lanes = np.array(lanes, np.int64)
-            harvest = np.array(flat, np.int64).reshape(len(lanes), 3 * width + 1)
-            counts = harvest[:, :width]
+        for units, lanes, counts, taken, order in functions:
             totals = np.array(
                 [
                     (u.d_instr, u.d_flops, u.d_int_ops, u.d_translations, u.d_calls)
                     for u in units
                 ],
                 np.int64,
-            ).reshape(width, 5)
+            ).reshape(len(units), 5)
             counters[:, lanes] += (counts @ totals).T
             for index in np.flatnonzero(counts.any(axis=0)).tolist():
                 unit = units[index]
                 first = int((counts[:, index] != 0).argmax())
-                key = (int(lanes[first]), int(harvest[first, -1]), index)
+                key = (int(lanes[first]), int(order[first]), index)
                 dense = np.zeros(n, np.int64)
                 dense[lanes] = counts[:, index]
                 blocks.extend((key, uid, dense) for uid in unit.uid_list)
                 if unit.branch_uid >= 0:
-                    taken = np.zeros(n, np.int64)
-                    taken[lanes] = harvest[:, width + index]
-                    branches.append((key, unit.branch_uid, taken, dense))
+                    branch_taken = np.zeros(n, np.int64)
+                    branch_taken[lanes] = taken[:, index]
+                    branches.append((key, unit.branch_uid, branch_taken, dense))
         blocks.sort(key=lambda entry: entry[0])  # stable: uid_list order stays
         branches.sort(key=lambda entry: entry[0])
         none = np.zeros((0, n), np.int64)  # vstack needs one array
         return cls(
             n=n,
-            lane=np.repeat(np.arange(n), kept),
-            uid=rows[:, 0].astype(np.int64),
-            seq=rows[:, 1].astype(np.int64),
-            address=np.ascontiguousarray(rows[:, 2]),
-            size=rows[:, 3].astype(np.int64),
-            is_store=rows[:, 4].astype(np.int64),
-            kept=kept,
-            dropped=np.array(dropped, np.int64),
-            caps=np.array(caps, np.int64),
+            **events,
             block_uids=np.array([uid for _key, uid, _row in blocks], np.int64),
             block_counts=np.vstack([none, *(row for _key, _uid, row in blocks)]),
             branch_uids=np.array([uid for _key, uid, _t, _c in branches], np.int64),

@@ -92,6 +92,8 @@ from struct import Struct
 from textwrap import indent
 from typing import Optional
 
+import numpy as np
+
 from ..ir.intrinsics import MATH_EVAL
 from ..ir.structure import (
     Block,
@@ -109,7 +111,7 @@ from ..ir.structure import (
 from ..ir.types import FloatType, IntType, PointerType
 from ..ir.values import Constant, Function, GlobalVariable, Instruction
 from ..svm.memory import MemoryFault
-from .buffers import LaunchTrace, PrivateMemoryPool
+from .buffers import LaunchTrace, PrivateMemoryPool, launch_events, per_item_cap
 from .interp import (
     _BINOP_EVAL,
     _CAST_EVAL,
@@ -1707,7 +1709,7 @@ class CompiledEngine:
         columns: dict = {}  # CompiledFunction -> (lanes, harvested accumulators)
         if n:
             fn = self._lookup(function, n)
-            per_item = max(1000, budget // n)
+            per_item = per_item_cap(budget, n)
             entered = self._entered
             own = self._ev_data, self._ev_cap
             self._ev_data = events
@@ -1742,13 +1744,16 @@ class CompiledEngine:
                 self._ev_data, self._ev_cap = own
                 self._harvest()  # a trapped lane's counts: the accumulators end clean
                 self.release_private_memory()
+        functions = []
+        for compiled, (lanes, accumulators) in columns.items():
+            # per lane: unit counts, taken counts, trap counts, the rank
+            units = compiled.code.units
+            width = len(units)
+            harvest = np.array(accumulators, np.int64).reshape(len(lanes), 3 * width + 1)
+            counts, taken = harvest[:, :width], harvest[:, width : 2 * width]
+            functions.append((units, np.array(lanes, np.int64), counts, taken, harvest[:, -1]))
         return LaunchTrace.from_unit_counts(
-            n,
-            events,
-            kept,
-            dropped,
-            caps,
-            [(compiled.code.units, *column) for compiled, column in columns.items()],
+            n, launch_events(events, kept, dropped, caps), functions
         )
 
     def _lookup(self, function: Function, uses: int):

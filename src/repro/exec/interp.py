@@ -37,6 +37,7 @@ from .buffers import (
     LaunchTrace,
     MemEventColumns,
     PrivateMemoryPool,
+    per_item_cap,
 )
 
 
@@ -205,7 +206,7 @@ class Interpreter:
         concatenated.  The cap is per work-item (at least 1000 events)
         under the launch's global ``budget``: once the work-items
         collectively reach it, later lanes record nothing."""
-        per_item = max(1000, budget // max(1, len(span)))
+        per_item = per_item_cap(budget, len(span))
         kept = 0
         traces = []
         own = self.trace

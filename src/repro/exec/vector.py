@@ -44,7 +44,8 @@ Design:
 
 * **Optimistic memory with rollback.**  SVM loads/stores lower to
   gathers/scatters against the region byte array with per-lane bounds
-  checks.  Every shared store is journalled (old bytes first); at launch
+  checks; an access splits its lanes into shared and private ones once,
+  and each part takes the one routine for its memory.  Every shared store is journalled (old bytes first); at launch
   end a hazard check rejects any byte stored by one lane and touched by
   another.  Any trap, hazard or unexpected error rolls the journal back
   — restoring the exact pre-launch region bytes — and raises
@@ -55,10 +56,12 @@ Design:
 
 * **Exact traces.**  Memory events are queued raw (one record per
   vector access, canonicalized in one batch at materialization) and
-  folded into one columnar :class:`~repro.exec.buffers.LaunchTrace`
-  that replicates the scalar launch's per-item cap budgeting, so the
-  timing model — and every figure — sees identical inputs; its lazy
-  per-lane view is what the scalar engine's per-lane traces would be.
+  folded into event columns that replicate the scalar launch's per-item
+  cap budgeting; with the per-unit execution counts they go through
+  :meth:`~repro.exec.buffers.LaunchTrace.from_unit_counts`, the
+  constructor the scalar launch uses, so the timing model — and every
+  figure — sees identical inputs; its lazy per-lane view is what the
+  scalar engine's per-lane traces would be.
 
 Kernels that cannot be vectorized (virtual calls, atomics, device-side
 allocation, recursion, aggregate scalars, cross-domain bitcasts) are
@@ -85,7 +88,7 @@ except ImportError as exc:  # pragma: no cover - exercised only without numpy
 from ..ir.intrinsics import MATH_EVAL
 from ..ir.types import FloatType, IntType, PointerType, VoidType
 from ..ir.values import Constant, Function, GlobalVariable
-from .buffers import LaunchTrace
+from .buffers import LaunchTrace, per_item_cap
 from .compiled import (
     CompiledEngine,
     _CASTS,
@@ -113,7 +116,6 @@ from .interp import (
     _CAST_EVAL,
     _FLOAT_OPS,
     _MAX_CALL_DEPTH,
-    _MAX_STEPS_DEFAULT,
     Interpreter,
 )
 
@@ -261,30 +263,32 @@ def _encode(vals, vdt, decode, k):
 
 class VectorMachine:
     """All mutable launch state: region views, journals, hazard marks,
-    per-lane step/trace accumulators, and lazily-grown private memory."""
+    per-lane step/trace accumulators, and lazily-grown private memory.
+    It is built from the engine whose launch it runs, so the region, the
+    global addresses, event collection, the core count and the step limit
+    are that engine's."""
 
-    def __init__(self, region, addresses: dict, collect: bool, span, num_cores: int):
-        self.region = region
+    def __init__(self, engine, span):
+        region = engine.region
         self.n = len(span)
         self.global_ids = np.fromiter(span, _I64, self.n)
         self.lane_ids = np.arange(self.n, dtype=_I64)
         self.u8 = np.frombuffer(region.physical.data, np.uint8)
         self.limit = region.size
         self.base_u = np.uint64(region.gpu_base & _MASK64)
-        surf = region.surface
-        self.cbase_u = np.uint64(region.gpu_base & _MASK64)
-        self.cend_u = np.uint64((region.gpu_base + surf.size) & _MASK64)
+        self.cend_u = np.uint64((region.gpu_base + region.surface.size) & _MASK64)
         self.svm_u = np.uint64(region.svm_const & _MASK64)
-        self.addresses = addresses
-        self.collect = collect
-        self.max_steps = _MAX_STEPS_DEFAULT
-        self.num_cores = num_cores
+        self.addresses = engine.code_cache.addresses
+        self.collect = engine.collect_mem_events
+        self.max_steps = engine.max_steps
+        self.num_cores = engine.num_cores
         self._views: dict = {}
         self.records: list = []  # chronological (uid, lanes, addr, size, st)
         self.smarks: list = []  # (offsets, size, lanes) of shared stores
         self.lmarks: list = []  # (offsets, size, lanes) of shared loads
         self.journal: list = []  # (byte-offset matrix, old bytes)
-        self.counts: dict = {}  # id(vfn) -> (vfn, hit lists, taken lists)
+        self.counts: dict = {}  # id(vfn) -> (vfn, hit lists, taken lists, entry order)
+        self.invocations = 0
         self.steps = np.zeros(self.n, _I64)
         self.step_acc: list = []  # (lanes, n_steps) pending settlement
         self.step_hi = 0  # scalar upper bound on any lane's step count
@@ -298,49 +302,42 @@ class VectorMachine:
 
     # -- accounting -------------------------------------------------------
 
-    def counts_for(self, vfn):
-        """Per-unit deferred accumulators: ``hits[u]`` collects the lane
-        array of every execution of unit ``u``, ``tks[u]`` the lanes that
-        took the branch.  Appending a reference is safe because lane
-        arrays are never mutated; :meth:`_settled_counts` folds them into
-        dense per-lane matrices once per launch."""
+    def enter(self, vfn, lanes):
+        """``lanes`` enter ``vfn``: its per-unit deferred accumulators.
+        ``hits[u]`` collects the lane array of every execution of unit
+        ``u``, ``tks[u]`` the lanes that took the branch; appending a
+        reference is safe because lane arrays are never mutated.  Each
+        lane's first entry is numbered, which orders the function among
+        those the lane entered, as a scalar lane enters them."""
+        self.invocations += 1
         entry = self.counts.get(id(vfn))
         if entry is None:
             units = len(vfn.units)
-            entry = (
+            entry = self.counts[id(vfn)] = (
                 vfn,
                 [[] for _ in range(units)],
                 [[] for _ in range(units)],
+                np.full(self.n, 1 << 62, _I64),  # not entered yet
             )
-            self.counts[id(vfn)] = entry
+        order = entry[3]
+        order[lanes] = np.minimum(order[lanes], self.invocations)
         return entry[1], entry[2]
 
-    def _settled_counts(self):
-        n = self.n
-        for vfn, hits, tks in self.counts.values():
-            units = len(vfn.units)
-            counts = np.zeros((units, n), _I64)
-            taken = np.zeros((units, n), _I64)
-            for u in range(units):
-                h = hits[u]
-                if h:
-                    if len(h) == 1:
-                        counts[u][h[0]] += 1
-                    else:
-                        counts[u] = np.bincount(
-                            np.concatenate(h), minlength=n
-                        ).astype(_I64, copy=False)
-                t = tks[u]
-                if t:
-                    if len(t) == 1:
-                        taken[u][t[0]] += 1
-                    else:
-                        taken[u] = np.bincount(
-                            np.concatenate(t), minlength=n
-                        ).astype(_I64, copy=False)
-            yield vfn, counts, taken
+    def _unit_counts(self):
+        """Per entered function, ``(units, lanes, counts, taken, order)``
+        as :meth:`~repro.exec.buffers.LaunchTrace.from_unit_counts` takes
+        them: the hit lists folded into lanes x units matrices."""
+        n, none = self.n, [np.zeros(0, _I64)]
 
-    def settle_steps(self, max_steps: int, name: str):
+        def tally(per_unit):
+            return np.column_stack(
+                [np.bincount(np.concatenate(lists + none), minlength=n) for lists in per_unit]
+            )
+
+        for vfn, hits, tks, order in self.counts.values():
+            yield vfn.units, self.lane_ids, tally(hits), tally(tks), order
+
+    def settle_steps(self, name: str):
         """Fold the pending (lanes, n_steps) batches into the exact
         per-lane step counts and re-check the limit.  ``step_hi`` tracks
         a scalar upper bound between settlements (every lane's true count
@@ -352,10 +349,56 @@ class VectorMachine:
         self.step_acc.clear()
         peak = int(steps.max()) if len(steps) else 0
         self.step_hi = peak
-        if peak > max_steps:
+        if peak > self.max_steps:
             raise _Trap(f"step limit exceeded in {name}")
 
-    # -- memory -----------------------------------------------------------
+    # -- memory: each access splits its lanes into shared and private once --
+
+    def load(self, uid, addr_i64, size, vdt, decode, out_dtype, mids):
+        offs, private = self._split(addr_i64, size)
+        if private is None:
+            return self._read_shared(uid, addr_i64, offs, size, vdt, decode, mids)
+        if bool(private.all()):
+            return self._read_private(addr_i64, size, vdt, decode, mids)
+        shared = ~private
+        out = np.empty(len(mids), out_dtype)
+        out[shared] = self._read_shared(
+            uid, addr_i64[shared], offs[shared], size, vdt, decode, mids[shared]
+        )
+        out[private] = self._read_private(
+            addr_i64[private], size, vdt, decode, mids[private]
+        )
+        return out
+
+    def store(self, uid, addr_i64, vals, size, vdt, decode, mids):
+        offs, private = self._split(addr_i64, size)
+        typed = _encode(vals, vdt, decode, len(mids))
+        if private is None:
+            self._write_shared(uid, addr_i64, offs, typed, size, mids)
+        elif bool(private.all()):
+            self._write_private(addr_i64, typed, size, mids)
+        else:
+            shared = ~private
+            self._write_shared(
+                uid, addr_i64[shared], offs[shared], typed[shared], size, mids[shared]
+            )
+            self._write_private(addr_i64[private], typed[private], size, mids[private])
+
+    def _split(self, addr_i64, size):
+        """An access's offsets into the region, and the mask of its lanes
+        in the private window (``None`` when every lane is shared).  One
+        folded unsigned compare tests the shared surface (below-base
+        addresses wrap to huge offsets); the private window lies outside
+        it.  A lane in neither — or in the window before any ``alloca``
+        ran — traps, so the scalar rerun reproduces the fault."""
+        off_u = addr_i64.view(_U64) - self.base_u
+        outside = off_u > np.uint64(self.limit - size)
+        if not bool(outside.any()):
+            return off_u.view(_I64), None
+        private = (addr_i64.view(_U64) - _PB_U) < _PWIDTH_U
+        if not self.has_private or bool((outside & ~private).any()):
+            raise _Trap("address outside the shared surface")
+        return off_u.view(_I64), private
 
     def _view(self, vdt):
         key = np.dtype(vdt)
@@ -364,15 +407,9 @@ class VectorMachine:
             view = self._views[key] = self.u8.view(vdt)
         return view
 
-    def _bounds(self, au, size):
-        off_u = au - self.base_u
-        if bool((off_u > np.uint64(self.limit - size)).any()):
-            raise _Trap("address outside the shared surface")
-        return off_u.view(_I64)
-
-    def load_shared(self, addr_i64, size, vdt, decode, mids):
-        au = addr_i64.view(_U64)
-        offs = self._bounds(au, size)
+    def _read_shared(self, uid, addr_i64, offs, size, vdt, decode, mids):
+        if self.collect:
+            self.records.append((uid, mids, addr_i64, size, False))
         self.lmarks.append((offs, size, mids))
         if size == 1:
             raw = self.u8[offs].view(vdt)
@@ -383,33 +420,15 @@ class VectorMachine:
             raw = self.u8[mat].view(vdt)[:, 0]
         return _decode(raw, decode)
 
-    def store_shared(self, addr_i64, vals, size, vdt, decode, mids):
-        k = len(mids)
-        au = addr_i64.view(_U64)
-        offs = self._bounds(au, size)
-        typed = _encode(vals, vdt, decode, k)
+    def _write_shared(self, uid, addr_i64, offs, typed, size, mids):
+        if self.collect:
+            self.records.append((uid, mids, addr_i64, size, True))
         self.smarks.append((offs, size, mids))
         mat = offs[:, None] + np.arange(size, dtype=_I64)
-        old = self.u8[mat]
-        self.journal.append((mat, old))
-        self.u8[mat] = typed.view(np.uint8).reshape(k, size)
+        self.journal.append((mat, self.u8[mat]))
+        self.u8[mat] = typed.view(np.uint8).reshape(len(mids), size)
 
     # -- private (alloca) memory ------------------------------------------
-
-    def _priv_ensure(self, need: int):
-        if need > _PRIV_LIMIT:
-            raise _Trap("private access beyond the window")
-        if need <= self.priv_w:
-            return
-        width = max(4096, self.priv_w)
-        while width < need:
-            width *= 2
-        width = min(width, _PRIV_LIMIT)
-        fresh = np.zeros((self.n, width), np.uint8)
-        if self.priv is not None:
-            fresh[:, : self.priv_w] = self.priv
-        self.priv = fresh
-        self.priv_w = width
 
     def alloc_private(self, mids, size: int):
         self.has_private = True
@@ -417,99 +436,32 @@ class VectorMachine:
         self.priv_next[mids] = (old + size + 15) & ~np.int64(15)
         return _PB + old
 
-    def load_private(self, addr_i64, size, vdt, decode, mids):
+    def _private_bytes(self, addr_i64, size):
+        """The byte offsets of an access's private lanes into their rows
+        of private memory, grown to cover them."""
         offs = addr_i64 - np.int64(_PB)
-        if bool((offs < 0).any()):
-            raise _Trap("negative private offset")
-        self._priv_ensure(int(offs.max()) + size)
-        mat = offs[:, None] + np.arange(size, dtype=_I64)
-        raw = self.priv[mids[:, None], mat].view(vdt)[:, 0]
-        return _decode(raw, decode)
+        need = int(offs.max()) + size
+        if need > _PRIV_LIMIT:
+            raise _Trap("private access beyond the window")
+        if need > self.priv_w:
+            width = max(4096, self.priv_w)
+            while width < need:
+                width *= 2
+            width = min(width, _PRIV_LIMIT)
+            fresh = np.zeros((self.n, width), np.uint8)
+            if self.priv is not None:
+                fresh[:, : self.priv_w] = self.priv
+            self.priv = fresh
+            self.priv_w = width
+        return offs[:, None] + np.arange(size, dtype=_I64)
 
-    def store_private(self, addr_i64, vals, size, vdt, decode, mids):
-        k = len(mids)
-        offs = addr_i64 - np.int64(_PB)
-        if bool((offs < 0).any()):
-            raise _Trap("negative private offset")
-        self._priv_ensure(int(offs.max()) + size)
-        typed = _encode(vals, vdt, decode, k)
-        mat = offs[:, None] + np.arange(size, dtype=_I64)
-        self.priv[mids[:, None], mat] = typed.view(np.uint8).reshape(k, size)
+    def _read_private(self, addr_i64, size, vdt, decode, mids):
+        mat = self._private_bytes(addr_i64, size)
+        return _decode(self.priv[mids[:, None], mat].view(vdt)[:, 0], decode)
 
-    # -- load/store dispatch (mixed private/shared lanes split) -----------
-
-    def load(self, uid, addr_i64, size, vdt, decode, out_dtype, mids):
-        # Fast path: the private window lives outside the shared surface,
-        # so one folded bounds check covers both "all in bounds" and "no
-        # private lanes" at once (below-base addresses wrap to huge
-        # uint64 offsets and fail it too).
-        off_u = addr_i64.view(_U64) - self.base_u
-        if not bool((off_u > np.uint64(self.limit - size)).any()):
-            if self.collect:
-                self.records.append((uid, mids, addr_i64, size, False))
-            offs = off_u.view(_I64)
-            self.lmarks.append((offs, size, mids))
-            if size == 1:
-                raw = self.u8[offs].view(vdt)
-            elif not bool((offs & (size - 1)).any()):
-                raw = self._view(vdt)[offs >> _SHIFT[size]]
-            else:
-                mat = offs[:, None] + np.arange(size, dtype=_I64)
-                raw = self.u8[mat].view(vdt)[:, 0]
-            return _decode(raw, decode)
-        if not self.has_private:
-            # no alloca has run: a stray private-window address must fail
-            # the bounds check and fall back, reproducing the scalar
-            # behaviour exactly.
-            raise _Trap("address outside the shared surface")
-        au = addr_i64.view(_U64)
-        pm = (au - _PB_U) < _PWIDTH_U
-        if bool(pm.all()):
-            return self.load_private(addr_i64, size, vdt, decode, mids)
-        if not bool(pm.any()):
-            raise _Trap("address outside the shared surface")
-        out = np.empty(len(mids), out_dtype)
-        sh = ~pm
-        sa, sm = addr_i64[sh], mids[sh]
-        if self.collect:
-            self.records.append((uid, sm, sa, size, False))
-        out[sh] = self.load_shared(sa, size, vdt, decode, sm)
-        out[pm] = self.load_private(addr_i64[pm], size, vdt, decode, mids[pm])
-        return out
-
-    def store(self, uid, addr_i64, vals, size, vdt, decode, mids):
-        off_u = addr_i64.view(_U64) - self.base_u
-        if not bool((off_u > np.uint64(self.limit - size)).any()):
-            if self.collect:
-                self.records.append((uid, mids, addr_i64, size, True))
-            k = len(mids)
-            offs = off_u.view(_I64)
-            typed = _encode(vals, vdt, decode, k)
-            self.smarks.append((offs, size, mids))
-            mat = offs[:, None] + np.arange(size, dtype=_I64)
-            self.journal.append((mat, self.u8[mat]))
-            self.u8[mat] = typed.view(np.uint8).reshape(k, size)
-            return
-        if not self.has_private:
-            raise _Trap("address outside the shared surface")
-        au = addr_i64.view(_U64)
-        pm = (au - _PB_U) < _PWIDTH_U
-        if not bool(pm.any()):
-            raise _Trap("address outside the shared surface")
-        vals = np.asarray(vals)
-        if vals.shape != (len(mids),):
-            col = np.empty(len(mids), vals.dtype)
-            col[...] = vals
-            vals = col
-        if bool(pm.all()):
-            self.store_private(addr_i64, vals, size, vdt, decode, mids)
-            return
-        sh = ~pm
-        sa, sm = addr_i64[sh], mids[sh]
-        if self.collect:
-            self.records.append((uid, sm, sa, size, True))
-        self.store_shared(sa, vals[sh], size, vdt, decode, sm)
-        self.store_private(addr_i64[pm], vals[pm], size, vdt, decode, mids[pm])
+    def _write_private(self, addr_i64, typed, size, mids):
+        mat = self._private_bytes(addr_i64, size)
+        self.priv[mids[:, None], mat] = typed.view(np.uint8).reshape(len(mids), size)
 
     # -- rollback + hazard detection --------------------------------------
 
@@ -565,63 +517,13 @@ class VectorMachine:
     # -- trace materialization --------------------------------------------
 
     def materialize(self, budget: int) -> LaunchTrace:
-        """The launch's columnar trace, replicating the scalar GPU
-        launch's event-cap budgeting and the threaded-code engine's
-        derived counters.  Everything stays an array: per-lane
-        ``ExecTrace`` objects exist only if someone asks the result for
-        its :meth:`~repro.exec.buffers.LaunchTrace.lanes`."""
-        n = self.n
-        instructions = np.zeros(n, _I64)
-        flops = np.zeros(n, _I64)
-        int_ops = np.zeros(n, _I64)
-        translations = np.zeros(n, _I64)
-        calls = np.zeros(n, _I64)
-        uid_totals: dict = {}  # block uid -> per-lane count vector
-        stat_totals: dict = {}  # branch uid -> [taken vector, total vector]
-        for vfn, counts, taken in self._settled_counts():
-            instructions += vfn.d_instr_vec @ counts
-            flops += vfn.d_flops_vec @ counts
-            int_ops += vfn.d_int_ops_vec @ counts
-            translations += vfn.d_translations_vec @ counts
-            calls += vfn.d_calls_vec @ counts
-            for u, unit in enumerate(vfn.units):
-                row = counts[u]
-                if not row.any():
-                    continue
-                for uid in unit.uid_list:
-                    t = uid_totals.get(uid)
-                    if t is None:
-                        uid_totals[uid] = row.copy()
-                    else:
-                        t += row
-                if unit.kind == _T_CONDBR:
-                    st = stat_totals.get(unit.branch_uid)
-                    if st is None:
-                        stat_totals[unit.branch_uid] = [
-                            taken[u].copy(),
-                            row.copy(),
-                        ]
-                    else:
-                        st[0] += taken[u]
-                        st[1] += row
-        no_rows = np.zeros((0, n), _I64)  # vstack needs one array
-        return LaunchTrace(
-            n=n,
-            **self._event_columns(budget),
-            block_uids=np.fromiter(uid_totals, _I64, len(uid_totals)),
-            block_counts=np.vstack([no_rows, *uid_totals.values()]),
-            branch_uids=np.fromiter(stat_totals, _I64, len(stat_totals)),
-            branch_taken=np.vstack(
-                [no_rows, *(taken for taken, _ in stat_totals.values())]
-            ),
-            branch_total=np.vstack(
-                [no_rows, *(total for _, total in stat_totals.values())]
-            ),
-            instructions=instructions,
-            flops=flops,
-            int_ops=int_ops,
-            translations=translations,
-            calls=calls,
+        """The launch's columnar trace, through the constructor the scalar
+        launch uses too: the event columns below and the unit counts of
+        every function the launch entered.  Everything stays an array:
+        per-lane ``ExecTrace`` objects exist only if someone asks the
+        result for its :meth:`~repro.exec.buffers.LaunchTrace.lanes`."""
+        return LaunchTrace.from_unit_counts(
+            self.n, self._event_columns(budget), self._unit_counts()
         )
 
     def _event_columns(self, budget: int) -> dict:
@@ -638,7 +540,7 @@ class VectorMachine:
         totals = np.bincount(lanes, minlength=n)
         # The scalar launch's running budget in closed form: lane i keeps
         # min(total_i, per_item, budget - kept by the lanes before it).
-        per_item = max(1000, budget // max(1, n))
+        per_item = per_item_cap(budget, n)
         kept_through = np.minimum(
             np.cumsum(np.minimum(totals, per_item)), max(0, budget)
         )
@@ -658,7 +560,7 @@ class VectorMachine:
         record = np.repeat(np.arange(len(records)), widths)[order]
         record_uids = np.array([r[0] for r in records], _I64)
         au = np.concatenate([r[2] for r in records] or none).view(_U64)[order]
-        in_surface = (au >= self.cbase_u) & (au < self.cend_u)
+        in_surface = (au >= self.base_u) & (au < self.cend_u)
 
         # seq: rank among the lane's accesses by the same instruction.  A
         # lane's kept events are a chronological prefix, so ranking the
@@ -1590,13 +1492,6 @@ class VectorFunction:
         self.maskable = any(
             unit.kind == _T_CONDBR for unit in self.units
         ) or any(sub.maskable for sub in self.subs)
-        self.d_instr_vec = np.array([u.d_instr for u in self.units], _I64)
-        self.d_flops_vec = np.array([u.d_flops for u in self.units], _I64)
-        self.d_int_ops_vec = np.array([u.d_int_ops for u in self.units], _I64)
-        self.d_translations_vec = np.array(
-            [u.d_translations for u in self.units], _I64
-        )
-        self.d_calls_vec = np.array([u.d_calls for u in self.units], _I64)
 
     def publish(self) -> None:
         """Register the text with :mod:`linecache` so a traceback prints
@@ -1657,18 +1552,15 @@ class VectorFunction:
         m.depth += 1
         try:
             k0 = len(lanes0)
-            regs0 = [None] * self.nregs
+            nregs = self.nregs
+            regs0 = [None] * nregs
             for slot, col in zip(self.arg_slots, args):
                 regs0[slot] = col
-            hits, tks = m.counts_for(self)
+            hits, tks = m.enter(self, lanes0)
             units = self.units
-            nregs = self.nregs
-            track = self.ret_dtype is not None
-            pos0 = np.arange(k0, dtype=_I64) if track else None
-            # unit index -> [(prev unit, regs, lanes, pos), ...]
-            pending = {0: [(-1, regs0, lanes0, pos0)]}
-            ret_cols: list = []
-            ret_pos: list = []
+            # unit index -> [(prev unit, regs, lanes), ...]
+            pending = {0: [(-1, regs0, lanes0)]}
+            returned: list = []  # (lanes, column) of each ret with a value
             step_acc = m.step_acc
             max_steps = m.max_steps
             while pending:
@@ -1677,7 +1569,7 @@ class VectorFunction:
                 unit = units[u]
                 plans = unit.phi_plans
                 if plans is not None:
-                    for p, rg, ln, _pp in segs:
+                    for p, rg, ln in segs:
                         plan = plans.get(p)
                         if plan is None:
                             raise _Trap(
@@ -1688,16 +1580,12 @@ class VectorFunction:
                             raise _Trap(plan)
                         plan(m, rg, len(ln))
                 if len(segs) == 1:
-                    _prev, regs, lanes, pos = segs[0]
+                    _prev, regs, lanes = segs[0]
                 else:
                     lanes = np.concatenate([s[2] for s in segs])
-                    pos = (
-                        np.concatenate([s[3] for s in segs]) if track else None
-                    )
-                    cols = [s[1] for s in segs]
                     regs = [None] * nregs
                     for slot in unit.merge_slots:
-                        regs[slot] = np.concatenate([c[slot] for c in cols])
+                        regs[slot] = np.concatenate([s[1][slot] for s in segs])
                 k = len(lanes)
                 m.occ_active += k
                 m.occ_slots += k0
@@ -1707,25 +1595,19 @@ class VectorFunction:
                     step_acc.append((lanes, ns))
                     m.step_hi += ns
                     if m.step_hi > max_steps:
-                        m.settle_steps(max_steps, self.name)
+                        m.settle_steps(self.name)
                 # the branch mask, the returned column or None
                 out = unit.run(m, regs, lanes, k)
                 kind = unit.kind
                 if kind == _T_BR:
-                    pending.setdefault(unit.true_index, []).append(
-                        (u, regs, lanes, pos)
-                    )
+                    pending.setdefault(unit.true_index, []).append((u, regs, lanes))
                 elif kind == _T_CONDBR:
                     nt_count = int(np.count_nonzero(out))
                     if nt_count == k:
                         tks[u].append(lanes)
-                        pending.setdefault(unit.true_index, []).append(
-                            (u, regs, lanes, pos)
-                        )
+                        pending.setdefault(unit.true_index, []).append((u, regs, lanes))
                     elif nt_count == 0:
-                        pending.setdefault(unit.false_index, []).append(
-                            (u, regs, lanes, pos)
-                        )
+                        pending.setdefault(unit.false_index, []).append((u, regs, lanes))
                     else:
                         nt = ~out
                         tlanes = lanes[out]
@@ -1737,19 +1619,20 @@ class VectorFunction:
                             tregs[slot] = col[out]
                             fregs[slot] = col[nt]
                         pending.setdefault(unit.true_index, []).append(
-                            (u, tregs, tlanes, pos[out] if track else None)
+                            (u, tregs, tlanes)
                         )
                         pending.setdefault(unit.false_index, []).append(
-                            (u, fregs, lanes[nt], pos[nt] if track else None)
+                            (u, fregs, lanes[nt])
                         )
                 elif out is not None:  # a ret with a value
-                    ret_cols.append(out)
-                    ret_pos.append(pos)
-            if not ret_cols:
+                    returned.append((lanes, out))
+            if not returned:
                 return None
+            position = np.empty(m.n, _I64)  # machine lane -> index in lanes0
+            position[lanes0] = np.arange(k0)
             out = np.zeros(k0, self.ret_dtype)
-            for col, p in zip(ret_cols, ret_pos):
-                out[p] = col
+            for lanes, col in returned:
+                out[position[lanes]] = col
             return out
         except _Trap:
             self.publish()
@@ -1838,9 +1721,9 @@ def _arg_columns(vfn: VectorFunction, span, args_of):
 
 
 def run_vectorized(engine, vfn: VectorFunction, span, args_of, budget):
-    """Execute one GPU launch columnar over ``engine``'s region, globals,
-    event collection and core count; returns ``(machine, trace)`` with
-    ``trace`` the launch's :class:`~repro.exec.buffers.LaunchTrace`.
+    """Execute one GPU launch columnar on a :class:`VectorMachine` built
+    from ``engine``; returns ``(machine, trace)`` with ``trace`` the
+    launch's :class:`~repro.exec.buffers.LaunchTrace`.
 
     On *any* failure — vectorizability trap, cross-lane hazard, or an
     unexpected error — every journalled store is rolled back so the
@@ -1848,13 +1731,7 @@ def run_vectorized(engine, vfn: VectorFunction, span, args_of, budget):
     :class:`VectorFallback` tells the engine to rerun the span through
     the scalar path (which then reproduces results, traces, and error
     behaviour exactly)."""
-    machine = VectorMachine(
-        engine.region,
-        engine.code_cache.addresses,
-        engine.collect_mem_events,
-        span,
-        engine.num_cores,
-    )
+    machine = VectorMachine(engine, span)
     try:
         cols = _arg_columns(vfn, span, args_of)
         with np.errstate(all="ignore"):
@@ -1950,10 +1827,10 @@ class VectorEngine(CompiledEngine):
                 machine, trace = run_vectorized(self, vfn, span, args_of, budget)
         except VectorFallback as fb:
             if fb.sticky:
-                scalar[function] = str(fb)
+                self._route_scalar(function, str(fb), "hazard")
             return None
         if machine.occ_slots and machine.occ_active / machine.occ_slots < _MIN_OCCUPANCY:
-            scalar[function] = "low mask occupancy"
+            self._route_scalar(function, "low mask occupancy", "low_occupancy")
         counters = self.counters
         if counters is not None:
             n = len(span)
@@ -1967,3 +1844,10 @@ class VectorEngine(CompiledEngine):
             counters.add("vector.mask_occupancy", int(machine.occ_active))
             counters.add("vector.mask_slots", int(machine.occ_slots))
         return trace
+
+    def _route_scalar(self, kernel: Function, why: str, reason: str) -> None:
+        """The program's verdict that ``kernel``'s later launches run
+        scalar, counted as ``vector.routed.<reason>``."""
+        self.vector_code.scalar[kernel] = why
+        if self.counters is not None:
+            self.counters.add(f"vector.routed.{reason}")

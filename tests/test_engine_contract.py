@@ -13,7 +13,10 @@ A backend is a device and an engine is a lane runner:
   readers never branch on a layout, and ``MemEvent`` is only the row
   object that iterating the buffer yields;
 * a construct is recorded and reported only by ``run_construct`` and
-  the CPU's TBB-style reduction, and a placement policy is a function.
+  the CPU's TBB-style reduction, and a placement policy is a function;
+* the per-item event-cap floor is written once, the vector machine has
+  one shared-memory access path, and ``LaunchTrace.from_unit_counts`` is
+  the one constructor from unit counts to a launch trace.
 """
 
 import ast
@@ -158,6 +161,41 @@ def test_a_trace_has_one_event_layout():
             if isinstance(node, ast.Name) and node.id == "isinstance"
         ], name
     assert _call_sites("MemEvent") == {("exec/buffers.py", "MemEventColumns.__iter__")}
+
+
+def _class(relative: str, name: str) -> ast.ClassDef:
+    tree = ast.parse((ROOT / relative).read_text())
+    (cls,) = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == name]
+    return cls
+
+
+def _attributes(node) -> set:
+    return {sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)}
+
+
+def test_the_vector_machine_says_each_thing_once():
+    # one budget rule: the per-item event cap floor
+    sources = [path.read_text() for path in ROOT.rglob("*.py")]
+    assert sum(text.count("max(1000,") for text in sources) == 1
+    # one memory path: load and store split lanes once, then call one
+    # shared and one private routine; only the split tests the bounds
+    machine = {
+        node.name: node
+        for node in _class("exec/vector.py", "VectorMachine").body
+        if isinstance(node, ast.FunctionDef)
+    }
+    assert not {"load_shared", "store_shared", "load_private", "store_private"} & set(machine)
+    bounded = {name for name, node in machine.items() if "limit" in _attributes(node)}
+    assert bounded == {"__init__", "_split"}
+    for name in ("load", "store"):
+        assert not _attributes(machine[name]) & {"u8", "priv", "records", "limit", "base_u"}
+    # one constructor from unit counts to a launch trace
+    vfn = _class("exec/vector.py", "VectorFunction")
+    assert not [attr for attr in _attributes(vfn) if attr.startswith("d_") and attr.endswith("_vec")]
+    assert _call_sites("from_unit_counts") == {
+        ("exec/compiled.py", "CompiledEngine.run_launch"),
+        ("exec/vector.py", "VectorMachine.materialize"),
+    }
 
 
 def test_a_construct_has_one_body():

@@ -10,7 +10,9 @@
   CPU chunk used to leak its lanes' stack arrays until it faulted);
 * a trap mid-launch leaves the private buffer in the pool, stamps the
   lane, and the accumulators clean;
-* one engine per launch, counters at launch granularity.
+* one engine per launch, counters at launch granularity;
+* one constructor from unit counts — a columnar launch whose lanes enter
+  callees in different orders has the scalar launch's rows, row for row.
 """
 
 import dataclasses
@@ -19,14 +21,21 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.exec import ExecutionError
+from repro.exec import (
+    CompiledEngine,
+    ExecutionError,
+    VectorCodeCache,
+    classify_kernel,
+    run_vectorized,
+)
 from repro.exec.buffers import LaunchTrace
 from repro.fuzz.oracle import heap_digest
-from repro.ir import I32
+from repro.ir import I32, Constant, Function, FunctionType, IRBuilder
+from repro.ir.intrinsics import GPU_GLOBAL_ID
 from repro.obs import Observer
 from repro.passes import OptConfig
 from repro.runtime import ConcordRuntime, compile_source, ultrabook
-from repro.svm import MemoryFault
+from repro.svm import MemoryFault, SharedRegion
 from repro.workloads import all_workloads
 
 from .test_engine_equivalence import NINE, SCALE, _assert_trace_equal
@@ -267,3 +276,48 @@ def test_a_thousand_lanes_are_one_engine(on_cpu):
     assert counters["code_cache.hits"] == 999
     for name in ("engine.invocations", f"engine.invocations.{device}", "code_cache.hits"):
         assert adds.count(name) == 1
+
+
+# -- one constructor: block rows in the order a scalar lane enters callees ---
+
+
+def _callees_in_lane_order() -> Function:
+    """A kernel whose even lanes call ``g`` then ``f`` and whose odd lanes
+    call ``f`` then ``g``.  The odd lanes' block comes first, so a columnar
+    launch enters ``f`` first while lane 0, which owns every first row,
+    enters ``g`` first."""
+
+    def leaf(name):
+        fn = Function(name, FunctionType(I32, (I32,)), ["x"])
+        builder = IRBuilder(fn.new_block("entry"))
+        builder.ret(builder.add(fn.args[0], Constant(I32, 1)))
+        return fn
+
+    f, g = leaf("f"), leaf("g")
+    kernel = Function("k", FunctionType(I32, ()), [])
+    builder = IRBuilder(kernel.new_block("entry"))
+    odd, even, done = (kernel.new_block(name) for name in ("odd", "even", "done"))
+    gid = builder.call(GPU_GLOBAL_ID, [])
+    parity = builder.binop("and", gid, Constant(I32, 1))
+    builder.condbr(builder.icmp("eq", parity, Constant(I32, 0)), even, odd)
+    for block, callees in ((odd, (f, g)), (even, (g, f))):
+        builder.position_at_end(block)
+        for callee in callees:
+            builder.call(callee, [gid])
+        builder.br(done)
+    builder.position_at_end(done)
+    builder.ret(gid)
+    return kernel
+
+
+def test_both_engines_order_block_rows_as_a_scalar_lane_enters_callees():
+    kernel = _callees_in_lane_order()
+    engine = CompiledEngine(SharedRegion(1 << 12), device="gpu")
+    span = range(6)
+    expected = engine.run_launch(kernel, span, lambda index: [], SMALL_BUDGET)
+    kind, reason, vfn = classify_kernel(VectorCodeCache(), kernel)
+    assert kind != "gnarly", reason
+    _machine, got = run_vectorized(engine, vfn, span, lambda index: [], SMALL_BUDGET)
+    _assert_launch_equal(expected, got, kernel.name)
+    for name in ("branch_uids", "branch_taken", "branch_total"):
+        assert np.array_equal(getattr(expected, name), getattr(got, name)), name

@@ -32,7 +32,8 @@ import numpy as np
 import pytest
 
 import repro
-from repro.exec import Interpreter, VectorCodeCache, classify_kernel
+from repro.exec import CompiledEngine, Interpreter, VectorCodeCache, classify_kernel
+from repro.exec.compiled import CodeCache
 from repro.exec.vector import VectorFunction, VectorMachine, _arg_columns, _Trap
 from repro.ir import Constant, Function, FunctionType, IRBuilder, add_phi_incoming, ptr
 from repro.ir.intrinsics import GPU_GLOBAL_ID, MATH_INTRINSICS
@@ -231,9 +232,11 @@ def _vector_run(fn, rows, region=None, addresses=None):
     ``_Trap`` that a launch would turn into a scalar rerun."""
     kind, reason, vfn = classify_kernel(VectorCodeCache(), fn)
     assert kind != "gnarly", reason
-    machine = VectorMachine(
-        region or SharedRegion(1 << 12), addresses or {}, True, range(len(rows)), 4
+    region = region or SharedRegion(1 << 12)
+    engine = CompiledEngine(
+        region, device="gpu", num_cores=4, code_cache=CodeCache(region, addresses=addresses)
     )
+    machine = VectorMachine(engine, range(len(rows)))
     columns = _arg_columns(vfn, range(len(rows)), lambda lane: rows[lane])
     try:
         with np.errstate(all="ignore"):

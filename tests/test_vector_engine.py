@@ -43,12 +43,14 @@ def test_vector_bit_identical_to_compiled(name):
         com_rt.region.physical.data
     )
 
-    # Same traces, launch by launch.
+    # Same traces, launch by launch; one constructor builds both engines'
+    # launch traces, so even the block rows come in the same order.
     assert len(vec_rt.trace_log) == len(com_rt.trace_log)
     for index, (ref, got) in enumerate(
         zip(com_rt.trace_log, vec_rt.trace_log)
     ):
         _assert_trace_equal(ref, got, f"{name} trace {index}")
+        assert list(got.block_counts) == list(ref.block_counts), f"{name} trace {index}"
 
     # Timing is a pure function of the traces, so the modeled numbers
     # cannot move whichever engine executed the lanes.
@@ -64,13 +66,13 @@ def test_vector_bit_identical_to_compiled(name):
         assert got.report.mem_transactions == ref.report.mem_transactions
 
 
-def _observed_counters(name: str, engine: str) -> dict:
+def _observed_counters(name: str, engine: str, scale: float = 0.1) -> dict:
     observer = Observer()
     workload = WORKLOADS[name]()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         workload.execute(
-            None, ultrabook(), scale=0.1, engine=engine, observer=observer
+            None, ultrabook(), scale=scale, engine=engine, observer=observer
         )
     return observer.counters.as_dict()
 
@@ -164,6 +166,18 @@ class TestVectorCounters:
         # and re-run scalar — results already checked bit-identical above.
         counters = _observed_counters("BFS", "vector")
         assert counters.get("vector.fallbacks", 0) > 0
+
+    @pytest.mark.parametrize(
+        "name, reason",
+        [("BFS", "hazard"), ("BTree", "low_occupancy"), ("SkipList", "low_occupancy")],
+    )
+    def test_routing_verdicts_are_counted_once_per_kernel(self, name, reason):
+        # the scale test_vector_codegen.py's frozen verdicts were taken at
+        counters = _observed_counters(name, "vector", SCALE)
+        routed = {
+            key: value for key, value in counters.items() if key.startswith("vector.routed.")
+        }
+        assert routed == {f"vector.routed.{reason}": 1}
 
     def test_fallback_lanes_still_counted_as_invocations(self):
         for name in NINE:

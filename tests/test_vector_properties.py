@@ -1,20 +1,27 @@
-"""Property tests (hypothesis) for divergence-mask edge cases.
+"""Property tests (hypothesis) for divergence-mask edge cases, and the
+machine's memory path and limits.
 
 Each named edge case drives the columnar vector engine through a mask
 regime the dense-frame scheduler has to get exactly right — empty index
 spaces, single-lane chunks, uniformly-taken and fully-diverged branches,
 a loop that only one lane keeps iterating, and a store that traps on
 exactly one lane — and checks the result (region bytes, outputs, trap)
-against ``CompiledEngine`` lane by lane.
+against ``CompiledEngine`` lane by lane.  Two more cases pin the machine
+itself: one load and one store whose lanes reach private and shared
+memory at once, and the engine's step limit.
 """
 
 import warnings
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.ir.types import I32
+from repro.ir.types import I8, I16, I32, I64
+from repro.obs import Observer
 from repro.passes import OptConfig
 from repro.runtime import ConcordRuntime, compile_source, ultrabook
+
+from .test_engine_equivalence import _assert_trace_equal
 
 SLOW = settings(
     max_examples=10,
@@ -185,3 +192,145 @@ class TestDivergenceMaskEdgeCases:
             {"data": values, "index": indices},
             n=len(values),
         )
+
+
+# -- the machine: mixed private/shared lanes, the engine's step limit ---------
+
+_MIXED_SOURCE = """
+class Mixed {{
+public:
+  {t}* data;
+  {t}* out;
+  int* sel;
+  void operator()(int i) {{
+    {t} tmp[4];
+    tmp[0] = i;
+    tmp[1] = i + 1;
+    tmp[2] = i + 2;
+    tmp[3] = i + 3;
+    {t}* p = sel[i] ? tmp : data + 4 * i;
+    p[i & 3] = p[(i + 1) & 3] + 5;
+    out[i] = p[i & 3] + p[(i + 2) & 3];
+  }}
+}};
+"""
+
+_MIXED_LANES = 16
+
+
+def _compile(source):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return compile_source(source, OptConfig.gpu_all())
+
+
+def _observed_launch(program, engine, fill, n, limit=None):
+    """One GPU construct of ``program`` under an observer, every engine
+    the runtime makes given step limit ``limit`` when one is set; returns
+    (region bytes, per-lane traces, counters, the trap text or None).
+    ``fill(rt)`` makes the body."""
+    observer = Observer()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rt = ConcordRuntime(
+            program, ultrabook(), engine=engine, keep_traces=True, observer=observer
+        )
+        if limit is not None:
+            make_engine = rt._make_engine
+
+            def limited(*args, **kwargs):
+                made = make_engine(*args, **kwargs)
+                made.max_steps = limit
+                return made
+
+            rt._make_engine = limited
+        body = fill(rt)
+        trap = None
+        try:
+            rt.parallel_for_hetero(n, body, on_cpu=False)
+        except Exception as exc:  # noqa: BLE001 - trap equivalence check
+            trap = f"{type(exc).__name__}: {exc}"
+    return bytes(rt.region.physical.data), rt.trace_log, observer.counters.as_dict(), trap
+
+
+def _engine_counters(counters) -> dict:
+    return {
+        key: value
+        for key, value in counters.items()
+        if key.startswith(("engine.", "mem_events."))
+    }
+
+
+@pytest.mark.parametrize(
+    "private_lanes",
+    [
+        [lane & 1 for lane in range(_MIXED_LANES)],
+        [1] * _MIXED_LANES,
+        [int(lane == 3) for lane in range(_MIXED_LANES)],
+    ],
+    ids=["alternating", "all-private", "one-private"],
+)
+@pytest.mark.parametrize(
+    "ctype, itype", [("char", I8), ("short", I16), ("int", I32), ("long", I64)]
+)
+def test_one_access_reaches_private_and_shared_lanes(ctype, itype, private_lanes):
+    """``p`` is a lane's stack array on some lanes and its slice of a shared
+    array on the others, so one load or store splits its lanes: the
+    launch vectorizes and equals the scalar one byte for byte, event for
+    event."""
+
+    def fill(rt):
+        body = rt.new("Mixed")
+        data = rt.new_array(itype, 4 * _MIXED_LANES)
+        data.fill_from([(7 * k) % 100 for k in range(4 * _MIXED_LANES)])
+        body.data = data
+        body.out = rt.new_array(itype, _MIXED_LANES)
+        sel = rt.new_array(I32, _MIXED_LANES)
+        sel.fill_from(private_lanes)
+        body.sel = sel
+        return body
+
+    program = _compile(_MIXED_SOURCE.format(t=ctype))
+    com = _observed_launch(program, "compiled", fill, _MIXED_LANES)
+    vec = _observed_launch(program, "vector", fill, _MIXED_LANES)
+    assert com[3] is None and vec[3] is None
+    assert vec[2].get("vector.fallbacks", 0) == 0
+    assert vec[2]["vector.lanes_retired"] == _MIXED_LANES
+    assert vec[0] == com[0], "region bytes diverged"
+    assert len(vec[1]) == len(com[1]) == _MIXED_LANES
+    for lane, (ref, got) in enumerate(zip(com[1], vec[1])):
+        _assert_trace_equal(ref, got, f"lane {lane}")
+    assert _engine_counters(vec[2]) == _engine_counters(com[2])
+
+
+_STEP_SOURCE = """
+class LoopBody {
+public:
+  int* data;
+  void operator()(int i) {
+    int acc = 0;
+    for (int j = 0; j < 200; j++) {
+      acc = acc + j;
+    }
+    data[i] = acc;
+  }
+};
+"""
+
+
+def test_the_engines_step_limit_binds_the_vector_machine():
+    """A step limit below one lane's loop stops both engines with the same
+    error; the vector launch rolls back and reruns scalar once."""
+
+    def fill(rt):
+        body = rt.new("LoopBody")
+        body.data = rt.new_array(I32, 64)
+        return body
+
+    program = _compile(_STEP_SOURCE)
+    com = _observed_launch(program, "compiled", fill, 64, limit=100)
+    vec = _observed_launch(program, "vector", fill, 64, limit=100)
+    assert com[3] == "ExecutionError: step limit 100 exceeded in kernel.LoopBody.gpu"
+    assert vec[3] == com[3]
+    assert vec[0] == com[0], "region bytes diverged"
+    assert vec[2]["vector.fallbacks"] == 1
