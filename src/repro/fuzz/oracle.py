@@ -25,7 +25,7 @@ from ..passes import OptConfig
 from ..passes.pipeline import DISABLEABLE_PASSES, GPU_SAFE_DISABLE
 from ..svm import MemoryFault
 from .irgen import BUF_SLOTS, IRProgram, build_ir, generate_ir_program
-from .srcgen import SourceProgram, generate_source_program
+from .srcgen import SourceProgram, generate_source_program, render_source
 
 #: Region size for fuzz runtimes — small, so full-region digests are cheap.
 FUZZ_REGION_SIZE = 1 << 16
@@ -396,12 +396,15 @@ def _observe(outcome: Outcome, name: str):
 class Build:
     """The compile a variant's sides share: ``config`` in memory or, when
     ``store`` names one, through that artifact store (a fresh directory
-    per variant run; ``again`` is a second compile through it).  With
-    ``config=None`` it is an ``irgen`` program's :func:`_ir_functions`."""
+    per variant run; ``again`` is a second compile through it), of the
+    program's source with its overload set declared in order or
+    ``reversed``.  With ``config=None`` it is an ``irgen`` program's
+    :func:`_ir_functions`."""
 
     config: Optional[OptConfig] = OptConfig.gpu_all()
     store: str = ""
     again: bool = False
+    reversed: bool = False
 
     def compile(self, program, scratch: str):
         """``(compiled, closure)`` or the frontend's exception; an IR program's functions."""
@@ -410,13 +413,14 @@ class Build:
         from ..runtime import compile_source
         from ..runtime.compiler import compile_cached
 
+        source = render_source(program, reverse_overloads=self.reversed)
         try:
             if not self.store:
-                return compile_source(program.source, self.config), ""
+                return compile_source(source, self.config), ""
             from ..service import ArtifactStore
 
             store = ArtifactStore(os.path.join(scratch, self.store))
-            compiled, stages = compile_cached(program.source, self.config, store=store)
+            compiled, stages = compile_cached(source, self.config, store=store)
             return compiled, stages["closure"]
         except Exception as exc:  # the frontend refusing generator output
             return exc
@@ -539,6 +543,16 @@ def _ir_functions_on(engine: str, *pairs) -> Variant:
     )
 
 
+def _overload_orders() -> Variant:
+    """One program, its overload set declared in order and reversed."""
+    orders = (("declared", Build()), ("reversed", Build(reversed=True)))
+    return Variant(
+        tuple(_source(f"{o}/{d}", build, device=d) for d in _DEVICES for o, build in orders),
+        tuple((f"declared/{d}", f"reversed/{d}", _ACROSS_CONFIGS) for d in _DEVICES),
+        force={"uses_overloads": True},
+    )
+
+
 def _cached(label: str, build: Build, closure: str) -> Side:
     return _source(label, build, (("closure", closure),), engine="compiled")
 
@@ -575,12 +589,18 @@ TARGETS: dict = {target.name: target for target in (
     Target(
         "frontend",
         "the `engines` sides over six generators with feature flags forced "
-        "(virtual, floats, helpers, reduce, two mixes) to hit grammar corners",
-        tuple(map(_engines, (
-            {"uses_virtual": True}, {"uses_floats": True}, {"uses_helper": True},
-            {"construct": "reduce"}, {"uses_virtual": True, "uses_floats": True},
-            {"construct": "reduce", "uses_helper": True},
-        ))),
+        "(virtual, floats, helpers, reduce, two mixes) to hit grammar corners, "
+        "then a program with an overload set and a class-operator chain, "
+        "compiled with the set in declared and in reversed order: heap "
+        "against heap on each device",
+        (
+            *map(_engines, (
+                {"uses_virtual": True}, {"uses_floats": True}, {"uses_helper": True},
+                {"construct": "reduce"}, {"uses_virtual": True, "uses_floats": True},
+                {"construct": "reduce", "uses_helper": True},
+            )),
+            _overload_orders(),
+        ),
     ),
     Target(
         "sched",

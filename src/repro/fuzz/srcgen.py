@@ -4,7 +4,8 @@ Emits valid MiniC++ translation units exercising the language surface the
 Concord frontend supports: classes with pointer/scalar fields, helper
 methods, virtual calls through a small hierarchy, bounded ``for`` loops,
 ``if``/``else``, guarded integer division, float arithmetic, shared-array
-reads/writes (pointers into SVM), and reduction bodies with ``join``.
+reads/writes (pointers into SVM), reduction bodies with ``join``, and an
+overloaded free function plus a chain of class operators.
 
 Programs are built from a JSON-serializable *spec tree* (plain dicts and
 lists) wrapped in :class:`SourceProgram`, so the reducer
@@ -62,6 +63,7 @@ class SourceProgram:
     helper_expr: Optional[dict]
     stmts: list = field(default_factory=list)
     class_name: str = "FuzzBody"
+    uses_overloads: bool = False
 
     # -- serialization ----------------------------------------------------
 
@@ -85,6 +87,7 @@ class SourceProgram:
             "helper_expr": self.helper_expr,
             "stmts": self.stmts,
             "class_name": self.class_name,
+            "uses_overloads": self.uses_overloads,
         }
 
     @staticmethod
@@ -235,6 +238,8 @@ def generate_source_program(rng, seed: int = 0,
         "uses_virtual": rng.random() < 0.30,
         "uses_floats": rng.random() < 0.35,
         "uses_helper": rng.random() < 0.40,
+        # only when forced: rolling it would change what every seed draws
+        "uses_overloads": False,
     }
     construct = "reduce" if rng.random() < 0.25 else "for"
     flags.update({k: v for k, v in force.items() if k in flags})
@@ -272,6 +277,7 @@ def generate_source_program(rng, seed: int = 0,
         reduce_op=rng.choice(["+", "^"]),
         helper_expr=helper_expr,
         stmts=stmts,
+        uses_overloads=flags["uses_overloads"],
     )
 
 
@@ -367,11 +373,45 @@ public:
 """
 
 
-def render_source(program: SourceProgram) -> str:
+#: ``pick`` overloads on its pointer's pointee, and its ``OV*`` overload
+#: returns a class an operator is called on: which one a call means must
+#: not depend on the order they are declared in.  The ``OV*`` overload
+#: takes a third argument so that a resolver picking by arity alone still
+#: compiles in either order and shows up in the heap, not as a rejection.
+OVERLOADED_CLASS = """
+class OV {
+public:
+  int v;
+  OV operator+(OV& o) { OV r; r.v = v + o.v; return r; }
+  OV operator-(OV& o) { OV r; r.v = (v ^ o.v) * 3; return r; }
+};
+"""
+OVERLOAD_SET = (
+    "int* pick(int* p, int k) { return p + (k & 3); }",
+    "float* pick(float* p, int k) { return p + (k & 3); }",
+    "OV* pick(OV* p, int k, int m) { return p + ((k ^ m) & 3); }",
+)
+#: ``(A + B) - C``: an operator called on an operator's result
+OVERLOAD_USES = (
+    "    OV ov[4];",
+    "    float fv[4];",
+    "    for (int q = 0; q < 4; q++) {",
+    "      ov[q].v = x + q * s0;",
+    "      fv[q] = (float)((x + q * 37) & 255) * 0.5f;",
+    "    }",
+    "    OV ow = *pick(ov, y, z) + ov[1] - *pick(ov, z, s1);",
+    "    x = (x ^ ow.v) + (*pick(aux, i + z) > y ? 5 : -3) + (*pick(fv, i) > 64.0f ? 7 : 1);",
+)
+
+
+def render_source(program: SourceProgram, reverse_overloads: bool = False) -> str:
     mask = program.aux_len - 1
     parts = []
     if program.uses_virtual:
         parts.append(VIRTUAL_CLASSES)
+    if program.uses_overloads:
+        parts.append(OVERLOADED_CLASS)
+        parts.extend(reversed(OVERLOAD_SET) if reverse_overloads else OVERLOAD_SET)
     fields = ["  int* data;", "  int* aux;"]
     if program.uses_floats:
         fields.append("  float* fdata;")
@@ -385,6 +425,8 @@ def render_source(program: SourceProgram) -> str:
         body_lines.append("    float fx = fdata[i];")
     for stmt in program.stmts:
         body_lines.extend(render_stmt(stmt, mask, 2))
+    if program.uses_overloads:
+        body_lines.extend(OVERLOAD_USES)
     if program.uses_floats:
         body_lines.append("    fdata[i] = fx;")
     if program.construct == "reduce":

@@ -4,9 +4,7 @@
 lexer (:func:`oracle_tokenize`) and the eleven-level ladder
 ``_parse_binary`` (:class:`OracleParser`), verbatim, against which the
 one-regex lexer and the precedence-climbing parser are compared token
-for token and node for node, and the recursive type prediction for
-operator chains (:func:`oracle_predict_type`) that the lowering's type
-map replaced (``tests/test_frontend_oracles.py``).
+for token and node for node (``tests/test_frontend_oracles.py``).
 
 **The per-access timing models**: what ``repro.gpu.cache``,
 ``repro.cpu.timing`` and ``repro.gpu.timing`` computed one access at a
@@ -567,25 +565,3 @@ class OracleParser(Parser):
             lhs = ast.Binary(line=token.line, col=token.column, op=token.text, lhs=lhs, rhs=rhs)
         return lhs
 
-
-def oracle_predict_type(lowerer, expr):
-    """``FunctionLowerer._predict_type`` as it was for operator
-    expressions: one recursive call per level of the chain, nothing
-    remembered (every other kind of node is today's code)."""
-    from repro.ir.types import StructType
-
-    self = lowerer
-    if not isinstance(expr, ast.Binary):
-        return self._predict_type(expr)
-    lt = oracle_predict_type(self, expr.lhs)
-    if isinstance(lt, StructType):
-        info = self._class_of(lt, expr.line)
-        if info:
-            ms = info.find_methods(f"operator{expr.op}")
-            if ms:
-                return self.sema.resolve_type(
-                    ms[0].decl.return_type,
-                    ms[0].owner.template_bindings,
-                    ms[0].owner.decl.namespace,
-                )
-    return None

@@ -344,6 +344,11 @@ class TestLoweringExecution:
 
 
 CHAIN_SOURCE = """
+class P {
+public:
+  int x;
+  P operator+(P& o) { P r; r.x = x + o.x; return r; }
+};
 class Chain {
   int* out;
 public:
@@ -353,9 +358,9 @@ public:
 """
 
 
-def chain_terms(count: int, operators: str) -> list:
-    """``i``, then ``count - 1`` operator/operand pairs."""
-    return ["i"] + [f"{operators[k % len(operators)]} i" for k in range(count - 1)]
+def chain_terms(count: int, operators: str, term: str = "i") -> list:
+    """``term``, then ``count - 1`` operator/operand pairs."""
+    return [term] + [f"{operators[k % len(operators)]} {term}" for k in range(count - 1)]
 
 
 def run_chain(body: str) -> tuple:
@@ -389,11 +394,23 @@ class TestExpressionDepth:
             split += "v = t0; " + "".join(f"v = v & t{k};" for k in range(1, len(operands)))
         assert run_chain(in_one) == run_chain(split)
 
-    @pytest.mark.parametrize("operators", ["+", "*+-&"])
-    def test_lowering_is_linear_in_terms(self, operators):
+    @pytest.mark.parametrize(
+        "operators, term, body",
+        [
+            ("+", "i", "v = {};"),
+            ("*+-&", "i", "v = {};"),
+            ("+", "p", "P p; p.x = i; P q = {}; v = q.x;"),
+        ],
+        ids=["+", "*+-&", "class+"],
+    )
+    def test_lowering_is_linear_in_terms(self, operators, term, body):
+        """Scalar chains, and a chain of ``P::operator+`` calls: each
+        operator is routed on its left operand as lowered, so the class
+        chain is walked by the same loop."""
+
         def frontend_seconds(count: int) -> float:
-            body = "v = " + " ".join(chain_terms(count, operators)) + ";"
-            source = CHAIN_SOURCE.replace("BODY", body)
+            chain = " ".join(chain_terms(count, operators, term))
+            source = CHAIN_SOURCE.replace("BODY", body.format(chain))
             best = float("inf")
             for _ in range(3):
                 start = time.perf_counter()

@@ -6,8 +6,7 @@ streams (kind, text, value, line, column) and the precedence-climbing
 parser their ASTs, on the nine workloads, the load generator's sources,
 200 generated programs and hypothesis soups built to sit on the seams —
 operators with nothing between them, ``1..2``, ``1.f``, ``1e+``, ``08``,
-``a/**/b``, a comment at the end of input, CRLF, columns after tabs.  The
-lowering's type map is held to the recursive walk it replaced.
+``a/**/b``, a comment at the end of input, CRLF, columns after tabs.
 
 The walk had four bugs (``tests/test_frontend.py::TestLexer`` pins the
 fixes): the differential steps around exactly those and nothing else.
@@ -17,20 +16,17 @@ from __future__ import annotations
 
 import random
 import re
-import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro import ir
 from repro.fuzz import generate_source_program
-from repro.minicpp import LexError, ParseError, Sema, UnitLowerer, ast, tokenize
-from repro.minicpp import lower as lowering
+from repro.minicpp import LexError, ParseError, tokenize
 from repro.minicpp.parser import Parser
 from repro.service.loadgen import generate_sources
 
 from .compile_linear_freeze import nine_workloads
-from .oracles import _ORACLE_OPERATORS, OracleParser, oracle_predict_type, oracle_tokenize
+from .oracles import _ORACLE_OPERATORS, OracleParser, oracle_tokenize
 
 
 def corpus() -> list:
@@ -148,57 +144,3 @@ def test_every_pair_of_operators_binds_as_the_ladder_bound_it():
         for second in BINARY:
             assert_same_tree(f"int g(int a, int b, int c) {{ return a {first} b {second} c; }}")
 
-
-# -- the lowering's type map ---------------------------------------------------------------
-
-
-OVERLOADS = """
-class Vec {
-public:
-  float x; float y;
-  Vec operator+(Vec& o) { Vec r; r.x = x + o.x; r.y = y + o.y; return r; }
-  Vec operator*(float k) { Vec r; r.x = x * k; r.y = y * k; return r; }
-  float operator%(Vec& o) { return x * o.x + y * o.y; }
-  bool operator==(Vec& o) { return x == o.x && y == o.y; }
-};
-class Body {
-public:
-  Vec* in;
-  float* out;
-  void operator()(int i) {
-    Vec a = in[i]; Vec b = in[i + 1];
-    Vec t = a * 2.0f;  // a class on the left, a scalar on the right
-    Vec c = t + b;
-    float d = a % b * 2.0f + c % a - t % t * 0.5f;
-    out[i] = (c == a) ? d + i * 2 - 1 : d * 0.5f;
-  }
-};
-"""
-
-
-def test_type_map_equals_the_recursive_walk(sources, monkeypatch):
-    """Every ``Binary`` the lowering meets: what ``binary_types`` holds for
-    it (and for its whole left spine) is what the recursive
-    ``_predict_type`` computed, asked in the same scope."""
-    seen = {"binaries": 0, "overloaded": 0}
-    lower_binary = lowering.FunctionLowerer._lower_Binary
-
-    def checked(self, expr, want_lvalue):
-        result = lower_binary(self, expr, want_lvalue)
-        node = expr
-        while isinstance(node, ast.Binary):
-            want = oracle_predict_type(self, node)
-            assert self._predict_type(node) == want, (node.line, node.col, node.op)
-            held = self.binary_types.get(id(node))
-            assert held is None or (held[0] is node and held[1] == want)
-            seen["binaries"] += 1
-            seen["overloaded"] += want is not None
-            node = node.lhs
-        return result
-
-    monkeypatch.setattr(lowering.FunctionLowerer, "_lower_Binary", checked)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for source in [OVERLOADS] + sources:
-            UnitLowerer(Sema(Parser(source).parse()), ir.Module("m")).lower_unit()
-    assert seen["binaries"] > 2000 and seen["overloaded"] >= 6, seen

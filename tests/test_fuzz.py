@@ -24,6 +24,7 @@ from repro.fuzz import (
 )
 from repro.fuzz.reduce import reduce_spec
 from repro.ir import structure
+from repro.minicpp import Sema
 from repro.passes.pipeline import PASS_REGISTRY
 from repro.runtime import graph
 from repro.sched import scheduler
@@ -207,47 +208,58 @@ def _if_arms_swapped(self, block, then, orelse):
     structure._Node.__init__(self, block, orelse, then)
 
 
-#: One seeded bug per target, in the code that target defends.  The
+def _first_overload_wins(self, candidates, arg_types, get_params):
+    """``Sema.resolve_overload`` taking the first candidate of the right
+    arity, whatever the argument types."""
+    return next((c for c in candidates if len(get_params(c)) == len(arg_types)), None)
+
+
+def _swapped_sub(mp):
+    mp.setitem(compiled_engine._INFIX, "sub", "{b} - {a}")
+
+
+#: The seeded bugs of each target, in the code that target defends.  The
 #: ``passes`` mutant rewrites ``sub`` as ``add``: the operand swap the ``ir``
 #: case could use cancels out there, because the source pipeline runs
 #: constfold twice.
 MUTATIONS = {
-    "engines": lambda mp: mp.setitem(compiled_engine._INFIX, "sub", "{b} - {a}"),
-    "frontend": lambda mp: mp.setitem(compiled_engine._INFIX, "sub", "{b} - {a}"),
+    "engines": (_swapped_sub,),
+    "frontend": (_swapped_sub, lambda mp: mp.setattr(Sema, "resolve_overload", _first_overload_wins)),
     # a row the vector engine alone reads
-    "vector": lambda mp: mp.setitem(compiled_engine._NP_BINOP, "ashr", "{a} << ({b} & 63)"),
-    "passes": lambda mp: mp.setitem(PASS_REGISTRY, "constfold", _sub_becomes_add),
-    "ir": lambda mp: mp.setitem(PASS_REGISTRY, "constfold", _sub_becomes_add),
-    "graph": lambda mp: mp.setattr(graph, "_overlap_any", lambda a, b: False),
+    "vector": (lambda mp: mp.setitem(compiled_engine._NP_BINOP, "ashr", "{a} << ({b} & 63)"),),
+    "passes": (lambda mp: mp.setitem(PASS_REGISTRY, "constfold", _sub_becomes_add),),
+    "ir": (lambda mp: mp.setitem(PASS_REGISTRY, "constfold", _sub_becomes_add),),
+    "graph": (lambda mp: mp.setattr(graph, "_overlap_any", lambda a, b: False),),
     # every chunk of Scheduler.run_split runs its items last to first
-    "sched": lambda mp: mp.setattr(
+    "sched": (lambda mp: mp.setattr(
         scheduler, "range", lambda lo, hi: range(hi - 1, lo - 1, -1), raising=False
-    ),
-    "compile-cache": lambda mp: mp.setattr(ArtifactStore, "get", lambda self, kind, key: None),
-    "structure": lambda mp: mp.setattr(structure.If, "__init__", _if_arms_swapped),
+    ),),
+    "compile-cache": (lambda mp: mp.setattr(ArtifactStore, "get", lambda self, kind, key: None),),
+    "structure": (lambda mp: mp.setattr(structure.If, "__init__", _if_arms_swapped),),
 }
 
 
 @pytest.mark.parametrize("target", list(TARGETS))
 def test_every_target_catches_its_mutation(target, monkeypatch):
-    """Under its mutation the target finds a divergence within a bounded
-    campaign, and the line names the target and sides it declares; the
-    same iterations without the mutation find none."""
-    with monkeypatch.context() as patch:
-        MUTATIONS[target](patch)
-        report = FuzzDriver(
-            seed=0, iterations=80, target=target, reduce=False, max_divergences=1
-        ).run()
-    assert not report.ok, f"{target} missed its mutation"
-    line = report.divergences[0].diffs[0]
-    named, sides = line.split(": ")[:2]
+    """Under each of its mutations the target finds a divergence within a
+    bounded campaign, and the line names the target and sides it declares;
+    the same iterations without the mutation find none."""
     labels = {side.label for v in TARGETS[target].variants for side in v.sides}
-    assert named == target
-    assert set(sides.split(" vs ")) <= labels, line
-    clean = FuzzDriver(
-        seed=0, iterations=report.divergences[0].iteration + 1, target=target, reduce=False
-    ).run()
-    assert clean.ok, [d.diffs for d in clean.divergences]
+    for mutate in MUTATIONS[target]:
+        with monkeypatch.context() as patch:
+            mutate(patch)
+            report = FuzzDriver(
+                seed=0, iterations=80, target=target, reduce=False, max_divergences=1
+            ).run()
+        assert not report.ok, f"{target} missed its mutation"
+        line = report.divergences[0].diffs[0]
+        named, sides = line.split(": ")[:2]
+        assert named == target
+        assert set(sides.split(" vs ")) <= labels, line
+        clean = FuzzDriver(
+            seed=0, iterations=report.divergences[0].iteration + 1, target=target, reduce=False
+        ).run()
+        assert clean.ok, [d.diffs for d in clean.divergences]
 
 
 class TestInjectedBug:
