@@ -12,19 +12,24 @@ regression test by copying the file in):
 
 Source entries run through the ``engines`` target (reference interpreter
 AND threaded-code engine on both devices) and every variant of ``passes``
-(each per-pass-disabled pipeline, then the paper's four configs); IR
-entries run through the ``ir`` target (both engines and every single pass
-with re-verification).
+(each per-pass-disabled pipeline, then the paper's four configs); a
+source entry with an overload set also runs through the ``frontend``
+target's overload-order variant (declared vs reversed order, each device);
+IR entries run through the ``ir`` target (both engines and every single
+pass with re-verification).
 """
 
 from pathlib import Path
 
 import pytest
 
-from repro.fuzz import divergences, load_corpus_entry
+from repro.fuzz import TARGETS, divergences, load_corpus_entry
 
 CORPUS = Path(__file__).parent / "corpus"
 ENTRIES = sorted(CORPUS.glob("*.json"))
+(OVERLOAD_ORDERS,) = [
+    v for v in TARGETS["frontend"].variants if (v.force or {}).get("uses_overloads")
+]
 
 
 def test_corpus_is_seeded():
@@ -40,4 +45,6 @@ def test_corpus_entry_replays_clean(path):
         diffs = divergences("ir", program)
     else:
         diffs = divergences("engines", program) or divergences("passes", program)
+        if program.uses_overloads and not diffs:
+            diffs = divergences("frontend", program, OVERLOAD_ORDERS)
     assert not diffs, diffs
