@@ -32,9 +32,10 @@ once instead of lane-at-a-time:
 
 * :class:`VectorEngine` — a :class:`CompiledEngine` whose ``run_launch``
   runs :class:`VectorFunction` code (columnar NumPy generated from the
-  same op table, one function per superblock, mask-based divergence,
-  kept per program in a :class:`VectorCodeCache`) and falls back to the
-  scalar launch per kernel (``ConcordRuntime(engine="vector")``).  See
+  same op table and region tree, one function per IR function, branches
+  as lane partitions, kept per program in a :class:`VectorCodeCache`)
+  and falls back to the scalar launch per kernel
+  (``ConcordRuntime(engine="vector")``).  See
   :mod:`repro.exec.vector` and ``docs/VECTOR.md``.
 """
 

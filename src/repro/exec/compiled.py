@@ -31,8 +31,8 @@ its region, and a launch replays it over the whole NDRange:
   module's namespace.
 
 * **Superblocks are the accounting granule.**  :func:`plan_function` fuses
-  straight-line block chains into units (the vector engine compiles from
-  the same plan).  Where the text reaches a unit's first block it bumps
+  straight-line block chains into units (the vector engine prints the
+  same tree over the same plan).  Where the text reaches a unit's first block it bumps
   that unit's count — a local ``c<i>`` inside loops, flushed at
   ``return``; the function's accumulator outside — and adds the unit's
   instructions to the local step count (``steps_``, written back to the
@@ -240,8 +240,8 @@ def _effective_terminator(block):
 
 class FunctionPlan:
     """The engine-independent lowering plan for one IR function: the
-    reachable-block closure, the SSA register-slot assignment, and the
-    superblock partition.  Both the generated-code engine and the vector
+    reachable-block closure, the SSA register-slot assignment, how many
+    operands read each value, and the superblock partition.  Both the generated-code engine and the vector
     engine compile from the same plan, which is what keeps their unit
     structure — and therefore block counts, branch stats and derived
     per-unit counters — identical by construction."""
@@ -250,17 +250,17 @@ class FunctionPlan:
         "blocks",
         "terms",
         "slots",
-        "nregs",
+        "uses",
         "arg_slots",
         "units",
         "unit_idx_by_block",
     )
 
-    def __init__(self, blocks, terms, slots, nregs, arg_slots, units, unit_idx_by_block):
+    def __init__(self, blocks, terms, slots, uses, arg_slots, units, unit_idx_by_block):
         self.blocks = blocks
         self.terms = terms
         self.slots = slots
-        self.nregs = nregs
+        self.uses = uses  # id(value) -> operands that read it
         self.arg_slots = arg_slots
         self.units = units
         self.unit_idx_by_block = unit_idx_by_block
@@ -291,12 +291,14 @@ def plan_function(fn: Function) -> Optional[FunctionPlan]:
                 blocks.append(succ)
         i += 1
     slots: dict[int, int] = {}
+    uses: dict[int, int] = {}
     for arg in fn.args:
         slots[id(arg)] = len(slots)
     for block in blocks:
         for instr in block.instructions:
             slots[id(instr)] = len(slots)
-    nregs = len(slots)
+            for operand in instr.operands:
+                uses[id(operand)] = uses.get(id(operand), 0) + 1
     arg_slots = [slots[id(arg)] for arg in fn.args]
 
     # Superblock formation: a block whose only predecessor reaches it
@@ -358,7 +360,7 @@ def plan_function(fn: Function) -> Optional[FunctionPlan]:
         block: i for i, chain in enumerate(units) for block in chain
     }
     return FunctionPlan(
-        blocks, terms, slots, nregs, arg_slots, units, unit_idx_by_block
+        blocks, terms, slots, uses, arg_slots, units, unit_idx_by_block
     )
 
 
@@ -395,8 +397,8 @@ def account(instr: Instruction, unit) -> None:
 # -- per-opcode templates ---------------------------------------------------
 #
 # One table, two generators.  Operand texts ({a}, {b}, ...) are a local
-# ``v<slot>``, a literal or a bound name (the vector engine also reads its
-# register list); {d} is the assignment target of the result.  The scalar
+# ``v<slot>``, a literal or a bound name (in either engine); {d} is the
+# assignment target of the result.  The scalar
 # templates are what ``_Printer`` below writes, one work-item at a time;
 # the ``_NP_*`` rows beside them are what :mod:`repro.exec.vector` writes
 # for the same opcode over whole NumPy columns (ints as int64 bit patterns,
@@ -610,13 +612,6 @@ t_ = {a}.view(U64)
 {d} = where(((t_ - PB) < PWIDTH) | (t_ == 0), {a}, (t_ {sign} m.svm_u).view(I64))
 """
 
-#: A columnar unit runs the k lanes parked at it and returns what its
-#: terminator hands the scheduler: the branch mask, the returned column or
-#: None.  Head phis are one function per incoming edge, run on each
-#: arriving segment before the segments merge.
-_NP_UNIT = "def u{index}(m, regs, lanes, k):\n"
-_NP_EDGE = "def u{index}_{prev}(m, regs, k):\n"
-
 #: Entering a unit: its execution count (a local inside loops, the
 #: function's accumulator outside) and its share of the step limit.
 _ENTER_UNIT = """\
@@ -706,6 +701,31 @@ class _UnitTotals:
         self.d_calls = 0
 
 
+def unit_totals(plan: FunctionPlan) -> tuple:
+    """Per unit of ``plan``, its :class:`_UnitTotals` and its step count:
+    what entering the unit adds to a lane's trace and to its steps, in the
+    generated code of either engine."""
+    totals, n_steps = [], []
+    for chain in plan.units:
+        unit = _UnitTotals(chain)
+        steps = 0
+        for block in chain:
+            term = plan.terms[id(block)]
+            if term is not None and term.op == "condbr":
+                unit.branch_uid = term.uid
+            for instr in block.instructions:
+                unit.d_instr += 1
+                if instr.op == "phi":
+                    continue
+                steps += 1
+                if instr is term:
+                    break
+                account(instr, unit)
+        totals.append(unit)
+        n_steps.append(steps)
+    return totals, n_steps
+
+
 class _Printer:
     """Writes the module text for one ``(function, device, collect)``: the
     region tree of the function's CFG (:mod:`repro.ir.structure`) as one
@@ -732,31 +752,8 @@ class _Printer:
         self._const_names: dict = {}
         self.callees: list = []  # s<n>: bound per runtime to the callee
         self.gvars: list = []  # g<n>: bound per runtime to its address
-        self.totals: list = []  # one _UnitTotals per unit
-        self.n_steps: list = []
-        for chain in plan.units:
-            totals = _UnitTotals(chain)
-            steps = 0
-            for block in chain:
-                term = plan.terms[id(block)]
-                if term is not None and term.op == "condbr":
-                    totals.branch_uid = term.uid
-                for instr in block.instructions:
-                    totals.d_instr += 1
-                    if instr.op == "phi":
-                        continue
-                    steps += 1
-                    if instr is term:
-                        break
-                    account(instr, totals)
-            self.totals.append(totals)
-            self.n_steps.append(steps)
+        self.totals, self.n_steps = unit_totals(plan)  # per unit
         self.head_of = {id(chain[0]): i for i, chain in enumerate(plan.units)}
-        self.uses: dict[int, int] = {}
-        for block in plan.blocks:
-            for instr in block.instructions:
-                for operand in instr.operands:
-                    self.uses[id(operand)] = self.uses.get(id(operand), 0) + 1
         # what is being written
         self.lines: list = []  # (depth, text or None for a flush, unit)
         self.depth = 0
@@ -1153,7 +1150,7 @@ class _Printer:
         branch's ``if`` test."""
         block = self.block
         term = self.plan.terms[id(block)]
-        if term is None or term.op != "condbr" or self.uses.get(id(compare)) != 1:
+        if term is None or term.op != "condbr" or self.plan.uses.get(id(compare)) != 1:
             return False
         at = block.instructions.index(term)
         return at > 0 and block.instructions[at - 1] is compare and term.operands[0] is compare

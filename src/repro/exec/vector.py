@@ -14,11 +14,12 @@ Design:
   engine, so superblock structure — and therefore block counts, branch
   statistics and the per-unit instruction/flop/int-op deltas — are
   identical by construction; and from the same per-opcode template table,
-  whose ``_NP_*`` rows spell each opcode over columns.  Every unit becomes
-  **one generated Python function** of straight-line NumPy over local
-  column variables (:class:`_UnitWriter`); the text is compiled once per
-  program and lives, with the per-kernel routing verdicts, in the
-  :class:`VectorCodeCache` the ``CompiledProgram`` owns.
+  whose ``_NP_*`` rows spell each opcode over columns.  Every IR function
+  becomes **one generated Python function** of NumPy over local column
+  variables (:class:`_ColumnWriter`), printed from the same region tree
+  (:mod:`repro.ir.structure`) the scalar engine prints; the text is
+  compiled once per program and lives, with the per-kernel routing
+  verdicts, in the :class:`VectorCodeCache` the ``CompiledProgram`` owns.
 
 * **Pattern-domain registers.**  Integer and pointer values are stored as
   ``int64`` *bit patterns* (the canonical value mod 2**64); floats as
@@ -30,17 +31,17 @@ Design:
   in the text and an instruction without a column operand is evaluated at
   generation time.
 
-* **Dense-frame divergence.**  Lanes are grouped into *segments*: a
-  dense frame of register columns plus the machine lane ids it covers.
-  A worklist scheduler always executes the lowest pending unit
-  (deterministic reconvergence); a conditional branch partitions the
-  frame's *live-out* columns by the branch mask (with a no-copy fast
-  path when the branch is uniform), and segments arriving at the same
-  unit are merged by concatenating their *live-in* columns — liveness is
-  computed per unit at generation time, so compaction touches only the
-  registers that can still be read.  Units therefore always operate on
-  full dense columns: there is no per-step gather/scatter through an
-  active-lane index.
+* **Structured divergence.**  Lanes run as a *segment*: a dense set of
+  local columns plus the machine lane ids it covers.  An ``If``
+  partitions the columns live on each edge by the branch mask (no copy
+  when the branch is uniform), runs each non-empty arm, and concatenates
+  at the join what runs off both; a ``Loop`` repeats while lanes remain,
+  its exits parked until the last lane leaves, so lanes reconverge where
+  the tree's structure does.  Liveness is computed per block at
+  generation time, so a partition or a join touches only the columns
+  that can still be read, and every statement operates on full dense
+  columns: there is no per-step gather/scatter through an active-lane
+  index.
 
 * **Optimistic memory with rollback.**  SVM loads/stores lower to
   gathers/scatters against the region byte array with per-lane bounds
@@ -74,7 +75,6 @@ for the GPU when ``RunConfig.engine`` is ``vector``.
 from __future__ import annotations
 
 import threading
-from textwrap import indent
 
 try:
     import numpy as np
@@ -86,6 +86,18 @@ except ImportError as exc:  # pragma: no cover - exercised only without numpy
     ) from exc
 
 from ..ir.intrinsics import MATH_EVAL
+from ..ir.structure import (
+    Block,
+    Break,
+    Continue,
+    Dispatch,
+    Forward,
+    If,
+    Jump,
+    Loop,
+    Next,
+    edge_copies,
+)
 from ..ir.types import FloatType, IntType, PointerType, VoidType
 from ..ir.values import Constant, Function, GlobalVariable
 from .buffers import LaunchTrace, per_item_cap
@@ -97,19 +109,17 @@ from .compiled import (
     _INFIX,
     _NP_BINOP,
     _NP_CASTS,
-    _NP_EDGE,
     _NP_F32_ROUND,
     _NP_LOAD,
     _NP_MATH,
     _NP_STORE,
     _NP_TRANSLATE,
-    _NP_UNIT,
     FunctionPlan,
-    _UnitTotals,
-    account,
+    _region_tree,
     load_generated,
     plan_function,
     publish_generated,
+    unit_totals,
 )
 from .interp import (
     _BINOP_EVAL,
@@ -130,10 +140,6 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
-# unit terminator kinds
-_T_BR = 0
-_T_CONDBR = 1
-_T_RET = 2
 _PB = Interpreter.PRIVATE_BASE
 _PRIV_LIMIT = Interpreter.PRIVATE_WINDOW + 0x1000
 _PB_U = np.uint64(_PB)
@@ -290,7 +296,7 @@ class VectorMachine:
         self.counts: dict = {}  # id(vfn) -> (vfn, hit lists, taken lists, entry order)
         self.invocations = 0
         self.steps = np.zeros(self.n, _I64)
-        self.step_acc: list = []  # (lanes, n_steps) pending settlement
+        self.step_acc: list = []  # (lanes, n_steps) not yet settled
         self.step_hi = 0  # scalar upper bound on any lane's step count
         self.depth = 0
         self.priv = None
@@ -337,11 +343,34 @@ class VectorMachine:
         for vfn, hits, tks, order in self.counts.values():
             yield vfn.units, self.lane_ids, tally(hits), tally(tks), order
 
+    def charge(self, lanes, k: int, k0: int, n_steps: int, name: str) -> None:
+        """A unit runs on ``lanes`` (``k`` of them, of the invocation's
+        ``k0``): its mask occupancy, and its steps against the limit."""
+        self.occ_active += k
+        self.occ_slots += k0
+        self.step_acc.append((lanes, n_steps))
+        self.step_hi += n_steps
+        if self.step_hi > self.max_steps:
+            self.settle_steps(name)
+
+    def call(self, vfn, args):
+        """Run ``vfn`` over every lane of the launch; its result column or
+        None.  A trap publishes the text of every function the launch
+        entered, so its traceback shows the generated statements — when a
+        trap passes through the code, not at generation
+        (:func:`~repro.exec.compiled.publish_generated`)."""
+        try:
+            return vfn.entry(self, self.lane_ids, *args)
+        except _Trap:
+            for entered, *_accumulators in self.counts.values():
+                publish_generated(entered.filename, entered.source)
+            raise
+
     def settle_steps(self, name: str):
-        """Fold the pending (lanes, n_steps) batches into the exact
+        """Fold the unsettled (lanes, n_steps) batches into the exact
         per-lane step counts and re-check the limit.  ``step_hi`` tracks
         a scalar upper bound between settlements (every lane's true count
-        is at most the settled peak plus the pending batch sum), so the
+        is at most the settled peak plus the unsettled batch sum), so the
         exact fold only runs when the bound crosses the limit."""
         steps = self.steps
         for lanes, ns in self.step_acc:
@@ -726,6 +755,30 @@ def _returned(column, name: str):
     return column
 
 
+def _join(segments):
+    """One segment of several parked ones: each column concatenated over
+    them, in order (the one segment itself, when there is one)."""
+    if len(segments) == 1:
+        return segments[0]
+    return tuple(map(np.concatenate, zip(*segments)))
+
+
+def _result(m, returned, lanes, dtype):
+    """What an invocation over ``lanes`` returns: the ``(lanes, column)``
+    its ``ret`` statements parked, scattered into ``lanes`` order (None
+    when no lane returned a value)."""
+    if not returned:
+        return None
+    if len(returned) == 1 and returned[0][0] is lanes:
+        return returned[0][1]
+    position = np.empty(m.n, _I64)  # machine lane -> index in lanes
+    position[lanes] = np.arange(len(lanes))
+    out = np.zeros(len(lanes), dtype)
+    for part, column in returned:
+        out[position[part]] = column
+    return out
+
+
 #: The names generated text may use besides its own ``k<n>`` constants.
 _RUNTIME_NAMES = {
     "I64": _I64,
@@ -738,6 +791,7 @@ _RUNTIME_NAMES = {
     "nan": np.nan,
     "abs": np.abs,
     "ceil": np.ceil,
+    "count_nonzero": np.count_nonzero,
     "floor": np.floor,
     "full": np.full,
     "where": np.where,
@@ -745,8 +799,8 @@ _RUNTIME_NAMES = {
     **{
         fn.__name__: fn
         for fn in (
-            _address, _exact, _f32, _fdiv, _fptosi, _frem, _nonneg, _returned,
-            _rsqrt, _sdiv, _sqrt, _srem, _udiv, _urem, _whole,
+            _address, _exact, _f32, _fdiv, _fptosi, _frem, _join, _nonneg,
+            _result, _returned, _rsqrt, _sdiv, _sqrt, _srem, _udiv, _urem, _whole,
         )
     },
     **{
@@ -760,12 +814,50 @@ _RUNTIME_NAMES = {
 
 _DTYPE_NAME = {"f": "F64", "i": "I64", "u": "I64"}
 
+#: A function: the call depth, the function's unit accumulators (``h_``
+#: the lanes of every run of a unit, ``tk_`` of every taken branch), the
+#: segment's count, its tree, and the result of the lanes that returned.
+_NP_FUNCTION = """\
+def f(m, lanes{args}):
+    if m.depth > {max_depth}:
+        raise _Trap({too_deep!r})
+    m.depth += 1
+    h_, tk_ = m.enter({owner}, lanes)
+    k = k0_ = len(lanes)
+    r_ = []
+    l0_ = lanes
+{body}
+    m.depth -= 1
+    return _result(m, r_, l0_, {dtype})
+"""
+
+#: An ``If`` splits the segment by its mask: the lanes taking the branch
+#: stay (``k`` of them, no copy when they are all) and run the ``then``
+#: arm, the others park at ``s<n>_`` (None when there are none) for the
+#: ``else`` arm.
+_NP_PARTITION = """\
+b{n}_ = {test}
+n{n}_ = count_nonzero(b{n}_)
+if n{n}_ == k:
+    s{n}_ = None
+elif n{n}_:
+    c{n}_ = ~b{n}_
+    s{n}_ = ({split})
+    {keep} = {kept}
+    k = n{n}_
+else:
+    s{n}_ = ({away})
+    k = 0
+if k:
+    tk_[{unit}].append(lanes)
+"""
+
 
 # -- lowering stages ----------------------------------------------------------
 #
 # ``VectorFunction.__init__`` is the driver: plan units -> fold invariants
-# -> fuse single-use geps -> pick locals vs slots -> emit text (classifying
-# gnarly constructs on the way) -> compile once.
+# -> fuse single-use geps -> liveness per block -> print the region tree
+# (classifying gnarly constructs on the way) -> compile once.
 
 #: Opcodes whose value depends on their operands alone.
 _PURE_OPS = frozenset(("gep", "select", "icmp", "fcmp", *_BINOP_EVAL, *_CAST_EVAL))
@@ -814,17 +906,12 @@ def _fusable_geps(plan) -> set:
     in their own unit: their expression is written into that access, so
     the gep needs neither a statement nor a name (it still counts in the
     unit's instruction/int-op deltas)."""
-    uses: dict = {}  # id(value) -> use count
-    for block in plan.blocks:
-        for instr in block.instructions:
-            for operand in instr.operands:
-                uses[id(operand)] = uses.get(id(operand), 0) + 1
     fused = set()
     for chain in plan.units:
         single = set()  # single-use geps of this unit seen so far
         for block in chain:
             for instr in block.instructions:
-                if instr.op == "gep" and uses.get(id(instr)) == 1:
+                if instr.op == "gep" and plan.uses.get(id(instr)) == 1:
                     single.add(id(instr))
                 elif instr.op in ("load", "store"):
                     address = instr.operands[1 if instr.op == "store" else 0]
@@ -845,57 +932,57 @@ def _wrap_column(type_: IntType, text: str) -> str:
     return f"({text}) & {(1 << bits) - 1:#x}"
 
 
-class _VUnit(_UnitTotals):
-    """One unit's generated function plus what the scheduler and the trace
-    materialization need to know about it."""
+class _ColumnWriter:
+    """Writes one function's module text from the op table: the region
+    tree of its CFG (:mod:`repro.ir.structure`) as one function over a
+    *segment* — locals ``v<slot>`` holding one column per live value,
+    ``lanes`` the machine lane ids the columns cover, ``k`` their count.
 
-    def __init__(self, chain):
-        super().__init__(chain)
-        self.name = chain[0].name
-        self.n_steps = 0
-        self.run = None  # u<i>(m, regs, lanes, k) -> mask | column | None
-        self.phi_plans = None  # prev unit -> edge function | error text
-        self.kind = -1
-        self.true_index = 0
-        self.false_index = 0
-        self.use_slots = set()
-        self.def_slots = set()
-        self.phi_def_slots = set()
-        self.phi_src_by_pred = {}
-        self.merge_slots = ()
-        self.out_slots = ()
+    ``If`` partitions the segment by the branch mask, runs each arm on its
+    part and concatenates what runs off both arms at the join; ``Loop`` is
+    a ``while`` over the lanes still iterating.  ``Break``, ``Continue``
+    and ``Next`` park the segment in the list of the place it goes to —
+    the loop's exit or next pass, a ``Forward`` member, a ``Dispatch``
+    state, each of which runs over the segments parked for it — and a
+    ``ret`` parks the returned column for the result.  A parked segment
+    carries the columns live at its target block (:func:`_liveness`) and
+    leaves ``k`` 0: the rest of a statement list runs only while lanes
+    remain.  :func:`plan_function`'s units stay what is counted: where the
+    tree reaches a unit's first block the text records its lanes and
+    charges its steps.
 
+    Every operand is statically a *column* (a local, a global's broadcast
+    address) or *known* (a constant, or an instruction
+    :func:`_fold_invariants` evaluated), and every statement written has at
+    least one column operand, so NumPy's own broadcasting leaves each
+    result a dense ``(k,)`` column of its domain's dtype without any
+    run-time normalization."""
 
-class _UnitWriter:
-    """Writes one function's module text from the op table: ``u<i>`` per
-    unit, ``u<i>_<prev>`` per head-phi edge.
-
-    Every operand is statically a *column* (a local ``v<slot>``, a
-    ``regs[<slot>]`` read, a global's broadcast address) or *known* (a
-    constant, or an instruction :func:`_fold_invariants` evaluated), and
-    every statement written has at least one column operand, so NumPy's
-    own broadcasting leaves each result a dense ``(k,)`` column of its
-    domain's dtype without any run-time normalization."""
-
-    def __init__(self, name, plan, cache, known, traps, fused, escaping, reads):
-        self.name = name
+    def __init__(self, owner, plan, cache, known, traps, n_steps):
+        self.owner = owner  # the VectorFunction being written
+        self.name = owner.name
         self.plan = plan
         self.slots = plan.slots
         self.cache = cache  # the program's VectorCodeCache, for callees
         self.known = known  # instruction id -> generation-time value
         self.traps = traps  # instruction id -> why evaluating it raises
-        self.fused = fused  # ids of geps written into their one access
-        self.escaping = escaping  # ids of values that need their regs slot
-        self._reads = reads  # per unit: (regs reads, local reads) by value id
+        self.n_steps = n_steps  # per unit
+        self.live, self.edge = _liveness(plan, known)
+        self.head_of = {id(chain[0]): i for i, chain in enumerate(plan.units)}
+        # A gep read once, by a memory access of its own unit, becomes
+        # that access's address expression.
+        self.fused = _fusable_geps(plan) - known.keys() - traps.keys()
         self.subs: list = []  # callees' VectorFunctions
         self.ret_dtype = None
         self.consts: list = []  # k<n>: the generated module's namespace
         self._const_names: dict = {}
-        # state of the function being written
+        # what is being written
         self.lines: list[str] = []
-        self.local: set[int] = set()
-        self.reg_reads: dict = {}
-        self.local_reads: dict = {}
+        self.depth = 1
+        self.count = 0  # constructs so far: their variables' suffix
+        self.brk = None  # (list, block) a ``Break`` parks the segment at
+        self.cont = None  # (list, block) a ``Continue`` parks it at
+        self.parked: dict = {}  # member block -> the list its ``Next`` parks at
 
     # -- names and operands ------------------------------------------------
 
@@ -919,16 +1006,10 @@ class _UnitWriter:
         return self.known.get(id(value))
 
     def _column(self, value, dom: str) -> str:
-        """Text of the column holding ``value``.  One this function reads
-        from ``regs`` more than once is loaded into its local first."""
-        key = id(value)
+        """Text of the column holding ``value``."""
         if isinstance(value, GlobalVariable) and dom != "f":
-            name = f"g_{self._bind(value)}"
-            if key not in self.local:
-                self.lines.append(f"{name} = _address(m, {self._bind(value)}, k)")
-                self.local.add(key)
-            return name
-        slot = self.slots.get(key)
+            return f"_address(m, {self._bind(value)}, k)"
+        slot = self.slots.get(id(value))
         if dom == "f":
             if slot is None or _dom(value.type) != "f":
                 raise _Gnarly("non-float value in float context")
@@ -936,13 +1017,7 @@ class _UnitWriter:
             raise _Gnarly(f"use of undefined value {value!r}")
         elif _dom(value.type) == "f":
             raise _Gnarly("float value in integer context")
-        if key in self.local:
-            return f"v{slot}"
-        if self.reg_reads.get(key, 0) > 1:
-            self.lines.append(f"v{slot} = regs[{slot}]")
-            self.local.add(key)
-            return f"v{slot}"
-        return f"regs[{slot}]"
+        return f"v{slot}"
 
     def _pattern(self, value):
         """The int64 pattern of a known integer value, or None."""
@@ -980,161 +1055,126 @@ class _UnitWriter:
         return text if bits == 64 else f"({text} & {mask:#x})"
 
     def _target(self, instr) -> str:
-        """Assignment target for ``instr``'s result (resolve the operands
-        first): its local when this unit reads it again, its ``regs`` slot
-        when anything else does."""
-        slot = self.slots[id(instr)]
-        targets = []
-        if id(instr) in self.escaping:
-            targets.append(f"regs[{slot}]")
-        if self.local_reads.get(id(instr)):
-            targets.append(f"v{slot}")
-            self.local.add(id(instr))
-        return " = ".join(targets) or "_"
+        """Assignment target for ``instr``'s result: its local when
+        anything reads it."""
+        return f"v{self.slots[id(instr)]}" if self.plan.uses.get(id(instr)) else "_"
+
+    def _line(self, text: str) -> None:
+        self.lines.append("    " * self.depth + text)
 
     def _emit(self, template: str, **fields) -> None:
-        self.lines.extend(template.format(**fields).splitlines())
+        for line in template.format(**fields).splitlines():
+            self._line(line)
 
-    def _begin(self, reg_reads: dict, local_reads: dict) -> None:
-        self.lines = []
-        self.local = set()
-        self.reg_reads, self.local_reads = reg_reads, local_reads
+    def _trap(self, message: str) -> None:
+        self._line(f"raise _Trap({message!r})")
 
-    # -- units -------------------------------------------------------------
+    # -- segments ----------------------------------------------------------
 
-    def unit(self, index: int, chain) -> tuple:
-        """``(text, unit)`` of one superblock: every constituent block's
-        instructions back to back (a fused block's phis are plain moves
-        from its chain predecessor), then the last block's terminator;
-        the head's phis are separate per-edge functions."""
-        unit = _VUnit(chain)
-        edges = self._head_phis(index, unit, chain[0])
-        self._begin(*self._reads[index])
-        slots = self.slots
-        head_phis = chain[0].phis()
-        for phi in head_phis:
-            if self.local_reads.get(id(phi)):
-                self.lines.append(f"v{slots[id(phi)]} = regs[{slots[id(phi)]}]")
-                self.local.add(id(phi))
-        for bi, block in enumerate(chain):
-            phis = block.phis()
-            if bi and phis:
-                self._moves(block, phis, chain[bi - 1])
-            n_nonphi = 0
-            terminator = None
-            for instr in block.instructions:
-                if instr.op == "phi":
-                    continue
-                n_nonphi += 1
-                if instr.op in ("br", "condbr", "ret", "unreachable"):
-                    # Mid-chain this is the fused unconditional br: its
-                    # control transfer is the concatenation itself.
-                    terminator = instr
-                    break
-                account(instr, unit)
+    @staticmethod
+    def _spell(slots, mask: str = "") -> str:
+        """A segment as text: the columns of ``slots``, then ``lanes``,
+        each indexed by ``mask`` when one is given."""
+        names = [f"v{slot}" for slot in sorted(slots)] + ["lanes"]
+        return "".join(f"{name}{mask and f'[{mask}]'}, " for name in names).rstrip()
+
+    def _park(self, place: str, block) -> None:
+        """The segment leaves for ``place``, a list of segments at ``block``."""
+        self._line(f"{place}.append(({self._spell(self.live[block])}))")
+        self._line("k = 0")
+
+    def _unpark(self, place: str, block) -> None:
+        """The segments parked at ``place`` become the current one."""
+        self._line(f"{self._spell(self.live[block])} = _join({place})")
+        self._line("k = len(lanes)")
+
+    def _ends(self, stmts) -> set:
+        """How lanes leave ``stmts``: ``None`` by running off its end,
+        ``"ret"``, ``Break``, ``Continue``, or the block of a ``Next``."""
+        found, falls = set(), True
+        for stmt in stmts:
+            if isinstance(stmt, Jump):
+                continue
+            if isinstance(stmt, Block):
+                term = self.plan.terms[id(stmt.block)]
+                op = term.op if term else "unreachable"
+                ends = {None} if op in ("br", "condbr") else {op} - {"unreachable"}
+            elif isinstance(stmt, (Break, Continue)):
+                ends = {type(stmt)}
+            elif isinstance(stmt, Next):
+                ends = {stmt.dst}
+            elif isinstance(stmt, If):
+                ends = self._ends(stmt.then) | self._ends(stmt.orelse)
+            else:  # a region: its own members are not ways out
+                arms = [stmt.body] if isinstance(stmt, Loop) else [a for _b, a in stmt.members]
+                ends = set().union(*map(self._ends, arms))
+                ends -= {block for block, _arm in getattr(stmt, "members", ())}
+                if not isinstance(stmt, Forward):  # a loop or state machine: its
+                    # ``Break`` leaves it, running off or ``Continue`` go round
+                    ends = ends - {None, Break, Continue} | ({None} if Break in ends else set())
+            falls = None in ends
+            found |= ends - {None}
+        return found | {None} if falls else found
+
+    def _arrival(self, stmt):
+        """The block lanes are at when they reach ``stmt``."""
+        if isinstance(stmt, (Break, Continue)):
+            return (self.brk if isinstance(stmt, Break) else self.cont)[1]
+        if isinstance(stmt, (Forward, Dispatch)):
+            return stmt.members[0][0]
+        if isinstance(stmt, Next):
+            return stmt.dst
+        return stmt.header if isinstance(stmt, Loop) else stmt.block
+
+    # -- the tree ------------------------------------------------------------
+
+    def statements(self, stmts, fall) -> None:
+        """``stmts`` over the current segment; running off their end
+        reaches block ``fall``.  After a construct some lanes may leave,
+        the rest runs only while lanes remain."""
+        depth = self.depth
+        for index, stmt in enumerate(stmts):
+            if isinstance(stmt, Block):
+                self._block(stmt.block)
+            elif isinstance(stmt, Jump):
+                self._jump(stmt.src, stmt.dst)
+            elif isinstance(stmt, (Break, Continue)):
+                self._park(*(self.brk if isinstance(stmt, Break) else self.cont))
+            elif isinstance(stmt, Next):
+                self._park(self.parked[stmt.dst], stmt.dst)
+            else:
+                rest = stmts[index + 1 :]
+                after = self._arrival(rest[0]) if rest else fall
+                self.count += 1
+                if isinstance(stmt, If):
+                    self._if(stmt, after, self.count)
+                elif isinstance(stmt, Loop):
+                    self._loop(stmt, after, self.count)
+                else:
+                    self._members(stmt, after, self.count)
+                if rest and self._ends([stmt]) - {None}:
+                    self._line("if k:")
+                    self.depth += 1
+        self.depth = depth
+
+    def _block(self, block) -> None:
+        """The block's instructions; at a unit's first block, the unit's
+        lanes and step charge before them."""
+        head = self.head_of.get(id(block))
+        if head is not None:
+            self._line(f"h_[{head}].append(lanes)")
+            self._line(f"m.charge(lanes, k, k0_, {self.n_steps[head]}, {self.name!r})")
+        if block is self.plan.blocks[0] and block.phis():
+            self._trap(f"{self.name}: phi in {block.name} has no incoming edge from <entry>")
+        term = self.plan.terms[id(block)]
+        for instr in block.instructions:
+            if instr is term:
+                break
+            if instr.op != "phi":
                 self._instruction(instr)
-            unit.n_steps += n_nonphi
-            unit.d_instr += len(phis) + n_nonphi
-        self._terminator(unit, chain[-1], terminator)
-        # Upward-exposed reads (the head phis arrive through ``regs``) and
-        # definitions, for the scheduler's slot liveness.
-        unit.use_slots = {slots[key] for key in self.reg_reads} | {
-            slots[id(phi)] for phi in head_phis if self.local_reads.get(id(phi))
-        }
-        unit.def_slots = {
-            slots[id(instr)] for block in chain for instr in block.instructions
-        } - {slots[id(phi)] for phi in head_phis}
-        body = indent("\n".join(self.lines or ["pass"]), "    ")
-        return f"{edges}{_NP_UNIT.format(index=index)}{body}\n", unit
-
-    def _phi_sources(self, block, phis, pred):
-        """One (pred, block) edge's incoming values, or the error message
-        when a phi has none for it."""
-        sources = []
-        for phi in phis:
-            try:
-                sources.append(phi.operands[phi.phi_blocks.index(pred)])
-            except ValueError:
-                return None, (
-                    f"{self.name}: phi in {block.name} has no incoming "
-                    f"edge from {pred.name}"
-                )
-        return sources, None
-
-    def _phi_columns(self, phis, sources) -> str:
-        doms = [_dom(phi.type) for phi in phis]
-        if "v" in doms:
-            raise _Gnarly("void phi")
-        return ", ".join(self._dense(v, dom) for v, dom in zip(sources, doms))
-
-    def _moves(self, block, phis, pred) -> None:
-        """A fused block's phis: one parallel assignment (Python evaluates
-        the whole right-hand side before it assigns any target)."""
-        sources, error = self._phi_sources(block, phis, pred)
-        if error is not None:
-            self.lines.append(f"raise _Trap({error!r})")
-            return
-        values = self._phi_columns(phis, sources)
-        targets = ", ".join(f"v{self.slots[id(phi)]}" for phi in phis)
-        self.lines.append(f"{targets} = {values}")
-        for phi in phis:
-            self.local.add(id(phi))
-            if id(phi) in self.escaping:
-                slot = self.slots[id(phi)]
-                self.lines.append(f"regs[{slot}] = v{slot}")
-
-    def _head_phis(self, index: int, unit: _VUnit, block) -> str:
-        """Text of the per-edge move functions of the unit's head phis;
-        fills ``unit.phi_plans`` with the edge's function name, or its
-        error text."""
-        phis = block.phis()
-        if not phis:
-            return ""
-        texts = []
-        unit.phi_plans = {}
-        for pred, prev in self.plan.unit_idx_by_block.items():
-            if block not in pred.successors():
-                continue
-            sources, error = self._phi_sources(block, phis, pred)
-            if error is not None:
-                unit.phi_plans[prev] = error
-                continue
-            self._begin({}, {})  # its own function: every read is from regs
-            values = self._phi_columns(phis, sources)
-            targets = ", ".join(f"regs[{self.slots[id(phi)]}]" for phi in phis)
-            self.lines.append(f"{targets} = {values}")
-            texts.append(
-                _NP_EDGE.format(index=index, prev=prev)
-                + indent("\n".join(self.lines), "    ")
-                + "\n"
-            )
-            unit.phi_plans[prev] = f"u{index}_{prev}"
-            unit.phi_src_by_pred[prev] = {
-                self.slots[id(v)]
-                for v in sources
-                if id(v) in self.slots and id(v) not in self.known
-            }
-        unit.phi_def_slots = {self.slots[id(phi)] for phi in phis}
-        return "".join(texts)
-
-    def _terminator(self, unit: _VUnit, block, term) -> None:
-        units = self.plan.unit_idx_by_block
         if term is None:
-            message = f"{self.name}: block {block.name} fell through"
-            self.lines.append(f"raise _Trap({message!r})")
-        elif term.op == "br":
-            unit.kind = _T_BR
-            unit.true_index = units[term.targets[0]]
-        elif term.op == "condbr":
-            unit.kind = _T_CONDBR
-            unit.true_index = units[term.targets[0]]
-            unit.false_index = units[term.targets[1]]
-            unit.branch_uid = term.uid
-            dom = _dom(term.operands[0].type)
-            zero = "0.0" if dom == "f" else "0"
-            self.lines.append(f"return {self._dense(term.operands[0], dom)} != {zero}")
+            self._trap(f"{self.name}: block {block.name} fell through")
         elif term.op == "ret":
-            unit.kind = _T_RET
             if term.operands:
                 dom = _dom(term.operands[0].type)
                 if dom == "v":
@@ -1142,10 +1182,145 @@ class _UnitWriter:
                 if self.ret_dtype not in (None, _dtype_of(dom)):
                     raise _Gnarly("mixed return domains")
                 self.ret_dtype = _dtype_of(dom)
-                self.lines.append(f"return {self._dense(term.operands[0], dom)}")
-        else:
-            message = f"reached unreachable in {self.name}"
-            self.lines.append(f"raise _Trap({message!r})")
+                self._line(f"r_.append((lanes, {self._dense(term.operands[0], dom)}))")
+            self._line("k = 0")
+        elif term.op == "unreachable":
+            self._trap(f"reached unreachable in {self.name}")
+
+    def _jump(self, src, dst) -> None:
+        """The edge's phi copies as one parallel assignment (Python
+        evaluates the whole right-hand side before it assigns any target);
+        an edge a phi has no value for traps."""
+        copies = edge_copies(src, dst)
+        if copies is None:
+            self._trap(f"{self.name}: phi in {dst.name} has no incoming edge from {src.name}")
+        elif copies:
+            doms = [_dom(phi.type) for phi, _value in copies]
+            if "v" in doms:
+                raise _Gnarly("void phi")
+            targets = ", ".join(f"v{self.slots[id(phi)]}" for phi, _value in copies)
+            values = ", ".join(self._dense(v, d) for (_phi, v), d in zip(copies, doms))
+            self._line(f"{targets} = {values}")
+
+    def _if(self, stmt, after, n: int) -> None:
+        """Partition, the two arms, the join: what runs off the ``then`` arm
+        parks at ``j<n>_`` while the ``else`` arm runs, and so does what
+        runs off the ``else`` arm when both can."""
+        block = stmt.block
+        term = self.plan.terms[id(block)]
+        cond = term.operands[0]
+        dom = _dom(cond.type)
+        keep, away = (self.edge(block, target) for target in term.targets)
+        joined = None in self._ends(stmt.then)
+        if joined:
+            self._line(f"j{n}_ = []")
+        self._emit(
+            _NP_PARTITION,
+            n=n,
+            test=f"{self._dense(cond, dom)} != {'0.0' if dom == 'f' else '0'}",
+            keep=self._spell(keep),
+            kept=self._spell(keep, f"b{n}_"),
+            away=self._spell(away),
+            split=self._spell(away, f"c{n}_"),
+            unit=self.plan.unit_idx_by_block[block],
+        )
+        for index, arm in enumerate((stmt.then, stmt.orelse)):
+            if index:
+                self._line(f"if s{n}_ is not None:")
+                self._line(f"    {self._spell(away)} = s{n}_")
+                self._line("    k = len(lanes)")
+            self.depth += 1
+            self.statements(arm, after)
+            ends = self._ends(arm)
+            if joined and None in ends:
+                self._under(ends != {None}, "if k:", self._park, f"j{n}_", after)
+            self.depth -= 1
+        if joined:
+            ends = self._ends(stmt.then) | self._ends(stmt.orelse)
+            self._under(ends != {None}, f"if j{n}_:", self._unpark, f"j{n}_", after)
+
+    def _under(self, guard: bool, test: str, write, *args) -> None:
+        """``write(*args)``, under ``test`` when ``guard`` says so."""
+        if guard:
+            self._line(test)
+            self.depth += 1
+        write(*args)
+        self.depth -= guard
+
+    def _loop(self, stmt, after, n: int) -> None:
+        """``while`` lanes still iterate: running off the body or
+        ``Continue`` is the next pass, ``Break`` parks at ``x<n>_`` until
+        the loop is done."""
+        header = stmt.header
+        ends = self._ends(stmt.body)
+        outer = self.brk, self.cont
+        self.brk, self.cont = (f"x{n}_", after), (f"c{n}_", header)
+        if Break in ends:
+            self._line(f"x{n}_ = []")
+        self._line("while k:")
+        self.depth += 1
+        if Continue in ends:
+            self._line(f"c{n}_ = []")
+        self.statements(stmt.body, header)
+        if Continue in ends:
+            self._line(f"if c{n}_:")
+            self.depth += 1
+            if None in ends:
+                self._under(True, "if k:", self._park, f"c{n}_", header)
+            self._unpark(f"c{n}_", header)
+            self.depth -= 1
+        self.depth -= 1
+        self.brk, self.cont = outer
+        if Break in ends:
+            self._under(True, f"if x{n}_:", self._unpark, f"x{n}_", after)
+
+    def _members(self, stmt, after, n: int) -> None:
+        """Each member of a region runs over the segments parked at
+        ``q<n>_`` for it: the region's entry for the first, a ``Next`` of
+        another member for the rest.  A ``Forward`` region runs them once,
+        in order, parking what runs off a member at ``o<n>_``; a
+        ``Dispatch`` region sweeps them in order while segments are parked
+        at any of them, and its ``Break`` leaves through ``o<n>_``."""
+        members = stmt.members
+        cyclic = isinstance(stmt, Dispatch)
+        ends = [self._ends(arm) for _block, arm in members]
+        leaves = Break in set().union(*ends) if cyclic else any(None in e for e in ends)
+        for index, (block, _arm) in enumerate(members):
+            self.parked[block] = f"q{n}_[{index}]"
+        entry = self._spell(self.live[members[0][0]])
+        self._line(f"q{n}_ = [[({entry})]{', []' * (len(members) - 1)}]")
+        if leaves:
+            self._line(f"o{n}_ = []")
+        outer = self.brk
+        if cyclic:
+            self.brk = (f"o{n}_", after)
+            self._line(f"while any(q{n}_):")
+            self.depth += 1
+        for index, (block, arm) in enumerate(members):
+            self._line(f"if q{n}_[{index}]:")
+            self.depth += 1
+            self._unpark(f"q{n}_[{index}]", block)
+            self._line(f"q{n}_[{index}] = []")
+            self.statements(arm, after)
+            if None in ends[index]:
+                self._under(bool(ends[index] - {None}), "if k:", self._park, f"o{n}_", after)
+            self.depth -= 1
+        self.depth -= cyclic
+        self.brk = outer
+        if leaves:
+            self._under(True, f"if o{n}_:", self._unpark, f"o{n}_", after)
+
+    def text(self, stmts) -> str:
+        """The module text: one function ``f(m, lanes, <arguments>)``."""
+        self.statements(stmts, None)
+        return _NP_FUNCTION.format(
+            args="".join(f", v{self.slots[id(arg)]}" for arg in self.owner.function.args),
+            max_depth=_MAX_CALL_DEPTH,
+            too_deep=f"call depth limit exceeded in {self.name}",
+            owner=self._bind(self.owner),
+            body="\n".join(self.lines),
+            dtype={None: None, np.float64: "F64"}.get(self.ret_dtype, "I64"),
+        )
 
     # -- instructions ------------------------------------------------------
 
@@ -1154,7 +1329,7 @@ class _UnitWriter:
         if id(instr) in self.known:
             return  # its users read the value as a literal
         if id(instr) in self.traps:
-            self.lines.append(f"raise _Trap({self.traps[id(instr)]!r})")
+            self._line(f"raise _Trap({self.traps[id(instr)]!r})")
         elif op == "load":
             self._memory(instr, instr.type, instr.operands[0], None)
         elif op == "store":
@@ -1162,7 +1337,7 @@ class _UnitWriter:
         elif op == "gep":
             if id(instr) not in self.fused:
                 text = self._gep(instr)
-                self.lines.append(f"{self._target(instr)} = {text}")
+                self._line(f"{self._target(instr)} = {text}")
         elif op in ("icmp", "fcmp"):
             self._compare(instr)
         elif op in _BINOP_EVAL:
@@ -1173,7 +1348,7 @@ class _UnitWriter:
             self._select(instr)
         elif op == "alloca":
             size = instr.alloc_type.size()
-            self.lines.append(f"{self._target(instr)} = m.alloc_private(lanes, {size})")
+            self._line(f"{self._target(instr)} = m.alloc_private(lanes, {size})")
         elif op == "call":
             self._call(instr)
         elif op == "vcall":
@@ -1228,7 +1403,7 @@ class _UnitWriter:
         if check and pattern is None:
             return f"_nonneg({text})"
         if check and pattern < 0:
-            self.lines.append("raise _Trap('u64 pattern outside the vector-safe range')")
+            self._line("raise _Trap('u64 pattern outside the vector-safe range')")
         return text
 
     def _compare(self, instr) -> None:
@@ -1251,7 +1426,7 @@ class _UnitWriter:
             else:
                 a, b = self._guarded(lhs, "u" in doms), self._guarded(rhs, "u" in doms)
         test = template.format(a=a, b=b)
-        self.lines.append(f"{self._target(instr)} = ({test}).astype(I64)")
+        self._line(f"{self._target(instr)} = ({test}).astype(I64)")
 
     def _binop(self, instr) -> None:
         op = instr.op
@@ -1283,7 +1458,7 @@ class _UnitWriter:
                 mb=self._unsigned(rhs, type_.bits, dense),
             )
             text = _wrap_column(type_, text)
-        self.lines.append(f"{self._target(instr)} = {text}")
+        self._line(f"{self._target(instr)} = {text}")
 
     def _cast(self, instr) -> None:
         op = instr.op
@@ -1312,7 +1487,7 @@ class _UnitWriter:
             text += ".astype(F32).astype(F64)"  # an int cannot overflow f32
         elif narrow == "f32":
             text = _NP_F32_ROUND.format(text)
-        self.lines.append(f"{self._target(instr)} = {text}")
+        self._line(f"{self._target(instr)} = {text}")
 
     def _select(self, instr) -> None:
         dom = _dom(instr.type)
@@ -1322,7 +1497,7 @@ class _UnitWriter:
         cdom = _dom(cond.type)
         test = f"{self._operand(cond, cdom)} != {'0.0' if cdom == 'f' else '0'}"
         then, other = self._operand(then, dom), self._operand(other, dom)
-        self.lines.append(f"{self._target(instr)} = where({test}, {then}, {other})")
+        self._line(f"{self._target(instr)} = where({test}, {then}, {other})")
 
     def _call(self, instr) -> None:
         callee = instr.callee
@@ -1332,21 +1507,21 @@ class _UnitWriter:
                 raise _Gnarly("unknown callee")
             text = self._intrinsic(instr, name)
             if text is not None:
-                self.lines.append(f"{self._target(instr)} = {text}")
+                self._line(f"{self._target(instr)} = {text}")
             return
         sub = self.cache.get(callee)
         self.subs.append(sub)
-        args = ", ".join(
-            self._dense(value, _dom(arg.type))
+        args = "".join(
+            f", {self._dense(value, _dom(arg.type))}"
             for value, arg in zip(instr.operands, callee.args)
         )
-        text = f"{self._bind(sub)}.invoke(m, [{args}], lanes)"
+        text = f"{self._bind(sub.entry)}(m, lanes{args})"
         dom = _dom(instr.type)
         if dom != "v":
             if sub.ret_dtype not in (None, _dtype_of(dom)):
                 raise _Gnarly("call/return domain mismatch")
             text = f"_returned({text}, {sub.name!r})"
-        self.lines.append(f"{self._target(instr)} = {text}")
+        self._line(f"{self._target(instr)} = {text}")
 
     def _intrinsic(self, instr, name: str):
         """Expression text of an intrinsic call, or None when the lines
@@ -1354,7 +1529,7 @@ class _UnitWriter:
         if name in ("svm.to_gpu", "svm.to_cpu"):
             a = self._dense(instr.operands[0], "i")
             if not a.isidentifier():
-                self.lines.append(f"a_ = {a}")
+                self._line(f"a_ = {a}")
                 a = "a_"
             sign = "+" if name == "svm.to_gpu" else "-"
             self._emit(_NP_TRANSLATE, d=self._target(instr), a=a, sign=sign)
@@ -1390,59 +1565,45 @@ class _UnitWriter:
         return _NP_F32_ROUND.format(text) if f32 else text
 
 
-def _liveness(plan: FunctionPlan):
-    """Which values must live in ``regs``, and how each unit reads what.
-
-    Returns ``(escaping, per_unit)``: ``escaping`` holds the ids of values
-    some reader cannot reach as a local — a head phi (evaluated on entry,
-    before the unit's locals exist), another unit, or a use ahead of the
-    definition; ``per_unit[i]`` is ``(reg_reads, local_reads)``, use
-    counts keyed by value id, of values read from ``regs`` resp. from the
-    local their definition in the same unit assigned."""
+def _liveness(plan: FunctionPlan, known) -> tuple:
+    """``(live, edge)``: per block, the slots of the columns live where it
+    starts, after its phis took their edge's values (backward dataflow
+    over the plan, folded values left out); ``edge(src, dst)``, those a
+    segment taking that edge carries — the phi sources included."""
     slots = plan.slots
-    escaping: set[int] = set()
-    per_unit = []
-    for chain in plan.units:
-        defined: set[int] = set()
-        reg_reads: dict[int, int] = {}
-        local_reads: dict[int, int] = {}
 
-        def use(value) -> None:
-            key = id(value)
-            if isinstance(value, Constant) or key not in slots:
-                return
-            if key in defined:
-                local_reads[key] = local_reads.get(key, 0) + 1
-            else:
-                reg_reads[key] = reg_reads.get(key, 0) + 1
-                escaping.add(key)
+    def columns(values) -> set:
+        return {slots[id(v)] for v in values if id(v) in slots and id(v) not in known}
 
-        for bi, block in enumerate(chain):
-            phis = block.phis()
-            for phi in phis:
-                for operand in phi.operands:
-                    if bi:
-                        use(operand)
-                    elif id(operand) in slots:
-                        escaping.add(id(operand))
-            defined.update(id(phi) for phi in phis)
-            for instr in block.instructions:
-                if instr.op == "phi":
-                    continue
-                for operand in instr.operands:
-                    use(operand)
-                defined.add(id(instr))
-                if instr is plan.terms[id(block)]:
-                    break
-        per_unit.append((reg_reads, local_reads))
-    return escaping, per_unit
+    def edge(src, dst) -> set:
+        copies = edge_copies(src, dst) or ()
+        return (live[dst] - columns(dst.phis())) | columns(v for _phi, v in copies)
+
+    live = {block: set() for block in plan.blocks}
+    changed = True
+    while changed:
+        changed = False
+        for block in reversed(plan.blocks):
+            term = plan.terms[id(block)]
+            now = set().union(*(edge(block, dst) for dst in (term.targets if term else ())))
+            body = block.instructions
+            for instr in reversed(body[: body.index(term) + 1] if term else body):
+                if instr.op != "phi":
+                    now.discard(slots[id(instr)])
+                    now |= columns(instr.operands)
+            if now != live[block]:
+                live[block] = now
+                changed = True
+    return live, edge
 
 
 class VectorFunction:
-    """One IR function lowered to generated columnar units over the *same*
-    superblock plan as the scalar engine, plus the worklist scheduler
-    that runs them.  Nothing here depends on a region: the launch's
-    :class:`VectorMachine` carries the bases, limits and ``svm_const``."""
+    """One IR function lowered to one generated columnar function
+    (:class:`_ColumnWriter`) over the *same* superblock plan as the scalar
+    engine.  ``entry(m, lanes, *columns)`` runs the invocation of those
+    lanes and returns their result column (or None).  Nothing here depends
+    on a region: the launch's :class:`VectorMachine` carries the bases,
+    limits and ``svm_const``."""
 
     def __init__(self, function: Function, cache: "VectorCodeCache"):
         plan = plan_function(function)
@@ -1450,195 +1611,32 @@ class VectorFunction:
             raise _Gnarly(f"{function.name} has no body")
         self.function = function
         self.name = function.name
-        self.nregs = plan.nregs
-        self.arg_slots = list(plan.arg_slots)
         self.arg_doms = [_dom(arg.type) for arg in function.args]
+        units, n_steps = unit_totals(plan)
+        self.units = tuple(units)
         # Evaluate now what no lane can change: pure instructions over
         # constants, through the reference interpreter's own evaluator.
         known, traps = _fold_invariants(function, plan)
-        # A gep read once, by a memory access of its own unit, becomes
-        # that access's address expression.
-        fused = _fusable_geps(plan) - known.keys() - traps.keys()
-        # Locals vs slots: only a value a head phi, another unit or an
-        # earlier use reads needs its regs slot (folded ones need nothing).
-        escaping, reads = _liveness(plan)
-        for reg_reads, _local_reads in reads:
-            for key in known:
-                reg_reads.pop(key, None)
-        # One function of straight-line NumPy per unit; a construct the
-        # op table has no column form for raises _Gnarly from here.
-        writer = _UnitWriter(
-            function.name, plan, cache, known, traps, fused, escaping, reads
-        )
-        written = [writer.unit(i, chain) for i, chain in enumerate(plan.units)]
-        self.units = tuple(unit for _text, unit in written)
+        # One function of NumPy over the region tree; a construct the op
+        # table has no column form for raises _Gnarly from here.
+        writer = _ColumnWriter(self, plan, cache, known, traps, n_steps)
+        self.source = writer.text(_region_tree(function, plan))
         self.ret_dtype = writer.ret_dtype
         self.subs = writer.subs
         # Compile once: the text is the program's from here on.
-        self.source = "".join(text for text, _unit in written)
         names = dict(_RUNTIME_NAMES)
         names.update((f"k{i}", value) for i, value in enumerate(writer.consts))
-        self.filename, namespace = load_generated(
-            f"repro-vjit {self.name}", self.source, names
-        )
-        for index, unit in enumerate(self.units):
-            unit.run = namespace[f"u{index}"]
-            if unit.phi_plans is not None:  # edge function names -> functions
-                unit.phi_plans = {
-                    prev: namespace.get(edge, edge)
-                    for prev, edge in unit.phi_plans.items()
-                }
-        self._analyze_liveness()
+        try:
+            self.filename, namespace = load_generated(
+                f"repro-vjit {self.name}", self.source, names
+            )
+        except (SyntaxError, RecursionError) as exc:  # nested past CPython's limits
+            raise _Gnarly(f"generated text does not compile: {exc}") from None
+        self.entry = namespace["f"]
         self.maskable = any(
-            unit.kind == _T_CONDBR for unit in self.units
+            term is not None and term.op == "condbr" for term in plan.terms.values()
         ) or any(sub.maskable for sub in self.subs)
 
-    def publish(self) -> None:
-        """Register the text with :mod:`linecache` so a traceback prints
-        the generated statement — when a trap passes through the code,
-        not at generation (:func:`~repro.exec.compiled.publish_generated`)."""
-        publish_generated(self.filename, self.source)
-
-    def _analyze_liveness(self):
-        """Per-unit backward dataflow at slot granularity.  ``merge_slots``
-        (= live-in after entry phis) is what segment merges concatenate;
-        ``out_slots`` (= live-out, phi sources included on their edge) is
-        what branch partitions subset.  Everything else in a frame is
-        dead and never copied."""
-        units = self.units
-        nunits = len(units)
-        live_in = [set() for _ in range(nunits)]
-        live_out = [set() for _ in range(nunits)]
-        changed = True
-        while changed:
-            changed = False
-            for u in range(nunits - 1, -1, -1):
-                unit = units[u]
-                if unit.kind == _T_BR:
-                    succs = (unit.true_index,)
-                elif unit.kind == _T_CONDBR:
-                    succs = (unit.true_index, unit.false_index)
-                else:
-                    succs = ()
-                lo = set()
-                for s in succs:
-                    sunit = units[s]
-                    lo |= live_in[s] - sunit.phi_def_slots
-                    srcs = sunit.phi_src_by_pred.get(u)
-                    if srcs:
-                        lo |= srcs
-                li = unit.use_slots | (lo - unit.def_slots)
-                if lo != live_out[u]:
-                    live_out[u] = lo
-                    changed = True
-                if li != live_in[u]:
-                    live_in[u] = li
-                    changed = True
-        for u, unit in enumerate(units):
-            unit.merge_slots = tuple(sorted(live_in[u]))
-            unit.out_slots = tuple(sorted(live_out[u]))
-
-    # -- execution --------------------------------------------------------
-
-    def invoke(self, m: VectorMachine, args, lanes0):
-        """Run all lanes of one invocation to completion with a worklist
-        of dense segments: pop the lowest pending unit (deterministic
-        reconvergence — a unit runs only once no lanes remain at lower
-        units), merge the segments parked there over the unit's live-in
-        slots, run its generated function on full dense columns, and
-        partition the live-out columns at divergent branches."""
-        if m.depth > _MAX_CALL_DEPTH:
-            raise _Trap(f"call depth limit exceeded in {self.name}")
-        m.depth += 1
-        try:
-            k0 = len(lanes0)
-            nregs = self.nregs
-            regs0 = [None] * nregs
-            for slot, col in zip(self.arg_slots, args):
-                regs0[slot] = col
-            hits, tks = m.enter(self, lanes0)
-            units = self.units
-            # unit index -> [(prev unit, regs, lanes), ...]
-            pending = {0: [(-1, regs0, lanes0)]}
-            returned: list = []  # (lanes, column) of each ret with a value
-            step_acc = m.step_acc
-            max_steps = m.max_steps
-            while pending:
-                u = min(pending)
-                segs = pending.pop(u)
-                unit = units[u]
-                plans = unit.phi_plans
-                if plans is not None:
-                    for p, rg, ln in segs:
-                        plan = plans.get(p)
-                        if plan is None:
-                            raise _Trap(
-                                f"{self.name}: phi in {unit.name} has no "
-                                f"incoming edge"
-                            )
-                        if plan.__class__ is str:
-                            raise _Trap(plan)
-                        plan(m, rg, len(ln))
-                if len(segs) == 1:
-                    _prev, regs, lanes = segs[0]
-                else:
-                    lanes = np.concatenate([s[2] for s in segs])
-                    regs = [None] * nregs
-                    for slot in unit.merge_slots:
-                        regs[slot] = np.concatenate([s[1][slot] for s in segs])
-                k = len(lanes)
-                m.occ_active += k
-                m.occ_slots += k0
-                hits[u].append(lanes)
-                ns = unit.n_steps
-                if ns:
-                    step_acc.append((lanes, ns))
-                    m.step_hi += ns
-                    if m.step_hi > max_steps:
-                        m.settle_steps(self.name)
-                # the branch mask, the returned column or None
-                out = unit.run(m, regs, lanes, k)
-                kind = unit.kind
-                if kind == _T_BR:
-                    pending.setdefault(unit.true_index, []).append((u, regs, lanes))
-                elif kind == _T_CONDBR:
-                    nt_count = int(np.count_nonzero(out))
-                    if nt_count == k:
-                        tks[u].append(lanes)
-                        pending.setdefault(unit.true_index, []).append((u, regs, lanes))
-                    elif nt_count == 0:
-                        pending.setdefault(unit.false_index, []).append((u, regs, lanes))
-                    else:
-                        nt = ~out
-                        tlanes = lanes[out]
-                        tks[u].append(tlanes)
-                        tregs = [None] * nregs
-                        fregs = [None] * nregs
-                        for slot in unit.out_slots:
-                            col = regs[slot]
-                            tregs[slot] = col[out]
-                            fregs[slot] = col[nt]
-                        pending.setdefault(unit.true_index, []).append(
-                            (u, tregs, tlanes)
-                        )
-                        pending.setdefault(unit.false_index, []).append(
-                            (u, fregs, lanes[nt])
-                        )
-                elif out is not None:  # a ret with a value
-                    returned.append((lanes, out))
-            if not returned:
-                return None
-            position = np.empty(m.n, _I64)  # machine lane -> index in lanes0
-            position[lanes0] = np.arange(k0)
-            out = np.zeros(k0, self.ret_dtype)
-            for lanes, col in returned:
-                out[position[lanes]] = col
-            return out
-        except _Trap:
-            self.publish()
-            raise
-        finally:
-            m.depth -= 1
 
 
 class VectorCodeCache:
@@ -1735,7 +1733,7 @@ def run_vectorized(engine, vfn: VectorFunction, span, args_of, budget):
     try:
         cols = _arg_columns(vfn, span, args_of)
         with np.errstate(all="ignore"):
-            vfn.invoke(machine, cols, machine.lane_ids)
+            machine.call(vfn, cols)
             machine.check_hazards()
         trace = machine.materialize(budget)
     except _Trap as exc:

@@ -616,11 +616,16 @@ TARGETS: dict = {target.name: target for target in (
         "vector",
         "columnar vector engine vs threaded-code engine on the *same* compiled "
         "program: region, traces and the `engine.` / `mem_events.` / `gpu.` "
-        "counters, whichever path a kernel took (`docs/VECTOR.md`)",
-        (Variant(
-            (_source("compiled/gpu", engine="compiled"), _source("vector/gpu", engine="vector")),
-            (("compiled/gpu", "vector/gpu", _TRACED + ("counters:engine.,mem_events.,gpu.",)),),
-        ),),
+        "counters, whichever path a kernel took (`docs/VECTOR.md`); every "
+        "other program has `&&` / `||` conditions and `continue` in loops",
+        tuple(
+            Variant(
+                (_source("compiled/gpu", engine="compiled"), _source("vector/gpu", engine="vector")),
+                (("compiled/gpu", "vector/gpu", _TRACED + ("counters:engine.,mem_events.,gpu.",)),),
+                force=force,
+            )
+            for force in (None, {"uses_short_circuit": True})
+        ),
     ),
     Target(
         "graph",

@@ -4,8 +4,9 @@ Emits valid MiniC++ translation units exercising the language surface the
 Concord frontend supports: classes with pointer/scalar fields, helper
 methods, virtual calls through a small hierarchy, bounded ``for`` loops,
 ``if``/``else``, guarded integer division, float arithmetic, shared-array
-reads/writes (pointers into SVM), reduction bodies with ``join``, and an
-overloaded free function plus a chain of class operators.
+reads/writes (pointers into SVM), reduction bodies with ``join``, an
+overloaded free function plus a chain of class operators, and ``&&`` /
+``||`` conditions with ``continue`` in loops.
 
 Programs are built from a JSON-serializable *spec tree* (plain dicts and
 lists) wrapped in :class:`SourceProgram`, so the reducer
@@ -22,7 +23,9 @@ Generation invariants (the oracle relies on these):
   ``i`` itself, so no access can leave its array;
 * divisor operands are forced odd (``| 1``) — no division traps;
 * shift amounts are masked to ``& 7``;
-* loops have constant trip counts (1–6) — guaranteed termination;
+* loops have constant trip counts (1–6) — guaranteed termination; a loop
+  with a short-circuit guard runs at most that many trips, counting the
+  trip first so a ``continue`` cannot skip the count;
 * reduction bodies start from ``acc = 0`` and combine with a commutative,
   associative operator (``+`` or ``^`` with wrapping semantics), so the
   CPU's per-core copies and the GPU's hierarchical tree produce identical
@@ -64,6 +67,7 @@ class SourceProgram:
     stmts: list = field(default_factory=list)
     class_name: str = "FuzzBody"
     uses_overloads: bool = False
+    uses_short_circuit: bool = False
 
     # -- serialization ----------------------------------------------------
 
@@ -88,6 +92,7 @@ class SourceProgram:
             "stmts": self.stmts,
             "class_name": self.class_name,
             "uses_overloads": self.uses_overloads,
+            "uses_short_circuit": self.uses_short_circuit,
         }
 
     @staticmethod
@@ -134,7 +139,16 @@ def _gen_expr(rng, depth: int, vars_in_scope) -> dict:
     }
 
 
-def _gen_cond(rng, vars_in_scope) -> dict:
+def _gen_cond(rng, vars_in_scope, short_circuit: bool = False) -> dict:
+    """A comparison; with ``short_circuit``, four times in five two of
+    them joined by ``&&`` or ``||``."""
+    if short_circuit and rng.random() < 0.8:
+        return {
+            "k": "logic",
+            "op": rng.choice(["&&", "||"]),
+            "a": _gen_cond(rng, vars_in_scope),
+            "b": _gen_cond(rng, vars_in_scope),
+        }
     return {
         "k": "rel",
         "op": rng.choice(REL_OPS),
@@ -166,6 +180,7 @@ def _gen_stmts(rng, program_flags: dict, depth: int, budget: list,
     stmts = []
     count = rng.randint(1, 4 if depth == 0 else 3)
     vars_in_scope = INT_VARS + READONLY_VARS + loop_vars
+    short = program_flags["uses_short_circuit"]
     for _ in range(count):
         if budget[0] <= 0:
             break
@@ -173,17 +188,20 @@ def _gen_stmts(rng, program_flags: dict, depth: int, budget: list,
         roll = rng.random()
         if depth < 2 and roll < 0.14:
             loop_var = f"j{len(loop_vars)}"
-            stmts.append({
+            loop = {
                 "k": "loop",
                 "var": loop_var,
                 "bound": rng.randint(1, 6),
                 "body": _gen_stmts(rng, program_flags, depth + 1, budget,
                                    loop_vars + (loop_var,)),
-            })
+            }
+            if short:
+                loop["guard"] = _gen_cond(rng, vars_in_scope + (loop_var,), True)
+            stmts.append(loop)
         elif depth < 2 and roll < 0.30:
             stmt = {
                 "k": "if",
-                "cond": _gen_cond(rng, vars_in_scope),
+                "cond": _gen_cond(rng, vars_in_scope, short),
                 "then": _gen_stmts(rng, program_flags, depth + 1, budget,
                                    loop_vars),
                 "else": (
@@ -193,6 +211,8 @@ def _gen_stmts(rng, program_flags: dict, depth: int, budget: list,
                 ),
             }
             stmts.append(stmt)
+        elif short and loop_vars and roll < 0.38:
+            stmts.append({"k": "skip", "cond": _gen_cond(rng, vars_in_scope, True)})
         elif roll < 0.45:
             stmts.append({
                 "k": "aux_read",
@@ -238,8 +258,9 @@ def generate_source_program(rng, seed: int = 0,
         "uses_virtual": rng.random() < 0.30,
         "uses_floats": rng.random() < 0.35,
         "uses_helper": rng.random() < 0.40,
-        # only when forced: rolling it would change what every seed draws
+        # only when forced: rolling them would change what every seed draws
         "uses_overloads": False,
+        "uses_short_circuit": False,
     }
     construct = "reduce" if rng.random() < 0.25 else "for"
     flags.update({k: v for k, v in force.items() if k in flags})
@@ -278,6 +299,7 @@ def generate_source_program(rng, seed: int = 0,
         helper_expr=helper_expr,
         stmts=stmts,
         uses_overloads=flags["uses_overloads"],
+        uses_short_circuit=flags["uses_short_circuit"],
     )
 
 
@@ -302,7 +324,7 @@ def render_expr(expr: dict) -> str:
             f"({render_expr(expr['a'])} {expr['op']} "
             f"({render_expr(expr['b'])} & 7))"
         )
-    if kind == "rel":
+    if kind in ("rel", "logic"):
         return f"({render_expr(expr['a'])} {expr['op']} {render_expr(expr['b'])})"
     if kind == "fvar":
         return "fx"
@@ -347,11 +369,20 @@ def render_stmt(stmt: dict, mask: int, indent: int) -> list:
                 lines.extend(render_stmt(inner, mask, indent + 1))
         lines.append(f"{pad}}}")
         return lines
+    if kind == "skip":
+        return [f"{pad}if {render_expr(stmt['cond'])} {{", f"{pad}  continue;", f"{pad}}}"]
     if kind == "loop":
         var = stmt["var"]
-        lines = [
-            f"{pad}for (int {var} = 0; {var} < {stmt['bound']}; {var}++) {{"
-        ]
+        if "guard" in stmt:  # count the trip first: a continue skips nothing
+            lines = [
+                f"{pad}for (int {var} = 0; {var} < {stmt['bound']} && "
+                f"{render_expr(stmt['guard'])}; ) {{",
+                f"{pad}  {var}++;",
+            ]
+        else:
+            lines = [
+                f"{pad}for (int {var} = 0; {var} < {stmt['bound']}; {var}++) {{"
+            ]
         for inner in stmt["body"]:
             lines.extend(render_stmt(inner, mask, indent + 1))
         lines.append(f"{pad}}}")

@@ -971,7 +971,7 @@ class FunctionLowerer:
     def _lower_Index(self, expr: ast.Index, want_lvalue):
         base, btype = self.rvalue(expr.base)
         if isinstance(btype, StructType):
-            return self._call_on(expr, base, btype, "operator[]", [expr.index])
+            return self._call_on(expr, base, btype, "operator[]", [expr.index], want_lvalue)
         if not isinstance(btype, PointerType):
             raise LowerError(f"line {expr.line}: subscript of non-pointer")
         index, itype = self.rvalue(expr.index)
@@ -987,16 +987,19 @@ class FunctionLowerer:
     # calls
 
     def _lower_Call(self, expr: ast.Call, want_lvalue):
-        self._no_lvalue(want_lvalue, expr)
         name = str(expr.name)
         simple = expr.name.simple
+        if simple in BUILTIN_MATH or simple in BUILTIN_ATOMICS or simple in ("min", "max", "abs"):
+            self._no_lvalue(want_lvalue, expr)
 
         # A local variable that is callable (functor) — obj(args).
         if simple is not None and simple in self.locals:
             local = self.locals[simple]
             base = local.type
             if isinstance(base, StructType):
-                return self._lower_functor_call(expr, simple)
+                return self._call_on(
+                    expr, local.alloca, base, "operator()", expr.args, want_lvalue
+                )
             if isinstance(base, PointerType) and isinstance(base.pointee, StructType):
                 raise LowerError(
                     f"line {expr.line}: call through object pointer requires "
@@ -1026,13 +1029,13 @@ class FunctionLowerer:
                 overloads = cls_info.find_methods(expr.name.parts[1])
                 statics = [m for m in overloads if m.decl.is_static]
                 if statics:
-                    return self._emit_static_call(expr, cls_info, statics)
+                    return self._emit_static_call(expr, cls_info, statics, want_lvalue)
 
         # Method of the current class, called unqualified.
         if self.this_class is not None and simple is not None:
             overloads = self.this_class.find_methods(simple)
             if overloads:
-                return self._emit_method_call(expr, overloads, expr.args, simple)
+                return self._emit_method_call(expr, overloads, expr.args, simple, place=want_lvalue)
 
         # Free function.
         arg_pairs = [self.rvalue(a) for a in expr.args]
@@ -1050,13 +1053,15 @@ class FunctionLowerer:
                     f"{[str(t) for t in arg_types]}"
                 )
             fn = self.unit.require_free(chosen)
-            return self._finish_direct_call(fn, chosen.decl, arg_pairs, expr.line)
+            return self._finish_direct_call(
+                fn, chosen.decl, arg_pairs, expr.line, place=want_lvalue
+            )
         templates = self.sema.find_function_templates(name, self.namespace)
         if templates:
             chosen_t, bindings = self._deduce_template(templates, arg_types, expr)
             inst = self.sema.instantiate_function_template(chosen_t, bindings)
             fn = self.unit.require_free(inst)
-            return self._finish_direct_call(fn, inst.decl, arg_pairs, expr.line)
+            return self._finish_direct_call(fn, inst.decl, arg_pairs, expr.line, place=want_lvalue)
         raise LowerError(f"line {expr.line}: unknown function {name}")
 
     def _free_param_types(self, fn_info: FreeFunctionInfo) -> list[Type]:
@@ -1131,28 +1136,24 @@ class FunctionLowerer:
 
     def _lower_MethodCall(self, expr: ast.MethodCall, want_lvalue):
         recv, struct = self._receiver(expr)
-        return self._call_on(expr, recv, struct, expr.method, expr.args)
+        return self._call_on(expr, recv, struct, expr.method, expr.args, want_lvalue)
 
     def _lower_CallOperator(self, expr: ast.CallOperator, want_lvalue):
-        self._no_lvalue(want_lvalue, expr)
         recv, struct = self.rvalue(expr.receiver)
         if not isinstance(struct, StructType):
             raise LowerError(f"line {expr.line}: call of non-functor")
-        return self._call_on(expr, recv, struct, "operator()", expr.args)
+        return self._call_on(expr, recv, struct, "operator()", expr.args, want_lvalue)
 
-    def _lower_functor_call(self, expr: ast.Call, simple: str):
-        local = self.locals[simple]
-        return self._call_on(expr, local.alloca, local.type, "operator()", expr.args)
-
-    def _call_on(self, expr, recv, struct: StructType, method_name: str, args):
-        """``method_name(args)`` on the class value at address ``recv``."""
+    def _call_on(self, expr, recv, struct: StructType, method_name: str, args, place=False):
+        """``method_name(args)`` on the class value at address ``recv``
+        (its result as a place with ``place``, see :meth:`_call_result`)."""
         info = self.sema.class_of_struct(struct)
         overloads = info.find_methods(method_name)
         if not overloads:
             raise LowerError(f"line {expr.line}: class {info.name} has no {method_name}")
-        return self._emit_method_call(expr, overloads, args, method_name, (recv, info))
+        return self._emit_method_call(expr, overloads, args, method_name, (recv, info), place)
 
-    def _emit_static_call(self, expr, info: ClassInfo, overloads):
+    def _emit_static_call(self, expr, info: ClassInfo, overloads, place: bool):
         arg_pairs = [self.rvalue(a) for a in expr.args]
         arg_types = [t for _, t in arg_pairs]
         chosen = self.sema.resolve_overload(
@@ -1161,7 +1162,9 @@ class FunctionLowerer:
         if chosen is None:
             raise LowerError(f"line {expr.line}: no matching static overload")
         fn = self.unit.require_method(info, chosen)
-        return self._finish_direct_call(fn, chosen.decl, arg_pairs, expr.line, this_value=None)
+        return self._finish_direct_call(
+            fn, chosen.decl, arg_pairs, expr.line, this_value=None, place=place
+        )
 
     def _method_param_types(self, info: ClassInfo, method: MethodInfo) -> list[Type]:
         return [
@@ -1178,6 +1181,7 @@ class FunctionLowerer:
         args,
         method_name: str,
         receiver_value=None,
+        place: bool = False,
     ):
         """Call the overload of ``args`` among the receiver's
         ``overloads`` on ``receiver_value`` — an ``(address, class)`` pair —
@@ -1214,14 +1218,16 @@ class FunctionLowerer:
 
         if chosen.is_virtual:
             return self._finish_virtual_call(
-                expr, recv_info, chosen, this_value, arg_pairs
+                expr, recv_info, chosen, this_value, arg_pairs, place
             )
         fn = self.unit.require_method(owner, chosen)
         return self._finish_direct_call(
-            fn, chosen.decl, arg_pairs, expr.line, this_value=this_value
+            fn, chosen.decl, arg_pairs, expr.line, this_value=this_value, place=place
         )
 
-    def _finish_virtual_call(self, expr, recv_info, chosen: MethodInfo, this_value, arg_pairs):
+    def _finish_virtual_call(
+        self, expr, recv_info, chosen: MethodInfo, this_value, arg_pairs, place: bool
+    ):
         owner = chosen.owner
         ret = self.sema.resolve_type(
             chosen.decl.return_type, owner.template_bindings, owner.decl.namespace
@@ -1258,9 +1264,11 @@ class FunctionLowerer:
         )
         if isinstance(ret, VoidType):
             return None
-        return self._call_result(call, chosen.decl, ret)
+        return self._call_result(call, chosen.decl, ret, expr.line, place)
 
-    def _finish_direct_call(self, fn: ir.Function, decl, arg_pairs, line, this_value="none"):
+    def _finish_direct_call(
+        self, fn: ir.Function, decl, arg_pairs, line, this_value="none", place=False
+    ):
         converted: list[ir.Value] = []
         arg_index = 0
         sret_slot = None
@@ -1296,14 +1304,18 @@ class FunctionLowerer:
             return sret_slot, fn_params[0].pointee
         if isinstance(fn.return_type, VoidType):
             return None
-        return self._call_result(call, decl, fn.return_type)
+        return self._call_result(call, decl, fn.return_type, line, place)
 
-    def _call_result(self, call, decl, ret: Type):
-        """``(value, type)`` of ``call``.  A reference result is the address
-        of what it names: a class value as it is, a scalar loaded."""
+    def _call_result(self, call, decl, ret: Type, line, place: bool):
+        """``(value, type)`` of ``call``, or with ``place`` its
+        ``(address, type)`` for a store.  A reference result is the address
+        of what it names: a place, a class value as it is, a scalar loaded.
+        A scalar returned by value is no place."""
         if decl is None or not decl.return_type.is_reference:
+            if place:
+                raise LowerError(f"line {line}: a call returning by value is not assignable")
             return call, ret
-        if isinstance(ret.pointee, StructType):
+        if place or isinstance(ret.pointee, StructType):
             return call, ret.pointee
         return self.builder.load(call, "ref"), ret.pointee
 

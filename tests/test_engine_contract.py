@@ -16,12 +16,15 @@ A backend is a device and an engine is a lane runner:
   the CPU's TBB-style reduction, and a placement policy is a function;
 * the per-item event-cap floor is written once, the vector machine has
   one shared-memory access path, and ``LaunchTrace.from_unit_counts`` is
-  the one constructor from unit counts to a launch trace.
+  the one constructor from unit counts to a launch trace;
+* both generated-code engines print the region tree: no unit worklist is
+  left under ``repro.exec``.
 """
 
 import ast
 import importlib.util
 import pathlib
+import re
 
 import repro
 import repro.backend
@@ -213,3 +216,17 @@ def test_a_construct_has_one_body():
     for backend in (repro.backend.CpuBackend, repro.backend.GpuBackend):
         assert backend.__bases__ == (object,)
         assert not hasattr(backend, "capabilities")
+
+
+def test_no_unit_worklist_under_exec():
+    """The vector engine runs the region tree, as the compiled engine
+    does: no pending-unit worklist (``min(pending)``), per-predecessor phi
+    plans or unit terminator kinds come back."""
+    worklist = re.compile(r"\bpending\b|\bphi_plans\b|\b_T_(BR|CONDBR|RET)\b")
+    offenders = [
+        f"{path.relative_to(ROOT)}:{number}"
+        for path in sorted((ROOT / "exec").glob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), start=1)
+        if worklist.search(line)
+    ]
+    assert offenders == []

@@ -40,10 +40,10 @@ NINE = (
 SCALE = 0.2
 
 
-def _run(name: str, engine: str, on_cpu: bool):
+def _run(name: str, engine: str, on_cpu: bool, observer=None):
     workload = WORKLOADS[name]()
     rt = workload.make_runtime(
-        system=ultrabook(), engine=engine, keep_traces=True
+        system=ultrabook(), engine=engine, keep_traces=True, observer=observer
     )
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")

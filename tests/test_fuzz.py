@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from repro.exec import compiled as compiled_engine
+from repro.exec import vector as vector_engine
 from repro.fuzz import (
     TARGETS,
     FuzzDriver,
@@ -225,8 +226,13 @@ def _swapped_sub(mp):
 MUTATIONS = {
     "engines": (_swapped_sub,),
     "frontend": (_swapped_sub, lambda mp: mp.setattr(Sema, "resolve_overload", _first_overload_wins)),
-    # a row the vector engine alone reads
-    "vector": (lambda mp: mp.setitem(compiled_engine._NP_BINOP, "ashr", "{a} << ({b} & 63)"),),
+    # a row the vector engine alone reads; a join that keeps the segment
+    # parked first and loses the lanes of every other one (an ``If``'s else
+    # arm, a loop's later exits)
+    "vector": (
+        lambda mp: mp.setitem(compiled_engine._NP_BINOP, "ashr", "{a} << ({b} & 63)"),
+        lambda mp: mp.setitem(vector_engine._RUNTIME_NAMES, "_join", lambda parked: parked[0]),
+    ),
     "passes": (lambda mp: mp.setitem(PASS_REGISTRY, "constfold", _sub_becomes_add),),
     "ir": (lambda mp: mp.setitem(PASS_REGISTRY, "constfold", _sub_becomes_add),),
     "graph": (lambda mp: mp.setattr(graph, "_overlap_any", lambda a, b: False),),

@@ -188,6 +188,14 @@ public:
 AT = "int& at(int k) { return data[k]; }"
 REF = "V& ref(int k) { return vs[k]; }"
 PICK = "V& pick(V* p, int k) { return p[k]; }"
+SUBSCRIPT = """
+class W {
+public:
+  float y;
+  float z;
+  RET operator[](int k) { if (k) { return z; } return y; }
+};
+"""
 
 
 def run_references(stmt: str, member: str, free: str = "", on_cpu: bool = False):
@@ -240,6 +248,44 @@ class TestReferenceReturns:
         _, out, vs = run_references(stmt, REF, free, on_cpu)
         assert out == [want_out(x) for x in XS]
         assert vs == [want_vs(x) for x in XS]
+
+    @pytest.mark.parametrize(
+        "stmt, want",
+        [
+            ("at(i) = 7; iout[i] = data[i];", lambda i: 7),
+            ("at(i) += 5; iout[i] = data[i];", lambda i: 10 * i + 5),
+            ("this->at(i) = i; iout[i] = at(i) * 2;", lambda i: 2 * i),
+        ],
+        ids=["assign", "compound", "method"],
+    )
+    @DEVICES
+    def test_assigning_through_a_scalar_reference(self, stmt, want, on_cpu):
+        """Failed before with ``expression is not assignable (Call)``: a
+        call was never a place."""
+        iout, _, _ = run_references(stmt, AT, on_cpu=on_cpu)
+        assert iout == [want(i) for i in range(4)]
+
+    @DEVICES
+    def test_assigning_through_a_subscript_operator(self, on_cpu):
+        """``w[1] = ...`` with ``float& operator[](int)`` failed before
+        with ``AssertionError: store to non-pointer``."""
+        stmt = (
+            "W w; w.y = vs[i].x; w.z = 0.0f; w[1] = 2.0f; w[0] += 1.0f;"
+            " out[i] = w.y + w.z;"
+        )
+        _, out, _ = run_references(stmt, "", SUBSCRIPT.replace("RET", "float&"), on_cpu)
+        assert out == [x + 3.0 for x in XS]
+
+    def test_a_result_returned_by_value_is_not_assignable(self):
+        """Failed before with ``AssertionError: store to non-pointer``."""
+        stmt = "W w; w[1] = 2.0f; out[i] = w.z;"
+        source = (
+            REFERENCES.replace("FREE", SUBSCRIPT.replace("RET", "float"))
+            .replace("MEMBER", "")
+            .replace("STMT", stmt)
+        )
+        with pytest.raises(LowerError, match="returning by value is not assignable"):
+            compile_source(source, OptConfig.gpu_all())
 
 
 def test_two_classes_one_struct_name_is_an_error():

@@ -1,9 +1,11 @@
 """The columnar vector engine is bit-identical to the threaded-code engine.
 
-For all nine paper workloads the vector engine must leave exactly the
-same shared-region bytes, the same execution traces and the same modeled
-reports as ``CompiledEngine`` — whether a kernel was vectorized, rolled
-back and re-run scalar, or routed scalar outright (``vector.fallbacks``).
+For all nine paper workloads and RaytracerFlat the vector engine must
+leave exactly the same shared-region bytes, the same execution traces and
+the same modeled reports as ``CompiledEngine`` — whether a kernel was
+vectorized, rolled back and re-run scalar, or routed scalar outright
+(``vector.fallbacks``); where every kernel vectorizes, every launch must
+have run columnar.
 Also covers which engine runs the launches, the ``vector.*`` counter
 surface and the per-kernel fallback behavior.
 """
@@ -14,7 +16,11 @@ import pytest
 
 from repro.backend import CpuBackend, GpuBackend
 from repro.exec import CompiledEngine, VectorEngine
+from repro.exec.vector import _MIN_OCCUPANCY
+from repro.ir.types import I32
 from repro.obs import Observer
+from repro.passes import OptConfig
+from repro.runtime import ConcordRuntime, compile_source
 from repro.runtime.system import ultrabook
 from repro.workloads import all_workloads
 from repro.workloads.base import Workload
@@ -33,10 +39,23 @@ def _fresh_programs(monkeypatch):
     monkeypatch.setattr(Workload, "_program_cache", {})
 
 
-@pytest.mark.parametrize("name", NINE)
+#: The workloads whose every GPU launch runs columnar: the others' kernels
+#: are gnarly (atomics) or routed scalar by a cross-lane hazard (BFS).
+#: RaytracerFlat's kernel has ``Dispatch`` regions, BarnesHut's and
+#: Raytracer's ``Forward`` ones.
+COLUMNAR = {"BarnesHut", "BTree", "ClothPhysics", "FaceDetect", "Raytracer", "RaytracerFlat", "SkipList"}
+
+
+@pytest.mark.parametrize("name", [*NINE, "RaytracerFlat"])
 def test_vector_bit_identical_to_compiled(name):
+    # The observed run compiles the program the compiled run then reuses.
+    observer = Observer()
+    vec_rt, vec_reports = _run(name, "vector", on_cpu=False, observer=observer)
     com_rt, com_reports = _run(name, "compiled", on_cpu=False)
-    vec_rt, vec_reports = _run(name, "vector", on_cpu=False)
+    counters = observer.counters.as_dict()
+    if name in COLUMNAR:
+        assert counters.get("vector.fallbacks", 0) == 0, name
+        assert counters["vector.lanes_retired"] > 0, name
 
     # Same final shared-memory state: every store landed identically.
     assert bytes(vec_rt.region.physical.data) == bytes(
@@ -64,6 +83,22 @@ def test_vector_bit_identical_to_compiled(name):
         assert got.report.instructions == ref.report.instructions
         assert got.report.energy_joules == ref.report.energy_joules
         assert got.report.mem_transactions == ref.report.mem_transactions
+
+
+_STRAGGLER_SOURCE = """
+class Body {
+public:
+  int* data;
+  int* trip;
+  void operator()(int i) {
+    int acc = 0;
+    for (int j = 0; j < trip[i]; j++) {
+      acc = acc + j + data[i];
+    }
+    data[i] = acc;
+  }
+};
+"""
 
 
 def _observed_counters(name: str, engine: str, scale: float = 0.1) -> dict:
@@ -123,7 +158,7 @@ def _launch_engines(engine: str) -> dict:
 
 
 class TestBackendRegistration:
-    def test_vector_engine_selects_vector_backend(self):
+    def test_vector_engine_runs_gpu_launches_on_the_gpu_backend(self):
         """The backends are the two devices whichever engine runs; under
         ``vector`` the GPU's launches run on the vector engine and the
         CPU's chunks on the generated-code one."""
@@ -168,16 +203,42 @@ class TestVectorCounters:
         assert counters.get("vector.fallbacks", 0) > 0
 
     @pytest.mark.parametrize(
-        "name, reason",
-        [("BFS", "hazard"), ("BTree", "low_occupancy"), ("SkipList", "low_occupancy")],
+        "name, reason", [("BFS", "hazard"), ("BTree", None), ("SkipList", None)]
     )
     def test_routing_verdicts_are_counted_once_per_kernel(self, name, reason):
-        # the scale test_vector_codegen.py's frozen verdicts were taken at
+        # the scale test_vector_codegen.py's frozen verdicts were taken at;
+        # BTree's and SkipList's kernels reconverge above the occupancy
+        # floor there, so they run columnar and route nothing
         counters = _observed_counters(name, "vector", SCALE)
         routed = {
             key: value for key, value in counters.items() if key.startswith("vector.routed.")
         }
-        assert routed == {f"vector.routed.{reason}": 1}
+        assert routed == ({} if reason is None else {f"vector.routed.{reason}": 1})
+
+    def test_a_low_occupancy_verdict_is_counted_once(self):
+        """One lane of 64 loops 500 times, the others at most 3: the first
+        launch runs columnar below the occupancy floor, stands, and routes
+        the kernel's later launches scalar."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            program = compile_source(_STRAGGLER_SOURCE, OptConfig.gpu_all())
+        observer = Observer()
+        rt = ConcordRuntime(program, ultrabook(), engine="vector", observer=observer)
+        for _launch in range(3):
+            data, trip = rt.new_array(I32, 64), rt.new_array(I32, 64)
+            data.fill_from(range(64))
+            trip.fill_from([500] + [lane % 4 for lane in range(1, 64)])
+            body = rt.new("Body")
+            body.data, body.trip = data, trip
+            rt.parallel_for_hetero(64, body, on_cpu=False)
+        counters = observer.counters.as_dict()
+        assert counters["vector.mask_occupancy"] < _MIN_OCCUPANCY * counters["vector.mask_slots"]
+        assert counters["vector.lanes_retired"] == 64  # the first launch only
+        assert counters["vector.fallbacks"] == 2
+        routed = {k: v for k, v in counters.items() if k.startswith("vector.routed.")}
+        assert routed == {"vector.routed.low_occupancy": 1}
+        kernel = program.kernels["Body"].gpu_kernel
+        assert program.vector_code.scalar == {kernel: "low mask occupancy"}
 
     def test_fallback_lanes_still_counted_as_invocations(self):
         for name in NINE:

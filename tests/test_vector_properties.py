@@ -2,13 +2,15 @@
 machine's memory path and limits.
 
 Each named edge case drives the columnar vector engine through a mask
-regime the dense-frame scheduler has to get exactly right — empty index
+regime the region-tree printer has to get exactly right — empty index
 spaces, single-lane chunks, uniformly-taken and fully-diverged branches,
 a loop that only one lane keeps iterating, and a store that traps on
 exactly one lane — and checks the result (region bytes, outputs, trap)
-against ``CompiledEngine`` lane by lane.  Two more cases pin the machine
-itself: one load and one store whose lanes reach private and shared
-memory at once, and the engine's step limit.
+against ``CompiledEngine`` lane by lane.  Two kernels carry region
+kinds the source fuzzer's programs lack — a ``Forward`` region (``&&`` /
+``||`` in a loop condition) and a ``Continue`` — and must run columnar.  Two more
+cases pin the machine itself: one load and one store whose lanes reach
+private and shared memory at once, and the engine's step limit.
 """
 
 import warnings
@@ -16,6 +18,7 @@ import warnings
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.ir.structure import Continue, Forward, structure
 from repro.ir.types import I8, I16, I32, I64
 from repro.obs import Observer
 from repro.passes import OptConfig
@@ -298,6 +301,100 @@ def test_one_access_reaches_private_and_shared_lanes(ctype, itype, private_lanes
     assert vec[2]["vector.lanes_retired"] == _MIXED_LANES
     assert vec[0] == com[0], "region bytes diverged"
     assert len(vec[1]) == len(com[1]) == _MIXED_LANES
+    for lane, (ref, got) in enumerate(zip(com[1], vec[1])):
+        _assert_trace_equal(ref, got, f"lane {lane}")
+    assert _engine_counters(vec[2]) == _engine_counters(com[2])
+
+
+# -- region kinds the source fuzzer's programs lack, each one run columnar ----
+
+#: ``&&`` / ``||`` in a loop condition: ``Forward`` regions
+_SHORT_CIRCUIT_SOURCE = """
+class Body {
+public:
+  int* data;
+  int* trip;
+  void operator()(int i) {
+    int acc = 0;
+    int j = 0;
+    while ((j < trip[i] && data[i] + j != 7) || j == 0) {
+      acc = acc * 3 + j + data[i];
+      j = j + 1;
+    }
+    data[i] = acc;
+  }
+};
+"""
+
+#: ``continue`` in a divergent ``if`` whose arm is not the loop body's end:
+#: a ``Continue`` node
+_CONTINUE_SOURCE = """
+class Body {
+public:
+  int* data;
+  int* trip;
+  void operator()(int i) {
+    int acc = 0;
+    int j = 0;
+    while (j < trip[i]) {
+      j = j + 1;
+      if ((data[i] + j) % 2 == 0) {
+        if ((data[i] ^ j) % 3 == 0) {
+          continue;
+        }
+        acc = acc + j;
+      }
+      acc = acc * 3 + data[i];
+    }
+    data[i] = acc;
+  }
+};
+"""
+
+
+def _region_kinds(stmts) -> set:
+    found = set()
+    for stmt in stmts:
+        found.add(type(stmt))
+        for attr in ("then", "orelse", "body"):
+            found |= _region_kinds(getattr(stmt, attr, ()))
+        for _block, arm in getattr(stmt, "members", ()):
+            found |= _region_kinds(arm)
+    return found
+
+
+@pytest.mark.parametrize(
+    "source, kind",
+    [(_SHORT_CIRCUIT_SOURCE, Forward), (_CONTINUE_SOURCE, Continue)],
+    ids=["forward", "continue"],
+)
+@given(
+    values=st.lists(st.integers(-20, 20), min_size=1, max_size=24),
+    trips=st.lists(st.integers(0, 12), min_size=24, max_size=24),
+)
+@SLOW
+def test_a_region_kind_runs_columnar(source, kind, values, trips):
+    """The kernel's tree has ``kind``, its launch runs columnar, and it
+    equals the compiled engine's byte for byte and event for event."""
+    program = _compile(source)
+    assert kind in _region_kinds(structure(program.kernels["Body"].gpu_kernel))
+    n = len(values)
+
+    def fill(rt):
+        body = rt.new("Body")
+        data, trip = rt.new_array(I32, n), rt.new_array(I32, n)
+        data.fill_from(values)
+        trip.fill_from(trips[:n])
+        body.data, body.trip = data, trip
+        return body
+
+    com = _observed_launch(program, "compiled", fill, n)
+    vec = _observed_launch(program, "vector", fill, n)
+    assert com[3] is None and vec[3] is None
+    assert vec[2].get("vector.fallbacks", 0) == 0
+    assert vec[2]["vector.lanes_retired"] == n
+    assert vec[0] == com[0], "region bytes diverged"
+    assert len(vec[1]) == len(com[1]) == n
     for lane, (ref, got) in enumerate(zip(com[1], vec[1])):
         _assert_trace_equal(ref, got, f"lane {lane}")
     assert _engine_counters(vec[2]) == _engine_counters(com[2])
