@@ -133,6 +133,33 @@ def event_rows(events: MemEventColumns) -> np.ndarray:
     return np.frombuffer(events.data, np.uint64).reshape(-1, 5)
 
 
+#: The dtype of each :class:`LaunchTrace` event column: the narrowest that
+#: holds every value exactly, 26 bytes per kept event.  ``lane`` is below
+#: the launch size and ``seq`` below the step limit; ``uid`` stays 64-bit
+#: because instruction ids come from a process-wide counter that a
+#: long-lived daemon can run past 2**31.
+EVENT_DTYPES = {
+    "lane": np.int32,
+    "uid": np.int64,
+    "seq": np.int32,
+    "address": np.uint64,
+    "size": np.uint8,
+    "is_store": np.uint8,
+}
+
+
+def event_column(name: str, values) -> np.ndarray:
+    """``values`` in the dtype of event column ``name``; a value that does
+    not fit raises :class:`OverflowError`, so a column never wraps."""
+    dtype = np.dtype(EVENT_DTYPES[name])
+    values = np.asarray(values)
+    if values.dtype != dtype and len(values):
+        info = np.iinfo(dtype)
+        if values.min() < info.min or values.max() > info.max:
+            raise OverflowError(f"a {name} value does not fit {dtype.name}")
+    return values.astype(dtype, copy=False)
+
+
 def launch_events(data, kept, dropped, caps) -> dict:
     """The event and cap fields of a :class:`LaunchTrace` from the
     launch's stride-5 event rows (``data``: a flat buffer or ``(k, 5)``
@@ -141,12 +168,12 @@ def launch_events(data, kept, dropped, caps) -> dict:
     rows = np.asarray(data, np.uint64).reshape(-1, 5)
     kept = np.array(kept, np.int64)
     return dict(
-        lane=np.repeat(np.arange(len(kept)), kept),
-        uid=rows[:, 0].astype(np.int64),
-        seq=rows[:, 1].astype(np.int64),
+        lane=np.repeat(event_column("lane", np.arange(len(kept))), kept),
+        uid=event_column("uid", rows[:, 0]),
+        seq=event_column("seq", rows[:, 1]),
         address=np.ascontiguousarray(rows[:, 2]),
-        size=rows[:, 3].astype(np.int64),
-        is_store=rows[:, 4].astype(np.int64),
+        size=event_column("size", rows[:, 3]),
+        is_store=event_column("is_store", rows[:, 4]),
         kept=kept,
         dropped=np.array(dropped, np.int64),
         caps=np.array(caps, np.int64),
@@ -181,8 +208,11 @@ class LaunchTrace:
     * ``instructions, flops, int_ops, translations, calls`` — per-lane
       counter vectors.
 
-    ``n`` is the number of lanes.  All index and count columns are int64
-    and ``address`` is uint64.
+    ``n`` is the number of lanes.  Each event column has its
+    :data:`EVENT_DTYPES` width (``lane`` and ``seq`` int32, ``uid`` int64,
+    ``address`` uint64, ``size`` and ``is_store`` uint8), so a consumer
+    widens before arithmetic that could leave it; the per-lane and
+    matrix columns are int64.
     """
 
     n: int

@@ -1741,6 +1741,8 @@ class CompiledEngine:
                 self._ev_data, self._ev_cap = own
                 self._harvest()  # a trapped lane's counts: the accumulators end clean
                 self.release_private_memory()
+        events_of = launch_events(events, kept, dropped, caps)
+        del events  # the columns hold the events now
         functions = []
         for compiled, (lanes, accumulators) in columns.items():
             # per lane: unit counts, taken counts, trap counts, the rank
@@ -1749,9 +1751,7 @@ class CompiledEngine:
             harvest = np.array(accumulators, np.int64).reshape(len(lanes), 3 * width + 1)
             counts, taken = harvest[:, :width], harvest[:, width : 2 * width]
             functions.append((units, np.array(lanes, np.int64), counts, taken, harvest[:, -1]))
-        return LaunchTrace.from_unit_counts(
-            n, launch_events(events, kept, dropped, caps), functions
-        )
+        return LaunchTrace.from_unit_counts(n, events_of, functions)
 
     def _lookup(self, function: Function, uses: int):
         if self.counters is not None:

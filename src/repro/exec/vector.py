@@ -100,7 +100,7 @@ from ..ir.structure import (
 )
 from ..ir.types import FloatType, IntType, PointerType, VoidType
 from ..ir.values import Constant, Function, GlobalVariable
-from .buffers import LaunchTrace, per_item_cap
+from .buffers import LaunchTrace, event_column, per_item_cap
 from .compiled import (
     CompiledEngine,
     _CASTS,
@@ -141,7 +141,11 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 _PB = Interpreter.PRIVATE_BASE
-_PRIV_LIMIT = Interpreter.PRIVATE_WINDOW + 0x1000
+#: Where a work-item's first ``alloca`` lands, as in the scalar engines:
+#: private rows start here and are at most the window wide.
+_BUMP_BASE = 0x1000
+_PRIV_LIMIT = Interpreter.PRIVATE_WINDOW + _BUMP_BASE
+_ROW_LIMIT = Interpreter.PRIVATE_WINDOW
 _PB_U = np.uint64(_PB)
 _PWIDTH_U = np.uint64(_PRIV_LIMIT)
 _I64 = np.int64
@@ -290,8 +294,10 @@ class VectorMachine:
         self.num_cores = engine.num_cores
         self._views: dict = {}
         self.records: list = []  # chronological (uid, lanes, addr, size, st)
-        self.smarks: list = []  # (offsets, size, lanes) of shared stores
-        self.lmarks: list = []  # (offsets, size, lanes) of shared loads
+        # (offsets, size, lanes) of shared stores / loads, until the
+        # hazard check
+        self.smarks: list = []
+        self.lmarks: list = []
         self.journal: list = []  # (byte-offset matrix, old bytes)
         self.counts: dict = {}  # id(vfn) -> (vfn, hit lists, taken lists, entry order)
         self.invocations = 0
@@ -301,7 +307,7 @@ class VectorMachine:
         self.depth = 0
         self.priv = None
         self.priv_w = 0
-        self.priv_next = np.full(self.n, 0x1000, _I64)
+        self.priv_next = np.full(self.n, _BUMP_BASE, _I64)
         self.has_private = False
         self.occ_active = 0
         self.occ_slots = 0
@@ -467,16 +473,20 @@ class VectorMachine:
 
     def _private_bytes(self, addr_i64, size):
         """The byte offsets of an access's private lanes into their rows
-        of private memory, grown to cover them."""
-        offs = addr_i64 - np.int64(_PB)
+        of private memory, grown to cover them.  Rows start at the bump
+        base, so they hold what the lanes allocated and no more; they
+        grow to need, rounded up to 256 bytes and by at least a quarter.
+        An access below the base or past the window traps, and the scalar
+        rerun reproduces what it reads."""
+        offs = addr_i64 - np.int64(_PB + _BUMP_BASE)
+        if int(offs.min()) < 0:
+            raise _Trap("private access below the bump base")
         need = int(offs.max()) + size
-        if need > _PRIV_LIMIT:
+        if need > _ROW_LIMIT:
             raise _Trap("private access beyond the window")
         if need > self.priv_w:
-            width = max(4096, self.priv_w)
-            while width < need:
-                width *= 2
-            width = min(width, _PRIV_LIMIT)
+            width = max(need, self.priv_w + self.priv_w // 4)
+            width = min(-(-width // 256) * 256, _ROW_LIMIT)
             fresh = np.zeros((self.n, width), np.uint8)
             if self.priv is not None:
                 fresh[:, : self.priv_w] = self.priv
@@ -506,11 +516,14 @@ class VectorMachine:
         """Reject the launch if any byte stored by one lane was stored or
         loaded by a different lane: under sequential lane order those
         accesses observe intermediate states the columnar schedule cannot
-        reproduce."""
-        if not self.smarks:
+        reproduce.  The marks are needed for nothing else: they are freed
+        when the check returns."""
+        smarks, lmarks = self.smarks, self.lmarks
+        self.smarks = self.lmarks = None
+        if not smarks:
             return
         offs_parts, own_parts = [], []
-        for offs, size, mids in self.smarks:
+        for offs, size, mids in smarks:
             mat = offs[:, None] + np.arange(size, dtype=_I64)
             offs_parts.append(mat.ravel())
             own_parts.append(np.repeat(mids, size))
@@ -529,7 +542,7 @@ class VectorMachine:
             so = so[keep]
             ow = ow[keep]
         lo, hi = int(so[0]), int(so[-1])
-        for offs, size, mids in self.lmarks:
+        for offs, size, mids in lmarks:
             cand = (offs >= lo - 8) & (offs <= hi)
             if not bool(cand.any()):
                 continue
@@ -560,12 +573,20 @@ class VectorMachine:
         records: apply the scalar launch's cap budget, order the kept
         events per lane, canonicalize their addresses in one batch and
         derive per-(lane, uid) sequence numbers.  Events over a lane's cap
-        are dropped before anything is gathered or ranked."""
+        are dropped before anything is gathered or ranked, and each array
+        as long as all the records is freed once it has been gathered:
+        what outlives this call is the size of the kept events."""
         n = self.n
-        records = self.records
+        records, self.records = self.records, None
         none = [np.zeros(0, _I64)]
-        widths = [len(record[1]) for record in records]
-        lanes = np.concatenate([record[1] for record in records] or none)
+        # Lane ids go straight into the narrowest dtype that holds them
+        # (every id is below n, so the cast is exact): 16-bit keys take
+        # NumPy's radix sort.
+        lanes = np.concatenate(
+            [record[1] for record in records] or none,
+            dtype=np.min_scalar_type(n),
+            casting="unsafe",
+        )
         totals = np.bincount(lanes, minlength=n)
         # The scalar launch's running budget in closed form: lane i keeps
         # min(total_i, per_item, budget - kept by the lanes before it).
@@ -578,42 +599,50 @@ class VectorMachine:
         caps = np.minimum(per_item, np.maximum(0, budget - kept_before))
         count = int(kept.sum())
 
-        # Chronological order per lane is a stable sort by lane id (in the
-        # narrowest dtype that holds it: 16-bit keys take NumPy's radix
-        # sort); each lane keeps the first ``kept[lane]`` of its run.
-        order = np.argsort(lanes.astype(np.min_scalar_type(n)), kind="stable")
+        # Chronological order per lane is a stable sort by lane id; each
+        # lane keeps the first ``kept[lane]`` of its run.
+        order = np.argsort(lanes, kind="stable")
+        del lanes
         run_starts = np.cumsum(totals) - totals
         order = order[np.arange(count) + np.repeat(run_starts - kept_before, kept)]
-        lane = np.repeat(np.arange(n), kept)
 
-        record = np.repeat(np.arange(len(records)), widths)[order]
+        # A kept event's record is the one whose span of positions holds it.
+        ends = np.cumsum([len(record[1]) for record in records])
+        record = np.searchsorted(ends, order, side="right")
         record_uids = np.array([r[0] for r in records], _I64)
-        au = np.concatenate([r[2] for r in records] or none).view(_U64)[order]
-        in_surface = (au >= self.base_u) & (au < self.cend_u)
+        sizes = event_column("size", [r[3] for r in records])
+        stores = event_column("is_store", [r[4] for r in records])
+        address = np.concatenate([r[2] for r in records] or none).view(_U64)[order]
+        del records, order
+        in_surface = (address >= self.base_u) & (address < self.cend_u)
+        np.subtract(address, self.svm_u, out=address, where=in_surface)
+        del in_surface
 
         # seq: rank among the lane's accesses by the same instruction.  A
         # lane's kept events are a chronological prefix, so ranking the
         # kept ones alone numbers them as ranking all of them would.
         uids, uid_ranks = np.unique(record_uids, return_inverse=True)
-        key = lane * len(uids) + uid_ranks[record]
+        key = np.repeat(np.arange(n) * len(uids), kept) + uid_ranks[record]
         perm = np.argsort(
             key.astype(np.min_scalar_type(n * len(uids))), kind="stable"
         )
         sorted_key = key[perm]
+        del key
         group_start = np.flatnonzero(
             np.concatenate(([True], sorted_key[1:] != sorted_key[:-1]))[:count]
         )
+        del sorted_key
         seq = np.empty(count, _I64)
         seq[perm] = np.arange(count) - np.repeat(
             group_start, np.diff(np.append(group_start, count))
         )
         return {
-            "lane": lane,
+            "lane": np.repeat(event_column("lane", np.arange(n)), kept),
             "uid": record_uids[record],
-            "seq": seq,
-            "address": np.where(in_surface, au - self.svm_u, au),
-            "size": np.array([r[3] for r in records], _I64)[record],
-            "is_store": np.array([r[4] for r in records], _I64)[record],
+            "seq": event_column("seq", seq),
+            "address": address,
+            "size": sizes[record],
+            "is_store": stores[record],
             "kept": kept,
             "dropped": totals - kept,
             "caps": caps,

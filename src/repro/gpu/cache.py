@@ -28,10 +28,11 @@ def run_starts(*sorted_keys) -> np.ndarray:
 
 
 def _sorted_packed(keys):
-    """The rows' (range-reduced) int64 key columns packed, first key
+    """The rows' (range-reduced) integer key columns packed, first key
     highest, above the row index into one int64 per row and sorted, with
     the number of index bits — or ``None`` when a row takes more than 62
-    bits."""
+    bits.  A key may be narrower than int64 (a trace's ``lane`` and
+    ``seq`` are int32): each field is widened before it is shifted."""
     n = len(keys[0])
     index_bits = max(1, (n - 1).bit_length())
     fields = []
@@ -44,7 +45,7 @@ def _sorted_packed(keys):
         return None
     packed = np.arange(n, dtype=np.int64)
     for key, low, shift in fields:
-        field = key - low
+        field = np.subtract(key, low, dtype=np.int64)
         field <<= shift
         packed += field
     packed.sort()

@@ -395,6 +395,15 @@ class _Handler(BaseHTTPRequestHandler):
             self._reply(200, {"ok": True})
             threading.Thread(target=self.server.shutdown, daemon=True).start()
             return
+        if "Transfer-Encoding" in self.headers:
+            # A chunked body is not read here: its chunks would be parsed
+            # as the next request on the connection.  Refused before any
+            # read, and the connection closes.
+            self.close_connection = True
+            self._reply(
+                411, {"ok": False, "error": "a request body needs Content-Length"}
+            )
+            return
         try:
             length = int(self.headers.get("Content-Length") or 0)
         except ValueError:

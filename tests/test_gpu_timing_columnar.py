@@ -10,13 +10,16 @@ import dataclasses
 import random
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.exec import ExecTrace, MemEvent, MemEventColumns
 from repro.exec.buffers import (
+    EVENT_DTYPES,
     TRACE_COUNTERS,
     LaunchTrace,
+    event_column,
     event_rows,
     iter_access_events,
 )
@@ -185,6 +188,106 @@ def test_consecutive_chunks_share_one_cache(seed, first, second, device):
         got = time_gpu_kernel(gpu, kernel, LaunchTrace.from_traces(chunk), l3=got_l3)
         assert got == expected
     assert got_l3.resident.tolist() == expected_l3.resident
+
+
+@st.composite
+def far_apart_events(draw):
+    """``(n, columns)``: event columns whose values leave the int32 range
+    once packed — lanes up to 2**20, uids up to 2**40, seq up to 2**30,
+    addresses up to 2**47 — drawn from small pools, so that accesses
+    coalesce and collide.  The uids of a launch lie up to 2**4, 2**20 or
+    2**40 apart, so their keys pack beside ``seq`` or fall back to
+    lexsort; its seqs may be multiples of 2**20 or 2**27, which a key
+    shifted in 32 bits would merge."""
+    k = draw(st.integers(1, 160))
+    lanes = sorted(draw(st.lists(st.integers(0, (1 << 20) - 1), min_size=k, max_size=k)))
+    spread = draw(st.sampled_from((4, 20, 40)))
+    base = draw(st.integers(0, (1 << 40) - (1 << spread)))
+    pool = st.lists(st.integers(base, base + (1 << spread)), min_size=1, max_size=4)
+    uids = draw(pool)
+    step = draw(st.sampled_from((0, 20, 27)))
+    seqs = draw(
+        st.lists(
+            st.integers(0, ((1 << 30) - 1) >> step).map(lambda j: j << step),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    lines = draw(st.lists(st.integers(0, (1 << 47) // 64 - 1), min_size=1, max_size=8))
+    rows = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(uids),
+                st.sampled_from(seqs),
+                st.sampled_from(lines),
+                st.sampled_from((0, 8, 56, 60, 63)),
+                st.sampled_from((1, 2, 4, 8, 16)),
+                st.booleans(),
+            ),
+            min_size=k,
+            max_size=k,
+        )
+    )
+    uid, seq, line, offset, size, is_store = zip(*rows)
+    columns = dict(
+        lane=lanes,
+        uid=uid,
+        seq=seq,
+        address=[64 * at + by for at, by in zip(line, offset)],
+        size=size,
+        is_store=is_store,
+    )
+    return draw(st.integers(lanes[-1] + 1, 1 << 20)), columns
+
+
+def _event_launch(n, columns) -> LaunchTrace:
+    """A launch of ``n`` lanes holding the given event columns and no
+    blocks.  Its per-lane vectors are zeros that take no memory: the
+    model only sums them."""
+    zeros = np.broadcast_to(np.int64(0), (n,))
+    none = np.zeros((0, n), np.int64)
+    return LaunchTrace(
+        n=n,
+        **columns,
+        kept=zeros,
+        dropped=zeros,
+        caps=zeros,
+        block_uids=np.zeros(0, np.int64),
+        block_counts=none,
+        branch_uids=np.zeros(0, np.int64),
+        branch_taken=none,
+        branch_total=none,
+        instructions=zeros,
+        flops=zeros,
+        int_ops=zeros,
+        translations=zeros,
+        calls=zeros,
+    )
+
+
+@LAUNCHES
+@given(launch=far_apart_events(), device=st.sampled_from((hd5000, hd4600, detuned)))
+def test_narrow_event_columns_price_as_wide_ones(launch, device):
+    """The model widens a narrow column before packing it into a sort key
+    (an int32 ``seq`` shifted in its own dtype wraps), so a trace in
+    :data:`EVENT_DTYPES` prices exactly as the same trace in 64 bits."""
+    n, columns = launch
+    narrow = {name: event_column(name, values) for name, values in columns.items()}
+    assert {name: column.dtype for name, column in narrow.items()} == EVENT_DTYPES
+    wide = {
+        name: np.array(values, np.uint64 if name == "address" else np.int64)
+        for name, values in columns.items()
+    }
+    kernel = diamond_kernel()
+    expected_counters, got_counters = Recorder(), Recorder()
+    expected = time_gpu_kernel(
+        device(), kernel, _event_launch(n, wide), counters=expected_counters
+    )
+    got = time_gpu_kernel(
+        device(), kernel, _event_launch(n, narrow), counters=got_counters
+    )
+    assert got == expected
+    assert got_counters.calls == expected_counters.calls
 
 
 def test_reference_interpreter_traces_price_identically():

@@ -12,7 +12,9 @@
   lane, and the accumulators clean;
 * one engine per launch, counters at launch granularity;
 * one constructor from unit counts — a columnar launch whose lanes enter
-  callees in different orders has the scalar launch's rows, row for row.
+  callees in different orders has the scalar launch's rows, row for row;
+* both engines' event columns at their narrowest exact widths, 26 bytes
+  per kept event.
 """
 
 import dataclasses
@@ -28,7 +30,7 @@ from repro.exec import (
     classify_kernel,
     run_vectorized,
 )
-from repro.exec.buffers import LaunchTrace
+from repro.exec.buffers import EVENT_DTYPES, LaunchTrace, launch_events
 from repro.fuzz.oracle import heap_digest
 from repro.ir import I32, Constant, Function, FunctionType, IRBuilder
 from repro.ir.intrinsics import GPU_GLOBAL_ID
@@ -276,6 +278,48 @@ def test_a_thousand_lanes_are_one_engine(on_cpu):
     assert counters["code_cache.hits"] == 999
     for name in ("engine.invocations", f"engine.invocations.{device}", "code_cache.hits"):
         assert adds.count(name) == 1
+
+
+@pytest.mark.parametrize("engine", ["compiled", "vector"])
+def test_event_columns_take_26_bytes_per_kept_event(engine):
+    """``lane`` and ``seq`` int32, ``size`` and ``is_store`` uint8, ``uid``
+    int64 (a process-wide counter) and ``address`` uint64, from the
+    scalar launch and the columnar one alike."""
+    observer = Observer()
+    rt = ConcordRuntime(_compile(TOUCH_SRC), ultrabook(), engine=engine, observer=observer)
+    data = rt.new_array(I32, 1000)
+    body = rt.new("TouchBody")
+    body.data = data
+    backend = rt.backends["gpu"]
+    real = backend._gpu_traces
+    seen = []
+    backend._gpu_traces = lambda *args: seen.append(real(*args)) or seen[-1]
+    rt.parallel_for_hetero(1000, body, on_cpu=False)
+    assert observer.counters.as_dict().get("vector.lanes_retired", 0) == (
+        1000 if engine == "vector" else 0
+    )
+    (trace,) = seen
+    kept = trace.kept_events
+    assert kept >= 2000  # a load and a store a lane, at least
+    assert {name: getattr(trace, name).dtype for name in EVENT_DTYPES} == {
+        "lane": np.int32,
+        "uid": np.int64,
+        "seq": np.int32,
+        "address": np.uint64,
+        "size": np.uint8,
+        "is_store": np.uint8,
+    }
+    assert sum(getattr(trace, name).nbytes for name in EVENT_DTYPES) <= 26 * kept
+
+
+@pytest.mark.parametrize("name, column, value", [("seq", 1, 1 << 31), ("size", 3, 256)])
+def test_an_event_value_past_its_column_width_raises(name, column, value):
+    """A narrow column never wraps: a ``seq`` past int32, or an access
+    wider than 255 bytes, is an error."""
+    row = [7, 0, 64, 4, 0]  # uid, seq, address, size, is_store
+    row[column] = value
+    with pytest.raises(OverflowError, match=name):
+        launch_events(np.array([row], np.uint64), [1], [0], [1000])
 
 
 # -- one constructor: block rows in the order a scalar lane enters callees ---

@@ -14,6 +14,7 @@ import http.client
 import json
 import os
 import shutil
+import socket
 import subprocess
 import sys
 import tempfile
@@ -491,6 +492,31 @@ public:
             assert not json.loads(response.read())["ok"]
         finally:
             conn.close()
+        assert client.health() == {"ok": True}
+
+    def test_chunked_body_is_refused_before_any_read(self, daemon):
+        """A chunked compile with a ``GET`` pipelined behind it, over one
+        socket.  A handler that read ``Content-Length or 0`` answered the
+        compile 400, parsed the leftover chunk bytes as the next request
+        and never answered the ``GET``: now the compile answers 411 and
+        the connection closes, so no byte of the body is parsed."""
+        client, _service = daemon
+        body = json.dumps({"source": SOURCE}).encode()
+        request = (
+            b"POST /v1/compile HTTP/1.1\r\nHost: daemon\r\n"
+            b"Transfer-Encoding: chunked\r\n\r\n"
+            + b"%x\r\n" % len(body) + body + b"\r\n0\r\n\r\n"
+            + b"GET /v1/health HTTP/1.1\r\nHost: daemon\r\n\r\n"
+        )
+        with socket.create_connection((client.host, client.port), timeout=5) as sock:
+            sock.sendall(request)
+            received = b""
+            while chunk := sock.recv(65536):  # until the daemon closes
+                received += chunk
+        head, _, reply = received.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 411"), received
+        assert b"\r\nConnection: close" in head
+        assert not json.loads(reply)["ok"]  # the only reply on the socket
         assert client.health() == {"ok": True}
 
     @pytest.mark.parametrize(

@@ -8,9 +8,10 @@ a loop that only one lane keeps iterating, and a store that traps on
 exactly one lane — and checks the result (region bytes, outputs, trap)
 against ``CompiledEngine`` lane by lane.  Two kernels carry region
 kinds the source fuzzer's programs lack — a ``Forward`` region (``&&`` /
-``||`` in a loop condition) and a ``Continue`` — and must run columnar.  Two more
+``||`` in a loop condition) and a ``Continue`` — and must run columnar.  Four more
 cases pin the machine itself: one load and one store whose lanes reach
-private and shared memory at once, and the engine's step limit.
+private and shared memory at once, the engine's step limit, private rows
+that hold what the lanes allocated, and a read below the bump base.
 """
 
 import warnings
@@ -18,13 +19,14 @@ import warnings
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.exec.vector import VectorMachine
 from repro.ir.structure import Continue, Forward, structure
 from repro.ir.types import I8, I16, I32, I64
 from repro.obs import Observer
 from repro.passes import OptConfig
 from repro.runtime import ConcordRuntime, compile_source, ultrabook
 
-from .test_engine_equivalence import _assert_trace_equal
+from .test_engine_equivalence import _assert_trace_equal, _run as _run_workload
 
 SLOW = settings(
     max_examples=10,
@@ -431,3 +433,61 @@ def test_the_engines_step_limit_binds_the_vector_machine():
     assert vec[3] == com[3]
     assert vec[0] == com[0], "region bytes diverged"
     assert vec[2]["vector.fallbacks"] == 1
+
+
+def test_private_rows_hold_what_the_lanes_allocated(monkeypatch):
+    """Raytracer's lanes allocate 176 bytes above the bump base; rows
+    grown from offset 0 by doubling from 4 KiB held 8 KiB a lane."""
+    blocks = []
+    materialize = VectorMachine.materialize
+
+    def recorded(machine, budget):
+        if machine.priv is not None:
+            blocks.append((machine.n, machine.priv.nbytes))
+        return materialize(machine, budget)
+
+    monkeypatch.setattr(VectorMachine, "materialize", recorded)
+    _run_workload("Raytracer", "vector", on_cpu=False)
+    assert blocks
+    for n, nbytes in blocks:
+        assert nbytes <= n * 512, (n, nbytes)
+
+
+_BELOW_SOURCE = """
+class Below {
+public:
+  int* data;
+  int reach;
+  void operator()(int i) {
+    int tmp[4];
+    tmp[i & 3] = i + 1;
+    int* p = tmp;
+    data[i] = tmp[i & 3] + p[(i & 3) - reach];
+  }
+};
+"""
+
+
+@pytest.mark.parametrize("reach, fallbacks", [(0, 0), (1000, 1)])
+def test_a_private_read_below_the_bump_base_reruns_scalar(reach, fallbacks):
+    """``tmp`` is the first alloca, at the bump base; ``reach`` ints below
+    it is still in the private window, which the scalar engines read as
+    zeros.  The vector machine's rows start at the base, so the read
+    traps and the launch reruns scalar, equal to the compiled engine."""
+
+    def fill(rt):
+        body = rt.new("Below")
+        body.data = rt.new_array(I32, 64)
+        body.reach = reach
+        return body
+
+    program = _compile(_BELOW_SOURCE)
+    com = _observed_launch(program, "compiled", fill, 64)
+    vec = _observed_launch(program, "vector", fill, 64)
+    assert com[3] is None and vec[3] is None
+    assert vec[0] == com[0], "region bytes diverged"
+    assert len(vec[1]) == len(com[1])
+    for index, (ref, got) in enumerate(zip(com[1], vec[1])):
+        _assert_trace_equal(ref, got, f"trace {index}")
+    assert vec[2].get("vector.fallbacks", 0) == fallbacks
+    assert _engine_counters(vec[2]) == _engine_counters(com[2])
