@@ -16,10 +16,11 @@ earliest-completion chunks.  The CPU's TBB-style reduction (one body
 copy per core, joined on the lanes' engine) is the one construct with a
 body of its own, ``CpuBackend.run_reduce``.
 
-Backends are stateless apart from the owning runtime: every engine,
-trace, allocator and counter comes from the :class:`ConcordRuntime`
-passed at construction, so the two backends share its code cache,
-private pool and SVM region.
+Backends are stateless and hold no runtime: every engine, trace,
+allocator and counter comes from the :class:`ConcordRuntime` passed as
+each call's first argument, so the two backends share its code cache,
+private pool and SVM region, and nothing the runtime owns points back
+at it.
 """
 
 from __future__ import annotations
@@ -144,13 +145,13 @@ def run_construct(rt, kinfo, n: int, body, construct: str, plan: Plan):
     ) as cspan:
         if gpu_runs:
             with rt._span("jit", "phase") as jit_span:
-                jit_seconds = gpu.prepare(kinfo)
+                jit_seconds = gpu.prepare(rt, kinfo)
             phases["jit"] = jit_seconds
             span_seconds.append((jit_span, jit_seconds))
         addr = address_of(body)
         copies = None
         if construct == "reduce":
-            copies = gpu.alloc_copies(kinfo, addr, n)
+            copies = gpu.alloc_copies(rt, kinfo, addr, n)
         with rt._span("launch", "phase") as launch_span:
             result = None
             index = 0
@@ -165,11 +166,11 @@ def run_construct(rt, kinfo, n: int, body, construct: str, plan: Plan):
                 ) as chunk_span:
                     if copies is None:
                         result = backend.launch(
-                            kinfo, span, addr, timing_cache=caches[device], budget=budget
+                            rt, kinfo, span, addr, timing_cache=caches[device], budget=budget
                         )
                     else:
                         result = backend.reduce(
-                            kinfo, span, copies, timing_cache=caches[device], budget=budget
+                            rt, kinfo, span, copies, timing_cache=caches[device], budget=budget
                         )
                 budget = max(0, budget - result.kept_events)
                 report = result.report
@@ -184,7 +185,7 @@ def run_construct(rt, kinfo, n: int, body, construct: str, plan: Plan):
         phases["launch"] = total.seconds
         span_seconds.append((launch_span, total.seconds))
         if copies is not None:
-            join = gpu.join_copies(kinfo, addr, copies)
+            join = gpu.join_copies(rt, kinfo, addr, copies)
             if join.joined:
                 # The work-group tree runs on the GPU after every chunk.
                 tree = DeviceReport(
@@ -195,7 +196,7 @@ def run_construct(rt, kinfo, n: int, body, construct: str, plan: Plan):
                 )
                 total = total + tree
                 totals["gpu"] = totals["gpu"] + tree if "gpu" in totals else tree
-            gpu.free_copies(copies)
+            gpu.free_copies(rt, copies)
             phases["reduce_tree"] = join.local_seconds
             phases["host_join"] = join.host_seconds
             span_seconds += [

@@ -24,12 +24,9 @@ from .base import LaunchResult, _runtime_mod, run_construct, stamp_trap, whole
 class CpuBackend:
     name = "cpu"
 
-    def __init__(self, rt):
-        self.rt = rt
-
     # -- chunk-level primitives -------------------------------------------
 
-    def prepare(self, kinfo) -> float:
+    def prepare(self, rt, kinfo) -> float:
         return 0.0  # host code is already compiled; nothing to JIT
 
     def _run_lanes(self, engine, kernel, span, args_of) -> None:
@@ -43,8 +40,7 @@ class CpuBackend:
             stamp_trap(exc, self.name, kernel, engine)
             raise
 
-    def _chunk(self, kinfo, span, args_of, timing_cache, budget) -> LaunchResult:
-        rt = self.rt
+    def _chunk(self, rt, kinfo, span, args_of, timing_cache, budget) -> LaunchResult:
         trace = rt._new_trace(budget)
         interp = rt._make_engine(
             device="cpu",
@@ -63,6 +59,7 @@ class CpuBackend:
 
     def launch(
         self,
+        rt,
         kinfo,
         span: range,
         body_addr: int,
@@ -70,11 +67,12 @@ class CpuBackend:
         budget: Optional[int] = None,
     ) -> LaunchResult:
         return self._chunk(
-            kinfo, span, lambda index: [body_addr, index], timing_cache, budget
+            rt, kinfo, span, lambda index: [body_addr, index], timing_cache, budget
         )
 
     def reduce(
         self,
+        rt,
         kinfo,
         span: range,
         copies: list,
@@ -86,18 +84,17 @@ class CpuBackend:
         its GPU chunks; the whole-CPU construct below keeps its TBB-style
         one-copy-per-core layout instead)."""
         return self._chunk(
-            kinfo, span, lambda index: [copies[index], index], timing_cache, budget
+            rt, kinfo, span, lambda index: [copies[index], index], timing_cache, budget
         )
 
     # -- whole constructs ---------------------------------------------------
 
-    def run_for(self, kinfo, n: int, body):
-        return run_construct(self.rt, kinfo, n, body, "for", whole("cpu", n))
+    def run_for(self, rt, kinfo, n: int, body):
+        return run_construct(rt, kinfo, n, body, "for", whole("cpu", n))
 
-    def run_reduce(self, kinfo, n: int, body):
+    def run_reduce(self, rt, kinfo, n: int, body):
         # TBB-style: each worker runs iterations into (a copy of) the body
         # and joins; we model one body copy per core joined at the end.
-        rt = self.rt
         kernel_name = kinfo.kernel.name
         with rt._span(
             f"construct:{kernel_name}", "construct", device="cpu", n=n

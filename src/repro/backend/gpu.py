@@ -54,14 +54,10 @@ class JoinResult:
 class GpuBackend:
     name = "gpu"
 
-    def __init__(self, rt):
-        self.rt = rt
-
     # -- chunk-level primitives -------------------------------------------
 
-    def _function(self, kinfo) -> GpuFunctionCache:
+    def _function(self, rt, kinfo) -> GpuFunctionCache:
         """The kernel's gpu_function_t entry, created on first use."""
-        rt = self.rt
         key = (rt.program.program_id, kinfo.gpu_kernel.name)
         cache = rt._gpu_function_cache.get(key)
         if cache is None:
@@ -70,21 +66,20 @@ class GpuBackend:
             )
         return cache
 
-    def prepare(self, kinfo) -> float:
+    def prepare(self, rt, kinfo) -> float:
         """One-time OpenCL -> GPU ISA JIT per kernel (gpu_function_t cache)."""
-        cache = self._function(kinfo)
+        cache = self._function(rt, kinfo)
         cache.launches += 1
         if cache.finalized:
             return 0.0
-        cache.jit_seconds = self.jit_preview(kinfo)
+        cache.jit_seconds = self.jit_preview(rt, kinfo)
         cache.finalized = True
         return cache.jit_seconds
 
-    def jit_preview(self, kinfo) -> float:
+    def jit_preview(self, rt, kinfo) -> float:
         """The JIT cost :meth:`prepare` *would* charge for this kernel,
         without finalizing the cache entry — the task graph's compile-ahead
         lane prices queued compilations with it at submission time."""
-        rt = self.rt
         key = (rt.program.program_id, kinfo.gpu_kernel.name)
         cache = rt._gpu_function_cache.get(key)
         if cache is not None and cache.finalized:
@@ -94,13 +89,12 @@ class GpuBackend:
         )
         return instructions * _runtime_mod().JIT_SECONDS_PER_INSTRUCTION
 
-    def _gpu_traces(self, kernel, span: range, args_of, budget=None) -> LaunchTrace:
+    def _gpu_traces(self, rt, kernel, span: range, args_of, budget=None) -> LaunchTrace:
         """One launch's trace: one engine runs the work-item loop
         (``engine.run_launch``) under the launch's global event budget.
         The device heap, when the program allocates on the device, is
         reserved before any lane runs, so the region layout is the same
         whichever engine runs them."""
-        rt = self.rt
         if budget is None:
             budget = rt.mem_event_cap
         allocator = (
@@ -118,19 +112,20 @@ class GpuBackend:
             rt.trace_log.extend(trace.lanes())
         return trace
 
-    def _chunk(self, kinfo, span, args_of, timing_cache, budget) -> LaunchResult:
-        trace = self._gpu_traces(kinfo.gpu_kernel, span, args_of, budget)
+    def _chunk(self, rt, kinfo, span, args_of, timing_cache, budget) -> LaunchResult:
+        trace = self._gpu_traces(rt, kinfo.gpu_kernel, span, args_of, budget)
         report = time_gpu_kernel(
-            self.rt.system.gpu,
-            self._function(kinfo).facts,
+            rt.system.gpu,
+            self._function(rt, kinfo).facts,
             trace,
             l3=timing_cache,
-            counters=self.rt.counters,
+            counters=rt.counters,
         )
         return LaunchResult(report=report, traces=[trace])
 
     def launch(
         self,
+        rt,
         kinfo,
         span: range,
         body_addr: int,
@@ -144,11 +139,12 @@ class GpuBackend:
         CPU representation (the paper's ``CpuPtr cpu_ptr`` argument) and
         translates it itself."""
         return self._chunk(
-            kinfo, span, lambda index: [body_addr, index], timing_cache, budget
+            rt, kinfo, span, lambda index: [body_addr, index], timing_cache, budget
         )
 
     def reduce(
         self,
+        rt,
         kinfo,
         span: range,
         copies: list,
@@ -158,17 +154,16 @@ class GpuBackend:
         """Reduction lanes, each into its private body copy
         ``copies[index]`` (section 3.3: one copy per work-item)."""
         return self._chunk(
-            kinfo, span, lambda index: [copies[index], index], timing_cache, budget
+            rt, kinfo, span, lambda index: [copies[index], index], timing_cache, budget
         )
 
     # -- reduction scratch management --------------------------------------
 
-    def alloc_copies(self, kinfo, body_addr: int, n: int) -> list:
+    def alloc_copies(self, rt, kinfo, body_addr: int, n: int) -> list:
         """One private body copy per work-item, initialized from the body
         payload.  The copies live in the shared region for the simulation;
         on hardware they sit in private/local memory, so their accesses
         are excluded from the global-memory trace via fresh offsets."""
-        rt = self.rt
         struct = kinfo.body_class.struct_type
         size = struct.size()
         payload = rt.region.read_bytes(body_addr, size)
@@ -177,11 +172,11 @@ class GpuBackend:
             rt.region.write_bytes(copy_addr, payload)
         return copies
 
-    def free_copies(self, copies: list) -> None:
+    def free_copies(self, rt, copies: list) -> None:
         for copy_addr in copies:
-            self.rt.allocator.free(copy_addr)
+            rt.allocator.free(copy_addr)
 
-    def join_copies(self, kinfo, body_addr: int, copies: list) -> JoinResult:
+    def join_copies(self, rt, kinfo, body_addr: int, copies: list) -> JoinResult:
         """Tree reduction within each work-group (local memory: charge a
         small per-level cost rather than global traffic), then the
         sequential host join of group leaders.  The GPU join form falls
@@ -191,7 +186,6 @@ class GpuBackend:
         mid-construct (section 3.3's sequential fallback contract:
         degrade, don't die).  Must run inside the caller's construct
         span; the returned spans carry the phase timings."""
-        rt = self.rt
         n = len(copies)
         group = _runtime_mod().REDUCTION_GROUP_SIZE
         num_groups = (n + group - 1) // group
@@ -250,11 +244,11 @@ class GpuBackend:
 
     # -- whole constructs: one chunk on the GPU ------------------------------
 
-    def run_for(self, kinfo, n: int, body):
-        return run_construct(self.rt, kinfo, n, body, "for", whole("gpu", n))
+    def run_for(self, rt, kinfo, n: int, body):
+        return run_construct(rt, kinfo, n, body, "for", whole("gpu", n))
 
-    def run_reduce(self, kinfo, n: int, body):
+    def run_reduce(self, rt, kinfo, n: int, body):
         """Hierarchical reduction (section 3.3): private body copies, local
         memory tree reduction per work-group, sequential join of group
         results."""
-        return run_construct(self.rt, kinfo, n, body, "reduce", whole("gpu", n))
+        return run_construct(rt, kinfo, n, body, "reduce", whole("gpu", n))

@@ -87,7 +87,9 @@ import hashlib
 import linecache
 import math
 import threading
+import weakref
 from array import array
+from functools import partial
 from struct import Struct
 from textwrap import indent
 from typing import Optional
@@ -623,13 +625,14 @@ if steps_ > max_:
 
 #: What an invocation loads once.  ``cnt_`` is the bound function's
 #: accumulator (see :class:`CompiledFunction`); its last slot says whether
-#: the engine already knows to harvest it.
+#: the engine already knows to harvest it, and ``acc_`` — the accumulator
+#: with the code that reads it — is what the harvest list takes.
 _PROLOGUE = """\
 if d_ > {max_depth}:
     raise ExecutionError({too_deep!r})
 if not cnt_[{flag}]:
     cnt_[{flag}] = 1
-    ctx._entered.append(me_)
+    ctx._entered.append(acc_)
 steps_ = ctx._steps
 max_ = ctx.max_steps
 """
@@ -1361,8 +1364,10 @@ def _region_tree(function: Function, plan: FunctionPlan) -> list:
 class JitCode:
     """One function's generated module for one ``(device, collect)``:
     region-independent, so every runtime over the same program shares it.
-    ``factory(*region constants, accumulator, owner, *callee entries,
-    *global addresses)`` returns the function ``f(ctx, depth, *args)``.
+    ``factory(*region constants, accumulator, (accumulator, code),
+    *callee entries, *global addresses)`` returns the function
+    ``f(ctx, depth, *args)``; ``zeros`` is what a harvest resets the
+    accumulator to.
     Its traced instructions keep their sequence numbers in the engine's
     list at slots ``seq_base`` up to ``seq_end``."""
 
@@ -1378,6 +1383,7 @@ class JitCode:
         "source",
         "filename",
         "factory",
+        "zeros",
     )
 
     def __init__(self, function: Function, device: str, collect: bool, seq_base: int = 0):
@@ -1392,6 +1398,7 @@ class JitCode:
         self.source = ""
         self.filename = ""
         self.factory = None
+        self.zeros = (0,)
         plan = plan_function(function)
         if plan is None:
             return
@@ -1401,13 +1408,14 @@ class JitCode:
         self.units = tuple(printer.totals)
         self.line_units = tuple(line_units)
         n_units = len(self.units)
+        self.zeros = (0,) * (3 * n_units + 1)
         self.flushed = tuple(
             [(f"c{i}", i) for i in printer.local_counts]
             + [(f"b{i}", n_units + i) for i in printer.local_taken]
         )
         self.callees = tuple(printer.callees)
         self.gvars = tuple(printer.gvars)
-        params = [*_REGION_PARAMS, "cnt_", "me_"]
+        params = [*_REGION_PARAMS, "cnt_", "acc_"]
         params += [f"s{i}" for i in range(len(self.callees))]
         params += [f"g{i}" for i in range(len(self.gvars))]
         self.source = _MODULE.format(
@@ -1529,22 +1537,24 @@ class CompiledFunction:
     executions, then each unit's taken branches, then (written only when
     a trap unwinds) the executions that never reached the unit's branch,
     then the flag/rank slot that says the engine has the function on its
-    harvest list."""
+    harvest list.  The bound function closes over ``counts`` and the
+    pair ``(counts, code)`` it puts on that list, never over this
+    object, so a dropped runtime's bound code is freed by reference
+    counting, region and all."""
 
-    __slots__ = ("code", "function", "name", "fn", "counts", "zeros")
+    __slots__ = ("code", "function", "name", "fn", "counts", "__weakref__")
 
     def __init__(self, code: JitCode):
         self.code = code
         self.function = code.function
         self.name = code.name
         self.fn = None
-        self.zeros = [0] * (3 * len(code.units) + 1)
-        self.counts = list(self.zeros)
+        self.counts = list(code.zeros)
 
     def _bind(self, cache: CodeCache, device: str, collect: bool) -> None:
         code = self.code
         if code.factory is None:
-            self.fn = self._no_body
+            self.fn = partial(_no_body, self.name)
             return
         region = cache.region
         base = region.gpu_base if device == "gpu" else region.cpu_base
@@ -1560,7 +1570,7 @@ class CompiledFunction:
             base + region.surface.size,
             region.svm_const,
             self.counts,
-            self,
+            (self.counts, code),
             *[cache.get(callee, device, collect).entry() for callee in code.callees],
             *[cache.addresses.get(gvar.name) for gvar in code.gvars],
         )
@@ -1568,15 +1578,19 @@ class CompiledFunction:
     def entry(self):
         """What a caller's text calls: the function itself, or — for a
         callee still being bound, a recursion's back edge — a trampoline
-        that finds it at call time."""
+        that finds it at call time.  The trampoline holds this object
+        weakly (the code cache holds it strongly), so a recursion is not
+        a reference cycle."""
         if self.fn is not None:
             return self.fn
-        return lambda *args: self.fn(*args)
+        target = weakref.ref(self)
+        return lambda *args: target().fn(*args)
 
-    def _no_body(self, ctx, depth, *args):
-        if depth > _MAX_CALL_DEPTH:
-            raise ExecutionError(f"call depth limit exceeded in {self.name}")
-        raise ExecutionError(f"{self.name} has no body")
+
+def _no_body(name: str, ctx, depth, *args):
+    if depth > _MAX_CALL_DEPTH:
+        raise ExecutionError(f"call depth limit exceeded in {name}")
+    raise ExecutionError(f"{name} has no body")
 
 
 class CompiledEngine:
@@ -1643,7 +1657,9 @@ class CompiledEngine:
         self._priv_buf: Optional[bytearray] = None
         self._priv_dirty = 0
         self._private_next = 0x1000
-        self._entered: list[CompiledFunction] = []
+        # (accumulator, JitCode) of each function entered since the last
+        # harvest, in entry order
+        self._entered: list[tuple] = []
         self._dropped = 0
         # Generated code appends event rows to ``_ev_data`` (the trace's
         # own buffer) while it is shorter than ``_ev_cap``.
@@ -1703,7 +1719,7 @@ class CompiledEngine:
         n = len(span)
         events = array("Q")
         kept, dropped, caps = array("q"), array("q"), array("q")
-        columns: dict = {}  # CompiledFunction -> (lanes, harvested accumulators)
+        columns: dict = {}  # JitCode -> (lanes, harvested accumulators)
         if n:
             fn = self._lookup(function, n)
             per_item = per_item_cap(budget, n)
@@ -1720,15 +1736,14 @@ class CompiledEngine:
                     cap = min(per_item, max(0, budget - start // 5))
                     self._ev_cap = start + 5 * cap
                     fn(self, 0, *args_of(index))
-                    for rank, compiled in enumerate(entered, start=1):
-                        counts = compiled.counts
+                    for rank, (counts, code) in enumerate(entered, start=1):
                         counts[-1] = rank
-                        column = columns.get(compiled)
+                        column = columns.get(code)
                         if column is None:
-                            column = columns[compiled] = (array("q"), array("q"))
+                            column = columns[code] = (array("q"), array("q"))
                         column[0].append(lane)
                         column[1].extend(counts)
-                        counts[:] = compiled.zeros
+                        counts[:] = code.zeros
                     entered.clear()
                     kept.append((len(events) - start) // 5)
                     dropped.append(self._dropped)
@@ -1744,9 +1759,9 @@ class CompiledEngine:
         events_of = launch_events(events, kept, dropped, caps)
         del events  # the columns hold the events now
         functions = []
-        for compiled, (lanes, accumulators) in columns.items():
+        for code, (lanes, accumulators) in columns.items():
             # per lane: unit counts, taken counts, trap counts, the rank
-            units = compiled.code.units
+            units = code.units
             width = len(units)
             harvest = np.array(accumulators, np.int64).reshape(len(lanes), 3 * width + 1)
             counts, taken = harvest[:, :width], harvest[:, width : 2 * width]
@@ -1780,9 +1795,8 @@ class CompiledEngine:
             instructions = flops = int_ops = translations = calls = 0
             counts = trace.block_counts
             stats = trace.branch_stats
-            for compiled in self._entered:
-                acc = compiled.counts
-                units = compiled.code.units
+            for acc, code in self._entered:
+                units = code.units
                 n = len(units)
                 for i, unit in enumerate(units):
                     c = acc[i]
@@ -1799,7 +1813,7 @@ class CompiledEngine:
                             entry = stats.setdefault(unit.branch_uid, [0, 0])
                             entry[0] += acc[n + i]
                             entry[1] += total
-                acc[:] = compiled.zeros
+                acc[:] = code.zeros
             self._entered.clear()
             trace.instructions += instructions
             trace.flops += flops

@@ -73,14 +73,16 @@ class Outcome:
 
 
 def _digest(raw) -> str:
-    return hashlib.sha256(bytes(raw)).hexdigest()
+    """SHA-256 of a buffer, read in place (a region is 16 MiB)."""
+    return hashlib.sha256(raw).hexdigest()
 
 
 def heap_digest(rt) -> str:
     """Region digest with vtable-global bytes zeroed (their symbol-id
-    contents are per-module metadata, not kernel heap state)."""
+    contents are per-module metadata, not kernel heap state); the
+    region is hashed in place, the zeroed spans fed as zeros."""
     region = rt.region
-    raw = bytearray(region.physical.data)
+    spans = []
     for gvar in rt.program.module.globals.values():
         init = gvar.initializer
         if not (isinstance(init, tuple) and init and init[0] == "vtable"):
@@ -89,9 +91,18 @@ def heap_digest(rt) -> str:
         if address is None:
             continue
         offset = address - region.cpu_base
-        size = max(1, gvar.value_type.size())
-        raw[offset : offset + size] = b"\x00" * size
-    return _digest(raw)
+        spans.append((offset, offset + max(1, gvar.value_type.size())))
+    digest = hashlib.sha256()
+    data = memoryview(region.physical.data)
+    done = 0
+    for start, end in sorted(spans):
+        start = max(start, done)
+        if end > start:
+            digest.update(data[done:start])
+            digest.update(bytes(end - start))
+            done = end
+    digest.update(data[done:])
+    return digest.hexdigest()
 
 
 def trace_signature(traces, module=None) -> tuple:

@@ -231,7 +231,7 @@ class FlightRecorder:
                 graph = task_graph.stats().to_dict()
                 graph["pending"] = [
                     {"index": f.index, "kernel": f.kernel, "wave": f.wave}
-                    for f in task_graph.futures
+                    for f in task_graph.records
                     if not f.done
                 ]
 

@@ -11,7 +11,10 @@ existing scheduler:
 * :meth:`ConcordRuntime.submit` enqueues one construct with declared
   region read/write sets and returns a :class:`ConstructFuture`;
   :meth:`ConstructFuture.result` / :meth:`ConcordRuntime.wait` force
-  completion.
+  completion.  The graph keeps one :class:`ConstructRecord` per
+  submission and hands out futures that read through to it; a future
+  holds its graph and runtime, and neither holds a future, so a dropped
+  runtime is freed at once however many futures it handed out.
 * Dependencies are *inferred* from the declared sets: a later construct
   gets a RAW edge to any earlier construct whose writes overlap its
   reads, a WAW edge on write/write overlap and a WAR edge on read/write
@@ -56,6 +59,7 @@ from ..exec.buffers import iter_access_events
 
 __all__ = [
     "ConstructFuture",
+    "ConstructRecord",
     "DeclaredSetViolation",
     "GraphError",
     "GraphStats",
@@ -159,9 +163,10 @@ def _contains(starts: list, ends: list, addr: int, size: int) -> bool:
 
 
 @dataclass
-class ConstructFuture:
-    """One submitted construct: its declared accesses, inferred
-    dependencies, and — once forced — its report and virtual schedule."""
+class ConstructRecord:
+    """What the graph keeps of one submitted construct: its declared
+    accesses, inferred dependencies, and — once forced — its report and
+    virtual schedule."""
 
     index: int
     kernel: str
@@ -177,7 +182,6 @@ class ConstructFuture:
     start: float = 0.0
     finish: dict = field(default_factory=dict)
     report: object = None
-    _graph: object = None
     _body: object = None
     _kinfo: object = None
     _on_cpu: bool = False
@@ -203,12 +207,34 @@ class ConstructFuture:
             return self.start
         return max(self.finish.values())
 
+
+class ConstructFuture:
+    """A caller's handle on one submitted construct.  Every attribute of
+    its :class:`ConstructRecord` (``index``, ``edges``, ``deps``,
+    ``wave``, ``report``, ``done`` …) reads through to the record the
+    graph keeps; the handle adds the graph and runtime that
+    :meth:`result` forces it on."""
+
+    __slots__ = ("_record", "_graph", "_rt")
+
+    def __init__(self, record: ConstructRecord, graph: "TaskGraph", rt):
+        self._record = record
+        self._graph = graph
+        self._rt = rt
+
+    def __getattr__(self, name):
+        return getattr(self._record, name)
+
+    def __repr__(self) -> str:
+        return f"ConstructFuture({self._record!r})"
+
     def result(self):
         """Force this construct (and, transitively, its dependencies) and
         return its :class:`~repro.runtime.runtime.ExecutionReport`."""
-        if self.report is None:
-            self._graph.force(self.index)
-        return self.report
+        record = self._record
+        if record.report is None:
+            self._graph.force(self._rt, record.index)
+        return record.report
 
 
 @dataclass
@@ -258,13 +284,15 @@ class TaskGraph:
 
     Owned lazily by :class:`~repro.runtime.runtime.ConcordRuntime`
     (``rt.task_graph``); most callers go through ``rt.submit`` /
-    ``rt.wait``.  Placement and the declared-set check are the runtime's
+    ``rt.wait``.  It holds no runtime: the one whose constructs it runs
+    is the first argument of every method that submits or executes.
+    Placement and the declared-set check are that runtime's
     ``options.graph_placement`` / ``options.declared_check``.
     """
 
-    def __init__(self, rt):
-        self.rt = rt
-        self.futures: list[ConstructFuture] = []
+    def __init__(self):
+        #: one record per submission, in submission order
+        self.records: list[ConstructRecord] = []
         #: per-device virtual clocks (seconds); the wall time is their max
         self.clocks: dict[str, float] = {"gpu": 0.0, "cpu": 0.0}
         #: host JIT lane: one compile at a time, queued at submission
@@ -273,19 +301,14 @@ class TaskGraph:
         self._jit_ready: dict = {}
         self._sync_seconds = 0.0
         self._jit_ahead = 0.0
-        #: futures already folded into graph_wave spans by a wait()
+        #: records already folded into graph_wave spans by a wait()
         self._reported = 0
-
-    # -- plumbing ----------------------------------------------------------
-
-    def _whole_region(self) -> tuple:
-        region = self.rt.region
-        return (RegionSpan(region.cpu_base, region.size),)
 
     # -- submission --------------------------------------------------------
 
     def submit(
         self,
+        rt,
         n: int,
         body,
         construct: str = "for",
@@ -302,7 +325,6 @@ class TaskGraph:
         set is omitted the construct conservatively reads *and* writes
         the whole region, serializing it against everything pending.
         """
-        rt = self.rt
         if construct not in ("for", "reduce"):
             raise GraphError(
                 f"unknown construct {construct!r} (expected 'for' or 'reduce')"
@@ -315,7 +337,8 @@ class TaskGraph:
             )
         conservative = reads is None or writes is None
         if conservative:
-            read_spans = write_spans = self._whole_region()
+            region = rt.region
+            read_spans = write_spans = (RegionSpan(region.cpu_base, region.size),)
         else:
             read_spans = tuple(as_span(obj) for obj in reads)
             write_spans = tuple(as_span(obj) for obj in writes)
@@ -324,76 +347,73 @@ class TaskGraph:
         # *write* the body serialize correctly.
         if not conservative:
             read_spans = read_spans + (as_span(body),)
-        future = ConstructFuture(
-            index=len(self.futures),
+        record = ConstructRecord(
+            index=len(self.records),
             kernel=kinfo.gpu_kernel.name,
             construct=construct,
             n=n,
             reads=read_spans,
             writes=write_spans,
             conservative=conservative,
-            _graph=self,
             _body=body,
             _kinfo=kinfo,
             _on_cpu=on_cpu,
             _policy=policy,
         )
-        self._infer_edges(future)
-        future.wave = (
+        self._infer_edges(record)
+        record.wave = (
             0
-            if not future.deps
-            else 1 + max(self.futures[d].wave for d in future.deps)
+            if not record.deps
+            else 1 + max(self.records[d].wave for d in record.deps)
         )
-        self.futures.append(future)
-        self._compile_ahead(kinfo)
-        counters = self.rt.counters
+        self.records.append(record)
+        self._compile_ahead(rt, kinfo)
+        counters = rt.counters
         if counters is not None:
             counters.add("graph.submitted")
             if conservative:
                 counters.add("graph.conservative")
             for kind in EDGE_KINDS:
-                count = len(future.edges.get(kind, ()))
+                count = len(record.edges.get(kind, ()))
                 if count:
                     counters.add(f"graph.edges.{kind}", count)
-        return future
+        return ConstructFuture(record, self, rt)
 
-    def _infer_edges(self, future: ConstructFuture) -> None:
+    def _infer_edges(self, record: ConstructRecord) -> None:
         """RAW/WAR/WAW edges against every earlier construct whose
         declared sets overlap this one's."""
         edges: dict = {kind: [] for kind in EDGE_KINDS}
-        for prev in self.futures:
-            if _overlap_any(prev.writes, future.reads):
+        for prev in self.records:
+            if _overlap_any(prev.writes, record.reads):
                 edges["raw"].append(prev.index)
-            if _overlap_any(prev.reads, future.writes):
+            if _overlap_any(prev.reads, record.writes):
                 edges["war"].append(prev.index)
-            if _overlap_any(prev.writes, future.writes):
+            if _overlap_any(prev.writes, record.writes):
                 edges["waw"].append(prev.index)
-        future.edges = {
+        record.edges = {
             kind: tuple(indices) for kind, indices in edges.items() if indices
         }
 
-    def _compile_ahead(self, kinfo) -> None:
+    def _compile_ahead(self, rt, kinfo) -> None:
         """Queue the kernel's vendor JIT on the host lane at submission
         time, so it overlaps earlier constructs' execution instead of
         stalling this one's launch (Heteroflow's compile-ahead)."""
-        rt = self.rt
         if kinfo.cpu_only:
             return
         key = (rt.program.program_id, kinfo.gpu_kernel.name)
         if key in self._jit_ready:
             return
         gpu = rt.backends["gpu"]
-        preview = gpu.jit_preview(kinfo)
+        preview = gpu.jit_preview(rt, kinfo)
         self.jit_clock += preview
         self._jit_ready[key] = self.jit_clock
 
     # -- forcing -----------------------------------------------------------
 
-    def force(self, index: int) -> None:
+    def force(self, rt, index: int) -> None:
         """Execute the construct at ``index`` (after its transitive
         dependencies, in submission order among them)."""
-        future = self.futures[index]
-        if future.done:
+        if self.records[index].done:
             return
         # Iterative dependency closure — conservative chains can be long.
         pending: list[int] = []
@@ -401,26 +421,26 @@ class TaskGraph:
         seen: set = set()
         while stack:
             i = stack.pop()
-            if i in seen or self.futures[i].done:
+            if i in seen or self.records[i].done:
                 continue
             seen.add(i)
             pending.append(i)
-            stack.extend(self.futures[i].deps)
+            stack.extend(self.records[i].deps)
         for i in sorted(pending):
-            self._execute(self.futures[i])
+            self._execute(rt, self.records[i])
 
-    def _placement_policy(self, future: ConstructFuture, ready: float):
+    def _placement_policy(self, rt, record: ConstructRecord, ready: float):
         """Which policy dispatches this construct (see module docstring)."""
-        if self.rt.options.graph_placement == "policy" or future._on_cpu:
-            return future._policy
-        if future._policy is not None:
-            return future._policy  # explicit per-submit override wins
-        if future._kinfo.cpu_only or future.construct == "reduce":
+        if rt.options.graph_placement == "policy" or record._on_cpu:
+            return record._policy
+        if record._policy is not None:
+            return record._policy  # explicit per-submit override wins
+        if record._kinfo.cpu_only or record.construct == "reduce":
             # Reductions lay scratch out per-device; keep them on the
             # paper path rather than letting ECT flip their layout.
             return None
-        sched = self.rt.scheduler
-        key = sched.key_of(future._kinfo)
+        sched = rt.scheduler
+        key = sched.key_of(record._kinfo)
         tg = sched.throughput(key, "gpu")
         if tg is None:
             return "gpu"  # calibrate the paper's default device first
@@ -429,18 +449,17 @@ class TaskGraph:
             from ..sched.scheduler import PRIOR_CPU_SLOWDOWN
 
             tc = tg / PRIOR_CPU_SLOWDOWN
-        jit_key = (self.rt.program.program_id, future.kernel)
+        jit_key = (rt.program.program_id, record.kernel)
         jit_ready = self._jit_ready.get(jit_key, 0.0)
-        gpu_finish = max(ready, self.clocks["gpu"], jit_ready) + future.n / tg
-        cpu_finish = max(ready, self.clocks["cpu"]) + future.n / tc
+        gpu_finish = max(ready, self.clocks["gpu"], jit_ready) + record.n / tg
+        cpu_finish = max(ready, self.clocks["cpu"]) + record.n / tc
         return "cpu" if cpu_finish < gpu_finish else "gpu"
 
-    def _execute(self, future: ConstructFuture) -> None:
-        rt = self.rt
+    def _execute(self, rt, record: ConstructRecord) -> None:
         ready = 0.0
-        for dep in future.deps:
-            ready = max(ready, self.futures[dep].finish_seconds)
-        policy = self._placement_policy(future, ready)
+        for dep in record.deps:
+            ready = max(ready, self.records[dep].finish_seconds)
+        policy = self._placement_policy(rt, record, ready)
         # Declared-set runtime validation: retain this construct's traces
         # and check every recorded access against the declared spans.
         # Reduce constructs are exempt when declared non-conservatively —
@@ -450,7 +469,7 @@ class TaskGraph:
         checking = (
             rt.options.declared_check != "off"
             and rt.collect_mem_events
-            and (future.construct == "for" or future.conservative)
+            and (record.construct == "for" or record.conservative)
             and not rt.program.config.device_alloc
         )
         if checking:
@@ -459,11 +478,12 @@ class TaskGraph:
             rt.keep_traces = True
             try:
                 report = rt.scheduler.run(
-                    future._kinfo,
-                    future.n,
-                    future._body,
-                    future.construct,
-                    on_cpu=future._on_cpu,
+                    rt,
+                    record._kinfo,
+                    record.n,
+                    record._body,
+                    record.construct,
+                    on_cpu=record._on_cpu,
                     policy=policy,
                 )
             finally:
@@ -471,52 +491,52 @@ class TaskGraph:
             fresh_traces = rt.trace_log[kept_before:]
             if not keep_traces_before:
                 del rt.trace_log[kept_before:]
-            self._check_declared(future, fresh_traces)
+            self._check_declared(rt, record, fresh_traces)
         else:
             report = rt.scheduler.run(
-                future._kinfo,
-                future.n,
-                future._body,
-                future.construct,
-                on_cpu=future._on_cpu,
+                rt,
+                record._kinfo,
+                record.n,
+                record._body,
+                record.construct,
+                on_cpu=record._on_cpu,
                 policy=policy,
             )
-        future.report = report
+        record.report = report
         busy = report.per_device_seconds()
         start = ready
         for device in busy:
             start = max(start, self.clocks.get(device, 0.0))
-        jit_key = (rt.program.program_id, future.kernel)
+        jit_key = (rt.program.program_id, record.kernel)
         jit_ready = self._jit_ready.get(jit_key, 0.0)
         start_without_jit = start
         if "gpu" in busy:
             start = max(start, jit_ready)
-        future.start = start
+        record.start = start
         for device, seconds in busy.items():
             finish = start + seconds
-            future.finish[device] = finish
+            record.finish[device] = finish
             self.clocks[device] = max(self.clocks.get(device, 0.0), finish)
         self._sync_seconds += report.seconds
         if report.jit_seconds > 0.0:
             exposed = max(0.0, jit_ready - start_without_jit)
             self._jit_ahead += max(0.0, report.jit_seconds - exposed)
-        counters = self.rt.counters
+        counters = rt.counters
         if counters is not None:
             counters.add("graph.executed")
             counters.add("graph.wave_depth", 0)  # ensure series exists
         # Release construction-only references; the report stays.
-        future._body = None
-        future._kinfo = None
+        record._body = None
+        record._kinfo = None
 
-    def _check_declared(self, future: ConstructFuture, traces) -> None:
+    def _check_declared(self, rt, record: ConstructRecord, traces) -> None:
         """Validate every recorded shared-region access of one executed
         construct against its declared spans: loads must fall inside
         ``reads ∪ writes``, stores inside ``writes``.  Mem events carry
         canonical CPU addresses on both devices and skip the private
         window, so the check is engine- and placement-independent."""
-        rt = self.rt
-        read_starts, read_ends = _merge_intervals(future.reads + future.writes)
-        write_starts, write_ends = _merge_intervals(future.writes)
+        read_starts, read_ends = _merge_intervals(record.reads + record.writes)
+        write_starts, write_ends = _merge_intervals(record.writes)
         total = 0
         details: list[dict] = []
         for trace in traces:
@@ -546,58 +566,58 @@ class TaskGraph:
                 for detail in details:
                     telemetry.emit(
                         "violation",
-                        future.kernel,
-                        construct_index=future.index,
+                        record.kernel,
+                        construct_index=record.index,
                         **detail,
                     )
         first = details[0]
         message = (
-            f"construct #{future.index} ({future.kernel}) touched "
+            f"construct #{record.index} ({record.kernel}) touched "
             f"{total} byte range(s) outside its declared sets; first: "
             f"{first['access']} of {first['size']} byte(s) at "
             f"0x{first['address']:x}"
         )
         if rt.options.declared_check == "trap":
             error = DeclaredSetViolation(message)
-            error.trap_kernel = future.kernel
+            error.trap_kernel = record.kernel
             error.trap_violations = details
             raise error
         warnings.warn(message, stacklevel=3)
 
     # -- synchronization ---------------------------------------------------
 
-    def barrier(self, regions=None) -> None:
+    def barrier(self, rt, regions=None) -> None:
         """Force every pending construct whose declared accesses overlap
         ``regions`` (everything, when omitted) — the host-side read
         barrier for deferred submissions."""
         if regions is None:
-            for future in self.futures:
-                if not future.done:
-                    self._execute(future)
+            for record in self.records:
+                if not record.done:
+                    self._execute(rt, record)
             return
         spans = tuple(as_span(obj) for obj in regions)
-        for future in self.futures:
-            if future.done:
+        for record in self.records:
+            if record.done:
                 continue
-            if _overlap_any(future.writes, spans) or _overlap_any(
-                future.reads, spans
+            if _overlap_any(record.writes, spans) or _overlap_any(
+                record.reads, spans
             ):
-                self.force(future.index)
+                self.force(rt, record.index)
 
-    def wait(self) -> GraphStats:
+    def wait(self, rt) -> GraphStats:
         """Force every pending construct, emit the ``graph_wave`` spans
         and counters for newly finished work, and return the graph's
         accounting snapshot."""
-        self.barrier()
+        self.barrier(rt)
         stats = self.stats()
-        fresh = self.futures[self._reported :]
-        self._reported = len(self.futures)
-        obs = self.rt.obs
+        fresh = self.records[self._reported :]
+        self._reported = len(self.records)
+        obs = rt.obs
         if obs is not None and fresh:
             counters = obs.counters
             waves: dict[int, list] = {}
-            for future in fresh:
-                waves.setdefault(future.wave, []).append(future)
+            for record in fresh:
+                waves.setdefault(record.wave, []).append(record)
             counters.add("graph.waves", len(waves))
             counters.add("graph.jit_ahead_seconds", stats.jit_ahead_seconds)
             for wave_index in sorted(waves):
@@ -631,21 +651,21 @@ class TaskGraph:
     # -- reporting ---------------------------------------------------------
 
     def stats(self) -> GraphStats:
-        executed = [f for f in self.futures if f.done]
+        executed = [f for f in self.records if f.done]
         edges = {kind: 0 for kind in EDGE_KINDS}
-        for future in self.futures:
+        for record in self.records:
             for kind in EDGE_KINDS:
-                edges[kind] += len(future.edges.get(kind, ()))
+                edges[kind] += len(record.edges.get(kind, ()))
         busy: dict[str, float] = {}
-        for future in executed:
-            for device, finish in future.finish.items():
-                busy[device] = busy.get(device, 0.0) + (finish - future.start)
+        for record in executed:
+            for device, finish in record.finish.items():
+                busy[device] = busy.get(device, 0.0) + (finish - record.start)
         return GraphStats(
-            constructs=len(self.futures),
+            constructs=len(self.records),
             executed=len(executed),
             edges=edges,
-            conservative=sum(1 for f in self.futures if f.conservative),
-            waves=1 + max((f.wave for f in self.futures), default=-1),
+            conservative=sum(1 for f in self.records if f.conservative),
+            waves=1 + max((f.wave for f in self.records), default=-1),
             wall_seconds=max(
                 (f.finish_seconds for f in executed), default=0.0
             ),

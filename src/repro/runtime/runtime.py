@@ -243,8 +243,14 @@ class ConcordRuntime:
         # counters already show (the program's verdicts are shared; who
         # has reported them is not).
         self._vector_classified: set = set()
-        self.backends = {"cpu": CpuBackend(self), "gpu": GpuBackend(self)}
-        self.scheduler = Scheduler(self)
+        # The backends, the scheduler and the task graph hold no
+        # reference to this runtime (each call is handed it), so nothing
+        # it owns points back at it: dropping the last reference frees
+        # the region at once, with no close() and no cyclic collection.
+        self.backends = {"cpu": CpuBackend(), "gpu": GpuBackend()}
+        self.scheduler = Scheduler(
+            {device: self.lane_engine(device) for device in ("cpu", "gpu")}
+        )
         self._task_graph = None
         self._load_program()
 
@@ -518,7 +524,7 @@ class ConcordRuntime:
         if self._task_graph is None:
             from .graph import TaskGraph
 
-            self._task_graph = TaskGraph(self)
+            self._task_graph = TaskGraph()
         return self._task_graph
 
     def submit(
@@ -536,6 +542,7 @@ class ConcordRuntime:
         ``docs/GRAPH.md``).  Omitting ``reads``/``writes`` falls back to a
         conservative whole-region access."""
         return self.task_graph.submit(
+            self,
             n,
             body,
             construct=construct,
@@ -548,7 +555,12 @@ class ConcordRuntime:
     def wait(self):
         """Force every pending submitted construct; returns the graph's
         :class:`~repro.runtime.graph.GraphStats`."""
-        return self.task_graph.wait()
+        return self.task_graph.wait(self)
+
+    def barrier(self, regions=None) -> None:
+        """Force only the pending submitted constructs whose declared
+        accesses overlap ``regions`` (every one, when omitted)."""
+        self.task_graph.barrier(self, regions)
 
     # -- parallel constructs --------------------------------------------------------
 
@@ -565,7 +577,9 @@ class ConcordRuntime:
         if self.options.graph:
             return self.submit(n, body, "for", on_cpu=on_cpu, policy=policy).result()
         kinfo = self._kernel_of(body)
-        return self.scheduler.run(kinfo, n, body, "for", on_cpu=on_cpu, policy=policy)
+        return self.scheduler.run(
+            self, kinfo, n, body, "for", on_cpu=on_cpu, policy=policy
+        )
 
     def parallel_reduce_hetero(
         self, n: int, body, on_cpu: bool = False, policy: Optional[str] = None
@@ -581,7 +595,7 @@ class ConcordRuntime:
                 "parallel_for_hetero"
             )
         return self.scheduler.run(
-            kinfo, n, body, "reduce", on_cpu=on_cpu, policy=policy
+            self, kinfo, n, body, "reduce", on_cpu=on_cpu, policy=policy
         )
 
     def _kernel_of(self, body) -> KernelInfo:

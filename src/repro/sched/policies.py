@@ -1,6 +1,6 @@
 """Placement policies: where does a construct's index space run?
 
-A policy is a function ``(sched, kinfo, n, body, construct)`` returning
+A policy is a function ``(rt, kinfo, n, body, construct)`` returning
 the construct's ``ExecutionReport``; :data:`POLICIES` names the four.
 ``cpu`` and ``gpu`` are the paper-faithful single-device paths — one
 backend's ``run_for`` / ``run_reduce``.  ``auto`` picks the faster
@@ -32,12 +32,13 @@ def _chunk_size(n: int) -> int:
     return max(MIN_CHUNK, n // CHUNK_DIVISOR)
 
 
-def _single(sched, device: str, kinfo, n, body, construct: str):
+def _single(rt, device: str, kinfo, n, body, construct: str):
     """Whole construct on one backend, with the observed launch time fed
     back into the throughput history."""
-    backend = sched.rt.backends[device]
+    backend = rt.backends[device]
     run = backend.run_reduce if construct == "reduce" else backend.run_for
-    result = run(kinfo, n, body)
+    result = run(rt, kinfo, n, body)
+    sched = rt.scheduler
     sched.record(sched.key_of(kinfo), device, n, result.report.seconds)
     return result
 
@@ -53,18 +54,18 @@ def _best_known(sched, kinfo, default: str = "gpu") -> str:
     return "gpu" if tg >= tc else "cpu"
 
 
-def cpu(sched, kinfo, n, body, construct):
+def cpu(rt, kinfo, n, body, construct):
     """Everything on the multicore CPU (the paper's ``on_cpu=True``)."""
-    return _single(sched, "cpu", kinfo, n, body, construct)
+    return _single(rt, "cpu", kinfo, n, body, construct)
 
 
-def gpu(sched, kinfo, n, body, construct):
+def gpu(rt, kinfo, n, body, construct):
     """Everything offloaded to the integrated GPU (paper-faithful
     default)."""
-    return _single(sched, "gpu", kinfo, n, body, construct)
+    return _single(rt, "gpu", kinfo, n, body, construct)
 
 
-def auto(sched, kinfo, n, body, construct):
+def auto(rt, kinfo, n, body, construct):
     """Profile-guided single-device placement.
 
     With throughput history for both devices (from earlier constructs of
@@ -77,17 +78,18 @@ def auto(sched, kinfo, n, body, construct):
     scratch copies; they stay whole on the best known device rather than
     paying a split warm-up.
     """
+    sched = rt.scheduler
     key = sched.key_of(kinfo)
     known = (
         sched.throughput(key, "gpu") is not None
         and sched.throughput(key, "cpu") is not None
     )
     if construct == "reduce" or known or n < 2 * MIN_CHUNK:
-        return _single(sched, _best_known(sched, kinfo), kinfo, n, body, construct)
-    return sched.run_split(kinfo, n, body, construct, _chunk_size(n), "auto")
+        return _single(rt, _best_known(sched, kinfo), kinfo, n, body, construct)
+    return sched.run_split(rt, kinfo, n, body, construct, _chunk_size(n), "auto")
 
 
-def hybrid(sched, kinfo, n, body, construct):
+def hybrid(rt, kinfo, n, body, construct):
     """Split each construct across CPU and GPU by calibrated throughput.
 
     Chunks are dispatched to the device with the earliest estimated
@@ -96,11 +98,12 @@ def hybrid(sched, kinfo, n, body, construct):
     participation.  Constructs under :data:`MIN_SPLIT_ITEMS` items
     degrade to the best known single device.
     """
+    sched = rt.scheduler
     if n < MIN_SPLIT_ITEMS:
-        if sched.rt.counters is not None:
-            sched.rt.counters.add("sched.degraded")
-        return _single(sched, _best_known(sched, kinfo), kinfo, n, body, construct)
-    return sched.run_split(kinfo, n, body, construct, _chunk_size(n), "hybrid")
+        if rt.counters is not None:
+            rt.counters.add("sched.degraded")
+        return _single(rt, _best_known(sched, kinfo), kinfo, n, body, construct)
+    return sched.run_split(rt, kinfo, n, body, construct, _chunk_size(n), "hybrid")
 
 
 #: name -> policy; ``RunConfig.policy`` takes its choices from it

@@ -58,10 +58,15 @@ MAX_GPU_CHUNK_RATIO = 64
 
 class Scheduler:
     """Dispatches constructs through a placement policy — the runtime's
-    ``options.policy`` unless a construct names its own."""
+    ``options.policy`` unless a construct names its own.  It keeps the
+    throughput history and holds no runtime: the runtime whose construct
+    it places is each dispatch's first argument."""
 
-    def __init__(self, rt):
-        self.rt = rt
+    def __init__(self, engines: dict):
+        #: device -> the lane engine that runs it in the owning runtime
+        #: (``ConcordRuntime.lane_engine``), the engine a history row
+        #: records and an estimate prefers by default
+        self.engines = engines
         #: (body-class name, device) -> [items, device seconds] observed,
         #: plus an engine-qualified (key, device, engine) row per
         #: observation; every recorded launch/chunk refines the estimates.
@@ -80,8 +85,8 @@ class Scheduler:
 
     # -- dispatch ----------------------------------------------------------
 
-    def run(self, kinfo, n, body, construct, on_cpu=False, policy=None):
-        name = policy if policy is not None else self.rt.options.policy
+    def run(self, rt, kinfo, n, body, construct, on_cpu=False, policy=None):
+        name = policy if policy is not None else rt.options.policy
         if name not in POLICIES:
             raise ValueError(
                 f"unknown scheduling policy {name!r}; choose from "
@@ -94,11 +99,11 @@ class Scheduler:
         elif kinfo.cpu_only and name != "cpu":
             name = "cpu"
             fallback = "restriction fallback"
-        counters = self.rt.counters
+        counters = rt.counters
         if counters is not None:
             counters.add("sched.constructs")
             counters.add(f"sched.policy.{name}")
-            telemetry = self.rt.obs.telemetry
+            telemetry = rt.obs.telemetry
             if telemetry is not None:
                 telemetry.emit(
                     "sched",
@@ -109,7 +114,7 @@ class Scheduler:
                     n=n,
                     fallback=fallback,
                 )
-        report = POLICIES[name](self, kinfo, n, body, construct)
+        report = POLICIES[name](rt, kinfo, n, body, construct)
         if fallback:
             report.fallback_reason = fallback
         return report
@@ -127,7 +132,7 @@ class Scheduler:
         if items <= 0 or seconds <= 0.0:
             return
         if engine is None:
-            engine = self.rt.lane_engine(device)
+            engine = self.engines[device]
         for hkey in ((key, device), (key, device, engine)):
             entry = self.history.setdefault(hkey, [0, 0.0])
             entry[0] += items
@@ -143,7 +148,7 @@ class Scheduler:
         seeded by an older profile without engine rows still primes the
         estimate."""
         if engine is None:
-            engine = self.rt.lane_engine(device)
+            engine = self.engines[device]
         entry = self.history.get((key, device, engine))
         if entry is None:
             entry = self.history.get((key, device))
@@ -161,13 +166,13 @@ class Scheduler:
             return default
         return tg / (tg + tc)
 
-    def seed_from_profile(self, doc: dict) -> int:
+    def seed_from_profile(self, rt, doc: dict) -> int:
         """Seed the throughput history from a prior ``repro.obs`` profile
-        document (``repro.obs.profile/v1``), so ``auto``/``hybrid`` start
-        calibrated instead of probing.  Returns the number of construct
-        records absorbed."""
+        document (``repro.obs.profile/v1``) of ``rt``'s program, so
+        ``auto``/``hybrid`` start calibrated instead of probing.  Returns
+        the number of construct records absorbed."""
         names = {}
-        for kinfo in self.rt.program.kernels.values():
+        for kinfo in rt.program.kernels.values():
             key = self.key_of(kinfo)
             names[kinfo.kernel.name] = key
             names[kinfo.gpu_kernel.name] = key
@@ -186,33 +191,32 @@ class Scheduler:
             phases = construct.get("phases") or {}
             seconds = phases.get("launch", construct.get("seconds", 0.0))
             if n and seconds:
-                engine = self.rt.lane_engine(device, profile_engine or "unknown")
+                engine = rt.lane_engine(device, profile_engine or "unknown")
                 self.record(key, device, n, seconds, engine=engine)
                 seeded += 1
         return seeded
 
     # -- split (hybrid / auto warm-up) execution ---------------------------
 
-    def run_split(self, kinfo, n, body, construct, chunk_items, policy_name):
+    def run_split(self, rt, kinfo, n, body, construct, chunk_items, policy_name):
         """One construct partitioned across both backends (see module
         docstring): :func:`~repro.backend.base.run_construct` runs the
         chunks :meth:`_chunks` places."""
         plan = Plan(
             "hybrid",
             ("gpu", "cpu"),
-            self._chunks(kinfo, n, chunk_items),
+            self._chunks(rt, kinfo, n, chunk_items),
             {"policy": policy_name},
         )
-        return run_construct(self.rt, kinfo, n, body, construct, plan)
+        return run_construct(rt, kinfo, n, body, construct, plan)
 
-    def _chunks(self, kinfo, n, chunk_items):
+    def _chunks(self, rt, kinfo, n, chunk_items):
         """The earliest-completion planner.  ``chunk_items`` is the
         CPU-side chunk granularity; GPU chunks scale up by the calibrated
         throughput ratio.  Each chunk goes to the device with the earliest
         estimated completion, with a cold-start CPU probe and an end-game
         guard; its measured seconds advance that device's clock and feed
         the history before the next chunk is placed."""
-        rt = self.rt
         key = self.key_of(kinfo)
         counters = rt.counters
         # Per-device virtual clocks and in-construct throughput (fresher

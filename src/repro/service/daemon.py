@@ -38,6 +38,7 @@ addresses of its load.  See ``docs/SERVICE.md``.
 from __future__ import annotations
 
 import json
+import sys
 import threading
 import time
 from dataclasses import asdict, fields
@@ -340,11 +341,37 @@ class CompileService:
                 "counters": counters,
                 "latency": latency,
                 "store": self.store.stats(),
+                "process": process_memory(),
             }
             ok = True
             return result
         finally:
             self._finish_request("stats", None, started, ok)
+
+
+def process_memory() -> dict:
+    """This process's resident set now and at its peak, in MB (MiB):
+    ``VmRSS`` and ``VmHWM`` from ``/proc/self/status``; where there is no
+    ``/proc``, the peak from ``getrusage`` and no current figure."""
+    kib = {}
+    try:
+        with open("/proc/self/status") as status:
+            for line in status:
+                key, _, value = line.partition(":")
+                if key in ("VmRSS", "VmHWM"):
+                    kib[key] = int(value.split()[0])
+    except OSError:
+        pass
+    if "VmHWM" not in kib:
+        import resource
+
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # bytes on macOS
+        kib["VmHWM"] = peak // 1024 if sys.platform == "darwin" else peak
+    rss = kib.get("VmRSS")
+    return {
+        "rss_mb": None if rss is None else round(rss / 1024, 1),
+        "peak_rss_mb": round(kib["VmHWM"] / 1024, 1),
+    }
 
 
 # -- HTTP layer -----------------------------------------------------------------

@@ -1,7 +1,11 @@
 """Simulated physical memory.
 
-One flat byte array stands in for the physical memory that an integrated
-processor shares between CPU and GPU.  Typed accessors read and write
+One flat anonymous mapping stands in for the physical memory that an
+integrated processor shares between CPU and GPU.  Like the region the
+paper's runtime maps at startup (section 3.1), its pages are zero until
+touched and the OS allocates them only on first write, so a 16 MiB
+region costs what its program writes; they are unmapped when the
+:class:`PhysicalMemory` is dropped.  Typed accessors read and write
 scalars at *physical offsets*; the address-space logic (CPU virtual
 addresses, GPU surface-relative addresses) lives in
 :mod:`repro.svm.region`.
@@ -9,6 +13,7 @@ addresses, GPU surface-relative addresses) lives in
 
 from __future__ import annotations
 
+import mmap
 import struct
 
 
@@ -31,11 +36,19 @@ _SCALAR_FORMATS = {
 
 
 class PhysicalMemory:
-    """A fixed-size byte array with typed little-endian accessors."""
+    """A fixed-size byte array with typed little-endian accessors.
+
+    ``data`` is a private anonymous ``mmap``: zero-filled, its pages
+    allocated on first write and returned to the OS when the object dies
+    (no ``close()``), private to this process across a ``fork``.  It
+    serves every reader the engines use as a ``bytearray`` would —
+    ``struct`` codecs, same-length slice stores, writable
+    ``np.frombuffer`` views and ``len`` — but never changes length.
+    """
 
     def __init__(self, size: int):
         self.size = size
-        self.data = bytearray(size)
+        self.data = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
 
     def _check(self, offset: int, nbytes: int) -> None:
         if offset < 0 or offset + nbytes > self.size:

@@ -6,6 +6,7 @@ wrong, and that the whole detect → shrink → write pipeline runs."""
 import argparse
 import json
 import random
+import warnings
 from pathlib import Path
 
 import pytest
@@ -23,13 +24,48 @@ from repro.fuzz import (
     load_corpus_entry,
     run_source_program,
 )
+from repro.fuzz.oracle import _digest, heap_digest
 from repro.fuzz.reduce import reduce_spec
 from repro.ir import structure
+from repro.ir.types import I32
 from repro.minicpp import Sema
+from repro.passes import OptConfig
 from repro.passes.pipeline import PASS_REGISTRY
-from repro.runtime import graph
+from repro.runtime import ConcordRuntime, compile_source, graph, ultrabook
 from repro.sched import scheduler
 from repro.service import ArtifactStore
+
+
+#: A program with two vtables (their bytes are zeroed in a heap digest).
+DIGEST_SRC = """
+class Shape { public: int side; virtual int area() { return side * side; } };
+class Square : public Shape { public: virtual int area() { return side * side + 1; } };
+class AreaBody {
+public:
+  int* out;
+  void operator()(int i) { out[i] = i * 3 + 1; }
+};
+"""
+
+
+def test_region_digests_are_pinned():
+    """Both region digests hash the region in place and still give the
+    digests they gave when they hashed a copy of it."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        program = compile_source(DIGEST_SRC, OptConfig.gpu_all())
+    rt = ConcordRuntime(program, ultrabook(), region_size=1 << 16)
+    out = rt.new_array(I32, 32)
+    body = rt.new("AreaBody")
+    body.out = out
+    rt.parallel_for_hetero(32, body)
+    assert sorted(rt.global_addresses) == ["__vtable.Shape", "__vtable.Square"]
+    assert heap_digest(rt) == (
+        "93552318c37b1ae18d1c512878bce1a0f5adf4a830de8c6e337da597666657d3"
+    )
+    assert _digest(rt.region.physical.data) == (
+        "f475950bf7ab71a9426d588f3f1f0efab8a443a60318a37f7bf0c0f9f75f627d"
+    )
 
 
 class TestDeterminism:

@@ -229,7 +229,7 @@ class TestDeferredExecution:
         y = rt.new_array(I32, 8)
         fx = rt.submit(8, _incr(rt, x), reads=[x], writes=[x])
         fy = rt.submit(8, _incr(rt, y), reads=[y], writes=[y])
-        rt.task_graph.barrier(regions=[x])
+        rt.barrier(regions=[x])
         assert fx.done and not fy.done
 
     def test_graph_mode_constructs_stay_synchronous(self):

@@ -88,14 +88,14 @@ def _check_gpu_launches(rt, seen: list) -> None:
     real = backend._gpu_traces
     data = rt.region.physical.data
 
-    def checked(kernel, span, args_of, budget=None):
+    def checked(rt, kernel, span, args_of, budget=None):
         if budget is None:
             budget = rt.mem_event_cap
         before = bytes(data)
         expected = _lane_by_lane(rt, kernel, span, args_of, budget)
         after = bytes(data)
         data[:] = before
-        got = real(kernel, span, args_of, budget)
+        got = real(rt, kernel, span, args_of, budget)
         assert bytes(data) == after, kernel.name
         _assert_launch_equal(expected, got, kernel.name)
         seen.append(got)

@@ -196,7 +196,7 @@ class TestHistory:
         doc = build_profile(observer)
         workload2 = WORKLOADS["BFS"]()
         rt = workload2.make_runtime(OptConfig.gpu_all(), ultrabook())
-        seeded = rt.scheduler.seed_from_profile(doc)
+        seeded = rt.scheduler.seed_from_profile(rt, doc)
         assert seeded > 0
         key = next(
             rt.scheduler.key_of(k) for k in rt.program.kernels.values()

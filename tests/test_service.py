@@ -602,6 +602,13 @@ public:
         assert 0 < p["p50"] <= p["p99"]
         assert stats["counters"]["service.requests"] >= 2
 
+    def test_stats_report_the_process_memory(self, daemon):
+        client, _service = daemon
+        memory = client.stats()["process"]
+        assert memory["peak_rss_mb"] > 0
+        if sys.platform.startswith("linux"):  # VmRSS needs /proc
+            assert 0 < memory["rss_mb"] <= memory["peak_rss_mb"]
+
     def test_memory_cache_counts_as_all_stage_hits(self, daemon):
         client, service = daemon
         source = SOURCE.replace("7", "13")
