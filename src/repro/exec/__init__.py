@@ -16,10 +16,11 @@ picks the engine class once (``ConcordRuntime._make_engine``):
   Python function per IR function, printed from its region tree
   (:mod:`repro.ir.structure`, :class:`~repro.exec.compiled.JitCode`) —
   every runtime's :class:`CodeCache` binds that code to its region, and
-  a launch replays it over all its work-items with one engine
-  (``run_launch`` / ``run_chunk``; per launch: the engine, the lookup,
-  the event buffer and count columns — per lane: ``global_id``, private
-  memory and, on the GPU, sequence numbers, step count and event cap).
+  a launch runs all its work-items in one generated loop
+  (``run_launch`` / ``run_chunk`` call the kernel's lanes entry; per
+  launch: the engine, the lookup, the event buffer — per lane, locals of
+  that one frame: ``global_id``, private memory and, on the GPU,
+  sequence numbers, step count, unit counts and event cap).
   See :mod:`repro.exec.compiled` and ``docs/ENGINE.md``.
 
 :class:`~repro.exec.regions.RegionInterpreter` is the reference

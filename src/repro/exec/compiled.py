@@ -41,10 +41,10 @@ its region, and a launch replays it over the whole NDRange:
   totals are computed at generation time; the trace counters are the
   unit counts times those totals, derived when the engine harvests.
   Memory events append straight to the launch's columnar buffer; one past
-  the lane's cap is a local increment.
+  the lane's cap is a compare and a local increment.
 
 * **Traps are priced on the cold path.**  Nothing tracks the current unit:
-  :attr:`JitCode.line_units` maps every line of the text to the unit it
+  :attr:`JitEntry.line_units` maps every line of the text to the unit it
   belongs to, and :meth:`CompiledEngine._unwind` reads the trapping unit —
   and whatever counts the unwound frames still held in locals — off the
   traceback.
@@ -53,19 +53,23 @@ its region, and a launch replays it over the whole NDRange:
   the backing ``bytearray``, the bases and limits, ``svm_const``, the
   accumulator, the callees' bound functions and the globals' addresses
   are the arguments of the module's one ``_bind`` factory, whose closure
-  is the function.  :class:`JitCode` (text, code object, per-unit
-  totals, line table) is stored in the dict the program owns
+  is the function.  :class:`JitCode` (per-unit totals, and per entry —
+  ``f`` and the lanes entry, each loaded when first used — its text,
+  code object and line table) is stored in the dict the program owns
   (``CompiledProgram.jit_code``, never pickled); the per-runtime
   :class:`CodeCache` calls the factory.  ``code_cache.codegen`` counts
   generations, ``code_cache.compilations``/``.hits`` keep their
   per-runtime meaning.
 
-* **The launch is the unit of work.**  :meth:`CompiledEngine.run_launch`
-  and :meth:`~CompiledEngine.run_chunk` run the work-item loop themselves
-  — one engine, one lookup, one event buffer per launch; per lane only
-  ``global_id``, private memory and (on the GPU) the sequence numbers,
-  step count and event cap are reset, and the unit counts are harvested
-  into the launch's columns.
+* **The launch is the unit of work.**  The work-item loop is generated
+  with the kernel: its lanes entry, printed from the same tree as ``f``,
+  runs a whole span of lanes in one frame (``_LANES_MODULE``).
+  :meth:`CompiledEngine.run_launch` and
+  :meth:`~CompiledEngine.run_chunk` call it once — one engine, one
+  lookup, one event buffer per launch; per lane only ``global_id``,
+  private memory and (on the GPU) the sequence numbers, step count, unit
+  counts and event cap are reset, all locals of that frame, and a GPU
+  lane appends its counts to the launch's rows itself.
 
 Generated modules are named ``<repro-jit {function}.{device} {digest}>``
 (:func:`load_generated`, which the vector engine's modules go through
@@ -90,7 +94,8 @@ import threading
 import weakref
 from array import array
 from functools import partial
-from struct import Struct
+from itertools import chain
+from struct import Struct, pack
 from textwrap import indent
 from typing import Optional
 
@@ -583,20 +588,25 @@ raise ExecutionError({{message!r}})
 
 #: One row appended to the launch's event buffer while the lane is under
 #: its cap (``ev_cap_`` is a length of ``ev_``, moved per lane); past it
-#: the event is only counted.  ``seqs_[{slot}]`` is the instruction's
-#: sequence number (see :meth:`CodeCache._generate` for the slots).
+#: the event is only counted — one compare.  ``seqs_[{slot}]`` is the
+#: instruction's sequence number (see :meth:`CodeCache._generate` for the
+#: slots), bumped only for a kept row: once a lane (GPU) or a trace (CPU)
+#: refuses a row it refuses every later one, so a later number is never
+#: observed.
 _EVENT = """\
-seq_ = seqs_[{slot}]
-seqs_[{slot}] = seq_ + 1
-{canon}if len(ev_) < ev_cap_:
-    ev_.fromlist([{uid}, seq_, {ca}, {size}, {flag}])
+if len(ev_) < ev_cap_:
+    seq_ = seqs_[{slot}]
+    seqs_[{slot}] = seq_ + 1
+{canon}    ev_.fromlist([{uid}, seq_, {ca}, {size}, {flag}])
 else:
     drop_ += 1
 """
 
 #: GPU surface addresses are reported in CPU space so both devices
-#: produce comparable access streams.
-_CANONICAL_GPU = "ca_ = {a} - svm_const if base <= {a} < cend else {a}\n"
+#: produce comparable access streams — by the row itself, or, where a
+#: lanes entry with no callees wrote every row of its buffer, by
+#: :meth:`CompiledEngine._to_cpu_space` over the address column.
+_CANONICAL_GPU = "    ca_ = {a} - svm_const if base <= {a} < cend else {a}\n"
 
 #: ... followed by the result's assignment from ``t_``.
 _DIV = """\
@@ -662,6 +672,81 @@ def _bind({params}):
 
 #: Line number of the body's first line (the two ``def`` lines precede it).
 _BODY_LINE = 3
+
+# -- the lanes entry ----------------------------------------------------------
+#
+# ``lanes(ctx, span, args_of, gpu_)`` runs the function's text once per
+# index of ``span`` in one frame: what ``f`` keeps per call — the step
+# count, the unit counts, the drops — are locals of the lane loop, and a
+# ``ret`` ends the lane (a ``continue`` of the loop, or a ``break`` out of
+# the loops around it).  ``gpu_`` is ``None`` for a CPU chunk, whose lanes
+# run on one trace (counts, steps and sequence numbers run on, flushed
+# once at the end); for a GPU launch it is the launch's columns, and every
+# lane starts from what a fresh engine would have and ends by appending
+# its row.
+
+_LANES_MODULE = """\
+def _bind({params}):
+    def lanes(ctx, span, args_of, gpu_):
+{body}
+    return lanes
+"""
+
+#: What a lanes entry loads once.  ``per_`` and ``budget_`` are the
+#: per-lane and launch event caps as lengths of ``ev_``; a chunk enters the
+#: function (``_PROLOGUE``'s flag) once for all its lanes.
+_LANES_PROLOGUE = """\
+max_ = ctx.max_steps
+steps_ = ctx._steps
+ev_ = ctx._ev_data
+ev_cap_ = ctx._ev_cap
+drop_ = 0
+if gpu_:
+    per_, budget_, kept_, dropped_, caps_, rows_, columns_ = gpu_
+elif not cnt_[{flag}]:
+    cnt_[{flag}] = 1
+    ctx._entered.append(acc_)
+"""
+
+#: Every lane: its index, where ``gpu.global_id`` and a trap's stamp read it ...
+_LANE_START = "ctx.global_id = index_\n"
+
+#: ... and an empty, all-zero private window.
+_PRIVATE_RESET = """\
+ctx._private_next = 4096
+if ctx._priv_dirty:
+    ctx.reset_private_memory()
+"""
+
+#: A GPU lane's sequence numbers start over (a fresh list: a callee a
+#: virtual call generates grows the one its frames hold) ...
+_SEQ_RESET = "seqs_ = ctx._mem_seq = [0] * len(seqs_)\n"
+
+#: ... as do its steps and drops, under its cap: an even share of the
+#: launch's budget, at most what the lanes before it left.
+_LANE_CAP = """\
+steps_ = 0
+drop_ = 0
+start_ = len(ev_)
+ev_cap_ = start_ + per_
+if ev_cap_ > budget_:
+    ev_cap_ = budget_
+"""
+
+#: A GPU lane of a function with callees enters the function as ``f``
+#: does, and shows the callees its cap.
+_LANE_ENTER = """\
+ctx._ev_cap = ev_cap_
+cnt_[{flag}] = 1
+ctx._entered.append(acc_)
+"""
+
+#: A GPU lane's row of the launch's event columns.
+_LANE_END = """\
+kept_.append((len(ev_) - start_) // 5)
+caps_.append((ev_cap_ - start_) // 5)
+dropped_.append(drop_)
+"""
 
 
 def _wrap(type_: IntType, text: str) -> str:
@@ -738,10 +823,20 @@ class _Printer:
     :func:`plan_function`'s units stay what is counted: where the tree
     reaches a unit's first block the text bumps that unit's count and
     charges its steps.  Every line remembers the unit it belongs to
-    (``line_units``), which is how a trap finds its superblock."""
+    (``line_units``), which is how a trap finds its superblock.
+
+    With ``lanes`` the same tree is the body of a lanes entry's loop (see
+    ``_LANES_MODULE``): every count is a local, and a ``ret`` ends the
+    lane."""
 
     def __init__(
-        self, function: Function, device: str, collect: bool, plan: FunctionPlan, seq_base: int
+        self,
+        function: Function,
+        device: str,
+        collect: bool,
+        plan: FunctionPlan,
+        seq_base: int,
+        lanes: bool = False,
     ):
         self.name = function.name
         self.device = device
@@ -757,11 +852,25 @@ class _Printer:
         self.gvars: list = []  # g<n>: bound per runtime to its address
         self.totals, self.n_steps = unit_totals(plan)  # per unit
         self.head_of = {id(chain[0]): i for i, chain in enumerate(plan.units)}
+        self.lanes = lanes
+        # A lanes entry that calls nothing owns its rows: they keep the
+        # surface address, and the engine moves the column to CPU space.
+        self.raw_addresses = (
+            lanes
+            and device == "gpu"
+            and not any(
+                instr.op == "vcall" or (instr.op == "call" and isinstance(instr.callee, Function))
+                for block in plan.blocks
+                for instr in block.instructions
+            )
+        )
         # what is being written
-        self.lines: list = []  # (depth, text or None for a flush, unit)
-        self.depth = 0
+        self.lines: list = []  # (depth, text or None for a return, unit)
+        self.depth = int(lanes)  # a lane's body is inside the lane loop
         self.unit = -1
         self.loops = 0  # Python loops around the current line
+        self.exits = 0  # ``ret``s that leave a lane through the loops around them
+        self.calls = False  # whether the text calls another function
         self.local_counts: list[int] = []  # units counted in ``c<i>``
         self.local_taken: list[int] = []  # ... whose branch counts in ``b<i>``
         self.traced = False
@@ -839,7 +948,9 @@ class _Printer:
                 self._if(stmt)
             elif isinstance(stmt, Loop):
                 self._line("while True:")
+                exits = self.exits
                 self._nested(stmt.body, loop=True)
+                self._exit_check(exits)
             elif isinstance(stmt, Forward):
                 self._forward(stmt.members)
             elif isinstance(stmt, Dispatch):
@@ -859,9 +970,23 @@ class _Printer:
         self.loops -= loop
         self.depth -= 1
 
+    def _exit_check(self, exits: int) -> None:
+        """After a loop a lane's ``ret`` left: leave the next loop out, or
+        at the lane's top level go on with the next lane."""
+        if self.exits == exits:
+            return
+        self._line("if x_:")
+        self.depth += 1
+        if self.loops:
+            self._line("break")
+        else:
+            self._line("x_ = 0")
+            self._line("continue")
+        self.depth -= 1
+
     def _enter_unit(self, index: int) -> None:
         self.unit = index
-        if self.loops:
+        if self.loops or self.lanes:
             if index not in self.local_counts:
                 self.local_counts.append(index)
             count = f"c{index}"
@@ -896,7 +1021,14 @@ class _Printer:
                 # Nothing may raise once the counts are flushed.
                 value = " " + self._named(self._operand(term.operands[0]), "r_")
             self.lines.append((self.depth, None, self.unit))
-            self._line(f"return{value}")
+            if not self.lanes:
+                self._line(f"return{value}")
+            elif self.loops:
+                self.exits += 1
+                self._line("x_ = 1")
+                self._line("break")
+            else:
+                self._line("continue")
         elif term.op == "unreachable":
             message = f"reached unreachable in {self.name}"
             self._line(f"raise ExecutionError({message!r})")
@@ -932,7 +1064,7 @@ class _Printer:
         test = self.fused.get(id(block)) or self._operand(term.operands[0])
         self._line(f"if {test}:")
         self.depth += 1
-        if self.loops:
+        if self.loops or self.lanes:
             if index not in self.local_taken:
                 self.local_taken.append(index)
             self._line(f"b{index} += 1")
@@ -962,11 +1094,13 @@ class _Printer:
             self.states[block] = (variable, index, True)
         self._line(f"{variable} = 0")
         self._line("while True:")
+        exits = self.exits
         self.depth += 1
         self.loops += 1
         self._arms(variable, members, 0, len(members))
         self.loops -= 1
         self.depth -= 1
+        self._exit_check(exits)
 
     def _arms(self, variable: str, members, low: int, high: int) -> None:
         """Binary search over the state: a chain of ``elif`` would nest as
@@ -990,29 +1124,69 @@ class _Printer:
         n_units = len(self.totals)
         flush = [f"cnt_[{i}] += c{i}" for i in self.local_counts]
         flush += [f"cnt_[{n_units + i}] += b{i}" for i in self.local_taken]
-        flush.append("ctx._steps = steps_")
-        prologue = _PROLOGUE.format(
-            max_depth=_MAX_CALL_DEPTH,
-            too_deep=f"call depth limit exceeded in {self.name}",
-            flag=3 * n_units,
-        )
-        if self.traced:
-            prologue += _TRACE_PROLOGUE
-            flush += ["if drop_:", "    ctx._dropped += drop_"]
-        if self.rounds:
-            prologue += _F32_PROLOGUE
         zeroed = [f"c{i}" for i in self.local_counts] + [f"b{i}" for i in self.local_taken]
-        if zeroed:
-            prologue += " = ".join(zeroed) + " = 0\n"
+        zero = " = ".join(zeroed) + " = 0\n" if zeroed else ""
+        if self.lanes:
+            prologue, ret, tail = self._lane_frame(flush, zeroed, zero)
+        else:
+            prologue = _PROLOGUE.format(
+                max_depth=_MAX_CALL_DEPTH,
+                too_deep=f"call depth limit exceeded in {self.name}",
+                flag=3 * n_units,
+            )
+            ret = flush + ["ctx._steps = steps_"]
+            if self.traced:
+                prologue += _TRACE_PROLOGUE
+                ret += ["if drop_:", "    ctx._dropped += drop_"]
+            if self.rounds:
+                prologue += _F32_PROLOGUE
+            prologue += zero
+            tail = ""
         out = [(0, line, -1) for line in prologue.splitlines()]
         for depth, text, unit in self.lines:
             if text is None:
-                out.extend((depth, line, unit) for line in flush)
+                out.extend((depth, line, unit) for line in ret)
             else:
                 out.append((depth, text, unit))
+        out += [(0, line, -1) for line in tail.splitlines()]
         body = "\n".join("    " * (depth + 2) + text for depth, text, _unit in out)
         line_units = [-1] * _BODY_LINE + [unit for _depth, _text, unit in out] + [-1]
         return body, line_units
+
+    def _lane_frame(self, flush: list, zeroed: list, zero: str) -> tuple:
+        """A lanes entry around the body: (what comes before it, what a
+        ``ret`` does before it ends the lane, what follows the loop)."""
+        flag = 3 * len(self.totals)
+        seqs = self.collect and (self.traced or self.calls)
+        prologue = _LANES_PROLOGUE.format(flag=flag)
+        if seqs:
+            prologue += "seqs_ = ctx._mem_seq\n"
+        if self.rounds:
+            prologue += _F32_PROLOGUE
+        if self.calls:
+            prologue += "d_ = 0\n"
+        prologue += zero
+        if self.exits:
+            prologue += "x_ = 0\n"
+        args = [f"v{slot}" for slot in self.plan.arg_slots]
+        lane = _LANE_START + _PRIVATE_RESET
+        if args:
+            lane += ", ".join(args) + ("," if len(args) == 1 else "") + " = "
+        lane += "args_of(index_)\n"
+        fresh = (_SEQ_RESET if seqs else "") + _LANE_CAP + zero
+        if self.calls:
+            # the function and its callees go through the engine's harvest
+            fresh += _LANE_ENTER.format(flag=flag)
+            row = flush + ["drop_ += ctx._end_lane(columns_, len(kept_))"]
+        else:
+            row = [f"rows_.append(({', '.join(zeroed)}{',' if len(zeroed) == 1 else ''}))"]
+        lane += "if gpu_:\n" + indent(fresh, "    ")
+        prologue += "for index_ in span:\n" + indent(lane, "    ")
+        ret = ["if gpu_:", *("    " + line for line in row + _LANE_END.splitlines())]
+        tail = "if not gpu_:\n" + indent(
+            "\n".join([*flush, "ctx._steps = steps_", "ctx._dropped += drop_\n"]), "    "
+        )
+        return prologue, ret, tail
 
     # -- instructions --------------------------------------------------------
 
@@ -1059,12 +1233,12 @@ class _Printer:
             return ""
         self.traced = True
         slot = self.seq_slots.setdefault(instr.uid, self.seq_base + len(self.seq_slots))
-        gpu = self.device == "gpu"
+        canonical = self.device == "gpu" and not self.raw_addresses
         text = _EVENT.format(
             slot=slot,
             uid=instr.uid,
-            canon=_CANONICAL_GPU.format(a=a) if gpu else "",
-            ca="ca_" if gpu else a,
+            canon=_CANONICAL_GPU.format(a=a) if canonical else "",
+            ca="ca_" if canonical else a,
             size=size,
             flag=int(is_store),
         )
@@ -1208,6 +1382,7 @@ class _Printer:
         callee = instr.callee
         args = [self._operand(v) for v in instr.operands]
         if isinstance(callee, Function):
+            self.calls = True
             entry = self._per_runtime(self.callees, callee, "s")
             call = f"{entry}({', '.join(['ctx', 'd_ + 1', *args])})"
             self._emit(_CALL, d=self._target(instr), call=call)
@@ -1226,6 +1401,7 @@ class _Printer:
         slot = self._named(f"t_ + {8 * instr.vslot}" if instr.vslot else "t_", "a_")
         self._read_untraced(slot, "<q")
         args = ", ".join([obj, *rest])
+        self.calls = True
         call = f"_vtarget(ctx, {instr.vslot}, t_)(ctx, d_ + 1, {args})"
         self._emit(_CALL, d=self._target(instr), call=call)
 
@@ -1362,73 +1538,123 @@ def _region_tree(function: Function, plan: FunctionPlan) -> list:
 
 
 class JitCode:
-    """One function's generated module for one ``(device, collect)``:
+    """One function's generated code for one ``(device, collect)``:
     region-independent, so every runtime over the same program shares it.
-    ``factory(*region constants, accumulator, (accumulator, code),
-    *callee entries, *global addresses)`` returns the function
-    ``f(ctx, depth, *args)``; ``zeros`` is what a harvest resets the
-    accumulator to.
-    Its traced instructions keep their sequence numbers in the engine's
-    list at slots ``seq_base`` up to ``seq_end``."""
+    It has two entries, each a module printed from the same region tree
+    and loaded when first asked for (:meth:`entry`): ``f(ctx, depth,
+    *args)``, what a call runs, and ``lanes(ctx, span, args_of, gpu_)``,
+    what a launch runs (see ``_LANES_MODULE``) — a kernel is only ever
+    launched, a callee only called.  Each module's ``factory(*region
+    constants, accumulator, (accumulator, code), *callee entries, *global
+    addresses)`` returns its function; ``zeros`` is what a harvest resets
+    the accumulator to.  Its traced instructions keep their sequence
+    numbers in the engine's list at slots ``seq_base`` up to ``seq_end``,
+    in either entry: the first one printed fixes them, and the units,
+    callees and globals, for both."""
 
     __slots__ = (
         "function",
         "name",
+        "device",
+        "collect",
+        "seq_base",
+        "seq_end",
         "units",
-        "line_units",
-        "flushed",
+        "zeros",
         "callees",
         "gvars",
-        "seq_end",
-        "source",
-        "filename",
-        "factory",
-        "zeros",
+        "entries",
     )
 
-    def __init__(self, function: Function, device: str, collect: bool, seq_base: int = 0):
+    def __init__(
+        self,
+        function: Function,
+        device: str,
+        collect: bool,
+        seq_base: int = 0,
+        lanes: bool = False,
+    ):
         self.function = function
         self.name = function.name
-        self.units: tuple = ()  # one _UnitTotals per unit
-        self.line_units: tuple = ()  # line number -> unit index, -1 outside any
-        self.flushed: tuple = ()  # (local, accumulator slot) a return flushes
+        self.device = device
+        self.collect = collect
+        self.seq_base = seq_base
+        self.seq_end = seq_base
+        self.units: tuple = ()  # one _UnitTotals per unit; none without a body
+        self.zeros = (0,)
         self.callees: tuple = ()
         self.gvars: tuple = ()
-        self.seq_end = seq_base
+        self.entries: list = [None, None]  # the JitEntry of f, of lanes
+        printer = self._load(lanes)
+        if printer is not None:
+            self.seq_end += len(printer.seq_slots)
+            self.units = tuple(printer.totals)
+            self.zeros = (0,) * (3 * len(self.units) + 1)
+            self.callees = tuple(printer.callees)
+            self.gvars = tuple(printer.gvars)
+
+    def entry(self, lanes: bool) -> "JitEntry":
+        """The module of ``f`` or of ``lanes``, loaded on first use."""
+        entry = self.entries[lanes]
+        if entry is None:
+            with _GENERATING:
+                if self.entries[lanes] is None:
+                    self._load(lanes)
+                entry = self.entries[lanes]
+        return entry
+
+    def _load(self, lanes: bool) -> Optional["_Printer"]:
+        """Print and load one entry; its printer, or ``None`` for a
+        function without a body."""
+        entry = JitEntry(self)
+        plan = plan_function(self.function)
+        printer = None
+        if plan is not None:
+            printer = _Printer(self.function, self.device, self.collect, plan, self.seq_base, lanes)
+            body, line_units = printer.text(_region_tree(self.function, plan))
+            entry.line_units = tuple(line_units)
+            n_units = len(printer.totals)
+            entry.flushed = tuple(
+                [(f"c{i}", i) for i in printer.local_counts]
+                + [(f"b{i}", n_units + i) for i in printer.local_taken]
+            )
+            params = [*_REGION_PARAMS, "cnt_", "acc_"]
+            params += [f"s{i}" for i in range(len(printer.callees))]
+            params += [f"g{i}" for i in range(len(printer.gvars))]
+            entry.source = (_LANES_MODULE if lanes else _MODULE).format(
+                params=", ".join(params),
+                args="".join(f", v{slot}" for slot in plan.arg_slots),
+                body=body,
+            )
+            names = dict(_RUNTIME_NAMES, __jit__=entry)
+            names.update((f"k{i}", value) for i, value in enumerate(printer.consts))
+            entry.filename, namespace = load_generated(
+                f"repro-jit {self.name}.{self.device}", entry.source, names
+            )
+            entry.factory = namespace["_bind"]
+            entry.raw_addresses = printer.raw_addresses
+        self.entries[lanes] = entry  # complete: ``entry`` reads it unlocked
+        return printer
+
+
+class JitEntry:
+    """One loaded module of a :class:`JitCode`: its text, the ``_bind``
+    factory (``None`` without a body), the line → unit table, the count
+    locals a ``return`` (or a lane's end) flushes, as ``(local,
+    accumulator slot)``, and whether its rows keep GPU addresses for the
+    engine to move to CPU space.  The module's ``__jit__``, where a trap
+    finds it."""
+
+    __slots__ = ("code", "source", "filename", "factory", "line_units", "flushed", "raw_addresses")
+
+    def __init__(self, code: JitCode):
+        self.code = code
         self.source = ""
         self.filename = ""
         self.factory = None
-        self.zeros = (0,)
-        plan = plan_function(function)
-        if plan is None:
-            return
-        printer = _Printer(function, device, collect, plan, seq_base)
-        body, line_units = printer.text(_region_tree(function, plan))
-        self.seq_end += len(printer.seq_slots)
-        self.units = tuple(printer.totals)
-        self.line_units = tuple(line_units)
-        n_units = len(self.units)
-        self.zeros = (0,) * (3 * n_units + 1)
-        self.flushed = tuple(
-            [(f"c{i}", i) for i in printer.local_counts]
-            + [(f"b{i}", n_units + i) for i in printer.local_taken]
-        )
-        self.callees = tuple(printer.callees)
-        self.gvars = tuple(printer.gvars)
-        params = [*_REGION_PARAMS, "cnt_", "acc_"]
-        params += [f"s{i}" for i in range(len(self.callees))]
-        params += [f"g{i}" for i in range(len(self.gvars))]
-        self.source = _MODULE.format(
-            params=", ".join(params),
-            args="".join(f", v{slot}" for slot in plan.arg_slots),
-            body=body,
-        )
-        names = dict(_RUNTIME_NAMES, __jit__=self)
-        names.update((f"k{i}", value) for i, value in enumerate(printer.consts))
-        self.filename, namespace = load_generated(
-            f"repro-jit {self.name}.{device}", self.source, names
-        )
-        self.factory = namespace["_bind"]
+        self.line_units: tuple = ()  # line number -> unit index, -1 outside any
+        self.flushed: tuple = ()
+        self.raw_addresses = False
 
     def publish(self) -> None:
         publish_generated(self.filename, self.source)
@@ -1476,30 +1702,37 @@ class CodeCache:
         self.counters = counters
 
     def get(
-        self, function: Function, device: str, collect_events: bool, uses: int = 1
+        self,
+        function: Function,
+        device: str,
+        collect_events: bool,
+        uses: int = 1,
+        lanes: bool = False,
     ) -> "CompiledFunction":
         """The bound function, for ``uses`` invocations: a launch asks
-        once for all its lanes, and counts as that many lookups."""
+        once for all its lanes, and counts as that many lookups.  A
+        function generated here is printed first as the entry ``lanes``
+        selects (a launch's) — the other is printed if it is ever asked for."""
         key = (function, device, collect_events)
         compiled = self._cache.get(key)
         hits = uses
         if compiled is None:
             hits -= 1
-            compiled = self._compile(key)
+            compiled = self._compile(key, lanes)
         if hits > 0:
             self.hits += hits
             if self.counters is not None:
                 self.counters.add("code_cache.hits", hits)
         return compiled
 
-    def _compile(self, key: tuple) -> "CompiledFunction":
+    def _compile(self, key: tuple, lanes: bool = False) -> "CompiledFunction":
         function, device, collect_events = key
         self.compilations += 1
         if self.counters is not None:
             self.counters.add("code_cache.compilations")
         code = self._code.get(key)
         if code is None:
-            code = self._generate(key)
+            code = self._generate(key, lanes)
         self.seq_end = max(self.seq_end, code.seq_end)
         compiled = CompiledFunction(code)
         # Register before binding the body so recursive (and mutually
@@ -1508,7 +1741,7 @@ class CodeCache:
         compiled._bind(self, device, collect_events)
         return compiled
 
-    def _generate(self, key: tuple) -> JitCode:
+    def _generate(self, key: tuple, lanes: bool) -> JitCode:
         """Generate ``key``'s code into the shared dict.  The text numbers
         its sequence-number slots after every other text there for the
         same device, so all the code one engine runs — and every runtime
@@ -1522,7 +1755,7 @@ class CodeCache:
                     (c.seq_end for (_f, d, _c), c in self._code.items() if d == device),
                     default=0,
                 )
-                code = self._code[key] = JitCode(*key, base)
+                code = self._code[key] = JitCode(*key, base, lanes)
                 self.codegen += 1
                 if self.counters is not None:
                     self.counters.add("code_cache.codegen")
@@ -1540,26 +1773,31 @@ class CompiledFunction:
     harvest list.  The bound function closes over ``counts`` and the
     pair ``(counts, code)`` it puts on that list, never over this
     object, so a dropped runtime's bound code is freed by reference
-    counting, region and all."""
+    counting, region and all.  ``args`` are what :meth:`_bind` found for
+    the region; each entry is bound to them when first used (``fn`` at the
+    first call, :meth:`lanes` at the first launch)."""
 
-    __slots__ = ("code", "function", "name", "fn", "counts", "__weakref__")
+    __slots__ = ("code", "function", "name", "args", "_fn", "_run", "counts", "__weakref__")
 
     def __init__(self, code: JitCode):
         self.code = code
         self.function = code.function
         self.name = code.name
-        self.fn = None
+        self.args = None  # until bound
+        self._fn = self._run = None
         self.counts = list(code.zeros)
 
     def _bind(self, cache: CodeCache, device: str, collect: bool) -> None:
         code = self.code
-        if code.factory is None:
-            self.fn = partial(_no_body, self.name)
+        if not code.units:  # a function without a body
+            self._fn = partial(_no_body, self.name)
+            self._run = partial(_no_body_lanes, self.name)
+            self.args = ()
             return
         region = cache.region
         base = region.gpu_base if device == "gpu" else region.cpu_base
         size = region.size
-        self.fn = code.factory(
+        self.args = (
             region.physical.data,
             base,
             size - 1,
@@ -1575,13 +1813,26 @@ class CompiledFunction:
             *[cache.addresses.get(gvar.name) for gvar in code.gvars],
         )
 
+    @property
+    def fn(self):
+        """The bound ``f``."""
+        if self._fn is None:
+            self._fn = self.code.entry(False).factory(*self.args)
+        return self._fn
+
+    def lanes(self):
+        """The bound lanes entry."""
+        if self._run is None:
+            self._run = self.code.entry(True).factory(*self.args)
+        return self._run
+
     def entry(self):
         """What a caller's text calls: the function itself, or — for a
         callee still being bound, a recursion's back edge — a trampoline
         that finds it at call time.  The trampoline holds this object
         weakly (the code cache holds it strongly), so a recursion is not
         a reference cycle."""
-        if self.fn is not None:
+        if self.args is not None:
             return self.fn
         target = weakref.ref(self)
         return lambda *args: target().fn(*args)
@@ -1590,6 +1841,11 @@ class CompiledFunction:
 def _no_body(name: str, ctx, depth, *args):
     if depth > _MAX_CALL_DEPTH:
         raise ExecutionError(f"call depth limit exceeded in {name}")
+    raise ExecutionError(f"{name} has no body")
+
+
+def _no_body_lanes(name: str, ctx, span, args_of, gpu_):
+    ctx.global_id = span[0]
     raise ExecutionError(f"{name} has no body")
 
 
@@ -1602,13 +1858,16 @@ class CompiledEngine:
     memory-event sequence numbers).  The unit of work it is built for is
     the *launch*: :meth:`run_chunk` (one trace for all lanes, the CPU
     backend's shape) and :meth:`run_launch` (a columnar
-    :class:`~repro.exec.buffers.LaunchTrace`, the GPU backend's) run the
-    work-item loop themselves, and ``call_function`` is a launch of one.
+    :class:`~repro.exec.buffers.LaunchTrace`, the GPU backend's) call the
+    kernel's generated lanes entry, whose loop runs every work-item in one
+    frame, and ``call_function`` is a launch of one.
 
     Generated functions keep their counts in locals and flush them into
     their :class:`CompiledFunction`'s accumulator on return; the engine
     harvests the accumulators of the functions that were entered
-    (``_entered``) once per call, chunk or lane.
+    (``_entered``) once per call or chunk, and per lane of a launch whose
+    kernel has callees (a callee-free kernel's lane appends its counts to
+    the launch's rows itself).
     """
 
     PRIVATE_BASE = Interpreter.PRIVATE_BASE
@@ -1675,7 +1934,7 @@ class CompiledEngine:
                 f"{function.name}: expected {len(function.args)} args, "
                 f"got {len(args)}"
             )
-        fn = self._lookup(function, 1)
+        fn = self._lookup(function, 1).fn
         try:
             return fn(self, 0, *args)
         except BaseException as exc:
@@ -1691,16 +1950,18 @@ class CompiledEngine:
         over for each."""
         if not span:
             return
-        fn = self._lookup(function, len(span))
+        compiled = self._lookup(function, len(span), lanes=True)
+        run = compiled.lanes()
+        data = self._ev_data
+        start = len(data)
         try:
-            for index in span:
-                self.global_id = index
-                self.reset_private_memory()
-                fn(self, 0, *args_of(index))
+            run(self, span, args_of, None)
         except BaseException as exc:
             self._unwind(exc)
             raise
         finally:
+            if compiled.code.entry(True).raw_addresses:
+                self._to_cpu_space(data, start)
             self._harvest()
             self.release_private_memory()
 
@@ -1719,36 +1980,17 @@ class CompiledEngine:
         n = len(span)
         events = array("Q")
         kept, dropped, caps = array("q"), array("q"), array("q")
+        rows: list = []  # per lane, a callee-free kernel's counts (``flushed`` order)
         columns: dict = {}  # JitCode -> (lanes, harvested accumulators)
+        functions = []
         if n:
-            fn = self._lookup(function, n)
+            compiled = self._lookup(function, n, lanes=True)
+            run = compiled.lanes()
             per_item = per_item_cap(budget, n)
-            entered = self._entered
             own = self._ev_data, self._ev_cap
             self._ev_data = events
             try:
-                for lane, index in enumerate(span):
-                    self.global_id = index
-                    self._mem_seq = [0] * len(self._mem_seq)
-                    self._steps = 0
-                    self.reset_private_memory()
-                    start = len(events)
-                    cap = min(per_item, max(0, budget - start // 5))
-                    self._ev_cap = start + 5 * cap
-                    fn(self, 0, *args_of(index))
-                    for rank, (counts, code) in enumerate(entered, start=1):
-                        counts[-1] = rank
-                        column = columns.get(code)
-                        if column is None:
-                            column = columns[code] = (array("q"), array("q"))
-                        column[0].append(lane)
-                        column[1].extend(counts)
-                        counts[:] = code.zeros
-                    entered.clear()
-                    kept.append((len(events) - start) // 5)
-                    dropped.append(self._dropped)
-                    caps.append(cap)
-                    self._dropped = 0
+                run(self, span, args_of, (5 * per_item, 5 * budget, kept, dropped, caps, rows, columns))
             except BaseException as exc:
                 self._unwind(exc)
                 raise
@@ -1756,9 +1998,21 @@ class CompiledEngine:
                 self._ev_data, self._ev_cap = own
                 self._harvest()  # a trapped lane's counts: the accumulators end clean
                 self.release_private_memory()
+            code = compiled.code
+            if code.entry(True).raw_addresses:
+                self._to_cpu_space(events, 0)
+            if rows:
+                width = len(code.units)
+                harvest = np.zeros((n, 3 * width + 1), np.int64)
+                slots = [slot for _name, slot in code.entry(True).flushed]
+                # one pack: about half of what np.array takes over tuples
+                flat = pack(f"<{n * len(slots)}q", *chain.from_iterable(rows))
+                harvest[:, slots] = np.frombuffer(flat, np.int64).reshape(n, len(slots))
+                harvest[:, -1] = 1
+                counts, taken = harvest[:, :width], harvest[:, width : 2 * width]
+                functions.append((code.units, np.arange(n), counts, taken, harvest[:, -1]))
         events_of = launch_events(events, kept, dropped, caps)
         del events  # the columns hold the events now
-        functions = []
         for code, (lanes, accumulators) in columns.items():
             # per lane: unit counts, taken counts, trap counts, the rank
             units = code.units
@@ -1768,13 +2022,26 @@ class CompiledEngine:
             functions.append((units, np.array(lanes, np.int64), counts, taken, harvest[:, -1]))
         return LaunchTrace.from_unit_counts(n, events_of, functions)
 
-    def _lookup(self, function: Function, uses: int):
+    def _lookup(self, function: Function, uses: int, lanes: bool = False) -> CompiledFunction:
         if self.counters is not None:
             self.counters.add("engine.invocations", uses)
             self.counters.add(f"engine.invocations.{self.device}", uses)
-        fn = self.code_cache.get(function, self.device, self.collect_mem_events, uses).fn
+        compiled = self.code_cache.get(
+            function, self.device, self.collect_mem_events, uses, lanes
+        )
         self._cover_seqs()
-        return fn
+        return compiled
+
+    def _to_cpu_space(self, data: array, start: int) -> None:
+        """``_CANONICAL_GPU`` over the address column of the stride-5 rows
+        ``data`` holds from ``start`` on."""
+        if len(data) > start:
+            region = self.region
+            addresses = np.frombuffer(data, np.uint64)[start + 2 :: 5]
+            surface = (addresses >= region.gpu_base) & (
+                addresses < region.gpu_base + region.surface.size
+            )
+            addresses[surface] -= np.uint64(region.svm_const % (1 << 64))
 
     def _cover_seqs(self) -> None:
         """Give every slot the code cache has bound a sequence number —
@@ -1783,6 +2050,23 @@ class CompiledEngine:
         seqs.extend([0] * (self.code_cache.seq_end - len(seqs)))
 
     # -- what generated code leaves behind -----------------------------------
+
+    def _end_lane(self, columns: dict, lane: int) -> int:
+        """The end of a launch's lane whose kernel has callees: the
+        accumulators of the functions it entered go into ``columns``, rank
+        (the order it entered them in) included; returns the drops its
+        callees counted."""
+        for rank, (counts, code) in enumerate(self._entered, start=1):
+            counts[-1] = rank
+            column = columns.get(code)
+            if column is None:
+                column = columns[code] = (array("q"), array("q"))
+            column[0].append(lane)
+            column[1].extend(counts)
+            counts[:] = code.zeros
+        self._entered.clear()
+        dropped, self._dropped = self._dropped, 0
+        return dropped
 
     def _harvest(self) -> None:
         """Fold the accumulators of the functions entered since the last
@@ -1827,8 +2111,10 @@ class CompiledEngine:
     def _unwind(self, exc: BaseException) -> None:
         """Cold path: a trap is leaving generated code.  What each
         generated frame on the traceback still held in locals — loop
-        counts, drops, the step count — goes where a return would have
-        put it; the unit a frame was in comes from its line number, and
+        counts, drops, the step count; a lanes entry's, the trapped
+        lane's — goes where a return would have put it (a launch's lane
+        counts in locals only, so its accumulator joins the harvest list
+        first); the unit a frame was in comes from its line number, and
         that execution of the unit never reached its branch.  The
         innermost frame stamps the trapping superblock onto the exception
         for the flight recorder (repro.obs.flight), and every module on
@@ -1837,16 +2123,20 @@ class CompiledEngine:
         trap = None
         while tb is not None:
             frame = tb.tb_frame
-            code = frame.f_globals.get("__jit__")
-            if code is not None:
-                code.publish()
+            entry = frame.f_globals.get("__jit__")
+            if entry is not None:
+                entry.publish()
+                code = entry.code
                 held = frame.f_locals
                 acc = held["cnt_"]
-                for name, slot in code.flushed:
+                if not acc[-1]:  # a launch's lane counts in locals only
+                    acc[-1] = 1
+                    self._entered.insert(0, held["acc_"])
+                for name, slot in entry.flushed:
                     acc[slot] += held.get(name, 0)
                 self._dropped += held.get("drop_", 0)
                 self._steps = held.get("steps_", self._steps)
-                unit = code.line_units[tb.tb_lineno]
+                unit = entry.line_units[tb.tb_lineno]
                 if unit >= 0:
                     acc[2 * len(code.units) + unit] += 1
                     trap = code, unit

@@ -13,7 +13,9 @@ fields accept either a raw CPU address (int) or another view.
 
 from __future__ import annotations
 
-from typing import Iterator, Union
+import struct
+from itertools import islice
+from typing import Iterator, Optional, Union
 
 from ..ir.types import (
     ArrayType,
@@ -24,6 +26,7 @@ from ..ir.types import (
     Type,
 )
 from .allocator import SharedAllocator
+from .memory import _SCALAR_FORMATS, MemoryFault
 from .region import SharedRegion
 
 Addressable = Union[int, "StructView", "ArrayView"]
@@ -126,14 +129,78 @@ class ArrayView:
         return (self[i] for i in range(self.count))
 
     def fill_from(self, values) -> None:
+        """Elements 0, 1, ... = ``values``: a scalar array in one ``struct``
+        pack.  Whatever fails there — a value past f32, one too many, an
+        array past the region — goes element by element, so the same
+        exception comes with the same prefix written."""
+        bulk = _bulk_format(self.element)
+        if bulk is None:
+            self._fill_each(values)
+            return
+        items: list = []
+        try:
+            items.extend(islice(values, self.count + 1))
+        except BaseException:
+            self._fill_each(items)  # the values the source gave before it raised
+            raise
+        if len(items) <= self.count:
+            try:
+                self._region.write_bytes(self.addr, _pack(bulk, self.element, items))
+                return
+            except Exception:
+                pass  # raised again below, after the same prefix
+        self._fill_each(items)
+
+    def _fill_each(self, values) -> None:
         for index, value in enumerate(values):
             self[index] = value
 
     def to_list(self) -> list:
+        """Every element; a scalar array in one ``struct`` unpack."""
+        bulk = _bulk_format(self.element)
+        if bulk is not None:
+            size = self.element.size()
+            region = self._region
+            try:
+                offset = region.cpu_to_physical(self.addr, self.count * size)
+            except MemoryFault:
+                pass  # element by element: the fault names the first element past the end
+            else:
+                return list(struct.unpack_from(f"<{self.count}{bulk}", region.physical.data, offset))
         return [self[i] for i in range(self.count)]
 
     def __repr__(self) -> str:
         return f"ArrayView({self.count} x {self.element} @ {self.addr:#x})"
+
+
+def _bulk_format(element: Type) -> Optional[str]:
+    """The ``struct`` code ``read_typed`` / ``write_typed`` move an
+    ``element`` with, or ``None`` for an aggregate."""
+    if isinstance(element, IntType):
+        return _SCALAR_FORMATS.get(("int", element.size(), element.signed))
+    if isinstance(element, FloatType):
+        return _SCALAR_FORMATS.get(("float", element.size(), True))
+    if isinstance(element, PointerType):
+        return _SCALAR_FORMATS.get(("int", element.size(), False))
+    return None
+
+
+def _pack(code: str, element: Type, items: list) -> bytes:
+    """``items`` as ``write_typed`` converts them — ``int()`` wrapped to the
+    width, ``float()``, ``address_of`` masked — in one ``struct`` pack."""
+    fmt = f"<{len(items)}{code}"
+    if isinstance(element, FloatType):
+        return struct.pack(fmt, *map(float, items))
+    values = list(map(address_of if isinstance(element, PointerType) else int, items))
+    try:
+        return struct.pack(fmt, *values)
+    except struct.error:  # past the width: wrap as write_int does
+        bits = 8 * element.size()
+        mask = (1 << bits) - 1
+        if code.isupper():
+            return struct.pack(fmt, *[value & mask for value in values])
+        half = 1 << (bits - 1)
+        return struct.pack(fmt, *[((value + half) & mask) - half for value in values])
 
 
 def _find_field_recursive(struct: StructType, name: str) -> tuple[int, Type]:

@@ -377,7 +377,7 @@ class TestGeneratedText:
         fn, doubled, nxt = self._loop()
         cache = CodeCache(region)
         assert CompiledEngine(region, code_cache=cache).call_function(fn, [5]) == 5
-        source = cache.get(fn, "cpu", True).code.source
+        source = cache.get(fn, "cpu", True).code.entry(False).source
         assert "regs[" not in source
         assert source.count("def ") == 2  # the binder and the function
         assert source.count("while True:") == 1
@@ -394,7 +394,7 @@ class TestGeneratedText:
         cache = CodeCache(region)
         engine = CompiledEngine(region, code_cache=cache)
         engine.call_function(fn, [3])
-        code = cache.get(fn, "cpu", True).code
+        code = cache.get(fn, "cpu", True).code.entry(False)
         assert [name for name, _slot in code.flushed] == ["c1", "c2", "b1"]
         assert "cnt_[0] += 1" in code.source and "cnt_[1] += c1" in code.source
         assert engine.trace.block_counts == {
@@ -404,7 +404,7 @@ class TestGeneratedText:
 
     def test_line_table_names_the_unit_of_every_statement(self, region):
         fn, _doubled, _nxt = self._loop()
-        code = CodeCache(region).get(fn, "cpu", True).code
+        code = CodeCache(region).get(fn, "cpu", True).code.entry(False)
         lines = code.source.splitlines()
         assert len(code.line_units) == len(lines) + 1  # line numbers start at 1
         units = {
@@ -417,8 +417,8 @@ class TestGeneratedText:
 
     @pytest.mark.parametrize("name", sorted(all_workloads()))
     def test_every_workload_module_generates(self, name):
-        """Both devices, events on and off: the text compiles, holds one
-        function and never spells ``regs[``."""
+        """Both devices, events on and off: the text and its lanes entry
+        compile, each holds one function, and neither spells ``regs[``."""
         workload = all_workloads()[name]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -429,9 +429,10 @@ class TestGeneratedText:
             for device in ("cpu", "gpu"):
                 for collect in (True, False):
                     code = JitCode(function, device, collect)
-                    assert code.factory is not None
-                    assert "regs[" not in code.source
-                    assert code.source.count("def ") == 2
+                    for entry in (code.entry(False), code.entry(True)):
+                        assert entry.factory is not None
+                        assert "regs[" not in entry.source
+                        assert entry.source.count("def ") == 2
 
     def test_constants_without_a_literal_are_bound(self, region):
         fn = make_fn(ret=F32, params=(F32,), names=("x",))
@@ -451,7 +452,7 @@ class TestGeneratedText:
         cache = CodeCache(region)
         with pytest.raises(MemoryFault) as info:
             CompiledEngine(region, code_cache=cache).call_function(fn, [1])
-        code = cache.get(fn, "cpu", True).code
+        code = cache.get(fn, "cpu", True).code.entry(False)
         assert code.filename.startswith("<repro-jit f.cpu ")
         assert linecache.getlines(code.filename) == code.source.splitlines(True)
         text = "".join(traceback.format_exception(info.value))

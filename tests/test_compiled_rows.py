@@ -18,6 +18,10 @@ more cheaply.
   of a lane grows the list its callers hold (and every dispatch is a
   code-cache lookup); runtimes generating on several threads never hand
   one slot to two instructions;
+* the event cap and the lane's end — a cap crossed inside a loop, by the
+  kernel or by a callee, refuses the rest of the lane's (or the chunk's)
+  events and numbers no more of them, and a ``ret`` inside a loop ends
+  the lane with its row complete;
 * generated text — no module of the nine workloads spells a row these
   replaced;
 * the vector engine — an f32 product that overflows to ``inf`` is what
@@ -32,12 +36,14 @@ import sys
 import threading
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.exec import CodeCache, CompiledEngine, ExecutionError, Interpreter
+from repro.exec.buffers import EVENT_DTYPES
 from repro.exec.compiled import JitCode
-from repro.exec.interp import _F32_PACK, _F32_UNPACK
+from repro.exec.interp import _F32_PACK, _F32_UNPACK, ExecTrace
 from repro.ir import (
     F32,
     Constant,
@@ -48,6 +54,7 @@ from repro.ir import (
     I64,
     I8,
     IRBuilder,
+    add_phi_incoming,
     ptr,
 )
 from repro.ir.intrinsics import (
@@ -127,7 +134,7 @@ def test_f32_rows_round_through_the_slot(op):
     for x, y in [(1e20, 1e20), (FLT_MAX, FLT_MAX), (-3e38, -3e38), (0.1, 0.2), (math.nan, 1.0)]:
         got = engine.call_function(fn, [x, y])
         assert _bits(got) == _bits(Interpreter(region).call_function(fn, [x, y]))
-    assert "f32_[0] = " in cache.get(fn, "cpu", True).code.source
+    assert "f32_[0] = " in cache.get(fn, "cpu", True).code.entry(False).source
 
 
 # -- inline atomics ------------------------------------------------------------------
@@ -384,7 +391,7 @@ def test_racing_runtimes_never_share_a_slot():
     assert errors == []
     owners = {}
     for (fn, _device, _collect), code in shared.items():
-        for slot in set(re.findall(r"seqs_\[(\d+)\]", code.source)):
+        for slot in set(re.findall(r"seqs_\[(\d+)\]", code.entry(False).source)):
             assert owners.setdefault(int(slot), fn) is fn
     assert sorted(owners) == list(range(sum(1 + i % 3 for i in range(16))))
 
@@ -403,6 +410,92 @@ def test_an_unknown_vtable_symbol_traps():
         )
 
 
+# -- the event cap and the lane's end ----------------------------------------------------
+
+
+def _searching_kernel(via_callee: bool) -> Function:
+    """``k(p, n, stop)``: load ``p[0..n)`` in a loop — directly or through a
+    callee — and return the index of the first word equal to ``stop``
+    from inside the loop, or -1 after it."""
+    get = Function("get", FunctionType(I32, (ptr(I32), I32)), ["p", "i"])
+    b = IRBuilder(get.new_block("entry"))
+    b.ret(b.load(b.gep(get.args[0], ptr(I32), indices=[(get.args[1], 4)])))
+    fn = Function("k", FunctionType(I32, (ptr(I32), I32, I32)), ["p", "n", "stop"])
+    p, n, stop = fn.args
+    entry, header, body, found, latch, done = (
+        fn.new_block(name) for name in ("entry", "header", "body", "found", "latch", "done")
+    )
+    b = IRBuilder(entry)
+    b.br(header)
+    b.position_at_end(header)
+    i = b.phi(I32, "i")
+    b.condbr(b.icmp("slt", i, n), body, done)
+    b.position_at_end(body)
+    if via_callee:
+        word = b.call(get, [p, i])
+    else:
+        word = b.load(b.gep(p, ptr(I32), indices=[(i, 4)]))
+    b.condbr(b.icmp("eq", word, stop), found, latch)
+    b.position_at_end(found)
+    b.ret(i)
+    b.position_at_end(latch)
+    nxt = b.add(i, b.i32(1))
+    b.br(header)
+    b.position_at_end(done)
+    b.ret(b.i32(-1))
+    add_phi_incoming(i, b.i32(0), entry)
+    add_phi_incoming(i, nxt, latch)
+    return fn
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lanes=st.lists(st.tuples(st.integers(0, 12), st.integers(0, 14)), min_size=1, max_size=6),
+    budget=st.integers(0, 30),
+)
+@pytest.mark.parametrize("via_callee", [False, True], ids=["kernel", "callee"])
+@pytest.mark.parametrize("device", ["cpu", "gpu"])
+def test_a_cap_crossed_inside_a_loop_equals_the_interpreter(device, via_callee, lanes, budget):
+    """``budget`` is the GPU launch's event budget and a chunk's trace cap
+    (a chunk runs on either device): small enough to be crossed in the
+    middle of a lane's loop.  Lane ``(n, stop)`` loads up to ``n`` words
+    and returns from inside the loop at the first equal to ``stop`` (word
+    ``j`` holds ``j``)."""
+    fn = _searching_kernel(via_callee)
+    for launch in (False, True) if device == "gpu" else (False,):
+        results = []
+        for engine_class in (Interpreter, CompiledEngine):
+            region = SharedRegion(1 << 12)
+            words = region.cpu_base + 256
+            for j in range(16):
+                region.write_int(words + 4 * j, 4, j, signed=True)
+            here = region.cpu_to_gpu if device == "gpu" else (lambda address: address)
+
+            def args_of(lane):
+                n, stop = lanes[lane]
+                return [here(words), n, stop]
+
+            span = range(len(lanes))
+            if launch:
+                engine = engine_class(region, device)
+                results.append(engine.run_launch(fn, span, args_of, budget))
+            else:
+                engine = engine_class(region, device, trace=ExecTrace(mem_event_cap=budget))
+                engine.run_chunk(fn, span, args_of)
+                results.append(engine.trace)
+        if not launch:
+            _assert_trace_equal(*results, "chunk")
+            continue
+        expected, got = results
+        for name in ("kept", "dropped", "caps", *EVENT_DTYPES):
+            assert np.array_equal(getattr(expected, name), getattr(got, name)), name
+        # Block rows in any order: a lane that runs the loop's latch before
+        # its exit lists them in that order one lane at a time, and in unit
+        # order from unit counts.
+        for lane, (a, b) in enumerate(zip(expected.lanes(), got.lanes())):
+            _assert_trace_equal(a, b, f"lane {lane}")
+
+
 # -- generated text --------------------------------------------------------------------
 
 #: What the rows spelled before, and what they spell now.
@@ -419,7 +512,7 @@ def test_no_workload_module_spells_a_replaced_row():
         for function in program.module.functions.values():
             for device in ("cpu", "gpu"):
                 for collect in (True, False):
-                    source = JitCode(function, device, collect).source
+                    source = JitCode(function, device, collect).entry(False).source
                     for spelling in REPLACED:
                         assert spelling not in source, (name, function.name, device)
                     seen.update(spelling for spelling in SPELLED if spelling in source)

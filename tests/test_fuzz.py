@@ -260,7 +260,9 @@ def _swapped_sub(mp):
 #: case could use cancels out there, because the source pipeline runs
 #: constfold twice.
 MUTATIONS = {
-    "engines": (_swapped_sub,),
+    # a row of the generated text; a launch whose lanes number their
+    # events on from the lane before
+    "engines": (_swapped_sub, lambda mp: mp.setattr(compiled_engine, "_SEQ_RESET", "")),
     "frontend": (_swapped_sub, lambda mp: mp.setattr(Sema, "resolve_overload", _first_overload_wins)),
     # a row the vector engine alone reads; a join that keeps the segment
     # parked first and loses the lanes of every other one (an ``If``'s else

@@ -106,7 +106,9 @@ def _fn(name="f", params=(I32,), names=("n",)):
 
 def _run_all(fn, args, max_steps=100_000):
     """(return value or trap text, block counts) from the interpreter, the
-    region-tree evaluator and the generated code: all three must agree."""
+    region-tree evaluator and the generated code: all three must agree.
+    The generated lanes entry (a chunk of one lane) must agree on the
+    counts and the trap, and returns nothing."""
     results = []
     for engine_class in (Interpreter, RegionInterpreter, CompiledEngine):
         engine = engine_class(SharedRegion(1 << 12), max_steps=max_steps)
@@ -120,6 +122,14 @@ def _run_all(fn, args, max_steps=100_000):
     reference, tree, generated = results
     assert tree == reference
     assert generated == reference
+    engine = CompiledEngine(SharedRegion(1 << 12), max_steps=max_steps)
+    try:
+        engine.run_chunk(fn, range(1), lambda _index: list(args))
+        trap = None
+    except ExecutionError as exc:
+        trap = str(exc)
+    assert trap == (reference[0] if isinstance(reference[0], str) else None)
+    assert (engine.trace.block_counts, engine.trace.branch_stats) == reference[1:]
     return reference[0]
 
 

@@ -1,9 +1,11 @@
 """Unit tests for the software shared-virtual-memory subsystem."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.ir.types import F32, I32, I64, StructType, ptr
+from repro.ir.types import BOOL, F32, F64, I16, I32, I64, I8, U32, U64, U8, StructType, ptr
 from repro.svm import (
+    ArrayView,
     MemoryFault,
     OutOfSharedMemory,
     PhysicalMemory,
@@ -191,3 +193,116 @@ class TestViews:
         s.finalize([("a", I64), ("b", F32)])
         view = heap.new_struct(s)
         assert view.a == 0 and view.b == 0.0
+
+
+# -- bulk array moves ------------------------------------------------------------
+
+ELEMENTS = [BOOL, I8, U8, I16, I32, U32, I64, U64, F32, F64, ptr(I32)]
+FLT_MAX = float.fromhex("0x1.fffffep+127")
+INTS = st.one_of(
+    st.integers(-(2**70), 2**70),
+    st.sampled_from([0, -1, 2**31, -(2**31) - 1, 2**63, 2**64 - 1, 2**64]),
+    st.booleans(),
+    st.floats(allow_nan=False, allow_infinity=False, width=32),
+)
+FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([FLT_MAX, -FLT_MAX, 3.5e38, -1e39, 1e308]),
+    st.integers(-(2**40), 2**40),
+)
+#: "view" stands for another array, whose address a pointer element takes
+POINTERS = st.one_of(INTS, st.none(), st.just("view"))
+
+
+class _SourceFailed(Exception):
+    pass
+
+
+def _source(values: list, shape: str):
+    """``values`` as a list, a generator, or a generator that raises after them."""
+    if shape == "list":
+        return values
+    if shape == "generator":
+        return iter(values)
+
+    def failing():
+        yield from values
+        raise _SourceFailed
+
+    return failing()
+
+
+@st.composite
+def _fills(draw):
+    element = draw(st.sampled_from(ELEMENTS))
+    numbers = FLOATS if element in (F32, F64) else POINTERS if element is ELEMENTS[-1] else INTS
+    count = draw(st.integers(1, 12))
+    length = draw(st.integers(0, count + 2))  # up to two too many
+    return {
+        "element": element,
+        "count": count,
+        "values": draw(st.lists(numbers, min_size=length, max_size=length)),
+        "shape": draw(st.sampled_from(["list", "generator", "failing"])),
+        "past_the_region": draw(st.booleans()),  # the last element one past its end
+    }
+
+
+def _filled(case: dict, path: str):
+    """The region's bytes after ``ArrayView.<path>`` over ``case``, what
+    it raised, and the view."""
+    region = SharedRegion(1 << 12)
+    heap = SvmHeap(region, SharedAllocator(region))
+    other = heap.new_array(I32, 4)
+    element, count = case["element"], case["count"]
+    slots = count - 1 if case["past_the_region"] else count
+    array = ArrayView(region, element, region.cpu_base + region.size - slots * element.size(), count)
+    values = [other if value == "view" else value for value in case["values"]]
+    raised = None
+    try:
+        getattr(array, path)(_source(values, case["shape"]))
+    except Exception as exc:  # compared by type and text
+        raised = type(exc), str(exc)
+    return bytes(region.physical.data), raised, array
+
+
+def _listed(array) -> tuple:
+    try:
+        return array.to_list(), None
+    except MemoryFault as exc:
+        return None, str(exc)
+
+
+class TestBulkArrayMoves:
+    """``fill_from`` and ``to_list`` move a scalar array in one ``struct``
+    call; the bytes, the result and any exception — with the prefix
+    written before it — are the element-by-element path's: ints wrap to
+    their width, an f32 past its range raises, pointers take an address,
+    a generator is read at most one past the end, and one too many raises
+    ``IndexError``."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=_fills())
+    def test_fill_from_equals_element_by_element(self, case):
+        raw, raised, array = _filled(case, "fill_from")
+        expected_raw, expected_raised, _ = _filled(case, "_fill_each")
+        assert raised == expected_raised
+        assert raw == expected_raw
+        try:
+            expected = [array[i] for i in range(array.count)], None
+        except MemoryFault as exc:
+            expected = None, str(exc)
+        assert repr(_listed(array)) == repr(expected)  # nan == nan, -0.0 != 0.0
+
+    def test_an_f32_past_its_range_raises_after_the_prefix(self):
+        region = SharedRegion(1 << 12)
+        array = SvmHeap(region, SharedAllocator(region)).new_array(F32, 4)
+        with pytest.raises(OverflowError):
+            array.fill_from([1.0, 2.0, 1e39, 4.0])
+        assert array.to_list() == [1.0, 2.0, 0.0, 0.0]
+
+    def test_an_endless_source_stops_one_past_the_end(self):
+        region = SharedRegion(1 << 12)
+        array = SvmHeap(region, SharedAllocator(region)).new_array(I8, 3)
+        with pytest.raises(IndexError):
+            array.fill_from(iter(range(250, 10**12)))
+        assert array.to_list() == [-6, -5, -4]
