@@ -13,8 +13,8 @@ chunks, the join, the device totals, the observer record and the
 *where* each chunk runs: the backends' ``run_for`` / ``run_reduce`` feed
 it one chunk (:func:`whole`), the scheduler's ``run_split`` its
 earliest-completion chunks.  The CPU's TBB-style reduction (one body
-copy per core, joined on the lanes' engine) is the one construct with a
-body of its own, ``CpuBackend.run_reduce``.
+copy per core, joined after the lanes) is the one construct with a body
+of its own, ``CpuBackend.run_reduce``.
 
 Backends are stateless and hold no runtime: every engine, trace,
 allocator and counter comes from the :class:`ConcordRuntime` passed as
@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Generator
 
+from ..exec.buffers import LaunchTrace
 from ..gpu.cache import CacheModel
 from ..gpu.timing import DeviceReport
 from ..svm import address_of
@@ -45,11 +46,10 @@ def _runtime_mod():
 
 @dataclass
 class LaunchResult:
-    """What one chunk of work cost: the device report plus the traces it
-    was priced from — one :class:`~repro.exec.buffers.LaunchTrace` for a
-    GPU chunk, one :class:`~repro.exec.ExecTrace` for a CPU chunk (their
-    ``counter_totals()`` / ``block_totals()`` feed counter harvesting
-    and source-line attribution)."""
+    """What one chunk of work cost: the device report plus the
+    :class:`~repro.exec.buffers.LaunchTrace` it was priced from, on
+    either device (its ``counter_totals()`` / ``block_totals()`` feed
+    counter harvesting and source-line attribution)."""
 
     report: DeviceReport
     traces: list = field(default_factory=list)
@@ -61,13 +61,27 @@ class LaunchResult:
         return sum(trace.kept_events for trace in self.traces)
 
 
-def stamp_trap(exc: BaseException, device: str, kernel, engine) -> None:
-    """Give a trap leaving the lanes its lane's context for the flight
-    recorder; the innermost stamp wins."""
-    if not hasattr(exc, "trap_device"):
-        exc.trap_device = device
-        exc.trap_kernel = kernel.name
-        exc.trap_global_id = engine.global_id
+def run_lanes(rt, device: str, kernel, span, args_of, budget, **engine) -> LaunchTrace:
+    """One chunk's trace: one engine on ``device`` (``engine`` are its
+    further keywords) runs ``kernel`` for every index of ``span`` as one
+    launch under the chunk's event ``budget`` (the runtime's cap when
+    ``None``).  A trap leaving the lanes gets its lane's context for the
+    flight recorder (the innermost stamp wins), and ``keep_traces``
+    keeps the per-lane view."""
+    engine = rt._make_engine(device=device, **engine)
+    try:
+        trace = engine.run_launch(
+            kernel, span, args_of, rt.mem_event_cap if budget is None else budget
+        )
+    except BaseException as exc:
+        if not hasattr(exc, "trap_device"):
+            exc.trap_device = device
+            exc.trap_kernel = kernel.name
+            exc.trap_global_id = engine.global_id
+        raise
+    if rt.keep_traces:
+        rt.trace_log.extend(trace.lanes())
+    return trace
 
 
 def parallel_report(parts, device: str = "hybrid") -> DeviceReport:

@@ -1,15 +1,15 @@
 """Multicore-CPU backend (the paper's ``on_cpu=True`` path).
 
-All iterations of a chunk run through one engine and one trace (the
-engine's ``run_chunk``, whichever engine the runtime picked) — the
-timing model's multicore scaling (``cores × parallel_efficiency``)
-represents TBB-style work distribution, so per-lane traces would model
-nothing extra.  Per chunk: the engine, the trace, the sequence numbers
-and the step count; per work-item: ``global_id`` and private memory.
-A ``for`` construct is one chunk through
+A chunk is a launch, as on the GPU: one engine, whichever the runtime
+picked, runs its work-items (:func:`~repro.backend.base.run_lanes`), each
+from its own sequence numbers, step count and private memory and under
+a cap that is the whole budget the lanes before it left
+(:func:`~repro.exec.buffers.per_item_cap`).  The timing model's
+multicore scaling (``cores × parallel_efficiency``) represents TBB-style
+work distribution.  A ``for`` construct is one chunk through
 :func:`~repro.backend.base.run_construct`; a whole-CPU reduction keeps
-its own TBB-style body (one body copy per core, joined on the lanes'
-engine into the one priced trace).
+its own TBB-style body (one body copy per core, joined after the lanes
+and priced with them).
 """
 
 from __future__ import annotations
@@ -17,8 +17,9 @@ from __future__ import annotations
 from typing import Optional
 
 from ..cpu.timing import time_cpu_execution
+from ..exec.buffers import LaunchTrace
 from ..svm import address_of
-from .base import LaunchResult, _runtime_mod, run_construct, stamp_trap, whole
+from .base import LaunchResult, _runtime_mod, run_construct, run_lanes, whole
 
 
 class CpuBackend:
@@ -29,29 +30,15 @@ class CpuBackend:
     def prepare(self, rt, kinfo) -> float:
         return 0.0  # host code is already compiled; nothing to JIT
 
-    def _run_lanes(self, engine, kernel, span, args_of) -> None:
-        """Run ``kernel`` for every index of ``span`` through one engine
-        and into its one trace (``engine.run_chunk``: each work-item
-        starts with its own empty private memory, and the buffer goes
-        back to the pool at the end)."""
-        try:
-            engine.run_chunk(kernel, span, args_of)
-        except BaseException as exc:
-            stamp_trap(exc, self.name, kernel, engine)
-            raise
+    def _traces(self, rt, kernel, span, args_of, budget=None) -> LaunchTrace:
+        """One chunk's trace (:func:`~repro.backend.base.run_lanes`)."""
+        return run_lanes(
+            rt, self.name, kernel, span, args_of, budget,
+            num_cores=rt.system.cpu.cores, allocator=rt.allocator,
+        )
 
     def _chunk(self, rt, kinfo, span, args_of, timing_cache, budget) -> LaunchResult:
-        trace = rt._new_trace(budget)
-        interp = rt._make_engine(
-            device="cpu",
-            trace=trace,
-            num_cores=rt.system.cpu.cores,
-            allocator=rt.allocator,
-        )
-        self._run_lanes(interp, kinfo.kernel, span, args_of)
-        interp.release_private_memory()
-        if rt.keep_traces:
-            rt.trace_log.append(trace)
+        trace = self._traces(rt, kinfo.kernel, span, args_of, budget)
         report = time_cpu_execution(
             rt.system.cpu, [trace], llc=timing_cache, counters=rt.counters
         )
@@ -104,37 +91,35 @@ class CpuBackend:
                 size = struct.size()
                 addr = address_of(body)
                 cores = rt.system.cpu.cores
-                trace = rt._new_trace()
-                interp = rt._make_engine(
-                    device="cpu",
-                    trace=trace,
-                    num_cores=cores,
-                    allocator=rt.allocator,
-                )
                 copies = []
                 payload = rt.region.read_bytes(addr, size)
                 for _ in range(min(cores, max(1, n))):
                     copy_addr = rt.allocator.malloc(size, struct.align())
                     rt.region.write_bytes(copy_addr, payload)
                     copies.append(copy_addr)
-                self._run_lanes(
-                    interp,
+                lanes = self._traces(
+                    rt,
                     kinfo.kernel,
                     range(n),
                     lambda index: [copies[index % len(copies)], index],
                 )
+                # the joins trace under what the lanes left of the budget
+                joins = rt._new_trace(max(0, rt.mem_event_cap - lanes.kept_events))
+                host = rt._make_engine(
+                    device="cpu", trace=joins, num_cores=cores, allocator=rt.allocator
+                )
                 join = kinfo.join_kernel
                 for copy_addr in copies:
                     if join is not None:
-                        interp.call_function(join, [addr, copy_addr])
+                        host.call_function(join, [addr, copy_addr])
+                host.release_private_memory()
                 for copy_addr in copies:
                     rt.allocator.free(copy_addr)
-                interp.release_private_memory()
                 if rt.keep_traces:
-                    rt.trace_log.append(trace)
-                report = time_cpu_execution(
-                    rt.system.cpu, [trace], counters=rt.counters
-                )
+                    rt.trace_log.append(joins)
+                # one L1/LLC state: the lanes first, then the joins
+                traces = [lanes, LaunchTrace.from_traces([joins])]
+                report = time_cpu_execution(rt.system.cpu, traces, counters=rt.counters)
         rt.total_cpu_report += report
         if rt.obs is not None:
             rt._record_construct(
@@ -146,8 +131,8 @@ class CpuBackend:
                 seconds=report.seconds,
                 energy_joules=report.energy_joules,
                 phases={"launch": report.seconds},
-                traces=[trace],
+                traces=traces,
                 span_seconds=[(launch_span, report.seconds)],
-                line_samples=[(kinfo.kernel, "cpu", [trace])],
+                line_samples=[(kinfo.kernel, "cpu", traces)],
             )
         return _runtime_mod().ExecutionReport(device="cpu", n=n, report=report)

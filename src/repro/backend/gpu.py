@@ -2,8 +2,9 @@
 
 Owns the ``gpu_function_t`` JIT cache (keyed ``(program_id,
 kernel_name)`` — kernel names repeat across compiled programs), the
-launch's trace collection under its global mem-event cap budget (one
-engine per launch, whichever the runtime picked, returns one columnar
+launch's trace collection under its global mem-event cap budget
+(:func:`~repro.backend.base.run_lanes`: one engine per launch, whichever
+the runtime picked, returns one columnar
 :class:`~repro.exec.buffers.LaunchTrace` from ``run_launch``), and the
 section 3.3 reduction scaffolding (private copies, per-work-group tree
 join, sequential host join) that :func:`~repro.backend.base.run_construct`
@@ -20,7 +21,7 @@ from typing import Optional
 from ..cpu.timing import time_cpu_execution
 from ..exec.buffers import LaunchTrace
 from ..gpu.timing import KernelFacts, time_gpu_kernel
-from .base import LaunchResult, _runtime_mod, run_construct, stamp_trap, whole
+from .base import LaunchResult, _runtime_mod, run_construct, run_lanes, whole
 
 
 @dataclass
@@ -89,31 +90,19 @@ class GpuBackend:
         )
         return instructions * _runtime_mod().JIT_SECONDS_PER_INSTRUCTION
 
-    def _gpu_traces(self, rt, kernel, span: range, args_of, budget=None) -> LaunchTrace:
-        """One launch's trace: one engine runs the work-item loop
-        (``engine.run_launch``) under the launch's global event budget.
+    def _traces(self, rt, kernel, span: range, args_of, budget=None) -> LaunchTrace:
+        """One launch's trace (:func:`~repro.backend.base.run_lanes`).
         The device heap, when the program allocates on the device, is
         reserved before any lane runs, so the region layout is the same
         whichever engine runs them."""
-        if budget is None:
-            budget = rt.mem_event_cap
-        allocator = (
-            rt.device_heap() if rt.program.config.device_alloc else None
+        allocator = rt.device_heap() if rt.program.config.device_alloc else None
+        return run_lanes(
+            rt, self.name, kernel, span, args_of, budget,
+            num_cores=rt.system.gpu.num_eus, allocator=allocator,
         )
-        engine = rt._make_engine(
-            device="gpu", num_cores=rt.system.gpu.num_eus, allocator=allocator
-        )
-        try:
-            trace = engine.run_launch(kernel, span, args_of, budget)
-        except BaseException as exc:
-            stamp_trap(exc, self.name, kernel, engine)
-            raise
-        if rt.keep_traces:
-            rt.trace_log.extend(trace.lanes())
-        return trace
 
     def _chunk(self, rt, kinfo, span, args_of, timing_cache, budget) -> LaunchResult:
-        trace = self._gpu_traces(rt, kinfo.gpu_kernel, span, args_of, budget)
+        trace = self._traces(rt, kinfo.gpu_kernel, span, args_of, budget)
         report = time_gpu_kernel(
             rt.system.gpu,
             self._function(rt, kinfo).facts,
@@ -227,16 +216,16 @@ class GpuBackend:
         # simulated cost is only measured for the profile —
         # ExecutionReport keeps its historical meaning (device time + JIT).
         result.host_fn = kinfo.join_kernel or join_fn
-        if rt.obs is not None:
-            result.host_trace = rt._new_trace()
+        trace = rt._new_trace() if rt.obs is not None else None
         with rt._span("host_join", "phase") as host_span:
-            host = rt._host_interpreter(trace=result.host_trace)
+            host = rt._host_interpreter(trace=trace)
             for group_index in range(num_groups):
                 leader = copies[group_index * group]
                 host.call_function(result.host_fn, [body_addr, leader])
             host.release_private_memory()
         result.host_span = host_span
-        if result.host_trace is not None:
+        if trace is not None:
+            result.host_trace = LaunchTrace.from_traces([trace])
             result.host_seconds = time_cpu_execution(
                 rt.system.cpu, [result.host_trace]
             ).seconds

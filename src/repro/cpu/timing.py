@@ -1,7 +1,7 @@
 """CPU performance and energy model from execution traces.
 
-Iterations execute one at a time on the scalar interpreter; this module
-converts the accumulated traces into multicore wall-clock time and package
+A chunk's work-items execute one at a time, as one launch; this module
+converts the launches' traces into multicore wall-clock time and package
 energy on a :class:`~repro.cpu.device.CpuDevice`:
 
 * base pipeline cost = dynamic instructions / sustained IPC;
@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..exec.buffers import event_rows
-from ..exec.interp import ExecTrace
+from ..exec.buffers import LaunchTrace
 from ..gpu.cache import CacheModel
 from ..gpu.timing import DeviceReport, running_sum, touched_lines
 from .device import CpuDevice
@@ -30,15 +29,16 @@ from .device import CpuDevice
 
 def time_cpu_execution(
     device: CpuDevice,
-    traces: list[ExecTrace],
+    traces: list[LaunchTrace],
     llc: CacheModel | None = None,
     counters=None,
 ) -> DeviceReport:
-    """Price the traces' execution.  Evaluated over the traces' event
+    """Price the launches' execution.  Evaluated over their event
     columns, but *defined* access by access (``docs/MODEL.md``, *Order
-    contract*): events in trace order, an access that straddles lines
-    touching them low to high, each line probing the L1 and on a miss the
-    LLC, latency accumulated left to right in that order."""
+    contract*): events in (launch, lane, seq) order, an access that
+    straddles lines touching them low to high, each line probing the L1
+    and on a miss the LLC, latency accumulated left to right in that
+    order."""
     llc = llc or CacheModel(
         device.llc_size_bytes, device.llc_line_bytes, device.llc_assoc
     )
@@ -51,21 +51,23 @@ def time_cpu_execution(
 
     merged_branches: dict[int, list[int]] = {}
     for trace in traces:
-        instructions += trace.instructions
-        translations += trace.translations
-        for uid, (taken, total) in trace.branch_stats.items():
+        instructions += int(trace.instructions.sum())
+        translations += int(trace.translations.sum())
+        for uid, taken, total in zip(
+            trace.branch_uids.tolist(),
+            trace.branch_taken.sum(axis=1).tolist(),
+            trace.branch_total.sum(axis=1).tolist(),
+        ):
             slot = merged_branches.setdefault(uid, [0, 0])
             slot[0] += taken
             slot[1] += total
 
-    none = np.empty((0, 5), np.uint64)  # concatenate needs one array
-    rows = [none, *(event_rows(trace.mem_events) for trace in traces)]
+    # concatenate needs one array
     _event, lines = touched_lines(
-        np.concatenate([chunk[:, 2] for chunk in rows]),
-        np.concatenate([chunk[:, 3] for chunk in rows]),
+        np.concatenate([np.empty(0, np.uint64), *(trace.address for trace in traces)]),
+        np.concatenate([np.empty(0, np.uint8), *(trace.size for trace in traces)]),
         device.llc_line_bytes,
     )
-    del rows  # release the buffer exports
     # L1 hits are effectively free: their latency is covered by the
     # out-of-order window (this is the CPU's big advantage on small
     # pointer-chasing working sets).  L1's misses go on to the LLC, in

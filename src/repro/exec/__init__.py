@@ -2,9 +2,9 @@
 
 A backend is a device; an engine runs the lanes.  Every engine executes
 the same IR over the same shared region through one contract —
-``call_function`` (one invocation into ``self.trace``), ``run_chunk``
-(a CPU chunk into ``self.trace``) and ``run_launch`` (a GPU launch,
-returned as a :class:`~repro.exec.buffers.LaunchTrace`) — and records
+``call_function`` (one invocation into ``self.trace``) and
+``run_launch`` (a GPU launch or a CPU chunk, returned as a
+:class:`~repro.exec.buffers.LaunchTrace`) — and records
 memory events in one layout, :class:`MemEventColumns`.  The runtime
 picks the engine class once (``ConcordRuntime._make_engine``):
 
@@ -17,10 +17,10 @@ picks the engine class once (``ConcordRuntime._make_engine``):
   (:mod:`repro.ir.structure`, :class:`~repro.exec.compiled.JitCode`) —
   every runtime's :class:`CodeCache` binds that code to its region, and
   a launch runs all its work-items in one generated loop
-  (``run_launch`` / ``run_chunk`` call the kernel's lanes entry; per
-  launch: the engine, the lookup, the event buffer — per lane, locals of
-  that one frame: ``global_id``, private memory and, on the GPU,
-  sequence numbers, step count, unit counts and event cap).
+  (``run_launch`` calls the kernel's lanes entry; per launch: the
+  engine, the lookup, the event buffer — per lane, locals of that one
+  frame: ``global_id``, private memory, sequence numbers, step count,
+  unit counts and event cap).
   See :mod:`repro.exec.compiled` and ``docs/ENGINE.md``.
 
 :class:`~repro.exec.regions.RegionInterpreter` is the reference

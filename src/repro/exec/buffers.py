@@ -4,20 +4,20 @@ Three pieces of infrastructure that keep the hot execution paths cheap:
 
 * :class:`MemEventColumns` — the one memory-event layout every trace
   holds: parallel ``array`` columns of ints rather than one object per
-  dynamic access.  Every engine appends five ints per access; both
-  timing models read the buffer as one array through :func:`event_rows`
+  dynamic access.  Every engine appends five ints per access, and a
+  launch reads the buffer as one array through :func:`event_rows`
   (plain iteration yields a :class:`MemEvent` per row).  This module is
   the only place that knows the stride-5 row layout: everything else
   goes through :func:`event_rows`, :meth:`MemEventColumns.from_rows` or
   :func:`iter_access_events`.
 
-* :class:`LaunchTrace` — one GPU launch's trace as NumPy columns: the
-  memory events of every lane in one set of arrays, a blocks x lanes
-  count matrix and per-lane counter vectors.  Both generated-code engines
-  build it from their event columns and per-unit execution counts
-  (:meth:`LaunchTrace.from_unit_counts`), the reference interpreter's
-  per-lane traces are concatenated into one
-  (:meth:`LaunchTrace.from_traces`), and the GPU timing model computes on
+* :class:`LaunchTrace` — one launch's trace (a GPU launch or a CPU
+  chunk) as NumPy columns: the memory events of every lane in one set of
+  arrays, blocks x lanes count matrices and per-lane counter vectors.
+  Both generated-code engines build it from their event columns and
+  per-unit execution counts (:meth:`LaunchTrace.from_unit_counts`), the
+  reference interpreter's per-lane traces are concatenated into one
+  (:meth:`LaunchTrace.from_traces`), and both timing models compute on
   the columns; per-lane :class:`~repro.exec.interp.ExecTrace` objects are
   a lazy view (:meth:`LaunchTrace.lanes`).
 
@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -48,17 +49,19 @@ import numpy as np
 DEFAULT_MEM_EVENT_CAP = 120_000
 
 
-def per_item_cap(budget: int, n: int) -> int:
-    """The event cap of each work-item of an ``n``-lane GPU launch under
-    the launch's global ``budget``: an even share, but at least 1000
-    events so that short lanes stay representative.  Every engine's
-    launch applies it under the running total (once the work-items
-    collectively reach ``budget``, later lanes record nothing)."""
-    return max(1000, budget // max(1, n))
+def per_item_cap(budget: int, n: int, device: str) -> int:
+    """The event cap of each work-item of an ``n``-lane launch on
+    ``device`` under the launch's global ``budget``.  On the GPU it is an
+    even share, but at least 1000 events so that short lanes stay
+    representative; on the CPU it is the whole budget, so a chunk keeps
+    its first ``budget`` events.  Every engine's launch applies it under
+    the running total (once the work-items collectively reach ``budget``,
+    later lanes record nothing)."""
+    return budget if device == "cpu" else max(1000, budget // max(1, n))
 
 
 #: Observer counter names for the entries of ``counter_totals()``, which
-#: :class:`~repro.exec.interp.ExecTrace` (one lane or chunk) and
+#: :class:`~repro.exec.interp.ExecTrace` (one lane or call) and
 #: :class:`LaunchTrace` (one launch) both report, in this order.
 TRACE_COUNTERS = (
     "engine.instructions",
@@ -187,9 +190,23 @@ def iter_access_events(trace):
     return zip(data[2::5], data[3::5], data[4::5])
 
 
+def _rows_by_uid(n: int, per_lane: list, width: int) -> tuple:
+    """Per-lane dicts ``uid -> value`` (``width`` ints each) as ascending
+    uids and a ``width x uids x n`` matrix, zero where a lane lacks one."""
+    uids = np.fromiter(chain.from_iterable(per_lane), np.int64)
+    values = np.array(
+        list(chain.from_iterable(lane.values() for lane in per_lane)), np.int64
+    ).reshape(len(uids), width)
+    keys, row = np.unique(uids, return_inverse=True)
+    matrix = np.zeros((width, len(keys), n), np.int64)
+    matrix[:, row, np.repeat(np.arange(n), list(map(len, per_lane)))] = values.T
+    return keys, matrix
+
+
 @dataclass(eq=False)
 class LaunchTrace:
-    """One GPU launch's execution trace, columnar across all its lanes.
+    """One launch's execution trace, columnar across all its lanes: a GPU
+    launch, a CPU chunk, or a host call's trace.
 
     * ``lane, uid, seq, address, size, is_store`` — one entry per retained
       memory event, lane-major (``lane`` is non-decreasing) and
@@ -198,13 +215,10 @@ class LaunchTrace:
     * ``kept, dropped, caps`` — per lane: events retained, events counted
       but dropped past the cap, and the cap that lane ran under.
     * ``block_uids`` / ``block_counts`` — a blocks x lanes matrix of
-      executed-block counts.  Rows follow the order in which the per-lane
-      ``block_counts`` dicts list their keys, so :meth:`lanes` and
-      :meth:`block_totals` reproduce those dicts and their merge
-      key-for-key; consumers that need a canonical order sort the uids.
-    * ``branch_uids`` / ``branch_taken`` / ``branch_total`` — conditional
-      branch outcome matrices, carried only for the per-lane view (the GPU
-      model does not price branches).
+      executed-block counts, and ``branch_uids`` / ``branch_taken`` /
+      ``branch_total`` the conditional branches' outcome matrices.  Both
+      constructors put the rows in ascending uid order, whichever engine
+      ran the lanes.
     * ``instructions, flops, int_ops, translations, calls`` — per-lane
       counter vectors.
 
@@ -242,9 +256,9 @@ class LaunchTrace:
     def from_traces(cls, traces) -> "LaunchTrace":
         """Adapt per-lane traces by concatenation — the reference
         interpreter's launches (:meth:`~repro.exec.interp.Interpreter.run_launch`),
-        and the oracle :meth:`from_unit_counts` is tested against.  The given
-        traces stay the per-lane view, so their branch statistics are not
-        converted."""
+        host calls priced beside a launch, and the oracle
+        :meth:`from_unit_counts` is tested against.  The given traces stay
+        the per-lane view."""
         traces = list(traces)
         n = len(traces)
         chunks = [event_rows(trace.mem_events) for trace in traces]
@@ -266,30 +280,21 @@ class LaunchTrace:
             ],
             np.int64,
         ).reshape(n, 7)
-        uid_flat: list = []
-        count_flat: list = []
-        widths = []
-        for trace in traces:
-            counts = trace.block_counts
-            uid_flat.extend(counts)
-            count_flat.extend(counts.values())
-            widths.append(len(counts))
-        row_of = {uid: row for row, uid in enumerate(dict.fromkeys(uid_flat))}
-        block_counts = np.zeros((len(row_of), n), np.int64)
-        block_counts[
-            np.fromiter(map(row_of.__getitem__, uid_flat), np.int64, len(uid_flat)),
-            np.repeat(np.arange(n), widths),
-        ] = count_flat
-        empty = np.zeros((0, n), np.int64)
+        block_uids, (block_counts,) = _rows_by_uid(
+            n, [trace.block_counts for trace in traces], 1
+        )
+        branch_uids, (branch_taken, branch_total) = _rows_by_uid(
+            n, [trace.branch_stats for trace in traces], 2
+        )
         return cls(
             n=n,
             per_lane=traces,
             **launch_events(rows, kept, scalars[:, 5], scalars[:, 6]),
-            block_uids=np.fromiter(row_of, np.int64, len(row_of)),
+            block_uids=block_uids,
             block_counts=block_counts,
-            branch_uids=np.zeros(0, np.int64),
-            branch_taken=empty,
-            branch_total=empty,
+            branch_uids=branch_uids,
+            branch_taken=branch_taken,
+            branch_total=branch_total,
             instructions=scalars[:, 0],
             flops=scalars[:, 1],
             int_ops=scalars[:, 2],
@@ -305,16 +310,15 @@ class LaunchTrace:
         of every function the launch entered.  Equal, row order included,
         to :meth:`from_traces` over the same lanes traced one by one.
 
-        ``functions`` lists ``(units, lanes, counts, taken, order)``: the
+        ``functions`` lists ``(units, lanes, counts, taken)``: the
         function's per-unit totals, the lanes that entered it (ascending),
-        their ``len(lanes) x len(units)`` execution and taken-branch
-        counts, and per lane a key that increases with the order in which
-        the lane first entered its functions.  Every per-lane counter is
-        the counts matrix times the per-unit totals."""
+        and their ``len(lanes) x len(units)`` execution and taken-branch
+        counts.  Every per-lane counter is the counts matrix times the
+        per-unit totals."""
         counters = np.zeros((5, n), np.int64)
-        blocks = []  # (first lane, its entry order, unit, uid, per-lane counts)
-        branches = []  # (..., branch uid, per-lane taken, per-lane total)
-        for units, lanes, counts, taken, order in functions:
+        blocks = []  # (uid, per-lane counts)
+        branches = []  # (branch uid, per-lane taken, per-lane total)
+        for units, lanes, counts, taken in functions:
             totals = np.array(
                 [
                     (u.d_instr, u.d_flops, u.d_int_ops, u.d_translations, u.d_calls)
@@ -325,26 +329,24 @@ class LaunchTrace:
             counters[:, lanes] += (counts @ totals).T
             for index in np.flatnonzero(counts.any(axis=0)).tolist():
                 unit = units[index]
-                first = int((counts[:, index] != 0).argmax())
-                key = (int(lanes[first]), int(order[first]), index)
                 dense = np.zeros(n, np.int64)
                 dense[lanes] = counts[:, index]
-                blocks.extend((key, uid, dense) for uid in unit.uid_list)
+                blocks.extend((uid, dense) for uid in unit.uid_list)
                 if unit.branch_uid >= 0:
                     branch_taken = np.zeros(n, np.int64)
                     branch_taken[lanes] = taken[:, index]
-                    branches.append((key, unit.branch_uid, branch_taken, dense))
-        blocks.sort(key=lambda entry: entry[0])  # stable: uid_list order stays
+                    branches.append((unit.branch_uid, branch_taken, dense))
+        blocks.sort(key=lambda entry: entry[0])
         branches.sort(key=lambda entry: entry[0])
         none = np.zeros((0, n), np.int64)  # vstack needs one array
         return cls(
             n=n,
             **events,
-            block_uids=np.array([uid for _key, uid, _row in blocks], np.int64),
-            block_counts=np.vstack([none, *(row for _key, _uid, row in blocks)]),
-            branch_uids=np.array([uid for _key, uid, _t, _c in branches], np.int64),
-            branch_taken=np.vstack([none, *(taken for _k, _u, taken, _c in branches)]),
-            branch_total=np.vstack([none, *(total for _k, _u, _t, total in branches)]),
+            block_uids=np.array([uid for uid, _row in blocks], np.int64),
+            block_counts=np.vstack([none, *(row for _uid, row in blocks)]),
+            branch_uids=np.array([uid for uid, _t, _c in branches], np.int64),
+            branch_taken=np.vstack([none, *(taken for _u, taken, _c in branches)]),
+            branch_total=np.vstack([none, *(total for _u, _t, total in branches)]),
             instructions=counters[0],
             flops=counters[1],
             int_ops=counters[2],
@@ -370,18 +372,11 @@ class LaunchTrace:
         )
 
     def block_totals(self) -> dict:
-        """Executed-block histogram merged over the lanes, keyed in the
-        order a lane-by-lane merge of the per-lane dicts would insert
-        them (first lane to execute the block, then row order)."""
-        counts = self.block_counts
-        order = np.argsort((counts != 0).argmax(axis=1), kind="stable")
-        totals = counts.sum(axis=1)
+        """Executed-block histogram merged over the lanes, in row (uid)
+        order."""
+        totals = self.block_counts.sum(axis=1).tolist()
         return {
-            uid: total
-            for uid, total in zip(
-                self.block_uids[order].tolist(), totals[order].tolist()
-            )
-            if total
+            uid: total for uid, total in zip(self.block_uids.tolist(), totals) if total
         }
 
     def lanes(self) -> list:

@@ -64,12 +64,11 @@ its region, and a launch replays it over the whole NDRange:
 * **The launch is the unit of work.**  The work-item loop is generated
   with the kernel: its lanes entry, printed from the same tree as ``f``,
   runs a whole span of lanes in one frame (``_LANES_MODULE``).
-  :meth:`CompiledEngine.run_launch` and
-  :meth:`~CompiledEngine.run_chunk` call it once — one engine, one
-  lookup, one event buffer per launch; per lane only ``global_id``,
-  private memory and (on the GPU) the sequence numbers, step count, unit
-  counts and event cap are reset, all locals of that frame, and a GPU
-  lane appends its counts to the launch's rows itself.
+  :meth:`CompiledEngine.run_launch` calls it once, for a GPU launch and
+  a CPU chunk alike — one engine, one lookup, one event buffer per
+  launch; per lane ``global_id``, private memory, the sequence numbers,
+  step count, unit counts and event cap are reset, all locals of that
+  frame, and a lane appends its counts to the launch's rows itself.
 
 Generated modules are named ``<repro-jit {function}.{device} {digest}>``
 (:func:`load_generated`, which the vector engine's modules go through
@@ -675,55 +674,47 @@ _BODY_LINE = 3
 
 # -- the lanes entry ----------------------------------------------------------
 #
-# ``lanes(ctx, span, args_of, gpu_)`` runs the function's text once per
+# ``lanes(ctx, span, args_of, launch_)`` runs the function's text once per
 # index of ``span`` in one frame: what ``f`` keeps per call — the step
 # count, the unit counts, the drops — are locals of the lane loop, and a
 # ``ret`` ends the lane (a ``continue`` of the loop, or a ``break`` out of
-# the loops around it).  ``gpu_`` is ``None`` for a CPU chunk, whose lanes
-# run on one trace (counts, steps and sequence numbers run on, flushed
-# once at the end); for a GPU launch it is the launch's columns, and every
-# lane starts from what a fresh engine would have and ends by appending
-# its row.
+# the loops around it).  ``launch_`` is the launch's columns; every lane,
+# on either device, starts from what a fresh engine would have and ends
+# by appending its row.
 
 _LANES_MODULE = """\
 def _bind({params}):
-    def lanes(ctx, span, args_of, gpu_):
+    def lanes(ctx, span, args_of, launch_):
 {body}
     return lanes
 """
 
 #: What a lanes entry loads once.  ``per_`` and ``budget_`` are the
-#: per-lane and launch event caps as lengths of ``ev_``; a chunk enters the
-#: function (``_PROLOGUE``'s flag) once for all its lanes.
+#: per-lane and launch event caps as lengths of ``ev_``; naming the
+#: accumulator keeps it in the frame, where a trap's unwind finds it.
 _LANES_PROLOGUE = """\
 max_ = ctx.max_steps
-steps_ = ctx._steps
 ev_ = ctx._ev_data
-ev_cap_ = ctx._ev_cap
-drop_ = 0
-if gpu_:
-    per_, budget_, kept_, dropped_, caps_, rows_, columns_ = gpu_
-elif not cnt_[{flag}]:
-    cnt_[{flag}] = 1
-    ctx._entered.append(acc_)
+per_, budget_, kept_, dropped_, caps_, rows_, columns_ = launch_
+cnt_, acc_
 """
 
 #: Every lane: its index, where ``gpu.global_id`` and a trap's stamp read it ...
 _LANE_START = "ctx.global_id = index_\n"
 
-#: ... and an empty, all-zero private window.
+#: ... an empty, all-zero private window ...
 _PRIVATE_RESET = """\
 ctx._private_next = 4096
 if ctx._priv_dirty:
     ctx.reset_private_memory()
 """
 
-#: A GPU lane's sequence numbers start over (a fresh list: a callee a
-#: virtual call generates grows the one its frames hold) ...
+#: ... sequence numbers that start over (a fresh list: a callee a virtual
+#: call generates grows the one its frames hold) ...
 _SEQ_RESET = "seqs_ = ctx._mem_seq = [0] * len(seqs_)\n"
 
-#: ... as do its steps and drops, under its cap: an even share of the
-#: launch's budget, at most what the lanes before it left.
+#: ... and steps and drops that start over too, under the lane's cap
+#: (``per_item_cap``), at most what the lanes before it left.
 _LANE_CAP = """\
 steps_ = 0
 drop_ = 0
@@ -733,15 +724,15 @@ if ev_cap_ > budget_:
     ev_cap_ = budget_
 """
 
-#: A GPU lane of a function with callees enters the function as ``f``
-#: does, and shows the callees its cap.
+#: A lane of a function with callees enters the function as ``f`` does,
+#: and shows the callees its cap.
 _LANE_ENTER = """\
 ctx._ev_cap = ev_cap_
 cnt_[{flag}] = 1
 ctx._entered.append(acc_)
 """
 
-#: A GPU lane's row of the launch's event columns.
+#: A lane's row of the launch's event columns.
 _LANE_END = """\
 kept_.append((len(ev_) - start_) // 5)
 caps_.append((ev_cap_ - start_) // 5)
@@ -1127,7 +1118,7 @@ class _Printer:
         zeroed = [f"c{i}" for i in self.local_counts] + [f"b{i}" for i in self.local_taken]
         zero = " = ".join(zeroed) + " = 0\n" if zeroed else ""
         if self.lanes:
-            prologue, ret, tail = self._lane_frame(flush, zeroed, zero)
+            prologue, ret = self._lane_frame(flush, zeroed, zero)
         else:
             prologue = _PROLOGUE.format(
                 max_depth=_MAX_CALL_DEPTH,
@@ -1141,52 +1132,44 @@ class _Printer:
             if self.rounds:
                 prologue += _F32_PROLOGUE
             prologue += zero
-            tail = ""
         out = [(0, line, -1) for line in prologue.splitlines()]
         for depth, text, unit in self.lines:
             if text is None:
                 out.extend((depth, line, unit) for line in ret)
             else:
                 out.append((depth, text, unit))
-        out += [(0, line, -1) for line in tail.splitlines()]
         body = "\n".join("    " * (depth + 2) + text for depth, text, _unit in out)
         line_units = [-1] * _BODY_LINE + [unit for _depth, _text, unit in out] + [-1]
         return body, line_units
 
     def _lane_frame(self, flush: list, zeroed: list, zero: str) -> tuple:
         """A lanes entry around the body: (what comes before it, what a
-        ``ret`` does before it ends the lane, what follows the loop)."""
-        flag = 3 * len(self.totals)
-        seqs = self.collect and (self.traced or self.calls)
-        prologue = _LANES_PROLOGUE.format(flag=flag)
-        if seqs:
+        ``ret`` does before it ends the lane)."""
+        prologue = _LANES_PROLOGUE
+        if self.collect and (self.traced or self.calls):
             prologue += "seqs_ = ctx._mem_seq\n"
+            fresh = _SEQ_RESET
+        else:
+            fresh = ""
         if self.rounds:
             prologue += _F32_PROLOGUE
         if self.calls:
             prologue += "d_ = 0\n"
-        prologue += zero
         if self.exits:
             prologue += "x_ = 0\n"
         args = [f"v{slot}" for slot in self.plan.arg_slots]
         lane = _LANE_START + _PRIVATE_RESET
         if args:
             lane += ", ".join(args) + ("," if len(args) == 1 else "") + " = "
-        lane += "args_of(index_)\n"
-        fresh = (_SEQ_RESET if seqs else "") + _LANE_CAP + zero
+        lane += "args_of(index_)\n" + fresh + _LANE_CAP + zero
         if self.calls:
             # the function and its callees go through the engine's harvest
-            fresh += _LANE_ENTER.format(flag=flag)
+            lane += _LANE_ENTER.format(flag=3 * len(self.totals))
             row = flush + ["drop_ += ctx._end_lane(columns_, len(kept_))"]
         else:
             row = [f"rows_.append(({', '.join(zeroed)}{',' if len(zeroed) == 1 else ''}))"]
-        lane += "if gpu_:\n" + indent(fresh, "    ")
         prologue += "for index_ in span:\n" + indent(lane, "    ")
-        ret = ["if gpu_:", *("    " + line for line in row + _LANE_END.splitlines())]
-        tail = "if not gpu_:\n" + indent(
-            "\n".join([*flush, "ctx._steps = steps_", "ctx._dropped += drop_\n"]), "    "
-        )
-        return prologue, ret, tail
+        return prologue, row + _LANE_END.splitlines()
 
     # -- instructions --------------------------------------------------------
 
@@ -1542,7 +1525,7 @@ class JitCode:
     region-independent, so every runtime over the same program shares it.
     It has two entries, each a module printed from the same region tree
     and loaded when first asked for (:meth:`entry`): ``f(ctx, depth,
-    *args)``, what a call runs, and ``lanes(ctx, span, args_of, gpu_)``,
+    *args)``, what a call runs, and ``lanes(ctx, span, args_of, launch_)``,
     what a launch runs (see ``_LANES_MODULE``) — a kernel is only ever
     launched, a callee only called.  Each module's ``factory(*region
     constants, accumulator, (accumulator, code), *callee entries, *global
@@ -1844,7 +1827,7 @@ def _no_body(name: str, ctx, depth, *args):
     raise ExecutionError(f"{name} has no body")
 
 
-def _no_body_lanes(name: str, ctx, span, args_of, gpu_):
+def _no_body_lanes(name: str, ctx, span, args_of, launch_):
     ctx.global_id = span[0]
     raise ExecutionError(f"{name} has no body")
 
@@ -1856,16 +1839,15 @@ class CompiledEngine:
     Mirrors the interpreter's constructor and ``call_function`` contract
     (device address spaces, trace lifecycle, private memory and
     memory-event sequence numbers).  The unit of work it is built for is
-    the *launch*: :meth:`run_chunk` (one trace for all lanes, the CPU
-    backend's shape) and :meth:`run_launch` (a columnar
-    :class:`~repro.exec.buffers.LaunchTrace`, the GPU backend's) call the
-    kernel's generated lanes entry, whose loop runs every work-item in one
-    frame, and ``call_function`` is a launch of one.
+    the *launch*: :meth:`run_launch` (a columnar
+    :class:`~repro.exec.buffers.LaunchTrace`, what both backends price)
+    calls the kernel's generated lanes entry, whose loop runs every
+    work-item in one frame, and ``call_function`` is a launch of one.
 
     Generated functions keep their counts in locals and flush them into
     their :class:`CompiledFunction`'s accumulator on return; the engine
     harvests the accumulators of the functions that were entered
-    (``_entered``) once per call or chunk, and per lane of a launch whose
+    (``_entered``) once per call, and per lane of a launch whose
     kernel has callees (a callee-free kernel's lane appends its counts to
     the launch's rows itself).
     """
@@ -1943,40 +1925,19 @@ class CompiledEngine:
         finally:
             self._harvest()
 
-    def run_chunk(self, function: Function, span, args_of) -> None:
-        """``function`` for every index of ``span``, all traced into
-        ``self.trace`` and harvested once at the end: sequence numbers and
-        the step count run on across the work-items, private memory starts
-        over for each."""
-        if not span:
-            return
-        compiled = self._lookup(function, len(span), lanes=True)
-        run = compiled.lanes()
-        data = self._ev_data
-        start = len(data)
-        try:
-            run(self, span, args_of, None)
-        except BaseException as exc:
-            self._unwind(exc)
-            raise
-        finally:
-            if compiled.code.entry(True).raw_addresses:
-                self._to_cpu_space(data, start)
-            self._harvest()
-            self.release_private_memory()
-
     def run_launch(self, function: Function, span, args_of, budget: int) -> LaunchTrace:
-        """``function`` for every index of ``span`` as one GPU launch:
-        each work-item starts from what a fresh engine would have
-        (sequence numbers, step count, private memory), and its events,
-        counts and cap go straight into the launch's columns.
+        """``function`` for every index of ``span`` as one launch (a GPU
+        launch or a CPU chunk): each work-item starts from what a fresh
+        engine would have (sequence numbers, step count, private memory),
+        and its events, counts and cap go straight into the launch's
+        columns.
 
-        The cap is per work-item with a *global* budget: the per-item
-        floor of 1000 events keeps short lanes representative, but once
-        the work-items collectively reach ``budget`` the remaining lanes
-        record nothing — without the running total, n floor-capped lanes
-        would retain up to n * 1000 events.  Overflow is visible: each
-        lane counts its drops."""
+        The cap is per work-item (:func:`~repro.exec.buffers.per_item_cap`)
+        with a *global* budget: once the work-items collectively reach
+        ``budget`` the remaining lanes record nothing — without the
+        running total, n floor-capped GPU lanes would retain up to
+        n * 1000 events.  Overflow is visible: each lane counts its
+        drops."""
         n = len(span)
         events = array("Q")
         kept, dropped, caps = array("q"), array("q"), array("q")
@@ -1986,7 +1947,7 @@ class CompiledEngine:
         if n:
             compiled = self._lookup(function, n, lanes=True)
             run = compiled.lanes()
-            per_item = per_item_cap(budget, n)
+            per_item = per_item_cap(budget, n, self.device)
             own = self._ev_data, self._ev_cap
             self._ev_data = events
             try:
@@ -2003,23 +1964,21 @@ class CompiledEngine:
                 self._to_cpu_space(events, 0)
             if rows:
                 width = len(code.units)
-                harvest = np.zeros((n, 3 * width + 1), np.int64)
+                harvest = np.zeros((n, 2 * width), np.int64)
                 slots = [slot for _name, slot in code.entry(True).flushed]
                 # one pack: about half of what np.array takes over tuples
                 flat = pack(f"<{n * len(slots)}q", *chain.from_iterable(rows))
                 harvest[:, slots] = np.frombuffer(flat, np.int64).reshape(n, len(slots))
-                harvest[:, -1] = 1
-                counts, taken = harvest[:, :width], harvest[:, width : 2 * width]
-                functions.append((code.units, np.arange(n), counts, taken, harvest[:, -1]))
+                functions.append((code.units, np.arange(n), harvest[:, :width], harvest[:, width:]))
         events_of = launch_events(events, kept, dropped, caps)
         del events  # the columns hold the events now
         for code, (lanes, accumulators) in columns.items():
-            # per lane: unit counts, taken counts, trap counts, the rank
+            # per lane: unit counts, taken counts, trap counts, the entered flag
             units = code.units
             width = len(units)
             harvest = np.array(accumulators, np.int64).reshape(len(lanes), 3 * width + 1)
             counts, taken = harvest[:, :width], harvest[:, width : 2 * width]
-            functions.append((units, np.array(lanes, np.int64), counts, taken, harvest[:, -1]))
+            functions.append((units, np.array(lanes, np.int64), counts, taken))
         return LaunchTrace.from_unit_counts(n, events_of, functions)
 
     def _lookup(self, function: Function, uses: int, lanes: bool = False) -> CompiledFunction:
@@ -2053,11 +2012,9 @@ class CompiledEngine:
 
     def _end_lane(self, columns: dict, lane: int) -> int:
         """The end of a launch's lane whose kernel has callees: the
-        accumulators of the functions it entered go into ``columns``, rank
-        (the order it entered them in) included; returns the drops its
-        callees counted."""
-        for rank, (counts, code) in enumerate(self._entered, start=1):
-            counts[-1] = rank
+        accumulators of the functions it entered go into ``columns``;
+        returns the drops its callees counted."""
+        for counts, code in self._entered:
             column = columns.get(code)
             if column is None:
                 column = columns[code] = (array("q"), array("q"))

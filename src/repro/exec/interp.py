@@ -13,8 +13,8 @@ While executing it records an :class:`ExecTrace` — dynamic instruction
 count, per-block execution counts, memory access events (one
 :class:`~repro.exec.buffers.MemEventColumns` buffer, the layout every
 engine records into) and per-branch outcome statistics.  Like the other
-engines it runs a CPU chunk (:meth:`Interpreter.run_chunk`) and a GPU
-launch (:meth:`Interpreter.run_launch`) itself.  The device timing models
+engines it runs a launch — a GPU launch or a CPU chunk
+(:meth:`Interpreter.run_launch`) — itself.  The device timing models
 (:mod:`repro.gpu.timing`, :mod:`repro.cpu.timing`) are pure functions of
 these traces, which keeps functional correctness and performance modelling
 cleanly separated.
@@ -47,13 +47,12 @@ class ExecutionError(Exception):
 
 @dataclass
 class ExecTrace:
-    """One work-item's or one chunk's execution trace.
+    """One work-item's or one call's execution trace.
 
     ``mem_events`` is a columnar
     :class:`~repro.exec.buffers.MemEventColumns` buffer, whichever engine
-    recorded it.  The CPU model reads it as columns through
-    :func:`~repro.exec.buffers.event_rows`; the GPU model takes a whole
-    launch's lanes at once as a :class:`~repro.exec.buffers.LaunchTrace`.
+    recorded it.  Both timing models take a whole launch's lanes at once
+    as a :class:`~repro.exec.buffers.LaunchTrace`.
 
     ``mem_event_cap`` defaults to :data:`DEFAULT_MEM_EVENT_CAP`, the same
     constant :class:`~repro.runtime.runtime.ConcordRuntime` is built with
@@ -185,28 +184,17 @@ class Interpreter:
             self.counters.add(f"engine.invocations.{self.device}")
         return self._run(function, args, depth=0)
 
-    def run_chunk(self, function: Function, span, args_of) -> None:
-        """``function`` for every index of ``span``, all traced into
-        ``self.trace``: sequence numbers and the step count run on across
-        the work-items, private memory starts over for each and goes back
-        to the pool at the end."""
-        try:
-            for index in span:
-                self.global_id = index
-                self.reset_private_memory()
-                self.call_function(function, args_of(index))
-        finally:
-            self.release_private_memory()
-
     def run_launch(self, function: Function, span, args_of, budget: int) -> LaunchTrace:
-        """``function`` for every index of ``span`` as one GPU launch, in
-        the lifecycle :class:`~repro.exec.buffers.LaunchTrace` is defined
-        by: each work-item runs into a fresh trace from fresh sequence
-        numbers, step count and private memory, and the lanes' traces are
-        concatenated.  The cap is per work-item (at least 1000 events)
-        under the launch's global ``budget``: once the work-items
-        collectively reach it, later lanes record nothing."""
-        per_item = per_item_cap(budget, len(span))
+        """``function`` for every index of ``span`` as one launch (a GPU
+        launch or a CPU chunk), in the lifecycle
+        :class:`~repro.exec.buffers.LaunchTrace` is defined by: each
+        work-item runs into a fresh trace from fresh sequence numbers,
+        step count and private memory, and the lanes' traces are
+        concatenated.  The cap is per work-item
+        (:func:`~repro.exec.buffers.per_item_cap`) under the launch's
+        global ``budget``: once the work-items collectively reach it,
+        later lanes record nothing."""
+        per_item = per_item_cap(budget, len(span), self.device)
         kept = 0
         traces = []
         own = self.trace
@@ -259,10 +247,10 @@ class Interpreter:
         return buf
 
     def reset_private_memory(self) -> None:
-        """A work-item starts with an empty, all-zero private window: the
-        backends call this between the work-items one interpreter runs
-        (an ``alloca`` is per work-item, and a chunk's worth of them would
-        run off the window)."""
+        """A work-item starts with an empty, all-zero private window: a
+        launch calls this between its work-items (an ``alloca`` is per
+        work-item, and a chunk's worth of them would run off the
+        window)."""
         self._private_next = 0x1000
         if self._priv_dirty:
             self._priv_buf[: self._priv_dirty] = bytes(self._priv_dirty)

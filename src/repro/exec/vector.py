@@ -299,8 +299,7 @@ class VectorMachine:
         self.smarks: list = []
         self.lmarks: list = []
         self.journal: list = []  # (byte-offset matrix, old bytes)
-        self.counts: dict = {}  # id(vfn) -> (vfn, hit lists, taken lists, entry order)
-        self.invocations = 0
+        self.counts: dict = {}  # id(vfn) -> (vfn, hit lists, taken lists)
         self.steps = np.zeros(self.n, _I64)
         self.step_acc: list = []  # (lanes, n_steps) not yet settled
         self.step_hi = 0  # scalar upper bound on any lane's step count
@@ -314,14 +313,11 @@ class VectorMachine:
 
     # -- accounting -------------------------------------------------------
 
-    def enter(self, vfn, lanes):
-        """``lanes`` enter ``vfn``: its per-unit deferred accumulators.
+    def enter(self, vfn):
+        """Lanes enter ``vfn``: its per-unit deferred accumulators.
         ``hits[u]`` collects the lane array of every execution of unit
         ``u``, ``tks[u]`` the lanes that took the branch; appending a
-        reference is safe because lane arrays are never mutated.  Each
-        lane's first entry is numbered, which orders the function among
-        those the lane entered, as a scalar lane enters them."""
-        self.invocations += 1
+        reference is safe because lane arrays are never mutated."""
         entry = self.counts.get(id(vfn))
         if entry is None:
             units = len(vfn.units)
@@ -329,15 +325,12 @@ class VectorMachine:
                 vfn,
                 [[] for _ in range(units)],
                 [[] for _ in range(units)],
-                np.full(self.n, 1 << 62, _I64),  # not entered yet
             )
-        order = entry[3]
-        order[lanes] = np.minimum(order[lanes], self.invocations)
         return entry[1], entry[2]
 
     def _unit_counts(self):
-        """Per entered function, ``(units, lanes, counts, taken, order)``
-        as :meth:`~repro.exec.buffers.LaunchTrace.from_unit_counts` takes
+        """Per entered function, ``(units, lanes, counts, taken)`` as
+        :meth:`~repro.exec.buffers.LaunchTrace.from_unit_counts` takes
         them: the hit lists folded into lanes x units matrices."""
         n, none = self.n, [np.zeros(0, _I64)]
 
@@ -346,8 +339,8 @@ class VectorMachine:
                 [np.bincount(np.concatenate(lists + none), minlength=n) for lists in per_unit]
             )
 
-        for vfn, hits, tks, order in self.counts.values():
-            yield vfn.units, self.lane_ids, tally(hits), tally(tks), order
+        for vfn, hits, tks in self.counts.values():
+            yield vfn.units, self.lane_ids, tally(hits), tally(tks)
 
     def charge(self, lanes, k: int, k0: int, n_steps: int, name: str) -> None:
         """A unit runs on ``lanes`` (``k`` of them, of the invocation's
@@ -590,7 +583,7 @@ class VectorMachine:
         totals = np.bincount(lanes, minlength=n)
         # The scalar launch's running budget in closed form: lane i keeps
         # min(total_i, per_item, budget - kept by the lanes before it).
-        per_item = per_item_cap(budget, n)
+        per_item = per_item_cap(budget, n, "gpu")
         kept_through = np.minimum(
             np.cumsum(np.minimum(totals, per_item)), max(0, budget)
         )
@@ -851,7 +844,7 @@ def f(m, lanes{args}):
     if m.depth > {max_depth}:
         raise _Trap({too_deep!r})
     m.depth += 1
-    h_, tk_ = m.enter({owner}, lanes)
+    h_, tk_ = m.enter({owner})
     k = k0_ = len(lanes)
     r_ = []
     l0_ = lanes
@@ -1784,10 +1777,11 @@ _MIN_OCCUPANCY = 0.12
 class VectorEngine(CompiledEngine):
     """The generated-code engine whose GPU launches run columnar.
 
-    :meth:`run_launch` tries the program's vector code first and falls
-    back, per kernel, to :meth:`CompiledEngine.run_launch`;
-    ``call_function`` and ``run_chunk`` (host calls, a GPU-side join) are
-    the inherited scalar ones.  The routing, auditable through the
+    :meth:`run_launch` tries the program's vector code first for a GPU
+    launch and falls back, per kernel, to :meth:`CompiledEngine.run_launch`
+    (a CPU chunk runs there directly); ``call_function`` (host calls, a
+    GPU-side join) is the inherited scalar one.  The routing, auditable
+    through the
     ``vector.*`` counters and the ``vector_classify`` span:
 
     * a kernel the program already routes scalar (a sticky hazard, low
@@ -1832,7 +1826,7 @@ class VectorEngine(CompiledEngine):
         return got
 
     def run_launch(self, function: Function, span, args_of, budget: int) -> LaunchTrace:
-        if span:
+        if span and self.device == "gpu":
             trace = self._columnar(function, span, args_of, budget)
             if trace is not None:
                 return trace

@@ -572,8 +572,9 @@ TARGETS: dict = {target.name: target for target in (
     Target(
         "engines",
         "reference interpreter vs threaded-code engine on the *same* compiled "
-        "program, GPU and CPU paths, plus a cross-device output check",
-        (_engines(),),
+        "program, GPU and CPU paths, plus a cross-device output check; every "
+        "other program keeps a stack array half the private window large",
+        (_engines(), _engines({"uses_stack": True})),
     ),
     Target(
         "passes",

@@ -5,8 +5,9 @@ Concord frontend supports: classes with pointer/scalar fields, helper
 methods, virtual calls through a small hierarchy, bounded ``for`` loops,
 ``if``/``else``, guarded integer division, float arithmetic, shared-array
 reads/writes (pointers into SVM), reduction bodies with ``join``, an
-overloaded free function plus a chain of class operators, and ``&&`` /
-``||`` conditions with ``continue`` in loops.
+overloaded free function plus a chain of class operators, ``&&`` /
+``||`` conditions with ``continue`` in loops, and a stack array half the
+private window large.
 
 Programs are built from a JSON-serializable *spec tree* (plain dicts and
 lists) wrapped in :class:`SourceProgram`, so the reducer
@@ -68,6 +69,7 @@ class SourceProgram:
     class_name: str = "FuzzBody"
     uses_overloads: bool = False
     uses_short_circuit: bool = False
+    uses_stack: bool = False
 
     # -- serialization ----------------------------------------------------
 
@@ -93,6 +95,7 @@ class SourceProgram:
             "class_name": self.class_name,
             "uses_overloads": self.uses_overloads,
             "uses_short_circuit": self.uses_short_circuit,
+            "uses_stack": self.uses_stack,
         }
 
     @staticmethod
@@ -261,6 +264,7 @@ def generate_source_program(rng, seed: int = 0,
         # only when forced: rolling them would change what every seed draws
         "uses_overloads": False,
         "uses_short_circuit": False,
+        "uses_stack": False,
     }
     construct = "reduce" if rng.random() < 0.25 else "for"
     flags.update({k: v for k, v in force.items() if k in flags})
@@ -300,6 +304,7 @@ def generate_source_program(rng, seed: int = 0,
         stmts=stmts,
         uses_overloads=flags["uses_overloads"],
         uses_short_circuit=flags["uses_short_circuit"],
+        uses_stack=flags["uses_stack"],
     )
 
 
@@ -404,6 +409,20 @@ public:
 """
 
 
+#: Half the 1 MiB private window: a lane's first reads must see zeros, and
+#: a third lane that did not start over at the window's base runs off it.
+#: The top slot is read first and written last, so a window handed on
+#: without zeroing shows the lane before.
+STACK_WORDS = 1 << 17
+STACK_USES = (
+    f"    int stk[{STACK_WORDS}];",
+    f"    x = x + stk[{STACK_WORDS - 1}] + stk[(i * 5 + y) & {STACK_WORDS - 1}];",
+    f"    stk[i & {STACK_WORDS - 1}] = x;",
+    f"    x = x ^ stk[(i + z) & {STACK_WORDS - 1}];",
+    f"    stk[{STACK_WORDS - 1}] = x | 1;",
+)
+
+
 #: ``pick`` overloads on its pointer's pointee, and its ``OV*`` overload
 #: returns a class an operator is called on: which one a call means must
 #: not depend on the order they are declared in.  The ``OV*`` overload
@@ -454,6 +473,8 @@ def render_source(program: SourceProgram, reverse_overloads: bool = False) -> st
     body_lines = ["    int x = data[i];", "    int y = s0;", "    int z = s1;"]
     if program.uses_floats:
         body_lines.append("    float fx = fdata[i];")
+    if program.uses_stack:
+        body_lines.extend(STACK_USES)
     for stmt in program.stmts:
         body_lines.extend(render_stmt(stmt, mask, 2))
     if program.uses_overloads:

@@ -195,12 +195,11 @@ def _issue_slots(device, facts: KernelFacts, trace: LaunchTrace, warps: int):
     lanes count matrix — the divergence model of the module docstring."""
     w = device.simd_width
     n = trace.n
-    # Canonical (sorted-uid) block order: float accumulation order must not
-    # depend on which engine produced the trace.
-    order = np.argsort(trace.block_uids)
-    uids = trace.block_uids[order]
+    # Rows come in ascending uid order from every engine, so float
+    # accumulation order does not depend on which one produced the trace.
+    uids = trace.block_uids
     counts = np.zeros((len(uids), warps * w), np.int64)
-    counts[:, :n] = trace.block_counts[order]
+    counts[:, :n] = trace.block_counts
     counts = counts.reshape(len(uids), warps, w)
     # A callee's blocks are not the kernel's: one slot, no guard.
     at = np.searchsorted(facts.uids, uids).clip(max=len(facts.uids) - 1)

@@ -378,9 +378,8 @@ class ConcordRuntime:
     def _harvest_traces(self, traces) -> dict:
         """Fold trace execution totals into the observer's counter
         registry; returns the construct-level totals for profile
-        attachment.  ``traces`` mixes per-launch ``LaunchTrace`` and
-        per-chunk ``ExecTrace`` objects; both report ``counter_totals()``.
-        Only called when an observer is attached."""
+        attachment.  ``traces`` are the construct's ``LaunchTrace``
+        objects.  Only called when an observer is attached."""
         sums = [0] * len(TRACE_COUNTERS)
         for trace in traces:
             for index, value in enumerate(trace.counter_totals()):

@@ -16,7 +16,8 @@ contract*), not a tolerance.
 
 Each is kept verbatim rather than re-spelled (``sum()`` over floats is a
 plain left-to-right sum on the CPython 3.11 the suite runs on); the only
-edits are the ``Oracle`` names, the GPU oracle unwrapping the
+edits are the ``Oracle`` names, both oracles taking their lanes from
+each ``LaunchTrace``'s per-lane view, the GPU oracle unwrapping the
 ``KernelFacts`` the backend passes, ``OracleCacheModel.resident`` (a
 read-only view for comparing states), and what no longer exists to be
 mirrored: ``CacheModel.publish`` and ``DeviceReport.extra``.
@@ -37,7 +38,6 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.cpu.device import CpuDevice
-from repro.exec import ExecTrace
 from repro.exec.buffers import LaunchTrace
 from repro.gpu.timing import (
     GATHER_CRACK_SLOTS,
@@ -100,10 +100,11 @@ class OracleCacheModel:
 
 def oracle_time_cpu_execution(
     device: CpuDevice,
-    traces: list[ExecTrace],
+    traces: list[LaunchTrace],
     llc: OracleCacheModel | None = None,
     counters=None,
 ) -> DeviceReport:
+    traces = [lane for trace in traces for lane in trace.lanes()]
     llc = llc or OracleCacheModel(
         device.llc_size_bytes, device.llc_line_bytes, device.llc_assoc
     )

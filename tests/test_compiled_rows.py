@@ -19,9 +19,9 @@ more cheaply.
   code-cache lookup); runtimes generating on several threads never hand
   one slot to two instructions;
 * the event cap and the lane's end — a cap crossed inside a loop, by the
-  kernel or by a callee, refuses the rest of the lane's (or the chunk's)
-  events and numbers no more of them, and a ``ret`` inside a loop ends
-  the lane with its row complete;
+  kernel or by a callee, refuses the rest of the lane's (and of the
+  launch's, on the CPU) events and numbers no more of them, and a
+  ``ret`` inside a loop ends the lane with its row complete;
 * generated text — no module of the nine workloads spells a row these
   replaced;
 * the vector engine — an f32 product that overflows to ``inf`` is what
@@ -36,14 +36,12 @@ import sys
 import threading
 import warnings
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.exec import CodeCache, CompiledEngine, ExecutionError, Interpreter
-from repro.exec.buffers import EVENT_DTYPES
 from repro.exec.compiled import JitCode
-from repro.exec.interp import _F32_PACK, _F32_UNPACK, ExecTrace
+from repro.exec.interp import _F32_PACK, _F32_UNPACK
 from repro.ir import (
     F32,
     Constant,
@@ -70,7 +68,7 @@ from repro.runtime import ConcordRuntime, compile_source, ultrabook
 from repro.svm import MemoryFault, SharedRegion
 from repro.workloads import all_workloads
 
-from .test_engine_equivalence import NINE, _assert_trace_equal, _events
+from .test_engine_equivalence import NINE
 from .test_launch import _assert_launch_equal
 
 # -- the float32 slot ------------------------------------------------------------
@@ -203,8 +201,8 @@ def _scenarios(draw):
 
 
 def _run_atomics(engine_class, fn, scenario, device: str, collect: bool):
-    """Every lane of ``scenario`` through ``engine_class``: a chunk on the
-    CPU, a launch on the GPU.  Returns what is observable."""
+    """Every lane of ``scenario`` through ``engine_class`` as one launch
+    (a CPU chunk on the CPU).  Returns what is observable."""
     intrinsic = scenario["intrinsic"]
     region = SharedRegion(1 << 16)
     base = region.cpu_base
@@ -227,13 +225,10 @@ def _run_atomics(engine_class, fn, scenario, device: str, collect: bool):
     span = range(len(scenario["cells"]))
     trap = launch = None
     try:
-        if device == "gpu":
-            launch = engine.run_launch(fn, span, args_of, scenario["budget"])
-        else:
-            engine.run_chunk(fn, span, args_of)
+        launch = engine.run_launch(fn, span, args_of, scenario["budget"])
     except (ExecutionError, MemoryFault, OverflowError) as exc:
         trap = type(exc), str(exc)
-    return trap, bytes(region.physical.data), engine.trace, launch
+    return trap, bytes(region.physical.data), launch
 
 
 ATOMIC_SETTINGS = settings(
@@ -249,19 +244,11 @@ ATOMIC_SETTINGS = settings(
 @pytest.mark.parametrize("device", ["cpu", "gpu"])
 def test_inline_atomics_equal_the_interpreter(device, collect, scenario):
     fn = _atomic_kernel(scenario["intrinsic"], scenario["private"])
-    ref_trap, ref_bytes, ref_trace, ref_launch = _run_atomics(
-        Interpreter, fn, scenario, device, collect
-    )
-    trap, raw, trace, launch = _run_atomics(CompiledEngine, fn, scenario, device, collect)
+    ref_trap, ref_bytes, ref_launch = _run_atomics(Interpreter, fn, scenario, device, collect)
+    trap, raw, launch = _run_atomics(CompiledEngine, fn, scenario, device, collect)
     assert trap == ref_trap
     assert raw == ref_bytes
-    if device == "cpu":
-        # A trapped chunk's partial counters may differ (per unit, not per
-        # instruction); its events may not.
-        assert _events(trace) == _events(ref_trace)
-        if trap is None:
-            _assert_trace_equal(ref_trace, trace, "chunk")
-    elif trap is None:
+    if trap is None:
         _assert_launch_equal(ref_launch, launch, "launch")
 
 
@@ -335,17 +322,10 @@ def test_a_callee_generated_mid_lane_grows_the_sequence_numbers(device):
         region.write_int(obj + 8, 4, 7, signed=True)
         region.write_int(vtable + 8, 8, SYMBOL, signed=True)
         engine = engine_class(region, device, symbols={SYMBOL: g})
-        if device == "gpu":
-            results.append(engine.run_launch(f, lanes, lambda _lane: [here(obj)], 1 << 20))
-        else:
-            engine.run_chunk(f, lanes, lambda _lane: [obj])
-            results.append(engine.trace)
-    if device == "gpu":
-        _assert_launch_equal(*results, "launch")
-    else:
-        _assert_trace_equal(*results, "chunk")
-        # f's first load, g's load, f's second load: per lane, running on
-        assert [e.seq for e in results[1].mem_events] == [0, 0, 0, 1, 1, 1, 2, 2, 2]
+        results.append(engine.run_launch(f, lanes, lambda _lane: [here(obj)], 1 << 20))
+    _assert_launch_equal(*results, "launch")
+    # f's first load, g's load, f's second load: each lane numbers from 0
+    assert results[1].seq.tolist() == [0] * 9
     cache = engine.code_cache
     assert len(engine._mem_seq) == cache.seq_end == 3
     assert cache.hits == len(lanes) - 1 + len(lanes) - 1  # f's lanes, g's dispatches
@@ -456,44 +436,26 @@ def _searching_kernel(via_callee: bool) -> Function:
 @pytest.mark.parametrize("via_callee", [False, True], ids=["kernel", "callee"])
 @pytest.mark.parametrize("device", ["cpu", "gpu"])
 def test_a_cap_crossed_inside_a_loop_equals_the_interpreter(device, via_callee, lanes, budget):
-    """``budget`` is the GPU launch's event budget and a chunk's trace cap
-    (a chunk runs on either device): small enough to be crossed in the
-    middle of a lane's loop.  Lane ``(n, stop)`` loads up to ``n`` words
-    and returns from inside the loop at the first equal to ``stop`` (word
-    ``j`` holds ``j``)."""
+    """``budget`` is the launch's event budget (a GPU launch, or a CPU
+    chunk): small enough to be crossed in the middle of a lane's loop.
+    Lane ``(n, stop)`` loads up to ``n`` words and returns from inside the
+    loop at the first equal to ``stop`` (word ``j`` holds ``j``)."""
     fn = _searching_kernel(via_callee)
-    for launch in (False, True) if device == "gpu" else (False,):
-        results = []
-        for engine_class in (Interpreter, CompiledEngine):
-            region = SharedRegion(1 << 12)
-            words = region.cpu_base + 256
-            for j in range(16):
-                region.write_int(words + 4 * j, 4, j, signed=True)
-            here = region.cpu_to_gpu if device == "gpu" else (lambda address: address)
+    results = []
+    for engine_class in (Interpreter, CompiledEngine):
+        region = SharedRegion(1 << 12)
+        words = region.cpu_base + 256
+        for j in range(16):
+            region.write_int(words + 4 * j, 4, j, signed=True)
+        here = region.cpu_to_gpu if device == "gpu" else (lambda address: address)
 
-            def args_of(lane):
-                n, stop = lanes[lane]
-                return [here(words), n, stop]
+        def args_of(lane):
+            n, stop = lanes[lane]
+            return [here(words), n, stop]
 
-            span = range(len(lanes))
-            if launch:
-                engine = engine_class(region, device)
-                results.append(engine.run_launch(fn, span, args_of, budget))
-            else:
-                engine = engine_class(region, device, trace=ExecTrace(mem_event_cap=budget))
-                engine.run_chunk(fn, span, args_of)
-                results.append(engine.trace)
-        if not launch:
-            _assert_trace_equal(*results, "chunk")
-            continue
-        expected, got = results
-        for name in ("kept", "dropped", "caps", *EVENT_DTYPES):
-            assert np.array_equal(getattr(expected, name), getattr(got, name)), name
-        # Block rows in any order: a lane that runs the loop's latch before
-        # its exit lists them in that order one lane at a time, and in unit
-        # order from unit counts.
-        for lane, (a, b) in enumerate(zip(expected.lanes(), got.lanes())):
-            _assert_trace_equal(a, b, f"lane {lane}")
+        engine = engine_class(region, device)
+        results.append(engine.run_launch(fn, range(len(lanes)), args_of, budget))
+    _assert_launch_equal(*results, "launch")
 
 
 # -- generated text --------------------------------------------------------------------

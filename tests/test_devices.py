@@ -221,15 +221,15 @@ class TestCpuModel:
         random_trace = ExecTrace()
         random_trace.instructions = 10_000
         random_trace.branch_stats = {1: [5_000, 10_000]}
-        fast = time_cpu_execution(i7_4770(), [biased])
-        slow = time_cpu_execution(i7_4770(), [random_trace])
+        fast = time_cpu_execution(i7_4770(), [LaunchTrace.from_traces([biased])])
+        slow = time_cpu_execution(i7_4770(), [LaunchTrace.from_traces([random_trace])])
         assert fast.cycles < slow.cycles
 
     def test_multicore_scaling(self):
         trace = ExecTrace()
         trace.instructions = 100_000
-        two = time_cpu_execution(i7_4650u(), [trace])
-        four = time_cpu_execution(i7_4770(), [trace])
+        two = time_cpu_execution(i7_4650u(), [LaunchTrace.from_traces([trace])])
+        four = time_cpu_execution(i7_4770(), [LaunchTrace.from_traces([trace])])
         assert four.seconds < two.seconds
 
     def test_l1_absorbs_hot_accesses(self):
@@ -243,15 +243,15 @@ class TestCpuModel:
         cold.mem_events = columns(
             MemEvent(1, i, 0x100 + i * 4096, 4, False) for i in range(500)
         )
-        fast = time_cpu_execution(i7_4770(), [hot])
-        slow = time_cpu_execution(i7_4770(), [cold])
+        fast = time_cpu_execution(i7_4770(), [LaunchTrace.from_traces([hot])])
+        slow = time_cpu_execution(i7_4770(), [LaunchTrace.from_traces([cold])])
         assert fast.cycles < slow.cycles
 
     def test_energy_positive_and_power_sane(self):
         trace = ExecTrace()
         trace.instructions = 1_000_000
         for device in (i7_4650u(), i7_4770()):
-            report = time_cpu_execution(device, [trace])
+            report = time_cpu_execution(device, [LaunchTrace.from_traces([trace])])
             power = report.energy_joules / report.seconds
             assert 1.0 < power < 120.0
 
@@ -275,7 +275,8 @@ class TestDeviceReportSum:
         plain = ExecTrace()
         plain.instructions = 50
         first, second = (
-            time_cpu_execution(i7_4770(), [trace]) for trace in (branchy, plain)
+            time_cpu_execution(i7_4770(), [LaunchTrace.from_traces([trace])])
+            for trace in (branchy, plain)
         )
         total = first + second
         assert sum([first, second]) == total

@@ -8,7 +8,7 @@ A backend is a device and an engine is a lane runner:
   engine factory and the scheduler's history rows both ask);
 * ``repro.backend`` has no engine-specific backend and no backend base
   class;
-* every engine runs a call, a CPU chunk and a GPU launch;
+* every engine runs a call and a launch, a CPU chunk being a launch;
 * every trace's memory events are one ``MemEventColumns`` buffer, whose
   readers never branch on a layout, and ``MemEvent`` is only the row
   object that iterating the buffer yields;
@@ -97,9 +97,12 @@ def test_backends_are_devices():
 
 
 def test_every_engine_runs_a_call_a_chunk_and_a_launch():
+    """A CPU chunk is a launch: no engine keeps a lifecycle of its own
+    for one."""
     for engine in (Interpreter, RegionInterpreter, CompiledEngine, VectorEngine):
-        for method in ("call_function", "run_chunk", "run_launch"):
+        for method in ("call_function", "run_launch"):
             assert callable(getattr(engine, method, None)), (engine.__name__, method)
+        assert not hasattr(engine, "run_chunk"), engine.__name__
 
 
 def _text_prefix(node) -> str:

@@ -261,8 +261,13 @@ def _swapped_sub(mp):
 #: constfold twice.
 MUTATIONS = {
     # a row of the generated text; a launch whose lanes number their
-    # events on from the lane before
-    "engines": (_swapped_sub, lambda mp: mp.setattr(compiled_engine, "_SEQ_RESET", "")),
+    # events on from the lane before; one whose lanes take their stack
+    # where the lane before left it, unzeroed
+    "engines": (
+        _swapped_sub,
+        lambda mp: mp.setattr(compiled_engine, "_SEQ_RESET", ""),
+        lambda mp: mp.setattr(compiled_engine, "_PRIVATE_RESET", ""),
+    ),
     "frontend": (_swapped_sub, lambda mp: mp.setattr(Sema, "resolve_overload", _first_overload_wins)),
     # a row the vector engine alone reads; a join that keeps the segment
     # parked first and loses the lanes of every other one (an ``If``'s else

@@ -4,15 +4,17 @@
   ``LaunchTrace.from_traces`` over the same lanes run one ``call_function``
   at a time (fresh engine and trace per lane, the lifecycle the columns
   are defined by), column for column, for every workload, under a budget
-  small enough to drop; ``run_chunk`` equals the same lanes through one
-  engine and one trace;
+  small enough to drop, for GPU launches and CPU chunks alike;
 * private memory is per work-item on both devices and both engines (a
   CPU chunk used to leak its lanes' stack arrays until it faulted);
+* the step limit is per work-item, a CPU chunk's included, and a CPU
+  chunk keeps its first ``budget`` events;
 * a trap mid-launch leaves the private buffer in the pool, stamps the
   lane, and the accumulators clean;
 * one engine per launch, counters at launch granularity;
 * one constructor from unit counts — a columnar launch whose lanes enter
-  callees in different orders has the scalar launch's rows, row for row;
+  callees in different orders has the scalar launch's rows, row for row
+  (ascending uid);
 * both engines' event columns at their narrowest exact widths, 26 bytes
   per kept event.
 """
@@ -26,13 +28,14 @@ import pytest
 from repro.exec import (
     CompiledEngine,
     ExecutionError,
+    Interpreter,
     VectorCodeCache,
     classify_kernel,
     run_vectorized,
 )
 from repro.exec.buffers import EVENT_DTYPES, LaunchTrace, launch_events
 from repro.fuzz.oracle import heap_digest
-from repro.ir import I32, Constant, Function, FunctionType, IRBuilder
+from repro.ir import I32, Constant, Function, FunctionType, IRBuilder, add_phi_incoming
 from repro.ir.intrinsics import GPU_GLOBAL_ID
 from repro.obs import Observer
 from repro.passes import OptConfig
@@ -48,15 +51,22 @@ WORKLOADS = all_workloads()
 SMALL_BUDGET = 64
 
 
-def _lane_by_lane(rt, kernel, span, args_of, budget) -> LaunchTrace:
-    """The oracle: a fresh engine and trace per work-item, concatenated."""
-    per_item = max(1000, budget // max(1, len(span)))
+def _lane_by_lane(rt, device, kernel, span, args_of, budget) -> LaunchTrace:
+    """The oracle: a fresh engine and trace per work-item, concatenated.
+    A GPU lane's cap is an even share of the budget (at least 1000
+    events), a CPU lane's all that the lanes before it left."""
+    per_item = budget if device == "cpu" else max(1000, budget // max(1, len(span)))
+    system = rt.system.cpu.cores if device == "cpu" else rt.system.gpu.num_eus
     kept = 0
     traces = []
     for index in span:
         trace = rt._new_trace(min(per_item, max(0, budget - kept)))
         engine = rt._make_engine(
-            device="gpu", trace=trace, global_id=index, num_cores=rt.system.gpu.num_eus
+            device=device,
+            trace=trace,
+            global_id=index,
+            num_cores=system,
+            allocator=rt.allocator if device == "cpu" else None,
         )
         engine.call_function(kernel, args_of(index))
         engine.release_private_memory()
@@ -68,8 +78,8 @@ def _lane_by_lane(rt, kernel, span, args_of, budget) -> LaunchTrace:
 def _assert_launch_equal(expected: LaunchTrace, got: LaunchTrace, where: str) -> None:
     for field in dataclasses.fields(LaunchTrace):
         name = field.name
-        if name == "per_lane" or name.startswith("branch_"):
-            continue  # from_traces leaves the branch matrices to its lanes
+        if name == "per_lane":
+            continue
         a, b = getattr(expected, name), getattr(got, name)
         if name == "n":
             assert a == b, where
@@ -81,18 +91,18 @@ def _assert_launch_equal(expected: LaunchTrace, got: LaunchTrace, where: str) ->
     assert list(expected.block_totals()) == list(got.block_totals()), where
 
 
-def _check_gpu_launches(rt, seen: list) -> None:
-    """Run every GPU launch twice — lane by lane, then (from the same
-    region bytes) as one launch — and compare."""
-    backend = rt.backends["gpu"]
-    real = backend._gpu_traces
+def _check_launches(rt, device: str, seen: list) -> None:
+    """Run every launch on ``device`` twice — lane by lane, then (from the
+    same region bytes) as one launch — and compare."""
+    backend = rt.backends[device]
+    real = backend._traces
     data = rt.region.physical.data
 
     def checked(rt, kernel, span, args_of, budget=None):
         if budget is None:
             budget = rt.mem_event_cap
         before = bytes(data)
-        expected = _lane_by_lane(rt, kernel, span, args_of, budget)
+        expected = _lane_by_lane(rt, device, kernel, span, args_of, budget)
         after = bytes(data)
         data[:] = before
         got = real(rt, kernel, span, args_of, budget)
@@ -101,35 +111,7 @@ def _check_gpu_launches(rt, seen: list) -> None:
         seen.append(got)
         return got
 
-    backend._gpu_traces = checked
-
-
-def _check_cpu_chunks(rt, seen: list) -> None:
-    backend = rt.backends["cpu"]
-    real = backend._run_lanes
-    data = rt.region.physical.data
-
-    def checked(engine, kernel, span, args_of):
-        before = bytes(data)
-        oracle = rt._make_engine(
-            device="cpu",
-            trace=rt._new_trace(engine.trace.mem_event_cap),
-            num_cores=engine.num_cores,
-            allocator=engine.allocator,
-        )
-        for index in span:
-            oracle.global_id = index
-            oracle.reset_private_memory()
-            oracle.call_function(kernel, args_of(index))
-        oracle.release_private_memory()
-        after = bytes(data)
-        data[:] = before
-        real(engine, kernel, span, args_of)
-        assert bytes(data) == after, kernel.name
-        _assert_trace_equal(oracle.trace, engine.trace, kernel.name)
-        seen.append(engine.trace)
-
-    backend._run_lanes = checked
+    backend._traces = checked
 
 
 @pytest.mark.parametrize("on_cpu", [False, True], ids=["gpu", "cpu"])
@@ -139,18 +121,15 @@ def test_launch_equals_its_lanes_one_at_a_time(name, on_cpu):
     rt = workload.make_runtime(system=ultrabook(), engine="compiled")
     rt.mem_event_cap = SMALL_BUDGET
     seen: list = []
-    (_check_cpu_chunks if on_cpu else _check_gpu_launches)(rt, seen)
+    _check_launches(rt, "cpu" if on_cpu else "gpu", seen)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         state = workload.build(rt, SCALE)
         workload.run(rt, state, on_cpu=on_cpu)
         workload.validate(rt, state)
     assert seen
-    if on_cpu:
-        assert any(trace.mem_events_dropped for trace in seen)
-    else:
-        assert any(trace.dropped.any() for trace in seen)
-        assert any((trace.caps == 0).any() for trace in seen)
+    assert any(trace.dropped.any() for trace in seen)
+    assert any((trace.caps == 0).any() for trace in seen)
 
 
 # -- private memory is per work-item -----------------------------------------
@@ -193,6 +172,86 @@ def test_stack_arrays_do_not_accumulate_across_work_items():
             assert data.to_list() == [i + 1 for i in range(n)], (engine, on_cpu)
             digests.add(heap_digest(rt))
     assert len(digests) == 1
+
+
+# -- the step limit is per work-item ------------------------------------------
+
+
+def _spinning_kernel() -> Function:
+    """``k(n)``: ``n`` trips of an empty loop."""
+    fn = Function("spin", FunctionType(I32, (I32,)), ["n"])
+    entry, header, body, done = (fn.new_block(name) for name in ("entry", "header", "body", "done"))
+    builder = IRBuilder(entry)
+    builder.br(header)
+    builder.position_at_end(header)
+    i = builder.phi(I32, "i")
+    builder.condbr(builder.icmp("slt", i, fn.args[0]), body, done)
+    builder.position_at_end(body)
+    nxt = builder.add(i, Constant(I32, 1))
+    builder.br(header)
+    builder.position_at_end(done)
+    builder.ret(i)
+    add_phi_incoming(i, Constant(I32, 0), entry)
+    add_phi_incoming(i, nxt, body)
+    return fn
+
+
+def test_the_step_limit_is_per_work_item_of_a_cpu_chunk():
+    """Four lanes of a CPU chunk take twice the step limit together and
+    half of it each: the chunk runs on both engines.  A lane of eight
+    times the trips is over the limit alone, and traps with the same text
+    on both."""
+    kernel = _spinning_kernel()
+    probe = Interpreter(SharedRegion(1 << 12), "cpu")
+    probe.call_function(kernel, [50])
+    limit = 2 * probe._steps
+    texts = []
+    for engine_class in (Interpreter, CompiledEngine):
+        engine = engine_class(SharedRegion(1 << 12), "cpu", max_steps=limit)
+        launch = engine.run_launch(kernel, range(4), lambda _index: [50], SMALL_BUDGET)
+        assert launch.instructions.sum() == 4 * probe.trace.instructions
+        with pytest.raises(ExecutionError) as info:
+            engine.run_launch(kernel, range(4), lambda index: [400 if index == 2 else 50], SMALL_BUDGET)
+        assert engine.global_id == 2
+        texts.append(str(info.value))
+    assert texts[0] == texts[1] == f"step limit {limit} exceeded in spin"
+
+
+# -- a CPU chunk keeps its first budget events ---------------------------------
+
+SPIN_LOAD_SRC = """
+class SpinLoad {
+public:
+  int* data;
+  void operator()(int i) {
+    int s = 0;
+    for (int k = 0; k < 1500; k++) { s = s + data[k & 15]; }
+    data[16 + i] = s;
+  }
+};
+"""
+
+
+@pytest.mark.parametrize("engine", ["compiled", "reference"])
+def test_a_cpu_chunk_keeps_its_first_budget_events(engine):
+    """A CPU lane's cap is all that the lanes before it left of the
+    budget, so a chunk keeps its first ``budget`` events; a GPU lane's
+    would be an even share (1000 here)."""
+    rt = ConcordRuntime(_compile(SPIN_LOAD_SRC), ultrabook(), engine=engine)
+    rt.mem_event_cap = 2000
+    data = rt.new_array(I32, 18)
+    body = rt.new("SpinLoad")
+    body.data = data
+    backend = rt.backends["cpu"]
+    real = backend._traces
+    seen = []
+    backend._traces = lambda *args: seen.append(real(*args)) or seen[-1]
+    rt.parallel_for_hetero(2, body, on_cpu=True)
+    (trace,) = seen
+    # 1503 events a lane: the body's field, 1500 loads, the store
+    assert trace.kept.tolist() == [1503, 497]
+    assert trace.caps.tolist() == [2000, 497]
+    assert trace.dropped.tolist() == [0, 1006]
 
 
 # -- traps ---------------------------------------------------------------------
@@ -291,9 +350,9 @@ def test_event_columns_take_26_bytes_per_kept_event(engine):
     body = rt.new("TouchBody")
     body.data = data
     backend = rt.backends["gpu"]
-    real = backend._gpu_traces
+    real = backend._traces
     seen = []
-    backend._gpu_traces = lambda *args: seen.append(real(*args)) or seen[-1]
+    backend._traces = lambda *args: seen.append(real(*args)) or seen[-1]
     rt.parallel_for_hetero(1000, body, on_cpu=False)
     assert observer.counters.as_dict().get("vector.lanes_retired", 0) == (
         1000 if engine == "vector" else 0
@@ -322,14 +381,14 @@ def test_an_event_value_past_its_column_width_raises(name, column, value):
         launch_events(np.array([row], np.uint64), [1], [0], [1000])
 
 
-# -- one constructor: block rows in the order a scalar lane enters callees ---
+# -- one constructor: block rows in uid order, whoever entered callees first ---
 
 
 def _callees_in_lane_order() -> Function:
     """A kernel whose even lanes call ``g`` then ``f`` and whose odd lanes
     call ``f`` then ``g``.  The odd lanes' block comes first, so a columnar
-    launch enters ``f`` first while lane 0, which owns every first row,
-    enters ``g`` first."""
+    launch enters ``f`` first while lane 0 enters ``g`` first; the rows
+    are in uid order from both."""
 
     def leaf(name):
         fn = Function(name, FunctionType(I32, (I32,)), ["x"])

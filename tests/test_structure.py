@@ -107,8 +107,8 @@ def _fn(name="f", params=(I32,), names=("n",)):
 def _run_all(fn, args, max_steps=100_000):
     """(return value or trap text, block counts) from the interpreter, the
     region-tree evaluator and the generated code: all three must agree.
-    The generated lanes entry (a chunk of one lane) must agree on the
-    counts and the trap, and returns nothing."""
+    The generated lanes entry (a CPU launch of one lane) must agree on
+    the counts and the trap, and returns nothing."""
     results = []
     for engine_class in (Interpreter, RegionInterpreter, CompiledEngine):
         engine = engine_class(SharedRegion(1 << 12), max_steps=max_steps)
@@ -124,12 +124,13 @@ def _run_all(fn, args, max_steps=100_000):
     assert generated == reference
     engine = CompiledEngine(SharedRegion(1 << 12), max_steps=max_steps)
     try:
-        engine.run_chunk(fn, range(1), lambda _index: list(args))
+        (lane,) = engine.run_launch(fn, range(1), lambda _index: list(args), 1000).lanes()
         trap = None
     except ExecutionError as exc:
+        lane = engine.trace  # the trapped lane's counts, harvested
         trap = str(exc)
     assert trap == (reference[0] if isinstance(reference[0], str) else None)
-    assert (engine.trace.block_counts, engine.trace.branch_stats) == reference[1:]
+    assert (lane.block_counts, lane.branch_stats) == reference[1:]
     return reference[0]
 
 

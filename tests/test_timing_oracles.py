@@ -16,6 +16,7 @@ import repro.gpu.cache as cache_module
 import repro.gpu.timing as gpu_timing
 from repro.cpu import i7_4650u, i7_4770, time_cpu_execution
 from repro.exec import ExecTrace
+from repro.exec.buffers import LaunchTrace
 from repro.gpu import CacheModel
 from repro.gpu.cache import _LOCKSTEP_ROUNDS, stable_order, stable_runs
 from repro.passes import OptConfig
@@ -214,7 +215,12 @@ def test_cpu_report_equals_the_per_access_oracle(
     expected_llc = OracleCacheModel(*geometry) if share_llc else None
     got_llc = CacheModel(*geometry) if share_llc else None
     for _ in range(chunks):
-        traces = [random_cpu_trace(rng) for _ in range(rng.choice((1, 1, 2)))]
+        traces = [  # launches of one to three lanes each
+            LaunchTrace.from_traces(
+                [random_cpu_trace(rng) for _ in range(rng.choice((1, 2, 3)))]
+            )
+            for _ in range(rng.choice((1, 1, 2)))
+        ]
         expected_counters, got_counters = Recorder(), Recorder()
         expected = oracle_time_cpu_execution(
             cpu, traces, llc=expected_llc, counters=expected_counters
@@ -226,14 +232,14 @@ def test_cpu_report_equals_the_per_access_oracle(
             assert type(getattr(got, field)) is float, field
         for field in ("mem_transactions", "l3_hits", "l3_misses", "instructions"):
             assert type(getattr(got, field)) is int, field
-        traces[0].record_mem(0, 0, 64, 4, False)  # no buffer export left
+        traces[0].lanes()[0].record_mem(0, 0, 64, 4, False)  # no buffer export left
     if share_llc:
         assert got_llc.resident.tolist() == expected_llc.resident
 
 
 def test_cpu_model_prices_no_traces_and_no_events():
     cpu = i7_4770()
-    for traces in ([], [ExecTrace()]):
+    for traces in ([], [LaunchTrace.from_traces([ExecTrace()])]):
         assert time_cpu_execution(cpu, traces) == oracle_time_cpu_execution(cpu, traces)
 
 
