@@ -13,8 +13,8 @@ chunks, the join, the device totals, the observer record and the
 *where* each chunk runs: the backends' ``run_for`` / ``run_reduce`` feed
 it one chunk (:func:`whole`), the scheduler's ``run_split`` its
 earliest-completion chunks.  The CPU's TBB-style reduction (one body
-copy per core, joined after the lanes) is the one construct with a body
-of its own, ``CpuBackend.run_reduce``.
+copy per core, joined by a second launch after the lanes) is the one
+construct with a body of its own, ``CpuBackend.run_reduce``.
 
 Backends are stateless and hold no runtime: every engine, trace,
 allocator and counter comes from the :class:`ConcordRuntime` passed as
@@ -67,7 +67,7 @@ def run_lanes(rt, device: str, kernel, span, args_of, budget, **engine) -> Launc
     launch under the chunk's event ``budget`` (the runtime's cap when
     ``None``).  A trap leaving the lanes gets its lane's context for the
     flight recorder (the innermost stamp wins), and ``keep_traces``
-    keeps the per-lane view."""
+    keeps the launch in ``rt.trace_log``, which nothing else writes."""
     engine = rt._make_engine(device=device, **engine)
     try:
         trace = engine.run_launch(
@@ -80,7 +80,7 @@ def run_lanes(rt, device: str, kernel, span, args_of, budget, **engine) -> Launc
             exc.trap_global_id = engine.global_id
         raise
     if rt.keep_traces:
-        rt.trace_log.extend(trace.lanes())
+        rt.trace_log.append(trace)
     return trace
 
 

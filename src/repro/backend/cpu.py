@@ -8,8 +8,8 @@ a cap that is the whole budget the lanes before it left
 multicore scaling (``cores × parallel_efficiency``) represents TBB-style
 work distribution.  A ``for`` construct is one chunk through
 :func:`~repro.backend.base.run_construct`; a whole-CPU reduction keeps
-its own TBB-style body (one body copy per core, joined after the lanes
-and priced with them).
+its own TBB-style body (one body copy per core, joined by a second
+launch over the copies and priced with the lanes).
 """
 
 from __future__ import annotations
@@ -103,22 +103,19 @@ class CpuBackend:
                     range(n),
                     lambda index: [copies[index % len(copies)], index],
                 )
-                # the joins trace under what the lanes left of the budget
-                joins = rt._new_trace(max(0, rt.mem_event_cap - lanes.kept_events))
-                host = rt._make_engine(
-                    device="cpu", trace=joins, num_cores=cores, allocator=rt.allocator
-                )
-                join = kinfo.join_kernel
-                for copy_addr in copies:
-                    if join is not None:
-                        host.call_function(join, [addr, copy_addr])
-                host.release_private_memory()
+                traces = [lanes]
+                if kinfo.join_kernel is not None:
+                    # the joins: one launch over the copies, under what the
+                    # lanes left of the budget
+                    joins = self._traces(
+                        rt, kinfo.join_kernel, range(len(copies)),
+                        lambda index: [addr, copies[index]],
+                        max(0, rt.mem_event_cap - lanes.kept_events),
+                    )
+                    traces.append(joins)
                 for copy_addr in copies:
                     rt.allocator.free(copy_addr)
-                if rt.keep_traces:
-                    rt.trace_log.append(joins)
                 # one L1/LLC state: the lanes first, then the joins
-                traces = [lanes, LaunchTrace.from_traces([joins])]
                 report = time_cpu_execution(rt.system.cpu, traces, counters=rt.counters)
         rt.total_cpu_report += report
         if rt.obs is not None:

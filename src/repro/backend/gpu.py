@@ -46,7 +46,7 @@ class JoinResult:
     local_seconds: float = 0.0
     host_fn: object = None
     host_trace: object = None
-    #: the host join priced by the CPU model (only when it was traced)
+    #: the host join priced by the CPU model (only under an observer)
     host_seconds: float = 0.0
     tree_span: object = None
     host_span: object = None
@@ -211,24 +211,22 @@ class GpuBackend:
         result.local_cycles = num_groups * levels * 8.0 / rt.system.gpu.num_eus
         result.local_seconds = result.local_cycles / rt.system.gpu.frequency_hz
 
-        # Sequential join of group leaders on the host (original join; the
-        # device form is a last-resort stand-in).  The host join's
+        # Sequential join of group leaders on the host, one CPU launch over
+        # them (original join; the device form is a last-resort
+        # stand-in), counting blocks but no events.  The host join's
         # simulated cost is only measured for the profile —
         # ExecutionReport keeps its historical meaning (device time + JIT).
         result.host_fn = kinfo.join_kernel or join_fn
-        trace = rt._new_trace() if rt.obs is not None else None
         with rt._span("host_join", "phase") as host_span:
-            host = rt._host_interpreter(trace=trace)
-            for group_index in range(num_groups):
-                leader = copies[group_index * group]
-                host.call_function(result.host_fn, [body_addr, leader])
-            host.release_private_memory()
+            host_trace = run_lanes(
+                rt, "cpu", result.host_fn, range(num_groups),
+                lambda group_index: [body_addr, copies[group_index * group]], None,
+                allocator=rt.allocator, collect_mem_events=False,
+            )
         result.host_span = host_span
-        if trace is not None:
-            result.host_trace = LaunchTrace.from_traces([trace])
-            result.host_seconds = time_cpu_execution(
-                rt.system.cpu, [result.host_trace]
-            ).seconds
+        if rt.obs is not None:
+            result.host_trace = host_trace
+            result.host_seconds = time_cpu_execution(rt.system.cpu, [host_trace]).seconds
         return result
 
     # -- whole constructs: one chunk on the GPU ------------------------------

@@ -2,11 +2,13 @@
 
 A backend is a device; an engine runs the lanes.  Every engine executes
 the same IR over the same shared region through one contract —
-``call_function`` (one invocation into ``self.trace``) and
-``run_launch`` (a GPU launch or a CPU chunk, returned as a
-:class:`~repro.exec.buffers.LaunchTrace`) — and records
-memory events in one layout, :class:`MemEventColumns`.  The runtime
-picks the engine class once (``ConcordRuntime._make_engine``):
+``call_function`` (one invocation into ``self.trace``, an
+:class:`ExecTrace` the engine owns) and ``run_launch`` (a GPU launch, a
+CPU chunk or a reduction's joins, returned as a
+:class:`~repro.exec.buffers.LaunchTrace`, the only trace the backends,
+the runtime and its ``trace_log`` see) — and records memory events in
+one layout, :class:`MemEventColumns`.  The runtime picks the engine
+class once (``ConcordRuntime._make_engine``):
 
 * :class:`Interpreter` — the reference engine: a direct tree walk over
   the IR object graph, easy to audit, used as the oracle in equivalence

@@ -8,18 +8,20 @@ Three pieces of infrastructure that keep the hot execution paths cheap:
   launch reads the buffer as one array through :func:`event_rows`
   (plain iteration yields a :class:`MemEvent` per row).  This module is
   the only place that knows the stride-5 row layout: everything else
-  goes through :func:`event_rows`, :meth:`MemEventColumns.from_rows` or
-  :func:`iter_access_events`.
+  goes through :func:`event_rows` or :meth:`MemEventColumns.from_rows`.
 
-* :class:`LaunchTrace` — one launch's trace (a GPU launch or a CPU
-  chunk) as NumPy columns: the memory events of every lane in one set of
-  arrays, blocks x lanes count matrices and per-lane counter vectors.
-  Both generated-code engines build it from their event columns and
-  per-unit execution counts (:meth:`LaunchTrace.from_unit_counts`), the
-  reference interpreter's per-lane traces are concatenated into one
-  (:meth:`LaunchTrace.from_traces`), and both timing models compute on
-  the columns; per-lane :class:`~repro.exec.interp.ExecTrace` objects are
-  a lazy view (:meth:`LaunchTrace.lanes`).
+* :class:`LaunchTrace` — one launch's trace (a GPU launch, a CPU chunk
+  or a reduction's joins) as NumPy columns: the memory events of every
+  lane in one set of arrays, blocks x lanes count matrices and per-lane
+  counter vectors.  It is the only trace above the engines: both
+  generated-code engines build it from their event columns and per-unit
+  execution counts (:meth:`LaunchTrace.from_unit_counts`), the reference
+  interpreter concatenates its per-lane traces into one
+  (:meth:`LaunchTrace.from_traces`), and the timing models, the
+  runtime's ``trace_log``, the declared-set check and the fuzz
+  signatures read the columns; per-lane
+  :class:`~repro.exec.interp.ExecTrace` objects are a lazy view for the
+  test oracles (:meth:`LaunchTrace.lanes`).
 
 * :class:`PrivateMemoryPool` — recycles the private-memory (``alloca``)
   bytearray.  A fresh buffer is ~1 MiB of zeroed memory; an engine takes
@@ -183,13 +185,6 @@ def launch_events(data, kept, dropped, caps) -> dict:
     )
 
 
-def iter_access_events(trace):
-    """Stream a trace's memory events as ``(address, size, is_store)``
-    tuples (the declared-set replay needs exactly these three fields)."""
-    data = trace.mem_events.data
-    return zip(data[2::5], data[3::5], data[4::5])
-
-
 def _rows_by_uid(n: int, per_lane: list, width: int) -> tuple:
     """Per-lane dicts ``uid -> value`` (``width`` ints each) as ascending
     uids and a ``width x uids x n`` matrix, zero where a lane lacks one."""
@@ -206,7 +201,7 @@ def _rows_by_uid(n: int, per_lane: list, width: int) -> tuple:
 @dataclass(eq=False)
 class LaunchTrace:
     """One launch's execution trace, columnar across all its lanes: a GPU
-    launch, a CPU chunk, or a host call's trace.
+    launch, a CPU chunk, or a reduction's joins.
 
     * ``lane, uid, seq, address, size, is_store`` — one entry per retained
       memory event, lane-major (``lane`` is non-decreasing) and
@@ -256,7 +251,7 @@ class LaunchTrace:
     def from_traces(cls, traces) -> "LaunchTrace":
         """Adapt per-lane traces by concatenation — the reference
         interpreter's launches (:meth:`~repro.exec.interp.Interpreter.run_launch`),
-        host calls priced beside a launch, and the oracle
+        its only caller outside the tests, and the oracle
         :meth:`from_unit_counts` is tested against.  The given traces stay
         the per-lane view."""
         traces = list(traces)
@@ -381,9 +376,8 @@ class LaunchTrace:
 
     def lanes(self) -> list:
         """The per-lane :class:`~repro.exec.interp.ExecTrace` view, built
-        on first use.  Only consumers that want objects per lane pay for
-        it: ``keep_traces`` (and the declared-set replay and equivalence
-        suites behind it) and tests."""
+        on first use.  Only the test oracles, which compare launches lane
+        by lane, pay for it; nothing in the runtime asks for it."""
         if self.per_lane is None:
             from .interp import ExecTrace
 

@@ -1677,8 +1677,8 @@ class VectorCodeCache:
         # a callee another thread is generating never reads as recursion.
         self._lock = threading.RLock()
         #: kernel -> why its launches go scalar though it vectorizes: a
-        #: sticky hazard's message, or "low mask occupancy" (:class:`VectorEngine`
-        #: writes, and reads before it even asks for the code)
+        #: sticky hazard's message (:class:`VectorEngine` writes, and reads
+        #: before it even asks for the code)
         self.scalar: dict = {}
 
     def get(self, fn: Function) -> "VectorFunction":
@@ -1768,12 +1768,6 @@ def run_vectorized(engine, vfn: VectorFunction, span, args_of, budget):
     return machine, trace
 
 
-#: Below this active-lane-slot ratio the dense segments are so small that
-#: per-ufunc overhead beats the scalar engine; measured on a kernel's vector
-#: launches, and from the first one under it the kernel is routed scalar.
-_MIN_OCCUPANCY = 0.12
-
-
 class VectorEngine(CompiledEngine):
     """The generated-code engine whose GPU launches run columnar.
 
@@ -1784,8 +1778,8 @@ class VectorEngine(CompiledEngine):
     through the
     ``vector.*`` counters and the ``vector_classify`` span:
 
-    * a kernel the program already routes scalar (a sticky hazard, low
-      mask occupancy) skips even the classification;
+    * a kernel the program already routes scalar (after a sticky hazard)
+      skips even the classification;
     * otherwise the kernel is classified (``regular`` / ``maskable`` /
       ``gnarly``); gnarly kernels — irreducible or unsupported constructs,
       un-devirtualized virtual calls, recursion, device-side allocation —
@@ -1793,9 +1787,8 @@ class VectorEngine(CompiledEngine):
     * a vectorizable kernel runs optimistically; a trap rolls back every
       store and the launch re-runs scalar, so results never diverge; a
       sticky trap (a cross-lane hazard) routes the kernel scalar for the
-      rest of the program object's life;
-    * a launch below :data:`_MIN_OCCUPANCY` stands, but routes the
-      kernel's later launches scalar.
+      rest of the program object's life, counted once as
+      ``vector.routed.hazard``.
 
     ``vector_code`` is the program's :class:`VectorCodeCache` (code and
     verdicts shared by every runtime over the program object),
@@ -1848,10 +1841,10 @@ class VectorEngine(CompiledEngine):
                 machine, trace = run_vectorized(self, vfn, span, args_of, budget)
         except VectorFallback as fb:
             if fb.sticky:
-                self._route_scalar(function, str(fb), "hazard")
+                scalar[function] = str(fb)
+                if self.counters is not None:
+                    self.counters.add("vector.routed.hazard")
             return None
-        if machine.occ_slots and machine.occ_active / machine.occ_slots < _MIN_OCCUPANCY:
-            self._route_scalar(function, "low mask occupancy", "low_occupancy")
         counters = self.counters
         if counters is not None:
             n = len(span)
@@ -1865,10 +1858,3 @@ class VectorEngine(CompiledEngine):
             counters.add("vector.mask_occupancy", int(machine.occ_active))
             counters.add("vector.mask_slots", int(machine.occ_slots))
         return trace
-
-    def _route_scalar(self, kernel: Function, why: str, reason: str) -> None:
-        """The program's verdict that ``kernel``'s later launches run
-        scalar, counted as ``vector.routed.<reason>``."""
-        self.vector_code.scalar[kernel] = why
-        if self.counters is not None:
-            self.counters.add(f"vector.routed.{reason}")

@@ -106,7 +106,10 @@ def heap_digest(rt) -> str:
 
 
 def trace_signature(traces, module=None) -> tuple:
-    """A hashable, engine-representation-independent trace summary.
+    """A hashable, engine-independent summary of launch traces: per
+    launch its lane count, per-lane counters and drops, its event rows and
+    its nonzero block and branch rows (sorted by key, whichever order the
+    engine's constructor put them in).
 
     Block and instruction uids come from process-wide counters, so the
     raw signature compares executions of the *same* IR objects only.
@@ -129,20 +132,26 @@ def trace_signature(traces, module=None) -> tuple:
         def instr(uid):
             return instrs.get(uid, ("?", uid, -1))
 
+    def columns(trace, *names):
+        return tuple(zip(*(getattr(trace, name).tolist() for name in names)))
+
+    def rows(key, trace, *names):
+        # a row is nonzero when its last matrix (counts, totals) is
+        nonzero = (row for row in columns(trace, *names) if any(row[-1]))
+        return tuple(sorted((key(uid), *map(tuple, values)) for uid, *values in nonzero))
+
     return tuple(
         (
-            trace.instructions,
-            tuple(sorted((block(k), v) for k, v in trace.block_counts.items())),
-            tuple(sorted((instr(k), tuple(v)) for k, v in trace.branch_stats.items())),
-            trace.flops,
-            trace.int_ops,
-            trace.translations,
-            trace.calls,
-            trace.mem_events_dropped,
+            trace.n,
+            columns(trace, "instructions", "flops", "int_ops", "translations", "calls", "dropped"),
             tuple(
-                (instr(e.instr_uid), e.seq, e.address, e.size, e.is_store)
-                for e in trace.mem_events
+                (lane, instr(uid), *event)
+                for lane, uid, *event in columns(
+                    trace, "lane", "uid", "seq", "address", "size", "is_store"
+                )
             ),
+            rows(block, trace, "block_uids", "block_counts"),
+            rows(instr, trace, "branch_uids", "branch_taken", "branch_total"),
         )
         for trace in traces
     )

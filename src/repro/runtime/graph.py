@@ -51,11 +51,10 @@ and overlap.  See ``docs/GRAPH.md``.
 from __future__ import annotations
 
 import warnings
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..exec.buffers import iter_access_events
+import numpy as np
 
 __all__ = [
     "ConstructFuture",
@@ -154,12 +153,35 @@ def _merge_intervals(spans) -> tuple:
         else:
             starts.append(start)
             ends.append(end)
-    return starts, ends
+    return np.array(starts, np.uint64), np.array(ends, np.uint64)
 
 
-def _contains(starts: list, ends: list, addr: int, size: int) -> bool:
-    index = bisect_right(starts, addr) - 1
-    return index >= 0 and addr + size <= ends[index]
+def declared_violations(reads, writes, traces) -> tuple:
+    """``(total, details)`` of the events of ``traces`` (launch traces, in
+    execution order) that fall outside the declared spans: loads outside
+    ``reads ∪ writes``, stores outside ``writes``.  An access is inside
+    when one coalesced interval holds all its bytes; ``details`` describes
+    the first :data:`MAX_VIOLATION_DETAILS` violations in event order."""
+    # concatenate needs one array; the uint64 one widens ``size``
+    address = np.concatenate([np.empty(0, np.uint64), *(trace.address for trace in traces)])
+    size = np.concatenate([np.empty(0, np.uint64), *(trace.size for trace in traces)])
+    is_store = np.concatenate([np.empty(0, bool), *(trace.is_store != 0 for trace in traces)])
+    inside = np.zeros(len(address), bool)
+    for mask, spans in ((is_store, writes), (~is_store, reads + writes)):
+        starts, ends = _merge_intervals(spans)
+        if len(starts):
+            index = np.searchsorted(starts, address[mask], side="right") - 1
+            inside[mask] = (index >= 0) & (address[mask] + size[mask] <= ends[index])
+    outside = np.flatnonzero(~inside)
+    details = [
+        {
+            "access": "store" if is_store[event] else "load",
+            "address": int(address[event]),
+            "size": int(size[event]),
+        }
+        for event in outside[:MAX_VIOLATION_DETAILS].tolist()
+    ]
+    return len(outside), details
 
 
 @dataclass
@@ -535,27 +557,7 @@ class TaskGraph:
         ``reads ∪ writes``, stores inside ``writes``.  Mem events carry
         canonical CPU addresses on both devices and skip the private
         window, so the check is engine- and placement-independent."""
-        read_starts, read_ends = _merge_intervals(record.reads + record.writes)
-        write_starts, write_ends = _merge_intervals(record.writes)
-        total = 0
-        details: list[dict] = []
-        for trace in traces:
-            for address, size, is_store in iter_access_events(trace):
-                if is_store:
-                    ok = _contains(write_starts, write_ends, address, size)
-                else:
-                    ok = _contains(read_starts, read_ends, address, size)
-                if ok:
-                    continue
-                total += 1
-                if len(details) < MAX_VIOLATION_DETAILS:
-                    details.append(
-                        {
-                            "access": "store" if is_store else "load",
-                            "address": int(address),
-                            "size": int(size),
-                        }
-                    )
+        total, details = declared_violations(record.reads, record.writes, traces)
         if not total:
             return
         obs = rt.obs

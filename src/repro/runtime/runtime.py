@@ -40,9 +40,9 @@ from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from ..backend import CpuBackend, GpuBackend
-from ..exec.buffers import DEFAULT_MEM_EVENT_CAP, TRACE_COUNTERS, PrivateMemoryPool
+from ..exec.buffers import DEFAULT_MEM_EVENT_CAP, TRACE_COUNTERS, LaunchTrace, PrivateMemoryPool
 from ..exec.compiled import CodeCache, CompiledEngine
-from ..exec.interp import ExecTrace, Interpreter
+from ..exec.interp import Interpreter
 from ..exec.vector import VectorCodeCache, VectorEngine
 from ..gpu.timing import DeviceReport
 from ..ir.types import StructType, Type
@@ -225,11 +225,11 @@ class ConcordRuntime:
         self.private_pool = PrivateMemoryPool(
             Interpreter.PRIVATE_WINDOW + 0x1000, counters=counters
         )
-        # Debug/verification hook — when keep_traces is set, every per-construct
+        # Debug/verification hook — when keep_traces is set, every launch's
         # trace is retained here in execution order (the equivalence suite
-        # compares them across engines).
+        # compares them across engines, lane by lane through ``lanes()``).
         self.keep_traces = keep_traces
-        self.trace_log: list[ExecTrace] = []
+        self.trace_log: list[LaunchTrace] = []
         # Device-side heap (paper future-work extension): reserved lazily
         # when the program was compiled with device_alloc.
         self._device_heap = None
@@ -358,10 +358,9 @@ class ConcordRuntime:
         finally:
             interp.release_private_memory()
 
-    def _host_interpreter(self, trace: Optional[ExecTrace] = None):
+    def _host_interpreter(self):
         return self._make_engine(
             device="cpu",
-            trace=trace,
             allocator=self.allocator,
             collect_mem_events=False,
         )
@@ -450,14 +449,9 @@ class ConcordRuntime:
         engine = self.options.engine if engine is None else engine
         return "compiled" if engine == "vector" and device != "gpu" else engine
 
-    def _new_trace(self, cap: Optional[int] = None) -> ExecTrace:
-        """An empty trace under this runtime's cap (or ``cap``)."""
-        return ExecTrace(mem_event_cap=self.mem_event_cap if cap is None else cap)
-
     def _make_engine(
         self,
         device: str,
-        trace: Optional[ExecTrace] = None,
         collect_mem_events: Optional[bool] = None,
         global_id: int = 0,
         num_cores: int = 1,
@@ -475,7 +469,6 @@ class ConcordRuntime:
         launch many)."""
         common = dict(
             device=device,
-            trace=trace,
             symbols=self._symbols,
             collect_mem_events=(
                 self.collect_mem_events if collect_mem_events is None else collect_mem_events

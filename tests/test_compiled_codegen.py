@@ -51,7 +51,7 @@ from repro.service.store import _dumps
 from repro.svm import MemoryFault, SharedAllocator, SharedRegion
 from repro.workloads import all_workloads
 
-from .test_engine_equivalence import _assert_trace_equal
+from .test_engine_equivalence import _assert_launches_equal, _assert_trace_equal
 
 
 @pytest.fixture()
@@ -292,9 +292,7 @@ def _assert_runs_equal(ref, got, where):
     assert got_out == ref_out, where
     assert bytes(got_rt.region.physical.data) == bytes(ref_rt.region.physical.data), where
     assert heap_digest(got_rt) == heap_digest(ref_rt), where
-    assert len(got_rt.trace_log) == len(ref_rt.trace_log), where
-    for index, (a, b) in enumerate(zip(ref_rt.trace_log, got_rt.trace_log)):
-        _assert_trace_equal(a, b, f"{where} trace {index}")
+    _assert_launches_equal(ref_rt.trace_log, got_rt.trace_log, where)
 
 
 class TestDifferential:
@@ -497,8 +495,7 @@ class TestPerProgramCode:
         assert bytes(second[0].region.physical.data[:size]) == bytes(
             first[0].region.physical.data
         )
-        for index, (a, b) in enumerate(zip(first[0].trace_log, second[0].trace_log)):
-            _assert_trace_equal(a, b, f"trace {index}")
+        _assert_launches_equal(first[0].trace_log, second[0].trace_log, "second run")
         assert _dumps(compiled) == frozen
         clone = pickle.loads(frozen)
         assert clone.jit_code == {} and clone.vector_code is None

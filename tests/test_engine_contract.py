@@ -12,6 +12,10 @@ A backend is a device and an engine is a lane runner:
 * every trace's memory events are one ``MemEventColumns`` buffer, whose
   readers never branch on a layout, and ``MemEvent`` is only the row
   object that iterating the buffer yields;
+* above the engines a construct records launches only: no module under
+  ``runtime/``, ``backend/``, ``sched/`` or ``eval/`` names ``ExecTrace``,
+  and only the reference interpreter's launch calls
+  ``LaunchTrace.from_traces``;
 * a construct is recorded and reported only by ``run_construct`` and
   the CPU's TBB-style reduction, and a placement policy is a function;
 * the per-item event-cap floor is written once, the vector machine has
@@ -153,20 +157,31 @@ def _call_sites(*names, prefix=None) -> set:
 def test_a_trace_has_one_event_layout():
     assert isinstance(ExecTrace().mem_events, MemEventColumns)
     buffers = ast.parse((ROOT / "exec" / "buffers.py").read_text())
-    readers = {
-        node.name: node
+    (reader,) = [
+        node
         for node in buffers.body
-        if isinstance(node, ast.FunctionDef)
-        and node.name in ("event_rows", "iter_access_events")
-    }
-    assert len(readers) == 2
-    for name, reader in readers.items():
-        assert not [
-            node
-            for node in ast.walk(reader)
-            if isinstance(node, ast.Name) and node.id == "isinstance"
-        ], name
+        if isinstance(node, ast.FunctionDef) and node.name == "event_rows"
+    ]
+    assert not [
+        node
+        for node in ast.walk(reader)
+        if isinstance(node, ast.Name) and node.id == "isinstance"
+    ]
     assert _call_sites("MemEvent") == {("exec/buffers.py", "MemEventColumns.__iter__")}
+
+
+def test_above_the_engines_a_construct_records_launches_only():
+    above = ("runtime/", "backend/", "sched/", "eval/")
+    offenders = [
+        name
+        for name, tree in _modules()
+        if name.startswith(above)
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id == "ExecTrace")
+        or (isinstance(node, ast.alias) and node.name == "ExecTrace")
+    ]
+    assert offenders == []
+    assert _call_sites("from_traces") == {("exec/interp.py", "Interpreter.run_launch")}
 
 
 def _class(relative: str, name: str) -> ast.ClassDef:

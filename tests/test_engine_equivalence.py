@@ -75,6 +75,16 @@ def _assert_trace_equal(ref: ExecTrace, got: ExecTrace, where: str) -> None:
     assert _events(got) == _events(ref), where
 
 
+def _assert_launches_equal(ref_log, got_log, where: str) -> None:
+    """Two runtimes' ``trace_log``s: the same launches, compared lane by
+    lane through each launch's ``lanes()``."""
+    assert len(got_log) == len(ref_log), where
+    for index, (ref, got) in enumerate(zip(ref_log, got_log)):
+        assert got.n == ref.n, f"{where} launch {index}"
+        for lane, (a, b) in enumerate(zip(ref.lanes(), got.lanes())):
+            _assert_trace_equal(a, b, f"{where} launch {index} lane {lane}")
+
+
 @pytest.mark.parametrize("on_cpu", [False, True], ids=["gpu", "cpu"])
 @pytest.mark.parametrize("name", NINE)
 def test_engines_bit_identical(name, on_cpu):
@@ -84,10 +94,8 @@ def test_engines_bit_identical(name, on_cpu):
     # Same final shared-memory state: every store landed identically.
     assert bytes(com_rt.region.physical.data) == bytes(ref_rt.region.physical.data)
 
-    # Same traces, launch by launch.
-    assert len(com_rt.trace_log) == len(ref_rt.trace_log)
-    for index, (ref, got) in enumerate(zip(ref_rt.trace_log, com_rt.trace_log)):
-        _assert_trace_equal(ref, got, f"{name} trace {index}")
+    # Same traces, launch by launch and lane by lane.
+    _assert_launches_equal(ref_rt.trace_log, com_rt.trace_log, name)
 
     # Timing is a pure function of the traces, so the modeled numbers —
     # and therefore every figure — are unchanged.
@@ -135,20 +143,27 @@ class TestCompileOnce:
 
 
 class TestCapThreading:
-    """One authoritative cap, threaded runtime -> trace."""
+    """One authoritative cap, threaded runtime -> launch: a CPU chunk's
+    first work-item runs under the whole budget."""
+
+    @staticmethod
+    def _first_lane_cap(rt) -> int:
+        workload = WORKLOADS["BFS"]()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            workload.run(rt, workload.build(rt, SCALE), on_cpu=True)
+        return int(rt.trace_log[0].caps[0])
 
     def test_defaults_agree(self):
-        workload = WORKLOADS["BFS"]()
-        rt = workload.make_runtime()
+        rt = WORKLOADS["BFS"]().make_runtime(keep_traces=True)
         assert rt.mem_event_cap == DEFAULT_MEM_EVENT_CAP
         assert ExecTrace().mem_event_cap == DEFAULT_MEM_EVENT_CAP
-        assert rt._new_trace().mem_event_cap == DEFAULT_MEM_EVENT_CAP
+        assert self._first_lane_cap(rt) == DEFAULT_MEM_EVENT_CAP
 
     def test_runtime_cap_reaches_traces(self):
-        workload = WORKLOADS["BFS"]()
-        rt = workload.make_runtime()
+        rt = WORKLOADS["BFS"]().make_runtime(keep_traces=True)
         rt.mem_event_cap = 777
-        assert rt._new_trace().mem_event_cap == 777
+        assert self._first_lane_cap(rt) == 777
 
 
 class TestColumnarBuffer:

@@ -3,7 +3,7 @@ end-to-end execution of compiled functions on the host interpreter."""
 
 import gc
 import hashlib
-import time
+import sys
 
 import pytest
 
@@ -408,23 +408,32 @@ class TestExpressionDepth:
         operator is routed on its left operand as lowered, so the class
         chain is walked by the same loop."""
 
-        def frontend_seconds(count: int) -> float:
+        def frontend_steps(count: int) -> int:
+            """Python lines, calls and returns the frontend runs on a
+            ``count``-term chain: its work, counted the same however loaded
+            the host is."""
             chain = " ".join(chain_terms(count, operators, term))
             source = CHAIN_SOURCE.replace("BODY", body.format(chain))
-            best = float("inf")
-            for _ in range(3):
-                start = time.perf_counter()
-                frontend_stage(source)
-                best = min(best, time.perf_counter() - start)
-            return best
+            steps = 0
 
-        # without the cycle collector: what it charges a burst of 50 000
-        # allocations grows with the heap of the process running the test
-        gc.disable()
-        try:
-            assert frontend_seconds(5000) <= 15 * frontend_seconds(500)
-        finally:
-            gc.enable()
+            def trace(_frame, _event, _arg):
+                nonlocal steps
+                steps += 1
+                return trace
+
+            # without the cycle collector, whose finalizers would count
+            gc.disable()
+            previous = sys.gettrace()
+            sys.settrace(trace)
+            try:
+                frontend_stage(source)
+            finally:
+                sys.settrace(previous)
+                gc.enable()
+            return steps
+
+        # linear work reads about 9.5 times the steps for 10 times the terms
+        assert frontend_steps(5000) <= 12 * frontend_steps(500)
 
     def test_300_nested_parentheses_compile(self):
         nested = "(" * 300 + "i" + ")" * 300

@@ -21,7 +21,6 @@ from repro.exec.buffers import (
     LaunchTrace,
     event_column,
     event_rows,
-    iter_access_events,
 )
 from repro.gpu import CacheModel, hd4600, hd5000, time_gpu_kernel
 from repro.ir import Function, FunctionType, I32, IRBuilder, VOID
@@ -301,12 +300,18 @@ def test_reference_interpreter_traces_price_identically():
         warnings.simplefilter("ignore")
         state = workload.build(rt, SCALE)
         workload.run(rt, state, on_cpu=False)
-    assert rt.trace_log and isinstance(rt.trace_log[0].mem_events, MemEventColumns)
+    assert rt.trace_log and all(isinstance(launch, LaunchTrace) for launch in rt.trace_log)
+    lanes = [lane for launch in rt.trace_log for lane in launch.lanes()]
+    assert isinstance(lanes[0].mem_events, MemEventColumns)
     kernel = next(iter(rt.program.kernels.values())).gpu_kernel
     for device in (hd5000(), hd4600()):
-        launch = LaunchTrace.from_traces(rt.trace_log)
+        for launch in rt.trace_log:
+            assert time_gpu_kernel(device, kernel, launch) == (
+                oracle_time_gpu_kernel(device, kernel, launch.lanes())
+            )
+        launch = LaunchTrace.from_traces(lanes)
         assert time_gpu_kernel(device, kernel, launch) == (
-            oracle_time_gpu_kernel(device, kernel, rt.trace_log)
+            oracle_time_gpu_kernel(device, kernel, lanes)
         )
 
 
@@ -375,9 +380,8 @@ def test_launch_trace_totals_match_a_lane_by_lane_merge():
 
 
 def test_event_row_helpers_agree_across_representations():
-    """One buffer read three ways — the ``MemEvent`` rows iteration
-    yields, ``event_rows``' array and ``iter_access_events``' tuples —
-    and rebuilt from its rows."""
+    """One buffer read two ways — the ``MemEvent`` rows iteration yields
+    and ``event_rows``' array — and rebuilt from its rows."""
     events = [MemEvent(3, 0, (1 << 63) + 5, 8, True), MemEvent(4, 1, 64, 4, False)]
     trace = ExecTrace()
     for event in events:
@@ -390,9 +394,6 @@ def test_event_row_helpers_agree_across_representations():
         [e.instr_uid, e.seq, e.address, e.size, int(e.is_store)] for e in events
     ]
     assert list(MemEventColumns.from_rows(event_rows(columns))) == events
-    assert list(iter_access_events(trace)) == [
-        (e.address, e.size, e.is_store) for e in events
-    ]
     trace.record_mem(3, 1, 64, 4, False)  # no buffer export left behind
     assert len(columns) == 3
 

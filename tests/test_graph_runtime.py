@@ -10,6 +10,8 @@ import warnings
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
+from repro.exec import ExecTrace
+from repro.exec.buffers import LaunchTrace
 from repro.fuzz import divergences, generate_source_program
 from repro.fuzz.driver import TARGETS, FuzzDriver
 from repro.fuzz.oracle import _run_graph_dag
@@ -23,7 +25,7 @@ from repro.runtime import (
     compile_source,
     ultrabook,
 )
-from repro.runtime.graph import as_span
+from repro.runtime.graph import MAX_VIOLATION_DETAILS, as_span, declared_violations
 from repro.runtime.runtime import ExecutionReport
 from repro.workloads import all_workloads
 
@@ -100,6 +102,76 @@ class TestRegionSpans:
         for bad in (None, 3, "x", (1, 2, 3), (1.5, 2)):
             with pytest.raises(GraphError):
                 as_span(bad)
+
+
+#: where the hypothesis spans and accesses below lie
+_BASE = 0x4000
+
+
+def _walked_violations(reads, writes, launches) -> tuple:
+    """The oracle for ``declared_violations``: every event of every lane
+    of every launch, one at a time, byte by byte against the spans as
+    declared (no merging) — a byte is covered when some span holds it."""
+
+    def covered(spans, address, size):
+        return all(
+            any(span.addr <= byte < span.addr + span.size for span in spans)
+            for byte in range(address, address + size)
+        )
+
+    total, details = 0, []
+    for launch in launches:
+        for lane in launch.lanes():
+            for event in lane.mem_events:
+                spans = writes if event.is_store else reads + writes
+                if covered(spans, event.address, event.size):
+                    continue
+                total += 1
+                if len(details) < MAX_VIOLATION_DETAILS:
+                    access = "store" if event.is_store else "load"
+                    details.append({"access": access, "address": event.address, "size": event.size})
+    return total, details
+
+
+@st.composite
+def _declared_and_launches(draw):
+    """Spans that overlap, touch and leave gaps; accesses of 1-8 bytes
+    that start, end or straddle at their edges, or fall anywhere; loads
+    and stores; over several launches of several lanes."""
+    span = st.builds(RegionSpan, st.integers(_BASE, _BASE + 96), st.integers(0, 24))
+    reads = tuple(draw(st.lists(span, max_size=4)))
+    writes = tuple(draw(st.lists(span, max_size=4)))
+    edges = sorted({edge for s in reads + writes for edge in (s.addr, s.addr + s.size)})
+    near = st.sampled_from(edges or [_BASE]).flatmap(
+        lambda edge: st.integers(max(0, edge - 8), edge + 8)
+    )
+    access = st.tuples(
+        st.one_of(near, st.integers(_BASE - 16, _BASE + 136)),
+        st.integers(1, 8),
+        st.booleans(),
+    )
+    launches = []
+    for lanes in draw(st.lists(st.lists(st.lists(access, max_size=8), max_size=4), max_size=3)):
+        traces = []
+        for events in lanes:
+            trace = ExecTrace()
+            for seq, (address, size, is_store) in enumerate(events):
+                trace.record_mem(1, seq, address, size, is_store)
+            traces.append(trace)
+        launches.append(LaunchTrace.from_traces(traces))
+    return reads, writes, launches
+
+
+class TestDeclaredCheckColumns:
+    @given(case=_declared_and_launches())
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_equals_a_per_event_walk(self, case):
+        """One ``searchsorted`` over the merged spans gives the walk's
+        total and its first details, in event order."""
+        reads, writes, launches = case
+        assert declared_violations(reads, writes, launches) == _walked_violations(
+            reads, writes, launches
+        )
 
 
 class TestDependencyInference:

@@ -27,6 +27,7 @@ import pytest
 
 from repro.exec import (
     CompiledEngine,
+    ExecTrace,
     ExecutionError,
     Interpreter,
     VectorCodeCache,
@@ -60,13 +61,17 @@ def _lane_by_lane(rt, device, kernel, span, args_of, budget) -> LaunchTrace:
     kept = 0
     traces = []
     for index in span:
-        trace = rt._new_trace(min(per_item, max(0, budget - kept)))
-        engine = rt._make_engine(
+        trace = ExecTrace(mem_event_cap=min(per_item, max(0, budget - kept)))
+        engine = CompiledEngine(
+            rt.region,
             device=device,
             trace=trace,
             global_id=index,
             num_cores=system,
+            symbols=rt._symbols,
             allocator=rt.allocator if device == "cpu" else None,
+            code_cache=rt.code_cache,
+            private_pool=rt.private_pool,
         )
         engine.call_function(kernel, args_of(index))
         engine.release_private_memory()
@@ -117,6 +122,8 @@ def _check_launches(rt, device: str, seen: list) -> None:
 @pytest.mark.parametrize("on_cpu", [False, True], ids=["gpu", "cpu"])
 @pytest.mark.parametrize("name", NINE)
 def test_launch_equals_its_lanes_one_at_a_time(name, on_cpu):
+    """A reduction's joins on the CPU are a launch through the same
+    backend entry, so they are checked too."""
     workload = WORKLOADS[name]()
     rt = workload.make_runtime(system=ultrabook(), engine="compiled")
     rt.mem_event_cap = SMALL_BUDGET

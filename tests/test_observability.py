@@ -505,7 +505,8 @@ class TestGlobalMemEventBudget:
         body = rt.new("TouchBody")
         body.data = data
         rt.parallel_for_hetero(n, body)
-        return rt.trace_log
+        (launch,) = rt.trace_log
+        return launch.lanes()
 
     def test_large_n_respects_global_budget(self):
         """Regression: with every lane floor-capped at 1000 events, the

@@ -5,6 +5,9 @@ import warnings
 
 import pytest
 
+from repro.backend import CpuBackend
+from repro.exec import ExecutionError
+from repro.exec.buffers import LaunchTrace
 from repro.runtime import (
     ConcordRuntime,
     ConcordWarning,
@@ -12,6 +15,9 @@ from repro.runtime import (
     compile_source,
     ultrabook,
 )
+from repro.svm import MemoryFault
+
+from .test_engine_equivalence import _assert_launches_equal, _run
 
 
 class TestRestrictions:
@@ -189,3 +195,60 @@ class TestReduction:
         second = runtime.parallel_reduce_hetero(32, body)
         assert first.jit_seconds > 0.0
         assert second.jit_seconds == 0.0
+
+
+JOIN_TRAP_SRC = """
+class JoinTrap {
+public:
+  int* bad;
+  int sum;
+  void operator()(int i) { sum += i; }
+  void join(JoinTrap& other) { sum += other.sum + bad[0]; }
+};
+"""
+
+
+class TestJoinsAreALaunch:
+    """A whole-CPU reduction's joins run as one launch over its per-core
+    copies, through the entry every chunk takes: ``trace_log`` keeps one
+    ``LaunchTrace`` per launch, and a trap in a join is stamped by it."""
+
+    def test_trace_log_keeps_one_launch_per_launch(self, monkeypatch):
+        constructs = []  # (backend method, n) of every CPU construct
+        for method in ("run_for", "run_reduce"):
+
+            def counted(self, rt, kinfo, n, body, method=method, real=getattr(CpuBackend, method)):
+                constructs.append((method, n))
+                return real(self, rt, kinfo, n, body)
+
+            monkeypatch.setattr(CpuBackend, method, counted)
+        ref_rt, _ = _run("ClothPhysics", "reference", on_cpu=True)
+        com_rt, _ = _run("ClothPhysics", "compiled", on_cpu=True)
+        runs = constructs[: len(constructs) // 2]
+        assert constructs == runs * 2
+        assert any(method == "run_reduce" for method, _n in runs)
+        # a for is one launch of n lanes, a reduction its lanes, then its
+        # joins over min(cores, n) copies
+        cores = ref_rt.system.cpu.cores
+        sizes = []
+        for method, n in runs:
+            sizes.append(n)
+            if method == "run_reduce":
+                sizes.append(min(cores, max(1, n)))
+        for rt in (ref_rt, com_rt):
+            assert all(isinstance(launch, LaunchTrace) for launch in rt.trace_log)
+            assert [launch.n for launch in rt.trace_log] == sizes
+        _assert_launches_equal(ref_rt.trace_log, com_rt.trace_log, "ClothPhysics cpu")
+
+    @pytest.mark.parametrize("engine", ["compiled", "reference"])
+    def test_a_join_trap_is_stamped_by_its_launch(self, engine):
+        program = compile_source(JOIN_TRAP_SRC, OptConfig.gpu_all())
+        rt = ConcordRuntime(program, ultrabook(), engine=engine)
+        body = rt.new("JoinTrap")
+        body.bad = 8  # neither region nor surface
+        with pytest.raises((MemoryFault, ExecutionError)) as info:
+            rt.parallel_reduce_hetero(16, body, on_cpu=True)
+        exc = info.value
+        assert exc.trap_device == "cpu"
+        assert exc.trap_kernel == program.kernel_for("JoinTrap").join_kernel.name
+        assert exc.trap_global_id == 0  # the first copy's join

@@ -78,18 +78,23 @@ def _events(trace):
 
 def _assert_traces_equal(ref_log, got_log, where):
     assert len(got_log) == len(ref_log), where
-    for index, (ref, got) in enumerate(zip(ref_log, got_log)):
-        label = f"{where} trace {index}"
-        assert got.instructions == ref.instructions, label
-        assert got.block_counts == ref.block_counts, label
-        assert {k: list(v) for k, v in got.branch_stats.items()} == {
-            k: list(v) for k, v in ref.branch_stats.items()
-        }, label
-        assert got.flops == ref.flops, label
-        assert got.int_ops == ref.int_ops, label
-        assert got.translations == ref.translations, label
-        assert got.calls == ref.calls, label
-        assert _events(got) == _events(ref), label
+    for index, (ref_launch, got_launch) in enumerate(zip(ref_log, got_log)):
+        assert got_launch.n == ref_launch.n, f"{where} launch {index}"
+        for lane, (ref, got) in enumerate(zip(ref_launch.lanes(), got_launch.lanes())):
+            _assert_lane_equal(ref, got, f"{where} launch {index} lane {lane}")
+
+
+def _assert_lane_equal(ref, got, label):
+    assert got.instructions == ref.instructions, label
+    assert got.block_counts == ref.block_counts, label
+    assert {k: list(v) for k, v in got.branch_stats.items()} == {
+        k: list(v) for k, v in ref.branch_stats.items()
+    }, label
+    assert got.flops == ref.flops, label
+    assert got.int_ops == ref.int_ops, label
+    assert got.translations == ref.translations, label
+    assert got.calls == ref.calls, label
+    assert _events(got) == _events(ref), label
 
 
 @pytest.mark.parametrize("engine", ["compiled", "vector"])

@@ -40,7 +40,7 @@ from repro.runtime.system import ultrabook
 from repro.svm import SharedRegion
 from repro.workloads import all_workloads
 
-from .test_engine_equivalence import NINE, SCALE, _assert_trace_equal
+from .test_engine_equivalence import NINE, SCALE, _assert_launches_equal
 
 WORKLOADS = all_workloads()
 
@@ -82,9 +82,7 @@ def test_region_tree_equals_interpreter_on_workloads(name, on_cpu):
     ref = _run_workload(name, on_cpu, regions=False)
     got = _run_workload(name, on_cpu, regions=True)
     assert bytes(got.region.physical.data) == bytes(ref.region.physical.data)
-    assert len(got.trace_log) == len(ref.trace_log)
-    for index, (a, b) in enumerate(zip(ref.trace_log, got.trace_log)):
-        _assert_trace_equal(a, b, f"{name} trace {index}")
+    _assert_launches_equal(ref.trace_log, got.trace_log, name)
 
 
 def test_workload_kernels_need_no_dispatch_region():

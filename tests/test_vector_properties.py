@@ -255,7 +255,9 @@ def _observed_launch(program, engine, fill, n, limit=None):
             rt.parallel_for_hetero(n, body, on_cpu=False)
         except Exception as exc:  # noqa: BLE001 - trap equivalence check
             trap = f"{type(exc).__name__}: {exc}"
-    return bytes(rt.region.physical.data), rt.trace_log, observer.counters.as_dict(), trap
+    assert len(rt.trace_log) <= 1  # one launch, or none if it trapped
+    lanes = [lane for launch in rt.trace_log for lane in launch.lanes()]
+    return bytes(rt.region.physical.data), lanes, observer.counters.as_dict(), trap
 
 
 def _engine_counters(counters) -> dict:
