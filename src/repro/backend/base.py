@@ -25,6 +25,7 @@ at it.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from typing import Generator
 
@@ -42,6 +43,20 @@ def _runtime_mod():
     from ..runtime import runtime
 
     return runtime
+
+
+def warn_unjoined(kinfo) -> None:
+    """A reduction whose body has no join kernel on any device cannot
+    combine its private copies: warn and leave the body unreduced instead
+    of crashing mid-construct (section 3.3's sequential fallback
+    contract: degrade, don't die)."""
+    warnings.warn(
+        f"reduce body {kinfo.body_class.name} has no join kernel on any "
+        "device; its private copies were left uncombined (sequential "
+        "join fallback unavailable)",
+        _runtime_mod().ConcordWarning,
+        stacklevel=4,
+    )
 
 
 @dataclass

@@ -19,7 +19,7 @@ from typing import Optional
 from ..cpu.timing import time_cpu_execution
 from ..exec.buffers import LaunchTrace
 from ..svm import address_of
-from .base import LaunchResult, _runtime_mod, run_construct, run_lanes, whole
+from .base import LaunchResult, _runtime_mod, run_construct, run_lanes, warn_unjoined, whole
 
 
 class CpuBackend:
@@ -113,6 +113,8 @@ class CpuBackend:
                         max(0, rt.mem_event_cap - lanes.kept_events),
                     )
                     traces.append(joins)
+                else:
+                    warn_unjoined(kinfo)
                 for copy_addr in copies:
                     rt.allocator.free(copy_addr)
                 # one L1/LLC state: the lanes first, then the joins

@@ -14,14 +14,13 @@ lays out around a reduction's chunks.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
 from ..cpu.timing import time_cpu_execution
 from ..exec.buffers import LaunchTrace
 from ..gpu.timing import KernelFacts, time_gpu_kernel
-from .base import LaunchResult, _runtime_mod, run_construct, run_lanes, whole
+from .base import LaunchResult, _runtime_mod, run_construct, run_lanes, warn_unjoined, whole
 
 
 @dataclass
@@ -170,23 +169,15 @@ class GpuBackend:
         small per-level cost rather than global traffic), then the
         sequential host join of group leaders.  The GPU join form falls
         back to the host join when SVM lowering was skipped; when
-        *neither* form exists, combining the private copies is impossible
-        — warn and leave the body unreduced instead of crashing
-        mid-construct (section 3.3's sequential fallback contract:
-        degrade, don't die).  Must run inside the caller's construct
-        span; the returned spans carry the phase timings."""
+        *neither* form exists, :func:`~repro.backend.base.warn_unjoined`.
+        Must run inside the caller's construct span; the returned spans
+        carry the phase timings."""
         n = len(copies)
         group = _runtime_mod().REDUCTION_GROUP_SIZE
         num_groups = (n + group - 1) // group
         join_fn = kinfo.gpu_join_kernel or kinfo.join_kernel
         if join_fn is None:
-            warnings.warn(
-                f"reduce body {kinfo.body_class.name} has no join "
-                "kernel on any device; group results were left "
-                "uncombined (sequential host-join fallback unavailable)",
-                _runtime_mod().ConcordWarning,
-                stacklevel=3,
-            )
+            warn_unjoined(kinfo)
             return JoinResult()
         result = JoinResult(joined=True)
         with rt._span("reduce_tree", "phase", groups=num_groups) as tree_span:

@@ -601,6 +601,16 @@ else:
     drop_ += 1
 """
 
+#: ... and in a lanes entry with no callees, where the number is the
+#: local ``q{slot}`` (see :class:`_Printer`).
+_EVENT_LOCAL = """\
+if len(ev_) < ev_cap_:
+{canon}    ev_.fromlist([{uid}, q{slot}, {ca}, {size}, {flag}])
+    q{slot} += 1
+else:
+    drop_ += 1
+"""
+
 #: GPU surface addresses are reported in CPU space so both devices
 #: produce comparable access streams — by the row itself, or, where a
 #: lanes entry with no callees wrote every row of its buffer, by
@@ -709,8 +719,8 @@ if ctx._priv_dirty:
     ctx.reset_private_memory()
 """
 
-#: ... sequence numbers that start over (a fresh list: a callee a virtual
-#: call generates grows the one its frames hold) ...
+#: ... sequence numbers that start over (with callees, a fresh list: a
+#: callee a virtual call generates grows the one its frames hold) ...
 _SEQ_RESET = "seqs_ = ctx._mem_seq = [0] * len(seqs_)\n"
 
 #: ... and steps and drops that start over too, under the lane's cap
@@ -844,17 +854,16 @@ class _Printer:
         self.totals, self.n_steps = unit_totals(plan)  # per unit
         self.head_of = {id(chain[0]): i for i, chain in enumerate(plan.units)}
         self.lanes = lanes
-        # A lanes entry that calls nothing owns its rows: they keep the
-        # surface address, and the engine moves the column to CPU space.
-        self.raw_addresses = (
-            lanes
-            and device == "gpu"
-            and not any(
-                instr.op == "vcall" or (instr.op == "call" and isinstance(instr.callee, Function))
-                for block in plan.blocks
-                for instr in block.instructions
-            )
+        # A lanes entry that calls nothing owns its rows and its sequence
+        # numbers: a traced instruction's number is a local ``q<slot>``,
+        # zeroed per lane with the unit counts, and on the GPU the rows
+        # keep the surface address, which the engine moves to CPU space.
+        self.callee_free = lanes and not any(
+            instr.op == "vcall" or (instr.op == "call" and isinstance(instr.callee, Function))
+            for block in plan.blocks
+            for instr in block.instructions
         )
+        self.raw_addresses = self.callee_free and device == "gpu"
         # what is being written
         self.lines: list = []  # (depth, text or None for a return, unit)
         self.depth = int(lanes)  # a lane's body is inside the lane loop
@@ -1146,7 +1155,10 @@ class _Printer:
         """A lanes entry around the body: (what comes before it, what a
         ``ret`` does before it ends the lane)."""
         prologue = _LANES_PROLOGUE
-        if self.collect and (self.traced or self.calls):
+        if self.callee_free:
+            seqs = [f"q{slot}" for slot in self.seq_slots.values()]
+            fresh = " = ".join(seqs) + " = 0\n" if seqs else ""
+        elif self.collect and (self.traced or self.calls):
             prologue += "seqs_ = ctx._mem_seq\n"
             fresh = _SEQ_RESET
         else:
@@ -1217,7 +1229,7 @@ class _Printer:
         self.traced = True
         slot = self.seq_slots.setdefault(instr.uid, self.seq_base + len(self.seq_slots))
         canonical = self.device == "gpu" and not self.raw_addresses
-        text = _EVENT.format(
+        text = (_EVENT_LOCAL if self.callee_free else _EVENT).format(
             slot=slot,
             uid=instr.uid,
             canon=_CANONICAL_GPU.format(a=a) if canonical else "",

@@ -12,7 +12,8 @@ views and objects accessed from compiled kernels agree byte for byte.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from struct import Struct
+from typing import Iterable, NamedTuple, Optional
 
 POINTER_SIZE = 8
 POINTER_ALIGN = 8
@@ -187,6 +188,7 @@ class StructType(Type):
         self._align = max_align
         self._size = _round_up(max(offset, 1), max_align)
         self.complete = True
+        self.__dict__.pop("_table", None)
 
     def size(self) -> int:
         if not self.complete:
@@ -206,6 +208,30 @@ class StructType(Type):
 
     def has_field(self, name: str) -> bool:
         return any(f.name == name for f in self.fields)
+
+    def field_table(self) -> dict:
+        """Every field reachable by name, as name -> :class:`FieldSlot`,
+        built once: the direct fields first, then the fields of each
+        embedded base subobject (a ``__base_*`` field) in field order,
+        depth first, so a view of a derived-class instance reaches
+        inherited fields and the vtable pointer, and the first one found
+        shadows the rest."""
+        table = self.__dict__.get("_table")
+        if table is None:
+            table = {}
+            for f in self.fields:
+                table.setdefault(f.name, _slot(f.offset, f.type))
+            for f in self.fields:
+                if f.name.startswith("__base_") and isinstance(f.type, StructType):
+                    for name, inner in f.type.field_table().items():
+                        table.setdefault(name, inner._replace(offset=f.offset + inner.offset))
+            self._table = table
+        return table
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_table", None)  # derived from ``fields``: never pickled
+        return state
 
     def __str__(self) -> str:
         return f"%{self.name}"
@@ -234,6 +260,49 @@ class FunctionType(Type):
 
 def _round_up(value: int, align: int) -> int:
     return (value + align - 1) // align * align
+
+
+#: Little-endian ``struct`` codecs by code: a signed int's code per size
+#: (its unsigned code is the capital), then the floats'.
+_INT_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
+_FLOAT_CODES = {4: "f", 8: "d"}
+_CODECS = {code: Struct("<" + code) for code in "bBhHiIqQfd"}
+
+
+def scalar_format(type_: Type) -> Optional[str]:
+    """The ``struct`` code a value of ``type_`` is stored with — an int
+    of its width and sign, a float, a pointer as an unsigned int — or
+    ``None`` for an aggregate."""
+    if isinstance(type_, IntType):
+        code = _INT_CODES.get(type_.size())
+        return code if code is None or type_.signed else code.upper()
+    if isinstance(type_, FloatType):
+        return _FLOAT_CODES.get(type_.size())
+    if isinstance(type_, PointerType):
+        return _INT_CODES[POINTER_SIZE].upper()
+    return None
+
+
+def scalar_codec(type_: Type) -> Optional[Struct]:
+    """The little-endian codec of :func:`scalar_format`, or ``None``."""
+    code = scalar_format(type_)
+    return None if code is None else _CODECS[code]
+
+
+class FieldSlot(NamedTuple):
+    """A field of :meth:`StructType.field_table`: its offset in the
+    struct, its type, the codec of a scalar field, and the element codec
+    of an embedded array of scalars (each ``None`` otherwise)."""
+
+    offset: int
+    type: Type
+    codec: Optional[Struct]
+    items: Optional[Struct]
+
+
+def _slot(offset: int, type_: Type) -> FieldSlot:
+    items = scalar_codec(type_.element) if isinstance(type_, ArrayType) else None
+    return FieldSlot(offset, type_, scalar_codec(type_), items)
 
 
 # Canonical shared instances --------------------------------------------------

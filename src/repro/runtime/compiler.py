@@ -474,14 +474,26 @@ def compile_cached(
     return program, {"closure": outcome}
 
 
-def _warn_cpu_only(kinfo: KernelInfo) -> None:
+def _cpu_only_message(kinfo: KernelInfo) -> str:
     details = "; ".join(str(v) for v in kinfo.violations)
-    warnings.warn(
+    return (
         f"Concord: {kinfo.body_class.name} cannot run on the GPU "
-        f"({details}); falling back to CPU execution",
+        f"({details}); falling back to CPU execution"
+    )
+
+
+def _warn_cpu_only(kinfo: KernelInfo) -> None:
+    warnings.warn(
+        _cpu_only_message(kinfo),
         ConcordWarning,
         stacklevel=5,  # the caller of compile_source / compile_cached
     )
+
+
+def restriction_warnings(program: CompiledProgram) -> list:
+    """The text of each warning compiling ``program`` gives, in order:
+    one per kernel that cannot run on the GPU."""
+    return [_cpu_only_message(k) for k in program.kernels.values() if k.cpu_only]
 
 
 def _replay_restriction_warnings(program: CompiledProgram) -> None:

@@ -37,6 +37,7 @@ addresses of its load.  See ``docs/SERVICE.md``.
 
 from __future__ import annotations
 
+import http.client
 import json
 import sys
 import threading
@@ -46,6 +47,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from ..passes import CONFIGS, OptConfig
 from ..runtime import ConcordRuntime, RunConfig, system_named
+from ..runtime.compiler import restriction_warnings
 from .store import ArtifactStore
 
 __all__ = ["CompileService", "ServiceClient", "serve"]
@@ -56,6 +58,11 @@ LATENCY_SAMPLES = 2048
 #: Largest request body the daemon will read (the biggest workload source
 #: is ~10 kB); anything longer is refused with 413 before any read.
 MAX_BODY_BYTES = 8 << 20
+
+#: Seconds a kept-alive connection may wait for its next request line
+#: before the daemon closes it, so an abandoned connection frees its
+#: handler thread.  Headers, bodies and replies are not timed.
+IDLE_TIMEOUT_S = 15.0
 
 #: Largest work-item count and workload scale a run request may ask for.
 #: Nothing bounds how long a run takes (a deadline is open work), so an
@@ -155,7 +162,6 @@ class CompileService:
         counts as a closure hit (the request skipped the compile), plus
         ``service.memory_hits``."""
         from ..runtime.compiler import (
-            _replay_restriction_warnings,
             compile_cached,
             frontend_key,
             pipeline_key,
@@ -170,7 +176,6 @@ class CompileService:
         if program is not None:
             observer.counters.add("service.memory_hits")
             observer.counters.add("service.closure_hits")
-            _replay_restriction_warnings(program)
             return program, {"closure": "hit"}
         program, stages = compile_cached(
             source, config, module_name=module_name,
@@ -195,13 +200,9 @@ class CompileService:
             config = _resolve_config(payload.get("config"))
             module_name = payload.get("module_name", "concord")
             with request_obs.span("service_request", "service", endpoint="compile"):
-                import warnings as _warnings
-
-                with _warnings.catch_warnings(record=True) as caught:
-                    _warnings.simplefilter("always")
-                    program, stages = self._compile_through_caches(
-                        source, config, module_name, request_obs
-                    )
+                program, stages = self._compile_through_caches(
+                    source, config, module_name, request_obs
+                )
             result = {
                 "ok": True,
                 "program_id": program.program_id,
@@ -215,7 +216,9 @@ class CompileService:
                     }
                     for name, kinfo in program.kernels.items()
                 },
-                "warnings": [str(w.message) for w in caught],
+                # from the program, not from the process's warnings
+                # machinery, which concurrent requests share
+                "warnings": restriction_warnings(program),
             }
             if payload.get("emit") == "opencl":
                 result["opencl"] = {
@@ -392,6 +395,16 @@ class _Handler(BaseHTTPRequestHandler):
         if not self.quiet:
             super().log_message(fmt, *args)
 
+    def handle_one_request(self):
+        # idle until the request line arrives; a timeout closes the connection
+        self.connection.settimeout(IDLE_TIMEOUT_S)
+        super().handle_one_request()
+
+    def parse_request(self) -> bool:
+        # the rest of the request and its reply wait as long as they take
+        self.connection.settimeout(None)
+        return super().parse_request()
+
     def _reply(self, status: int, doc: dict) -> None:
         blob = json.dumps(doc).encode("utf-8")
         self.send_response(status)
@@ -472,29 +485,58 @@ def serve(store_dir, host="127.0.0.1", port=0, byte_budget=None, quiet=True):
 
 class ServiceClient:
     """Minimal stdlib HTTP client for the daemon (load generator, tests,
-    and anything else that wants to talk to ``repro serve``)."""
+    and anything else that wants to talk to ``repro serve``).
+
+    Each calling thread keeps one persistent HTTP/1.1 connection, so a
+    request pays for its work and not for a connection and a daemon
+    handler thread; two threads never share one.  A request that fails
+    on a *reused* connection because the daemon closed it while it was
+    idle (``RemoteDisconnected``, ``ConnectionResetError``,
+    ``BrokenPipeError``) is sent once more on a fresh connection; one
+    that fails on a fresh connection raises.  A reply that says
+    ``Connection: close`` drops the connection."""
 
     def __init__(self, host: str, port: int, timeout: float = 60.0):
         self.host = host
         self.port = port
         self.timeout = timeout
+        self._local = threading.local()
 
     def _request(self, method: str, path: str, payload=None) -> dict:
-        import http.client
+        body = None
+        headers = {}
+        if payload is not None:
+            body = json.dumps(payload).encode("utf-8")
+            headers["Content-Type"] = "application/json"
+        conn = getattr(self._local, "conn", None)
+        if conn is not None:
+            try:
+                return self._exchange(conn, method, path, body, headers)
+            except (http.client.RemoteDisconnected, ConnectionResetError, BrokenPipeError):
+                pass  # closed by the daemon while idle: once more, on a fresh one
+        conn = self._local.conn = http.client.HTTPConnection(
+            self.host, self.port, timeout=self.timeout
+        )
+        return self._exchange(conn, method, path, body, headers)
 
-        conn = http.client.HTTPConnection(self.host, self.port, timeout=self.timeout)
+    def _exchange(self, conn, method: str, path: str, body, headers: dict) -> dict:
         try:
-            body = None
-            headers = {}
-            if payload is not None:
-                body = json.dumps(payload).encode("utf-8")
-                headers["Content-Type"] = "application/json"
             conn.request(method, path, body=body, headers=headers)
             response = conn.getresponse()
-            doc = json.loads(response.read().decode("utf-8"))
-            doc.setdefault("ok", response.status == 200)
-            return doc
-        finally:
+            raw = response.read()
+        except BaseException:
+            self.close()
+            raise
+        if response.will_close:
+            self.close()
+        doc = json.loads(raw.decode("utf-8"))
+        doc.setdefault("ok", response.status == 200)
+        return doc
+
+    def close(self) -> None:
+        """Close the calling thread's connection, if it has one."""
+        conn = self._local.__dict__.pop("conn", None)
+        if conn is not None:
             conn.close()
 
     def compile(self, **payload) -> dict:

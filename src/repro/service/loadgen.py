@@ -120,6 +120,7 @@ def _phase(client_factory, clients: int, sources: list, config: str) -> dict:
                     latencies.append(wall)
                 else:
                     errors.append(reply.get("error", "unknown error"))
+        client.close()
 
     threads = [
         threading.Thread(target=worker, args=(i,), daemon=True)
@@ -159,7 +160,9 @@ def run_load(
     pool = generate_sources(sources)
     cold = _phase(client_factory, clients, pool, config)
     warm = _phase(client_factory, clients, pool, config)
-    stats = client_factory().stats()
+    client = client_factory()
+    stats = client.stats()
+    client.close()
     counters = stats.get("counters", {})
     warm_hits = counters.get("service.closure_hits", 0)
     speedup = (

@@ -21,20 +21,6 @@ class MemoryFault(Exception):
     """Out-of-range or misaligned access in the simulated memory."""
 
 
-_SCALAR_FORMATS = {
-    ("int", 1, True): "b",
-    ("int", 1, False): "B",
-    ("int", 2, True): "h",
-    ("int", 2, False): "H",
-    ("int", 4, True): "i",
-    ("int", 4, False): "I",
-    ("int", 8, True): "q",
-    ("int", 8, False): "Q",
-    ("float", 4, True): "f",
-    ("float", 8, True): "d",
-}
-
-
 class PhysicalMemory:
     """A fixed-size byte array with typed little-endian accessors.
 

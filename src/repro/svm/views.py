@@ -6,9 +6,11 @@ host code is Python, so these views provide the same capability — allocate
 a struct or array in SVM, then read and write fields by name with the exact
 layout the compiler computed for the device code.
 
-``StructView`` and ``ArrayView`` are deliberately thin: attribute access
-maps straight to typed loads/stores at ``base + field.offset``.  Pointer
-fields accept either a raw CPU address (int) or another view.
+``StructView`` and ``ArrayView`` are deliberately thin: a field or a
+scalar element is one bounds check and one ``struct`` pack or unpack at
+``base + offset``, with the offset and codec from the struct type's field
+table (:meth:`~repro.ir.types.StructType.field_table`).  Pointer fields
+accept either a raw CPU address (int) or another view.
 """
 
 from __future__ import annotations
@@ -19,14 +21,17 @@ from typing import Iterator, Optional, Union
 
 from ..ir.types import (
     ArrayType,
+    FieldSlot,
     FloatType,
     IntType,
     PointerType,
     StructType,
     Type,
+    scalar_codec,
+    scalar_format,
 )
 from .allocator import SharedAllocator
-from .memory import _SCALAR_FORMATS, MemoryFault
+from .memory import MemoryFault
 from .region import SharedRegion
 
 Addressable = Union[int, "StructView", "ArrayView"]
@@ -40,71 +45,133 @@ def address_of(value: Addressable) -> int:
     return int(value)
 
 
+#: What a stored value goes through first, by the class of its type.
+_CONVERT = {IntType: int, FloatType: float, PointerType: address_of}
+
+
+def _load(region: SharedRegion, addr: int, type_: Type, codec: Optional[struct.Struct]):
+    """The scalar at ``addr``: one bounds check and one unpack with the
+    ``codec`` of ``type_`` (``None``: an aggregate, refused)."""
+    if codec is None:
+        raise TypeError(f"cannot read aggregate type {type_} as a scalar")
+    return codec.unpack_from(region.physical.data, region.cpu_to_physical(addr, codec.size))[0]
+
+
+def _store(region: SharedRegion, addr: int, type_: Type, codec: Optional[struct.Struct], value) -> None:
+    """``value`` converted as its type says — ``int()``, ``float()``,
+    ``address_of`` — then one bounds check and one pack; an int past the
+    width is wrapped to it."""
+    if codec is None:
+        raise TypeError(f"cannot write aggregate type {type_} as a scalar")
+    value = _CONVERT[type_.__class__](value)
+    offset = region.cpu_to_physical(addr, codec.size)
+    try:
+        codec.pack_into(region.physical.data, offset, value)
+    except struct.error:  # f32 overflow is an OverflowError and stays one
+        codec.pack_into(region.physical.data, offset, *_wrapped(codec.format[-1], [value]))
+
+
+def _wrapped(code: str, values: list) -> list:
+    """Ints wrapped to the width and sign of the ``struct`` ``code``."""
+    bits = 8 * struct.calcsize(code)
+    mask = (1 << bits) - 1
+    if code.isupper():
+        return [value & mask for value in values]
+    half = 1 << (bits - 1)
+    return [((value + half) & mask) - half for value in values]
+
+
+def _no_field(struct_type: StructType, name: str) -> KeyError:
+    return KeyError(f"struct {struct_type.name} has no field {name!r}")
+
+
 class StructView:
     """A window onto one struct instance in shared memory."""
 
-    __slots__ = ("_region", "_type", "addr")
+    __slots__ = ("_region", "_type", "_fields", "addr")
 
     def __init__(self, region: SharedRegion, struct_type: StructType, addr: int):
         object.__setattr__(self, "_region", region)
         object.__setattr__(self, "_type", struct_type)
+        object.__setattr__(self, "_fields", struct_type.field_table())
         object.__setattr__(self, "addr", addr)
 
     @property
     def struct_type(self) -> StructType:
         return self._type
 
+    def _slot(self, name: str) -> FieldSlot:
+        try:
+            return self._fields[name]
+        except KeyError:
+            raise _no_field(self._type, name) from None
+
     def field_address(self, name: str) -> int:
-        offset, _ = _find_field_recursive(self._type, name)
-        return self.addr + offset
+        return self.addr + self._slot(name).offset
 
     def __getattr__(self, name: str):
         try:
-            offset, ftype = _find_field_recursive(self._type, name)
-        except KeyError as exc:
-            raise AttributeError(str(exc)) from exc
-        return read_typed(self._region, self.addr + offset, ftype)
+            offset, type_, codec, _items = self._fields[name]
+        except KeyError:
+            raise AttributeError(str(_no_field(self._type, name))) from None
+        return _load(self._region, self.addr + offset, type_, codec)
 
     def __setattr__(self, name: str, value) -> None:
-        if name in StructView.__slots__:
+        if name in _VIEW_SLOTS:
             object.__setattr__(self, name, value)
             return
-        offset, ftype = _find_field_recursive(self._type, name)
-        write_typed(self._region, self.addr + offset, ftype, value)
+        offset, type_, codec, _items = self._slot(name)
+        _store(self._region, self.addr + offset, type_, codec, value)
+
+    def set_item(self, name: str, index: int, value) -> None:
+        """``self.view(name)[index] = value`` for an embedded array field,
+        without building the array's view."""
+        offset, type_, _codec, items = self._slot(name)
+        if items is None:
+            self.view(name)[index] = value  # not an array of scalars
+            return
+        if not 0 <= index < type_.count:
+            raise IndexError(f"index {index} out of range [0, {type_.count})")
+        _store(self._region, self.addr + offset + index * items.size, type_.element, items, value)
 
     def view(self, name: str):
         """A sub-view of an embedded struct/array field (no indirection)."""
-        offset, ftype = _find_field_recursive(self._type, name)
-        return make_view(self._region, ftype, self.addr + offset)
+        slot = self._slot(name)
+        return make_view(self._region, slot.type, self.addr + slot.offset)
 
     def deref(self, name: str):
         """Follow a pointer field, returning a view of the pointee."""
-        offset, ftype = _find_field_recursive(self._type, name)
-        if not isinstance(ftype, PointerType):
+        offset, type_, codec, _items = self._slot(name)
+        if not isinstance(type_, PointerType):
             raise TypeError(f"{name} is not a pointer field")
-        target = read_typed(self._region, self.addr + offset, ftype)
+        target = _load(self._region, self.addr + offset, type_, codec)
         if target == 0:
             return None
-        return make_view(self._region, ftype.pointee, target)
+        return make_view(self._region, type_.pointee, target)
 
     def __repr__(self) -> str:
         return f"StructView({self._type.name} @ {self.addr:#x})"
 
 
+_VIEW_SLOTS = frozenset(StructView.__slots__)
+
+
 class ArrayView:
     """A window onto a contiguous array of elements in shared memory."""
 
-    __slots__ = ("_region", "element", "addr", "count")
+    __slots__ = ("_region", "element", "addr", "count", "_stride", "_codec")
 
     def __init__(self, region: SharedRegion, element: Type, addr: int, count: int):
         self._region = region
         self.element = element
         self.addr = addr
         self.count = count
+        self._stride = element.size()
+        self._codec = scalar_codec(element)
 
     def element_address(self, index: int) -> int:
         self._check(index)
-        return self.addr + index * self.element.size()
+        return self.addr + index * self._stride
 
     def _check(self, index: int) -> None:
         if not 0 <= index < self.count:
@@ -115,15 +182,14 @@ class ArrayView:
 
     def __getitem__(self, index: int):
         self._check(index)
-        offset = self.addr + index * self.element.size()
+        addr = self.addr + index * self._stride
         if isinstance(self.element, StructType):
-            return StructView(self._region, self.element, offset)
-        return read_typed(self._region, offset, self.element)
+            return StructView(self._region, self.element, addr)
+        return _load(self._region, addr, self.element, self._codec)
 
     def __setitem__(self, index: int, value) -> None:
         self._check(index)
-        offset = self.addr + index * self.element.size()
-        write_typed(self._region, offset, self.element, value)
+        _store(self._region, self.addr + index * self._stride, self.element, self._codec, value)
 
     def __iter__(self) -> Iterator:
         return (self[i] for i in range(self.count))
@@ -133,7 +199,7 @@ class ArrayView:
         pack.  Whatever fails there — a value past f32, one too many, an
         array past the region — goes element by element, so the same
         exception comes with the same prefix written."""
-        bulk = _bulk_format(self.element)
+        bulk = scalar_format(self.element)
         if bulk is None:
             self._fill_each(values)
             return
@@ -157,9 +223,9 @@ class ArrayView:
 
     def to_list(self) -> list:
         """Every element; a scalar array in one ``struct`` unpack."""
-        bulk = _bulk_format(self.element)
+        bulk = scalar_format(self.element)
         if bulk is not None:
-            size = self.element.size()
+            size = self._stride
             region = self._region
             try:
                 offset = region.cpu_to_physical(self.addr, self.count * size)
@@ -173,51 +239,15 @@ class ArrayView:
         return f"ArrayView({self.count} x {self.element} @ {self.addr:#x})"
 
 
-def _bulk_format(element: Type) -> Optional[str]:
-    """The ``struct`` code ``read_typed`` / ``write_typed`` move an
-    ``element`` with, or ``None`` for an aggregate."""
-    if isinstance(element, IntType):
-        return _SCALAR_FORMATS.get(("int", element.size(), element.signed))
-    if isinstance(element, FloatType):
-        return _SCALAR_FORMATS.get(("float", element.size(), True))
-    if isinstance(element, PointerType):
-        return _SCALAR_FORMATS.get(("int", element.size(), False))
-    return None
-
-
 def _pack(code: str, element: Type, items: list) -> bytes:
-    """``items`` as ``write_typed`` converts them — ``int()`` wrapped to the
+    """``items`` as ``_store`` converts them — ``int()`` wrapped to the
     width, ``float()``, ``address_of`` masked — in one ``struct`` pack."""
     fmt = f"<{len(items)}{code}"
-    if isinstance(element, FloatType):
-        return struct.pack(fmt, *map(float, items))
-    values = list(map(address_of if isinstance(element, PointerType) else int, items))
+    values = list(map(_CONVERT[element.__class__], items))
     try:
         return struct.pack(fmt, *values)
-    except struct.error:  # past the width: wrap as write_int does
-        bits = 8 * element.size()
-        mask = (1 << bits) - 1
-        if code.isupper():
-            return struct.pack(fmt, *[value & mask for value in values])
-        half = 1 << (bits - 1)
-        return struct.pack(fmt, *[((value + half) & mask) - half for value in values])
-
-
-def _find_field_recursive(struct: StructType, name: str) -> tuple[int, Type]:
-    """(offset, type) of ``name``, searching embedded base subobjects
-    (fields named ``__base_*``) so views of derived-class instances can
-    touch inherited fields and the vtable pointer."""
-    if struct.has_field(name):
-        field = struct.field_named(name)
-        return field.offset, field.type
-    for field in struct.fields:
-        if field.name.startswith("__base_") and isinstance(field.type, StructType):
-            try:
-                inner_offset, inner_type = _find_field_recursive(field.type, name)
-            except KeyError:
-                continue
-            return field.offset + inner_offset, inner_type
-    raise KeyError(f"struct {struct.name} has no field {name!r}")
+    except struct.error:  # past the width: wrap as a single store does
+        return struct.pack(fmt, *_wrapped(code, values))
 
 
 def make_view(region: SharedRegion, type_: Type, addr: int):
@@ -246,24 +276,11 @@ class ScalarView:
 
 
 def read_typed(region: SharedRegion, addr: int, type_: Type):
-    if isinstance(type_, IntType):
-        return region.read_int(addr, type_.size(), type_.signed)
-    if isinstance(type_, FloatType):
-        return region.read_float(addr, type_.size())
-    if isinstance(type_, PointerType):
-        return region.read_int(addr, type_.size(), signed=False)
-    raise TypeError(f"cannot read aggregate type {type_} as a scalar")
+    return _load(region, addr, type_, scalar_codec(type_))
 
 
 def write_typed(region: SharedRegion, addr: int, type_: Type, value) -> None:
-    if isinstance(type_, IntType):
-        region.write_int(addr, type_.size(), int(value), type_.signed)
-    elif isinstance(type_, FloatType):
-        region.write_float(addr, type_.size(), float(value))
-    elif isinstance(type_, PointerType):
-        region.write_int(addr, type_.size(), address_of(value), signed=False)
-    else:
-        raise TypeError(f"cannot write aggregate type {type_} as a scalar")
+    _store(region, addr, type_, scalar_codec(type_), value)
 
 
 class SvmHeap:

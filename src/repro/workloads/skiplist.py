@@ -100,7 +100,7 @@ class SkipListWorkload(Workload):
             node.value = table[key]
             node.height = height
             for level in range(height):
-                last[level].view("next")[level] = node.addr
+                last[level].set_item("next", level, node.addr)
                 last[level] = node
 
         half_hits = random_keys(num_queries, num_keys * 6, seed=23)

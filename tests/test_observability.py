@@ -551,6 +551,26 @@ class TestReduceJoinFallback:
         assert report.device == "gpu"
         assert body.total == 0  # nothing combined, but nothing crashed
 
+    @pytest.mark.parametrize("on_cpu", [False, True])
+    def test_missing_joins_warn_on_either_device(self, on_cpu):
+        """The CPU's TBB-style reduction used to skip its joins in
+        silence; both devices give the one warning."""
+        program = compile_source(SUM_SRC, OptConfig.gpu_all())
+        kinfo = program.kernel_for("ISum")
+        kinfo.join_kernel = None
+        kinfo.gpu_join_kernel = None
+        rt = ConcordRuntime(program, ultrabook())
+        data = rt.new_array(I32, 8)
+        data.fill_from(list(range(8)))
+        body = rt.new("ISum")
+        body.data = data
+        body.total = 0
+        with pytest.warns(ConcordWarning, match="ISum has no join kernel on any device") as caught:
+            report = rt.parallel_reduce_hetero(8, body, on_cpu=on_cpu)
+        assert len(caught) == 1
+        assert report.device == ("cpu" if on_cpu else "gpu")
+        assert body.total == 0
+
     def test_gpu_join_falls_back_to_host_join(self):
         """Dropping only the device join keeps the reduction correct via
         the host join form."""

@@ -643,6 +643,260 @@ public:
         assert len({r["program_id"] for r in results}) == 1
 
 
+class _Live:
+    """An in-process daemon on its own port that counts the connections
+    it accepts and the headers of every request it parses."""
+
+    def __init__(self, root):
+        self.server, self.service = serve(root, port=0)
+        self.accepts = []
+        self.requests = []
+        accept, requests = self.server.get_request, self.requests
+
+        def get_request():
+            pair = accept()
+            self.accepts.append(pair[1])
+            return pair
+
+        class Recording(self.server.RequestHandlerClass):
+            def parse_request(self):
+                ok = super().parse_request()
+                if ok:
+                    requests.append((self.command, self.path, dict(self.headers)))
+                return ok
+
+        self.server.get_request = get_request
+        self.server.RequestHandlerClass = Recording
+        self.thread = threading.Thread(target=self.server.serve_forever, daemon=True)
+        self.thread.start()
+        self.client = ServiceClient(*self.server.server_address[:2], timeout=30)
+
+    def close(self):
+        self.client.close()
+        self.server.shutdown()
+        self.server.server_close()
+        self.thread.join(timeout=10)
+
+
+@pytest.fixture
+def live(tmp_path):
+    daemon = _Live(str(tmp_path))
+    try:
+        yield daemon
+    finally:
+        daemon.close()
+
+
+def _free_port() -> int:
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        return probe.getsockname()[1]
+
+
+class TestKeepAliveClient:
+    """A ``ServiceClient`` keeps one HTTP/1.1 connection per calling
+    thread, and replaces one the daemon closed, once, unseen."""
+
+    def test_sequential_requests_open_one_connection(self, live):
+        client = live.client
+        for index in range(12):
+            assert client.health() == {"ok": True}
+            assert client.compile(source=SOURCE.replace("7", str(40 + index % 3)))["ok"]
+        assert client.stats()["ok"]
+        assert len(live.accepts) == 1
+        assert len(live.requests) == 25
+
+    def test_two_threads_never_share_a_connection(self, live):
+        client = live.client
+        ports, errors = {}, []
+        barrier = threading.Barrier(3)
+
+        def worker(name):
+            try:
+                barrier.wait(timeout=10)
+                seen = set()
+                for _ in range(6):
+                    assert client.health() == {"ok": True}
+                    seen.add(client._local.conn.sock.getsockname()[1])
+                ports[name] = seen
+                client.close()
+            except Exception as exc:  # a worker's failure fails the test below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert all(len(seen) == 1 for seen in ports.values())
+        assert len(set().union(*ports.values())) == 3
+        assert len(live.accepts) == 3
+
+    def test_a_connection_closed_at_the_idle_timeout_is_replaced(self, live, monkeypatch):
+        from repro.service import daemon
+
+        monkeypatch.setattr(daemon, "IDLE_TIMEOUT_S", 0.2)
+        client = live.client
+        assert client.health() == {"ok": True}
+        time.sleep(0.6)  # the daemon closes the idle connection
+        assert client.compile(source=SOURCE)["ok"]
+        assert client.health() == {"ok": True}
+        assert len(live.accepts) == 2
+
+    def test_a_connection_close_reply_drops_the_connection(self, live, monkeypatch):
+        from repro.service import daemon
+
+        monkeypatch.setattr(daemon, "MAX_BODY_BYTES", -1)  # every POST is refused, 413
+        client = live.client
+        assert client.health() == {"ok": True}
+        refused = client._request("POST", "/v1/compile")
+        assert not refused["ok"] and "Content-Length" in refused["error"]
+        assert "conn" not in client._local.__dict__
+        assert client.health() == {"ok": True}
+        assert len(live.accepts) == 2
+
+    def test_a_daemon_restarted_on_the_same_port_is_reached_unseen(self, tmp_path):
+        port = _free_port()
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")]
+            + [p for p in [env.get("PYTHONPATH")] if p]
+        )
+        processes = []
+
+        def start():
+            process = subprocess.Popen(
+                [sys.executable, "-m", "repro", "serve", "--store", str(tmp_path),
+                 "--port", str(port)],
+                env=env, stdout=subprocess.PIPE, text=True,
+            )
+            processes.append(process)
+            assert "http://" in process.stdout.readline()
+
+        def stop():
+            process = processes[-1]
+            process.kill()
+            process.wait()
+            process.stdout.close()
+
+        client = ServiceClient("127.0.0.1", port, timeout=30)
+        try:
+            start()
+            assert client.health() == {"ok": True}
+            stop()
+            start()  # same port, a new process: the kept connection is dead
+            assert client.compile(source=SOURCE)["ok"]
+            stop()
+            # nothing listens: the retry's fresh connection is refused, and raises
+            with pytest.raises(ConnectionRefusedError):
+                client.health()
+            assert "conn" not in client._local.__dict__
+        finally:
+            client.close()
+            stop()
+
+    def test_a_fresh_connection_to_a_dead_port_raises(self):
+        client = ServiceClient("127.0.0.1", _free_port(), timeout=5)
+        with pytest.raises(ConnectionRefusedError):
+            client.health()
+        assert "conn" not in client._local.__dict__
+
+    def test_every_post_carries_content_length(self, live):
+        client = live.client
+        client.compile(source=SOURCE)
+        client.run(source=TestDaemon.SCALAR_SOURCE, body="Accum", n=2)
+        client._request("POST", "/v1/compile", [1, 2])
+        client._request("POST", "/v1/compile")
+        client.shutdown()
+        posts = [headers for command, _path, headers in live.requests if command == "POST"]
+        assert len(posts) == 5
+        for headers in posts:
+            assert "Transfer-Encoding" not in headers
+            assert int(headers["Content-Length"]) >= 0
+
+
+class TestReplyWarnings:
+    """A compile reply's ``warnings`` are its program's: two requests in
+    flight at once used to swap the process-wide warnings state under
+    each other, so a clean program's reply carried another's warning."""
+
+    FIB = """
+class FibBody {
+public:
+  int* out;
+  int fib(int n) {
+    if (n < 2) return n;
+    return fib(n - 1) + fib(n - 2);
+  }
+  void operator()(int i) { out[i] = fib(i); }
+};
+"""
+    ADD = """
+class AddBody {
+public:
+  int* out;
+  void operator()(int i) { out[i] = out[i] + 1; }
+};
+"""
+
+    def test_overlapping_requests_each_carry_their_own_warnings(self, tmp_path, monkeypatch):
+        from repro.runtime import compiler
+
+        service = CompileService(str(tmp_path))
+        real = compiler.frontend_stage
+        add_compiling, fib_done = threading.Event(), threading.Event()
+
+        def staged(source, *args, **kwargs):
+            # Fib's request compiles while Add's is inside its own compile
+            if "FibBody" in source:
+                assert add_compiling.wait(10)
+            else:
+                add_compiling.set()
+                assert fib_done.wait(10)
+            return real(source, *args, **kwargs)
+
+        monkeypatch.setattr(compiler, "frontend_stage", staged)
+        replies = {}
+
+        def request(name, source):
+            replies[name] = service.compile({"source": source})
+            if name == "fib":
+                fib_done.set()
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            filters = list(warnings.filters)
+            threads = [
+                threading.Thread(target=request, args=("fib", self.FIB)),
+                threading.Thread(target=request, args=("add", self.ADD)),
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert replies["add"]["warnings"] == []
+            [fib] = replies["fib"]["warnings"]
+            assert "FibBody cannot run on the GPU" in fib
+            assert warnings.filters == filters  # nothing swapped them
+            # a memory hit and a store hit answer the same
+            assert service.compile({"source": self.FIB})["warnings"] == [fib]
+            assert CompileService(str(tmp_path)).compile({"source": self.FIB})["warnings"] == [fib]
+
+    def test_no_handler_enters_catch_warnings(self):
+        import inspect
+
+        from repro.service import daemon
+
+        assert "catch_warnings" not in inspect.getsource(daemon)
+
+
 class TestConcurrentRuns:
     """Run requests take no lock: the memory LRU hands every request for
     a program the same object, so a run must write nothing on it that
