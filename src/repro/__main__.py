@@ -398,7 +398,7 @@ def _profile(args) -> int:
 
     from .obs import (
         Observer,
-        ProfileSchemaError,
+        SchemaError,
         profile_to_csv,
         profile_workload,
         validate_profile,
@@ -443,7 +443,7 @@ def _profile(args) -> int:
                 print(f"events: {args.events}", file=sys.stderr)
     try:
         validate_profile(doc)
-    except ProfileSchemaError as exc:
+    except SchemaError as exc:
         print(f"error: emitted profile failed validation: {exc}", file=sys.stderr)
         return 1
     if args.trace:

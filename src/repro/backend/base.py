@@ -233,10 +233,6 @@ def run_construct(rt, kinfo, n: int, body, construct: str, plan: Plan):
                 (join.host_span, join.host_seconds),
             ]
 
-    if "gpu" in totals:
-        rt.total_gpu_report += totals["gpu"]
-    if "cpu" in totals:
-        rt.total_cpu_report += totals["cpu"]
     if rt.obs is not None:
         line_samples = [
             (kinfo.gpu_kernel, "gpu", traces["gpu"]),

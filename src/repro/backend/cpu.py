@@ -119,7 +119,6 @@ class CpuBackend:
                     rt.allocator.free(copy_addr)
                 # one L1/LLC state: the lanes first, then the joins
                 report = time_cpu_execution(rt.system.cpu, traces, counters=rt.counters)
-        rt.total_cpu_report += report
         if rt.obs is not None:
             rt._record_construct(
                 cspan,

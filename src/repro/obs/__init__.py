@@ -41,7 +41,6 @@ from .core import CounterRegistry, Observer, Span
 from .flight import (
     FLIGHT_SCHEMA_VERSION,
     FlightRecorder,
-    FlightSchemaError,
     flight_guard,
     validate_flight_bundle,
 )
@@ -60,21 +59,17 @@ from .profile import (
     profile_to_csv,
     profile_workload,
 )
-from .schema import PROFILE_SCHEMA, ProfileSchemaError, validate_profile
+from .schema import PROFILE_SCHEMA, SchemaError, validate_profile
 from .telemetry import (
     TELEMETRY_SCHEMA_VERSION,
-    AggregatorSink,
     EventRing,
     JsonLinesSink,
-    MetricsTextSink,
     Telemetry,
-    TelemetrySchemaError,
     validate_event,
     validate_events,
 )
 from .trace import (
     TRACE_SCHEMA_VERSION,
-    TraceSchemaError,
     build_trace,
     validate_trace,
     write_trace,
@@ -82,37 +77,30 @@ from .trace import (
 
 from .watch import (
     WATCH_SCHEMA_VERSION,
-    WatchSchemaError,
     build_watch_report,
     render_watch_report,
     validate_watch_report,
 )
 
 __all__ = [
-    "AggregatorSink",
     "CounterRegistry",
     "ConstructProfile",
     "EventRing",
     "FLIGHT_SCHEMA_VERSION",
     "FlightRecorder",
-    "FlightSchemaError",
     "JsonLinesSink",
     "KernelProfile",
     "LINES_SCHEMA_VERSION",
-    "MetricsTextSink",
     "Observer",
     "PHASES",
     "PROFILE_SCHEMA",
     "PROFILE_SCHEMA_VERSION",
-    "ProfileSchemaError",
+    "SchemaError",
     "Span",
     "TELEMETRY_SCHEMA_VERSION",
     "TRACE_SCHEMA_VERSION",
     "Telemetry",
-    "TelemetrySchemaError",
-    "TraceSchemaError",
     "WATCH_SCHEMA_VERSION",
-    "WatchSchemaError",
     "annotate_workload",
     "build_line_report",
     "build_profile",

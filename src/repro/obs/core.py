@@ -5,9 +5,8 @@ pipeline all emit into one :class:`Observer` when the caller attaches one
 (``ConcordRuntime(..., observer=...)``, ``compile_source(...,
 observer=...)``).  Everything here is strictly opt-in: every emission site
 guards on ``observer is not None`` (or on a ``counters is not None``
-registry reference), so a runtime built without an observer pays nothing —
-the tier-1 suite and ``bench_engine_throughput.py`` run the exact code
-paths they ran before this module existed.
+registry reference), so a runtime built without an observer pays nothing:
+it runs the exact code paths it ran before this module existed.
 
 Three pieces:
 
@@ -18,9 +17,10 @@ Three pieces:
   ``add`` hot path; the engines, cache models, private-memory pool and
   code cache publish into it (instructions, flops, mem events
   kept/dropped, cache hits/misses, pool reuse, code-cache hits).
-* :class:`Observer` — owns the span tree, the registry and the per-kernel
-  profiles; :meth:`Observer.record_launch` is how the runtime attributes
-  one parallel construct's simulated seconds to named phases.
+* :class:`Observer` — owns the span tree, the registry and the
+  per-construct profiles; :meth:`Observer.record_launch` is how the
+  runtime attributes one parallel construct's simulated seconds to named
+  phases.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .profile import ConstructProfile, KernelProfile
+from .profile import ConstructProfile
 
 
 class CounterRegistry:
@@ -168,7 +168,7 @@ class _SpanContext:
 
 
 class Observer:
-    """Collects spans, counters and per-kernel profiles for one session.
+    """Collects spans, counters and per-construct profiles for one session.
 
     One observer may watch a whole pipeline: compilation
     (``compile_source``), any number of runtimes, and the evaluation
@@ -185,8 +185,6 @@ class Observer:
         self._stack: list[Span] = [self.root]
         #: per-construct attribution records, in execution order
         self.constructs: list[ConstructProfile] = []
-        #: kernel name -> aggregated profile
-        self.kernels: dict[str, KernelProfile] = {}
         #: compiler pass statistics (name, runs, changed, seconds)
         self.pass_stats: list[dict] = []
         #: per-launch (kernel IR function, device, merged block counts)
@@ -207,12 +205,9 @@ class Observer:
         window.  Attach before running anything observed, or the
         stream's counter totals will miss the counters that predate it."""
         self.telemetry = telemetry
-        telemetry.ring._counters = self.counters
         self.counters._sink = telemetry._on_counter
 
     def detach_telemetry(self) -> None:
-        if self.telemetry is not None:
-            self.telemetry.ring._counters = None
         self.counters._sink = None
         self.telemetry = None
 
@@ -285,12 +280,6 @@ class Observer:
                 seconds=seconds,
                 energy_joules=energy_joules,
             )
-        profile = self.kernels.get(kernel)
-        if profile is None:
-            profile = self.kernels[kernel] = KernelProfile(
-                kernel=kernel, construct=construct
-            )
-        profile.absorb(record)
         return record
 
     def record_kernel_trace(self, kernel, device: str, block_counts: dict) -> None:

@@ -37,13 +37,12 @@ import traceback
 from contextlib import contextmanager
 from typing import Optional
 
-from .schema import check, record
+from .schema import SchemaError, check, record
 from .telemetry import stream_errors
 
 __all__ = [
     "FLIGHT_SCHEMA_VERSION",
     "FlightRecorder",
-    "FlightSchemaError",
     "flight_guard",
     "resolve_trap",
     "validate_flight_bundle",
@@ -56,10 +55,6 @@ CONSTRUCT_TAIL = 32
 
 #: Capture reasons a bundle may carry.
 REASONS = ("trap", "fuzz_divergence", "exception", "violation", "manual")
-
-
-class FlightSchemaError(ValueError):
-    """A flight bundle does not conform to ``repro.obs.flight/v1``."""
 
 
 # -- trap-site resolution ---------------------------------------------------
@@ -321,11 +316,11 @@ FLIGHT_SCHEMA = record(
 
 
 def validate_flight_bundle(doc) -> None:
-    """Raise :class:`FlightSchemaError` listing every departure of one
-    bundle from ``FLIGHT_SCHEMA``; the events of a sound bundle must form
-    a telemetry stream."""
+    """Raise :class:`~repro.obs.schema.SchemaError` listing every
+    departure of one bundle from ``FLIGHT_SCHEMA``; the events of a sound
+    bundle must form a telemetry stream."""
     errors = check(doc, FLIGHT_SCHEMA, "bundle")
     if not errors:
         errors = stream_errors(doc["events"], "bundle.events")
     if errors:
-        raise FlightSchemaError("; ".join(errors))
+        raise SchemaError("; ".join(errors))

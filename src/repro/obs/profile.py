@@ -104,11 +104,16 @@ class KernelProfile:
 
 
 def build_profile(observer, meta: Optional[dict] = None) -> dict:
-    """Assemble the JSON-serializable profile document from an observer."""
+    """Assemble the JSON-serializable profile document from an observer.
+    A kernel's section folds its constructs in the order they ran."""
     constructs = [record.to_dict() for record in observer.constructs]
-    kernels = {
-        name: profile.to_dict() for name, profile in sorted(observer.kernels.items())
-    }
+    kernels: dict = {}
+    for record in observer.constructs:
+        profile = kernels.get(record.kernel)
+        if profile is None:
+            profile = kernels[record.kernel] = KernelProfile(record.kernel, record.construct)
+        profile.absorb(record)
+    kernels = {name: kernels[name].to_dict() for name in sorted(kernels)}
     doc = {
         "schema": PROFILE_SCHEMA_VERSION,
         "meta": dict(meta or {}),

@@ -19,8 +19,9 @@ from typing import Optional
 from .profile import PROFILE_SCHEMA_VERSION
 
 
-class ProfileSchemaError(ValueError):
-    """A profile document does not match the published schema."""
+class SchemaError(ValueError):
+    """A document does not match its published schema: the one error
+    every ``validate_*`` of ``repro.obs`` raises."""
 
 
 _TYPES = {
@@ -170,7 +171,7 @@ PROFILE_SCHEMA = {
 
 
 def validate_profile(doc, min_attributed_fraction: float = 0.95) -> None:
-    """Validate a profile document; raise :class:`ProfileSchemaError`
+    """Validate a profile document; raise :class:`SchemaError`
     listing every departure from ``PROFILE_SCHEMA``.
 
     On a structurally sound document this also enforces the acceptance
@@ -188,6 +189,6 @@ def validate_profile(doc, min_attributed_fraction: float = 0.95) -> None:
                     "simulated time is leaking out of the named phases"
                 )
     if errors:
-        raise ProfileSchemaError(
+        raise SchemaError(
             "profile does not match schema:\n  " + "\n  ".join(errors)
         )

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .schema import check, record
+from .schema import SchemaError, check, record
 
 TRACE_SCHEMA_VERSION = "repro.obs.trace/v1"
 
@@ -38,10 +38,6 @@ COUNTER_SERIES = (
     "engine.translations",
     "mem_events.kept",
 )
-
-
-class TraceSchemaError(ValueError):
-    """A trace document does not match the published schema."""
 
 
 def _span_events(span, depth: int) -> list:
@@ -244,10 +240,10 @@ TRACE_SCHEMA = record(
 
 
 def validate_trace(doc) -> None:
-    """Raise :class:`TraceSchemaError` listing every departure from
-    ``TRACE_SCHEMA``."""
+    """Raise :class:`~repro.obs.schema.SchemaError` listing every
+    departure from ``TRACE_SCHEMA``."""
     errors = check(doc, TRACE_SCHEMA, "trace")
     if errors:
-        raise TraceSchemaError(
+        raise SchemaError(
             "trace does not match schema:\n  " + "\n  ".join(errors)
         )

@@ -38,11 +38,10 @@ import os
 import re
 from statistics import median
 
-from .schema import check, record
+from .schema import SchemaError, check, record
 
 __all__ = [
     "WATCH_SCHEMA_VERSION",
-    "WatchSchemaError",
     "analyze_series",
     "build_series",
     "build_watch_report",
@@ -63,10 +62,6 @@ WINDOW = 3
 SHOWN_MOVE = 0.25
 
 _LEDGER_RE = re.compile(r"^BENCH_(\d+)\.json$")
-
-
-class WatchSchemaError(ValueError):
-    """A watch report does not conform to ``repro.obs.watch/v2``."""
 
 
 # -- schemas ----------------------------------------------------------------
@@ -362,8 +357,8 @@ def render_watch_report(doc: dict) -> str:
 
 
 def validate_watch_report(doc) -> None:
-    """Raise :class:`WatchSchemaError` listing every departure from
-    ``WATCH_REPORT_SCHEMA``."""
+    """Raise :class:`~repro.obs.schema.SchemaError` listing every
+    departure from ``WATCH_REPORT_SCHEMA``."""
     errors = check(doc, WATCH_REPORT_SCHEMA, "report")
     if errors:
-        raise WatchSchemaError("; ".join(errors))
+        raise SchemaError("; ".join(errors))

@@ -237,8 +237,9 @@ class ConcordRuntime:
         # pair — keyed by program id because kernel names repeat across
         # independently compiled programs.
         self._gpu_function_cache: dict[tuple, object] = {}
-        self.total_gpu_report = DeviceReport(device="gpu", seconds=0, energy_joules=0)
-        self.total_cpu_report = DeviceReport(device="cpu", seconds=0, energy_joules=0)
+        # class name -> (ClassInfo, {argument count: constructor}), each
+        # resolved on first use; ``new``, ``new_array`` and ``view`` share it
+        self._classes: dict[str, tuple] = {}
         # Kernels whose vector classification this runtime's span and
         # counters already show (the program's verdicts are shared; who
         # has reported them is not).
@@ -293,19 +294,41 @@ class ConcordRuntime:
 
     # -- host-side object construction ------------------------------------------
 
+    def _class(self, class_name: str) -> tuple:
+        """``(ClassInfo, {argument count: constructor})`` of a class; the
+        first constructor in module order wins an argument count."""
+        entry = self._classes.get(class_name)
+        if entry is None:
+            info = self.program.class_info(class_name)
+            ctors: dict = {}
+            for fn in self.program.module.functions.values():
+                if fn.attributes.get("constructor_of") == info.name:
+                    ctors.setdefault(len(fn.args) - 1, fn)
+            entry = self._classes[class_name] = (info, ctors)
+        return entry
+
     def new(self, class_name: str, *ctor_args) -> StructView:
         """Allocate a class instance in SVM; runs its constructor (and
         vtable install) through the host interpreter, like ``new`` in the
         paper's host C++."""
-        info = self.program.class_info(class_name)
+        info, ctors = self._class(class_name)
         view = self.heap.new_struct(info.struct_type)
-        self._construct(info, view.addr, ctor_args)
+        ctor = ctors.get(len(ctor_args))
+        if ctor is not None:
+            interp = self._host_interpreter()
+            interp.call_function(ctor, [view.addr, *[_raw(a) for a in ctor_args]])
+            interp.release_private_memory()
+        elif ctor_args:
+            raise TypeError(
+                f"{info.name} has no {len(ctor_args)}-argument constructor"
+            )
+        elif info.polymorphic:
+            self.install_vtable(info, view.addr)
         return view
 
     def new_array(self, element: "str | Type", count: int) -> ArrayView:
         if isinstance(element, str):
-            info = self.program.class_info(element)
-            element_type: Type = info.struct_type
+            element_type: Type = self._class(element)[0].struct_type
         else:
             element_type = element
         return self.heap.new_array(element_type, count)
@@ -314,30 +337,7 @@ class ConcordRuntime:
         self.heap.free(view)
 
     def view(self, class_name: str, address: int) -> StructView:
-        info = self.program.class_info(class_name)
-        return StructView(self.region, info.struct_type, address)
-
-    def _construct(self, info: ClassInfo, addr: int, ctor_args: tuple) -> None:
-        module = self.program.module
-        ctor_fns = [
-            fn
-            for name, fn in module.functions.items()
-            if fn.attributes.get("constructor_of") == info.name
-        ]
-        matching = [
-            fn for fn in ctor_fns if len(fn.args) == 1 + len(ctor_args)
-        ]
-        if matching:
-            interp = self._host_interpreter()
-            interp.call_function(matching[0], [addr, *[_raw(a) for a in ctor_args]])
-            interp.release_private_memory()
-            return
-        if ctor_args:
-            raise TypeError(
-                f"{info.name} has no {len(ctor_args)}-argument constructor"
-            )
-        if info.polymorphic:
-            self.install_vtable(info, addr)
+        return StructView(self.region, self._class(class_name)[0].struct_type, address)
 
     def install_vtable(self, info: ClassInfo, addr: int) -> None:
         vtable = self.global_addresses.get(f"__vtable.{info.struct_type.name}")

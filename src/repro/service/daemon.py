@@ -17,13 +17,14 @@ Protocol (all endpoints under ``/v1``; see ``docs/SERVICE.md``)::
     GET  /v1/health    {"ok": true}
     POST /v1/shutdown  graceful stop
 
-Observability: every request runs under a private ``repro.obs`` span
-(``service_request``) whose close event — with the measured wall time —
-is folded into the daemon's shared :class:`AggregatorSink` under a
-lock, so ``/v1/stats`` reports per-endpoint p50/p99 without the
-lock-free observer ever being shared across threads.  ``service.*``
-counters account closure hits/misses, corrupt artifacts, evictions,
-requests and errors.
+Accounting: each fact is kept once, under its owner's lock.  A request
+records into a private ``repro.obs`` observer; when it ends, its
+counters merge into the daemon's one :class:`~repro.obs.CounterRegistry`
+and its wall time lands in a bounded window of ``LATENCY_SAMPLES`` per
+``service_request`` / ``service_request.<endpoint>`` name, both under
+the daemon's lock.  The store keeps its own tallies under its own lock.
+``/v1/stats`` reads nearest-rank p50/p90/p99 off the windows and reports
+the store's tallies under their ``service.store_*`` names.
 
 Isolation: compile and run requests are concurrent.  A run request's
 ``system``, its size and its ``RunConfig`` fields (one request field per
@@ -42,7 +43,9 @@ import json
 import sys
 import threading
 import time
+from collections import OrderedDict, defaultdict, deque
 from dataclasses import asdict, fields
+from functools import partial
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from ..passes import CONFIGS, OptConfig
@@ -52,8 +55,18 @@ from .store import ArtifactStore
 
 __all__ = ["CompileService", "ServiceClient", "serve"]
 
-#: Retained request-latency samples per span name (p50/p99 window).
+#: Retained request wall times per ``service_request*`` name: the window
+#: ``/v1/stats`` reads p50/p90/p99 from.
 LATENCY_SAMPLES = 2048
+
+#: The store's tallies as ``/v1/stats`` names them among its counters.
+STORE_COUNTERS = {
+    "hits": "service.store_hits",
+    "misses": "service.store_misses",
+    "puts": "service.store_puts",
+    "corrupt": "service.cache_corrupt",
+    "evictions": "service.store_evictions",
+}
 
 #: Largest request body the daemon will read (the biggest workload source
 #: is ~10 kB); anything longer is refused with 413 before any read.
@@ -102,55 +115,36 @@ class CompileService:
     #: store read + unpickle, not just the compile
     MEMORY_PROGRAMS = 64
 
-    def __init__(self, store_dir, byte_budget=None, span_samples=LATENCY_SAMPLES):
-        from collections import OrderedDict
+    def __init__(self, store_dir, byte_budget=None):
+        from ..obs import CounterRegistry
 
-        from ..obs import Observer, Telemetry
-        from ..obs.telemetry import AggregatorSink
-
-        self.observer = Observer()
-        self.aggregator = AggregatorSink(span_samples=span_samples)
-        self.observer.attach_telemetry(Telemetry(sinks=[self.aggregator]))
-        self.store = ArtifactStore(
-            store_dir, byte_budget=byte_budget, counters=self.observer.counters
-        )
-        #: guards the shared observer/telemetry/aggregator (they are not
-        #: thread-safe; requests record into private observers and merge)
-        self._obs_lock = threading.Lock()
+        self.store = ArtifactStore(store_dir, byte_budget=byte_budget)
+        #: request accounting: ``service.*`` counters merged from every
+        #: request, and the last ``LATENCY_SAMPLES`` wall times per
+        #: ``service_request*`` name
+        self.counters = CounterRegistry()
+        self._latency = defaultdict(partial(deque, maxlen=LATENCY_SAMPLES))
         self._memory: OrderedDict = OrderedDict()  # closure key -> program
-        self._mem_lock = threading.Lock()
+        #: guards the three records above; nothing else touches them
+        self._lock = threading.Lock()
         self.started = time.time()
 
     # -- request plumbing ----------------------------------------------------
 
     def _finish_request(self, endpoint: str, request_obs, started: float, ok: bool):
-        """Merge one request's private observer into the shared metrics."""
+        """Count one request, merge its private observer's counters and
+        keep its wall time."""
         wall = time.perf_counter() - started
-        with self._obs_lock:
-            counters = self.observer.counters
+        with self._lock:
+            counters = self.counters
             counters.add("service.requests")
             counters.add(f"service.requests.{endpoint}")
             if not ok:
                 counters.add("service.errors")
             if request_obs is not None:
                 counters.merge(request_obs.counters)
-            telemetry = self.observer.telemetry
-            if telemetry is not None:
-                telemetry.emit(
-                    "span_close",
-                    "service_request",
-                    category="service",
-                    endpoint=endpoint,
-                    wall_seconds=wall,
-                )
-                telemetry.emit(
-                    "span_close",
-                    f"service_request.{endpoint}",
-                    category="service",
-                    endpoint=endpoint,
-                    wall_seconds=wall,
-                )
-        return wall
+            self._latency["service_request"].append(wall)
+            self._latency[f"service_request.{endpoint}"].append(wall)
 
     def _request_observer(self):
         from ..obs import Observer
@@ -169,7 +163,7 @@ class CompileService:
         )
 
         ckey = program_key(pipeline_key(frontend_key(source, module_name), config))
-        with self._mem_lock:
+        with self._lock:
             program = self._memory.get(ckey)
             if program is not None:
                 self._memory.move_to_end(ckey)
@@ -181,7 +175,7 @@ class CompileService:
             source, config, module_name=module_name,
             store=self.store, observer=observer,
         )
-        with self._mem_lock:
+        with self._lock:
             self._memory[ckey] = program
             self._memory.move_to_end(ckey)
             while len(self._memory) > self.MEMORY_PROGRAMS:
@@ -331,25 +325,35 @@ class CompileService:
         started = time.perf_counter()
         ok = False
         try:
-            with self._obs_lock:
-                counters = dict(sorted(self.observer.counters.as_dict().items()))
-                latency = {
-                    name: self.aggregator.percentiles(name, (50, 90, 99))
-                    for name in sorted(self.aggregator.spans)
-                    if name.startswith("service_request")
-                }
+            with self._lock:
+                counters = self.counters.as_dict()
+                windows = {name: list(window) for name, window in self._latency.items()}
+            store = self.store.stats()
+            counters.update(
+                (name, store[tally]) for tally, name in STORE_COUNTERS.items() if store[tally]
+            )
             result = {
                 "ok": True,
                 "uptime_seconds": time.time() - self.started,
-                "counters": counters,
-                "latency": latency,
-                "store": self.store.stats(),
+                "counters": dict(sorted(counters.items())),
+                "latency": {
+                    name: percentiles(windows[name]) for name in sorted(windows)
+                },
+                "store": store,
                 "process": process_memory(),
             }
             ok = True
             return result
         finally:
             self._finish_request("stats", None, started, ok)
+
+
+def percentiles(samples, quantiles=(50, 90, 99)) -> dict:
+    """Nearest-rank quantiles of a non-empty ``samples``, as
+    ``{"p50": value, ...}``."""
+    ordered = sorted(samples)
+    last = len(ordered) - 1
+    return {f"p{q}": ordered[min(last, len(ordered) * q // 100)] for q in quantiles}
 
 
 def process_memory() -> dict:

@@ -11,9 +11,9 @@ Every file is ``MAGIC ++ sha256(payload) ++ payload`` where the payload
 is the pickled artifact (``repro.runtime.compiler.CompiledProgram``
 pickles cleanly — the IR graph is plain objects).  The 40-byte header
 makes truncation and bit-rot *detectable*: a reader that finds a bad
-magic, a short file or a digest mismatch deletes the file, bumps
-``service.cache_corrupt`` and reports a miss — the caller recompiles,
-never crashes, never trusts a damaged artifact.
+magic, a short file or a digest mismatch deletes the file, counts it
+corrupt and reports a miss — the caller recompiles, never crashes,
+never trusts a damaged artifact.
 
 Writes are atomic (tempfile in the destination directory +
 ``os.replace``) so concurrent writers — two processes compiling the same
@@ -67,21 +67,21 @@ class ArtifactStore:
     """Content-addressed artifact files under ``root``.
 
     ``byte_budget`` (``None`` = unbounded) caps the total payload bytes on
-    disk; ``counters`` is an optional ``repro.obs.CounterRegistry`` that
-    mirrors the store's event counts into the observability substrate
-    (``service.store_hits`` / ``_misses`` / ``cache_corrupt`` /
-    ``store_evictions``).
+    disk.  ``hits`` / ``misses`` / ``puts`` / ``corrupt`` / ``evictions``
+    tally what this object did; they change only under its lock, so
+    concurrent readers and writers never lose a count, and ``stats()``
+    reports them.
     """
 
-    def __init__(self, root, byte_budget=None, counters=None):
+    def __init__(self, root, byte_budget=None):
         self.root = os.fspath(root)
         self.byte_budget = byte_budget
-        self.counters = counters
-        # Local tallies so ``stats()`` works without an observer attached.
         self.hits = 0
         self.misses = 0
+        self.puts = 0
         self.corrupt = 0
         self.evictions = 0
+        self._lock = threading.Lock()
         os.makedirs(self.root, exist_ok=True)
 
     # -- paths -------------------------------------------------------------
@@ -91,10 +91,10 @@ class ArtifactStore:
             raise ValueError(f"artifact key must be a hex digest, got {key!r}")
         return os.path.join(self.root, kind, key[:2], f"{key}.art")
 
-    def _bump(self, name: str, local: str) -> None:
-        setattr(self, local, getattr(self, local) + 1)
-        if self.counters is not None:
-            self.counters.add(name)
+    def _bump(self, *tallies: str) -> None:
+        with self._lock:
+            for tally in tallies:
+                setattr(self, tally, getattr(self, tally) + 1)
 
     # -- read --------------------------------------------------------------
 
@@ -105,11 +105,8 @@ class ArtifactStore:
         try:
             with open(path, "rb") as handle:
                 blob = handle.read()
-        except (FileNotFoundError, NotADirectoryError):
-            self._bump("service.store_misses", "misses")
-            return None
         except OSError:
-            self._bump("service.store_misses", "misses")
+            self._bump("misses")
             return None
         payload = self._verify(blob)
         if payload is None:
@@ -123,7 +120,7 @@ class ArtifactStore:
             # remedy is the same: drop it and recompile.
             self._discard_corrupt(path)
             return None
-        self._bump("service.store_hits", "hits")
+        self._bump("hits")
         try:
             now = time.time()
             os.utime(path, (now, now))  # LRU touch
@@ -142,8 +139,7 @@ class ArtifactStore:
         return payload
 
     def _discard_corrupt(self, path: str) -> None:
-        self._bump("service.cache_corrupt", "corrupt")
-        self._bump("service.store_misses", "misses")
+        self._bump("corrupt", "misses")
         try:
             os.unlink(path)
         except OSError:
@@ -174,8 +170,7 @@ class ArtifactStore:
                 raise
         except OSError:
             return
-        if self.counters is not None:
-            self.counters.add("service.store_puts")
+        self._bump("puts")
         if self.byte_budget is not None:
             self._evict_to_budget()
 
@@ -206,12 +201,17 @@ class ArtifactStore:
                 os.unlink(path)
             except OSError:
                 continue
-            self._bump("service.store_evictions", "evictions")
+            self._bump("evictions")
             total -= size
             if total <= self.byte_budget:
                 break
 
     def stats(self) -> dict:
+        with self._lock:
+            tallies = {
+                tally: getattr(self, tally)
+                for tally in ("hits", "misses", "puts", "corrupt", "evictions")
+            }
         entries = self._entries()
         per_kind: dict = {}
         for _mtime, size, path in entries:
@@ -225,8 +225,5 @@ class ArtifactStore:
             "bytes": sum(size for _mtime, size, _path in entries),
             "byte_budget": self.byte_budget,
             "kinds": dict(sorted(per_kind.items())),
-            "hits": self.hits,
-            "misses": self.misses,
-            "corrupt": self.corrupt,
-            "evictions": self.evictions,
+            **tallies,
         }

@@ -258,9 +258,9 @@ class TestCpuModel:
 
 class TestDeviceReportSum:
     def test_every_field_of_a_sum_is_the_sum(self):
-        """``rt.total_cpu_report`` is a sum of reports: no field may carry
-        just the last construct's value (a dict of branch numbers merged
-        with ``{**a, **b}`` once did)."""
+        """A sum of reports: no field may carry just the last report's
+        value (a dict of branch numbers merged with ``{**a, **b}`` once
+        did)."""
         import dataclasses
 
         from repro.gpu.timing import DeviceReport

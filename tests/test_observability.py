@@ -35,7 +35,7 @@ from repro.obs import (
     CounterRegistry,
     Observer,
     PROFILE_SCHEMA_VERSION,
-    ProfileSchemaError,
+    SchemaError,
     build_profile,
     profile_to_csv,
     profile_workload,
@@ -150,14 +150,14 @@ class TestProfileDocument:
     def test_validation_rejects_leaky_attribution(self):
         obs = self._observer_with_launch(seconds=1.0, attributed=0.5)
         doc = build_profile(obs)
-        with pytest.raises(ProfileSchemaError, match="leaking"):
+        with pytest.raises(SchemaError, match="leaking"):
             validate_profile(doc)
         validate_profile(doc, min_attributed_fraction=0.4)
 
     def test_validation_rejects_wrong_schema(self):
         doc = build_profile(Observer())
         doc["schema"] = "other/v0"
-        with pytest.raises(ProfileSchemaError, match="schema"):
+        with pytest.raises(SchemaError, match="schema"):
             validate_profile(doc)
 
     @pytest.mark.parametrize(
@@ -194,10 +194,10 @@ class TestProfileDocument:
             del target[path[-1]]
         else:
             target[path[-1]] = value
-        with pytest.raises(ProfileSchemaError) as excinfo:
+        with pytest.raises(SchemaError) as excinfo:
             validate_profile(doc)
         assert message in str(excinfo.value)
-        with pytest.raises(ProfileSchemaError, match="expected object, got list"):
+        with pytest.raises(SchemaError, match="expected object, got list"):
             validate_profile([doc])
 
     def test_check_interprets_the_draft07_subset(self):
@@ -235,10 +235,36 @@ class TestProfileDocument:
             obs.record_launch(
                 "kernel.K", "for", "gpu", 5, 1.0, 0.5, {"launch": 1.0}
             )
-        profile = obs.kernels["kernel.K"]
-        assert profile.launches == 3
-        assert profile.work_items == 15
-        assert profile.seconds == pytest.approx(3.0)
+        profile = build_profile(obs)["kernels"]["kernel.K"]
+        assert profile["launches"] == 3
+        assert profile["work_items"] == 15
+        assert profile["seconds"] == pytest.approx(3.0)
+
+
+def _fold_kernels(constructs) -> dict:
+    """A profile's ``kernels`` section, folded here from its constructs in
+    the order they ran."""
+    kernels = {}
+    for c in constructs:
+        k = kernels.setdefault(c["kernel"], {
+            "kernel": c["kernel"], "construct": c["construct"], "launches": 0,
+            "work_items": 0, "seconds": 0.0, "energy_joules": 0.0,
+            "phases": {}, "counters": {},
+        })
+        k["launches"] += 1
+        k["work_items"] += c["n"]
+        k["seconds"] += c["seconds"]
+        k["energy_joules"] += c["energy_joules"]
+        for name, value in c["phases"].items():
+            k["phases"][name] = k["phases"].get(name, 0.0) + value
+        for name, value in c["counters"].items():
+            k["counters"][name] = k["counters"].get(name, 0) + value
+    for k in kernels.values():
+        k["attributed_seconds"] = sum(k["phases"].values())
+        k["attributed_fraction"] = (
+            min(1.0, k["attributed_seconds"] / k["seconds"]) if k["seconds"] > 0 else 1.0
+        )
+    return dict(sorted(kernels.items()))
 
 
 # -- profiled workloads -----------------------------------------------------
@@ -311,6 +337,13 @@ class TestProfileWorkload:
     def test_unknown_workload(self):
         with pytest.raises(KeyError, match="unknown workload"):
             profile_workload("nope")
+
+    @pytest.mark.parametrize("name", ["bfs", "clothphysics", "skiplist"])
+    def test_kernels_are_the_fold_of_the_constructs(self, name):
+        doc = profile_workload(name, scale=0.1)
+        assert len(doc["kernels"]) > 0
+        assert doc["kernels"] == _fold_kernels(doc["constructs"])
+        assert list(doc["kernels"]) == sorted(doc["kernels"])
 
     def test_cpu_profile(self):
         doc = profile_workload("bfs", scale=0.1, on_cpu=True)

@@ -35,8 +35,8 @@ from repro.obs import (
     render_line_report,
     validate_trace,
 )
-from repro.obs.schema import check
-from repro.obs.trace import TRACE_SCHEMA_VERSION, TraceSchemaError
+from repro.obs.schema import SchemaError, check
+from repro.obs.trace import TRACE_SCHEMA_VERSION
 from repro.obs.watch import LEDGER_ENTRY_SCHEMA, ledger_entries, load_history
 from repro.passes import OptConfig
 from repro.passes.pipeline import PASS_REGISTRY
@@ -297,13 +297,13 @@ class TestTraceExport:
         bad["traceEvents"][3]["dur"] = -1.0
         bad["traceEvents"][4].pop("name")
         bad["traceEvents"][5]["ph"] = "Z"
-        with pytest.raises(TraceSchemaError) as excinfo:
+        with pytest.raises(SchemaError) as excinfo:
             validate_trace(bad)
         message = str(excinfo.value)
         assert "dur" in message and "name" in message and "ph" in message
 
     def test_validator_rejects_wrong_schema(self):
-        with pytest.raises(TraceSchemaError, match="schema"):
+        with pytest.raises(SchemaError, match="schema"):
             validate_trace({"schema": "nope", "traceEvents": [], "otherData": {}})
 
     def test_profile_cli_writes_trace(self, tmp_path):

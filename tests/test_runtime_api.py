@@ -117,10 +117,14 @@ class TestExecutionAccounting:
 
     def test_totals_accumulate(self, rt):
         body, _ = self._setup(rt)
-        rt.parallel_for_hetero(8, body)
-        rt.parallel_for_hetero(8, body, on_cpu=True)
-        assert rt.total_gpu_report.seconds > 0
-        assert rt.total_cpu_report.seconds > 0
+        gpu = rt.parallel_for_hetero(8, body)
+        cpu = rt.parallel_for_hetero(8, body, on_cpu=True)
+        assert (gpu.device, cpu.device) == ("gpu", "cpu")
+        assert gpu.report.seconds > 0 and cpu.report.seconds > 0
+        assert sum([gpu, cpu]).per_device_seconds() == {
+            "gpu": gpu.report.seconds,
+            "cpu": cpu.report.seconds,
+        }
 
     def test_results_correct_after_both_devices(self, rt):
         body, points = self._setup(rt)

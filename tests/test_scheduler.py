@@ -10,6 +10,7 @@ import pytest
 
 from repro.fuzz import divergences, generate_source_program
 from repro.gpu.timing import DeviceReport
+from repro.obs import Observer
 from repro.passes import OptConfig
 from repro.runtime import ConcordRuntime, compile_source, ultrabook
 from repro.runtime.runtime import ExecutionReport
@@ -295,20 +296,37 @@ class TestHybridBitIdentity:
 class TestDeviceTotals:
     @pytest.mark.parametrize("policy", ["gpu", "hybrid"])
     def test_gpu_total_is_the_gpu_occupancy(self, policy):
-        """``rt.total_gpu_report`` charges what each construct occupied
-        the GPU for — a reduction's work-group tree join included, under
-        ``hybrid`` as under ``gpu``."""
+        """A construct's GPU occupancy, ``per_device_seconds()["gpu"]`` of
+        the report it returns, is what its GPU chunks took plus a
+        reduction's work-group tree join, under ``hybrid`` as under
+        ``gpu``; the run's GPU total is the sum over its reports."""
         cls = WORKLOADS["ClothPhysics"]
         workload = cls()
+        observer = Observer()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            rt = cls.make_runtime(OptConfig.gpu_all(), ultrabook(), policy=policy)
+            rt = cls.make_runtime(
+                OptConfig.gpu_all(), ultrabook(), observer=observer, policy=policy
+            )
             state = workload.build(rt, 0.2)
             reports = workload.run(rt, state, on_cpu=False)
         assert any(r.device == ("hybrid" if policy == "hybrid" else "gpu") for r in reports)
-        occupied = sum(r.per_device_seconds().get("gpu", 0.0) for r in reports)
-        assert occupied > 0.0
-        assert rt.total_gpu_report.seconds == pytest.approx(occupied)
+        constructs = observer.spans("construct")
+        assert len(constructs) == len(reports)
+        trees = 0
+        for report, construct in zip(reports, constructs):
+            phases = {phase.name: phase for phase in construct.children}
+            gpu = sum(
+                chunk.sim_seconds
+                for chunk in phases["launch"].children
+                if chunk.name == "launch:gpu"
+            )
+            if "reduce_tree" in phases:
+                gpu += phases["reduce_tree"].sim_seconds
+                trees += 1
+            assert report.per_device_seconds().get("gpu", 0.0) == pytest.approx(gpu)
+        assert trees > 0
+        assert sum(r.per_device_seconds().get("gpu", 0.0) for r in reports) > 0.0
 
 
 class TestHybridPerformance:

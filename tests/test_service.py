@@ -25,7 +25,6 @@ import warnings
 import pytest
 
 from repro.obs import Observer
-from repro.obs.telemetry import AggregatorSink
 from repro.passes import OptConfig
 from repro.runtime import ConcordRuntime
 from repro.runtime.compiler import (
@@ -45,6 +44,7 @@ from repro.service import (
     serve,
     validate_report,
 )
+from repro.service.daemon import LATENCY_SAMPLES, percentiles
 from repro.workloads import all_workloads
 
 SOURCE = """
@@ -105,17 +105,41 @@ def _artifact_paths(store):
 
 class TestArtifactStore:
     def test_roundtrip_counts_hits_and_misses(self):
-        observer = Observer()
         with tempfile.TemporaryDirectory() as root:
-            store = ArtifactStore(root, counters=observer.counters)
+            store = ArtifactStore(root)
             assert store.get("frontend", "ab" * 32) is None
             store.put("frontend", "ab" * 32, {"payload": 1})
             assert store.get("frontend", "ab" * 32) == {"payload": 1}
-        counters = observer.counters.as_dict()
-        assert counters["service.store_misses"] == 1
-        assert counters["service.store_hits"] == 1
-        assert counters["service.store_puts"] == 1
-        assert store.stats()["hits"] == 1
+            stats = store.stats()
+        assert (store.misses, store.hits, store.puts) == (1, 1, 1)
+        assert (stats["misses"], stats["hits"], stats["puts"]) == (1, 1, 1)
+
+    def test_concurrent_misses_are_counted_exactly(self, tmp_path):
+        """Four threads each read 5 000 missing artifacts from the
+        daemon's store while the interpreter switches threads every few
+        bytecodes: not one of the 20 000 misses may be lost, in the
+        store's tally or in ``/v1/stats``."""
+        service = CompileService(tmp_path)
+        store = service.store
+        key = "ab" * 32
+
+        def miss():
+            for _ in range(5000):
+                assert store.get("closure", key) is None
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=miss) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert store.misses == 20000
+        assert service.stats()["counters"]["service.store_misses"] == 20000
 
     def test_rejects_non_hex_keys(self):
         with tempfile.TemporaryDirectory() as root:
@@ -135,7 +159,7 @@ class TestArtifactStore:
         ``compile_cached`` to recompile and repopulate."""
         observer = Observer()
         with tempfile.TemporaryDirectory() as root:
-            store = ArtifactStore(root, counters=observer.counters)
+            store = ArtifactStore(root)
             _program, stages = _compile_into(store)
             assert stages == {"closure": "miss"}
             [path] = _artifact_paths(store)  # the program, nothing else
@@ -157,7 +181,7 @@ class TestArtifactStore:
             # A damaged program is no program: recompile and re-put.
             assert stages == {"closure": "miss"}
             assert open(path, "rb").read() != blob
-            assert observer.counters.get("service.cache_corrupt") == 1
+            assert store.corrupt == 1
             assert observer.counters.get("service.closure_misses") == 1
             assert program.kernels  # the recompile is a real program
             # ... and the store healed: warm on the next request.
@@ -172,9 +196,8 @@ class TestArtifactStore:
 
         from repro.service.store import STORE_MAGIC
 
-        observer = Observer()
         with tempfile.TemporaryDirectory() as root:
-            store = ArtifactStore(root, counters=observer.counters)
+            store = ArtifactStore(root)
             payload = pickle.dumps(object())[:-1]  # valid-ish, truncated opcode
             blob = STORE_MAGIC + hashlib.sha256(payload).digest() + payload
             path = store._path("frontend", "cd" * 32)
@@ -182,28 +205,25 @@ class TestArtifactStore:
             with open(path, "wb") as handle:
                 handle.write(blob)
             assert store.get("frontend", "cd" * 32) is None
-            assert observer.counters.get("service.cache_corrupt") == 1
+            assert (store.corrupt, store.misses) == (1, 1)
             assert not os.path.exists(path)
 
     def test_eviction_under_tiny_byte_budget(self):
         """A byte budget far below one artifact's size forces the store
         to evict oldest-first after every put — it may hold at most the
         newest artifact and must count every eviction."""
-        observer = Observer()
         with tempfile.TemporaryDirectory() as root:
-            store = ArtifactStore(
-                root, byte_budget=1024, counters=observer.counters
-            )
+            store = ArtifactStore(root, byte_budget=1024)
             # two programs = two puts, each larger than the budget
             _compile_into(store)
             _compile_into(store, source=SOURCE.replace("7", "9"))
             assert store.evictions == 2
-            assert observer.counters.get("service.store_evictions") == 2
+            assert store.stats()["evictions"] == 2
             assert _artifact_paths(store) == []
             # The next request recompiles (evicted != corrupt) ...
             _program, stages = _compile_into(store)
             assert stages == {"closure": "miss"}
-            assert observer.counters.get("service.cache_corrupt", 0) == 0
+            assert store.corrupt == 0
 
     def test_concurrent_puts_keep_the_recursion_limit_raised(self):
         """``put`` raises the process-wide recursion limit around its
@@ -328,34 +348,128 @@ class TestArtifactStore:
             assert program.program_id == ids[0]
 
 
-class TestAggregatorPercentiles:
-    def _close(self, sink, name, seconds):
-        sink.emit({
-            "kind": "span_close", "name": name, "wall_seconds": seconds
-        })
+class TestLatencyPercentiles:
+    """``/v1/stats`` latency: nearest-rank quantiles over a bounded window
+    of each ``service_request*`` name's last ``LATENCY_SAMPLES`` wall
+    times."""
 
     def test_percentiles_over_samples(self):
-        sink = AggregatorSink(span_samples=100)
-        for ms in range(1, 101):
-            self._close(sink, "service_request", ms / 1000.0)
-        got = sink.percentiles("service_request", (50, 99))
+        got = percentiles([ms / 1000.0 for ms in range(1, 101)], (50, 99))
         assert got["p50"] == pytest.approx(0.051)
         assert got["p99"] == pytest.approx(0.1)
 
-    def test_reservoir_is_bounded(self):
-        sink = AggregatorSink(span_samples=8)
-        for _ in range(100):
-            self._close(sink, "service_request", 1.0)
-        self._close(sink, "service_request", 9.0)
-        assert len(sink._samples["service_request"]) == 8
-        assert sink.percentiles("service_request")["p99"] == 9.0
+    def test_window_is_bounded(self, tmp_path):
+        service = CompileService(tmp_path)
 
-    def test_off_by_default(self):
-        sink = AggregatorSink()
-        self._close(sink, "service_request", 1.0)
-        assert sink.percentiles("service_request") == {}
-        # The rollup still aggregates as before.
-        assert sink.spans["service_request"] == [1, 1.0]
+        def finish(wall, times):
+            for _ in range(times):
+                service._finish_request("compile", None, time.perf_counter() - wall, True)
+
+        finish(9.0, 100)
+        finish(0.0, LATENCY_SAMPLES)  # pushes every 9 s sample out
+        window = service._latency["service_request.compile"]
+        assert len(window) == LATENCY_SAMPLES and max(window) < 9.0
+        finish(9.0, 25)  # more than 1 % of the window
+        latency = service.stats()["latency"]["service_request.compile"]
+        assert latency["p50"] < 9.0 <= latency["p99"]
+
+    def test_an_endpoint_never_asked_has_no_row(self, tmp_path):
+        service = CompileService(tmp_path)
+        assert service.stats()["latency"] == {}
+        assert sorted(service.stats()["latency"]) == [
+            "service_request",
+            "service_request.stats",
+        ]
+
+
+class TestStatsRecordedOnce:
+    """Every fact ``/v1/stats`` reports has one record, changed only under
+    its owner's lock."""
+
+    KEYS = {"ok", "uptime_seconds", "counters", "latency", "store", "process"}
+
+    def test_stats_keep_their_shape_after_300_requests(self, tmp_path):
+        service = CompileService(tmp_path)
+        sources = [SOURCE.replace("7", str(k)) for k in (31, 37, 41)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for index in range(298):
+                assert service.compile({"source": sources[index % 3]})["ok"]
+        with pytest.raises(KeyError):
+            service.compile({})
+        service.stats()
+        stats = service.stats()
+        assert set(stats) == self.KEYS
+        counters = stats["counters"]
+        assert {name for name in counters if name.startswith("service.")} == {
+            "service.closure_hits",
+            "service.closure_misses",
+            "service.errors",
+            "service.memory_hits",
+            "service.requests",
+            "service.requests.compile",
+            "service.requests.stats",
+            "service.store_misses",
+            "service.store_puts",
+        }
+        assert counters["service.requests"] == 300
+        assert counters["service.requests.compile"] == 299
+        assert counters["service.errors"] == 1
+        assert counters["service.closure_misses"] == 3
+        assert counters["service.closure_hits"] == counters["service.memory_hits"] == 295
+        assert counters["service.store_misses"] == stats["store"]["misses"] == 3
+        assert counters["service.store_puts"] == stats["store"]["puts"] == 3
+        # no ring, so no bookkeeping about one
+        assert [name for name in counters if name.startswith("obs.")] == ["obs.span_ns"]
+        assert sorted(stats["latency"]) == [
+            "service_request",
+            "service_request.compile",
+            "service_request.stats",
+        ]
+        for row in stats["latency"].values():
+            assert set(row) == {"p50", "p90", "p99"}
+            assert 0 <= row["p50"] <= row["p90"] <= row["p99"]
+
+    def test_concurrent_requests_are_counted_exactly(self, tmp_path):
+        """Four threads of compile requests, each a store hit (the memory
+        LRU holds nothing), while the interpreter switches threads every
+        few bytecodes: the daemon's counters and the store's tallies
+        count every request."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            compile_cached(SOURCE, store=ArtifactStore(tmp_path))
+        service = CompileService(tmp_path)
+        service.MEMORY_PROGRAMS = 0
+        rounds = 150
+        errors = []
+
+        def client():
+            try:
+                for _ in range(rounds):
+                    assert service.compile({"source": SOURCE})["stages"] == {"closure": "hit"}
+            except Exception as exc:  # pragma: no cover - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                threads = [threading.Thread(target=client) for _ in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=300)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        counters = service.stats()["counters"]
+        requests = 4 * rounds
+        assert counters["service.requests"] == requests
+        assert counters["service.requests.compile"] == requests
+        assert counters["service.closure_hits"] == requests
+        assert counters["service.store_hits"] == requests
 
 
 @pytest.fixture(scope="module")
@@ -386,19 +500,18 @@ class TestDaemon:
         cold = client.compile(source=source, config="GPU+ALL")
         assert cold["ok"], cold
         assert cold["stages"] == {"closure": "miss"}
-        puts = service.observer.counters.get("service.store_puts")
+        puts = service.store.puts
         warm = client.compile(source=source, config="GPU+ALL")
         assert warm["stages"] == {"closure": "hit"}
         assert warm["program_id"] == cold["program_id"]
-        counters = service.observer.counters.as_dict()
-        assert counters["service.closure_hits"] >= 1
-        assert counters["service.store_puts"] == puts  # nothing recompiled
+        assert service.counters["service.closure_hits"] >= 1
+        assert service.store.puts == puts  # nothing recompiled
         # Different config = a different program: nothing is shared
         # between the two, so it is one more compile and one more put.
         other = client.compile(source=source, config="GPU")
         assert other["stages"] == {"closure": "miss"}
         assert other["program_id"] != cold["program_id"]
-        assert service.observer.counters.get("service.store_puts") == puts + 1
+        assert service.store.puts == puts + 1
 
     def test_compile_emits_opencl_on_request(self, daemon):
         client, _service = daemon
@@ -534,13 +647,13 @@ public:
         process is killed.  It is refused before any compile or
         allocation, in-process and over HTTP, and counted."""
         client, service = daemon
-        errors = service.observer.counters.get("service.errors")
+        errors = service.counters.get("service.errors")
         programs = service.store.stats()["artifacts"]
         with pytest.raises(ValueError, match="must be in"):
             service.run(dict(payload))
         status, reply = _post(client, "/v1/run", payload)
         assert status == 400 and "must be in" in reply["error"]
-        assert service.observer.counters.get("service.errors") == errors + 2
+        assert service.counters.get("service.errors") == errors + 2
         assert service.store.stats()["artifacts"] == programs
         # the limits themselves are served
         assert client.run(source=self.SCALAR_SOURCE, body="Accum", n=1)["ok"]
@@ -563,7 +676,7 @@ public:
         is checked first: 400 with the field named, counted, nothing
         compiled (neither program below is in the store yet)."""
         client, service = daemon
-        errors = service.observer.counters.get("service.errors")
+        errors = service.counters.get("service.errors")
         programs = service.store.stats()["artifacts"]
         workload = {"workload": "BFS", "scale": 0.05, "config": "GPU+L3OPT", field: value}
         with pytest.raises(ValueError, match=f"^{field}="):
@@ -571,7 +684,7 @@ public:
         kernel = {"source": SOURCE.replace("7", "23"), "body": "Counter", "n": 4}
         status, reply = _post(client, "/v1/run", {**kernel, field: value})
         assert status == 400 and f"{field}=" in reply["error"], reply
-        assert service.observer.counters.get("service.errors") == errors + 2
+        assert service.counters.get("service.errors") == errors + 2
         assert service.store.stats()["artifacts"] == programs
 
     def test_run_fields_reach_the_runtime(self, daemon):
@@ -613,14 +726,14 @@ public:
         client, service = daemon
         source = SOURCE.replace("7", "13")
         client.compile(source=source)
-        before = service.observer.counters.get("service.memory_hits", 0)
-        hits = service.observer.counters.get("service.closure_hits", 0)
+        before = service.counters.get("service.memory_hits", 0)
+        hits = service.counters.get("service.closure_hits", 0)
         reads = service.store.hits + service.store.misses
         again = client.compile(source=source)
         assert again["stages"] == {"closure": "hit"}
-        assert service.observer.counters.get("service.memory_hits") == before + 1
+        assert service.counters.get("service.memory_hits") == before + 1
         # ... counted as the closure hit it stands in for, without a read
-        assert service.observer.counters.get("service.closure_hits") == hits + 1
+        assert service.counters.get("service.closure_hits") == hits + 1
         assert service.store.hits + service.store.misses == reads
 
     def test_concurrent_clients_agree(self, daemon):
@@ -950,7 +1063,7 @@ class TestConcurrentRuns:
         assert len(replies) == self.THREADS * self.ROUNDS * len(self.REQUESTS)
         for index, reply in replies:
             assert reply == expected[index], self.REQUESTS[index]
-        assert service.observer.counters.get("service.errors", 0) == 0
+        assert service.counters.get("service.errors", 0) == 0
 
     @pytest.mark.parametrize("engine", ["compiled", "vector", "reference"])
     def test_a_run_writes_nothing_on_the_program(self, engine):

@@ -15,13 +15,11 @@ import pytest
 
 from repro.ir.types import I32
 from repro.obs import (
-    AggregatorSink,
     FlightRecorder,
     JsonLinesSink,
-    MetricsTextSink,
     Observer,
+    SchemaError,
     Telemetry,
-    TelemetrySchemaError,
     build_watch_report,
     flight_guard,
     render_watch_report,
@@ -32,7 +30,7 @@ from repro.obs import (
 )
 from repro.obs.telemetry import EventRing
 from repro.obs.schema import check
-from repro.obs.watch import LEDGER_ENTRY_SCHEMA, WatchSchemaError, analyze_series
+from repro.obs.watch import LEDGER_ENTRY_SCHEMA, analyze_series
 from repro.passes import OptConfig
 from repro.runtime import ConcordRuntime, compile_source, ultrabook
 from repro.runtime.graph import DeclaredSetViolation
@@ -94,6 +92,17 @@ class ListSink:
     def emit(self, event):
         self.events.append(event)
 
+    def counter_totals(self) -> dict:
+        """The registry as the stream's ``counter`` events rebuild it."""
+        totals = {}
+        for event in self.events:
+            if event["kind"] == "counter":
+                totals[event["name"]] = totals.get(event["name"], 0) + event["delta"]
+        return dict(sorted(totals.items()))
+
+    def kinds(self, kind) -> int:
+        return sum(1 for event in self.events if event["kind"] == kind)
+
 
 def _compile(source):
     with warnings.catch_warnings():
@@ -114,8 +123,8 @@ def _incr_runtime(**kwargs):
 
 class TestEventRing:
     def test_bounded_with_drop_accounting(self):
-        """Satellite regression test: overflowing the ring evicts oldest
-        events and surfaces every eviction in ``obs.events_dropped``."""
+        """Overflowing the ring evicts oldest events and counts every
+        eviction in ``ring.dropped``, and only there."""
         observer = Observer()
         telemetry = Telemetry(ring_capacity=4)
         observer.attach_telemetry(telemetry)
@@ -124,21 +133,20 @@ class TestEventRing:
         ring = telemetry.ring
         assert len(ring) == 4
         assert ring.dropped == 6
-        assert observer.counters.get("obs.events_dropped") == 6
+        assert observer.counters.as_dict() == {}
         assert [e["name"] for e in ring.snapshot()] == ["e6", "e7", "e8", "e9"]
 
     def test_eviction_does_not_recurse_into_the_stream(self):
-        """The drop counter is written directly into the registry dict:
-        no counter *event* may be emitted for it, or an overflowing ring
-        would emit itself into further overflow forever."""
+        """An eviction is neither a counter nor an event, so an
+        overflowing ring cannot emit itself into further overflow."""
         observer = Observer()
         sink = ListSink()
         telemetry = Telemetry(sinks=[sink], ring_capacity=2)
         observer.attach_telemetry(telemetry)
         for i in range(50):
             telemetry.emit("sched", f"e{i}")
-        assert observer.counters.get("obs.events_dropped") == 48
-        assert all(e["name"] != "obs.events_dropped" for e in sink.events)
+        assert telemetry.ring.dropped == 48
+        assert sink.kinds("counter") == 0
         assert len(sink.events) == 50  # sinks are lossless
 
     def test_counter_adds_land_in_ring_and_registry(self):
@@ -151,7 +159,8 @@ class TestEventRing:
         events = telemetry.ring.snapshot()
         assert len(events) == 3
         assert all(e["kind"] == "counter" and e["delta"] == 2 for e in events)
-        assert observer.counters.get("obs.events_dropped") == 2
+        assert telemetry.ring.dropped == 2
+        assert observer.counters.as_dict() == {"x.hits": 10}
 
     def test_rejects_degenerate_capacity(self):
         with pytest.raises(ValueError):
@@ -220,47 +229,14 @@ class TestTelemetryPipeline:
         assert events[0]["device"] == "gpu"
         assert events[1]["delta"] == 42
 
-    def test_metrics_text_sink_snapshot(self, tmp_path):
-        path = tmp_path / "metrics.prom"
-        sink = MetricsTextSink(path)
-        telemetry = Telemetry(sinks=[sink])
-        telemetry.emit("counter", "gpu.l3.hits", delta=3)
-        telemetry.emit("counter", "gpu.l3.hits", delta=4)
-        telemetry.emit("launch", "k", device="gpu", n=8, seconds=1e-3)
-        telemetry.flush()
-        text = path.read_text()
-        assert "repro_gpu_l3_hits 7" in text
-        assert "repro_events_launch 1" in text
-        assert "# TYPE repro_gpu_l3_hits counter" in text
-        # a second flush replaces, never appends
-        telemetry.emit("counter", "gpu.l3.hits", delta=1)
-        telemetry.close()
-        assert "repro_gpu_l3_hits 8" in path.read_text()
-
-    def test_aggregator_rollups(self):
-        agg = AggregatorSink()
-        telemetry = Telemetry(sinks=[agg])
-        telemetry.emit("span_open", "launch")
-        telemetry.emit("span_close", "launch", wall_seconds=0.25)
-        telemetry.emit("launch", "k", device="gpu", n=8, seconds=2.0)
-        telemetry.emit("launch", "k", device="gpu", n=8, seconds=1.0)
-        telemetry.emit("counter", "c", delta=5)
-        doc = agg.as_dict()
-        assert doc["events_seen"] == 5
-        assert doc["spans"]["launch"] == {"count": 1, "wall_seconds": 0.25}
-        assert doc["launches"]["k@gpu"] == {
-            "count": 2, "items": 16, "sim_seconds": 3.0,
-        }
-        assert doc["counter_totals"] == {"c": 5}
-
     def test_validate_event_rejects_malformed(self):
-        with pytest.raises(TelemetrySchemaError):
+        with pytest.raises(SchemaError):
             validate_event({"seq": 0, "t": 0.0, "kind": "nope", "name": "x"})
-        with pytest.raises(TelemetrySchemaError):
+        with pytest.raises(SchemaError):
             validate_event({"seq": 0, "t": 0.0, "kind": "counter", "name": "x"})
-        with pytest.raises(TelemetrySchemaError):
+        with pytest.raises(SchemaError):
             validate_event({"t": 0.0, "kind": "sched", "name": "x"})
-        with pytest.raises(TelemetrySchemaError):
+        with pytest.raises(SchemaError):
             validate_events([
                 {"seq": 1, "t": 0.0, "kind": "sched", "name": "a"},
                 {"seq": 1, "t": 0.0, "kind": "sched", "name": "b"},
@@ -277,8 +253,9 @@ class TestTelemetryPipeline:
 
 def _stream_matches_registry(name, engine, **execute_kwargs):
     observer = Observer()
-    agg = AggregatorSink()
-    observer.attach_telemetry(Telemetry(sinks=[agg]))
+    sink = ListSink()
+    telemetry = Telemetry(sinks=[sink])
+    observer.attach_telemetry(telemetry)
     workload = WORKLOADS[name]()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -286,18 +263,18 @@ def _stream_matches_registry(name, engine, **execute_kwargs):
             None, ultrabook(), scale=0.05, observer=observer,
             engine=engine, **execute_kwargs,
         )
-    counters = observer.counters.as_dict()
-    # ring-eviction bookkeeping is *about* the stream, never in it
-    counters.pop("obs.events_dropped", None)
-    assert agg.counter_totals == counters
-    assert agg.kinds.get("launch", 0) == len(observer.constructs)
-    return observer, agg
+    assert sink.counter_totals() == observer.counters.as_dict()
+    assert sink.kinds("launch") == len(observer.constructs)
+    # the ring forgets what overflows it, and counts it there alone
+    ring = telemetry.ring
+    assert ring.dropped == max(0, len(sink.events) - ring.capacity)
+    assert ring.snapshot() == sink.events[-ring.capacity:]
 
 
 class TestStreamMatchesRegistry:
-    """Satellite property test: replaying the counter events alone must
-    reconstruct the registry exactly — same names, same totals — for
-    every workload, on both engines, through the task graph."""
+    """Replaying the counter events alone reconstructs the registry
+    exactly — same names, same totals, nothing left out — for every
+    workload, on both engines, through the task graph."""
 
     @pytest.mark.parametrize("name", sorted(WORKLOADS))
     def test_compiled_graph_and_declared_check(self, name):
@@ -315,8 +292,7 @@ class TestStreamMatchesRegistry:
     def test_hybrid_chunks_emit_sched_events(self):
         observer = Observer()
         sink = ListSink()
-        agg = AggregatorSink()
-        observer.attach_telemetry(Telemetry(sinks=[sink, agg]))
+        observer.attach_telemetry(Telemetry(sinks=[sink]))
         workload = WORKLOADS["BFS"]()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -331,9 +307,7 @@ class TestStreamMatchesRegistry:
         # the contract here is that each dispatch is visible and typed
         assert {c["device"] for c in chunks} <= {"cpu", "gpu"}
         assert all(c["items"] > 0 and c["lo"] >= 0 for c in chunks)
-        counters = observer.counters.as_dict()
-        counters.pop("obs.events_dropped", None)
-        assert agg.counter_totals == counters
+        assert sink.counter_totals() == observer.counters.as_dict()
 
 
 class TestTelemetryDoesNotPerturb:
@@ -345,7 +319,7 @@ class TestTelemetryDoesNotPerturb:
     def test_same_simulated_seconds(self, name):
         def attached():
             observer = Observer()
-            observer.attach_telemetry(Telemetry(sinks=[AggregatorSink()]))
+            observer.attach_telemetry(Telemetry(sinks=[ListSink()]))
             return observer
 
         results = []
@@ -469,6 +443,21 @@ class TestFlightRecorder:
         third = FlightRecorder(tmp_path).record(reason="manual")
         assert third.endswith("flight-002.json")
 
+    def test_bundle_counts_what_the_ring_forgot(self, tmp_path):
+        """Ring overflow shows in the bundle's ``events_dropped`` and
+        nowhere in its counters."""
+        observer = Observer()
+        telemetry = Telemetry(ring_capacity=8)
+        observer.attach_telemetry(telemetry)
+        for _ in range(20):
+            observer.counters.add("x.hits")
+        path = FlightRecorder(tmp_path, observer=observer).record(reason="manual")
+        doc = json.loads(open(path).read())
+        validate_flight_bundle(doc)
+        assert doc["events_dropped"] == telemetry.ring.dropped == 13
+        assert len(doc["events"]) == 8 and doc["events"][-1]["kind"] == "trap"
+        assert doc["counters"] == {"x.hits": 20}
+
     def test_record_without_observer(self, tmp_path):
         path = FlightRecorder(tmp_path).record(ValueError("plain"))
         doc = json.loads(open(path).read())
@@ -483,8 +472,8 @@ class TestFlightRecorder:
 class TestDeclaredCheck:
     def test_trap_on_access_outside_declaration(self):
         observer = Observer()
-        agg = AggregatorSink()
-        observer.attach_telemetry(Telemetry(sinks=[agg]))
+        sink = ListSink()
+        observer.attach_telemetry(Telemetry(sinks=[sink]))
         rt, arr, body = _incr_runtime(
             observer=observer, declared_check="trap"
         )
@@ -495,7 +484,7 @@ class TestDeclaredCheck:
         assert info.value.trap_kernel == "kernel.Incr.gpu"
         assert info.value.trap_violations
         assert observer.counters.get("graph.declared_violations") > 0
-        assert agg.kinds.get("violation", 0) > 0
+        assert sink.kinds("violation") > 0
 
     def test_warn_mode_reports_and_continues(self):
         rt, arr, body = _incr_runtime(declared_check="warn")
@@ -769,13 +758,13 @@ class TestWatch:
         assert "<< past its bound since BENCH_0" in text
 
     def test_validator_rejects_malformed(self, tmp_path):
-        with pytest.raises(WatchSchemaError):
+        with pytest.raises(SchemaError):
             validate_watch_report({"schema": "nope"})
         _write_history(tmp_path, {("W", "iter_wall_s"): [1.0, 1.0]})
         doc = build_watch_report(str(tmp_path))
         doc["series"][0]["worse_by"] = "0.0"
         del doc["verdict"]["ok"]
-        with pytest.raises(WatchSchemaError) as excinfo:
+        with pytest.raises(SchemaError) as excinfo:
             validate_watch_report(doc)
         message = str(excinfo.value)
         assert "report.series[0].worse_by: expected number" in message
