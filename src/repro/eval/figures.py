@@ -1,17 +1,20 @@
 """Figures 7-10: speedup and energy savings relative to multicore CPU
 execution on the Ultrabook and desktop systems, under the four GPU
-configurations plus the hybrid CPU+GPU scheduler column."""
+configurations plus the hybrid CPU+GPU scheduler column.  A figure is a
+view of one system's measured table (:data:`FIGURES`), so the two
+figures of a system share one measurement."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..runtime.system import System, desktop, ultrabook
+from ..runtime.system import desktop, ultrabook
 from .formatting import render_series
 from .runner import (
     GPU_CONFIG_LABELS,
     HYBRID_LABEL,
     WORKLOAD_ORDER,
+    Measurement,
     geomean,
     measure_all,
 )
@@ -43,55 +46,36 @@ class FigureData:
         return body + "\n" + avg_line
 
 
-def _figure(
-    system: System, metric: str, title: str, scale: float, observer
-) -> FigureData:
-    measurements = measure_all(system, scale=scale, observer=observer)
+#: figure -> (the system it measures, metric, title).  Each figure is a
+#: view of :func:`measure_all`'s table for its system.
+FIGURES = {
+    "fig7": (ultrabook, "speedup", "Figure 7: speedup vs multicore CPU (Ultrabook)"),
+    "fig8": (ultrabook, "energy", "Figure 8: energy savings vs multicore CPU (Ultrabook)"),
+    "fig9": (desktop, "speedup", "Figure 9: speedup vs multicore CPU (desktop)"),
+    "fig10": (desktop, "energy", "Figure 10: energy savings vs multicore CPU (desktop)"),
+}
+
+
+def figure(name: str, measurements: dict[str, Measurement]) -> FigureData:
+    """Figure ``name`` read off ``measurements``, the ``{workload:
+    Measurement}`` table :func:`measure_all` returned for its system."""
+    _system, metric, title = FIGURES[name]
     labels = (*GPU_CONFIG_LABELS, HYBRID_LABEL)
-    series: dict[str, list[float]] = {label: [] for label in labels}
-    for name in WORKLOAD_ORDER:
-        m = measurements[name]
-        for label in labels:
-            if metric == "speedup":
-                series[label].append(m.speedup(label))
-            else:
-                series[label].append(m.energy_savings(label))
+    rows = [measurements[workload] for workload in WORKLOAD_ORDER]
+    ratio = Measurement.speedup if metric == "speedup" else Measurement.energy_savings
     return FigureData(
         title=title,
-        system=system.name,
+        system=rows[0].system,
         metric=metric,
         labels=list(WORKLOAD_ORDER),
-        series=series,
+        series={label: [ratio(m, label) for m in rows] for label in labels},
     )
 
 
-def figure7(scale: float = 1.0, observer=None) -> FigureData:
-    """Ultrabook: runtime performance relative to multicore CPU."""
-    return _figure(
-        ultrabook(), "speedup",
-        "Figure 7: speedup vs multicore CPU (Ultrabook)", scale, observer,
-    )
-
-
-def figure8(scale: float = 1.0, observer=None) -> FigureData:
-    """Ultrabook: energy efficiency relative to multicore CPU."""
-    return _figure(
-        ultrabook(), "energy",
-        "Figure 8: energy savings vs multicore CPU (Ultrabook)", scale, observer,
-    )
-
-
-def figure9(scale: float = 1.0, observer=None) -> FigureData:
-    """Desktop: runtime performance relative to multicore CPU."""
-    return _figure(
-        desktop(), "speedup",
-        "Figure 9: speedup vs multicore CPU (desktop)", scale, observer,
-    )
-
-
-def figure10(scale: float = 1.0, observer=None) -> FigureData:
-    """Desktop: energy efficiency relative to multicore CPU."""
-    return _figure(
-        desktop(), "energy",
-        "Figure 10: energy savings vs multicore CPU (desktop)", scale, observer,
-    )
+def measure_figures(names, scale: float = 1.0, observer=None) -> dict[str, FigureData]:
+    """The figures ``names``, measuring each system they read once."""
+    tables = {
+        system: measure_all(system(), scale=scale, observer=observer)
+        for system in dict.fromkeys(FIGURES[name][0] for name in names)
+    }
+    return {name: figure(name, tables[FIGURES[name][0]]) for name in names}

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .figures import figure7, figure8, figure9, figure10
+from .figures import FIGURES, measure_figures
 from .svm_overhead import format_svm_overhead, measure_svm_overhead
 from .tables import figure6_mixes, format_figure6, format_table1
 from .targets import PAPER, Check, Results, shape_checks
@@ -20,10 +20,7 @@ from .targets import PAPER, Check, Results, shape_checks
 
 def measure(scale: float, observer=None) -> Results:
     return Results(
-        fig7=figure7(scale, observer),
-        fig8=figure8(scale, observer),
-        fig9=figure9(scale, observer),
-        fig10=figure10(scale, observer),
+        **measure_figures(FIGURES, scale, observer),
         overhead=measure_svm_overhead(),
         mixes=figure6_mixes(),
     )

@@ -10,8 +10,10 @@ For one workload on one system we measure:
   through the partitioning scheduler (``policy="hybrid"``, see
   :mod:`repro.sched`), reported as the ``HYBRID`` column.
 
-Results are cached per (workload, system, scale) within the process so the
-figure/benchmark runners can share them.
+Nothing is remembered between calls: whoever asks holds the result.
+:func:`measure_all` returns one system's ``{workload: Measurement}``
+table, and Figures 7-10 (:mod:`repro.eval.figures`) are views of it, so a
+command that prints several figures measures each system once.
 """
 
 from __future__ import annotations
@@ -20,8 +22,7 @@ import warnings
 from dataclasses import dataclass, field
 
 from ..passes import OptConfig
-from ..runtime import RunConfig
-from ..runtime.system import System, desktop, ultrabook
+from ..runtime.system import System
 from ..workloads import all_workloads
 from ..workloads.base import Workload
 
@@ -67,8 +68,6 @@ class Measurement:
         return self.cpu_energy / self.gpu_energy[label]
 
 
-_CACHE: dict[tuple, Measurement] = {}
-
 def measure_workload(
     workload_cls: type[Workload],
     system: System,
@@ -81,13 +80,7 @@ def measure_workload(
     (:class:`~repro.runtime.RunConfig`), the hybrid column's policy
     excepted.  ``observer`` (a ``repro.obs.Observer``) opts into
     span/counter/profile collection for every run the measurement
-    performs; observed calls bypass the in-process cache so the observer
-    always sees a complete execution."""
-    key = (workload_cls.__name__, system.name, round(scale, 4), RunConfig(**options))
-    cached = _CACHE.get(key)
-    if cached is not None and observer is None:
-        return cached
-
+    performs."""
     workload = workload_cls()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -128,7 +121,6 @@ def measure_workload(
         )
         measurement.hybrid_seconds = hybrid_outcome.seconds
         measurement.hybrid_energy = hybrid_outcome.energy_joules
-    _CACHE[key] = measurement
     return measurement
 
 
@@ -150,7 +142,3 @@ def geomean(values) -> float:
     for value in values:
         product *= value
     return product ** (1.0 / len(values))
-
-
-def clear_cache() -> None:
-    _CACHE.clear()

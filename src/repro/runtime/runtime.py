@@ -249,9 +249,7 @@ class ConcordRuntime:
         # it owns points back at it: dropping the last reference frees
         # the region at once, with no close() and no cyclic collection.
         self.backends = {"cpu": CpuBackend(), "gpu": GpuBackend()}
-        self.scheduler = Scheduler(
-            {device: self.lane_engine(device) for device in ("cpu", "gpu")}
-        )
+        self.scheduler = Scheduler()
         self._task_graph = None
         self._load_program()
 
@@ -441,12 +439,11 @@ class ConcordRuntime:
 
     # -- execution-engine factory ------------------------------------------
 
-    def lane_engine(self, device: str, engine: Optional[str] = None) -> str:
-        """The name of the engine that runs lanes on ``device`` under
-        ``engine`` (this runtime's ``RunConfig.engine`` by default) — the
-        one place that rule is written.  The vector engine runs only GPU
-        launches; CPU lanes under it run threaded code."""
-        engine = self.options.engine if engine is None else engine
+    def lane_engine(self, device: str) -> str:
+        """The name of the engine that runs this runtime's lanes on
+        ``device`` — the one place that rule is written.  The vector engine
+        runs only GPU launches; CPU lanes under it run threaded code."""
+        engine = self.options.engine
         return "compiled" if engine == "vector" and device != "gpu" else engine
 
     def _make_engine(

@@ -62,19 +62,12 @@ class Scheduler:
     throughput history and holds no runtime: the runtime whose construct
     it places is each dispatch's first argument."""
 
-    def __init__(self, engines: dict):
-        #: device -> the lane engine that runs it in the owning runtime
-        #: (``ConcordRuntime.lane_engine``), the engine a history row
-        #: records and an estimate prefers by default
-        self.engines = engines
-        #: (body-class name, device) -> [items, device seconds] observed,
-        #: plus an engine-qualified (key, device, engine) row per
-        #: observation; every recorded launch/chunk refines the estimates.
-        #: The engine rows let placement prefer measurements from the lane
-        #: engine actually running (columnar vector vs threaded-code) and
-        #: keep profiles seeded from one engine from mispricing another.
+    def __init__(self):
+        #: (body-class name, device) -> [items, device seconds] observed;
+        #: every recorded launch/chunk refines the estimates.  The model
+        #: prices a launch from its counts, whatever ran its lanes, so one
+        #: row per kernel and device holds every observation of it.
         self.history: dict[tuple, list] = {}
-        self.repartitions = 0
 
     # -- plumbing ----------------------------------------------------------
 
@@ -121,38 +114,18 @@ class Scheduler:
 
     # -- throughput history ------------------------------------------------
 
-    def record(
-        self,
-        key: str,
-        device: str,
-        items: int,
-        seconds: float,
-        engine: Optional[str] = None,
-    ) -> None:
+    def record(self, key: str, device: str, items: int, seconds: float) -> None:
         if items <= 0 or seconds <= 0.0:
             return
-        if engine is None:
-            engine = self.engines[device]
-        for hkey in ((key, device), (key, device, engine)):
-            entry = self.history.setdefault(hkey, [0, 0.0])
-            entry[0] += items
-            entry[1] += seconds
+        entry = self.history.setdefault((key, device), [0, 0.0])
+        entry[0] += items
+        entry[1] += seconds
 
-    def throughput(
-        self, key: str, device: str, engine: Optional[str] = None
-    ) -> Optional[float]:
+    def throughput(self, key: str, device: str) -> Optional[float]:
         """Observed items/second for one kernel on one device, or ``None``
-        before any measurement.  Measurements taken under the engine that
-        will actually run (``engine``, defaulting to this runtime's) are
-        preferred; the per-device aggregate is the fallback, so history
-        seeded by an older profile without engine rows still primes the
-        estimate."""
-        if engine is None:
-            engine = self.engines[device]
-        entry = self.history.get((key, device, engine))
+        before any measurement."""
+        entry = self.history.get((key, device))
         if entry is None:
-            entry = self.history.get((key, device))
-        if entry is None or entry[1] <= 0.0:
             return None
         return entry[0] / entry[1]
 
@@ -176,11 +149,6 @@ class Scheduler:
             key = self.key_of(kinfo)
             names[kinfo.kernel.name] = key
             names[kinfo.gpu_kernel.name] = key
-        # Profiles record which lane engine produced them (meta.engine);
-        # seed the matching engine-qualified rows so a vector-engine
-        # profile doesn't skew placement for a threaded-code runtime (or
-        # vice versa).  CPU lanes always ran threaded code under vector.
-        profile_engine = (doc.get("meta") or {}).get("engine")
         seeded = 0
         for construct in doc.get("constructs", []):
             device = construct.get("device")
@@ -191,8 +159,7 @@ class Scheduler:
             phases = construct.get("phases") or {}
             seconds = phases.get("launch", construct.get("seconds", 0.0))
             if n and seconds:
-                engine = rt.lane_engine(device, profile_engine or "unknown")
-                self.record(key, device, n, seconds, engine=engine)
+                self.record(key, device, n, seconds)
                 seeded += 1
         return seeded
 
@@ -261,12 +228,11 @@ class Scheduler:
                         lo=lo,
                         items=size,
                     )
-            share = self.gpu_share(key)
-            if last_share is not None and abs(share - last_share) > REPARTITION_DELTA:
-                self.repartitions += 1
-                if counters is not None:
+            if counters is not None:
+                share = self.gpu_share(key)
+                if last_share is not None and abs(share - last_share) > REPARTITION_DELTA:
                     counters.add("sched.repartition")
-            last_share = share
+                last_share = share
             lo += size
             index += 1
 

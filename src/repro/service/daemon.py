@@ -193,10 +193,9 @@ class CompileService:
             source = payload["source"]
             config = _resolve_config(payload.get("config"))
             module_name = payload.get("module_name", "concord")
-            with request_obs.span("service_request", "service", endpoint="compile"):
-                program, stages = self._compile_through_caches(
-                    source, config, module_name, request_obs
-                )
+            program, stages = self._compile_through_caches(
+                source, config, module_name, request_obs
+            )
             result = {
                 "ok": True,
                 "program_id": program.program_id,
@@ -232,29 +231,28 @@ class CompileService:
         request_obs = self._request_observer()
         ok = False
         try:
-            with request_obs.span("service_request", "service", endpoint="run"):
-                # every field is checked before any compile or allocation
-                if "workload" in payload:
-                    handler, size = self._run_workload, float(payload.get("scale", 0.1))
-                    if not 0 < size <= MAX_RUN_SCALE:
-                        raise ValueError(
-                            f"scale must be in (0, {MAX_RUN_SCALE}], got {size}"
-                        )
-                else:
-                    handler, size = self._run_kernel, int(payload.get("n", 16))
-                    if not 1 <= size <= MAX_RUN_ITEMS:
-                        raise ValueError(
-                            f"n must be in 1..{MAX_RUN_ITEMS}, got {size}"
-                        )
-                system = system_named(payload.get("system", "ultrabook"))
-                options = RunConfig(
-                    **{
-                        spec.name: payload[spec.name]
-                        for spec in fields(RunConfig)
-                        if spec.name in payload
-                    }
-                )
-                result = handler(payload, size, system, options, request_obs)
+            # every field is checked before any compile or allocation
+            if "workload" in payload:
+                handler, size = self._run_workload, float(payload.get("scale", 0.1))
+                if not 0 < size <= MAX_RUN_SCALE:
+                    raise ValueError(
+                        f"scale must be in (0, {MAX_RUN_SCALE}], got {size}"
+                    )
+            else:
+                handler, size = self._run_kernel, int(payload.get("n", 16))
+                if not 1 <= size <= MAX_RUN_ITEMS:
+                    raise ValueError(
+                        f"n must be in 1..{MAX_RUN_ITEMS}, got {size}"
+                    )
+            system = system_named(payload.get("system", "ultrabook"))
+            options = RunConfig(
+                **{
+                    spec.name: payload[spec.name]
+                    for spec in fields(RunConfig)
+                    if spec.name in payload
+                }
+            )
+            result = handler(payload, size, system, options, request_obs)
             ok = True
             return result
         finally:

@@ -5,7 +5,7 @@ A backend is a device and an engine is a lane runner:
 
 * ``RunConfig.engine`` is read, and an engine name compared, only in
   ``repro/runtime/runtime.py`` (``ConcordRuntime.lane_engine``, which the
-  engine factory and the scheduler's history rows both ask);
+  engine factory asks; the scheduler's history keeps no engine);
 * ``repro.backend`` has no engine-specific backend and no backend base
   class;
 * every engine runs a call and a launch, a CPU chunk being a launch;
@@ -27,6 +27,7 @@ A backend is a device and an engine is a lane runner:
 
 import ast
 import importlib.util
+import inspect
 import pathlib
 import re
 
@@ -234,6 +235,20 @@ def test_a_construct_has_one_body():
     for backend in (repro.backend.CpuBackend, repro.backend.GpuBackend):
         assert backend.__bases__ == (object,)
         assert not hasattr(backend, "capabilities")
+
+
+def test_the_scheduler_keeps_no_engine():
+    """The model prices a launch the same whichever engine ran it, so a
+    throughput row is per (kernel, device): no name under ``sched/``
+    stores or reads an engine, and a scheduler is built from nothing."""
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((ROOT / "sched").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if "engine" in str(getattr(node, "id", getattr(node, "attr", getattr(node, "arg", ""))))
+    ]
+    assert offenders == []
+    assert list(inspect.signature(repro.sched.Scheduler).parameters) == []
 
 
 def test_no_unit_worklist_under_exec():

@@ -12,7 +12,7 @@ from repro.eval import (
 )
 from repro.eval.figures import FigureData
 from repro.eval.formatting import render_series, render_table
-from repro.runtime.system import desktop, ultrabook
+from repro.runtime.system import ultrabook
 from repro.workloads import (
     all_workloads,
     integral_image,
@@ -57,34 +57,26 @@ class TestMeasurement:
             measurement.cpu_energy / measurement.gpu_energy["GPU"]
         )
 
-    def test_cache_returns_same_object(self):
-        workloads = all_workloads()
-        first = measure_workload(workloads["BTree"], ultrabook(), scale=0.15)
-        second = measure_workload(workloads["BTree"], ultrabook(), scale=0.15)
-        assert first is second
-
-    def test_observed_measurement_bypasses_the_cache(self):
+    def test_an_observed_measurement_equals_an_unobserved_one(self, measurement):
         from repro.obs import Observer
 
         workloads = all_workloads()
-        cached = measure_workload(workloads["BTree"], ultrabook(), scale=0.15)
         observer = Observer()
         observed = measure_workload(
             workloads["BTree"], ultrabook(), scale=0.15, observer=observer
         )
-        assert observed is not cached  # a complete execution was seen ...
-        assert observer.constructs
-        assert observed == cached  # ... and observing moves no number
+        assert observer.constructs  # a complete execution was seen ...
+        assert observed == measurement  # ... and observing moves no number
 
     def test_observer_goes_down_as_an_argument(self, monkeypatch):
-        """``figureN(scale, observer=)`` -> ``measure_all`` ->
-        ``measure_workload``: nothing process-wide is installed."""
-        from repro.eval import figure7, runner
+        """``measure_figures(names, scale, observer)`` -> ``measure_all``
+        -> ``measure_workload``: nothing process-wide is installed."""
+        from repro.eval import measure_figures, runner
 
         seen = []
 
         def spy(cls, system, scale, validate, observer, **options):
-            seen.append(observer)
+            seen.append((system.name, observer))
             return runner.Measurement(
                 cls.name, system.name, 2.0, 2.0,
                 dict.fromkeys(runner.GPU_CONFIG_LABELS, 1.0),
@@ -93,16 +85,47 @@ class TestMeasurement:
 
         monkeypatch.setattr(runner, "measure_workload", spy)
         sentinel = object()
-        assert figure7(0.15, observer=sentinel).value("BFS") == 2.0
-        assert seen == [sentinel] * len(WORKLOAD_ORDER)
+        drawn = measure_figures(["fig7", "fig8"], 0.15, observer=sentinel)
+        assert drawn["fig7"].value("BFS") == 2.0
+        assert drawn["fig8"].system == "Ultrabook"
+        # the two Ultrabook figures are views of one measured table
+        assert seen == [("Ultrabook", sentinel)] * len(WORKLOAD_ORDER)
         assert not hasattr(runner, "set_default_observer")
 
-    def test_systems_cached_separately(self):
-        workloads = all_workloads()
-        ub = measure_workload(workloads["BTree"], ultrabook(), scale=0.15)
-        dt = measure_workload(workloads["BTree"], desktop(), scale=0.15)
-        assert ub is not dt
-        assert ub.system == "Ultrabook" and dt.system == "Desktop"
+
+class TestEachRunOnce:
+    """A report measures each (workload, system, column) once, observed
+    or not: nothing is memoized, so nothing is measured twice."""
+
+    #: 9 workloads x 2 systems x (CPU, four GPU configurations, HYBRID),
+    #: plus the section 5.4 study's 4 image sizes x 2 programs
+    RUNS = len(WORKLOAD_ORDER) * 2 * (1 + len(GPU_CONFIG_LABELS) + 1) + 4 * 2
+
+    @pytest.mark.parametrize("observed", [False, True])
+    def test_report_executes_each_run_once(self, monkeypatch, observed):
+        from repro.eval import report
+        from repro.gpu.timing import DeviceReport
+        from repro.obs import Observer
+        from repro.runtime.runtime import ExecutionReport
+        from repro.workloads.base import RunOutcome, Workload
+
+        calls = []
+
+        def execute(self, config, system=None, on_cpu=False, scale=1.0,
+                    validate=True, observer=None, **options):
+            calls.append(
+                (self.name, system.name, config.label, on_cpu, options.get("policy"), scale)
+            )
+            seconds = 1.0 if on_cpu else 0.5
+            return RunOutcome(self.name, "cpu" if on_cpu else "gpu", [
+                ExecutionReport("gpu", 1, DeviceReport("gpu", seconds, seconds))
+            ])
+
+        monkeypatch.setattr(Workload, "execute", execute)
+        results = report.measure(0.05, Observer() if observed else None)
+        assert self.RUNS == 116
+        assert len(calls) == len(set(calls)) == self.RUNS
+        assert results.fig7.value("BFS") == results.fig9.value("SSSP", "HYBRID") == 2.0
 
 
 class TestFigureData:

@@ -204,6 +204,36 @@ class TestHistory:
         )
         assert rt.scheduler.throughput(key, "gpu") is not None
 
+    def test_the_engine_of_a_seeding_profile_does_not_matter(self):
+        """The model prices a launch the same whichever engine ran it, so
+        a history row is per kernel and device: a compiled-engine runtime
+        seeded from a ``vector`` profile calibrates exactly as one seeded
+        from a ``compiled`` profile, before and after its own chunks."""
+        from repro.obs import build_profile
+
+        program = compile_source(SOURCE, OptConfig.gpu_all())
+
+        def profile(engine):
+            observer = Observer()
+            for policy in ("gpu", "cpu"):
+                rt = ConcordRuntime(
+                    program, ultrabook(), observer=observer, policy=policy, engine=engine
+                )
+                _run_incr(rt, 256)
+            return build_profile(observer, meta={"engine": engine})
+
+        rows = []
+        for engine in ("vector", "compiled"):
+            rt = ConcordRuntime(program, ultrabook(), policy="hybrid", engine="compiled")
+            assert rt.scheduler.seed_from_profile(rt, profile(engine)) == 2
+            before = [rt.scheduler.throughput("Incr", d) for d in ("gpu", "cpu")]
+            _, report = _run_incr(rt, 512)
+            assert report.device == "hybrid"
+            after = [rt.scheduler.throughput("Incr", d) for d in ("gpu", "cpu")]
+            rows.append((before, after, report.seconds))
+        assert None not in rows[0][0]
+        assert rows[0] == rows[1]
+
 
 class TestReportMerging:
     def _random_report(self, rng):

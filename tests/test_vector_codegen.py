@@ -666,12 +666,13 @@ class TestOwnership:
         ``gpu_function_t`` entry, not in a module dict.  So are the frontend
         and the passes: what the lowering knows about an expression lives
         on the ``FunctionLowerer``, what the pass manager remembers on the
-        ``PassManager`` — one per compile."""
+        ``PassManager`` — one per compile.  So is the evaluation: a
+        measured table is held by the command that asked for it."""
         root = pathlib.Path(repro.__file__).parent
         offenders = []
         guarded = [
             path
-            for package in ("exec", "backend", "gpu", "cpu", "minicpp", "passes")
+            for package in ("exec", "backend", "gpu", "cpu", "minicpp", "passes", "eval")
             for path in root.glob(f"{package}/*.py")
         ]
         for path in sorted(guarded):
@@ -695,9 +696,8 @@ class TestOwnership:
                 if empty:
                     offenders.append(f"{path.name}:{node.lineno} {ast.unparse(targets[0])}")
         # ... and in repro.eval a ``global`` statement is a process-wide
-        # setting being rebound (an observer goes down as an argument;
-        # ``runner._CACHE`` is filled, never rebound, and stays: it is what
-        # lets four figures share one measurement)
+        # setting being rebound (an observer goes down as an argument, and
+        # a measurement is held by whoever asked for it)
         for path in sorted(root.glob("eval/*.py")):
             for node in ast.walk(ast.parse(path.read_text())):
                 if isinstance(node, ast.Global):
