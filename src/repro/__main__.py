@@ -447,7 +447,7 @@ def _profile(args) -> int:
         print(f"error: emitted profile failed validation: {exc}", file=sys.stderr)
         return 1
     if args.trace:
-        write_trace(observer, args.trace, meta=doc["meta"])
+        write_trace(observer.events, args.trace, meta=doc["meta"])
         print(f"trace: {args.trace}", file=sys.stderr)
     if args.format == "csv":
         rendered = profile_to_csv(doc)
@@ -623,7 +623,7 @@ def _fuzz(args) -> int:
         from .obs import write_trace
 
         write_trace(
-            observer,
+            observer.events,
             args.trace,
             meta={"command": "fuzz", "seed": args.seed, "target": args.target},
         )

@@ -166,7 +166,6 @@ def run_construct(rt, kinfo, n: int, body, construct: str, plan: Plan):
     totals: dict = {}  # device -> DeviceReport of its chunks
     traces: dict = {"gpu": [], "cpu": []}
     phases: dict = {}
-    span_seconds: list = []
     jit_seconds = 0.0
     join = None
     with rt._span(
@@ -174,9 +173,8 @@ def run_construct(rt, kinfo, n: int, body, construct: str, plan: Plan):
     ) as cspan:
         if gpu_runs:
             with rt._span("jit", "phase") as jit_span:
-                jit_seconds = gpu.prepare(rt, kinfo)
+                jit_seconds = jit_span.sim_seconds = gpu.prepare(rt, kinfo)
             phases["jit"] = jit_seconds
-            span_seconds.append((jit_span, jit_seconds))
         addr = address_of(body)
         copies = None
         if construct == "reduce":
@@ -201,18 +199,17 @@ def run_construct(rt, kinfo, n: int, body, construct: str, plan: Plan):
                         result = backend.reduce(
                             rt, kinfo, span, copies, timing_cache=caches[device], budget=budget
                         )
+                    report = result.report
+                    chunk_span.sim_seconds = report.seconds
                 budget = max(0, budget - result.kept_events)
-                report = result.report
-                span_seconds.append((chunk_span, report.seconds))
                 totals[device] = totals[device] + report if device in totals else report
                 traces[device].extend(result.traces)
                 index += 1
-        if len(plan.devices) > 1:
-            total = parallel_report([totals.get(device) for device in plan.devices])
-        else:
-            total = totals[plan.devices[0]]
-        phases["launch"] = total.seconds
-        span_seconds.append((launch_span, total.seconds))
+            if len(plan.devices) > 1:
+                total = parallel_report([totals.get(device) for device in plan.devices])
+            else:
+                total = totals[plan.devices[0]]
+            phases["launch"] = launch_span.sim_seconds = total.seconds
         if copies is not None:
             join = gpu.join_copies(rt, kinfo, addr, copies)
             if join.joined:
@@ -228,10 +225,7 @@ def run_construct(rt, kinfo, n: int, body, construct: str, plan: Plan):
             gpu.free_copies(rt, copies)
             phases["reduce_tree"] = join.local_seconds
             phases["host_join"] = join.host_seconds
-            span_seconds += [
-                (join.tree_span, join.local_seconds),
-                (join.host_span, join.host_seconds),
-            ]
+        seconds = cspan.sim_seconds = total.seconds + jit_seconds + phases.get("host_join", 0.0)
 
     if rt.obs is not None:
         line_samples = [
@@ -243,16 +237,14 @@ def run_construct(rt, kinfo, n: int, body, construct: str, plan: Plan):
             host = [join.host_trace]
             line_samples.append((join.host_fn, "cpu", host))
         rt._record_construct(
-            cspan,
             kernel.name,
             construct,
             plan.label,
             n,
-            seconds=total.seconds + jit_seconds + phases.get("host_join", 0.0),
+            seconds=seconds,
             energy_joules=total.energy_joules,
             phases=phases,
             traces=traces["gpu"] + traces["cpu"] + host,
-            span_seconds=span_seconds,
             line_samples=[sample for sample in line_samples if sample[2]],
         )
     # A split's per-device occupancy lets the task graph overlap its

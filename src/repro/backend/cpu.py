@@ -119,9 +119,10 @@ class CpuBackend:
                     rt.allocator.free(copy_addr)
                 # one L1/LLC state: the lanes first, then the joins
                 report = time_cpu_execution(rt.system.cpu, traces, counters=rt.counters)
+                launch_span.sim_seconds = report.seconds
+            cspan.sim_seconds = report.seconds
         if rt.obs is not None:
             rt._record_construct(
-                cspan,
                 kernel_name,
                 "reduce",
                 "cpu",
@@ -130,7 +131,6 @@ class CpuBackend:
                 energy_joules=report.energy_joules,
                 phases={"launch": report.seconds},
                 traces=traces,
-                span_seconds=[(launch_span, report.seconds)],
                 line_samples=[(kinfo.kernel, "cpu", traces)],
             )
         return _runtime_mod().ExecutionReport(device="cpu", n=n, report=report)

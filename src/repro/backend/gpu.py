@@ -47,8 +47,6 @@ class JoinResult:
     host_trace: object = None
     #: the host join priced by the CPU model (only under an observer)
     host_seconds: float = 0.0
-    tree_span: object = None
-    host_span: object = None
 
 
 class GpuBackend:
@@ -170,8 +168,8 @@ class GpuBackend:
         sequential host join of group leaders.  The GPU join form falls
         back to the host join when SVM lowering was skipped; when
         *neither* form exists, :func:`~repro.backend.base.warn_unjoined`.
-        Must run inside the caller's construct span; the returned spans
-        carry the phase timings."""
+        Must run inside the caller's construct span; each phase span is
+        stamped with its simulated seconds."""
         n = len(copies)
         group = _runtime_mod().REDUCTION_GROUP_SIZE
         num_groups = (n + group - 1) // group
@@ -196,11 +194,11 @@ class GpuBackend:
                         join_interp.call_function(join_fn, [into, source])
                     stride *= 2
             join_interp.release_private_memory()
-        result.tree_span = tree_span
-        # local-memory reduction cost: log2(group) levels of cheap traffic
-        levels = max(1, int(math.ceil(math.log2(group))))
-        result.local_cycles = num_groups * levels * 8.0 / rt.system.gpu.num_eus
-        result.local_seconds = result.local_cycles / rt.system.gpu.frequency_hz
+            # local-memory reduction cost: log2(group) levels of cheap traffic
+            levels = max(1, int(math.ceil(math.log2(group))))
+            result.local_cycles = num_groups * levels * 8.0 / rt.system.gpu.num_eus
+            result.local_seconds = result.local_cycles / rt.system.gpu.frequency_hz
+            tree_span.sim_seconds = result.local_seconds
 
         # Sequential join of group leaders on the host, one CPU launch over
         # them (original join; the device form is a last-resort
@@ -214,10 +212,10 @@ class GpuBackend:
                 lambda group_index: [body_addr, copies[group_index * group]], None,
                 allocator=rt.allocator, collect_mem_events=False,
             )
-        result.host_span = host_span
-        if rt.obs is not None:
-            result.host_trace = host_trace
-            result.host_seconds = time_cpu_execution(rt.system.cpu, [host_trace]).seconds
+            if rt.obs is not None:
+                result.host_trace = host_trace
+                result.host_seconds = time_cpu_execution(rt.system.cpu, [host_trace]).seconds
+                host_span.sim_seconds = result.host_seconds
         return result
 
     # -- whole constructs: one chunk on the GPU ------------------------------

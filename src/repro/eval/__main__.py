@@ -81,7 +81,7 @@ def main(argv=None) -> int:
         from ..obs import write_trace
 
         write_trace(
-            observer,
+            observer.events,
             args.trace,
             meta={"command": "eval", "experiment": args.experiment, "scale": args.scale},
         )

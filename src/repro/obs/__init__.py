@@ -1,4 +1,4 @@
-"""Observability layer: phase spans, counter registry, per-kernel profiles.
+"""Observability layer: one event list, a counter registry, and the folds.
 
 Attach an :class:`Observer` to see where simulated time goes::
 
@@ -6,7 +6,7 @@ Attach an :class:`Observer` to see where simulated time goes::
     obs = Observer()
     rt = ConcordRuntime(program, observer=obs)
     ... run constructs ...
-    doc = build_profile(obs, meta={...})
+    doc = build_profile(obs.events, obs.counters.as_dict(), meta={...})
 
 or, one call for a whole workload::
 
@@ -19,14 +19,20 @@ documented in ``docs/OBSERVABILITY.md``; :func:`validate_profile` enforces
 it.  Everything is opt-in: without an observer, the runtime and engines
 run their original code paths untouched.
 
+The observer records each fact once: an event in ``Observer.events``
+(span edges, construct launches, pass statistics, scheduler decisions,
+violations, traps) or a counter in its registry.  The profile
+(:func:`build_profile`) and the Chrome trace (:func:`build_trace`) are
+folds of an event list, so a telemetry file rebuilds both exactly.
+
 Built on top of the observer:
 
 * :mod:`repro.obs.lines` — source-line attribution of modeled cost
-  (``python -m repro annotate``);
+  (``python -m repro annotate``), from the observer's ``line_samples``;
 * :mod:`repro.obs.trace` — Chrome ``trace_event`` export (``--trace``);
-* :mod:`repro.obs.telemetry` — live streaming of span edges, counter
-  deltas, launches and scheduler decisions through pluggable sinks and
-  a bounded event ring (``obs.attach_telemetry``, ``--events``);
+* :mod:`repro.obs.telemetry` — live streaming of every event and counter
+  delta through pluggable sinks and a bounded event ring
+  (``obs.attach_telemetry``, ``--events``);
 * :mod:`repro.obs.flight` — flight recorder: postmortem bundles on
   traps, fuzz divergences and uncaught exceptions, resolved down to the
   trapping kernel's source line (``--flight-record DIR``);
@@ -37,7 +43,7 @@ Built on top of the observer:
 See ``docs/PROFILING.md`` and ``docs/TELEMETRY.md``.
 """
 
-from .core import CounterRegistry, Observer, Span
+from .core import CounterRegistry, Observer
 from .flight import (
     FLIGHT_SCHEMA_VERSION,
     FlightRecorder,
@@ -53,8 +59,6 @@ from .lines import (
 from .profile import (
     PHASES,
     PROFILE_SCHEMA_VERSION,
-    ConstructProfile,
-    KernelProfile,
     build_profile,
     profile_to_csv,
     profile_workload,
@@ -84,19 +88,16 @@ from .watch import (
 
 __all__ = [
     "CounterRegistry",
-    "ConstructProfile",
     "EventRing",
     "FLIGHT_SCHEMA_VERSION",
     "FlightRecorder",
     "JsonLinesSink",
-    "KernelProfile",
     "LINES_SCHEMA_VERSION",
     "Observer",
     "PHASES",
     "PROFILE_SCHEMA",
     "PROFILE_SCHEMA_VERSION",
     "SchemaError",
-    "Span",
     "TELEMETRY_SCHEMA_VERSION",
     "TRACE_SCHEMA_VERSION",
     "Telemetry",

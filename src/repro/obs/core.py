@@ -1,6 +1,6 @@
-"""Observability core: hierarchical phase spans and a counter registry.
+"""Observability core: one event list and a counter registry.
 
-The runtime, both execution engines, the timing models and the pass
+The runtime, the execution engines, the timing models and the pass
 pipeline all emit into one :class:`Observer` when the caller attaches one
 (``ConcordRuntime(..., observer=...)``, ``compile_source(...,
 observer=...)``).  Everything here is strictly opt-in: every emission site
@@ -8,28 +8,29 @@ guards on ``observer is not None`` (or on a ``counters is not None``
 registry reference), so a runtime built without an observer pays nothing:
 it runs the exact code paths it ran before this module existed.
 
-Three pieces:
+Two records, one per kind of fact:
 
-* :class:`Span` — one timed phase (compile, SVM-lower, JIT, launch,
-  per-work-group reduce, host join, ...) with wall-clock duration,
-  optional *simulated* seconds, free-form attributes and child spans.
+* :attr:`Observer.events` — every event the observer emits, in order,
+  each stamped with one ``seq`` and with ``t``, seconds since the
+  observer's epoch: span edges (``span_open`` with the span's attributes,
+  ``span_close`` with its wall and simulated seconds), one ``launch`` per
+  parallel construct with its phases and harvested counters, one
+  ``pass`` per compiler-pass statistic, scheduler decisions, declared-set
+  violations and flight-recorder traps (:data:`~repro.obs.telemetry.EVENT_KINDS`).
+  The profile, the Chrome trace and a flight bundle's construct tail and
+  open spans are folds of it (:mod:`repro.obs.profile`,
+  :mod:`repro.obs.trace`).
 * :class:`CounterRegistry` — a flat name -> integer/float map with an
   ``add`` hot path; the engines, cache models, private-memory pool and
   code cache publish into it (instructions, flops, mem events
-  kept/dropped, cache hits/misses, pool reuse, code-cache hits).
-* :class:`Observer` — owns the span tree, the registry and the
-  per-construct profiles; :meth:`Observer.record_launch` is how the
-  runtime attributes one parallel construct's simulated seconds to named
-  phases.
+  kept/dropped, cache hits/misses, pool reuse, code-cache hits).  Its
+  deltas are not events of the list; with telemetry attached they
+  stream as ``counter`` events.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Optional
-
-from .profile import ConstructProfile
 
 
 class CounterRegistry:
@@ -80,95 +81,47 @@ class CounterRegistry:
         self._counters.clear()
 
 
-@dataclass
-class Span:
-    """One phase of work, possibly nested inside another phase.
+class _SpanHandle:
+    """One span: ``with observer.span(...) as span`` emits ``span_open``
+    on entry and ``span_close`` on exit; a site stamps the simulated
+    seconds it attributes to the span on ``span.sim_seconds`` before the
+    block ends."""
 
-    ``wall_seconds`` is host wall-clock time spent inside the span;
-    ``sim_seconds`` is simulated device time attributed to it (0.0 when
-    the span only brackets host work, e.g. compilation).
-    """
+    __slots__ = ("sim_seconds", "_observer", "_name", "_fields", "_start")
 
-    name: str
-    category: str = ""
-    wall_seconds: float = 0.0
-    sim_seconds: float = 0.0
-    #: wall-clock start relative to the observer's epoch (first clock
-    #: reading); lets exporters lay spans on an absolute timeline.
-    start_seconds: float = 0.0
-    attrs: dict = field(default_factory=dict)
-    children: list = field(default_factory=list)
+    def __init__(self, observer: "Observer", name: str, fields: dict):
+        self.sim_seconds = 0.0
+        self._observer = observer
+        self._name = name
+        self._fields = fields
 
-    def child(self, name: str, category: str = "") -> "Span":
-        span = Span(name=name, category=category)
-        self.children.append(span)
-        return span
-
-    def to_dict(self) -> dict:
-        out = {
-            "name": self.name,
-            "category": self.category,
-            "wall_seconds": self.wall_seconds,
-            "sim_seconds": self.sim_seconds,
-            "start_seconds": self.start_seconds,
-        }
-        if self.attrs:
-            out["attrs"] = dict(self.attrs)
-        if self.children:
-            out["children"] = [c.to_dict() for c in self.children]
-        return out
-
-    def iter_all(self):
-        yield self
-        for child in self.children:
-            yield from child.iter_all()
-
-
-class _SpanContext:
-    """Context manager pushed/popped by :meth:`Observer.span`."""
-
-    __slots__ = ("observer", "span", "_start")
-
-    def __init__(self, observer: "Observer", span: Span):
-        self.observer = observer
-        self.span = span
-        self._start = 0.0
-
-    def __enter__(self) -> Span:
-        observer = self.observer
-        observer._stack.append(self.span)
-        telemetry = observer.telemetry
-        if telemetry is not None:
-            telemetry.emit(
-                "span_open", self.span.name, category=self.span.category
-            )
+    def __enter__(self) -> "_SpanHandle":
+        observer = self._observer
         self._start = observer._clock()
-        if not self.span.start_seconds:
-            self.span.start_seconds = self._start - observer._epoch
-        return self.span
+        observer._record(self._start, "span_open", self._name, self._fields)
+        return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        observer = self.observer
-        elapsed = observer._clock() - self._start
-        self.span.wall_seconds += elapsed
-        stack = observer._stack
-        if stack and stack[-1] is self.span:
-            stack.pop()
-        telemetry = observer.telemetry
-        if telemetry is not None:
-            telemetry.emit(
-                "span_close",
-                self.span.name,
-                category=self.span.category,
-                wall_seconds=elapsed,
-            )
+        observer = self._observer
+        now = observer._clock()
+        elapsed = now - self._start
+        observer._record(
+            now,
+            "span_close",
+            self._name,
+            {
+                "category": self._fields["category"],
+                "wall_seconds": elapsed,
+                "sim_seconds": self.sim_seconds,
+            },
+        )
         # Self-accounting: how much wall time the observer itself brackets.
         observer.counters.add("obs.span_ns", elapsed * 1e9)
         return False
 
 
 class Observer:
-    """Collects spans, counters and per-construct profiles for one session.
+    """Records the events and counters of one session.
 
     One observer may watch a whole pipeline: compilation
     (``compile_source``), any number of runtimes, and the evaluation
@@ -178,109 +131,70 @@ class Observer:
 
     def __init__(self, clock=time.perf_counter):
         self._clock = clock
-        #: epoch for span start times — everything is relative to this
+        #: every event's ``t`` is seconds since this first clock reading
         self._epoch = clock()
+        self._seq = 0
         self.counters = CounterRegistry()
-        self.root = Span(name="session", category="session")
-        self._stack: list[Span] = [self.root]
-        #: per-construct attribution records, in execution order
-        self.constructs: list[ConstructProfile] = []
-        #: compiler pass statistics (name, runs, changed, seconds)
-        self.pass_stats: list[dict] = []
+        #: every emitted event but the counter deltas, in ``seq`` order
+        self.events: list[dict] = []
         #: per-launch (kernel IR function, device, merged block counts)
         #: samples for post-hoc source-line attribution — see
         #: :mod:`repro.obs.lines`.
         self.line_samples: list = []
-        #: optional streaming pipeline (:class:`repro.obs.telemetry.Telemetry`);
-        #: every emission site guards on ``is not None``, so an observer
-        #: without telemetry behaves exactly as before.
+        #: optional streaming pipeline (:class:`repro.obs.telemetry.Telemetry`)
+        #: fed every event, counter deltas included
         self.telemetry = None
 
     # -- streaming telemetry ---------------------------------------------
 
     def attach_telemetry(self, telemetry) -> None:
         """Attach a :class:`~repro.obs.telemetry.Telemetry` pipeline:
-        spans, launches and counter deltas stream through it from now
-        on, and its ring becomes the flight recorder's postmortem
-        window.  Attach before running anything observed, or the
-        stream's counter totals will miss the counters that predate it."""
+        every event and counter delta streams through it from now on, and
+        its ring becomes the flight recorder's postmortem window.  Attach
+        before running anything observed, or the stream will miss what
+        predates it."""
         self.telemetry = telemetry
-        self.counters._sink = telemetry._on_counter
+        self.counters._sink = self._stream_counter
 
     def detach_telemetry(self) -> None:
         self.counters._sink = None
         self.telemetry = None
 
-    def open_span_names(self) -> list:
-        """Names of the currently open span stack, outermost first
-        (excluding the session root) — the flight recorder's context."""
-        return [span.name for span in self._stack[1:]]
+    # -- events ------------------------------------------------------------
 
-    # -- spans -----------------------------------------------------------
-
-    @property
-    def current_span(self) -> Span:
-        return self._stack[-1]
-
-    def span(self, name: str, category: str = "", **attrs) -> _SpanContext:
-        """Open a child span of the current span; use as a context
-        manager.  ``attrs`` are attached verbatim."""
-        span = self.current_span.child(name, category)
-        if attrs:
-            span.attrs.update(attrs)
-        return _SpanContext(self, span)
-
-    def spans(self, category: Optional[str] = None) -> list[Span]:
-        """All spans (depth-first), optionally filtered by category."""
-        found = [s for s in self.root.iter_all() if s is not self.root]
-        if category is None:
-            return found
-        return [s for s in found if s.category == category]
-
-    # -- launch / kernel attribution -------------------------------------
-
-    def record_launch(
-        self,
-        kernel: str,
-        construct: str,
-        device: str,
-        n: int,
-        seconds: float,
-        energy_joules: float,
-        phases: dict,
-        counters: Optional[dict] = None,
-    ) -> ConstructProfile:
-        """Attribute one parallel construct's simulated time to phases.
-
-        ``phases`` maps phase name -> simulated seconds; ``seconds`` is
-        the construct's total simulated time (phases should sum to it —
-        the profile records the attributed fraction so gaps are visible
-        rather than silent).
-        """
-        record = ConstructProfile(
-            index=len(self.constructs),
-            kernel=kernel,
-            construct=construct,
-            device=device,
-            n=n,
-            seconds=seconds,
-            energy_joules=energy_joules,
-            phases=dict(phases),
-            counters=dict(counters or {}),
-        )
-        self.constructs.append(record)
+    def _stamp(self, now: float, kind: str, name: str, fields: dict) -> dict:
+        event = {"seq": self._seq, "t": now - self._epoch, "kind": kind, "name": name}
+        event.update(fields)
+        self._seq += 1
         telemetry = self.telemetry
         if telemetry is not None:
-            telemetry.emit(
-                "launch",
-                kernel,
-                construct=construct,
-                device=device,
-                n=n,
-                seconds=seconds,
-                energy_joules=energy_joules,
-            )
-        return record
+            telemetry.emit(event)
+        return event
+
+    def _record(self, now: float, kind: str, name: str, fields: dict) -> dict:
+        event = self._stamp(now, kind, name, fields)
+        self.events.append(event)
+        return event
+
+    def _stream_counter(self, name: str, delta) -> None:
+        """Forwarding target installed into ``CounterRegistry._sink``: a
+        counter delta is an event of the stream, not of the list."""
+        self._stamp(self._clock(), "counter", name, {"delta": delta})
+
+    def emit(self, kind: str, name: str, **fields) -> dict:
+        """Record one event of ``kind`` (one of
+        :data:`~repro.obs.telemetry.EVENT_KINDS`) and return it."""
+        return self._record(self._clock(), kind, name, fields)
+
+    def span(self, name: str, category: str = "", **attrs) -> _SpanHandle:
+        """A span nested in the spans open around it; use as a context
+        manager.  ``attrs`` ride on its ``span_open`` event verbatim."""
+        fields = {"category": category}
+        if attrs:
+            fields["attrs"] = attrs
+        return _SpanHandle(self, name, fields)
+
+    # -- line samples and pass statistics ---------------------------------
 
     def record_kernel_trace(self, kernel, device: str, block_counts: dict) -> None:
         """Keep one launch's executed-block histogram for line attribution.
@@ -293,24 +207,22 @@ class Observer:
         """
         self.line_samples.append((kernel, device, block_counts))
 
-    # -- pass pipeline ----------------------------------------------------
-
-    def record_pass_stats(self, stats) -> None:
-        """Fold a :class:`~repro.passes.pipeline.PassManager`'s stats in
-        (``stats`` is an iterable of objects with name/runs/changed/
-        skipped/seconds/verify_seconds attributes).  ``seconds`` is time
+    def record_passes(self, stats) -> None:
+        """Emit one ``pass`` event per
+        :class:`~repro.passes.pipeline.PassManager` statistic (``stats``
+        is an iterable of objects with name/runs/changed/skipped/seconds/
+        verify_seconds attributes) and count them.  ``seconds`` is time
         inside the pass; verifying its result is ``verify_seconds``."""
         stats = list(stats)
         for stat in stats:
-            self.pass_stats.append(
-                {
-                    "name": stat.name,
-                    "runs": stat.runs,
-                    "changed": stat.changed,
-                    "skipped": stat.skipped,
-                    "seconds": stat.seconds,
-                    "verify_seconds": stat.verify_seconds,
-                }
+            self.emit(
+                "pass",
+                stat.name,
+                runs=stat.runs,
+                changed=stat.changed,
+                skipped=stat.skipped,
+                seconds=stat.seconds,
+                verify_seconds=stat.verify_seconds,
             )
             self.counters.add(f"passes.{stat.name}.runs", stat.runs)
             self.counters.add(f"passes.{stat.name}.changed", stat.changed)

@@ -9,14 +9,16 @@ needs into one JSON bundle:
 
 * the **last N telemetry events** (the :class:`~repro.obs.telemetry.EventRing`
   window) plus how many older events the ring already forgot;
-* the **live counters** and **open span stack** at the moment of capture;
+* the **live counters** and **open span stack** at the moment of capture
+  (the spans the observer's events leave open);
 * the **trap site**: kernel, device, lane (``global_id``), IR function,
   superblock uids, and — resolved through the same location metadata
   :mod:`repro.obs.lines` uses — the source line, including its text when
   the module kept its source; when the trap came out of engine-generated
   code, also the generated statement and its whole module text (``jit``);
-* the **construct tail** (most recent launch profiles) and, for graph
-  runtimes, the **graph state** (stats plus pending futures).
+* the **construct tail** (the last constructs folded from the observer's
+  ``launch`` events) and, for graph runtimes, the **graph state** (stats
+  plus pending futures).
 
 The engines stamp trap context onto escaping exceptions on the cold path
 only (``trap_function`` / ``trap_block_uids`` / ``trap_loc`` in
@@ -37,6 +39,7 @@ import traceback
 from contextlib import contextmanager
 from typing import Optional
 
+from .profile import fold_constructs, fold_spans
 from .schema import SchemaError, check, record
 from .telemetry import stream_errors
 
@@ -50,7 +53,7 @@ __all__ = [
 
 FLIGHT_SCHEMA_VERSION = "repro.obs.flight/v1"
 
-#: How many trailing construct profiles a bundle keeps.
+#: How many trailing constructs a bundle keeps.
 CONSTRUCT_TAIL = 32
 
 #: Capture reasons a bundle may carry.
@@ -150,7 +153,8 @@ class FlightRecorder:
 
     ``observer`` is optional — a bundle without one still captures the
     exception, trap site and caller context; with one it additionally
-    snapshots the event ring, counters, span stack and construct tail.
+    emits a ``trap`` event and keeps the counters, the span stack and the
+    construct tail, and with telemetry attached the event ring.
     """
 
     def __init__(self, directory, observer=None):
@@ -201,23 +205,20 @@ class FlightRecorder:
         open_spans: list = []
         constructs: list = []
         if observer is not None:
+            # Mark the capture in the stream itself, then snapshot — the
+            # bundle's last event is its own trap marker.
+            if exc is not None:
+                name = (trap or {}).get("kernel") or type(exc).__name__
+            else:
+                name = "manual"
+            observer.emit("trap", name, reason=reason)
             telemetry = observer.telemetry
             if telemetry is not None:
-                # Mark the capture in the stream itself, then snapshot —
-                # the bundle's last event is its own trap marker.
-                if exc is not None:
-                    name = (trap or {}).get("kernel") or type(exc).__name__
-                else:
-                    name = "manual"
-                telemetry.emit("trap", name, reason=reason)
                 events = telemetry.ring.snapshot()
                 events_dropped = telemetry.ring.dropped
             counters = observer.counters.as_dict()
-            open_spans = observer.open_span_names()
-            constructs = [
-                profile.to_dict()
-                for profile in observer.constructs[-CONSTRUCT_TAIL:]
-            ]
+            open_spans = [span["name"] for span in fold_spans(observer.events)[1]]
+            constructs = fold_constructs(observer.events)[-CONSTRUCT_TAIL:]
 
         graph = None
         if runtime is not None:

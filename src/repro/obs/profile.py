@@ -1,10 +1,13 @@
-"""Per-kernel / per-construct profiles and the profile document.
+"""The profile document, and the folds of an event list it is made of.
 
 A profile attributes each parallel construct's simulated seconds to named
 phases (``jit``, ``launch``, ``reduce_tree``, ``host_join``), aggregates
 the same attribution per IR kernel, and carries the counter-registry
-snapshot, compiler pass statistics and the span tree.  The document shape
-is defined (and checked) by :mod:`repro.obs.schema`;
+snapshot, compiler pass statistics and the span tree.  Every section is
+a fold of an observer's events (:attr:`~repro.obs.core.Observer.events`
+or a telemetry file): the constructs of its ``launch`` events, the
+passes of its ``pass`` events, the span tree of its open/close nesting.
+The document shape is defined (and checked) by :mod:`repro.obs.schema`;
 :func:`profile_workload` is the one-call entry the ``python -m repro
 profile`` CLI and the CI smoke job use.
 """
@@ -12,7 +15,6 @@ profile`` CLI and the CI smoke job use.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
 from typing import Optional
 
 #: Version tag stamped into every emitted document.
@@ -21,99 +23,112 @@ PROFILE_SCHEMA_VERSION = "repro.obs.profile/v1"
 #: Canonical phase names (documents may use any subset).
 PHASES = ("jit", "launch", "reduce_tree", "host_join")
 
-
-@dataclass
-class ConstructProfile:
-    """Attribution record for one parallel construct execution."""
-
-    index: int
-    kernel: str
-    construct: str  # "for" | "reduce"
-    device: str  # "cpu" | "gpu" | "hybrid"
-    n: int
-    seconds: float
-    energy_joules: float
-    phases: dict = field(default_factory=dict)  # phase name -> sim seconds
-    counters: dict = field(default_factory=dict)
-
-    @property
-    def attributed_seconds(self) -> float:
-        return sum(self.phases.values())
-
-    @property
-    def attributed_fraction(self) -> float:
-        if self.seconds <= 0.0:
-            return 1.0
-        return min(1.0, self.attributed_seconds / self.seconds)
-
-    def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "kernel": self.kernel,
-            "construct": self.construct,
-            "device": self.device,
-            "n": self.n,
-            "seconds": self.seconds,
-            "energy_joules": self.energy_joules,
-            "phases": dict(self.phases),
-            "attributed_seconds": self.attributed_seconds,
-            "attributed_fraction": self.attributed_fraction,
-            "counters": dict(self.counters),
-        }
+#: What a ``pass`` event carries besides the pass name.
+PASS_FIELDS = ("runs", "changed", "skipped", "seconds", "verify_seconds")
 
 
-@dataclass
-class KernelProfile:
-    """Aggregated attribution for one IR kernel across all its launches."""
-
-    kernel: str
-    construct: str
-    launches: int = 0
-    work_items: int = 0
-    seconds: float = 0.0
-    energy_joules: float = 0.0
-    phases: dict = field(default_factory=dict)
-    counters: dict = field(default_factory=dict)
-
-    def absorb(self, record: ConstructProfile) -> None:
-        self.launches += 1
-        self.work_items += record.n
-        self.seconds += record.seconds
-        self.energy_joules += record.energy_joules
-        for name, value in record.phases.items():
-            self.phases[name] = self.phases.get(name, 0.0) + value
-        for name, value in record.counters.items():
-            self.counters[name] = self.counters.get(name, 0) + value
-
-    def to_dict(self) -> dict:
-        attributed = sum(self.phases.values())
-        return {
-            "kernel": self.kernel,
-            "construct": self.construct,
-            "launches": self.launches,
-            "work_items": self.work_items,
-            "seconds": self.seconds,
-            "energy_joules": self.energy_joules,
-            "phases": dict(self.phases),
-            "attributed_seconds": attributed,
-            "attributed_fraction": (
-                min(1.0, attributed / self.seconds) if self.seconds > 0 else 1.0
-            ),
-            "counters": dict(self.counters),
-        }
+def _attributed(record: dict) -> dict:
+    """``record`` with its attributed seconds and fraction, then its
+    counters."""
+    attributed = sum(record["phases"].values())
+    seconds = record["seconds"]
+    counters = record.pop("counters")
+    record["attributed_seconds"] = attributed
+    record["attributed_fraction"] = min(1.0, attributed / seconds) if seconds > 0 else 1.0
+    record["counters"] = counters
+    return record
 
 
-def build_profile(observer, meta: Optional[dict] = None) -> dict:
-    """Assemble the JSON-serializable profile document from an observer.
-    A kernel's section folds its constructs in the order they ran."""
-    constructs = [record.to_dict() for record in observer.constructs]
+def fold_spans(events) -> tuple:
+    """``(roots, open)``: the span forest of ``events``, folded from
+    their open/close nesting, and the spans still open at their end,
+    outermost first.  A span is its profile dict: ``start_seconds`` is
+    its ``span_open``'s ``t``."""
+    roots: list = []
+    stack: list = []
+    for event in events:
+        kind = event["kind"]
+        if kind == "span_open":
+            span = {
+                "name": event["name"],
+                "category": event["category"],
+                "wall_seconds": 0.0,
+                "sim_seconds": 0.0,
+                "start_seconds": event["t"],
+            }
+            if "attrs" in event:
+                span["attrs"] = dict(event["attrs"])
+            (stack[-1].setdefault("children", []) if stack else roots).append(span)
+            stack.append(span)
+        elif kind == "span_close":
+            span = stack.pop()
+            span["wall_seconds"] = event["wall_seconds"]
+            span["sim_seconds"] = event["sim_seconds"]
+    return roots, stack
+
+
+def fold_constructs(events) -> list:
+    """One record per ``launch`` event of ``events``, in order."""
+    return [
+        _attributed(
+            {
+                "index": index,
+                "kernel": event["name"],
+                "construct": event["construct"],
+                "device": event["device"],
+                "n": event["n"],
+                "seconds": event["seconds"],
+                "energy_joules": event["energy_joules"],
+                "phases": dict(event["phases"]),
+                "counters": dict(event["counters"]),
+            }
+        )
+        for index, event in enumerate(e for e in events if e["kind"] == "launch")
+    ]
+
+
+def fold_counters(events) -> dict:
+    """The registry, as the ``counter`` events of a stream rebuild it."""
+    totals: dict = {}
+    for event in events:
+        if event["kind"] == "counter":
+            totals[event["name"]] = totals.get(event["name"], 0) + event["delta"]
+    return dict(sorted(totals.items()))
+
+
+def _fold_kernels(constructs) -> dict:
+    """A kernel's section folds its constructs in the order they ran."""
     kernels: dict = {}
-    for record in observer.constructs:
-        profile = kernels.get(record.kernel)
-        if profile is None:
-            profile = kernels[record.kernel] = KernelProfile(record.kernel, record.construct)
-        profile.absorb(record)
-    kernels = {name: kernels[name].to_dict() for name in sorted(kernels)}
+    for record in constructs:
+        kernel = kernels.get(record["kernel"])
+        if kernel is None:
+            kernel = kernels[record["kernel"]] = {
+                "kernel": record["kernel"],
+                "construct": record["construct"],
+                "launches": 0,
+                "work_items": 0,
+                "seconds": 0.0,
+                "energy_joules": 0.0,
+                "phases": {},
+                "counters": {},
+            }
+        kernel["launches"] += 1
+        kernel["work_items"] += record["n"]
+        kernel["seconds"] += record["seconds"]
+        kernel["energy_joules"] += record["energy_joules"]
+        for into, values in (("phases", record["phases"]), ("counters", record["counters"])):
+            section = kernel[into]
+            for name, value in values.items():
+                section[name] = section.get(name, 0) + value
+    return {name: _attributed(kernels[name]) for name in sorted(kernels)}
+
+
+def build_profile(events, counters: Optional[dict] = None, meta: Optional[dict] = None) -> dict:
+    """Fold an event list into the profile document.  ``counters`` is
+    the registry snapshot (``observer.counters.as_dict()``); omitted, it
+    is the fold of the stream's own ``counter`` events, which a telemetry
+    file carries and an observer's list does not."""
+    constructs = fold_constructs(events)
     doc = {
         "schema": PROFILE_SCHEMA_VERSION,
         "meta": dict(meta or {}),
@@ -124,10 +139,14 @@ def build_profile(observer, meta: Optional[dict] = None) -> dict:
             "attributed_seconds": sum(c["attributed_seconds"] for c in constructs),
         },
         "constructs": constructs,
-        "kernels": kernels,
-        "counters": observer.counters.as_dict(),
-        "passes": list(observer.pass_stats),
-        "spans": [span.to_dict() for span in observer.root.children],
+        "kernels": _fold_kernels(constructs),
+        "counters": fold_counters(events) if counters is None else counters,
+        "passes": [
+            {"name": e["name"], **{key: e[key] for key in PASS_FIELDS}}
+            for e in events
+            if e["kind"] == "pass"
+        ],
+        "spans": fold_spans(events)[0],
     }
     totals = doc["totals"]
     totals["attributed_fraction"] = (
@@ -202,7 +221,7 @@ def profile_workload(name: str, *args, observer=None, **kwargs) -> dict:
     outcome, meta = run_named_workload(name, observer, *args, **kwargs)
     if outcome.graph_stats is not None:
         meta["graph_stats"] = outcome.graph_stats.to_dict()
-    return build_profile(observer, meta=meta)
+    return build_profile(observer.events, observer.counters.as_dict(), meta=meta)
 
 
 def profile_to_csv(doc: dict) -> str:

@@ -1,18 +1,18 @@
 """Streaming telemetry: a bounded event ring plus pluggable sinks.
 
-Until this module, ``repro.obs`` was strictly post-hoc: profiles, Chrome
-traces and ledger snapshots all materialize *after* a run finishes, so a
-long-running process emits nothing while it runs and a trap loses every
-bit of in-flight context.  :class:`Telemetry` turns the existing
-:class:`~repro.obs.core.Observer` into a live event source:
+An :class:`~repro.obs.core.Observer` records its events in one list
+(:attr:`~repro.obs.core.Observer.events`); :class:`Telemetry` streams
+them out of the process as they happen, so a long-running process shows
+what it does while it runs and a trap keeps its in-flight context:
 
-* every span open/close, counter delta, construct launch, scheduler
-  decision, graph wave, declared-set violation and trap becomes one
-  structured event (a flat dict — see :data:`EVENT_KINDS`);
+* the observer stamps every event (a flat dict — see :data:`EVENT_KINDS`)
+  and feeds it, counter deltas included, to the attached pipeline;
 * events stream synchronously to any number of **sinks** (anything with
   an ``emit(event)``; :class:`JsonLinesSink` writes JSON lines) — the
   stream itself is lossless, so folding its ``counter`` events gives the
-  observer's registry exactly;
+  observer's registry exactly, and folding the rest gives the profile
+  and the Chrome trace (:func:`~repro.obs.profile.build_profile`,
+  :func:`~repro.obs.trace.build_trace`);
 * independently, the last ``ring_capacity`` events are retained in a
   bounded :class:`EventRing` — the flight recorder's postmortem window
   (:mod:`repro.obs.flight`).  Ring evictions are *counted*, never
@@ -27,16 +27,15 @@ Attachment is strictly opt-in, like the observer itself::
     rt = ConcordRuntime(program, observer=obs)
 
 A runtime without an observer pays nothing; an observer without
-telemetry pays one ``is not None`` check per counter flush and span
-edge.  The event schema is documented in ``docs/TELEMETRY.md`` and
-enforced by :func:`validate_event`.
+telemetry pays one ``is not None`` check per event and counter flush.
+The event schema is documented in ``docs/TELEMETRY.md`` and enforced by
+:func:`validate_event`.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import time
 from collections import deque
 
 from .schema import SchemaError, check, record
@@ -50,20 +49,24 @@ __all__ = [
     "validate_event",
 ]
 
-TELEMETRY_SCHEMA_VERSION = "repro.obs.telemetry/v1"
+TELEMETRY_SCHEMA_VERSION = "repro.obs.telemetry/v2"
 
-#: Every event kind the pipeline emits.  ``span_open``/``span_close``
-#: carry the span category (``graph_wave`` waves and ``graph_construct``
-#: virtual spans arrive through these); ``counter`` events are the
-#: forwarded :meth:`CounterRegistry.add` deltas; ``sched`` events are
-#: policy selections and hybrid chunk dispatches; ``violation`` events
-#: come from declared-set validation; ``trap`` events are written by the
-#: flight recorder as it captures a bundle.
+#: Every event kind the observer emits.  ``span_open`` carries the span
+#: category and its attributes, ``span_close`` its wall and simulated
+#: seconds (``graph_wave`` waves and ``graph_construct`` virtual spans
+#: arrive through these); ``counter`` events are the forwarded
+#: :meth:`CounterRegistry.add` deltas; ``launch`` is one parallel
+#: construct with its phases and harvested counters; ``pass`` one
+#: compiler-pass statistic; ``sched`` events are policy selections and
+#: hybrid chunk dispatches; ``violation`` events come from declared-set
+#: validation; ``trap`` events are written by the flight recorder as it
+#: captures a bundle.
 EVENT_KINDS = (
     "span_open",
     "span_close",
     "counter",
     "launch",
+    "pass",
     "sched",
     "violation",
     "trap",
@@ -100,49 +103,27 @@ class EventRing:
 
 
 class Telemetry:
-    """The streaming pipeline: stamps events, feeds the ring and sinks.
+    """The streaming pipeline: feeds each event to the ring and the sinks.
 
-    ``emit`` is the hot path; events are flat dicts —
+    Events arrive stamped by the observer —
 
-    ``{"seq": int, "t": float, "kind": str, "name": str, ...attrs}``
+    ``{"seq": int, "t": float, "kind": str, "name": str, ...fields}``
 
-    where ``t`` is seconds since this pipeline was created.  Sinks see
-    every event in order (the stream is lossless); only the bounded ring
+    where ``t`` is seconds since the observer's epoch.  Sinks see every
+    event in order (the stream is lossless); only the bounded ring
     forgets, and it counts what it forgot.
     """
 
-    __slots__ = ("ring", "sinks", "_seq", "_clock", "_epoch")
+    __slots__ = ("ring", "sinks")
 
-    def __init__(
-        self,
-        sinks=(),
-        ring_capacity: int = DEFAULT_RING_CAPACITY,
-        clock=time.perf_counter,
-    ):
+    def __init__(self, sinks=(), ring_capacity: int = DEFAULT_RING_CAPACITY):
         self.ring = EventRing(ring_capacity)
         self.sinks = list(sinks)
-        self._seq = 0
-        self._clock = clock
-        self._epoch = clock()
 
-    def emit(self, kind: str, name: str, **attrs) -> dict:
-        event = {
-            "seq": self._seq,
-            "t": self._clock() - self._epoch,
-            "kind": kind,
-            "name": name,
-        }
-        if attrs:
-            event.update(attrs)
-        self._seq += 1
+    def emit(self, event: dict) -> None:
         self.ring.append(event)
         for sink in self.sinks:
             sink.emit(event)
-        return event
-
-    def _on_counter(self, name: str, delta) -> None:
-        """Forwarding target installed into ``CounterRegistry._sink``."""
-        self.emit("counter", name, delta=delta)
 
     def flush(self) -> None:
         for sink in self.sinks:
@@ -197,8 +178,10 @@ class JsonLinesSink:
 #: Beyond the four keys every event carries, what a kind adds.
 _KIND_REQUIRES = {
     "counter": ["delta"],
-    "span_close": ["wall_seconds"],
-    "launch": ["device", "n", "seconds"],
+    "span_open": ["category"],
+    "span_close": ["wall_seconds", "sim_seconds"],
+    "launch": ["construct", "device", "n", "seconds", "energy_joules", "phases", "counters"],
+    "pass": ["runs", "changed", "skipped", "seconds", "verify_seconds"],
 }
 
 EVENT_SCHEMA = {

@@ -1,14 +1,15 @@
-"""Chrome ``trace_event`` export for an :class:`~repro.obs.core.Observer`.
+"""Chrome ``trace_event`` export: a fold of an observer's event list.
 
 Emits the JSON object form of the Trace Event Format (the one
 ``about://tracing`` and Perfetto load directly): ``traceEvents`` plus
 ``displayTimeUnit``/``otherData``.  Two threads of one process (plus two
 more when the run used the task-graph runtime):
 
-* **tid 0 — host (wall clock)**: every observer span as a complete
-  ("X") event, positioned by its epoch-relative start time.  Nesting
+* **tid 0 — host (wall clock)**: every span as a complete ("X") event,
+  positioned by its epoch-relative start time.  Nesting
   emerges from containment, exactly how Chrome renders same-tid stacks.
-* **tid 1 — device (simulated)**: the per-construct simulated timeline.
+* **tid 1 — device (simulated)**: the per-construct simulated timeline,
+  one construct per ``launch`` event.
   Simulated seconds have no wall-clock anchor, so constructs are laid
   out sequentially from zero, each with its attributed phases (jit,
   launch, reduce_tree, host_join) as nested events and its engine
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from .profile import fold_constructs, fold_spans
 from .schema import SchemaError, check, record
 
 TRACE_SCHEMA_VERSION = "repro.obs.trace/v1"
@@ -40,22 +42,24 @@ COUNTER_SERIES = (
 )
 
 
-def _span_events(span, depth: int) -> list:
-    events = [
-        {
-            "name": span.name,
-            "cat": span.category or "span",
-            "ph": "X",
-            "pid": 0,
-            "tid": 0,
-            "ts": span.start_seconds * 1e6,
-            "dur": span.wall_seconds * 1e6,
-            "args": dict(span.attrs, sim_seconds=span.sim_seconds),
-        }
-    ]
-    for child in span.children:
-        events.extend(_span_events(child, depth + 1))
-    return events
+def _walk(spans):
+    """Spans depth-first, each before its children."""
+    for span in spans:
+        yield span
+        yield from _walk(span.get("children", ()))
+
+
+def _span_event(span) -> dict:
+    return {
+        "name": span["name"],
+        "cat": span["category"] or "span",
+        "ph": "X",
+        "pid": 0,
+        "tid": 0,
+        "ts": span["start_seconds"] * 1e6,
+        "dur": span["wall_seconds"] * 1e6,
+        "args": dict(span.get("attrs", ()), sim_seconds=span["sim_seconds"]),
+    }
 
 
 def _construct_events(constructs) -> list:
@@ -63,10 +67,10 @@ def _construct_events(constructs) -> list:
     cursor = 0.0
     for record in constructs:
         start = cursor
-        dur = record.seconds * 1e6
+        dur = record["seconds"] * 1e6
         events.append(
             {
-                "name": f"{record.kernel} [{record.construct}]",
+                "name": f"{record['kernel']} [{record['construct']}]",
                 "cat": "construct",
                 "ph": "X",
                 "pid": 0,
@@ -74,14 +78,14 @@ def _construct_events(constructs) -> list:
                 "ts": start,
                 "dur": dur,
                 "args": {
-                    "device": record.device,
-                    "n": record.n,
-                    "energy_joules": record.energy_joules,
+                    "device": record["device"],
+                    "n": record["n"],
+                    "energy_joules": record["energy_joules"],
                 },
             }
         )
         phase_cursor = start
-        for phase, seconds in record.phases.items():
+        for phase, seconds in record["phases"].items():
             events.append(
                 {
                     "name": phase,
@@ -95,11 +99,8 @@ def _construct_events(constructs) -> list:
                 }
             )
             phase_cursor += seconds * 1e6
-        series = {
-            name: record.counters[name]
-            for name in COUNTER_SERIES
-            if name in record.counters
-        }
+        counters = record["counters"]
+        series = {name: counters[name] for name in COUNTER_SERIES if name in counters}
         if series:
             events.append(
                 {
@@ -121,35 +122,28 @@ def _construct_events(constructs) -> list:
 _GRAPH_TIDS = {"gpu": 2, "cpu": 3}
 
 
-def _graph_events(span, events: list, seen_tids: set) -> None:
-    """Task-graph construct spans, positioned by their *virtual* clocks
-    on one track per device — overlapping constructs genuinely overlap
-    in Perfetto, unlike the sequential tid-1 layout."""
-    if span.category == "graph_construct":
-        device = span.attrs.get("device", "gpu")
-        tid = _GRAPH_TIDS.get(device, 2)
-        start = span.attrs.get("virtual_start", 0.0)
-        finish = span.attrs.get("virtual_finish", start)
-        seen_tids.add(tid)
-        events.append(
-            {
-                "name": span.name,
-                "cat": "graph_construct",
-                "ph": "X",
-                "pid": 0,
-                "tid": tid,
-                "ts": max(0.0, start * 1e6),
-                "dur": max(0.0, (finish - start) * 1e6),
-                "args": dict(span.attrs),
-            }
-        )
-    for child in span.children:
-        _graph_events(child, events, seen_tids)
+def _graph_event(span) -> dict:
+    """A task-graph construct span, positioned by its *virtual* clocks
+    on its device's track — overlapping constructs genuinely overlap in
+    Perfetto, unlike the sequential tid-1 layout."""
+    attrs = span["attrs"]
+    start = attrs.get("virtual_start", 0.0)
+    finish = attrs.get("virtual_finish", start)
+    return {
+        "name": span["name"],
+        "cat": "graph_construct",
+        "ph": "X",
+        "pid": 0,
+        "tid": _GRAPH_TIDS.get(attrs.get("device", "gpu"), 2),
+        "ts": max(0.0, start * 1e6),
+        "dur": max(0.0, (finish - start) * 1e6),
+        "args": dict(attrs),
+    }
 
 
-def build_trace(observer, meta: Optional[dict] = None) -> dict:
-    """Assemble the Chrome-loadable trace document from an observer."""
-    events = [
+def build_trace(events, meta: Optional[dict] = None) -> dict:
+    """Fold an event list into the Chrome-loadable trace document."""
+    out = [
         {
             "name": "process_name",
             "ph": "M",
@@ -172,16 +166,14 @@ def build_trace(observer, meta: Optional[dict] = None) -> dict:
             "args": {"name": "device (simulated)"},
         },
     ]
-    for child in observer.root.children:
-        events.extend(_span_events(child, 0))
-    events.extend(_construct_events(observer.constructs))
-    graph_events: list = []
-    graph_tids: set = set()
-    _graph_events(observer.root, graph_events, graph_tids)
+    spans = list(_walk(fold_spans(events)[0]))
+    out.extend(_span_event(span) for span in spans)
+    out.extend(_construct_events(fold_constructs(events)))
+    graph_events = [_graph_event(s) for s in spans if s["category"] == "graph_construct"]
     if graph_events:
         names = {2: "gpu (graph virtual)", 3: "cpu (graph virtual)"}
-        for tid in sorted(graph_tids):
-            events.append(
+        for tid in sorted({event["tid"] for event in graph_events}):
+            out.append(
                 {
                     "name": "thread_name",
                     "ph": "M",
@@ -190,20 +182,20 @@ def build_trace(observer, meta: Optional[dict] = None) -> dict:
                     "args": {"name": names[tid]},
                 }
             )
-        events.extend(graph_events)
+        out.extend(graph_events)
     return {
         "schema": TRACE_SCHEMA_VERSION,
-        "traceEvents": events,
+        "traceEvents": out,
         "displayTimeUnit": "ms",
         "otherData": dict(meta or {}),
     }
 
 
-def write_trace(observer, path: str, meta: Optional[dict] = None) -> dict:
+def write_trace(events, path: str, meta: Optional[dict] = None) -> dict:
     """Build, validate and write a trace document; returns it."""
     import json
 
-    doc = build_trace(observer, meta)
+    doc = build_trace(events, meta)
     validate_trace(doc)
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(doc, handle, indent=1)

@@ -423,7 +423,7 @@ def _compile(source, config, module_name, store, observer) -> tuple:
         if store is not None:
             store.put("closure", program.program_id, program)
     if observer is not None:
-        observer.record_pass_stats(manager.stats.values())
+        observer.record_passes(manager.stats.values())
     return program, "miss"
 
 

@@ -563,15 +563,8 @@ class TaskGraph:
         obs = rt.obs
         if obs is not None:
             obs.counters.add("graph.declared_violations", total)
-            telemetry = obs.telemetry
-            if telemetry is not None:
-                for detail in details:
-                    telemetry.emit(
-                        "violation",
-                        record.kernel,
-                        construct_index=record.index,
-                        **detail,
-                    )
+            for detail in details:
+                obs.emit("violation", record.kernel, construct_index=record.index, **detail)
         first = details[0]
         message = (
             f"construct #{record.index} ({record.kernel}) touched "

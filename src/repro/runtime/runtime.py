@@ -35,7 +35,6 @@ runtime, so runtimes over one shared program object are independent.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
@@ -75,6 +74,19 @@ __all__ = [
 JIT_SECONDS_PER_INSTRUCTION = 5e-9
 #: Work-group size used for hierarchical reductions (section 3.3).
 REDUCTION_GROUP_SIZE = 16
+
+
+class _Unobserved:
+    """The span :meth:`ConcordRuntime._span` yields without an observer:
+    a site stamps ``sim_seconds`` on it and nothing reads it."""
+
+    __slots__ = ("sim_seconds",)
+
+    def __enter__(self) -> "_Unobserved":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        return False
 
 
 def _option(default, choices, what: str):
@@ -366,10 +378,11 @@ class ConcordRuntime:
     # -- observability helpers ---------------------------------------------
 
     def _span(self, name: str, category: str = "", **attrs):
-        """A phase span when an observer is attached, otherwise a no-op
-        context (the ``as`` target is then ``None``)."""
+        """A phase span when an observer is attached, otherwise an inert
+        one: either way a site may stamp ``sim_seconds`` on what the
+        ``with`` yields."""
         if self.obs is None:
-            return nullcontext()
+            return _Unobserved()
         return self.obs.span(name, category, **attrs)
 
     def _harvest_traces(self, traces) -> dict:
@@ -401,7 +414,6 @@ class ConcordRuntime:
 
     def _record_construct(
         self,
-        cspan,
         kernel_name: str,
         construct: str,
         device: str,
@@ -411,24 +423,18 @@ class ConcordRuntime:
         energy_joules: float,
         phases: dict,
         traces,
-        span_seconds=(),
         line_samples=(),
     ) -> None:
         """One construct's worth of observer bookkeeping, shared by every
-        backend and the hybrid scheduler: stamp simulated times onto the
-        phase spans, flush trace counters, record the launch profile and
-        the source-line samples.  Only called when an observer is
-        attached."""
-        for span, sim in span_seconds:
-            if span is not None:
-                span.sim_seconds = sim
-        if cspan is not None:
-            cspan.sim_seconds = seconds
-        self.obs.record_launch(
+        backend and the hybrid scheduler: flush trace counters, emit the
+        ``launch`` event and record the source-line samples.  Only called
+        when an observer is attached."""
+        self.obs.emit(
+            "launch",
             kernel_name,
-            construct,
-            device,
-            n,
+            construct=construct,
+            device=device,
+            n=n,
             seconds=seconds,
             energy_joules=energy_joules,
             phases=phases,

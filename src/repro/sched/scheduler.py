@@ -96,17 +96,15 @@ class Scheduler:
         if counters is not None:
             counters.add("sched.constructs")
             counters.add(f"sched.policy.{name}")
-            telemetry = rt.obs.telemetry
-            if telemetry is not None:
-                telemetry.emit(
-                    "sched",
-                    self.key_of(kinfo),
-                    decision="policy",
-                    policy=name,
-                    construct=construct,
-                    n=n,
-                    fallback=fallback,
-                )
+            rt.obs.emit(
+                "sched",
+                self.key_of(kinfo),
+                decision="policy",
+                policy=name,
+                construct=construct,
+                n=n,
+                fallback=fallback,
+            )
         report = POLICIES[name](rt, kinfo, n, body, construct)
         if fallback:
             report.fallback_reason = fallback
@@ -217,17 +215,9 @@ class Scheduler:
             if counters is not None:
                 counters.add(f"sched.chunks.{device}")
                 counters.add(f"sched.items.{device}", size)
-                telemetry = rt.obs.telemetry
-                if telemetry is not None:
-                    telemetry.emit(
-                        "sched",
-                        key,
-                        decision="chunk",
-                        device=device,
-                        chunk=index,
-                        lo=lo,
-                        items=size,
-                    )
+                rt.obs.emit(
+                    "sched", key, decision="chunk", device=device, chunk=index, lo=lo, items=size
+                )
             if counters is not None:
                 share = self.gpu_share(key)
                 if last_share is not None and abs(share - last_share) > REPARTITION_DELTA:

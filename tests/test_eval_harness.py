@@ -58,14 +58,14 @@ class TestMeasurement:
         )
 
     def test_an_observed_measurement_equals_an_unobserved_one(self, measurement):
-        from repro.obs import Observer
+        from repro.obs import Observer, build_profile
 
         workloads = all_workloads()
         observer = Observer()
         observed = measure_workload(
             workloads["BTree"], ultrabook(), scale=0.15, observer=observer
         )
-        assert observer.constructs  # a complete execution was seen ...
+        assert build_profile(observer.events)["constructs"]  # a complete execution was seen ...
         assert observed == measurement  # ... and observing moves no number
 
     def test_observer_goes_down_as_an_argument(self, monkeypatch):

@@ -17,6 +17,7 @@ from repro.fuzz.driver import TARGETS, FuzzDriver
 from repro.fuzz.oracle import _run_graph_dag
 from repro.gpu.timing import DeviceReport
 from repro.obs import Observer, build_trace, validate_trace
+from repro.obs.profile import fold_constructs, fold_spans
 from repro.passes import OptConfig
 from repro.runtime import (
     ConcordRuntime,
@@ -355,9 +356,9 @@ class TestNineWorkloadIdentity:
         assert [r.seconds for r in graph_reports] == [
             r.seconds for r in sync_reports
         ]
-        key = lambda rec: (rec.kernel, rec.construct, rec.device, rec.n, rec.seconds)
-        assert [key(r) for r in graph_obs.constructs] == [
-            key(r) for r in sync_obs.constructs
+        key = lambda rec: (rec["kernel"], rec["construct"], rec["device"], rec["n"], rec["seconds"])
+        assert [key(r) for r in fold_constructs(graph_obs.events)] == [
+            key(r) for r in fold_constructs(sync_obs.events)
         ]
 
 
@@ -484,6 +485,18 @@ class TestReportMergeAlgebra:
         assert legacy.per_device_seconds() == {"gpu": 2.0, "cpu": 2.0}
 
 
+def _spans(observer, category) -> list:
+    """The spans of ``category`` folded from the observer's events,
+    depth-first."""
+
+    def walk(spans):
+        for span in spans:
+            yield span
+            yield from walk(span.get("children", ()))
+
+    return [s for s in walk(fold_spans(observer.events)[0]) if s["category"] == category]
+
+
 class TestObservabilityAndTrace:
     def test_graph_counters_and_wave_spans(self):
         from repro.ir.types import I32
@@ -501,12 +514,12 @@ class TestObservabilityAndTrace:
         assert counters.get("graph.executed") == 3
         assert counters.get("graph.waves") == 2
         assert stats.edges["raw"] >= 1
-        waves = observer.spans("graph_wave")
+        waves = _spans(observer, "graph_wave")
         assert len(waves) == 2
-        constructs = observer.spans("graph_construct")
+        constructs = _spans(observer, "graph_construct")
         assert len(constructs) == 3
         for span in constructs:
-            assert span.attrs["virtual_finish"] >= span.attrs["virtual_start"]
+            assert span["attrs"]["virtual_finish"] >= span["attrs"]["virtual_start"]
 
     def test_trace_has_virtual_device_tracks(self):
         from repro.ir.types import I32
@@ -516,7 +529,7 @@ class TestObservabilityAndTrace:
         x = rt.new_array(I32, 32)
         rt.submit(32, _incr(rt, x), reads=[x], writes=[x])
         rt.wait()
-        doc = build_trace(observer)
+        doc = build_trace(observer.events)
         validate_trace(doc)
         virtual = [
             e
@@ -540,7 +553,7 @@ class TestObservabilityAndTrace:
 
         x = rt.new_array(I32, 8)
         rt.parallel_for_hetero(8, _incr(rt, x))
-        doc = build_trace(observer)
+        doc = build_trace(observer.events)
         validate_trace(doc)
         assert not any(
             e.get("cat") == "graph_construct" for e in doc["traceEvents"]

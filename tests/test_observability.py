@@ -41,6 +41,7 @@ from repro.obs import (
     profile_workload,
     validate_profile,
 )
+from repro.obs.profile import fold_spans
 from repro.runtime import ConcordRuntime, OptConfig, compile_source, ultrabook
 from repro.runtime.compiler import ConcordWarning
 
@@ -95,25 +96,39 @@ class TestCounterRegistry:
 # -- spans ------------------------------------------------------------------
 
 
+def _spans(events) -> list:
+    """Every span folded from ``events``, depth-first."""
+
+    def walk(spans):
+        for span in spans:
+            yield span
+            yield from walk(span.get("children", ()))
+
+    return list(walk(fold_spans(events)[0]))
+
+
 class TestSpans:
+    """Spans are folded from the observer's open/close events."""
+
     def test_nesting_and_categories(self):
         obs = Observer()
-        with obs.span("outer", "construct", n=4) as outer:
+        with obs.span("outer", "construct", n=4):
             with obs.span("inner", "phase"):
                 pass
-            assert obs.current_span is outer
-        assert obs.current_span is obs.root
-        assert [s.name for s in obs.spans()] == ["outer", "inner"]
-        assert [s.name for s in obs.spans("phase")] == ["inner"]
-        assert outer.attrs == {"n": 4}
-        assert outer.children[0].name == "inner"
-        assert outer.wall_seconds >= outer.children[0].wall_seconds >= 0.0
+            assert [s["name"] for s in fold_spans(obs.events)[1]] == ["outer"]
+        assert fold_spans(obs.events)[1] == []
+        assert [s["name"] for s in _spans(obs.events)] == ["outer", "inner"]
+        assert [s["name"] for s in _spans(obs.events) if s["category"] == "phase"] == ["inner"]
+        outer = _spans(obs.events)[0]
+        assert outer["attrs"] == {"n": 4}
+        assert outer["children"][0]["name"] == "inner"
+        assert outer["wall_seconds"] >= outer["children"][0]["wall_seconds"] >= 0.0
 
     def test_to_dict_round_trip(self):
         obs = Observer()
         with obs.span("a", "phase") as span:
             span.sim_seconds = 1.5
-        doc = obs.root.children[0].to_dict()
+        doc = build_profile(obs.events)["spans"][0]
         assert doc["name"] == "a"
         assert doc["sim_seconds"] == 1.5
         assert doc["wall_seconds"] >= 0.0
@@ -125,11 +140,12 @@ class TestSpans:
 class TestProfileDocument:
     def _observer_with_launch(self, seconds=1.0, attributed=1.0):
         obs = Observer()
-        obs.record_launch(
+        obs.emit(
+            "launch",
             "kernel.K",
-            "for",
-            "gpu",
-            8,
+            construct="for",
+            device="gpu",
+            n=8,
             seconds=seconds,
             energy_joules=2.0,
             phases={"launch": attributed},
@@ -139,7 +155,7 @@ class TestProfileDocument:
 
     def test_build_and_validate(self):
         obs = self._observer_with_launch()
-        doc = build_profile(obs, meta={"workload": "X"})
+        doc = build_profile(obs.events, obs.counters.as_dict(), meta={"workload": "X"})
         validate_profile(doc)
         assert doc["schema"] == PROFILE_SCHEMA_VERSION
         assert doc["totals"]["constructs"] == 1
@@ -149,13 +165,13 @@ class TestProfileDocument:
 
     def test_validation_rejects_leaky_attribution(self):
         obs = self._observer_with_launch(seconds=1.0, attributed=0.5)
-        doc = build_profile(obs)
+        doc = build_profile(obs.events, obs.counters.as_dict())
         with pytest.raises(SchemaError, match="leaking"):
             validate_profile(doc)
         validate_profile(doc, min_attributed_fraction=0.4)
 
     def test_validation_rejects_wrong_schema(self):
-        doc = build_profile(Observer())
+        doc = build_profile(Observer().events)
         doc["schema"] = "other/v0"
         with pytest.raises(SchemaError, match="schema"):
             validate_profile(doc)
@@ -185,7 +201,7 @@ class TestProfileDocument:
         with obs.span("outer"):
             with obs.span("inner", category="phase"):
                 pass
-        doc = json.loads(json.dumps(build_profile(obs)))
+        doc = json.loads(json.dumps(build_profile(obs.events, obs.counters.as_dict())))
         validate_profile(doc)
         target = doc
         for key in path[:-1]:
@@ -232,10 +248,11 @@ class TestProfileDocument:
     def test_kernel_profile_aggregates_launches(self):
         obs = Observer()
         for _ in range(3):
-            obs.record_launch(
-                "kernel.K", "for", "gpu", 5, 1.0, 0.5, {"launch": 1.0}
+            obs.emit(
+                "launch", "kernel.K", construct="for", device="gpu", n=5,
+                seconds=1.0, energy_joules=0.5, phases={"launch": 1.0}, counters={},
             )
-        profile = build_profile(obs)["kernels"]["kernel.K"]
+        profile = build_profile(obs.events)["kernels"]["kernel.K"]
         assert profile["launches"] == 3
         assert profile["work_items"] == 15
         assert profile["seconds"] == pytest.approx(3.0)
@@ -462,7 +479,7 @@ class TestObserverDoesNotPerturb:
             profile_workload("bfs", scale=0.1, observer=observer)
         assert observer.counters.get("obs.span_ns") > 0
         flushes = observer.counters.get("obs.counter_flushes")
-        assert flushes == len(observer.constructs)
+        assert flushes == len(build_profile(observer.events)["constructs"])
 
 
 # -- CLI --------------------------------------------------------------------

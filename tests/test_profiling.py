@@ -258,7 +258,7 @@ class TestTraceExport:
 
     def test_round_trip_validates(self):
         observer = self._observed_profile()
-        doc = build_trace(observer, meta={"workload": "BFS"})
+        doc = build_trace(observer.events, meta={"workload": "BFS"})
         validate_trace(doc)
         reloaded = json.loads(json.dumps(doc))
         validate_trace(reloaded)
@@ -279,7 +279,7 @@ class TestTraceExport:
 
     def test_device_timeline_is_sequential(self):
         observer = self._observed_profile()
-        doc = build_trace(observer)
+        doc = build_trace(observer.events)
         constructs = [
             e
             for e in doc["traceEvents"]
@@ -292,7 +292,7 @@ class TestTraceExport:
 
     def test_validator_rejects_malformed_events(self):
         observer = self._observed_profile()
-        doc = build_trace(observer)
+        doc = build_trace(observer.events)
         bad = json.loads(json.dumps(doc))
         bad["traceEvents"][3]["dur"] = -1.0
         bad["traceEvents"][4].pop("name")

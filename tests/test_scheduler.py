@@ -11,6 +11,7 @@ import pytest
 from repro.fuzz import divergences, generate_source_program
 from repro.gpu.timing import DeviceReport
 from repro.obs import Observer
+from repro.obs.profile import fold_spans
 from repro.passes import OptConfig
 from repro.runtime import ConcordRuntime, compile_source, ultrabook
 from repro.runtime.runtime import ExecutionReport
@@ -194,7 +195,7 @@ class TestHistory:
             workload.execute(
                 None, ultrabook(), scale=0.1, validate=False, observer=observer
             )
-        doc = build_profile(observer)
+        doc = build_profile(observer.events)
         workload2 = WORKLOADS["BFS"]()
         rt = workload2.make_runtime(OptConfig.gpu_all(), ultrabook())
         seeded = rt.scheduler.seed_from_profile(rt, doc)
@@ -220,7 +221,7 @@ class TestHistory:
                     program, ultrabook(), observer=observer, policy=policy, engine=engine
                 )
                 _run_incr(rt, 256)
-            return build_profile(observer, meta={"engine": engine})
+            return build_profile(observer.events, meta={"engine": engine})
 
         rows = []
         for engine in ("vector", "compiled"):
@@ -341,18 +342,22 @@ class TestDeviceTotals:
             state = workload.build(rt, 0.2)
             reports = workload.run(rt, state, on_cpu=False)
         assert any(r.device == ("hybrid" if policy == "hybrid" else "gpu") for r in reports)
-        constructs = observer.spans("construct")
+        constructs = [
+            span
+            for span in fold_spans(observer.events)[0]
+            if span["category"] == "construct"
+        ]
         assert len(constructs) == len(reports)
         trees = 0
         for report, construct in zip(reports, constructs):
-            phases = {phase.name: phase for phase in construct.children}
+            phases = {phase["name"]: phase for phase in construct["children"]}
             gpu = sum(
-                chunk.sim_seconds
-                for chunk in phases["launch"].children
-                if chunk.name == "launch:gpu"
+                chunk["sim_seconds"]
+                for chunk in phases["launch"]["children"]
+                if chunk["name"] == "launch:gpu"
             )
             if "reduce_tree" in phases:
-                gpu += phases["reduce_tree"].sim_seconds
+                gpu += phases["reduce_tree"]["sim_seconds"]
                 trees += 1
             assert report.per_device_seconds().get("gpu", 0.0) == pytest.approx(gpu)
         assert trees > 0

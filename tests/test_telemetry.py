@@ -20,6 +20,8 @@ from repro.obs import (
     Observer,
     SchemaError,
     Telemetry,
+    build_profile,
+    build_trace,
     build_watch_report,
     flight_guard,
     render_watch_report,
@@ -129,7 +131,7 @@ class TestEventRing:
         telemetry = Telemetry(ring_capacity=4)
         observer.attach_telemetry(telemetry)
         for i in range(10):
-            telemetry.emit("sched", f"e{i}")
+            observer.emit("sched", f"e{i}")
         ring = telemetry.ring
         assert len(ring) == 4
         assert ring.dropped == 6
@@ -144,7 +146,7 @@ class TestEventRing:
         telemetry = Telemetry(sinks=[sink], ring_capacity=2)
         observer.attach_telemetry(telemetry)
         for i in range(50):
-            telemetry.emit("sched", f"e{i}")
+            observer.emit("sched", f"e{i}")
         assert telemetry.ring.dropped == 48
         assert sink.kinds("counter") == 0
         assert len(sink.events) == 50  # sinks are lossless
@@ -187,10 +189,10 @@ class TestEventRing:
 
 class TestTelemetryPipeline:
     def test_event_shape_and_monotone_seq(self):
-        telemetry = Telemetry()
-        a = telemetry.emit("span_open", "compile", category="compiler")
-        b = telemetry.emit("span_close", "compile", category="compiler",
-                           wall_seconds=0.5)
+        observer = Observer()
+        a = observer.emit("span_open", "compile", category="compiler")
+        b = observer.emit("span_close", "compile", category="compiler",
+                          wall_seconds=0.5, sim_seconds=0.0)
         assert a["seq"] == 0 and b["seq"] == 1
         assert a["kind"] == "span_open" and a["name"] == "compile"
         assert b["wall_seconds"] == 0.5
@@ -219,8 +221,11 @@ class TestTelemetryPipeline:
         path = tmp_path / "events.jsonl"
         sink = JsonLinesSink(path)
         telemetry = Telemetry(sinks=[sink])
-        telemetry.emit("launch", "k", device="gpu", n=8, seconds=1e-3)
-        telemetry.emit("counter", "engine.instructions", delta=42)
+        observer = Observer()
+        observer.attach_telemetry(telemetry)
+        observer.emit("launch", "k", construct="for", device="gpu", n=8, seconds=1e-3,
+                      energy_joules=0.0, phases={"launch": 1e-3}, counters={})
+        observer.counters.add("engine.instructions", 42)
         telemetry.close()
         lines = path.read_text().splitlines()
         assert sink.events_written == 2 and len(lines) == 2
@@ -264,7 +269,7 @@ def _stream_matches_registry(name, engine, **execute_kwargs):
             engine=engine, **execute_kwargs,
         )
     assert sink.counter_totals() == observer.counters.as_dict()
-    assert sink.kinds("launch") == len(observer.constructs)
+    assert sink.kinds("launch") == len(build_profile(observer.events)["constructs"])
     # the ring forgets what overflows it, and counts it there alone
     ring = telemetry.ring
     assert ring.dropped == max(0, len(sink.events) - ring.capacity)
@@ -308,6 +313,100 @@ class TestStreamMatchesRegistry:
         assert {c["device"] for c in chunks} <= {"cpu", "gpu"}
         assert all(c["items"] > 0 and c["lo"] >= 0 for c in chunks)
         assert sink.counter_totals() == observer.counters.as_dict()
+
+
+def _json(value):
+    """``value`` as a JSON file holds it."""
+    return json.loads(json.dumps(value))
+
+
+def _observed():
+    observer = Observer()
+    sink = ListSink()
+    observer.attach_telemetry(Telemetry(sinks=[sink]))
+    return observer, sink
+
+
+def _assert_documents_are_folds(observer, sink, doc) -> dict:
+    """Folding the stream as a file holds it gives ``doc``, the profile
+    the observer built, meta aside (counters included), and the
+    observer's Chrome trace; returns the folded profile."""
+    events = _json(sink.events)
+    validate_events(events)
+    expected = _json(doc)
+    del expected["meta"]
+    folded = _json(build_profile(events))
+    del folded["meta"]
+    assert folded == expected
+    assert _json(build_trace(events)) == _json(build_trace(observer.events))
+    return folded
+
+
+def _all_spans(spans):
+    for span in spans:
+        yield span
+        yield from _all_spans(span.get("children", ()))
+
+
+class TestDocumentsAreFoldsOfTheStream:
+    """The stream carries everything the documents hold: span attributes
+    and simulated seconds, each construct's phases and counters, the
+    pass statistics and the counter deltas."""
+
+    @pytest.mark.parametrize(
+        "name, options",
+        [
+            ("bfs", {"policy": "hybrid", "graph": True}),
+            ("clothphysics", {}),
+            ("clothphysics", {"on_cpu": True}),
+        ],
+        ids=["bfs-hybrid-graph", "clothphysics-gpu", "clothphysics-cpu"],
+    )
+    def test_workload(self, name, options):
+        from repro.obs import profile_workload
+
+        observer, sink = _observed()
+        doc = profile_workload(name, scale=0.05, observer=observer, **options)
+        folded = _assert_documents_are_folds(observer, sink, doc)
+        assert folded["passes"] and folded["constructs"]
+        assert all(c["phases"] and c["counters"] for c in folded["constructs"])
+        constructs = [s for s in _all_spans(folded["spans"]) if s["category"] == "construct"]
+        assert constructs and all(s["attrs"] and s["sim_seconds"] > 0 for s in constructs)
+        if options.get("graph"):
+            assert sink.kinds("sched") > 0
+            assert any(s["category"] == "graph_construct" for s in _all_spans(folded["spans"]))
+
+    def test_a_declared_set_violation(self):
+        observer, sink = _observed()
+        rt, arr, body = _incr_runtime(observer=observer, declared_check="warn")
+        half = (arr.addr, 8 * I32.size())
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rt.submit(16, body, reads=[half], writes=[half]).result()
+        rt.wait()
+        assert sink.kinds("violation") > 0
+        assert any(e["kind"] == "violation" for e in observer.events)
+        doc = build_profile(observer.events, observer.counters.as_dict())
+        _assert_documents_are_folds(observer, sink, doc)
+
+    def test_the_files_of_the_command_line(self, tmp_path):
+        """``repro profile --events --trace --output``: the profile and
+        trace folded from the events file equal the written ones, the
+        trace byte for byte."""
+        from repro.__main__ import main
+
+        events_path = tmp_path / "e.jsonl"
+        trace_path = tmp_path / "t.json"
+        profile_path = tmp_path / "p.json"
+        assert main([
+            "profile", "bfs", "--scale", "0.1", "--events", str(events_path),
+            "--trace", str(trace_path), "--output", str(profile_path),
+        ]) == 0
+        events = [json.loads(line) for line in events_path.read_text().splitlines()]
+        profile = json.loads(profile_path.read_text())
+        assert build_profile(events, meta=profile["meta"]) == profile
+        trace = build_trace(events, meta=profile["meta"])
+        assert json.dumps(trace, indent=1) == trace_path.read_text()
 
 
 class TestTelemetryDoesNotPerturb:
@@ -457,6 +556,41 @@ class TestFlightRecorder:
         assert doc["events_dropped"] == telemetry.ring.dropped == 13
         assert len(doc["events"]) == 8 and doc["events"][-1]["kind"] == "trap"
         assert doc["counters"] == {"x.hits": 20}
+
+    def test_a_trap_inside_a_construct_reads_the_fold(self, tmp_path, monkeypatch):
+        """A bundle captured while ``run_construct`` is on the stack names
+        the spans the observer's events leave open, and its construct
+        tail is the profile's."""
+        from repro.backend.gpu import GpuBackend
+        from repro.obs.flight import CONSTRUCT_TAIL
+
+        observer = Observer()
+        observer.attach_telemetry(Telemetry())
+        rt, _, body = _incr_runtime(observer=observer)
+        for _ in range(3):
+            rt.parallel_for_hetero(16, body)
+        recorder = FlightRecorder(tmp_path, observer=observer)
+        launch = GpuBackend.launch
+        bundles = []
+
+        def recording_launch(backend, rt, *args, **kwargs):
+            try:
+                return launch(backend, rt, *args, **kwargs)
+            except Exception as exc:
+                bundles.append(recorder.record(exc, runtime=rt))
+                raise
+
+        monkeypatch.setattr(GpuBackend, "launch", recording_launch)
+        trap_rt = ConcordRuntime(_compile(TRAP_SRC), ultrabook(), observer=observer)
+        self._trap(trap_rt, trap_rt.new("Deref"))
+        doc = json.loads(open(bundles[0]).read())
+        validate_flight_bundle(doc)
+        assert doc["open_spans"] == ["construct:kernel.Deref.gpu", "launch", "launch:gpu"]
+        constructs = build_profile(observer.events)["constructs"]
+        assert len(constructs) == 3
+        assert doc["constructs"] == _json(constructs[-CONSTRUCT_TAIL:])
+        assert doc["events"][-1]["kind"] == "trap"
+        assert observer.events[-1]["kind"] == "span_close"  # the trap unwound
 
     def test_record_without_observer(self, tmp_path):
         path = FlightRecorder(tmp_path).record(ValueError("plain"))
