@@ -228,14 +228,7 @@ def run_construct(rt, kinfo, n: int, body, construct: str, plan: Plan):
         seconds = cspan.sim_seconds = total.seconds + jit_seconds + phases.get("host_join", 0.0)
 
     if rt.obs is not None:
-        line_samples = [
-            (kinfo.gpu_kernel, "gpu", traces["gpu"]),
-            (kinfo.kernel, "cpu", traces["cpu"]),
-        ]
-        host = []
-        if join is not None and join.host_trace is not None:
-            host = [join.host_trace]
-            line_samples.append((join.host_fn, "cpu", host))
+        host = [join.host_trace] if join is not None and join.host_trace is not None else []
         rt._record_construct(
             kernel.name,
             construct,
@@ -244,8 +237,7 @@ def run_construct(rt, kinfo, n: int, body, construct: str, plan: Plan):
             seconds=seconds,
             energy_joules=total.energy_joules,
             phases=phases,
-            traces=traces["gpu"] + traces["cpu"] + host,
-            line_samples=[sample for sample in line_samples if sample[2]],
+            traces=[*traces.items(), ("cpu", host)],
         )
     # A split's per-device occupancy lets the task graph overlap its
     # halves with other constructs; one device's is the report itself.

@@ -130,7 +130,6 @@ class CpuBackend:
                 seconds=report.seconds,
                 energy_joules=report.energy_joules,
                 phases={"launch": report.seconds},
-                traces=traces,
-                line_samples=[(kinfo.kernel, "cpu", traces)],
+                traces=[("cpu", traces)],
             )
         return _runtime_mod().ExecutionReport(device="cpu", n=n, report=report)

@@ -43,7 +43,6 @@ class JoinResult:
     joined: bool = False
     local_cycles: float = 0.0
     local_seconds: float = 0.0
-    host_fn: object = None
     host_trace: object = None
     #: the host join priced by the CPU model (only under an observer)
     host_seconds: float = 0.0
@@ -205,10 +204,9 @@ class GpuBackend:
         # stand-in), counting blocks but no events.  The host join's
         # simulated cost is only measured for the profile —
         # ExecutionReport keeps its historical meaning (device time + JIT).
-        result.host_fn = kinfo.join_kernel or join_fn
         with rt._span("host_join", "phase") as host_span:
             host_trace = run_lanes(
-                rt, "cpu", result.host_fn, range(num_groups),
+                rt, "cpu", kinfo.join_kernel or join_fn, range(num_groups),
                 lambda group_index: [body_addr, copies[group_index * group]], None,
                 allocator=rt.allocator, collect_mem_events=False,
             )

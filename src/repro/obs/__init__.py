@@ -22,13 +22,14 @@ run their original code paths untouched.
 The observer records each fact once: an event in ``Observer.events``
 (span edges, construct launches, pass statistics, scheduler decisions,
 violations, traps) or a counter in its registry.  The profile
-(:func:`build_profile`) and the Chrome trace (:func:`build_trace`) are
-folds of an event list, so a telemetry file rebuilds both exactly.
+(:func:`build_profile`), the Chrome trace (:func:`build_trace`) and the
+line report (:func:`build_line_report`, given the program) are folds of
+an event list, so a telemetry file rebuilds all three exactly.
 
 Built on top of the observer:
 
 * :mod:`repro.obs.lines` — source-line attribution of modeled cost
-  (``python -m repro annotate``), from the observer's ``line_samples``;
+  (``python -m repro annotate``), a fold of the ``launch`` events' blocks;
 * :mod:`repro.obs.trace` — Chrome ``trace_event`` export (``--trace``);
 * :mod:`repro.obs.telemetry` — live streaming of every event and counter
   delta through pluggable sinks and a bounded event ring

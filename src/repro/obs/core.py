@@ -14,12 +14,14 @@ Two records, one per kind of fact:
   each stamped with one ``seq`` and with ``t``, seconds since the
   observer's epoch: span edges (``span_open`` with the span's attributes,
   ``span_close`` with its wall and simulated seconds), one ``launch`` per
-  parallel construct with its phases and harvested counters, one
-  ``pass`` per compiler-pass statistic, scheduler decisions, declared-set
-  violations and flight-recorder traps (:data:`~repro.obs.telemetry.EVENT_KINDS`).
-  The profile, the Chrome trace and a flight bundle's construct tail and
-  open spans are folds of it (:mod:`repro.obs.profile`,
-  :mod:`repro.obs.trace`).
+  parallel construct with its phases, harvested counters, program id and
+  executed-block histogram, one ``pass`` per compiler-pass statistic,
+  scheduler decisions, declared-set violations and flight-recorder traps
+  (:data:`~repro.obs.telemetry.EVENT_KINDS`).  The profile, the Chrome
+  trace, the line report and a flight bundle's construct tail and open
+  spans are folds of it (:mod:`repro.obs.profile`,
+  :mod:`repro.obs.trace`, :mod:`repro.obs.lines`).  Events hold names,
+  never IR objects, so an observer pins no compiled module.
 * :class:`CounterRegistry` — a flat name -> integer/float map with an
   ``add`` hot path; the engines, cache models, private-memory pool and
   code cache publish into it (instructions, flops, mem events
@@ -137,10 +139,6 @@ class Observer:
         self.counters = CounterRegistry()
         #: every emitted event but the counter deltas, in ``seq`` order
         self.events: list[dict] = []
-        #: per-launch (kernel IR function, device, merged block counts)
-        #: samples for post-hoc source-line attribution — see
-        #: :mod:`repro.obs.lines`.
-        self.line_samples: list = []
         #: optional streaming pipeline (:class:`repro.obs.telemetry.Telemetry`)
         #: fed every event, counter deltas included
         self.telemetry = None
@@ -194,18 +192,7 @@ class Observer:
             fields["attrs"] = attrs
         return _SpanHandle(self, name, fields)
 
-    # -- line samples and pass statistics ---------------------------------
-
-    def record_kernel_trace(self, kernel, device: str, block_counts: dict) -> None:
-        """Keep one launch's executed-block histogram for line attribution.
-
-        ``kernel`` is the IR :class:`~repro.ir.values.Function` that ran
-        (its module is kept alive through it); ``block_counts`` maps block
-        uid -> times executed, merged across all work items of the launch.
-        Attribution happens lazily in :mod:`repro.obs.lines` — recording is
-        a single append, so observed runs stay cheap.
-        """
-        self.line_samples.append((kernel, device, block_counts))
+    # -- pass statistics ---------------------------------------------------
 
     def record_passes(self, stats) -> None:
         """Emit one ``pass`` event per

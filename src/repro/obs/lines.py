@@ -2,13 +2,15 @@
 
 The frontend stamps every IR instruction with a ``loc`` — a tuple of
 ``(line, col)`` frames, innermost first, extended by inlining with the
-call site's frames (the LLVM ``inlinedAt`` shape).  The runtime records
-one ``(kernel, device, block_counts)`` sample per launch
-(:meth:`repro.obs.core.Observer.record_kernel_trace`): the executed-block
-histogram merged over all work items.  Because every instruction of a
-block executes exactly as many times as its block, the whole per-line
-cost model is reconstructible *post hoc* from the static kernel IR and
-that histogram — the engines do zero extra per-instruction work.
+call site's frames (the LLVM ``inlinedAt`` shape).  Each ``launch`` event
+carries its program's ``program_id`` and its executed-block histogram,
+merged over all work items, as ``blocks``: ``[device, function name,
+block index, count]`` rows.  Because every instruction of a block executes
+exactly as many times as its block, the whole per-line cost model is
+reconstructible *post hoc* from the static IR and those rows — the
+engines do zero extra per-instruction work, and the report is a fold of
+the event stream: of an observer's ``events`` or of a telemetry file,
+resolved against any compile of the same program.
 
 Cost units per executed instruction:
 
@@ -31,24 +33,6 @@ from __future__ import annotations
 from typing import Optional
 
 LINES_SCHEMA_VERSION = "repro.obs.lines/v1"
-
-
-def _blocks_by_uid(module, cache: dict) -> dict:
-    """uid -> (block, function) over every function in ``module``.
-
-    Block uids are globally unique (``itertools.count``), so one launch's
-    histogram can span several functions of the module — e.g. a reduce
-    body plus its join — and still resolve unambiguously.
-    """
-    key = id(module)
-    found = cache.get(key)
-    if found is None:
-        found = {}
-        for function in module.functions.values():
-            for block in function.blocks:
-                found[block.uid] = (block, function)
-        cache[key] = found
-    return found
 
 
 def _new_bucket() -> dict:
@@ -85,8 +69,11 @@ def _charge(bucket: dict, instr, count: int, device: str, slots: float) -> None:
         bucket["devirt_hits"] += count
 
 
-def build_line_report(observer, meta: Optional[dict] = None) -> dict:
-    """Fold an observer's launch samples into a per-line report document.
+def build_line_report(events, program, meta: Optional[dict] = None) -> dict:
+    """Fold the ``launch`` events of one program (matched by its
+    ``program_id``) into a per-line report document; ``program`` is that
+    :class:`~repro.runtime.compiler.CompiledProgram`, here or freshly
+    compiled in another process.
 
     Unlocated instructions (hand-built IR, synthesized glue that no pass
     could anchor) land in an explicit ``unattributed`` bucket rather than
@@ -95,22 +82,15 @@ def build_line_report(observer, meta: Optional[dict] = None) -> dict:
     """
     from ..gpu.timing import _instruction_slots
 
+    module = program.module
     per_line: dict[int, dict] = {}
     unattributed = _new_bucket()
-    module_cache: dict = {}
-    source_text = ""
 
-    for kernel, device, block_counts in observer.line_samples:
-        module = kernel.module
-        if module is not None and getattr(module, "source_text", ""):
-            source_text = module.source_text
-        resolve = _blocks_by_uid(module, module_cache) if module is not None else {}
-        for uid, count in block_counts.items():
-            found = resolve.get(uid)
-            if found is None:
-                continue
-            block, _function = found
-            for instr in block.instructions:
+    for event in events:
+        if event["kind"] != "launch" or event["program"] != program.program_id:
+            continue
+        for device, function, index, count in event["blocks"]:
+            for instr in module.functions[function].blocks[index].instructions:
                 slots = _instruction_slots(instr) if device == "gpu" else 1.0
                 loc = instr.loc
                 if loc:
@@ -144,7 +124,7 @@ def build_line_report(observer, meta: Optional[dict] = None) -> dict:
         attributed_units / totals["units"] if totals["units"] > 0 else 1.0
     )
 
-    source_lines = source_text.splitlines()
+    source_lines = module.source_text.splitlines()
     lines = sorted(per_line.values(), key=lambda b: (-b["units"], b["line"]))
     for bucket in lines:
         index = bucket["line"] - 1
@@ -169,8 +149,8 @@ def annotate_workload(name: str, *args, observer=None, **kwargs) -> dict:
     from .profile import run_named_workload
 
     observer = observer if observer is not None else Observer()
-    _outcome, meta = run_named_workload(name, observer, *args, **kwargs)
-    return build_line_report(observer, meta=meta)
+    outcome, meta = run_named_workload(name, observer, *args, **kwargs)
+    return build_line_report(observer.events, outcome.program, meta=meta)
 
 
 def render_line_report(doc: dict, top: int = 20) -> str:

@@ -49,14 +49,15 @@ __all__ = [
     "validate_event",
 ]
 
-TELEMETRY_SCHEMA_VERSION = "repro.obs.telemetry/v2"
+TELEMETRY_SCHEMA_VERSION = "repro.obs.telemetry/v3"
 
 #: Every event kind the observer emits.  ``span_open`` carries the span
 #: category and its attributes, ``span_close`` its wall and simulated
 #: seconds (``graph_wave`` waves and ``graph_construct`` virtual spans
 #: arrive through these); ``counter`` events are the forwarded
 #: :meth:`CounterRegistry.add` deltas; ``launch`` is one parallel
-#: construct with its phases and harvested counters; ``pass`` one
+#: construct with its phases, harvested counters, ``program`` id and
+#: executed ``blocks`` (the line report's input); ``pass`` one
 #: compiler-pass statistic; ``sched`` events are policy selections and
 #: hybrid chunk dispatches; ``violation`` events come from declared-set
 #: validation; ``trap`` events are written by the flight recorder as it
@@ -180,7 +181,10 @@ _KIND_REQUIRES = {
     "counter": ["delta"],
     "span_open": ["category"],
     "span_close": ["wall_seconds", "sim_seconds"],
-    "launch": ["construct", "device", "n", "seconds", "energy_joules", "phases", "counters"],
+    "launch": [
+        "construct", "device", "n", "seconds", "energy_joules", "phases", "counters",
+        "program", "blocks",
+    ],
     "pass": ["runs", "changed", "skipped", "seconds", "verify_seconds"],
 }
 

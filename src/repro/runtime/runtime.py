@@ -256,6 +256,9 @@ class ConcordRuntime:
         # counters already show (the program's verdicts are shared; who
         # has reported them is not).
         self._vector_classified: set = set()
+        # block uid -> (function name, block index) for the ``launch``
+        # events' ``blocks``, built on the first observed launch
+        self._block_keys: Optional[dict] = None
         # The backends, the scheduler and the task graph hold no
         # reference to this runtime (each call is handed it), so nothing
         # it owns points back at it: dropping the last reference frees
@@ -401,16 +404,29 @@ class ConcordRuntime:
         counters.add("obs.counter_flushes", 1)
         return totals
 
-    def _record_line_sample(self, kernel, device: str, traces) -> None:
-        """Merge the traces' executed-block histograms and hand them to the
-        observer for source-line attribution (:mod:`repro.obs.lines`).
-        Only called when an observer is attached."""
-        merged: dict = {}
-        for trace in traces:
-            for uid, count in trace.block_totals().items():
-                merged[uid] = merged.get(uid, 0) + count
-        if merged:
-            self.obs.record_kernel_trace(kernel, device, merged)
+    def _block_rows(self, traces) -> list:
+        """A ``launch`` event's ``blocks``: for each ``(device, traces)``
+        sample, the traces' executed-block histograms merged in order, one
+        ``[device, function name, block index, count]`` row per block.
+        Uids are process-local (and so are the block names devirtualization
+        derives from them), so a block is named by its position in its
+        function, through a map built once per runtime, never on the
+        shared program."""
+        keys = self._block_keys
+        if keys is None:
+            keys = self._block_keys = {
+                block.uid: (function.name, index)
+                for function in self.program.module.functions.values()
+                for index, block in enumerate(function.blocks)
+            }
+        rows = []
+        for device, sample in traces:
+            merged: dict = {}
+            for trace in sample:
+                for uid, count in trace.block_totals().items():
+                    merged[uid] = merged.get(uid, 0) + count
+            rows.extend([device, *keys[uid], count] for uid, count in merged.items())
+        return rows
 
     def _record_construct(
         self,
@@ -423,12 +439,14 @@ class ConcordRuntime:
         energy_joules: float,
         phases: dict,
         traces,
-        line_samples=(),
     ) -> None:
         """One construct's worth of observer bookkeeping, shared by every
-        backend and the hybrid scheduler: flush trace counters, emit the
-        ``launch`` event and record the source-line samples.  Only called
-        when an observer is attached."""
+        backend and the hybrid scheduler: flush trace counters and emit
+        the ``launch`` event.  ``traces`` are the construct's
+        ``LaunchTrace`` objects as ``(device, traces)`` samples, each
+        merged into one histogram (``run_construct``'s: the GPU chunks,
+        the CPU chunks, the GPU host join).  Only called when an
+        observer is attached."""
         self.obs.emit(
             "launch",
             kernel_name,
@@ -438,10 +456,12 @@ class ConcordRuntime:
             seconds=seconds,
             energy_joules=energy_joules,
             phases=phases,
-            counters=self._harvest_traces(traces),
+            counters=self._harvest_traces(
+                [trace for _device, sample in traces for trace in sample]
+            ),
+            program=self.program.program_id,
+            blocks=self._block_rows(traces),
         )
-        for kernel, sample_device, sample_traces in line_samples:
-            self._record_line_sample(kernel, sample_device, sample_traces)
 
     # -- execution-engine factory ------------------------------------------
 

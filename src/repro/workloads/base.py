@@ -38,6 +38,8 @@ class RunOutcome:
     reports: list[ExecutionReport] = field(default_factory=list)
     #: GraphStats when the run went through the task-graph runtime
     graph_stats: object = None
+    #: the compiled program the run used
+    program: object = None
 
     @property
     def seconds(self) -> float:
@@ -167,6 +169,7 @@ class Workload(abc.ABC):
             device=device,
             reports=reports,
             graph_stats=graph_stats,
+            program=rt.program,
         )
 
 

@@ -22,7 +22,9 @@ A backend is a device and an engine is a lane runner:
   one shared-memory access path, and ``LaunchTrace.from_unit_counts`` is
   the one constructor from unit counts to a launch trace;
 * both generated-code engines print the region tree: no unit worklist is
-  left under ``repro.exec``.
+  left under ``repro.exec``;
+* a launch is recorded once, as its ``launch`` event: no module names a
+  second record of its executed blocks.
 """
 
 import ast
@@ -261,5 +263,15 @@ def test_no_unit_worklist_under_exec():
         for path in sorted((ROOT / "exec").glob("*.py"))
         for number, line in enumerate(path.read_text().splitlines(), start=1)
         if worklist.search(line)
+    ]
+    assert offenders == []
+
+
+def test_a_launch_is_recorded_once():
+    second_record = re.compile(r"\b(line_samples|record_kernel_trace|_record_line_sample)\b")
+    offenders = [
+        path.relative_to(ROOT).as_posix()
+        for path in sorted(ROOT.rglob("*.py"))
+        if second_record.search(path.read_text())
     ]
     assert offenders == []

@@ -11,6 +11,10 @@ Covers the contract in docs/PROFILING.md:
   arbitrary generated programs (hypothesis);
 * ``python -m repro annotate bfs`` attributes >= 95% of modeled cost to
   source lines, and the rendered hot-line report is byte-stable;
+* the line report is a fold of one program's ``launch`` events: another
+  program watched by the same observer leaves it unchanged, and a
+  JSON-lines stream folds against a fresh compile (new block uids) to
+  the same document, blocks being keyed by function and position;
 * the Chrome ``trace_event`` export round-trips through JSON and
   validates;
 * a ledger entry is the end-to-end harness's result line: entries are
@@ -176,10 +180,18 @@ class TestLineAttribution:
         from repro.fuzz import run_source_program
 
         observer = Observer()
-        outcome = run_source_program(program, engine=engine, observer=observer)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            compiled = compile_source(program.source, OptConfig.gpu_all())
+        outcome = run_source_program(
+            program, compiled=compiled, engine=engine, observer=observer
+        )
         assert outcome.ok, outcome.trap
-        report = build_line_report(observer)
-        assert observer.line_samples, "observed run recorded no samples"
+        report = build_line_report(observer.events, compiled)
+        launches = [e for e in observer.events if e["kind"] == "launch"]
+        assert launches and all(e["blocks"] for e in launches), (
+            "observed run recorded no blocks"
+        )
         assert report["totals"]["instructions"] == observer.counters.get(
             "engine.instructions"
         )
@@ -241,8 +253,71 @@ class TestLineAttribution:
         body.data = data
         body.shape = rt.new("Circle")
         rt.parallel_for_hetero(8, body)
-        report = build_line_report(observer)
+        report = build_line_report(observer.events, program)
         assert report["totals"]["devirt_hits"] > 0
+
+
+NAMED_WORKLOADS = [
+    "BarnesHut", "BFS", "BTree", "ClothPhysics", "ConnectedComponent",
+    "FaceDetect", "Raytracer", "SkipList", "SSSP", "RaytracerFlat",
+]
+
+
+class TestLineReportIsAFold:
+    def test_another_program_leaves_the_report_unchanged(self):
+        from repro.obs.profile import run_named_workload
+
+        observer = Observer()
+        bfs, meta = run_named_workload("bfs", observer, scale=0.1)
+        run_named_workload("sssp", observer, scale=0.1)
+        both = build_line_report(observer.events, bfs.program, meta=meta)
+        assert both == annotate_workload("bfs", scale=0.1)
+
+    @pytest.mark.parametrize("on_cpu", [False, True], ids=["gpu", "cpu"])
+    @pytest.mark.parametrize("name", NAMED_WORKLOADS)
+    def test_a_stream_from_another_process_folds(self, tmp_path, name, on_cpu):
+        """The events as a ``JsonLinesSink`` writes them, folded with a
+        freshly compiled program, give ``annotate_workload``'s document."""
+        from repro.obs import JsonLinesSink, Telemetry
+        from repro.workloads import all_workloads
+
+        observer = Observer()
+        path = tmp_path / "events.jsonl"
+        with Telemetry(sinks=[JsonLinesSink(path)]) as telemetry:
+            observer.attach_telemetry(telemetry)
+            doc = annotate_workload(name, scale=0.2, on_cpu=on_cpu, observer=observer)
+        events = [json.loads(line) for line in path.read_text().splitlines()]
+        workload = all_workloads()[name]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            fresh = compile_source(workload.source, OptConfig.gpu_all(), module_name=name)
+        launches = [e for e in events if e["kind"] == "launch"]
+        assert launches and all(e["program"] == fresh.program_id for e in launches)
+        assert build_line_report(events, fresh, meta=doc["meta"]) == doc
+
+    @pytest.mark.parametrize("name", NAMED_WORKLOADS)
+    def test_a_block_is_keyed_by_its_function_and_position(self, name):
+        """A recompile renumbers every uid, and devirtualization names
+        blocks after instruction uids, so a ``launch`` event keys a block
+        by its function and its index there: under every configuration,
+        two compiles agree on what each key holds."""
+        from repro.workloads import all_workloads
+
+        def keyed(module):
+            return {
+                (function.name, index): [(instr.op, instr.loc) for instr in block.instructions]
+                for function in module.functions.values()
+                for index, block in enumerate(function.blocks)
+            }
+
+        source = all_workloads()[name].source
+        for config in OptConfig.all_configs():
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                first, second = (
+                    compile_source(source, config, module_name=name).module for _ in range(2)
+                )
+            assert keyed(first) == keyed(second), config.label
 
 
 # -- Chrome trace export ----------------------------------------------------

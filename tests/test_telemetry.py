@@ -224,7 +224,8 @@ class TestTelemetryPipeline:
         observer = Observer()
         observer.attach_telemetry(telemetry)
         observer.emit("launch", "k", construct="for", device="gpu", n=8, seconds=1e-3,
-                      energy_joules=0.0, phases={"launch": 1e-3}, counters={})
+                      energy_joules=0.0, phases={"launch": 1e-3}, counters={},
+                      program="p", blocks=[["gpu", "k", "entry", 8]])
         observer.counters.add("engine.instructions", 42)
         telemetry.close()
         lines = path.read_text().splitlines()
