@@ -50,8 +50,8 @@ on any divergence, and writes reduced reproducers to ``--corpus``.
 (``docs/GRAPH.md``): ``run`` and ``profile`` report the overlap stats.
 
 ``--flight-record DIR`` arms the flight recorder (``docs/TELEMETRY.md``):
-any trap or fuzz divergence dumps a postmortem bundle — last-N telemetry
-events, live counters, open spans, and the trapping kernel + source line
+any trap or fuzz divergence dumps a postmortem bundle — the observer's
+last events, live counters, open spans, and the trapping kernel + source line
 — into DIR.  ``watch`` reads the benchmark ledger — the ``BENCH_<n>.json``
 result lines of ``benchmarks/e2e/run.py`` beside ``BENCHMARK.json`` — and
 gates every end-to-end series against the bound ``BENCHMARK.json`` gives it
@@ -333,10 +333,9 @@ def main(argv=None) -> int:
     observer = None
     recorder = None
     if args.flight_record:
-        from .obs import FlightRecorder, Observer, Telemetry
+        from .obs import FlightRecorder, Observer
 
         observer = Observer()
-        observer.attach_telemetry(Telemetry())
         recorder = FlightRecorder(args.flight_record, observer=observer)
     rt = ConcordRuntime(
         program, system_named(args.system), observer=observer, **_run_options(args)
@@ -397,6 +396,7 @@ def _profile(args) -> int:
     import json
 
     from .obs import (
+        JsonLinesSink,
         Observer,
         SchemaError,
         profile_to_csv,
@@ -405,17 +405,13 @@ def _profile(args) -> int:
         write_trace,
     )
 
-    observer = Observer()
-    telemetry = None
+    sinks = [JsonLinesSink(args.events)] if args.events else []
+    observer = Observer(sinks=sinks)
     recorder = None
-    if args.flight_record or args.events:
-        from .obs import FlightRecorder, JsonLinesSink, Telemetry
+    if args.flight_record:
+        from .obs import FlightRecorder
 
-        sinks = [JsonLinesSink(args.events)] if args.events else []
-        telemetry = Telemetry(sinks=sinks)
-        observer.attach_telemetry(telemetry)
-        if args.flight_record:
-            recorder = FlightRecorder(args.flight_record, observer=observer)
+        recorder = FlightRecorder(args.flight_record, observer=observer)
     try:
         doc = profile_workload(
             args.workload,
@@ -437,10 +433,9 @@ def _profile(args) -> int:
             print(f"flight bundle: {bundle}", file=sys.stderr)
         raise
     finally:
-        if telemetry is not None:
-            telemetry.close()
-            if args.events:
-                print(f"events: {args.events}", file=sys.stderr)
+        for sink in sinks:
+            sink.close()
+            print(f"events: {sink.path}", file=sys.stderr)
     try:
         validate_profile(doc)
     except SchemaError as exc:
@@ -596,10 +591,9 @@ def _serve(args) -> int:
 
 def _fuzz(args) -> int:
     from .fuzz import FuzzDriver
-    from .obs import FlightRecorder, Observer, Telemetry
+    from .obs import FlightRecorder, Observer
 
     observer = Observer()
-    observer.attach_telemetry(Telemetry())
     # The campaign driver arms the flight recorder by default whenever
     # there is somewhere to put bundles, so reduced reproducers ship with
     # their postmortem context; --no-flight-record opts out.

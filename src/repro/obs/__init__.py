@@ -31,12 +31,13 @@ Built on top of the observer:
 * :mod:`repro.obs.lines` — source-line attribution of modeled cost
   (``python -m repro annotate``), a fold of the ``launch`` events' blocks;
 * :mod:`repro.obs.trace` — Chrome ``trace_event`` export (``--trace``);
-* :mod:`repro.obs.telemetry` — live streaming of every event and counter
-  delta through pluggable sinks and a bounded event ring
-  (``obs.attach_telemetry``, ``--events``);
+* :mod:`repro.obs.telemetry` — the event schema and live streaming of
+  every event and counter delta to the sinks an observer is built with
+  (``Observer(sinks=[JsonLinesSink(path)])``, ``--events``);
 * :mod:`repro.obs.flight` — flight recorder: postmortem bundles on
-  traps, fuzz divergences and uncaught exceptions, resolved down to the
-  trapping kernel's source line (``--flight-record DIR``);
+  traps, fuzz divergences and uncaught exceptions, with the tail of the
+  observer's events, resolved down to the trapping kernel's source line
+  (``--flight-record DIR``);
 * :mod:`repro.obs.watch` — the benchmark ledger (``BENCH_<n>.json``, the
   result lines of ``benchmarks/e2e/run.py``), its trend report and the
   CI regression verdict (``python -m repro watch``).
@@ -67,9 +68,7 @@ from .profile import (
 from .schema import PROFILE_SCHEMA, SchemaError, validate_profile
 from .telemetry import (
     TELEMETRY_SCHEMA_VERSION,
-    EventRing,
     JsonLinesSink,
-    Telemetry,
     validate_event,
     validate_events,
 )
@@ -89,7 +88,6 @@ from .watch import (
 
 __all__ = [
     "CounterRegistry",
-    "EventRing",
     "FLIGHT_SCHEMA_VERSION",
     "FlightRecorder",
     "JsonLinesSink",
@@ -101,7 +99,6 @@ __all__ = [
     "SchemaError",
     "TELEMETRY_SCHEMA_VERSION",
     "TRACE_SCHEMA_VERSION",
-    "Telemetry",
     "WATCH_SCHEMA_VERSION",
     "annotate_workload",
     "build_line_report",

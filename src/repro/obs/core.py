@@ -26,8 +26,14 @@ Two records, one per kind of fact:
   ``add`` hot path; the engines, cache models, private-memory pool and
   code cache publish into it (instructions, flops, mem events
   kept/dropped, cache hits/misses, pool reuse, code-cache hits).  Its
-  deltas are not events of the list; with telemetry attached they
-  stream as ``counter`` events.
+  deltas are not events of the list; an observer built with sinks
+  streams them to the sinks as ``counter`` events.
+
+The observer is the only holder of its events.  Its sinks
+(``Observer(sinks=[...])``, anything with an ``emit(event)``, such as
+:class:`~repro.obs.telemetry.JsonLinesSink`) see every stamped event as
+it happens, counter deltas included, and keep what they keep; a flight
+bundle's window is the tail of :attr:`Observer.events`.
 """
 
 from __future__ import annotations
@@ -47,9 +53,9 @@ class CounterRegistry:
 
     def __init__(self):
         self._counters: dict[str, float] = {}
-        # Optional streaming forward (repro.obs.telemetry): when a
-        # Telemetry pipeline is attached, every add() is mirrored as one
-        # "counter" event.  Detached, the cost is a single is-None check.
+        # Streaming forward: an observer built with sinks mirrors every
+        # add() as one "counter" event.  Without sinks, the cost is a
+        # single is-None check.
         self._sink = None
 
     def add(self, name: str, amount=1) -> None:
@@ -74,13 +80,6 @@ class CounterRegistry:
     def as_dict(self) -> dict:
         """Sorted snapshot (stable for JSON output and comparisons)."""
         return dict(sorted(self._counters.items()))
-
-    def merge(self, other: "CounterRegistry") -> None:
-        for name, value in other._counters.items():
-            self.add(name, value)
-
-    def clear(self) -> None:
-        self._counters.clear()
 
 
 class _SpanHandle:
@@ -129,9 +128,13 @@ class Observer:
     (``compile_source``), any number of runtimes, and the evaluation
     harness.  It is deliberately not thread-safe — the simulator is
     single-threaded.
+
+    ``sinks`` receive every stamped event, in order, counter deltas
+    included; a counter delta is stamped (takes a ``seq``) only when
+    there is a sink to stream it to.
     """
 
-    def __init__(self, clock=time.perf_counter):
+    def __init__(self, clock=time.perf_counter, sinks=()):
         self._clock = clock
         #: every event's ``t`` is seconds since this first clock reading
         self._epoch = clock()
@@ -139,24 +142,9 @@ class Observer:
         self.counters = CounterRegistry()
         #: every emitted event but the counter deltas, in ``seq`` order
         self.events: list[dict] = []
-        #: optional streaming pipeline (:class:`repro.obs.telemetry.Telemetry`)
-        #: fed every event, counter deltas included
-        self.telemetry = None
-
-    # -- streaming telemetry ---------------------------------------------
-
-    def attach_telemetry(self, telemetry) -> None:
-        """Attach a :class:`~repro.obs.telemetry.Telemetry` pipeline:
-        every event and counter delta streams through it from now on, and
-        its ring becomes the flight recorder's postmortem window.  Attach
-        before running anything observed, or the stream will miss what
-        predates it."""
-        self.telemetry = telemetry
-        self.counters._sink = self._stream_counter
-
-    def detach_telemetry(self) -> None:
-        self.counters._sink = None
-        self.telemetry = None
+        self._sinks = tuple(sinks)
+        if self._sinks:
+            self.counters._sink = self._stream_counter
 
     # -- events ------------------------------------------------------------
 
@@ -164,9 +152,8 @@ class Observer:
         event = {"seq": self._seq, "t": now - self._epoch, "kind": kind, "name": name}
         event.update(fields)
         self._seq += 1
-        telemetry = self.telemetry
-        if telemetry is not None:
-            telemetry.emit(event)
+        for sink in self._sinks:
+            sink.emit(event)
         return event
 
     def _record(self, now: float, kind: str, name: str, fields: dict) -> dict:

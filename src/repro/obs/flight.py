@@ -7,8 +7,9 @@ uncaught exception inside :class:`~repro.runtime.runtime.ConcordRuntime`
 or the task graph — :class:`FlightRecorder` dumps everything an engineer
 needs into one JSON bundle:
 
-* the **last N telemetry events** (the :class:`~repro.obs.telemetry.EventRing`
-  window) plus how many older events the ring already forgot;
+* the **last** :data:`FLIGHT_WINDOW` **events** of the observer's list
+  (:attr:`~repro.obs.core.Observer.events`, counter deltas not among
+  them) plus how many older events the window leaves out;
 * the **live counters** and **open span stack** at the moment of capture
   (the spans the observer's events leave open);
 * the **trap site**: kernel, device, lane (``global_id``), IR function,
@@ -55,6 +56,9 @@ FLIGHT_SCHEMA_VERSION = "repro.obs.flight/v1"
 
 #: How many trailing constructs a bundle keeps.
 CONSTRUCT_TAIL = 32
+
+#: How many trailing events of ``Observer.events`` a bundle keeps.
+FLIGHT_WINDOW = 1024
 
 #: Capture reasons a bundle may carry.
 REASONS = ("trap", "fuzz_divergence", "exception", "violation", "manual")
@@ -153,8 +157,8 @@ class FlightRecorder:
 
     ``observer`` is optional — a bundle without one still captures the
     exception, trap site and caller context; with one it additionally
-    emits a ``trap`` event and keeps the counters, the span stack and the
-    construct tail, and with telemetry attached the event ring.
+    emits a ``trap`` event and keeps the event window, the counters, the
+    span stack and the construct tail.
     """
 
     def __init__(self, directory, observer=None):
@@ -212,10 +216,8 @@ class FlightRecorder:
             else:
                 name = "manual"
             observer.emit("trap", name, reason=reason)
-            telemetry = observer.telemetry
-            if telemetry is not None:
-                events = telemetry.ring.snapshot()
-                events_dropped = telemetry.ring.dropped
+            events = observer.events[-FLIGHT_WINDOW:]
+            events_dropped = len(observer.events) - len(events)
             counters = observer.counters.as_dict()
             open_spans = [span["name"] for span in fold_spans(observer.events)[1]]
             constructs = fold_constructs(observer.events)[-CONSTRUCT_TAIL:]

@@ -1,34 +1,33 @@
-"""Streaming telemetry: a bounded event ring plus pluggable sinks.
+"""Streaming telemetry: the event schema and the canonical sink.
 
 An :class:`~repro.obs.core.Observer` records its events in one list
-(:attr:`~repro.obs.core.Observer.events`); :class:`Telemetry` streams
-them out of the process as they happen, so a long-running process shows
-what it does while it runs and a trap keeps its in-flight context:
+(:attr:`~repro.obs.core.Observer.events`) and streams them out of the
+process as they happen to the sinks it was built with, so a long-running
+process shows what it does while it runs:
 
 * the observer stamps every event (a flat dict — see :data:`EVENT_KINDS`)
-  and feeds it, counter deltas included, to the attached pipeline;
-* events stream synchronously to any number of **sinks** (anything with
-  an ``emit(event)``; :class:`JsonLinesSink` writes JSON lines) — the
-  stream itself is lossless, so folding its ``counter`` events gives the
-  observer's registry exactly, and folding the rest gives the profile
-  and the Chrome trace (:func:`~repro.obs.profile.build_profile`,
-  :func:`~repro.obs.trace.build_trace`);
-* independently, the last ``ring_capacity`` events are retained in a
-  bounded :class:`EventRing` — the flight recorder's postmortem window
-  (:mod:`repro.obs.flight`).  Ring evictions are *counted*, never
-  silent, in ``ring.dropped``, as the mem-event cap counts its drops in
-  :mod:`repro.exec.buffers`.
+  and feeds it, counter deltas included, to each sink in order;
+* a sink is anything with an ``emit(event)`` (:class:`JsonLinesSink`
+  writes JSON lines); the stream is lossless, so folding its ``counter``
+  events gives the observer's registry exactly, and folding the rest
+  gives the profile and the Chrome trace
+  (:func:`~repro.obs.profile.build_profile`,
+  :func:`~repro.obs.trace.build_trace`).
 
-Attachment is strictly opt-in, like the observer itself::
+Sinks are given when the observer is built, so they see its first
+event::
 
-    obs = Observer()
-    tel = Telemetry(sinks=[JsonLinesSink("events.jsonl")])
-    obs.attach_telemetry(tel)
+    sink = JsonLinesSink("events.jsonl")
+    obs = Observer(sinks=[sink])
     rt = ConcordRuntime(program, observer=obs)
+    ...
+    sink.close()
 
-A runtime without an observer pays nothing; an observer without
-telemetry pays one ``is not None`` check per event and counter flush.
-The event schema is documented in ``docs/TELEMETRY.md`` and enforced by
+A runtime without an observer pays nothing; an observer without sinks
+stamps no counter delta and loops over no sink.  The flight recorder's
+postmortem window is the tail of ``Observer.events``
+(:data:`repro.obs.flight.FLIGHT_WINDOW`).  The event schema is
+documented in ``docs/TELEMETRY.md`` and enforced by
 :func:`validate_event`.
 """
 
@@ -36,16 +35,13 @@ from __future__ import annotations
 
 import json
 import os
-from collections import deque
 
 from .schema import SchemaError, check, record
 
 __all__ = [
     "EVENT_KINDS",
-    "EventRing",
     "JsonLinesSink",
     "TELEMETRY_SCHEMA_VERSION",
-    "Telemetry",
     "validate_event",
 ]
 
@@ -73,78 +69,6 @@ EVENT_KINDS = (
     "trap",
 )
 
-#: Default ring capacity — the flight recorder's last-N window.
-DEFAULT_RING_CAPACITY = 1024
-
-
-class EventRing:
-    """Bounded deque of the most recent events; ``dropped`` counts the
-    evictions."""
-
-    __slots__ = ("capacity", "dropped", "_events")
-
-    def __init__(self, capacity: int = DEFAULT_RING_CAPACITY):
-        if capacity < 1:
-            raise ValueError(f"ring capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self.dropped = 0
-        self._events: deque = deque(maxlen=capacity)
-
-    def __len__(self) -> int:
-        return len(self._events)
-
-    def append(self, event: dict) -> None:
-        if len(self._events) == self.capacity:
-            self.dropped += 1
-        self._events.append(event)
-
-    def snapshot(self) -> list:
-        """The retained events, oldest first."""
-        return list(self._events)
-
-
-class Telemetry:
-    """The streaming pipeline: feeds each event to the ring and the sinks.
-
-    Events arrive stamped by the observer —
-
-    ``{"seq": int, "t": float, "kind": str, "name": str, ...fields}``
-
-    where ``t`` is seconds since the observer's epoch.  Sinks see every
-    event in order (the stream is lossless); only the bounded ring
-    forgets, and it counts what it forgot.
-    """
-
-    __slots__ = ("ring", "sinks")
-
-    def __init__(self, sinks=(), ring_capacity: int = DEFAULT_RING_CAPACITY):
-        self.ring = EventRing(ring_capacity)
-        self.sinks = list(sinks)
-
-    def emit(self, event: dict) -> None:
-        self.ring.append(event)
-        for sink in self.sinks:
-            sink.emit(event)
-
-    def flush(self) -> None:
-        for sink in self.sinks:
-            flush = getattr(sink, "flush", None)
-            if flush is not None:
-                flush()
-
-    def close(self) -> None:
-        for sink in self.sinks:
-            close = getattr(sink, "close", None)
-            if close is not None:
-                close()
-
-    def __enter__(self) -> "Telemetry":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.close()
-        return False
-
 
 # -- sinks ----------------------------------------------------------------
 
@@ -163,10 +87,6 @@ class JsonLinesSink:
     def emit(self, event: dict) -> None:
         self._file.write(json.dumps(event, separators=(",", ":")) + "\n")
         self.events_written += 1
-
-    def flush(self) -> None:
-        if not self._file.closed:
-            self._file.flush()
 
     def close(self) -> None:
         if not self._file.closed:
@@ -214,8 +134,8 @@ def validate_event(event, path: str = "event") -> None:
 
 def stream_errors(events, path: str) -> list[str]:
     """Every malformed event of a stream, then the rule no schema states:
-    ``seq`` strictly increasing (gaps are fine — a ring snapshot is a
-    suffix)."""
+    ``seq`` strictly increasing (gaps are fine — a flight window is a
+    suffix, and holds no counter deltas)."""
     errors = check(events, {"type": "array", "items": EVENT_SCHEMA}, path)
     if not errors:
         seqs = [event["seq"] for event in events]

@@ -459,7 +459,10 @@ def compile_cached(
     :class:`repro.service.ArtifactStore`); ``None`` degenerates to
     :func:`compile_source`.  Returns ``(program, {"closure": outcome})``:
     ``"hit"`` when the stored program answered and no stage ran,
-    ``"miss"`` when the program was compiled (and stored).
+    ``"miss"`` when the program was compiled (and stored).  ``observer``
+    sees the ``compile`` span, and on a miss the stage spans and pass
+    statistics; the outcome is counted by the caller (the daemon's
+    ``service.closure_*``).
 
     Every run of the returned program is bit-identical to one compiled
     without a store: the artifact is a snapshot of the exact object the
@@ -467,10 +470,6 @@ def compile_cached(
     ``tests/test_staged_compile.py`` hold it to that bar).
     """
     program, outcome = _compile(source, config, module_name, store, observer)
-    if store is not None and observer is not None:
-        observer.counters.add(
-            "service.closure_hits" if outcome == "hit" else "service.closure_misses"
-        )
     return program, {"closure": outcome}
 
 

@@ -17,14 +17,15 @@ Protocol (all endpoints under ``/v1``; see ``docs/SERVICE.md``)::
     GET  /v1/health    {"ok": true}
     POST /v1/shutdown  graceful stop
 
-Accounting: each fact is kept once, under its owner's lock.  A request
-records into a private ``repro.obs`` observer; when it ends, its
-counters merge into the daemon's one :class:`~repro.obs.CounterRegistry`
-and its wall time lands in a bounded window of ``LATENCY_SAMPLES`` per
-``service_request`` / ``service_request.<endpoint>`` name, both under
-the daemon's lock.  The store keeps its own tallies under its own lock.
-``/v1/stats`` reads nearest-rank p50/p90/p99 off the windows and reports
-the store's tallies under their ``service.store_*`` names.
+Accounting: each fact is kept once, under its owner's lock.  The daemon
+builds no ``repro.obs`` observer: it counts its own facts in its one
+:class:`~repro.obs.CounterRegistry`, all under ``service.*`` names — a
+program lookup's outcome where the lookup returns, a request and its
+wall time (in a bounded window of ``LATENCY_SAMPLES`` per
+``service_request`` / ``service_request.<endpoint>`` name) when it ends,
+each under the daemon's lock.  The store keeps its own tallies under its
+own lock.  ``/v1/stats`` reads nearest-rank p50/p90/p99 off the windows
+and reports the store's tallies under their ``service.store_*`` names.
 
 Isolation: compile and run requests are concurrent.  A run request's
 ``system``, its size and its ``RunConfig`` fields (one request field per
@@ -119,9 +120,8 @@ class CompileService:
         from ..obs import CounterRegistry
 
         self.store = ArtifactStore(store_dir, byte_budget=byte_budget)
-        #: request accounting: ``service.*`` counters merged from every
-        #: request, and the last ``LATENCY_SAMPLES`` wall times per
-        #: ``service_request*`` name
+        #: request accounting: the ``service.*`` counters, and the last
+        #: ``LATENCY_SAMPLES`` wall times per ``service_request*`` name
         self.counters = CounterRegistry()
         self._latency = defaultdict(partial(deque, maxlen=LATENCY_SAMPLES))
         self._memory: OrderedDict = OrderedDict()  # closure key -> program
@@ -131,9 +131,8 @@ class CompileService:
 
     # -- request plumbing ----------------------------------------------------
 
-    def _finish_request(self, endpoint: str, request_obs, started: float, ok: bool):
-        """Count one request, merge its private observer's counters and
-        keep its wall time."""
+    def _finish_request(self, endpoint: str, started: float, ok: bool):
+        """Count one request and keep its wall time."""
         wall = time.perf_counter() - started
         with self._lock:
             counters = self.counters
@@ -141,20 +140,14 @@ class CompileService:
             counters.add(f"service.requests.{endpoint}")
             if not ok:
                 counters.add("service.errors")
-            if request_obs is not None:
-                counters.merge(request_obs.counters)
             self._latency["service_request"].append(wall)
             self._latency[f"service_request.{endpoint}"].append(wall)
 
-    def _request_observer(self):
-        from ..obs import Observer
-
-        return Observer()
-
-    def _compile_through_caches(self, source, config, module_name, observer):
-        """Memory cache → artifact store → compile.  A memory hit still
-        counts as a closure hit (the request skipped the compile), plus
-        ``service.memory_hits``."""
+    def _compile_through_caches(self, source, config, module_name):
+        """Memory cache → artifact store → compile, counting the outcome
+        under the lock the lookup takes: ``service.closure_hits`` or
+        ``_misses``, and a memory hit also as a closure hit (the request
+        skipped the compile), plus ``service.memory_hits``."""
         from ..runtime.compiler import (
             compile_cached,
             frontend_key,
@@ -167,15 +160,18 @@ class CompileService:
             program = self._memory.get(ckey)
             if program is not None:
                 self._memory.move_to_end(ckey)
+                self.counters.add("service.memory_hits")
+                self.counters.add("service.closure_hits")
         if program is not None:
-            observer.counters.add("service.memory_hits")
-            observer.counters.add("service.closure_hits")
             return program, {"closure": "hit"}
         program, stages = compile_cached(
-            source, config, module_name=module_name,
-            store=self.store, observer=observer,
+            source, config, module_name=module_name, store=self.store
         )
         with self._lock:
+            self.counters.add(
+                "service.closure_hits" if stages["closure"] == "hit"
+                else "service.closure_misses"
+            )
             self._memory[ckey] = program
             self._memory.move_to_end(ckey)
             while len(self._memory) > self.MEMORY_PROGRAMS:
@@ -187,15 +183,12 @@ class CompileService:
     def compile(self, payload: dict) -> dict:
         """Compile (through the caches) and describe the program."""
         started = time.perf_counter()
-        request_obs = self._request_observer()
         ok = False
         try:
             source = payload["source"]
             config = _resolve_config(payload.get("config"))
             module_name = payload.get("module_name", "concord")
-            program, stages = self._compile_through_caches(
-                source, config, module_name, request_obs
-            )
+            program, stages = self._compile_through_caches(source, config, module_name)
             result = {
                 "ok": True,
                 "program_id": program.program_id,
@@ -222,13 +215,12 @@ class CompileService:
             ok = True
             return result
         finally:
-            self._finish_request("compile", request_obs, started, ok)
+            self._finish_request("compile", started, ok)
 
     def run(self, payload: dict) -> dict:
         """Compile (through the store) and execute — one kernel over a
         zero-initialized body, or a whole registered workload."""
         started = time.perf_counter()
-        request_obs = self._request_observer()
         ok = False
         try:
             # every field is checked before any compile or allocation
@@ -252,13 +244,13 @@ class CompileService:
                     if spec.name in payload
                 }
             )
-            result = handler(payload, size, system, options, request_obs)
+            result = handler(payload, size, system, options)
             ok = True
             return result
         finally:
-            self._finish_request("run", request_obs, started, ok)
+            self._finish_request("run", started, ok)
 
-    def _run_workload(self, payload: dict, scale: float, system, options, request_obs) -> dict:
+    def _run_workload(self, payload: dict, scale: float, system, options) -> dict:
         from ..workloads import all_workloads
 
         registry = all_workloads()
@@ -267,8 +259,7 @@ class CompileService:
             raise ValueError(f"unknown workload {name!r} (expected one of {sorted(registry)})")
         cls = registry[name]
         config = _resolve_config(payload.get("config"))
-        program = self._cached_program(cls.source, config, module_name=cls.name,
-                                       observer=request_obs)
+        program, _stages = self._compile_through_caches(cls.source, config, cls.name)
         rt = ConcordRuntime(program, system, region_size=cls.region_size, **asdict(options))
         workload = cls()
         state = workload.build(rt, scale)
@@ -285,12 +276,10 @@ class CompileService:
             "energy_joules": sum(r.energy_joules for r in reports),
         }
 
-    def _run_kernel(self, payload: dict, n: int, system, options, request_obs) -> dict:
+    def _run_kernel(self, payload: dict, n: int, system, options) -> dict:
         config = _resolve_config(payload.get("config"))
-        program = self._cached_program(
-            payload["source"], config,
-            module_name=payload.get("module_name", "concord"),
-            observer=request_obs,
+        program, _stages = self._compile_through_caches(
+            payload["source"], config, payload.get("module_name", "concord")
         )
         rt = ConcordRuntime(program, system, **asdict(options))
         body_name = payload["body"]
@@ -312,12 +301,6 @@ class CompileService:
             "seconds": report.seconds,
             "energy_joules": report.energy_joules,
         }
-
-    def _cached_program(self, source, config, module_name, observer):
-        program, _stages = self._compile_through_caches(
-            source, config, module_name, observer
-        )
-        return program
 
     def stats(self) -> dict:
         started = time.perf_counter()
@@ -343,7 +326,7 @@ class CompileService:
             ok = True
             return result
         finally:
-            self._finish_request("stats", None, started, ok)
+            self._finish_request("stats", started, ok)
 
 
 def percentiles(samples, quantiles=(50, 90, 99)) -> dict:

@@ -278,14 +278,16 @@ class TestLineReportIsAFold:
     def test_a_stream_from_another_process_folds(self, tmp_path, name, on_cpu):
         """The events as a ``JsonLinesSink`` writes them, folded with a
         freshly compiled program, give ``annotate_workload``'s document."""
-        from repro.obs import JsonLinesSink, Telemetry
+        from repro.obs import JsonLinesSink
         from repro.workloads import all_workloads
 
-        observer = Observer()
         path = tmp_path / "events.jsonl"
-        with Telemetry(sinks=[JsonLinesSink(path)]) as telemetry:
-            observer.attach_telemetry(telemetry)
+        sink = JsonLinesSink(path)
+        try:
+            observer = Observer(sinks=[sink])
             doc = annotate_workload(name, scale=0.2, on_cpu=on_cpu, observer=observer)
+        finally:
+            sink.close()
         events = [json.loads(line) for line in path.read_text().splitlines()]
         workload = all_workloads()[name]
         with warnings.catch_warnings():

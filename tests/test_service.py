@@ -24,7 +24,6 @@ import warnings
 
 import pytest
 
-from repro.obs import Observer
 from repro.passes import OptConfig
 from repro.runtime import ConcordRuntime
 from repro.runtime.compiler import (
@@ -77,10 +76,10 @@ class _Gate:
         return int, ()
 
 
-def _compile_into(store, source=SOURCE, observer=None):
+def _compile_into(store, source=SOURCE):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return compile_cached(source, store=store, observer=observer)
+        return compile_cached(source, store=store)
 
 
 def _post(client, path, payload):
@@ -157,7 +156,6 @@ class TestArtifactStore:
         """Every flavor of damage must read as a miss, bump
         ``service.cache_corrupt``, delete the file, and leave
         ``compile_cached`` to recompile and repopulate."""
-        observer = Observer()
         with tempfile.TemporaryDirectory() as root:
             store = ArtifactStore(root)
             _program, stages = _compile_into(store)
@@ -177,12 +175,11 @@ class TestArtifactStore:
             with open(path, "wb") as handle:
                 handle.write(blob)
 
-            program, stages = _compile_into(store, observer=observer)
+            program, stages = _compile_into(store)
             # A damaged program is no program: recompile and re-put.
             assert stages == {"closure": "miss"}
             assert open(path, "rb").read() != blob
             assert store.corrupt == 1
-            assert observer.counters.get("service.closure_misses") == 1
             assert program.kernels  # the recompile is a real program
             # ... and the store healed: warm on the next request.
             _again, stages = _compile_into(store)
@@ -363,7 +360,7 @@ class TestLatencyPercentiles:
 
         def finish(wall, times):
             for _ in range(times):
-                service._finish_request("compile", None, time.perf_counter() - wall, True)
+                service._finish_request("compile", time.perf_counter() - wall, True)
 
         finish(9.0, 100)
         finish(0.0, LATENCY_SAMPLES)  # pushes every 9 s sample out
@@ -419,8 +416,8 @@ class TestStatsRecordedOnce:
         assert counters["service.closure_hits"] == counters["service.memory_hits"] == 295
         assert counters["service.store_misses"] == stats["store"]["misses"] == 3
         assert counters["service.store_puts"] == stats["store"]["puts"] == 3
-        # no ring, so no bookkeeping about one
-        assert [name for name in counters if name.startswith("obs.")] == ["obs.span_ns"]
+        # the daemon counts its own facts, and only those
+        assert all(name.startswith("service.") for name in counters)
         assert sorted(stats["latency"]) == [
             "service_request",
             "service_request.compile",
@@ -429,6 +426,26 @@ class TestStatsRecordedOnce:
         for row in stats["latency"].values():
             assert set(row) == {"p50", "p90", "p99"}
             assert 0 <= row["p50"] <= row["p90"] <= row["p99"]
+
+    def test_a_run_request_counts_its_program_lookup(self, tmp_path):
+        """A run request counts the lookup of its program as a compile
+        request does: a closure miss, then, on a repeat, a memory hit
+        (which stands in for a closure hit)."""
+        service = CompileService(tmp_path)
+        payload = {"workload": "BFS", "scale": 0.05}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert service.run(dict(payload))["ok"]
+            counters = service.stats()["counters"]
+            assert counters["service.closure_misses"] == 1
+            assert "service.closure_hits" not in counters
+            assert "service.memory_hits" not in counters
+            assert service.run(dict(payload))["ok"]
+        counters = service.stats()["counters"]
+        assert counters["service.requests.run"] == 2
+        assert counters["service.closure_misses"] == 1
+        assert counters["service.closure_hits"] == counters["service.memory_hits"] == 1
+        assert all(name.startswith("service.") for name in counters)
 
     def test_concurrent_requests_are_counted_exactly(self, tmp_path):
         """Four threads of compile requests, each a store hit (the memory

@@ -1,10 +1,11 @@
-"""Tests for the streaming telemetry pipeline (repro.obs.telemetry), the
-flight recorder (repro.obs.flight), declared-set runtime validation
-(ConcordRuntime(declared_check=...)), and the ledger regression watch
-(repro.obs.watch): ring drop accounting, stream-vs-registry equivalence
-on the nine workloads under both engines, trap-site resolution down to
-the source line, and the per-series gate on synthetic histories of
-harness result lines."""
+"""Tests for the observer's event stream to its sinks (repro.obs.core,
+repro.obs.telemetry), the flight recorder (repro.obs.flight),
+declared-set runtime validation (ConcordRuntime(declared_check=...)), and
+the ledger regression watch (repro.obs.watch): the flight window's drop
+accounting, stream-vs-list and stream-vs-registry equivalence on the
+nine workloads under both engines, trap-site resolution down to the
+source line, and the per-series gate on synthetic histories of harness
+result lines."""
 
 import json
 import pathlib
@@ -19,7 +20,6 @@ from repro.obs import (
     JsonLinesSink,
     Observer,
     SchemaError,
-    Telemetry,
     build_profile,
     build_trace,
     build_watch_report,
@@ -30,7 +30,8 @@ from repro.obs import (
     validate_flight_bundle,
     validate_watch_report,
 )
-from repro.obs.telemetry import EventRing
+from repro.obs.flight import FLIGHT_WINDOW
+from repro.obs.profile import fold_counters
 from repro.obs.schema import check
 from repro.obs.watch import LEDGER_ENTRY_SCHEMA, analyze_series
 from repro.passes import OptConfig
@@ -120,68 +121,49 @@ def _incr_runtime(**kwargs):
     return rt, arr, body
 
 
-# -- the ring ---------------------------------------------------------------
+# -- the flight window -----------------------------------------------------
 
 
-class TestEventRing:
-    def test_bounded_with_drop_accounting(self):
-        """Overflowing the ring evicts oldest events and counts every
-        eviction in ``ring.dropped``, and only there."""
+class TestFlightWindow:
+    """A bundle's window is the tail of ``Observer.events``: the last
+    ``FLIGHT_WINDOW`` events, counter deltas not among them, with
+    ``events_dropped`` counting the events before it."""
+
+    def _bundle(self, tmp_path, observer) -> dict:
+        path = FlightRecorder(tmp_path, observer=observer).record(reason="manual")
+        doc = json.loads(open(path).read())
+        validate_flight_bundle(doc)
+        return doc
+
+    def test_bounded_with_drop_accounting(self, tmp_path):
+        """1 029 events and the bundle's own trap marker: the bundle
+        keeps the last 1 024 and counts the 6 before them."""
         observer = Observer()
-        telemetry = Telemetry(ring_capacity=4)
-        observer.attach_telemetry(telemetry)
-        for i in range(10):
+        for i in range(1029):
             observer.emit("sched", f"e{i}")
-        ring = telemetry.ring
-        assert len(ring) == 4
-        assert ring.dropped == 6
-        assert observer.counters.as_dict() == {}
-        assert [e["name"] for e in ring.snapshot()] == ["e6", "e7", "e8", "e9"]
+        doc = self._bundle(tmp_path, observer)
+        assert len(observer.events) == 1030
+        assert FLIGHT_WINDOW == 1024
+        assert len(doc["events"]) == FLIGHT_WINDOW
+        assert doc["events_dropped"] == 6
+        assert doc["events"] == _json(observer.events[-FLIGHT_WINDOW:])
+        assert doc["events"][0]["name"] == "e6"
+        assert doc["events"][-1]["kind"] == "trap"
+        assert doc["counters"] == {}
 
-    def test_eviction_does_not_recurse_into_the_stream(self):
-        """An eviction is neither a counter nor an event, so an
-        overflowing ring cannot emit itself into further overflow."""
-        observer = Observer()
+    def test_counter_adds_stay_out_of_the_window(self, tmp_path):
+        """Counter deltas are the registry's, not events of the list: a
+        sink streams them, the window holds none, and the totals are the
+        bundle's ``counters``."""
         sink = ListSink()
-        telemetry = Telemetry(sinks=[sink], ring_capacity=2)
-        observer.attach_telemetry(telemetry)
-        for i in range(50):
-            observer.emit("sched", f"e{i}")
-        assert telemetry.ring.dropped == 48
-        assert sink.kinds("counter") == 0
-        assert len(sink.events) == 50  # sinks are lossless
-
-    def test_counter_adds_land_in_ring_and_registry(self):
-        observer = Observer()
-        telemetry = Telemetry(ring_capacity=3)
-        observer.attach_telemetry(telemetry)
-        for _ in range(5):
-            observer.counters.add("x.hits", 2)
-        assert observer.counters.get("x.hits") == 10
-        events = telemetry.ring.snapshot()
-        assert len(events) == 3
-        assert all(e["kind"] == "counter" and e["delta"] == 2 for e in events)
-        assert telemetry.ring.dropped == 2
-        assert observer.counters.as_dict() == {"x.hits": 10}
-
-    def test_rejects_degenerate_capacity(self):
-        with pytest.raises(ValueError):
-            EventRing(0)
-
-    def test_detach_restores_silence(self):
-        observer = Observer()
-        telemetry = Telemetry()
-        observer.attach_telemetry(telemetry)
-        observer.counters.add("a")
-        observer.detach_telemetry()
-        observer.counters.add("a")
-        assert observer.counters.get("a") == 2
-        counter_events = [
-            e for e in telemetry.ring.snapshot() if e["kind"] == "counter"
-        ]
-        assert len(counter_events) == 1
-        assert observer.telemetry is None
-        assert observer.counters._sink is None
+        observer = Observer(sinks=[sink])
+        for _ in range(20):
+            observer.counters.add("x.hits")
+        doc = self._bundle(tmp_path, observer)
+        assert sink.kinds("counter") == 20
+        assert [e["kind"] for e in doc["events"]] == ["trap"]
+        assert doc["events_dropped"] == 0
+        assert doc["counters"] == {"x.hits": 20}
 
 
 # -- the pipeline and sinks -------------------------------------------------
@@ -200,9 +182,8 @@ class TestTelemetryPipeline:
         validate_events([a, b])
 
     def test_span_edges_stream_through_observer(self):
-        observer = Observer()
         sink = ListSink()
-        observer.attach_telemetry(Telemetry(sinks=[sink]))
+        observer = Observer(sinks=[sink])
         with observer.span("outer", "test"):
             with observer.span("inner", "test"):
                 pass
@@ -220,14 +201,12 @@ class TestTelemetryPipeline:
     def test_jsonlines_sink_roundtrip(self, tmp_path):
         path = tmp_path / "events.jsonl"
         sink = JsonLinesSink(path)
-        telemetry = Telemetry(sinks=[sink])
-        observer = Observer()
-        observer.attach_telemetry(telemetry)
+        observer = Observer(sinks=[sink])
         observer.emit("launch", "k", construct="for", device="gpu", n=8, seconds=1e-3,
                       energy_joules=0.0, phases={"launch": 1e-3}, counters={},
                       program="p", blocks=[["gpu", "k", "entry", 8]])
         observer.counters.add("engine.instructions", 42)
-        telemetry.close()
+        sink.close()
         lines = path.read_text().splitlines()
         assert sink.events_written == 2 and len(lines) == 2
         events = [json.loads(line) for line in lines]
@@ -247,7 +226,7 @@ class TestTelemetryPipeline:
                 {"seq": 1, "t": 0.0, "kind": "sched", "name": "a"},
                 {"seq": 1, "t": 0.0, "kind": "sched", "name": "b"},
             ])
-        # gaps are fine: a ring snapshot is a suffix of the stream
+        # gaps are fine: a flight window is a suffix of the stream
         validate_events([
             {"seq": 3, "t": 0.0, "kind": "sched", "name": "a"},
             {"seq": 9, "t": 0.1, "kind": "sched", "name": "b"},
@@ -258,10 +237,8 @@ class TestTelemetryPipeline:
 
 
 def _stream_matches_registry(name, engine, **execute_kwargs):
-    observer = Observer()
     sink = ListSink()
-    telemetry = Telemetry(sinks=[sink])
-    observer.attach_telemetry(telemetry)
+    observer = Observer(sinks=[sink])
     workload = WORKLOADS[name]()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -271,10 +248,6 @@ def _stream_matches_registry(name, engine, **execute_kwargs):
         )
     assert sink.counter_totals() == observer.counters.as_dict()
     assert sink.kinds("launch") == len(build_profile(observer.events)["constructs"])
-    # the ring forgets what overflows it, and counts it there alone
-    ring = telemetry.ring
-    assert ring.dropped == max(0, len(sink.events) - ring.capacity)
-    assert ring.snapshot() == sink.events[-ring.capacity:]
 
 
 class TestStreamMatchesRegistry:
@@ -296,9 +269,8 @@ class TestStreamMatchesRegistry:
         _stream_matches_registry(name, "vector")
 
     def test_hybrid_chunks_emit_sched_events(self):
-        observer = Observer()
         sink = ListSink()
-        observer.attach_telemetry(Telemetry(sinks=[sink]))
+        observer = Observer(sinks=[sink])
         workload = WORKLOADS["BFS"]()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -316,16 +288,65 @@ class TestStreamMatchesRegistry:
         assert sink.counter_totals() == observer.counters.as_dict()
 
 
+#: What differs between two runs of one workload: the stamps and the wall
+#: clock.  A ``pass`` event's ``seconds`` are wall time, a ``launch``
+#: event's simulated.
+_WALL_FIELDS = {"seq", "t", "wall_seconds"}
+_PASS_WALL_FIELDS = {"seconds", "verify_seconds"}
+
+
+def _masked(events) -> list:
+    return [
+        {
+            key: value
+            for key, value in event.items()
+            if key not in _WALL_FIELDS
+            and not (event["kind"] == "pass" and key in _PASS_WALL_FIELDS)
+        }
+        for event in events
+    ]
+
+
+class TestStreamIsTheListPlusCounterDeltas:
+    """A sink sees ``Observer.events`` itself, interleaved with the counter
+    deltas, and a sink changes nothing the observer records."""
+
+    @pytest.mark.parametrize(
+        "options",
+        [{}, {"policy": "hybrid", "graph": True}],
+        ids=["compiled", "hybrid-graph"],
+    )
+    @pytest.mark.parametrize("name", ["BFS", "SSSP", "ClothPhysics"])
+    def test_workload(self, name, options):
+        observers = []
+        sink = ListSink()
+        for sinks in ([sink], ()):
+            observer = Observer(sinks=sinks)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                WORKLOADS[name]().execute(
+                    None, ultrabook(), scale=0.2, observer=observer,
+                    engine="compiled", **options,
+                )
+            observers.append(observer)
+        streamed, plain = observers
+        listed = [e for e in sink.events if e["kind"] != "counter"]
+        assert len(listed) == len(streamed.events)
+        assert all(a is b for a, b in zip(listed, streamed.events))
+        assert fold_counters(sink.events) == streamed.counters.as_dict()
+        assert _masked(plain.events) == _masked(streamed.events)
+        # without a sink, a counter delta takes no seq
+        assert [e["seq"] for e in plain.events] == list(range(len(plain.events)))
+
+
 def _json(value):
     """``value`` as a JSON file holds it."""
     return json.loads(json.dumps(value))
 
 
 def _observed():
-    observer = Observer()
     sink = ListSink()
-    observer.attach_telemetry(Telemetry(sinks=[sink]))
-    return observer, sink
+    return Observer(sinks=[sink]), sink
 
 
 def _assert_documents_are_folds(observer, sink, doc) -> dict:
@@ -417,13 +438,8 @@ class TestTelemetryDoesNotPerturb:
 
     @pytest.mark.parametrize("name", ["BFS", "ClothPhysics"])
     def test_same_simulated_seconds(self, name):
-        def attached():
-            observer = Observer()
-            observer.attach_telemetry(Telemetry(sinks=[ListSink()]))
-            return observer
-
         results = []
-        for make in (lambda: None, Observer, attached):
+        for make in (lambda: None, Observer, lambda: Observer(sinks=[ListSink()])):
             workload = WORKLOADS[name]()
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
@@ -452,7 +468,6 @@ class TestFlightRecorder:
 
     def test_bundle_pinpoints_kernel_and_source_line(self, tmp_path):
         observer = Observer()
-        observer.attach_telemetry(Telemetry())
         rt = ConcordRuntime(_compile(TRAP_SRC), ultrabook(), observer=observer)
         body = rt.new("Deref")  # head stays null: the store must fault
         exc = self._trap(rt, body)
@@ -471,7 +486,7 @@ class TestFlightRecorder:
         assert jit["file"].startswith("<repro-jit kernel.Deref.gpu.gpu ")
         assert jit["statement"].startswith("raise _fault('gpu', ")
         assert jit["source"].splitlines()[jit["line"] - 1].strip() == jit["statement"]
-        assert doc["events"], "ring snapshot missing from bundle"
+        assert doc["events"], "event window missing from bundle"
         validate_events(doc["events"])
         assert doc["events"][-1]["kind"] == "trap"
         assert doc["counters"]
@@ -489,7 +504,6 @@ class TestFlightRecorder:
         from repro.svm import MemoryFault
 
         observer = Observer()
-        observer.attach_telemetry(Telemetry())
         rt = ConcordRuntime(_compile(REDUCE_TRAP_SRC), ultrabook(), observer=observer)
         body = rt.new("SumBody")  # head stays null: the load must fault
         with pytest.raises(MemoryFault) as info:
@@ -505,7 +519,6 @@ class TestFlightRecorder:
 
     def test_reference_engine_trap_annotates_too(self, tmp_path):
         observer = Observer()
-        observer.attach_telemetry(Telemetry())
         rt = ConcordRuntime(
             _compile(TRAP_SRC), ultrabook(),
             engine="reference", observer=observer,
@@ -543,21 +556,6 @@ class TestFlightRecorder:
         third = FlightRecorder(tmp_path).record(reason="manual")
         assert third.endswith("flight-002.json")
 
-    def test_bundle_counts_what_the_ring_forgot(self, tmp_path):
-        """Ring overflow shows in the bundle's ``events_dropped`` and
-        nowhere in its counters."""
-        observer = Observer()
-        telemetry = Telemetry(ring_capacity=8)
-        observer.attach_telemetry(telemetry)
-        for _ in range(20):
-            observer.counters.add("x.hits")
-        path = FlightRecorder(tmp_path, observer=observer).record(reason="manual")
-        doc = json.loads(open(path).read())
-        validate_flight_bundle(doc)
-        assert doc["events_dropped"] == telemetry.ring.dropped == 13
-        assert len(doc["events"]) == 8 and doc["events"][-1]["kind"] == "trap"
-        assert doc["counters"] == {"x.hits": 20}
-
     def test_a_trap_inside_a_construct_reads_the_fold(self, tmp_path, monkeypatch):
         """A bundle captured while ``run_construct`` is on the stack names
         the spans the observer's events leave open, and its construct
@@ -566,7 +564,6 @@ class TestFlightRecorder:
         from repro.obs.flight import CONSTRUCT_TAIL
 
         observer = Observer()
-        observer.attach_telemetry(Telemetry())
         rt, _, body = _incr_runtime(observer=observer)
         for _ in range(3):
             rt.parallel_for_hetero(16, body)
@@ -606,9 +603,8 @@ class TestFlightRecorder:
 
 class TestDeclaredCheck:
     def test_trap_on_access_outside_declaration(self):
-        observer = Observer()
         sink = ListSink()
-        observer.attach_telemetry(Telemetry(sinks=[sink]))
+        observer = Observer(sinks=[sink])
         rt, arr, body = _incr_runtime(
             observer=observer, declared_check="trap"
         )
@@ -1034,7 +1030,6 @@ class TestFuzzFlight:
         from repro.fuzz import driver as fuzz_driver
 
         observer = Observer()
-        observer.attach_telemetry(Telemetry())
         recorder = FlightRecorder(tmp_path / "flight", observer=observer)
         driver = fuzz_driver.FuzzDriver(
             seed=1, iterations=1, target="engines",
@@ -1091,6 +1086,9 @@ class TestTelemetryCLI:
         validate_flight_bundle(doc)
         assert doc["trap"]["source_line"] == "head->value = i;"
         assert doc["context"]["command"] == "run"
+        # the window is the observer's list: non-empty, ending in the trap
+        assert doc["events"] and doc["events"][-1]["kind"] == "trap"
+        assert all(e["kind"] != "counter" for e in doc["events"])
 
     def test_run_declared_check_flag_rejects_bad_value(self, tmp_path):
         from repro.__main__ import main
