@@ -51,12 +51,12 @@ def time_cpu_execution(
 
     merged_branches: dict[int, list[int]] = {}
     for trace in traces:
-        instructions += int(trace.instructions.sum())
-        translations += int(trace.translations.sum())
+        instructions += int(np.add.reduce(trace.instructions))
+        translations += int(np.add.reduce(trace.translations))
         for uid, taken, total in zip(
             trace.branch_uids.tolist(),
-            trace.branch_taken.sum(axis=1).tolist(),
-            trace.branch_total.sum(axis=1).tolist(),
+            np.add.reduce(trace.branch_taken, axis=1).tolist(),
+            np.add.reduce(trace.branch_total, axis=1).tolist(),
         ):
             slot = merged_branches.setdefault(uid, [0, 0])
             slot[0] += taken
@@ -79,7 +79,7 @@ def time_cpu_execution(
         llc_hit, device.llc_hit_cycles, device.dram_latency_cycles
     )
     mem_latency = running_sum(latency)
-    llc_hits = int(llc_hit.sum())
+    llc_hits = int(np.count_nonzero(llc_hit))
     llc_misses = len(llc_hit) - llc_hits
     l1_hits = len(lines) - len(llc_hit)
     dram_bytes = llc_misses * device.llc_line_bytes

@@ -165,24 +165,73 @@ def event_column(name: str, values) -> np.ndarray:
     return values.astype(dtype, copy=False)
 
 
+#: The largest value each column of a stride-5 row may hold: the width
+#: of the event column it narrows into (every row value is unsigned, so
+#: none is too low; ``address`` keeps all 64 bits).
+_ROW_LIMITS = np.array(
+    [np.iinfo(EVENT_DTYPES[name]).max for name in ("uid", "seq", "address", "size", "is_store")],
+    np.uint64,
+)
+#: the most lanes a launch may have: their indices fill the ``lane`` column
+_LANE_LIMIT = int(np.iinfo(EVENT_DTYPES["lane"]).max) + 1
+
+
 def launch_events(data, kept, dropped, caps) -> dict:
     """The event and cap fields of a :class:`LaunchTrace` from the
     launch's stride-5 event rows (``data``: a flat buffer or ``(k, 5)``
     array, lane-major) and one ``kept`` / ``dropped`` / ``caps`` entry per
-    lane."""
+    lane.  A value that does not fit its column raises
+    :class:`OverflowError`, as :func:`event_column` does: one comparison
+    of all the rows against :data:`_ROW_LIMITS` and one reduction."""
     rows = np.asarray(data, np.uint64).reshape(-1, 5)
     kept = np.array(kept, np.int64)
+    over = rows > _ROW_LIMITS
+    if np.logical_or.reduce(over.ravel()):
+        name = ("uid", "seq", "address", "size", "is_store")[over.any(axis=0).argmax()]
+        raise OverflowError(f"a {name} value does not fit {np.dtype(EVENT_DTYPES[name]).name}")
+    if len(kept) > _LANE_LIMIT:
+        raise OverflowError("a lane value does not fit int32")
     return dict(
-        lane=np.repeat(event_column("lane", np.arange(len(kept))), kept),
-        uid=event_column("uid", rows[:, 0]),
-        seq=event_column("seq", rows[:, 1]),
-        address=np.ascontiguousarray(rows[:, 2]),
-        size=event_column("size", rows[:, 3]),
-        is_store=event_column("is_store", rows[:, 4]),
+        lane=np.arange(len(kept), dtype=np.int32).repeat(kept),
+        uid=rows[:, 0].astype(np.int64),
+        seq=rows[:, 1].astype(np.int32),
+        address=rows[:, 2].copy(),
+        size=rows[:, 3].astype(np.uint8),
+        is_store=rows[:, 4].astype(np.uint8),
         kept=kept,
         dropped=np.array(dropped, np.int64),
         caps=np.array(caps, np.int64),
     )
+
+
+class UnitTable:
+    """What a launch's harvest reads off one function's units, once per
+    generated function (a :class:`~repro.exec.compiled.JitCode` or a
+    vector function keeps it): ``totals``, the units x
+    ``(instructions, flops, int_ops, translations, calls)`` matrix each
+    execution of a unit adds; per block row, ascending uid, its ``uid``
+    and the ``unit`` that executes it (``block_uid`` / ``block_unit``);
+    and the same for the units that end in a conditional branch
+    (``branch_uid`` / ``branch_unit``)."""
+
+    __slots__ = ("totals", "block_uid", "block_unit", "branch_uid", "branch_unit")
+
+    def __init__(self, units):
+        self.totals = np.array(
+            [(u.d_instr, u.d_flops, u.d_int_ops, u.d_translations, u.d_calls) for u in units],
+            np.int64,
+        ).reshape(len(units), 5)
+        blocks = sorted(
+            (uid, index) for index, unit in enumerate(units) for uid in unit.uid_list
+        )
+        branches = sorted(
+            (unit.branch_uid, index) for index, unit in enumerate(units) if unit.branch_uid >= 0
+        )
+        self.block_uid, self.block_unit = np.array(blocks, np.int64).reshape(-1, 2).T
+        self.branch_uid, self.branch_unit = np.array(branches, np.int64).reshape(-1, 2).T
+
+
+_NO_ROWS = np.zeros(0, np.int64)
 
 
 def _rows_by_uid(n: int, per_lane: list, width: int) -> tuple:
@@ -305,43 +354,46 @@ class LaunchTrace:
         of every function the launch entered.  Equal, row order included,
         to :meth:`from_traces` over the same lanes traced one by one.
 
-        ``functions`` lists ``(units, lanes, counts, taken)``: the
-        function's per-unit totals, the lanes that entered it (ascending),
-        and their ``len(lanes) x len(units)`` execution and taken-branch
-        counts.  Every per-lane counter is the counts matrix times the
-        per-unit totals."""
+        ``functions`` lists ``(table, per_unit)``: the function's
+        :class:`UnitTable` and a ``2 x units x n`` count array (or its
+        ``2 units x n`` reshape) — per unit, its executions and then its
+        taken branches in every lane, zero in the lanes that did not enter
+        the function.  Every per-lane counter is the per-unit totals times
+        the counts; a block (branch) row is the counts (taken counts) of
+        its unit, for the units some lane executed."""
         counters = np.zeros((5, n), np.int64)
-        blocks = []  # (uid, per-lane counts)
-        branches = []  # (branch uid, per-lane taken, per-lane total)
-        for units, lanes, counts, taken in functions:
-            totals = np.array(
-                [
-                    (u.d_instr, u.d_flops, u.d_int_ops, u.d_translations, u.d_calls)
-                    for u in units
-                ],
-                np.int64,
-            ).reshape(len(units), 5)
-            counters[:, lanes] += (counts @ totals).T
-            for index in np.flatnonzero(counts.any(axis=0)).tolist():
-                unit = units[index]
-                dense = np.zeros(n, np.int64)
-                dense[lanes] = counts[:, index]
-                blocks.extend((uid, dense) for uid in unit.uid_list)
-                if unit.branch_uid >= 0:
-                    branch_taken = np.zeros(n, np.int64)
-                    branch_taken[lanes] = taken[:, index]
-                    branches.append((unit.branch_uid, branch_taken, dense))
-        blocks.sort(key=lambda entry: entry[0])
-        branches.sort(key=lambda entry: entry[0])
-        none = np.zeros((0, n), np.int64)  # vstack needs one array
+        none = np.zeros((0, n), np.int64)  # concatenate needs one array
+        counts, taken = [none], [none]  # per function, its per-unit rows
+        uids, units, branch_uids, branch_units = ([_NO_ROWS] for _ in range(4))
+        offset = 0  # of the function's units among all the functions'
+        for table, per_unit in functions:
+            unit_counts, unit_taken = per_unit.reshape(2, len(table.totals), n)
+            counters += table.totals.T @ unit_counts
+            executed = np.logical_or.reduce(unit_counts != 0, axis=1)
+            block, branch = executed[table.block_unit], executed[table.branch_unit]
+            uids.append(table.block_uid[block])
+            units.append(table.block_unit[block] + offset)
+            branch_uids.append(table.branch_uid[branch])
+            branch_units.append(table.branch_unit[branch] + offset)
+            counts.append(unit_counts)
+            taken.append(unit_taken)
+            offset += len(table.totals)
+        counts, taken = np.concatenate(counts), np.concatenate(taken)
+        # Rows in ascending uid order, whichever function was entered first.
+        uids = np.concatenate(uids)
+        branch_uids = np.concatenate(branch_uids)
+        rows = uids.argsort(kind="stable")
+        branch_rows = branch_uids.argsort(kind="stable")
+        units = np.concatenate(units)[rows]
+        branch_units = np.concatenate(branch_units)[branch_rows]
         return cls(
             n=n,
             **events,
-            block_uids=np.array([uid for uid, _row in blocks], np.int64),
-            block_counts=np.vstack([none, *(row for _uid, row in blocks)]),
-            branch_uids=np.array([uid for uid, _t, _c in branches], np.int64),
-            branch_taken=np.vstack([none, *(taken for _u, taken, _c in branches)]),
-            branch_total=np.vstack([none, *(total for _u, _t, total in branches)]),
+            block_uids=uids[rows],
+            block_counts=counts[units],
+            branch_uids=branch_uids[branch_rows],
+            branch_taken=taken[branch_units],
+            branch_total=counts[branch_units],
             instructions=counters[0],
             flops=counters[1],
             int_ops=counters[2],

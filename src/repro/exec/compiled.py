@@ -117,7 +117,7 @@ from ..ir.structure import (
 from ..ir.types import FloatType, IntType, PointerType
 from ..ir.values import Constant, Function, GlobalVariable, Instruction
 from ..svm.memory import MemoryFault
-from .buffers import LaunchTrace, PrivateMemoryPool, launch_events, per_item_cap
+from .buffers import LaunchTrace, PrivateMemoryPool, UnitTable, launch_events, per_item_cap
 from .interp import (
     _BINOP_EVAL,
     _CAST_EVAL,
@@ -1555,6 +1555,7 @@ class JitCode:
         "seq_base",
         "seq_end",
         "units",
+        "table",
         "zeros",
         "callees",
         "gvars",
@@ -1576,6 +1577,7 @@ class JitCode:
         self.seq_base = seq_base
         self.seq_end = seq_base
         self.units: tuple = ()  # one _UnitTotals per unit; none without a body
+        self.table = UnitTable(())
         self.zeros = (0,)
         self.callees: tuple = ()
         self.gvars: tuple = ()
@@ -1584,6 +1586,7 @@ class JitCode:
         if printer is not None:
             self.seq_end += len(printer.seq_slots)
             self.units = tuple(printer.totals)
+            self.table = UnitTable(self.units)
             self.zeros = (0,) * (3 * len(self.units) + 1)
             self.callees = tuple(printer.callees)
             self.gvars = tuple(printer.gvars)
@@ -1613,6 +1616,7 @@ class JitCode:
                 [(f"c{i}", i) for i in printer.local_counts]
                 + [(f"b{i}", n_units + i) for i in printer.local_taken]
             )
+            entry.slots = np.array([slot for _local, slot in entry.flushed], np.int64)
             params = [*_REGION_PARAMS, "cnt_", "acc_"]
             params += [f"s{i}" for i in range(len(printer.callees))]
             params += [f"g{i}" for i in range(len(printer.gvars))]
@@ -1636,11 +1640,14 @@ class JitEntry:
     """One loaded module of a :class:`JitCode`: its text, the ``_bind``
     factory (``None`` without a body), the line → unit table, the count
     locals a ``return`` (or a lane's end) flushes, as ``(local,
-    accumulator slot)``, and whether its rows keep GPU addresses for the
-    engine to move to CPU space.  The module's ``__jit__``, where a trap
-    finds it."""
+    accumulator slot)`` and the slots alone as an index array (where a
+    lane of a lanes entry with no callees puts its row), and whether its
+    rows keep GPU addresses for the engine to move to CPU space.  The
+    module's ``__jit__``, where a trap finds it."""
 
-    __slots__ = ("code", "source", "filename", "factory", "line_units", "flushed", "raw_addresses")
+    __slots__ = (
+        "code", "source", "filename", "factory", "line_units", "flushed", "slots", "raw_addresses"
+    )
 
     def __init__(self, code: JitCode):
         self.code = code
@@ -1649,6 +1656,7 @@ class JitEntry:
         self.factory = None
         self.line_units: tuple = ()  # line number -> unit index, -1 outside any
         self.flushed: tuple = ()
+        self.slots = np.zeros(0, np.int64)
         self.raw_addresses = False
 
     def publish(self) -> None:
@@ -1955,7 +1963,7 @@ class CompiledEngine:
         kept, dropped, caps = array("q"), array("q"), array("q")
         rows: list = []  # per lane, a callee-free kernel's counts (``flushed`` order)
         columns: dict = {}  # JitCode -> (lanes, harvested accumulators)
-        functions = []
+        functions = []  # (UnitTable, per-unit counts and taken counts by lane)
         if n:
             compiled = self._lookup(function, n, lanes=True)
             run = compiled.lanes()
@@ -1971,26 +1979,25 @@ class CompiledEngine:
                 self._ev_data, self._ev_cap = own
                 self._harvest()  # a trapped lane's counts: the accumulators end clean
                 self.release_private_memory()
-            code = compiled.code
-            if code.entry(True).raw_addresses:
-                self._to_cpu_space(events, 0)
             if rows:
-                width = len(code.units)
-                harvest = np.zeros((n, 2 * width), np.int64)
-                slots = [slot for _name, slot in code.entry(True).flushed]
-                # one pack: about half of what np.array takes over tuples
+                # per lane its row, a value per ``flushed`` slot: one pack
+                # is about half of what np.array takes over the tuples
+                code, slots = compiled.code, compiled.code.entry(True).slots
                 flat = pack(f"<{n * len(slots)}q", *chain.from_iterable(rows))
-                harvest[:, slots] = np.frombuffer(flat, np.int64).reshape(n, len(slots))
-                functions.append((code.units, np.arange(n), harvest[:, :width], harvest[:, width:]))
+                per_unit = np.zeros((2 * len(code.units), n), np.int64)
+                per_unit[slots] = np.frombuffer(flat, np.int64).reshape(n, len(slots)).T
+                functions.append((code.table, per_unit))
         events_of = launch_events(events, kept, dropped, caps)
         del events  # the columns hold the events now
+        if n and compiled.code.entry(True).raw_addresses:
+            self._to_cpu_space(events_of["address"])
         for code, (lanes, accumulators) in columns.items():
             # per lane: unit counts, taken counts, trap counts, the entered flag
-            units = code.units
-            width = len(units)
+            width = len(code.units)
             harvest = np.array(accumulators, np.int64).reshape(len(lanes), 3 * width + 1)
-            counts, taken = harvest[:, :width], harvest[:, width : 2 * width]
-            functions.append((units, np.array(lanes, np.int64), counts, taken))
+            per_unit = np.zeros((2 * width, n), np.int64)
+            per_unit[:, np.array(lanes, np.int64)] = harvest[:, : 2 * width].T
+            functions.append((code.table, per_unit))
         return LaunchTrace.from_unit_counts(n, events_of, functions)
 
     def _lookup(self, function: Function, uses: int, lanes: bool = False) -> CompiledFunction:
@@ -2003,16 +2010,12 @@ class CompiledEngine:
         self._cover_seqs()
         return compiled
 
-    def _to_cpu_space(self, data: array, start: int) -> None:
-        """``_CANONICAL_GPU`` over the address column of the stride-5 rows
-        ``data`` holds from ``start`` on."""
-        if len(data) > start:
-            region = self.region
-            addresses = np.frombuffer(data, np.uint64)[start + 2 :: 5]
-            surface = (addresses >= region.gpu_base) & (
-                addresses < region.gpu_base + region.surface.size
-            )
-            addresses[surface] -= np.uint64(region.svm_const % (1 << 64))
+    def _to_cpu_space(self, addresses: np.ndarray) -> None:
+        """``_CANONICAL_GPU`` over a launch's address column, in place."""
+        region = self.region
+        surface = addresses >= region.gpu_base
+        surface &= addresses < region.gpu_base + region.surface.size
+        addresses[surface] -= np.uint64(region.svm_const % (1 << 64))
 
     def _cover_seqs(self) -> None:
         """Give every slot the code cache has bound a sequence number —

@@ -100,7 +100,7 @@ from ..ir.structure import (
 )
 from ..ir.types import FloatType, IntType, PointerType, VoidType
 from ..ir.values import Constant, Function, GlobalVariable
-from .buffers import LaunchTrace, event_column, per_item_cap
+from .buffers import LaunchTrace, UnitTable, event_column, per_item_cap
 from .compiled import (
     CompiledEngine,
     _CASTS,
@@ -329,18 +329,13 @@ class VectorMachine:
         return entry[1], entry[2]
 
     def _unit_counts(self):
-        """Per entered function, ``(units, lanes, counts, taken)`` as
+        """Per entered function, ``(table, per_unit)`` as
         :meth:`~repro.exec.buffers.LaunchTrace.from_unit_counts` takes
-        them: the hit lists folded into lanes x units matrices."""
+        them: the hit lists folded into per-unit counts by lane."""
         n, none = self.n, [np.zeros(0, _I64)]
-
-        def tally(per_unit):
-            return np.column_stack(
-                [np.bincount(np.concatenate(lists + none), minlength=n) for lists in per_unit]
-            )
-
         for vfn, hits, tks in self.counts.values():
-            yield vfn.units, self.lane_ids, tally(hits), tally(tks)
+            tally = [np.bincount(np.concatenate(lists + none), minlength=n) for lists in hits + tks]
+            yield vfn.table, np.array(tally, _I64).reshape(-1, n)
 
     def charge(self, lanes, k: int, k0: int, n_steps: int, name: str) -> None:
         """A unit runs on ``lanes`` (``k`` of them, of the invocation's
@@ -1636,6 +1631,7 @@ class VectorFunction:
         self.arg_doms = [_dom(arg.type) for arg in function.args]
         units, n_steps = unit_totals(plan)
         self.units = tuple(units)
+        self.table = UnitTable(self.units)
         # Evaluate now what no lane can change: pure instructions over
         # constants, through the reference interpreter's own evaluator.
         known, traps = _fold_invariants(function, plan)

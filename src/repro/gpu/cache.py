@@ -21,65 +21,63 @@ _PACKED_BITS = 62
 def run_starts(*sorted_keys) -> np.ndarray:
     """Mask of the positions where any of the (co-sorted) key columns
     changes — the first element of every run of equal keys."""
-    same = np.ones(max(0, len(sorted_keys[0]) - 1), bool)
-    for key in sorted_keys:
-        same &= key[1:] == key[:-1]
-    return np.concatenate(([True], ~same))[: len(sorted_keys[0])]
+    starts = np.empty(len(sorted_keys[0]), bool)
+    starts[:1] = True
+    starts[1:] = sorted_keys[0][1:] != sorted_keys[0][:-1]
+    for key in sorted_keys[1:]:
+        starts[1:] |= key[1:] != key[:-1]
+    return starts
 
 
-def _sorted_packed(keys):
-    """The rows' (range-reduced) integer key columns packed, first key
-    highest, above the row index into one int64 per row and sorted, with
-    the number of index bits — or ``None`` when a row takes more than 62
-    bits.  A key may be narrower than int64 (a trace's ``lane`` and
-    ``seq`` are int32): each field is widened before it is shifted."""
-    n = len(keys[0])
-    index_bits = max(1, (n - 1).bit_length())
-    fields = []
-    used = index_bits
-    for key in reversed(keys):  # the last key varies fastest
-        low = int(key.min()) if n else 0
-        fields.append((key, low, used))
-        used += (int(key.max()) - low).bit_length() if n else 0
-    if used > _PACKED_BITS:
-        return None
-    packed = np.arange(n, dtype=np.int64)
-    for key, low, shift in fields:
-        field = np.subtract(key, low, dtype=np.int64)
-        field <<= shift
-        packed += field
-    packed.sort()
-    return packed, index_bits
-
-
-def stable_order(*keys) -> np.ndarray:
+def nested_runs(keys, depths, bounds=None):
     """Indices that sort the rows by ``keys[0]``, then ``keys[1]``, ...,
-    rows with equal keys staying in their original order.
+    rows with equal keys staying in their original order; and per depth
+    ``d`` of ``depths``, the mask of the sorted positions that start a
+    run of equal ``keys[:d]``.
 
-    The packed rows (:func:`_sorted_packed`) are sorted as plain
-    integers.  The row index sits in the low bits, so it is both the
-    tie-break — equal keys order by position, which is what makes the
-    order *stable* whatever sort NumPy runs — and the answer.  Keys too
-    wide to pack fall back to ``np.lexsort`` (stable by contract)."""
-    packed = _sorted_packed(keys)
-    if packed is None:
-        return np.lexsort(keys[::-1])
-    rows, index_bits = packed
-    rows &= (1 << index_bits) - 1
-    return rows
-
-
-def stable_runs(*keys):
-    """:func:`stable_order`, and the mask of the sorted positions that
-    start a run of equal keys."""
-    packed = _sorted_packed(keys)
-    if packed is None:
+    The keys, each range-reduced to its bit width (widened to int64
+    before it is shifted: a trace's ``lane`` and ``seq`` are int32), are
+    packed first key highest above the row index into one int64 per row
+    and sorted as plain integers.  The row index sits in the low bits,
+    so it is both the tie-break — equal keys order by position, which is
+    what makes the order *stable* whatever sort NumPy runs — and the
+    answer; the runs of ``keys[:d]`` are the runs of the packed values
+    shifted past the fields of the other keys.  Rows wider than 62 bits
+    fall back to ``np.lexsort`` (stable by contract).  ``bounds``, one
+    ``(low, high)`` per key that no value lies outside, spares working
+    the ranges out again when the caller knows them."""
+    n, k = len(keys[0]), len(keys)
+    index_bits = (n - 1).bit_length() or 1
+    starts = [0] * k  # per key, the bit its field starts at
+    used = index_bits
+    packed = np.arange(n, dtype=np.int64)
+    for at in range(k - 1, -1, -1):  # the last key varies fastest
+        key = keys[at]
+        starts[at] = used
+        if n:
+            if bounds is None:
+                low, high = int(np.minimum.reduce(key)), int(np.maximum.reduce(key))
+            else:
+                low, high = bounds[at]
+            width = (high - low).bit_length()
+            if width and used + width <= _PACKED_BITS:
+                field = np.subtract(key, low, dtype=np.int64)
+                field <<= used
+                packed += field
+            used += width
+    if used > _PACKED_BITS:
         order = np.lexsort(keys[::-1])
-        return order, run_starts(*(key[order] for key in keys))
-    rows, index_bits = packed
-    starts = run_starts(rows >> index_bits)
-    rows &= (1 << index_bits) - 1
-    return rows, starts
+        return order, [run_starts(*(key[order] for key in keys[:d])) for d in depths]
+    packed.sort()
+    masks = []
+    for d in depths:
+        head = packed >> starts[d - 1]
+        mask = np.empty(n, bool)
+        mask[:1] = True
+        mask[1:] = head[1:] != head[:-1]
+        masks.append(mask)
+    packed &= (1 << index_bits) - 1
+    return packed, masks
 
 
 class CacheModel:
@@ -108,47 +106,52 @@ class CacheModel:
         # Replaying the carried state first makes "since the previous
         # access" see the lines an earlier call left resident.
         sequence = np.concatenate((self.resident, lines))
-        by_set = stable_order(sequence % self.num_sets)
+        by_set, () = nested_runs((sequence % self.num_sets,), (), ((0, self.num_sets - 1),))
         line = sequence[by_set]
         # An immediate repeat within a set always hits and changes nothing.
         # (Equal neighbours are in one set: the set is a function of the
         # line.)
-        kept = np.flatnonzero(run_starts(line))
+        kept = run_starts(line).nonzero()[0]
         line = line[kept]
         m = len(line)
 
         # previous / next access to the same line, as positions in ``line``
-        by_line, new_line = stable_runs(line)
+        by_line, (new_line,) = nested_runs((line,), (1,))
         same = ~new_line[1:]
-        previous = np.full(m, -1)
-        previous[by_line[1:][same]] = by_line[:-1][same]
-        following = np.full(m, m)
-        following[by_line[:-1][same]] = by_line[1:][same]
+        earlier, later = by_line[:-1][same], by_line[1:][same]
+        previous = np.empty(m, np.int64)
+        previous.fill(-1)
+        previous[later] = earlier
+        following = np.empty(m, np.int64)
+        following.fill(m)
+        following[earlier] = later
+        del by_line, new_line, same, earlier, later
 
         # A set's accesses are contiguous and in time order, so the
         # window of an access is the slice between it and ``previous``.
-        position = np.arange(m)
-        window = position - previous - 1
-        hit = (previous >= 0) & (window < assoc)
+        window = np.arange(-1, m - 1) - previous
+        seen = previous >= 0
+        hit = seen & (window < assoc)
         # Longer windows: count their distinct lines as the positions
         # whose line is not touched again before the access.
-        undecided = np.flatnonzero((previous >= 0) & (window >= assoc))
+        undecided = (seen & (window >= assoc)).nonzero()[0]
         if len(undecided):
             hit[undecided] = self._few_distinct(
                 following, previous[undecided] + 1, undecided
             )
 
         # New state: per set, the last ``assoc`` last-occurrences.
-        last = np.flatnonzero(following == m)
-        set_start = np.flatnonzero(run_starts(line[last] % self.num_sets))
-        set_end = np.append(set_start[1:], len(last))
-        from_end = np.repeat(set_end, set_end - set_start) - np.arange(len(last))
+        last = (following == m).nonzero()[0]
+        set_start = run_starts(line[last] % self.num_sets).nonzero()[0]
+        set_end = np.empty(len(set_start), np.int64)
+        set_end[:-1] = set_start[1:]
+        set_end[-1:] = len(last)
+        from_end = set_end.repeat(set_end - set_start) - np.arange(len(last))
         self.resident = line[last[from_end <= assoc]]
 
-        hit_by_set = np.ones(len(sequence), bool)
-        hit_by_set[kept] = hit
-        out = np.empty(len(sequence), bool)
-        out[by_set] = hit_by_set
+        # the dropped immediate repeats hit
+        out = np.ones(len(sequence), bool)
+        out[by_set[kept]] = hit
         return out[carried:]
 
     def _few_distinct(self, following, start, end) -> np.ndarray:

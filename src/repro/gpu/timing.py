@@ -48,7 +48,7 @@ breakdown the benchmarks print.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,7 +56,7 @@ from ..exec.buffers import LaunchTrace
 from ..ir import Function
 from ..ir.types import IntType
 from ..ir.values import BINARY_OPS
-from .cache import CacheModel, run_starts, stable_order, stable_runs
+from .cache import CacheModel, nested_runs
 from .device import GpuDevice
 
 
@@ -163,12 +163,15 @@ class KernelFacts:
     """What the model reads off a kernel's IR, which no launch changes
     (the runtime keeps it in the kernel's ``gpu_function_t`` entry): per
     block, ``uids`` ascending, its issue-slot size and the uid of the
-    ``condbr`` block guarding it (-1: none)."""
+    ``condbr`` block guarding it (-1: none); and, per set of block rows a
+    launch of it has reported, what those rows map to (:meth:`rows`)."""
 
     kernel: Function
     uids: np.ndarray
     slots: np.ndarray
     guard: np.ndarray
+    #: ``block_uids.tobytes()`` -> :meth:`rows`'s answer
+    _rows: dict = field(default_factory=dict, compare=False, repr=False)
 
     @classmethod
     def of(cls, kernel: Function) -> "KernelFacts":
@@ -182,12 +185,34 @@ class KernelFacts:
             guard=np.array([guarded.get(uid, -1) for uid in uids], np.int64),
         )
 
+    def rows(self, block_uids: np.ndarray) -> tuple:
+        """For a trace's block rows (ascending uids): each row's slot size
+        as a column, and the rows of the blocks guarded by a ``condbr``
+        block that is also a row, with the rows of their guards.  A
+        callee's block is not the kernel's: one slot, no guard.  Computed
+        once per row set: the launches of one kernel report a few."""
+        key = block_uids.tobytes()
+        found = self._rows.get(key)
+        if found is None:
+            uids = block_uids
+            at = np.searchsorted(self.uids, uids).clip(max=len(self.uids) - 1)
+            known = self.uids[at] == uids
+            guard = np.where(known, self.guard[at], -1)
+            guard_row = np.searchsorted(uids, guard).clip(max=len(uids) - 1)
+            child = np.flatnonzero(uids[guard_row] == guard)
+            found = self._rows[key] = (
+                np.where(known, self.slots[at], 1.0)[:, None],
+                child,
+                guard_row[child],
+            )
+        return found
+
 
 def running_sum(values) -> float:
-    """Left-to-right float sum.  ``np.cumsum`` accumulates strictly in
-    order (``np.sum`` adds pairwise blocks), which is the order every
-    report float is pinned to."""
-    return float(np.cumsum(values)[-1]) if len(values) else 0.0
+    """Left-to-right float sum.  ``np.add.accumulate`` accumulates
+    strictly in order (``np.sum`` adds pairwise blocks), which is the
+    order every report float is pinned to."""
+    return float(np.add.accumulate(values)[-1]) if len(values) else 0.0
 
 
 def _issue_slots(device, facts: KernelFacts, trace: LaunchTrace, warps: int):
@@ -197,121 +222,62 @@ def _issue_slots(device, facts: KernelFacts, trace: LaunchTrace, warps: int):
     n = trace.n
     # Rows come in ascending uid order from every engine, so float
     # accumulation order does not depend on which one produced the trace.
-    uids = trace.block_uids
-    counts = np.zeros((len(uids), warps * w), np.int64)
+    size_of, child, parent = facts.rows(trace.block_uids)
+    counts = np.zeros((len(size_of), warps * w), np.int64)
     counts[:, :n] = trace.block_counts
-    counts = counts.reshape(len(uids), warps, w)
-    # A callee's blocks are not the kernel's: one slot, no guard.
-    at = np.searchsorted(facts.uids, uids).clip(max=len(facts.uids) - 1)
-    known = facts.uids[at] == uids
-    size_of = np.where(known, facts.slots[at], 1.0)[:, None]
-    guard = np.where(known, facts.guard[at], -1)
-    lanes_in = np.full(warps, w)
-    lanes_in[-1:] = n - (warps - 1) * w
-    block_max = counts.max(axis=2)
+    counts = counts.reshape(len(size_of), warps, w)
+    lanes_in = np.minimum(w, np.arange(n, n - warps * w, -w))
+    block_max = np.maximum.reduce(counts, axis=2)
     estimate = block_max.astype(np.float64)
 
     # Independent-outcomes correction for blocks guarded by a condbr: the
     # warp issues the block whenever any lane enters it.
-    guard_row = np.searchsorted(uids, guard).clip(max=len(uids) - 1)
-    child = np.flatnonzero(uids[guard_row] == guard)
     if len(child):
-        parent = guard_row[child]
         parent_counts = counts[parent]
         entered = parent_counts > 0
-        p_enter = np.minimum(
-            1.0, counts[child] / np.where(entered, parent_counts, 1)
-        )
-        stay_out = np.where(entered, 1.0 - p_enter, 1.0)
-        miss_all = np.ones((len(child), warps))
-        for lane in range(w):  # lane order: the product is order-sensitive
-            miss_all *= stay_out[:, :, lane]
+        p_enter = np.minimum(1.0, counts[child] / np.maximum(parent_counts, 1))
+        stay_out = 1.0 - p_enter
+        stay_out[~entered] = 1.0
+        # lane order: the product is order-sensitive, and a reduction
+        # along the lane axis multiplies left to right
+        miss_all = np.multiply.reduce(stay_out, axis=2)
         parent_occ = block_max[parent]
-        estimate[child] = np.where(
-            (lanes_in > 1) & (parent_occ > 0),
-            np.maximum(estimate[child], parent_occ * (1.0 - miss_all)),
-            estimate[child],
-        )
+        lift = parent_occ * (1.0 - miss_all)  # 0 where the guard never ran
+        lift[:, lanes_in == 1] = 0.0  # a warp of one lane has no outcomes to mix
+        estimate[child] = np.maximum(estimate[child], lift)
 
-    # One running sum per warp, down the rows in sorted-uid order (the
-    # trailing sum only turns "last row, if any" into a vector).
-    issue = np.cumsum(estimate * size_of, axis=0)[-1:].sum(axis=0)
-    converged = np.cumsum(
-        (counts.sum(axis=2) / lanes_in) * size_of, axis=0
-    )[-1:].sum(axis=0)
+    # One running sum per warp, down the rows in sorted-uid order.
+    # (The trailing reduction only turns "last row, if any" into a vector.)
+    issue = np.add.reduce(np.add.accumulate(estimate * size_of, axis=0)[-1:], axis=0)
+    converged = np.add.reduce(
+        np.add.accumulate((np.add.reduce(counts, axis=2) / lanes_in) * size_of, axis=0)[-1:],
+        axis=0,
+    )
     return issue, converged
-
-
-def _occurrences(warp, uid, seq):
-    """Group events into coalescing occurrences — unique ``(uid, seq,
-    warp)`` — numbered by first touch.  Returns each event's occurrence,
-    and per occurrence its warp and its ``(uid, seq)`` pair id (shared by
-    all warps; contention is counted per pair)."""
-    # Events are warp-major, so a stable order by (uid, seq) alone leaves
-    # each pair's events grouped by warp, every group's first element at
-    # its earliest event.
-    order, pair_start = stable_runs(uid, seq)
-    first = np.flatnonzero(pair_start | run_starts(warp[order]))
-    first_event = order[first]
-    # ... and ranking the occurrences by their first event is the
-    # first-touch numbering.
-    is_first = np.zeros(len(order), bool)
-    is_first[first_event] = True
-    occ_id = (np.cumsum(is_first) - 1)[first_event]
-    occ_of_event = np.empty(len(order), np.int64)
-    occ_of_event[order] = np.repeat(occ_id, np.diff(first, append=len(order)))
-    occ_pair = np.empty(len(occ_id), np.int64)
-    occ_pair[occ_id] = np.cumsum(pair_start[first]) - 1
-    return occ_of_event, warp[is_first], occ_pair
 
 
 def touched_lines(address, size, line_bytes: int):
     """Expand each access into the cache lines it touches, low to high:
     per touched line (accesses in order) the access's index and the line
-    id.  A zero-size access at a line boundary touches nothing."""
+    id.  A zero-size access at a line boundary touches nothing.  When
+    every access touches exactly one line the index is ``slice(None)``:
+    the accesses themselves, in order."""
     line = np.uint64(line_bytes)
     first = address // line
-    event = np.arange(len(address))
     # Unsigned arithmetic wraps, so an empty access at address 0 (or one
     # running past 2**64) ends on another line than it starts on.
     last = (address + size.astype(np.uint64) - np.uint64(1)) // line
-    if np.array_equal(first, last):  # nothing straddles: the usual launch
-        return event, first.astype(np.int64)
+    if not np.logical_or.reduce(first != last):  # nothing straddles: the usual launch
+        return slice(None), first.astype(np.int64)
+    event = np.arange(len(address))
     within = (address - first * line).astype(np.int64)
     n_lines = (within + size.astype(np.int64) - 1) // line_bytes + 1
-    rows = int(n_lines.sum())
+    rows = int(np.add.reduce(n_lines))
     row_event = np.repeat(event, n_lines)
     row_line = first.astype(np.int64)[row_event] + (
         np.arange(rows) - np.repeat(np.cumsum(n_lines) - n_lines, n_lines)
     )
     return row_event, row_line
-
-
-def _coalesce(occ_of_event, address, size, line_bytes: int):
-    """One transaction per distinct ``(occurrence, line)``: returns their
-    occurrences and lines in issue order — by occurrence and, within it,
-    by first touch."""
-    row_event, row_line = touched_lines(address, size, line_bytes)
-    row_occ = occ_of_event[row_event]
-    order, tx_start = stable_runs(row_occ, row_line)
-    # stable sort: ``first_row`` is the row that touched the line first
-    first_row = order[tx_start]
-    tx_occ = row_occ[first_row]
-    issue_order = first_row[stable_order(tx_occ, first_row)]
-    return row_occ[issue_order], row_line[issue_order]
-
-
-def _contention(tx_line, tx_pair, tx_eu, ports: int):
-    """For every ``(uid, seq, line)`` key touched from more EUs than the
-    line has ports, the number of EUs beyond them — keys in the order of
-    the transaction that first touched them."""
-    order, eu_start = stable_runs(tx_line, tx_pair, tx_eu)
-    starts = np.flatnonzero(run_starts(tx_line[order], tx_pair[order]))
-    distinct_eus = np.add.reduceat(eu_start.astype(np.int64), starts)
-    extras = np.maximum(0, distinct_eus - ports)
-    contended = np.flatnonzero(extras)
-    first_tx = np.minimum.reduceat(order, starts)[contended]
-    return extras[contended][np.argsort(first_tx)]
 
 
 def _transactions(device, trace: LaunchTrace, warps: int):
@@ -333,25 +299,76 @@ def _transactions(device, trace: LaunchTrace, warps: int):
         none = np.zeros(0, np.int64)
         zeros = np.zeros(warps, np.int64)
         return none, zeros, zeros, none
-    occ_of_event, occ_warp, occ_pair = _occurrences(
-        trace.lane // device.simd_width, trace.uid, trace.seq
-    )
-    tx_occ, tx_line = _coalesce(
-        occ_of_event, trace.address, trace.size, device.l3_line_bytes
-    )
-    tx_warp = occ_warp[tx_occ]
+    # One row per touched line, in touch order (events, then each one's
+    # lines low to high).
+    row_event, line = touched_lines(trace.address, trace.size, device.l3_line_bytes)
+    untouched = False
+    if not isinstance(row_event, slice):  # some access straddles or touches nothing
+        row_event, line, untouched = _untouched_rows(row_event, line, len(trace.uid))
+    warp = trace.lane[row_event] // device.simd_width
+    uid, seq = trace.uid[row_event], trace.seq[row_event]
+    # The keys' ranges, worked out once for both sorts below (the rows
+    # are lane-major: the warps ascend).
+    bounds = [(int(warp[0]), int(warp[-1]))]
+    bounds += [(int(np.minimum.reduce(key)), int(np.maximum.reduce(key))) for key in (uid, seq, line)]
+    # One stable order of the rows by (warp, uid, seq, line): occurrences
+    # are its runs of (warp, uid, seq), transactions its runs of all
+    # four.  The order being stable, a transaction's run starts at the
+    # row that touched its line first; an occurrence's first touch is
+    # the earliest of its transactions'.
+    order, (occ_start, tx_start) = nested_runs((warp, uid, seq, line), (3, 4), bounds)
+    tx_at = tx_start.nonzero()[0]
+    occ_row = np.minimum.reduceat(order, occ_start.nonzero()[0])
+    tx_occ = np.add.accumulate(occ_start[tx_at], dtype=np.int64) - 1
+    if untouched:  # a row on no line opens its occurrence and issues nothing
+        issued = line[order[tx_at]] >= 0
+        tx_at, tx_occ = tx_at[issued], tx_occ[issued]
+    # Issue order: occurrences by first touch and, within one, its lines
+    # by first touch — one sort of the (distinct) pairs of first touches.
+    rows = len(order)
+    issue = occ_row[tx_occ] * rows + order[tx_at]
+    del order, occ_start, tx_start, tx_at, tx_occ
+    issue.sort()
+    tx_row = issue % rows
+    del issue
+    tx_warp = warp[tx_row]
+    occurrences = np.bincount(warp[occ_row], minlength=warps)
+    line = line[tx_row]
+    eus = device.num_eus
     extras = _contention(
-        tx_line,
-        occ_pair[tx_occ],
-        tx_warp % device.num_eus,
+        (uid[tx_row], seq[tx_row], line, tx_warp % eus),
+        [*bounds[1:], (0, min(eus - 1, bounds[0][1]))],
         device.l3_line_ports,
     )
-    return (
-        tx_line,
-        np.bincount(tx_warp, minlength=warps),
-        np.bincount(occ_warp, minlength=warps),
-        extras,
-    )
+    return line, np.bincount(tx_warp, minlength=warps), occurrences, extras
+
+
+def _untouched_rows(row_event, line, events: int):
+    """:func:`touched_lines`' rows plus one on line -1 for each access
+    that touches no line (an empty one on a boundary), in access order,
+    and whether there was any: such an access still opens its
+    occurrence, as every access does."""
+    empty = (np.bincount(row_event, minlength=events) == 0).nonzero()[0]
+    if not len(empty):
+        return row_event, line, False
+    row_event = np.concatenate((row_event, empty))
+    rows = row_event.argsort(kind="stable")
+    line = np.concatenate((line, np.full(len(empty), -1, np.int64)))
+    return row_event[rows], line[rows], True
+
+
+def _contention(keys, bounds, ports: int):
+    """For every ``(uid, seq, line)`` key touched from more EUs than the
+    line has ports, the number of EUs beyond them — keys in the order of
+    the transaction that first touched them.  ``keys`` are the
+    transactions' ``(uid, seq, line, eu)`` columns in issue order, and
+    ``bounds`` their ranges (:func:`~repro.gpu.cache.nested_runs`)."""
+    order, (key_start, eu_start) = nested_runs(keys, (3, 4), bounds)
+    key_at = key_start.nonzero()[0]
+    extras = np.add.reduceat(eu_start, key_at, dtype=np.int64) - ports
+    contended = (extras > 0).nonzero()[0]
+    first_tx = np.minimum.reduceat(order, key_at)[contended]
+    return extras[contended][first_tx.argsort()]
 
 
 def time_gpu_kernel(
@@ -369,28 +386,30 @@ def time_gpu_kernel(
     l3 = l3 or CacheModel(device.l3_size_bytes, device.l3_line_bytes, device.l3_assoc)
     warps = (trace.n + device.simd_width - 1) // device.simd_width
 
-    total_instructions = int(trace.instructions.sum())
-    total_translations = int(trace.translations.sum())
+    total_instructions = int(np.add.reduce(trace.instructions))
+    total_translations = int(np.add.reduce(trace.translations))
 
     warp_issue, warp_converged = _issue_slots(device, facts, trace, warps)
     lines, warp_tx, warp_occurrences, extras = _transactions(device, trace, warps)
 
     # A scattered access cracks into one data-port message per extra line.
-    crack_slots = GATHER_CRACK_SLOTS * np.maximum(0, warp_tx - warp_occurrences)
     # per warp: its issue slots, then its crack slots
-    total_issue = running_sum(np.stack((warp_issue, crack_slots), axis=1).ravel())
+    slots = np.empty(2 * warps)
+    slots[0::2] = warp_issue
+    slots[1::2] = GATHER_CRACK_SLOTS * np.maximum(0, warp_tx - warp_occurrences)
+    total_issue = running_sum(slots)
     converged_issue = running_sum(warp_converged)
 
     hit = l3.touch(lines)
     mem_transactions = len(lines)
-    l3_hits = int(hit.sum())
+    l3_hits = int(np.count_nonzero(hit))
     l3_misses = mem_transactions - l3_hits
     mem_latency_cycles = running_sum(
         np.where(hit, device.l3_hit_cycles, device.dram_latency_cycles)
     )
     dram_bytes = l3_misses * device.l3_line_bytes
 
-    contention_events = int(extras.sum())
+    contention_events = int(np.add.reduce(extras))
     contention_cycles = running_sum(extras * device.contention_penalty_cycles)
 
     # -- fold into wall-clock cycles

@@ -130,12 +130,65 @@ def as_span(obj) -> RegionSpan:
     )
 
 
-def _overlap_any(a: tuple, b: tuple) -> bool:
-    for x in a:
-        for y in b:
-            if x.overlaps(y):
-                return True
-    return False
+def _bounds(spans) -> np.ndarray:
+    """The non-empty ``spans`` as a ``2 x k`` array of their start and
+    end addresses (an empty span overlaps nothing)."""
+    return np.array(
+        [(span.addr, span.addr + span.size) for span in spans if span.size > 0],
+        np.uint64,
+    ).reshape(-1, 2).T
+
+
+def _overlapping(bounds: np.ndarray, spans: np.ndarray) -> np.ndarray:
+    """Which columns of ``bounds`` overlap which columns of ``spans``
+    (both :func:`_bounds` arrays), as a ``len(bounds) x len(spans)``
+    matrix: one interval test of every pair at once."""
+    starts, ends = bounds[:, :, None]
+    return (starts < spans[1]) & (spans[0] < ends)
+
+
+class _DeclaredSpans:
+    """Every non-empty declared span of the submitted constructs, in
+    submission order, as arrays: its bounds, the index of the construct
+    that declared it, and whether it was declared written.  A construct's
+    edges and a barrier's region test are one :func:`_overlapping` call
+    against them.  The arrays grow by doubling, so a graph of ``n``
+    constructs copies O(n) spans in all."""
+
+    __slots__ = ("bounds", "owner", "written", "count")
+
+    def __init__(self):
+        self.bounds = np.empty((2, 16), np.uint64)
+        self.owner = np.empty(16, np.int64)
+        self.written = np.empty(16, bool)
+        self.count = 0
+
+    def add(self, index: int, spans: np.ndarray, reads: int) -> None:
+        """Keep construct ``index``'s spans: its first ``reads`` columns
+        read, the others written."""
+        start = self.count
+        end = start + spans.shape[1]
+        if end > len(self.owner):
+            grown = max(end, 2 * len(self.owner))
+            self.bounds = np.concatenate(
+                (self.bounds[:, :start], np.empty((2, grown - start), np.uint64)), axis=1
+            )
+            self.owner = np.concatenate((self.owner[:start], np.empty(grown - start, np.int64)))
+            self.written = np.concatenate((self.written[:start], np.empty(grown - start, bool)))
+        self.bounds[:, start:end] = spans
+        self.owner[start:end] = index
+        self.written[start:end] = False
+        self.written[start + reads : end] = True
+        self.count = end
+
+    def touching(self, spans: np.ndarray) -> np.ndarray:
+        """Per kept span, which of ``spans`` it overlaps."""
+        return _overlapping(self.bounds[:, : self.count], spans)
+
+    def owners(self, hit: np.ndarray) -> tuple:
+        """The indices, ascending, of the constructs that declared the
+        kept spans ``hit`` selects."""
+        return tuple(dict.fromkeys(self.owner[: self.count][hit].tolist()))
 
 
 def _merge_intervals(spans) -> tuple:
@@ -325,6 +378,8 @@ class TaskGraph:
         self._jit_ahead = 0.0
         #: records already folded into graph_wave spans by a wait()
         self._reported = 0
+        #: every record's declared spans, for the overlap tests
+        self._spans = _DeclaredSpans()
 
     # -- submission --------------------------------------------------------
 
@@ -383,11 +438,8 @@ class TaskGraph:
             _policy=policy,
         )
         self._infer_edges(record)
-        record.wave = (
-            0
-            if not record.deps
-            else 1 + max(self.records[d].wave for d in record.deps)
-        )
+        deps = record.deps
+        record.wave = 1 + max(self.records[d].wave for d in deps) if deps else 0
         self.records.append(record)
         self._compile_ahead(rt, kinfo)
         counters = rt.counters
@@ -403,18 +455,22 @@ class TaskGraph:
 
     def _infer_edges(self, record: ConstructRecord) -> None:
         """RAW/WAR/WAW edges against every earlier construct whose
-        declared sets overlap this one's."""
-        edges: dict = {kind: [] for kind in EDGE_KINDS}
-        for prev in self.records:
-            if _overlap_any(prev.writes, record.reads):
-                edges["raw"].append(prev.index)
-            if _overlap_any(prev.reads, record.writes):
-                edges["war"].append(prev.index)
-            if _overlap_any(prev.writes, record.writes):
-                edges["waw"].append(prev.index)
-        record.edges = {
-            kind: tuple(indices) for kind, indices in edges.items() if indices
+        declared sets overlap this one's: one interval test of this
+        construct's spans against all the earlier ones'."""
+        declared = self._spans
+        reads = _bounds(record.reads)
+        spans = np.concatenate((reads, _bounds(record.writes)), axis=1)
+        touch = declared.touching(spans)
+        by_reads = np.logical_or.reduce(touch[:, : reads.shape[1]], axis=1)
+        by_writes = np.logical_or.reduce(touch[:, reads.shape[1] :], axis=1)
+        written = declared.written[: declared.count]
+        edges = {
+            "raw": declared.owners(written & by_reads),
+            "war": declared.owners(~written & by_writes),
+            "waw": declared.owners(written & by_writes),
         }
+        record.edges = {kind: indices for kind, indices in edges.items() if indices}
+        declared.add(record.index, spans, reads.shape[1])
 
     def _compile_ahead(self, rt, kinfo) -> None:
         """Queue the kernel's vendor JIT on the host lane at submission
@@ -590,14 +646,11 @@ class TaskGraph:
                 if not record.done:
                     self._execute(rt, record)
             return
-        spans = tuple(as_span(obj) for obj in regions)
-        for record in self.records:
-            if record.done:
-                continue
-            if _overlap_any(record.writes, spans) or _overlap_any(
-                record.reads, spans
-            ):
-                self.force(rt, record.index)
+        declared = self._spans
+        hit = np.logical_or.reduce(declared.touching(_bounds(map(as_span, regions))), axis=1)
+        for index in declared.owners(hit):
+            if not self.records[index].done:
+                self.force(rt, index)
 
     def wait(self, rt) -> GraphStats:
         """Force every pending construct, emit the ``graph_wave`` spans

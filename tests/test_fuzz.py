@@ -278,7 +278,12 @@ MUTATIONS = {
     ),
     "passes": (lambda mp: mp.setitem(PASS_REGISTRY, "constfold", _sub_becomes_add),),
     "ir": (lambda mp: mp.setitem(PASS_REGISTRY, "constfold", _sub_becomes_add),),
-    "graph": (lambda mp: mp.setattr(graph, "_overlap_any", lambda a, b: False),),
+    # no declared span overlaps another
+    "graph": (
+        lambda mp: mp.setattr(
+            graph, "_overlapping", lambda bounds, spans: (bounds[0][:, None] < spans[0]) & False
+        ),
+    ),
     # every chunk of Scheduler.run_split runs its items last to first
     "sched": (lambda mp: mp.setattr(
         scheduler, "range", lambda lo, hi: range(hi - 1, lo - 1, -1), raising=False

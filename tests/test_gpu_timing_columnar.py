@@ -315,6 +315,118 @@ def test_reference_interpreter_traces_price_identically():
         )
 
 
+# -- the order contract, case by case ----------------------------------------
+#
+# Each launch below is built by hand so that one rule of the order
+# contract (docs/MODEL.md) decides the report: on a two-line cache, or
+# through a contention penalty that is not exactly representable, any
+# other order prices it differently.  Both sides must agree under ``==``.
+
+
+def cramped():
+    """``detuned`` with a one-set, two-way L3: any change in the order
+    of three distinct lines changes the hits."""
+    return dataclasses.replace(detuned(), name="cramped", l3_size_bytes=64, l3_assoc=2)
+
+
+#: where the hand-built accesses live; lines are ``cramped``'s 32 bytes
+BASE = 1 << 32
+
+
+def _at(line, offset=0):
+    return BASE + 32 * line + offset
+
+
+def _lanes(n, events, blocks=None, kernel=None):
+    """``n`` lanes of ``kernel`` (a fresh :func:`diamond_kernel` by
+    default), lane ``i`` recording ``events.get(i, [])`` — each ``(uid,
+    seq, address, size)`` — and executing ``blocks.get(i)`` (by default:
+    the entry block once)."""
+    kernel = kernel or diamond_kernel()
+    entry = kernel.blocks[0].uid
+    traces = []
+    for lane in range(n):
+        trace = ExecTrace()
+        trace.block_counts = (blocks or {}).get(lane, {entry: 1})
+        for uid, seq, address, size in events.get(lane, []):
+            trace.record_mem(uid, seq, address, size, False)
+        traces.append(trace)
+    return kernel, traces
+
+
+def _contended_out_of_line_order():
+    """Keys A (uid 12, line 5), B (uid 13, line 9) and C (uid 11, line
+    1), first touched in that order by warp 0 and touched from 2, 3 and
+    5 EUs: their extras 1, 2, 4 summed in first-touch order differ in
+    the last bit from 4, 1, 2, the order of their lines and of their
+    uids."""
+    touches = {12: (5, 2), 13: (9, 3), 11: (1, 5)}  # uid: (line, warps)
+    events = {
+        8 * warp: [(uid, 0, _at(line), 4) for uid, (line, warps) in touches.items() if warp < warps]
+        for warp in range(5)
+    }
+    return _lanes(40, events)
+
+
+def _one_lane_last_warp():
+    """17 lanes on a SIMD8 part: the last warp holds one lane, which
+    enters the guarded ``then`` block twice in 11 — no
+    independent-outcomes lift for a warp of one, where
+    ``11 x (1 - (1 - 2/11))`` rounds above 2."""
+    kernel = diamond_kernel()
+    entry, then = kernel.blocks[0].uid, kernel.blocks[1].uid
+    blocks = {lane: {entry: 11, then: 2} for lane in range(17)}
+    events = {lane: [(7, 0, _at(lane % 4), 8)] for lane in range(17)}
+    return _lanes(17, events, blocks, kernel)
+
+
+ORDER_CASES = {
+    # occurrences issue by first touch: (9, 0) (7, 0) (9, 1) (7, 1) is
+    # lines 0 1 2 0 — by (uid, seq) it would be 1 0 0 2
+    "first touch is not (uid, seq) order": lambda: _lanes(
+        1, {0: [(9, 0, _at(0), 4), (7, 0, _at(1), 4), (9, 1, _at(2), 4), (7, 1, _at(0), 4)]}
+    ),
+    # occurrence (1, 0) touches line 9 (lane 0) before line 2 (lane 1):
+    # lines 9 2 4 9 miss four times, 2 9 4 9 would hit once
+    "an occurrence first touched on its high line": lambda: _lanes(
+        2,
+        {
+            0: [(1, 0, _at(9), 4), (2, 0, _at(4), 4), (3, 0, _at(9), 4)],
+            1: [(1, 0, _at(2), 4), (2, 0, _at(4), 4)],
+        },
+    ),
+    # lines 3 4 5 3: the straddling access touches 3 before 4
+    "an access straddling a line": lambda: _lanes(
+        1, {0: [(1, 0, _at(3, 30), 4), (2, 0, _at(5), 4), (3, 0, _at(3), 4)]}
+    ),
+    # empty accesses on a boundary (and at address 0) touch nothing
+    "zero-size accesses on a line boundary": lambda: _lanes(
+        1,
+        {0: [(1, 0, _at(2), 0), (4, 0, 0, 0), (2, 0, _at(5), 4), (3, 0, _at(6), 4), (5, 0, _at(2), 4)]},
+    ),
+    # occurrence (1, 0) opens at lane 0's empty access, before (2, 0):
+    # lines 9 4 6 9 miss four times, 4 6 9 9 would hit once
+    "an occurrence opened by an access that touches nothing": lambda: _lanes(
+        2,
+        {
+            0: [(1, 0, _at(2), 0), (2, 0, _at(4), 4), (3, 0, _at(6), 4), (5, 0, _at(9), 4)],
+            1: [(1, 0, _at(9), 4)],
+        },
+    ),
+    "contention keys first touched out of line order": _contended_out_of_line_order,
+    "a last warp of one lane": _one_lane_last_warp,
+    "a launch that keeps no events": lambda: _lanes(12, {}),
+}
+
+
+@pytest.mark.parametrize("case", ORDER_CASES)
+def test_order_contract_case_equals_the_oracle(case):
+    kernel, traces = ORDER_CASES[case]()
+    device = cramped()
+    got = time_gpu_kernel(device, kernel, LaunchTrace.from_traces(traces))
+    assert got == oracle_time_gpu_kernel(device, kernel, traces)
+
+
 # -- whole workloads ----------------------------------------------------------
 
 MODES = {

@@ -8,7 +8,7 @@ import random
 import warnings
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from repro.exec import ExecTrace
 from repro.exec.buffers import LaunchTrace
@@ -275,6 +275,83 @@ class TestDependencyInference:
         # a placement is checked when the runtime is built, not at first use
         with pytest.raises(ValueError, match="graph_placement='greedy'"):
             _runtime(graph_placement="greedy")
+
+
+def _overlap_any(a: tuple, b: tuple) -> bool:
+    """The pairwise definition the graph's one interval test replaced:
+    does any span of ``a`` overlap any span of ``b``?"""
+    for x in a:
+        for y in b:
+            if x.overlaps(y):
+                return True
+    return False
+
+
+#: ``(addr, size)`` on a 4-byte grid over 44 bytes: spans overlap, touch
+#: end to start and come empty often
+SPAN = st.tuples(st.integers(0, 8).map(lambda k: 4 * k), st.sampled_from((0, 4, 4, 8, 12)))
+#: a declared set, or ``None`` for a conservative whole-region one
+DECLARED = st.one_of(st.none(), st.lists(SPAN, max_size=3))
+
+
+class TestEdgeInferenceIsThePairwiseDefinition:
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        constructs=st.lists(st.tuples(DECLARED, DECLARED), min_size=1, max_size=30),
+        regions=st.lists(SPAN, min_size=1, max_size=3),
+    )
+    @example(constructs=[([], [(8, 8)]), ([(16, 4)], [(0, 0)])], regions=[(16, 0), (12, 4)])
+    def test_edges_waves_counters_and_barrier(self, constructs, regions):
+        """Every record's edges (kinds and index order), its wave, the
+        ``graph.edges.*`` counters and the constructs ``barrier(regions)``
+        forces equal what the double loop over earlier records gives.
+        The constructs have no lanes: forcing one runs nothing."""
+        from repro.ir.types import I32
+
+        observer = Observer()
+        rt = _runtime(observer=observer)
+        body = _incr(rt, rt.new_array(I32, 1))
+        for reads, writes in constructs:
+            rt.submit(0, body, reads=reads, writes=writes)
+        records = rt.task_graph.records
+
+        waves, counts = [], {}
+        for record in records:
+            earlier = records[: record.index]
+            edges = {}
+            for kind, theirs, mine in (
+                ("raw", "writes", record.reads),
+                ("war", "reads", record.writes),
+                ("waw", "writes", record.writes),
+            ):
+                hit = tuple(prev.index for prev in earlier if _overlap_any(getattr(prev, theirs), mine))
+                if hit:
+                    edges[kind] = hit
+                    counts[f"graph.edges.{kind}"] = counts.get(f"graph.edges.{kind}", 0) + len(hit)
+            assert record.edges == edges
+            deps = sorted({index for hit in edges.values() for index in hit})
+            waves.append(1 + max(waves[index] for index in deps) if deps else 0)
+            assert record.wave == waves[-1]
+        assert {
+            name: value
+            for name, value in observer.counters.as_dict().items()
+            if name.startswith("graph.edges.")
+        } == counts
+
+        spans = tuple(as_span(region) for region in regions)
+        forced = set()
+        pending = [
+            record.index
+            for record in records
+            if _overlap_any(record.writes, spans) or _overlap_any(record.reads, spans)
+        ]
+        while pending:
+            index = pending.pop()
+            if index not in forced:
+                forced.add(index)
+                pending.extend(records[index].deps)
+        rt.barrier(regions)
+        assert {record.index for record in records if record.done} == forced
 
 
 class TestDeferredExecution:

@@ -18,7 +18,7 @@ from repro.cpu import i7_4650u, i7_4770, time_cpu_execution
 from repro.exec import ExecTrace
 from repro.exec.buffers import LaunchTrace
 from repro.gpu import CacheModel
-from repro.gpu.cache import _LOCKSTEP_ROUNDS, stable_order, stable_runs
+from repro.gpu.cache import _LOCKSTEP_ROUNDS, nested_runs
 from repro.passes import OptConfig
 from repro.runtime.system import ultrabook
 from repro.workloads import all_workloads
@@ -146,7 +146,8 @@ def test_wide_keys_take_the_lexsort_fallback(monkeypatch):
 )
 def test_stable_order_is_lexsort(seed, n, widths):
     """Packed or not, the order is the stable lexicographic one: ties
-    keep their original order."""
+    keep their original order; and each depth's mask starts every run of
+    equal leading keys."""
     rng = np.random.default_rng(seed)
     keys = [
         rng.integers(0, 1 << width, n, dtype=np.int64, endpoint=True)
@@ -154,11 +155,12 @@ def test_stable_order_is_lexsort(seed, n, widths):
         for width in widths
     ]
     expected = np.lexsort(keys[::-1])
-    assert stable_order(*keys).tolist() == expected.tolist()
-    order, starts = stable_runs(*keys)
+    depths = range(1, len(keys) + 1)
+    order, masks = nested_runs(keys, depths)
     assert order.tolist() == expected.tolist()
-    rows = list(zip(*(key[expected].tolist() for key in keys)))
-    assert starts.tolist() == [i == 0 or rows[i] != rows[i - 1] for i in range(n)]
+    for depth, starts in zip(depths, masks):
+        rows = list(zip(*(key[expected].tolist() for key in keys[:depth])))
+        assert starts.tolist() == [i == 0 or rows[i] != rows[i - 1] for i in range(n)]
 
 
 # -- the CPU model ------------------------------------------------------------
