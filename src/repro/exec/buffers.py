@@ -165,13 +165,13 @@ def event_column(name: str, values) -> np.ndarray:
     return values.astype(dtype, copy=False)
 
 
-#: The largest value each column of a stride-5 row may hold: the width
-#: of the event column it narrows into (every row value is unsigned, so
-#: none is too low; ``address`` keeps all 64 bits).
-_ROW_LIMITS = np.array(
-    [np.iinfo(EVENT_DTYPES[name]).max for name in ("uid", "seq", "address", "size", "is_store")],
-    np.uint64,
-)
+#: The fields of a stride-5 event row, in order: each is the
+#: :data:`EVENT_DTYPES` column of that name.
+_ROW_FIELDS = ("uid", "seq", "address", "size", "is_store")
+#: The largest value each field may hold: the width of its column (every
+#: row value is unsigned, so none is too low; ``address`` keeps all 64
+#: bits).
+_ROW_LIMITS = np.array([np.iinfo(EVENT_DTYPES[name]).max for name in _ROW_FIELDS], np.uint64)
 #: the most lanes a launch may have: their indices fill the ``lane`` column
 _LANE_LIMIT = int(np.iinfo(EVENT_DTYPES["lane"]).max) + 1
 
@@ -187,17 +187,15 @@ def launch_events(data, kept, dropped, caps) -> dict:
     kept = np.array(kept, np.int64)
     over = rows > _ROW_LIMITS
     if np.logical_or.reduce(over.ravel()):
-        name = ("uid", "seq", "address", "size", "is_store")[over.any(axis=0).argmax()]
+        name = _ROW_FIELDS[over.any(axis=0).argmax()]
         raise OverflowError(f"a {name} value does not fit {np.dtype(EVENT_DTYPES[name]).name}")
     if len(kept) > _LANE_LIMIT:
-        raise OverflowError("a lane value does not fit int32")
+        raise OverflowError(f"a lane value does not fit {np.dtype(EVENT_DTYPES['lane']).name}")
+    # ``astype`` copies, so every column is contiguous and owns its data
+    columns = {name: column.astype(EVENT_DTYPES[name]) for name, column in zip(_ROW_FIELDS, rows.T)}
     return dict(
-        lane=np.arange(len(kept), dtype=np.int32).repeat(kept),
-        uid=rows[:, 0].astype(np.int64),
-        seq=rows[:, 1].astype(np.int32),
-        address=rows[:, 2].copy(),
-        size=rows[:, 3].astype(np.uint8),
-        is_store=rows[:, 4].astype(np.uint8),
+        columns,
+        lane=np.arange(len(kept), dtype=EVENT_DTYPES["lane"]).repeat(kept),
         kept=kept,
         dropped=np.array(dropped, np.int64),
         caps=np.array(caps, np.int64),
@@ -354,31 +352,39 @@ class LaunchTrace:
         of every function the launch entered.  Equal, row order included,
         to :meth:`from_traces` over the same lanes traced one by one.
 
-        ``functions`` lists ``(table, per_unit)``: the function's
-        :class:`UnitTable` and a ``2 x units x n`` count array (or its
-        ``2 units x n`` reshape) — per unit, its executions and then its
-        taken branches in every lane, zero in the lanes that did not enter
-        the function.  Every per-lane counter is the per-unit totals times
-        the counts; a block (branch) row is the counts (taken counts) of
-        its unit, for the units some lane executed."""
+        ``functions`` lists ``(table, lanes, per_unit)``: the function's
+        :class:`UnitTable`, the lanes that entered it (ascending indices,
+        or ``slice(None)`` for all ``n``) and a ``2 x units x len(lanes)``
+        count array (or its ``2 units x len(lanes)`` reshape) — per unit,
+        its executions and then its taken branches in each of those lanes.
+        Every per-lane counter is the per-unit totals times the counts; a
+        block (branch) row is the counts (taken counts) of its unit over
+        all ``n`` lanes, for the units some lane executed: only those get
+        an ``n``-wide row."""
         counters = np.zeros((5, n), np.int64)
-        none = np.zeros((0, n), np.int64)  # concatenate needs one array
-        counts, taken = [none], [none]  # per function, its per-unit rows
-        uids, units, branch_uids, branch_units = ([_NO_ROWS] for _ in range(4))
-        offset = 0  # of the function's units among all the functions'
-        for table, per_unit in functions:
-            unit_counts, unit_taken = per_unit.reshape(2, len(table.totals), n)
-            counters += table.totals.T @ unit_counts
+        uids, units, branch_uids, branch_units = [_NO_ROWS], [_NO_ROWS], [_NO_ROWS], [_NO_ROWS]
+        entered = []  # per function: where its rows start, its lanes, their rows
+        offset = 0  # of the function's executed units among all the functions'
+        for table, lanes, per_unit in functions:
+            per_unit = per_unit.reshape(2, len(table.totals), per_unit.shape[-1])
+            unit_counts = per_unit[0]
+            counters[:, lanes] += table.totals.T @ unit_counts
             executed = np.logical_or.reduce(unit_counts != 0, axis=1)
+            ran = executed.nonzero()[0]
+            # a unit's row among the executed ones, over all the functions
+            row_of = np.add.accumulate(executed, dtype=np.int64) + (offset - 1)
             block, branch = executed[table.block_unit], executed[table.branch_unit]
             uids.append(table.block_uid[block])
-            units.append(table.block_unit[block] + offset)
+            units.append(row_of[table.block_unit[block]])
             branch_uids.append(table.branch_uid[branch])
-            branch_units.append(table.branch_unit[branch] + offset)
-            counts.append(unit_counts)
-            taken.append(unit_taken)
-            offset += len(table.totals)
-        counts, taken = np.concatenate(counts), np.concatenate(taken)
+            branch_units.append(row_of[table.branch_unit[branch]])
+            entered.append((offset, lanes, per_unit[:, ran]))
+            offset += len(ran)
+        # per executed unit, its counts and its taken counts in every lane
+        dense = np.zeros((2, offset, n), np.int64)
+        for start, lanes, rows in entered:
+            dense[:, start : start + rows.shape[1], lanes] = rows
+        counts, taken = dense
         # Rows in ascending uid order, whichever function was entered first.
         uids = np.concatenate(uids)
         branch_uids = np.concatenate(branch_uids)

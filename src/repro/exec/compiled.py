@@ -1963,7 +1963,7 @@ class CompiledEngine:
         kept, dropped, caps = array("q"), array("q"), array("q")
         rows: list = []  # per lane, a callee-free kernel's counts (``flushed`` order)
         columns: dict = {}  # JitCode -> (lanes, harvested accumulators)
-        functions = []  # (UnitTable, per-unit counts and taken counts by lane)
+        functions = []  # (UnitTable, lanes, per-unit counts and taken counts of those lanes)
         if n:
             compiled = self._lookup(function, n, lanes=True)
             run = compiled.lanes()
@@ -1986,7 +1986,7 @@ class CompiledEngine:
                 flat = pack(f"<{n * len(slots)}q", *chain.from_iterable(rows))
                 per_unit = np.zeros((2 * len(code.units), n), np.int64)
                 per_unit[slots] = np.frombuffer(flat, np.int64).reshape(n, len(slots)).T
-                functions.append((code.table, per_unit))
+                functions.append((code.table, slice(None), per_unit))
         events_of = launch_events(events, kept, dropped, caps)
         del events  # the columns hold the events now
         if n and compiled.code.entry(True).raw_addresses:
@@ -1995,9 +1995,7 @@ class CompiledEngine:
             # per lane: unit counts, taken counts, trap counts, the entered flag
             width = len(code.units)
             harvest = np.array(accumulators, np.int64).reshape(len(lanes), 3 * width + 1)
-            per_unit = np.zeros((2 * width, n), np.int64)
-            per_unit[:, np.array(lanes, np.int64)] = harvest[:, : 2 * width].T
-            functions.append((code.table, per_unit))
+            functions.append((code.table, np.array(lanes, np.int64), harvest[:, : 2 * width].T))
         return LaunchTrace.from_unit_counts(n, events_of, functions)
 
     def _lookup(self, function: Function, uses: int, lanes: bool = False) -> CompiledFunction:

@@ -329,13 +329,13 @@ class VectorMachine:
         return entry[1], entry[2]
 
     def _unit_counts(self):
-        """Per entered function, ``(table, per_unit)`` as
+        """Per entered function, ``(table, lanes, per_unit)`` as
         :meth:`~repro.exec.buffers.LaunchTrace.from_unit_counts` takes
-        them: the hit lists folded into per-unit counts by lane."""
+        them: the hit lists folded into per-unit counts of every lane."""
         n, none = self.n, [np.zeros(0, _I64)]
         for vfn, hits, tks in self.counts.values():
             tally = [np.bincount(np.concatenate(lists + none), minlength=n) for lists in hits + tks]
-            yield vfn.table, np.array(tally, _I64).reshape(-1, n)
+            yield vfn.table, slice(None), np.array(tally, _I64).reshape(-1, n)
 
     def charge(self, lanes, k: int, k0: int, n_steps: int, name: str) -> None:
         """A unit runs on ``lanes`` (``k`` of them, of the invocation's

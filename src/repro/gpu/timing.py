@@ -170,7 +170,8 @@ class KernelFacts:
     uids: np.ndarray
     slots: np.ndarray
     guard: np.ndarray
-    #: ``block_uids.tobytes()`` -> :meth:`rows`'s answer
+    #: ``block_uids.tobytes()`` -> :meth:`rows`'s answer, for at most
+    #: :data:`ROW_SETS_KEPT` row sets
     _rows: dict = field(default_factory=dict, compare=False, repr=False)
 
     @classmethod
@@ -189,8 +190,9 @@ class KernelFacts:
         """For a trace's block rows (ascending uids): each row's slot size
         as a column, and the rows of the blocks guarded by a ``condbr``
         block that is also a row, with the rows of their guards.  A
-        callee's block is not the kernel's: one slot, no guard.  Computed
-        once per row set: the launches of one kernel report a few."""
+        callee's block is not the kernel's: one slot, no guard.  Kept
+        for the first :data:`ROW_SETS_KEPT` row sets: the launches of one
+        kernel report a few, as which blocks ran varies little."""
         key = block_uids.tobytes()
         found = self._rows.get(key)
         if found is None:
@@ -199,13 +201,17 @@ class KernelFacts:
             known = self.uids[at] == uids
             guard = np.where(known, self.guard[at], -1)
             guard_row = np.searchsorted(uids, guard).clip(max=len(uids) - 1)
-            child = np.flatnonzero(uids[guard_row] == guard)
-            found = self._rows[key] = (
-                np.where(known, self.slots[at], 1.0)[:, None],
-                child,
-                guard_row[child],
-            )
+            child = (uids[guard_row] == guard).nonzero()[0]
+            found = (np.where(known, self.slots[at], 1.0)[:, None], child, guard_row[child])
+            if len(self._rows) < ROW_SETS_KEPT:
+                self._rows[key] = found
         return found
+
+
+#: the most row sets a :class:`KernelFacts` keeps the rows of
+#: (:meth:`~KernelFacts.rows`); one kernel's launches report at most four
+#: in ``hetero_sched``, ``paper_sweep`` and the overlap figure's BFS pipeline
+ROW_SETS_KEPT = 16
 
 
 def running_sum(values) -> float:
